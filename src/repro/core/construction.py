@@ -35,6 +35,8 @@ procedure described in the paper) is also provided and tested for equivalence.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.core.dph import (
     DatabasePrivacyHomomorphism,
     DphError,
@@ -43,7 +45,9 @@ from repro.core.dph import (
     EncryptedTuple,
     EvaluationResult,
     ServerEvaluator,
+    evaluate_conjunction,
 )
+from repro.crypto.errors import CryptoError
 from repro.crypto.keys import KeyHierarchy, SecretKey
 from repro.crypto.rng import RandomSource, SystemRng
 from repro.crypto.symmetric import SymmetricCipher
@@ -55,10 +59,10 @@ from repro.relational.tuples import RelationTuple
 from repro.searchable.index_sse import (
     DEFAULT_ENTRY_LEN,
     IndexSseScheme,
-    index_search,
+    index_contains,
 )
 from repro.searchable.interfaces import EncryptedDocument
-from repro.searchable.swp import DEFAULT_CHECK_LEN, SwpScheme, swp_search
+from repro.searchable.swp import DEFAULT_CHECK_LEN, SwpMatcher, SwpScheme
 from repro.searchable.tokens import IndexToken, SwpToken
 from repro.searchable.words import Word, WordCodec
 
@@ -265,9 +269,9 @@ class SearchableServerEvaluator(ServerEvaluator):
     """Keyless server-side evaluation of encrypted exact selects.
 
     Holds only public parameters (backend name, word length, check / entry
-    lengths); matching is delegated to the keyless search functions
-    :func:`repro.searchable.swp.swp_search` and
-    :func:`repro.searchable.index_sse.index_search`.
+    lengths).  Every query token is compiled once per :meth:`evaluate` into
+    the keyless tests :class:`repro.searchable.swp.SwpMatcher` and
+    :func:`repro.searchable.index_sse.index_contains`.
     """
 
     def __init__(
@@ -308,33 +312,28 @@ class SearchableServerEvaluator(ServerEvaluator):
                 f"query was encrypted for {encrypted_query.scheme_name!r}, "
                 f"this evaluator handles {self._backend!r}"
             )
-        matching = []
-        token_evaluations = 0
-        for encrypted_tuple in encrypted_relation.encrypted_tuples:
-            document = EncryptedDocument(
-                document_id=encrypted_tuple.tuple_id,
-                encrypted_words=encrypted_tuple.search_fields,
-                index=encrypted_tuple.metadata,
-            )
-            matched_all = True
-            for raw_token in encrypted_query.tokens:
-                token_evaluations += 1
-                if not self._matches(document, raw_token):
-                    matched_all = False
-                    break
-            if matched_all:
-                matching.append(encrypted_tuple)
-        return EvaluationResult(
-            matching=EncryptedRelation(
-                schema=encrypted_relation.schema, encrypted_tuples=tuple(matching)
-            ),
-            examined=len(encrypted_relation),
-            token_evaluations=token_evaluations,
-        )
+        conditions = [self._compile(raw) for raw in encrypted_query.tokens]
+        return evaluate_conjunction(encrypted_relation, conditions)
 
-    def _matches(self, document: EncryptedDocument, raw_token: bytes) -> bool:
+    def _compile(self, raw_token: bytes) -> Callable[[EncryptedTuple], bool]:
         if self._backend == SWP_BACKEND:
-            token = SwpToken.from_bytes(raw_token)
-            return swp_search(document, token, self._word_length, self._check_length).matched
-        token = IndexToken.from_bytes(raw_token)
-        return index_search(document, token, self._entry_length).matched
+            matches = compile_swp_token(raw_token, self._word_length, self._check_length)
+            return lambda t: any(map(matches, t.search_fields))
+        label = IndexToken.from_bytes(raw_token).label
+        return lambda t: index_contains(t.metadata, t.tuple_id, label, self._entry_length)
+
+
+def compile_swp_token(
+    raw_token: bytes, word_length: int, check_length: int
+) -> Callable[[bytes], bool]:
+    """Compile one serialized SWP trapdoor into a word-ciphertext test.
+
+    This is where a trapdoor from the wire is validated -- once per scan,
+    before any tuple is looked at, so a malformed one is a :class:`DphError`
+    for empty and non-empty relations alike.
+    """
+    try:
+        token = SwpToken.from_bytes(raw_token)
+        return SwpMatcher(token, word_length, check_length).matches
+    except (CryptoError, ValueError) as exc:
+        raise DphError(f"malformed SWP trapdoor: {exc}") from exc

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.relational.query import Query
 from repro.relational.relation import Relation
@@ -143,6 +143,34 @@ class EvaluationResult:
     examined: int = 0
     #: Number of search-token evaluations the server performed.
     token_evaluations: int = 0
+
+
+def evaluate_conjunction(
+    encrypted_relation: EncryptedRelation,
+    conditions: Sequence[Callable[[EncryptedTuple], bool]],
+) -> EvaluationResult:
+    """Return the tuple ciphertexts that every compiled condition accepts.
+
+    The one scan loop of the searchable evaluators: they compile each query
+    token once into a ``condition`` and the loop only calls it, stopping at a
+    tuple's first rejection (which is what ``token_evaluations`` counts).
+    """
+    matching = []
+    token_evaluations = 0
+    for encrypted_tuple in encrypted_relation.encrypted_tuples:
+        for condition in conditions:
+            token_evaluations += 1
+            if not condition(encrypted_tuple):
+                break
+        else:
+            matching.append(encrypted_tuple)
+    return EvaluationResult(
+        matching=EncryptedRelation(
+            schema=encrypted_relation.schema, encrypted_tuples=tuple(matching)
+        ),
+        examined=len(encrypted_relation),
+        token_evaluations=token_evaluations,
+    )
 
 
 class ServerEvaluator(ABC):

@@ -25,6 +25,9 @@ benchmark ``benchmarks/bench_a1_variable_length.py``.
 
 from __future__ import annotations
 
+from typing import Callable
+
+from repro.core.construction import compile_swp_token
 from repro.core.dph import (
     DatabasePrivacyHomomorphism,
     DphError,
@@ -33,6 +36,7 @@ from repro.core.dph import (
     EncryptedTuple,
     EvaluationResult,
     ServerEvaluator,
+    evaluate_conjunction,
 )
 from repro.crypto.keys import KeyHierarchy, SecretKey
 from repro.crypto.rng import RandomSource, SystemRng
@@ -42,9 +46,7 @@ from repro.relational.query import Query, selection_predicates
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
 from repro.relational.tuples import RelationTuple
-from repro.searchable.interfaces import EncryptedDocument
-from repro.searchable.swp import DEFAULT_CHECK_LEN, SwpScheme, swp_search
-from repro.searchable.tokens import SwpToken
+from repro.searchable.swp import DEFAULT_CHECK_LEN, SwpScheme
 from repro.searchable.words import WordCodec
 
 #: Wire name of the variable-width construction.
@@ -205,40 +207,14 @@ class VariableWidthServerEvaluator(ServerEvaluator):
                 f"query was encrypted for {encrypted_query.scheme_name!r}, "
                 f"this evaluator handles {VARIABLE_BACKEND!r}"
             )
-        conditions = []
-        for raw in encrypted_query.tokens:
-            if len(raw) < 2:
-                raise DphError("malformed variable-width query token")
-            index = int.from_bytes(raw[:2], "big")
-            if index >= len(self._parameters):
-                raise DphError(f"token refers to unknown attribute position {index}")
-            conditions.append((index, SwpToken.from_bytes(raw[2:])))
+        conditions = [self._compile(raw) for raw in encrypted_query.tokens]
+        return evaluate_conjunction(encrypted_relation, conditions)
 
-        matching = []
-        token_evaluations = 0
-        for encrypted_tuple in encrypted_relation.encrypted_tuples:
-            matched_all = True
-            for index, token in conditions:
-                token_evaluations += 1
-                if not self._matches(encrypted_tuple, index, token):
-                    matched_all = False
-                    break
-            if matched_all:
-                matching.append(encrypted_tuple)
-        return EvaluationResult(
-            matching=EncryptedRelation(
-                schema=encrypted_relation.schema, encrypted_tuples=tuple(matching)
-            ),
-            examined=len(encrypted_relation),
-            token_evaluations=token_evaluations,
-        )
-
-    def _matches(self, encrypted_tuple: EncryptedTuple, index: int, token: SwpToken) -> bool:
-        if index >= len(encrypted_tuple.search_fields):
-            return False
-        word_length, check_length = self._parameters[index]
-        document = EncryptedDocument(
-            document_id=encrypted_tuple.tuple_id,
-            encrypted_words=(encrypted_tuple.search_fields[index],),
-        )
-        return swp_search(document, token, word_length, check_length).matched
+    def _compile(self, raw: bytes) -> Callable[[EncryptedTuple], bool]:
+        if len(raw) < 2:
+            raise DphError("malformed variable-width query token")
+        index = int.from_bytes(raw[:2], "big")
+        if index >= len(self._parameters):
+            raise DphError(f"token refers to unknown attribute position {index}")
+        matches = compile_swp_token(raw[2:], *self._parameters[index])
+        return lambda t: index < len(t.search_fields) and matches(t.search_fields[index])

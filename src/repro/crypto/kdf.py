@@ -35,13 +35,11 @@ def hkdf_expand(pseudo_random_key: bytes, info: bytes, length: int) -> bytes:
         raise ParameterError("derived key length too large for HKDF-Expand")
     blocks = []
     previous = b""
-    counter = 1
-    while sum(len(b) for b in blocks) < length:
+    for counter in range(1, -(-length // _DIGEST_SIZE) + 1):
         previous = hmac.new(
             pseudo_random_key, previous + info + bytes([counter]), _DIGEST
         ).digest()
         blocks.append(previous)
-        counter += 1
     return b"".join(blocks)[:length]
 
 

@@ -16,15 +16,20 @@ mixed into the derivation to keep outputs of different lengths independent).
 from __future__ import annotations
 
 import hashlib
-import hmac
 
 from repro.crypto.errors import KeyError_, ParameterError
 
 _DIGEST = hashlib.sha256
 _DIGEST_SIZE = _DIGEST().digest_size
+_BLOCK_SIZE = _DIGEST().block_size
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
 
 #: Minimum key length (bytes) accepted by :class:`Prf`.
 MIN_KEY_LEN = 16
+
+#: Most digest blocks one evaluation may chain (the counter is one byte).
+MAX_BLOCKS = 255
 
 
 class Prf:
@@ -50,7 +55,22 @@ class Prf:
             )
         if isinstance(label, str):
             label = label.encode("utf-8")
-        self._key = bytes(key) + b"|" + bytes(label)
+        # HMAC keyed once: the two hash states that have absorbed the padded
+        # key.  An evaluation copies them, which costs a fraction of keying
+        # (or of copying) an ``hmac`` object.
+        padded = bytes(key) + b"|" + bytes(label)
+        if len(padded) > _BLOCK_SIZE:
+            padded = _DIGEST(padded).digest()
+        padded = padded.ljust(_BLOCK_SIZE, b"\x00")
+        self._inner = _DIGEST(padded.translate(_IPAD))
+        self._outer = _DIGEST(padded.translate(_OPAD))
+
+    def _hmac(self, message: bytes) -> bytes:
+        inner = self._inner.copy()
+        inner.update(message)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
 
     def evaluate(self, message: bytes, out_len: int = _DIGEST_SIZE) -> bytes:
         """Return ``out_len`` pseudorandom bytes determined by ``message``.
@@ -62,20 +82,18 @@ class Prf:
             raise ParameterError("output length must be positive")
         if not isinstance(message, (bytes, bytearray)):
             raise ParameterError("PRF input must be bytes")
-        message = bytes(message)
         # Mix the output length in so F(x, 16) and F(x, 32) are independent.
-        info = message + b"|" + out_len.to_bytes(4, "big")
+        info = bytes(message) + b"|" + out_len.to_bytes(4, "big")
+        if out_len <= _DIGEST_SIZE:
+            return self._hmac(info + b"\x01")[:out_len]
+        block_count = -(-out_len // _DIGEST_SIZE)
+        if block_count > MAX_BLOCKS:
+            raise ParameterError("requested PRF output too long")
         blocks = []
         previous = b""
-        counter = 1
-        while sum(len(b) for b in blocks) < out_len:
-            previous = hmac.new(
-                self._key, previous + info + bytes([counter]), _DIGEST
-            ).digest()
+        for counter in range(1, block_count + 1):
+            previous = self._hmac(previous + info + bytes([counter]))
             blocks.append(previous)
-            counter += 1
-            if counter > 255:
-                raise ParameterError("requested PRF output too long")
         return b"".join(blocks)[:out_len]
 
     def evaluate_int(self, message: bytes, modulus: int) -> int:

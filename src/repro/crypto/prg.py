@@ -95,4 +95,4 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     """XOR two equal-length byte strings."""
     if len(a) != len(b):
         raise ParameterError(f"xor operands must have equal length ({len(a)} != {len(b)})")
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")

@@ -429,8 +429,9 @@ class OutsourcedDatabaseServer:
         ) as op_span:
             try:
                 response = self._dispatch(request)
-            # ValueError covers malformed scheme tokens rejected deep inside
-            # an evaluator (e.g. SwpToken.from_bytes on truncated bytes).
+            # Malformed trapdoors are a DphError, raised when the evaluator
+            # compiles the query; ValueError covers other scheme bytes
+            # rejected deep inside an evaluator.
             except (
                 ServerError, StorageError, ProtocolError, DphError, ValueError
             ) as exc:

@@ -54,20 +54,27 @@ LABEL_LEN = 32
 DEFAULT_ENTRY_LEN = 8
 
 
+def index_contains(index: bytes, document_id: bytes, label: bytes, entry_length: int) -> bool:
+    """Salted-hash membership test of one word label in one document's index."""
+    if entry_length < 1:
+        raise ParameterError("entry length must be at least 1 byte")
+    if len(index) % entry_length != 0:
+        raise DecryptionError("index length is not a multiple of the entry length")
+    entry = hashlib.sha256(label + document_id).digest()[:entry_length]
+    return entry in {
+        index[i: i + entry_length] for i in range(0, len(index), entry_length)
+    }
+
+
 def index_search(
     document: EncryptedDocument, token: IndexToken, entry_length: int
 ) -> SearchMatch:
     """Server-side index search: salted-hash membership test, no key needed."""
-    if entry_length < 1:
-        raise ParameterError("entry length must be at least 1 byte")
-    index = document.index
-    if len(index) % entry_length != 0:
-        raise DecryptionError("index length is not a multiple of the entry length")
-    entry = hashlib.sha256(token.label + document.document_id).digest()[:entry_length]
-    entries = {
-        index[i: i + entry_length] for i in range(0, len(index), entry_length)
-    }
-    return SearchMatch(matched=entry in entries)
+    return SearchMatch(
+        matched=index_contains(
+            document.index, document.document_id, token.label, entry_length
+        )
+    )
 
 
 class IndexSseScheme(SearchableEncryptionScheme):
@@ -168,11 +175,3 @@ class IndexSseScheme(SearchableEncryptionScheme):
 
     def _index_entry(self, label: bytes, document_id: bytes) -> bytes:
         return hashlib.sha256(label + document_id).digest()[: self._entry_length]
-
-    def _parse_index(self, index: bytes) -> set[bytes]:
-        if len(index) % self._entry_length != 0:
-            raise DecryptionError("index length is not a multiple of the entry length")
-        return {
-            index[i: i + self._entry_length]
-            for i in range(0, len(index), self._entry_length)
-        }

@@ -56,6 +56,46 @@ DOCUMENT_ID_LEN = 16
 DEFAULT_CHECK_LEN = 6
 
 
+class SwpMatcher:
+    """One trapdoor ``(X, k)`` compiled for a scan: what the server runs, keyless.
+
+    The trapdoor is validated once here (a malformed one raises
+    :class:`~repro.crypto.errors.CryptoError` whatever the relation holds),
+    ``X`` is kept as an integer and the check PRF ``F_k`` is keyed once, so
+    testing a word ciphertext is one integer XOR, a shift and a mask around a
+    single PRF evaluation.  It holds nothing but the trapdoor and the public
+    word/check lengths -- no code path on the server touches key material.
+    """
+
+    def __init__(self, token: SwpToken, word_length: int, check_length: int) -> None:
+        if not 1 <= check_length < word_length:
+            raise ParameterError(
+                "check length must satisfy 1 <= m < word_length "
+                f"(got m={check_length}, w={word_length})"
+            )
+        if len(token.pre_encrypted_word) != word_length:
+            raise ParameterError(
+                f"trapdoor word must be exactly {word_length} bytes, "
+                f"got {len(token.pre_encrypted_word)}"
+            )
+        self._word_length = word_length
+        self._check_length = check_length
+        self._left_length = word_length - check_length
+        self._check_bits = 8 * check_length
+        self._check_mask = (1 << self._check_bits) - 1
+        self._pre_encrypted = int.from_bytes(token.pre_encrypted_word, "big")
+        self._check_prf = Prf(token.check_key)
+
+    def matches(self, ciphertext: bytes) -> bool:
+        """``T = C XOR X``; accept iff ``F_k(T[:w-m]) == T[w-m:]``."""
+        if len(ciphertext) != self._word_length:
+            return False
+        masked = int.from_bytes(ciphertext, "big") ^ self._pre_encrypted
+        stream_part = (masked >> self._check_bits).to_bytes(self._left_length, "big")
+        check_value = self._check_prf.evaluate(stream_part, self._check_length)
+        return int.from_bytes(check_value, "big") == masked & self._check_mask
+
+
 def swp_search(
     document: EncryptedDocument,
     token: SwpToken,
@@ -64,22 +104,16 @@ def swp_search(
 ) -> SearchMatch:
     """Server-side SWP search: requires only the trapdoor and public parameters.
 
-    This free function is what the untrusted server actually runs -- it is
-    deliberately independent of :class:`SwpScheme` so that no code path on the
-    server side ever has access to key material.
+    This free function is deliberately independent of :class:`SwpScheme` so
+    that no code path on the server side ever has access to key material.
     """
-    left_length = word_length - check_length
-    positions = []
-    check_prf = Prf(token.check_key)
-    for index, ciphertext in enumerate(document.encrypted_words):
-        if len(ciphertext) != word_length:
-            continue
-        masked = xor_bytes(ciphertext, token.pre_encrypted_word)
-        stream_part = masked[:left_length]
-        check_part = masked[left_length:]
-        if check_prf.evaluate(stream_part, check_length) == check_part:
-            positions.append(index)
-    return SearchMatch(matched=bool(positions), positions=tuple(positions))
+    matches = SwpMatcher(token, word_length, check_length).matches
+    positions = tuple(
+        index
+        for index, ciphertext in enumerate(document.encrypted_words)
+        if matches(ciphertext)
+    )
+    return SearchMatch(matched=bool(positions), positions=positions)
 
 
 class SwpScheme(SearchableEncryptionScheme):

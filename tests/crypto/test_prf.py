@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import hmac
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.errors import KeyError_, ParameterError
-from repro.crypto.prf import MIN_KEY_LEN, Prf, prf_once
+from repro.crypto.prf import MAX_BLOCKS, MIN_KEY_LEN, Prf, prf_once
 
 KEY = b"k" * 32
 OTHER_KEY = b"q" * 32
@@ -69,6 +72,39 @@ class TestPrfEvaluation:
         assert prf_once(KEY, b"m", 48) == Prf(KEY).evaluate(b"m", 48)
 
 
+def reference_prf(key: bytes, label: bytes, message: bytes, out_len: int) -> bytes:
+    """The definition, transcribed: a fresh ``hmac.new`` per chained block."""
+    info = message + b"|" + out_len.to_bytes(4, "big")
+    out = previous = b""
+    counter = 1
+    while len(out) < out_len:
+        previous = hmac.new(
+            key + b"|" + label, previous + info + bytes([counter]), hashlib.sha256
+        ).digest()
+        out += previous
+        counter += 1
+    return out[:out_len]
+
+
+class TestPrfOutputLengthBounds:
+    LONGEST = MAX_BLOCKS * 32
+
+    @pytest.mark.parametrize("out_len", [32, 33, LONGEST])
+    def test_boundary_lengths_match_the_definition(self, out_len):
+        assert Prf(KEY).evaluate(b"m", out_len) == reference_prf(KEY, b"", b"m", out_len)
+
+    def test_too_long_is_rejected_before_any_hashing(self, monkeypatch):
+        calls = []
+        real = Prf._hmac
+        monkeypatch.setattr(
+            Prf, "_hmac", lambda self, data: calls.append(data) or real(self, data)
+        )
+        with pytest.raises(ParameterError, match="too long"):
+            Prf(KEY).evaluate(b"m", self.LONGEST + 1)
+        assert calls == []
+        assert len(Prf(KEY).evaluate(b"m", 33)) == 33 and len(calls) == 2
+
+
 class TestPrfIntegers:
     def test_within_modulus(self):
         prf = Prf(KEY)
@@ -116,3 +152,16 @@ def test_property_distinct_inputs_rarely_collide(a, b):
     prf = Prf(KEY)
     if a != b:
         assert prf.evaluate(a, 32) != prf.evaluate(b, 32)
+
+
+@given(
+    key=st.binary(min_size=MIN_KEY_LEN, max_size=100),  # past SHA-256's 64-byte block
+    label=st.binary(max_size=40),
+    message=st.binary(max_size=80),
+    out_len=st.integers(min_value=1, max_value=130),
+)
+@settings(max_examples=120, deadline=None)
+def test_property_pre_keyed_state_equals_fresh_hmac(key, label, message, out_len):
+    assert Prf(key, label).evaluate(message, out_len) == reference_prf(
+        key, label, message, out_len
+    )

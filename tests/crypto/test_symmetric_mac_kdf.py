@@ -61,6 +61,20 @@ class TestKdf:
         with pytest.raises(ParameterError):
             hkdf_expand(prk, b"info", 255 * 32 + 1)
 
+    @pytest.mark.parametrize("length", [32, 33, 255 * 32])
+    def test_expand_boundary_lengths_match_rfc5869(self, length):
+        import hashlib
+        import hmac
+
+        prk = hkdf_extract(b"salt", KEY)
+        okm = previous = b""
+        for counter in range(1, -(-length // 32) + 1):
+            previous = hmac.new(
+                prk, previous + b"info" + bytes([counter]), hashlib.sha256
+            ).digest()
+            okm += previous
+        assert hkdf_expand(prk, b"info", length) == okm[:length]
+
     def test_extract_handles_empty_salt(self):
         assert hkdf_extract(b"", KEY) == hkdf_extract(b"", KEY)
 
