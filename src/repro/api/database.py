@@ -938,14 +938,18 @@ class EncryptedDatabase:
     def _resolve(self, query: Query | str, table: str | None) -> tuple[str, Query]:
         """Route a query (AST node or SQL text) to a table of this session."""
         if isinstance(query, str):
-            relation_name = parse_sql(query).relation_name
-            if table is not None and table != relation_name:
-                raise DatabaseError(
-                    f"SQL addresses table {relation_name!r}, caller said {table!r}"
-                )
-            handle = self.table(relation_name)
-            # Re-parse with the schema so bare literals get the right type.
-            return relation_name, parse_sql(query, handle.schema).query
+
+            def schema_of(relation_name: str) -> RelationSchema:
+                if table is not None and table != relation_name:
+                    raise DatabaseError(
+                        f"SQL addresses table {relation_name!r}, caller said {table!r}"
+                    )
+                return self.table(relation_name).schema
+
+            # One parse: the lookup routes by the FROM clause and hands back
+            # the schema that types the bare literals.
+            parsed = parse_sql(query, schema_of)
+            return parsed.relation_name, parsed.query
         if table is None:
             if len(self._tables) != 1:
                 raise DatabaseError(

@@ -1,11 +1,11 @@
 """Core contribution of the paper: database privacy homomorphisms.
 
 * :mod:`repro.core.dph` -- the abstract ``(K, E, Eq, D)`` interface of
-  Definition 1.1 and the shared ciphertext data model.
+  Definition 1.1, the shared ciphertext data model and the client-side
+  false-positive filter.
 * :mod:`repro.core.construction` -- the Section-3 construction: a database PH
   preserving exact selects, generic over a searchable encryption scheme, with
   SWP and secure-index backends.
-* :mod:`repro.core.filtering` -- the client-side false-positive filter.
 * :mod:`repro.core.homomorphism` -- an executable check of the homomorphism
   property used by tests and experiments.
 """
@@ -25,8 +25,8 @@ from repro.core.dph import (
     EncryptedTuple,
     EvaluationResult,
     ServerEvaluator,
+    filter_tuples,
 )
-from repro.core.filtering import filter_decrypted_result
 from repro.core.variable_length import (
     VARIABLE_BACKEND,
     VariableWidthSelectDph,
@@ -51,7 +51,7 @@ __all__ = [
     "EncryptedTuple",
     "EvaluationResult",
     "ServerEvaluator",
-    "filter_decrypted_result",
+    "filter_tuples",
     "VARIABLE_BACKEND",
     "VariableWidthSelectDph",
     "VariableWidthServerEvaluator",

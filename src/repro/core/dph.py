@@ -30,11 +30,12 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from repro.relational.query import Query
+from repro.relational.query import Query, selection_predicates
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
+from repro.relational.tuples import RelationTuple
 
 
 class DphError(Exception):
@@ -219,6 +220,36 @@ class DecryptionReport:
     kept: int
 
 
+def filter_tuples(
+    schema: RelationSchema, tuples: Iterable[RelationTuple], query: Query | None = None
+) -> DecryptionReport:
+    """Keep the ``tuples`` that satisfy ``query``; count the rest as false positives.
+
+    ``query`` is validated against ``schema`` once; ``None`` keeps everything
+    (plain ``D``).  Projections are ignored at this stage -- the filter only
+    drops tuples that fail the selection predicates; projecting columns is a
+    separate, lossless step the caller can apply afterwards.
+    """
+    predicates = () if query is None else selection_predicates(query)
+    for predicate in predicates:
+        predicate.validate(schema)
+    kept = []
+    returned = 0
+    for relation_tuple in tuples:
+        returned += 1
+        for predicate in predicates:
+            if not predicate.matches(relation_tuple):
+                break
+        else:
+            kept.append(relation_tuple)
+    return DecryptionReport(
+        relation=Relation(schema, kept),
+        returned=returned,
+        false_positives=returned - len(kept),
+        kept=len(kept),
+    )
+
+
 class DatabasePrivacyHomomorphism(ABC):
     """Client-side interface of a database PH: the ``(E, Eq, D)`` of Definition 1.1."""
 
@@ -236,9 +267,15 @@ class DatabasePrivacyHomomorphism(ABC):
     def encrypt_relation(self, relation: Relation) -> EncryptedRelation:
         """``E``: encrypt a relation tuple by tuple."""
 
-    @abstractmethod
     def decrypt_relation(self, encrypted_relation: EncryptedRelation) -> Relation:
         """``D``: decrypt a (full or partial) encrypted relation."""
+        return Relation(
+            self.schema, map(self.decrypt_tuple, encrypted_relation.encrypted_tuples)
+        )
+
+    @abstractmethod
+    def decrypt_tuple(self, encrypted_tuple: EncryptedTuple) -> RelationTuple:
+        """Decrypt a single tuple ciphertext."""
 
     @abstractmethod
     def encrypt_query(self, query: Query) -> EncryptedQuery:
@@ -256,10 +293,9 @@ class DatabasePrivacyHomomorphism(ABC):
         This is the paper's "Alex needs to run a filter on the output": the
         searchable scheme (and the lossy baselines even more so) may return
         tuples that do not satisfy the plaintext query; the client removes
-        them after decryption.
+        them as it decrypts, in one pass over the returned ciphertexts.
         """
-        from repro.core.filtering import filter_decrypted_result
-
         encrypted = result.matching if isinstance(result, EvaluationResult) else result
-        decrypted = self.decrypt_relation(encrypted)
-        return filter_decrypted_result(decrypted, query)
+        return filter_tuples(
+            self.schema, map(self.decrypt_tuple, encrypted.encrypted_tuples), query
+        )

@@ -111,7 +111,7 @@ class VariableWidthSelectDph(DatabasePrivacyHomomorphism):
 
     def word_length_of(self, attribute_name: str) -> int:
         """The per-attribute word length (value width + identifier width)."""
-        index = self._schema.attribute_names.index(attribute_name)
+        index = self._schema.position(attribute_name)
         return self._codecs[index].word_length
 
     def encrypt_relation(self, relation: Relation) -> EncryptedRelation:
@@ -144,11 +144,6 @@ class VariableWidthSelectDph(DatabasePrivacyHomomorphism):
             search_fields=tuple(fields),
         )
 
-    def decrypt_relation(self, encrypted_relation: EncryptedRelation) -> Relation:
-        """``D``: decrypt every tuple payload."""
-        tuples = [self.decrypt_tuple(t) for t in encrypted_relation.encrypted_tuples]
-        return Relation(self._schema, tuples)
-
     def decrypt_tuple(self, encrypted_tuple: EncryptedTuple) -> RelationTuple:
         """Decrypt a single tuple ciphertext."""
         raw = self._payload_cipher.decrypt_bytes(
@@ -162,7 +157,7 @@ class VariableWidthSelectDph(DatabasePrivacyHomomorphism):
         for predicate in selection_predicates(query):
             attribute = self._schema.attribute(predicate.attribute)
             attribute.validate_value(predicate.value)
-            index = self._schema.attribute_names.index(predicate.attribute)
+            index = self._schema.position(predicate.attribute)
             value_bytes = ValueCodec.encode(attribute, predicate.value)
             word = self._codecs[index].encode(attribute.identifier.encode("ascii"), value_bytes)
             trapdoor = self._schemes[index].trapdoor(word)

@@ -9,12 +9,10 @@ requires, but a property any real deployment of the construction would want.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 
 from repro.crypto.errors import IntegrityError, KeyError_
-
-_DIGEST = hashlib.sha256
+from repro.crypto.prf import keyed_hmac_states
 
 #: Length in bytes of the tags produced by :class:`Hmac`.
 TAG_LEN = 32
@@ -26,11 +24,15 @@ class Hmac:
     def __init__(self, key: bytes) -> None:
         if not isinstance(key, (bytes, bytearray)) or len(key) < 16:
             raise KeyError_("MAC key must be at least 16 bytes")
-        self._key = bytes(key)
+        self._inner, self._outer = keyed_hmac_states(bytes(key))
 
     def tag(self, message: bytes) -> bytes:
         """Return the authentication tag for ``message``."""
-        return hmac.new(self._key, message, _DIGEST).digest()
+        inner = self._inner.copy()
+        inner.update(message)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
 
     def verify(self, message: bytes, tag: bytes) -> None:
         """Verify a tag in constant time; raise :class:`IntegrityError` on mismatch."""

@@ -32,6 +32,19 @@ MIN_KEY_LEN = 16
 MAX_BLOCKS = 255
 
 
+def keyed_hmac_states(key: bytes):
+    """HMAC-SHA256 keyed once: the ``(inner, outer)`` hash states after the padded key.
+
+    A tag is then two ``copy()`` calls and two finalisations, which costs a
+    fraction of keying (or of copying) an ``hmac`` object.  Keys longer than
+    the block are hashed first, as HMAC specifies.
+    """
+    if len(key) > _BLOCK_SIZE:
+        key = _DIGEST(key).digest()
+    key = key.ljust(_BLOCK_SIZE, b"\x00")
+    return _DIGEST(key.translate(_IPAD)), _DIGEST(key.translate(_OPAD))
+
+
 class Prf:
     """A variable-output-length pseudorandom function keyed with ``key``.
 
@@ -55,15 +68,7 @@ class Prf:
             )
         if isinstance(label, str):
             label = label.encode("utf-8")
-        # HMAC keyed once: the two hash states that have absorbed the padded
-        # key.  An evaluation copies them, which costs a fraction of keying
-        # (or of copying) an ``hmac`` object.
-        padded = bytes(key) + b"|" + bytes(label)
-        if len(padded) > _BLOCK_SIZE:
-            padded = _DIGEST(padded).digest()
-        padded = padded.ljust(_BLOCK_SIZE, b"\x00")
-        self._inner = _DIGEST(padded.translate(_IPAD))
-        self._outer = _DIGEST(padded.translate(_OPAD))
+        self._inner, self._outer = keyed_hmac_states(bytes(key) + b"|" + bytes(label))
 
     def _hmac(self, message: bytes) -> bytes:
         inner = self._inner.copy()

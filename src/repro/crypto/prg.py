@@ -74,21 +74,24 @@ class Prg:
         return bytes(out[:n])
 
 
+def prf_keystream(prf: Prf, length: int, nonce: bytes = b"") -> bytes:
+    """Return ``length`` keystream bytes bound to ``nonce`` under a keyed ``prf``."""
+    if length < 0:
+        raise ParameterError("length must be non-negative")
+    stream = b""
+    for counter in range(-(-length // 32)):
+        stream += prf.evaluate(nonce + counter.to_bytes(8, "big"), 32)
+    return stream[:length]
+
+
 def keystream(key: bytes, length: int, nonce: bytes = b"", label: bytes | str = b"ks") -> bytes:
     """Return ``length`` keystream bytes bound to ``(key, nonce)``.
 
     This is the primitive used by the CTR mode of
-    :class:`repro.crypto.symmetric.SymmetricCipher`.
+    :class:`repro.crypto.symmetric.SymmetricCipher`, which keys the PRF once
+    and calls :func:`prf_keystream` per message.
     """
-    if length < 0:
-        raise ParameterError("length must be non-negative")
-    prf = Prf(key, label=label)
-    out = bytearray()
-    counter = 0
-    while len(out) < length:
-        out.extend(prf.evaluate(nonce + counter.to_bytes(8, "big"), 32))
-        counter += 1
-    return bytes(out[:length])
+    return prf_keystream(Prf(key, label=label), length, nonce)
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from repro.crypto.errors import DecryptionError, KeyError_
 from repro.crypto.kdf import derive_key
 from repro.crypto.mac import TAG_LEN, Hmac
-from repro.crypto.prg import keystream, xor_bytes
+from repro.crypto.prf import Prf
+from repro.crypto.prg import prf_keystream, xor_bytes
 from repro.crypto.rng import RandomSource, SystemRng
 
 #: Nonce length in bytes.
@@ -54,36 +55,37 @@ class SymmetricCiphertext:
 
 
 class SymmetricCipher:
-    """Authenticated encryption with associated data (encrypt-then-MAC)."""
+    """Authenticated encryption with associated data (encrypt-then-MAC).
+
+    Both halves are keyed once here: the keystream PRF and the MAC hold
+    their absorbed-key hash states, so a message costs no key set-up.
+    """
 
     def __init__(self, key: bytes, rng: RandomSource | None = None) -> None:
         if not isinstance(key, (bytes, bytearray)) or len(key) < 16:
             raise KeyError_("symmetric key must be at least 16 bytes")
-        self._enc_key = derive_key(bytes(key), "symmetric/enc")
+        self._stream_prf = Prf(derive_key(bytes(key), "symmetric/enc"), label=b"ks")
         self._mac = Hmac(derive_key(bytes(key), "symmetric/mac"))
         self._rng = rng if rng is not None else SystemRng()
 
     def encrypt(self, plaintext: bytes, associated_data: bytes = b"") -> SymmetricCiphertext:
         """Encrypt and authenticate ``plaintext`` (binding ``associated_data``)."""
-        nonce = self._rng.bytes(NONCE_LEN)
-        body = xor_bytes(plaintext, keystream(self._enc_key, len(plaintext), nonce=nonce))
-        tag = self._mac.tag(associated_data + nonce + body)
-        return SymmetricCiphertext(nonce=nonce, tag=tag, body=body)
+        return SymmetricCiphertext.from_bytes(self.encrypt_bytes(plaintext, associated_data))
 
     def decrypt(self, ciphertext: SymmetricCiphertext, associated_data: bytes = b"") -> bytes:
         """Verify and decrypt; raises :class:`~repro.crypto.errors.IntegrityError` on tampering."""
-        self._mac.verify(
-            associated_data + ciphertext.nonce + ciphertext.body, ciphertext.tag
-        )
-        return xor_bytes(
-            ciphertext.body,
-            keystream(self._enc_key, len(ciphertext.body), nonce=ciphertext.nonce),
-        )
+        return self.decrypt_bytes(ciphertext.to_bytes(), associated_data)
 
     def encrypt_bytes(self, plaintext: bytes, associated_data: bytes = b"") -> bytes:
-        """Encrypt and return the serialized wire format."""
-        return self.encrypt(plaintext, associated_data).to_bytes()
+        """Encrypt and return the serialized ``nonce || tag || body`` wire format."""
+        nonce = self._rng.bytes(NONCE_LEN)
+        body = xor_bytes(plaintext, prf_keystream(self._stream_prf, len(plaintext), nonce))
+        return nonce + self._mac.tag(associated_data + nonce + body) + body
 
     def decrypt_bytes(self, raw: bytes, associated_data: bytes = b"") -> bytes:
-        """Parse the wire format and decrypt."""
-        return self.decrypt(SymmetricCiphertext.from_bytes(raw), associated_data)
+        """Parse the wire format, verify the tag, then decrypt."""
+        if len(raw) < NONCE_LEN + TAG_LEN:
+            raise DecryptionError("ciphertext too short")
+        nonce, body = raw[:NONCE_LEN], raw[NONCE_LEN + TAG_LEN:]
+        self._mac.verify(associated_data + nonce + body, raw[NONCE_LEN: NONCE_LEN + TAG_LEN])
+        return xor_bytes(body, prf_keystream(self._stream_prf, len(body), nonce))

@@ -40,6 +40,7 @@ strings are length-prefixed with 4 bytes; sequences are prefixed with a
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -50,6 +51,7 @@ from repro.core.dph import (
     EncryptedTuple,
     EvaluationResult,
 )
+from repro.relational.errors import SchemaError
 from repro.relational.schema import RelationSchema
 
 #: Protocol versions this module can speak.
@@ -65,6 +67,10 @@ TRACE_ID_SIZE = 16
 #: 4-byte big-endian length of its kind string (< 2**16), so its first byte is
 #: always ``0x00`` and the two framings cannot collide.
 V2_MAGIC = b"DPH"
+
+
+#: The 4-byte big-endian length / count prefix.
+_U32 = struct.Struct(">I")
 
 
 class ProtocolError(Exception):
@@ -111,29 +117,57 @@ def _decode_sequence(raw: bytes, offset: int) -> tuple[list[bytes], int]:
 
 def encode_encrypted_tuple(encrypted_tuple: EncryptedTuple) -> bytes:
     """Serialize one tuple ciphertext."""
-    return (
-        _encode_bytes(encrypted_tuple.tuple_id)
-        + _encode_bytes(encrypted_tuple.payload)
-        + _encode_sequence(list(encrypted_tuple.search_fields))
-        + _encode_bytes(encrypted_tuple.metadata)
-    )
+    parts = [
+        _U32.pack(len(encrypted_tuple.tuple_id)),
+        encrypted_tuple.tuple_id,
+        _U32.pack(len(encrypted_tuple.payload)),
+        encrypted_tuple.payload,
+        _U32.pack(len(encrypted_tuple.search_fields)),
+    ]
+    for field in encrypted_tuple.search_fields:
+        parts += (_U32.pack(len(field)), field)
+    parts += (_U32.pack(len(encrypted_tuple.metadata)), encrypted_tuple.metadata)
+    return b"".join(parts)
+
+
+def _decode_tuple_at(raw: bytes, offset: int, end: int) -> tuple[EncryptedTuple, int]:
+    """Parse the tuple ciphertext that starts at ``offset`` and must end by ``end``.
+
+    Walks the length prefixes in place (only the parts themselves are sliced
+    out).  Offsets only grow, so one comparison with ``end`` after the walk
+    bounds every part; the search-field loop checks it per field so a hostile
+    count stops at the first field it cannot back with bytes.
+    """
+    read_length = _U32.unpack_from
+    try:
+        start = offset + 4
+        offset = start + read_length(raw, offset)[0]
+        tuple_id = raw[start:offset]
+        start = offset + 4
+        offset = start + read_length(raw, offset)[0]
+        payload = raw[start:offset]
+        count = read_length(raw, offset)[0]
+        offset += 4
+        fields = []
+        for _ in range(count):
+            start = offset + 4
+            offset = start + read_length(raw, offset)[0]
+            if offset > end:
+                raise ProtocolError("truncated byte string")
+            fields.append(raw[start:offset])
+        start = offset + 4
+        offset = start + read_length(raw, offset)[0]
+        metadata = raw[start:offset]
+    except struct.error as exc:
+        raise ProtocolError("truncated length prefix") from exc
+    if offset > end:
+        raise ProtocolError("truncated byte string")
+    return EncryptedTuple(tuple_id, payload, tuple(fields), metadata), offset
 
 
 def decode_encrypted_tuple(raw: bytes, offset: int = 0) -> tuple[EncryptedTuple, int]:
     """Parse one tuple ciphertext, returning it and the next offset."""
-    tuple_id, offset = _decode_bytes(raw, offset)
-    payload, offset = _decode_bytes(raw, offset)
-    fields, offset = _decode_sequence(raw, offset)
-    metadata, offset = _decode_bytes(raw, offset)
-    return (
-        EncryptedTuple(
-            tuple_id=tuple_id,
-            payload=payload,
-            search_fields=tuple(fields),
-            metadata=metadata,
-        ),
-        offset,
-    )
+    return _decode_tuple_at(raw, offset, len(raw))
 
 
 def encode_encrypted_relation(encrypted_relation: EncryptedRelation) -> bytes:
@@ -144,18 +178,33 @@ def encode_encrypted_relation(encrypted_relation: EncryptedRelation) -> bytes:
 
 
 def decode_encrypted_relation(raw: bytes) -> EncryptedRelation:
-    """Parse an encrypted relation."""
+    """Parse an encrypted relation in one walk over the frame.
+
+    The schema declaration is public but not trusted: bytes that do not
+    parse as one are a :class:`ProtocolError` like any other malformed part.
+    """
     schema_bytes, offset = _decode_bytes(raw, 0)
-    schema = RelationSchema.parse(schema_bytes.decode("utf-8"))
-    bodies, offset = _decode_sequence(raw, offset)
-    if offset != len(raw):
-        raise ProtocolError("trailing bytes after encrypted relation")
+    try:
+        schema = RelationSchema.parse(schema_bytes.decode("utf-8"))
+    except (SchemaError, UnicodeDecodeError) as exc:
+        raise ProtocolError(f"malformed schema declaration: {exc}") from exc
+    total = len(raw)
     tuples = []
-    for body in bodies:
-        encrypted_tuple, consumed = decode_encrypted_tuple(body, 0)
-        if consumed != len(body):
-            raise ProtocolError("trailing bytes after encrypted tuple")
-        tuples.append(encrypted_tuple)
+    try:
+        count = _U32.unpack_from(raw, offset)[0]
+        offset += 4
+        for _ in range(count):
+            end = offset + 4 + _U32.unpack_from(raw, offset)[0]
+            if end > total:
+                raise ProtocolError("truncated byte string")
+            encrypted_tuple, offset = _decode_tuple_at(raw, offset + 4, end)
+            if offset != end:
+                raise ProtocolError("trailing bytes after encrypted tuple")
+            tuples.append(encrypted_tuple)
+    except struct.error as exc:
+        raise ProtocolError("truncated length prefix") from exc
+    if offset != total:
+        raise ProtocolError("trailing bytes after encrypted relation")
     return EncryptedRelation(schema=schema, encrypted_tuples=tuple(tuples))
 
 

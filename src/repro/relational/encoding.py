@@ -14,7 +14,7 @@ Two encodings live here:
 
 from __future__ import annotations
 
-from repro.relational.errors import EncodingError
+from repro.relational.errors import EncodingError, SchemaError
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.tuples import RelationTuple
 from repro.relational.types import AttributeType
@@ -59,6 +59,10 @@ class TupleCodec:
 
     def __init__(self, schema: RelationSchema) -> None:
         self._schema = schema
+        # The decode plan: per attribute, whether its text parses as an integer.
+        self._integer = tuple(
+            a.attribute_type is AttributeType.INTEGER for a in schema.attributes
+        )
 
     @property
     def schema(self) -> RelationSchema:
@@ -79,22 +83,29 @@ class TupleCodec:
 
     def decode(self, raw: bytes) -> RelationTuple:
         """Parse bytes produced by :meth:`encode` back into a tuple."""
-        values = {}
+        values = []
         offset = 0
-        for attribute in self._schema.attributes:
-            if offset + 2 > len(raw):
+        end = len(raw)
+        for integer in self._integer:
+            start = offset + 2
+            if start > end:
                 raise EncodingError("truncated tuple encoding (missing length prefix)")
-            length = int.from_bytes(raw[offset: offset + 2], "big")
-            offset += 2
-            if offset + length > len(raw):
+            offset = start + int.from_bytes(raw[offset:start], "big")
+            if offset > end:
                 raise EncodingError("truncated tuple encoding (missing value bytes)")
-            values[attribute.name] = ValueCodec.decode(
-                attribute, raw[offset: offset + length]
-            )
-            offset += length
-        if offset != len(raw):
+            try:
+                text = raw[start:offset].decode("ascii")
+                values.append(int(text) if integer else text)
+            except ValueError as exc:  # UnicodeDecodeError is a ValueError
+                raise EncodingError(
+                    f"invalid value encoding {raw[start:offset]!r}"
+                ) from exc
+        if offset != end:
             raise EncodingError("trailing bytes after tuple encoding")
-        return RelationTuple(self._schema, values)
+        try:
+            return RelationTuple.from_values(self._schema, values)
+        except SchemaError as exc:
+            raise EncodingError(f"decoded tuple violates its schema: {exc}") from exc
 
 
 def word_value_width(schema: RelationSchema) -> int:

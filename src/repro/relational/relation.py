@@ -42,7 +42,7 @@ class Relation:
     def add(self, item: RelationTuple | Mapping[str, object]) -> RelationTuple:
         """Insert a tuple (given directly or as a plain mapping) and return it."""
         if isinstance(item, RelationTuple):
-            if item.schema != self._schema:
+            if item.schema is not self._schema and item.schema != self._schema:
                 raise SchemaError(
                     f"tuple schema {item.schema.name!r} does not match relation "
                     f"schema {self._schema.name!r}"
@@ -104,12 +104,4 @@ class Relation:
         cls, schema: RelationSchema, rows: Iterable[tuple]
     ) -> "Relation":
         """Build a relation from positional rows following the schema order."""
-        relation = cls(schema)
-        names = schema.attribute_names
-        for row in rows:
-            if len(row) != len(names):
-                raise SchemaError(
-                    f"row of width {len(row)} does not match schema of width {len(names)}"
-                )
-            relation.add(dict(zip(names, row)))
-        return relation
+        return cls(schema, (RelationTuple.from_values(schema, row) for row in rows))

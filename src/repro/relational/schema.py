@@ -75,7 +75,9 @@ class RelationSchema:
             raise SchemaError(f"duplicate attribute names in schema {name!r}")
         self._name = name
         self._attributes = self._assign_identifiers(attributes)
-        self._by_name = {a.name: a for a in self._attributes}
+        # The schema is immutable: names and positions are computed once.
+        self._attribute_names = tuple(names)
+        self._positions = {n: i for i, n in enumerate(names)}
 
     @staticmethod
     def _assign_identifiers(attributes: list[Attribute]) -> tuple[Attribute, ...]:
@@ -120,12 +122,16 @@ class RelationSchema:
     @property
     def attribute_names(self) -> tuple[str, ...]:
         """Attribute names in declaration order."""
-        return tuple(a.name for a in self._attributes)
+        return self._attribute_names
 
     def attribute(self, name: str) -> Attribute:
         """Look an attribute up by name."""
+        return self._attributes[self.position(name)]
+
+    def position(self, name: str) -> int:
+        """Index of the named attribute in declaration order."""
         try:
-            return self._by_name[name]
+            return self._positions[name]
         except KeyError as exc:
             raise SchemaError(
                 f"relation {self._name!r} has no attribute {name!r}"
@@ -133,7 +139,7 @@ class RelationSchema:
 
     def has_attribute(self, name: str) -> bool:
         """Return whether the schema declares ``name``."""
-        return name in self._by_name
+        return name in self._positions
 
     def identifier_to_attribute(self, identifier: str | bytes) -> Attribute:
         """Reverse lookup: map a one-character identifier back to its attribute."""

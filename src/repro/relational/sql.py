@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.relational.errors import SqlParseError
 from repro.relational.query import (
@@ -71,7 +72,10 @@ def _parse_literal(token: str, attribute_name: str, schema: RelationSchema | Non
     return token
 
 
-def parse_sql(statement: str, schema: RelationSchema | None = None) -> ParsedSql:
+def parse_sql(
+    statement: str,
+    schema: RelationSchema | Callable[[str], RelationSchema] | None = None,
+) -> ParsedSql:
     """Parse a SQL statement of the supported fragment.
 
     Parameters
@@ -80,7 +84,11 @@ def parse_sql(statement: str, schema: RelationSchema | None = None) -> ParsedSql
         The SQL text.
     schema:
         Optional schema used to type bare literals and validate attribute
-        names; when omitted, bare numeric literals parse as integers.
+        names; when omitted, bare numeric literals parse as integers.  A
+        caller that holds several relations passes a lookup from the
+        statement's relation name to its schema instead, so one parse yields
+        both the routing name and the typed query; the lookup runs after the
+        statement's syntax is accepted and its errors propagate unchanged.
     """
     match = _SELECT_RE.match(statement)
     if match is None:
@@ -95,25 +103,29 @@ def parse_sql(statement: str, schema: RelationSchema | None = None) -> ParsedSql
             "a WHERE clause with at least one equality is required"
         )
 
-    predicates = []
+    conditions = []
     for part in re.split(r"\s+and\s+", where_text, flags=re.IGNORECASE):
         condition = _CONDITION_RE.match(part)
         if condition is None:
             raise SqlParseError(f"cannot parse WHERE condition {part!r}")
-        attribute = condition.group("attribute")
-        value = _parse_literal(condition.group("literal"), attribute, schema)
-        predicates.append(EqualityPredicate(attribute, value))
+        conditions.append((condition.group("attribute"), condition.group("literal")))
+    columns = tuple(c.strip() for c in columns_text.split(",") if c.strip())
+    if not columns:
+        raise SqlParseError("empty column list")
+
+    if callable(schema):
+        schema = schema(relation_name)
+    predicates = [
+        EqualityPredicate(attribute, _parse_literal(literal, attribute, schema))
+        for attribute, literal in conditions
+    ]
 
     query: Query
     if len(predicates) == 1:
         query = Selection(predicates[0])
     else:
         query = ConjunctiveSelection(tuple(predicates))
-
-    if columns_text != "*":
-        columns = tuple(c.strip() for c in columns_text.split(",") if c.strip())
-        if not columns:
-            raise SqlParseError("empty column list")
+    if columns != ("*",):
         query = Projection(query, columns)
 
     if schema is not None:

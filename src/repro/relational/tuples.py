@@ -9,7 +9,7 @@ over (``E_k(sigma_i(R)) = psi_i(E_k(R))`` as sets of tuple ciphertexts).
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from repro.relational.errors import SchemaError
 from repro.relational.schema import RelationSchema
@@ -21,16 +21,31 @@ class RelationTuple(Mapping):
     __slots__ = ("_schema", "_values")
 
     def __init__(self, schema: RelationSchema, values: Mapping[str, object]) -> None:
-        missing = set(schema.attribute_names) - set(values)
+        names = schema.attribute_names
+        missing = set(names) - set(values)
         if missing:
             raise SchemaError(f"missing values for attributes: {sorted(missing)}")
-        extra = set(values) - set(schema.attribute_names)
+        extra = set(values) - set(names)
         if extra:
             raise SchemaError(f"values for unknown attributes: {sorted(extra)}")
-        for attribute in schema.attributes:
-            attribute.validate_value(values[attribute.name])
+        self._bind(schema, tuple(values[name] for name in names))
+
+    @classmethod
+    def from_values(cls, schema: RelationSchema, values: Sequence[object]) -> "RelationTuple":
+        """Build a tuple from values in declaration order (validated like ``__init__``)."""
+        if len(values) != len(schema):
+            raise SchemaError(
+                f"row of width {len(values)} does not match schema of width {len(schema)}"
+            )
+        relation_tuple = cls.__new__(cls)
+        relation_tuple._bind(schema, tuple(values))
+        return relation_tuple
+
+    def _bind(self, schema: RelationSchema, values: tuple) -> None:
+        for attribute, value in zip(schema.attributes, values):
+            attribute.validate_value(value)
         self._schema = schema
-        self._values = tuple(values[name] for name in schema.attribute_names)
+        self._values = values
 
     @property
     def schema(self) -> RelationSchema:
@@ -39,8 +54,7 @@ class RelationTuple(Mapping):
 
     def value(self, attribute_name: str) -> object:
         """Return the value of one attribute."""
-        index = self._schema.attribute_names.index(attribute_name)
-        return self._values[index]
+        return self._values[self._schema.position(attribute_name)]
 
     def as_dict(self) -> dict[str, object]:
         """Return a plain ``{attribute: value}`` dictionary."""
@@ -53,7 +67,7 @@ class RelationTuple(Mapping):
     # Mapping interface -------------------------------------------------- #
 
     def __getitem__(self, key: str) -> object:
-        if key not in self._schema.attribute_names:
+        if not self._schema.has_attribute(key):
             raise KeyError(key)
         return self.value(key)
 

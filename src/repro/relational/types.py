@@ -46,10 +46,8 @@ class AttributeType(Enum):
                 raise SchemaError(
                     "string values must not contain '#', the padding symbol"
                 )
-            try:
-                value.encode("ascii")
-            except UnicodeEncodeError as exc:
-                raise SchemaError(f"string {value!r} is not ASCII") from exc
+            if not value.isascii():
+                raise SchemaError(f"string {value!r} is not ASCII")
         elif self is AttributeType.INTEGER:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise SchemaError(f"expected int, got {type(value).__name__}: {value!r}")

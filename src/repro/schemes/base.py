@@ -123,13 +123,6 @@ class FieldMatchDph(DatabasePrivacyHomomorphism):
         )
         return EncryptedTuple(tuple_id=tuple_id, payload=payload, search_fields=fields)
 
-    def decrypt_relation(self, encrypted_relation: EncryptedRelation) -> Relation:
-        """``D``: decrypt every payload."""
-        return Relation(
-            self._schema,
-            [self.decrypt_tuple(t) for t in encrypted_relation.encrypted_tuples],
-        )
-
     def decrypt_tuple(self, encrypted_tuple: EncryptedTuple) -> RelationTuple:
         """Decrypt a single tuple ciphertext."""
         if self._payload_cipher is not None:
@@ -146,7 +139,7 @@ class FieldMatchDph(DatabasePrivacyHomomorphism):
         for predicate in selection_predicates(query):
             attribute = self._schema.attribute(predicate.attribute)
             attribute.validate_value(predicate.value)
-            index = self._schema.attribute_names.index(predicate.attribute)
+            index = self._schema.position(predicate.attribute)
             field = self._search_field(attribute, predicate.value)
             tokens.append(encode_field_token(index, field))
         return EncryptedQuery(scheme_name=self.name, tokens=tuple(tokens))

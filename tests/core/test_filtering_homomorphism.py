@@ -4,27 +4,31 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import SearchableSelectDph, check_homomorphism, filter_decrypted_result
+from repro.core import SearchableSelectDph, check_homomorphism, filter_tuples
 from repro.core.homomorphism import HomomorphismReport, QueryCheck
 from repro.relational import Projection, Relation, Selection
 from repro.schemes import BucketizationConfig, HacigumusDph
 
 
-class TestFilterDecryptedResult:
+class TestFilterTuples:
+    """The predicate test ``decrypt_result`` runs, on already decrypted tuples."""
+
     def test_no_query_keeps_everything(self, employee_relation):
-        report = filter_decrypted_result(employee_relation, None)
+        report = filter_tuples(employee_relation.schema, employee_relation, None)
         assert report.kept == len(employee_relation)
         assert report.false_positives == 0
 
     def test_filter_removes_non_matching_tuples(self, employee_relation):
-        report = filter_decrypted_result(employee_relation, Selection.equals("dept", "HR"))
+        report = filter_tuples(
+            employee_relation.schema, employee_relation, Selection.equals("dept", "HR")
+        )
         assert report.kept == 2
         assert report.false_positives == len(employee_relation) - 2
         assert report.returned == len(employee_relation)
 
     def test_projection_wrapper_filters_on_inner_selection(self, employee_relation):
         query = Projection(Selection.equals("dept", "IT"), ("name",))
-        report = filter_decrypted_result(employee_relation, query)
+        report = filter_tuples(employee_relation.schema, iter(employee_relation), query)
         assert report.kept == 2
 
 

@@ -1,9 +1,13 @@
-"""Golden vectors: the match-kernel rewrite is pure speed.
+"""Golden vectors: the kernel and result-path rewrites are pure speed.
 
 Every constant in ``GOLDEN`` was produced by ``compute_vectors()`` on the
-commit *before* the kernel rewrite (PR 11, 6771732).  Ciphertexts, trapdoors
-and wire bytes must stay bit-for-bit identical, so any optimisation of
-``Prf`` / ``xor_bytes`` / the SWP code that moves one of them fails here.
+commit *before* the rewrite that touches it: the ``prf`` / ``ufeistel`` /
+``swp`` / ``dph`` / ``vdph`` vectors before the match-kernel rewrite (PR 11,
+6771732), the ``hmac`` / ``keystream`` / ``symmetric`` / ``tuple_codec`` /
+``wire`` vectors before the result-path rewrite (PR 12, 360279c).
+Ciphertexts, trapdoors and wire bytes must stay bit-for-bit identical, so any
+optimisation of ``Prf`` / ``Hmac`` / ``SymmetricCipher`` / ``xor_bytes`` / the
+SWP code / the tuple and wire codecs that moves one of them fails here.
 
 Regenerate (only when a format change is intended) with::
 
@@ -15,12 +19,17 @@ from __future__ import annotations
 import pytest
 
 from repro.core.construction import SearchableSelectDph
+from repro.core.dph import EvaluationResult
 from repro.core.variable_length import VariableWidthSelectDph
+from repro.crypto.mac import Hmac
 from repro.crypto.prf import Prf
+from repro.crypto.prg import keystream
 from repro.crypto.prp import UnbalancedFeistelPrp
 from repro.crypto.rng import DeterministicRng
+from repro.crypto.symmetric import SymmetricCipher
 from repro.outsourcing import protocol
-from repro.relational import RelationSchema
+from repro.relational import Relation, RelationSchema
+from repro.relational.encoding import TupleCodec
 from repro.relational.query import ConjunctiveSelection, Selection
 from repro.relational.tuples import RelationTuple
 from repro.searchable.swp import SwpScheme
@@ -31,6 +40,11 @@ MESSAGE = b"golden message"
 PRF_LENGTHS = (1, 6, 32, 33, 64, 100)
 SCHEMA = "Emp(name:string[14], dept:string[5], salary:int[6])"
 SWP_WORDS = (b"MontgomeryN", b"HR########D", b"7500######S")
+HMAC_KEY_LENGTHS = (16, 32, 64, 65, 200)
+KEYSTREAM_LENGTHS = (0, 1, 32, 33, 100)
+NONCE = bytes(range(0x80, 0x90))
+ASSOCIATED_DATA = b"golden tuple id"
+ROWS = (("Montgomery", "HR", 7500), ("Smith", "IT", 4200), ("Garcia", "HR", 0))
 
 
 def compute_vectors() -> dict[str, str]:
@@ -71,6 +85,25 @@ def compute_vectors() -> dict[str, str]:
         vectors[f"{tag}/query/conjunction"] = protocol.encode_encrypted_query(
             dph.encrypt_query(conjunction)
         ).hex()
+
+    for key_len in HMAC_KEY_LENGTHS:
+        vectors[f"hmac/{key_len}"] = Hmac(bytes(range(key_len))).tag(MESSAGE).hex()
+    for tag, nonce in (("nononce", b""), ("nonce", NONCE)):
+        for length in KEYSTREAM_LENGTHS:
+            vectors[f"keystream/{tag}/{length}"] = keystream(KEY, length, nonce=nonce).hex()
+    cipher = SymmetricCipher(KEY, rng=DeterministicRng(7))
+    vectors["symmetric/plain"] = cipher.encrypt_bytes(MESSAGE).hex()
+    vectors["symmetric/associated"] = cipher.encrypt_bytes(
+        MESSAGE, associated_data=ASSOCIATED_DATA
+    ).hex()
+    vectors["tuple_codec"] = TupleCodec(schema).encode(row).hex()
+    three = SearchableSelectDph(
+        schema, KEY, backend="swp", rng=DeterministicRng(11)
+    ).encrypt_relation(Relation.from_rows(schema, ROWS))
+    vectors["wire/relation"] = protocol.encode_encrypted_relation(three).hex()
+    vectors["wire/evaluation_result"] = protocol.encode_evaluation_result(
+        EvaluationResult(matching=three, examined=5, token_evaluations=7)
+    ).hex()
     return vectors
 
 
@@ -185,6 +218,109 @@ GOLDEN: dict[str, str] = {
         "775c1e0cba500000002b0002000739f1aafff8fdb995826e222e90949e3e8303"
         "61447573ae1d00f96090ed1a4aaa88bb9da434d91500000000"
     ),
+    "hmac/16": (
+        "8f1e7f058a8cc6d9e3d0159d63cacbd5107d792e3daf5b06056f6c614be13d80"
+    ),
+    "hmac/32": (
+        "521566c132d7f285d40b5e9df8dbdc2ea5f1575e221c500c0f5a2f966e3c11ef"
+    ),
+    "hmac/64": (
+        "e705239b75cc9ebe0bbbd18fbf305e464504b389832473ef122101a8c2964672"
+    ),
+    "hmac/65": (
+        "215933007425ec6b2c524c245c75751289d13f4073cffe2d118da60532496df9"
+    ),
+    "hmac/200": (
+        "247a8e3b1cc78cde4a06ff0d97dcda16f20e27fd26584d95076e9c68d4e6bef6"
+    ),
+    "keystream/nononce/0": (
+        ""
+    ),
+    "keystream/nononce/1": (
+        "04"
+    ),
+    "keystream/nononce/32": (
+        "046ea52bf00351aa0d07204c12739ca13fab94b292fec5cf1a0089d8638d0b22"
+    ),
+    "keystream/nononce/33": (
+        "046ea52bf00351aa0d07204c12739ca13fab94b292fec5cf1a0089d8638d0b22"
+        "6f"
+    ),
+    "keystream/nononce/100": (
+        "046ea52bf00351aa0d07204c12739ca13fab94b292fec5cf1a0089d8638d0b22"
+        "6f92a5f01dac1216e1269048e916b8c453ce6ccd77dfed58552b419d2b99d738"
+        "fc38fdf6ba55b8abb190a0343ecc4d155f075afe8eaac546ccfd76f68d230e34"
+        "e409532d"
+    ),
+    "keystream/nonce/0": (
+        ""
+    ),
+    "keystream/nonce/1": (
+        "29"
+    ),
+    "keystream/nonce/32": (
+        "29d4f93da23d87d321342e844e6e8b22563ca1d53e12dbecce98d0b9a3f48c3b"
+    ),
+    "keystream/nonce/33": (
+        "29d4f93da23d87d321342e844e6e8b22563ca1d53e12dbecce98d0b9a3f48c3b"
+        "51"
+    ),
+    "keystream/nonce/100": (
+        "29d4f93da23d87d321342e844e6e8b22563ca1d53e12dbecce98d0b9a3f48c3b"
+        "514014529b0715a8d0030c22254c8f50538160f952ebc4525fc1601ea0444410"
+        "bb53f54801ee84f7755cefa71c806b2c8136744b3b39c6ea5401f51f92e2ee82"
+        "244f0f35"
+    ),
+    "symmetric/plain": (
+        "00a92c9973574965a62ce69db5d9b78ba966f12a1c3f5068ff3992feb0ab3165"
+        "93555c0d9f2006ae8a62b33d3a173dcd3fb6b92e9227d21b16026e1b147d"
+    ),
+    "symmetric/associated": (
+        "e7d472a691d538bf4a49a1f3120c27ec5386684de1c428bcc7de0b369948e880"
+        "82e01f4870dd650b27c3b964783501cbb6f281156f8fda4daaa411fd59f5"
+    ),
+    "tuple_codec": (
+        "000a4d6f6e74676f6d65727900024852000437353030"
+    ),
+    "wire/relation": (
+        "00000033456d70286e616d653a737472696e675b31345d2c20646570743a7374"
+        "72696e675b355d2c2073616c6172793a696e745b365d29000000030000009f00"
+        "000010819f4c4d7f12c39ae2b131fcf75329fe00000046a4c075dc49e05c270b"
+        "1713aa2e9e01e6bdf9ec5246d05be1c1d41f8e655a6e2b2542b257f31ec56ab8"
+        "01576754515a2390ea3008bff89de1f73f5234240be64bc9e76f0123c0000000"
+        "030000000f121b325e776d253354ea0a11b79cbd0000000facf5b867c40bebfc"
+        "4eda2ccaa5e6b50000000f5109a90c42a26c7028744bdedda18e000000000000"
+        "009a0000001005500c2eb27fe40f19284cfcda52caa60000004195aa7767cec5"
+        "e09d2139e9cb6768b2b9c0483470a59ea189891ad4d8b28e81438dfecf8b07b9"
+        "4649a9f7e8440dbd43ff2d093db2c1b4391f40ab9b40c098b36ff40000000300"
+        "00000fc86541e66db4f1bf523d26ed151af20000000f7451fcd3a5e3e47f767d"
+        "9a7dd9397e0000000f0e051e0dc78a27f96e49417b41723a0000000000000098"
+        "000000102dc7e53f9838f9d2d7202c23f63d82ca0000003fa9f00f25a783af47"
+        "b6e134aa18cb0b1d4950f65d708e8bfcf170abaf3056a8166d45d8c56ba46c29"
+        "20bbd5a7e94aba07586b9fba39a991d28d0f3d05342e32000000030000000f9d"
+        "0e5b74798b4e2e7d3221f24e2c320000000f3f438dec6f55e906e74ddf37ff75"
+        "7e0000000f9a560670a749bb24013be0f0bc756a00000000"
+    ),
+    "wire/evaluation_result": (
+        "0000021800000033456d70286e616d653a737472696e675b31345d2c20646570"
+        "743a737472696e675b355d2c2073616c6172793a696e745b365d290000000300"
+        "00009f00000010819f4c4d7f12c39ae2b131fcf75329fe00000046a4c075dc49"
+        "e05c270b1713aa2e9e01e6bdf9ec5246d05be1c1d41f8e655a6e2b2542b257f3"
+        "1ec56ab801576754515a2390ea3008bff89de1f73f5234240be64bc9e76f0123"
+        "c0000000030000000f121b325e776d253354ea0a11b79cbd0000000facf5b867"
+        "c40bebfc4eda2ccaa5e6b50000000f5109a90c42a26c7028744bdedda18e0000"
+        "00000000009a0000001005500c2eb27fe40f19284cfcda52caa60000004195aa"
+        "7767cec5e09d2139e9cb6768b2b9c0483470a59ea189891ad4d8b28e81438dfe"
+        "cf8b07b94649a9f7e8440dbd43ff2d093db2c1b4391f40ab9b40c098b36ff400"
+        "0000030000000fc86541e66db4f1bf523d26ed151af20000000f7451fcd3a5e3"
+        "e47f767d9a7dd9397e0000000f0e051e0dc78a27f96e49417b41723a00000000"
+        "00000098000000102dc7e53f9838f9d2d7202c23f63d82ca0000003fa9f00f25"
+        "a783af47b6e134aa18cb0b1d4950f65d708e8bfcf170abaf3056a8166d45d8c5"
+        "6ba46c2920bbd5a7e94aba07586b9fba39a991d28d0f3d05342e320000000300"
+        "00000f9d0e5b74798b4e2e7d3221f24e2c320000000f3f438dec6f55e906e74d"
+        "df37ff757e0000000f9a560670a749bb24013be0f0bc756a0000000000000000"
+        "000000050000000000000007"
+    ),
 }
 
 
@@ -202,11 +338,35 @@ def test_golden_vector(vectors, name):
     assert vectors[name] == GOLDEN[name]
 
 
+def test_parent_ciphertexts_still_open():
+    """Bytes the parent commit produced decrypt and decode to what went in."""
+    cipher = SymmetricCipher(KEY)
+    plain = bytes.fromhex(GOLDEN["symmetric/plain"])
+    associated = bytes.fromhex(GOLDEN["symmetric/associated"])
+    assert cipher.decrypt_bytes(plain) == MESSAGE
+    assert cipher.decrypt_bytes(associated, associated_data=ASSOCIATED_DATA) == MESSAGE
+
+    schema = RelationSchema.parse(SCHEMA)
+    dph = SearchableSelectDph(schema, KEY, backend="swp")
+    result, consumed = protocol.decode_evaluation_result(
+        bytes.fromhex(GOLDEN["wire/evaluation_result"])
+    )
+    assert consumed == len(GOLDEN["wire/evaluation_result"]) // 2
+    assert (result.examined, result.token_evaluations) == (5, 7)
+    assert result.matching == protocol.decode_encrypted_relation(
+        bytes.fromhex(GOLDEN["wire/relation"])
+    )
+    assert dph.decrypt_result(result).relation == Relation.from_rows(schema, ROWS)
+    assert TupleCodec(schema).decode(bytes.fromhex(GOLDEN["tuple_codec"])).project(
+        ["name", "dept", "salary"]
+    ) == ROWS[0]
+
+
 if __name__ == "__main__":
     print("GOLDEN: dict[str, str] = {")
     for vector_name, value in compute_vectors().items():
         print(f'    "{vector_name}": (')
-        for start in range(0, len(value), 64):
+        for start in range(0, max(len(value), 1), 64):
             print(f'        "{value[start: start + 64]}"')
         print("    ),")
     print("}")

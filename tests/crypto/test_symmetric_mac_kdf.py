@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import hmac
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,3 +146,25 @@ class TestSymmetricCipher:
 def test_property_symmetric_roundtrip(message, ad):
     cipher = SymmetricCipher(KEY, rng=DeterministicRng(1000))
     assert cipher.decrypt(cipher.encrypt(message, ad), ad) == message
+
+
+@given(key=st.binary(min_size=16, max_size=200), message=st.binary(max_size=300))
+@settings(max_examples=200, deadline=None)
+def test_property_prekeyed_hmac_equals_stdlib(key, message):
+    """Keying once (also past the 64-byte block, where the key is hashed) changes nothing."""
+    mac = Hmac(key)
+    expected = hmac.new(key, message, hashlib.sha256).digest()
+    assert mac.tag(message) == expected
+    assert mac.tag(message) == expected  # the keyed state is copied, never consumed
+
+
+@given(message=st.binary(max_size=300), ad=st.binary(max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_property_bytes_and_object_forms_agree(message, ad):
+    """``decrypt`` and ``decrypt_bytes`` share one core: each opens the other's output."""
+    cipher = SymmetricCipher(KEY, rng=DeterministicRng(1000))
+    assert cipher.decrypt_bytes(cipher.encrypt(message, ad).to_bytes(), ad) == message
+    wire = cipher.encrypt_bytes(message, ad)
+    assert cipher.decrypt(SymmetricCiphertext.from_bytes(wire), ad) == message
+    with pytest.raises(IntegrityError):
+        cipher.decrypt_bytes(wire, ad + b"x")

@@ -1,0 +1,240 @@
+"""The one-walk relation decoder against a transcription of the one it replaced.
+
+``reference_decode_relation`` below is the decoder of the parent commit
+(360279c) copied literally: slice every tuple body out of the frame, parse
+the copy field by field.  The rewritten decoder walks the frame once by
+offset; it must accept exactly the frames the reference accepts, with equal
+values, and reject every other frame with ``ProtocolError`` -- never an
+``IndexError``, ``struct.error``, ``SchemaError`` or ``MemoryError``.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.dph import EncryptedRelation, EncryptedTuple
+from repro.outsourcing.protocol import (
+    ProtocolError,
+    decode_encrypted_relation,
+    decode_encrypted_tuple,
+    encode_encrypted_relation,
+    encode_encrypted_tuple,
+)
+from repro.relational import RelationSchema
+from repro.relational.errors import SchemaError
+
+SCHEMA = RelationSchema.parse("Emp(name:string[14], dept:string[5], salary:int[6])")
+
+
+# --------------------------------------------------------------------------- #
+# The parent commit's decoder, verbatim
+# --------------------------------------------------------------------------- #
+
+def _decode_bytes(raw, offset):
+    if offset + 4 > len(raw):
+        raise ProtocolError("truncated length prefix")
+    length = int.from_bytes(raw[offset: offset + 4], "big")
+    offset += 4
+    if offset + length > len(raw):
+        raise ProtocolError("truncated byte string")
+    return raw[offset: offset + length], offset + length
+
+
+def _decode_sequence(raw, offset):
+    if offset + 4 > len(raw):
+        raise ProtocolError("truncated sequence count")
+    count = int.from_bytes(raw[offset: offset + 4], "big")
+    offset += 4
+    items = []
+    for _ in range(count):
+        item, offset = _decode_bytes(raw, offset)
+        items.append(item)
+    return items, offset
+
+
+def reference_decode_tuple(raw, offset=0):
+    tuple_id, offset = _decode_bytes(raw, offset)
+    payload, offset = _decode_bytes(raw, offset)
+    fields, offset = _decode_sequence(raw, offset)
+    metadata, offset = _decode_bytes(raw, offset)
+    return (
+        EncryptedTuple(
+            tuple_id=tuple_id,
+            payload=payload,
+            search_fields=tuple(fields),
+            metadata=metadata,
+        ),
+        offset,
+    )
+
+
+def reference_decode_relation(raw):
+    schema_bytes, offset = _decode_bytes(raw, 0)
+    schema = RelationSchema.parse(schema_bytes.decode("utf-8"))
+    bodies, offset = _decode_sequence(raw, offset)
+    if offset != len(raw):
+        raise ProtocolError("trailing bytes after encrypted relation")
+    tuples = []
+    for body in bodies:
+        encrypted_tuple, consumed = reference_decode_tuple(body, 0)
+        if consumed != len(body):
+            raise ProtocolError("trailing bytes after encrypted tuple")
+        tuples.append(encrypted_tuple)
+    return EncryptedRelation(schema=schema, encrypted_tuples=tuple(tuples))
+
+
+#: What "the reference rejects this frame" looks like: its own error, or the
+#: two exceptions the parent let escape from the schema field.
+REFERENCE_REJECTS = (ProtocolError, SchemaError, UnicodeDecodeError)
+
+
+def assert_same_verdict(frame: bytes) -> None:
+    try:
+        expected = reference_decode_relation(frame)
+    except REFERENCE_REJECTS:
+        with pytest.raises(ProtocolError):
+            decode_encrypted_relation(frame)
+    else:
+        assert decode_encrypted_relation(frame) == expected
+
+
+# --------------------------------------------------------------------------- #
+# Strategies
+# --------------------------------------------------------------------------- #
+
+short_bytes = st.binary(max_size=40)
+encrypted_tuples = st.builds(
+    EncryptedTuple,
+    tuple_id=short_bytes,
+    payload=st.binary(max_size=90),
+    search_fields=st.lists(short_bytes, max_size=4).map(tuple),
+    metadata=short_bytes,
+)
+relations = st.lists(encrypted_tuples, max_size=6).map(
+    lambda tuples: EncryptedRelation(schema=SCHEMA, encrypted_tuples=tuple(tuples))
+)
+
+
+@given(relation=relations)
+@settings(max_examples=150, deadline=None)
+def test_valid_relations_decode_equal(relation):
+    frame = encode_encrypted_relation(relation)
+    assert decode_encrypted_relation(frame) == relation == reference_decode_relation(frame)
+
+
+@given(encrypted_tuple=encrypted_tuples, prefix=short_bytes, suffix=short_bytes)
+@settings(max_examples=150, deadline=None)
+def test_tuple_decoder_reports_the_same_next_offset(encrypted_tuple, prefix, suffix):
+    frame = prefix + encode_encrypted_tuple(encrypted_tuple) + suffix
+    decoded, consumed = decode_encrypted_tuple(frame, len(prefix))
+    assert (decoded, consumed) == reference_decode_tuple(frame, len(prefix))
+    assert decoded == encrypted_tuple and consumed == len(frame) - len(suffix)
+
+
+@given(encrypted_tuple=encrypted_tuples, junk=st.binary(max_size=60), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_tuple_decoder_on_damaged_bytes(encrypted_tuple, junk, data):
+    """The ``INSERT_TUPLE`` body: truncated, overwritten, or not a tuple at all."""
+    frame = bytearray(encode_encrypted_tuple(encrypted_tuple))
+    position = data.draw(st.integers(min_value=0, max_value=len(frame) - 1))
+    overwritten = bytes(frame[:position]) + junk[:4] + bytes(frame[position + len(junk[:4]):])
+    for damaged in (bytes(frame[:position]), overwritten, junk):
+        try:
+            expected = reference_decode_tuple(damaged)
+        except ProtocolError:
+            with pytest.raises(ProtocolError):
+                decode_encrypted_tuple(damaged)
+        else:
+            assert decode_encrypted_tuple(damaged) == expected
+
+
+@given(relation=relations, data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_truncated_frames(relation, data):
+    frame = encode_encrypted_relation(relation)
+    cut = data.draw(st.integers(min_value=0, max_value=len(frame) - 1))
+    assert_same_verdict(frame[:cut])
+
+
+@given(relation=relations, data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_bit_flipped_frames(relation, data):
+    frame = bytearray(encode_encrypted_relation(relation))
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        position = data.draw(st.integers(min_value=0, max_value=len(frame) - 1))
+        frame[position] ^= 1 << data.draw(st.integers(min_value=0, max_value=7))
+    assert_same_verdict(bytes(frame))
+
+
+@given(relation=relations, data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_inflated_and_deflated_length_fields(relation, data):
+    """Overwrite four bytes anywhere (length fields included) with another count."""
+    frame = bytearray(encode_encrypted_relation(relation))
+    position = data.draw(st.integers(min_value=0, max_value=len(frame) - 4))
+    current = int.from_bytes(frame[position: position + 4], "big")
+    value = data.draw(
+        st.sampled_from([0, 1, current + 1, current + 4, max(current - 1, 0), len(frame),
+                         2**31, 2**32 - 1])
+    )
+    frame[position: position + 4] = (value % 2**32).to_bytes(4, "big")
+    assert_same_verdict(bytes(frame))
+
+
+@given(junk=st.binary(max_size=200))
+@settings(max_examples=300, deadline=None)
+def test_arbitrary_bytes(junk):
+    assert_same_verdict(junk)
+
+
+def frame_with_counts(tuple_count: int, field_count: int) -> bytes:
+    """A short frame whose sequence counts promise far more than it holds."""
+    declaration = b"Emp(name:string[14], dept:string[5], salary:int[6])"
+    one_tuple = (
+        (4).to_bytes(4, "big") + b"\x01\x02\x03\x04"      # tuple id
+        + (0).to_bytes(4, "big")                           # payload
+        + field_count.to_bytes(4, "big")                   # search-field count
+    )
+    return (
+        len(declaration).to_bytes(4, "big") + declaration
+        + tuple_count.to_bytes(4, "big")
+        + len(one_tuple).to_bytes(4, "big") + one_tuple
+    )
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [frame_with_counts(2**32 - 1, 0), frame_with_counts(1, 2**32 - 1)],
+    ids=["tuple count", "field count"],
+)
+def test_a_huge_count_on_a_short_frame_fails_without_allocating(frame):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProtocolError):
+            decode_encrypted_relation(frame)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert_same_verdict(frame)
+
+
+def test_a_field_may_not_reach_past_its_tuple_body():
+    """In-place parsing must keep the bound the per-tuple slice used to give."""
+    first = EncryptedTuple(b"id-1", b"payload-1", (b"f1",), b"")
+    second = EncryptedTuple(b"id-2", b"payload-2", (b"f2",), b"meta")
+    frame = bytearray(
+        encode_encrypted_relation(EncryptedRelation(SCHEMA, (first, second)))
+    )
+    # Grow the first tuple's metadata length so it would swallow bytes of the
+    # second tuple while the outer body length still says where it ends.
+    body_start = frame.index(b"id-1") - 4
+    metadata_prefix = body_start + len(encode_encrypted_tuple(first)) - 4
+    frame[metadata_prefix: metadata_prefix + 4] = (8).to_bytes(4, "big")
+    with pytest.raises(ProtocolError):
+        decode_encrypted_relation(bytes(frame))
+    assert_same_verdict(bytes(frame))

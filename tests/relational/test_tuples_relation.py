@@ -54,6 +54,31 @@ class TestRelationTuple:
         t = RelationTuple(schema, {"name": "Ada", "dept": "IT", "salary": 900})
         with pytest.raises(KeyError):
             t["missing"]
+        assert "missing" not in t and t.get("missing") is None  # Mapping needs KeyError
+
+    def test_unknown_attribute_is_a_schema_error_naming_it(self, schema):
+        """``value`` / ``project`` used to leak ``tuple.index(x): x not in tuple``."""
+        t = RelationTuple(schema, {"name": "Ada", "dept": "IT", "salary": 900})
+        for lookup in (lambda: t.value("nope"), lambda: t.project(["name", "nope"])):
+            with pytest.raises(SchemaError, match="relation 'Emp' has no attribute 'nope'"):
+                lookup()
+
+    def test_positional_constructor_validates_like_the_mapping_one(self, schema):
+        t = RelationTuple.from_values(schema, ["Ada", "IT", 900])
+        assert t == RelationTuple(schema, {"name": "Ada", "dept": "IT", "salary": 900})
+        assert hash(t) == hash(RelationTuple.from_values(schema, ("Ada", "IT", 900)))
+        for bad in (
+            ["Ada", "IT"],                # too narrow
+            ["Ada", "IT", 900, "extra"],  # too wide
+            ["Ada", "IT", "900"],         # wrong type
+            ["Ada", "IT", True],          # bool is not an integer value
+            ["A" * 11, "IT", 900],        # wider than string[10]
+            ["Ada", "I#", 900],           # the padding symbol
+            ["Ad\u00e9", "IT", 900],      # not ASCII
+            ["Ada", "IT", 1234567],       # more than 6 digits
+        ):
+            with pytest.raises(SchemaError):
+                RelationTuple.from_values(schema, bad)
 
 
 class TestRelation:
