@@ -1076,7 +1076,7 @@ class EncryptedDatabase:
         try:
             return self._request(kind, relation_name, body, expect=expect)
         except DatabaseError as exc:
-            if "cannot serve message kind" in str(exc):
+            if protocol.UNSERVED_KIND_REFUSAL in str(exc):
                 self._index_unsupported = True
                 return None
             raise

@@ -31,9 +31,9 @@ ever picks it up and is then reported as timed out without having run;
 :class:`~repro.cluster.router.ShardRouter` sizes its pool at 4x the shard
 count to keep that out of the single-gather path.
 
-The **event-loop scatter** (:func:`scatter_async` /
-:meth:`ScatterGatherExecutor.scatter_on_loop`) is the pipelined
-alternative: when every shard sits behind an asyncio proxy
+The **event-loop scatter** (:func:`scatter_async`, run on an
+:class:`~repro.net.aio.EventLoopThread`) is the pipelined alternative:
+when every shard sits behind an asyncio proxy
 (:class:`~repro.net.aio.AsyncRemoteServerProxy`), one coordinator thread
 drives *all* shard round trips concurrently as coroutines -- no thread per
 shard, every shard's timeout ticking simultaneously, so the worst-case
@@ -118,6 +118,43 @@ class GatherResult:
         return bool(self.missing_shard_ids)
 
 
+@dataclass(frozen=True)
+class ShardRequest:
+    """One envelope bound for one shard, plus the step applied to its answer.
+
+    ``step`` is a plain function over the shard's response bytes: it
+    returns the checked answer, raises, or returns a follow-up
+    :class:`ShardRequest` for the *same* shard (how an index lookup falls
+    back to a scan on a shard that cannot serve it).  Keeping the step
+    free of I/O is what lets the two drivers below -- one per transport --
+    stay three lines each and share every rule about what an answer means.
+    """
+
+    envelope: bytes
+    step: Callable[[bytes], Any]
+
+    def __call__(self, server: Any) -> Any:
+        """Blocking driver: one ``handle_message`` per request in the chain."""
+        result: Any = self
+        while isinstance(result, ShardRequest):
+            result = result.step(server.handle_message(result.envelope))
+        return result
+
+    async def pipelined(self, server: Any, trace_id: bytes | None) -> Any:
+        """Event-loop driver over a pipelined proxy.
+
+        ``trace_id`` is captured by the caller on the session thread: this
+        coroutine runs on the loop thread, where the ambient trace
+        contextvar is unset.
+        """
+        result: Any = self
+        while isinstance(result, ShardRequest):
+            result = result.step(
+                await server.handle_message_async(result.envelope, trace_id=trace_id)
+            )
+        return result
+
+
 class ScatterGatherExecutor:
     """A bounded thread pool that scatters callables across shards."""
 
@@ -173,6 +210,16 @@ class ScatterGatherExecutor:
             wait_started_wall = time.time()
             try:
                 value, elapsed, started_wall = future.result(timeout=timeout)
+            except Exception as exc:  # noqa: BLE001 - per-shard failures are data
+                outcomes.append(
+                    ShardOutcome(
+                        shard_id=shard_id,
+                        error=_shard_error(shard_id, exc, FutureTimeoutError, timeout),
+                        elapsed_s=time.monotonic() - wait_started,
+                        started_s=wait_started_wall,
+                    )
+                )
+            else:
                 outcomes.append(
                     ShardOutcome(
                         shard_id=shard_id,
@@ -181,48 +228,7 @@ class ScatterGatherExecutor:
                         started_s=started_wall,
                     )
                 )
-            except FutureTimeoutError:
-                outcomes.append(
-                    ShardOutcome(
-                        shard_id=shard_id,
-                        error=ShardTimeoutError(
-                            f"shard {shard_id!r} did not answer within "
-                            f"its {timeout}s budget"
-                        ),
-                        elapsed_s=time.monotonic() - wait_started,
-                        started_s=wait_started_wall,
-                    )
-                )
-            except Exception as exc:  # noqa: BLE001 - per-shard failures are data
-                outcomes.append(
-                    ShardOutcome(
-                        shard_id=shard_id,
-                        error=exc,
-                        elapsed_s=time.monotonic() - wait_started,
-                        started_s=wait_started_wall,
-                    )
-                )
         return outcomes
-
-    def scatter_on_loop(
-        self,
-        loop_thread,
-        calls: Sequence[tuple[str, Callable[[], Any]]],
-        timeout: float | None = None,
-    ) -> list[ShardOutcome]:
-        """Scatter coroutine factories on an event loop; never raises itself.
-
-        ``calls`` pairs each shard id with a *coroutine factory* (called on
-        the loop); ``loop_thread`` is an
-        :class:`~repro.net.aio.EventLoopThread` (anything with its ``run``
-        contract).  All shards' round trips are in flight simultaneously,
-        each under its own full ``timeout``; a shard that exceeds it has
-        its request cancelled mid-flight and is reported with
-        :class:`ShardTimeoutError`, exactly like the thread-pool path.
-        """
-        if timeout is None:
-            timeout = self._timeout
-        return loop_thread.run(scatter_async(calls, timeout))
 
     def gather(
         self,
@@ -262,28 +268,15 @@ async def scatter_async(
     async def run_one(shard_id: str, factory: Callable[[], Any]) -> ShardOutcome:
         started_wall = time.time()
         started = time.monotonic()
+        value = error = None
         try:
             value = await asyncio.wait_for(factory(), timeout)
-        except asyncio.TimeoutError:
-            return ShardOutcome(
-                shard_id=shard_id,
-                error=ShardTimeoutError(
-                    f"shard {shard_id!r} did not answer within "
-                    f"its {timeout}s budget"
-                ),
-                elapsed_s=time.monotonic() - started,
-                started_s=started_wall,
-            )
         except Exception as exc:  # noqa: BLE001 - per-shard failures are data
-            return ShardOutcome(
-                shard_id=shard_id,
-                error=exc,
-                elapsed_s=time.monotonic() - started,
-                started_s=started_wall,
-            )
+            error = _shard_error(shard_id, exc, asyncio.TimeoutError, timeout)
         return ShardOutcome(
             shard_id=shard_id,
             value=value,
+            error=error,
             elapsed_s=time.monotonic() - started,
             started_s=started_wall,
         )
@@ -293,6 +286,17 @@ async def scatter_async(
             *(run_one(shard_id, factory) for shard_id, factory in calls)
         )
     )
+
+
+def _shard_error(
+    shard_id: str, exc: Exception, timeout_type: type, timeout: float | None
+) -> Exception:
+    """A shard's failure as outcome data; either transport's timeout, typed."""
+    if isinstance(exc, timeout_type):
+        return ShardTimeoutError(
+            f"shard {shard_id!r} did not answer within its {timeout}s budget"
+        )
+    return exc
 
 
 def resolve_outcomes(

@@ -56,12 +56,12 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from repro.cache import CacheError, ResultCache, coerce_cache_config
 from repro.core.dph import (
     DphError,
-    EncryptedQuery,
     EncryptedRelation,
     EncryptedTuple,
     EvaluationResult,
@@ -73,23 +73,31 @@ from repro.cluster.executor import (
     GatherResult,
     PARTIAL_FAILURE_POLICIES,
     ScatterGatherExecutor,
+    ShardRequest,
     resolve_outcomes,
+    scatter_async,
 )
 from repro.cluster.ring import ConsistentHashRing, DEFAULT_VIRTUAL_NODES
-from repro.obs import MetricsRegistry, current_trace_id, merge_snapshots
+from repro.obs import MetricsRegistry, current_trace, current_trace_id, merge_snapshots
 from repro.outsourcing import protocol
+from repro.outsourcing.object_api import EnvelopeObjectApi
 from repro.outsourcing.protocol import (
     Message,
     MessageKind,
     MessageV2,
+    PROTOCOL_V2,
     ProtocolError,
     SUPPORTED_VERSIONS,
+    UNSERVED_KIND_REFUSAL,
 )
 from repro.outsourcing.server import ServerError
 from repro.outsourcing.storage import StorageError
 
 #: URL scheme of a sharded deployment: ``cluster://host:port,host:port,...``
 CLUSTER_URL_PREFIX = "cluster://"
+
+#: A parsed protocol envelope of either framing (v1, or v2/v3).
+Envelope = Message | MessageV2
 
 
 def parse_cluster_options(url: str) -> tuple[tuple[str, ...], dict]:
@@ -172,24 +180,21 @@ def merge_evaluation_results(
     """
     if not results:
         raise ClusterError("cannot merge zero evaluation results")
-    tuples: list[EncryptedTuple] = []
-    seen: set[bytes] = set()
-    examined = 0
-    token_evaluations = 0
-    for result in results:
-        for encrypted_tuple in result.matching.encrypted_tuples:
-            if encrypted_tuple.tuple_id in seen:
-                continue
-            seen.add(encrypted_tuple.tuple_id)
-            tuples.append(encrypted_tuple)
-        examined += result.examined
-        token_evaluations += result.token_evaluations
     return EvaluationResult(
-        matching=EncryptedRelation(
-            schema=results[0].matching.schema, encrypted_tuples=tuple(tuples)
-        ),
-        examined=examined,
-        token_evaluations=token_evaluations,
+        matching=_one_copy_per_id([result.matching for result in results]),
+        examined=sum(result.examined for result in results),
+        token_evaluations=sum(result.token_evaluations for result in results),
+    )
+
+
+def _one_copy_per_id(pieces: Sequence[EncryptedRelation]) -> EncryptedRelation:
+    """The pieces as one relation: the first copy of each tuple id, in order."""
+    first_copies: dict[bytes, EncryptedTuple] = {}
+    for piece in pieces:
+        for encrypted_tuple in piece.encrypted_tuples:
+            first_copies.setdefault(encrypted_tuple.tuple_id, encrypted_tuple)
+    return EncryptedRelation(
+        schema=pieces[0].schema, encrypted_tuples=tuple(first_copies.values())
     )
 
 
@@ -297,8 +302,146 @@ class _Shard:
     owned: bool = False
 
 
-class ShardRouter:
-    """One logical :class:`OutsourcedDatabaseServer` spread over many shards."""
+@dataclass(frozen=True)
+class _Plan:
+    """How one envelope kind crosses the fleet: a row of ``ShardRouter._PLANS``."""
+
+    #: ``(router, request, raw, payload) -> {shard id: envelope bytes}``:
+    #: which shards are addressed, and with which bytes each.
+    targets: Callable[..., dict[str, bytes]]
+    #: The kind every addressed shard must answer with -- and the kind the
+    #: router answers the session with.
+    answers: MessageKind
+    #: ``(decoded per-shard answers, payload) -> the fleet's one answer``.
+    merge: Callable[[Sequence[Any], Any], Any]
+    #: Decodes (and so validates) the request body into the ``payload`` that
+    #: ``targets``, ``fallback`` and ``merge`` see; None forwards it unread.
+    decode: Callable[[bytes], Any] | None = None
+    #: Reads may fail over to surviving replicas; everything else is a write
+    #: and invalidates the coordinator cache's entries for its relation.
+    read: bool = False
+    #: Partial-failure policy of the gather; None means the router's own.
+    policy: str | None = FAIL_FAST
+    #: Coordinator-cache namespace of a cacheable read.
+    cache: str | None = None
+    #: ``(router, request, payload) -> envelope | None``: what to replay to a
+    #: shard that refuses this kind (see ``ShardRouter._shard_step``).
+    fallback: Callable[..., bytes | None] | None = None
+    #: The ``ClusterStats`` recorder bumped once per routed request.
+    record: Callable[[ClusterStats], None] | None = None
+
+
+def _decode_insert(body: bytes) -> EncryptedTuple:
+    encrypted_tuple, consumed = protocol.decode_encrypted_tuple(body)
+    if consumed != len(body):
+        raise ProtocolError("trailing bytes after encrypted tuple")
+    return encrypted_tuple
+
+
+def _decode_lookup(body: bytes):
+    from repro.index.wire import decode_index_lookup
+
+    return decode_index_lookup(body)
+
+
+#: Body codecs ``(decode, encode)`` of the answer kinds; a ``QUERY_RESULT``
+#: is not listed because its body depends on the envelope version.
+_ANSWER_CODECS = {
+    MessageKind.ACK: (protocol.decode_count, protocol.encode_count),
+    MessageKind.TUPLE_IDS: (protocol.decode_tuple_ids, protocol.encode_tuple_ids),
+    MessageKind.BATCH_RESULT: (protocol.decode_result_batch, protocol.encode_result_batch),
+}
+
+
+def _decode_answer(request: Envelope, response: Envelope) -> Any:
+    """One shard's checked answer as a value the merges work on."""
+    body = response.body
+    if response.kind in _ANSWER_CODECS:
+        return _ANSWER_CODECS[response.kind][0](body)
+    if request.version == protocol.PROTOCOL_V1:  # a v1 QUERY_RESULT: no statistics
+        return EvaluationResult(matching=protocol.decode_encrypted_relation(body))
+    result, consumed = protocol.decode_evaluation_result(body)
+    if consumed != len(body):
+        raise ClusterError("trailing bytes after evaluation result")
+    return result
+
+
+def _encode_answer(request: Envelope, kind: MessageKind, answer: Any) -> bytes:
+    """The merged answer as the body of the router's response (``kind``)."""
+    if kind in _ANSWER_CODECS:
+        return _ANSWER_CODECS[kind][1](answer)
+    if request.version == protocol.PROTOCOL_V1:
+        return protocol.encode_encrypted_relation(answer.matching)
+    return protocol.encode_evaluation_result(answer)
+
+
+def _first(values: Sequence[Any], _payload: Any) -> Any:
+    return values[0]
+
+
+def _count_of_relation(_values: Sequence[int], relation: EncryptedRelation) -> int:
+    return len(relation)
+
+
+def _logical_deletions(per_shard_deleted: Sequence[int], tuple_ids: Sequence[bytes]) -> int:
+    """Logical tuples removed, from per-shard physical deletion counts.
+
+    With replication (and with transient migration duplicates) one
+    logical tuple dies on several shards, so the raw sum over-counts;
+    the fleet cannot report per-id outcomes, so the sum is capped at
+    the number of addressed ids.  This is exact whenever every
+    addressed id still existed somewhere -- the normal case, since the
+    session derives the ids from a just-executed query.  It is an
+    *estimate* for stale batches on a replicated cluster: addressing
+    ids that no longer exist alongside ids with R live copies can make
+    the capped sum land anywhere between the true logical count and
+    the batch size.  The per-id ``DELETE_TUPLES_EXACT`` op supersedes
+    this whenever the fleet supports it; the estimate survives only
+    for duck-typed backends without the op.
+    """
+    return min(sum(per_shard_deleted), len(tuple_ids))
+
+
+def _union_of_ids(per_shard_ids: Sequence[Sequence[bytes]], _payload: Any) -> list[bytes]:
+    # Every physical copy of a tuple reports the same public id, so the
+    # union is the exact logical id set: replicas and crash duplicates
+    # collapse for free.
+    return sorted(set().union(*per_shard_ids))
+
+
+def _max_count(counts: Sequence[int], _payload: Any) -> int:
+    return max(counts)
+
+
+def _merge_results(results: Sequence[EvaluationResult], _payload: Any) -> EvaluationResult:
+    return merge_evaluation_results(results)
+
+
+def _merge_batches(
+    per_shard: Sequence[Sequence[EvaluationResult]], _payload: Any
+) -> list[EvaluationResult]:
+    lengths = {len(results) for results in per_shard}
+    if len(lengths) != 1:
+        raise ClusterError(f"shards answered differing batch sizes: {sorted(lengths)}")
+    return [
+        merge_evaluation_results([results[i] for results in per_shard])
+        for i in range(lengths.pop())
+    ]
+
+
+class ShardRouter(EnvelopeObjectApi):
+    """One logical :class:`OutsourcedDatabaseServer` spread over many shards.
+
+    Every data operation is defined once, as an envelope: a row of
+    :attr:`_PLANS` says which shards get which bytes and how their answers
+    merge, :meth:`_fetch` runs plan -> scatter -> merge, :meth:`_answer`
+    wraps it in the coordinator cache, and :meth:`_route` frames the
+    response.  :meth:`handle_message` is that route with failures turned
+    into ``ERROR`` envelopes; the object-level calls (``insert_tuple``,
+    ``execute_query``, ...) are the shared
+    :class:`~repro.outsourcing.object_api.EnvelopeObjectApi` shim over the
+    same route.
+    """
 
     def __init__(
         self,
@@ -357,15 +500,13 @@ class ShardRouter:
             Keep a coordinator-side result cache (see :mod:`repro.cache`):
             repeated hot reads are answered from the router's memory
             before any shard is touched, and the cache is shared by every
-            session this router serves.  Invalidation rides the existing
-            write paths (ring-routed inserts invalidate only the owning
-            relation, delete fan-outs likewise; membership changes and
-            rebalances flush everything), and degraded reads are never
-            cached, so replication and failover cannot resurrect stale
-            entries.  ``True`` enables the defaults; an int sets the entry
-            budget; a :class:`~repro.cache.CacheConfig` (or dict of its
-            fields) sets everything (``cluster://...?cache=1``).  Off by
-            default.
+            session this router serves.  Every routed write invalidates
+            its relation, membership changes and rebalances flush
+            everything, and degraded reads are never cached, so replication
+            and failover cannot resurrect stale entries.  ``True`` enables
+            the defaults; an int sets the entry budget; a
+            :class:`~repro.cache.CacheConfig` (or dict of its fields) sets
+            everything (``cluster://...?cache=1``).  Off by default.
         """
         if not shards:
             raise ClusterError("a cluster needs at least one shard")
@@ -385,28 +526,21 @@ class ShardRouter:
             raise ClusterError(
                 f"{len(shards)} shard(s) but {len(shard_ids)} shard id(s)"
             )
+        try:
+            cache_config = coerce_cache_config(cache)
+        except CacheError as exc:
+            raise ClusterError(str(exc)) from exc
         self._policy = policy
         self._replication = replicas
         self._pool_size = pool_size
         self._timeout = timeout
         self._loop_thread = None
-        if async_transport:
-            from repro.net.aio import EventLoopThread
-
-            # One loop thread for the whole fleet: every pipelined shard
-            # connection lives on it, and the event-loop scatter path
-            # drives all shard round trips from it concurrently.
-            self._loop_thread = EventLoopThread("repro-cluster-aio").start()
         self._shards: dict[str, _Shard] = {}
         self._ring = ConsistentHashRing(virtual_nodes=virtual_nodes)
         self._evaluators: dict[str, ServerEvaluator] = {}
         self._schemas: dict[str, Any] = {}
         self._metrics = MetricsRegistry()
         self._stats = ClusterStats(metrics=self._metrics)
-        try:
-            cache_config = coerce_cache_config(cache)
-        except CacheError as exc:
-            raise ClusterError(str(exc)) from exc
         self._cache = (
             ResultCache(cache_config, metrics=self._metrics, tier="coordinator")
             if cache_config is not None
@@ -420,14 +554,19 @@ class ShardRouter:
         self._executor = ScatterGatherExecutor(
             max_workers=self._pool_headroom(len(shards)), timeout=shard_timeout
         )
+        # Everything above only validates and allocates; from here on threads
+        # and sockets exist, so any failure must tear them down again.
         try:
+            if async_transport:
+                from repro.net.aio import EventLoopThread
+
+                # One loop thread for the whole fleet: every pipelined shard
+                # connection lives on it, and the event-loop scatter path
+                # drives all shard round trips from it concurrently.
+                self._loop_thread = EventLoopThread("repro-cluster-aio").start()
             for index, backend in enumerate(shards):
                 explicit = shard_ids[index] if shard_ids is not None else None
                 shard = self._open_backend(backend, explicit, index)
-                if shard.shard_id in self._shards:
-                    if shard.owned:
-                        shard.server.close()
-                    raise ClusterError(f"duplicate shard id {shard.shard_id!r}")
                 self._shards[shard.shard_id] = shard
                 self._ring.add_shard(shard.shard_id)
         except BaseException:
@@ -538,28 +677,27 @@ class ShardRouter:
     def _open_backend(
         self, backend: Any, shard_id: str | None, index: int
     ) -> _Shard:
-        if isinstance(backend, str):
-            if self._loop_thread is not None:
-                from repro.net.aio import AsyncRemoteServerProxy
+        """The backend as a shard under a ring id no other shard holds."""
+        is_url = isinstance(backend, str)
+        if shard_id is None:
+            shard_id = backend if is_url else self._free_shard_id(index)
+        if shard_id in self._shards:
+            raise ClusterError(f"duplicate shard id {shard_id!r}")
+        if not is_url:
+            return _Shard(shard_id=shard_id, server=backend)
+        if self._loop_thread is not None:
+            from repro.net.aio import AsyncRemoteServerProxy
 
-                proxy: Any = AsyncRemoteServerProxy.connect(
-                    backend, loop=self._loop_thread, timeout=self._timeout
-                )
-            else:
-                from repro.net.client import RemoteServerProxy
-
-                proxy = RemoteServerProxy.connect(
-                    backend, pool_size=self._pool_size, timeout=self._timeout
-                )
-            return _Shard(
-                shard_id=shard_id if shard_id is not None else backend,
-                server=proxy,
-                owned=True,
+            proxy: Any = AsyncRemoteServerProxy.connect(
+                backend, loop=self._loop_thread, timeout=self._timeout
             )
-        return _Shard(
-            shard_id=shard_id if shard_id is not None else self._free_shard_id(index),
-            server=backend,
-        )
+        else:
+            from repro.net.client import RemoteServerProxy
+
+            proxy = RemoteServerProxy.connect(
+                backend, pool_size=self._pool_size, timeout=self._timeout
+            )
+        return _Shard(shard_id=shard_id, server=proxy, owned=True)
 
     def _free_shard_id(self, index: int) -> str:
         """First unused positional id (an earlier remove may have freed one)."""
@@ -623,13 +761,10 @@ class ShardRouter:
 
     def per_shard_tuple_counts(self, name: str) -> dict[str, int]:
         """Ciphertext count of one relation on every shard."""
-        gathered = self._gather(
-            f"tuple-count({name!r})",
-            [(s.shard_id, (lambda sv: lambda: sv.tuple_count(name))(s.server))
-             for s in self._shards.values()],
-            policy=FAIL_FAST,
+        counts = self._on_every_shard(
+            f"tuple-count({name!r})", lambda server: server.tuple_count(name)
         )
-        return dict(zip(self.shard_ids, gathered.values))
+        return dict(zip(self.shard_ids, counts))
 
     def cluster_status(self) -> dict[str, dict]:
         """Best-effort per-shard health/stats snapshot (never raises)."""
@@ -739,39 +874,30 @@ class ShardRouter:
     @property
     def supported_protocol_versions(self) -> tuple[int, ...]:
         """Versions every shard speaks (the fleet negotiates as one)."""
-        common = [
+        return tuple(
             version
             for version in SUPPORTED_VERSIONS
             if all(
                 version in shard.server.supported_protocol_versions
                 for shard in self._shards.values()
             )
-        ]
-        return tuple(common)
+        )
 
     def register_evaluator(self, name: str, evaluator: ServerEvaluator) -> None:
         """Deploy the keyless evaluator on every shard."""
-        self._gather(
+        self._on_every_shard(
             f"register-evaluator({name!r})",
-            self._all_shards(lambda server: server.register_evaluator(name, evaluator)),
-            policy=FAIL_FAST,
+            lambda server: server.register_evaluator(name, evaluator),
         )
         self._evaluators[name] = evaluator
 
     @property
     def relation_names(self) -> tuple[str, ...]:
         """Union of the shards' relations, first-seen order preserved."""
-        gathered = self._gather(
-            "relation-names",
-            self._all_shards(lambda server: tuple(server.relation_names)),
-            policy=FAIL_FAST,
+        per_shard = self._on_every_shard(
+            "relation-names", lambda server: tuple(server.relation_names)
         )
-        names: list[str] = []
-        for shard_names in gathered.values:
-            for name in shard_names:
-                if name not in names:
-                    names.append(name)
-        return tuple(names)
+        return tuple(dict.fromkeys(name for names in per_shard for name in names))
 
     def stored_relation(self, name: str) -> EncryptedRelation:
         """The logical ciphertext relation, reassembled from every shard.
@@ -782,22 +908,12 @@ class ShardRouter:
         surviving replicas still cover its data (read failover); otherwise
         the call fails fast regardless of the read policy.
         """
-        gathered = self._gather(
-            f"stored-relation({name!r})",
-            self._all_shards(lambda server: server.stored_relation(name)),
-            policy=FAIL_FAST,  # reassembling data must be complete
-            read=True,
-        )
-        tuples: list[EncryptedTuple] = []
-        seen: set[bytes] = set()
-        for piece in gathered.values:
-            for encrypted_tuple in piece.encrypted_tuples:
-                if encrypted_tuple.tuple_id in seen:
-                    continue
-                seen.add(encrypted_tuple.tuple_id)
-                tuples.append(encrypted_tuple)
-        return EncryptedRelation(
-            schema=gathered.values[0].schema, encrypted_tuples=tuple(tuples)
+        return _one_copy_per_id(
+            self._on_every_shard(
+                f"stored-relation({name!r})",
+                lambda server: server.stored_relation(name),
+                read=True,
+            )
         )
 
     def tuple_count(self, name: str) -> int:
@@ -811,23 +927,16 @@ class ShardRouter:
         (the v2 ``LIST_TUPLE_IDS`` op) rather than its stored ciphertexts,
         so the wire cost is ``O(ids)`` instead of ``O(data * R)``.
         """
-        return len(self._distinct_tuple_ids(name))
+        return len(self.list_tuple_ids(name))
 
     def list_tuple_ids(self, name: str) -> tuple[bytes, ...]:
         """Distinct public tuple ids across the fleet (sorted, each once)."""
-        return tuple(sorted(self._distinct_tuple_ids(name)))
-
-    def _distinct_tuple_ids(self, name: str) -> set[bytes]:
-        gathered = self._gather(
+        per_shard = self._on_every_shard(
             f"list-tuple-ids({name!r})",
-            self._all_shards(lambda server: self._shard_tuple_ids(server, name)),
-            policy=FAIL_FAST,
+            lambda server: self._shard_tuple_ids(server, name),
             read=True,
         )
-        ids: set[bytes] = set()
-        for shard_ids in gathered.values:
-            ids.update(shard_ids)
-        return ids
+        return tuple(_union_of_ids(per_shard, None))
 
     @staticmethod
     def _shard_tuple_ids(server: Any, name: str) -> tuple[bytes, ...]:
@@ -841,10 +950,8 @@ class ShardRouter:
     def drop_relation(self, name: str) -> None:
         """Drop the relation on every shard (fail-fast: no half-dropped state)."""
         try:
-            self._gather(
-                f"drop-relation({name!r})",
-                self._all_shards(lambda server: server.drop_relation(name)),
-                policy=FAIL_FAST,
+            self._on_every_shard(
+                f"drop-relation({name!r})", lambda server: server.drop_relation(name)
             )
         finally:
             self._invalidate_cache(name)
@@ -873,504 +980,169 @@ class ShardRouter:
         """
         request = protocol.parse_message(raw)
         try:
-            return self._route_envelope(request, raw)
+            return self._route(request, raw)
         except (ServerError, StorageError, ProtocolError, DphError, ValueError) as exc:
-            return self._respond(
-                request, MessageKind.ERROR, str(exc).encode("utf-8")
-            ).to_bytes()
+            return self._frame(request, MessageKind.ERROR, str(exc).encode("utf-8"))
 
-    #: Envelope kinds that mutate a relation's data (or its index): each
-    #: invalidates the coordinator cache's entries for that relation, even
-    #: on failure -- a fail-fast write can still have landed on some
-    #: replicas before failing, and one extra miss beats one stale hit.
-    _WRITE_KINDS = frozenset(
-        {
-            MessageKind.INSERT_TUPLE,
-            MessageKind.STORE_RELATION,
-            MessageKind.DELETE_TUPLES,
-            MessageKind.DELETE_TUPLES_EXACT,
-            MessageKind.INDEX_PUT,
-            MessageKind.INDEX_DELTA,
-        }
-    )
+    def _request(
+        self, kind: MessageKind, relation_name: str, body: bytes, expect: MessageKind
+    ) -> Envelope:
+        """The object-level API's primitive: the *raising* route.
 
-    def _route_envelope(self, request: Message | MessageV2, raw: bytes) -> bytes:
-        """Cache-aware routing: reads consult the coordinator cache, writes
-        invalidate it; everything else goes straight to the fleet."""
-        if self._cache is not None:
-            kind = request.kind
-            if kind in self._WRITE_KINDS:
-                try:
-                    return self._route_envelope_uncached(request, raw)
-                finally:
-                    self._cache.invalidate(request.relation_name)
-            if kind is MessageKind.QUERY:
-                return self._cached_query(request, raw)
-            if kind is MessageKind.BATCH_QUERY:
-                return self._cached_batch(request, raw)
-            if kind is MessageKind.INDEX_LOOKUP:
-                return self._cached_index_lookup(request, raw)
-        return self._route_envelope_uncached(request, raw)
-
-    def _cached_query(self, request: Message | MessageV2, raw: bytes) -> bytes:
-        """Serve one QUERY from the cache, or scatter and fill.
-
-        The token is the encoded encrypted query -- exactly the envelope
-        body -- shared with the batch path, so a single-query fill serves
-        later batch elements and vice versa.  Only *complete* answers are
-        cached: a degraded read (some ring segment unanswered) is correct
-        to serve once but must not be replayed after the shards recover.
+        Not :meth:`handle_message`, so typed errors
+        (:attr:`ShardFailedError.failed_shard_ids`) reach object-level
+        callers instead of being flattened into ``ERROR`` text.
         """
-        name = request.relation_name
-        token = ("query", request.body)
-        merged = self._cache.lookup(name, token)
-        if merged is None:
-            generation = self._cache.generation(name)
-            merged, complete = self._scatter_query(request, raw)
-            if complete:
-                self._cache.put(name, token, merged, generation)
-        return self._query_result_response(request, merged)
+        envelope = MessageV2 if PROTOCOL_V2 in self.supported_protocol_versions else Message
+        request = envelope(kind=kind, relation_name=relation_name, body=body)
+        response = protocol.parse_message(self._route(request, request.to_bytes()))
+        if response.kind is not expect:
+            raise ClusterError(
+                f"expected {expect.value!r} response, got {response.kind.value!r}"
+            )
+        return response
 
-    def _cached_batch(self, request: Message | MessageV2, raw: bytes) -> bytes:
-        """Element-wise batch caching: only the missing queries scatter."""
+    def _deletes_report_ids(self) -> bool:
+        # Only duck-typed backends without the per-id op keep the capped-sum
+        # estimate of _logical_deletions.
+        return all(
+            hasattr(shard.server, "delete_tuples_exact")
+            for shard in self._shards.values()
+        )
+
+    def _route(self, request: Envelope, raw: bytes) -> bytes:
+        """Plan, answer (through the cache), frame the response; raises on failure."""
+        plan = self._PLANS.get(request.kind)
+        if plan is None:
+            raise ClusterError(f"cannot route message kind {request.kind.value!r}")
+        try:
+            answer = self._answer(plan, request, raw)
+        finally:
+            if not plan.read:
+                # Even on failure: a fail-fast write can still have landed on
+                # some replicas before failing, and one extra miss beats one
+                # stale hit.
+                self._invalidate_cache(request.relation_name)
+        return self._frame(
+            request, plan.answers, _encode_answer(request, plan.answers, answer)
+        )
+
+    def _answer(self, plan: _Plan, request: Envelope, raw: bytes) -> Any:
+        """The fleet's merged answer, through the coordinator cache.
+
+        The one cache wrapper: lookup, capture the generation, fetch the
+        misses, fill.  Tokens are ``(namespace, encoded query bytes)``: a
+        ``QUERY`` body *is* the encoded encrypted query and each
+        ``BATCH_QUERY`` element encodes to the same bytes, so single-query
+        fills serve later batch elements and vice versa; an
+        ``INDEX_LOOKUP`` is keyed on its raw body (labels plus embedded
+        fallback query), which an indexed session repeats byte-for-byte
+        when it re-asks a hot query.  Only *complete* answers are cached: a
+        degraded read (some ring segment unanswered) is correct to serve
+        once but must not be replayed after the shards recover.  Failover
+        reads are complete, so they stay cacheable.
+        """
+        if self._cache is None or plan.cache is None:
+            return self._fetch(plan, request, raw)[0]
         name = request.relation_name
-        queries = protocol.decode_query_batch(request.body)
-        tokens = [("query", protocol.encode_encrypted_query(q)) for q in queries]
-        results: list[EvaluationResult | None] = [
-            self._cache.lookup(name, token) for token in tokens
-        ]
-        missing = [i for i, result in enumerate(results) if result is None]
+        batched = request.kind is MessageKind.BATCH_QUERY
+        if batched:
+            queries = protocol.decode_query_batch(request.body)
+            bodies = [protocol.encode_encrypted_query(query) for query in queries]
+        else:
+            bodies = [request.body]
+        tokens = [(plan.cache, body) for body in bodies]
+        answers = [self._cache.lookup(name, token) for token in tokens]
+        missing = [i for i, answer in enumerate(answers) if answer is None]
         if missing:
             generation = self._cache.generation(name)
-            sub_raw = self._respond(
-                request,
-                MessageKind.BATCH_QUERY,
-                protocol.encode_query_batch([queries[i] for i in missing]),
-            ).to_bytes()
-            fetched, complete = self._scatter_batch(request, sub_raw)
-            if len(fetched) != len(missing):
+            if batched:  # element-wise: only the queries the cache misses scatter
+                raw = self._frame(
+                    request,
+                    MessageKind.BATCH_QUERY,
+                    protocol.encode_query_batch([queries[i] for i in missing]),
+                )
+            fetched, complete = self._fetch(plan, request, raw)
+            if not batched:
+                fetched = [fetched]
+            elif len(fetched) != len(missing):
                 raise ClusterError(
                     f"shards answered {len(fetched)} results "
                     f"for {len(missing)} queries"
                 )
-            for position, result in zip(missing, fetched):
-                results[position] = result
+            for position, answer in zip(missing, fetched):
+                answers[position] = answer
                 if complete:
-                    self._cache.put(name, tokens[position], result, generation)
-        return self._respond(
-            request,
-            MessageKind.BATCH_RESULT,
-            protocol.encode_result_batch(results),
-        ).to_bytes()
+                    self._cache.put(name, tokens[position], answer, generation)
+        return answers if batched else answers[0]
 
-    def _cached_index_lookup(self, request: Message | MessageV2, raw: bytes) -> bytes:
-        """Serve one INDEX_LOOKUP from the cache, or scatter and fill.
+    def _fetch(self, plan: _Plan, request: Envelope, raw: bytes) -> tuple[Any, bool]:
+        """Plan -> scatter -> merge: the answer plus whether it is *complete*.
 
-        Keyed on the raw lookup body (labels + embedded fallback query):
-        an indexed session re-asks a hot query with byte-identical labels,
-        so the token repeats exactly like the plain-query one.
+        Only a DEGRADED-policy gather that actually lost data reports
+        False; a read that failed over to surviving replicas is complete.
         """
-        name = request.relation_name
-        token = ("index", request.body)
-        merged = self._cache.lookup(name, token)
-        if merged is None:
-            generation = self._cache.generation(name)
-            merged, complete = self._scatter_index_lookup(request, raw)
-            if complete:
-                self._cache.put(name, token, merged, generation)
-        return self._respond(
-            request,
-            MessageKind.QUERY_RESULT,
-            protocol.encode_evaluation_result(merged),
-        ).to_bytes()
-
-    def _query_result_response(
-        self, request: Message | MessageV2, merged: EvaluationResult
-    ) -> bytes:
-        if request.version == protocol.PROTOCOL_V1:
-            body = protocol.encode_encrypted_relation(merged.matching)
-        else:
-            body = protocol.encode_evaluation_result(merged)
-        return self._respond(request, MessageKind.QUERY_RESULT, body).to_bytes()
-
-    def _route_envelope_uncached(
-        self, request: Message | MessageV2, raw: bytes
-    ) -> bytes:
-        kind = request.kind
-        if kind is MessageKind.INSERT_TUPLE:
-            encrypted_tuple, consumed = protocol.decode_encrypted_tuple(request.body)
-            if consumed != len(request.body):
-                raise ProtocolError("trailing bytes after encrypted tuple")
-            targets = self.replica_shards(encrypted_tuple.tuple_id)
-            self._stats.record_routed_insert()
-            if len(targets) == 1:  # unreplicated fast path: no scatter hop
-                shard_id = targets[0]
-                try:
-                    return self.shard(shard_id).handle_message(raw)
-                except (ServerError, StorageError, ProtocolError, DphError, ValueError):
-                    raise
-                except Exception as exc:  # a dying backend must not escape the envelope contract
-                    raise ClusterError(f"shard {shard_id!r} failed: {exc}") from exc
-            # Replicated insert: every replica must apply it (fail-fast) or
-            # the write as a whole fails -- a partial write is corruption.
-            gathered = self._gather_envelopes(
-                f"insert-tuple({request.relation_name!r})",
-                {shard_id: raw for shard_id in targets},
-                expect=MessageKind.ACK,
-                policy=FAIL_FAST,
-            )
-            return gathered.values[0].to_bytes()
-        if kind is MessageKind.STORE_RELATION:
-            encrypted_relation = protocol.decode_encrypted_relation(request.body)
-            self._scatter_store(request, encrypted_relation)
-            return self._respond(
-                request, MessageKind.ACK, protocol.encode_count(len(encrypted_relation))
-            ).to_bytes()
-        if kind is MessageKind.DELETE_TUPLES:
-            deleted = self._scatter_delete(
-                request, protocol.decode_tuple_ids(request.body)
-            )
-            return self._respond(
-                request, MessageKind.ACK, protocol.encode_count(deleted)
-            ).to_bytes()
-        if kind is MessageKind.QUERY:
-            merged, _ = self._scatter_query(request, raw)
-            return self._query_result_response(request, merged)
-        if kind is MessageKind.BATCH_QUERY:
-            merged_batch, _ = self._scatter_batch(request, raw)
-            return self._respond(
-                request,
-                MessageKind.BATCH_RESULT,
-                protocol.encode_result_batch(merged_batch),
-            ).to_bytes()
-        if kind is MessageKind.LIST_TUPLE_IDS:
-            gathered = self._gather_envelopes(
-                f"list-tuple-ids({request.relation_name!r})",
-                {shard_id: raw for shard_id in self._shards},
-                expect=MessageKind.TUPLE_IDS,
-                policy=FAIL_FAST,
-                read=True,
-            )
-            ids: set[bytes] = set()
-            for response in gathered.values:
-                ids.update(protocol.decode_tuple_ids(response.body))
-            return self._respond(
-                request, MessageKind.TUPLE_IDS, protocol.encode_tuple_ids(sorted(ids))
-            ).to_bytes()
-        if kind is MessageKind.DELETE_TUPLES_EXACT:
-            # Like DELETE_TUPLES, the full id list goes to the whole fleet;
-            # the union of per-shard outcomes is the exact logical id set
-            # (each physical copy of a tuple reports the same public id).
-            gathered = self._gather_envelopes(
-                f"delete-tuples-exact({request.relation_name!r})",
-                {shard_id: raw for shard_id in self._shards},
-                expect=MessageKind.TUPLE_IDS,
-                policy=FAIL_FAST,
-            )
-            deleted: set[bytes] = set()
-            for response in gathered.values:
-                deleted.update(protocol.decode_tuple_ids(response.body))
-            return self._respond(
-                request,
-                MessageKind.TUPLE_IDS,
-                protocol.encode_tuple_ids(sorted(deleted)),
-            ).to_bytes()
-        if kind in (MessageKind.INDEX_PUT, MessageKind.INDEX_DELTA):
-            # Index writes replicate fleet-wide: every shard holds the whole
-            # index (it is compact soft state), so lookups stay correct under
-            # any placement -- rebalances, crash duplicates, replica reads.
-            self._stats.record_index_write()
-            gathered = self._gather_envelopes(
-                f"{kind.value}({request.relation_name!r})",
-                {shard_id: raw for shard_id in self._shards},
-                expect=MessageKind.ACK,
-                policy=FAIL_FAST,
-            )
-            counts = [protocol.decode_count(response.body) for response in gathered.values]
-            return self._respond(
-                request, MessageKind.ACK, protocol.encode_count(max(counts))
-            ).to_bytes()
-        if kind is MessageKind.INDEX_LOOKUP:
-            merged, _ = self._scatter_index_lookup(request, raw)
-            return self._respond(
-                request,
-                MessageKind.QUERY_RESULT,
-                protocol.encode_evaluation_result(merged),
-            ).to_bytes()
-        raise ClusterError(f"cannot route message kind {kind.value!r}")
-
-    def _scatter_store(
-        self, request: Message | MessageV2, encrypted_relation: EncryptedRelation
-    ) -> None:
-        self._schemas[request.relation_name] = encrypted_relation.schema
-        groups = self._partition_tuples(encrypted_relation)
-        envelopes = {}
-        for shard_id, tuples in groups.items():
-            shard_relation = EncryptedRelation(
-                schema=encrypted_relation.schema, encrypted_tuples=tuple(tuples)
-            )
-            envelopes[shard_id] = self._respond(
-                request,
-                MessageKind.STORE_RELATION,
-                protocol.encode_encrypted_relation(shard_relation),
-            ).to_bytes()
-        self._gather_envelopes(
-            f"store-relation({request.relation_name!r})",
-            envelopes,
-            expect=MessageKind.ACK,
-            policy=FAIL_FAST,
+        payload = plan.decode(request.body) if plan.decode is not None else None
+        envelopes = plan.targets(self, request, raw, payload)
+        fallback = (
+            plan.fallback(self, request, payload) if plan.fallback is not None else None
         )
-
-    def _scatter_delete(
-        self, request: Message | MessageV2, tuple_ids: Sequence[bytes]
-    ) -> int:
-        # Every shard gets the full id list: ring ownership is a *placement*
-        # policy, not an invariant -- a deferred rebalance or a crash mid-
-        # migration can leave a tuple (or its transient duplicate) off its
-        # owner, and providers ignore ids they do not hold.
-        if not tuple_ids:
-            return 0
-        envelope = self._respond(
-            request, MessageKind.DELETE_TUPLES, protocol.encode_tuple_ids(tuple_ids)
-        ).to_bytes()
-        gathered = self._gather_envelopes(
-            f"delete-tuples({request.relation_name!r})",
-            {shard_id: envelope for shard_id in self._shards},
-            expect=MessageKind.ACK,
-            policy=FAIL_FAST,
-        )
-        return self._logical_deletions(
-            [protocol.decode_count(response.body) for response in gathered.values],
-            len(tuple_ids),
-        )
-
-    @staticmethod
-    def _logical_deletions(per_shard_deleted: Sequence[int], requested: int) -> int:
-        """Logical tuples removed, from per-shard physical deletion counts.
-
-        With replication (and with transient migration duplicates) one
-        logical tuple dies on several shards, so the raw sum over-counts;
-        the fleet cannot report per-id outcomes, so the sum is capped at
-        the number of addressed ids.  This is exact whenever every
-        addressed id still existed somewhere -- the normal case, since the
-        session derives the ids from a just-executed query.  It is an
-        *estimate* for stale batches on a replicated cluster: addressing
-        ids that no longer exist alongside ids with R live copies can make
-        the capped sum land anywhere between the true logical count and
-        the batch size.  The per-id ``DELETE_TUPLES_EXACT`` op supersedes
-        this whenever the fleet supports it; the estimate survives only
-        for duck-typed backends without the op.
-        """
-        return min(sum(per_shard_deleted), requested)
-
-    def _scatter_query(
-        self, request: Message | MessageV2, raw: bytes
-    ) -> tuple[EvaluationResult, bool]:
-        """The merged result plus whether it is *complete* (not degraded).
-
-        Failover reads are complete -- the survivors provably cover every
-        ring segment -- so they stay cacheable; only a DEGRADED-policy
-        answer that actually lost data reports False.
-        """
-        gathered = self._gather_envelopes(
-            f"query({request.relation_name!r})",
-            {shard_id: raw for shard_id in self._shards},
-            expect=MessageKind.QUERY_RESULT,
-            policy=self._policy,
-            read=True,
-        )
-        results = [self._decode_result(request, response) for response in gathered.values]
-        return merge_evaluation_results(results), not gathered.degraded
-
-    def _scatter_index_lookup(
-        self, request: Message | MessageV2, raw: bytes
-    ) -> tuple[EvaluationResult, bool]:
-        """Scatter an ``INDEX_LOOKUP``, per-shard scan fallback included.
-
-        A fleet member that does not speak the op (an older build in a
-        mixed fleet) answers with the ``cannot serve message kind`` error;
-        this coordinator then replays the lookup's embedded fallback query
-        to *that shard only* as a plain ``QUERY``, so the merged answer
-        stays complete -- some shards at O(result), the stragglers at
-        O(data) -- instead of failing the read.
-        """
-        from repro.index.wire import decode_index_lookup
-
-        lookup = decode_index_lookup(request.body)
-        fallback_raw = None
-        if lookup.fallback_query is not None:
-            fallback_raw = self._respond(
-                request,
-                MessageKind.QUERY,
-                protocol.encode_encrypted_query(lookup.fallback_query),
-            ).to_bytes()
-        self._stats.record_index_lookup()
-        calls = [
-            self._lookup_call(shard_id, raw, fallback_raw)
-            for shard_id in self._shards
-        ]
-        async_calls = None
-        if self._loop_thread is not None and all(
-            hasattr(self.shard(shard_id), "handle_message_async")
-            for shard_id in self._shards
-        ):
-            async_calls = [
-                self._lookup_call_async(shard_id, raw, fallback_raw)
-                for shard_id in self._shards
-            ]
-        gathered = self._gather(
-            f"index-lookup({request.relation_name!r})",
-            calls,
-            policy=self._policy,
-            read=True,
-            async_calls=async_calls,
-        )
-        results = [self._decode_result(request, response) for response in gathered.values]
-        return merge_evaluation_results(results), not gathered.degraded
-
-    #: The error text a provider answers for a message kind it cannot serve;
-    #: the lookup scatter keys its per-shard scan fallback on it.
-    _UNSERVED_KIND_MARKER = b"cannot serve message kind"
-
-    def _lookup_fallback_applies(
-        self, response: Message | MessageV2, fallback_raw: bytes | None
-    ) -> bool:
-        return (
-            response.kind is MessageKind.ERROR
-            and fallback_raw is not None
-            and self._UNSERVED_KIND_MARKER in response.body
-        )
-
-    def _lookup_call(
-        self, shard_id: str, envelope: bytes, fallback_raw: bytes | None
-    ) -> tuple[str, Callable[[], Message | MessageV2]]:
-        server = self.shard(shard_id)
-
-        def call() -> Message | MessageV2:
-            response = protocol.parse_message(server.handle_message(envelope))
-            if self._lookup_fallback_applies(response, fallback_raw):
-                self._stats.record_index_scan_fallback()
-                return self._check_envelope_response(
-                    shard_id, server.handle_message(fallback_raw), MessageKind.QUERY_RESULT
-                )
-            return self._checked_lookup_response(shard_id, response)
-
-        return shard_id, call
-
-    def _lookup_call_async(
-        self, shard_id: str, envelope: bytes, fallback_raw: bytes | None
-    ) -> tuple[str, Callable[[], Any]]:
-        server = self.shard(shard_id)
-        # Captured here, on the session thread: the coroutine runs on the
-        # loop thread where the ambient contextvar is unset.
-        trace_id = current_trace_id()
-
-        async def round_trip() -> Message | MessageV2:
-            response = protocol.parse_message(
-                await server.handle_message_async(envelope, trace_id=trace_id)
-            )
-            if self._lookup_fallback_applies(response, fallback_raw):
-                self._stats.record_index_scan_fallback()
-                return self._check_envelope_response(
-                    shard_id,
-                    await server.handle_message_async(fallback_raw, trace_id=trace_id),
-                    MessageKind.QUERY_RESULT,
-                )
-            return self._checked_lookup_response(shard_id, response)
-
-        return shard_id, round_trip
-
-    @staticmethod
-    def _checked_lookup_response(
-        shard_id: str, response: Message | MessageV2
-    ) -> Message | MessageV2:
-        if response.kind is MessageKind.ERROR:
-            raise ClusterError(response.body.decode("utf-8", "replace"))
-        if response.kind is not MessageKind.QUERY_RESULT:
-            raise ClusterError(
-                f"shard {shard_id!r} answered {response.kind.value!r}, "
-                f"expected {MessageKind.QUERY_RESULT.value!r}"
-            )
-        return response
-
-    def _scatter_batch(
-        self, request: Message | MessageV2, raw: bytes
-    ) -> tuple[list[EvaluationResult], bool]:
-        gathered = self._gather_envelopes(
-            f"batch-query({request.relation_name!r})",
-            {shard_id: raw for shard_id in self._shards},
-            expect=MessageKind.BATCH_RESULT,
-            policy=self._policy,
-            read=True,
-        )
-        per_shard = [
-            protocol.decode_result_batch(response.body) for response in gathered.values
-        ]
-        lengths = {len(results) for results in per_shard}
-        if len(lengths) != 1:
-            raise ClusterError(
-                f"shards answered differing batch sizes: {sorted(lengths)}"
-            )
-        merged = [
-            merge_evaluation_results([results[i] for results in per_shard])
-            for i in range(lengths.pop())
-        ]
-        return merged, not gathered.degraded
-
-    @staticmethod
-    def _decode_result(
-        request: Message | MessageV2, response: Message | MessageV2
-    ) -> EvaluationResult:
-        if request.version == protocol.PROTOCOL_V1:
-            return EvaluationResult(
-                matching=protocol.decode_encrypted_relation(response.body)
-            )
-        result, consumed = protocol.decode_evaluation_result(response.body)
-        if consumed != len(response.body):
-            raise ClusterError("trailing bytes after evaluation result")
-        return result
-
-    def _gather_envelopes(
-        self,
-        operation: str,
-        envelopes: dict[str, bytes],
-        *,
-        expect: MessageKind,
-        policy: str,
-        read: bool = False,
-    ) -> GatherResult:
-        """Scatter per-shard envelopes, on the event loop when possible.
-
-        When every addressed shard sits behind a pipelined asyncio proxy
-        (the ``async_transport`` fleet), the scatter runs as coroutines on
-        the router's loop thread -- one coordinator thread, all shard
-        round trips in flight at once, timeouts cancelling mid-flight.
-        Otherwise (in-process backends, mixed fleets, sync proxies) the
-        thread-pool scatter serves as the fallback.  Outcome resolution --
-        failover, policy, stats -- is identical either way.
-        """
-        calls = [
-            self._envelope_call(shard_id, envelope, expect)
+        if plan.record is not None:
+            plan.record(self._stats)
+        requests = [
+            (shard_id, ShardRequest(
+                envelope, partial(self._shard_step, shard_id, plan.answers, fallback)
+            ))
             for shard_id, envelope in envelopes.items()
         ]
-        async_calls = None
-        if self._loop_thread is not None and all(
-            hasattr(self.shard(shard_id), "handle_message_async")
-            for shard_id in envelopes
-        ):
-            async_calls = [
-                self._envelope_call_async(shard_id, envelope, expect)
-                for shard_id, envelope in envelopes.items()
-            ]
-        return self._gather(
-            operation, calls, policy=policy, read=read, async_calls=async_calls
-        )
+        complete = True
+        if not requests:
+            responses: Sequence[Envelope] = ()
+        elif len(requests) == 1 and plan.targets is ShardRouter._to_replicas:
+            # Unreplicated fast path: the one owning shard is called on this
+            # thread, no scatter hop.
+            shard_id, direct = requests[0]
+            try:
+                responses = (direct(self.shard(shard_id)),)
+            except (ServerError, StorageError, ProtocolError, DphError, ValueError):
+                raise
+            except Exception as exc:  # a dying backend must not escape the contract
+                raise ClusterError(f"shard {shard_id!r} failed: {exc}") from exc
+        else:
+            gathered = self._gather(
+                f"{request.kind.value}({request.relation_name!r})",
+                requests,
+                policy=plan.policy or self._policy,
+                read=plan.read,
+            )
+            responses, complete = gathered.values, not gathered.degraded
+        values = [_decode_answer(request, response) for response in responses]
+        return plan.merge(values, payload), complete
 
-    def _check_envelope_response(
-        self, shard_id: str, raw_response: bytes, expect: MessageKind
-    ) -> Message | MessageV2:
+    def _shard_step(
+        self,
+        shard_id: str,
+        expect: MessageKind,
+        fallback: bytes | None,
+        raw_response: bytes,
+    ) -> Envelope | ShardRequest:
+        """What one shard's answer means: the checked response, or a follow-up.
+
+        A fleet member that does not speak the requested kind (an older
+        build in a mixed fleet) answers with the
+        :data:`~repro.outsourcing.protocol.UNSERVED_KIND_REFUSAL` error;
+        when the plan supplied a ``fallback`` envelope (an index lookup's
+        embedded scan query) it is replayed to *that shard only*, so the
+        merged answer stays complete -- some shards at O(result), the
+        stragglers at O(data) -- instead of failing the read.
+        """
         response = protocol.parse_message(raw_response)
         if response.kind is MessageKind.ERROR:
+            if fallback is not None and UNSERVED_KIND_REFUSAL.encode() in response.body:
+                self._stats.record_index_scan_fallback()
+                return ShardRequest(
+                    fallback, partial(self._shard_step, shard_id, expect, None)
+                )
             raise ClusterError(response.body.decode("utf-8", "replace"))
         if response.kind is not expect:
             raise ClusterError(
@@ -1379,219 +1151,104 @@ class ShardRouter:
             )
         return response
 
-    def _envelope_call(
-        self, shard_id: str, envelope: bytes, expect: MessageKind
-    ) -> tuple[str, Callable[[], Message | MessageV2]]:
-        server = self.shard(shard_id)
+    # -- plan targets: which shards get which bytes ---------------------- #
 
-        def call() -> Message | MessageV2:
-            return self._check_envelope_response(
-                shard_id, server.handle_message(envelope), expect
-            )
+    def _to_replicas(self, request: Envelope, raw: bytes, encrypted_tuple: EncryptedTuple):
+        # All R ring successors of the tuple id.  Every replica must apply
+        # the write or the write as a whole fails: providers tolerate a
+        # retried insert only as a duplicate that reads deduplicate, so
+        # surfacing the failure beats silently under-replicating.
+        return dict.fromkeys(self.replica_shards(encrypted_tuple.tuple_id), raw)
 
-        return shard_id, call
+    def _to_every_shard(self, request: Envelope, raw: bytes, payload: Any):
+        return dict.fromkeys(self._shards, raw)
 
-    def _envelope_call_async(
-        self, shard_id: str, envelope: bytes, expect: MessageKind
-    ) -> tuple[str, Callable[[], Any]]:
-        server = self.shard(shard_id)
-        trace_id = current_trace_id()  # captured on the session thread
+    def _to_every_shard_by_id(self, request: Envelope, raw: bytes, ids: Sequence[bytes]):
+        # Every shard gets the full id list: ring ownership is a *placement*
+        # policy, not an invariant -- a deferred rebalance or a crash mid-
+        # migration can leave a tuple (or its transient duplicate) off its
+        # owner, and providers ignore ids they do not hold.
+        if not ids:
+            return {}
+        envelope = self._frame(
+            request, MessageKind.DELETE_TUPLES, protocol.encode_tuple_ids(ids)
+        )
+        return dict.fromkeys(self._shards, envelope)
 
-        async def round_trip() -> Message | MessageV2:
-            return self._check_envelope_response(
-                shard_id,
-                await server.handle_message_async(envelope, trace_id=trace_id),
-                expect,
-            )
-
-        return shard_id, round_trip
-
-    # ------------------------------------------------------------------ #
-    # Object-level convenience API (what OutsourcingClient uses)
-    # ------------------------------------------------------------------ #
-
-    def store_relation(
-        self,
-        name: str,
-        encrypted_relation: EncryptedRelation,
-        evaluator: ServerEvaluator,
-    ) -> None:
-        """Deploy the evaluator everywhere, then store each shard's partition."""
-        self.register_evaluator(name, evaluator)
-        self._schemas[name] = encrypted_relation.schema
-        groups = self._partition_tuples(encrypted_relation)
-        try:
-            self._gather(
-                f"store-relation({name!r})",
-                [
-                    (
-                        shard_id,
-                        (
-                            lambda sv, part: lambda: sv.store_relation(
-                                name,
-                                EncryptedRelation(
-                                    schema=encrypted_relation.schema,
-                                    encrypted_tuples=tuple(part),
-                                ),
-                                evaluator,
-                            )
-                        )(self.shard(shard_id), tuples),
-                    )
-                    for shard_id, tuples in groups.items()
-                ],
-                policy=FAIL_FAST,
-            )
-        finally:
-            self._invalidate_cache(name)
-
-    def insert_tuple(self, name: str, encrypted_tuple: EncryptedTuple) -> None:
-        """Append one ciphertext on all R of its ring-assigned replica shards.
-
-        Fail-fast: if any replica cannot apply the write, the insert as a
-        whole fails (the caller may retry; providers tolerate re-inserts of
-        an id they already hold only as duplicates that reads deduplicate,
-        so surfacing the failure beats silently under-replicating).
-        """
-        targets = self.replica_shards(encrypted_tuple.tuple_id)
-        self._stats.record_routed_insert()
-        try:
-            if len(targets) == 1:  # unreplicated fast path: no scatter hop
-                self.shard(targets[0]).insert_tuple(name, encrypted_tuple)
-                return
-            self._gather(
-                f"insert-tuple({name!r})",
-                [
-                    (
-                        shard_id,
-                        (lambda sv: lambda: sv.insert_tuple(name, encrypted_tuple))(
-                            self.shard(shard_id)
-                        ),
-                    )
-                    for shard_id in targets
-                ],
-                policy=FAIL_FAST,
-            )
-        finally:
-            self._invalidate_cache(name)
-
-    def delete_tuples(self, name: str, tuple_ids: Sequence[bytes]) -> int:
-        """Delete ids on every shard; returns the *logical* count removed.
-
-        The full id list goes to the whole fleet (providers ignore unknown
-        ids), so deletes stay correct while tuples sit off their ring owner
-        -- a deferred rebalance, insert-first migration duplicates, or the
-        R replica copies.  When every shard reports per-id outcomes
-        (:meth:`delete_tuples_exact`) the logical count is exact even for
-        stale or replayed batches; only duck-typed backends without the op
-        fall back to the capped-sum estimate of :meth:`_logical_deletions`.
-        """
-        if not tuple_ids:
-            return 0
-        if all(
-            hasattr(shard.server, "delete_tuples_exact")
-            for shard in self._shards.values()
-        ):
-            return len(self.delete_tuples_exact(name, tuple_ids))
-        ids = list(tuple_ids)
-        try:
-            gathered = self._gather(
-                f"delete-tuples({name!r})",
-                self._all_shards(lambda server: server.delete_tuples(name, ids)),
-                policy=FAIL_FAST,
-            )
-        finally:
-            self._invalidate_cache(name)
-        return self._logical_deletions(gathered.values, len(ids))
-
-    def delete_tuples_exact(self, name: str, tuple_ids: Sequence[bytes]) -> tuple[bytes, ...]:
-        """Delete ids fleet-wide and report exactly which ids were live.
-
-        The union of per-shard outcomes is the precise logical deletion
-        set: every physical copy of a tuple reports the same public id, so
-        replication and crash duplicates collapse for free.  This is the
-        per-id outcome op the capped-sum estimate of
-        :meth:`_logical_deletions` could not provide.
-        """
-        if not tuple_ids:
-            return ()
-        ids = list(tuple_ids)
-        try:
-            gathered = self._gather(
-                f"delete-tuples-exact({name!r})",
-                self._all_shards(
-                    lambda server: tuple(server.delete_tuples_exact(name, ids))
+    def _to_partitions(self, request: Envelope, raw: bytes, relation: EncryptedRelation):
+        # Every shard stores the relation -- possibly an empty slice -- so
+        # queries can fan out; each tuple goes to each of its R successors.
+        schema = relation.schema
+        self._schemas[request.relation_name] = schema
+        groups: dict[str, list[EncryptedTuple]] = {
+            shard_id: [] for shard_id in self._shards
+        }
+        for encrypted_tuple in relation:
+            for shard_id in self.replica_shards(encrypted_tuple.tuple_id):
+                groups[shard_id].append(encrypted_tuple)
+        return {
+            shard_id: self._frame(
+                request,
+                MessageKind.STORE_RELATION,
+                protocol.encode_encrypted_relation(
+                    EncryptedRelation(schema=schema, encrypted_tuples=tuple(tuples))
                 ),
-                policy=FAIL_FAST,
             )
-        finally:
-            self._invalidate_cache(name)
-        deleted: set[bytes] = set()
-        for shard_deleted in gathered.values:
-            deleted.update(shard_deleted)
-        return tuple(sorted(deleted))
+            for shard_id, tuples in groups.items()
+        }
 
-    def execute_query(
-        self, name: str, encrypted_query: EncryptedQuery
-    ) -> EvaluationResult:
-        """Scatter one encrypted query and merge the per-shard results."""
-        token = None
-        generation = None
-        if self._cache is not None:
-            # Same token namespace as the QUERY envelope path (whose body
-            # *is* the encoded encrypted query), so both surfaces share hits.
-            token = ("query", protocol.encode_encrypted_query(encrypted_query))
-            cached = self._cache.lookup(name, token)
-            if cached is not None:
-                return cached
-            generation = self._cache.generation(name)
-        gathered = self._gather(
-            f"query({name!r})",
-            self._all_shards(lambda server: server.execute_query(name, encrypted_query)),
-            policy=self._policy,
-            read=True,
-        )
-        merged = merge_evaluation_results(list(gathered.values))
-        if self._cache is not None and not gathered.degraded:
-            self._cache.put(name, token, merged, generation)
-        return merged
+    def _scan_fallback(self, request: Envelope, lookup) -> bytes | None:
+        if lookup.fallback_query is None:
+            return None
+        body = protocol.encode_encrypted_query(lookup.fallback_query)
+        return self._frame(request, MessageKind.QUERY, body)
 
-    def execute_batch(
-        self, name: str, encrypted_queries: Sequence[EncryptedQuery]
-    ) -> list[EvaluationResult]:
-        """Scatter a query batch and merge element-wise (cache-aware)."""
-        queries = list(encrypted_queries)
-        if self._cache is None:
-            return self._scatter_object_batch(name, queries)[0]
-        tokens = [("query", protocol.encode_encrypted_query(q)) for q in queries]
-        results: list[EvaluationResult | None] = [
-            self._cache.lookup(name, token) for token in tokens
-        ]
-        missing = [i for i, value in enumerate(results) if value is None]
-        if missing:
-            generation = self._cache.generation(name)
-            fetched, complete = self._scatter_object_batch(
-                name, [queries[i] for i in missing]
-            )
-            for i, merged in zip(missing, fetched):
-                results[i] = merged
-                if complete:
-                    self._cache.put(name, tokens[i], merged, generation)
-        return list(results)
-
-    def _scatter_object_batch(
-        self, name: str, queries: Sequence[EncryptedQuery]
-    ) -> tuple[list[EvaluationResult], bool]:
-        gathered = self._gather(
-            f"batch-query({name!r})",
-            self._all_shards(lambda server: server.execute_batch(name, queries)),
-            policy=self._policy,
-            read=True,
-        )
-        merged = [
-            merge_evaluation_results([results[i] for results in gathered.values])
-            for i in range(len(queries))
-        ]
-        return merged, not gathered.degraded
+    #: One row per routed kind: targets, answer kind, merge, then the
+    #: departures from a plain fail-fast write.  Reads scatter to the full
+    #: fleet because failover's coverage maths (``ring.covers``) needs every
+    #: shard's outcome; ``LIST_TUPLE_IDS`` may fail over but never degrade
+    #: (a count must be complete).
+    _PLANS = {
+        MessageKind.INSERT_TUPLE: _Plan(
+            _to_replicas, MessageKind.ACK, _first,
+            decode=_decode_insert, record=ClusterStats.record_routed_insert,
+        ),
+        MessageKind.STORE_RELATION: _Plan(
+            _to_partitions, MessageKind.ACK, _count_of_relation,
+            decode=protocol.decode_encrypted_relation,
+        ),
+        MessageKind.DELETE_TUPLES: _Plan(
+            _to_every_shard_by_id, MessageKind.ACK, _logical_deletions,
+            decode=protocol.decode_tuple_ids,
+        ),
+        # Like DELETE_TUPLES, the full id list goes to the whole fleet.
+        MessageKind.DELETE_TUPLES_EXACT: _Plan(
+            _to_every_shard, MessageKind.TUPLE_IDS, _union_of_ids
+        ),
+        MessageKind.LIST_TUPLE_IDS: _Plan(
+            _to_every_shard, MessageKind.TUPLE_IDS, _union_of_ids, read=True
+        ),
+        MessageKind.QUERY: _Plan(
+            _to_every_shard, MessageKind.QUERY_RESULT, _merge_results,
+            read=True, policy=None, cache="query",
+        ),
+        MessageKind.BATCH_QUERY: _Plan(
+            _to_every_shard, MessageKind.BATCH_RESULT, _merge_batches,
+            read=True, policy=None, cache="query",
+        ),
+        MessageKind.INDEX_LOOKUP: _Plan(
+            _to_every_shard, MessageKind.QUERY_RESULT, _merge_results,
+            read=True, policy=None, cache="index", decode=_decode_lookup,
+            fallback=_scan_fallback, record=ClusterStats.record_index_lookup,
+        ),
+    }
+    # Index writes replicate fleet-wide: every shard holds the whole index
+    # (it is compact soft state), so lookups stay correct under any
+    # placement -- rebalances, crash duplicates, replica reads.
+    _PLANS[MessageKind.INDEX_PUT] = _PLANS[MessageKind.INDEX_DELTA] = _Plan(
+        _to_every_shard, MessageKind.ACK, _max_count,
+        record=ClusterStats.record_index_write,
+    )
 
     # ------------------------------------------------------------------ #
     # Elastic membership
@@ -1619,10 +1276,6 @@ class ShardRouter:
                 f"router for relation(s) {missing} (register_evaluator them first)"
             )
         shard = self._open_backend(backend, shard_id, len(self._shards))
-        if shard.shard_id in self._shards:
-            if shard.owned:
-                shard.server.close()
-            raise ClusterError(f"duplicate shard id {shard.shard_id!r}")
         try:
             for name in names:
                 schema = self._any_schema(name)
@@ -1661,7 +1314,6 @@ class ShardRouter:
         hold R distinct copies of anything.
         """
         from repro.cluster.rebalance import RebalanceReport
-        from repro.cluster.rebalance import rebalance as run_rebalance
 
         if shard_id not in self._shards:
             raise ClusterError(f"no shard named {shard_id!r}")
@@ -1678,12 +1330,9 @@ class ShardRouter:
         report = RebalanceReport()
         try:
             if drain:
-                report = run_rebalance(
-                    {sid: shard.server for sid, shard in self._shards.items()},
-                    self._ring,
-                    self.relation_names,
-                    replication=self._replication,
-                )
+                # Still in ``_shards`` though off the ring: the leaving
+                # backend serves as a copy source and ends up owning nothing.
+                report = self.rebalance()
                 for name in tuple(leaving.server.relation_names):
                     leaving.server.drop_relation(name)
         except BaseException:
@@ -1741,40 +1390,39 @@ class ShardRouter:
     # Internals
     # ------------------------------------------------------------------ #
 
-    def _partition_tuples(
-        self, encrypted_relation: EncryptedRelation
-    ) -> dict[str, list[EncryptedTuple]]:
-        """Per-shard slices: every tuple goes to each of its R successors."""
-        groups: dict[str, list[EncryptedTuple]] = {
-            shard_id: [] for shard_id in self._shards
-        }
-        for encrypted_tuple in encrypted_relation:
-            for shard_id in self.replica_shards(encrypted_tuple.tuple_id):
-                groups[shard_id].append(encrypted_tuple)
-        return groups
+    def _on_every_shard(
+        self, operation: str, call: Callable[[Any], Any], *, read: bool = False
+    ) -> tuple[Any, ...]:
+        """A management fan-out: ``call(server)`` per shard, always fail-fast.
 
-    def _all_shards(
-        self, operation: Callable[[Any], Any]
-    ) -> list[tuple[str, Callable[[], Any]]]:
-        return [
-            (shard.shard_id, (lambda sv: lambda: operation(sv))(shard.server))
-            for shard in self._shards.values()
-        ]
+        Control operations are object calls, not envelopes, so they ride
+        the thread pool; ``read=True`` lets them fail over like any read
+        (what they reassemble must be complete, never degraded).
+        """
+        calls = [(shard_id, call) for shard_id in self._shards]
+        return self._gather(operation, calls, policy=FAIL_FAST, read=read).values
 
     def _gather(
         self,
         operation: str,
-        calls: Sequence[tuple[str, Callable[[], Any]]],
+        calls: Sequence[tuple[str, Callable[[Any], Any]]],
         *,
         policy: str,
         read: bool = False,
-        async_calls: Sequence[tuple[str, Callable[[], Any]]] | None = None,
     ) -> GatherResult:
         """Scatter ``calls`` and resolve failures: failover first, then policy.
 
-        When ``async_calls`` (coroutine factories, same shard order) are
-        provided the scatter runs on the router's event-loop thread over
-        the pipelined connections; the thread pool remains the fallback.
+        Each call pairs a shard id with the work to run against that
+        shard's server: an envelope :class:`ShardRequest`, or a plain
+        function of the server for the management fan-outs.  This is the
+        one place a transport is chosen.  When every call is an envelope
+        for a shard behind a pipelined asyncio proxy (the
+        ``async_transport`` fleet), the scatter runs as coroutines on the
+        router's loop thread -- one coordinator thread, all shard round
+        trips in flight at once, timeouts cancelling mid-flight.
+        Otherwise (in-process backends, mixed fleets, sync proxies,
+        management calls) the thread pool serves.  Outcome resolution --
+        failover, policy, stats -- is identical either way.
 
         A full-fleet *read* that loses shards first tries replica failover:
         when every ring segment still has a live successor
@@ -1784,20 +1432,33 @@ class ShardRouter:
         when the failures exceed what the replicas absorb does the
         partial-failure ``policy`` decide between raising and degrading.
         """
-        from repro.obs import current_trace
-
         if read:
             self._stats.record_scatter_read()
         trace = current_trace()
+        bound = [(shard_id, work, self.shard(shard_id)) for shard_id, work in calls]
         scatter_started_wall = time.time()
         scatter_started = time.monotonic()
-        if async_calls is not None and self._loop_thread is not None:
+        if self._loop_thread is not None and all(
+            isinstance(work, ShardRequest) and hasattr(server, "handle_message_async")
+            for _, work, server in bound
+        ):
             self._stats.record_loop_scatter()
             transport = "event-loop"
-            outcomes = self._executor.scatter_on_loop(self._loop_thread, async_calls)
+            trace_id = current_trace_id()  # here, on the session thread
+            outcomes = self._loop_thread.run(
+                scatter_async(
+                    [
+                        (shard_id, partial(work.pipelined, server, trace_id))
+                        for shard_id, work, server in bound
+                    ],
+                    self._executor.timeout,
+                )
+            )
         else:
             transport = "thread-pool"
-            outcomes = self._executor.scatter(calls)
+            outcomes = self._executor.scatter(
+                [(shard_id, partial(work, server)) for shard_id, work, server in bound]
+            )
         scatter_elapsed = time.monotonic() - scatter_started
         self._record_outcomes(
             trace, operation, transport, scatter_started_wall, scatter_elapsed, outcomes
@@ -1869,8 +1530,7 @@ class ShardRouter:
             )
 
     @staticmethod
-    def _respond(
-        request: Message | MessageV2, kind: MessageKind, body: bytes
-    ) -> Message | MessageV2:
+    def _frame(request: Envelope, kind: MessageKind, body: bytes) -> bytes:
+        """A fresh envelope in the request's framing, for its relation."""
         envelope = Message if request.version == protocol.PROTOCOL_V1 else MessageV2
-        return envelope(kind=kind, relation_name=request.relation_name, body=body)
+        return envelope(kind, request.relation_name, body).to_bytes()

@@ -40,13 +40,7 @@ import time
 from typing import Sequence
 from urllib.parse import urlsplit
 
-from repro.core.dph import (
-    EncryptedQuery,
-    EncryptedRelation,
-    EncryptedTuple,
-    EvaluationResult,
-    ServerEvaluator,
-)
+from repro.core.dph import EncryptedRelation, ServerEvaluator
 from repro.net.evaluators import describe_evaluator
 from repro.net.framing import (
     CHANNEL_CONTROL,
@@ -58,6 +52,7 @@ from repro.net.framing import (
 from repro.net import wire
 from repro.obs import current_trace
 from repro.outsourcing import protocol
+from repro.outsourcing.object_api import EnvelopeObjectApi
 from repro.outsourcing.protocol import (
     Message,
     MessageKind,
@@ -345,16 +340,18 @@ class ConnectionPool:
             connection.close()
 
 
-class RemoteProxyBase:
+class RemoteProxyBase(EnvelopeObjectApi):
     """The :class:`OutsourcedDatabaseServer` duck-type over two primitives.
 
     Subclasses provide :meth:`_transport_envelope` (ship one protocol
     envelope, honoring the retry/idempotence contract) and
     :meth:`_control` (run one management operation); everything else --
-    envelope construction, response validation, the object-level
-    convenience API -- is written once here and shared by the blocking
-    and the pipelined asyncio proxies, so their sync surfaces cannot
-    drift apart.
+    envelope construction, response validation -- is written once here
+    and shared by the blocking and the pipelined asyncio proxies, so their
+    sync surfaces cannot drift apart.  The object-level convenience API
+    (``insert_tuple``, ``execute_query``, ...) comes from
+    :class:`~repro.outsourcing.object_api.EnvelopeObjectApi` over
+    :meth:`_request`, the same shim the shard router uses.
     """
 
     #: Envelope kinds whose replay would change provider state a second time.
@@ -461,83 +458,6 @@ class RemoteProxyBase:
         would surface a spurious "no such relation" error.
         """
         self._control("drop-relation", relation=name, idempotent=False)
-
-    # ------------------------------------------------------------------ #
-    # Object-level convenience API (what OutsourcingClient uses)
-    # ------------------------------------------------------------------ #
-
-    def store_relation(
-        self,
-        name: str,
-        encrypted_relation: EncryptedRelation,
-        evaluator: ServerEvaluator,
-    ) -> None:
-        """Deploy the evaluator, then ship the relation in one envelope."""
-        self.register_evaluator(name, evaluator)
-        self._request(
-            MessageKind.STORE_RELATION,
-            name,
-            protocol.encode_encrypted_relation(encrypted_relation),
-            expect=MessageKind.ACK,
-        )
-
-    def insert_tuple(self, name: str, encrypted_tuple: EncryptedTuple) -> None:
-        """Append one tuple ciphertext."""
-        self._request(
-            MessageKind.INSERT_TUPLE,
-            name,
-            protocol.encode_encrypted_tuple(encrypted_tuple),
-            expect=MessageKind.ACK,
-        )
-
-    def execute_query(self, name: str, encrypted_query: EncryptedQuery) -> EvaluationResult:
-        """Run one encrypted query remotely."""
-        response = self._request(
-            MessageKind.QUERY,
-            name,
-            protocol.encode_encrypted_query(encrypted_query),
-            expect=MessageKind.QUERY_RESULT,
-        )
-        if response.version == PROTOCOL_V1:
-            return EvaluationResult(
-                matching=protocol.decode_encrypted_relation(response.body)
-            )
-        result, consumed = protocol.decode_evaluation_result(response.body)
-        if consumed != len(response.body):
-            raise RemoteError("trailing bytes after evaluation result")
-        return result
-
-    def delete_tuples(self, name: str, tuple_ids: Sequence[bytes]) -> int:
-        """Delete tuple ciphertexts by public id; returns the provider's count."""
-        response = self._request(
-            MessageKind.DELETE_TUPLES,
-            name,
-            protocol.encode_tuple_ids(list(tuple_ids)),
-            expect=MessageKind.ACK,
-        )
-        return protocol.decode_count(response.body)
-
-    def delete_tuples_exact(self, name: str, tuple_ids: Sequence[bytes]) -> tuple[bytes, ...]:
-        """Delete by public id and learn exactly which ids were live."""
-        response = self._request(
-            MessageKind.DELETE_TUPLES_EXACT,
-            name,
-            protocol.encode_tuple_ids(list(tuple_ids)),
-            expect=MessageKind.TUPLE_IDS,
-        )
-        return protocol.decode_tuple_ids(response.body)
-
-    def execute_batch(
-        self, name: str, encrypted_queries: Sequence[EncryptedQuery]
-    ) -> list[EvaluationResult]:
-        """Run several encrypted queries in one round trip."""
-        response = self._request(
-            MessageKind.BATCH_QUERY,
-            name,
-            protocol.encode_query_batch(encrypted_queries),
-            expect=MessageKind.BATCH_RESULT,
-        )
-        return list(protocol.decode_result_batch(response.body))
 
     # ------------------------------------------------------------------ #
     # Diagnostics

@@ -350,6 +350,12 @@ class MessageKind(Enum):
     INDEX_LOOKUP = "index-lookup"
 
 
+#: How a provider's ``ERROR`` body begins when it refuses a message *kind*
+#: (an older build that predates the op).  Coordinators and sessions match
+#: on it to fall back -- index lookup to scan, exact delete to counted
+#: delete -- so the provider and every matcher must share this one spelling.
+UNSERVED_KIND_REFUSAL = "cannot serve message kind"
+
 #: Kinds that may only travel inside a version >= 2 envelope.
 V2_ONLY_KINDS = frozenset(
     {

@@ -42,6 +42,7 @@ from repro.outsourcing.protocol import (
     PROTOCOL_V2,
     PROTOCOL_V3,
     ProtocolError,
+    UNSERVED_KIND_REFUSAL,
 )
 from repro.outsourcing.storage import (
     InMemoryStorageBackend,
@@ -514,7 +515,7 @@ class OutsourcedDatabaseServer:
                 MessageKind.QUERY_RESULT,
                 protocol.encode_evaluation_result(result),
             )
-        raise ServerError(f"cannot serve message kind {request.kind.value!r}")
+        raise ServerError(f"{UNSERVED_KIND_REFUSAL} {request.kind.value!r}")
 
     @staticmethod
     def _respond(

@@ -37,28 +37,6 @@ class FlakyServer(OutsourcedDatabaseServer):
         self.handled += 1
         return super().handle_message(raw)
 
-    def execute_query(self, name, encrypted_query):
-        self._check()
-        self.handled += 1
-        return super().execute_query(name, encrypted_query)
-
-    def execute_batch(self, name, encrypted_queries):
-        self._check()
-        self.handled += 1
-        return super().execute_batch(name, encrypted_queries)
-
-    def insert_tuple(self, name, encrypted_tuple):
-        self._check()
-        return super().insert_tuple(name, encrypted_tuple)
-
-    def delete_tuples(self, name, tuple_ids):
-        self._check()
-        return super().delete_tuples(name, tuple_ids)
-
-    def delete_tuples_exact(self, name, tuple_ids):
-        self._check()
-        return super().delete_tuples_exact(name, tuple_ids)
-
 
 def _rows(outcome):
     return sorted(tuple(t.values()) for t in outcome.relation)

@@ -25,7 +25,11 @@ ROWS = [(f"emp{i}", "HR" if i % 2 else "IT", 1000 + i) for i in range(30)]
 
 
 class FlakyServer(OutsourcedDatabaseServer):
-    """A shard that can be switched off to exercise partial-failure paths."""
+    """A shard that can be switched off to exercise partial-failure paths.
+
+    Overriding ``handle_message`` alone makes it "down": every data
+    operation the router performs reaches a shard as an envelope.
+    """
 
     def __init__(self):
         super().__init__()
@@ -38,22 +42,6 @@ class FlakyServer(OutsourcedDatabaseServer):
     def handle_message(self, raw: bytes) -> bytes:
         self._check()
         return super().handle_message(raw)
-
-    def execute_query(self, name, encrypted_query):
-        self._check()
-        return super().execute_query(name, encrypted_query)
-
-    def insert_tuple(self, name, encrypted_tuple):
-        self._check()
-        return super().insert_tuple(name, encrypted_tuple)
-
-    def delete_tuples(self, name, tuple_ids):
-        self._check()
-        return super().delete_tuples(name, tuple_ids)
-
-    def delete_tuples_exact(self, name, tuple_ids):
-        self._check()
-        return super().delete_tuples_exact(name, tuple_ids)
 
 
 @pytest.fixture

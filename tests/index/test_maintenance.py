@@ -12,7 +12,11 @@ import pytest
 
 from repro.api import EncryptedDatabase
 from repro.outsourcing import OutsourcedDatabaseServer
-from repro.outsourcing.protocol import PROTOCOL_V1, MessageKind
+from repro.outsourcing.protocol import (
+    PROTOCOL_V1,
+    MessageKind,
+    UNSERVED_KIND_REFUSAL,
+)
 from repro.outsourcing.server import ServerError
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
@@ -91,7 +95,7 @@ class NoIndexServer(OutsourcedDatabaseServer):
 
     def _dispatch(self, request):
         if request.kind in self.REFUSED:
-            raise ServerError(f"cannot serve message kind {request.kind.value!r}")
+            raise ServerError(f"{UNSERVED_KIND_REFUSAL} {request.kind.value!r}")
         return super()._dispatch(request)
 
 
