@@ -114,6 +114,7 @@ class SearchableSelectDph(DatabasePrivacyHomomorphism):
         self._keys = KeyHierarchy(secret_key)
         self._rng = rng if rng is not None else SystemRng()
         self._codec = WordCodec(schema.max_value_length(), attribute_id_width)
+        self._identifiers = tuple(a.identifier.encode("ascii") for a in schema.attributes)
         self._tuple_codec = TupleCodec(schema)
         self._payload_cipher = SymmetricCipher(self._keys.get("dph/payload"), rng=self._rng)
         self._check_length = check_length
@@ -170,11 +171,11 @@ class SearchableSelectDph(DatabasePrivacyHomomorphism):
 
     def encrypt_tuple(self, relation_tuple: RelationTuple) -> EncryptedTuple:
         """Encrypt a single tuple (exposed for streaming inserts)."""
-        words = self._tuple_to_words(relation_tuple)
-        document = self._scheme.encrypt_document(words)
+        encoded = self._tuple_codec.encode_values(relation_tuple)
+        self._tuple_codec.check_schema(relation_tuple)
+        document = self._scheme.encrypt_document(self._tuple_to_words(encoded))
         payload = self._payload_cipher.encrypt_bytes(
-            self._tuple_codec.encode(relation_tuple),
-            associated_data=document.document_id,
+            self._tuple_codec.frame(encoded), associated_data=document.document_id
         )
         return EncryptedTuple(
             tuple_id=document.document_id,
@@ -216,9 +217,11 @@ class SearchableSelectDph(DatabasePrivacyHomomorphism):
         predicates = selection_predicates(query)
         tokens = []
         for predicate in predicates:
-            attribute = self._schema.attribute(predicate.attribute)
-            attribute.validate_value(predicate.value)
-            word = self._predicate_word(attribute, predicate.value)
+            position = self._schema.position(predicate.attribute)
+            value_bytes = ValueCodec.encode(
+                self._schema.attributes[position], predicate.value
+            )
+            word = self._codec.encode_bytes(self._identifiers[position], value_bytes)
             tokens.append(self._scheme.trapdoor(word).to_bytes())
         return EncryptedQuery(scheme_name=self._backend, tokens=tuple(tokens))
 
@@ -235,14 +238,12 @@ class SearchableSelectDph(DatabasePrivacyHomomorphism):
     # Word <-> tuple mapping
     # ------------------------------------------------------------------ #
 
-    def _tuple_to_words(self, relation_tuple: RelationTuple) -> list[Word]:
-        words = []
-        for attribute in self._schema.attributes:
-            value_bytes = ValueCodec.encode(attribute, relation_tuple.value(attribute.name))
-            words.append(
-                self._codec.encode(attribute.identifier.encode("ascii"), value_bytes)
-            )
-        return words
+    def _tuple_to_words(self, encoded_values: list[bytes]) -> list[bytes]:
+        encode = self._codec.encode_bytes
+        return [
+            encode(identifier, value_bytes)
+            for identifier, value_bytes in zip(self._identifiers, encoded_values)
+        ]
 
     def _words_to_tuple(self, words: list[Word]) -> RelationTuple:
         values = {}
@@ -251,10 +252,6 @@ class SearchableSelectDph(DatabasePrivacyHomomorphism):
             attribute = self._schema.identifier_to_attribute(identifier)
             values[attribute.name] = ValueCodec.decode(attribute, value_bytes)
         return RelationTuple(self._schema, values)
-
-    def _predicate_word(self, attribute, value) -> Word:
-        value_bytes = ValueCodec.encode(attribute, value)
-        return self._codec.encode(attribute.identifier.encode("ascii"), value_bytes)
 
     @staticmethod
     def _document_of(encrypted_tuple: EncryptedTuple) -> EncryptedDocument:

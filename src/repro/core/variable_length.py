@@ -80,6 +80,7 @@ class VariableWidthSelectDph(DatabasePrivacyHomomorphism):
         self._tuple_codec = TupleCodec(schema)
         self._payload_cipher = SymmetricCipher(self._keys.get("vdph/payload"), rng=self._rng)
 
+        self._identifiers = tuple(a.identifier.encode("ascii") for a in schema.attributes)
         self._codecs: list[WordCodec] = []
         self._schemes: list[SwpScheme] = []
         for attribute in schema.attributes:
@@ -128,15 +129,16 @@ class VariableWidthSelectDph(DatabasePrivacyHomomorphism):
         safe because each attribute's scheme is independently keyed, and it
         keeps the per-tuple overhead at one nonce regardless of arity.
         """
+        encoded = self._tuple_codec.encode_values(relation_tuple)
+        self._tuple_codec.check_schema(relation_tuple)
         tuple_id = self._rng.bytes(16)
         fields = []
-        for index, attribute in enumerate(self._schema.attributes):
-            value_bytes = ValueCodec.encode(attribute, relation_tuple.value(attribute.name))
-            word = self._codecs[index].encode(attribute.identifier.encode("ascii"), value_bytes)
+        for index, value_bytes in enumerate(encoded):
+            word = self._codecs[index].encode_bytes(self._identifiers[index], value_bytes)
             document = self._schemes[index].encrypt_document([word], document_id=tuple_id)
             fields.append(document.encrypted_words[0])
         payload = self._payload_cipher.encrypt_bytes(
-            self._tuple_codec.encode(relation_tuple), associated_data=tuple_id
+            self._tuple_codec.frame(encoded), associated_data=tuple_id
         )
         return EncryptedTuple(
             tuple_id=tuple_id,
@@ -155,11 +157,9 @@ class VariableWidthSelectDph(DatabasePrivacyHomomorphism):
         """``Eq``: a position-tagged trapdoor per predicate, under that attribute's scheme."""
         tokens = []
         for predicate in selection_predicates(query):
-            attribute = self._schema.attribute(predicate.attribute)
-            attribute.validate_value(predicate.value)
             index = self._schema.position(predicate.attribute)
-            value_bytes = ValueCodec.encode(attribute, predicate.value)
-            word = self._codecs[index].encode(attribute.identifier.encode("ascii"), value_bytes)
+            value_bytes = ValueCodec.encode(self._schema.attributes[index], predicate.value)
+            word = self._codecs[index].encode_bytes(self._identifiers[index], value_bytes)
             trapdoor = self._schemes[index].trapdoor(word)
             tokens.append(index.to_bytes(2, "big") + trapdoor.to_bytes())
         return EncryptedQuery(scheme_name=VARIABLE_BACKEND, tokens=tuple(tokens))

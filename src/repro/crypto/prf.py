@@ -16,6 +16,8 @@ mixed into the derivation to keep outputs of different lengths independent).
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
+from typing import Callable
 
 from repro.crypto.errors import KeyError_, ParameterError
 
@@ -45,6 +47,36 @@ def keyed_hmac_states(key: bytes):
     return _DIGEST(key.translate(_IPAD)), _DIGEST(key.translate(_OPAD))
 
 
+@lru_cache(maxsize=64)
+def _block_suffixes(out_len: int) -> tuple[bytes, ...]:
+    """What each chained block of an ``out_len``-byte output appends to its input.
+
+    ``"|" || out_len (4 bytes) || counter (1 byte)``, one per digest block: the
+    requested length is mixed in so ``F(x, 16)`` and ``F(x, 32)`` are
+    independent.  Public lengths only, so the cache is shared by every key.
+    """
+    if out_len <= 0:
+        raise ParameterError("output length must be positive")
+    block_count = -(-out_len // _DIGEST_SIZE)
+    if block_count > MAX_BLOCKS:
+        raise ParameterError("requested PRF output too long")
+    info = b"|" + out_len.to_bytes(4, "big")
+    return tuple(info + bytes([counter]) for counter in range(1, block_count + 1))
+
+
+def _mac_key(key: bytes, label: bytes | str = b"") -> bytes:
+    """Validate a PRF key and bind the domain-separation label to it."""
+    if not isinstance(key, (bytes, bytearray)):
+        raise KeyError_("PRF key must be bytes")
+    if len(key) < MIN_KEY_LEN:
+        raise KeyError_(
+            f"PRF key must be at least {MIN_KEY_LEN} bytes, got {len(key)}"
+        )
+    if isinstance(label, str):
+        label = label.encode("utf-8")
+    return bytes(key) + b"|" + bytes(label)
+
+
 class Prf:
     """A variable-output-length pseudorandom function keyed with ``key``.
 
@@ -60,15 +92,7 @@ class Prf:
     """
 
     def __init__(self, key: bytes, label: bytes | str = b"") -> None:
-        if not isinstance(key, (bytes, bytearray)):
-            raise KeyError_("PRF key must be bytes")
-        if len(key) < MIN_KEY_LEN:
-            raise KeyError_(
-                f"PRF key must be at least {MIN_KEY_LEN} bytes, got {len(key)}"
-            )
-        if isinstance(label, str):
-            label = label.encode("utf-8")
-        self._inner, self._outer = keyed_hmac_states(bytes(key) + b"|" + bytes(label))
+        self._inner, self._outer = keyed_hmac_states(_mac_key(key, label))
 
     def _hmac(self, message: bytes) -> bytes:
         inner = self._inner.copy()
@@ -77,29 +101,49 @@ class Prf:
         outer.update(inner.digest())
         return outer.digest()
 
+    def fixed(self, out_len: int) -> Callable[[bytes], bytes]:
+        """The evaluator ``message -> out_len bytes``, for callers whose length is fixed.
+
+        Everything that depends on ``out_len`` alone is decided here, once:
+        the suffix is built, and an output of at most one digest is a single
+        HMAC over the copied key states while a longer one chains
+        HKDF-Expand-style, ``T_i = HMAC(key, T_{i-1} || message || "|" ||
+        out_len (4 bytes) || i)``.  ``message`` must be ``bytes``.
+        """
+        suffixes = _block_suffixes(out_len)
+        if len(suffixes) > 1:
+            def evaluate(message: bytes) -> bytes:
+                blocks = []
+                previous = b""
+                for suffix in suffixes:
+                    previous = self._hmac(previous + message + suffix)
+                    blocks.append(previous)
+                return b"".join(blocks)[:out_len]
+
+            return evaluate
+
+        (suffix,) = suffixes
+        copy_inner, copy_outer = self._inner.copy, self._outer.copy
+
+        def evaluate(message: bytes) -> bytes:
+            inner = copy_inner()
+            inner.update(message + suffix)
+            outer = copy_outer()
+            outer.update(inner.digest())
+            return outer.digest()[:out_len]
+
+        return evaluate
+
     def evaluate(self, message: bytes, out_len: int = _DIGEST_SIZE) -> bytes:
         """Return ``out_len`` pseudorandom bytes determined by ``message``.
 
-        For ``out_len`` larger than one digest the output is produced by
-        HKDF-Expand-style chaining: ``T_i = HMAC(key, T_{i-1} || message || i)``.
+        The general form of :meth:`fixed` (which see for the derivation), for
+        callers whose output length varies from call to call.
         """
-        if out_len <= 0:
-            raise ParameterError("output length must be positive")
+        evaluate = self.fixed(out_len)
         if not isinstance(message, (bytes, bytearray)):
             raise ParameterError("PRF input must be bytes")
-        # Mix the output length in so F(x, 16) and F(x, 32) are independent.
-        info = bytes(message) + b"|" + out_len.to_bytes(4, "big")
-        if out_len <= _DIGEST_SIZE:
-            return self._hmac(info + b"\x01")[:out_len]
-        block_count = -(-out_len // _DIGEST_SIZE)
-        if block_count > MAX_BLOCKS:
-            raise ParameterError("requested PRF output too long")
-        blocks = []
-        previous = b""
-        for counter in range(1, block_count + 1):
-            previous = self._hmac(previous + info + bytes([counter]))
-            blocks.append(previous)
-        return b"".join(blocks)[:out_len]
+        return evaluate(bytes(message))
 
     def evaluate_int(self, message: bytes, modulus: int) -> int:
         """Return a pseudorandom integer in ``[0, modulus)``.
@@ -125,5 +169,18 @@ class Prf:
 
 
 def prf_once(key: bytes, message: bytes, out_len: int = _DIGEST_SIZE) -> bytes:
-    """Convenience wrapper: evaluate a PRF a single time without keeping state."""
-    return Prf(key).evaluate(message, out_len)
+    """``Prf(key).evaluate(message, out_len)`` for a key that is used this once.
+
+    An output of at most one digest (every SWP check value in practice) is a
+    one-shot HMAC: the key is absorbed into two hash objects that are
+    finalised in place, not copied, and no keyed object outlives the call.
+    """
+    suffixes = _block_suffixes(out_len)
+    if len(suffixes) > 1:
+        return Prf(key).evaluate(message, out_len)
+    if not isinstance(message, (bytes, bytearray)):
+        raise ParameterError("PRF input must be bytes")
+    inner, outer = keyed_hmac_states(_mac_key(key))
+    inner.update(message + suffixes[0])
+    outer.update(inner.digest())
+    return outer.digest()[:out_len]

@@ -12,6 +12,8 @@ scheme to check a candidate position without replaying the whole stream.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.crypto.errors import ParameterError
 from repro.crypto.prf import Prf
 
@@ -33,7 +35,7 @@ class Prg:
     def __init__(self, key: bytes, block_size: int = 32, label: bytes | str = b"prg") -> None:
         if block_size <= 0:
             raise ParameterError("block size must be positive")
-        self._prf = Prf(key, label=label)
+        self._block = Prf(key, label=label).fixed(block_size)
         self._block_size = block_size
         self._position = 0
 
@@ -46,7 +48,7 @@ class Prg:
         """Return the ``index``-th block of the stream (random access)."""
         if index < 0:
             raise ParameterError("block index must be non-negative")
-        return self._prf.evaluate(index.to_bytes(8, "big"), self._block_size)
+        return self._block(index.to_bytes(8, "big"))
 
     def next_block(self) -> bytes:
         """Return the next block in sequence, advancing the internal cursor."""
@@ -74,14 +76,23 @@ class Prg:
         return bytes(out[:n])
 
 
-def prf_keystream(prf: Prf, length: int, nonce: bytes = b"") -> bytes:
-    """Return ``length`` keystream bytes bound to ``nonce`` under a keyed ``prf``."""
+#: Keystream bytes per PRF call.
+KEYSTREAM_BLOCK_LEN = 32
+
+
+def prf_keystream(
+    block: Callable[[bytes], bytes], length: int, nonce: bytes = b""
+) -> bytes:
+    """Return ``length`` keystream bytes bound to ``nonce``.
+
+    ``block`` is a keyed PRF's ``fixed(KEYSTREAM_BLOCK_LEN)`` evaluator.
+    """
     if length < 0:
         raise ParameterError("length must be non-negative")
-    stream = b""
-    for counter in range(-(-length // 32)):
-        stream += prf.evaluate(nonce + counter.to_bytes(8, "big"), 32)
-    return stream[:length]
+    blocks = []
+    for counter in range(-(-length // KEYSTREAM_BLOCK_LEN)):
+        blocks.append(block(nonce + counter.to_bytes(8, "big")))
+    return b"".join(blocks)[:length]
 
 
 def keystream(key: bytes, length: int, nonce: bytes = b"", label: bytes | str = b"ks") -> bytes:
@@ -91,7 +102,7 @@ def keystream(key: bytes, length: int, nonce: bytes = b"", label: bytes | str = 
     :class:`repro.crypto.symmetric.SymmetricCipher`, which keys the PRF once
     and calls :func:`prf_keystream` per message.
     """
-    return prf_keystream(Prf(key, label=label), length, nonce)
+    return prf_keystream(Prf(key, label=label).fixed(KEYSTREAM_BLOCK_LEN), length, nonce)
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:

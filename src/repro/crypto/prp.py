@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from repro.crypto.errors import ParameterError
 from repro.crypto.prf import Prf
-from repro.crypto.prg import xor_bytes
 
 #: Number of Feistel rounds.  Four rounds already give a strong PRP in the
 #: Luby--Rackoff sense; we use eight for margin since performance is not a
@@ -24,7 +23,83 @@ from repro.crypto.prg import xor_bytes
 DEFAULT_ROUNDS = 8
 
 
-class FeistelPrp:
+def _round_prfs(key: bytes, label: str, rounds: int) -> list[Prf]:
+    """One independent round function per round, derived from ``key`` by label."""
+    if rounds < 4:
+        raise ParameterError("at least 4 Feistel rounds are required")
+    return [Prf(key, label=f"{label}-round-{r}") for r in range(rounds)]
+
+
+def _walks(plan: list[tuple], crossed: bool) -> tuple[tuple, tuple]:
+    """The forward and the backward walk over one round plan.
+
+    A plan entry is ``(evaluate, target, source_len, mask)``: the round XORs
+    ``evaluate(prefix || source half)`` (a fixed-length PRF evaluator, its
+    output cut to ``mask``) into half ``target``, the other half being the
+    source.  The inverse permutation is the same rounds in reverse order.
+    ``crossed`` says the network's output is ``(halves[1], halves[0])`` -- a
+    classic Feistel network with an odd number of rounds, whose halves swap
+    after every round -- so the backward walk reads its input crossed.
+    """
+    return (tuple(plan), False, crossed), (tuple(reversed(plan)), crossed, False)
+
+
+def _feistel(walk: tuple, left: int, right: int, prefix: bytes = b"") -> list[int]:
+    """The one Feistel loop: run ``walk`` over two halves held as integers."""
+    rounds, crossed_in, crossed_out = walk
+    halves = [right, left] if crossed_in else [left, right]
+    for evaluate, target, source_len, mask in rounds:
+        source = halves[1 - target].to_bytes(source_len, "big")
+        halves[target] ^= int.from_bytes(evaluate(prefix + source), "big") & mask
+    if crossed_out:
+        halves.reverse()
+    return halves
+
+
+class _ByteFeistel:
+    """A Feistel network over byte strings split at ``left_len``."""
+
+    def __init__(
+        self, block_len: int, left_len: int, plan: list[tuple], crossed: bool
+    ) -> None:
+        self._block_len = block_len
+        self._left_len = left_len
+        self._right_bits = 8 * (block_len - left_len)
+        self._forward, self._backward = _walks(plan, crossed)
+
+    @property
+    def block_len(self) -> int:
+        """Length in bytes of the strings this permutation acts on."""
+        return self._block_len
+
+    def permute(self, block: bytes, tweak: bytes = b"") -> bytes:
+        """Apply the forward permutation."""
+        return self._apply(self._forward, block, tweak)
+
+    def invert(self, block: bytes, tweak: bytes = b"") -> bytes:
+        """Apply the inverse permutation."""
+        return self._apply(self._backward, block, tweak)
+
+    def _apply(self, walk: tuple, block: bytes, tweak: bytes) -> bytes:
+        if len(block) != self._block_len:
+            raise ParameterError(
+                f"block must be exactly {self._block_len} bytes, got {len(block)}"
+            )
+        left, right = _feistel(
+            walk,
+            int.from_bytes(block[: self._left_len], "big"),
+            int.from_bytes(block[self._left_len:], "big"),
+            tweak + b"|",
+        )
+        return (left << self._right_bits | right).to_bytes(self._block_len, "big")
+
+
+def _byte_mask(length: int) -> int:
+    return (1 << 8 * length) - 1
+
+
+
+class FeistelPrp(_ByteFeistel):
     """Balanced Feistel permutation over byte strings of length ``block_len``.
 
     ``block_len`` must be even and at least 2.  Each round function is an
@@ -36,44 +111,16 @@ class FeistelPrp:
     def __init__(self, key: bytes, block_len: int, rounds: int = DEFAULT_ROUNDS) -> None:
         if block_len < 2 or block_len % 2 != 0:
             raise ParameterError("block length must be an even number >= 2")
-        if rounds < 4:
-            raise ParameterError("at least 4 Feistel rounds are required")
-        self._half = block_len // 2
-        self._block_len = block_len
-        self._round_prfs = [Prf(key, label=f"feistel-round-{r}") for r in range(rounds)]
-
-    @property
-    def block_len(self) -> int:
-        """Length in bytes of the strings this permutation acts on."""
-        return self._block_len
-
-    def _round(self, index: int, half: bytes, tweak: bytes) -> bytes:
-        return self._round_prfs[index].evaluate(tweak + b"|" + half, self._half)
-
-    def permute(self, block: bytes, tweak: bytes = b"") -> bytes:
-        """Apply the forward permutation."""
-        if len(block) != self._block_len:
-            raise ParameterError(
-                f"block must be exactly {self._block_len} bytes, got {len(block)}"
-            )
-        left, right = block[: self._half], block[self._half:]
-        for index in range(len(self._round_prfs)):
-            left, right = right, xor_bytes(left, self._round(index, right, tweak))
-        return left + right
-
-    def invert(self, block: bytes, tweak: bytes = b"") -> bytes:
-        """Apply the inverse permutation."""
-        if len(block) != self._block_len:
-            raise ParameterError(
-                f"block must be exactly {self._block_len} bytes, got {len(block)}"
-            )
-        left, right = block[: self._half], block[self._half:]
-        for index in reversed(range(len(self._round_prfs))):
-            left, right = xor_bytes(right, self._round(index, left, tweak)), left
-        return left + right
+        half = block_len // 2
+        # (L, R) -> (R, L xor F_i(R)): in place, round i masks half i mod 2.
+        plan = [
+            (prf.fixed(half), index % 2, half, _byte_mask(half))
+            for index, prf in enumerate(_round_prfs(key, "feistel", rounds))
+        ]
+        super().__init__(block_len, half, plan, crossed=rounds % 2 == 1)
 
 
-class UnbalancedFeistelPrp:
+class UnbalancedFeistelPrp(_ByteFeistel):
     """Feistel permutation over byte strings of *any* length >= 2.
 
     For odd lengths a balanced Feistel is impossible, so the string is split
@@ -87,48 +134,18 @@ class UnbalancedFeistelPrp:
     def __init__(self, key: bytes, block_len: int, rounds: int = DEFAULT_ROUNDS) -> None:
         if block_len < 2:
             raise ParameterError("block length must be at least 2 bytes")
-        if rounds < 4:
-            raise ParameterError("at least 4 Feistel rounds are required")
-        self._block_len = block_len
-        self._left_len = (block_len + 1) // 2
-        self._right_len = block_len - self._left_len
-        self._round_prfs = [Prf(key, label=f"ufeistel-round-{r}") for r in range(rounds)]
-
-    @property
-    def block_len(self) -> int:
-        """Length in bytes of the strings this permutation acts on."""
-        return self._block_len
-
-    def _mask(self, index: int, source: bytes, out_len: int, tweak: bytes) -> bytes:
-        return self._round_prfs[index].evaluate(tweak + b"|" + source, out_len)
-
-    def permute(self, block: bytes, tweak: bytes = b"") -> bytes:
-        """Apply the forward permutation."""
-        if len(block) != self._block_len:
-            raise ParameterError(
-                f"block must be exactly {self._block_len} bytes, got {len(block)}"
+        lengths = ((block_len + 1) // 2, block_len // 2)
+        plan = [
+            (
+                prf.fixed(lengths[index % 2]),
+                index % 2,
+                lengths[1 - index % 2],
+                _byte_mask(lengths[index % 2]),
             )
-        left, right = block[: self._left_len], block[self._left_len:]
-        for index in range(len(self._round_prfs)):
-            if index % 2 == 0:
-                left = xor_bytes(left, self._mask(index, right, self._left_len, tweak))
-            else:
-                right = xor_bytes(right, self._mask(index, left, self._right_len, tweak))
-        return left + right
-
-    def invert(self, block: bytes, tweak: bytes = b"") -> bytes:
-        """Apply the inverse permutation."""
-        if len(block) != self._block_len:
-            raise ParameterError(
-                f"block must be exactly {self._block_len} bytes, got {len(block)}"
-            )
-        left, right = block[: self._left_len], block[self._left_len:]
-        for index in reversed(range(len(self._round_prfs))):
-            if index % 2 == 0:
-                left = xor_bytes(left, self._mask(index, right, self._left_len, tweak))
-            else:
-                right = xor_bytes(right, self._mask(index, left, self._right_len, tweak))
-        return left + right
+            for index, prf in enumerate(_round_prfs(key, "ufeistel", rounds))
+        ]
+        # The rounds alternate their target and the halves never swap.
+        super().__init__(block_len, lengths[0], plan, crossed=False)
 
 
 class IntegerPrp:
@@ -145,63 +162,43 @@ class IntegerPrp:
     def __init__(self, key: bytes, domain_size: int, rounds: int = DEFAULT_ROUNDS) -> None:
         if domain_size < 1:
             raise ParameterError("domain size must be at least 1")
-        if rounds < 4:
-            raise ParameterError("at least 4 Feistel rounds are required")
         self._domain_size = domain_size
         bits = max(2, max(domain_size - 1, 1).bit_length())
         if bits % 2:
             bits += 1
         self._half_bits = bits // 2
         self._half_mask = (1 << self._half_bits) - 1
-        self._round_prfs = [Prf(key, label=f"intprp-round-{r}") for r in range(rounds)]
+        # Each round hashes the 8-byte source half to 8 bytes, cut to the half width.
+        plan = [
+            (prf.fixed(8), index % 2, 8, self._half_mask)
+            for index, prf in enumerate(_round_prfs(key, "intprp", rounds))
+        ]
+        self._forward, self._backward = _walks(plan, crossed=rounds % 2 == 1)
 
     @property
     def domain_size(self) -> int:
         """Number of elements in the permuted domain."""
         return self._domain_size
 
-    def _round(self, index: int, half: int) -> int:
-        digest = self._round_prfs[index].evaluate(half.to_bytes(8, "big"), 8)
-        return int.from_bytes(digest, "big") & self._half_mask
-
-    def _feistel_forward(self, value: int) -> int:
-        left = (value >> self._half_bits) & self._half_mask
-        right = value & self._half_mask
-        for index in range(len(self._round_prfs)):
-            left, right = right, left ^ self._round(index, right)
-        return (left << self._half_bits) | right
-
-    def _feistel_backward(self, value: int) -> int:
-        left = (value >> self._half_bits) & self._half_mask
-        right = value & self._half_mask
-        for index in reversed(range(len(self._round_prfs))):
-            left, right = right ^ self._round(index, left), left
-        return (left << self._half_bits) | right
-
-    def _walk(self, value: int, forward: bool) -> int:
-        step = self._feistel_forward if forward else self._feistel_backward
-        current = value
-        while True:
-            current = step(current)
-            if current < self._domain_size:
-                return current
-
     def permute(self, value: int) -> int:
         """Map ``value`` to its image under the permutation."""
-        if not 0 <= value < self._domain_size:
-            raise ParameterError(
-                f"value {value} outside permutation domain [0, {self._domain_size})"
-            )
-        if self._domain_size == 1:
-            return 0
-        return self._walk(value, forward=True)
+        return self._cycle_walk(self._forward, value)
 
     def invert(self, value: int) -> int:
         """Map ``value`` back to its preimage."""
+        return self._cycle_walk(self._backward, value)
+
+    def _cycle_walk(self, walk: tuple, value: int) -> int:
         if not 0 <= value < self._domain_size:
             raise ParameterError(
                 f"value {value} outside permutation domain [0, {self._domain_size})"
             )
         if self._domain_size == 1:
             return 0
-        return self._walk(value, forward=False)
+        while True:
+            left, right = _feistel(
+                walk, value >> self._half_bits & self._half_mask, value & self._half_mask
+            )
+            value = left << self._half_bits | right
+            if value < self._domain_size:
+                return value

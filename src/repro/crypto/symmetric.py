@@ -20,7 +20,7 @@ from repro.crypto.errors import DecryptionError, KeyError_
 from repro.crypto.kdf import derive_key
 from repro.crypto.mac import TAG_LEN, Hmac
 from repro.crypto.prf import Prf
-from repro.crypto.prg import prf_keystream, xor_bytes
+from repro.crypto.prg import KEYSTREAM_BLOCK_LEN, prf_keystream, xor_bytes
 from repro.crypto.rng import RandomSource, SystemRng
 
 #: Nonce length in bytes.
@@ -64,7 +64,9 @@ class SymmetricCipher:
     def __init__(self, key: bytes, rng: RandomSource | None = None) -> None:
         if not isinstance(key, (bytes, bytearray)) or len(key) < 16:
             raise KeyError_("symmetric key must be at least 16 bytes")
-        self._stream_prf = Prf(derive_key(bytes(key), "symmetric/enc"), label=b"ks")
+        self._stream_block = Prf(
+            derive_key(bytes(key), "symmetric/enc"), label=b"ks"
+        ).fixed(KEYSTREAM_BLOCK_LEN)
         self._mac = Hmac(derive_key(bytes(key), "symmetric/mac"))
         self._rng = rng if rng is not None else SystemRng()
 
@@ -79,7 +81,7 @@ class SymmetricCipher:
     def encrypt_bytes(self, plaintext: bytes, associated_data: bytes = b"") -> bytes:
         """Encrypt and return the serialized ``nonce || tag || body`` wire format."""
         nonce = self._rng.bytes(NONCE_LEN)
-        body = xor_bytes(plaintext, prf_keystream(self._stream_prf, len(plaintext), nonce))
+        body = xor_bytes(plaintext, prf_keystream(self._stream_block, len(plaintext), nonce))
         return nonce + self._mac.tag(associated_data + nonce + body) + body
 
     def decrypt_bytes(self, raw: bytes, associated_data: bytes = b"") -> bytes:
@@ -88,4 +90,4 @@ class SymmetricCipher:
             raise DecryptionError("ciphertext too short")
         nonce, body = raw[:NONCE_LEN], raw[NONCE_LEN + TAG_LEN:]
         self._mac.verify(associated_data + nonce + body, raw[NONCE_LEN: NONCE_LEN + TAG_LEN])
-        return xor_bytes(body, prf_keystream(self._stream_prf, len(body), nonce))
+        return xor_bytes(body, prf_keystream(self._stream_block, len(body), nonce))

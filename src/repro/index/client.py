@@ -60,7 +60,12 @@ class TableIndexer:
         if bucket_capacity < 1:
             raise IndexingError("bucket capacity must be positive")
         self._schema = schema
-        self._label_prf = Prf(derive_key(key, "index/label"))
+        self._label = Prf(derive_key(key, "index/label")).fixed(LABEL_LEN)
+        # Per attribute, in schema order: the label input's ``name || 0x00`` prefix.
+        self._keywords = tuple(
+            (attribute, attribute.name.encode("ascii") + b"\x00")
+            for attribute in schema.attributes
+        )
         self._bucket_capacity = bucket_capacity
         self._rng = rng if rng is not None else SystemRng()
 
@@ -70,19 +75,29 @@ class TableIndexer:
 
     def label(self, attribute_name: str, value: object) -> bytes:
         """The opaque index label of one ``attribute = value`` keyword."""
-        attribute = self._schema.attribute(attribute_name)
-        encoded = ValueCodec.encode(attribute, value)
-        return self._label_prf.evaluate(
-            attribute_name.encode("ascii") + b"\x00" + encoded, LABEL_LEN
-        )
+        attribute, prefix = self._keywords[self._schema.position(attribute_name)]
+        return self._label(prefix + ValueCodec.encode(attribute, value))
 
     def tuple_labels(self, row: RelationTuple | Mapping[str, object]) -> tuple[bytes, ...]:
-        """All labels one tuple contributes postings to (one per attribute)."""
+        """All labels one tuple contributes postings to: one per attribute, in schema order.
+
+        A plain mapping must name exactly the schema's attributes; one that
+        misses an attribute (the tuple would be stored yet never found through
+        it) or carries an unknown one raises :class:`IndexingError`.
+        """
         if isinstance(row, RelationTuple):
-            values = {name: row.value(name) for name in self._schema.attribute_names}
+            value_of = row.value
         else:
-            values = dict(row)
-        return tuple(self.label(name, value) for name, value in values.items())
+            if row.keys() != frozenset(self._schema.attribute_names):
+                raise IndexingError(
+                    f"row attributes {sorted(row)} are not the attributes of "
+                    f"relation {self._schema.name!r}"
+                )
+            value_of = row.__getitem__
+        return tuple(
+            self._label(prefix + ValueCodec.encode(attribute, value_of(attribute.name)))
+            for attribute, prefix in self._keywords
+        )
 
     def query_labels(self, query: Query) -> tuple[bytes, ...]:
         """The trapdoor labels of a selection query's equality predicates.

@@ -71,11 +71,30 @@ class TupleCodec:
 
     def encode(self, relation_tuple: RelationTuple) -> bytes:
         """Serialize a tuple."""
+        self.check_schema(relation_tuple)
+        return self.frame(self.encode_values(relation_tuple))
+
+    def check_schema(self, relation_tuple: RelationTuple) -> None:
+        """Raise :class:`EncodingError` unless the tuple is of the codec's schema."""
         if relation_tuple.schema != self._schema:
             raise EncodingError("tuple schema does not match codec schema")
+
+    def encode_values(self, relation_tuple: RelationTuple) -> list[bytes]:
+        """Validate and encode each value against this schema, in declaration order.
+
+        For a caller that needs the value bytes for more than the serialization
+        (the searchable words are built from the same bytes); it hands them to
+        :meth:`frame` afterwards and each value is validated once.
+        """
+        return [
+            ValueCodec.encode(attribute, relation_tuple.value(attribute.name))
+            for attribute in self._schema.attributes
+        ]
+
+    def frame(self, encoded_values: list[bytes]) -> bytes:
+        """Length-prefix and join the output of :meth:`encode_values`."""
         parts = []
-        for attribute in self._schema.attributes:
-            raw = ValueCodec.encode(attribute, relation_tuple.value(attribute.name))
+        for raw in encoded_values:
             if len(raw) > 0xFFFF:
                 raise EncodingError("encoded value too long")
             parts.append(len(raw).to_bytes(2, "big") + raw)

@@ -11,6 +11,8 @@ the strongest baseline in terms of query efficiency.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.crypto.keys import SecretKey
 from repro.crypto.prf import Prf
 from repro.crypto.rng import RandomSource
@@ -32,7 +34,7 @@ class DeterministicDph(FieldMatchDph):
         rng: RandomSource | None = None,
     ) -> None:
         super().__init__(schema, secret_key, rng=rng, encrypt_payload=True)
-        self._prfs: dict[str, Prf] = {}
+        self._field_prfs: dict[str, Callable[[bytes], bytes]] = {}
 
     @property
     def name(self) -> str:
@@ -40,9 +42,8 @@ class DeterministicDph(FieldMatchDph):
         return "deterministic"
 
     def _search_field(self, attribute: Attribute, value) -> bytes:
-        if attribute.name not in self._prfs:
-            self._prfs[attribute.name] = Prf(
+        if attribute.name not in self._field_prfs:
+            self._field_prfs[attribute.name] = Prf(
                 self.keys.get(f"deterministic/field/{attribute.name}")
-            )
-        encoded = ValueCodec.encode(attribute, value)
-        return self._prfs[attribute.name].evaluate(encoded, FIELD_LEN)
+            ).fixed(FIELD_LEN)
+        return self._field_prfs[attribute.name](ValueCodec.encode(attribute, value))

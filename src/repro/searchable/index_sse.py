@@ -93,7 +93,7 @@ class IndexSseScheme(SearchableEncryptionScheme):
             raise ParameterError("entry length must be between 1 and 32 bytes")
         self._word_length = word_length
         self._entry_length = entry_length
-        self._label_prf = Prf(derive_key(key, "idx/label"))
+        self._label = Prf(derive_key(key, "idx/label")).fixed(LABEL_LEN)
         self._payload_cipher = SymmetricCipher(derive_key(key, "idx/payload"), rng=rng)
         self._rng = rng if rng is not None else SystemRng()
         self._typical_words_per_document = 8  # refined per call in false_positive_rate()
@@ -169,9 +169,6 @@ class IndexSseScheme(SearchableEncryptionScheme):
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-
-    def _label(self, word: bytes) -> bytes:
-        return self._label_prf.evaluate(word, LABEL_LEN)
 
     def _index_entry(self, label: bytes, document_id: bytes) -> bytes:
         return hashlib.sha256(label + document_id).digest()[: self._entry_length]

@@ -37,7 +37,7 @@ from typing import Sequence
 
 from repro.crypto.errors import DecryptionError, ParameterError
 from repro.crypto.kdf import derive_key
-from repro.crypto.prf import Prf
+from repro.crypto.prf import Prf, prf_once
 from repro.crypto.prg import xor_bytes
 from repro.crypto.prp import UnbalancedFeistelPrp
 from repro.crypto.rng import RandomSource, SystemRng
@@ -54,6 +54,15 @@ DOCUMENT_ID_LEN = 16
 
 #: Default check length in bytes (false positive probability ~ 2^-48 per word).
 DEFAULT_CHECK_LEN = 6
+
+#: Length in bytes of the per-word check key ``k = f_{k_check}(X[:w-m])``.
+CHECK_KEY_LEN = 32
+
+#: Most words whose deterministic half ``(X, k)`` one :class:`SwpScheme`
+#: remembers.  Full means cleared, not LRU: a hit stays one dict probe with no
+#: reordering, and what a clear costs is one recomputation per word still in
+#: use.  About 0.25 MB per scheme at this bound (15-byte words).
+PRE_ENCRYPT_MEMO_WORDS = 1024
 
 
 class SwpMatcher:
@@ -79,12 +88,11 @@ class SwpMatcher:
                 f"got {len(token.pre_encrypted_word)}"
             )
         self._word_length = word_length
-        self._check_length = check_length
         self._left_length = word_length - check_length
         self._check_bits = 8 * check_length
         self._check_mask = (1 << self._check_bits) - 1
         self._pre_encrypted = int.from_bytes(token.pre_encrypted_word, "big")
-        self._check_prf = Prf(token.check_key)
+        self._check = Prf(token.check_key).fixed(check_length)
 
     def matches(self, ciphertext: bytes) -> bool:
         """``T = C XOR X``; accept iff ``F_k(T[:w-m]) == T[w-m:]``."""
@@ -92,8 +100,7 @@ class SwpMatcher:
             return False
         masked = int.from_bytes(ciphertext, "big") ^ self._pre_encrypted
         stream_part = (masked >> self._check_bits).to_bytes(self._left_length, "big")
-        check_value = self._check_prf.evaluate(stream_part, self._check_length)
-        return int.from_bytes(check_value, "big") == masked & self._check_mask
+        return int.from_bytes(self._check(stream_part), "big") == masked & self._check_mask
 
 
 def swp_search(
@@ -152,8 +159,10 @@ class SwpScheme(SearchableEncryptionScheme):
         self._check_length = check_length
         self._left_length = word_length - check_length
         self._pre_prp = UnbalancedFeistelPrp(derive_key(key, "swp/word"), word_length)
-        self._stream_prf = Prf(derive_key(key, "swp/stream"))
-        self._check_prf = Prf(derive_key(key, "swp/check"))
+        self._stream = Prf(derive_key(key, "swp/stream")).fixed(self._left_length)
+        self._check_key = Prf(derive_key(key, "swp/check")).fixed(CHECK_KEY_LEN)
+        # W -> (X, k), client memory only; see _pre_encrypt.
+        self._memo: dict[bytes, tuple[int, bytes]] = {}
         self._rng = rng if rng is not None else SystemRng()
 
     # ------------------------------------------------------------------ #
@@ -171,7 +180,7 @@ class SwpScheme(SearchableEncryptionScheme):
         return self._check_length
 
     def encrypt_document(
-        self, words: Sequence[Word], document_id: bytes | None = None
+        self, words: Sequence[Word | bytes], document_id: bytes | None = None
     ) -> EncryptedDocument:
         """Encrypt a sequence of words under a fresh (or caller-supplied) document nonce.
 
@@ -197,16 +206,13 @@ class SwpScheme(SearchableEncryptionScheme):
             for index, ciphertext in enumerate(document.encrypted_words)
         ]
 
-    def trapdoor(self, word: Word) -> SwpToken:
+    def trapdoor(self, word: Word | bytes) -> SwpToken:
         """Produce the search token ``(X, k)`` for ``word``."""
-        data = bytes(word)
-        if len(data) != self._word_length:
-            raise ParameterError(
-                f"word must be exactly {self._word_length} bytes, got {len(data)}"
-            )
-        pre_encrypted = self._pre_prp.permute(data)
-        check_key = self._derive_check_key(pre_encrypted[: self._left_length])
-        return SwpToken(pre_encrypted_word=pre_encrypted, check_key=check_key)
+        pre_encrypted, check_key = self._pre_encrypt(bytes(word))
+        return SwpToken(
+            pre_encrypted_word=pre_encrypted.to_bytes(self._word_length, "big"),
+            check_key=check_key,
+        )
 
     def search(self, document: EncryptedDocument, token: SwpToken) -> SearchMatch:
         """Linear scan of the document's word ciphertexts (server-side, keyless)."""
@@ -220,25 +226,42 @@ class SwpScheme(SearchableEncryptionScheme):
     # Internals
     # ------------------------------------------------------------------ #
 
-    def _derive_check_key(self, left_part: bytes) -> bytes:
-        return self._check_prf.evaluate(left_part, 32)
+    def _pre_encrypt(self, word: bytes) -> tuple[int, bytes]:
+        """The deterministic half of SWP: ``X = P_{k_word}(W)`` (as an integer) and ``k``.
+
+        Both the word ciphertext and the trapdoor start here.  The pair is a
+        pure function of ``W`` under this scheme's key, so it is remembered
+        per instance (a fresh scheme starts cold) for at most
+        :data:`PRE_ENCRYPT_MEMO_WORDS` words: a repeated word costs its
+        stream block and check value, not the eight Feistel rounds.  Threads
+        sharing a scheme need no lock, a lost update is a recomputation.
+        """
+        known = self._memo.get(word)
+        if known is None:
+            if len(word) != self._word_length:
+                raise ParameterError(
+                    f"word must be exactly {self._word_length} bytes, got {len(word)}"
+                )
+            permuted = self._pre_prp.permute(word)
+            known = (
+                int.from_bytes(permuted, "big"),
+                self._check_key(permuted[: self._left_length]),
+            )
+            if len(self._memo) >= PRE_ENCRYPT_MEMO_WORDS:
+                self._memo.clear()
+            self._memo[word] = known
+        return known
 
     def _stream_block(self, document_id: bytes, index: int) -> bytes:
-        return self._stream_prf.evaluate(
-            document_id + index.to_bytes(4, "big"), self._left_length
-        )
+        return self._stream(document_id + index.to_bytes(4, "big"))
 
     def _encrypt_word(self, word: bytes, document_id: bytes, index: int) -> bytes:
-        if len(word) != self._word_length:
-            raise ParameterError(
-                f"word must be exactly {self._word_length} bytes, got {len(word)}"
-            )
-        pre_encrypted = self._pre_prp.permute(word)
-        left = pre_encrypted[: self._left_length]
+        pre_encrypted, check_key = self._pre_encrypt(word)
         stream = self._stream_block(document_id, index)
-        check_key = self._derive_check_key(left)
-        check_value = Prf(check_key).evaluate(stream, self._check_length)
-        return xor_bytes(pre_encrypted, stream + check_value)
+        pad = stream + prf_once(check_key, stream, self._check_length)
+        return (pre_encrypted ^ int.from_bytes(pad, "big")).to_bytes(
+            self._word_length, "big"
+        )
 
     def _decrypt_word(self, ciphertext: bytes, document_id: bytes, index: int) -> bytes:
         if len(ciphertext) != self._word_length:
@@ -247,7 +270,6 @@ class SwpScheme(SearchableEncryptionScheme):
             )
         stream = self._stream_block(document_id, index)
         left = xor_bytes(ciphertext[: self._left_length], stream)
-        check_key = self._derive_check_key(left)
-        check_value = Prf(check_key).evaluate(stream, self._check_length)
+        check_value = prf_once(self._check_key(left), stream, self._check_length)
         right = xor_bytes(ciphertext[self._left_length:], check_value)
         return self._pre_prp.invert(left + right)

@@ -83,6 +83,10 @@ class WordCodec:
 
     def encode(self, attribute_id: bytes, value: bytes) -> Word:
         """Build the word ``pad(value) | attribute_id``."""
+        return Word(self.encode_bytes(attribute_id, value))
+
+    def encode_bytes(self, attribute_id: bytes, value: bytes) -> bytes:
+        """:meth:`encode` without the :class:`Word` wrapper (same checks)."""
         if len(attribute_id) != self._id_width:
             raise WordError(
                 f"attribute id must be exactly {self._id_width} bytes, got {len(attribute_id)}"
@@ -91,7 +95,7 @@ class WordCodec:
             padded = hash_pad(value, self._value_width)
         except PaddingError as exc:
             raise WordError(str(exc)) from exc
-        return Word(padded + attribute_id)
+        return padded + attribute_id
 
     def decode(self, word: Word | bytes) -> tuple[bytes, bytes]:
         """Split a word back into ``(attribute_id, value)``, removing padding."""

@@ -1,0 +1,99 @@
+"""Every bad value is refused on the encrypt path, with the exception it always raised.
+
+``encrypt_tuple`` validates and encodes each value once and builds both the
+searchable words and the payload from those bytes; ``encrypt_query`` and the
+index's ``insert_delta`` encode through the same ``ValueCodec``.  The types
+and messages below were recorded on the commit before that change (2329cc0).
+"""
+
+from __future__ import annotations
+
+import re
+
+import pytest
+
+from repro.core.construction import SearchableSelectDph
+from repro.core.variable_length import VariableWidthSelectDph
+from repro.crypto.rng import DeterministicRng
+from repro.index import TableIndexer
+from repro.relational import RelationSchema, Selection
+from repro.relational.errors import EncodingError, SchemaError
+from repro.relational.tuples import RelationTuple
+
+KEY = bytes(range(32))
+SCHEMA = RelationSchema.parse("Emp(name:string[14], dept:string[5], salary:int[6])")
+WIDER = RelationSchema.parse("Emp(name:string[40], dept:string[40], salary:int[12])")
+RENAMED = RelationSchema.parse("Emp(name:string[14], unit:string[5], salary:int[6])")
+GOOD = {"name": "Montgomery", "dept": "HR", "salary": 7500}
+
+#: what -> (attribute, value, message of the SchemaError)
+BAD_VALUES = {
+    "too long": ("name", "x" * 15, "string 'xxxxxxxxxxxxxxx' longer than the declared maximum 14"),
+    "pad byte inside": ("dept", "H#R", "string values must not contain '#', the padding symbol"),
+    "non-ASCII": ("name", "Zoë", "string 'Zoë' is not ASCII"),
+    "int for a string": ("dept", 7, "expected str, got int: 7"),
+    "string for an int": ("salary", "7500", "expected int, got str: '7500'"),
+    "bool for an int": ("salary", True, "expected int, got bool: True"),
+    "too many digits": ("salary", 1234567, "integer 1234567 needs more than 6 characters"),
+}
+
+SCHEMES = {
+    "swp": lambda rng: SearchableSelectDph(SCHEMA, KEY, backend="swp", rng=rng),
+    "index": lambda rng: SearchableSelectDph(SCHEMA, KEY, backend="index", rng=rng),
+    "variable": lambda rng: VariableWidthSelectDph(SCHEMA, KEY, rng=rng),
+}
+
+
+def unvalidated(values: dict) -> RelationTuple:
+    """A tuple claiming ``SCHEMA`` whose values were never checked against it."""
+    relation_tuple = RelationTuple.__new__(RelationTuple)
+    relation_tuple._schema = SCHEMA
+    relation_tuple._values = tuple(values[name] for name in SCHEMA.attribute_names)
+    return relation_tuple
+
+
+def raises_exactly(error_type, message):
+    return pytest.raises(error_type, match=f"^{re.escape(message)}$")
+
+
+@pytest.mark.parametrize("what", BAD_VALUES)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_bad_values_are_refused_by_the_schemes(scheme, what):
+    attribute, value, message = BAD_VALUES[what]
+    rng = DeterministicRng(1)
+    dph = SCHEMES[scheme](rng)
+    with raises_exactly(SchemaError, message):
+        dph.encrypt_tuple(unvalidated({**GOOD, attribute: value}))
+    with raises_exactly(SchemaError, message):
+        dph.encrypt_query(Selection.equals(attribute, value))
+    # A refused tuple consumed no randomness: the next one encrypts as the first would.
+    fresh = SCHEMES[scheme](DeterministicRng(1))
+    good = RelationTuple(SCHEMA, GOOD)
+    assert dph.encrypt_tuple(good) == fresh.encrypt_tuple(good)
+
+
+@pytest.mark.parametrize("what", BAD_VALUES)
+def test_bad_values_are_refused_by_the_indexer(what):
+    attribute, value, message = BAD_VALUES[what]
+    indexer = TableIndexer(SCHEMA, KEY, rng=DeterministicRng(1))
+    row = {**GOOD, attribute: value}
+    for bad_row in (row, unvalidated(row)):
+        with raises_exactly(SchemaError, message):
+            indexer.insert_delta(bad_row, b"i" * 16)
+        with raises_exactly(SchemaError, message):
+            indexer.remove_delta([(RelationTuple(SCHEMA, GOOD), b"j" * 16), (bad_row, b"i" * 16)])
+    with raises_exactly(SchemaError, message):
+        indexer.query_labels(Selection.equals(attribute, value))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_tuples_of_another_schema_are_refused(scheme):
+    dph = SCHEMES[scheme](DeterministicRng(1))
+    with raises_exactly(EncodingError, "tuple schema does not match codec schema"):
+        dph.encrypt_tuple(RelationTuple(WIDER, GOOD))
+    with raises_exactly(SchemaError, BAD_VALUES["too long"][2]):
+        dph.encrypt_tuple(RelationTuple(WIDER, {**GOOD, "name": "x" * 15}))
+    with raises_exactly(SchemaError, "relation 'Emp' has no attribute 'dept'"):
+        dph.encrypt_tuple(RelationTuple(RENAMED, {"name": "a", "unit": "b", "salary": 1}))
+    with raises_exactly(SchemaError, "relation 'Emp' has no attribute 'unit'"):
+        dph.encrypt_query(Selection.equals("unit", "b"))

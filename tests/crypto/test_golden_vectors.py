@@ -1,10 +1,13 @@
-"""Golden vectors: the kernel and result-path rewrites are pure speed.
+"""Golden vectors: the kernel, result-path and encrypt-path rewrites are pure speed.
 
 Every constant in ``GOLDEN`` was produced by ``compute_vectors()`` on the
 commit *before* the rewrite that touches it: the ``prf`` / ``ufeistel`` /
 ``swp`` / ``dph`` / ``vdph`` vectors before the match-kernel rewrite (PR 11,
 6771732), the ``hmac`` / ``keystream`` / ``symmetric`` / ``tuple_codec`` /
-``wire`` vectors before the result-path rewrite (PR 12, 360279c).
+``wire`` vectors before the result-path rewrite (PR 12, 360279c), the
+``feistel`` / ``intprp`` / ``ufeistel/67`` / ``ufeistel/80`` / ``swp34`` /
+``swp/repeat`` / ``swp/decrypt`` / ``repeat`` / ``index`` vectors before the
+encrypt-path rewrite (PR 14, 2329cc0).
 Ciphertexts, trapdoors and wire bytes must stay bit-for-bit identical, so any
 optimisation of ``Prf`` / ``Hmac`` / ``SymmetricCipher`` / ``xor_bytes`` / the
 SWP code / the tuple and wire codecs that moves one of them fails here.
@@ -24,14 +27,17 @@ from repro.core.variable_length import VariableWidthSelectDph
 from repro.crypto.mac import Hmac
 from repro.crypto.prf import Prf
 from repro.crypto.prg import keystream
-from repro.crypto.prp import UnbalancedFeistelPrp
+from repro.crypto.prp import FeistelPrp, IntegerPrp, UnbalancedFeistelPrp
 from repro.crypto.rng import DeterministicRng
 from repro.crypto.symmetric import SymmetricCipher
+from repro.index import TableIndexer
+from repro.index.wire import encode_index_delta, encode_index_snapshot
 from repro.outsourcing import protocol
 from repro.relational import Relation, RelationSchema
 from repro.relational.encoding import TupleCodec
 from repro.relational.query import ConjunctiveSelection, Selection
 from repro.relational.tuples import RelationTuple
+from repro.searchable.interfaces import EncryptedDocument
 from repro.searchable.swp import SwpScheme
 from repro.searchable.words import Word
 
@@ -45,6 +51,97 @@ KEYSTREAM_LENGTHS = (0, 1, 32, 33, 100)
 NONCE = bytes(range(0x80, 0x90))
 ASSOCIATED_DATA = b"golden tuple id"
 ROWS = (("Montgomery", "HR", 7500), ("Smith", "IT", 4200), ("Garcia", "HR", 0))
+#: ``dept`` and ``salary`` repeat across tuples: the second and third rows take
+#: their ``(X, k)`` from the scheme's memo, as does the query encrypted after.
+REPEAT_ROWS = (("Montgomery", "HR", 7500), ("Smith", "HR", 7500), ("Garcia", "HR", 7500))
+#: ``(w, m)`` whose left part, check value and Feistel halves outgrow one digest.
+WIDE_SWP = ((34, 1), (34, 33))
+
+
+def _block(length: int) -> bytes:
+    return bytes((0x40 + i) % 256 for i in range(length))
+
+
+def _encrypt_path_vectors() -> dict[str, str]:
+    """What the encrypt-path rewrite touches and the older vectors do not pin."""
+    vectors: dict[str, str] = {}
+    for block_len, rounds in ((2, 8), (16, 8), (16, 5), (80, 8)):
+        prp = FeistelPrp(KEY, block_len, rounds=rounds)
+        tag = f"feistel/{block_len}/r{rounds}"
+        vectors[tag] = prp.permute(_block(block_len)).hex()
+        vectors[f"{tag}/tweak"] = prp.permute(_block(block_len), tweak=b"tw").hex()
+        vectors[f"{tag}/invert"] = prp.invert(_block(block_len), tweak=b"tw").hex()
+    # 256 fills its Feistel domain exactly; 1000 and 3 cycle-walk; 1 is the fixed point.
+    for domain, rounds in ((1, 8), (3, 8), (256, 8), (1000, 8), (1000, 5), (10**12, 8)):
+        prp = IntegerPrp(KEY, domain, rounds=rounds)
+        points = sorted({0, 1 % domain, domain // 2, domain - 1})
+        vectors[f"intprp/{domain}/r{rounds}"] = ",".join(
+            f"{prp.permute(x)}:{prp.invert(x)}" for x in points
+        ).encode().hex()
+    for block_len in (67, 80):  # halves of 34/33 and 40/40 bytes: multi-block masks
+        prp = UnbalancedFeistelPrp(KEY, block_len)
+        vectors[f"ufeistel/{block_len}"] = prp.permute(_block(block_len)).hex()
+        vectors[f"ufeistel/{block_len}/tweak"] = prp.permute(_block(block_len), tweak=b"tw").hex()
+        vectors[f"ufeistel/{block_len}/invert"] = prp.invert(_block(block_len)).hex()
+    vectors["ufeistel/11/invert"] = UnbalancedFeistelPrp(KEY, 11).invert(_block(11)).hex()
+
+    for word_length, check_length in WIDE_SWP:
+        swp = SwpScheme(
+            KEY, word_length=word_length, check_length=check_length, rng=DeterministicRng(7)
+        )
+        words = [Word(_block(word_length)), Word(_block(word_length)[::-1])]
+        document = swp.encrypt_document(words)
+        tag = f"swp34/{check_length}"
+        vectors[f"{tag}/document"] = b"".join(document.encrypted_words).hex()
+        vectors[f"{tag}/trapdoor"] = swp.trapdoor(words[1]).to_bytes().hex()
+        vectors[f"{tag}/decrypt"] = b"".join(
+            bytes(w) for w in swp.decrypt_document(_fixed_document(word_length, 2))
+        ).hex()
+
+    # One word twice in a document, then again in the next one and in a trapdoor.
+    swp = SwpScheme(KEY, word_length=11, check_length=6, rng=DeterministicRng(7))
+    repeated = [Word(SWP_WORDS[1]), Word(SWP_WORDS[0]), Word(SWP_WORDS[1])]
+    vectors["swp/repeat/first"] = b"".join(swp.encrypt_document(repeated).encrypted_words).hex()
+    vectors["swp/repeat/second"] = b"".join(swp.encrypt_document(repeated).encrypted_words).hex()
+    vectors["swp/repeat/trapdoor"] = swp.trapdoor(repeated[0]).to_bytes().hex()
+    vectors["swp/decrypt"] = b"".join(
+        bytes(w) for w in swp.decrypt_document(_fixed_document(11, 3))
+    ).hex()
+
+    schema = RelationSchema.parse(SCHEMA)
+    relation = Relation.from_rows(schema, REPEAT_ROWS)
+    rng = DeterministicRng(13)
+    dph = SearchableSelectDph(schema, KEY, backend="swp", rng=rng)
+    encrypted = dph.encrypt_relation(relation)
+    vectors["repeat/relation"] = protocol.encode_encrypted_relation(encrypted).hex()
+    vectors["repeat/query"] = protocol.encode_encrypted_query(
+        dph.encrypt_query(ConjunctiveSelection.of(("dept", "HR"), ("salary", 7500)))
+    ).hex()
+    # Label bytes and the order of the snapshot's draws from the shared rng.
+    indexer = TableIndexer(schema, KEY, bucket_capacity=2, rng=rng)
+    vectors["index/snapshot"] = encode_index_snapshot(
+        indexer.snapshot(relation, encrypted)
+    ).hex()
+    row = RelationTuple(schema, {"name": "Lee", "dept": "IT", "salary": 7500})
+    vectors["index/insert_delta"] = encode_index_delta(
+        indexer.insert_delta(row, rng.bytes(16))
+    ).hex()
+    vectors["index/remove_delta"] = encode_index_delta(
+        indexer.remove_delta([(row, b"i" * 16), (relation.tuples[0], b"j" * 16)])
+    ).hex()
+    vectors["index/rng_after"] = rng.bytes(8).hex()
+    return vectors
+
+
+def _fixed_document(word_length: int, words: int) -> EncryptedDocument:
+    """Arbitrary fixed bytes in ciphertext position: pins ``_decrypt_word`` and ``invert``."""
+    return EncryptedDocument(
+        document_id=NONCE,
+        encrypted_words=tuple(
+            bytes((17 * position + i) % 256 for i in range(word_length))
+            for position in range(words)
+        ),
+    )
 
 
 def compute_vectors() -> dict[str, str]:
@@ -104,6 +201,7 @@ def compute_vectors() -> dict[str, str]:
     vectors["wire/evaluation_result"] = protocol.encode_evaluation_result(
         EvaluationResult(matching=three, examined=5, token_evaluations=7)
     ).hex()
+    vectors.update(_encrypt_path_vectors())
     return vectors
 
 
@@ -321,6 +419,218 @@ GOLDEN: dict[str, str] = {
         "df37ff757e0000000f9a560670a749bb24013be0f0bc756a0000000000000000"
         "000000050000000000000007"
     ),
+    "feistel/2/r8": (
+        "14a8"
+    ),
+    "feistel/2/r8/tweak": (
+        "ff0b"
+    ),
+    "feistel/2/r8/invert": (
+        "c487"
+    ),
+    "feistel/16/r8": (
+        "4ae1d605462db8148e63a1f20be6b8fa"
+    ),
+    "feistel/16/r8/tweak": (
+        "aff9fe4c284485f1eb4f772cc007fe60"
+    ),
+    "feistel/16/r8/invert": (
+        "67f551369721847e40aaa7abd28dd2f5"
+    ),
+    "feistel/16/r5": (
+        "9c1db353137d16dbbcaaa2530a3c6d5f"
+    ),
+    "feistel/16/r5/tweak": (
+        "46e0f4eabc844bb402b002912e7bdf94"
+    ),
+    "feistel/16/r5/invert": (
+        "c0f95b803508c003b52714b761c9bf6e"
+    ),
+    "feistel/80/r8": (
+        "4f13b58cbfd5b0ddfdcf2270e435928c9ad335b92ed448922173d55c687bdf43"
+        "8923cf1291e996ec9b30e18bd5d1044d118a2c655b0b9c1999aec7ac44bf37a3"
+        "a0f6959ff79aaf9c1f404ef3bba84149"
+    ),
+    "feistel/80/r8/tweak": (
+        "bc4ef944996ed38f2e8c2e29586c4374ffb27aad574cf0c26e45b42d4e5c8013"
+        "60164b17478c80f8927077423e6b9e5b339c94c572be7bea1b6f7472f8fbba8c"
+        "8eef4094337e57d417b7fca1370e053b"
+    ),
+    "feistel/80/r8/invert": (
+        "e9a519d61be54844eeb7bba0579cace78dcc345af6b867419bc4c6c2d75eb0b3"
+        "96231af62ea7fb079e61cfd1fbd7d147baaf269b9bb2e203c1d6b245af6a8ac5"
+        "25bf18ec112bf475095ca10e03d75a05"
+    ),
+    "intprp/1/r8": (
+        "303a30"
+    ),
+    "intprp/3/r8": (
+        "303a302c323a322c313a31"
+    ),
+    "intprp/256/r8": (
+        "3135343a372c37393a3235302c3232363a33322c3134373a3434"
+    ),
+    "intprp/1000/r8": (
+        "3737343a3234302c3339323a3930352c3737313a3934302c3935333a353833"
+    ),
+    "intprp/1000/r5": (
+        "3430323a36322c3637353a3738312c3735323a3138302c3238373a353136"
+    ),
+    "intprp/1000000000000/r8": (
+        "3735313538303932373537353a31353938353331383036312c36353634323836"
+        "33313633323a3732313930303238393133382c3930323533333536343735363a"
+        "3731313833313135353238352c3838393931383634323335313a353831333538"
+        "333432393330"
+    ),
+    "ufeistel/67": (
+        "64e33f78873b7f7f2254c189b468e06f5c473cbfe8d0ce569c6818fd682fbdbf"
+        "40e036d89b5eff6fdb8413ff1a6b7b55f0750755c9119e798cb79ac43aa1aba0"
+        "28a5da"
+    ),
+    "ufeistel/67/tweak": (
+        "205b416bba80d53107b0969be5b250feb802430fc0556f96e52548b96ed11ed4"
+        "43546090a304af1f49fbd6393f9185f4a2a30473c2922874dcd6988d2d1a22a4"
+        "690fe5"
+    ),
+    "ufeistel/67/invert": (
+        "e6208334238b9a99e65000297a0d74717cb7995b4dffbd7694d549df2b0f5e9b"
+        "2ce9fa388df4e5a8cb2d87aa5f765983e69363fc638dcd78134dda672ffeef4e"
+        "abf893"
+    ),
+    "ufeistel/80": (
+        "d19fc61d2c69c2ff22a63330225ef70992ecf005983d8ca46f2e4f70d94e6da9"
+        "c414637a6276a6e5724e45447d0b0e42fd8d6743500f28739254729f0f50725b"
+        "befeb13c394b93c2f8d690cd0a12095d"
+    ),
+    "ufeistel/80/tweak": (
+        "95c453475aba4d0511547a5575b11fbbb75b6e17c2e60ca1ccbc372212513ea5"
+        "68128bf9f35a6237106c0f7523bf8cee10d679df7b5964e6b90cbfc0eb55060a"
+        "be8120ecd8a600c88cf406cee1eddf04"
+    ),
+    "ufeistel/80/invert": (
+        "0f3b72fc2fecaa0e87b8b41fb8f93337c995cb46b24bfe51bcbddc30e8233f8f"
+        "1afd427d3fa2567598f3f9a3d395b497ab563cee6347b09182a6f9c3585e49bc"
+        "e645a6023abcde441ec903eac56f27f0"
+    ),
+    "ufeistel/11/invert": (
+        "41598a26aa640c77f7242c"
+    ),
+    "swp34/1/document": (
+        "76d06f3369d8c6b094a2541bbaf7b8397f61254f65267d070b68c0dc04798872"
+        "934bc032b003d0d6fe272b74821a5a8b3e3f1507a4fd8feb81129e70362aa7e7"
+        "1f5c9554"
+    ),
+    "swp34/1/trapdoor": (
+        "0022e9b322161ffe85bef72eb568a8eb29c91efc9ba05326d7ab9510b1cc9ca6"
+        "f2a93b52e4e111ee58f0c72652b17e1e8f50c9cdf52ac1d82410158c24af4f7c"
+        "28fa0046"
+    ),
+    "swp34/1/decrypt": (
+        "18a415faffc416101ea2aeb037b84b569cd47edac3ae0d86ea75cd379b939014"
+        "f46371e3884d0fedb150eb3472e96abd52b26cd26810b849c85aeab7f2ca6f89"
+        "f9704f6d"
+    ),
+    "swp34/33/document": (
+        "2d7e40a89d40ec42fd7d7dabbb08190e0c40d9edebe6146a32d2f14a3564924c"
+        "d0367b45b5bde5b28b4638c096a404dd9a07e11e0c4cad594969514b882ba574"
+        "ef6cf387"
+    ),
+    "swp34/33/trapdoor": (
+        "0022e9b322161ffe85bef72eb568a8eb29c91efc9ba05326d7ab9510b1cc9ca6"
+        "f2a93b52af1e2f9fd112e49455504162734bc2949a0f0cba07d201c8af5fb491"
+        "a96cb04c"
+    ),
+    "swp34/33/decrypt": (
+        "beeae1fb505c0997890487313d58f40417540fb43e8a5e878ef3a058ca76d89e"
+        "c12fb60c62e35954d9a8f72fcb1d9ec7da756d52cbf91ce5f5837c951f51752a"
+        "6703c61d"
+    ),
+    "swp/repeat/first": (
+        "d46ad0a164638571b60e58bc5688111c727a1a2869065dc8b83612e3a1d54959"
+        "04"
+    ),
+    "swp/repeat/second": (
+        "2ebfe2c326ee0a9544ee60bf05a979edb88a4ac74aeaa63a774d7ce96f7291ab"
+        "98"
+    ),
+    "swp/repeat/trapdoor": (
+        "000bb8fada8b1b01835c01c8476b9fe904f76a81c630bd937f760a887dd65eeb"
+        "5aaf872b59d35d657a65a17bc1"
+    ),
+    "swp/decrypt": (
+        "9448171afcd5f1adfdd293249ea2e38dd16015f6da6079ccae8da1184838e721"
+        "a9"
+    ),
+    "repeat/relation": (
+        "00000033456d70286e616d653a737472696e675b31345d2c20646570743a7374"
+        "72696e675b355d2c2073616c6172793a696e745b365d29000000030000009f00"
+        "000010f27024bf17112a754ffb1f1099aed73900000046cf4e4e5ea6885c84ba"
+        "8b308c9d4c0d2393d6e85ca2c2f1f69293d308a57b25436ef12ab7223005646f"
+        "52bbf18dd651c8569c7a2dd79b7962435fee023aa10f4f5e2ccbfcdacc000000"
+        "030000000fb675e166e8883ab2ad61f9722b337c0000000f2376d54acdf28ff4"
+        "ed388a955a3c250000000f8335ea76d84e4b9121f970c3e34bc0000000000000"
+        "009a000000100bfef003609558afe10a6905ad1d25b40000004136ef43749666"
+        "5471314cd6136a48cbdb9bb155c493bf8fff8b4758b7bf830cdc782e15272452"
+        "c3376df3544473be4ea22a26ecfd9c80459604788868df4051d7050000000300"
+        "00000fdd956d6b6587bb1b90e78fc8eb6f570000000ffd5be379fd1409e09bf4"
+        "1933953fa60000000fca99e31e986f476513424d7770b9ae000000000000009b"
+        "00000010fc3039b91c2d2099660fd75aedb1070d00000042915b1e3b5f60b5a1"
+        "d0a916243c5ad1cf88b8503ee127527e187f1923e5c9e0b186f7931cf8b800db"
+        "c424a609526069336c8356a1a96305b2700b0bb500800a8cabd6000000030000"
+        "000f9a17c6117c4df0f7c05172eb3b8bcb0000000f819a53671a871526e28119"
+        "5723e2480000000f3b4a1bca8df7cd06243ddf5cc7039a00000000"
+    ),
+    "repeat/query": (
+        "000000076470682d7377700000000200000031000f640ee288a4652008e76ebe"
+        "fa3939e6de94f5674d8185fd7e1f1ebf5ce37ea477a26066869df4f76db14782"
+        "5e2da7b800000031000f0eca862bba3e1dd5eed8ca3b9fcddac9d64a941a05a1"
+        "e2a19519a52af706d28b6ffbc80fd4f7bb8f49b8b3e36a501f00000000"
+    ),
+    "index/snapshot": (
+        "00000002000000050000005800000020ee36da2b43151190e80de155446fa5c5"
+        "f6a2e27cadf96ad4e8f88af650998b4f000000010000002c0000000200000010"
+        "f27024bf17112a754ffb1f1099aed7390000001072f0901f2b0a9b939a603afe"
+        "0a0d2f7a0000008800000020401ee478f09d142d0bfa58654a8371137bf5601c"
+        "5b707e0892ffcf0503ef70d6000000020000002c0000000200000010f27024bf"
+        "17112a754ffb1f1099aed739000000100bfef003609558afe10a6905ad1d25b4"
+        "0000002c0000000200000010fc3039b91c2d2099660fd75aedb1070d00000010"
+        "2d1e979fde40176ff353784a85c4b81d00000088000000206ce31ea415ba39f8"
+        "dea54842ada0caa1b22cf63c6e2dd8fca19196f522f7277d000000020000002c"
+        "0000000200000010f27024bf17112a754ffb1f1099aed739000000100bfef003"
+        "609558afe10a6905ad1d25b40000002c0000000200000010fc3039b91c2d2099"
+        "660fd75aedb1070d000000105eb00de6aa9c02125df98447f761077300000058"
+        "00000020c474cd8a1be7afd8189ee8155aab8be561aa971f0a027b6847d4e5cf"
+        "b1dab39e000000010000002c00000002000000100bfef003609558afe10a6905"
+        "ad1d25b400000010d9a1836e44b235dffae03f5cda2be12e0000005800000020"
+        "06831193a2ecb7b596e319cf8bcea3cdedbddd907e063123f996b74666a9a9a8"
+        "000000010000002c0000000200000010fc3039b91c2d2099660fd75aedb1070d"
+        "0000001015f35f0ba5e78b4c136ba82c9f1ff5c9"
+    ),
+    "index/insert_delta": (
+        "000000030000003800000020b2706dd2ef12d61e848ace5025d2f3f2cbf0df3b"
+        "a2aabee8f364e5c469a5490400000010e20276cf31b3a0e17101cd3e3bd1cb85"
+        "0000003800000020e75852cc11c36be974ab884622054fe54034be3494506a39"
+        "2fe3cb96665c5fdf00000010e20276cf31b3a0e17101cd3e3bd1cb8500000038"
+        "000000206ce31ea415ba39f8dea54842ada0caa1b22cf63c6e2dd8fca19196f5"
+        "22f7277d00000010e20276cf31b3a0e17101cd3e3bd1cb8500000000"
+    ),
+    "index/remove_delta": (
+        "00000000000000060000003800000020b2706dd2ef12d61e848ace5025d2f3f2"
+        "cbf0df3ba2aabee8f364e5c469a5490400000010696969696969696969696969"
+        "696969690000003800000020e75852cc11c36be974ab884622054fe54034be34"
+        "94506a392fe3cb96665c5fdf0000001069696969696969696969696969696969"
+        "00000038000000206ce31ea415ba39f8dea54842ada0caa1b22cf63c6e2dd8fc"
+        "a19196f522f7277d000000106969696969696969696969696969696900000038"
+        "00000020ee36da2b43151190e80de155446fa5c5f6a2e27cadf96ad4e8f88af6"
+        "50998b4f000000106a6a6a6a6a6a6a6a6a6a6a6a6a6a6a6a0000003800000020"
+        "401ee478f09d142d0bfa58654a8371137bf5601c5b707e0892ffcf0503ef70d6"
+        "000000106a6a6a6a6a6a6a6a6a6a6a6a6a6a6a6a00000038000000206ce31ea4"
+        "15ba39f8dea54842ada0caa1b22cf63c6e2dd8fca19196f522f7277d00000010"
+        "6a6a6a6a6a6a6a6a6a6a6a6a6a6a6a6a"
+    ),
+    "index/rng_after": (
+        "a9089fffbc39678b"
+    ),
 }
 
 
@@ -360,6 +670,30 @@ def test_parent_ciphertexts_still_open():
     assert TupleCodec(schema).decode(bytes.fromhex(GOLDEN["tuple_codec"])).project(
         ["name", "dept", "salary"]
     ) == ROWS[0]
+
+    # Word ciphertexts of the parent decrypt word by word, at every (w, m).
+    document_id = bytes.fromhex(GOLDEN["swp/document_id"])
+    swp = SwpScheme(KEY, word_length=11, check_length=6)
+    stored = EncryptedDocument(
+        document_id=document_id,
+        encrypted_words=tuple(bytes.fromhex(GOLDEN[f"swp/word/{i}"]) for i in range(3)),
+    )
+    assert [bytes(w) for w in swp.decrypt_document(stored)] == list(SWP_WORDS)
+    for word_length, check_length in WIDE_SWP:
+        swp = SwpScheme(KEY, word_length=word_length, check_length=check_length)
+        raw = bytes.fromhex(GOLDEN[f"swp34/{check_length}/document"])
+        stored = EncryptedDocument(
+            document_id=document_id,
+            encrypted_words=(raw[:word_length], raw[word_length:]),
+        )
+        assert [bytes(w) for w in swp.decrypt_document(stored)] == [
+            _block(word_length), _block(word_length)[::-1]
+        ]
+    via_words = dph.decrypt_relation(
+        protocol.decode_encrypted_relation(bytes.fromhex(GOLDEN["repeat/relation"])),
+        via_words=True,
+    )
+    assert via_words == Relation.from_rows(schema, REPEAT_ROWS)
 
 
 if __name__ == "__main__":

@@ -165,3 +165,41 @@ def test_property_pre_keyed_state_equals_fresh_hmac(key, label, message, out_len
     assert Prf(key, label).evaluate(message, out_len) == reference_prf(
         key, label, message, out_len
     )
+
+
+class TestFixedLengthEvaluators:
+    """``Prf.fixed`` and ``prf_once``: the definition at every length, checks kept."""
+
+    @pytest.mark.parametrize("out_len", [1, 6, 31, 32, 33, 34, 64, 65, 100])
+    def test_fixed_and_once_match_the_definition(self, out_len):
+        evaluate = Prf(KEY, b"lbl").fixed(out_len)
+        for message in (b"", b"m", b"x" * 90):
+            assert evaluate(message) == reference_prf(KEY, b"lbl", message, out_len)
+            assert prf_once(KEY, message, out_len) == reference_prf(KEY, b"", message, out_len)
+
+    def test_an_evaluator_is_reusable_and_independent_of_its_siblings(self):
+        prf = Prf(KEY)
+        short, long = prf.fixed(6), prf.fixed(40)
+        assert short(b"a") == short(b"a") == prf.evaluate(b"a", 6)
+        assert long(b"a") == prf.evaluate(b"a", 40)
+        assert short(b"a") != long(b"a")[:6]
+
+    def test_bad_lengths_are_refused_when_the_evaluator_is_made(self):
+        prf = Prf(KEY)
+        for out_len in (0, -1, MAX_BLOCKS * 32 + 1):
+            with pytest.raises(ParameterError):
+                prf.fixed(out_len)
+            with pytest.raises(ParameterError):
+                prf_once(KEY, b"m", out_len)
+
+    def test_once_keeps_the_key_and_input_checks(self):
+        with pytest.raises(KeyError_):
+            prf_once(b"short", b"m")
+        with pytest.raises(KeyError_):
+            prf_once("k" * 32, b"m")  # type: ignore[arg-type]
+        with pytest.raises(ParameterError):
+            prf_once(KEY, "text")  # type: ignore[arg-type]
+        with pytest.raises(TypeError):
+            Prf(KEY).fixed(6)("text")  # type: ignore[arg-type]
+        long_key = bytes(range(100))  # past SHA-256's block: hashed first, as HMAC says
+        assert prf_once(long_key, b"m", 6) == reference_prf(long_key, b"", b"m", 6)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import hmac
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,3 +134,90 @@ def test_property_integer_prp_roundtrip(domain, data):
     value = data.draw(st.integers(min_value=0, max_value=domain - 1))
     prp = IntegerPrp(KEY, domain)
     assert prp.invert(prp.permute(value)) == value
+
+
+# --------------------------------------------------------------------------- #
+# Differential: the compiled round loop against the textbook networks, written
+# round by round over stdlib ``hmac`` only (none of the library's PRF code).
+# --------------------------------------------------------------------------- #
+
+
+def textbook_prf(key: bytes, label: str, message: bytes, out_len: int) -> bytes:
+    info = message + b"|" + out_len.to_bytes(4, "big")
+    out = previous = b""
+    counter = 1
+    while len(out) < out_len:
+        previous = hmac.new(
+            key + b"|" + label.encode(), previous + info + bytes([counter]), hashlib.sha256
+        ).digest()
+        out += previous
+        counter += 1
+    return out[:out_len]
+
+
+def textbook_xor(a: bytes, b: bytes) -> bytes:
+    assert len(a) == len(b)
+    return bytes(x ^ y for x, y in zip(a, b))
+
+
+def textbook_balanced(key: bytes, block: bytes, tweak: bytes, rounds: int) -> bytes:
+    half = len(block) // 2
+    left, right = block[:half], block[half:]
+    for index in range(rounds):
+        mask = textbook_prf(key, f"feistel-round-{index}", tweak + b"|" + right, half)
+        left, right = right, textbook_xor(left, mask)
+    return left + right
+
+
+def textbook_unbalanced(key: bytes, block: bytes, tweak: bytes, rounds: int) -> bytes:
+    split = (len(block) + 1) // 2
+    left, right = block[:split], block[split:]
+    for index in range(rounds):
+        label = f"ufeistel-round-{index}"
+        if index % 2 == 0:
+            left = textbook_xor(left, textbook_prf(key, label, tweak + b"|" + right, len(left)))
+        else:
+            right = textbook_xor(right, textbook_prf(key, label, tweak + b"|" + left, len(right)))
+    return left + right
+
+
+def textbook_integer(key: bytes, value: int, domain: int, rounds: int) -> int:
+    bits = max(2, max(domain - 1, 1).bit_length())
+    bits += bits % 2
+    half_bits, half_mask = bits // 2, (1 << bits // 2) - 1
+    while True:
+        left, right = value >> half_bits, value & half_mask
+        for index in range(rounds):
+            digest = textbook_prf(key, f"intprp-round-{index}", right.to_bytes(8, "big"), 8)
+            left, right = right, left ^ (int.from_bytes(digest, "big") & half_mask)
+        value = (left << half_bits) | right
+        if value < domain:
+            return value
+
+
+@pytest.mark.parametrize("rounds", [4, 5, 8])
+@pytest.mark.parametrize("block_len", range(2, 81))
+def test_byte_permutations_equal_the_textbook_networks(block_len, rounds):
+    rng = random.Random(f"{block_len}/{rounds}")
+    block = rng.randbytes(block_len)
+    cases = [(UnbalancedFeistelPrp, textbook_unbalanced)]
+    if block_len % 2 == 0:
+        cases.append((FeistelPrp, textbook_balanced))
+    for tweak in (b"", rng.randbytes(rng.randint(1, 24))):
+        for prp_class, textbook in cases:
+            prp = prp_class(KEY, block_len, rounds=rounds)
+            image = prp.permute(block, tweak=tweak)
+            assert image == textbook(KEY, block, tweak, rounds)
+            assert prp.invert(image, tweak=tweak) == block
+            assert prp.permute(prp.invert(block, tweak=tweak), tweak=tweak) == block
+
+
+@pytest.mark.parametrize("rounds", [4, 5, 8])
+@pytest.mark.parametrize("domain", [1, 2, 3, 4, 5, 16, 17, 255, 256, 257, 1000, 2**20 + 7, 10**12])
+def test_integer_permutation_equals_the_textbook_network(domain, rounds):
+    rng = random.Random(f"{domain}/{rounds}")
+    prp = IntegerPrp(KEY, domain, rounds=rounds)
+    for value in {0, domain - 1, *(rng.randrange(domain) for _ in range(6))}:
+        image = prp.permute(value)
+        assert image == (0 if domain == 1 else textbook_integer(KEY, value, domain, rounds))
+        assert prp.invert(image) == value

@@ -131,3 +131,28 @@ class TestDeltas:
         removed = indexer.remove_delta([(row, b"i" * 16)])
         assert set(removed.removals) == set(added.additions)
         assert not removed.additions
+
+    def test_mapping_rows_are_labelled_in_schema_order(self, indexer, employee_relation):
+        row = employee_relation.tuples[0]
+        expected = indexer.insert_delta(row, b"i" * 16)
+        reordered = {"salary": row["salary"], "dept": row["dept"], "name": row["name"]}
+        assert indexer.tuple_labels(reordered) == indexer.tuple_labels(row)
+        assert indexer.insert_delta(reordered, b"i" * 16) == expected
+        assert indexer.remove_delta([(reordered, b"i" * 16)]).removals == expected.additions
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            {"name": "emp1", "dept": "HR"},  # would be stored, never found by salary
+            {"name": "emp1", "dept": "HR", "salary": 1, "unit": "x"},
+            {},
+        ],
+        ids=["missing attribute", "unknown attribute", "empty"],
+    )
+    def test_mapping_rows_must_name_exactly_the_schema(self, indexer, row):
+        with pytest.raises(IndexingError, match="are not the attributes of relation 'Emp'"):
+            indexer.tuple_labels(row)
+        with pytest.raises(IndexingError):
+            indexer.insert_delta(row, b"i" * 16)
+        with pytest.raises(IndexingError):
+            indexer.remove_delta([(row, b"i" * 16)])
