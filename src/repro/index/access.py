@@ -233,6 +233,11 @@ class IndexAccess(AccessMethod):
     def can_serve(self, relation_name: str, request: IndexLookupRequest) -> bool:
         return relation_name in self._indexes
 
+    def serves_from_memory(self, relation_name: str) -> bool:
+        """A lookup is O(postings + result): index *and* id map exist (the
+        first lookup after a put or store rebuilds the map in O(n))."""
+        return relation_name in self._indexes and relation_name in self._id_maps
+
     def search(
         self,
         relation_name: str,

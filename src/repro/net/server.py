@@ -11,7 +11,8 @@ that speaks the framing of :mod:`repro.net.framing`:
   server's frame-size limit;
 * **envelope** frames are forwarded verbatim to
   :meth:`~repro.outsourcing.server.OutsourcedDatabaseServer.handle_message`
-  on the dispatch pool;
+  -- on the dispatch pool, or on the event loop itself when the request
+  is bounded (below);
 * **control** frames carry the management operations the in-process API
   performs as direct method calls: evaluator deployment (by public-parameter
   description, see :mod:`repro.net.evaluators`), relation listing, drops,
@@ -25,6 +26,25 @@ same-relation mutations would corrupt causality), while requests for
 *different* relations -- or different shards colocated in one process --
 execute concurrently.  A slow scan of one relation therefore no longer
 blocks every other relation behind it.
+
+**Bounded requests skip the pool** -- one rule, derived per frame, no knob:
+
+    bounded and relation idle and alone  =>  answered on the event loop
+    otherwise                            =>  queued for a worker, as above
+
+*Bounded* is the provider's word (``bounded_work(kind, relation)``): the
+work is limited by the request and its reply, never by the stored relation.
+Today that is ``INDEX_DELTA`` and an ``INDEX_LOOKUP`` served from memory;
+inserts and deletes (an O(n) tuple rewrite), file-backed providers (``load``
+re-reads the relation), lookups that would scan, and any object without the
+predicate (a shard router) stay on workers.  A provider subclass opts in by
+overriding it.  *Relation idle* keeps the FIFO: the loop is the only
+submitter and finishes an inline answer before admitting the next frame.
+*Alone* -- nothing in flight on the connection and the read delivered one
+frame -- leaves a pipelining client its parallel path and keeps a burst from
+monopolising the loop.  Both paths run the same ``_dispatch_envelope`` and
+``_send``; only the thread differs, and a 0.1 ms index probe does not repay
+two thread hand-offs.
 
 Connections are **pipelined**: a client may send many request frames
 without waiting, each carrying a correlation id; the server answers them
@@ -140,6 +160,12 @@ class KeyedSerialDispatcher:
         """Jobs completed (or failed) so far."""
         with self._lock:
             return self._total
+
+    def idle(self, key: Hashable) -> bool:
+        """No job for ``key`` is queued or running (and, for the sole
+        submitter, none will be until its own next :meth:`submit`)."""
+        with self._lock:
+            return key not in self._queues
 
     def submit(
         self, key: Hashable, func: Callable, *args
@@ -344,6 +370,12 @@ class DatabaseTcpServer:
         # so requests are serialized by the relation they touch while
         # different relations (or colocated shards) dispatch concurrently.
         self._dispatcher = KeyedSerialDispatcher(dispatch_workers)
+        # An object that does not say what is bounded (a router, a test
+        # double) gets the worker for everything.
+        self._bounded_work = getattr(
+            self._database, "bounded_work", lambda kind, relation_name: False
+        )
+        self._inline_answers = 0  # touched on the event loop only
         self._asyncio_server: asyncio.AbstractServer | None = None
         self._connections: dict[asyncio.Task, ConnectionStats] = {}
         # Share the wrapped provider's registry when it has one, so the
@@ -374,7 +406,8 @@ class DatabaseTcpServer:
     def stats(self) -> TcpServerStats:
         """Aggregate traffic counters (dispatch numbers refreshed live)."""
         self._stats.set("peak_concurrent_dispatch", self._dispatcher.peak_concurrency)
-        self._stats.set("requests_dispatched", self._dispatcher.total_dispatched)
+        dispatched = self._dispatcher.total_dispatched + self._inline_answers
+        self._stats.set("requests_dispatched", dispatched)
         return self._stats
 
     @property
@@ -482,11 +515,14 @@ class DatabaseTcpServer:
                         writer, connection, {"ok": False, "error": str(exc)}
                     )
                     break
+                # One frame on a quiet connection: a client waiting for
+                # this answer.  Anything else is a client pipelining.
+                alone = len(frames) == 1 and not in_flight
                 for frame in frames:
                     connection.frames_received += 1
                     self._stats.inc("frames_received")
                     if not await self._admit_frame(
-                        writer, connection, in_flight, admission, frame
+                        writer, connection, in_flight, admission, frame, alone
                     ):
                         fatal = True
                         break
@@ -520,13 +556,15 @@ class DatabaseTcpServer:
         in_flight: set[asyncio.Task],
         admission: asyncio.Semaphore,
         frame: framing.Frame,
+        alone: bool,
     ) -> bool:
         """Route one frame into dispatch; returns False to close the connection.
 
-        Hello (and pre-hello violations) are answered inline; everything
-        else is queued on the keyed dispatcher *in arrival order* -- which
-        is what makes same-relation FIFO hold -- and answered by a
-        per-request responder task whenever its dispatch completes.
+        Hello (and pre-hello violations) are answered inline, and so is a
+        bounded envelope that arrived ``alone`` for an idle relation (module
+        docstring); everything else is queued on the keyed dispatcher *in
+        arrival order* -- which is what makes same-relation FIFO hold -- and
+        answered by a per-request responder task whenever it completes.
         """
         frame_size = (
             len(frame.payload) + framing.LENGTH_PREFIX_SIZE + framing.FRAME_HEADER_SIZE
@@ -587,7 +625,7 @@ class DatabaseTcpServer:
             # -- learns the dispatch key; handle_message parses in full on
             # the worker.  Garbage that does not even frame is a protocol
             # violation, not a servable error: answer and close.
-            _, _, relation_name = protocol.peek_envelope(frame.payload)
+            version, kind, relation_name = protocol.peek_envelope(frame.payload)
         except ProtocolError as exc:
             await self._send_control(
                 writer,
@@ -596,14 +634,41 @@ class DatabaseTcpServer:
                 correlation=frame.correlation,
             )
             return False
+        key = ("rel", relation_name)
+        trace_id = protocol.peek_trace_id(frame.payload, version)
+        # Idle before bounded: this loop is the only submitter, so once the
+        # key is idle nothing can change what the provider answers.
+        if (
+            alone
+            and self._dispatcher.idle(key)
+            and self._bounded_work(kind, relation_name)
+        ):
+            self._inline_answers += 1
+            self._metrics.counter(
+                "server_inline_answers_total", relation=relation_name
+            ).inc()
+            connection.in_flight += 1  # shutdown waits for busy connections
+            connection.peak_in_flight = max(connection.peak_in_flight, 1)
+            try:
+                channel, answer = self._dispatch_envelope(
+                    trace_id, relation_name, frame.payload, time.monotonic(), "inline"
+                )
+                with contextlib.suppress(ConnectionError):
+                    await self._send(
+                        writer, connection, answer, channel, frame.correlation
+                    )
+            finally:
+                connection.in_flight -= 1
+            return True
         await admission.acquire()
         future = self._dispatcher.submit(
-            ("rel", relation_name),
+            key,
             self._dispatch_envelope,
-            protocol.peek_trace_id(frame.payload),
+            trace_id,
             relation_name,
             frame.payload,
             time.monotonic(),
+            "worker",
         )
         self._spawn_responder(
             in_flight,
@@ -638,32 +703,40 @@ class DatabaseTcpServer:
         relation_name: str,
         payload: bytes,
         submitted_mono: float,
-    ) -> bytes:
-        """Run one envelope on a pool worker, with queue-wait accounting.
+        path: str,
+    ) -> tuple[int, bytes]:
+        """Run one envelope, with queue-wait accounting; ``(channel, answer)``.
 
-        Runs after the FIFO queue, so ``now - submitted_mono`` is the time
-        the request spent waiting behind same-relation work.  When the
-        envelope carries a v3 trace id the whole dispatch executes under
-        that trace, producing the server-side span and feeding the trace
-        buffer and slow-query log.
+        On a ``"worker"`` this runs after the FIFO queue, so ``now -
+        submitted_mono`` is the time spent waiting behind same-relation
+        work; ``"inline"`` is the event loop itself and waits for nothing.
+        When the envelope carries a v3 trace id the whole dispatch executes
+        under that trace, producing the server-side span and feeding the
+        trace buffer and slow-query log.  An exception escaping the provider
+        becomes the control-channel failure answer here, on either thread.
         """
         queue_wait = time.monotonic() - submitted_mono
         self._metrics.histogram(
             "server_dispatch_queue_seconds", relation=relation_name
         ).observe(queue_wait)
-        if trace_id is None:
-            return self._database.handle_message(payload)
-        trace = Trace(trace_id)
         try:
-            with use_trace(trace), trace.span(
-                "server.dispatch",
-                relation=relation_name,
-                queue_wait_s=round(queue_wait, 6),
-            ):
-                return self._database.handle_message(payload)
-        finally:
-            self._traces.record(trace)
-            self._slow_queries.observe(trace)
+            if trace_id is None:
+                return CHANNEL_ENVELOPE, self._database.handle_message(payload)
+            trace = Trace(trace_id)
+            try:
+                with use_trace(trace), trace.span(
+                    "server.dispatch",
+                    relation=relation_name,
+                    queue_wait_s=round(queue_wait, 6),
+                    path=path,
+                ):
+                    return CHANNEL_ENVELOPE, self._database.handle_message(payload)
+            finally:
+                self._traces.record(trace)
+                self._slow_queries.observe(trace)
+        except Exception as exc:  # noqa: BLE001 - a dispatch bug must not kill siblings
+            failure = {"ok": False, "error": f"internal dispatch failure: {exc}"}
+            return CHANNEL_CONTROL, json.dumps(failure).encode("utf-8")
 
     async def _deliver_envelope(
         self,
@@ -672,20 +745,9 @@ class DatabaseTcpServer:
         correlation: int,
         future: concurrent.futures.Future,
     ) -> None:
-        try:
-            response = await asyncio.wrap_future(future)
-        except Exception as exc:  # noqa: BLE001 - a dispatch bug must not kill siblings
-            await self._send_control(
-                writer,
-                connection,
-                {"ok": False, "error": f"internal dispatch failure: {exc}"},
-                correlation=correlation,
-            )
-            return
+        channel, answer = await asyncio.wrap_future(future)
         with contextlib.suppress(ConnectionError):
-            await self._send(
-                writer, connection, response, CHANNEL_ENVELOPE, correlation
-            )
+            await self._send(writer, connection, answer, channel, correlation)
 
     async def _deliver_control(
         self,

@@ -40,6 +40,7 @@ strings are length-prefixed with 4 bytes; sequences are prefixed with a
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -71,6 +72,9 @@ V2_MAGIC = b"DPH"
 
 #: The 4-byte big-endian length / count prefix.
 _U32 = struct.Struct(">I")
+
+#: Distinct schema declarations whose parse is remembered (LRU).
+SCHEMA_MEMO_SIZE = 64
 
 
 class ProtocolError(Exception):
@@ -185,7 +189,7 @@ def decode_encrypted_relation(raw: bytes) -> EncryptedRelation:
     """
     schema_bytes, offset = _decode_bytes(raw, 0)
     try:
-        schema = RelationSchema.parse(schema_bytes.decode("utf-8"))
+        schema = _parse_schema_declaration(schema_bytes)
     except (SchemaError, UnicodeDecodeError) as exc:
         raise ProtocolError(f"malformed schema declaration: {exc}") from exc
     total = len(raw)
@@ -234,6 +238,17 @@ def _schema_declaration(schema: RelationSchema) -> str:
         f"{a.name}:{a.attribute_type.value}[{a.max_length}]" for a in schema.attributes
     )
     return f"{schema.name}({columns})"
+
+
+@functools.lru_cache(maxsize=SCHEMA_MEMO_SIZE)
+def _parse_schema_declaration(declaration: bytes) -> RelationSchema:
+    """The (immutable) schema a wire declaration names, parsed once per spelling.
+
+    Every reply and stored file carries one and a session sees a handful.
+    The bytes are an untrusted peer's, hence the bound; a declaration that
+    does not parse raises and is therefore never cached.
+    """
+    return RelationSchema.parse(declaration.decode("utf-8"))
 
 
 # --------------------------------------------------------------------------- #
@@ -588,9 +603,10 @@ def strip_trace(raw: bytes) -> bytes:
     return V2_MAGIC + bytes([PROTOCOL_V2]) + raw[header + 1: -TRACE_ID_SIZE]
 
 
-def peek_trace_id(raw: bytes) -> bytes | None:
-    """The trace id of a raw v3 frame (None for untraced versions), O(1)."""
-    if peek_version(raw) != PROTOCOL_V3:
+def peek_trace_id(raw: bytes, version: int | None = None) -> bytes | None:
+    """The trace id of a raw v3 frame (None for untraced versions), O(1);
+    a caller that already peeked the frame's ``version`` passes it along."""
+    if (peek_version(raw) if version is None else version) != PROTOCOL_V3:
         return None
     if len(raw) < len(V2_MAGIC) + 1 + TRACE_ID_SIZE:
         raise ProtocolError("truncated trace id")

@@ -396,6 +396,28 @@ class OutsourcedDatabaseServer:
             "(no index installed and no fallback query supplied)"
         )
 
+    def bounded_work(self, kind: MessageKind, name: str) -> bool:
+        """Whether serving ``kind`` on ``name`` is bounded by the request and its reply.
+
+        :mod:`repro.net.server` answers such a request on its event loop, so
+        this is never true for work that grows with the stored relation.
+        That leaves ``INDEX_DELTA`` (O(delta); a no-op without an index) and
+        an ``INDEX_LOOKUP`` the index serves from memory (O(postings of the
+        request's labels + reply)) over an O(1) ``load``.  A lookup that
+        would scan, and the first one after ``STORE_RELATION`` /
+        ``INDEX_PUT`` (it rebuilds the O(n) id map), report unbounded: the
+        rebuild runs on a worker and the lookups after it are bounded.
+        Inserts and deletes rewrite an O(n) tuple.  The answer holds only
+        while no other request for ``name`` is running.
+        """
+        if kind is MessageKind.INDEX_DELTA:
+            return True
+        return (
+            kind is MessageKind.INDEX_LOOKUP
+            and self._storage.constant_time_load
+            and self._index_access.serves_from_memory(name)
+        )
+
     def index_stats(self) -> dict:
         """Index-serving statistics for operators (``repro serve`` stats)."""
         stats = dict(self._index_access.stats())

@@ -36,6 +36,10 @@ class StorageError(Exception):
 class StorageBackend(ABC):
     """Where the provider keeps its (ciphertext-only) relations."""
 
+    #: True when :meth:`load` is O(1) in the relation's size; only then can
+    #: the provider call a lookup's work bounded (``bounded_work``).
+    constant_time_load = False
+
     @abstractmethod
     def save(self, name: str, encrypted_relation: EncryptedRelation) -> None:
         """Store (or replace) a relation under ``name``."""
@@ -86,6 +90,8 @@ class StorageBackend(ABC):
 class InMemoryStorageBackend(StorageBackend):
     """The default backend: a process-local dict."""
 
+    constant_time_load = True
+
     def __init__(self) -> None:
         self._relations: dict[str, EncryptedRelation] = {}
 
@@ -109,7 +115,7 @@ class FileStorageBackend(StorageBackend):
     """One file per relation, serialized with the protocol's wire codec.
 
     Relation names are hex-encoded in the filename so arbitrary names are
-    safe on any filesystem.
+    safe on any filesystem.  (:meth:`load` decodes the whole file: not O(1).)
     """
 
     SUFFIX = ".rel"

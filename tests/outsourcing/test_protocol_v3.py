@@ -105,6 +105,11 @@ class TestRawHelpers:
         assert protocol.peek_trace_id(raw) is None
         assert protocol.peek_trace_id(protocol.attach_trace(raw, TID)) == TID
 
+    def test_peek_trace_id_reuses_an_already_peeked_version(self):
+        for raw in (_v2_frame(), protocol.attach_trace(_v2_frame(), TID)):
+            version, _, _ = protocol.peek_envelope(raw)
+            assert protocol.peek_trace_id(raw, version) == protocol.peek_trace_id(raw)
+
     def test_parse_message_handles_all_three_versions(self):
         v1 = Message(kind=MessageKind.QUERY, relation_name="Emp").to_bytes()
         v2 = _v2_frame()
