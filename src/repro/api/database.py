@@ -95,6 +95,24 @@ class TableHandle:
     indexer: TableIndexer | None = None
 
 
+def _cache_key(parsed: Query, token: bytes) -> tuple | None:
+    """Where the cached answer to ``parsed`` lives: ``(token, conjuncts)``.
+
+    The ``(attribute, value)`` conjuncts are part of the key because the
+    token alone does not name the answer: a scheme may encrypt two queries
+    to one token (two salaries of one bucket) while an index lookup tells
+    them apart.  Their first pair is the entry's eviction tag (see
+    :meth:`EncryptedDatabase._invalidate_cache`).  ``None`` -- a value that
+    cannot be hashed -- means the read bypasses the cache.
+    """
+    key = (token, tuple((p.attribute, p.value) for p in selection_predicates(parsed)))
+    try:
+        hash(key)
+    except TypeError:
+        return None
+    return key
+
+
 class EncryptedDatabase:
     """A keyed, multi-relation session against an untrusted provider."""
 
@@ -130,8 +148,8 @@ class EncryptedDatabase:
         self._trace_buffer = TraceBuffer()
         self._slow_queries = SlowQueryLog()
         self._last_trace_id: bytes | None = None
-        # The client-side hot-key result cache (see repro.cache): keyed on
-        # ciphertext query tokens, invalidated by this session's own writes.
+        # The client-side hot-key result cache (see repro.cache and
+        # _cache_key): a write of this session evicts what its rows can satisfy.
         try:
             cache_config = coerce_cache_config(cache)
         except CacheError as exc:
@@ -198,12 +216,12 @@ class EncryptedDatabase:
         cache:
             Keep a client-side result cache of this session's reads (see
             :mod:`repro.cache`): repeated hot queries are answered from
-            memory without a provider round trip.  Keys are ciphertext
-            query tokens; entries are invalidated by this session's own
-            writes (and bounded by a TTL against writers this session
-            cannot see).  ``True`` enables the defaults; an int sets the
-            entry budget; a :class:`~repro.cache.CacheConfig` (or dict of
-            its fields) sets everything.  Off by default.
+            memory without a provider round trip.  A write of this
+            session evicts the entries its rows can satisfy (and a TTL
+            bounds writers this session cannot see).  ``True`` enables
+            the defaults; an int sets the entry budget; a
+            :class:`~repro.cache.CacheConfig` (or dict of its fields)
+            sets everything.  Off by default.
         """
         if key is None:
             key = SecretKey.generate(rng=rng)
@@ -748,9 +766,9 @@ class EncryptedDatabase:
                 )
             finally:
                 # Even a failed insert may have mutated provider state (the
-                # index delta can land without the tuple), so the bump is
+                # index delta can land without the tuple), so the eviction is
                 # unconditional: one extra miss beats one stale hit.
-                self._invalidate_cache(table)
+                self._invalidate_cache(table, [relation_tuple])
 
     def insert_many(self, table: str, rows) -> int:
         """Insert several rows; returns how many were shipped."""
@@ -847,14 +865,18 @@ class EncryptedDatabase:
             op_span.annotations["batch_size"] = len(resolved)
             handle = self.table(name)
             encrypted = [handle.scheme.encrypt_query(parsed) for _, parsed in resolved]
-            tokens = [protocol.encode_encrypted_query(e) for e in encrypted]
             results: list[EvaluationResult | None] = [None] * len(resolved)
-            generation = None
+            keys: list[tuple | None] = [None] * len(resolved)
             if self._cache is not None:
                 # Serve what we can from the cache and ship only the misses
                 # in the batch round trip (an all-hit batch skips it).
-                for position, token in enumerate(tokens):
-                    results[position] = self._cache.lookup(name, token)
+                keys = [
+                    _cache_key(parsed, protocol.encode_encrypted_query(e))
+                    for (_, parsed), e in zip(resolved, encrypted)
+                ]
+                for position, key in enumerate(keys):
+                    if key is not None:
+                        results[position] = self._cache.lookup(name, key)
                 generation = self._cache.generation(name)
             missing = [i for i, result in enumerate(results) if result is None]
             op_span.annotations["batch_misses"] = len(missing)
@@ -873,8 +895,9 @@ class EncryptedDatabase:
                     )
                 for position, result in zip(missing, fetched):
                     results[position] = result
-                    if self._cache is not None:
-                        self._cache.put(name, tokens[position], result, generation)
+                    key = keys[position]
+                    if key is not None:
+                        self._cache.put(name, key, result, generation, key[1][:1])
             return [
                 self._outcome(handle, result, parsed)
                 for result, (_, parsed) in zip(results, resolved)
@@ -897,10 +920,24 @@ class EncryptedDatabase:
     # Internals
     # ------------------------------------------------------------------ #
 
-    def _invalidate_cache(self, relation: str) -> None:
-        """Bump the client cache's generation for one relation (write path)."""
-        if self._cache is not None:
-            self._cache.invalidate(relation)
+    def _invalidate_cache(self, relation: str, rows=None) -> None:
+        """Write path: evict the cached answers the write may have changed.
+
+        ``rows`` are the plaintext tuples the write adds or removes.  A
+        fill is filed under the first ``(attribute, value)`` conjunct of
+        its query and a row that satisfies the whole conjunction satisfies
+        that conjunct, so passing every pair of every row evicts a
+        superset of the answers the write can change -- under the same
+        ``==`` the result filter applies.  ``None`` (DDL: the extent is the
+        relation) evicts all of it.
+        """
+        if self._cache is None:
+            return
+        tags = None
+        if rows is not None:
+            # Schema-validated values (str / int), so always hashable.
+            tags = {pair for row in rows for pair in row.items()}
+        self._cache.invalidate(relation, tags)
 
     def _stored(self, table: str):
         """The provider's ciphertext copy, with errors in the facade's type."""
@@ -967,22 +1004,24 @@ class EncryptedDatabase:
         """One encrypted read for an already-resolved query, cache included.
 
         On cache-enabled sessions the encoded encrypted query is the cache
-        token: schemes encrypt queries deterministically, so a hot query
-        repeats byte-identically and its result is served from memory with
-        no round trip.  The fill is generation-checked (see
-        :class:`~repro.cache.ResultCache`): a write landing while the read
-        was in flight drops the fill instead of caching a stale answer.
+        token (see :func:`_cache_key`): schemes encrypt queries
+        deterministically, so a hot query repeats byte-identically and its
+        result is served from memory with no round trip.  The fill is
+        generation-checked (see :class:`~repro.cache.ResultCache`): a
+        write landing while the read was in flight drops the fill instead
+        of caching a stale answer.
         """
         encrypted_query = handle.scheme.encrypt_query(parsed)
         token = protocol.encode_encrypted_query(encrypted_query)
-        if self._cache is not None:
-            cached = self._cache.lookup(handle.name, token)
+        key = None if self._cache is None else _cache_key(parsed, token)
+        if key is not None:
+            cached = self._cache.lookup(handle.name, key)
             if cached is not None:
                 return cached
             generation = self._cache.generation(handle.name)
         result = self._fetch_query_result(handle, parsed, encrypted_query, token)
-        if self._cache is not None:
-            self._cache.put(handle.name, token, result, generation)
+        if key is not None:
+            self._cache.put(handle.name, key, result, generation, key[1][:1])
         return result
 
     def _fetch_query_result(
@@ -1035,7 +1074,7 @@ class EncryptedDatabase:
         try:
             return self._delete_matches_uncached(handle, name, body, matches)
         finally:
-            self._invalidate_cache(name)
+            self._invalidate_cache(name, [plaintext for _, plaintext in matches])
 
     def _delete_matches_uncached(
         self, handle: TableHandle, name: str, body: bytes, matches: list[tuple]

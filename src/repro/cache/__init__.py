@@ -6,10 +6,10 @@ absorbs those repeats before they cost a provider round trip, at two
 levels of the stack:
 
 * a **client-side** cache inside
-  :class:`~repro.api.database.EncryptedDatabase`, keyed on
-  ``(relation, encrypted query token)`` -- ciphertext-only keys, so the
-  cache stores nothing in plaintext the provider does not already see --
-  invalidated by the session's own writes;
+  :class:`~repro.api.database.EncryptedDatabase`, keyed on the encrypted
+  query token and the query's own conjuncts (it lives beside the key, in
+  the one party that sees plaintext); a write of the session evicts only
+  the cached queries its rows can satisfy;
 * a **coordinator-side** cache inside
   :class:`~repro.cluster.router.ShardRouter`, shared by every session
   routed through the coordinator, sitting in front of the scatter /
@@ -21,8 +21,9 @@ Both tiers are the same :class:`ResultCache`: a thread-safe LRU with
 optional TTL, per-relation invalidation generations (a put is dropped if
 a write landed while its read was in flight), and a global flush epoch.
 Metrics (``cache_hits_total`` / ``cache_misses_total`` /
-``cache_evictions_total`` / ``cache_invalidations_total`` counters and a
-``cache_hit_ratio`` gauge, labelled by tier) live in the owner's
+``cache_evictions_total`` / ``cache_invalidations_total`` /
+``cache_invalidated_entries_total`` counters and a ``cache_hit_ratio``
+gauge, labelled by tier) live in the owner's
 :class:`~repro.obs.MetricsRegistry` so they flow through the existing
 stats plane; lookups record ``cache.lookup`` trace spans.
 """

@@ -1,11 +1,15 @@
-"""A thread-safe LRU + TTL result cache with write-path invalidation.
+"""A thread-safe LRU + TTL result cache with write-set invalidation.
 
 One :class:`ResultCache` backs both tiers of the hot-key cache (the
 client session's and the coordinator's).  Entries are keyed on
-``(relation, token)`` where *token* is opaque ciphertext -- the encoded
-encrypted query (client tier) or the raw request body (coordinator
-tier) -- so the cache never holds a key the provider has not already
-seen on the wire.
+``(relation, token)`` where *token* is opaque to the cache: the raw
+request body on the coordinator tier, which therefore holds nothing the
+provider has not already seen on the wire; the encoded encrypted query
+plus the query's own ``(attribute, value)`` conjuncts on the client
+tier, which lives in the key-holder's memory.  An entry may also be
+*filed* under eviction tags: hashable values the owner chooses and the
+cache only ever hashes and compares (the session uses the first conjunct
+of the query; the keyless coordinator files under none).
 
 Correctness model
 -----------------
@@ -16,11 +20,24 @@ would resurrect the deleted tuple for every later hit.  The cache
 therefore runs **generation-checked fills**: readers capture the
 relation's :meth:`~ResultCache.generation` *before* the round trip and
 hand it back to :meth:`~ResultCache.put`, which silently drops the fill
-if any invalidation bumped the generation in between.  Invalidation
-itself is cheap (bump an integer, drop the relation's entries), so every
-write path can afford to call it unconditionally -- including failed
-writes, where the conservative bump costs one extra miss instead of a
-stale hit.
+if any invalidation bumped the generation in between.  Every
+invalidation bumps it, however few entries it evicts, so the fence is
+relation-wide and as conservative as a wholesale drop.
+
+What an invalidation *evicts* follows the write set.  The writer passes
+the tags of everything it may have added or removed;
+:meth:`~ResultCache.invalidate` drops the entries filed under one of
+them **and every entry of the relation filed under no tag** (an answer
+of unknown shape could be changed by any write), and without tags it
+drops the whole relation.  That is exact as long as the owner keeps one
+rule: *if a write can change an entry's answer, the write's tags include
+one of the entry's tags*.  Tags meet by ``hash`` / ``==`` (``1``,
+``1.0`` and ``True`` are one tag), the same equality the client's result
+filter uses.  The work is O(tags + evicted entries) through a
+per-relation, per-tag key index -- never a sweep of the cache -- so
+every write path can afford to call it unconditionally, including
+failed writes, where evicting what the write *might* have changed costs
+a miss instead of a stale hit.
 
 :meth:`~ResultCache.flush` bumps a global epoch covering relations the
 cache has never even seen, which is what membership changes and
@@ -30,8 +47,10 @@ Observability
 -------------
 
 Counters (``cache_hits_total``, ``cache_misses_total``,
-``cache_evictions_total``, ``cache_invalidations_total``) and gauges
-(``cache_entries``, ``cache_hit_ratio``) are registered in the owning
+``cache_evictions_total``, ``cache_invalidations_total`` -- one per
+invalidating call -- and ``cache_invalidated_entries_total`` -- the
+entries those calls dropped, which tells precise from wholesale) and
+gauges (``cache_entries``, ``cache_hit_ratio``) are registered in the owning
 component's :class:`~repro.obs.MetricsRegistry` labelled with the cache
 ``tier``, so they ride the existing snapshot/merge/Prometheus plane and
 show up in ``repro stats``.  :meth:`~ResultCache.lookup` records a
@@ -44,7 +63,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable
+from typing import Any, Callable, Hashable, Iterable
 
 from repro.obs import MetricsRegistry
 from repro.obs import span as trace_span
@@ -116,12 +135,17 @@ def coerce_cache_config(value: Any) -> CacheConfig | None:
     )
 
 
-class _Entry:
-    __slots__ = ("value", "expires_at")
+#: The tag of the entries filed under no other: every write evicts them.
+_UNTAGGED = object()
 
-    def __init__(self, value: Any, expires_at: float | None) -> None:
+
+class _Entry:
+    __slots__ = ("value", "expires_at", "tags")
+
+    def __init__(self, value: Any, expires_at: float | None, tags: tuple) -> None:
         self.value = value
         self.expires_at = expires_at
+        self.tags = tags
 
 
 class ResultCache:
@@ -147,6 +171,9 @@ class ResultCache:
         self._tier = tier
         self._lock = threading.Lock()
         self._entries: "OrderedDict[tuple[str, Hashable], _Entry]" = OrderedDict()
+        # relation -> tag -> keys of the live entries filed under it; a key
+        # is listed exactly under its entry's ``tags`` (see ``_drop_locked``).
+        self._index: dict[str, dict[Hashable, set]] = {}
         self._generations: dict[str, int] = {}
         self._epoch = 0
         registry = metrics if metrics is not None else MetricsRegistry()
@@ -155,6 +182,9 @@ class ResultCache:
         self._misses = registry.counter("cache_misses_total", tier=tier)
         self._evictions = registry.counter("cache_evictions_total", tier=tier)
         self._invalidations = registry.counter("cache_invalidations_total", tier=tier)
+        self._invalidated_entries = registry.counter(
+            "cache_invalidated_entries_total", tier=tier
+        )
         self._entries_gauge = registry.gauge("cache_entries", tier=tier)
         self._hit_ratio = registry.gauge("cache_hit_ratio", tier=tier)
 
@@ -195,7 +225,7 @@ class ResultCache:
             if entry is not None and entry.expires_at is not None and now >= entry.expires_at:
                 # TTL eviction happens lazily, on the access that finds the
                 # entry dead -- no sweeper thread to manage.
-                del self._entries[key]
+                self._drop_locked(key)
                 self._evictions.inc()
                 entry = None
             if entry is None:
@@ -213,6 +243,7 @@ class ResultCache:
         token: Hashable,
         value: Any,
         generation: tuple[int, int],
+        tags: Iterable[Hashable] = (),
     ) -> bool:
         """Fill one entry; returns False if the fill was stale and dropped.
 
@@ -220,8 +251,12 @@ class ResultCache:
         provider round trip that produced ``value``: if a write
         invalidated the relation (or a flush bumped the epoch) while the
         read was in flight, the answer may predate the write and is
-        discarded rather than cached.
+        discarded rather than cached.  ``tags`` files the entry for
+        :meth:`invalidate`; with none, every write to the relation evicts it.
         """
+        # Hashing every tag here means an unhashable one raises before
+        # anything is mutated.
+        filed_under = tuple(set(tags)) or (_UNTAGGED,)
         with self._lock:
             if generation != (self._epoch, self._generations.get(relation, 0)):
                 return False
@@ -231,10 +266,13 @@ class ResultCache:
                 else self._clock() + self._config.ttl_s
             )
             key = (relation, token)
-            self._entries[key] = _Entry(value, expires_at)
-            self._entries.move_to_end(key)
+            self._drop_locked(key)  # a re-put is re-filed under the new tags
+            self._entries[key] = _Entry(value, expires_at, filed_under)
+            filed = self._index.setdefault(relation, {})
+            for tag in filed_under:
+                filed.setdefault(tag, set()).add(key)
             while len(self._entries) > self._config.max_entries:
-                self._entries.popitem(last=False)
+                self._drop_locked(next(iter(self._entries)))
                 self._evictions.inc()
             self._refresh_gauges_locked()
             return True
@@ -243,14 +281,34 @@ class ResultCache:
     # Write path
     # ------------------------------------------------------------------ #
 
-    def invalidate(self, relation: str) -> None:
-        """A write touched ``relation``: drop its entries, bump its generation."""
+    def invalidate(
+        self, relation: str, tags: Iterable[Hashable] | None = None
+    ) -> None:
+        """A write touched ``relation``: bump its generation, evict what it may change.
+
+        ``tags`` is the write set (see the module docstring): entries
+        filed under one of them go, and so do the relation's untagged
+        entries.  ``None`` -- a write of unknown extent -- drops every
+        entry of the relation.
+        """
         with self._lock:
             self._generations[relation] = self._generations.get(relation, 0) + 1
             self._invalidations.inc()
-            dead = [key for key in self._entries if key[0] == relation]
-            for key in dead:
-                del self._entries[key]
+            dropped = 0
+            if tags is None:
+                for keys in self._index.pop(relation, {}).values():
+                    for key in keys:  # listed once per tag it is filed under
+                        if self._entries.pop(key, None) is not None:
+                            dropped += 1
+            else:
+                filed = self._index.get(relation, {})
+                for tag in (*tags, _UNTAGGED):
+                    # Dropping a key unfiles it everywhere, so a later tag
+                    # never lists it again.
+                    for key in tuple(filed.get(tag, ())):
+                        self._drop_locked(key)
+                        dropped += 1
+            self._invalidated_entries.inc(dropped)
             self._refresh_gauges_locked()
 
     def flush(self) -> None:
@@ -263,7 +321,9 @@ class ResultCache:
         with self._lock:
             self._epoch += 1
             self._invalidations.inc()
+            self._invalidated_entries.inc(len(self._entries))
             self._entries.clear()
+            self._index.clear()
             self._refresh_gauges_locked()
 
     # ------------------------------------------------------------------ #
@@ -289,8 +349,23 @@ class ResultCache:
                 "misses": misses,
                 "evictions": self._evictions.value,
                 "invalidations": self._invalidations.value,
+                "invalidated_entries": self._invalidated_entries.value,
                 "hit_ratio": (hits / lookups) if lookups else 0.0,
             }
+
+    def _drop_locked(self, key: tuple[str, Hashable]) -> None:
+        """Remove one entry (if present) and unfile its key from the index."""
+        entry = self._entries.pop(key, None)
+        if entry is None:
+            return
+        filed = self._index[key[0]]
+        for tag in entry.tags:
+            keys = filed[tag]
+            keys.remove(key)
+            if not keys:
+                del filed[tag]
+        if not filed:
+            del self._index[key[0]]
 
     def _refresh_gauges_locked(self) -> None:
         self._entries_gauge.set(len(self._entries))

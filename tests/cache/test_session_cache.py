@@ -8,8 +8,11 @@ from cache-off except in round-trip count.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
+from gated_provider import GatedServer
 from repro.api import DatabaseError, EncryptedDatabase
 from repro.outsourcing import OutsourcedDatabaseServer
 from repro.relational import Selection
@@ -94,6 +97,18 @@ class TestReadPath:
         assert provider.handled == before  # the shared token namespace pays off
         assert [len(o.relation) for o in outcomes] == [6, 6]
 
+    def test_queries_sharing_a_token_do_not_share_an_entry(self, secret_key, rng):
+        # Two salaries of one bucket encrypt to one token, but the indexed
+        # lookup returns each one's own rows: the token alone is no key.
+        db = EncryptedDatabase.open(
+            secret_key, scheme="bucketization", index=True, cache=True, rng=rng
+        )
+        db.create_table(EMP_DECL, rows=ROWS)
+        for salary in (1000, 1001, 1000, 1001):
+            outcome = db.select(Selection.equals("salary", salary), table="Emp")
+            assert [t["salary"] for t in outcome.relation] == [salary]
+        assert db.cache.stats()["hits"] == 2
+
 
 class TestWritePathInvalidation:
     def test_insert_invalidates(self, db):
@@ -123,10 +138,95 @@ class TestWritePathInvalidation:
         outcome = db.select(Selection.equals("name", "emp3"), table="Emp")
         assert [t["salary"] for t in outcome.relation] == [1]
 
+    def test_a_write_evicts_only_what_its_rows_can_satisfy(self, db, provider):
+        hr, it = Selection.equals("dept", "HR"), Selection.equals("dept", "IT")
+        emp3 = Selection.equals("name", "emp3")
+        for query in (hr, it, emp3):
+            db.select(query, table="Emp")
+        db.insert("Emp", {"name": "Zoe", "dept": "HR", "salary": 9})
+        assert db.cache.stats()["invalidated_entries"] == 1
+        before = provider.handled
+        db.select(it, table="Emp")
+        db.select(emp3, table="Emp")
+        assert provider.handled == before  # untouched entries still serve
+        assert len(db.select(hr, table="Emp").relation) == 7
+
     def test_drop_table_clears_entries(self, db):
         db.select(Selection.equals("dept", "HR"), table="Emp")
         db.drop_table("Emp")
         assert len(db.cache) == 0
+
+
+class TestInFlightFence:
+    """A write during a read's round trip drops that read's fill -- whatever
+    the write evicts.  Deterministic: the reader is parked inside the
+    provider on an event, not raced against a clock."""
+
+    @pytest.fixture
+    def gated(self, secret_key, rng):
+        provider = GatedServer()
+        db = EncryptedDatabase.open(secret_key, server=provider, rng=rng, cache=True)
+        db.create_table(EMP_DECL, rows=ROWS)
+        return provider, db
+
+    def _insert_while_reading(self, provider, db, row) -> list[bool]:
+        """``db`` inserts ``row`` while its own select of emp5 is at the
+        provider; returns what the reader's ``put`` said."""
+        fills = []
+        real_put = db.cache.put
+
+        def put(*args):
+            fills.append(real_put(*args))
+            return fills[-1]
+
+        db.cache.put = put
+        gate = provider.gate("Emp")
+        reader = threading.Thread(
+            target=db.select, args=(Selection.equals("name", "emp5"), "Emp")
+        )
+        reader.start()
+        assert provider.entered["Emp"].wait(timeout=10)
+        del provider.gates["Emp"]  # only the parked reader still waits on the event
+        try:
+            db.insert("Emp", row)
+        finally:
+            gate.set()
+            reader.join(timeout=10)
+        assert not reader.is_alive()
+        return fills
+
+    def _hits(self, db, query) -> bool:
+        before = db.cache.stats()["hits"]
+        db.select(query, table="Emp")
+        return db.cache.stats()["hits"] == before + 1
+
+    def test_a_write_the_read_matches_drops_the_fill_and_the_entry(self, gated):
+        provider, db = gated
+        hr, it = Selection.equals("dept", "HR"), Selection.equals("dept", "IT")
+        db.select(hr, table="Emp")
+        db.select(it, table="Emp")
+        fills = self._insert_while_reading(provider, db, ("emp5", "HR", 7))
+        assert fills == [False]
+        assert not self._hits(db, Selection.equals("name", "emp5"))
+        assert not self._hits(db, hr)  # the row satisfies it: evicted
+        assert self._hits(db, it)
+        names = [t["name"] for t in db.select(hr, table="Emp").relation]
+        assert names.count("emp5") == 2
+
+    def test_an_unrelated_write_drops_the_fill_and_nothing_else(self, gated):
+        provider, db = gated
+        cached = [
+            Selection.equals("dept", "HR"),
+            Selection.equals("name", "emp3"),
+            Selection.equals("salary", 1004),
+        ]
+        for query in cached:
+            db.select(query, table="Emp")
+        fills = self._insert_while_reading(provider, db, ("zoe", "OPS", 9))
+        assert fills == [False]  # the fence is relation-wide, as before
+        assert db.cache.stats()["invalidated_entries"] == 0
+        assert all(self._hits(db, query) for query in cached)
+        assert not self._hits(db, Selection.equals("name", "emp5"))
 
 
 class TestEquivalenceUnderInterleavedWrites:

@@ -1,11 +1,13 @@
-"""A dishonest provider used by the hostile-result tests.
+"""Misbehaving providers used by the hostile-result and failed-write tests.
 
 Lives next to ``tests/conftest.py`` (which puts this directory on
-``sys.path``), like :mod:`gated_provider`.  It stores and evaluates
-honestly and then rewrites the body of its ``QUERY_RESULT`` responses, so
-the client's result path (wire decode, MAC verification, tuple decode,
-filter) meets bytes an honest provider would never send -- in-process or
-behind a :class:`~repro.net.ThreadedTcpServer`.
+``sys.path``), like :mod:`gated_provider`.  :class:`MutatingServer` stores
+and evaluates honestly and then rewrites the body of its ``QUERY_RESULT``
+responses, so the client's result path (wire decode, MAC verification,
+tuple decode, filter) meets bytes an honest provider would never send --
+in-process or behind a :class:`~repro.net.ThreadedTcpServer`.
+:class:`FailingServer` loses one chosen request or its reply, so a write
+fails on the client after part of it (or all of it) reached the store.
 """
 
 from __future__ import annotations
@@ -41,6 +43,29 @@ class MutatingServer(OutsourcedDatabaseServer):
             relation_name=message.relation_name,
             body=self.mutate(message.body),
         ).to_bytes()
+
+
+class FailingServer(OutsourcedDatabaseServer):
+    """A provider that fails the next request of one kind, one time.
+
+    ``fail = (kind, lands)``: the next ``kind`` request raises
+    ``ConnectionError`` -- after being applied when ``lands`` (the reply
+    was lost), instead of it otherwise (the request was lost).
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.fail: tuple[MessageKind, bool] | None = None
+
+    def handle_message(self, raw: bytes) -> bytes:
+        kind = parse_message(raw).kind
+        if self.fail is not None and kind is self.fail[0]:
+            _, lands = self.fail
+            self.fail = None
+            if lands:
+                super().handle_message(raw)
+            raise ConnectionError(f"injected failure on {kind.value}")
+        return super().handle_message(raw)
 
 
 def rewriting_tuples(
