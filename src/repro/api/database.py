@@ -35,7 +35,11 @@ import time
 from dataclasses import dataclass
 
 from repro.cache import CacheError, ResultCache, coerce_cache_config
-from repro.core.dph import DatabasePrivacyHomomorphism, EvaluationResult
+from repro.core.dph import (
+    DatabasePrivacyHomomorphism,
+    DecryptionReport,
+    EvaluationResult,
+)
 from repro.crypto.keys import SecretKey
 from repro.crypto.rng import RandomSource
 from repro.index.client import TableIndexer
@@ -95,22 +99,48 @@ class TableHandle:
     indexer: TableIndexer | None = None
 
 
-def _cache_key(parsed: Query, token: bytes) -> tuple | None:
-    """Where the cached answer to ``parsed`` lives: ``(token, conjuncts)``.
+#: Distinct ``(SQL text, table argument)`` pairs whose parse a session keeps
+#: (about 0.6 KB each; cf. ``protocol.SCHEMA_MEMO_SIZE``).  A full memo
+#: starts over, which costs the hot statements one parse each.
+STATEMENT_MEMO_SIZE = 2048
 
-    The ``(attribute, value)`` conjuncts are part of the key because the
-    token alone does not name the answer: a scheme may encrypt two queries
-    to one token (two salaries of one bucket) while an index lookup tells
-    them apart.  Their first pair is the entry's eviction tag (see
+
+def _cache_key(parsed: Query) -> tuple | None:
+    """Where the cached answer to ``parsed`` lives: its ``(attribute, value)`` conjuncts.
+
+    The conjuncts name the answer -- the encrypted query is a function of
+    them, and two queries may even share one (two salaries of one bucket)
+    while an index lookup tells them apart -- so a hit needs no ``Eq`` at
+    all.  The first pair is the entry's eviction tag (see
     :meth:`EncryptedDatabase._invalidate_cache`).  ``None`` -- a value that
     cannot be hashed -- means the read bypasses the cache.
     """
-    key = (token, tuple((p.attribute, p.value) for p in selection_predicates(parsed)))
+    key = tuple((p.attribute, p.value) for p in selection_predicates(parsed))
     try:
         hash(key)
     except TypeError:
         return None
     return key
+
+
+class _Answer:
+    """One query's answer as the session holds (and caches) it.
+
+    ``evaluation`` is the provider's ciphertext reply, which ``update`` and
+    ``delete`` address tuple ids from.  ``decrypted`` is what the first
+    ``select`` made of it -- ``(rows, returned, false_positives, kept)``,
+    the rows an immutable tuple of immutable tuples -- snapshotted before
+    any caller sees the relation, so every later hit hands out a fresh
+    :class:`Relation` over rows nobody can change.  Immutable by
+    convention: the one late write fills ``decrypted`` with a value that
+    depends on ``evaluation`` alone, so racing fills agree.
+    """
+
+    __slots__ = ("evaluation", "decrypted")
+
+    def __init__(self, evaluation: EvaluationResult) -> None:
+        self.evaluation = evaluation
+        self.decrypted: tuple | None = None
 
 
 class EncryptedDatabase:
@@ -148,6 +178,11 @@ class EncryptedDatabase:
         self._trace_buffer = TraceBuffer()
         self._slow_queries = SlowQueryLog()
         self._last_trace_id: bytes | None = None
+        self._op_seconds: dict = {}  # op kind -> its session_op_seconds histogram
+        # (SQL text, table argument) -> (relation name, Query).  Literals are
+        # typed by the schema, so every DDL swaps in a fresh dict; a parse
+        # in flight then fills the dict it started from, which nobody reads.
+        self._statements: dict[tuple, tuple[str, Query]] = {}
         # The client-side hot-key result cache (see repro.cache and
         # _cache_key): a write of this session evicts what its rows can satisfy.
         try:
@@ -575,9 +610,12 @@ class EncryptedDatabase:
             self._last_trace_id = trace.trace_id
             self._trace_buffer.record(trace)
             self._slow_queries.observe(trace)
-            self._metrics.histogram(
-                "session_op_seconds", op_kind=op_kind
-            ).observe(time.monotonic() - started)
+            histogram = self._op_seconds.get(op_kind)
+            if histogram is None:
+                histogram = self._op_seconds[op_kind] = self._metrics.histogram(
+                    "session_op_seconds", op_kind=op_kind
+                )
+            histogram.observe(time.monotonic() - started)
 
     def close(self) -> None:
         """Release the session's transport resources (a no-op in-process).
@@ -642,7 +680,7 @@ class EncryptedDatabase:
                 expect=MessageKind.ACK,
             )
         except DatabaseError:
-            del self._tables[name]
+            self._unbind_table(name)
             raise
         finally:
             self._invalidate_cache(name)
@@ -713,7 +751,12 @@ class EncryptedDatabase:
         handle = TableHandle(name=name, schema=schema, scheme=scheme, indexer=indexer)
         self._server.register_evaluator(name, scheme.server_evaluator())
         self._tables[name] = handle
+        self._statements = {}
         return handle
+
+    def _unbind_table(self, name: str) -> None:
+        del self._tables[name]
+        self._statements = {}
 
     def drop_table(self, name: str) -> None:
         """Drop a table from the session and the provider.
@@ -726,11 +769,11 @@ class EncryptedDatabase:
         try:
             self._server.drop_relation(name)
         except ServerError as exc:
-            del self._tables[name]
+            self._unbind_table(name)
             raise DatabaseError(str(exc)) from exc
         finally:
             self._invalidate_cache(name)
-        del self._tables[name]
+        self._unbind_table(name)
 
     # ------------------------------------------------------------------ #
     # Writes
@@ -839,8 +882,7 @@ class EncryptedDatabase:
             name, parsed = self._resolve(query, table)
             op_span.annotations["table"] = name
             handle = self.table(name)
-            result = self._run_query(handle, parsed)
-            return self._outcome(handle, result, parsed)
+            return self._outcome(handle, self._run_query(handle, parsed), parsed)
 
     def select_many(
         self, queries, table: str | None = None
@@ -864,27 +906,26 @@ class EncryptedDatabase:
             op_span.annotations["table"] = name
             op_span.annotations["batch_size"] = len(resolved)
             handle = self.table(name)
-            encrypted = [handle.scheme.encrypt_query(parsed) for _, parsed in resolved]
-            results: list[EvaluationResult | None] = [None] * len(resolved)
+            answers: list[_Answer | None] = [None] * len(resolved)
             keys: list[tuple | None] = [None] * len(resolved)
             if self._cache is not None:
-                # Serve what we can from the cache and ship only the misses
-                # in the batch round trip (an all-hit batch skips it).
-                keys = [
-                    _cache_key(parsed, protocol.encode_encrypted_query(e))
-                    for (_, parsed), e in zip(resolved, encrypted)
-                ]
+                # Serve what we can from the cache; only the misses are
+                # encrypted and shipped (an all-hit batch does neither).
+                keys = [_cache_key(parsed) for _, parsed in resolved]
                 for position, key in enumerate(keys):
                     if key is not None:
-                        results[position] = self._cache.lookup(name, key)
+                        answers[position] = self._cache.lookup(name, key)
                 generation = self._cache.generation(name)
-            missing = [i for i, result in enumerate(results) if result is None]
+            missing = [i for i, answer in enumerate(answers) if answer is None]
             op_span.annotations["batch_misses"] = len(missing)
             if missing:
+                encrypted = [
+                    handle.scheme.encrypt_query(resolved[i][1]) for i in missing
+                ]
                 response = self._request(
                     MessageKind.BATCH_QUERY,
                     name,
-                    protocol.encode_query_batch([encrypted[i] for i in missing]),
+                    protocol.encode_query_batch(encrypted),
                     expect=MessageKind.BATCH_RESULT,
                 )
                 fetched = protocol.decode_result_batch(response.body)
@@ -894,13 +935,15 @@ class EncryptedDatabase:
                         f"for {len(missing)} queries"
                     )
                 for position, result in zip(missing, fetched):
-                    results[position] = result
+                    answers[position] = _Answer(result)
                     key = keys[position]
                     if key is not None:
-                        self._cache.put(name, key, result, generation, key[1][:1])
+                        self._cache.put(
+                            name, key, answers[position], generation, key[:1]
+                        )
             return [
-                self._outcome(handle, result, parsed)
-                for result, (_, parsed) in zip(results, resolved)
+                self._outcome(handle, answer, parsed)
+                for answer, (_, parsed) in zip(answers, resolved)
             ]
 
     def retrieve_all(self, table: str) -> Relation:
@@ -975,6 +1018,10 @@ class EncryptedDatabase:
     def _resolve(self, query: Query | str, table: str | None) -> tuple[str, Query]:
         """Route a query (AST node or SQL text) to a table of this session."""
         if isinstance(query, str):
+            memo = self._statements
+            resolved = memo.get((query, table))
+            if resolved is not None:
+                return resolved
 
             def schema_of(relation_name: str) -> RelationSchema:
                 if table is not None and table != relation_name:
@@ -984,9 +1031,13 @@ class EncryptedDatabase:
                 return self.table(relation_name).schema
 
             # One parse: the lookup routes by the FROM clause and hands back
-            # the schema that types the bare literals.
+            # the schema that types the bare literals.  A parse that raises
+            # never gets here, so it is never memoised.
             parsed = parse_sql(query, schema_of)
-            return parsed.relation_name, parsed.query
+            if len(memo) >= STATEMENT_MEMO_SIZE:
+                memo.clear()
+            memo[(query, table)] = resolved = (parsed.relation_name, parsed.query)
+            return resolved
         if table is None:
             if len(self._tables) != 1:
                 raise DatabaseError(
@@ -1000,32 +1051,30 @@ class EncryptedDatabase:
             validate(self.table(table).schema)
         return table, parsed
 
-    def _run_query(self, handle: TableHandle, parsed: Query) -> EvaluationResult:
+    def _run_query(self, handle: TableHandle, parsed: Query) -> _Answer:
         """One encrypted read for an already-resolved query, cache included.
 
-        On cache-enabled sessions the encoded encrypted query is the cache
-        token (see :func:`_cache_key`): schemes encrypt queries
-        deterministically, so a hot query repeats byte-identically and its
-        result is served from memory with no round trip.  The fill is
-        generation-checked (see :class:`~repro.cache.ResultCache`): a
-        write landing while the read was in flight drops the fill instead
-        of caching a stale answer.
+        On cache-enabled sessions the query's conjuncts are the cache key
+        (see :func:`_cache_key`), so a hot query costs no ``Eq``, no round
+        trip and -- once a select has decrypted the entry -- no ``D``.  The
+        fill is generation-checked (see :class:`~repro.cache.ResultCache`):
+        a write landing while the read was in flight drops the fill
+        instead of caching a stale answer.
         """
-        encrypted_query = handle.scheme.encrypt_query(parsed)
-        token = protocol.encode_encrypted_query(encrypted_query)
-        key = None if self._cache is None else _cache_key(parsed, token)
+        key = None if self._cache is None else _cache_key(parsed)
         if key is not None:
             cached = self._cache.lookup(handle.name, key)
             if cached is not None:
                 return cached
             generation = self._cache.generation(handle.name)
-        result = self._fetch_query_result(handle, parsed, encrypted_query, token)
+        encrypted_query = handle.scheme.encrypt_query(parsed)
+        answer = _Answer(self._fetch_query_result(handle, parsed, encrypted_query))
         if key is not None:
-            self._cache.put(handle.name, key, result, generation, key[1][:1])
-        return result
+            self._cache.put(handle.name, key, answer, generation, key[:1])
+        return answer
 
     def _fetch_query_result(
-        self, handle: TableHandle, parsed: Query, encrypted_query, token: bytes
+        self, handle: TableHandle, parsed: Query, encrypted_query
     ) -> EvaluationResult:
         """The provider round trip behind :meth:`_run_query`.
 
@@ -1056,7 +1105,7 @@ class EncryptedDatabase:
         response = self._request(
             MessageKind.QUERY,
             handle.name,
-            token,
+            protocol.encode_encrypted_query(encrypted_query),
             expect=MessageKind.QUERY_RESULT,
         )
         return self._decode_query_result(response)
@@ -1125,7 +1174,7 @@ class EncryptedDatabase:
     ) -> list[tuple]:
         """Decrypted true matches of a query: ``(encrypted_tuple, plaintext)`` pairs."""
         handle = self.table(name)
-        result = self._run_query(handle, parsed)
+        result = self._run_query(handle, parsed).evaluation
         predicates = selection_predicates(parsed)
         matches = []
         for encrypted_tuple in result.matching.encrypted_tuples:
@@ -1135,13 +1184,28 @@ class EncryptedDatabase:
         return matches
 
     def _outcome(
-        self, handle: TableHandle, result: EvaluationResult, parsed: Query
+        self, handle: TableHandle, answer: _Answer, parsed: Query
     ) -> SelectOutcome:
-        report = handle.scheme.decrypt_result(result, parsed)
+        """The caller's own copy of an answer: decrypt once, copy row pointers after."""
+        if answer.decrypted is None:
+            report = handle.scheme.decrypt_result(answer.evaluation, parsed)
+            answer.decrypted = (
+                report.relation.tuples,
+                report.returned,
+                report.false_positives,
+                report.kept,
+            )
+        else:
+            rows, returned, false_positives, kept = answer.decrypted
+            report = DecryptionReport(
+                Relation(handle.schema, rows), returned, false_positives, kept
+            )
         projected = None
         if isinstance(parsed, Projection) and parsed.attributes:
             projected = report.relation.project(list(parsed.attributes))
-        return SelectOutcome(report=report, projected_rows=projected, evaluation=result)
+        return SelectOutcome(
+            report=report, projected_rows=projected, evaluation=answer.evaluation
+        )
 
     def _as_tuple(self, handle: TableHandle, row) -> RelationTuple:
         if isinstance(row, RelationTuple):

@@ -6,10 +6,11 @@ absorbs those repeats before they cost a provider round trip, at two
 levels of the stack:
 
 * a **client-side** cache inside
-  :class:`~repro.api.database.EncryptedDatabase`, keyed on the encrypted
-  query token and the query's own conjuncts (it lives beside the key, in
-  the one party that sees plaintext); a write of the session evicts only
-  the cached queries its rows can satisfy;
+  :class:`~repro.api.database.EncryptedDatabase`, keyed on the query's
+  own conjuncts and holding the ciphertext answer plus the rows decrypted
+  from it (it lives beside the key, in the one party that sees
+  plaintext); a write of the session evicts only the cached queries its
+  rows can satisfy;
 * a **coordinator-side** cache inside
   :class:`~repro.cluster.router.ShardRouter`, shared by every session
   routed through the coordinator, sitting in front of the scatter /

@@ -4,9 +4,12 @@ One :class:`ResultCache` backs both tiers of the hot-key cache (the
 client session's and the coordinator's).  Entries are keyed on
 ``(relation, token)`` where *token* is opaque to the cache: the raw
 request body on the coordinator tier, which therefore holds nothing the
-provider has not already seen on the wire; the encoded encrypted query
-plus the query's own ``(attribute, value)`` conjuncts on the client
-tier, which lives in the key-holder's memory.  An entry may also be
+provider has not already seen on the wire; the query's own
+``(attribute, value)`` conjuncts on the client tier, which lives in the
+key-holder's memory and may therefore hold plaintext -- there the value
+is the provider's ciphertext answer plus the rows the session decrypted
+from it (see ``repro.api.database._Answer``); the cache itself never
+looks inside a value.  An entry may also be
 *filed* under eviction tags: hashable values the owner chooses and the
 cache only ever hashes and compares (the session uses the first conjunct
 of the query; the keyless coordinator files under none).
@@ -50,10 +53,11 @@ Counters (``cache_hits_total``, ``cache_misses_total``,
 ``cache_evictions_total``, ``cache_invalidations_total`` -- one per
 invalidating call -- and ``cache_invalidated_entries_total`` -- the
 entries those calls dropped, which tells precise from wholesale) and
-gauges (``cache_entries``, ``cache_hit_ratio``) are registered in the owning
-component's :class:`~repro.obs.MetricsRegistry` labelled with the cache
-``tier``, so they ride the existing snapshot/merge/Prometheus plane and
-show up in ``repro stats``.  :meth:`~ResultCache.lookup` records a
+gauges (``cache_entries``, ``cache_hit_ratio``; computed when read, so a
+lookup pays for neither) are registered in the owning component's
+:class:`~repro.obs.MetricsRegistry` labelled with the cache ``tier``, so
+they ride the existing snapshot/merge/Prometheus plane and show up in
+``repro stats``.  :meth:`~ResultCache.lookup` records a
 ``cache.lookup`` trace span with the outcome.
 """
 
@@ -185,8 +189,10 @@ class ResultCache:
         self._invalidated_entries = registry.counter(
             "cache_invalidated_entries_total", tier=tier
         )
-        self._entries_gauge = registry.gauge("cache_entries", tier=tier)
-        self._hit_ratio = registry.gauge("cache_hit_ratio", tier=tier)
+        registry.gauge("cache_entries", tier=tier).set_function(
+            lambda: len(self._entries)
+        )
+        registry.gauge("cache_hit_ratio", tier=tier).set_function(self._hit_ratio)
 
     @property
     def config(self) -> CacheConfig:
@@ -230,11 +236,9 @@ class ResultCache:
                 entry = None
             if entry is None:
                 self._misses.inc()
-                self._refresh_gauges_locked()
                 return None
             self._entries.move_to_end(key)
             self._hits.inc()
-            self._refresh_gauges_locked()
             return entry.value
 
     def put(
@@ -274,7 +278,6 @@ class ResultCache:
             while len(self._entries) > self._config.max_entries:
                 self._drop_locked(next(iter(self._entries)))
                 self._evictions.inc()
-            self._refresh_gauges_locked()
             return True
 
     # ------------------------------------------------------------------ #
@@ -309,7 +312,6 @@ class ResultCache:
                         self._drop_locked(key)
                         dropped += 1
             self._invalidated_entries.inc(dropped)
-            self._refresh_gauges_locked()
 
     def flush(self) -> None:
         """Drop everything and fence *all* in-flight fills (epoch bump).
@@ -324,7 +326,6 @@ class ResultCache:
             self._invalidated_entries.inc(len(self._entries))
             self._entries.clear()
             self._index.clear()
-            self._refresh_gauges_locked()
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -337,20 +338,17 @@ class ResultCache:
     def stats(self) -> dict:
         """A JSON-able summary (the ``cluster status`` / smoke-test surface)."""
         with self._lock:
-            hits = self._hits.value
-            misses = self._misses.value
-            lookups = hits + misses
             return {
                 "tier": self._tier,
                 "entries": len(self._entries),
                 "max_entries": self._config.max_entries,
                 "ttl_s": self._config.ttl_s,
-                "hits": hits,
-                "misses": misses,
+                "hits": self._hits.value,
+                "misses": self._misses.value,
                 "evictions": self._evictions.value,
                 "invalidations": self._invalidations.value,
                 "invalidated_entries": self._invalidated_entries.value,
-                "hit_ratio": (hits / lookups) if lookups else 0.0,
+                "hit_ratio": self._hit_ratio(),
             }
 
     def _drop_locked(self, key: tuple[str, Hashable]) -> None:
@@ -367,8 +365,7 @@ class ResultCache:
         if not filed:
             del self._index[key[0]]
 
-    def _refresh_gauges_locked(self) -> None:
-        self._entries_gauge.set(len(self._entries))
+    def _hit_ratio(self) -> float:
         hits = self._hits.value
         lookups = hits + self._misses.value
-        self._hit_ratio.set((hits / lookups) if lookups else 0.0)
+        return (hits / lookups) if lookups else 0.0

@@ -68,11 +68,17 @@ class Gauge:
     def __init__(self, lock: threading.Lock) -> None:
         self._lock = lock
         self._value = 0
+        self._read = None
 
     @property
     def value(self) -> int | float:
         with self._lock:
-            return self._value
+            return self._value if self._read is None else self._read()
+
+    def set_function(self, read) -> None:
+        """Report ``read()`` at every reading: a value derived from other state."""
+        with self._lock:
+            self._read = read
 
     def set(self, value: int | float) -> None:
         with self._lock:

@@ -414,6 +414,35 @@ class TestObservability:
         assert misses and misses[0]["value"] == 1
         assert any(g["name"] == "cache_hit_ratio" for g in snapshot["gauges"])
 
+    def test_gauges_are_computed_when_read(self):
+        """No lookup writes a gauge, yet every reading is current."""
+        from repro.obs import MetricsRegistry, render_prometheus
+
+        registry = MetricsRegistry()
+        clock = FakeClock()
+        cache = ResultCache(CacheConfig(ttl_s=10.0), metrics=registry, clock=clock)
+
+        def gauges():
+            return {g["name"]: g["value"] for g in registry.snapshot()["gauges"]}
+
+        assert gauges() == {"cache_entries": 0, "cache_hit_ratio": 0.0}
+        for token in (b"a", b"b", b"c"):
+            _fill(cache, "Emp", token, token, tags=[token])
+        for _ in range(6):
+            assert cache.get("Emp", b"a") == b"a"  # N = 6 hits
+        for _ in range(2):
+            assert cache.get("Emp", b"z") is None  # M = 2 misses
+        assert gauges() == {"cache_entries": 3, "cache_hit_ratio": 6 / 8}
+        assert cache.stats()["hit_ratio"] == 6 / 8
+        assert 'cache_hit_ratio{tier="client"} 0.75' in render_prometheus(registry.snapshot())
+        cache.invalidate("Emp", [b"c"])
+        assert gauges()["cache_entries"] == 2
+        clock.advance(11.0)
+        assert cache.get("Emp", b"b") is None  # the TTL drop changes the count
+        assert gauges() == {"cache_entries": 1, "cache_hit_ratio": 6 / 9}
+        cache.flush()
+        assert gauges()["cache_entries"] == 0
+
     def test_invalidated_entries_counter_is_labelled_by_tier(self):
         from repro.obs import MetricsRegistry
 

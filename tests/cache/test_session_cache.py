@@ -8,14 +8,15 @@ from cache-off except in round-trip count.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
 
 from gated_provider import GatedServer
-from repro.api import DatabaseError, EncryptedDatabase
+from repro.api import DatabaseError, EncryptedDatabase, database
 from repro.outsourcing import OutsourcedDatabaseServer
-from repro.relational import Selection
+from repro.relational import QueryError, Selection
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
 ROWS = [(f"emp{i}", "HR" if i % 2 else "IT", 1000 + i) for i in range(12)]
@@ -108,6 +109,186 @@ class TestReadPath:
             outcome = db.select(Selection.equals("salary", salary), table="Emp")
             assert [t["salary"] for t in outcome.relation] == [salary]
         assert db.cache.stats()["hits"] == 2
+
+
+@pytest.fixture
+def calls(db, monkeypatch):
+    """Counts of the work a hit must not do: parse, ``Eq``, ``D``."""
+    counts = {"parse_sql": 0, "encrypt_query": 0, "decrypt_result": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(database, "parse_sql", counting("parse_sql", database.parse_sql))
+    scheme = db.table("Emp").scheme
+    for name in ("encrypt_query", "decrypt_result"):
+        monkeypatch.setattr(scheme, name, counting(name, getattr(scheme, name)))
+    return counts
+
+
+class TestHitPath:
+    """A hit is a dictionary probe and a copy of row pointers."""
+
+    SQL = "SELECT name FROM Emp WHERE dept = 'HR'"
+
+    def test_a_warm_select_parses_encrypts_and_decrypts_nothing(self, db, calls, provider):
+        fill = db.select(self.SQL)
+        assert calls == {"parse_sql": 1, "encrypt_query": 1, "decrypt_result": 1}
+        before = provider.handled
+        hits = [db.select(self.SQL) for _ in range(3)]
+        assert calls == {"parse_sql": 1, "encrypt_query": 1, "decrypt_result": 1}
+        assert provider.handled == before
+        for hit in hits:
+            assert _rows(hit) == _rows(fill)
+            assert hit.projected_rows == fill.projected_rows
+            assert hit.evaluation is fill.evaluation
+
+    def test_an_all_hit_batch_encrypts_nothing(self, db, calls, provider):
+        queries = [Selection.equals("dept", "HR"), Selection.equals("dept", "IT")]
+        fill = db.select_many(queries, table="Emp")
+        assert calls["encrypt_query"] == 2
+        before = provider.handled
+        hit = db.select_many(queries, table="Emp")
+        assert calls["encrypt_query"] == 2 and calls["decrypt_result"] == 2
+        assert provider.handled == before
+        assert [_rows(o) for o in hit] == [_rows(o) for o in fill]
+
+    def test_a_partial_hit_batch_encrypts_only_the_misses(self, db, calls):
+        db.select(Selection.equals("dept", "HR"), table="Emp")
+        db.select_many(
+            [Selection.equals("dept", "HR"), Selection.equals("dept", "IT")], table="Emp"
+        )
+        assert calls["encrypt_query"] == 2
+
+    def test_projection_is_per_call_over_one_entry(self, db, calls):
+        star = db.select("SELECT * FROM Emp WHERE dept = 'HR'")
+        names = db.select(self.SQL)
+        assert calls["decrypt_result"] == 1 and len(db.cache) == 1
+        assert star.projected_rows is None
+        assert sorted(names.projected_rows) == sorted((t["name"],) for t in star.relation)
+
+    def test_what_a_select_returns_is_the_callers_to_change(self, db):
+        fill = db.select(self.SQL)
+        fill.relation.add({"name": "Zoe", "dept": "HR", "salary": 1})
+        fill.projected_rows.append(("Zoe",))
+        first, second = db.select(self.SQL), db.select(self.SQL)
+        assert first.relation is not second.relation is not fill.relation
+        assert first.projected_rows is not second.projected_rows
+        first.relation.add({"name": "Yan", "dept": "HR", "salary": 2})
+        first.projected_rows.clear()
+        for outcome in (second, db.select(self.SQL), *db.select_many([self.SQL] * 2)):
+            assert len(outcome.relation) == len(outcome.projected_rows) == 6
+            assert outcome.report.kept == 6
+
+    def test_a_hit_reports_the_false_positives_of_the_fill(self, secret_key, rng):
+        db = EncryptedDatabase.open(secret_key, scheme="bucketization", cache=True, rng=rng)
+        db.create_table(EMP_DECL, rows=ROWS)
+        query = Selection.equals("salary", 1003)
+        fill = db.select(query, table="Emp")
+        hit = db.select(query, table="Emp")
+        assert db.cache.stats()["hits"] == 1
+        assert fill.false_positives > 0  # the bucket holds more than one salary
+        for field in ("returned", "false_positives", "kept"):
+            assert getattr(hit.report, field) == getattr(fill.report, field)
+        assert _rows(hit) == _rows(fill) == [("emp3", "HR", 1003)]
+
+    def test_equal_conjunct_values_share_an_entry_and_an_answer(self, db, calls):
+        class Salary(int):
+            """A valid integer that is not ``int`` itself."""
+
+        assert database._cache_key(Selection.equals("salary", 1003)) == database._cache_key(
+            Selection.equals("salary", 1003.0)
+        )
+        fill = db.select(Selection.equals("salary", 1003), table="Emp")
+        hit = db.select(Selection.equals("salary", Salary(1003)), table="Emp")
+        assert calls["encrypt_query"] == 1 and len(db.cache) == 1
+        assert _rows(hit) == _rows(fill) == [("emp3", "HR", 1003)]
+        for _ in range(2):  # a float is refused warm as it is cold
+            with pytest.raises(QueryError, match="expected int, got float"):
+                db.select(Selection.equals("salary", 1003.0), table="Emp")
+
+    def test_a_bad_literal_raises_warm_as_cold(self, db):
+        db.select("SELECT * FROM Emp WHERE salary = 1003")
+        for _ in range(2):
+            with pytest.raises(QueryError, match="expected int"):
+                db.select("SELECT * FROM Emp WHERE salary = '1003'")
+            with pytest.raises(DatabaseError, match="caller said 'Dept'"):
+                db.select("SELECT * FROM Emp WHERE salary = 1003", table="Dept")
+
+    def test_a_dropped_table_raises_warm_as_cold(self, db, secret_key):
+        cold = EncryptedDatabase.open(secret_key, cache=True)
+        with pytest.raises(DatabaseError) as cold_error:
+            cold.select(self.SQL)
+        db.select(self.SQL)
+        db.drop_table("Emp")
+        for query, table in ((self.SQL, None), (Selection.equals("dept", "HR"), "Emp")):
+            with pytest.raises(DatabaseError) as warm_error:
+                db.select(query, table=table)
+            assert str(warm_error.value) == str(cold_error.value)
+
+    def test_concurrent_cold_selects_agree_with_the_oracle(self, db, secret_key, provider):
+        plain = EncryptedDatabase.open(secret_key, server=provider)
+        plain.attach_table(EMP_DECL)
+        want = _rows(plain.select(self.SQL))
+        got, errors = [], []
+        barrier = threading.Barrier(8)
+
+        def reader():
+            try:
+                barrier.wait(timeout=10)
+                for _ in range(20):
+                    outcome = db.select(self.SQL)
+                    got.append((_rows(outcome), sorted(outcome.projected_rows)))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        assert len(got) == 160
+        assert all(answer == (want, sorted((r[0],) for r in want)) for answer in got)
+
+
+class TestWritesReadTheCachedCiphertext:
+    """``update`` / ``delete`` address tuple ids out of the cached entry."""
+
+    def test_delete_after_a_cached_select(self, db, calls, provider):
+        where = Selection.equals("name", "emp3")
+        db.select(where, table="Emp")
+        assert db.delete(where, table="Emp") == 1
+        assert calls["encrypt_query"] == 1  # the delete read the cached answer
+        assert len(db.select(where, table="Emp").relation) == 0
+        assert calls["encrypt_query"] == 2  # ... and evicted it
+        assert db.count("Emp") == len(ROWS) - 1
+        assert len(db.select(Selection.equals("dept", "HR"), table="Emp").relation) == 5
+
+    def test_update_after_a_cached_select(self, db, calls):
+        where = Selection.equals("name", "emp4")
+        old = db.select(where, table="Emp").evaluation.matching.encrypted_tuples[0]
+        assert db.update(where, {"salary": 5}, table="Emp") == 1
+        assert calls["encrypt_query"] == 1
+        new = db.select(where, table="Emp")
+        assert [t["salary"] for t in new.relation] == [5]
+        assert new.evaluation.matching.encrypted_tuples[0].tuple_id != old.tuple_id
+        assert db.count("Emp") == len(ROWS)
+
+    def test_a_write_that_matches_nothing_leaves_the_entry_to_the_next_select(self, db, calls):
+        where = Selection.equals("name", "nobody")
+        assert db.delete(where, table="Emp") == 0
+        assert len(db.select(where, table="Emp").relation) == 0
+        assert calls == {"parse_sql": 0, "encrypt_query": 1, "decrypt_result": 1}
 
 
 class TestWritePathInvalidation:

@@ -62,6 +62,17 @@ class TestRegistry:
         gauge.set(17)
         assert gauge.value == 17
 
+    def test_a_function_gauge_is_computed_at_every_reading(self):
+        registry = MetricsRegistry()
+        items: list = []
+        registry.gauge("items").set_function(lambda: len(items))
+        assert registry.gauge("items").value == 0
+        items.extend("ab")
+        assert registry.gauge("items").value == 2
+        assert registry.snapshot()["gauges"] == [
+            {"name": "items", "labels": {}, "value": 2}
+        ]
+
     def test_snapshot_shape(self):
         registry = MetricsRegistry()
         registry.counter("c", x="1").inc()
