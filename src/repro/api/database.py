@@ -31,7 +31,6 @@ predicate drove the mutation.
 from __future__ import annotations
 
 import contextlib
-import time
 from dataclasses import dataclass
 
 from repro.cache import CacheError, ResultCache, coerce_cache_config
@@ -52,12 +51,12 @@ from repro.index.wire import (
 from repro.obs import (
     MetricsRegistry,
     SlowQueryLog,
+    Span,
     Trace,
     TraceBuffer,
     current_trace,
     merge_snapshots,
     new_trace_id,
-    span as obs_span,
     use_trace,
 )
 from repro.outsourcing import protocol
@@ -143,6 +142,48 @@ class _Answer:
         self.decrypted: tuple | None = None
 
 
+class _TracedOperation:
+    """The ``with`` scope of one session operation; yields its root span.
+
+    Mints a fresh trace id, binds it as the ambient trace (every layer
+    below -- proxies, router, provider -- records spans against it and the
+    id rides the v3 envelope to remote providers), and on the way out files
+    the trace, feeds the slow-query log, and observes the per-op-kind
+    latency histogram.  Nested operations (an update's inner insert) join
+    the caller's trace as plain spans instead of minting their own.
+    """
+
+    __slots__ = ("_session", "_op_kind", "_trace", "_binding", "_span")
+
+    def __init__(self, session: "EncryptedDatabase", op_kind: str) -> None:
+        self._session = session
+        self._op_kind = op_kind
+
+    def __enter__(self) -> Span:
+        trace = current_trace()
+        self._trace = None
+        if trace is None:
+            self._trace = trace = Trace(new_trace_id())
+            self._binding = use_trace(trace)
+            self._binding.__enter__()
+        self._span = trace.span(f"session.{self._op_kind}")
+        return self._span.__enter__()
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        self._span.__exit__(exc_type, exc, traceback)
+        trace = self._trace
+        if trace is None:
+            return
+        self._binding.__exit__(exc_type, exc, traceback)
+        session = self._session
+        session._last_trace_id = trace.trace_id
+        session._trace_buffer.record(trace)
+        session._slow_queries.observe(trace)
+        session._metrics.histogram(
+            "session_op_seconds", op_kind=self._op_kind
+        ).observe(self._span.duration_s)
+
+
 class EncryptedDatabase:
     """A keyed, multi-relation session against an untrusted provider."""
 
@@ -178,7 +219,6 @@ class EncryptedDatabase:
         self._trace_buffer = TraceBuffer()
         self._slow_queries = SlowQueryLog()
         self._last_trace_id: bytes | None = None
-        self._op_seconds: dict = {}  # op kind -> its session_op_seconds histogram
         # (SQL text, table argument) -> (relation name, Query).  Literals are
         # typed by the schema, so every DDL swaps in a fresh dict; a parse
         # in flight then fills the dict it started from, which nobody reads.
@@ -585,37 +625,9 @@ class EncryptedDatabase:
             "spans": spans,
         }
 
-    @contextlib.contextmanager
-    def _traced(self, op_kind: str):
-        """Trace one session operation end to end.
-
-        Mints a fresh trace id, binds it as the ambient trace (every layer
-        below -- proxies, router, provider -- records spans against it and
-        the id rides the v3 envelope to remote providers), and on the way
-        out files the trace, feeds the slow-query log, and observes the
-        per-op-kind latency histogram.  Nested operations (an update's
-        inner insert) join the caller's trace as plain spans instead of
-        minting their own.
-        """
-        if current_trace() is not None:
-            with obs_span(f"session.{op_kind}") as entry:
-                yield entry
-            return
-        trace = Trace(new_trace_id())
-        started = time.monotonic()
-        try:
-            with use_trace(trace), trace.span(f"session.{op_kind}") as entry:
-                yield entry
-        finally:
-            self._last_trace_id = trace.trace_id
-            self._trace_buffer.record(trace)
-            self._slow_queries.observe(trace)
-            histogram = self._op_seconds.get(op_kind)
-            if histogram is None:
-                histogram = self._op_seconds[op_kind] = self._metrics.histogram(
-                    "session_op_seconds", op_kind=op_kind
-                )
-            histogram.observe(time.monotonic() - started)
+    def _traced(self, op_kind: str) -> "_TracedOperation":
+        """Trace one session operation end to end (see :class:`_TracedOperation`)."""
+        return _TracedOperation(self, op_kind)
 
     def close(self) -> None:
         """Release the session's transport resources (a no-op in-process).

@@ -267,6 +267,33 @@ class RemoteConnection:
             return "unreadable provider error"
 
 
+class _Checkout:
+    """One borrowed connection; broken ones are dropped on the way out.
+
+    A :class:`RemoteError` that is not a :class:`ConnectionLostError` means
+    a round trip *completed* and the provider answered ``ok: false`` -- the
+    connection is healthy and goes back to the pool.  Anything else
+    (transport failure, unexpected caller error) leaves the connection in
+    an unknown state, so it is closed instead.
+    """
+
+    __slots__ = ("_pool", "_connection")
+
+    def __init__(self, pool: "ConnectionPool") -> None:
+        self._pool = pool
+
+    def __enter__(self) -> "RemoteConnection":
+        self._connection = self._pool._borrow()
+        return self._connection
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        reusable = exc_type is None or (
+            issubclass(exc_type, RemoteError)
+            and not issubclass(exc_type, ConnectionLostError)
+        )
+        self._pool._give_back(self._connection, reusable)
+
+
 class ConnectionPool:
     """A bounded pool of :class:`RemoteConnection` for concurrent callers.
 
@@ -284,44 +311,31 @@ class ConnectionPool:
         self._idle: list[RemoteConnection] = []
         self._closed = False
 
-    @contextlib.contextmanager
-    def checkout(self):
-        """Borrow a connection; broken ones are dropped on the way out.
+    def checkout(self) -> "_Checkout":
+        """Borrow a connection for a ``with`` block (see :class:`_Checkout`)."""
+        return _Checkout(self)
 
-        A :class:`RemoteError` that is not a :class:`ConnectionLostError`
-        means a round trip *completed* and the provider answered ``ok:
-        false`` -- the connection is healthy and goes back to the pool.
-        Anything else (transport failure, unexpected caller error) leaves
-        the connection in an unknown state, so it is closed instead.
-        """
+    def _borrow(self) -> RemoteConnection:
         self._slots.acquire()
-        connection = None
-        reusable = False
         try:
             with self._lock:
                 if self._closed:
                     raise RemoteError("the connection pool is closed")
-                if self._idle:
-                    connection = self._idle.pop()
-            if connection is None:
-                connection = self._factory()
-            yield connection
-            reusable = True
-        except ConnectionLostError:
+                connection = self._idle.pop() if self._idle else None
+            return connection if connection is not None else self._factory()
+        except BaseException:
+            self._slots.release()
             raise
-        except RemoteError:
-            reusable = connection is not None
-            raise
+
+    def _give_back(self, connection: RemoteConnection, reusable: bool) -> None:
+        try:
+            with self._lock:
+                keep = reusable and not self._closed
+                if keep:
+                    self._idle.append(connection)
+            if not keep:
+                connection.close()
         finally:
-            if connection is not None:
-                if reusable:
-                    with self._lock:
-                        if self._closed:
-                            connection.close()
-                        else:
-                            self._idle.append(connection)
-                else:
-                    connection.close()
             self._slots.release()
 
     def discard_idle(self) -> None:

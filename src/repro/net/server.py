@@ -98,7 +98,11 @@ from repro.net.framing import (
 )
 from repro.outsourcing import protocol
 from repro.outsourcing.protocol import ProtocolError, negotiate_version
-from repro.outsourcing.server import OutsourcedDatabaseServer, ServerError
+from repro.outsourcing.server import (
+    UNKNOWN_RELATION,
+    OutsourcedDatabaseServer,
+    ServerError,
+)
 from repro.outsourcing.storage import StorageError
 
 #: Identifier the server announces in its hello response.
@@ -375,6 +379,11 @@ class DatabaseTcpServer:
         self._bounded_work = getattr(
             self._database, "bounded_work", lambda kind, relation_name: False
         )
+        # Likewise one that does not say which relations it knows gets the
+        # one fixed label: a peer's frames never mint metric labels.
+        self._metric_relation = getattr(
+            self._database, "metric_relation", lambda relation_name: UNKNOWN_RELATION
+        )
         self._inline_answers = 0  # touched on the event loop only
         self._asyncio_server: asyncio.AbstractServer | None = None
         self._connections: dict[asyncio.Task, ConnectionStats] = {}
@@ -645,7 +654,8 @@ class DatabaseTcpServer:
         ):
             self._inline_answers += 1
             self._metrics.counter(
-                "server_inline_answers_total", relation=relation_name
+                "server_inline_answers_total",
+                relation=self._metric_relation(relation_name),
             ).inc()
             connection.in_flight += 1  # shutdown waits for busy connections
             connection.peak_in_flight = max(connection.peak_in_flight, 1)
@@ -717,7 +727,8 @@ class DatabaseTcpServer:
         """
         queue_wait = time.monotonic() - submitted_mono
         self._metrics.histogram(
-            "server_dispatch_queue_seconds", relation=relation_name
+            "server_dispatch_queue_seconds",
+            relation=self._metric_relation(relation_name),
         ).observe(queue_wait)
         try:
             if trace_id is None:

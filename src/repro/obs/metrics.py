@@ -19,6 +19,7 @@ render to Prometheus text format with :func:`render_prometheus`.
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 import threading
@@ -128,6 +129,11 @@ class LatencyHistogram:
             self._count += 1
             self._sum += seconds
 
+    def read(self) -> tuple[int, float, list[int]]:
+        """``(count, sum, buckets)`` as of one instant."""
+        with self._lock:
+            return self._count, self._sum, list(self._buckets)
+
     def percentile(self, q: float) -> float:
         """Approximate the q-quantile (``q`` in [0, 1]) from bucket counts."""
         with self._lock:
@@ -135,12 +141,13 @@ class LatencyHistogram:
 
 
 def _bucket_index(seconds: float) -> int:
-    # Linear scan is fine: observations are rare relative to crypto work,
-    # and the early buckets (fast ops) exit almost immediately.
-    for index, bound in enumerate(BUCKET_BOUNDS):
-        if seconds <= bound:
-            return index
-    return len(BUCKET_BOUNDS)
+    # Bisection, not a scan: a cached or indexed select makes several
+    # observations beside a few tens of microseconds of work, and a 10 ms
+    # sample would walk 21 bounds.  NaN compares false with every bound, so
+    # bisect would file it first; it belongs in the overflow bucket.
+    if seconds != seconds:
+        return len(BUCKET_BOUNDS)
+    return bisect.bisect_left(BUCKET_BOUNDS, seconds)
 
 
 def percentile_from_buckets(buckets: list[int], q: float) -> float:
@@ -183,15 +190,25 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._instruments: dict[tuple, Counter | Gauge | LatencyHistogram] = {}
+        # (name, *labels.items()) as a call site spells it -> its instrument.
+        self._resolved: dict[tuple, Counter | Gauge | LatencyHistogram] = {}
         _REGISTRIES.add(self)
 
     def _instrument(self, factory, name: str, labels: dict):
-        key = (name, _label_key(labels))
-        with self._lock:
-            instrument = self._instruments.get(key)
-            if instrument is None:
-                instrument = factory(threading.Lock())
-                self._instruments[key] = instrument
+        # A label set is canonicalised (str, sorted) under the lock once per
+        # spelling; after that a call site resolves with one lock-free probe.
+        # Only all-str spellings are kept, so 1 / True / "1" never share one.
+        spelling = (name, *labels.items())
+        instrument = self._resolved.get(spelling)
+        if instrument is None:
+            key = (name, _label_key(labels))
+            with self._lock:
+                instrument = self._instruments.get(key)
+                if instrument is None:
+                    instrument = factory(threading.Lock())
+                    self._instruments[key] = instrument
+            if all(type(value) is str for value in labels.values()):
+                self._resolved[spelling] = instrument
         if not isinstance(instrument, factory):
             raise ValueError(
                 f"metric {name!r} is a {instrument.kind}, not a "
@@ -227,13 +244,14 @@ class MetricsRegistry:
                     {"name": name, "labels": labels, "value": instrument.value}
                 )
             else:
+                count, total, buckets = instrument.read()
                 histograms.append(
                     {
                         "name": name,
                         "labels": labels,
-                        "count": instrument.count,
-                        "sum": instrument.sum,
-                        "buckets": instrument.buckets,
+                        "count": count,
+                        "sum": total,
+                        "buckets": buckets,
                     }
                 )
         return {

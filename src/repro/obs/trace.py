@@ -24,13 +24,11 @@ the ``trace`` control operation and the ``repro trace`` CLI.
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import os
 import threading
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
 
 #: Size of a trace id in bytes (fixed: the v3 envelope appends exactly this
 #: many trailing bytes, which is what makes the O(1) attach/peek possible).
@@ -42,16 +40,46 @@ def new_trace_id() -> bytes:
     return os.urandom(TRACE_ID_SIZE)
 
 
-@dataclass
 class Span:
-    """One named, annotated time interval of a trace."""
+    """One named, annotated time interval of a trace.
 
-    name: str
-    #: Wall-clock start (``time.time()``), for cross-process alignment.
-    start_s: float = 0.0
-    #: Monotonic duration (``time.monotonic()`` delta), immune to clock steps.
-    duration_s: float = 0.0
-    annotations: dict = field(default_factory=dict)
+    A span is its own context manager: entering stamps the start, leaving
+    sets the duration and files the span on the trace it is bound to.
+    Bound to no trace it records nothing.
+    """
+
+    __slots__ = ("name", "start_s", "duration_s", "annotations", "_trace", "_started")
+
+    def __init__(
+        self,
+        name: str,
+        start_s: float = 0.0,
+        duration_s: float = 0.0,
+        annotations: dict | None = None,
+        trace: "Trace | None" = None,
+    ) -> None:
+        self.name = name
+        #: Wall-clock start (``time.time()``), for cross-process alignment.
+        self.start_s = start_s
+        #: Monotonic duration (``time.monotonic()`` delta), immune to clock steps.
+        self.duration_s = duration_s
+        self.annotations = {} if annotations is None else annotations
+        self._trace = trace
+
+    def __repr__(self) -> str:
+        return f"Span({self.as_dict()})"
+
+    def __enter__(self) -> "Span":
+        self.start_s = time.time()
+        self._started = time.monotonic()
+        return self
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        self.duration_s = time.monotonic() - self._started
+        trace = self._trace
+        if trace is not None:
+            self._trace = None  # filed once, and no span <-> trace cycle
+            trace.add_span(self)
 
     def as_dict(self) -> dict:
         return {
@@ -73,6 +101,9 @@ class Trace:
         self.trace_id = trace_id
         self._lock = threading.Lock()
         self._spans: list[Span] = []
+        # Wall-clock extent, kept as spans arrive so duration_s() is O(1).
+        self._start_s = float("inf")
+        self._end_s = 0.0
 
     @property
     def spans(self) -> list[Span]:
@@ -80,41 +111,33 @@ class Trace:
             return list(self._spans)
 
     def add_span(self, span: Span) -> None:
+        start = span.start_s
+        end = start + span.duration_s
         with self._lock:
             self._spans.append(span)
+            if start < self._start_s:
+                self._start_s = start
+            if end > self._end_s:
+                self._end_s = end
 
     def record(
         self, name: str, start_s: float, duration_s: float, **annotations
     ) -> Span:
         """Append an already-timed span (e.g. from a shard outcome)."""
-        span = Span(
-            name=name,
-            start_s=start_s,
-            duration_s=max(duration_s, 0.0),
-            annotations=annotations,
-        )
+        span = Span(name, start_s, max(duration_s, 0.0), annotations)
         self.add_span(span)
         return span
 
-    @contextlib.contextmanager
-    def span(self, name: str, **annotations):
-        """Record one span around a ``with`` block; yields the mutable span."""
-        entry = Span(name=name, start_s=time.time(), annotations=annotations)
-        started = time.monotonic()
-        try:
-            yield entry
-        finally:
-            entry.duration_s = time.monotonic() - started
-            self.add_span(entry)
+    def span(self, name: str, **annotations) -> Span:
+        """A span that records itself here around a ``with`` block."""
+        return Span(name, 0.0, 0.0, annotations, self)
 
     def duration_s(self) -> float:
         """Wall-clock extent of the trace (latest span end - earliest start)."""
-        spans = self.spans
-        if not spans:
-            return 0.0
-        start = min(s.start_s for s in spans)
-        end = max(s.start_s + s.duration_s for s in spans)
-        return max(end - start, 0.0)
+        with self._lock:
+            if not self._spans:
+                return 0.0
+            return max(self._end_s - self._start_s, 0.0)
 
     def as_dict(self) -> dict:
         spans = sorted(self.spans, key=lambda s: s.start_s)
@@ -145,33 +168,33 @@ def current_trace_id() -> bytes | None:
     return trace.trace_id if trace is not None else None
 
 
-@contextlib.contextmanager
-def use_trace(trace: Trace | None):
+class use_trace:
     """Bind ``trace`` as the ambient trace for the ``with`` block.
 
     Passing None is allowed and a no-op bind, so thread-hop call sites can
     unconditionally re-bind whatever they captured.
     """
-    token = _current_trace.set(trace)
-    try:
-        yield trace
-    finally:
-        _current_trace.reset(token)
+
+    __slots__ = ("_trace", "_token")
+
+    def __init__(self, trace: Trace | None) -> None:
+        self._trace = trace
+
+    def __enter__(self) -> Trace | None:
+        self._token = _current_trace.set(self._trace)
+        return self._trace
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        _current_trace.reset(self._token)
 
 
-@contextlib.contextmanager
-def span(name: str, **annotations):
-    """Record a span on the ambient trace (no-op when untraced).
+def span(name: str, **annotations) -> Span:
+    """A span on the ambient trace (no-op when untraced).
 
-    Always yields a :class:`Span` so call sites can set annotations without
-    None checks; the span is simply discarded when no trace is bound.
+    Always a :class:`Span`, so call sites can set annotations without None
+    checks; the span is simply discarded when no trace is bound.
     """
-    trace = _current_trace.get()
-    if trace is None:
-        yield Span(name=name, annotations=annotations)
-        return
-    with trace.span(name, **annotations) as entry:
-        yield entry
+    return Span(name, 0.0, 0.0, annotations, _current_trace.get())
 
 
 # --------------------------------------------------------------------------- #
@@ -201,15 +224,15 @@ class TraceBuffer:
         """Retain (or merge) one completed trace, evicting the oldest."""
         with self._lock:
             existing = self._traces.get(trace.trace_id)
-            if existing is not None and existing is not trace:
+            if existing is None:  # the common case: one insert, one eviction
+                self._traces[trace.trace_id] = trace
+                if len(self._traces) > self._max_traces:
+                    self._traces.popitem(last=False)
+                return
+            if existing is not trace:
                 for entry in trace.spans:
                     existing.add_span(entry)
-                self._traces.move_to_end(trace.trace_id)
-                return
-            self._traces[trace.trace_id] = trace
             self._traces.move_to_end(trace.trace_id)
-            while len(self._traces) > self._max_traces:
-                self._traces.popitem(last=False)
 
     def get(self, trace_id: bytes) -> dict | None:
         """The buffered trace with this id as a JSON-able dict, or None."""

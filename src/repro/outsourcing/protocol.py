@@ -73,7 +73,8 @@ V2_MAGIC = b"DPH"
 #: The 4-byte big-endian length / count prefix.
 _U32 = struct.Struct(">I")
 
-#: Distinct schema declarations whose parse is remembered (LRU).
+#: Distinct schema declarations whose parse -- and, the other way, distinct
+#: schemas whose declaration -- is remembered (LRU).
 SCHEMA_MEMO_SIZE = 64
 
 
@@ -233,7 +234,9 @@ def decode_encrypted_query(raw: bytes) -> EncryptedQuery:
     )
 
 
+@functools.lru_cache(maxsize=SCHEMA_MEMO_SIZE)
 def _schema_declaration(schema: RelationSchema) -> str:
+    """The wire declaration of an (immutable) schema, formatted once per schema."""
     columns = ", ".join(
         f"{a.name}:{a.attribute_type.value}[{a.max_length}]" for a in schema.attributes
     )

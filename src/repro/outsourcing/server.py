@@ -51,6 +51,10 @@ from repro.outsourcing.storage import (
 )
 
 
+#: The ``relation`` metric label of every name the provider does not know.
+UNKNOWN_RELATION = "(unknown)"
+
+
 class ServerError(Exception):
     """The server refused or failed to process a request."""
 
@@ -106,6 +110,17 @@ class OutsourcedDatabaseServer:
     def metrics(self) -> MetricsRegistry:
         """This provider's metrics registry (shared with its TCP front-end)."""
         return self._metrics
+
+    def metric_relation(self, name: str) -> str:
+        """The ``relation`` metric label for ``name``.
+
+        Its own name for a relation this provider stores or holds an
+        evaluator for; every other name a frame carries shares one fixed
+        label, so a peer cannot choose the registry's cardinality.
+        """
+        if name in self._evaluators or name in self._storage:
+            return name
+        return UNKNOWN_RELATION
 
     def metrics_snapshot(self) -> dict:
         """A registry snapshot with the audit-log gauges refreshed.
@@ -466,7 +481,7 @@ class OutsourcedDatabaseServer:
         self._metrics.histogram(
             "provider_op_seconds",
             op_kind=request.kind.value,
-            relation=request.relation_name,
+            relation=self.metric_relation(request.relation_name),
             outcome=outcome,
         ).observe(time.monotonic() - started)
         return response.to_bytes()

@@ -110,6 +110,9 @@ class InMemoryStorageBackend(StorageBackend):
     def names(self) -> tuple[str, ...]:
         return tuple(self._relations)
 
+    def __contains__(self, name: str) -> bool:
+        return name in self._relations
+
 
 class FileStorageBackend(StorageBackend):
     """One file per relation, serialized with the protocol's wire codec.
@@ -177,6 +180,12 @@ class FileStorageBackend(StorageBackend):
         path = self._path(name)
         if path.exists():
             path.unlink()
+
+    def __contains__(self, name: str) -> bool:
+        try:
+            return self._path(name).exists()
+        except OSError:  # e.g. a name too long for the filesystem
+            return False
 
     def names(self) -> tuple[str, ...]:
         names = []

@@ -78,6 +78,9 @@ class RelationSchema:
         # The schema is immutable: names and positions are computed once.
         self._attribute_names = tuple(names)
         self._positions = {n: i for i, n in enumerate(names)}
+        # Hashed per envelope (the protocol's declaration memo); str hashes
+        # are per process, and so is this -- schemas travel as declarations.
+        self._hash = hash((self._name, self._attributes))
 
     @staticmethod
     def _assign_identifiers(attributes: list[Attribute]) -> tuple[Attribute, ...]:
@@ -163,7 +166,7 @@ class RelationSchema:
         return self._name == other._name and self._attributes == other._attributes
 
     def __hash__(self) -> int:
-        return hash((self._name, self._attributes))
+        return self._hash
 
     def __repr__(self) -> str:
         cols = ", ".join(

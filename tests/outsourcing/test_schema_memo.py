@@ -98,3 +98,47 @@ def test_replies_and_files_at_rest_share_the_one_memo(tmp_path):
     assert storage.load("Emp").schema is from_file
     info = memo.cache_info()
     assert (info.misses, info.hits) == (1, 2)
+
+
+class TestTheDeclarationIsEncodedOncePerSchema:
+    """The other direction: ``_schema_declaration`` formats a schema once."""
+
+    @pytest.fixture(autouse=True)
+    def empty_encode_memo(self):
+        protocol._schema_declaration.cache_clear()
+        yield
+        protocol._schema_declaration.cache_clear()
+
+    def test_a_repeated_schema_is_formatted_once(self):
+        schema = RelationSchema.parse("Emp(name:string[14], salary:int[6])")
+        relation = EncryptedRelation(schema=schema, encrypted_tuples=())
+        first = protocol.encode_encrypted_relation(relation)
+        for _ in range(10):
+            assert protocol.encode_encrypted_relation(relation) == first
+        info = protocol._schema_declaration.cache_info()
+        assert (info.misses, info.hits) == (1, 10)
+        assert first == relation_bytes(b"Emp(name:string[14], salary:int[6])")
+
+    def test_equal_schemas_share_an_entry_and_unequal_ones_do_not(self):
+        one = RelationSchema.parse("Emp(name:string[14])")
+        same = RelationSchema.parse("Emp(name: string[14])")
+        wide = RelationSchema.parse("Emp(name:string[15])")
+        renamed = RelationSchema.parse("Emq(name:string[14])")
+        assert one == same and hash(one) == hash(same)
+        declarations = [protocol._schema_declaration(s) for s in (one, same, wide, renamed)]
+        assert declarations == [
+            "Emp(name:string[14])",
+            "Emp(name:string[14])",
+            "Emp(name:string[15])",
+            "Emq(name:string[14])",
+        ]
+        assert protocol._schema_declaration.cache_info().currsize == 3
+
+    def test_many_schemas_cannot_grow_the_memo(self):
+        for i in range(1000):
+            schema = RelationSchema.parse(f"R{i}(a:string[{i % 40 + 1}], b:int[6])")
+            encoded = protocol.encode_encrypted_relation(
+                EncryptedRelation(schema=schema, encrypted_tuples=())
+            )
+            assert decode_encrypted_relation(encoded).schema == schema
+        assert protocol._schema_declaration.cache_info().currsize == SCHEMA_MEMO_SIZE
