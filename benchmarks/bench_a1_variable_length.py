@@ -1,6 +1,7 @@
 """Ablation A1: variable-length attribute words vs the poster's fixed global width.
 
-DESIGN.md section 6 calls out the word-layout choice for ablation.  The
+The word layout is the one ablation beside the paper experiments of
+:mod:`repro.experiments.registry` (the claim -> experiment map).  The
 full-version optimization gives every attribute its own word width; on a
 schema with one wide attribute and several narrow ones it should cut ciphertext
 size substantially while leaving correctness and q = 0 security untouched.

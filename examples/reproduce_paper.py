@@ -1,4 +1,4 @@
-"""Regenerate every experiment table (E1-E10) with reduced parameters.
+"""Regenerate every experiment table (E1-E9) with reduced parameters.
 
 The full-size runs live in ``benchmarks/`` (one module per experiment, run
 with ``pytest benchmarks/ --benchmark-only``); this script is the quick tour:

@@ -4,7 +4,7 @@ Installed as ``python -m repro.cli`` (or imported and called programmatically),
 the CLI exposes the reproduction's main entry points without writing any code:
 
 ``experiments``
-    Run one or all of the E1-E10 experiments with the registry's quick
+    Run one or all of the E1-E9 experiments with the registry's quick
     parameters and print the resulting tables.
 
 ``demo``
@@ -31,17 +31,6 @@ the CLI exposes the reproduction's main entry points without writing any code:
     assembles one trace by id across every shard.  Both accept a
     ``tcp://`` or ``cluster://`` URL and ``--watch SECONDS``.
 
-``bench``
-    The declarative experiment orchestrator (see :mod:`repro.bench`):
-    ``run`` executes a JSON matrix config (benchmark x scheme x transport
-    x shards x in-flight depth) with warmup/repeat discipline and records
-    per-repeat samples plus latency summaries under
-    ``benchmarks/results/<git-rev>/``, ``report`` renders a markdown
-    trend table across the accumulated revisions, and ``gate`` evaluates
-    the config's declared thresholds (``max_regression_pct``,
-    ``max_p99_s``) against a baseline revision, exiting nonzero on
-    violation -- the CI regression gate.
-
 ``cluster``
     Sharded multi-provider tools (see :mod:`repro.cluster`): ``spawn`` a
     local fleet of providers on ephemeral ports (``--manifest`` persists
@@ -60,9 +49,6 @@ Examples::
     python -m repro.cli serve --port 7707 --data-dir /var/lib/repro
     python -m repro.cli cluster spawn --shards 4
     python -m repro.cli cluster status cluster://127.0.0.1:7707,127.0.0.1:7708
-    python -m repro.cli bench run --config benchmarks/configs/quick.json
-    python -m repro.cli bench report --experiment quick
-    python -m repro.cli bench gate --config benchmarks/configs/quick.json
 """
 
 from __future__ import annotations
@@ -70,7 +56,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import contextlib
-import dataclasses
 import signal
 import sys
 from typing import Sequence
@@ -685,106 +670,6 @@ def _print_trace(trace: dict) -> None:
         print(f"{line}  {suffix}" if suffix else line)
 
 
-def _bench_store(args: argparse.Namespace):
-    from repro.bench import ResultStore
-
-    return ResultStore(args.results_dir)
-
-
-def _bench_config(args: argparse.Namespace):
-    from repro.bench import ConfigError, MatrixConfig
-
-    try:
-        return MatrixConfig.load(args.config)
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return None
-
-
-def command_bench_run(args: argparse.Namespace) -> int:
-    """Execute a declared benchmark matrix and persist the run per-rev."""
-    from repro.bench import BenchError, run_matrix
-    from repro.bench.report import render_config_summary
-
-    config = _bench_config(args)
-    if config is None:
-        return 2
-    if args.repeats is not None:
-        if args.repeats < 1:
-            print(f"--repeats must be positive, got {args.repeats}", file=sys.stderr)
-            return 2
-        config = dataclasses.replace(config, repeats=args.repeats)
-    if args.warmup is not None:
-        if args.warmup < 0:
-            print(f"--warmup must be >= 0, got {args.warmup}", file=sys.stderr)
-            return 2
-        config = dataclasses.replace(config, warmup=args.warmup)
-    store = _bench_store(args)
-    print(render_config_summary(config))
-    try:
-        payload = run_matrix(config, store=store, rev=args.rev, log=print)
-    except BenchError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    print(f"recorded {len(payload['cells'])} cell(s): {payload['result_path']}")
-    for cell in payload["cells"]:
-        print(
-            f"  {cell['config_id']}: {cell['mean_ops_per_s']:.1f} "
-            f"\N{PLUS-MINUS SIGN}{cell['stddev_ops_per_s']:.1f} ops/s "
-            f"over {len(cell['samples']['ops_per_s'])} repeat(s)"
-        )
-    return 0
-
-
-def command_bench_report(args: argparse.Namespace) -> int:
-    """Render the markdown trend table across recorded revisions."""
-    from repro.bench import render_trend_markdown
-
-    if (args.experiment is None) == (args.config is None):
-        print("pass exactly one of --config or --experiment", file=sys.stderr)
-        return 2
-    if args.experiment is not None:
-        experiment = args.experiment
-    else:
-        config = _bench_config(args)
-        if config is None:
-            return 2
-        experiment = config.experiment
-    rendered = render_trend_markdown(_bench_store(args), experiment)
-    if args.output:
-        import pathlib
-
-        path = pathlib.Path(args.output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(rendered, encoding="utf-8")
-        print(f"trend report written: {path}")
-    else:
-        sys.stdout.write(rendered)
-    return 0
-
-
-def command_bench_gate(args: argparse.Namespace) -> int:
-    """Evaluate the experiment's declared thresholds against a baseline."""
-    from repro.bench import GateError, evaluate_gates
-
-    config = _bench_config(args)
-    if config is None:
-        return 2
-    try:
-        report = evaluate_gates(
-            config,
-            _bench_store(args),
-            candidate=args.candidate,
-            baseline=args.baseline,
-            require_baseline=args.require_baseline,
-        )
-    except GateError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(report.render())
-    return 0 if report.passed else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Build the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -793,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    experiments = subparsers.add_parser("experiments", help="run E1-E10 with quick parameters")
+    experiments = subparsers.add_parser("experiments", help="run E1-E9 with quick parameters")
     experiments.add_argument("--only", nargs="*", metavar="ID", help="experiment ids, e.g. E1 E4")
     experiments.set_defaults(handler=command_experiments)
 
@@ -902,58 +787,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_cmd.add_argument("--timeout", type=float, default=10.0,
                            help="per-shard connection timeout in seconds")
     trace_cmd.set_defaults(handler=command_trace)
-
-    bench = subparsers.add_parser(
-        "bench", help="declarative benchmark matrices, trend reports, gates")
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-
-    def _bench_common(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--results-dir", default="benchmarks/results",
-                         metavar="DIR",
-                         help="result store root (per-rev history lives in "
-                              "DIR/<git-rev>/)")
-
-    bench_run = bench_sub.add_parser(
-        "run", help="execute a matrix config with warmup/repeat discipline")
-    bench_run.add_argument("--config", required=True, metavar="FILE",
-                           help="JSON matrix config (see benchmarks/configs/)")
-    bench_run.add_argument("--rev", default=None, metavar="LABEL",
-                           help="record under this revision label instead of "
-                                "the current git revision (CI uses synthetic "
-                                "labels to compare runs of one checkout)")
-    bench_run.add_argument("--repeats", type=int, default=None,
-                           help="override the config's repeat count")
-    bench_run.add_argument("--warmup", type=int, default=None,
-                           help="override the config's warmup rounds")
-    _bench_common(bench_run)
-    bench_run.set_defaults(handler=command_bench_run)
-
-    bench_report = bench_sub.add_parser(
-        "report", help="render the markdown trend table across revisions")
-    bench_report.add_argument("--config", default=None, metavar="FILE",
-                              help="matrix config naming the experiment")
-    bench_report.add_argument("--experiment", default=None, metavar="NAME",
-                              help="experiment name (instead of --config)")
-    bench_report.add_argument("--output", default=None, metavar="FILE",
-                              help="write the report here instead of stdout")
-    _bench_common(bench_report)
-    bench_report.set_defaults(handler=command_bench_report)
-
-    bench_gate = bench_sub.add_parser(
-        "gate", help="evaluate declared thresholds against a baseline rev")
-    bench_gate.add_argument("--config", required=True, metavar="FILE",
-                            help="JSON matrix config declaring the gates")
-    bench_gate.add_argument("--baseline", default=None, metavar="REV",
-                            help="baseline revision label (default: the run "
-                                 "recorded just before the candidate)")
-    bench_gate.add_argument("--candidate", default=None, metavar="REV",
-                            help="candidate revision label (default: the "
-                                 "newest recorded run)")
-    bench_gate.add_argument("--require-baseline", action="store_true",
-                            help="fail instead of noting when no baseline "
-                                 "run exists")
-    _bench_common(bench_gate)
-    bench_gate.set_defaults(handler=command_bench_gate)
 
     return parser
 

@@ -1,7 +1,8 @@
-"""Experiment harness: one entry point per experiment in DESIGN.md (E1-E10).
+"""Experiment harness: one entry point per experiment (E1-E9).
 
 The ICDE 2006 poster has no numbered tables or figures; the experiments here
-quantify each of its claims (see ``DESIGN.md`` section 5 for the mapping).
+quantify each of its claims (see :mod:`repro.experiments.registry` for the
+claim -> experiment mapping).
 Every ``run_*`` function returns a result object whose ``to_table()`` method
 renders the rows recorded in ``EXPERIMENTS.md``; the modules under
 ``benchmarks/`` call the same functions so the published numbers can be
@@ -11,8 +12,8 @@ regenerated with ``pytest benchmarks/ --benchmark-only``.
   Theorem 2.1 adversaries.
 * :mod:`repro.experiments.inference` -- E5-E6: the hospital inference and
   active "John" attacks.
-* :mod:`repro.experiments.performance` -- E7-E10: false positives, throughput,
-  storage overhead, and the index-vs-scan ablation.
+* :mod:`repro.experiments.performance` -- E7-E9: false positives, throughput
+  and storage overhead.
 * :mod:`repro.experiments.registry` -- the experiment index used by the
   documentation generator and the quickcheck example.
 """
@@ -31,7 +32,6 @@ from repro.experiments.performance import (
     run_e7_false_positives,
     run_e8_throughput,
     run_e9_storage_overhead,
-    run_e10_index_vs_scan,
 )
 from repro.experiments.registry import EXPERIMENTS, ExperimentSpec
 
@@ -45,7 +45,6 @@ __all__ = [
     "run_e7_false_positives",
     "run_e8_throughput",
     "run_e9_storage_overhead",
-    "run_e10_index_vs_scan",
     "EXPERIMENTS",
     "ExperimentSpec",
 ]

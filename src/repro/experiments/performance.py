@@ -1,4 +1,4 @@
-"""Experiments E7-E10: false positives, throughput, storage, index-vs-scan.
+"""Experiments E7-E9: false positives, throughput, storage.
 
 * **E7** -- false-positive rate of the SWP searchable scheme as a function of
   the check length ``m`` (predicted ``2^{-8m}`` vs observed), and the cost of
@@ -7,10 +7,6 @@
   server evaluation, decrypt+filter) as the relation grows.
 * **E9** -- ciphertext expansion: stored bytes per scheme relative to the
   plaintext serialization.
-* **E10** -- the full version's optimization on the serving path: exact
-  selects answered from the encrypted inverted index (``INDEX_LOOKUP``,
-  O(result) provider work) vs the linear ciphertext scan, across table
-  sizes and topologies (one provider vs a sharded fleet).
 """
 
 from __future__ import annotations
@@ -23,7 +19,6 @@ from repro.analysis.reporting import ExperimentTable
 from repro.crypto.keys import SecretKey
 from repro.crypto.rng import DeterministicRng
 from repro.relational.encoding import TupleCodec
-from repro.relational.query import Selection
 from repro.schemes.registry import available_schemes, create as create_scheme
 from repro.searchable.swp import SwpScheme
 from repro.searchable.words import Word
@@ -264,152 +259,3 @@ def run_e9_storage_overhead(
             )
     return StorageExperiment(tuple(rows))
 
-
-# --------------------------------------------------------------------------- #
-# E10: serving-path index access vs linear scan
-# --------------------------------------------------------------------------- #
-
-@dataclass(frozen=True)
-class IndexVsScanRow:
-    """One row of E10: one (size, topology, access, query-kind) cell."""
-
-    access: str           # "scan" (plain QUERY) or "index" (INDEX_LOOKUP)
-    topology: str         # "single" or "cluster-4"
-    relation_size: int
-    query_kind: str       # "point" (one name, ~1 hit) or "popular" (one dept)
-    queries: int
-    ops_per_s: float
-    avg_examined: float   # provider-reported tuples examined per query
-    avg_bytes_per_query: float  # envelope bytes in+out per query
-    avg_result_size: float
-
-
-@dataclass(frozen=True)
-class IndexVsScanExperiment:
-    """E10 result."""
-
-    rows: tuple[IndexVsScanRow, ...]
-
-    def to_table(self) -> ExperimentTable:
-        """Render the E10 table."""
-        table = ExperimentTable(
-            "E10: serving-path index access vs linear scan",
-            ["access", "topology", "n", "kind", "ops/s", "examined", "B/query", "hits"],
-        )
-        for row in self.rows:
-            table.add_row(
-                row.access,
-                row.topology,
-                row.relation_size,
-                row.query_kind,
-                round(row.ops_per_s, 2),
-                round(row.avg_examined, 1),
-                round(row.avg_bytes_per_query, 1),
-                round(row.avg_result_size, 1),
-            )
-        return table
-
-
-class _ByteCountingServer:
-    """Wrap a provider, counting envelope bytes through ``handle_message``."""
-
-    def __init__(self, inner) -> None:
-        self._inner = inner
-        self.bytes_in = 0
-        self.bytes_out = 0
-
-    def handle_message(self, raw: bytes) -> bytes:
-        self.bytes_in += len(raw)
-        response = self._inner.handle_message(raw)
-        self.bytes_out += len(response)
-        return response
-
-    def reset(self) -> None:
-        self.bytes_in = 0
-        self.bytes_out = 0
-
-    def __getattr__(self, name: str):
-        return getattr(self._inner, name)
-
-
-def _e10_backend(topology: str, cluster_shards: int):
-    from repro.outsourcing.server import OutsourcedDatabaseServer
-
-    if topology == "single":
-        return OutsourcedDatabaseServer()
-    from repro.cluster.router import ShardRouter
-
-    return ShardRouter(
-        [OutsourcedDatabaseServer() for _ in range(cluster_shards)]
-    )
-
-
-def run_e10_index_vs_scan(
-    sizes: Sequence[int] = (1000, 10000),
-    seed: int = 10,
-    queries_per_point: int = 10,
-    cluster_shards: int = 4,
-) -> IndexVsScanExperiment:
-    """E10: index access vs linear scan on the full serving path.
-
-    For each relation size, topology (one provider vs a ``cluster_shards``-way
-    :class:`~repro.cluster.router.ShardRouter`) and access method (plain
-    ``QUERY`` scans vs ``INDEX_LOOKUP`` over the encrypted inverted index),
-    an :class:`~repro.api.database.EncryptedDatabase` session loads the
-    employee workload and serves exact selects end to end.  Each cell records
-    client-observed ops/s, provider-examined tuples (the O(result)-vs-O(data)
-    curve) and envelope bytes per query.
-    """
-    from repro.api.database import EncryptedDatabase
-
-    rows = []
-    for size in sizes:
-        workload = EmployeeWorkload.generate(size, seed=seed)
-        names = workload.schema.attribute_names
-        positional = [
-            tuple(t.value(name) for name in names) for t in workload.relation.tuples
-        ]
-        # Point selects hit ~1 tuple (O(result) ~ O(1)); the popular
-        # department traces the high-selectivity end of the curve.
-        step = max(1, size // max(1, queries_per_point))
-        kinds = {
-            "point": [workload.name_query(i * step) for i in range(queries_per_point)],
-            "popular": [workload.department_query()] * max(1, queries_per_point // 3),
-        }
-        for topology in ("single", f"cluster-{cluster_shards}"):
-            for access in ("scan", "index"):
-                counter = _ByteCountingServer(_e10_backend(topology, cluster_shards))
-                rng = DeterministicRng(seed + size)
-                db = EncryptedDatabase.open(
-                    SecretKey.generate(rng=rng),
-                    server=counter,
-                    rng=rng,
-                    index=(access == "index"),
-                )
-                db.create_table(workload.schema, rows=positional)
-                for kind, queries in kinds.items():
-                    counter.reset()
-                    examined = 0
-                    hits = 0
-                    start = time.perf_counter()
-                    for query in queries:
-                        outcome = db.select(query, table=workload.schema.name)
-                        if outcome.evaluation is not None:
-                            examined += outcome.evaluation.examined
-                        hits += len(outcome.relation)
-                    elapsed = max(time.perf_counter() - start, 1e-9)
-                    rows.append(
-                        IndexVsScanRow(
-                            access=access,
-                            topology=topology,
-                            relation_size=size,
-                            query_kind=kind,
-                            queries=len(queries),
-                            ops_per_s=len(queries) / elapsed,
-                            avg_examined=examined / len(queries),
-                            avg_bytes_per_query=(counter.bytes_in + counter.bytes_out)
-                            / len(queries),
-                            avg_result_size=hits / len(queries),
-                        )
-                    )
-    return IndexVsScanExperiment(tuple(rows))

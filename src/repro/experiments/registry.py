@@ -1,10 +1,9 @@
 """Experiment registry: the index mapping experiment ids to runners.
 
-``EXPERIMENTS`` is the machine-readable version of the per-experiment index in
-``DESIGN.md``: every entry names the paper claim being checked, the benchmark
-module that regenerates it and the callable that produces the table.  The
-``examples/reproduce_paper.py`` script iterates over it to print every table
-in one run (with reduced parameters).
+``EXPERIMENTS`` is the claim -> experiment map: every entry names the paper
+claim being checked, the benchmark module that regenerates it and the callable
+that produces the table.  The ``examples/reproduce_paper.py`` script iterates
+over it to print every table in one run (with reduced parameters).
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from repro.experiments.performance import (
     run_e7_false_positives,
     run_e8_throughput,
     run_e9_storage_overhead,
-    run_e10_index_vs_scan,
 )
 
 
@@ -108,12 +106,5 @@ EXPERIMENTS: tuple[ExperimentSpec, ...] = (
         "benchmarks/bench_e9_storage_overhead.py",
         run_e9_storage_overhead,
         {"sizes": (500,)},
-    ),
-    ExperimentSpec(
-        "E10",
-        "Serving-path index lookups (O(result)) vs linear scans (O(data))",
-        "benchmarks/bench_e10_index_vs_scan.py",
-        run_e10_index_vs_scan,
-        {"sizes": (500, 2000), "queries_per_point": 5},
     ),
 )

@@ -19,11 +19,9 @@ Dependency-free instrumentation shared by every layer of the reproduction:
 from repro.obs.metrics import (
     BUCKET_BOUNDS,
     MetricsRegistry,
-    aggregate_snapshot,
     histogram_summaries,
     merge_snapshots,
     render_prometheus,
-    snapshot_delta,
 )
 from repro.obs.trace import (
     TRACE_ID_SIZE,
@@ -42,11 +40,9 @@ from repro.obs.logging import log_json
 __all__ = [
     "BUCKET_BOUNDS",
     "MetricsRegistry",
-    "aggregate_snapshot",
     "histogram_summaries",
     "merge_snapshots",
     "render_prometheus",
-    "snapshot_delta",
     "TRACE_ID_SIZE",
     "SlowQueryLog",
     "Span",

@@ -23,7 +23,6 @@ import bisect
 import math
 import re
 import threading
-import weakref
 
 #: Histogram bucket upper bounds in seconds: sqrt(2)-spaced from 10us to
 #: about one minute.  Fixed so that bucket counts from any two registries
@@ -178,12 +177,6 @@ def percentile_from_buckets(buckets: list[int], q: float) -> float:
     return BUCKET_BOUNDS[-1]
 
 
-#: Every live registry in this process; :func:`aggregate_snapshot` merges
-#: them all (used by the benchmark harness to attach a metrics snapshot to
-#: each result file without threading registries through every benchmark).
-_REGISTRIES: "weakref.WeakSet[MetricsRegistry]" = weakref.WeakSet()
-
-
 class MetricsRegistry:
     """A named, labelled family of thread-safe instruments."""
 
@@ -192,7 +185,6 @@ class MetricsRegistry:
         self._instruments: dict[tuple, Counter | Gauge | LatencyHistogram] = {}
         # (name, *labels.items()) as a call site spells it -> its instrument.
         self._resolved: dict[tuple, Counter | Gauge | LatencyHistogram] = {}
-        _REGISTRIES.add(self)
 
     def _instrument(self, factory, name: str, labels: dict):
         # A label set is canonicalised (str, sorted) under the lock once per
@@ -307,71 +299,6 @@ def merge_snapshots(*snapshots: dict) -> dict:
     }
 
 
-def snapshot_delta(before: dict, after: dict) -> dict:
-    """What happened *between* two (possibly merged) snapshots.
-
-    Counters and histogram bucket counts subtract element-wise (clamped at
-    zero: a registry that died between the snapshots can make ``after``
-    smaller than ``before``, and a negative delta is meaningless); gauges
-    are point-in-time readings, so the ``after`` value is kept as-is.
-    Instruments present only in ``before`` -- or whose delta is empty --
-    are dropped, so the result describes exactly the activity of the
-    window.  This is how the benchmark harness scopes the process-wide
-    :func:`aggregate_snapshot` to a single benchmark's operations instead
-    of everything the pytest session ran before it.
-    """
-    before_counters = {
-        (e["name"], _label_key(e["labels"])): e for e in before.get("counters", ())
-    }
-    before_histograms = {
-        (e["name"], _label_key(e["labels"])): e for e in before.get("histograms", ())
-    }
-    counters = []
-    for entry in after.get("counters", ()):
-        key = (entry["name"], _label_key(entry["labels"]))
-        base = before_counters.get(key)
-        value = entry["value"] - (base["value"] if base else 0)
-        if value > 0:
-            counters.append(
-                {"name": entry["name"], "labels": dict(entry["labels"]), "value": value}
-            )
-    gauges = [
-        {"name": e["name"], "labels": dict(e["labels"]), "value": e["value"]}
-        for e in after.get("gauges", ())
-    ]
-    histograms = []
-    for entry in after.get("histograms", ()):
-        key = (entry["name"], _label_key(entry["labels"]))
-        base = before_histograms.get(key)
-        if base is None:
-            buckets = list(entry["buckets"])
-            count = entry["count"]
-            total = entry["sum"]
-        else:
-            buckets = [
-                max(0, after_count - before_count)
-                for after_count, before_count in zip(entry["buckets"], base["buckets"])
-            ]
-            count = max(0, entry["count"] - base["count"])
-            total = max(0.0, entry["sum"] - base["sum"])
-        if count > 0:
-            histograms.append(
-                {
-                    "name": entry["name"],
-                    "labels": dict(entry["labels"]),
-                    "count": count,
-                    "sum": total,
-                    "buckets": buckets,
-                }
-            )
-    return {
-        "bucket_bounds": list(BUCKET_BOUNDS),
-        "counters": counters,
-        "gauges": gauges,
-        "histograms": histograms,
-    }
-
-
 def _merge_scalar(into: dict, entry: dict) -> None:
     key = (entry["name"], _label_key(entry["labels"]))
     merged = into.get(key)
@@ -404,11 +331,6 @@ def histogram_summaries(snapshot: dict) -> list[dict]:
             }
         )
     return summaries
-
-
-def aggregate_snapshot() -> dict:
-    """Merge the snapshots of every live registry in this process."""
-    return merge_snapshots(*(r.snapshot() for r in list(_REGISTRIES)))
 
 
 def _prometheus_name(name: str) -> str:

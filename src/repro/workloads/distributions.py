@@ -80,8 +80,8 @@ class ZipfDistribution(Distribution):
     """Zipf-distributed ranks over ``{1, ..., n}`` mapped onto given values.
 
     Skewed value popularity is the realistic regime for attribute values
-    (departments, diagnoses, cities); the selectivity sweep of experiment E10
-    uses it to produce both hot and cold query values.
+    (departments, diagnoses, cities); the employee workload uses it to
+    produce both hot and cold query values.
     """
 
     def __init__(self, values: Sequence, exponent: float = 1.0) -> None:

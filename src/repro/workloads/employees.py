@@ -2,8 +2,8 @@
 
 The paper's running construction example uses ``Emp(name:string[9],
 dept:string[5], salary:int)``; this module generates arbitrarily large
-relations over a compatible (slightly widened) schema for the throughput,
-storage-overhead and selectivity experiments (E8, E9, E10).
+relations over a compatible (slightly widened) schema for the throughput and
+storage-overhead experiments (E8, E9).
 """
 
 from __future__ import annotations

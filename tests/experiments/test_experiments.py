@@ -7,8 +7,13 @@ benchmark later verifies at full size.
 
 from __future__ import annotations
 
+import importlib.util
+import inspect
+import pathlib
+
 import pytest
 
+import repro.experiments
 from repro.experiments import (
     EXPERIMENTS,
     run_e1_bucketization_attack,
@@ -20,7 +25,6 @@ from repro.experiments import (
     run_e7_false_positives,
     run_e8_throughput,
     run_e9_storage_overhead,
-    run_e10_index_vs_scan,
 )
 
 
@@ -88,51 +92,152 @@ class TestPerformanceExperiments:
         assert by_scheme["dph-swp"].expansion > by_scheme["plaintext"].expansion
         assert all(row.expansion >= 1.0 for row in result.rows)
 
-    def test_e10_shape(self):
-        result = run_e10_index_vs_scan(
-            sizes=(300,), queries_per_point=3, cluster_shards=2
-        )
-        cells = {(r.access, r.topology, r.query_kind) for r in result.rows}
-        assert cells == {
-            (access, topology, kind)
-            for access in ("scan", "index")
-            for topology in ("single", "cluster-2")
-            for kind in ("point", "popular")
-        }
-        for row in result.rows:
-            assert row.ops_per_s > 0 and row.avg_bytes_per_query > 0
-            # Scans examine every tuple; the index examines ~the result.
-            if row.access == "scan":
-                assert row.avg_examined == 300
-            else:
-                assert row.avg_examined <= 300 * 0.75
-        # Indexed results match scan results cell by cell.
-        by_cell = {
-            (r.access, r.topology, r.query_kind): r.avg_result_size
-            for r in result.rows
-        }
-        for topology in ("single", "cluster-2"):
-            for kind in ("point", "popular"):
-                assert (
-                    by_cell[("index", topology, kind)]
-                    == by_cell[("scan", topology, kind)]
-                )
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+#: The one benchmark that is an ablation, not a registered paper experiment.
+ABLATION = ("A1", "benchmarks/bench_a1_variable_length.py")
+
+SPECS = {spec.identifier: spec for spec in EXPERIMENTS}
+
+
+def _load_experiments_md_tool():
+    """Import ``tools/generate_experiments_md.py`` from its path."""
+    path = ROOT / "tools" / "generate_experiments_md.py"
+    module_spec = importlib.util.spec_from_file_location("generate_experiments_md", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module
+
+
+SECTIONS = {section[0]: section for section in _load_experiments_md_tool().SECTIONS}
 
 
 class TestRegistry:
     def test_every_experiment_is_registered(self):
         identifiers = [spec.identifier for spec in EXPERIMENTS]
-        assert identifiers == [f"E{i}" for i in range(1, 11)]
+        assert identifiers == [f"E{i}" for i in range(1, 10)]
 
     def test_registry_entries_point_to_existing_benchmarks(self):
-        import pathlib
-
-        root = pathlib.Path(__file__).resolve().parents[2]
         for spec in EXPERIMENTS:
-            assert (root / spec.benchmark).exists(), spec.benchmark
+            assert (ROOT / spec.benchmark).exists(), spec.benchmark
+
+    def test_every_benchmark_script_is_registered(self):
+        scripts = {
+            path.relative_to(ROOT).as_posix()
+            for path in (ROOT / "benchmarks").glob("bench_*.py")
+        }
+        assert scripts == {spec.benchmark for spec in EXPERIMENTS} | {ABLATION[1]}
+
+    def test_experiments_md_sections_follow_the_registry(self):
+        module = _load_experiments_md_tool()
+        sections = {
+            identifier: f"benchmarks/bench_{stem}.py"
+            for identifier, stem, *_ in module.SECTIONS
+        }
+        expected = {spec.identifier: spec.benchmark for spec in EXPERIMENTS}
+        assert sections == {**expected, ABLATION[0]: ABLATION[1]}
 
     def test_quick_parameters_are_usable(self):
         # Run the cheapest registry entry end to end through run_quick().
         spec = next(s for s in EXPERIMENTS if s.identifier == "E9")
         result = spec.run_quick()
         assert result.rows
+
+
+class TestRegistryEntries:
+    """Every registry entry is runnable, exported and wired to its benchmark."""
+
+    @pytest.mark.parametrize("identifier", list(SPECS))
+    def test_quick_run_renders_a_titled_table(self, identifier):
+        result = SPECS[identifier].run_quick()
+        assert result.rows
+        assert result.to_table().render().startswith(f"== {identifier}:")
+
+    @pytest.mark.parametrize("identifier", list(SPECS))
+    def test_quick_parameters_bind_to_the_runner(self, identifier):
+        spec = SPECS[identifier]
+        inspect.signature(spec.runner).bind(**spec.quick_parameters)
+
+    @pytest.mark.parametrize("identifier", list(SPECS))
+    def test_runner_is_exported_by_the_package(self, identifier):
+        runner = SPECS[identifier].runner
+        assert runner.__name__.startswith(f"run_{identifier.lower()}_")
+        assert runner.__name__ in repro.experiments.__all__
+        assert getattr(repro.experiments, runner.__name__) is runner
+
+    @pytest.mark.parametrize("identifier", list(SPECS))
+    def test_benchmark_script_runs_the_registered_runner(self, identifier):
+        spec = SPECS[identifier]
+        source = (ROOT / spec.benchmark).read_text(encoding="utf-8")
+        assert f"from repro.experiments import {spec.runner.__name__}" in source
+
+    @pytest.mark.parametrize("identifier", list(SECTIONS))
+    def test_benchmark_writes_the_table_its_section_embeds(self, identifier):
+        # The script records results/<stem>.txt; the generator reads that file.
+        stem = SECTIONS[identifier][1]
+        source = (ROOT / "benchmarks" / f"bench_{stem}.py").read_text(encoding="utf-8")
+        assert f'record_table("{stem}",' in source
+
+    @pytest.mark.parametrize("identifier", list(SECTIONS))
+    def test_section_text_carries_the_labels_the_generator_strips(self, identifier):
+        _, _, title, claim, expected, measured = SECTIONS[identifier]
+        assert title
+        assert claim.startswith("Paper claim")
+        assert expected.startswith("Expected shape: ")
+        assert measured.startswith("Measured: ")
+
+
+class TestExperimentsDocument:
+    """``tools/generate_experiments_md.py`` renders the tables the benchmarks wrote."""
+
+    @pytest.fixture
+    def tool(self, tmp_path, monkeypatch):
+        module = _load_experiments_md_tool()
+        monkeypatch.setattr(module, "ROOT", tmp_path)
+        monkeypatch.setattr(module, "RESULTS", tmp_path / "results")
+        return module
+
+    @staticmethod
+    def _render(tool, capsys) -> str:
+        assert tool.main() == 0
+        assert "wrote" in capsys.readouterr().out
+        return (tool.ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
+
+    def test_missing_results_directory_fails(self, tool, capsys):
+        assert tool.main() == 1
+        assert "--benchmark-only" in capsys.readouterr().err
+        assert not (tool.ROOT / "EXPERIMENTS.md").exists()
+
+    @pytest.mark.parametrize("identifier", list(SECTIONS))
+    def test_each_section_embeds_its_table(self, tool, capsys, identifier):
+        tool.RESULTS.mkdir()
+        for _, stem, *_ in tool.SECTIONS:
+            (tool.RESULTS / f"{stem}.txt").write_text(f"table of {stem}\n", encoding="utf-8")
+        document = self._render(tool, capsys)
+        _, stem, title, *_ = SECTIONS[identifier]
+        section = document.split(f"\n## {identifier} — {title}\n", 1)[1].split("\n## ", 1)[0]
+        assert f"```text\ntable of {stem}\n```" in section
+        assert f"`pytest benchmarks/bench_{stem}.py --benchmark-only`" in section
+
+    def test_a_missing_table_renders_a_placeholder(self, tool, capsys):
+        tool.RESULTS.mkdir()
+        document = self._render(tool, capsys)
+        assert document.count("(table not generated yet)") == len(tool.SECTIONS)
+
+    def test_labels_are_bold_and_not_repeated(self, tool, capsys):
+        tool.RESULTS.mkdir()
+        document = self._render(tool, capsys)
+        for label in ("Paper claim", "Expected shape", "Measured"):
+            assert document.count(f"**{label}.**") == len(tool.SECTIONS)
+        assert "Paper claim: " not in document
+        assert "Expected shape: " not in document
+
+    def test_sections_follow_preamble_in_order_then_closing(self, tool, capsys):
+        tool.RESULTS.mkdir()
+        document = self._render(tool, capsys)
+        assert document.startswith(tool.PREAMBLE)
+        headings = [line[3:].split(" — ")[0] for line in document.splitlines()
+                    if line.startswith("## ") and " — " in line]
+        assert headings == [f"E{i}" for i in range(1, 10)] + ["A1"]
+        assert document.rstrip().endswith(tool.CLOSING.rstrip())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import threading
 
 import pytest
@@ -9,11 +10,9 @@ import pytest
 from repro.obs import (
     BUCKET_BOUNDS,
     MetricsRegistry,
-    aggregate_snapshot,
     histogram_summaries,
     merge_snapshots,
     render_prometheus,
-    snapshot_delta,
 )
 from repro.obs.metrics import percentile_from_buckets
 
@@ -135,6 +134,66 @@ class TestPercentiles:
         histogram.observe(10_000.0)
         assert histogram.percentile(0.99) == BUCKET_BOUNDS[-1]
 
+    def test_negative_quantile_is_rejected(self):
+        with pytest.raises(ValueError, match="quantile"):
+            MetricsRegistry().histogram("h").percentile(-0.1)
+
+    def test_interpolation_is_linear_inside_one_bucket(self):
+        buckets = [0] * (len(BUCKET_BOUNDS) + 1)
+        buckets[10] = 4
+        lower, upper = BUCKET_BOUNDS[9], BUCKET_BOUNDS[10]
+        assert percentile_from_buckets(buckets, 0.5) == pytest.approx((lower + upper) / 2)
+        assert percentile_from_buckets(buckets, 0.25) == pytest.approx(
+            lower + (upper - lower) / 4
+        )
+
+    def test_extreme_quantiles_are_the_edges_of_the_occupied_range(self):
+        buckets = [0] * (len(BUCKET_BOUNDS) + 1)
+        buckets[5] = 1
+        buckets[20] = 1
+        assert percentile_from_buckets(buckets, 0.0) == BUCKET_BOUNDS[4]
+        assert percentile_from_buckets(buckets, 1.0) == BUCKET_BOUNDS[20]
+
+    def test_percentiles_are_monotone_in_the_quantile(self):
+        histogram = MetricsRegistry().histogram("h")
+        for step in range(1, 200):
+            histogram.observe(step * 1e-4)
+        readings = [histogram.percentile(q / 20) for q in range(21)]
+        assert readings == sorted(readings)
+
+
+class TestBuckets:
+    @pytest.mark.parametrize("index", [0, 1, 10, 22, len(BUCKET_BOUNDS) - 1])
+    def test_a_bound_files_into_the_bucket_it_closes(self, index):
+        # Buckets are "le" buckets, as in Prometheus: a value equal to a
+        # bound is counted in the bucket that bound closes.
+        histogram = MetricsRegistry().histogram("h")
+        histogram.observe(BUCKET_BOUNDS[index])
+        assert histogram.buckets[index] == 1
+        assert histogram.count == 1
+
+    @pytest.mark.parametrize(
+        ("seconds", "index"),
+        [
+            (0.0, 0),
+            (-1.0, 0),
+            (1e9, len(BUCKET_BOUNDS)),
+            (float("inf"), len(BUCKET_BOUNDS)),
+            (float("nan"), len(BUCKET_BOUNDS)),
+        ],
+        ids=["zero", "negative", "huge", "inf", "nan"],
+    )
+    def test_out_of_range_values_file_at_the_edges(self, seconds, index):
+        histogram = MetricsRegistry().histogram("h")
+        histogram.observe(seconds)
+        assert histogram.buckets[index] == 1
+        assert sum(histogram.buckets) == 1
+
+    def test_bounds_are_strictly_increasing(self):
+        assert all(a < b for a, b in zip(BUCKET_BOUNDS, BUCKET_BOUNDS[1:]))
+        assert BUCKET_BOUNDS[0] == pytest.approx(1e-5)
+        assert 30.0 < BUCKET_BOUNDS[-1] < 120.0
+
 
 class TestMergeAndExposition:
     def test_merge_sums_counters_and_buckets(self):
@@ -158,6 +217,76 @@ class TestMergeAndExposition:
     def test_merge_tolerates_empty_snapshots(self):
         merged = merge_snapshots({}, None, MetricsRegistry().snapshot())
         assert merged["counters"] == []
+
+    def test_merge_adds_gauges(self):
+        one, two = MetricsRegistry(), MetricsRegistry()
+        one.gauge("connections_active", shard_id="0").set(2)
+        two.gauge("connections_active", shard_id="0").set(5)
+        two.gauge("connections_active", shard_id="1").set(1)
+        merged = merge_snapshots(one.snapshot(), two.snapshot())
+        by_shard = {g["labels"]["shard_id"]: g["value"] for g in merged["gauges"]}
+        assert by_shard == {"0": 7, "1": 1}
+
+    def test_merge_sums_histogram_sums_and_keeps_the_layout(self):
+        one, two = MetricsRegistry(), MetricsRegistry()
+        one.histogram("lat").observe(0.001)
+        two.histogram("lat").observe(0.5)
+        merged = merge_snapshots(one.snapshot(), two.snapshot())
+        assert merged["bucket_bounds"] == list(BUCKET_BOUNDS)
+        (hist,) = merged["histograms"]
+        assert hist["sum"] == pytest.approx(0.501)
+        assert len(hist["buckets"]) == len(BUCKET_BOUNDS) + 1
+        occupied = [i for i, n in enumerate(hist["buckets"]) if n]
+        assert occupied == [
+            one.histogram("lat").buckets.index(1),
+            two.histogram("lat").buckets.index(1),
+        ]
+
+    def test_merge_does_not_mutate_its_inputs(self):
+        registry = MetricsRegistry()
+        registry.counter("ops").inc(3)
+        registry.histogram("lat").observe(0.01)
+        snapshot = registry.snapshot()
+        before = copy.deepcopy(snapshot)
+        merge_snapshots(snapshot, snapshot, snapshot)
+        assert snapshot == before
+
+    def test_merge_matches_labels_regardless_of_their_order(self):
+        one = {"counters": [{"name": "ops", "labels": {"a": "1", "b": "2"}, "value": 1}]}
+        two = {"counters": [{"name": "ops", "labels": {"b": "2", "a": "1"}, "value": 4}]}
+        merged = merge_snapshots(one, two)
+        assert merged["counters"] == [
+            {"name": "ops", "labels": {"a": "1", "b": "2"}, "value": 5}
+        ]
+
+    def test_merge_is_associative(self):
+        registries = [MetricsRegistry() for _ in range(3)]
+        for weight, registry in enumerate(registries, start=1):
+            registry.counter("ops", op_kind="select").inc(weight)
+            registry.histogram("lat").observe(weight * 0.001)
+        a, b, c = (registry.snapshot() for registry in registries)
+        assert merge_snapshots(merge_snapshots(a, b), c) == merge_snapshots(
+            a, merge_snapshots(b, c)
+        )
+
+    def test_summary_of_an_empty_histogram_is_all_zero(self):
+        registry = MetricsRegistry()
+        registry.histogram("idle_seconds")
+        (summary,) = histogram_summaries(registry.snapshot())
+        assert summary["count"] == 0
+        assert summary["mean"] == 0.0
+        assert summary["p50"] == summary["p95"] == summary["p99"] == 0.0
+
+    def test_summaries_of_a_merged_snapshot_see_every_shard(self):
+        fast, slow = MetricsRegistry(), MetricsRegistry()
+        for _ in range(90):
+            fast.histogram("lat").observe(0.001)
+        for _ in range(10):
+            slow.histogram("lat").observe(1.0)
+        (summary,) = histogram_summaries(merge_snapshots(fast.snapshot(), slow.snapshot()))
+        assert summary["count"] == 100
+        assert summary["p50"] < 0.002
+        assert summary["p99"] > 0.5
 
     def test_summaries_expose_p50_p95_p99(self):
         registry = MetricsRegistry()
@@ -200,96 +329,34 @@ class TestMergeAndExposition:
         text = registry.render_prometheus()
         assert '\\"' in text and "\\\\" in text and "\\n" in text
 
-    def test_aggregate_snapshot_sees_live_registries(self):
+    def test_metric_and_label_names_are_sanitised(self):
         registry = MetricsRegistry()
-        registry.counter("aggregate_probe_total").inc(41)
-        merged = aggregate_snapshot()
-        probes = [
-            c for c in merged["counters"] if c["name"] == "aggregate_probe_total"
-        ]
-        assert probes and probes[0]["value"] >= 41
+        registry.counter("cache.hits-total", **{"relation": "Emp"}).inc(2)
+        lines = registry.render_prometheus().splitlines()
+        assert "# TYPE cache_hits_total counter" in lines
+        assert 'cache_hits_total{relation="Emp"} 2' in lines
 
-
-class TestSnapshotDelta:
-    def test_counter_delta_is_the_window_activity(self):
+    def test_one_type_line_per_family(self):
         registry = MetricsRegistry()
-        registry.counter("ops_total", op_kind="select").inc(5)
-        before = registry.snapshot()
-        registry.counter("ops_total", op_kind="select").inc(3)
-        delta = snapshot_delta(before, registry.snapshot())
-        entries = [c for c in delta["counters"] if c["name"] == "ops_total"]
-        assert entries == [
-            {"name": "ops_total", "labels": {"op_kind": "select"}, "value": 3}
-        ]
+        for kind in ("select", "insert", "delete"):
+            registry.counter("ops_total", op_kind=kind).inc()
+            registry.histogram("op_seconds", op_kind=kind).observe(0.001)
+        lines = registry.render_prometheus().splitlines()
+        assert lines.count("# TYPE ops_total counter") == 1
+        assert lines.count("# TYPE op_seconds histogram") == 1
+        assert sum(line.startswith("ops_total{") for line in lines) == 3
 
-    def test_idle_instruments_are_dropped(self):
+    def test_histogram_buckets_are_cumulative(self):
         registry = MetricsRegistry()
-        registry.counter("idle_total").inc(7)
-        registry.histogram("idle_seconds").observe(0.1)
-        before = registry.snapshot()
-        delta = snapshot_delta(before, registry.snapshot())
-        assert delta["counters"] == []
-        assert delta["histograms"] == []
+        for seconds in (0.0001, 0.001, 0.01, 0.1, 1000.0):
+            registry.histogram("lat").observe(seconds)
+        lines = registry.render_prometheus().splitlines()
+        counts = [int(l.rsplit(" ", 1)[1]) for l in lines if l.startswith("lat_bucket")]
+        assert counts == sorted(counts)
+        # The overflow observation is only in +Inf.
+        assert counts[-2:] == [4, 5]
+        assert "lat_count 5" in lines
 
-    def test_histogram_delta_subtracts_buckets_count_and_sum(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("op_seconds", op_kind="select")
-        histogram.observe(0.001)
-        before = registry.snapshot()
-        histogram.observe(0.002)
-        histogram.observe(0.004)
-        delta = snapshot_delta(before, registry.snapshot())
-        entry = delta["histograms"][0]
-        assert entry["count"] == 2
-        assert entry["sum"] == pytest.approx(0.006)
-        assert sum(entry["buckets"]) == 2
-        summaries = histogram_summaries(delta)
-        assert summaries[0]["count"] == 2
-
-    def test_instruments_born_inside_the_window_pass_through(self):
-        registry = MetricsRegistry()
-        before = registry.snapshot()
-        registry.counter("fresh_total").inc(2)
-        registry.histogram("fresh_seconds").observe(0.01)
-        delta = snapshot_delta(before, registry.snapshot())
-        assert delta["counters"][0]["value"] == 2
-        assert delta["histograms"][0]["count"] == 1
-
-    def test_gauges_keep_their_point_in_time_reading(self):
-        registry = MetricsRegistry()
-        registry.gauge("active").set(9)
-        before = registry.snapshot()
-        registry.gauge("active").set(4)
-        delta = snapshot_delta(before, registry.snapshot())
-        assert delta["gauges"] == [{"name": "active", "labels": {}, "value": 4}]
-
-    def test_dead_registry_shrinkage_clamps_at_zero(self):
-        # A registry that dies between the snapshots makes the merged
-        # "after" smaller than "before"; the delta must not go negative.
-        survivor = MetricsRegistry()
-        survivor.counter("ops_total").inc(1)
-        doomed = MetricsRegistry()
-        doomed.counter("ops_total").inc(100)
-        doomed.histogram("op_seconds").observe(0.5)
-        before = merge_snapshots(survivor.snapshot(), doomed.snapshot())
-        survivor.counter("ops_total").inc(2)
-        delta = snapshot_delta(before, survivor.snapshot())
-        entries = [c for c in delta["counters"] if c["name"] == "ops_total"]
-        assert entries == []  # 3 - 101 clamps to zero and is dropped
-        assert delta["histograms"] == []
-
-    def test_delta_scopes_one_benchmark_among_many(self):
-        # The conftest bleed scenario: benchmark 1's histograms must not
-        # appear in benchmark 2's delta.
-        registry = MetricsRegistry()
-        registry.histogram("op_seconds", op_kind="select").observe(0.1)
-        baseline = aggregate_snapshot()
-        registry.histogram("op_seconds", op_kind="insert").observe(0.2)
-        delta = snapshot_delta(baseline, aggregate_snapshot())
-        kinds = {
-            entry["labels"].get("op_kind")
-            for entry in delta["histograms"]
-            if entry["name"] == "op_seconds"
-        }
-        assert "insert" in kinds
-        assert "select" not in kinds
+    def test_an_empty_snapshot_renders_an_empty_exposition(self):
+        assert render_prometheus(MetricsRegistry().snapshot()) == "\n"
+        assert render_prometheus({}) == "\n"

@@ -107,6 +107,20 @@ class TestCommands:
         assert "E9" in captured.out
         assert "expansion" in captured.out
 
+    def test_experiments_ids_are_case_insensitive(self, capsys):
+        assert main(["experiments", "--only", "e9"]) == 0
+        assert "[E9]" in capsys.readouterr().out
+
+    def test_experiments_rejects_the_retired_e10(self, capsys):
+        assert main(["experiments", "--only", "E10"]) == 2
+        assert "E10" in capsys.readouterr().err
+
+    def test_bench_verb_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["bench", "run"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestClusterCommands:
     def test_route_distribution_is_offline_and_balanced(self, capsys):

@@ -1,8 +1,9 @@
 """Distribution-level properties: tail mass, normalization, determinism.
 
 `tests/workloads/test_workloads.py` checks the distributions inside the
-hospital workload; these tests pin the statistical contracts the bench
-harness's zipfian axis and the cache tier's hot-key assumption lean on.
+hospital workload; these tests pin the statistical contracts that the
+employee workload's skewed departments, the cluster smoke test's zipfian
+burst and the cache tier's hot-key assumption lean on.
 """
 
 from __future__ import annotations

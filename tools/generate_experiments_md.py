@@ -24,9 +24,9 @@ PREAMBLE = """\
 
 The ICDE 2006 poster contains no numbered tables or figures; its evaluation is
 a set of worked attack examples and qualitative claims about the construction.
-`DESIGN.md` (section 5) maps each claim to an experiment id (E1–E10, plus the
-ablation A1); this file records, for each one, the paper's claim, the expected
-shape of the result, and the table measured in this repository.
+`repro.experiments.registry` maps each claim to an experiment id (E1–E9, plus
+the ablation A1); this file records, for each one, the paper's claim, the
+expected shape of the result, and the table measured in this repository.
 
 *How these numbers were produced.* `pytest benchmarks/ --benchmark-only`
 regenerates every table below; each benchmark writes its table to
@@ -39,7 +39,8 @@ resolution is therefore roughly ±0.1 on success probabilities (Wilson 95%).
 
 This reproduction substitutes laptop-scale simulation for the paper's (never
 reported) testbed, so the comparison is about *shape*: who wins each game, by
-roughly what factor, and how costs scale. See DESIGN.md §4 for substitutions.
+roughly what factor, and how costs scale. `repro.experiments.registry` names
+the benchmark and the reduced parameters behind each table.
 """
 
 SECTIONS = [
@@ -151,18 +152,6 @@ SECTIONS = [
         "duplication), constant across 200 vs 2000 tuples.",
     ),
     (
-        "E10",
-        "e10_index_vs_scan",
-        "Secure-index backend vs SWP linear scan (full-version optimization)",
-        "Paper claim: the construction is generic over the searchable scheme, so \"others can be used "
-        "instead\" of SWP; the full version mentions straightforward optimizations.",
-        "Expected shape: both backends do linear server work (one token evaluation per document), but "
-        "the index backend's per-document check is several times cheaper; correctness and q = 0 "
-        "security are unchanged (E3).",
-        "Measured: matches — the index backend answers the same queries ~4–10× faster at the server "
-        "for both high- and low-selectivity queries.",
-    ),
-    (
         "A1",
         "a1_variable_length",
         "Ablation: variable-length attribute words (full-version optimization)",
@@ -185,7 +174,7 @@ Putting E1–E6 side by side reproduces the paper's overall argument:
    (E1, E2), exactly as argued in Section 1;
 2. the paper's construction repairs that: at q = 0 no implemented adversary
    gains non-negligible advantage (E3), and its price is a constant-factor
-   overhead (E7–E10, A1);
+   overhead (E7–E9, A1);
 3. but the moment queries flow, *nothing* helps: the generic Theorem 2.1
    adversaries (E4) and the concrete hospital/John attacks (E5, E6) succeed
    against every scheme, including the construction — which is precisely the
