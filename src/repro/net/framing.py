@@ -13,7 +13,8 @@ payload.  The channel byte multiplexes two kinds of traffic over one
 connection:
 
 * :data:`CHANNEL_ENVELOPE` -- the payload is a protocol envelope exactly as
-  :func:`repro.outsourcing.protocol.parse_message` consumes it (v1 or v2);
+  :func:`repro.outsourcing.protocol.parse_message` consumes it (v1, v2 or
+  v3);
   the transport never inspects it.
 * :data:`CHANNEL_CONTROL` -- the payload is a JSON control message of the
   session layer: the hello/version handshake and the management operations
@@ -42,6 +43,7 @@ implementation.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 #: Bytes of the big-endian length prefix.
@@ -64,6 +66,10 @@ DEFAULT_MAX_FRAME_SIZE = 64 * 1024 * 1024
 CHANNEL_ENVELOPE = 0x00
 CHANNEL_CONTROL = 0x01
 KNOWN_CHANNELS = (CHANNEL_ENVELOPE, CHANNEL_CONTROL)
+
+_LENGTH = struct.Struct(">I")
+#: The channel byte and the correlation id after the length prefix.
+_HEADER = struct.Struct(">BI")
 
 
 class FramingError(Exception):
@@ -129,14 +135,24 @@ class FrameDecoder:
         return len(self._buffer)
 
     def feed(self, data: bytes) -> list[Frame]:
-        """Absorb a chunk and return every frame it completes."""
-        self._buffer.extend(data)
-        frames = []
-        while True:
-            frame = self._next_frame()
-            if frame is None:
-                return frames
-            frames.append(frame)
+        """Absorb a chunk and return every frame it completes.
+
+        A payload is copied once, straight out of the chunk it arrived in;
+        only an unfinished tail is buffered, and a frame completed from the
+        buffer is copied once out of it.
+        """
+        buffer = self._buffer
+        if buffer:
+            buffer.extend(data)
+            data = buffer
+        frames: list[Frame] = []
+        with memoryview(data) as view:
+            offset = self._cut(view, frames)
+            if data is not buffer:
+                buffer.extend(view[offset:])
+        if data is buffer:
+            del buffer[:offset]
+        return frames
 
     def finish(self) -> None:
         """Signal EOF; raises if the stream died inside a frame."""
@@ -145,36 +161,31 @@ class FrameDecoder:
                 f"stream ended with {len(self._buffer)} bytes of an unfinished frame"
             )
 
-    def _next_frame(self) -> Frame | None:
-        if len(self._buffer) < LENGTH_PREFIX_SIZE:
-            return None
-        body_size = int.from_bytes(self._buffer[:LENGTH_PREFIX_SIZE], "big")
-        if body_size > self._max_frame_size:
-            raise OversizedFrameError(
-                f"frame of {body_size} bytes exceeds the "
-                f"{self._max_frame_size}-byte limit"
-            )
-        if body_size < FRAME_HEADER_SIZE:
-            raise FramingError(
-                f"frame body of {body_size} byte(s) cannot carry the "
-                f"{FRAME_HEADER_SIZE}-byte channel/correlation header"
-            )
-        if len(self._buffer) < LENGTH_PREFIX_SIZE + body_size:
-            return None
-        channel = self._buffer[LENGTH_PREFIX_SIZE]
-        if channel not in KNOWN_CHANNELS:
-            raise FramingError(f"unknown frame channel {channel:#x}")
-        correlation = int.from_bytes(
-            self._buffer[LENGTH_PREFIX_SIZE + 1: LENGTH_PREFIX_SIZE + FRAME_HEADER_SIZE],
-            "big",
-        )
-        payload = bytes(
-            self._buffer[
-                LENGTH_PREFIX_SIZE + FRAME_HEADER_SIZE: LENGTH_PREFIX_SIZE + body_size
-            ]
-        )
-        del self._buffer[: LENGTH_PREFIX_SIZE + body_size]
-        return Frame(channel=channel, payload=payload, correlation=correlation)
+    def _cut(self, view: memoryview, frames: list[Frame]) -> int:
+        """Append every complete frame of ``view``; returns the bytes consumed."""
+        offset, end = 0, len(view)
+        while end - offset >= LENGTH_PREFIX_SIZE:
+            (body_size,) = _LENGTH.unpack_from(view, offset)
+            if body_size > self._max_frame_size:
+                raise OversizedFrameError(
+                    f"frame of {body_size} bytes exceeds the "
+                    f"{self._max_frame_size}-byte limit"
+                )
+            if body_size < FRAME_HEADER_SIZE:
+                raise FramingError(
+                    f"frame body of {body_size} byte(s) cannot carry the "
+                    f"{FRAME_HEADER_SIZE}-byte channel/correlation header"
+                )
+            stop = offset + LENGTH_PREFIX_SIZE + body_size
+            if stop > end:
+                break
+            channel, correlation = _HEADER.unpack_from(view, offset + LENGTH_PREFIX_SIZE)
+            if channel not in KNOWN_CHANNELS:
+                raise FramingError(f"unknown frame channel {channel:#x}")
+            payload = view[offset + LENGTH_PREFIX_SIZE + FRAME_HEADER_SIZE: stop].tobytes()
+            frames.append(Frame(channel, payload, correlation))
+            offset = stop
+        return offset
 
 
 # --------------------------------------------------------------------------- #

@@ -2,7 +2,7 @@
 
 :class:`DatabaseTcpServer` puts an
 :class:`~repro.outsourcing.server.OutsourcedDatabaseServer` behind a
-listening socket.  Each accepted connection is an independent asyncio task
+listening socket.  Each accepted connection is one :class:`asyncio.Protocol`
 that speaks the framing of :mod:`repro.net.framing`:
 
 * the connection opens with a mandatory **hello** control exchange that
@@ -46,6 +46,18 @@ monopolising the loop.  Both paths run the same ``_dispatch_envelope`` and
 ``_send``; only the thread differs, and a 0.1 ms index probe does not repay
 two thread hand-offs.
 
+A connection runs on **callbacks**, with no task per connection or per
+request: ``data_received`` feeds the sans-IO
+:class:`~repro.net.framing.FrameDecoder` and admits every decoded frame
+synchronously, in arrival order.  An inline answer is written from that
+same callback; a worker's answer comes back through its future's
+done-callback and ``loop.call_soon_threadsafe``, and is written on the
+loop.  Admission is an in-flight count: at ``max_in_flight`` the connection
+stops reading (``pause_reading``) and frames already decoded wait their
+turn, so a client pipelining harder than that sees TCP backpressure, not an
+error; the transport's ``pause_writing`` stops reading and admitting the
+same way while a slow reader lets answers pile up.
+
 Connections are **pipelined**: a client may send many request frames
 without waiting, each carrying a correlation id; the server answers them
 as dispatch completes -- possibly out of order -- and every response frame
@@ -70,7 +82,6 @@ from __future__ import annotations
 import asyncio
 import base64
 import concurrent.futures
-import contextlib
 import json
 import threading
 import time
@@ -253,7 +264,7 @@ class TcpServerStats:
     their historical names (attribute reads, :meth:`as_dict` keys and the
     ``stats`` control operation are unchanged), but every mutation now goes
     through a locked registry instrument.  The old dataclass was bumped
-    with bare ``+=`` from responder tasks *and* dispatcher threads, so
+    with bare ``+=`` from the event loop *and* dispatcher threads, so
     counts could be lost under concurrency.
     """
 
@@ -386,7 +397,7 @@ class DatabaseTcpServer:
         )
         self._inline_answers = 0  # touched on the event loop only
         self._asyncio_server: asyncio.AbstractServer | None = None
-        self._connections: dict[asyncio.Task, ConnectionStats] = {}
+        self._connections: dict[_Connection, ConnectionStats] = {}
         # Share the wrapped provider's registry when it has one, so the
         # metrics control operation answers with one unified snapshot.
         database_metrics = getattr(self._database, "metrics", None)
@@ -400,7 +411,6 @@ class DatabaseTcpServer:
         )
         self._traces = TraceBuffer(trace_buffer_size)
         self._slow_queries = SlowQueryLog(slow_query_threshold)
-        self._stopping = False
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -456,32 +466,34 @@ class DatabaseTcpServer:
         """Bind and start accepting connections."""
         if self._asyncio_server is not None:
             raise RuntimeError("server is already started")
-        self._asyncio_server = await asyncio.start_server(
-            self._handle_connection, self._requested_host, self._requested_port
+        loop = asyncio.get_running_loop()
+        self._asyncio_server = await loop.create_server(
+            lambda: _Connection(self, loop), self._requested_host, self._requested_port
         )
 
     async def stop(self, drain_timeout: float = 5.0) -> None:
         """Stop accepting, drain in-flight requests, then cut stragglers.
 
-        Idle connections (blocked waiting for the peer's next frame) are
-        closed immediately; only connections with in-flight requests get
-        the grace period.
+        Idle connections (waiting for the peer's next frame) are closed
+        immediately; only connections with in-flight requests get the grace
+        period.
         """
-        self._stopping = True
-        if self._asyncio_server is not None:
-            self._asyncio_server.close()
-            await self._asyncio_server.wait_closed()
-            self._asyncio_server = None
-        for task, connection in tuple(self._connections.items()):
-            if not connection.busy:
-                task.cancel()
-        tasks = tuple(self._connections)
-        if tasks:
-            done, pending = await asyncio.wait(tasks, timeout=drain_timeout)
-            for task in pending:
-                task.cancel()
+        listener, self._asyncio_server = self._asyncio_server, None
+        if listener is not None:
+            listener.close()
+        connections = tuple(self._connections)
+        for connection in connections:
+            connection.shut()
+        if connections:
+            _, pending = await asyncio.wait(
+                [connection.closed for connection in connections], timeout=drain_timeout
+            )
             if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
+                for connection in connections:
+                    connection.transport.abort()
+                await asyncio.wait(pending)
+        if listener is not None:
+            await listener.wait_closed()
         self._dispatcher.shutdown(wait=True)
 
     async def serve_forever(self) -> None:
@@ -494,218 +506,8 @@ class DatabaseTcpServer:
             pass
 
     # ------------------------------------------------------------------ #
-    # Connection handling
+    # Dispatch (on the event loop or a worker)
     # ------------------------------------------------------------------ #
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        peername = writer.get_extra_info("peername")
-        connection = ConnectionStats(peer=str(peername))
-        if task is not None:
-            self._connections[task] = connection
-        self._stats.inc("connections_total")
-        self._stats.inc("connections_active")
-        decoder = FrameDecoder(self._max_frame_size)
-        in_flight: set[asyncio.Task] = set()
-        admission = asyncio.Semaphore(self._max_in_flight)
-        try:
-            fatal = False
-            while not self._stopping and not fatal:
-                chunk = await reader.read(65536)
-                if not chunk:
-                    break
-                try:
-                    frames = decoder.feed(chunk)
-                except FramingError as exc:
-                    self._stats.inc("framing_errors")
-                    await self._send_control(
-                        writer, connection, {"ok": False, "error": str(exc)}
-                    )
-                    break
-                # One frame on a quiet connection: a client waiting for
-                # this answer.  Anything else is a client pipelining.
-                alone = len(frames) == 1 and not in_flight
-                for frame in frames:
-                    connection.frames_received += 1
-                    self._stats.inc("frames_received")
-                    if not await self._admit_frame(
-                        writer, connection, in_flight, admission, frame, alone
-                    ):
-                        fatal = True
-                        break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # peer vanished; nothing to answer
-        except asyncio.CancelledError:
-            pass  # server shutdown cut this connection deliberately
-        finally:
-            try:
-                # Let admitted requests finish and answer before the socket
-                # closes; their dispatch jobs are already running or queued.
-                if in_flight:
-                    await asyncio.gather(*in_flight, return_exceptions=True)
-            except asyncio.CancelledError:
-                # Forced shutdown after the drain grace period: abandon the
-                # stragglers (their dispatch results are discarded).
-                for responder in tuple(in_flight):
-                    responder.cancel()
-            finally:
-                self._stats.dec("connections_active")
-                writer.close()
-                with contextlib.suppress(Exception):
-                    await writer.wait_closed()
-                if task is not None:
-                    self._connections.pop(task, None)
-
-    async def _admit_frame(
-        self,
-        writer: asyncio.StreamWriter,
-        connection: ConnectionStats,
-        in_flight: set[asyncio.Task],
-        admission: asyncio.Semaphore,
-        frame: framing.Frame,
-        alone: bool,
-    ) -> bool:
-        """Route one frame into dispatch; returns False to close the connection.
-
-        Hello (and pre-hello violations) are answered inline, and so is a
-        bounded envelope that arrived ``alone`` for an idle relation (module
-        docstring); everything else is queued on the keyed dispatcher *in
-        arrival order* -- which is what makes same-relation FIFO hold -- and
-        answered by a per-request responder task whenever it completes.
-        """
-        frame_size = (
-            len(frame.payload) + framing.LENGTH_PREFIX_SIZE + framing.FRAME_HEADER_SIZE
-        )
-        connection.bytes_received += frame_size
-        self._stats.inc("bytes_received", frame_size)
-        if frame.channel == CHANNEL_CONTROL:
-            connection.control_frames += 1
-            self._stats.inc("control_frames")
-            try:
-                request = json.loads(frame.payload.decode("utf-8"))
-                if not isinstance(request, dict) or "op" not in request:
-                    raise ValueError("control messages are objects with an 'op' field")
-            except (ValueError, UnicodeDecodeError) as exc:
-                await self._send_control(
-                    writer,
-                    connection,
-                    {"ok": False, "error": f"malformed control frame: {exc}"},
-                    correlation=frame.correlation,
-                )
-                return False
-            op = request["op"]
-            if op == "hello":
-                return await self._serve_hello(
-                    writer, connection, request, frame.correlation
-                )
-            if connection.negotiated_version is None:
-                await self._send_control(
-                    writer,
-                    connection,
-                    {"ok": False, "error": "the first frame must be a hello"},
-                    correlation=frame.correlation,
-                )
-                return False
-            relation = request.get("relation")
-            key = ("rel", str(relation)) if relation is not None else ("global",)
-            await admission.acquire()
-            future = self._dispatcher.submit(key, self._control_operation, request)
-            self._spawn_responder(
-                in_flight,
-                admission,
-                connection,
-                self._deliver_control(writer, connection, frame.correlation, op, future),
-            )
-            return True
-        connection.envelope_frames += 1
-        self._stats.inc("envelope_frames")
-        if connection.negotiated_version is None:
-            await self._send_control(
-                writer,
-                connection,
-                {"ok": False, "error": "the first frame must be a hello"},
-                correlation=frame.correlation,
-            )
-            return False
-        try:
-            # A structural peek -- O(header), the body is never copied here
-            # -- learns the dispatch key; handle_message parses in full on
-            # the worker.  Garbage that does not even frame is a protocol
-            # violation, not a servable error: answer and close.
-            version, kind, relation_name = protocol.peek_envelope(frame.payload)
-        except ProtocolError as exc:
-            await self._send_control(
-                writer,
-                connection,
-                {"ok": False, "error": str(exc)},
-                correlation=frame.correlation,
-            )
-            return False
-        key = ("rel", relation_name)
-        trace_id = protocol.peek_trace_id(frame.payload, version)
-        # Idle before bounded: this loop is the only submitter, so once the
-        # key is idle nothing can change what the provider answers.
-        if (
-            alone
-            and self._dispatcher.idle(key)
-            and self._bounded_work(kind, relation_name)
-        ):
-            self._inline_answers += 1
-            self._metrics.counter(
-                "server_inline_answers_total",
-                relation=self._metric_relation(relation_name),
-            ).inc()
-            connection.in_flight += 1  # shutdown waits for busy connections
-            connection.peak_in_flight = max(connection.peak_in_flight, 1)
-            try:
-                channel, answer = self._dispatch_envelope(
-                    trace_id, relation_name, frame.payload, time.monotonic(), "inline"
-                )
-                with contextlib.suppress(ConnectionError):
-                    await self._send(
-                        writer, connection, answer, channel, frame.correlation
-                    )
-            finally:
-                connection.in_flight -= 1
-            return True
-        await admission.acquire()
-        future = self._dispatcher.submit(
-            key,
-            self._dispatch_envelope,
-            trace_id,
-            relation_name,
-            frame.payload,
-            time.monotonic(),
-            "worker",
-        )
-        self._spawn_responder(
-            in_flight,
-            admission,
-            connection,
-            self._deliver_envelope(writer, connection, frame.correlation, future),
-        )
-        return True
-
-    def _spawn_responder(
-        self,
-        in_flight: set[asyncio.Task],
-        admission: asyncio.Semaphore,
-        connection: ConnectionStats,
-        coroutine,
-    ) -> None:
-        connection.in_flight += 1
-        connection.peak_in_flight = max(connection.peak_in_flight, connection.in_flight)
-        task = asyncio.ensure_future(coroutine)
-        in_flight.add(task)
-
-        def _done(finished: asyncio.Task) -> None:
-            in_flight.discard(finished)
-            connection.in_flight -= 1
-            admission.release()
-
-        task.add_done_callback(_done)
 
     def _dispatch_envelope(
         self,
@@ -749,81 +551,25 @@ class DatabaseTcpServer:
             failure = {"ok": False, "error": f"internal dispatch failure: {exc}"}
             return CHANNEL_CONTROL, json.dumps(failure).encode("utf-8")
 
-    async def _deliver_envelope(
-        self,
-        writer: asyncio.StreamWriter,
-        connection: ConnectionStats,
-        correlation: int,
-        future: concurrent.futures.Future,
-    ) -> None:
-        channel, answer = await asyncio.wrap_future(future)
-        with contextlib.suppress(ConnectionError):
-            await self._send(writer, connection, answer, channel, correlation)
+    # ------------------------------------------------------------------ #
+    # Control operations (executed on the dispatch pool)
+    # ------------------------------------------------------------------ #
 
-    async def _deliver_control(
-        self,
-        writer: asyncio.StreamWriter,
-        connection: ConnectionStats,
-        correlation: int,
-        op: str,
-        future: concurrent.futures.Future,
-    ) -> None:
+    def _control_answer(self, request: dict) -> tuple[int, bytes]:
+        """Run one control operation; ``(channel, answer)`` as for an envelope.
+
+        A failure is an ``ok: false`` answer: the connection lives on.
+        """
+        op = request["op"]
         try:
-            response = await asyncio.wrap_future(future)
+            response = self._control_operation(request)
         except (ServerError, StorageError, EvaluatorDescriptionError, ProtocolError) as exc:
             response = {"ok": False, "error": str(exc)}
         except (KeyError, TypeError, ValueError) as exc:
             response = {"ok": False, "error": f"malformed {op!r} request: {exc}"}
         except Exception as exc:  # noqa: BLE001 - a dispatch bug must not kill siblings
             response = {"ok": False, "error": f"internal dispatch failure: {exc}"}
-        await self._send_control(writer, connection, response, correlation=correlation)
-
-    async def _serve_hello(
-        self,
-        writer: asyncio.StreamWriter,
-        connection: ConnectionStats,
-        request: dict,
-        correlation: int,
-    ) -> bool:
-        try:
-            client_versions = [int(v) for v in request["versions"]]
-            version = negotiate_version(
-                client_versions, self._database.supported_protocol_versions
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            await self._send_control(
-                writer,
-                connection,
-                {"ok": False, "error": f"malformed hello: {exc}"},
-                correlation=correlation,
-            )
-            return False
-        except ProtocolError as exc:
-            await self._send_control(
-                writer,
-                connection,
-                {"ok": False, "error": str(exc)},
-                correlation=correlation,
-            )
-            return False
-        connection.negotiated_version = version
-        await self._send_control(
-            writer,
-            connection,
-            {
-                "ok": True,
-                "version": version,
-                "versions": list(self._database.supported_protocol_versions),
-                "server": SERVER_SOFTWARE,
-                "max_frame_size": self._max_frame_size,
-            },
-            correlation=correlation,
-        )
-        return True
-
-    # ------------------------------------------------------------------ #
-    # Control operations (executed on the dispatch pool)
-    # ------------------------------------------------------------------ #
+        return CHANNEL_CONTROL, json.dumps(response).encode("utf-8")
 
     def _control_operation(self, request: dict) -> dict:
         op = request["op"]
@@ -881,49 +627,279 @@ class DatabaseTcpServer:
             }
         raise ServerError(f"unknown control operation {op!r}")
 
-    # ------------------------------------------------------------------ #
-    # Frame output
-    # ------------------------------------------------------------------ #
 
-    async def _send(
-        self,
-        writer: asyncio.StreamWriter,
-        connection: ConnectionStats,
-        payload: bytes,
-        channel: int,
-        correlation: int = 0,
-    ) -> None:
+#: Wire bytes of a frame beyond its payload.
+_FRAME_OVERHEAD = framing.LENGTH_PREFIX_SIZE + framing.FRAME_HEADER_SIZE
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection, driven by its transport's callbacks.
+
+    Everything here runs on the event loop -- frames are admitted from
+    :meth:`data_received` and a worker's answer is handed back with
+    ``call_soon_threadsafe`` -- so the per-connection state needs no lock.
+    """
+
+    def __init__(self, server: DatabaseTcpServer, loop: asyncio.AbstractEventLoop) -> None:
+        self._server = server
+        self._loop = loop
+        self._decoder = FrameDecoder(server._max_frame_size)
+        self.transport: asyncio.Transport | None = None
+        self.stats = ConnectionStats()
+        #: Resolved once the transport is gone (what ``stop`` waits for).
+        self.closed: asyncio.Future = loop.create_future()
+        #: Decoded frames waiting for an in-flight slot, in arrival order.
+        self._backlog: deque[framing.Frame] = deque()
+        self._reading = True
+        self._write_paused = False
+        #: Read no more; close once every admitted request is answered.
+        self._closing = False
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self.stats.peer = str(transport.get_extra_info("peername"))
+        self._server._connections[self] = self.stats
+        self._server._stats.inc("connections_total")
+        self._server._stats.inc("connections_active")
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._closing = True
+        self._backlog.clear()
+        self._server._stats.dec("connections_active")
+        self._server._connections.pop(self, None)
+        self.closed.set_result(None)
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            self._backlog.extend(self._decoder.feed(data))
+        except FramingError as exc:
+            self._server._stats.inc("framing_errors")
+            self._refuse(str(exc))
+            return
+        # One frame on a quiet connection: a client waiting for this
+        # answer.  Anything else is a client pipelining.
+        self._admit_backlog(len(self._backlog) == 1 and not self.stats.in_flight)
+
+    def eof_received(self) -> bool:
+        # Keep the socket for the answers still owed; _flow closes it after.
+        self._closing = True
+        return self.stats.busy
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+        self._flow()
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._admit_backlog()
+
+    def shut(self) -> None:
+        """Read no more; close now when idle, else once the last answer is out."""
+        self._closing = True
+        self.transport.pause_reading()
+        self._flow()
+
+    def _flow(self) -> None:
+        """Read while there is room; a closing connection closes once idle."""
+        if self._closing:
+            if not self.stats.in_flight:
+                self.transport.close()
+            return
+        reading = (
+            not self._write_paused
+            and not self._backlog
+            and self.stats.in_flight < self._server._max_in_flight
+        )
+        if reading is not self._reading:
+            self._reading = reading
+            if reading:
+                self.transport.resume_reading()
+            else:
+                self.transport.pause_reading()
+
+    def _admit_backlog(self, alone: bool = False) -> None:
+        """Admit waiting frames in arrival order, up to the in-flight cap.
+
+        Nothing is admitted while the transport's write buffer is over its
+        high-water mark, so a peer that does not read is owed at most
+        ``max_in_flight`` answers beyond it.
+        """
+        backlog, stats = self._backlog, self.stats
+        limit = self._server._max_in_flight
+        received = envelopes = size = 0
+        while backlog and not self._write_paused and stats.in_flight < limit:
+            frame = backlog.popleft()
+            received += 1
+            envelopes += frame.channel == CHANNEL_ENVELOPE
+            size += len(frame.payload)
+            self._admit(frame, alone)
+        if received:
+            self._count(received, envelopes, size + received * _FRAME_OVERHEAD)
+        self._flow()
+
+    def _count(self, received: int, envelopes: int, size: int) -> None:
+        """Bump the traffic counters once for a run of admitted frames."""
+        controls = received - envelopes
+        stats = self.stats
+        stats.frames_received += received
+        stats.bytes_received += size
+        stats.envelope_frames += envelopes
+        stats.control_frames += controls
+        totals = self._server._stats
+        totals.inc("frames_received", received)
+        totals.inc("bytes_received", size)
+        if envelopes:
+            totals.inc("envelope_frames", envelopes)
+        if controls:
+            totals.inc("control_frames", controls)
+
+    def _admit(self, frame: framing.Frame, alone: bool) -> None:
+        """Answer or queue one frame; a refused frame closes the connection.
+
+        Hello (and pre-hello violations) are answered here, and so is a
+        bounded envelope that arrived ``alone`` for an idle relation (module
+        docstring); everything else is queued on the keyed dispatcher *in
+        arrival order* -- which is what makes same-relation FIFO hold -- and
+        answered from its future's done-callback.
+        """
+        server, correlation, payload = self._server, frame.correlation, frame.payload
+        if frame.channel == CHANNEL_CONTROL:
+            try:
+                request = json.loads(payload.decode("utf-8"))
+                if not isinstance(request, dict) or "op" not in request:
+                    raise ValueError("control messages are objects with an 'op' field")
+            except (ValueError, UnicodeDecodeError) as exc:
+                self._refuse(f"malformed control frame: {exc}", correlation)
+                return
+            if request["op"] == "hello":
+                self._hello(request, correlation)
+            elif self.stats.negotiated_version is None:
+                self._refuse("the first frame must be a hello", correlation)
+            else:
+                relation = request.get("relation")
+                key = ("rel", str(relation)) if relation is not None else ("global",)
+                self._submit(key, correlation, server._control_answer, request)
+            return
+        if self.stats.negotiated_version is None:
+            self._refuse("the first frame must be a hello", correlation)
+            return
+        try:
+            # A structural peek -- O(header), the body is never copied here
+            # -- learns the dispatch key; handle_message parses in full.
+            # Garbage that does not even frame is a protocol violation, not
+            # a servable error: answer and close.
+            version, kind, relation_name = protocol.peek_envelope(payload)
+        except ProtocolError as exc:
+            self._refuse(str(exc), correlation)
+            return
+        key = ("rel", relation_name)
+        trace_id = protocol.peek_trace_id(payload, version)
+        # Idle before bounded: this loop is the only submitter, so once the
+        # key is idle nothing can change what the provider answers.
+        if (
+            alone
+            and server._dispatcher.idle(key)
+            and server._bounded_work(kind, relation_name)
+        ):
+            server._inline_answers += 1
+            server._metrics.counter(
+                "server_inline_answers_total",
+                relation=server._metric_relation(relation_name),
+            ).inc()
+            stats = self.stats
+            stats.in_flight += 1  # shutdown waits for busy connections
+            stats.peak_in_flight = max(stats.peak_in_flight, 1)
+            try:
+                channel, answer = server._dispatch_envelope(
+                    trace_id, relation_name, payload, time.monotonic(), "inline"
+                )
+                self._send(answer, channel, correlation)
+            finally:
+                stats.in_flight -= 1
+            return
+        self._submit(
+            key,
+            correlation,
+            server._dispatch_envelope,
+            trace_id,
+            relation_name,
+            payload,
+            time.monotonic(),
+            "worker",
+        )
+
+    def _submit(self, key: Hashable, correlation: int, job: Callable, *args) -> None:
+        """Queue ``job`` on a worker; its ``(channel, answer)`` is sent on the loop."""
+        stats = self.stats
+        stats.in_flight += 1
+        stats.peak_in_flight = max(stats.peak_in_flight, stats.in_flight)
+        call_soon, answer = self._loop.call_soon_threadsafe, self._answer
+        self._server._dispatcher.submit(key, job, *args).add_done_callback(
+            lambda future: call_soon(answer, correlation, future)
+        )
+
+    def _answer(self, correlation: int, future: concurrent.futures.Future) -> None:
+        try:
+            channel, answer = future.result()
+            self._send(answer, channel, correlation)
+        finally:
+            self.stats.in_flight -= 1
+            self._admit_backlog()
+
+    def _hello(self, request: dict, correlation: int) -> None:
+        database = self._server._database
+        try:
+            client_versions = [int(v) for v in request["versions"]]
+            version = negotiate_version(
+                client_versions, database.supported_protocol_versions
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            self._refuse(f"malformed hello: {exc}", correlation)
+            return
+        except ProtocolError as exc:
+            self._refuse(str(exc), correlation)
+            return
+        self.stats.negotiated_version = version
+        self._send_control(
+            {
+                "ok": True,
+                "version": version,
+                "versions": list(database.supported_protocol_versions),
+                "server": SERVER_SOFTWARE,
+                "max_frame_size": self._server._max_frame_size,
+            },
+            correlation,
+        )
+
+    def _refuse(self, error: str, correlation: int = 0) -> None:
+        """Answer a violation with one control error frame, then close."""
+        self._send_control({"ok": False, "error": error}, correlation)
+        self._backlog.clear()
+        self.shut()
+
+    def _send(self, payload: bytes, channel: int, correlation: int) -> None:
+        transport = self.transport
+        if transport.is_closing():
+            return  # the peer is gone: the answer has nowhere to go
         frame = framing.encode_frame(
             payload,
             channel=channel,
             correlation=correlation,
-            max_frame_size=self._max_frame_size,
+            max_frame_size=self._server._max_frame_size,
         )
-        connection.frames_sent += 1
-        connection.bytes_sent += len(frame)
-        self._stats.inc("frames_sent")
-        self._stats.inc("bytes_sent", len(frame))
-        # write() appends the whole frame to the transport buffer in one
-        # synchronous step, so concurrent responder tasks cannot interleave
-        # partial frames; drain() only applies backpressure.
-        writer.write(frame)
-        await writer.drain()
+        size = len(frame)
+        stats = self.stats
+        stats.frames_sent += 1
+        stats.bytes_sent += size
+        totals = self._server._stats
+        totals.inc("frames_sent")
+        totals.inc("bytes_sent", size)
+        # One write per frame: answers finishing in any order never
+        # interleave partial frames.
+        transport.write(frame)
 
-    async def _send_control(
-        self,
-        writer: asyncio.StreamWriter,
-        connection: ConnectionStats,
-        message: dict,
-        correlation: int = 0,
-    ) -> None:
-        with contextlib.suppress(ConnectionError):
-            await self._send(
-                writer,
-                connection,
-                json.dumps(message).encode("utf-8"),
-                CHANNEL_CONTROL,
-                correlation,
-            )
+    def _send_control(self, message: dict, correlation: int = 0) -> None:
+        self._send(json.dumps(message).encode("utf-8"), CHANNEL_CONTROL, correlation)
 
 
 class ThreadedTcpServer:

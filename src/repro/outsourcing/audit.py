@@ -10,9 +10,9 @@ how little (or how much) an outsourced deployment reveals.
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -31,14 +31,40 @@ class AuditEventKind(Enum):
     INDEX_LOOKUP_SERVED = "index-lookup-served"
 
 
-@dataclass(frozen=True)
 class AuditEvent:
-    """One observation made by the service provider."""
+    """One observation made by the service provider.
 
-    kind: AuditEventKind
-    relation_name: str
-    detail: dict = field(default_factory=dict)
-    timestamp: float = field(default_factory=time.time)
+    A slotted record: the provider files one per request, so it costs an
+    attribute store per field and nothing else (``detail`` is kept as given).
+    """
+
+    __slots__ = ("kind", "relation_name", "detail", "timestamp")
+
+    def __init__(
+        self,
+        kind: AuditEventKind,
+        relation_name: str,
+        detail: dict | None = None,
+        timestamp: float | None = None,
+    ) -> None:
+        self.kind = kind
+        self.relation_name = relation_name
+        self.detail = {} if detail is None else detail
+        self.timestamp = time.time() if timestamp is None else timestamp
+
+    def _fields(self) -> tuple:
+        return (self.kind, self.relation_name, self.detail, self.timestamp)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AuditEvent):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return (
+            f"AuditEvent(kind={self.kind!r}, relation_name={self.relation_name!r}, "
+            f"detail={self.detail!r}, timestamp={self.timestamp!r})"
+        )
 
 
 class ServerAuditLog:
@@ -48,7 +74,9 @@ class ServerAuditLog:
     the complete adversarial view).  Long-running providers -- ``repro
     serve`` in particular -- pass ``max_events`` to cap it as a ring buffer:
     the newest ``max_events`` observations are retained, older ones are
-    discarded, and :attr:`dropped_events` counts what fell off.
+    discarded, and :attr:`dropped_events` counts what fell off.  Per-kind
+    counts of the retained window are kept as events come and go, so
+    :meth:`summary` never walks the log.
     """
 
     def __init__(self, max_events: int | None = None) -> None:
@@ -57,6 +85,9 @@ class ServerAuditLog:
         self._max_events = max_events
         self._events: deque[AuditEvent] = deque(maxlen=max_events)
         self._dropped = 0
+        self._counts = dict.fromkeys(AuditEventKind, 0)
+        # Providers record from several dispatch workers at once.
+        self._lock = threading.Lock()
 
     @property
     def max_events(self) -> int | None:
@@ -71,19 +102,24 @@ class ServerAuditLog:
     @property
     def events(self) -> tuple[AuditEvent, ...]:
         """All retained events, oldest first."""
-        return tuple(self._events)
+        with self._lock:
+            return tuple(self._events)
 
     def record(self, kind: AuditEventKind, relation_name: str, **detail) -> AuditEvent:
         """Append an event (evicting the oldest when the buffer is capped)."""
-        event = AuditEvent(kind=kind, relation_name=relation_name, detail=dict(detail))
-        if self._max_events is not None and len(self._events) == self._max_events:
-            self._dropped += 1
-        self._events.append(event)
+        event = AuditEvent(kind, relation_name, detail)
+        events, counts = self._events, self._counts
+        with self._lock:
+            if len(events) == self._max_events:
+                counts[events[0].kind] -= 1
+                self._dropped += 1
+            events.append(event)
+            counts[kind] = counts.get(kind, 0) + 1
         return event
 
     def events_of_kind(self, kind: AuditEventKind) -> list[AuditEvent]:
         """All events of one kind."""
-        return [e for e in self._events if e.kind is kind]
+        return [e for e in self.events if e.kind is kind]
 
     def query_result_sizes(self, relation_name: str | None = None) -> list[int]:
         """Result sizes of all executed queries (what result-size attacks consume)."""
@@ -95,10 +131,9 @@ class ServerAuditLog:
         return sizes
 
     def summary(self) -> dict[str, int]:
-        """Event counts per kind."""
-        return {
-            kind.value: len(self.events_of_kind(kind)) for kind in AuditEventKind
-        }
+        """Event counts per kind (of the retained window), O(kinds)."""
+        with self._lock:
+            return {kind.value: self._counts[kind] for kind in AuditEventKind}
 
     def __len__(self) -> int:
         return len(self._events)

@@ -16,6 +16,7 @@ storage-overhead experiment E9 measures.
 from __future__ import annotations
 
 import contextlib
+import errno
 import os
 import pathlib
 import tempfile
@@ -215,18 +216,22 @@ class FileStorageBackend(StorageBackend):
         return int.from_bytes(count_raw, "big")
 
     def append(self, name: str, encrypted_tuple: EncryptedTuple) -> None:
-        """Append in place: bump the tuple count and extend the file.
+        """Append in place: extend the file, then bump the tuple count.
 
         The wire layout is ``len(schema) || schema || count || items...``
         with 4-byte big-endian prefixes, so an append only rewrites the
-        4-byte count instead of the whole relation.
+        4-byte count instead of the whole relation.  The item goes first;
+        a failed write puts the old count back (it may have half landed)
+        and truncates the file to its old length, so a full disk fails the
+        append and leaves the relation as it was.
         """
         path = self._path(name)
         if not path.exists():
             raise StorageError(f"no relation named {name!r} is stored")
         item = encode_encrypted_tuple(encrypted_tuple)
         try:
-            with path.open("r+b") as handle:
+            # Unbuffered: a failed write raises at the write, not at close.
+            with path.open("r+b", buffering=0) as handle:
                 header = handle.read(4)
                 if len(header) != 4:
                     raise StorageError(f"stored relation {name!r} is corrupt")
@@ -235,9 +240,23 @@ class FileStorageBackend(StorageBackend):
                 count_raw = handle.read(4)
                 if len(count_raw) != 4:
                     raise StorageError(f"stored relation {name!r} is corrupt")
-                handle.seek(count_offset)
-                handle.write((int.from_bytes(count_raw, "big") + 1).to_bytes(4, "big"))
-                handle.seek(0, 2)
-                handle.write(len(item).to_bytes(4, "big") + item)
+                count = int.from_bytes(count_raw, "big") + 1
+                end = handle.seek(0, os.SEEK_END)
+                try:
+                    _write_all(handle, len(item).to_bytes(4, "big") + item)
+                    handle.seek(count_offset)
+                    _write_all(handle, count.to_bytes(4, "big"))
+                except OSError:
+                    handle.seek(count_offset)
+                    _write_all(handle, count_raw)
+                    handle.truncate(end)
+                    raise
         except OSError as exc:
             raise StorageError(f"cannot append to relation {name!r}: {exc}") from exc
+
+
+def _write_all(handle, data: bytes) -> None:
+    """One raw write of ``data``; a short write is a failed one."""
+    written = handle.write(data)
+    if written != len(data):
+        raise OSError(errno.ENOSPC, f"short write ({written} of {len(data)} bytes)")

@@ -1,0 +1,146 @@
+"""The TCP front-end reveals nothing the in-process provider does not.
+
+One seeded stream of DDL, indexed selects, inserts and deletes runs through
+an in-process provider and through ``tcp://`` (whose bounded requests are
+answered from the connection's read callback, the rest on dispatch
+workers).  What the session receives -- every response envelope, byte for
+byte -- and what the provider observes -- its audit sequence of
+``(kind, relation_name, detail)`` -- must be identical.  The last test
+breaks the TCP path on purpose and checks the comparison notices.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.api import EncryptedDatabase
+from repro.crypto.rng import DeterministicRng
+from repro.net import ThreadedTcpServer
+from repro.net.client import RemoteServerProxy
+from repro.net.server import DatabaseTcpServer
+from repro.outsourcing import OutsourcedDatabaseServer
+from repro.outsourcing.audit import AuditEventKind
+
+KEY = b"transcript-test-master-key-32byt"
+DECL = "Emp(name:string[10], dept:string[5], salary:int[6])"
+DEPTS = ("HR", "IT", "SALES", "OPS")
+
+
+class Recording:
+    """The session's provider, with every response envelope kept."""
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self.responses: list[bytes] = []
+
+    def handle_message(self, raw: bytes) -> bytes:
+        response = self._inner.handle_message(raw)
+        self.responses.append(response)
+        return response
+
+    def __getattr__(self, name: str):
+        return getattr(self._inner, name)
+
+
+def operations(seed: int) -> list[tuple]:
+    """A seeded stream: mostly point selects, with inserts and deletes."""
+    draw = random.Random(seed)
+    ops = []
+    for step in range(60):
+        roll = draw.random()
+        if roll < 0.6:
+            ops.append(("select", f"SELECT * FROM Emp WHERE dept = '{draw.choice(DEPTS)}'"))
+        elif roll < 0.85:
+            ops.append(("insert", (f"new{step}", draw.choice(DEPTS), draw.randrange(10**5))))
+        else:
+            ops.append(("delete", f"SELECT * FROM Emp WHERE dept = '{draw.choice(DEPTS)}'"))
+    return ops
+
+
+def run(server, seed: int) -> tuple[list[bytes], list[tuple]]:
+    """Drive the stream through ``server``; (responses, replies the session saw)."""
+    recording = Recording(server)
+    replies = []
+    db = EncryptedDatabase.open(
+        KEY, server=recording, rng=DeterministicRng(f"transcript/{seed}"), index=True
+    )
+    rows = [(f"emp{i}", DEPTS[i % len(DEPTS)], 1000 + i) for i in range(40)]
+    db.create_table(DECL, rows=rows)
+    for kind, argument in operations(seed):
+        if kind == "select":
+            replies.append(sorted(map(repr, db.select(argument).relation.tuples)))
+        elif kind == "insert":
+            db.insert("Emp", argument)
+        else:
+            replies.append(db.delete(argument))
+    return recording.responses, replies
+
+
+def observations(provider: OutsourcedDatabaseServer) -> list[tuple]:
+    return [
+        (event.kind, event.relation_name, event.detail)
+        for event in provider.audit_log.events
+    ]
+
+
+def transcripts(seed: int):
+    """(in-process, tcp) transcripts of one stream, plus the tcp server's stats."""
+    local = OutsourcedDatabaseServer()
+    local_responses, local_replies = run(local, seed)
+    remote = OutsourcedDatabaseServer()
+    with ThreadedTcpServer(remote) as server:
+        proxy = RemoteServerProxy("127.0.0.1", server.port)
+        try:
+            remote_responses, remote_replies = run(proxy, seed)
+        finally:
+            proxy.close()
+        stats = server.server.stats
+        inline = server.server._inline_answers
+    assert local_replies == remote_replies
+    return (
+        (local_responses, observations(local)),
+        (remote_responses, observations(remote)),
+        stats,
+        inline,
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_tcp_transcript_equals_the_in_process_one(seed):
+    (local_responses, local_audit), (remote_responses, remote_audit), stats, inline = (
+        transcripts(seed)
+    )
+    assert remote_responses == local_responses
+    assert remote_audit == local_audit
+    kinds = {kind for kind, _, _ in local_audit}
+    assert {
+        AuditEventKind.RELATION_STORED,
+        AuditEventKind.INDEX_STORED,
+        AuditEventKind.INDEX_LOOKUP_SERVED,
+        AuditEventKind.TUPLE_INSERTED,
+        AuditEventKind.INDEX_DELTA_APPLIED,
+        AuditEventKind.TUPLES_DELETED,
+    } <= kinds
+    # Both receive paths took part: bounded requests inline, the rest on workers.
+    assert 0 < inline < stats.requests_dispatched
+
+
+def test_the_comparison_sees_an_extra_observation_on_the_inline_path(monkeypatch):
+    original = DatabaseTcpServer._dispatch_envelope
+
+    def leaky(self, trace_id, relation_name, payload, submitted_mono, path):
+        if path == "inline":
+            self._database.audit_log.record(
+                AuditEventKind.TUPLE_IDS_LISTED, relation_name, id_count=0
+            )
+        return original(self, trace_id, relation_name, payload, submitted_mono, path)
+
+    monkeypatch.setattr(DatabaseTcpServer, "_dispatch_envelope", leaky)
+    (local_responses, local_audit), (remote_responses, remote_audit), _, inline = (
+        transcripts(1)
+    )
+    assert inline > 0
+    assert remote_responses == local_responses  # the answers alone do not show it
+    assert remote_audit != local_audit

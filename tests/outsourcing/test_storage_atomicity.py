@@ -1,8 +1,10 @@
-"""Crash-safety of the file storage backend's save path."""
+"""Crash-safety of the file storage backend's save and append paths."""
 
 from __future__ import annotations
 
+import errno
 import os
+import pathlib
 
 import pytest
 
@@ -81,3 +83,64 @@ class TestAtomicSave:
         assert storage.names() == ()
         with pytest.raises(StorageError):
             storage.load("Emp")
+
+
+class _FullDiskHandle:
+    """A file handle whose ``fail_on``-th write hits a full disk.
+
+    ``data[:landed]`` of that write reaches the file before it raises.
+    """
+
+    def __init__(self, handle, fail_on: int, landed: int | None) -> None:
+        self._handle = handle
+        self._fail_on = fail_on
+        self._landed = landed
+        self._writes = 0
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes == self._fail_on:
+            self._handle.write(data[: self._landed])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._handle.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+
+class TestAtomicAppend:
+    @pytest.mark.parametrize(
+        "landed", [0, -1, None], ids=["nothing-landed", "part-landed", "all-landed"]
+    )
+    @pytest.mark.parametrize("fail_on", [1, 2], ids=["first-write", "second-write"])
+    def test_a_failed_append_keeps_every_old_tuple(
+        self, backend, tmp_path, swp_dph, employee_relation, monkeypatch, fail_on, landed
+    ):
+        original = [t.tuple_id for t in backend.load("Emp")]
+        (stored_file,) = tmp_path.glob("*.rel")
+        size = stored_file.stat().st_size
+        extra = swp_dph.encrypt_tuple(employee_relation.tuples[0])
+        real_open = pathlib.Path.open
+        monkeypatch.setattr(
+            pathlib.Path,
+            "open",
+            lambda path, *args, **kwargs: _FullDiskHandle(
+                real_open(path, *args, **kwargs), fail_on, landed
+            ),
+        )
+        with pytest.raises(StorageError, match="cannot append"):
+            backend.append("Emp", extra)
+        monkeypatch.undo()
+
+        assert [t.tuple_id for t in backend.load("Emp")] == original
+        assert backend.tuple_count("Emp") == len(original)
+        assert stored_file.stat().st_size == size
+        # ... and the relation still takes appends.
+        backend.append("Emp", extra)
+        assert [t.tuple_id for t in backend.load("Emp")] == original + [extra.tuple_id]
