@@ -7,8 +7,9 @@ The provider's evaluate path is a strategy choice between two
   evaluator over every stored ciphertext, O(data) work per query.
 * :class:`IndexAccess` -- the client shipped an encrypted inverted index
   (``INDEX_PUT`` / ``INDEX_DELTA``): intersect the posting sets of the
-  query's trapdoor labels and fetch the candidate ciphertexts by public
-  tuple id, O(result) work per query.
+  query's trapdoor labels and fetch the candidate ciphertexts from the
+  store by public tuple id, O(result) work per query on the in-memory
+  store.
 
 :class:`RelationIndex` is the provider's in-memory view of one relation's
 index.  It is *soft state*: losing it (restart, new shard, rebalance)
@@ -23,9 +24,10 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Callable, Iterable
 
-from repro.core.dph import EncryptedRelation, EncryptedTuple, EvaluationResult
+from repro.core.dph import EvaluationResult
 from repro.index.wire import IndexDelta, IndexLookupRequest, IndexSnapshot
 from repro.obs import MetricsRegistry
+from repro.outsourcing.storage import StorageBackend
 
 
 class RelationIndex:
@@ -130,12 +132,7 @@ class AccessMethod(ABC):
         """Whether this method can answer the lookup for that relation."""
 
     @abstractmethod
-    def search(
-        self,
-        relation_name: str,
-        stored: EncryptedRelation,
-        request: IndexLookupRequest,
-    ) -> EvaluationResult:
+    def search(self, relation_name: str, request: IndexLookupRequest) -> EvaluationResult:
         """Answer the lookup against the stored ciphertext relation."""
 
 
@@ -157,30 +154,26 @@ class ScanAccess(AccessMethod):
     def can_serve(self, relation_name: str, request: IndexLookupRequest) -> bool:
         return request.fallback_query is not None
 
-    def search(
-        self,
-        relation_name: str,
-        stored: EncryptedRelation,
-        request: IndexLookupRequest,
-    ) -> EvaluationResult:
+    def search(self, relation_name: str, request: IndexLookupRequest) -> EvaluationResult:
         return self._evaluate(relation_name, request.fallback_query)
 
 
 class IndexAccess(AccessMethod):
     """Answer exact selects via the client-shipped encrypted inverted index.
 
-    Besides the per-relation :class:`RelationIndex`, this keeps a lazy
-    ``tuple_id -> ciphertext`` map per relation so a lookup fetches
-    candidates in O(result) instead of rescanning the store; the server's
-    mutation hooks (:meth:`note_insert`, :meth:`note_delete`, ...) keep the
-    map aligned with the storage backend.
+    Holds one :class:`RelationIndex` per relation and fetches a lookup's
+    candidates from the provider's store (``StorageBackend.fetch``), which
+    is the one ``tuple_id -> ciphertext`` map: O(result) on the in-memory
+    store, and always as current as the store itself.
     """
 
     name = "index"
 
-    def __init__(self, metrics: MetricsRegistry | None = None) -> None:
+    def __init__(
+        self, storage: StorageBackend, metrics: MetricsRegistry | None = None
+    ) -> None:
+        self._storage = storage
         self._indexes: dict[str, RelationIndex] = {}
-        self._id_maps: dict[str, dict[bytes, EncryptedTuple]] = {}
         # Registry-backed counters (thread-safe under the dispatch pool);
         # the old attribute names stay readable as properties below.
         self._metrics = metrics if metrics is not None else MetricsRegistry()
@@ -208,7 +201,6 @@ class IndexAccess(AccessMethod):
     def put(self, relation_name: str, snapshot: IndexSnapshot) -> None:
         """Install (or replace) a relation's index from a full snapshot."""
         self._indexes[relation_name] = RelationIndex.from_snapshot(snapshot)
-        self._id_maps.pop(relation_name, None)
         self._puts.inc()
 
     def apply_delta(self, relation_name: str, delta: IndexDelta) -> bool:
@@ -233,26 +225,12 @@ class IndexAccess(AccessMethod):
     def can_serve(self, relation_name: str, request: IndexLookupRequest) -> bool:
         return relation_name in self._indexes
 
-    def serves_from_memory(self, relation_name: str) -> bool:
-        """A lookup is O(postings + result): index *and* id map exist (the
-        first lookup after a put or store rebuilds the map in O(n))."""
-        return relation_name in self._indexes and relation_name in self._id_maps
-
-    def search(
-        self,
-        relation_name: str,
-        stored: EncryptedRelation,
-        request: IndexLookupRequest,
-    ) -> EvaluationResult:
-        index = self._indexes[relation_name]
-        candidate_ids = index.candidates(request.labels)
-        id_map = self._id_map(relation_name, stored)
-        fetched = tuple(
-            id_map[tuple_id] for tuple_id in candidate_ids if tuple_id in id_map
-        )
+    def search(self, relation_name: str, request: IndexLookupRequest) -> EvaluationResult:
+        candidate_ids = self._indexes[relation_name].candidates(request.labels)
+        fetched = self._storage.fetch(relation_name, candidate_ids)
         self._lookups.inc()
         return EvaluationResult(
-            matching=EncryptedRelation(schema=stored.schema, encrypted_tuples=fetched),
+            matching=fetched,
             examined=len(fetched),  # the O(result) headline stat
             token_evaluations=0,
         )
@@ -260,24 +238,11 @@ class IndexAccess(AccessMethod):
     # -- storage mutation hooks ------------------------------------------ #
 
     def note_store(self, relation_name: str) -> None:
-        """A full relation (re)store invalidates index and id map alike."""
+        """A full relation (re)store invalidates its index."""
         self._indexes.pop(relation_name, None)
-        self._id_maps.pop(relation_name, None)
-
-    def note_insert(self, relation_name: str, encrypted_tuple: EncryptedTuple) -> None:
-        id_map = self._id_maps.get(relation_name)
-        if id_map is not None:
-            id_map[encrypted_tuple.tuple_id] = encrypted_tuple
-
-    def note_delete(self, relation_name: str, tuple_ids: Iterable[bytes]) -> None:
-        id_map = self._id_maps.get(relation_name)
-        if id_map is not None:
-            for tuple_id in tuple_ids:
-                id_map.pop(tuple_id, None)
 
     def note_drop(self, relation_name: str) -> None:
         self._indexes.pop(relation_name, None)
-        self._id_maps.pop(relation_name, None)
 
     # -- reporting ------------------------------------------------------- #
 
@@ -291,14 +256,3 @@ class IndexAccess(AccessMethod):
                 name: index.stats() for name, index in sorted(self._indexes.items())
             },
         }
-
-    # -- internals ------------------------------------------------------- #
-
-    def _id_map(
-        self, relation_name: str, stored: EncryptedRelation
-    ) -> dict[bytes, EncryptedTuple]:
-        id_map = self._id_maps.get(relation_name)
-        if id_map is None:
-            id_map = {t.tuple_id: t for t in stored.encrypted_tuples}
-            self._id_maps[relation_name] = id_map
-        return id_map

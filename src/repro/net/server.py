@@ -34,17 +34,22 @@ blocks every other relation behind it.
 
 *Bounded* is the provider's word (``bounded_work(kind, relation)``): the
 work is limited by the request and its reply, never by the stored relation.
-Today that is ``INDEX_DELTA`` and an ``INDEX_LOOKUP`` served from memory;
-inserts and deletes (an O(n) tuple rewrite), file-backed providers (``load``
-re-reads the relation), lookups that would scan, and any object without the
+Today that is ``INDEX_DELTA`` and, on the in-memory store (keyed by tuple
+id), ``INSERT_TUPLE`` (O(1)), ``DELETE_TUPLES`` / ``DELETE_TUPLES_EXACT``
+(O(ids)) and an ``INDEX_LOOKUP`` the index serves; every shard request of a
+cluster's insert, update and delete is one of these.  Stores, scans and
+lookups that would scan, everything on a file-backed provider (a write
+rewrites the file, a lookup re-reads it), and any object without the
 predicate (a shard router) stay on workers.  A provider subclass opts in by
-overriding it.  *Relation idle* keeps the FIFO: the loop is the only
-submitter and finishes an inline answer before admitting the next frame.
+overriding it.  *Relation idle* keeps the FIFO -- and the store's single
+writer: the loop is the only submitter, a relation's queue runs one job at
+a time, and the loop finishes an inline answer before admitting the next
+frame, so one thread at a time touches a relation.
 *Alone* -- nothing in flight on the connection and the read delivered one
 frame -- leaves a pipelining client its parallel path and keeps a burst from
 monopolising the loop.  Both paths run the same ``_dispatch_envelope`` and
-``_send``; only the thread differs, and a 0.1 ms index probe does not repay
-two thread hand-offs.
+``_send``; only the thread differs, and a 0.1 ms index probe or a one-row
+write does not repay two thread hand-offs.
 
 A connection runs on **callbacks**, with no task per connection or per
 request: ``data_received`` feeds the sans-IO
@@ -180,7 +185,7 @@ class KeyedSerialDispatcher:
         """No job for ``key`` is queued or running (and, for the sole
         submitter, none will be until its own next :meth:`submit`)."""
         with self._lock:
-            return key not in self._queues
+            return not self._queues.get(key)
 
     def submit(
         self, key: Hashable, func: Callable, *args
@@ -199,34 +204,38 @@ class KeyedSerialDispatcher:
         return future
 
     def _drain(self, key: Hashable) -> None:
+        with self._lock:
+            queue = self._queues[key]
         while True:
             with self._lock:
-                queue = self._queues[key]
                 if not queue:
                     del self._queues[key]
                     return
                 func, args, future = queue[0]
-            if future.set_running_or_notify_cancel():
+            ran = future.set_running_or_notify_cancel()
+            if ran:
                 with self._lock:
                     self._executing += 1
                     self._peak_executing = max(self._peak_executing, self._executing)
                 try:
-                    result = func(*args)
+                    value, failed = func(*args), False
                 except BaseException as exc:  # noqa: BLE001 - delivered via the future
-                    outcome, value = "error", exc
-                else:
-                    outcome, value = "ok", result
-                # Counters first: by the time a caller observes the result,
-                # the stats already account for its dispatch.
-                with self._lock:
-                    self._executing -= 1
-                    self._total += 1
-                if outcome == "ok":
-                    future.set_result(value)
-                else:
-                    future.set_exception(value)
+                    value, failed = exc, True
+            # Retire the job before delivering its result: a caller it wakes
+            # must find the stats counting it and the key idle, or its next
+            # lone request would take a worker instead of the event loop.
+            # The emptied queue stays registered until the result is out, so
+            # a job submitted meanwhile runs -- and is answered -- after it.
             with self._lock:
                 queue.popleft()
+                if ran:
+                    self._executing -= 1
+                    self._total += 1
+            if ran:
+                if failed:
+                    future.set_exception(value)
+                else:
+                    future.set_result(value)
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop the pool (queued jobs still drain when ``wait`` is True)."""

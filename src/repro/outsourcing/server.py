@@ -54,6 +54,13 @@ from repro.outsourcing.storage import (
 #: The ``relation`` metric label of every name the provider does not know.
 UNKNOWN_RELATION = "(unknown)"
 
+#: Writes whose cost is the request's on a ``bounded_by_request`` store.
+_BOUNDED_WRITES = (
+    MessageKind.INSERT_TUPLE,
+    MessageKind.DELETE_TUPLES,
+    MessageKind.DELETE_TUPLES_EXACT,
+)
+
 
 class ServerError(Exception):
     """The server refused or failed to process a request."""
@@ -94,7 +101,7 @@ class OutsourcedDatabaseServer:
         self._audit = audit_log if audit_log is not None else ServerAuditLog()
         self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._scan_access = ScanAccess(self.execute_query)
-        self._index_access = IndexAccess(metrics=self._metrics)
+        self._index_access = IndexAccess(self._storage, metrics=self._metrics)
         #: Lookup strategies in preference order; first that can serve wins.
         self._access_methods = (self._index_access, self._scan_access)
         self._scan_fallback_counter = self._metrics.counter(
@@ -190,7 +197,6 @@ class OutsourcedDatabaseServer:
             self._storage.append(name, encrypted_tuple)
         except StorageError as exc:
             raise ServerError(str(exc)) from exc
-        self._index_access.note_insert(name, encrypted_tuple)
         self._audit.record(
             AuditEventKind.TUPLE_INSERTED,
             name,
@@ -213,33 +219,17 @@ class OutsourcedDatabaseServer:
         tuples were still live on this provider, the id set can -- and it
         is exactly the set whose index postings must be tombstoned.
         """
-        stored = self._load(name)
-        wanted = set(tuple_ids)
-        remaining = []
-        deleted_ids = []
-        seen: set[bytes] = set()
-        for t in stored.encrypted_tuples:
-            if t.tuple_id in wanted:
-                if t.tuple_id not in seen:
-                    seen.add(t.tuple_id)
-                    deleted_ids.append(t.tuple_id)
-            else:
-                remaining.append(t)
-        if deleted_ids:
-            self._storage.save(
-                name,
-                EncryptedRelation(
-                    schema=stored.schema, encrypted_tuples=tuple(remaining)
-                ),
-            )
-            self._index_access.note_delete(name, deleted_ids)
+        try:
+            deleted_ids, copies = self._storage.remove(name, tuple_ids)
+        except StorageError as exc:
+            raise ServerError(str(exc)) from exc
         self._audit.record(
             AuditEventKind.TUPLES_DELETED,
             name,
             requested=len(tuple_ids),  # what Eve saw on the wire, duplicates included
-            deleted=len(stored.encrypted_tuples) - len(remaining),
+            deleted=copies,
         )
-        return tuple(deleted_ids)
+        return deleted_ids
 
     def execute_query(self, name: str, encrypted_query: EncryptedQuery) -> EvaluationResult:
         """Run the encrypted query against a stored relation."""
@@ -378,7 +368,8 @@ class OutsourcedDatabaseServer:
 
     def index_lookup(self, name: str, request) -> EvaluationResult:
         """Answer an exact select through the best available access method."""
-        stored = self._load(name)
+        if name not in self._storage:  # never a load: it is O(n) after a write
+            raise ServerError(f"no relation named {name!r} is stored")
         for method in self._access_methods:
             if not method.can_serve(name, request):
                 continue
@@ -391,7 +382,7 @@ class OutsourcedDatabaseServer:
                 relation=name,
                 fallback_taken=fallback_taken,
             ) as access_span:
-                result = method.search(name, stored, request)
+                result = method.search(name, request)
                 access_span.annotations["examined"] = result.examined
                 access_span.annotations["result_size"] = len(result.matching)
             self._metrics.histogram(
@@ -416,22 +407,23 @@ class OutsourcedDatabaseServer:
 
         :mod:`repro.net.server` answers such a request on its event loop, so
         this is never true for work that grows with the stored relation.
-        That leaves ``INDEX_DELTA`` (O(delta); a no-op without an index) and
-        an ``INDEX_LOOKUP`` the index serves from memory (O(postings of the
-        request's labels + reply)) over an O(1) ``load``.  A lookup that
-        would scan, and the first one after ``STORE_RELATION`` /
-        ``INDEX_PUT`` (it rebuilds the O(n) id map), report unbounded: the
-        rebuild runs on a worker and the lookups after it are bounded.
-        Inserts and deletes rewrite an O(n) tuple.  The answer holds only
-        while no other request for ``name`` is running.
+        ``INDEX_DELTA`` is O(delta) (a no-op without an index).  On a store
+        whose writes and fetches cost what the request carries
+        (``bounded_by_request``: the in-memory one), so are
+        ``INSERT_TUPLE`` (O(1)), ``DELETE_TUPLES`` / ``DELETE_TUPLES_EXACT``
+        (O(ids)) and an ``INDEX_LOOKUP`` the index serves (O(postings of
+        the request's labels + reply)); a lookup that would scan is not.
+        A file-backed store rewrites or re-reads the relation, so all of
+        these stay unbounded there.  The answer holds only while no other
+        request for ``name`` is running.
         """
         if kind is MessageKind.INDEX_DELTA:
             return True
-        return (
-            kind is MessageKind.INDEX_LOOKUP
-            and self._storage.constant_time_load
-            and self._index_access.serves_from_memory(name)
-        )
+        if not self._storage.bounded_by_request:
+            return False
+        if kind is MessageKind.INDEX_LOOKUP:
+            return self._index_access.index_for(name) is not None
+        return kind in _BOUNDED_WRITES
 
     def index_stats(self) -> dict:
         """Index-serving statistics for operators (``repro serve`` stats)."""

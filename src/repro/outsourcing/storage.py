@@ -21,6 +21,7 @@ import os
 import pathlib
 import tempfile
 from abc import ABC, abstractmethod
+from typing import Iterable
 
 from repro.core.dph import EncryptedRelation, EncryptedTuple
 from repro.outsourcing.protocol import (
@@ -37,9 +38,10 @@ class StorageError(Exception):
 class StorageBackend(ABC):
     """Where the provider keeps its (ciphertext-only) relations."""
 
-    #: True when :meth:`load` is O(1) in the relation's size; only then can
-    #: the provider call a lookup's work bounded (``bounded_work``).
-    constant_time_load = False
+    #: True when :meth:`append`, :meth:`remove` and :meth:`fetch` cost what
+    #: the request carries, never the relation's size; only then can the
+    #: provider call writes and index lookups bounded (``bounded_work``).
+    bounded_by_request = False
 
     @abstractmethod
     def save(self, name: str, encrypted_relation: EncryptedRelation) -> None:
@@ -87,23 +89,132 @@ class StorageBackend(ABC):
             ),
         )
 
+    def remove(self, name: str, tuple_ids: Iterable[bytes]) -> tuple[tuple[bytes, ...], int]:
+        """Delete every stored copy of ``tuple_ids``; unknown ids are ignored.
+
+        Returns the deleted ids, each once and in stored order, and how many
+        ciphertexts went (every copy of a duplicated id counts).  The
+        default rewrites the whole relation when something was deleted.
+        """
+        stored = self.load(name)
+        wanted = set(tuple_ids)
+        kept = tuple(t for t in stored if t.tuple_id not in wanted)
+        deleted = tuple(dict.fromkeys(t.tuple_id for t in stored if t.tuple_id in wanted))
+        if deleted:
+            self.save(name, EncryptedRelation(schema=stored.schema, encrypted_tuples=kept))
+        return deleted, len(stored) - len(kept)
+
+    def fetch(self, name: str, tuple_ids: Iterable[bytes]) -> EncryptedRelation:
+        """The stored ciphertexts of ``tuple_ids`` in the order asked: the first
+        copy of each, nothing for an unknown id.  The default loads it all."""
+        stored = self.load(name)
+        by_id = {t.tuple_id: t for t in reversed(stored.encrypted_tuples)}
+        return EncryptedRelation(
+            schema=stored.schema,
+            encrypted_tuples=tuple(by_id[i] for i in tuple_ids if i in by_id),
+        )
+
+
+class _HeldRelation:
+    """One relation in memory: an insertion-ordered map from id to ciphertext.
+
+    A further copy of a stored id (a replayed insert, or one a rebalance
+    left behind) is kept under ``(id, position)`` and listed in ``extra``;
+    ``first`` holds each id's first stored position, which orders what a
+    delete reports.  ``snapshot`` is what ``load`` hands out until the next
+    write drops it.
+    """
+
+    __slots__ = ("schema", "tuples", "first", "extra", "appended", "snapshot")
+
+    def __init__(self, relation: EncryptedRelation) -> None:
+        self.schema = relation.schema
+        self.tuples: dict[bytes | tuple[bytes, int], EncryptedTuple] = {}
+        self.first: dict[bytes, int] = {}
+        self.extra: dict[bytes, list[tuple[bytes, int]]] = {}
+        self.appended = 0
+        for encrypted_tuple in relation.encrypted_tuples:
+            self.add(encrypted_tuple)
+        self.snapshot: EncryptedRelation | None = relation
+
+    def add(self, encrypted_tuple: EncryptedTuple) -> None:
+        tuple_id, position = encrypted_tuple.tuple_id, self.appended
+        self.appended = position + 1
+        key = tuple_id
+        if tuple_id in self.first:
+            key = (tuple_id, position)
+            self.extra.setdefault(tuple_id, []).append(key)
+        else:
+            self.first[tuple_id] = position
+        self.tuples[key] = encrypted_tuple
+        self.snapshot = None
+
 
 class InMemoryStorageBackend(StorageBackend):
-    """The default backend: a process-local dict."""
+    """The default backend: each relation is a map from tuple id to ciphertext.
 
-    constant_time_load = True
+    :meth:`append` is O(1), :meth:`remove` and :meth:`fetch` O(ids), and
+    :meth:`load` returns an immutable snapshot that only the first load
+    after a write rebuilds.  Tuple ids are public random nonces, so keying
+    the store by them reveals nothing the ciphertexts do not.
+
+    Single writer: one thread at a time touches a relation -- the TCP
+    front-end's per-relation FIFO job, or its event loop while the relation
+    is idle.  Other relations may be served meanwhile: the relation table
+    is read by single C-level operations (a probe, ``tuple(dict)``), and a
+    snapshot is one ``tuple()`` over the map.
+    """
+
+    bounded_by_request = True
 
     def __init__(self) -> None:
-        self._relations: dict[str, EncryptedRelation] = {}
+        self._relations: dict[str, _HeldRelation] = {}
 
-    def save(self, name: str, encrypted_relation: EncryptedRelation) -> None:
-        self._relations[name] = encrypted_relation
-
-    def load(self, name: str) -> EncryptedRelation:
+    def _held(self, name: str) -> _HeldRelation:
         try:
             return self._relations[name]
         except KeyError as exc:
             raise StorageError(f"no relation named {name!r} is stored") from exc
+
+    def save(self, name: str, encrypted_relation: EncryptedRelation) -> None:
+        self._relations[name] = _HeldRelation(encrypted_relation)
+
+    def load(self, name: str) -> EncryptedRelation:
+        held = self._held(name)
+        if held.snapshot is None:
+            held.snapshot = EncryptedRelation(
+                schema=held.schema, encrypted_tuples=tuple(held.tuples.values())
+            )
+        return held.snapshot
+
+    def tuple_count(self, name: str) -> int:
+        return len(self._held(name).tuples)
+
+    def append(self, name: str, encrypted_tuple: EncryptedTuple) -> None:
+        self._held(name).add(encrypted_tuple)
+
+    def remove(self, name: str, tuple_ids: Iterable[bytes]) -> tuple[tuple[bytes, ...], int]:
+        held = self._held(name)
+        found, copies = [], 0
+        for tuple_id in tuple_ids:
+            position = held.first.pop(tuple_id, None)
+            if position is not None:
+                keys = [tuple_id, *held.extra.pop(tuple_id, ())]
+                for key in keys:
+                    del held.tuples[key]
+                found.append((position, tuple_id))
+                copies += len(keys)
+                held.snapshot = None
+        found.sort()
+        return tuple(tuple_id for _, tuple_id in found), copies
+
+    def fetch(self, name: str, tuple_ids: Iterable[bytes]) -> EncryptedRelation:
+        held = self._held(name)
+        tuples = held.tuples
+        return EncryptedRelation(
+            schema=held.schema,
+            encrypted_tuples=tuple(tuples[i] for i in tuple_ids if i in tuples),
+        )
 
     def delete(self, name: str) -> None:
         self._relations.pop(name, None)

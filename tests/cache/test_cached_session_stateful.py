@@ -1,11 +1,12 @@
 """Stateful differential test: a cached session never answers differently.
 
-One Hypothesis state machine drives every write and read shape of
-:class:`~repro.api.EncryptedDatabase` through a cache-enabled session and
-compares each answer with an uncached session over the *same* provider and
-key.  Values come from a tiny pool so cached queries and written rows
-collide constantly, and after every step every probe query is read through
-both sessions -- which also re-caches it, so each write meets a full cache.
+The in-process axis of the machine in ``tests/session_machine.py``, which
+drives every write and read shape of :class:`~repro.api.EncryptedDatabase`
+through a cache-enabled session and compares each answer with an uncached
+session over the *same* provider and key.  Values come from a tiny pool so
+cached queries and written rows collide constantly, and after every step
+every probe query is read through both sessions -- which also re-caches it,
+so each write meets a full cache.
 
 Three things are under test.  Write-set invalidation: the machine is also
 run against deliberate breakages of it (``MUTATIONS``, and a cache key that
@@ -27,113 +28,28 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, Phase, settings
+from hypothesis import Phase
 from hypothesis import strategies as st
-from hypothesis.stateful import (
-    RuleBasedStateMachine,
-    invariant,
-    rule,
-    run_state_machine_as_test,
-)
+from hypothesis.stateful import rule, run_state_machine_as_test
 
 from mutating_provider import FailingServer
-from repro.api import DatabaseError, EncryptedDatabase, database
-from repro.crypto.keys import SecretKey
-from repro.crypto.rng import DeterministicRng
+from repro.api import EncryptedDatabase, database
 from repro.outsourcing import MessageKind
-from repro.relational import (
-    ConjunctiveSelection,
-    Projection,
-    RelationalError,
-    Selection,
-)
 from repro.schemes.registry import available_schemes
-
-#: ``salary`` is an integer in the first declaration and a string in the
-#: second, so the bare SQL literal ``1`` means ``1`` or ``'1'``.
-DECLS = (
-    "Emp(name:string[6], dept:string[4], salary:int[4])",
-    "Emp(name:string[6], dept:string[4], salary:string[4])",
+from session_machine import (
+    DECLS,
+    POOL,
+    SEED_ROWS,
+    SessionMachine,
+    changes,
+    machine_settings,
+    probes,
+    rows,
+    single,
 )
-POOL = {"name": ("ann", "bob", "cyd"), "dept": ("HR", "IT"), "salary": (1, 2)}
-SEED_ROWS = [("ann", "HR", 1), ("bob", "IT", 2)]
-
-rows = st.tuples(*(st.sampled_from(values) for values in POOL.values()))
-changes = st.dictionaries(
-    st.sampled_from(list(POOL)), st.none(), min_size=1
-).flatmap(
-    lambda keys: st.fixed_dictionaries(
-        {attribute: st.sampled_from(POOL[attribute]) for attribute in keys}
-    )
-)
-
-
-class Unhashable(str):
-    """A valid string value no cache key can hold: its reads bypass the cache."""
-
-    __hash__ = None
-
-
-def _typed(decl: int, attribute: str, value):
-    """A pool value as declaration ``decl`` types it."""
-    return str(value) if decl and attribute == "salary" else value
-
-
-def _typed_row(decl: int, row) -> tuple:
-    return tuple(_typed(decl, a, v) for a, v in zip(POOL, row))
-
-
-def _singles(decl: int) -> list:
-    return [
-        Selection.equals(a, _typed(decl, a, v)) for a, values in POOL.items() for v in values
-    ]
-
-
-def _probes(decl: int) -> list:
-    """Every shape the session caches: filed under the only conjunct, under
-    the first of two (in either order), behind a projection, as SQL text
-    (parsed once, then memoised) -- and one it cannot cache."""
-    one, two = (("salary", _typed(decl, "salary", value)) for value in (1, 2))
-    return [
-        *_singles(decl),
-        ConjunctiveSelection.of(("dept", "HR"), ("name", "ann")),
-        ConjunctiveSelection.of(("name", "bob"), ("dept", "IT")),
-        ConjunctiveSelection.of(("dept", "HR"), one),
-        ConjunctiveSelection.of(("dept", "HR"), two),
-        Projection(Selection.equals("dept", "IT"), ("name",)),
-        Projection(ConjunctiveSelection.of(("name", "cyd"), two), ("dept",)),
-        "SELECT * FROM Emp WHERE salary = 1",
-        "SELECT name FROM Emp WHERE dept = 'IT' AND salary = 2",
-        *(Selection.equals("name", Unhashable(name)) for name in POOL["name"]),
-    ]
-
-
-#: Indexed by declaration; the strategies draw positions, the rules look
-#: the query up under the declaration that is current.
-SINGLES = [_singles(decl) for decl in range(len(DECLS))]
-PROBES = [_probes(decl) for decl in range(len(DECLS))]
-single = st.integers(0, len(SINGLES[0]) - 1)
-probes = st.integers(0, len(PROBES[0]) - 1)
-
-
-def _answer(outcome) -> tuple[Counter, Counter | None]:
-    projected = outcome.projected_rows
-    return (
-        Counter(tuple(t.values()) for t in outcome.relation),
-        None if projected is None else Counter(projected),
-    )
-
-
-def _read(session, query):
-    """The session's answer, or how it refused: a warm session must raise as a cold one."""
-    try:
-        return _answer(session.select(query, table="Emp"))
-    except (DatabaseError, RelationalError) as exc:
-        return type(exc).__name__, str(exc)
 
 
 #: name -> the rules whose ``invalidate`` calls lose their write set.
@@ -173,34 +89,18 @@ SESSION_MUTATIONS = {
 }
 
 
-class CachedSessionMachine(RuleBasedStateMachine):
-    scheme = "swp"
-    index = False
+class CachedSessionMachine(SessionMachine):
+    """The in-process axis, with the rules only a local provider can take."""
+
     mutation: str | None = None
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.key = SecretKey.generate(rng=DeterministicRng(1))
-        self.provider = FailingServer()
-        self.decl = 0
-        self.cached = EncryptedDatabase.open(
-            self.key,
-            server=self.provider,
-            scheme=self.scheme,
-            index=self.index,
-            cache=True,
-            rng=DeterministicRng(2),
-        )
-        SESSION_MUTATIONS.get(self.mutation, lambda session: None)(self.cached)
-        self.cached.create_table(DECLS[0], rows=SEED_ROWS)
-        self.plain = self._oracle()
-        self.plain.attach_table(DECLS[0])
+    def make_provider(self) -> FailingServer:
+        return FailingServer()
 
-    def _oracle(self) -> EncryptedDatabase:
-        """No cache, no index, no history: every read is a fresh parse and scan."""
-        return EncryptedDatabase.open(
-            self.key, server=self.provider, scheme=self.scheme, rng=DeterministicRng(3)
-        )
+    def open_session(self) -> EncryptedDatabase:
+        session = super().open_session()
+        SESSION_MUTATIONS.get(self.mutation, lambda session: None)(session)
+        return session
 
     @contextlib.contextmanager
     def _writing(self, rule_name: str):
@@ -213,47 +113,6 @@ class CachedSessionMachine(RuleBasedStateMachine):
             cache, "invalidate", lambda relation, tags=None: real(relation, ())
         ):
             yield
-
-    def _same(self, query) -> None:
-        got = _read(self.cached, query)
-        want = _read(self.plain, query)
-        assert got == want, f"stale read for {query!r}: {got} != {want}"
-
-    def _row(self, row) -> tuple:
-        return _typed_row(self.decl, row)
-
-    def _changes(self, new: dict) -> dict:
-        return {a: _typed(self.decl, a, v) for a, v in new.items()}
-
-    def _single(self, position: int):
-        return SINGLES[self.decl][position]
-
-    def _probe(self, position: int):
-        return PROBES[self.decl][position]
-
-    # -- writes --------------------------------------------------------- #
-
-    @rule(row=rows)
-    def insert(self, row):
-        with self._writing("insert"):
-            self.cached.insert("Emp", self._row(row))
-
-    @rule(batch=st.lists(rows, min_size=1, max_size=3))
-    def insert_many(self, batch):
-        with self._writing("insert_many"):
-            typed = [self._row(row) for row in batch]
-            assert self.cached.insert_many("Emp", typed) == len(batch)
-
-    @rule(where=single, new=changes)
-    def update(self, where, new):
-        # ``new`` may rewrite the selected attribute itself.
-        with self._writing("update"):
-            self.cached.update(self._single(where), self._changes(new), table="Emp")
-
-    @rule(where=probes)
-    def delete(self, where):
-        with self._writing("delete"):
-            self.cached.delete(self._probe(where), table="Emp")
 
     @rule(
         kind=st.sampled_from(
@@ -313,21 +172,6 @@ class CachedSessionMachine(RuleBasedStateMachine):
             self.plain.create_table(declaration, rows=seed)
             self.cached.attach_table(declaration)
 
-    # -- reads ---------------------------------------------------------- #
-
-    @rule(query=probes)
-    def select(self, query):
-        self._same(self._probe(query))
-
-    @rule(queries=st.lists(probes, min_size=1, max_size=4))
-    def select_many(self, queries):
-        queries = [self._probe(query) for query in queries]
-        got = self.cached.select_many(queries, table="Emp")
-        want = self.plain.select_many(queries, table="Emp")
-        assert [_answer(o) for o in got] == [_answer(o) for o in want], (
-            f"stale batch read for {queries!r}"
-        )
-
     @rule(query=probes, row=rows, batched=st.booleans())
     def scribble_on_an_answer(self, query, row, batched):
         """What a select returned is the caller's: adding to it reaches no one else."""
@@ -341,11 +185,6 @@ class CachedSessionMachine(RuleBasedStateMachine):
             if outcome.projected_rows is not None:
                 outcome.projected_rows.append(("scribble",))
 
-    @invariant()
-    def every_probe_agrees(self):
-        for query in PROBES[self.decl]:
-            self._same(query)
-
 
 def _machine(scheme: str, index: bool, mutation: str | None = None):
     # The name seeds the derandomized run, so each combination walks its own
@@ -357,23 +196,10 @@ def _machine(scheme: str, index: bool, mutation: str | None = None):
     )
 
 
-def _settings(phases=(Phase.generate, Phase.shrink)) -> settings:
-    return settings(
-        phases=phases,
-        max_examples=6,
-        stateful_step_count=15,
-        derandomize=True,
-        print_blob=True,
-        database=None,
-        deadline=None,
-        suppress_health_check=list(HealthCheck),
-    )
-
-
 @pytest.mark.parametrize("index", [False, True], ids=["scan", "index"])
 @pytest.mark.parametrize("scheme", available_schemes())
 def test_cached_session_answers_like_an_uncached_one(scheme, index):
-    run_state_machine_as_test(_machine(scheme, index), settings=_settings())
+    run_state_machine_as_test(_machine(scheme, index), settings=machine_settings())
 
 
 @pytest.mark.parametrize("index", [False, True], ids=["scan", "index"])
@@ -383,7 +209,7 @@ def test_the_machine_fails_on_broken_invalidation(mutation, index):
     with pytest.raises(AssertionError, match="stale"):
         run_state_machine_as_test(
             _machine("deterministic", index, mutation),
-            settings=_settings(phases=[Phase.generate]),
+            settings=machine_settings(phases=[Phase.generate]),
         )
 
 
@@ -393,7 +219,7 @@ def test_the_machine_fails_on_a_broken_session(mutation):
     with pytest.raises(AssertionError, match="stale"):
         run_state_machine_as_test(
             _machine("deterministic", True, mutation),
-            settings=_settings(phases=[Phase.generate]),
+            settings=machine_settings(phases=[Phase.generate]),
         )
 
 
@@ -409,5 +235,5 @@ def test_the_machine_fails_when_the_key_is_the_first_conjunct_alone():
         with pytest.raises(AssertionError, match="stale"):
             run_state_machine_as_test(
                 _machine("deterministic", True),
-                settings=_settings(phases=[Phase.generate]),
+                settings=machine_settings(phases=[Phase.generate]),
             )

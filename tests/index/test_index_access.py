@@ -13,6 +13,7 @@ from repro.index import (
     RelationIndex,
     ScanAccess,
 )
+from repro.outsourcing import FileStorageBackend, InMemoryStorageBackend
 
 
 def _id(v: int) -> bytes:
@@ -97,6 +98,13 @@ def served(employee_schema, employee_relation, secret_key, rng):
     return dph, encrypted
 
 
+def _access(encrypted) -> IndexAccess:
+    """An index access method over a store holding ``encrypted`` as ``Emp``."""
+    storage = InMemoryStorageBackend()
+    storage.save("Emp", encrypted)
+    return IndexAccess(storage)
+
+
 class TestIndexAccess:
     def _snapshot_for(self, encrypted, label=L1, matching=2):
         ids = tuple(t.tuple_id for t in encrypted.encrypted_tuples[:matching])
@@ -104,7 +112,7 @@ class TestIndexAccess:
 
     def test_serves_only_indexed_relations(self, served):
         _, encrypted = served
-        access = IndexAccess()
+        access = _access(encrypted)
         request = IndexLookupRequest(labels=(L1,))
         assert not access.can_serve("Emp", request)
         access.put("Emp", self._snapshot_for(encrypted))
@@ -113,54 +121,63 @@ class TestIndexAccess:
 
     def test_search_fetches_only_candidates(self, served):
         _, encrypted = served
-        access = IndexAccess()
+        access = _access(encrypted)
         access.put("Emp", self._snapshot_for(encrypted, matching=2))
-        result = access.search("Emp", encrypted, IndexLookupRequest(labels=(L1,)))
+        result = access.search("Emp", IndexLookupRequest(labels=(L1,)))
         assert len(result.matching) == 2
         assert result.examined == 2  # O(result), not O(data)
         assert result.token_evaluations == 0
 
     def test_stale_and_dummy_candidates_fetch_nothing(self, served):
         _, encrypted = served
-        access = IndexAccess()
+        access = _access(encrypted)
         ids = (encrypted.encrypted_tuples[0].tuple_id, b"\xee" * 16)
         access.put(
             "Emp", IndexSnapshot(bucket_capacity=4, entries={L1: (ids,)})
         )
-        result = access.search("Emp", encrypted, IndexLookupRequest(labels=(L1,)))
+        result = access.search("Emp", IndexLookupRequest(labels=(L1,)))
         assert len(result.matching) == 1
         assert result.examined == 1
 
     def test_delta_on_unindexed_relation_is_noop(self):
-        access = IndexAccess()
+        access = IndexAccess(InMemoryStorageBackend())
         assert access.apply_delta("Emp", IndexDelta(additions=((L1, _id(1)),))) is False
         assert access.deltas == 0
 
     def test_note_store_drops_the_index(self, served):
         _, encrypted = served
-        access = IndexAccess()
+        access = _access(encrypted)
         access.put("Emp", self._snapshot_for(encrypted))
         access.note_store("Emp")
         assert access.index_for("Emp") is None
         assert not access.can_serve("Emp", IndexLookupRequest(labels=(L1,)))
 
-    def test_mutation_hooks_keep_the_id_map_aligned(self, served):
+    @pytest.mark.parametrize("backend", ["memory", "file"])
+    def test_lookups_fetch_what_the_store_holds_now(self, served, backend, tmp_path):
+        """The store is the one id map: writes after the put show at once."""
         _, encrypted = served
-        access = IndexAccess()
-        first = encrypted.encrypted_tuples[0]
+        storage = (
+            InMemoryStorageBackend() if backend == "memory" else FileStorageBackend(tmp_path)
+        )
+        storage.save("Emp", encrypted)
+        access = IndexAccess(storage)
+        first, second = encrypted.encrypted_tuples[:2]
         access.put(
             "Emp",
-            IndexSnapshot(bucket_capacity=4, entries={L1: ((first.tuple_id,),)}),
+            IndexSnapshot(
+                bucket_capacity=4, entries={L1: ((first.tuple_id, second.tuple_id),)}
+            ),
         )
-        # lookup builds the id map lazily
-        access.search("Emp", encrypted, IndexLookupRequest(labels=(L1,)))
-        access.note_delete("Emp", [first.tuple_id])
-        result = access.search("Emp", encrypted, IndexLookupRequest(labels=(L1,)))
-        assert len(result.matching) == 0
+        lookup = IndexLookupRequest(labels=(L1,))
+        assert len(access.search("Emp", lookup).matching) == 2
+        storage.remove("Emp", [first.tuple_id])
+        assert access.search("Emp", lookup).matching.encrypted_tuples == (second,)
+        storage.append("Emp", first)
+        assert len(access.search("Emp", lookup).matching) == 2
 
     def test_stats_shape(self, served):
         _, encrypted = served
-        access = IndexAccess()
+        access = _access(encrypted)
         access.put("Emp", self._snapshot_for(encrypted))
         stats = access.stats()
         assert stats["indexed_relations"] == ["Emp"]
@@ -193,5 +210,5 @@ class TestScanAccess:
         access = ScanAccess(evaluate)
         fallback = dph.encrypt_query(Selection.equals("dept", "HR"))
         request = IndexLookupRequest(labels=(L1,), fallback_query=fallback)
-        assert access.search("Emp", encrypted, request) == "result"
+        assert access.search("Emp", request) == "result"
         assert calls == [("Emp", fallback)]

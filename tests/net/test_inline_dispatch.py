@@ -26,7 +26,12 @@ from repro.index import IndexDelta, IndexLookupRequest, IndexSnapshot
 from repro.index.wire import encode_index_delta, encode_index_lookup
 from repro.net import CHANNEL_CONTROL, ThreadedTcpServer, recv_frame, send_frame
 from repro.net.framing import CHANNEL_ENVELOPE, encode_frame
-from repro.outsourcing import FileStorageBackend, OutsourcedDatabaseServer
+from repro.net.server import KeyedSerialDispatcher
+from repro.outsourcing import (
+    FileStorageBackend,
+    InMemoryStorageBackend,
+    OutsourcedDatabaseServer,
+)
 from repro.outsourcing.protocol import (
     MessageKind,
     MessageV2,
@@ -64,8 +69,8 @@ class Fixture:
             for row in spare_rows
         ]
 
-    def install(self, database: OutsourcedDatabaseServer, warm: bool = True) -> None:
-        """Store the relation, ship an index (L1/L2 split the ids), warm the id map."""
+    def install(self, database: OutsourcedDatabaseServer) -> None:
+        """Store the relation and ship an index (L1/L2 split the ids)."""
         name = self.schema.name
         database.store_relation(name, self.encrypted, self.scheme.server_evaluator())
         half = len(self.ids) // 2
@@ -76,8 +81,6 @@ class Fixture:
                 entries={L1: (tuple(self.ids[:half]),), L2: (tuple(self.ids[half:]),)},
             ),
         )
-        if warm:
-            database.index_lookup(name, IndexLookupRequest(labels=(L1,)))
 
 
 def emp_fixture() -> Fixture:
@@ -92,11 +95,11 @@ def fast_fixture() -> Fixture:
     return Fixture(FAST_DECL, [(f"f{i}", i) for i in range(8)], [("g0", 90)])
 
 
-def provider(factory=OutsourcedDatabaseServer, warm: bool = True):
+def provider(factory=OutsourcedDatabaseServer):
     """A provider of ``factory`` holding indexed ``Emp`` and ``Fast``."""
     database = factory()
     for fixture in (emp_fixture(), fast_fixture()):
-        fixture.install(database, warm=warm)
+        fixture.install(database)
     return database
 
 
@@ -219,13 +222,36 @@ def inline_answers(server: ThreadedTcpServer) -> dict[str, int]:
     }
 
 
+class LoadCountingStorage(InMemoryStorageBackend):
+    """The in-memory store, counting full-relation loads."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.loads = 0
+
+    def load(self, name):
+        self.loads += 1
+        return super().load(name)
+
+
 class TestBoundedWorkPredicate:
-    def test_only_index_reads_and_deltas_are_bounded(self):
-        database = provider()
+    def test_index_reads_deltas_and_single_row_writes_are_bounded(self, tmp_path):
         bounded = {
-            kind for kind in MessageKind if database.bounded_work(kind, "Emp")
+            kind for kind in MessageKind if provider().bounded_work(kind, "Emp")
         }
-        assert bounded == {MessageKind.INDEX_LOOKUP, MessageKind.INDEX_DELTA}
+        assert bounded == {
+            MessageKind.INDEX_LOOKUP,
+            MessageKind.INDEX_DELTA,
+            MessageKind.INSERT_TUPLE,
+            MessageKind.DELETE_TUPLES,
+            MessageKind.DELETE_TUPLES_EXACT,
+        }
+        # A file-backed write rewrites (or a lookup re-reads) the file.
+        file_backed = OutsourcedDatabaseServer(storage=FileStorageBackend(tmp_path))
+        emp_fixture().install(file_backed)
+        assert {
+            kind for kind in MessageKind if file_backed.bounded_work(kind, "Emp")
+        } == {MessageKind.INDEX_DELTA}
 
     def test_a_lookup_without_an_index_is_unbounded(self):
         database = provider()
@@ -241,15 +267,34 @@ class TestBoundedWorkPredicate:
         database.drop_relation("Fast")
         assert not database.bounded_work(MessageKind.INDEX_LOOKUP, "Fast")
 
-    def test_unbounded_until_the_id_map_exists(self):
-        """The O(n) id-map rebuild after a put belongs to a worker."""
-        database = provider(warm=False)
-        request = IndexLookupRequest(labels=(L1,))
-        assert not database.bounded_work(MessageKind.INDEX_LOOKUP, "Emp")
-        database.index_lookup("Emp", request)
+    def test_bounded_work_never_loads_the_relation(self):
+        """Lookups fetch by id and writes touch only their ids: the first
+        lookup after a put and every request after a write skip ``load``."""
+        storage = LoadCountingStorage()
+        database = OutsourcedDatabaseServer(storage=storage)
+        emp = emp_fixture()
+        emp.install(database)  # STORE_RELATION + INDEX_PUT
+        spare = emp.spares[0]
+
+        def l1_rows() -> int:
+            request = IndexLookupRequest(labels=(L1,))
+            return len(database.index_lookup("Emp", request).matching)
+
+        storage.loads = 0
         assert database.bounded_work(MessageKind.INDEX_LOOKUP, "Emp")
-        emp_fixture().install(database, warm=False)  # STORE_RELATION + INDEX_PUT
-        assert not database.bounded_work(MessageKind.INDEX_LOOKUP, "Emp")
+        assert l1_rows() == 4
+        database.insert_tuple("Emp", spare)
+        database.apply_index_delta("Emp", IndexDelta(additions=((L1, spare.tuple_id),)))
+        assert l1_rows() == 5
+        # Deleted ids come back in stored order, not request order.
+        assert database.delete_tuples_exact("Emp", [spare.tuple_id, emp.ids[0]]) == (
+            emp.ids[0], spare.tuple_id,
+        )
+        assert database.delete_tuples("Emp", [emp.ids[0], emp.ids[1]]) == 1
+        assert l1_rows() == 2
+        assert storage.loads == 0
+        assert len(database.stored_relation("Emp")) == 6  # a scan's view is current
+        assert storage.loads == 1
 
     def test_file_backed_lookups_are_unbounded(self, tmp_path):
         database = OutsourcedDatabaseServer(storage=FileStorageBackend(tmp_path))
@@ -285,23 +330,35 @@ class TestWhichThreadAnswers:
                 "dispatch_workers", "peak_concurrent_dispatch", "requests_dispatched",
             ]
 
-    def test_first_lookup_after_index_put_runs_on_a_worker(self):
-        database = provider(ThreadRecordingServer, warm=False)
+    def test_lone_writes_and_lookups_run_on_the_loop_right_after_a_worker(self):
+        """A worker's answer releases the relation first: the client's next
+        lone request -- here every write kind, then the first lookup after
+        an ``INDEX_PUT`` -- never finds it busy."""
+        database = provider(ThreadRecordingServer)
+        emp = emp_fixture()
+        spare = emp.spares[0]
         with ThreadedTcpServer(database) as server:
             sock = open_client(server.port)
             try:
-                ask(sock, lookup("Emp", L1))
-                assert database.threads[-1].startswith(WORKER_THREADS)
-                # The worker's drain loop may still own the key for an
-                # instant; once it lets go, lookups move to the loop.
-                deadline = time.monotonic() + 10
-                while time.monotonic() < deadline:
-                    ask(sock, lookup("Emp", L1))
-                    if not database.threads[-1].startswith(WORKER_THREADS):
-                        break
+                for request in (
+                    envelope(MessageKind.INSERT_TUPLE, "Emp", encode_encrypted_tuple(spare)),
+                    envelope(
+                        MessageKind.DELETE_TUPLES_EXACT, "Emp", encode_tuple_ids([spare.tuple_id])
+                    ),
+                    envelope(MessageKind.DELETE_TUPLES, "Emp", encode_tuple_ids(emp.ids[:1])),
+                ):
+                    ask(sock, scan(emp))  # a worker, then straight to the write
+                    answer = parse_message(ask(sock, request).payload)
+                    assert answer.kind is not MessageKind.ERROR
+                    assert not database.threads[-1].startswith(WORKER_THREADS)
+                database.put_index(
+                    "Emp", IndexSnapshot(bucket_capacity=4, entries={L1: (tuple(emp.ids),)})
+                )
+                assert len(parse_message(ask(sock, lookup("Emp", L1)).payload).body) > 100
                 assert not database.threads[-1].startswith(WORKER_THREADS)
             finally:
                 sock.close()
+            assert inline_answers(server) == {"Emp": 4}
 
     def test_objects_without_the_predicate_get_the_worker(self):
         inner = provider(ThreadRecordingServer)
@@ -374,7 +431,36 @@ class TestWhichThreadAnswers:
                     db.close()
                 answers[name] = inline_answers(server).get("Emp", 0)
         assert answers["file"] == 0
-        assert answers["memory"] >= 3  # all but the id-map build and its wake
+        assert answers["memory"] >= 3  # the selects; store and INDEX_PUT take workers
+
+
+class TestTheDispatcherReleasesBeforeAnswering:
+    def test_the_key_is_idle_and_counted_when_the_result_is_delivered(self):
+        dispatcher = KeyedSerialDispatcher(max_workers=1)
+        gate, delivered = threading.Event(), threading.Event()
+        seen = []
+
+        def on_done(future) -> None:
+            seen.append((dispatcher.idle("k"), dispatcher.total_dispatched))
+            # Submitted while the answer is still being delivered: it runs,
+            # and is delivered, after it.
+            follower = dispatcher.submit("k", seen.append, "follower ran")
+            follower.add_done_callback(lambda _: delivered.set())
+
+        try:
+            # The job waits for the gate, so the callback is registered
+            # before the result exists and runs on the worker delivering it.
+            future = dispatcher.submit("k", gate.wait, 10)
+            future.add_done_callback(on_done)
+            gate.set()
+            assert delivered.wait(timeout=10)
+            assert future.result() is True
+            assert seen == [(True, 1), "follower ran"]
+            assert dispatcher.idle("k")
+            assert dispatcher.total_dispatched == 2
+        finally:
+            gate.set()
+            dispatcher.shutdown()
 
 
 class TestTheLoopStaysLive:

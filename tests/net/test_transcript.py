@@ -3,15 +3,17 @@
 One seeded stream of DDL, indexed selects, inserts and deletes runs through
 an in-process provider and through ``tcp://`` (whose bounded requests are
 answered from the connection's read callback, the rest on dispatch
-workers).  What the session receives -- every response envelope, byte for
-byte -- and what the provider observes -- its audit sequence of
-``(kind, relation_name, detail)`` -- must be identical.  The last test
-breaks the TCP path on purpose and checks the comparison notices.
+workers -- every insert and delete among the former).  What the session
+receives -- every response envelope, byte for byte -- and what the provider
+observes -- its audit sequence of ``(kind, relation_name, detail)`` -- must
+be identical.  The last test breaks the TCP path on purpose and checks the
+comparison notices.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
@@ -20,8 +22,9 @@ from repro.crypto.rng import DeterministicRng
 from repro.net import ThreadedTcpServer
 from repro.net.client import RemoteServerProxy
 from repro.net.server import DatabaseTcpServer
-from repro.outsourcing import OutsourcedDatabaseServer
+from repro.outsourcing import MessageKind, OutsourcedDatabaseServer
 from repro.outsourcing.audit import AuditEventKind
+from repro.outsourcing.protocol import peek_envelope
 
 KEY = b"transcript-test-master-key-32byt"
 DECL = "Emp(name:string[10], dept:string[5], salary:int[6])"
@@ -42,6 +45,25 @@ class Recording:
 
     def __getattr__(self, name: str):
         return getattr(self._inner, name)
+
+
+class WriteThreads(OutsourcedDatabaseServer):
+    """A provider that notes the thread serving each tuple write."""
+
+    WRITES = (
+        MessageKind.INSERT_TUPLE,
+        MessageKind.DELETE_TUPLES,
+        MessageKind.DELETE_TUPLES_EXACT,
+    )
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.threads: list[str] = []
+
+    def handle_message(self, raw: bytes) -> bytes:
+        if peek_envelope(raw)[1] in self.WRITES:
+            self.threads.append(threading.current_thread().name)
+        return super().handle_message(raw)
 
 
 def operations(seed: int) -> list[tuple]:
@@ -86,10 +108,11 @@ def observations(provider: OutsourcedDatabaseServer) -> list[tuple]:
 
 
 def transcripts(seed: int):
-    """(in-process, tcp) transcripts of one stream, plus the tcp server's stats."""
+    """(in-process, tcp) transcripts of one stream, the tcp server's stats and
+    inline answers, and the threads that served the tcp side's writes."""
     local = OutsourcedDatabaseServer()
     local_responses, local_replies = run(local, seed)
-    remote = OutsourcedDatabaseServer()
+    remote = WriteThreads()
     with ThreadedTcpServer(remote) as server:
         proxy = RemoteServerProxy("127.0.0.1", server.port)
         try:
@@ -104,14 +127,19 @@ def transcripts(seed: int):
         (remote_responses, observations(remote)),
         stats,
         inline,
+        remote.threads,
     )
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_tcp_transcript_equals_the_in_process_one(seed):
-    (local_responses, local_audit), (remote_responses, remote_audit), stats, inline = (
-        transcripts(seed)
-    )
+    (
+        (local_responses, local_audit),
+        (remote_responses, remote_audit),
+        stats,
+        inline,
+        write_threads,
+    ) = transcripts(seed)
     assert remote_responses == local_responses
     assert remote_audit == local_audit
     kinds = {kind for kind, _, _ in local_audit}
@@ -125,6 +153,9 @@ def test_tcp_transcript_equals_the_in_process_one(seed):
     } <= kinds
     # Both receive paths took part: bounded requests inline, the rest on workers.
     assert 0 < inline < stats.requests_dispatched
+    # Every insert and delete was bounded, alone and on an idle relation.
+    assert write_threads
+    assert not [t for t in write_threads if t.startswith("repro-net-dispatch")]
 
 
 def test_the_comparison_sees_an_extra_observation_on_the_inline_path(monkeypatch):
@@ -138,7 +169,7 @@ def test_the_comparison_sees_an_extra_observation_on_the_inline_path(monkeypatch
         return original(self, trace_id, relation_name, payload, submitted_mono, path)
 
     monkeypatch.setattr(DatabaseTcpServer, "_dispatch_envelope", leaky)
-    (local_responses, local_audit), (remote_responses, remote_audit), _, inline = (
+    (local_responses, local_audit), (remote_responses, remote_audit), _, inline, _ = (
         transcripts(1)
     )
     assert inline > 0
