@@ -171,8 +171,8 @@ class SearchableSelectDph(DatabasePrivacyHomomorphism):
 
     def encrypt_tuple(self, relation_tuple: RelationTuple) -> EncryptedTuple:
         """Encrypt a single tuple (exposed for streaming inserts)."""
-        encoded = self._tuple_codec.encode_values(relation_tuple)
         self._tuple_codec.check_schema(relation_tuple)
+        encoded = self._tuple_codec.encode_values(relation_tuple)
         document = self._scheme.encrypt_document(self._tuple_to_words(encoded))
         payload = self._payload_cipher.encrypt_bytes(
             self._tuple_codec.frame(encoded), associated_data=document.document_id

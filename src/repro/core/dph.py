@@ -70,6 +70,14 @@ class EncryptedTuple:
     search_fields: tuple[bytes, ...] = ()
     metadata: bytes = b""
 
+    #: The bytes :func:`repro.outsourcing.protocol.decode_encrypted_tuple`
+    #: parsed this ciphertext from, which ``encode_encrypted_tuple`` hands
+    #: back instead of encoding it again (the codec is canonical, so they
+    #: equal a fresh encode).  Not a field: only the decoder sets it, on the
+    #: instance, and it takes no part in ``==``, ``hash``, ``repr`` or
+    #: ``dataclasses.replace``; the class is frozen, so it never goes stale.
+    wire = None
+
     def size_in_bytes(self) -> int:
         """Total storage footprint of this ciphertext."""
         return (

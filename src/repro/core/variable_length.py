@@ -129,8 +129,8 @@ class VariableWidthSelectDph(DatabasePrivacyHomomorphism):
         safe because each attribute's scheme is independently keyed, and it
         keeps the per-tuple overhead at one nonce regardless of arity.
         """
-        encoded = self._tuple_codec.encode_values(relation_tuple)
         self._tuple_codec.check_schema(relation_tuple)
+        encoded = self._tuple_codec.encode_values(relation_tuple)
         tuple_id = self._rng.bytes(16)
         fields = []
         for index, value_bytes in enumerate(encoded):

@@ -73,6 +73,9 @@ V2_MAGIC = b"DPH"
 #: The 4-byte big-endian length / count prefix.
 _U32 = struct.Struct(">I")
 
+_new_object = object.__new__
+_set = object.__setattr__
+
 #: Distinct schema declarations whose parse -- and, the other way, distinct
 #: schemas whose declaration -- is remembered (LRU).
 SCHEMA_MEMO_SIZE = 64
@@ -121,7 +124,10 @@ def _decode_sequence(raw: bytes, offset: int) -> tuple[list[bytes], int]:
 # --------------------------------------------------------------------------- #
 
 def encode_encrypted_tuple(encrypted_tuple: EncryptedTuple) -> bytes:
-    """Serialize one tuple ciphertext."""
+    """Serialize one tuple ciphertext: the bytes it was decoded from, if any."""
+    wire = encrypted_tuple.wire
+    if wire is not None:
+        return wire
     parts = [
         _U32.pack(len(encrypted_tuple.tuple_id)),
         encrypted_tuple.tuple_id,
@@ -142,8 +148,15 @@ def _decode_tuple_at(raw: bytes, offset: int, end: int) -> tuple[EncryptedTuple,
     out).  Offsets only grow, so one comparison with ``end`` after the walk
     bounds every part; the search-field loop checks it per field so a hostile
     count stops at the first field it cannot back with bytes.
+
+    The ciphertext keeps the span it was parsed from as its ``wire`` memo.
+    It is built by ``object.__setattr__`` without the frozen dataclass
+    ``__init__`` and its Python frame.  Writing its ``__dict__`` directly
+    is quicker still, but materializes a dict per tuple, which raised a
+    provider's peak RSS several times more than the memo's own bytes do.
     """
     read_length = _U32.unpack_from
+    begin = offset
     try:
         start = offset + 4
         offset = start + read_length(raw, offset)[0]
@@ -167,7 +180,13 @@ def _decode_tuple_at(raw: bytes, offset: int, end: int) -> tuple[EncryptedTuple,
         raise ProtocolError("truncated length prefix") from exc
     if offset > end:
         raise ProtocolError("truncated byte string")
-    return EncryptedTuple(tuple_id, payload, tuple(fields), metadata), offset
+    encrypted_tuple = _new_object(EncryptedTuple)
+    _set(encrypted_tuple, "tuple_id", tuple_id)
+    _set(encrypted_tuple, "payload", payload)
+    _set(encrypted_tuple, "search_fields", tuple(fields))
+    _set(encrypted_tuple, "metadata", metadata)
+    _set(encrypted_tuple, "wire", raw[begin:offset])
+    return encrypted_tuple, offset
 
 
 def decode_encrypted_tuple(raw: bytes, offset: int = 0) -> tuple[EncryptedTuple, int]:

@@ -59,9 +59,11 @@ class TupleCodec:
 
     def __init__(self, schema: RelationSchema) -> None:
         self._schema = schema
-        # The decode plan: per attribute, whether its text parses as an integer.
-        self._integer = tuple(
-            a.attribute_type is AttributeType.INTEGER for a in schema.attributes
+        # The decode plan: per attribute, whether its text parses as an
+        # integer, and its declared width.
+        self._plan = tuple(
+            (a.attribute_type is AttributeType.INTEGER, a.max_length)
+            for a in schema.attributes
         )
 
     @property
@@ -101,30 +103,48 @@ class TupleCodec:
         return b"".join(parts)
 
     def decode(self, raw: bytes) -> RelationTuple:
-        """Parse bytes produced by :meth:`encode` back into a tuple."""
+        """Parse bytes produced by :meth:`encode` back into a validated tuple.
+
+        Each value is checked against its attribute as it is parsed, so the
+        tuple is built without a second validation pass: a string's width
+        and ``#`` (``decode("ascii")`` already rules out the rest), an
+        integer's width -- within which its text's length suffices, as
+        ``int()`` never lengthens what it accepts.  A value that fails a
+        check is re-validated by :meth:`RelationTuple.from_values` once the
+        walk is done, only to raise the error it always raised.
+        """
         values = []
+        valid = True
         offset = 0
         end = len(raw)
-        for integer in self._integer:
+        for integer, width in self._plan:
             start = offset + 2
             if start > end:
                 raise EncodingError("truncated tuple encoding (missing length prefix)")
-            offset = start + int.from_bytes(raw[offset:start], "big")
+            offset = start + (raw[offset] << 8 | raw[offset + 1])
             if offset > end:
                 raise EncodingError("truncated tuple encoding (missing value bytes)")
             try:
                 text = raw[start:offset].decode("ascii")
-                values.append(int(text) if integer else text)
+                value = int(text) if integer else text
             except ValueError as exc:  # UnicodeDecodeError is a ValueError
                 raise EncodingError(
                     f"invalid value encoding {raw[start:offset]!r}"
                 ) from exc
+            if integer:
+                if offset - start > width and len(str(value)) > width:
+                    valid = False
+            elif offset - start > width or "#" in text:
+                valid = False
+            values.append(value)
         if offset != end:
             raise EncodingError("trailing bytes after tuple encoding")
-        try:
-            return RelationTuple.from_values(self._schema, values)
-        except SchemaError as exc:
-            raise EncodingError(f"decoded tuple violates its schema: {exc}") from exc
+        if not valid:
+            try:
+                RelationTuple.from_values(self._schema, values)
+            except SchemaError as exc:
+                raise EncodingError(f"decoded tuple violates its schema: {exc}") from exc
+        return RelationTuple.from_checked_values(self._schema, tuple(values))
 
 
 def word_value_width(schema: RelationSchema) -> int:

@@ -41,6 +41,16 @@ class RelationTuple(Mapping):
         relation_tuple._bind(schema, tuple(values))
         return relation_tuple
 
+    @classmethod
+    def from_checked_values(cls, schema: RelationSchema, values: tuple) -> "RelationTuple":
+        """Build a tuple from declaration-order values the caller has already
+        validated against ``schema`` (a decoder that checks each value as it
+        parses it: :meth:`repro.relational.encoding.TupleCodec.decode`)."""
+        relation_tuple = cls.__new__(cls)
+        relation_tuple._schema = schema
+        relation_tuple._values = values
+        return relation_tuple
+
     def _bind(self, schema: RelationSchema, values: tuple) -> None:
         for attribute, value in zip(schema.attributes, values):
             attribute.validate_value(value)

@@ -111,8 +111,8 @@ class FieldMatchDph(DatabasePrivacyHomomorphism):
 
     def encrypt_tuple(self, relation_tuple: RelationTuple) -> EncryptedTuple:
         """Encrypt a single tuple."""
-        tuple_id = self._rng.bytes(TUPLE_ID_LEN)
         serialized = self._tuple_codec.encode(relation_tuple)
+        tuple_id = self._rng.bytes(TUPLE_ID_LEN)
         if self._payload_cipher is not None:
             payload = self._payload_cipher.encrypt_bytes(serialized, associated_data=tuple_id)
         else:

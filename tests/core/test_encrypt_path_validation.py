@@ -3,7 +3,9 @@
 ``encrypt_tuple`` validates and encodes each value once and builds both the
 searchable words and the payload from those bytes; ``encrypt_query`` and the
 index's ``insert_delta`` encode through the same ``ValueCodec``.  The types
-and messages below were recorded on the commit before that change (2329cc0).
+and messages below were recorded on the commit before that change (2329cc0),
+except for tuples of another schema: every scheme now refuses those with the
+codec's schema error before it looks at a value or draws randomness.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.index import TableIndexer
 from repro.relational import RelationSchema, Selection
 from repro.relational.errors import EncodingError, SchemaError
 from repro.relational.tuples import RelationTuple
+from repro.schemes.registry import available_schemes, create
 
 KEY = bytes(range(32))
 SCHEMA = RelationSchema.parse("Emp(name:string[14], dept:string[5], salary:int[6])")
@@ -46,10 +49,9 @@ SCHEMES = {
 
 def unvalidated(values: dict) -> RelationTuple:
     """A tuple claiming ``SCHEMA`` whose values were never checked against it."""
-    relation_tuple = RelationTuple.__new__(RelationTuple)
-    relation_tuple._schema = SCHEMA
-    relation_tuple._values = tuple(values[name] for name in SCHEMA.attribute_names)
-    return relation_tuple
+    return RelationTuple.from_checked_values(
+        SCHEMA, tuple(values[name] for name in SCHEMA.attribute_names)
+    )
 
 
 def raises_exactly(error_type, message):
@@ -86,14 +88,33 @@ def test_bad_values_are_refused_by_the_indexer(what):
         indexer.query_labels(Selection.equals(attribute, value))
 
 
+#: Tuples of a schema other than the scheme's: the same names but wider
+#: (a value within and a value past the scheme's width), and another relation.
+FOREIGN_TUPLES = {
+    "wider, within width": RelationTuple(WIDER, GOOD),
+    "wider, past width": RelationTuple(WIDER, {**GOOD, "name": "x" * 15}),
+    "another relation": RelationTuple(RENAMED, {"name": "a", "unit": "b", "salary": 1}),
+}
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_tuples_of_another_schema_are_refused(scheme):
     dph = SCHEMES[scheme](DeterministicRng(1))
-    with raises_exactly(EncodingError, "tuple schema does not match codec schema"):
-        dph.encrypt_tuple(RelationTuple(WIDER, GOOD))
-    with raises_exactly(SchemaError, BAD_VALUES["too long"][2]):
-        dph.encrypt_tuple(RelationTuple(WIDER, {**GOOD, "name": "x" * 15}))
-    with raises_exactly(SchemaError, "relation 'Emp' has no attribute 'dept'"):
-        dph.encrypt_tuple(RelationTuple(RENAMED, {"name": "a", "unit": "b", "salary": 1}))
+    for foreign in FOREIGN_TUPLES.values():
+        with raises_exactly(EncodingError, "tuple schema does not match codec schema"):
+            dph.encrypt_tuple(foreign)
     with raises_exactly(SchemaError, "relation 'Emp' has no attribute 'unit'"):
         dph.encrypt_query(Selection.equals("unit", "b"))
+
+
+@pytest.mark.parametrize("what", FOREIGN_TUPLES)
+@pytest.mark.parametrize("scheme", available_schemes())
+def test_every_registered_scheme_checks_the_schema_before_the_values(scheme, what):
+    """The schema check is the first thing ``encrypt_tuple`` does, for every scheme."""
+    dph = create(scheme, SCHEMA, KEY, rng=DeterministicRng(1))
+    with raises_exactly(EncodingError, "tuple schema does not match codec schema"):
+        dph.encrypt_tuple(FOREIGN_TUPLES[what])
+    # The refusal consumed no randomness.
+    fresh = create(scheme, SCHEMA, KEY, rng=DeterministicRng(1))
+    good = RelationTuple(SCHEMA, GOOD)
+    assert dph.encrypt_tuple(good) == fresh.encrypt_tuple(good)

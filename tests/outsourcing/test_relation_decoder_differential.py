@@ -6,26 +6,47 @@ the copy field by field.  The rewritten decoder walks the frame once by
 offset; it must accept exactly the frames the reference accepts, with equal
 values, and reject every other frame with ``ProtocolError`` -- never an
 ``IndexError``, ``struct.error``, ``SchemaError`` or ``MemoryError``.
+
+The last section pins the wire memo a decoded tuple carries: re-encoding
+what any of the four result-path decoders accepts returns the bytes the
+parent returned, and the memo is invisible to ``==``, ``hash``, ``repr`` and
+``dataclasses.replace``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dph import EncryptedRelation, EncryptedTuple
+from repro.core.dph import EncryptedRelation, EncryptedTuple, EvaluationResult
+from repro.crypto.rng import DeterministicRng
+from repro.outsourcing import (
+    FileStorageBackend,
+    InMemoryStorageBackend,
+    MessageKind,
+    MessageV2,
+    OutsourcedDatabaseServer,
+)
 from repro.outsourcing.protocol import (
     ProtocolError,
     decode_encrypted_relation,
     decode_encrypted_tuple,
+    decode_evaluation_result,
+    decode_result_batch,
+    encode_encrypted_query,
     encode_encrypted_relation,
     encode_encrypted_tuple,
+    encode_evaluation_result,
+    encode_result_batch,
+    parse_message,
 )
-from repro.relational import RelationSchema
+from repro.relational import Relation, RelationSchema, RelationTuple, Selection
 from repro.relational.errors import SchemaError
+from repro.schemes.registry import create
 
 SCHEMA = RelationSchema.parse("Emp(name:string[14], dept:string[5], salary:int[6])")
 
@@ -238,3 +259,201 @@ def test_a_field_may_not_reach_past_its_tuple_body():
     with pytest.raises(ProtocolError):
         decode_encrypted_relation(bytes(frame))
     assert_same_verdict(bytes(frame))
+
+
+# --------------------------------------------------------------------------- #
+# The wire memo: a decoded tuple re-emits the bytes it arrived in
+# --------------------------------------------------------------------------- #
+#
+# A decoded ``EncryptedTuple`` keeps the span it was parsed from, and
+# ``encode_encrypted_tuple`` returns it instead of encoding the tuple again.
+# Re-encoding whatever a decoder accepts must give exactly what the parent
+# gave (decode with the reference, encode afresh); for every frame an encoder
+# wrote, that is the input itself.  Only a schema declaration has more than
+# one accepted spelling (``Int[6]``, ``[06]``): it is parsed into a schema
+# and spelled canonically again, with or without the memo.
+
+def reference_decode_evaluation_result(raw, offset=0):
+    relation_bytes, offset = _decode_bytes(raw, offset)
+    if offset + 16 > len(raw):
+        raise ProtocolError("truncated evaluation statistics")
+    examined = int.from_bytes(raw[offset: offset + 8], "big")
+    token_evaluations = int.from_bytes(raw[offset + 8: offset + 16], "big")
+    return (
+        EvaluationResult(
+            matching=reference_decode_relation(relation_bytes),
+            examined=examined,
+            token_evaluations=token_evaluations,
+        ),
+        offset + 16,
+    )
+
+
+def reference_decode_result_batch(raw):
+    bodies, offset = _decode_sequence(raw, 0)
+    if offset != len(raw):
+        raise ProtocolError("trailing bytes after result batch")
+    results = []
+    for body in bodies:
+        result, consumed = reference_decode_evaluation_result(body, 0)
+        if consumed != len(body):
+            raise ProtocolError("trailing bytes after evaluation result")
+        results.append(result)
+    return tuple(results)
+
+
+def whole_frame(decode):
+    """A decoder of a whole frame, as one returning what it consumed."""
+    return lambda raw: (decode(raw), len(raw))
+
+
+#: decoder -> (decode, reference decode, encode); both decoders return the
+#: decoded object and the number of bytes it took.
+CODECS = {
+    "tuple": (decode_encrypted_tuple, reference_decode_tuple, encode_encrypted_tuple),
+    "relation": (
+        whole_frame(decode_encrypted_relation),
+        whole_frame(reference_decode_relation),
+        encode_encrypted_relation,
+    ),
+    "evaluation result": (
+        decode_evaluation_result,
+        reference_decode_evaluation_result,
+        encode_evaluation_result,
+    ),
+    "result batch": (
+        whole_frame(decode_result_batch),
+        whole_frame(reference_decode_result_batch),
+        encode_result_batch,
+    ),
+}
+
+counts = st.integers(min_value=0, max_value=2**64 - 1)
+evaluation_results = st.builds(
+    EvaluationResult, matching=relations, examined=counts, token_evaluations=counts
+)
+#: decoder -> the objects it decodes.
+OBJECTS = {
+    "tuple": encrypted_tuples,
+    "relation": relations,
+    "evaluation result": evaluation_results,
+    "result batch": st.lists(evaluation_results, max_size=3),
+}
+
+
+def assert_reemitted_as_the_parent_did(codec: str, raw: bytes) -> bool:
+    """Re-encode what ``codec`` decodes from ``raw``; False if it rejects it."""
+    decode, reference_decode, encode = CODECS[codec]
+    try:
+        decoded, consumed = decode(raw)
+    except ProtocolError:
+        return False
+    expected, expected_consumed = reference_decode(raw)
+    assert consumed == expected_consumed
+    assert encode(decoded) == encode(expected)
+    return True
+
+
+@pytest.mark.parametrize("codec", CODECS)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_decoded_frame_reencodes_to_its_input(codec, data):
+    frame = CODECS[codec][2](data.draw(OBJECTS[codec]))
+    decoded, consumed = CODECS[codec][0](frame)
+    assert consumed == len(frame)
+    assert CODECS[codec][2](decoded) == frame
+    assert assert_reemitted_as_the_parent_did(codec, frame)
+
+
+@pytest.mark.parametrize("codec", CODECS)
+@given(data=st.data(), junk=st.binary(max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_every_accepted_frame_reencodes_as_the_parent_did(codec, data, junk):
+    """Damaged frames: truncated, bit-flipped, a length overwritten, junk after."""
+    frame = bytearray(CODECS[codec][2](data.draw(OBJECTS[codec])))
+    damage = data.draw(st.sampled_from(["truncate", "flip", "length", "append"]))
+    if damage == "truncate":
+        del frame[data.draw(st.integers(min_value=0, max_value=len(frame))):]
+    elif damage == "flip":
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            position = data.draw(st.integers(min_value=0, max_value=len(frame) - 1))
+            frame[position] ^= 1 << data.draw(st.integers(min_value=0, max_value=7))
+    elif damage == "length" and len(frame) >= 4:
+        position = data.draw(st.integers(min_value=0, max_value=len(frame) - 4))
+        current = int.from_bytes(frame[position: position + 4], "big")
+        value = data.draw(st.sampled_from([0, current + 1, max(current - 1, 0)]))
+        frame[position: position + 4] = (value % 2**32).to_bytes(4, "big")
+    else:
+        frame += junk
+    assert_reemitted_as_the_parent_did(codec, bytes(frame))
+
+
+@pytest.mark.parametrize("codec", CODECS)
+@given(junk=st.binary(max_size=120))
+@settings(max_examples=150, deadline=None)
+def test_arbitrary_accepted_bytes_reencode_as_the_parent_did(codec, junk):
+    assert_reemitted_as_the_parent_did(codec, junk)
+
+
+@given(encrypted_tuple=encrypted_tuples, prefix=short_bytes, suffix=short_bytes)
+@settings(max_examples=150, deadline=None)
+def test_the_memo_is_exactly_the_span_parsed(encrypted_tuple, prefix, suffix):
+    body = encode_encrypted_tuple(encrypted_tuple)
+    decoded, _ = decode_encrypted_tuple(prefix + body + suffix, len(prefix))
+    assert decoded.wire == body
+    assert encrypted_tuple.wire is None
+
+
+@given(relation=relations)
+@settings(max_examples=150, deadline=None)
+def test_the_memo_is_invisible(relation):
+    decoded = decode_encrypted_relation(encode_encrypted_relation(relation))
+    assert decoded == relation and hash(decoded) == hash(relation)
+    assert repr(decoded) == repr(relation)
+    for twin, copy in zip(relation, decoded):
+        assert copy.wire is not None
+        assert copy == twin and hash(copy) == hash(twin) and repr(copy) == repr(twin)
+        assert dataclasses.fields(copy) == dataclasses.fields(twin)
+        assert dataclasses.astuple(copy) == dataclasses.astuple(twin)
+        assert dataclasses.replace(copy).wire is None
+        changed = dataclasses.replace(copy, metadata=copy.metadata + b"!")
+        assert changed.wire is None
+        assert encode_encrypted_tuple(changed) == encode_encrypted_tuple(
+            dataclasses.replace(twin, metadata=twin.metadata + b"!")
+        )
+
+
+def send(provider, kind: MessageKind, body: bytes) -> bytes:
+    response = parse_message(
+        provider.handle_message(MessageV2(kind=kind, relation_name="Emp", body=body).to_bytes())
+    )
+    assert response.kind is not MessageKind.ERROR, response.body
+    return response.body
+
+
+@pytest.mark.parametrize("store", ["memory", "file"])
+def test_stored_tuples_are_reemitted_as_they_arrived(store, tmp_path):
+    """``STORE_RELATION``, ``INSERT_TUPLE`` and the file store keep the memo
+    or rebuild it, and a query answer is byte-identical to a fresh encode."""
+    storage = InMemoryStorageBackend() if store == "memory" else FileStorageBackend(tmp_path)
+    provider = OutsourcedDatabaseServer(storage=storage)
+    dph = create("index", SCHEMA, bytes(range(32)), rng=DeterministicRng(3))
+    provider.register_evaluator("Emp", dph.server_evaluator())
+    rows = [RelationTuple(SCHEMA, {"name": f"e{i}", "dept": "HR", "salary": i}) for i in range(6)]
+    stored = dph.encrypt_relation(Relation(SCHEMA, rows[:3]))
+    inserted = tuple(dph.encrypt_tuple(row) for row in rows[3:])
+    send(provider, MessageKind.STORE_RELATION, encode_encrypted_relation(stored))
+    for encrypted_tuple in inserted:
+        send(provider, MessageKind.INSERT_TUPLE, encode_encrypted_tuple(encrypted_tuple))
+
+    fresh = stored.encrypted_tuples + inserted
+    held = provider.stored_relation("Emp").encrypted_tuples
+    assert held == fresh
+    assert [t.wire for t in held] == [encode_encrypted_tuple(t) for t in fresh]
+    query = dph.encrypt_query(Selection.equals("dept", "HR"))
+    answer = send(provider, MessageKind.QUERY, encode_encrypted_query(query))
+    result, _ = decode_evaluation_result(answer)
+    assert result.matching.encrypted_tuples == fresh
+    assert answer == encode_evaluation_result(
+        dataclasses.replace(result, matching=EncryptedRelation(SCHEMA, fresh))
+    )
