@@ -6,24 +6,24 @@ and the versioned wire protocol between them.  Each table gets its own
 scheme instance keyed with a sub-key derived from the master secret, so one
 session can hold many relations while the user manages a single key.
 
-Every tuple-level operation travels as protocol frames through
-:meth:`~repro.outsourcing.server.OutsourcedDatabaseServer.handle_message`
-(the same bytes a remote transport carries); session management --
-evaluator deployment, :meth:`EncryptedDatabase.attach_table` /
-:meth:`EncryptedDatabase.drop_table` and the debugging peeks
-(:meth:`EncryptedDatabase.retrieve_all`) -- goes through the server
-duck-type, which is either the in-process
-:class:`~repro.outsourcing.server.OutsourcedDatabaseServer`, a
-:class:`~repro.net.client.RemoteServerProxy` speaking the control channel
-of :mod:`repro.net`, or a sharded fleet behind a
+Every operation -- reads and writes, and the DDL and metadata of
+:meth:`EncryptedDatabase.create_table` / :meth:`~EncryptedDatabase.attach_table`
+/ :meth:`~EncryptedDatabase.drop_table` / :meth:`~EncryptedDatabase.count` /
+:meth:`~EncryptedDatabase.retrieve_all`, evaluator deployment included --
+travels as protocol envelopes through the provider's ``handle_message``
+(the same bytes a remote transport carries), sent with the one
+:func:`~repro.outsourcing.client.request` helper.  The provider is the
+in-process :class:`~repro.outsourcing.server.OutsourcedDatabaseServer`, a
+:class:`~repro.net.client.RemoteServerProxy` carrying the envelopes over
+:mod:`repro.net`, or a sharded fleet behind a
 :class:`~repro.cluster.router.ShardRouter` (see
 :meth:`EncryptedDatabase.connect` and the ``shards=`` form of
-:meth:`EncryptedDatabase.open`).
+:meth:`EncryptedDatabase.open`); only how the bytes travel differs.
 
 Reads accept query AST nodes or SQL strings; SQL is routed to the right
 table via the relation name in its ``FROM`` clause.  Deletes and updates
 resolve the *true* matches client-side (decrypt, filter false positives)
-and then address tuples by their public random ids with the v2
+and then address tuples by their public random ids with the
 ``DELETE_TUPLES`` message, so the provider never learns which plaintext
 predicate drove the mutation.
 """
@@ -60,12 +60,11 @@ from repro.obs import (
     use_trace,
 )
 from repro.outsourcing import protocol
-from repro.outsourcing.client import SelectOutcome
+from repro.outsourcing.client import SelectOutcome, request
+from repro.outsourcing.evaluators import describe_evaluator
 from repro.outsourcing.protocol import (
-    Message,
     MessageKind,
     MessageV2,
-    PROTOCOL_V1,
     SUPPORTED_VERSIONS,
     negotiate_version,
 )
@@ -206,9 +205,7 @@ class EncryptedDatabase:
         self._version = negotiate_version(
             SUPPORTED_VERSIONS, server.supported_protocol_versions
         )
-        # Index maintenance needs the v2 index ops; a v1-only provider
-        # silently negotiates the session back to plain scans.
-        self._index_enabled = bool(index) and self._version >= protocol.PROTOCOL_V2
+        self._index_enabled = bool(index)
         #: Memoized "this provider cannot serve index ops" flag: set on the
         #: first ``cannot serve message kind`` error so a fleet of older
         #: servers costs one failed round trip, not one per operation.
@@ -287,7 +284,7 @@ class EncryptedDatabase:
             posting deltas through every DDL/DML operation and serves
             exact selects via ``INDEX_LOOKUP`` in O(result) provider
             work, falling back to the linear scan whenever the provider
-            (or the negotiated protocol version) cannot serve it.
+            cannot serve it.
         cache:
             Keep a client-side result cache of this session's reads (see
             :mod:`repro.cache`): repeated hot queries are answered from
@@ -309,11 +306,10 @@ class EncryptedDatabase:
                     "or storage backend"
                 )
             from repro.cluster.router import ShardRouter
-            from repro.outsourcing.server import ServerError as _ServerError
 
             try:
                 server = ShardRouter(shards, replicas=replicas)
-            except _ServerError as exc:
+            except ServerError as exc:
                 raise DatabaseError(str(exc)) from exc
         elif replicas != 1:
             raise DatabaseError(
@@ -425,7 +421,6 @@ class EncryptedDatabase:
         if owns_proxy:
             from repro.cluster.router import ShardRouter
             from repro.net.client import RemoteServerProxy, parse_tcp_options
-            from repro.outsourcing.server import ServerError as _ServerError
 
             try:
                 if is_manifest:
@@ -473,7 +468,7 @@ class EncryptedDatabase:
                         provider = RemoteServerProxy(
                             host, port, pool_size=pool_size, timeout=timeout
                         )
-            except _ServerError as exc:
+            except ServerError as exc:
                 raise DatabaseError(str(exc)) from exc
         elif (pool_size, timeout) != (4, 30.0):
             raise DatabaseError(
@@ -674,7 +669,7 @@ class EncryptedDatabase:
         name = schema.name
         if name in self._tables:
             raise DatabaseError(f"table {name!r} already exists in this session")
-        if name in self._server.relation_names:
+        if name in self._relation_names():
             raise DatabaseError(
                 f"the provider already stores a relation named {name!r}; "
                 "attach_table to reuse it or drop_table to replace it"
@@ -719,7 +714,7 @@ class EncryptedDatabase:
         name = schema.name
         if name in self._tables:
             raise DatabaseError(f"table {name!r} already exists in this session")
-        if name not in self._server.relation_names:
+        if name not in self._relation_names():
             raise DatabaseError(f"the provider stores no relation named {name!r}")
         stored = self._stored(name)
         if stored.schema != schema:
@@ -761,7 +756,13 @@ class EncryptedDatabase:
                 schema, self._key.subkey(f"index/{name}"), rng=self._rng
             )
         handle = TableHandle(name=name, schema=schema, scheme=scheme, indexer=indexer)
-        self._server.register_evaluator(name, scheme.server_evaluator())
+        description = describe_evaluator(scheme.server_evaluator())
+        self._request(
+            MessageKind.REGISTER_EVALUATOR,
+            name,
+            protocol.encode_evaluator_description(description),
+            expect=MessageKind.ACK,
+        )
         self._tables[name] = handle
         self._statements = {}
         return handle
@@ -779,13 +780,10 @@ class EncryptedDatabase:
         """
         self.table(name)
         try:
-            self._server.drop_relation(name)
-        except ServerError as exc:
-            self._unbind_table(name)
-            raise DatabaseError(str(exc)) from exc
+            self._request(MessageKind.DROP_RELATION, name, b"", expect=MessageKind.ACK)
         finally:
             self._invalidate_cache(name)
-        self._unbind_table(name)
+            self._unbind_table(name)
 
     # ------------------------------------------------------------------ #
     # Writes
@@ -838,9 +836,8 @@ class EncryptedDatabase:
 
         Matching happens client-side on decrypted results (so the scheme's
         false positives are never deleted); the provider only sees the
-        public tuple ids in the v2 ``DELETE_TUPLES`` message.
+        public tuple ids in the ``DELETE_TUPLES`` message.
         """
-        self._require_v2("delete")
         with self._traced("delete") as op_span:
             name, parsed = self._resolve(query, table)
             op_span.annotations["table"] = name
@@ -861,7 +858,6 @@ class EncryptedDatabase:
         acknowledged deletions if a concurrent session removed a matched
         tuple first).
         """
-        self._require_v2("update")
         with self._traced("update") as op_span:
             name, parsed = self._resolve(query, table)
             op_span.annotations["table"] = name
@@ -899,12 +895,11 @@ class EncryptedDatabase:
     def select_many(
         self, queries, table: str | None = None
     ) -> list[SelectOutcome]:
-        """Run several exact selects in one v2 ``BATCH_QUERY`` round trip.
+        """Run several exact selects in one ``BATCH_QUERY`` round trip.
 
         All queries must address the same table (named explicitly or via the
         SQL ``FROM`` clauses).
         """
-        self._require_v2("select_many")
         with self._traced("select_many") as op_span:
             resolved = [self._resolve(query, table) for query in queries]
             if not resolved:
@@ -964,12 +959,12 @@ class EncryptedDatabase:
         return handle.scheme.decrypt_relation(self._stored(table))
 
     def count(self, table: str) -> int:
-        """Number of tuple ciphertexts the provider currently stores."""
+        """Number of tuples the provider currently stores."""
         self.table(table)
-        try:
-            return self._server.tuple_count(table)
-        except ServerError as exc:
-            raise DatabaseError(str(exc)) from exc
+        response = self._request(
+            MessageKind.TUPLE_COUNT, table, b"", expect=MessageKind.ACK
+        )
+        return protocol.decode_count(response.body)
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -995,33 +990,27 @@ class EncryptedDatabase:
         self._cache.invalidate(relation, tags)
 
     def _stored(self, table: str):
-        """The provider's ciphertext copy, with errors in the facade's type."""
-        try:
-            return self._server.stored_relation(table)
-        except ServerError as exc:
-            raise DatabaseError(str(exc)) from exc
+        """The provider's ciphertext copy of a relation."""
+        response = self._request(
+            MessageKind.FETCH_RELATION, table, b"", expect=MessageKind.QUERY_RESULT
+        )
+        return self._decode_query_result(response).matching
+
+    def _relation_names(self) -> tuple[str, ...]:
+        response = self._request(
+            MessageKind.RELATION_NAMES, "", b"", expect=MessageKind.RELATIONS
+        )
+        return protocol.decode_relation_names(response.body)
 
     def _request(
         self, kind: MessageKind, relation_name: str, body: bytes, expect: MessageKind
-    ) -> Message | MessageV2:
-        envelope = Message if self._version == PROTOCOL_V1 else MessageV2
-        raw = self._server.handle_message(
-            envelope(kind=kind, relation_name=relation_name, body=body).to_bytes()
+    ) -> MessageV2:
+        """One envelope to the provider; any failure is a :class:`DatabaseError`."""
+        return request(
+            self._server, kind, relation_name, body, expect=expect, error=DatabaseError
         )
-        response = protocol.parse_message(raw)
-        if response.kind is MessageKind.ERROR:
-            raise DatabaseError(response.body.decode("utf-8", "replace"))
-        if response.kind is not expect:
-            raise DatabaseError(
-                f"expected {expect.value!r} response, got {response.kind.value!r}"
-            )
-        return response
 
-    def _decode_query_result(self, response: Message | MessageV2) -> EvaluationResult:
-        if self._version == PROTOCOL_V1:
-            return EvaluationResult(
-                matching=protocol.decode_encrypted_relation(response.body)
-            )
+    def _decode_query_result(self, response: MessageV2) -> EvaluationResult:
         result, consumed = protocol.decode_evaluation_result(response.body)
         if consumed != len(response.body):
             raise DatabaseError("trailing bytes after evaluation result")
@@ -1166,7 +1155,7 @@ class EncryptedDatabase:
 
     def _index_request(
         self, kind: MessageKind, relation_name: str, body: bytes, expect: MessageKind
-    ) -> Message | MessageV2 | None:
+    ) -> MessageV2 | None:
         """A request the provider may legitimately not serve.
 
         ``None`` means the provider rejected the *kind* (an older build):
@@ -1239,10 +1228,3 @@ class EncryptedDatabase:
             return RelationTuple(schema, values)
         except Exception as exc:
             raise DatabaseError(str(exc)) from exc
-
-    def _require_v2(self, operation: str) -> None:
-        if self._version < protocol.PROTOCOL_V2:
-            raise DatabaseError(
-                f"{operation} needs protocol version 2, "
-                f"negotiated version is {self._version}"
-            )

@@ -37,7 +37,8 @@ the CLI exposes the reproduction's main entry points without writing any code:
     the topology for ``cluster+file://`` sessions), ``route`` keys through
     the deterministic placement ring offline (including the per-key replica
     sets of a ``?replicas=R`` deployment), and ``status`` a running fleet
-    over its stats control channel (by URL or ``--manifest``).  Sessions
+    (relations and counts by envelope, transport numbers from the ``stats``
+    read-out; by URL or ``--manifest``).  Sessions
     connect with
     ``EncryptedDatabase.connect("cluster://h1:p1,...[?replicas=R&async=1]")``.
 
@@ -62,7 +63,8 @@ from typing import Sequence
 
 from repro.crypto.keys import SecretKey
 from repro.experiments import EXPERIMENTS
-from repro.outsourcing import OutsourcedDatabaseServer, OutsourcingClient
+from repro.outsourcing import OutsourcedDatabaseServer, OutsourcingClient, request
+from repro.outsourcing.protocol import MessageKind, decode_count, decode_relation_names
 from repro.schemes.registry import available_schemes, create as create_scheme
 from repro.security import IndistinguishabilityGame
 from repro.security.attacks import (
@@ -75,6 +77,18 @@ from repro.workloads import EmployeeWorkload, HospitalWorkload
 def build_scheme(name: str, schema):
     """Instantiate a freshly keyed scheme by registry name."""
     return create_scheme(name, schema, SecretKey.generate())
+
+
+def relation_counts(provider) -> dict[str, int]:
+    """Each relation a provider stores, with its tuple count (two envelope kinds)."""
+    names = request(
+        provider, MessageKind.RELATION_NAMES, "", expect=MessageKind.RELATIONS
+    )
+    counts = {}
+    for name in decode_relation_names(names.body):
+        count = request(provider, MessageKind.TUPLE_COUNT, name, expect=MessageKind.ACK)
+        counts[name] = decode_count(count.body)
+    return counts
 
 
 def command_experiments(args: argparse.Namespace) -> int:
@@ -215,7 +229,9 @@ def command_serve(args: argparse.Namespace) -> int:
     async def _serve() -> None:
         await tcp.start()
         host, port = tcp.address
-        where = f"{len(database.relation_names)} relation(s) on disk" if storage else "in-memory"
+        where = "in-memory"
+        if storage:
+            where = f"{len(relation_counts(database))} relation(s) on disk"
         print(
             f"repro provider listening on tcp://{host}:{port} ({where}, "
             f"{tcp.dispatch_workers} dispatch worker(s))",
@@ -422,9 +438,10 @@ def command_cluster_route(args: argparse.Namespace) -> int:
 
 
 def command_cluster_status(args: argparse.Namespace) -> int:
-    """Probe every shard of a running fleet over the stats control channel."""
+    """Probe every shard of a running fleet: envelopes plus the stats read-out."""
     from repro.cluster import ClusterError, parse_cluster_options
-    from repro.net.client import RemoteError, RemoteServerProxy
+    from repro.net.client import RemoteServerProxy
+    from repro.outsourcing import ServerError
 
     if (args.url is None) == (args.manifest is None):
         print("pass exactly one of a cluster:// URL or --manifest", file=sys.stderr)
@@ -465,9 +482,8 @@ def command_cluster_status(args: argparse.Namespace) -> int:
                 shard_url, pool_size=1, timeout=args.timeout
             ) as proxy:
                 stats = proxy.server_stats()
-                names = proxy.relation_names
-                counts = {name: proxy.tuple_count(name) for name in names}
-        except RemoteError as exc:
+                counts = relation_counts(proxy)
+        except ServerError as exc:
             unreachable += 1
             print(f"{shard_url}: DOWN ({exc})")
             continue

@@ -29,8 +29,9 @@ horizontally scalable service:
     re-supplying topology.
 
 **Routing** (:mod:`repro.cluster.router`)
-    :class:`ShardRouter` -- the same duck-type as
-    :class:`~repro.outsourcing.server.OutsourcedDatabaseServer`, so
+    :class:`ShardRouter` -- one ``handle_message`` answering every
+    envelope as one
+    :class:`~repro.outsourcing.server.OutsourcedDatabaseServer` would, so
     ``EncryptedDatabase.connect("cluster://h1:p1,h2:p2?replicas=2")`` (or
     ``EncryptedDatabase.open(shards=[...], replicas=2)``) works
     transparently: inserts go to all R replica shards (fail-fast), deletes

@@ -27,21 +27,23 @@ the coordinator while no other session mutates the affected relations (the
 same discipline the single-provider ``STORE_RELATION`` replacement already
 requires).
 
-Everything here works on the :class:`~repro.outsourcing.server.OutsourcedDatabaseServer`
-duck-type (``stored_relation`` / ``insert_tuple`` / ``delete_tuples``), so
-in-process shards and ``tcp://`` proxies migrate identically.  The
-``shards`` mapping may contain backends that are *not* on the ring (a
-leaving shard being drained): they serve as copy sources and end up
-holding nothing.
+Everything here drives the fleet's shards through the router's plan rows
+(:meth:`ShardRouter.each_shard <repro.cluster.router.ShardRouter.each_shard>`:
+``FETCH_RELATION`` / ``INSERT_TUPLE`` / ``DELETE_TUPLES`` envelopes), so
+in-process shards and ``tcp://`` proxies migrate identically.  The fleet may
+hold shards that are *not* on the ring (a leaving shard being drained): they
+serve as copy sources and end up holding nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 from repro.cluster.executor import ClusterError
 from repro.cluster.ring import ConsistentHashRing
+from repro.outsourcing import protocol
+from repro.outsourcing.protocol import MessageKind
 
 
 @dataclass
@@ -79,7 +81,7 @@ class RebalanceReport:
 
 
 def _index_copies(
-    shards: Mapping[str, Any], relation_name: str, report: RebalanceReport | None = None
+    fleet, relation_name: str, report: RebalanceReport | None = None
 ) -> dict[bytes, tuple[Any, set[str]]]:
     """``tuple_id -> (encrypted_tuple, holder shard ids)`` for one relation.
 
@@ -87,8 +89,9 @@ def _index_copies(
     re-scanned on their destination shard.
     """
     placement: dict[bytes, tuple[Any, set[str]]] = {}
-    for shard_id, server in shards.items():
-        relation = server.stored_relation(relation_name)
+    stored = fleet.each_shard(MessageKind.FETCH_RELATION, relation_name)
+    for shard_id, result in stored.items():
+        relation = result.matching
         if report is not None:
             report.scanned += len(relation)
         for encrypted_tuple in relation:
@@ -101,7 +104,7 @@ def _index_copies(
 
 
 def misplaced_tuples(
-    shards: Mapping[str, Any],
+    fleet,
     ring: ConsistentHashRing,
     relation_name: str,
     *,
@@ -114,7 +117,7 @@ def misplaced_tuples(
     """
     moves = []
     for tuple_id, (encrypted_tuple, holders) in _index_copies(
-        shards, relation_name
+        fleet, relation_name
     ).items():
         desired = set(ring.successors(tuple_id, replication))
         missing = desired - holders
@@ -128,7 +131,7 @@ def misplaced_tuples(
 
 
 def surplus_copies(
-    shards: Mapping[str, Any],
+    fleet,
     ring: ConsistentHashRing,
     relation_name: str,
     *,
@@ -136,7 +139,7 @@ def surplus_copies(
 ) -> list[tuple[str, bytes]]:
     """``(shard_id, tuple_id)`` for every copy stored off its successor set."""
     surplus = []
-    for tuple_id, (_, holders) in _index_copies(shards, relation_name).items():
+    for tuple_id, (_, holders) in _index_copies(fleet, relation_name).items():
         desired = set(ring.successors(tuple_id, replication))
         for shard_id in sorted(holders - desired):
             surplus.append((shard_id, tuple_id))
@@ -144,7 +147,7 @@ def surplus_copies(
 
 
 def rebalance(
-    shards: Mapping[str, Any],
+    fleet,
     ring: ConsistentHashRing,
     relation_names: Iterable[str],
     *,
@@ -152,11 +155,14 @@ def rebalance(
 ) -> RebalanceReport:
     """Repair every tuple of the named relations onto its R ring successors.
 
-    Copies are created before any stale copy is deleted (per relation), so
-    a crash at any point leaves every tuple with at least as many live
-    copies as before the run.
+    ``fleet`` is the :class:`~repro.cluster.router.ShardRouter` whose
+    shards hold the copies.  Copies are created before any stale copy is
+    deleted (per relation), so a crash at any point leaves every tuple with
+    at least as many live copies as before the run.
     """
-    unknown = [shard_id for shard_id in ring.shard_ids if shard_id not in shards]
+    unknown = [
+        shard_id for shard_id in ring.shard_ids if shard_id not in fleet.shard_ids
+    ]
     if unknown:
         raise ClusterError(
             f"the ring names shard(s) {unknown} that have no backend"
@@ -167,7 +173,7 @@ def rebalance(
         )
     report = RebalanceReport()
     for name in relation_names:
-        placement = _index_copies(shards, name, report)
+        placement = _index_copies(fleet, name, report)
         pending_deletes: dict[str, list[bytes]] = {}
         for tuple_id, (encrypted_tuple, holders) in placement.items():
             desired = set(ring.successors(tuple_id, replication))
@@ -176,11 +182,16 @@ def rebalance(
             kept = holders & desired
             source = sorted(kept)[0] if kept else sorted(holders)[0]
             # Insert-first: a crash here leaves a surplus copy, not a loss.
-            for target in sorted(desired - holders):
-                shards[target].insert_tuple(name, encrypted_tuple)
+            targets = sorted(desired - holders)
+            if targets:
+                body = protocol.encode_encrypted_tuple(encrypted_tuple)
+                fleet.each_shard(MessageKind.INSERT_TUPLE, name, body, targets)
+            for target in targets:
                 report.record_move(name, source, target)
             for shard_id in sorted(holders - desired):
                 pending_deletes.setdefault(shard_id, []).append(tuple_id)
         for shard_id, tuple_ids in pending_deletes.items():
-            report.removed += shards[shard_id].delete_tuples(name, tuple_ids)
+            body = protocol.encode_tuple_ids(tuple_ids)
+            deleted = fleet.each_shard(MessageKind.DELETE_TUPLES, name, body, [shard_id])
+            report.removed += deleted[shard_id]
     return report

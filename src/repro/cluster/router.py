@@ -1,13 +1,13 @@
 """The shard router: one logical provider over a fleet of shards.
 
-:class:`ShardRouter` implements the same duck-type
+:class:`ShardRouter` answers :meth:`~ShardRouter.handle_message` exactly as
+one provider would -- and every data and DDL operation is an envelope -- so
 :class:`~repro.api.EncryptedDatabase` and
-:class:`~repro.outsourcing.client.OutsourcingClient` already consume --
-byte-level :meth:`~ShardRouter.handle_message` plus the management calls --
-so a session drives N providers exactly as it drives one.  Each backend is
-either an in-process :class:`~repro.outsourcing.server.OutsourcedDatabaseServer`
-(or anything with its duck-type) or a ``tcp://host:port`` URL (opened as an
-owned :class:`~repro.net.client.RemoteServerProxy`), mixed freely.
+:class:`~repro.outsourcing.client.OutsourcingClient` drive N providers
+exactly as they drive one.  Each backend is either an in-process
+:class:`~repro.outsourcing.server.OutsourcedDatabaseServer` (or anything with
+its ``handle_message``) or a ``tcp://host:port`` URL (opened as an owned
+:class:`~repro.net.client.RemoteServerProxy`), mixed freely.
 
 Routing is per *encrypted tuple*: the consistent-hash ring of
 :mod:`repro.cluster.ring` keys on the public random tuple id, so placement
@@ -26,6 +26,10 @@ R distinct shards.  Operation shapes:
 ``QUERY``            scatter to all shards, merge the evaluation results
                      (deduplicated by public tuple id)
 ``BATCH_QUERY``      scatter the whole batch, merge element-wise
+``FETCH_RELATION``   scatter, merge the stored copies (one per tuple id)
+``TUPLE_COUNT``      ``LIST_TUPLE_IDS`` to every shard, count distinct ids
+DDL                  ``REGISTER_EVALUATOR`` / ``DROP_RELATION`` to every
+                     shard (fail-fast); ``RELATION_NAMES`` unions the lists
 ===================  ====================================================
 
 Writes always run fail-fast (a partially applied write is corruption).
@@ -65,7 +69,6 @@ from repro.core.dph import (
     EncryptedRelation,
     EncryptedTuple,
     EvaluationResult,
-    ServerEvaluator,
 )
 from repro.cluster.executor import (
     ClusterError,
@@ -80,12 +83,9 @@ from repro.cluster.executor import (
 from repro.cluster.ring import ConsistentHashRing, DEFAULT_VIRTUAL_NODES
 from repro.obs import MetricsRegistry, current_trace, current_trace_id, merge_snapshots
 from repro.outsourcing import protocol
-from repro.outsourcing.object_api import EnvelopeObjectApi
 from repro.outsourcing.protocol import (
-    Message,
     MessageKind,
     MessageV2,
-    PROTOCOL_V2,
     ProtocolError,
     SUPPORTED_VERSIONS,
     UNSERVED_KIND_REFUSAL,
@@ -95,9 +95,6 @@ from repro.outsourcing.storage import StorageError
 
 #: URL scheme of a sharded deployment: ``cluster://host:port,host:port,...``
 CLUSTER_URL_PREFIX = "cluster://"
-
-#: A parsed protocol envelope of either framing (v1, or v2/v3).
-Envelope = Message | MessageV2
 
 
 def parse_cluster_options(url: str) -> tuple[tuple[str, ...], dict]:
@@ -203,13 +200,12 @@ class ClusterStats:
 
     The counters live in a :class:`~repro.obs.MetricsRegistry` (as
     ``cluster_<name>_total``), so one registry snapshot covers transport,
-    provider, and routing activity alike; every historical attribute read
-    (``stats.scatter_reads``, ...) keeps working through ``__getattr__``
-    and :meth:`as_dict` keeps its key set.  Scatters run on a thread pool
-    and several sessions may share one router, so mutations go through the
-    ``record_*`` methods (registry counters carry their own locks; the
-    last-shard-id tuples share this object's lock) and :meth:`as_dict`
-    returns an atomic snapshot of the tuple pair.
+    provider, and routing activity alike; :meth:`as_dict` is the read-out.
+    Scatters run on a thread pool and several sessions may share one
+    router, so mutations go through the ``record_*`` methods (registry
+    counters carry their own locks; the last-shard-id tuples share this
+    object's lock) and :meth:`as_dict` returns an atomic snapshot of the
+    tuple pair.
     """
 
     _COUNTERS = (
@@ -246,14 +242,6 @@ class ClusterStats:
     def metrics(self) -> MetricsRegistry:
         """The registry holding the routing counters."""
         return self._metrics
-
-    def __getattr__(self, name: str) -> int:
-        counters = self.__dict__.get("_counters")
-        if counters is not None and name in counters:
-            return counters[name].value
-        raise AttributeError(
-            f"{type(self).__name__!s} object has no attribute {name!r}"
-        )
 
     def record_scatter_read(self) -> None:
         self._counters["scatter_reads"].inc()
@@ -293,7 +281,7 @@ class ClusterStats:
 
 @dataclass
 class _Shard:
-    """One backend: the duck-typed server plus ownership bookkeeping."""
+    """One backend: its ``handle_message`` server plus ownership bookkeeping."""
 
     shard_id: str
     server: Any
@@ -309,8 +297,8 @@ class _Plan:
     #: ``(router, request, raw, payload) -> {shard id: envelope bytes}``:
     #: which shards are addressed, and with which bytes each.
     targets: Callable[..., dict[str, bytes]]
-    #: The kind every addressed shard must answer with -- and the kind the
-    #: router answers the session with.
+    #: The kind the router answers the session with -- which is also how
+    #: one provider answers this kind.
     answers: MessageKind
     #: ``(decoded per-shard answers, payload) -> the fleet's one answer``.
     merge: Callable[[Sequence[Any], Any], Any]
@@ -329,6 +317,12 @@ class _Plan:
     fallback: Callable[..., bytes | None] | None = None
     #: The ``ClusterStats`` recorder bumped once per routed request.
     record: Callable[[ClusterStats], None] | None = None
+    #: The kind every addressed shard must answer with, when ``targets``
+    #: sends another kind than the session's; None means ``answers``.
+    expect: MessageKind | None = None
+    #: ``(router, request) -> None``: the router's own bookkeeping once the
+    #: fleet has answered (what ``add_shard`` must replay on a newcomer).
+    settle: Callable[..., None] | None = None
 
 
 def _decode_insert(body: bytes) -> EncryptedTuple:
@@ -344,35 +338,23 @@ def _decode_lookup(body: bytes):
     return decode_index_lookup(body)
 
 
-#: Body codecs ``(decode, encode)`` of the answer kinds; a ``QUERY_RESULT``
-#: is not listed because its body depends on the envelope version.
+#: Body codecs ``(decode, encode)`` of the answer kinds.
 _ANSWER_CODECS = {
     MessageKind.ACK: (protocol.decode_count, protocol.encode_count),
     MessageKind.TUPLE_IDS: (protocol.decode_tuple_ids, protocol.encode_tuple_ids),
     MessageKind.BATCH_RESULT: (protocol.decode_result_batch, protocol.encode_result_batch),
+    MessageKind.QUERY_RESULT: (
+        protocol.decode_query_result, protocol.encode_evaluation_result
+    ),
+    MessageKind.RELATIONS: (
+        protocol.decode_relation_names, protocol.encode_relation_names
+    ),
 }
 
 
-def _decode_answer(request: Envelope, response: Envelope) -> Any:
+def _decode_answer(response: MessageV2) -> Any:
     """One shard's checked answer as a value the merges work on."""
-    body = response.body
-    if response.kind in _ANSWER_CODECS:
-        return _ANSWER_CODECS[response.kind][0](body)
-    if request.version == protocol.PROTOCOL_V1:  # a v1 QUERY_RESULT: no statistics
-        return EvaluationResult(matching=protocol.decode_encrypted_relation(body))
-    result, consumed = protocol.decode_evaluation_result(body)
-    if consumed != len(body):
-        raise ClusterError("trailing bytes after evaluation result")
-    return result
-
-
-def _encode_answer(request: Envelope, kind: MessageKind, answer: Any) -> bytes:
-    """The merged answer as the body of the router's response (``kind``)."""
-    if kind in _ANSWER_CODECS:
-        return _ANSWER_CODECS[kind][1](answer)
-    if request.version == protocol.PROTOCOL_V1:
-        return protocol.encode_encrypted_relation(answer.matching)
-    return protocol.encode_evaluation_result(answer)
+    return _ANSWER_CODECS[response.kind][0](response.body)
 
 
 def _first(values: Sequence[Any], _payload: Any) -> Any:
@@ -395,9 +377,8 @@ def _logical_deletions(per_shard_deleted: Sequence[int], tuple_ids: Sequence[byt
     *estimate* for stale batches on a replicated cluster: addressing
     ids that no longer exist alongside ids with R live copies can make
     the capped sum land anywhere between the true logical count and
-    the batch size.  The per-id ``DELETE_TUPLES_EXACT`` op supersedes
-    this whenever the fleet supports it; the estimate survives only
-    for duck-typed backends without the op.
+    the batch size.  A caller that needs the exact count sends the
+    per-id ``DELETE_TUPLES_EXACT`` op instead (an indexed session does).
     """
     return min(sum(per_shard_deleted), len(tuple_ids))
 
@@ -407,6 +388,17 @@ def _union_of_ids(per_shard_ids: Sequence[Sequence[bytes]], _payload: Any) -> li
     # union is the exact logical id set: replicas and crash duplicates
     # collapse for free.
     return sorted(set().union(*per_shard_ids))
+
+
+def _distinct_ids(per_shard_ids: Sequence[Sequence[bytes]], _payload: Any) -> int:
+    # The logical count: physical copies (R per tuple, crash duplicates)
+    # count once, so it always matches what a query can return.
+    return len(set().union(*per_shard_ids))
+
+
+def _union_of_names(per_shard: Sequence[Sequence[str]], _payload: Any) -> tuple:
+    # First-seen order, each name once.
+    return tuple(dict.fromkeys(name for names in per_shard for name in names))
 
 
 def _max_count(counts: Sequence[int], _payload: Any) -> int:
@@ -429,18 +421,16 @@ def _merge_batches(
     ]
 
 
-class ShardRouter(EnvelopeObjectApi):
+class ShardRouter:
     """One logical :class:`OutsourcedDatabaseServer` spread over many shards.
 
-    Every data operation is defined once, as an envelope: a row of
+    Every operation is defined once, as an envelope: a row of
     :attr:`_PLANS` says which shards get which bytes and how their answers
     merge, :meth:`_fetch` runs plan -> scatter -> merge, :meth:`_answer`
     wraps it in the coordinator cache, and :meth:`_route` frames the
     response.  :meth:`handle_message` is that route with failures turned
-    into ``ERROR`` envelopes; the object-level calls (``insert_tuple``,
-    ``execute_query``, ...) are the shared
-    :class:`~repro.outsourcing.object_api.EnvelopeObjectApi` shim over the
-    same route.
+    into ``ERROR`` envelopes.  The membership changes and the rebalancer
+    drive single shards through the same rows (:meth:`each_shard`).
     """
 
     def __init__(
@@ -463,9 +453,9 @@ class ShardRouter(EnvelopeObjectApi):
         ----------
         shards:
             The backends.  A string is treated as a ``tcp://host:port`` URL
-            and opened as an owned proxy; anything else must satisfy the
-            :class:`~repro.outsourcing.server.OutsourcedDatabaseServer`
-            duck-type.
+            and opened as an owned proxy; anything else must answer
+            ``handle_message`` as an
+            :class:`~repro.outsourcing.server.OutsourcedDatabaseServer` does.
         shard_ids:
             Ring identifiers, one per backend.  Defaults to the URL for URL
             shards and ``shard-<index>`` for object shards.  Identifiers are
@@ -537,7 +527,9 @@ class ShardRouter(EnvelopeObjectApi):
         self._loop_thread = None
         self._shards: dict[str, _Shard] = {}
         self._ring = ConsistentHashRing(virtual_nodes=virtual_nodes)
-        self._evaluators: dict[str, ServerEvaluator] = {}
+        #: ``REGISTER_EVALUATOR`` bodies and schemas by relation: what
+        #: ``add_shard`` deploys on a newcomer before it joins.
+        self._evaluators: dict[str, bytes] = {}
         self._schemas: dict[str, Any] = {}
         self._metrics = MetricsRegistry()
         self._stats = ClusterStats(metrics=self._metrics)
@@ -760,21 +752,41 @@ class ShardRouter(EnvelopeObjectApi):
         return self._ring.successors(tuple_id, self._replication)
 
     def per_shard_tuple_counts(self, name: str) -> dict[str, int]:
-        """Ciphertext count of one relation on every shard."""
-        counts = self._on_every_shard(
-            f"tuple-count({name!r})", lambda server: server.tuple_count(name)
-        )
-        return dict(zip(self.shard_ids, counts))
+        """Physical ciphertext count of one relation on every shard."""
+        return self.each_shard(MessageKind.TUPLE_COUNT, name)
+
+    def each_shard(
+        self,
+        kind: MessageKind,
+        relation_name: str,
+        body: bytes = b"",
+        shard_ids: Sequence[str] | None = None,
+    ) -> dict[str, Any]:
+        """One envelope to each listed shard (default: the fleet), in turn.
+
+        Each shard's answer is checked and decoded as ``kind``'s row of
+        :attr:`_PLANS` says one provider answers it, and the first refusal
+        raises; returns the answers by shard id.  This is how the
+        rebalancer and the membership changes address individual shards.
+        """
+        ids = self._shards if shard_ids is None else shard_ids
+        return {
+            shard_id: self._ask(self._shards[shard_id], kind, relation_name, body)
+            for shard_id in ids
+        }
 
     def cluster_status(self) -> dict[str, dict]:
         """Best-effort per-shard health/stats snapshot (never raises)."""
         status: dict[str, dict] = {}
         for shard in self._shards.values():
             try:
-                names = tuple(shard.server.relation_names)
+                names = self._ask(shard, MessageKind.RELATION_NAMES, "")
                 entry: dict[str, Any] = {
                     "ok": True,
-                    "relations": {n: shard.server.tuple_count(n) for n in names},
+                    "relations": {
+                        name: self._ask(shard, MessageKind.TUPLE_COUNT, name)
+                        for name in names
+                    },
                 }
                 remote_stats = getattr(shard.server, "server_stats", None)
                 if remote_stats is not None:
@@ -868,7 +880,7 @@ class ShardRouter(EnvelopeObjectApi):
         self.close()
 
     # ------------------------------------------------------------------ #
-    # The OutsourcedDatabaseServer duck-type: session management
+    # One provider's surface
     # ------------------------------------------------------------------ #
 
     @property
@@ -883,81 +895,6 @@ class ShardRouter(EnvelopeObjectApi):
             )
         )
 
-    def register_evaluator(self, name: str, evaluator: ServerEvaluator) -> None:
-        """Deploy the keyless evaluator on every shard."""
-        self._on_every_shard(
-            f"register-evaluator({name!r})",
-            lambda server: server.register_evaluator(name, evaluator),
-        )
-        self._evaluators[name] = evaluator
-
-    @property
-    def relation_names(self) -> tuple[str, ...]:
-        """Union of the shards' relations, first-seen order preserved."""
-        per_shard = self._on_every_shard(
-            "relation-names", lambda server: tuple(server.relation_names)
-        )
-        return tuple(dict.fromkeys(name for names in per_shard for name in names))
-
-    def stored_relation(self, name: str) -> EncryptedRelation:
-        """The logical ciphertext relation, reassembled from every shard.
-
-        Each tuple id appears exactly once, however many physical copies
-        the fleet holds (replicas, or transient migration duplicates).
-        Reassembly must be complete: a dead shard is tolerated only when
-        surviving replicas still cover its data (read failover); otherwise
-        the call fails fast regardless of the read policy.
-        """
-        return _one_copy_per_id(
-            self._on_every_shard(
-                f"stored-relation({name!r})",
-                lambda server: server.stored_relation(name),
-                read=True,
-            )
-        )
-
-    def tuple_count(self, name: str) -> int:
-        """Logical tuple count: distinct tuple ids across the fleet.
-
-        Physical copies count once, so the number always matches what a
-        query can return -- replication (R copies per tuple) and crash
-        duplicates never inflate it.  :meth:`per_shard_tuple_counts` still
-        reports the raw physical counts (cheap metadata reads) for
-        placement introspection.  Each shard answers with its *id list*
-        (the v2 ``LIST_TUPLE_IDS`` op) rather than its stored ciphertexts,
-        so the wire cost is ``O(ids)`` instead of ``O(data * R)``.
-        """
-        return len(self.list_tuple_ids(name))
-
-    def list_tuple_ids(self, name: str) -> tuple[bytes, ...]:
-        """Distinct public tuple ids across the fleet (sorted, each once)."""
-        per_shard = self._on_every_shard(
-            f"list-tuple-ids({name!r})",
-            lambda server: self._shard_tuple_ids(server, name),
-            read=True,
-        )
-        return tuple(_union_of_ids(per_shard, None))
-
-    @staticmethod
-    def _shard_tuple_ids(server: Any, name: str) -> tuple[bytes, ...]:
-        lister = getattr(server, "list_tuple_ids", None)
-        if lister is not None:
-            return tuple(lister(name))
-        # Duck-typed backend without the id-listing op: fall back to the
-        # stored relation (correct, just O(data) like the pre-op world).
-        return tuple(t.tuple_id for t in server.stored_relation(name).encrypted_tuples)
-
-    def drop_relation(self, name: str) -> None:
-        """Drop the relation on every shard (fail-fast: no half-dropped state)."""
-        try:
-            self._on_every_shard(
-                f"drop-relation({name!r})", lambda server: server.drop_relation(name)
-            )
-        finally:
-            self._invalidate_cache(name)
-        self._evaluators.pop(name, None)
-        self._schemas.pop(name, None)
-
     def _invalidate_cache(self, relation: str) -> None:
         """Bump the coordinator cache's generation for one relation."""
         if self._cache is not None:
@@ -967,10 +904,6 @@ class ShardRouter(EnvelopeObjectApi):
         """Conservative full flush: data may have moved between shards."""
         if self._cache is not None:
             self._cache.flush()
-
-    # ------------------------------------------------------------------ #
-    # The OutsourcedDatabaseServer duck-type: wire level
-    # ------------------------------------------------------------------ #
 
     def handle_message(self, raw: bytes) -> bytes:
         """Route one protocol envelope across the fleet.
@@ -984,33 +917,7 @@ class ShardRouter(EnvelopeObjectApi):
         except (ServerError, StorageError, ProtocolError, DphError, ValueError) as exc:
             return self._frame(request, MessageKind.ERROR, str(exc).encode("utf-8"))
 
-    def _request(
-        self, kind: MessageKind, relation_name: str, body: bytes, expect: MessageKind
-    ) -> Envelope:
-        """The object-level API's primitive: the *raising* route.
-
-        Not :meth:`handle_message`, so typed errors
-        (:attr:`ShardFailedError.failed_shard_ids`) reach object-level
-        callers instead of being flattened into ``ERROR`` text.
-        """
-        envelope = MessageV2 if PROTOCOL_V2 in self.supported_protocol_versions else Message
-        request = envelope(kind=kind, relation_name=relation_name, body=body)
-        response = protocol.parse_message(self._route(request, request.to_bytes()))
-        if response.kind is not expect:
-            raise ClusterError(
-                f"expected {expect.value!r} response, got {response.kind.value!r}"
-            )
-        return response
-
-    def _deletes_report_ids(self) -> bool:
-        # Only duck-typed backends without the per-id op keep the capped-sum
-        # estimate of _logical_deletions.
-        return all(
-            hasattr(shard.server, "delete_tuples_exact")
-            for shard in self._shards.values()
-        )
-
-    def _route(self, request: Envelope, raw: bytes) -> bytes:
+    def _route(self, request: MessageV2, raw: bytes) -> bytes:
         """Plan, answer (through the cache), frame the response; raises on failure."""
         plan = self._PLANS.get(request.kind)
         if plan is None:
@@ -1023,11 +930,26 @@ class ShardRouter(EnvelopeObjectApi):
                 # some replicas before failing, and one extra miss beats one
                 # stale hit.
                 self._invalidate_cache(request.relation_name)
-        return self._frame(
-            request, plan.answers, _encode_answer(request, plan.answers, answer)
-        )
+        if plan.settle is not None:
+            plan.settle(self, request)
+        body = _ANSWER_CODECS[plan.answers][1](answer)
+        return self._frame(request, plan.answers, body)
 
-    def _answer(self, plan: _Plan, request: Envelope, raw: bytes) -> Any:
+    def _routed(self, kind: MessageKind, relation_name: str = "") -> Any:
+        """The fleet's merged answer to one body-less read, decoded."""
+        request = MessageV2(kind, relation_name)
+        return self._fetch(self._PLANS[kind], request, request.to_bytes())[0]
+
+    def _ask(
+        self, shard: _Shard, kind: MessageKind, relation_name: str, body: bytes = b""
+    ) -> Any:
+        """One envelope to one shard, member or not, outside any scatter."""
+        expect = self._PLANS[kind].answers
+        step = partial(self._shard_step, shard.shard_id, expect, None)
+        raw = MessageV2(kind, relation_name, body).to_bytes()
+        return _decode_answer(ShardRequest(raw, step)(shard.server))
+
+    def _answer(self, plan: _Plan, request: MessageV2, raw: bytes) -> Any:
         """The fleet's merged answer, through the coordinator cache.
 
         The one cache wrapper: lookup, capture the generation, fetch the
@@ -1076,7 +998,7 @@ class ShardRouter(EnvelopeObjectApi):
                     self._cache.put(name, tokens[position], answer, generation)
         return answers if batched else answers[0]
 
-    def _fetch(self, plan: _Plan, request: Envelope, raw: bytes) -> tuple[Any, bool]:
+    def _fetch(self, plan: _Plan, request: MessageV2, raw: bytes) -> tuple[Any, bool]:
         """Plan -> scatter -> merge: the answer plus whether it is *complete*.
 
         Only a DEGRADED-policy gather that actually lost data reports
@@ -1089,15 +1011,16 @@ class ShardRouter(EnvelopeObjectApi):
         )
         if plan.record is not None:
             plan.record(self._stats)
+        expect = plan.expect or plan.answers
         requests = [
             (shard_id, ShardRequest(
-                envelope, partial(self._shard_step, shard_id, plan.answers, fallback)
+                envelope, partial(self._shard_step, shard_id, expect, fallback)
             ))
             for shard_id, envelope in envelopes.items()
         ]
         complete = True
         if not requests:
-            responses: Sequence[Envelope] = ()
+            responses: Sequence[MessageV2] = ()
         elif len(requests) == 1 and plan.targets is ShardRouter._to_replicas:
             # Unreplicated fast path: the one owning shard is called on this
             # thread, no scatter hop.
@@ -1116,7 +1039,7 @@ class ShardRouter(EnvelopeObjectApi):
                 read=plan.read,
             )
             responses, complete = gathered.values, not gathered.degraded
-        values = [_decode_answer(request, response) for response in responses]
+        values = [_decode_answer(response) for response in responses]
         return plan.merge(values, payload), complete
 
     def _shard_step(
@@ -1125,7 +1048,7 @@ class ShardRouter(EnvelopeObjectApi):
         expect: MessageKind,
         fallback: bytes | None,
         raw_response: bytes,
-    ) -> Envelope | ShardRequest:
+    ) -> MessageV2 | ShardRequest:
         """What one shard's answer means: the checked response, or a follow-up.
 
         A fleet member that does not speak the requested kind (an older
@@ -1153,17 +1076,23 @@ class ShardRouter(EnvelopeObjectApi):
 
     # -- plan targets: which shards get which bytes ---------------------- #
 
-    def _to_replicas(self, request: Envelope, raw: bytes, encrypted_tuple: EncryptedTuple):
+    def _to_replicas(self, request: MessageV2, raw: bytes, encrypted_tuple: EncryptedTuple):
         # All R ring successors of the tuple id.  Every replica must apply
         # the write or the write as a whole fails: providers tolerate a
         # retried insert only as a duplicate that reads deduplicate, so
         # surfacing the failure beats silently under-replicating.
         return dict.fromkeys(self.replica_shards(encrypted_tuple.tuple_id), raw)
 
-    def _to_every_shard(self, request: Envelope, raw: bytes, payload: Any):
+    def _to_every_shard(self, request: MessageV2, raw: bytes, payload: Any):
         return dict.fromkeys(self._shards, raw)
 
-    def _to_every_shard_by_id(self, request: Envelope, raw: bytes, ids: Sequence[bytes]):
+    def _to_id_listings(self, request: MessageV2, raw: bytes, payload: Any):
+        # A logical count is the distinct ids: each shard lists its own.
+        return dict.fromkeys(
+            self._shards, self._frame(request, MessageKind.LIST_TUPLE_IDS, b"")
+        )
+
+    def _to_every_shard_by_id(self, request: MessageV2, raw: bytes, ids: Sequence[bytes]):
         # Every shard gets the full id list: ring ownership is a *placement*
         # policy, not an invariant -- a deferred rebalance or a crash mid-
         # migration can leave a tuple (or its transient duplicate) off its
@@ -1175,7 +1104,7 @@ class ShardRouter(EnvelopeObjectApi):
         )
         return dict.fromkeys(self._shards, envelope)
 
-    def _to_partitions(self, request: Envelope, raw: bytes, relation: EncryptedRelation):
+    def _to_partitions(self, request: MessageV2, raw: bytes, relation: EncryptedRelation):
         # Every shard stores the relation -- possibly an empty slice -- so
         # queries can fan out; each tuple goes to each of its R successors.
         schema = relation.schema
@@ -1197,17 +1126,26 @@ class ShardRouter(EnvelopeObjectApi):
             for shard_id, tuples in groups.items()
         }
 
-    def _scan_fallback(self, request: Envelope, lookup) -> bytes | None:
+    def _scan_fallback(self, request: MessageV2, lookup) -> bytes | None:
         if lookup.fallback_query is None:
             return None
         body = protocol.encode_encrypted_query(lookup.fallback_query)
         return self._frame(request, MessageKind.QUERY, body)
 
+    # -- settle: the router's own bookkeeping ---------------------------- #
+
+    def _remember_evaluator(self, request: MessageV2) -> None:
+        self._evaluators[request.relation_name] = request.body
+
+    def _forget_relation(self, request: MessageV2) -> None:
+        self._evaluators.pop(request.relation_name, None)
+        self._schemas.pop(request.relation_name, None)
+
     #: One row per routed kind: targets, answer kind, merge, then the
     #: departures from a plain fail-fast write.  Reads scatter to the full
     #: fleet because failover's coverage maths (``ring.covers``) needs every
-    #: shard's outcome; ``LIST_TUPLE_IDS`` may fail over but never degrade
-    #: (a count must be complete).
+    #: shard's outcome; the metadata reads may fail over but never degrade
+    #: (a count or a stored copy must be complete).
     _PLANS = {
         MessageKind.INSERT_TUPLE: _Plan(
             _to_replicas, MessageKind.ACK, _first,
@@ -1241,6 +1179,22 @@ class ShardRouter(EnvelopeObjectApi):
             read=True, policy=None, cache="index", decode=_decode_lookup,
             fallback=_scan_fallback, record=ClusterStats.record_index_lookup,
         ),
+        MessageKind.REGISTER_EVALUATOR: _Plan(
+            _to_every_shard, MessageKind.ACK, _first, settle=_remember_evaluator
+        ),
+        MessageKind.DROP_RELATION: _Plan(
+            _to_every_shard, MessageKind.ACK, _first, settle=_forget_relation
+        ),
+        MessageKind.FETCH_RELATION: _Plan(
+            _to_every_shard, MessageKind.QUERY_RESULT, _merge_results, read=True
+        ),
+        MessageKind.TUPLE_COUNT: _Plan(
+            _to_id_listings, MessageKind.ACK, _distinct_ids,
+            read=True, expect=MessageKind.TUPLE_IDS,
+        ),
+        MessageKind.RELATION_NAMES: _Plan(
+            _to_every_shard, MessageKind.RELATIONS, _union_of_names, read=True
+        ),
     }
     # Index writes replicate fleet-wide: every shard holds the whole index
     # (it is compact soft state), so lookups stay correct under any
@@ -1260,30 +1214,30 @@ class ShardRouter(EnvelopeObjectApi):
         """Grow the fleet by one shard and migrate its ring share onto it.
 
         The new shard is primed with every known relation (its evaluator and
-        an empty partition) before it joins the ring, so scatter reads never
-        observe a shard without the relation.  Requires every relation's
-        evaluator to have been registered through this router.
+        an empty partition, two envelopes) before it joins the ring, so
+        scatter reads never observe a shard without the relation.  Requires
+        every relation's evaluator to have been registered through this
+        router.
 
         Returns the :class:`~repro.cluster.rebalance.RebalanceReport` (or
         None with ``rebalance=False``, leaving existing tuples in place
         until :meth:`rebalance` runs).
         """
-        names = self.relation_names
+        names = self._routed(MessageKind.RELATION_NAMES)
         missing = [name for name in names if name not in self._evaluators]
         if missing:
             raise ClusterError(
                 f"cannot prime a new shard: no evaluator registered through this "
-                f"router for relation(s) {missing} (register_evaluator them first)"
+                f"router for relation(s) {missing} (deploy them through it first)"
             )
         shard = self._open_backend(backend, shard_id, len(self._shards))
         try:
             for name in names:
-                schema = self._any_schema(name)
-                shard.server.store_relation(
-                    name,
-                    EncryptedRelation(schema=schema, encrypted_tuples=()),
-                    self._evaluators[name],
-                )
+                empty = EncryptedRelation(self._any_schema(name), encrypted_tuples=())
+                body = self._evaluators[name]
+                self._ask(shard, MessageKind.REGISTER_EVALUATOR, name, body)
+                body = protocol.encode_encrypted_relation(empty)
+                self._ask(shard, MessageKind.STORE_RELATION, name, body)
         except BaseException:
             if shard.owned:
                 shard.server.close()
@@ -1333,8 +1287,8 @@ class ShardRouter(EnvelopeObjectApi):
                 # Still in ``_shards`` though off the ring: the leaving
                 # backend serves as a copy source and ends up owning nothing.
                 report = self.rebalance()
-                for name in tuple(leaving.server.relation_names):
-                    leaving.server.drop_relation(name)
+                for name in self._ask(leaving, MessageKind.RELATION_NAMES, ""):
+                    self._ask(leaving, MessageKind.DROP_RELATION, name)
         except BaseException:
             # Put the shard back: its data was not (fully) drained.
             self._ring.add_shard(shard_id)
@@ -1352,9 +1306,9 @@ class ShardRouter(EnvelopeObjectApi):
 
         try:
             return run_rebalance(
-                {shard_id: shard.server for shard_id, shard in self._shards.items()},
+                self,
                 self._ring,
-                self.relation_names,
+                self._routed(MessageKind.RELATION_NAMES),
                 replication=self._replication,
             )
         finally:
@@ -1373,7 +1327,7 @@ class ShardRouter(EnvelopeObjectApi):
         if cached is not None:
             return cached
         first = next(iter(self._shards.values()))
-        schema = first.server.stored_relation(name).schema
+        schema = self._ask(first, MessageKind.FETCH_RELATION, name).matching.schema
         self._schemas[name] = schema
         return schema
 
@@ -1390,46 +1344,32 @@ class ShardRouter(EnvelopeObjectApi):
     # Internals
     # ------------------------------------------------------------------ #
 
-    def _on_every_shard(
-        self, operation: str, call: Callable[[Any], Any], *, read: bool = False
-    ) -> tuple[Any, ...]:
-        """A management fan-out: ``call(server)`` per shard, always fail-fast.
-
-        Control operations are object calls, not envelopes, so they ride
-        the thread pool; ``read=True`` lets them fail over like any read
-        (what they reassemble must be complete, never degraded).
-        """
-        calls = [(shard_id, call) for shard_id in self._shards]
-        return self._gather(operation, calls, policy=FAIL_FAST, read=read).values
-
     def _gather(
         self,
         operation: str,
-        calls: Sequence[tuple[str, Callable[[Any], Any]]],
+        calls: Sequence[tuple[str, ShardRequest]],
         *,
         policy: str,
         read: bool = False,
     ) -> GatherResult:
         """Scatter ``calls`` and resolve failures: failover first, then policy.
 
-        Each call pairs a shard id with the work to run against that
-        shard's server: an envelope :class:`ShardRequest`, or a plain
-        function of the server for the management fan-outs.  This is the
-        one place a transport is chosen.  When every call is an envelope
-        for a shard behind a pipelined asyncio proxy (the
-        ``async_transport`` fleet), the scatter runs as coroutines on the
-        router's loop thread -- one coordinator thread, all shard round
-        trips in flight at once, timeouts cancelling mid-flight.
-        Otherwise (in-process backends, mixed fleets, sync proxies,
-        management calls) the thread pool serves.  Outcome resolution --
-        failover, policy, stats -- is identical either way.
+        Each call pairs a shard id with the :class:`ShardRequest` to run
+        against that shard's server.  This is the one place a transport is
+        chosen.  When every addressed shard sits behind a pipelined asyncio
+        proxy (the ``async_transport`` fleet), the scatter runs as
+        coroutines on the router's loop thread -- one coordinator thread,
+        all shard round trips in flight at once, timeouts cancelling
+        mid-flight.  Otherwise (in-process backends, mixed fleets, sync
+        proxies) the thread pool serves.  Outcome resolution -- failover,
+        policy, stats -- is identical either way.
 
         A full-fleet *read* that loses shards first tries replica failover:
         when every ring segment still has a live successor
         (:meth:`ConsistentHashRing.covers`) the surviving answers are
         complete after deduplication, so the read succeeds un-degraded and
-        only ``stats.failover_reads`` records that anything happened.  Only
-        when the failures exceed what the replicas absorb does the
+        only the ``failover_reads`` counter records that anything happened.
+        Only when the failures exceed what the replicas absorb does the
         partial-failure ``policy`` decide between raising and degrading.
         """
         if read:
@@ -1439,8 +1379,7 @@ class ShardRouter(EnvelopeObjectApi):
         scatter_started_wall = time.time()
         scatter_started = time.monotonic()
         if self._loop_thread is not None and all(
-            isinstance(work, ShardRequest) and hasattr(server, "handle_message_async")
-            for _, work, server in bound
+            hasattr(server, "handle_message_async") for _, _, server in bound
         ):
             self._stats.record_loop_scatter()
             transport = "event-loop"
@@ -1530,7 +1469,6 @@ class ShardRouter(EnvelopeObjectApi):
             )
 
     @staticmethod
-    def _frame(request: Envelope, kind: MessageKind, body: bytes) -> bytes:
-        """A fresh envelope in the request's framing, for its relation."""
-        envelope = Message if request.version == protocol.PROTOCOL_V1 else MessageV2
-        return envelope(kind, request.relation_name, body).to_bytes()
+    def _frame(request: MessageV2, kind: MessageKind, body: bytes) -> bytes:
+        """A fresh untraced envelope for the request's relation."""
+        return MessageV2(kind, request.relation_name, body).to_bytes()

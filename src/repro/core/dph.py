@@ -206,7 +206,7 @@ class ServerEvaluator(ABC):
 
         A remote provider cannot receive evaluator *objects*; it receives
         this description and reconstructs the evaluator locally
-        (:mod:`repro.net.evaluators`).  The description must therefore
+        (:mod:`repro.outsourcing.evaluators`).  The description must therefore
         contain public parameters only -- never key material.
         """
         raise DphError(

@@ -9,8 +9,10 @@ machine boundary.  ``repro.net`` is that missing transport, in three layers:
     Length-prefixed frames over a byte stream, with a strict size ceiling
     and eager rejection of truncated, oversized or garbage input.  A
     one-byte channel tag multiplexes *envelope* frames (opaque protocol
-    v1/v2 messages, exactly the bytes ``handle_message`` consumes) and
-    *control* frames (JSON session management) on one connection, and a
+    envelopes, exactly the bytes ``handle_message`` consumes -- every data,
+    index and DDL operation of a session) and *control* frames (JSON: the
+    hello handshake and the operator read-outs ``ping`` / ``stats`` /
+    ``metrics`` / ``trace``) on one connection, and a
     4-byte **correlation id** pairs every response to its request so a
     connection is a pipeline: many requests in flight, answered in
     whatever order dispatch completes.  The decoder is sans-IO, shared by
@@ -32,9 +34,10 @@ machine boundary.  ``repro.net`` is that missing transport, in three layers:
 
 **Client side** (:mod:`repro.net.client` / :mod:`repro.net.aio`)
     One sans-IO protocol core (:mod:`repro.net.wire`) under two frontends
-    satisfying the same duck-type
+    whose ``handle_message`` is the one
     :class:`~repro.api.EncryptedDatabase` and
-    :class:`~repro.outsourcing.client.OutsourcingClient` already use:
+    :class:`~repro.outsourcing.client.OutsourcingClient` already send every
+    envelope through:
     :class:`~repro.net.client.RemoteServerProxy`, a blocking proxy with a
     bounded connection pool (``connect("tcp://host:port")``), and
     :class:`~repro.net.aio.AsyncRemoteServerProxy`, which multiplexes any
@@ -43,11 +46,10 @@ machine boundary.  ``repro.net`` is that missing transport, in three layers:
     connection once with at-most-once semantics for non-idempotent
     operations.
 
-Evaluator deployment is the one operation that cannot ship objects across
-the wire; :mod:`repro.net.evaluators` serializes evaluators as allowlisted
-public-parameter descriptions instead -- the provider reconstructs the
-keyless code locally, and key material never has a representation on the
-wire.
+Evaluator deployment ships no objects either: a ``REGISTER_EVALUATOR``
+envelope carries the allowlisted public-parameter description of
+:mod:`repro.outsourcing.evaluators` -- the provider reconstructs the keyless
+code locally, and key material never has a representation on the wire.
 
 Trust boundary: the transport moves exactly the bytes the in-process path
 already produced.  Eve's view over TCP is Eve's view in-process plus
@@ -69,12 +71,6 @@ from repro.net.client import (
     RemoteServerProxy,
     parse_tcp_options,
     parse_tcp_url,
-)
-from repro.net.evaluators import (
-    EvaluatorDescriptionError,
-    build_evaluator,
-    describe_evaluator,
-    register_evaluator_type,
 )
 from repro.net.framing import (
     CHANNEL_CONTROL,
@@ -111,10 +107,6 @@ __all__ = [
     "RemoteServerProxy",
     "parse_tcp_options",
     "parse_tcp_url",
-    "EvaluatorDescriptionError",
-    "build_evaluator",
-    "describe_evaluator",
-    "register_evaluator_type",
     "CHANNEL_CONTROL",
     "CHANNEL_ENVELOPE",
     "DEFAULT_MAX_FRAME_SIZE",

@@ -12,12 +12,11 @@ loop instead of a thread per call.
 
 The proxy serves two worlds at once:
 
-* **Synchronous callers** get the exact
-  :class:`~repro.outsourcing.server.OutsourcedDatabaseServer` duck-type
-  (inherited from :class:`~repro.net.client.RemoteProxyBase`, so the sync
-  surface is byte-for-byte the blocking proxy's).  Each call posts a
-  coroutine to the proxy's :class:`EventLoopThread` and blocks for its own
-  result only -- N threads calling concurrently become N requests
+* **Synchronous callers** get ``handle_message`` and the operator
+  read-outs (inherited from :class:`~repro.net.client.RemoteProxyBase`, so
+  the sync surface is byte-for-byte the blocking proxy's).  Each call posts
+  a coroutine to the proxy's :class:`EventLoopThread` and blocks for its
+  own result only -- N threads calling concurrently become N requests
   pipelined on one socket.
 * **The event loop itself** (the cluster's scatter path, benchmarks) calls
   the ``*_async`` surface directly and keeps hundreds of round trips in
@@ -479,12 +478,10 @@ class AsyncRemoteServerProxy(RemoteProxyBase):
             raise RemoteError(error)
         return frame.payload
 
-    async def call_control_async(
-        self, op: str, *, idempotent: bool = True, **fields
-    ) -> dict:
-        """Run one management operation over the pipelined connection."""
+    async def call_control_async(self, op: str, **fields) -> dict:
+        """Run one operator read-out over the pipelined connection."""
         frame = await self._acall(
-            wire.encode_control_request(op, **fields), CHANNEL_CONTROL, idempotent
+            wire.encode_control_request(op, **fields), CHANNEL_CONTROL, True
         )
         if frame.channel != CHANNEL_CONTROL:
             raise RemoteError(f"provider answered control op {op!r} on the wrong channel")
@@ -549,7 +546,5 @@ class AsyncRemoteServerProxy(RemoteProxyBase):
                     port=self._port,
                 )
 
-    def _control(self, op: str, *, idempotent: bool = True, **fields) -> dict:
-        return self._loop_thread.run(
-            self.call_control_async(op, idempotent=idempotent, **fields)
-        )
+    def _control(self, op: str, **fields) -> dict:
+        return self._loop_thread.run(self.call_control_async(op, **fields))

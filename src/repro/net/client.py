@@ -1,19 +1,20 @@
 """Client side of the TCP transport: connections, pool, and the proxies.
 
 :class:`RemoteServerProxy` is the piece that makes the network transparent:
-it exposes the same duck-type as
-:class:`~repro.outsourcing.server.OutsourcedDatabaseServer` -- the
-byte-level :meth:`~RemoteProxyBase.handle_message` plus the management
-calls (:meth:`~RemoteProxyBase.register_evaluator`,
-:attr:`~RemoteProxyBase.relation_names`,
-:meth:`~RemoteProxyBase.stored_relation`, ...) -- so
+its :meth:`~RemoteProxyBase.handle_message` ships an envelope and returns
+the provider's answer, exactly as
+:meth:`OutsourcedDatabaseServer.handle_message
+<repro.outsourcing.server.OutsourcedDatabaseServer.handle_message>` does
+in-process, and every data and DDL operation is an envelope -- so
 :class:`~repro.api.EncryptedDatabase` and
 :class:`~repro.outsourcing.client.OutsourcingClient` drive a remote
-provider with the code paths they already use in-process.
+provider with the code paths they already use in-process.  Besides it, the
+proxy carries only the operator read-outs of the JSON control channel
+(``ping`` / ``stats`` / ``metrics`` / ``trace``).
 
-That whole surface lives in :class:`RemoteProxyBase`, expressed in terms of
-two transport primitives (ship an envelope, run a control operation), so
-the blocking proxy here and the pipelined
+That surface lives in :class:`RemoteProxyBase`, expressed in terms of two
+transport primitives (ship an envelope, run a control operation), so the
+blocking proxy here and the pipelined
 :class:`~repro.net.aio.AsyncRemoteServerProxy` share every line of
 protocol logic and differ only in how bytes move.
 
@@ -32,7 +33,6 @@ error translation applies unchanged to remote sessions.
 
 from __future__ import annotations
 
-import base64
 import contextlib
 import socket
 import threading
@@ -40,8 +40,6 @@ import time
 from typing import Sequence
 from urllib.parse import urlsplit
 
-from repro.core.dph import EncryptedRelation, ServerEvaluator
-from repro.net.evaluators import describe_evaluator
 from repro.net.framing import (
     CHANNEL_CONTROL,
     CHANNEL_ENVELOPE,
@@ -52,16 +50,7 @@ from repro.net.framing import (
 from repro.net import wire
 from repro.obs import current_trace
 from repro.outsourcing import protocol
-from repro.outsourcing.object_api import EnvelopeObjectApi
-from repro.outsourcing.protocol import (
-    Message,
-    MessageKind,
-    MessageV2,
-    PROTOCOL_V1,
-    PROTOCOL_V2,
-    PROTOCOL_V3,
-    SUPPORTED_VERSIONS,
-)
+from repro.outsourcing.protocol import MessageKind, PROTOCOL_V3, SUPPORTED_VERSIONS
 from repro.outsourcing.server import ServerError
 
 
@@ -354,24 +343,24 @@ class ConnectionPool:
             connection.close()
 
 
-class RemoteProxyBase(EnvelopeObjectApi):
-    """The :class:`OutsourcedDatabaseServer` duck-type over two primitives.
+class RemoteProxyBase:
+    """A remote provider's ``handle_message`` over two primitives.
 
     Subclasses provide :meth:`_transport_envelope` (ship one protocol
     envelope, honoring the retry/idempotence contract) and
-    :meth:`_control` (run one management operation); everything else --
-    envelope construction, response validation -- is written once here
-    and shared by the blocking and the pipelined asyncio proxies, so their
-    sync surfaces cannot drift apart.  The object-level convenience API
-    (``insert_tuple``, ``execute_query``, ...) comes from
-    :class:`~repro.outsourcing.object_api.EnvelopeObjectApi` over
-    :meth:`_request`, the same shim the shard router uses.
+    :meth:`_control` (run one operator read-out); everything else is
+    written once here and shared by the blocking and the pipelined asyncio
+    proxies, so their sync surfaces cannot drift apart.
     """
 
-    #: Envelope kinds whose replay would change provider state a second time.
-    #: (STORE_RELATION replaces, DELETE_TUPLES ignores unknown ids, queries
-    #: are read-only -- only INSERT_TUPLE appends blindly.)
-    NON_IDEMPOTENT_KINDS = frozenset({MessageKind.INSERT_TUPLE})
+    #: Envelope kinds whose replay would change provider state a second time:
+    #: INSERT_TUPLE appends blindly, and a replayed DROP_RELATION that was
+    #: applied would surface a spurious "no such relation" error.  (A
+    #: STORE_RELATION replaces, DELETE_TUPLES ignores unknown ids, reads are
+    #: read-only.)
+    NON_IDEMPOTENT_KINDS = frozenset(
+        {MessageKind.INSERT_TUPLE, MessageKind.DROP_RELATION}
+    )
 
     # Subclasses set these during their handshake.
     _server_versions: tuple[int, ...]
@@ -385,7 +374,7 @@ class RemoteProxyBase(EnvelopeObjectApi):
     def _transport_envelope(self, raw: bytes, idempotent: bool) -> bytes:
         raise NotImplementedError
 
-    def _control(self, op: str, *, idempotent: bool = True, **fields) -> dict:
+    def _control(self, op: str, **fields) -> dict:
         raise NotImplementedError
 
     def close(self) -> None:
@@ -411,67 +400,12 @@ class RemoteProxyBase(EnvelopeObjectApi):
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # ------------------------------------------------------------------ #
-    # The OutsourcedDatabaseServer duck-type
-    # ------------------------------------------------------------------ #
-
     def handle_message(self, raw: bytes) -> bytes:
         """Ship one protocol envelope and return the provider's response."""
         _, kind, _ = protocol.peek_envelope(raw)  # O(header): no body copy
         return self._transport_envelope(
             raw, idempotent=kind not in self.NON_IDEMPOTENT_KINDS
         )
-
-    def register_evaluator(self, name: str, evaluator: ServerEvaluator) -> None:
-        """Deploy an evaluator remotely, by public-parameter description."""
-        description = describe_evaluator(evaluator)
-        self._control("register-evaluator", relation=name, evaluator=description)
-
-    @property
-    def relation_names(self) -> tuple[str, ...]:
-        """Names of the relations the provider stores."""
-        response = self._control("relation-names")
-        return tuple(response.get("names", ()))
-
-    def stored_relation(self, name: str) -> EncryptedRelation:
-        """Fetch the provider's ciphertext copy of a relation."""
-        response = self._control("stored-relation", relation=name)
-        try:
-            raw = base64.b64decode(response["relation_b64"])
-        except (KeyError, ValueError) as exc:
-            raise RemoteError(f"malformed stored-relation response: {exc}") from exc
-        return protocol.decode_encrypted_relation(raw)
-
-    def tuple_count(self, name: str) -> int:
-        """Number of tuple ciphertexts the provider stores for a relation."""
-        response = self._control("tuple-count", relation=name)
-        return int(response.get("count", 0))
-
-    def list_tuple_ids(self, name: str) -> tuple[bytes, ...]:
-        """The public tuple ids a relation stores, without its ciphertexts.
-
-        ``O(ids)`` bytes over the wire via the v2 ``LIST_TUPLE_IDS`` op --
-        what replicated coordinators use to count distinct tuples without
-        fetching whole stored relations.  Against a v1-only provider the
-        ids are derived from the fetched relation instead (correct, just
-        as expensive as before the op existed).
-        """
-        if self._negotiated_version < PROTOCOL_V2:
-            return tuple(
-                t.tuple_id for t in self.stored_relation(name).encrypted_tuples
-            )
-        response = self._request(
-            MessageKind.LIST_TUPLE_IDS, name, b"", expect=MessageKind.TUPLE_IDS
-        )
-        return protocol.decode_tuple_ids(response.body)
-
-    def drop_relation(self, name: str) -> None:
-        """Drop a relation (and its evaluator) at the provider.
-
-        Not auto-retried once delivered: replaying a drop that was applied
-        would surface a spurious "no such relation" error.
-        """
-        self._control("drop-relation", relation=name, idempotent=False)
 
     # ------------------------------------------------------------------ #
     # Diagnostics
@@ -509,26 +443,6 @@ class RemoteProxyBase(EnvelopeObjectApi):
         """The provider's most recent traces and slow-query entries."""
         response = self._control("trace", limit=limit)
         return {key: value for key, value in response.items() if key != "ok"}
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-
-    def _request(
-        self, kind: MessageKind, relation_name: str, body: bytes, expect: MessageKind
-    ) -> Message | MessageV2:
-        envelope = Message if self._negotiated_version == PROTOCOL_V1 else MessageV2
-        raw = self.handle_message(
-            envelope(kind=kind, relation_name=relation_name, body=body).to_bytes()
-        )
-        response = protocol.parse_message(raw)
-        if response.kind is MessageKind.ERROR:
-            raise RemoteError(response.body.decode("utf-8", "replace"))
-        if response.kind is not expect:
-            raise RemoteError(
-                f"expected {expect.value!r} response, got {response.kind.value!r}"
-            )
-        return response
 
 
 class RemoteServerProxy(RemoteProxyBase):
@@ -635,8 +549,5 @@ class RemoteServerProxy(RemoteProxyBase):
                     port=self._port,
                 )
 
-    def _control(self, op: str, *, idempotent: bool = True, **fields) -> dict:
-        return self._call(
-            lambda connection: connection.call_control(op, **fields),
-            idempotent=idempotent,
-        )
+    def _control(self, op: str, **fields) -> dict:
+        return self._call(lambda connection: connection.call_control(op, **fields))

@@ -13,13 +13,11 @@ payload.  The channel byte multiplexes two kinds of traffic over one
 connection:
 
 * :data:`CHANNEL_ENVELOPE` -- the payload is a protocol envelope exactly as
-  :func:`repro.outsourcing.protocol.parse_message` consumes it (v1, v2 or
-  v3);
-  the transport never inspects it.
-* :data:`CHANNEL_CONTROL` -- the payload is a JSON control message of the
-  session layer: the hello/version handshake and the management operations
-  (evaluator deployment, relation listing, drops) that the in-process API
-  performs as direct method calls.
+  :func:`repro.outsourcing.protocol.parse_message` consumes it (v2 or v3)
+  -- every data, index and DDL operation; the transport never inspects it.
+* :data:`CHANNEL_CONTROL` -- the payload is a JSON control message: the
+  hello/version handshake and the operator read-outs (``ping``, ``stats``,
+  ``metrics``, ``trace``).
 
 The **correlation id** is what makes the connection pipelinable: a client
 may keep many requests in flight, the server answers each in whatever order

@@ -13,10 +13,9 @@ that speaks the framing of :mod:`repro.net.framing`:
   :meth:`~repro.outsourcing.server.OutsourcedDatabaseServer.handle_message`
   -- on the dispatch pool, or on the event loop itself when the request
   is bounded (below);
-* **control** frames carry the management operations the in-process API
-  performs as direct method calls: evaluator deployment (by public-parameter
-  description, see :mod:`repro.net.evaluators`), relation listing, drops,
-  counts and stats.
+* **control** frames carry the operator read-outs only -- ``ping``,
+  ``stats``, ``metrics`` and ``trace``.  Everything a session does, DDL and
+  evaluator deployment included, is an envelope.
 
 Dispatch is **parallel across relations, FIFO within one**: the
 :class:`KeyedSerialDispatcher` runs requests on a bounded thread pool but
@@ -85,7 +84,6 @@ shutdown and the ``stats`` control operation exposes it to remote clients.
 from __future__ import annotations
 
 import asyncio
-import base64
 import concurrent.futures
 import json
 import threading
@@ -104,7 +102,6 @@ from repro.obs import (
     render_prometheus,
     use_trace,
 )
-from repro.net.evaluators import EvaluatorDescriptionError, build_evaluator
 from repro.net.framing import (
     CHANNEL_CONTROL,
     CHANNEL_ENVELOPE,
@@ -113,7 +110,8 @@ from repro.net.framing import (
     FramingError,
 )
 from repro.outsourcing import protocol
-from repro.outsourcing.protocol import ProtocolError, negotiate_version
+from repro.outsourcing.client import request as envelope_request
+from repro.outsourcing.protocol import MessageKind, ProtocolError, negotiate_version
 from repro.outsourcing.server import (
     UNKNOWN_RELATION,
     OutsourcedDatabaseServer,
@@ -269,59 +267,38 @@ class ConnectionStats:
 class TcpServerStats:
     """Aggregate counters across the server's lifetime.
 
-    A facade over a :class:`~repro.obs.MetricsRegistry`: the counters keep
-    their historical names (attribute reads, :meth:`as_dict` keys and the
-    ``stats`` control operation are unchanged), but every mutation now goes
-    through a locked registry instrument.  The old dataclass was bumped
-    with bare ``+=`` from the event loop *and* dispatcher threads, so
-    counts could be lost under concurrency.
+    Every counter is a locked :class:`~repro.obs.MetricsRegistry`
+    instrument (``server_<name>``), bumped from the event loop and the
+    dispatcher threads alike; :meth:`as_dict` is the read-out (what the
+    ``stats`` control operation returns).
     """
 
-    #: Monotonic counters, in their historical ``as_dict`` order.
-    _COUNTERS = (
-        "connections_total",
-        "frames_received",
-        "frames_sent",
-        "bytes_received",
-        "bytes_sent",
-        "envelope_frames",
-        "control_frames",
-        "framing_errors",
-    )
-    #: Set/adjustable values: live connections, the dispatch pool's size
-    #: and its peak/total numbers (refreshed from the dispatcher).
-    _GAUGES = (
-        "connections_active",
-        "dispatch_workers",
-        "peak_concurrent_dispatch",
+    #: The fields, in ``as_dict`` order.
+    _FIELDS = (
+        "connections_total", "connections_active", "frames_received", "frames_sent",
+        "bytes_received", "bytes_sent", "envelope_frames", "control_frames",
+        "framing_errors", "dispatch_workers", "peak_concurrent_dispatch",
         "requests_dispatched",
     )
-    _FIELD_ORDER = (
-        "connections_total",
-        "connections_active",
-        "frames_received",
-        "frames_sent",
-        "bytes_received",
-        "bytes_sent",
-        "envelope_frames",
-        "control_frames",
-        "framing_errors",
-        "dispatch_workers",
-        "peak_concurrent_dispatch",
-        "requests_dispatched",
+    #: Set/adjustable values: live connections, the dispatch pool's size and
+    #: its peak/total numbers (refreshed from the dispatcher); the rest are
+    #: monotonic counters.
+    _GAUGES = frozenset(
+        {"connections_active", "dispatch_workers", "peak_concurrent_dispatch",
+         "requests_dispatched"}
     )
 
     def __init__(
         self, metrics: MetricsRegistry | None = None, dispatch_workers: int = 0
     ) -> None:
-        self._metrics = metrics if metrics is not None else MetricsRegistry()
-        instruments = {}
-        for name in self._COUNTERS:
-            instruments[name] = self._metrics.counter(f"server_{name}")
-        for name in self._GAUGES:
-            instruments[name] = self._metrics.gauge(f"server_{name}")
-        self._instruments = instruments
-        instruments["dispatch_workers"].set(dispatch_workers)
+        self._metrics = registry = metrics if metrics is not None else MetricsRegistry()
+        self._instruments = {
+            name: (registry.gauge if name in self._GAUGES else registry.counter)(
+                f"server_{name}"
+            )
+            for name in self._FIELDS
+        }
+        self._instruments["dispatch_workers"].set(dispatch_workers)
 
     @property
     def metrics(self) -> MetricsRegistry:
@@ -340,28 +317,20 @@ class TcpServerStats:
         """Set one gauge by name."""
         self._instruments[name].set(value)
 
-    def __getattr__(self, name: str):
-        # Preserve the dataclass read surface: stats.connections_total etc.
-        try:
-            return object.__getattribute__(self, "_instruments")[name].value
-        except KeyError:
-            raise AttributeError(name) from None
-
     def as_dict(self) -> dict:
         """JSON-able snapshot (what the ``stats`` control operation returns)."""
-        return {
-            name: self._instruments[name].value for name in self._FIELD_ORDER
-        }
+        return {name: self._instruments[name].value for name in self._FIELDS}
 
     def throughput_summary(self) -> str:
         """One-line human summary (printed by ``repro serve`` on shutdown)."""
+        counts = self.as_dict()
         return (
-            f"{self.connections_total} connection(s), "
-            f"{self.frames_received} frame(s) in / {self.frames_sent} out, "
-            f"{self.bytes_received} B in / {self.bytes_sent} B out, "
-            f"{self.framing_errors} framing error(s), "
-            f"dispatch {self.dispatch_workers} worker(s) / "
-            f"peak {self.peak_concurrent_dispatch} concurrent"
+            f"{counts['connections_total']} connection(s), "
+            f"{counts['frames_received']} frame(s) in / {counts['frames_sent']} out, "
+            f"{counts['bytes_received']} B in / {counts['bytes_sent']} B out, "
+            f"{counts['framing_errors']} framing error(s), "
+            f"dispatch {counts['dispatch_workers']} worker(s) / "
+            f"peak {counts['peak_concurrent_dispatch']} concurrent"
         )
 
 
@@ -561,7 +530,7 @@ class DatabaseTcpServer:
             return CHANNEL_CONTROL, json.dumps(failure).encode("utf-8")
 
     # ------------------------------------------------------------------ #
-    # Control operations (executed on the dispatch pool)
+    # Operator read-outs: control operations (executed on the dispatch pool)
     # ------------------------------------------------------------------ #
 
     def _control_answer(self, request: dict) -> tuple[int, bytes]:
@@ -572,7 +541,7 @@ class DatabaseTcpServer:
         op = request["op"]
         try:
             response = self._control_operation(request)
-        except (ServerError, StorageError, EvaluatorDescriptionError, ProtocolError) as exc:
+        except (ServerError, StorageError, ProtocolError) as exc:
             response = {"ok": False, "error": str(exc)}
         except (KeyError, TypeError, ValueError) as exc:
             response = {"ok": False, "error": f"malformed {op!r} request: {exc}"}
@@ -584,33 +553,18 @@ class DatabaseTcpServer:
         op = request["op"]
         if op == "ping":
             return {"ok": True}
-        if op == "relation-names":
-            return {"ok": True, "names": list(self._database.relation_names)}
-        if op == "register-evaluator":
-            evaluator = build_evaluator(request["evaluator"])
-            self._database.register_evaluator(str(request["relation"]), evaluator)
-            return {"ok": True}
-        if op == "stored-relation":
-            from repro.outsourcing.protocol import encode_encrypted_relation
-
-            encoded = encode_encrypted_relation(
-                self._database.stored_relation(str(request["relation"]))
-            )
-            return {"ok": True, "relation_b64": base64.b64encode(encoded).decode("ascii")}
-        if op == "tuple-count":
-            return {
-                "ok": True,
-                "count": self._database.tuple_count(str(request["relation"])),
-            }
-        if op == "drop-relation":
-            self._database.drop_relation(str(request["relation"]))
-            return {"ok": True}
         if op == "stats":
+            names = envelope_request(
+                self._database,
+                MessageKind.RELATION_NAMES,
+                "",
+                expect=MessageKind.RELATIONS,
+            )
             report = {
                 "ok": True,
                 "stats": self.stats.as_dict(),
                 "audit": self._database.audit_log.summary(),
-                "relations": list(self._database.relation_names),
+                "relations": list(protocol.decode_relation_names(names.body)),
             }
             index_stats = getattr(self._database, "index_stats", None)
             if index_stats is not None:
@@ -777,7 +731,9 @@ class _Connection(asyncio.Protocol):
                 request = json.loads(payload.decode("utf-8"))
                 if not isinstance(request, dict) or "op" not in request:
                     raise ValueError("control messages are objects with an 'op' field")
-            except (ValueError, UnicodeDecodeError) as exc:
+            # UnicodeDecodeError is a ValueError; nesting past the parser's
+            # recursion limit is refused like any other malformed frame.
+            except (ValueError, RecursionError) as exc:
                 self._refuse(f"malformed control frame: {exc}", correlation)
                 return
             if request["op"] == "hello":
@@ -785,9 +741,7 @@ class _Connection(asyncio.Protocol):
             elif self.stats.negotiated_version is None:
                 self._refuse("the first frame must be a hello", correlation)
             else:
-                relation = request.get("relation")
-                key = ("rel", str(relation)) if relation is not None else ("global",)
-                self._submit(key, correlation, server._control_answer, request)
+                self._submit(("global",), correlation, server._control_answer, request)
             return
         if self.stats.negotiated_version is None:
             self._refuse("the first frame must be a hello", correlation)

@@ -171,13 +171,14 @@ def encode_control_request(op: str, **fields) -> bytes:
 def decode_control_response(payload: bytes) -> dict:
     """Parse a control-channel response object.
 
-    Raises :class:`WireProtocolError` on non-JSON payloads; protocol-level
-    failures (``ok: false``) are returned, not raised -- whether they are
-    errors is the caller's business.
+    Raises :class:`WireProtocolError` on payloads that are not one JSON
+    object -- nesting deeper than the parser's recursion limit included;
+    protocol-level failures (``ok: false``) are returned, not raised --
+    whether they are errors is the caller's business.
     """
     try:
         response = json.loads(payload.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise WireProtocolError(f"malformed control response: {exc}") from exc
     if not isinstance(response, dict):
         raise WireProtocolError("malformed control response: not an object")

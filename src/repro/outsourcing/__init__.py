@@ -4,6 +4,8 @@
 * :mod:`repro.outsourcing.server` -- the keyless service provider;
 * :mod:`repro.outsourcing.protocol` -- the byte-level wire format of the
   ciphertext objects the two exchange;
+* :mod:`repro.outsourcing.evaluators` -- the allowlisted public-parameter
+  descriptions evaluators are deployed as;
 * :mod:`repro.outsourcing.audit` -- the provider's observation log (the raw
   material of every attack in :mod:`repro.security`).
 
@@ -13,12 +15,15 @@ socket (``repro serve``) without this package knowing about it.
 """
 
 from repro.outsourcing.audit import AuditEvent, AuditEventKind, ServerAuditLog
-from repro.outsourcing.client import ClientError, OutsourcingClient, SelectOutcome
+from repro.outsourcing.client import (
+    ClientError,
+    OutsourcingClient,
+    SelectOutcome,
+    request,
+)
 from repro.outsourcing.protocol import (
-    Message,
     MessageKind,
     MessageV2,
-    PROTOCOL_V1,
     PROTOCOL_V2,
     ProtocolError,
     SUPPORTED_VERSIONS,
@@ -42,11 +47,7 @@ from repro.outsourcing.protocol import (
     parse_message,
     peek_version,
 )
-from repro.outsourcing.server import (
-    OutsourcedDatabaseServer,
-    ServerError,
-    StoredRelation,
-)
+from repro.outsourcing.server import OutsourcedDatabaseServer, ServerError
 from repro.outsourcing.storage import (
     FileStorageBackend,
     InMemoryStorageBackend,
@@ -61,10 +62,9 @@ __all__ = [
     "ClientError",
     "OutsourcingClient",
     "SelectOutcome",
-    "Message",
+    "request",
     "MessageKind",
     "MessageV2",
-    "PROTOCOL_V1",
     "PROTOCOL_V2",
     "ProtocolError",
     "SUPPORTED_VERSIONS",
@@ -89,7 +89,6 @@ __all__ = [
     "peek_version",
     "OutsourcedDatabaseServer",
     "ServerError",
-    "StoredRelation",
     "FileStorageBackend",
     "InMemoryStorageBackend",
     "StorageBackend",

@@ -4,8 +4,8 @@ Alex owns the data and the key.  The client wraps a database privacy
 homomorphism and a (reference to the) untrusted server, and exposes the
 operations an application would actually use:
 
-* :meth:`OutsourcingClient.outsource` -- encrypt a plaintext relation and ship
-  it to the provider;
+* :meth:`OutsourcingClient.outsource` -- deploy the keyless evaluator, then
+  encrypt a plaintext relation and ship it to the provider;
 * :meth:`OutsourcingClient.insert` -- encrypt and append a single tuple;
 * :meth:`OutsourcingClient.select` -- issue an exact select (as a query AST
   node or a SQL string), let the provider evaluate it over ciphertext, then
@@ -13,8 +13,12 @@ operations an application would actually use:
 * :meth:`OutsourcingClient.retrieve_all` -- fetch and decrypt the provider's
   full copy.
 
-All post-processing the paper assigns to Alex -- decryption, mapping words
-back to tuples, and filtering false positives -- happens here.
+Each is the protocol envelope the operation is, sent with :func:`request` --
+the one helper every client of a provider (this one, the
+:class:`~repro.api.EncryptedDatabase` session, the CLI) talks through, so
+the provider may be in-process, behind ``tcp://`` or a shard router.  All
+post-processing the paper assigns to Alex -- decryption, mapping words back
+to tuples, and filtering false positives -- happens here.
 """
 
 from __future__ import annotations
@@ -26,7 +30,10 @@ from repro.core.dph import (
     DecryptionReport,
     EvaluationResult,
 )
-from repro.outsourcing.server import OutsourcedDatabaseServer
+from repro.outsourcing import protocol
+from repro.outsourcing.evaluators import describe_evaluator
+from repro.outsourcing.protocol import MessageKind, MessageV2, ProtocolError
+from repro.outsourcing.server import OutsourcedDatabaseServer, ServerError
 from repro.relational.query import Projection, Query
 from repro.relational.relation import Relation
 from repro.relational.sql import parse_sql
@@ -35,6 +42,36 @@ from repro.relational.tuples import RelationTuple
 
 class ClientError(Exception):
     """The client refused or failed to process a request."""
+
+
+def request(
+    provider,
+    kind: MessageKind,
+    relation_name: str,
+    body: bytes = b"",
+    *,
+    expect: MessageKind,
+    error: type[Exception] = ServerError,
+) -> MessageV2:
+    """Send one envelope through ``provider.handle_message``; the checked answer.
+
+    An ``ERROR`` answer, an answer of another kind than ``expect``, a reply
+    that does not parse and a transport failure all raise ``error`` (a
+    failure that already is one propagates as it is).
+    """
+    try:
+        response = protocol.parse_message(
+            provider.handle_message(MessageV2(kind, relation_name, body).to_bytes())
+        )
+    except (ServerError, ProtocolError) as exc:
+        if isinstance(exc, error):
+            raise
+        raise error(str(exc)) from exc
+    if response.kind is MessageKind.ERROR:
+        raise error(response.body.decode("utf-8", "replace"))
+    if response.kind is not expect:
+        raise error(f"expected {expect.value!r} response, got {response.kind.value!r}")
+    return response
 
 
 @dataclass(frozen=True)
@@ -60,7 +97,10 @@ class SelectOutcome:
 
 
 class OutsourcingClient:
-    """Alex: holds the key, talks ciphertext to the provider."""
+    """Alex: holds the key, talks ciphertext envelopes to the provider.
+
+    A provider's refusal raises :class:`~repro.outsourcing.server.ServerError`.
+    """
 
     def __init__(
         self,
@@ -83,15 +123,20 @@ class OutsourcingClient:
         return self._dph
 
     def outsource(self, relation: Relation) -> int:
-        """Encrypt ``relation`` and store it at the provider.
+        """Deploy the evaluator, then encrypt ``relation`` and store it.
 
         Returns the number of ciphertext bytes shipped.
         """
         if relation.schema != self._dph.schema:
             raise ClientError("relation schema does not match the scheme's schema")
         encrypted = self._dph.encrypt_relation(relation)
-        self._server.store_relation(
-            self._relation_name, encrypted, self._dph.server_evaluator()
+        description = describe_evaluator(self._dph.server_evaluator())
+        self._send(
+            MessageKind.REGISTER_EVALUATOR,
+            protocol.encode_evaluator_description(description),
+        )
+        self._send(
+            MessageKind.STORE_RELATION, protocol.encode_encrypted_relation(encrypted)
         )
         return encrypted.size_in_bytes()
 
@@ -104,23 +149,37 @@ class OutsourcingClient:
             raise ClientError(
                 f"scheme {self._dph.name!r} does not support single-tuple inserts"
             )
-        self._server.insert_tuple(self._relation_name, encrypt_tuple(values))
+        encrypted = protocol.encode_encrypted_tuple(encrypt_tuple(values))
+        self._send(MessageKind.INSERT_TUPLE, encrypted)
 
     def select(self, query: Query | str) -> SelectOutcome:
         """Issue an exact select and return the decrypted, filtered result."""
         parsed = self._parse(query)
         encrypted_query = self._dph.encrypt_query(parsed)
-        evaluation = self._server.execute_query(self._relation_name, encrypted_query)
+        evaluation = self._evaluation(
+            MessageKind.QUERY, protocol.encode_encrypted_query(encrypted_query)
+        )
         report = self._dph.decrypt_result(evaluation, parsed)
         projected = None
         if isinstance(parsed, Projection) and parsed.attributes:
             projected = report.relation.project(list(parsed.attributes))
-        return SelectOutcome(report=report, projected_rows=projected)
+        return SelectOutcome(
+            report=report, projected_rows=projected, evaluation=evaluation
+        )
 
     def retrieve_all(self) -> Relation:
         """Fetch the provider's full copy and decrypt it."""
-        stored = self._server.stored_relation(self._relation_name)
+        stored = self._evaluation(MessageKind.FETCH_RELATION).matching
         return self._dph.decrypt_relation(stored)
+
+    def _send(
+        self, kind: MessageKind, body: bytes = b"", expect=MessageKind.ACK
+    ) -> MessageV2:
+        return request(self._server, kind, self._relation_name, body, expect=expect)
+
+    def _evaluation(self, kind: MessageKind, body: bytes = b"") -> EvaluationResult:
+        response = self._send(kind, body, expect=MessageKind.QUERY_RESULT)
+        return protocol.decode_query_result(response.body)
 
     def _parse(self, query: Query | str) -> Query:
         if isinstance(query, str):

@@ -1,12 +1,14 @@
-"""Remote deployment of server evaluators.
+"""Evaluator deployment by description.
 
-The in-process API hands the provider evaluator *objects*
-(:meth:`~repro.core.dph.DatabasePrivacyHomomorphism.server_evaluator`); a
-remote provider can only receive *descriptions*.  Because every evaluator in
-the reproduction is constructed from public parameters alone (that is the
-whole point of the trust boundary -- see
-:class:`~repro.core.dph.ServerEvaluator`), a description is a small JSON
-object: a ``type`` tag plus the constructor parameters.
+A client deploys its keyless evaluator
+(:meth:`~repro.core.dph.DatabasePrivacyHomomorphism.server_evaluator`) with a
+``REGISTER_EVALUATOR`` envelope, and an envelope carries bytes, not objects:
+it carries the evaluator's *description*.  Because every evaluator in the
+reproduction is constructed from public parameters alone (that is the whole
+point of the trust boundary -- see :class:`~repro.core.dph.ServerEvaluator`),
+a description is a small JSON object: a ``type`` tag plus the constructor
+parameters.  The provider rebuilds the evaluator from it, in-process and
+behind a socket alike.
 
 The codec is an explicit allowlist, not reflection: the provider will only
 instantiate evaluator classes registered here, so a hostile client cannot
@@ -21,10 +23,11 @@ from typing import Callable
 from repro.core.construction import SearchableServerEvaluator
 from repro.core.dph import DphError, ServerEvaluator
 from repro.core.variable_length import VariableWidthServerEvaluator
+from repro.outsourcing.protocol import ProtocolError
 from repro.schemes.base import FieldMatchEvaluator
 
 
-class EvaluatorDescriptionError(Exception):
+class EvaluatorDescriptionError(ProtocolError):
     """An evaluator description could not be produced or rebuilt."""
 
 

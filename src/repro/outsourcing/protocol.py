@@ -6,18 +6,21 @@ so the protocol layer is genuinely message-based (and so the storage /
 bandwidth overhead experiments E8-E9 measure realistic serialized sizes, not
 Python object graphs).
 
-Two envelope versions coexist:
+Every operation a session performs is one envelope (:class:`MessageV2`):
+the data operations (``STORE_RELATION``, ``INSERT_TUPLE``, ``QUERY``,
+tuple-id-addressed ``DELETE_TUPLES``, multi-query ``BATCH_QUERY``, the
+metadata read ``LIST_TUPLE_IDS``), the encrypted-index operations, and the
+DDL and metadata operations -- ``REGISTER_EVALUATOR`` (the keyless
+evaluator's public-parameter description, rebuilt by the provider through
+the allowlist of :mod:`repro.outsourcing.evaluators`), ``FETCH_RELATION``,
+``TUPLE_COUNT``, ``DROP_RELATION`` and ``RELATION_NAMES``.  Answers reuse a
+handful of kinds: ``ACK`` carrying a count, ``QUERY_RESULT`` carrying an
+evaluation result, ``TUPLE_IDS`` / ``RELATIONS`` carrying a sequence.  So
+whatever Eve is asked to do, she is asked in bytes that
+:meth:`~repro.outsourcing.server.OutsourcedDatabaseServer.handle_message`
+parses, audits and times.
 
-* **v1** (:class:`Message`) -- the original three-operation protocol
-  (``STORE_RELATION`` / ``INSERT_TUPLE`` / ``QUERY``), kept byte-compatible
-  for existing deployments.
-* **v2** (:class:`MessageV2`) -- a magic-prefixed, versioned envelope adding
-  the full-CRUD operations: tuple-id-addressed ``DELETE_TUPLES``,
-  multi-query ``BATCH_QUERY`` and the metadata read ``LIST_TUPLE_IDS``
-  (answered with ``TUPLE_IDS``, the public ids without their ciphertexts),
-  plus ``ACK`` responses carrying counts and query results that include the
-  server's evaluation statistics.
-
+* **v2** -- ``V2_MAGIC | version | kind | relation_name | body``.
 * **v3** -- byte-for-byte the v2 layout with version byte ``3`` and exactly
   :data:`TRACE_ID_SIZE` trailing bytes carrying a trace id (see
   :mod:`repro.obs.trace`).  The fixed trailing length makes trace handling
@@ -26,12 +29,11 @@ Two envelope versions coexist:
   without parsing, and :func:`strip_trace` downgrades back to v2.
   Responses never carry trace ids; only requests do.
 
-:func:`peek_version` distinguishes the versions on the wire (v1 envelopes
-start with a 4-byte length prefix whose leading bytes are zero; v2+
-envelopes start with :data:`V2_MAGIC` followed by the version byte), and
-:func:`negotiate_version` picks the highest version both endpoints
-support -- a v1 or pre-trace v2 peer simply never negotiates v3, so mixed
-fleets degrade to untraced envelopes shard by shard.
+A frame that does not start with :data:`V2_MAGIC` -- the retired unversioned
+v1 framing, or garbage -- is a :class:`ProtocolError`.
+:func:`negotiate_version` picks the highest version both endpoints support
+-- a pre-trace v2 peer simply never negotiates v3, so mixed fleets degrade
+to untraced envelopes shard by shard.
 
 Encoding conventions: all integers are big-endian; variable-length byte
 strings are length-prefixed with 4 bytes; sequences are prefixed with a
@@ -41,6 +43,7 @@ strings are length-prefixed with 4 bytes; sequences are prefixed with a
 from __future__ import annotations
 
 import functools
+import json
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -56,17 +59,14 @@ from repro.relational.errors import SchemaError
 from repro.relational.schema import RelationSchema
 
 #: Protocol versions this module can speak.
-PROTOCOL_V1 = 1
 PROTOCOL_V2 = 2
 PROTOCOL_V3 = 3
-SUPPORTED_VERSIONS = (PROTOCOL_V1, PROTOCOL_V2, PROTOCOL_V3)
+SUPPORTED_VERSIONS = (PROTOCOL_V2, PROTOCOL_V3)
 
 #: Size of the trace id a v3 envelope carries as its trailing bytes.
 TRACE_ID_SIZE = 16
 
-#: Leading magic of versioned (v2+) envelopes.  A v1 envelope starts with the
-#: 4-byte big-endian length of its kind string (< 2**16), so its first byte is
-#: always ``0x00`` and the two framings cannot collide.
+#: Leading magic of every envelope, followed by its version byte.
 V2_MAGIC = b"DPH"
 
 
@@ -274,7 +274,7 @@ def _parse_schema_declaration(declaration: bytes) -> RelationSchema:
 
 
 # --------------------------------------------------------------------------- #
-# Protocol-v2 body codecs
+# Body codecs
 # --------------------------------------------------------------------------- #
 
 def encode_tuple_ids(tuple_ids: Sequence[bytes]) -> bytes:
@@ -329,6 +329,14 @@ def decode_evaluation_result(raw: bytes, offset: int = 0) -> tuple[EvaluationRes
     )
 
 
+def decode_query_result(raw: bytes) -> EvaluationResult:
+    """Parse a ``QUERY_RESULT`` body: one evaluation result, nothing after it."""
+    result, consumed = decode_evaluation_result(raw)
+    if consumed != len(raw):
+        raise ProtocolError("trailing bytes after evaluation result")
+    return result
+
+
 def encode_result_batch(results: Iterable[EvaluationResult]) -> bytes:
     """Serialize the result list of a ``BATCH_RESULT`` response."""
     return _encode_sequence([encode_evaluation_result(r) for r in results])
@@ -339,13 +347,7 @@ def decode_result_batch(raw: bytes) -> tuple[EvaluationResult, ...]:
     bodies, offset = _decode_sequence(raw, 0)
     if offset != len(raw):
         raise ProtocolError("trailing bytes after result batch")
-    results = []
-    for body in bodies:
-        result, consumed = decode_evaluation_result(body, 0)
-        if consumed != len(body):
-            raise ProtocolError("trailing bytes after evaluation result")
-        results.append(result)
-    return tuple(results)
+    return tuple(decode_query_result(body) for body in bodies)
 
 
 def encode_count(count: int) -> bytes:
@@ -362,6 +364,43 @@ def decode_count(raw: bytes) -> int:
     return int.from_bytes(raw, "big")
 
 
+def encode_relation_names(names: Sequence[str]) -> bytes:
+    """Serialize a ``RELATIONS`` body: the relation names, UTF-8."""
+    return _encode_sequence([name.encode("utf-8") for name in names])
+
+
+def decode_relation_names(raw: bytes) -> tuple[str, ...]:
+    """Parse a ``RELATIONS`` body."""
+    names, offset = _decode_sequence(raw, 0)
+    if offset != len(raw):
+        raise ProtocolError("trailing bytes after relation names")
+    try:
+        return tuple(name.decode("utf-8") for name in names)
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"relation name is not valid UTF-8: {exc}") from exc
+
+
+def encode_evaluator_description(description: dict) -> bytes:
+    """Serialize a ``REGISTER_EVALUATOR`` body: the evaluator's description as JSON."""
+    text = json.dumps(description, sort_keys=True, separators=(",", ":"))
+    return text.encode("utf-8")
+
+
+def decode_evaluator_description(raw: bytes) -> dict:
+    """Parse a ``REGISTER_EVALUATOR`` body into its description object.
+
+    The bytes are a peer's: anything but one JSON object -- nesting deeper
+    than the parser's recursion limit included -- is a :class:`ProtocolError`.
+    """
+    try:
+        description = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise ProtocolError(f"malformed evaluator description: {exc}") from exc
+    if not isinstance(description, dict):
+        raise ProtocolError("an evaluator description is a JSON object")
+    return description
+
+
 # --------------------------------------------------------------------------- #
 # Message envelope
 # --------------------------------------------------------------------------- #
@@ -375,7 +414,6 @@ class MessageKind(Enum):
     QUERY_RESULT = "query-result"
     ERROR = "error"
     ACK = "ack"
-    # v2-only kinds:
     DELETE_TUPLES = "delete-tuples"
     BATCH_QUERY = "batch-query"
     BATCH_RESULT = "batch-result"
@@ -385,6 +423,13 @@ class MessageKind(Enum):
     INDEX_PUT = "index-put"
     INDEX_DELTA = "index-delta"
     INDEX_LOOKUP = "index-lookup"
+    # DDL and metadata:
+    REGISTER_EVALUATOR = "deploy-evaluator"
+    FETCH_RELATION = "fetch-relation"
+    TUPLE_COUNT = "count-tuples"
+    DROP_RELATION = "delete-relation"
+    RELATION_NAMES = "list-relations"
+    RELATIONS = "relations"
 
 
 #: How a provider's ``ERROR`` body begins when it refuses a message *kind*
@@ -393,83 +438,10 @@ class MessageKind(Enum):
 #: delete -- so the provider and every matcher must share this one spelling.
 UNSERVED_KIND_REFUSAL = "cannot serve message kind"
 
-#: Kinds that may only travel inside a version >= 2 envelope.
-V2_ONLY_KINDS = frozenset(
-    {
-        MessageKind.DELETE_TUPLES,
-        MessageKind.BATCH_QUERY,
-        MessageKind.BATCH_RESULT,
-        MessageKind.LIST_TUPLE_IDS,
-        MessageKind.TUPLE_IDS,
-        MessageKind.DELETE_TUPLES_EXACT,
-        MessageKind.INDEX_PUT,
-        MessageKind.INDEX_DELTA,
-        MessageKind.INDEX_LOOKUP,
-    }
-)
-
-
-def _decode_envelope_fields(
-    raw: bytes, offset: int, end: int | None = None
-) -> tuple[MessageKind, str, bytes]:
-    """Parse the ``kind | relation_name | body`` triple shared by all envelopes.
-
-    ``end`` bounds the envelope fields when the frame carries trailing
-    trace bytes (v3); it defaults to the end of ``raw``.
-    """
-    if end is None:
-        end = len(raw)
-    kind_bytes, offset = _decode_bytes(raw, offset)
-    name_bytes, offset = _decode_bytes(raw, offset)
-    body, offset = _decode_bytes(raw, offset)
-    if offset != end:
-        raise ProtocolError("trailing bytes after message")
-    try:
-        kind = MessageKind(kind_bytes.decode("utf-8"))
-    except ValueError as exc:  # covers UnicodeDecodeError too
-        raise ProtocolError(f"unknown message kind {kind_bytes!r}") from exc
-    try:
-        relation_name = name_bytes.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ProtocolError(f"relation name {name_bytes!r} is not valid UTF-8") from exc
-    return kind, relation_name, body
-
-
-@dataclass(frozen=True)
-class Message:
-    """A v1 protocol message: a kind, a target relation name, and a ciphertext body."""
-
-    kind: MessageKind
-    relation_name: str
-    body: bytes = b""
-
-    @property
-    def version(self) -> int:
-        """The envelope version (uniform access shared with :class:`MessageV2`)."""
-        return PROTOCOL_V1
-
-    def to_bytes(self) -> bytes:
-        """Serialize the envelope."""
-        return (
-            _encode_bytes(self.kind.value.encode("utf-8"))
-            + _encode_bytes(self.relation_name.encode("utf-8"))
-            + _encode_bytes(self.body)
-        )
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "Message":
-        """Parse an envelope."""
-        kind, relation_name, body = _decode_envelope_fields(raw, 0)
-        if kind in V2_ONLY_KINDS:
-            raise ProtocolError(
-                f"message kind {kind.value!r} requires protocol version >= 2"
-            )
-        return cls(kind=kind, relation_name=relation_name, body=body)
-
 
 @dataclass(frozen=True)
 class MessageV2:
-    """A versioned (v2/v3) protocol message.
+    """A protocol message: a kind, a target relation name, and a body.
 
     The frame is ``V2_MAGIC | version (1 byte) | kind | relation_name | body``
     with the usual length prefixes on the three variable parts.  When
@@ -505,87 +477,73 @@ class MessageV2:
     @classmethod
     def from_bytes(cls, raw: bytes) -> "MessageV2":
         """Parse an envelope, rejecting foreign magic and unknown versions."""
-        header = len(V2_MAGIC) + 1
-        if len(raw) < header or raw[: len(V2_MAGIC)] != V2_MAGIC:
-            raise ProtocolError("not a versioned protocol envelope")
-        version = raw[len(V2_MAGIC)]
-        if version not in (PROTOCOL_V2, PROTOCOL_V3):
-            raise ProtocolError(f"unsupported protocol version {version}")
-        trace_id = None
-        end = len(raw)
-        if version == PROTOCOL_V3:
-            if len(raw) < header + TRACE_ID_SIZE:
-                raise ProtocolError("truncated trace id")
-            end -= TRACE_ID_SIZE
-            trace_id = raw[end:]
-        kind, relation_name, body = _decode_envelope_fields(raw, header, end)
-        return cls(
-            kind=kind, relation_name=relation_name, body=body, trace_id=trace_id
-        )
+        version, kind, relation_name, start, end = _envelope_view(raw)
+        trace_id = raw[end:] if version == PROTOCOL_V3 else None
+        return cls(kind, relation_name, raw[start:end], trace_id)
 
 
 def peek_version(raw: bytes) -> int:
     """The envelope version of a raw frame, without parsing the payload.
 
-    Versioned envelopes announce themselves with :data:`V2_MAGIC`; anything
-    else is treated as a legacy v1 frame (whose own parser still validates it).
+    Every envelope announces itself with :data:`V2_MAGIC`; a frame that
+    does not (the retired v1 framing, or garbage) is refused.
     """
-    if raw[: len(V2_MAGIC)] == V2_MAGIC:
-        if len(raw) < len(V2_MAGIC) + 1:
-            raise ProtocolError("truncated versioned envelope")
-        return raw[len(V2_MAGIC)]
-    return PROTOCOL_V1
+    if raw[: len(V2_MAGIC)] != V2_MAGIC:
+        raise ProtocolError("not a versioned protocol envelope")
+    if len(raw) < len(V2_MAGIC) + 1:
+        raise ProtocolError("truncated versioned envelope")
+    return raw[len(V2_MAGIC)]
 
 
-def parse_message(raw: bytes) -> "Message | MessageV2":
-    """Parse a frame of either envelope version."""
-    version = peek_version(raw)
-    if version == PROTOCOL_V1:
-        return Message.from_bytes(raw)
+def parse_message(raw: bytes) -> MessageV2:
+    """Parse one envelope frame."""
     return MessageV2.from_bytes(raw)
 
 
 def peek_envelope(raw: bytes) -> tuple[int, MessageKind, str]:
-    """Validate an envelope's structure without copying its body.
+    """``(version, kind, relation_name)`` of an envelope, its body not copied.
 
-    Returns ``(version, kind, relation_name)``.  Performs every structural
-    check the full parsers do -- magic/version, kind validity (including
-    the v2-only rule), name decoding, the body's length prefix accounting
-    for exactly the remaining bytes -- but never slices the body, so a
-    dispatcher can learn an envelope's routing key at ``O(header)`` cost
-    even for a frame carrying a whole relation.
+    Performs every structural check the full parse does, so a dispatcher can
+    learn an envelope's routing key at ``O(header)`` cost even for a frame
+    carrying a whole relation.
+    """
+    return _envelope_view(raw)[:3]
+
+
+def _envelope_view(raw: bytes) -> tuple[int, MessageKind, str, int, int]:
+    """``(version, kind, relation_name, body start, body end)`` of an envelope.
+
+    The one structural check -- magic and version, room for a v3 trace id,
+    length prefixes accounting for exactly the frame, kind and name
+    decoding -- shared by :func:`peek_envelope` and the full parse.
     """
     version = peek_version(raw)
-    offset = 0 if version == PROTOCOL_V1 else len(V2_MAGIC) + 1
     if version not in SUPPORTED_VERSIONS:
         raise ProtocolError(f"unsupported protocol version {version}")
     end = len(raw)
     if version == PROTOCOL_V3:
-        if end < offset + TRACE_ID_SIZE:
+        if end < len(V2_MAGIC) + 1 + TRACE_ID_SIZE:
             raise ProtocolError("truncated trace id")
         end -= TRACE_ID_SIZE
-    kind_bytes, offset = _decode_bytes(raw, offset)
+    kind_bytes, offset = _decode_bytes(raw, len(V2_MAGIC) + 1)
     name_bytes, offset = _decode_bytes(raw, offset)
-    if offset + 4 > len(raw):
+    start = offset + 4
+    if start > len(raw):
         raise ProtocolError("truncated length prefix")
-    body_length = int.from_bytes(raw[offset: offset + 4], "big")
-    if offset + 4 + body_length < end:
+    body_end = start + int.from_bytes(raw[offset:start], "big")
+    if body_end < end:
         raise ProtocolError("trailing bytes after message")
-    if offset + 4 + body_length > end:
+    if body_end > end:
         raise ProtocolError("truncated byte string")
     try:
         kind = MessageKind(kind_bytes.decode("utf-8"))
     except ValueError as exc:  # covers UnicodeDecodeError too
         raise ProtocolError(f"unknown message kind {kind_bytes!r}") from exc
-    if version == PROTOCOL_V1 and kind in V2_ONLY_KINDS:
-        raise ProtocolError(
-            f"message kind {kind.value!r} requires protocol version >= 2"
-        )
     try:
         relation_name = name_bytes.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ProtocolError(f"relation name {name_bytes!r} is not valid UTF-8") from exc
-    return version, kind, relation_name
+    return version, kind, relation_name, start, end
 
 
 def attach_trace(raw: bytes, trace_id: bytes) -> bytes:
@@ -593,18 +551,13 @@ def attach_trace(raw: bytes, trace_id: bytes) -> bytes:
 
     O(1) on the frame structure -- the version byte flips and the id bytes
     are appended; the kind/name/body encoding is reused verbatim, never
-    re-parsed.  A v1 frame cannot carry a trace id and is returned
-    unchanged (the transport gates on the negotiated version, so this is
-    the belt to that suspender); a frame that already carries one is a
-    caller bug.
+    re-parsed.  A frame that already carries one is a caller bug.
     """
     if len(trace_id) != TRACE_ID_SIZE:
         raise ProtocolError(
             f"trace ids are {TRACE_ID_SIZE} bytes, got {len(trace_id)}"
         )
     version = peek_version(raw)
-    if version == PROTOCOL_V1:
-        return raw
     if version != PROTOCOL_V2:
         raise ProtocolError(f"cannot attach a trace id to a v{version} envelope")
     header = len(V2_MAGIC)
@@ -614,7 +567,7 @@ def attach_trace(raw: bytes, trace_id: bytes) -> bytes:
 def strip_trace(raw: bytes) -> bytes:
     """Downgrade a serialized v3 envelope to v2, dropping its trace id.
 
-    Non-v3 frames pass through unchanged, so a relay in front of a
+    Untraced envelopes pass through unchanged, so a relay in front of a
     pre-trace peer can call this unconditionally.
     """
     if peek_version(raw) != PROTOCOL_V3:

@@ -9,18 +9,20 @@ material; the only plaintext it learns is what the ciphertexts and the query
 results structurally reveal -- which is precisely what the paper's security
 analysis is about.
 
-Besides the object-level API, :meth:`OutsourcedDatabaseServer.handle_message`
-speaks the byte-level protocol of :mod:`repro.outsourcing.protocol` in both
-envelope versions, so a transport can shuttle opaque frames between client
-and provider.  Evaluators are registered out-of-band
-(:meth:`OutsourcedDatabaseServer.register_evaluator`): they are the keyless
-*code* the client deploys at the provider, not data the protocol carries.
+:meth:`OutsourcedDatabaseServer.handle_message` is the provider's one entry
+point: it speaks the byte-level protocol of :mod:`repro.outsourcing.protocol`,
+so a transport can shuttle opaque frames between client and provider, and
+every operation a session performs -- data, index and DDL, evaluator
+deployment included -- arrives as an envelope.  The typed methods
+(:meth:`~OutsourcedDatabaseServer.register_evaluator`,
+:meth:`~OutsourcedDatabaseServer.insert_tuple`, ...) are the steps
+``_dispatch`` calls for those envelopes; test doubles override them to
+inject faults.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.dph import (
@@ -34,14 +36,12 @@ from repro.core.dph import (
 from repro.obs import MetricsRegistry, span as obs_span
 from repro.outsourcing import protocol
 from repro.outsourcing.audit import AuditEventKind, ServerAuditLog
+from repro.outsourcing.evaluators import build_evaluator
 from repro.outsourcing.protocol import (
-    Message,
     MessageKind,
     MessageV2,
-    PROTOCOL_V1,
-    PROTOCOL_V2,
-    PROTOCOL_V3,
     ProtocolError,
+    SUPPORTED_VERSIONS,
     UNSERVED_KIND_REFUSAL,
 )
 from repro.outsourcing.storage import (
@@ -66,25 +66,11 @@ class ServerError(Exception):
     """The server refused or failed to process a request."""
 
 
-@dataclass
-class StoredRelation:
-    """A named encrypted relation together with its registered evaluator.
-
-    Retained as the snapshot type returned by
-    :meth:`OutsourcedDatabaseServer.stored`; the server's own state now lives
-    in its storage backend.
-    """
-
-    name: str
-    encrypted_relation: EncryptedRelation
-    evaluator: ServerEvaluator
-
-
 class OutsourcedDatabaseServer:
     """The untrusted service provider, generic over its storage backend."""
 
     #: Protocol versions this server implementation can speak.
-    SUPPORTED_PROTOCOL_VERSIONS = (PROTOCOL_V1, PROTOCOL_V2, PROTOCOL_V3)
+    SUPPORTED_PROTOCOL_VERSIONS = SUPPORTED_VERSIONS
 
     def __init__(
         self,
@@ -162,7 +148,7 @@ class OutsourcedDatabaseServer:
         return self._storage.names()
 
     # ------------------------------------------------------------------ #
-    # Object-level API
+    # The steps of _dispatch
     # ------------------------------------------------------------------ #
 
     def register_evaluator(self, name: str, evaluator: ServerEvaluator) -> None:
@@ -301,14 +287,6 @@ class OutsourcedDatabaseServer:
         """The provider's copy of a relation (what a leak would expose)."""
         return self._load(name)
 
-    def stored(self, name: str) -> StoredRelation:
-        """Snapshot of a relation together with its evaluator."""
-        return StoredRelation(
-            name=name,
-            encrypted_relation=self._load(name),
-            evaluator=self._evaluator(name),
-        )
-
     def tuple_count(self, name: str) -> int:
         """Number of stored tuple ciphertexts (cheap metadata read)."""
         try:
@@ -446,10 +424,9 @@ class OutsourcedDatabaseServer:
     def handle_message(self, raw: bytes) -> bytes:
         """Process one protocol frame and return the serialized response.
 
-        Both envelope versions are accepted; the response travels in the same
-        version as the request.  Failures inside a well-framed request come
-        back as ``ERROR`` messages rather than exceptions, mirroring what a
-        remote provider would do.
+        Failures inside a well-framed request come back as ``ERROR``
+        messages rather than exceptions, mirroring what a remote provider
+        would do; a frame that does not parse raises :class:`ProtocolError`.
         """
         request = protocol.parse_message(raw)
         started = time.monotonic()
@@ -467,9 +444,7 @@ class OutsourcedDatabaseServer:
             ) as exc:
                 outcome = "error"
                 op_span.annotations["error"] = str(exc)
-                response = self._respond(
-                    request, MessageKind.ERROR, str(exc).encode("utf-8")
-                )
+                response = _answer(request, MessageKind.ERROR, str(exc).encode("utf-8"))
         self._metrics.histogram(
             "provider_op_seconds",
             op_kind=request.kind.value,
@@ -478,80 +453,91 @@ class OutsourcedDatabaseServer:
         ).observe(time.monotonic() - started)
         return response.to_bytes()
 
-    def _dispatch(self, request: Message | MessageV2) -> Message | MessageV2:
+    def _dispatch(self, request: MessageV2) -> MessageV2:
         name = request.relation_name
-        if request.kind is MessageKind.STORE_RELATION:
+        kind = request.kind
+        if kind is MessageKind.STORE_RELATION:
             encrypted_relation = protocol.decode_encrypted_relation(request.body)
             evaluator = self._evaluator(name)
             self.store_relation(name, encrypted_relation, evaluator)
-            return self._respond(
-                request, MessageKind.ACK, protocol.encode_count(len(encrypted_relation))
-            )
-        if request.kind is MessageKind.INSERT_TUPLE:
+            count = protocol.encode_count(len(encrypted_relation))
+            return _answer(request, MessageKind.ACK, count)
+        if kind is MessageKind.INSERT_TUPLE:
             encrypted_tuple, consumed = protocol.decode_encrypted_tuple(request.body)
             if consumed != len(request.body):
                 raise ProtocolError("trailing bytes after encrypted tuple")
             self.insert_tuple(name, encrypted_tuple)
-            return self._respond(request, MessageKind.ACK, protocol.encode_count(1))
-        if request.kind is MessageKind.QUERY:
+            return _answer(request, MessageKind.ACK, protocol.encode_count(1))
+        if kind is MessageKind.QUERY:
             encrypted_query = protocol.decode_encrypted_query(request.body)
             result = self.execute_query(name, encrypted_query)
-            if request.version == PROTOCOL_V1:
-                body = protocol.encode_encrypted_relation(result.matching)
-            else:
-                body = protocol.encode_evaluation_result(result)
-            return self._respond(request, MessageKind.QUERY_RESULT, body)
-        if request.kind is MessageKind.DELETE_TUPLES:
+            body = protocol.encode_evaluation_result(result)
+            return _answer(request, MessageKind.QUERY_RESULT, body)
+        if kind is MessageKind.DELETE_TUPLES:
             tuple_ids = protocol.decode_tuple_ids(request.body)
             deleted = self.delete_tuples(name, tuple_ids)
-            return self._respond(request, MessageKind.ACK, protocol.encode_count(deleted))
-        if request.kind is MessageKind.BATCH_QUERY:
+            return _answer(request, MessageKind.ACK, protocol.encode_count(deleted))
+        if kind is MessageKind.BATCH_QUERY:
             queries = protocol.decode_query_batch(request.body)
             results = self.execute_batch(name, queries)
-            return self._respond(
+            return _answer(
                 request, MessageKind.BATCH_RESULT, protocol.encode_result_batch(results)
             )
-        if request.kind is MessageKind.LIST_TUPLE_IDS:
-            if request.body:
-                raise ProtocolError("a list-tuple-ids request carries no body")
+        if kind is MessageKind.LIST_TUPLE_IDS:
+            _no_body(request)
             ids = self.list_tuple_ids(name)
-            return self._respond(
-                request, MessageKind.TUPLE_IDS, protocol.encode_tuple_ids(ids)
-            )
-        if request.kind is MessageKind.DELETE_TUPLES_EXACT:
+            body = protocol.encode_tuple_ids(ids)
+            return _answer(request, MessageKind.TUPLE_IDS, body)
+        if kind is MessageKind.DELETE_TUPLES_EXACT:
             tuple_ids = protocol.decode_tuple_ids(request.body)
             deleted_ids = self.delete_tuples_exact(name, tuple_ids)
-            return self._respond(
+            return _answer(
                 request, MessageKind.TUPLE_IDS, protocol.encode_tuple_ids(deleted_ids)
             )
-        if request.kind is MessageKind.INDEX_PUT:
+        if kind is MessageKind.INDEX_PUT:
             from repro.index.wire import decode_index_snapshot
 
             labels = self.put_index(name, decode_index_snapshot(request.body))
-            return self._respond(request, MessageKind.ACK, protocol.encode_count(labels))
-        if request.kind is MessageKind.INDEX_DELTA:
+            return _answer(request, MessageKind.ACK, protocol.encode_count(labels))
+        if kind is MessageKind.INDEX_DELTA:
             from repro.index.wire import decode_index_delta
 
             applied = self.apply_index_delta(name, decode_index_delta(request.body))
-            return self._respond(request, MessageKind.ACK, protocol.encode_count(applied))
-        if request.kind is MessageKind.INDEX_LOOKUP:
+            return _answer(request, MessageKind.ACK, protocol.encode_count(applied))
+        if kind is MessageKind.INDEX_LOOKUP:
             from repro.index.wire import decode_index_lookup
 
             result = self.index_lookup(name, decode_index_lookup(request.body))
-            # INDEX_LOOKUP is v2-only, so the response always carries stats.
-            return self._respond(
+            body = protocol.encode_evaluation_result(result)
+            return _answer(request, MessageKind.QUERY_RESULT, body)
+        if kind is MessageKind.REGISTER_EVALUATOR:
+            description = protocol.decode_evaluator_description(request.body)
+            self.register_evaluator(name, build_evaluator(description))
+            return _answer(request, MessageKind.ACK, protocol.encode_count(1))
+        if kind is MessageKind.FETCH_RELATION:
+            _no_body(request)
+            relation = self.stored_relation(name)
+            return _answer(
                 request,
                 MessageKind.QUERY_RESULT,
-                protocol.encode_evaluation_result(result),
+                protocol.encode_evaluation_result(EvaluationResult(matching=relation)),
             )
-        raise ServerError(f"{UNSERVED_KIND_REFUSAL} {request.kind.value!r}")
-
-    @staticmethod
-    def _respond(
-        request: Message | MessageV2, kind: MessageKind, body: bytes
-    ) -> Message | MessageV2:
-        envelope = Message if request.version == PROTOCOL_V1 else MessageV2
-        return envelope(kind=kind, relation_name=request.relation_name, body=body)
+        if kind is MessageKind.TUPLE_COUNT:
+            _no_body(request)
+            count = protocol.encode_count(self.tuple_count(name))
+            return _answer(request, MessageKind.ACK, count)
+        if kind is MessageKind.DROP_RELATION:
+            _no_body(request)
+            self.drop_relation(name)
+            return _answer(request, MessageKind.ACK, protocol.encode_count(1))
+        if kind is MessageKind.RELATION_NAMES:
+            _no_body(request)
+            return _answer(
+                request,
+                MessageKind.RELATIONS,
+                protocol.encode_relation_names(self.relation_names),
+            )
+        raise ServerError(f"{UNSERVED_KIND_REFUSAL} {kind.value!r}")
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -570,3 +556,13 @@ class OutsourcedDatabaseServer:
             raise ServerError(
                 f"no evaluator is registered for relation {name!r}"
             ) from exc
+
+
+def _answer(request: MessageV2, kind: MessageKind, body: bytes) -> MessageV2:
+    """The response to ``request``: same relation, untraced."""
+    return MessageV2(kind=kind, relation_name=request.relation_name, body=body)
+
+
+def _no_body(request: MessageV2) -> None:
+    if request.body:
+        raise ProtocolError(f"a {request.kind.value} request carries no body")

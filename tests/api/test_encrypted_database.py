@@ -12,9 +12,10 @@ from repro.outsourcing import (
     OutsourcingClient,
     StorageError,
 )
-from repro.outsourcing.protocol import PROTOCOL_V1
+from repro.outsourcing.protocol import ProtocolError
 from repro.relational import ConjunctiveSelection, Selection
 from repro.schemes.registry import available_schemes
+from provider_calls import drop_relation, relation_names, stored_relation
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
 
@@ -101,8 +102,8 @@ def db(request, transport, secret_key, rng):
         yield session
     finally:
         # The module-scoped provider outlives the test: clear its state.
-        for name in session.server.relation_names:
-            session.server.drop_relation(name)
+        for name in relation_names(session.server):
+            drop_relation(session.server, name)
         session.close()
 
 
@@ -151,9 +152,9 @@ class TestCrudAcrossAllSchemes:
         assert db.count("Emp") == len(ROWS)
 
     def test_update_gets_fresh_tuple_ids(self, db):
-        before = {t.tuple_id for t in db.server.stored_relation("Emp")}
+        before = {t.tuple_id for t in stored_relation(db.server, "Emp")}
         db.update(Selection.equals("name", "Brown"), {"salary": 4200}, table="Emp")
-        after = {t.tuple_id for t in db.server.stored_relation("Emp")}
+        after = {t.tuple_id for t in stored_relation(db.server, "Emp")}
         # delete-then-insert: the provider cannot link old and new versions
         assert len(after - before) == 1
 
@@ -242,7 +243,7 @@ class TestSessionManagement:
     def test_drop_table(self, db):
         db.drop_table("Emp")
         assert db.tables == ()
-        assert "Emp" not in db.server.relation_names
+        assert "Emp" not in relation_names(db.server)
         with pytest.raises(DatabaseError):
             db.select("SELECT * FROM Emp WHERE dept = 'HR'")
 
@@ -351,18 +352,11 @@ class TestLegacyInterop:
         assert len(db.select("SELECT * FROM Emp WHERE dept = 'HR'").relation) == 2
         assert set(server.relation_names) == {"Legacy", "Emp"}
 
-    def test_v1_only_server_still_selects(self, secret_key):
-        class V1OnlyServer(OutsourcedDatabaseServer):
-            SUPPORTED_PROTOCOL_VERSIONS = (PROTOCOL_V1,)
+    def test_a_v1_only_server_is_refused(self, secret_key):
+        """A provider that cannot take a DDL envelope cannot host a session."""
 
-        db = EncryptedDatabase.open(secret_key, server=V1OnlyServer())
-        assert db.protocol_version == PROTOCOL_V1
-        db.create_table(EMP_DECL, rows=ROWS)
-        db.insert("Emp", {"name": "Zoe", "dept": "HR", "salary": 1})
-        assert len(db.select("SELECT * FROM Emp WHERE dept = 'HR'").relation) == 3
-        with pytest.raises(DatabaseError, match="protocol version 2"):
-            db.delete(Selection.equals("dept", "HR"), table="Emp")
-        with pytest.raises(DatabaseError, match="protocol version 2"):
-            db.update(Selection.equals("dept", "HR"), {"salary": 2}, table="Emp")
-        with pytest.raises(DatabaseError, match="protocol version 2"):
-            db.select_many([Selection.equals("dept", "HR")], table="Emp")
+        class V1OnlyServer(OutsourcedDatabaseServer):
+            SUPPORTED_PROTOCOL_VERSIONS = (1,)
+
+        with pytest.raises(ProtocolError, match="no common protocol version"):
+            EncryptedDatabase.open(secret_key, server=V1OnlyServer())

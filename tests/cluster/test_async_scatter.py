@@ -12,6 +12,7 @@ from repro.cluster import ShardRouter, ShardTimeoutError, scatter_async
 from repro.cluster.executor import DEGRADED
 from repro.net import EventLoopThread, ThreadedTcpServer
 from repro.outsourcing import OutsourcedDatabaseServer
+from provider_calls import drop_relation
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
 ROWS = [(f"emp{i}", "HR" if i % 2 else "IT", 1000 + i) for i in range(24)]
@@ -113,7 +114,7 @@ class TestAsyncTransportFleet:
             # stayed on the thread pool -- correct, just not loop-driven.
             assert router.stats.as_dict()["loop_scatters"] == 0
         finally:
-            router.drop_relation("Emp")
+            drop_relation(router, "Emp")
             db.close()
 
     def test_replicated_failover_over_async_transport(self, secret_key, rng):
@@ -131,8 +132,8 @@ class TestAsyncTransportFleet:
                 assert len(outcome.relation) == 12  # complete, not partial
                 assert db.count("Emp") == len(ROWS)
                 stats = db.server.stats
-                assert stats.failover_reads >= 1
-                assert stats.degraded_reads == 0
+                assert stats.as_dict()["failover_reads"] >= 1
+                assert stats.as_dict()["degraded_reads"] == 0
 
 
 class TestScatterTimeoutCancellation:
@@ -153,7 +154,7 @@ class TestScatterTimeoutCancellation:
                 outcome = db.select("SELECT * FROM Emp WHERE dept = 'HR'")
                 # Complete on the fast shard's slice only: degraded read.
                 assert 0 < len(outcome.relation) < 12
-                assert router.stats.degraded_reads >= 1
+                assert router.stats.as_dict()["degraded_reads"] >= 1
                 slow_shard_id = f"tcp://127.0.0.1:{slow.port}"
                 assert router.stats.last_missing_shard_ids == (slow_shard_id,)
                 # Release the gate: the orphaned late answer is dropped and

@@ -14,6 +14,7 @@ from repro.cluster import (
 )
 from repro.outsourcing import OutsourcedDatabaseServer
 from repro.relational import Selection
+from provider_calls import stored_relation
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
 ROWS = [(f"emp{i}", "HR" if i % 2 else "IT", 1000 + i) for i in range(40)]
@@ -167,7 +168,7 @@ class TestCrashMidMigration:
     def test_counts_do_not_inflate_despite_duplicates(self, db):
         router = self._crash_rebalance(db)
         assert db.count("Emp") == len(ROWS)
-        assert len(router.stored_relation("Emp")) == len(ROWS)
+        assert len(stored_relation(router, "Emp")) == len(ROWS)
         assert len(db.retrieve_all("Emp")) == len(ROWS)
 
     def test_rerunning_the_rebalance_converges_and_cleans_up(self, db):
@@ -236,15 +237,14 @@ class TestReplicatedRebalance:
 
     def test_misplaced_and_surplus_report_the_pending_work(self, rdb):
         router = rdb.server
-        shards = {sid: router.shard(sid) for sid in router.shard_ids}
-        assert misplaced_tuples(shards, router.ring, "Emp",
+        assert misplaced_tuples(router, router.ring, "Emp",
                                 replication=self.REPLICAS) == []
-        assert surplus_copies(shards, router.ring, "Emp",
+        assert surplus_copies(router, router.ring, "Emp",
                               replication=self.REPLICAS) == []
         tuple_id, holders = next(iter(self._holders(router, "Emp").items()))
         victim = sorted(holders)[0]
         router.shard(victim).delete_tuples("Emp", [tuple_id])
-        pending = misplaced_tuples(shards, router.ring, "Emp",
+        pending = misplaced_tuples(router, router.ring, "Emp",
                                    replication=self.REPLICAS)
         assert [(source, target, t.tuple_id) for source, target, t in pending] == [
             (sorted(holders - {victim})[0], victim, tuple_id)
@@ -257,7 +257,7 @@ class TestRebalanceFunction:
 
         ring = ConsistentHashRing(["shard-0", "ghost"])
         with pytest.raises(ClusterError, match="ghost"):
-            rebalance({"shard-0": db.server.shard("shard-0")}, ring, ["Emp"])
+            rebalance(db.server, ring, ["Emp"])
 
     def test_report_summary_renders(self, db):
         report = db.server.add_shard(OutsourcedDatabaseServer())

@@ -11,14 +11,21 @@ from repro.cluster import (
     ClusterError,
     ClusterStats,
     DEGRADED,
-    ShardFailedError,
     ShardRouter,
     parse_cluster_options,
     parse_cluster_url,
 )
-from repro.outsourcing import OutsourcedDatabaseServer, OutsourcingClient
-from repro.outsourcing.protocol import PROTOCOL_V1, PROTOCOL_V2, PROTOCOL_V3
+from repro.outsourcing import OutsourcedDatabaseServer, OutsourcingClient, ServerError
+from repro.outsourcing.protocol import PROTOCOL_V2, PROTOCOL_V3, ProtocolError
 from repro.relational import Selection
+from provider_calls import (
+    delete_tuples,
+    execute_query,
+    insert_tuple,
+    relation_names,
+    stored_relation,
+    tuple_count,
+)
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
 ROWS = [(f"emp{i}", "HR" if i % 2 else "IT", 1000 + i) for i in range(30)]
@@ -98,7 +105,7 @@ class TestRouting:
         assert [len(o.relation) for o in outcomes] == [15, 15]
 
     def test_stored_relation_reassembles_the_fleet(self, db):
-        assert len(db.server.stored_relation("Emp")) == len(ROWS)
+        assert len(stored_relation(db.server, "Emp")) == len(ROWS)
         assert len(db.retrieve_all("Emp")) == len(ROWS)
 
     def test_drop_removes_the_relation_everywhere(self, db, backends):
@@ -109,13 +116,21 @@ class TestRouting:
 
 class TestDuckType:
     def test_version_intersection(self, backends):
+        class PreTrace(OutsourcedDatabaseServer):
+            SUPPORTED_PROTOCOL_VERSIONS = (PROTOCOL_V2,)
+
         class V1Only(OutsourcedDatabaseServer):
-            SUPPORTED_PROTOCOL_VERSIONS = (PROTOCOL_V1,)
+            SUPPORTED_PROTOCOL_VERSIONS = (1,)
 
         full = ShardRouter(backends)
-        assert full.supported_protocol_versions == (PROTOCOL_V1, PROTOCOL_V2, PROTOCOL_V3)
-        mixed = ShardRouter([OutsourcedDatabaseServer(), V1Only()])
-        assert mixed.supported_protocol_versions == (PROTOCOL_V1,)
+        assert full.supported_protocol_versions == (PROTOCOL_V2, PROTOCOL_V3)
+        mixed = ShardRouter([OutsourcedDatabaseServer(), PreTrace()])
+        assert mixed.supported_protocol_versions == (PROTOCOL_V2,)
+        # A v1-only member leaves the fleet nothing a session can speak.
+        refused = ShardRouter([OutsourcedDatabaseServer(), V1Only()])
+        assert refused.supported_protocol_versions == ()
+        with pytest.raises(ProtocolError, match="no common protocol version"):
+            EncryptedDatabase.open(server=refused)
 
     def test_legacy_outsourcing_client_works_over_a_cluster(
         self, employee_relation, swp_dph
@@ -128,7 +143,7 @@ class TestDuckType:
         assert sum(counts.values()) == len(employee_relation)
 
     def test_relation_names_unions_shards(self, db):
-        assert db.server.relation_names == ("Emp",)
+        assert relation_names(db.server) == ("Emp",)
 
     def test_unknown_relation_errors_like_a_server(self, db):
         with pytest.raises(DatabaseError):
@@ -163,7 +178,7 @@ class TestPartialFailure:
         shards[1].down = True
         partial = db.select("SELECT * FROM Emp WHERE dept = 'HR'")
         assert len(partial.relation) == full - hr_on_lost_shard
-        assert router.stats.degraded_reads >= 1
+        assert router.stats.as_dict()["degraded_reads"] >= 1
         assert router.stats.last_missing_shard_ids == ("shard-1",)
 
     def test_degraded_with_every_shard_down_still_fails(self):
@@ -179,8 +194,8 @@ class TestPartialFailure:
         lost_ids = [t.tuple_id for t in shards[2].stored_relation("Emp")]
         assert lost_ids
         shards[2].down = True
-        with pytest.raises(ClusterError):
-            router.delete_tuples("Emp", lost_ids)
+        with pytest.raises(ServerError, match="shard is down"):
+            delete_tuples(router, "Emp", lost_ids)
         # a degraded *read* of the same table still works meanwhile
         assert db.select("SELECT * FROM Emp WHERE dept = 'IT'").relation is not None
 
@@ -236,15 +251,15 @@ class TestReplication:
         outcome = db.select("SELECT * FROM Emp WHERE dept = 'HR'")
         assert len(outcome.relation) == 15  # 2 physical copies each, answered once
         assert db.count("Emp") == len(ROWS)
-        assert len(db.server.stored_relation("Emp")) == len(ROWS)
+        assert len(stored_relation(db.server, "Emp")) == len(ROWS)
 
     def test_reads_fail_over_when_one_replica_is_down(self):
         db, router, shards = self._cluster()  # fail_fast policy!
         shards[1].down = True
         outcome = db.select("SELECT * FROM Emp WHERE dept = 'HR'")
         assert len(outcome.relation) == 15  # complete, not degraded
-        assert router.stats.failover_reads >= 1
-        assert router.stats.degraded_reads == 0
+        assert router.stats.as_dict()["failover_reads"] >= 1
+        assert router.stats.as_dict()["degraded_reads"] == 0
         assert router.stats.last_failover_shard_ids == ("shard-1",)
 
     def test_batch_reads_fail_over_too(self):
@@ -255,25 +270,25 @@ class TestReplication:
             table="Emp",
         )
         assert [len(o.relation) for o in outcomes] == [15, 15]
-        assert router.stats.degraded_reads == 0
+        assert router.stats.as_dict()["degraded_reads"] == 0
 
     def test_stored_relation_and_count_survive_one_dead_shard(self):
         db, router, shards = self._cluster()
         shards[0].down = True
-        assert len(router.stored_relation("Emp")) == len(ROWS)
-        assert router.tuple_count("Emp") == len(ROWS)
+        assert len(stored_relation(router, "Emp")) == len(ROWS)
+        assert tuple_count(router, "Emp") == len(ROWS)
         assert len(db.retrieve_all("Emp")) == len(ROWS)
 
     def test_too_many_failures_surface_the_right_shards(self):
         db, router, shards = self._cluster()
         shards[0].down = True
         shards[1].down = True  # 2 dead >= R=2: coverage is broken
-        with pytest.raises(ShardFailedError) as excinfo:
-            router.execute_query(
-                "Emp",
-                db.table("Emp").scheme.encrypt_query(Selection.equals("dept", "HR")),
-            )
-        assert excinfo.value.failed_shard_ids == ("shard-0", "shard-1")
+        query = db.table("Emp").scheme.encrypt_query(Selection.equals("dept", "HR"))
+        with pytest.raises(ServerError, match="failed on 2/3 shard") as excinfo:
+            execute_query(router, "Emp", query)
+        message = str(excinfo.value)
+        assert "shard-0: shard is down" in message
+        assert "shard-1: shard is down" in message and "shard-2" not in message
 
     def test_replicated_writes_fail_fast_when_a_replica_is_down(self):
         db, router, shards = self._cluster()
@@ -283,10 +298,10 @@ class TestReplication:
         )
         victim = router.replica_shards(encrypted.tuple_id)[1]
         router.shard(victim).down = True
-        with pytest.raises(ClusterError):
-            router.insert_tuple("Emp", encrypted)
+        with pytest.raises(ServerError, match="shard is down"):
+            insert_tuple(router, "Emp", encrypted)
         router.shard(victim).down = False
-        router.insert_tuple("Emp", encrypted)
+        insert_tuple(router, "Emp", encrypted)
         _assert_fully_replicated(router, "Emp")
 
     def test_deletes_fail_fast_and_count_logically(self):
@@ -333,8 +348,8 @@ class TestReplication:
         shards[0].down = True
         after = db.select("SELECT * FROM Emp WHERE dept = 'IT'")
         assert len(after.relation) == before == 15
-        assert router.stats.degraded_reads == 0
-        assert router.stats.failover_reads >= 1
+        assert router.stats.as_dict()["degraded_reads"] == 0
+        assert router.stats.as_dict()["failover_reads"] >= 1
 
 
 class TestDuplicateSafety:
@@ -363,7 +378,7 @@ class TestDuplicateSafety:
         physical = sum(router.per_shard_tuple_counts("Emp").values())
         assert physical == len(ROWS) + 1  # the duplicate is really there
         assert db.count("Emp") == len(ROWS)  # ...and counted once
-        assert len(router.stored_relation("Emp")) == len(ROWS)
+        assert len(stored_relation(router, "Emp")) == len(ROWS)
         assert len(db.retrieve_all("Emp")) == len(ROWS)
 
     def test_delete_kills_every_copy_and_counts_once(self, secret_key, rng):
@@ -396,10 +411,10 @@ class TestStatsThreadSafety:
             thread.start()
         for thread in threads:
             thread.join(timeout=30)
-        assert stats.scatter_reads == 8 * rounds
-        assert stats.routed_inserts == 8 * rounds
-        assert stats.degraded_reads == 8 * rounds
-        assert stats.failover_reads == 8 * rounds
+        assert stats.as_dict()["scatter_reads"] == 8 * rounds
+        assert stats.as_dict()["routed_inserts"] == 8 * rounds
+        assert stats.as_dict()["degraded_reads"] == 8 * rounds
+        assert stats.as_dict()["failover_reads"] == 8 * rounds
         for snapshot in snapshots:  # every snapshot is internally consistent
             assert snapshot["degraded_reads"] <= snapshot["scatter_reads"] * 2
             assert tuple(snapshot["last_missing_shard_ids"]) != ()

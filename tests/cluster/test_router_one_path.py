@@ -1,10 +1,9 @@
-"""ShardRouter defines each data operation once, as an envelope.
+"""ShardRouter defines each operation once, as an envelope.
 
-These tests pin the shape of ISSUE 14: the object-level API is a shim over
-the envelope route (so a shard needs nothing but ``handle_message`` plus the
-management calls), both surfaces and both scatter transports agree on
-answers, provider state, counters and errors, they share one coordinator
-cache, and a failed construction leaves no thread behind.
+A shard needs nothing but ``handle_message``; every kind of fleet (in-process,
+blocking ``tcp://``, pipelined) agrees on answers, provider state, counters
+and errors; single queries and batches share one coordinator cache; and a
+failed construction leaves no thread behind.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import threading
 import pytest
 
 from repro.api import EncryptedDatabase
-from repro.cluster import DEGRADED, ClusterError, ShardRouter
+from repro.cluster import DEGRADED, ShardRouter
 from repro.core import SearchableSelectDph
 from repro.crypto.rng import DeterministicRng
 from repro.net import ThreadedTcpServer
@@ -23,6 +22,16 @@ from repro.outsourcing import OutsourcedDatabaseServer, protocol
 from repro.outsourcing.protocol import MessageKind, MessageV2, UNSERVED_KIND_REFUSAL
 from repro.outsourcing.server import ServerError
 from repro.relational import Relation, RelationSchema, Selection
+from provider_calls import (
+    delete_tuples,
+    delete_tuples_exact,
+    execute_batch,
+    execute_query,
+    insert_tuple,
+    register_evaluator,
+    store_relation,
+    tuple_count,
+)
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
 SCHEMA = RelationSchema.parse(EMP_DECL)
@@ -30,11 +39,10 @@ ROWS = [(f"emp{i}", "HR" if i % 2 else "IT", 1000 + i) for i in range(18)]
 
 
 class EnvelopeOnlyShard:
-    """A shard with no typed data operations at all.
+    """A shard with no typed operations at all.
 
-    ``handle_message`` plus the management calls is everything the router
-    may ask of a backend; ``execute_query``, ``insert_tuple`` and friends
-    are deliberately absent.
+    ``handle_message`` (and the versions it speaks) is everything the router
+    may ask of a backend: data, index and DDL operations alike.
     """
 
     def __init__(self) -> None:
@@ -44,27 +52,8 @@ class EnvelopeOnlyShard:
     def supported_protocol_versions(self):
         return self._inner.supported_protocol_versions
 
-    @property
-    def relation_names(self):
-        return self._inner.relation_names
-
     def handle_message(self, raw: bytes) -> bytes:
         return self._inner.handle_message(raw)
-
-    def register_evaluator(self, name, evaluator) -> None:
-        self._inner.register_evaluator(name, evaluator)
-
-    def stored_relation(self, name):
-        return self._inner.stored_relation(name)
-
-    def tuple_count(self, name) -> int:
-        return self._inner.tuple_count(name)
-
-    def list_tuple_ids(self, name):
-        return self._inner.list_tuple_ids(name)
-
-    def drop_relation(self, name) -> None:
-        self._inner.drop_relation(name)
 
 
 class DyingServer(OutsourcedDatabaseServer):
@@ -159,24 +148,24 @@ FLEET_KINDS = ("in-process", "blocking-tcp", "pipelined")
 
 
 class TestEnvelopeOnlyBackends:
-    """(a) ``handle_message`` + management calls serve the whole data API."""
+    """(a) ``handle_message`` alone serves the whole provider surface."""
 
-    def test_object_surface(self, dph, encrypted):
+    def test_every_operation_reaches_the_shards_as_an_envelope(self, dph, encrypted):
         router = ShardRouter([EnvelopeOnlyShard() for _ in range(3)], replicas=2)
-        router.store_relation("Emp", encrypted, dph.server_evaluator())
-        assert router.tuple_count("Emp") == len(ROWS)
-        router.insert_tuple("Emp", _tuple(dph, "Zoe", "NEW"))
-        assert len(router.execute_query("Emp", _query(dph, "dept", "NEW")).matching) == 1
-        hr, it = router.execute_batch(
-            "Emp", [_query(dph, "dept", "HR"), _query(dph, "dept", "IT")]
+        store_relation(router, "Emp", encrypted, dph.server_evaluator())
+        assert tuple_count(router, "Emp") == len(ROWS)
+        insert_tuple(router, "Emp", _tuple(dph, "Zoe", "NEW"))
+        assert len(execute_query(router, "Emp", _query(dph, "dept", "NEW")).matching) == 1
+        hr, it = execute_batch(
+            router, "Emp", [_query(dph, "dept", "HR"), _query(dph, "dept", "IT")]
         )
         assert (len(hr.matching), len(it.matching)) == (9, 9)
-        # no shard exposes delete_tuples_exact, so the count is the capped
-        # sum of a DELETE_TUPLES fan-out: 2 physical copies each, 9 logical
-        assert router.delete_tuples("Emp", _ids_of(hr)) == 9
-        gone = router.delete_tuples_exact("Emp", _ids_of(it) + _ids_of(hr))
+        # DELETE_TUPLES counts by the capped sum of its fan-out: 2 physical
+        # copies each, 9 logical
+        assert delete_tuples(router, "Emp", _ids_of(hr)) == 9
+        gone = delete_tuples_exact(router, "Emp", _ids_of(it) + _ids_of(hr))
         assert sorted(gone) == _ids_of(it)  # the HR ids were already dead
-        assert router.tuple_count("Emp") == 1
+        assert tuple_count(router, "Emp") == 1
 
     def test_envelope_surface(self, secret_key, rng):
         router = ShardRouter([EnvelopeOnlyShard() for _ in range(3)], replicas=2)
@@ -193,27 +182,12 @@ class TestEnvelopeOnlyBackends:
         assert db.count("Emp") == 10
 
 
-class TestSurfacesAgree:
-    """(c) object surface == envelope surface, on every kind of fleet."""
+class TestFleetsAgree:
+    """(c) every kind of fleet gives the in-process answers, state and counters."""
 
-    def _drive_object(self, router, dph, encrypted):
+    def _drive(self, router, dph, encrypted):
         answers = {}
-        router.store_relation("Emp", encrypted, dph.server_evaluator())
-        router.insert_tuple("Emp", _tuple(dph, "Zoe", "NEW"))
-        result = router.execute_query("Emp", _query(dph, "dept", "HR"))
-        answers["query"] = protocol.encode_evaluation_result(result)
-        batch = router.execute_batch(
-            "Emp", [_query(dph, "dept", "IT"), _query(dph, "dept", "NEW")]
-        )
-        answers["batch"] = protocol.encode_result_batch(batch)
-        it_ids = _ids_of(batch[0])
-        answers["exact"] = router.delete_tuples_exact("Emp", it_ids[:3] + it_ids[:1])
-        answers["count"] = router.delete_tuples("Emp", it_ids[2:6])
-        return answers
-
-    def _drive_envelopes(self, router, dph, encrypted):
-        answers = {}
-        router.register_evaluator("Emp", dph.server_evaluator())
+        register_evaluator(router, "Emp", dph.server_evaluator())
         _envelope(
             router,
             MessageKind.STORE_RELATION,
@@ -249,8 +223,6 @@ class TestSurfacesAgree:
                 MessageKind.TUPLE_IDS,
             ).body
         )
-        # router.delete_tuples counts through DELETE_TUPLES_EXACT whenever
-        # every shard serves it, which all three fleets here do
         answers["count"] = len(
             protocol.decode_tuple_ids(
                 _envelope(
@@ -263,55 +235,53 @@ class TestSurfacesAgree:
         )
         return answers
 
+    def _run(self, kind, secret_key):
+        # identical ciphertexts on every fleet: same key, same seed
+        dph = SearchableSelectDph(SCHEMA, secret_key, backend="swp", rng=DeterministicRng(5))
+        encrypted = dph.encrypt_relation(Relation.from_rows(SCHEMA, ROWS))
+        servers = [OutsourcedDatabaseServer() for _ in range(3)]
+        with _fleet(kind, servers, replicas=2) as router:
+            answers = self._drive(router, dph, encrypted)
+            return answers, _provider_state(servers), router.stats.as_dict()
+
     @pytest.mark.parametrize("kind", FLEET_KINDS)
     def test_same_answers_state_and_counters(self, kind, secret_key):
-        def run(drive):
-            # identical ciphertexts on both sides: same key, same seed
-            dph = SearchableSelectDph(
-                SCHEMA, secret_key, backend="swp", rng=DeterministicRng(5)
-            )
-            encrypted = dph.encrypt_relation(Relation.from_rows(SCHEMA, ROWS))
-            servers = [OutsourcedDatabaseServer() for _ in range(3)]
-            with _fleet(kind, servers, replicas=2) as router:
-                answers = drive(router, dph, encrypted)
-                return answers, _provider_state(servers), router.stats.as_dict()
-
-        object_side = run(self._drive_object)
-        envelope_side = run(self._drive_envelopes)
-        assert object_side[0] == envelope_side[0]  # decoded answers
-        assert object_side[0]["count"] == 3  # ids 2..5, one already deleted
-        assert object_side[1] == envelope_side[1]  # provider state
-        assert object_side[2] == envelope_side[2]  # cluster_*_total counters
-        counters = object_side[2]
+        answers, state, counters = self._run(kind, secret_key)
+        reference = self._run("in-process", secret_key)
+        assert answers == reference[0]  # decoded answers
+        assert answers["count"] == 3  # ids 2..5, one already deleted
+        assert state == reference[1]  # provider state
+        scatters = counters.pop("loop_scatters")
+        reference[2].pop("loop_scatters")
+        assert counters == reference[2]  # cluster_*_total counters
         assert counters["routed_inserts"] == 1 and counters["scatter_reads"] == 2
-        if kind == "pipelined":
-            # store, insert, query, batch, two deletes: all on the event loop
-            assert counters["loop_scatters"] == 6
-        else:
-            assert counters["loop_scatters"] == 0
+        # deploy, store, insert, query, batch, two deletes: all on the event loop
+        assert scatters == (7 if kind == "pipelined" else 0)
 
 
 class TestSurfacesFailAlike:
-    """Bugfix: a dying backend surfaces as ClusterError on both surfaces."""
+    """Bugfix: a dying backend is an ``ERROR`` answer, never an escape."""
 
     def _fleet(self, replicas, dph, encrypted):
         shards = [DyingServer() for _ in range(3)]
         router = ShardRouter(shards, replicas=replicas)
-        router.store_relation("Emp", encrypted, dph.server_evaluator())
+        store_relation(router, "Emp", encrypted, dph.server_evaluator())
         for shard in shards:
             shard.down = True
         return router
 
     @pytest.mark.parametrize("replicas", [1, 2])
-    def test_object_surface_raises_cluster_error(self, replicas, dph, encrypted):
+    def test_the_request_helper_raises_the_cause(self, replicas, dph, encrypted):
         router = self._fleet(replicas, dph, encrypted)
         some_id = encrypted.encrypted_tuples[0].tuple_id
-        with pytest.raises(ClusterError, match="down"):
-            router.insert_tuple("Emp", _tuple(dph, "Zoe"))
-        with pytest.raises(ClusterError, match="down"):
-            router.delete_tuples("Emp", [some_id])
-        with pytest.raises(ClusterError, match="down"):
-            router.execute_query("Emp", _query(dph, "dept", "HR"))
+        with pytest.raises(ServerError, match="down"):
+            insert_tuple(router, "Emp", _tuple(dph, "Zoe"))
+        with pytest.raises(ServerError, match="down"):
+            delete_tuples(router, "Emp", [some_id])
+        with pytest.raises(ServerError, match="down"):
+            execute_query(router, "Emp", _query(dph, "dept", "HR"))
+        with pytest.raises(ServerError, match="down"):
+            tuple_count(router, "Emp")
 
     @pytest.mark.parametrize("replicas", [1, 2])
     def test_envelope_surface_answers_error(self, replicas, dph, encrypted):
@@ -327,29 +297,29 @@ class TestSurfacesFailAlike:
 
 
 class TestOneCache:
-    """(d) both surfaces fill and hit the same coordinator cache entries."""
+    """(d) single queries and batches fill and hit the same cache entries."""
 
     def _fleet(self, dph, encrypted, **options):
         shards = [DyingServer() for _ in range(3)]
         router = ShardRouter(shards, cache=True, **options)
-        router.store_relation("Emp", encrypted, dph.server_evaluator())
+        store_relation(router, "Emp", encrypted, dph.server_evaluator())
         return router, shards
 
-    def test_object_fill_serves_an_envelope_batch(self, dph, encrypted):
+    def test_query_fills_serve_a_batch(self, dph, encrypted):
         router, _ = self._fleet(dph, encrypted)
         hr, it = _query(dph, "dept", "HR"), _query(dph, "dept", "IT")
-        filled = [router.execute_query("Emp", hr), router.execute_query("Emp", it)]
-        reads = router.stats.scatter_reads
+        filled = [execute_query(router, "Emp", hr), execute_query(router, "Emp", it)]
+        reads = router.stats.as_dict()["scatter_reads"]
         batch = _envelope(
             router,
             MessageKind.BATCH_QUERY,
             protocol.encode_query_batch([hr, it]),
             MessageKind.BATCH_RESULT,
         )
-        assert router.stats.scatter_reads == reads  # both elements were hits
+        assert router.stats.as_dict()["scatter_reads"] == reads  # both elements were hits
         assert protocol.decode_result_batch(batch.body) == tuple(filled)
 
-    def test_envelope_batch_fill_serves_the_object_surface(self, dph, encrypted):
+    def test_a_batch_fill_serves_queries_and_batches(self, dph, encrypted):
         router, _ = self._fleet(dph, encrypted)
         hr, it = _query(dph, "dept", "HR"), _query(dph, "dept", "IT")
         batch = _envelope(
@@ -358,16 +328,16 @@ class TestOneCache:
             protocol.encode_query_batch([hr, it]),
             MessageKind.BATCH_RESULT,
         )
-        reads = router.stats.scatter_reads
-        assert router.execute_query("Emp", it) == protocol.decode_result_batch(batch.body)[1]
-        assert router.execute_batch("Emp", [it, hr])[1] is not None
-        assert router.stats.scatter_reads == reads
+        reads = router.stats.as_dict()["scatter_reads"]
+        assert execute_query(router, "Emp", it) == protocol.decode_result_batch(batch.body)[1]
+        assert execute_batch(router, "Emp", [it, hr])[1] is not None
+        assert router.stats.as_dict()["scatter_reads"] == reads
 
-    def test_a_degraded_read_fills_nothing_on_either_surface(self, dph, encrypted):
+    def test_a_degraded_read_fills_nothing(self, dph, encrypted):
         router, shards = self._fleet(dph, encrypted, policy=DEGRADED)
         shards[1].down = True
         hr = _query(dph, "dept", "HR")
-        partial = router.execute_query("Emp", hr)
+        partial = execute_query(router, "Emp", hr)
         assert len(partial.matching) < 9 and len(router.cache) == 0
         _envelope(
             router,
@@ -375,9 +345,9 @@ class TestOneCache:
             protocol.encode_encrypted_query(hr),
             MessageKind.QUERY_RESULT,
         )
-        assert len(router.cache) == 0 and router.stats.degraded_reads == 2
+        assert len(router.cache) == 0 and router.stats.as_dict()["degraded_reads"] == 2
         shards[1].down = False
-        assert len(router.execute_query("Emp", hr).matching) == 9  # no replay
+        assert len(execute_query(router, "Emp", hr).matching) == 9  # no replay
 
 
 class TestRefusedKindFallsBackToScan:
@@ -392,9 +362,9 @@ class TestRefusedKindFallsBackToScan:
             outcome = db.select(Selection.equals("dept", "HR"), table="Emp")
             assert len(outcome.relation) == 9
             assert db.index_active  # the fleet as a whole still serves lookups
-            assert router.stats.index_scan_fallbacks == 1
-            assert router.stats.index_lookups == 1
-            assert (router.stats.loop_scatters > 0) == (kind == "pipelined")
+            assert router.stats.as_dict()["index_scan_fallbacks"] == 1
+            assert router.stats.as_dict()["index_lookups"] == 1
+            assert (router.stats.as_dict()["loop_scatters"] > 0) == (kind == "pipelined")
 
     def test_through_a_single_provider_session(self, secret_key, rng):
         db = EncryptedDatabase.open(secret_key, server=NoLookupServer(), rng=rng, index=True)

@@ -6,6 +6,7 @@ from repro.api import EncryptedDatabase
 from repro.cluster import ShardRouter
 from repro.outsourcing import OutsourcedDatabaseServer
 from repro.outsourcing.protocol import MessageKind, MessageV2, decode_tuple_ids, parse_message
+from provider_calls import list_tuple_ids
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
 ROWS = [(f"emp{i}", "HR" if i % 2 else "IT", 1000 + i) for i in range(24)]
@@ -54,7 +55,7 @@ class TestRouterIdListing:
         try:
             db.create_table(EMP_DECL, rows=ROWS)
             router = db.server
-            ids = router.list_tuple_ids("Emp")
+            ids = list_tuple_ids(router, "Emp")
             assert len(ids) == len(ROWS)
             assert len(set(ids)) == len(ids)
             assert list(ids) == sorted(ids)

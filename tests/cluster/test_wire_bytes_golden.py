@@ -6,7 +6,9 @@ each shard received and the bytes the session got back are folded into a
 digest.  ``GOLDEN`` holds the digests captured on the parent commit
 (54addf2, where the router still had its if-chain and scatter twins), so
 a plan-table entry that addresses other shards, re-frames an envelope or
-merges differently fails here by kind.
+merges differently fails here by kind.  The DDL and metadata kinds
+(``deploy-evaluator`` ... ``list-relations``) were pinned when they became
+envelopes; the v1 entries went with the v1 envelope.
 
 Regenerate (only when a wire change is intended):
 ``PYTHONPATH=src python tests/cluster/test_wire_bytes_golden.py``
@@ -24,7 +26,6 @@ from repro.crypto.keys import SecretKey
 from repro.crypto.rng import DeterministicRng
 from repro.outsourcing import OutsourcedDatabaseServer
 from repro.outsourcing.protocol import (
-    Message,
     MessageKind,
     MessageV2,
     attach_trace,
@@ -100,19 +101,20 @@ def transcript(replicas: int, cache) -> dict[str, str]:
     indexed = EncryptedDatabase.open(
         key, server=tap, rng=DeterministicRng(11), index=True
     )
-    indexed.create_table(EMP_DECL, rows=ROWS)  # STORE_RELATION, INDEX_PUT
+    # RELATION_NAMES, REGISTER_EVALUATOR, STORE_RELATION, INDEX_PUT
+    indexed.create_table(EMP_DECL, rows=ROWS)
     indexed.insert("Emp", {"name": "Zoe", "dept": "NEW", "salary": 1})
     for _ in range(2):  # INDEX_LOOKUP; the repeat is a hit on a cached router
         indexed.select(Selection.equals("dept", "HR"), table="Emp")
     indexed.update(Selection.equals("name", "emp3"), {"salary": 9}, table="Emp")
     indexed.delete(Selection.equals("name", "emp5"), table="Emp")  # EXACT + DELTA
-    indexed.count("Emp")
+    indexed.count("Emp")  # TUPLE_COUNT
     tap.handle_message(
         MessageV2(kind=MessageKind.LIST_TUPLE_IDS, relation_name="Emp").to_bytes()
     )
 
     plain = EncryptedDatabase.open(key, server=tap, rng=DeterministicRng(13))
-    plain.attach_table(EMP_DECL)
+    plain.attach_table(EMP_DECL)  # RELATION_NAMES, FETCH_RELATION, REGISTER_EVALUATOR
     for _ in range(2):  # QUERY; the repeat is a hit on a cached router
         plain.select(Selection.equals("dept", "IT"), table="Emp")
     plain.select_many(  # BATCH_QUERY: one element already cached, one new
@@ -127,22 +129,16 @@ def transcript(replicas: int, cache) -> dict[str, str]:
         MessageV2(MessageKind.DELETE_TUPLES, "Emp", b"\x00\x00\x00\x00"),
         MessageV2(MessageKind.QUERY, "Nope", _body(tap, MessageKind.QUERY)),
         MessageV2(MessageKind.ACK, "Emp", b""),
+        MessageV2(MessageKind.DROP_RELATION, "Nope"),
     ):
         tap.handle_message(envelope.to_bytes())
 
-    # The same requests again as v3 (traced) and, where v1 can carry the
-    # kind, as v1 envelopes.  Replays mutate the fleet, deterministically.
+    # The same requests again as v3 (traced).  Replays mutate the fleet,
+    # deterministically.
     recorded = list(tap.sent)
     for raw in recorded:
         tap.handle_message(attach_trace(raw, TRACE_ID))
-    for raw in recorded:
-        request = parse_message(raw)
-        if request.kind in (
-            MessageKind.STORE_RELATION, MessageKind.INSERT_TUPLE, MessageKind.QUERY
-        ):
-            tap.handle_message(
-                Message(request.kind, request.relation_name, request.body).to_bytes()
-            )
+    plain.drop_table("Emp")  # DROP_RELATION of a stored relation
     router.close()
     return {label: digest.hexdigest()[:16] for label, digest in sorted(tap.digests.items())}
 
@@ -173,75 +169,96 @@ GOLDEN = {'replicas=1': {'ack/v2': '444c08f3560e97a2',
                 'ack/v3': '444c08f3560e97a2',
                 'batch-query/v2': 'd4e04991b6412d40',
                 'batch-query/v3': 'cf87bf62b8552433',
+                'count-tuples/v2': '67bdb67547a14250',
+                'count-tuples/v3': '67bdb67547a14250',
+                'delete-relation/v2': '2cfb04c654c1737a',
+                'delete-relation/v3': '19c05051ee30cb20',
                 'delete-tuples-exact/v2': 'a4b2e5d33b101aa7',
                 'delete-tuples-exact/v3': 'c4781a985b733b7d',
                 'delete-tuples/v2': 'ad55aee130acaa93',
                 'delete-tuples/v3': 'ad55aee130acaa93',
+                'deploy-evaluator/v2': '8a99d022a27b526c',
+                'deploy-evaluator/v3': '475ec6bb71858696',
+                'fetch-relation/v2': '7f1f0c3004f5ec90',
+                'fetch-relation/v3': '993f051ecffa827f',
                 'index-delta/v2': 'fe68bc41fd1b0e4b',
                 'index-delta/v3': 'ffd41487dcba0003',
                 'index-lookup/v2': '3a944f80a98e11a2',
                 'index-lookup/v3': '093dd4655cf81cbc',
                 'index-put/v2': '31af14edb9954ec0',
                 'index-put/v3': '9eae7367ff33aa02',
-                'insert-tuple/v1': '7ed144c5e1f7bd47',
                 'insert-tuple/v2': 'cdeeeab4b6a49107',
                 'insert-tuple/v3': '2ad61db51fcb0849',
+                'list-relations/v2': '245a7ee962d04f7f',
+                'list-relations/v3': 'b258e1b3a95dfb53',
                 'list-tuple-ids/v2': 'a1e67b8d85a85e26',
                 'list-tuple-ids/v3': '7ac91d6b3dda3f7d',
-                'query/v1': 'c787c01da8b716ee',
                 'query/v2': '6444b8aac00bfcc0',
                 'query/v3': 'f1e7d064ded56364',
-                'store-relation/v1': 'a1f31c62b19fff79',
                 'store-relation/v2': '4bc45e1668c4e185',
                 'store-relation/v3': '4bc45e1668c4e185'},
  'replicas=2': {'ack/v2': '444c08f3560e97a2',
                 'ack/v3': '444c08f3560e97a2',
                 'batch-query/v2': '835755508e34ca9d',
                 'batch-query/v3': '7ec332569b306f4d',
+                'count-tuples/v2': '67bdb67547a14250',
+                'count-tuples/v3': '67bdb67547a14250',
+                'delete-relation/v2': '2cfb04c654c1737a',
+                'delete-relation/v3': '19c05051ee30cb20',
                 'delete-tuples-exact/v2': 'a4b2e5d33b101aa7',
                 'delete-tuples-exact/v3': 'c4781a985b733b7d',
                 'delete-tuples/v2': 'ad55aee130acaa93',
                 'delete-tuples/v3': 'ad55aee130acaa93',
+                'deploy-evaluator/v2': '8a99d022a27b526c',
+                'deploy-evaluator/v3': '475ec6bb71858696',
+                'fetch-relation/v2': '8b90b1d0c2fc1f21',
+                'fetch-relation/v3': 'ef151380c7de13ca',
                 'index-delta/v2': 'fe68bc41fd1b0e4b',
                 'index-delta/v3': 'ffd41487dcba0003',
                 'index-lookup/v2': 'fd45db56ff9f4b97',
                 'index-lookup/v3': '7b1bc77e308abad7',
                 'index-put/v2': '31af14edb9954ec0',
                 'index-put/v3': '9eae7367ff33aa02',
-                'insert-tuple/v1': 'ecd43fd70e67ab06',
                 'insert-tuple/v2': '96db573cf987fe54',
                 'insert-tuple/v3': 'dbfa2a77800a285e',
+                'list-relations/v2': '245a7ee962d04f7f',
+                'list-relations/v3': 'b258e1b3a95dfb53',
                 'list-tuple-ids/v2': 'a1e67b8d85a85e26',
                 'list-tuple-ids/v3': '7ac91d6b3dda3f7d',
-                'query/v1': '35c2e7867b0319a3',
                 'query/v2': '7b75aef482761fcb',
                 'query/v3': 'fad1d263c697befc',
-                'store-relation/v1': '896244eca5b386fe',
                 'store-relation/v2': '5a9fe0e98125ba93',
                 'store-relation/v3': '5a9fe0e98125ba93'},
  'replicas=2,cache': {'ack/v2': '444c08f3560e97a2',
                       'ack/v3': '444c08f3560e97a2',
                       'batch-query/v2': 'b27155d56ae1bf6d',
                       'batch-query/v3': 'b27155d56ae1bf6d',
+                      'count-tuples/v2': '67bdb67547a14250',
+                      'count-tuples/v3': '67bdb67547a14250',
+                      'delete-relation/v2': '2cfb04c654c1737a',
+                      'delete-relation/v3': '19c05051ee30cb20',
                       'delete-tuples-exact/v2': 'a4b2e5d33b101aa7',
                       'delete-tuples-exact/v3': 'c4781a985b733b7d',
                       'delete-tuples/v2': 'ad55aee130acaa93',
                       'delete-tuples/v3': 'ad55aee130acaa93',
+                      'deploy-evaluator/v2': '8a99d022a27b526c',
+                      'deploy-evaluator/v3': '475ec6bb71858696',
+                      'fetch-relation/v2': '8b90b1d0c2fc1f21',
+                      'fetch-relation/v3': 'ef151380c7de13ca',
                       'index-delta/v2': 'fe68bc41fd1b0e4b',
                       'index-delta/v3': 'ffd41487dcba0003',
                       'index-lookup/v2': '879e82c837196621',
                       'index-lookup/v3': '89cf47b2a3b4658c',
                       'index-put/v2': '31af14edb9954ec0',
                       'index-put/v3': '9eae7367ff33aa02',
-                      'insert-tuple/v1': 'ecd43fd70e67ab06',
                       'insert-tuple/v2': '96db573cf987fe54',
                       'insert-tuple/v3': 'dbfa2a77800a285e',
+                      'list-relations/v2': '245a7ee962d04f7f',
+                      'list-relations/v3': 'b258e1b3a95dfb53',
                       'list-tuple-ids/v2': 'a1e67b8d85a85e26',
                       'list-tuple-ids/v3': '7ac91d6b3dda3f7d',
-                      'query/v1': 'e7d8a88dac4cc7d1',
                       'query/v2': '4c1b3816f5faaddb',
                       'query/v3': 'a549c1d2dd55d8f3',
-                      'store-relation/v1': '896244eca5b386fe',
                       'store-relation/v2': '5a9fe0e98125ba93',
                       'store-relation/v3': '5a9fe0e98125ba93'}}
 
@@ -252,17 +269,12 @@ def test_wire_bytes_match_the_parent_commit(config):
 
 
 def test_every_routed_kind_is_pinned():
-    routed = {
-        MessageKind.STORE_RELATION, MessageKind.INSERT_TUPLE, MessageKind.QUERY,
-        MessageKind.DELETE_TUPLES, MessageKind.BATCH_QUERY,
-        MessageKind.LIST_TUPLE_IDS, MessageKind.DELETE_TUPLES_EXACT,
-        MessageKind.INDEX_PUT, MessageKind.INDEX_DELTA, MessageKind.INDEX_LOOKUP,
-    }
+    routed = set(ShardRouter._PLANS)
+    assert MessageKind.REGISTER_EVALUATOR in routed
     for config, digests in GOLDEN.items():
         pinned = {label.split("/")[0] for label in digests}
         assert {kind.value for kind in routed} <= pinned, config
-        for v1_kind in ("store-relation", "insert-tuple", "query"):
-            assert f"{v1_kind}/v1" in digests, config
+        assert {label.split("/")[1] for label in digests} == {"v2", "v3"}, config
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """Index maintenance edge cases on the serving path.
 
 Covers the corners the happy path skips: labels emptied by the last
-delete, bucket-cap overflow spill, v1 providers negotiating the session
-back to scans, mixed fleets where only some shards speak the index ops,
-and the exact-delete protocol op under duplicates and replays.
+delete, bucket-cap overflow spill, v1 providers refused outright, mixed
+fleets where only some shards speak the index ops, and the exact-delete
+protocol op under duplicates and replays.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import pytest
 from repro.api import EncryptedDatabase
 from repro.outsourcing import OutsourcedDatabaseServer
 from repro.outsourcing.protocol import (
-    PROTOCOL_V1,
     MessageKind,
+    ProtocolError,
     UNSERVED_KIND_REFUSAL,
 )
 from repro.outsourcing.server import ServerError
@@ -75,7 +75,7 @@ class TestOverflowSpill:
 class V1OnlyServer(OutsourcedDatabaseServer):
     """A provider from before the v2 envelope existed."""
 
-    SUPPORTED_PROTOCOL_VERSIONS = (PROTOCOL_V1,)
+    SUPPORTED_PROTOCOL_VERSIONS = (1,)
 
 
 _INDEX_KINDS = frozenset(
@@ -106,15 +106,11 @@ class NoLookupServer(NoIndexServer):
 
 
 class TestV1Negotiation:
-    def test_v1_provider_disables_indexing_silently(self, secret_key, rng):
-        db = EncryptedDatabase.open(
-            secret_key, server=V1OnlyServer(), rng=rng, index=True
-        )
-        assert not db.index_enabled
-        assert not db.index_active
-        db.create_table(EMP_DECL, rows=ROWS)
-        outcome = db.select("SELECT * FROM Emp WHERE dept = 'HR'")
-        assert len(outcome.relation) == 10
+    def test_a_v1_provider_is_refused_not_downgraded(self, secret_key, rng):
+        # It cannot take a DDL envelope, so no session -- indexed or not --
+        # can run on it.
+        with pytest.raises(ProtocolError, match="no common protocol version"):
+            EncryptedDatabase.open(secret_key, server=V1OnlyServer(), rng=rng, index=True)
 
 
 class TestPreIndexProvider:
@@ -146,8 +142,8 @@ class TestMixedFleet:
         outcome = db.select("SELECT * FROM Emp WHERE dept = 'HR'")
         assert len(outcome.relation) == 10
         # the lookup was served: indexed on one shard, by scan on the other
-        assert db.server.stats.index_lookups >= 1
-        assert db.server.stats.index_scan_fallbacks >= 1
+        assert db.server.stats.as_dict()["index_lookups"] >= 1
+        assert db.server.stats.as_dict()["index_scan_fallbacks"] >= 1
         assert db.index_active  # per-shard fallback never disables the session
 
     def test_results_match_an_unindexed_twin(self, secret_key, rng):

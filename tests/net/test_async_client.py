@@ -16,7 +16,8 @@ from repro.net import (
     RemoteServerProxy,
     ThreadedTcpServer,
 )
-from repro.outsourcing import OutsourcedDatabaseServer
+from repro.outsourcing import MessageKind, MessageV2, OutsourcedDatabaseServer
+from provider_calls import list_tuple_ids
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
 ROWS = [("A", "HR", 1), ("B", "IT", 2), ("C", "HR", 3)]
@@ -112,7 +113,7 @@ class TestAsyncProxyDuckType:
                 thread.join(timeout=30)
             assert not errors, errors
             # One proxy, one socket: the provider saw a single connection.
-            assert provider.server.stats.connections_total == 1
+            assert provider.server.stats.as_dict()["connections_total"] == 1
         finally:
             proxy.close()
 
@@ -215,7 +216,7 @@ class TestAsyncReconnect:
             frames = []
             while not frames:  # the hello
                 frames += decoder.feed(conn.recv(65536))
-            response = {"ok": True, "version": 2, "versions": [1, 2], "server": "rogue"}
+            response = {"ok": True, "version": 2, "versions": [2], "server": "rogue"}
             conn.sendall(
                 encode_frame(
                     json.dumps(response).encode(),
@@ -231,10 +232,11 @@ class TestAsyncReconnect:
         server_thread.start()
         proxy = AsyncRemoteServerProxy("127.0.0.1", port, timeout=10.0)
         try:
-            # drop-relation is the non-idempotent control op: delivered but
+            # DROP_RELATION is a non-idempotent envelope: delivered but
             # unanswered, it must surface instead of being replayed.
+            drop = MessageV2(kind=MessageKind.DROP_RELATION, relation_name="X")
             with pytest.raises(ConnectionLostError) as excinfo:
-                proxy.drop_relation("X")
+                proxy.handle_message(drop.to_bytes())
             assert excinfo.value.request_delivered
         finally:
             proxy.close()
@@ -247,8 +249,6 @@ class TestCancellationOrphans:
         """Cancelling one in-flight request leaves the connection healthy;
         the provider's late answer is dropped, not misdelivered."""
         from gated_provider import GatedServer, store_empty
-
-        from repro.outsourcing.protocol import MessageKind, MessageV2
 
         database = GatedServer()
         store_empty(database, EMP_DECL)
@@ -278,8 +278,8 @@ class TestCancellationOrphans:
                 gate.set()
                 # The connection survives and serves later calls; the slow
                 # relation's late answer became an orphan frame.
-                assert proxy.list_tuple_ids("Fast") == ()
-                assert proxy.list_tuple_ids("Emp") == ()
+                assert list_tuple_ids(proxy, "Fast") == ()
+                assert list_tuple_ids(proxy, "Emp") == ()
                 assert proxy.orphan_frames >= 1
             finally:
                 proxy.close()

@@ -324,8 +324,8 @@ class TestWhichThreadAnswers:
             stats = server.server.stats
             # Inline answers are dispatched requests, but no pool worker ran
             # them: the peak is a statement about the pool.
-            assert stats.requests_dispatched == 4
-            assert stats.peak_concurrent_dispatch == 1
+            assert stats.as_dict()["requests_dispatched"] == 4
+            assert stats.as_dict()["peak_concurrent_dispatch"] == 1
             assert list(stats.as_dict())[-3:] == [
                 "dispatch_workers", "peak_concurrent_dispatch", "requests_dispatched",
             ]
@@ -398,7 +398,7 @@ class TestWhichThreadAnswers:
                 assert database.scanning.wait(timeout=10)
                 send_frame(reader, lookup("Emp", L1), correlation=2)
                 deadline = time.monotonic() + 10
-                while server.server.stats.envelope_frames < 2:
+                while server.server.stats.as_dict()["envelope_frames"] < 2:
                     assert time.monotonic() < deadline
                     time.sleep(0.005)
                 database.release.set()

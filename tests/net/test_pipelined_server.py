@@ -258,7 +258,7 @@ class TestPipelinedConnections:
             finally:
                 sock.close()
             stats = server.server.stats
-            assert stats.dispatch_workers == 3
-            assert stats.peak_concurrent_dispatch >= 2
-            assert stats.requests_dispatched >= 2
+            assert stats.as_dict()["dispatch_workers"] == 3
+            assert stats.as_dict()["peak_concurrent_dispatch"] >= 2
+            assert stats.as_dict()["requests_dispatched"] >= 2
             assert "dispatch 3 worker(s)" in stats.throughput_summary()

@@ -47,7 +47,7 @@ from repro.schemes.plaintext import PlaintextDph
 SCHEMA = RelationSchema.parse("Emp(name:string[8], dept:string[4])")
 L1, L2 = b"\x01" * 32, b"\x02" * 32
 MAX_FRAME = 4096
-HELLO = json.dumps({"op": "hello", "versions": [1, 2, 3]}).encode()
+HELLO = json.dumps({"op": "hello", "versions": [2, 3]}).encode()
 
 
 def indexed_provider() -> tuple[OutsourcedDatabaseServer, PlaintextDph]:
@@ -299,6 +299,30 @@ def test_a_violation_is_one_control_error_then_a_close(provider_port, violation,
         assert time.monotonic() - started < 2.0
     finally:
         sock.close()
+
+
+@pytest.mark.parametrize("hello_first", [False, True], ids=["before-hello", "after-hello"])
+def test_a_deeply_nested_control_frame_is_one_control_error_then_a_close(hello_first):
+    """Nesting past the JSON parser's recursion limit is a malformed frame,
+    not an exception escaping the transport's read callback."""
+    with ThreadedTcpServer() as server:
+        if hello_first:
+            sock = hello_client(server.port)
+        else:
+            sock = socket.create_connection(("127.0.0.1", server.port), timeout=2.0)
+            sock.settimeout(2.0)
+        try:
+            send_frame(sock, b"[" * 200_000, channel=CHANNEL_CONTROL, correlation=7)
+            error = recv_frame(sock)
+            assert error.channel == CHANNEL_CONTROL and error.correlation == 7
+            answer = json.loads(error.payload)
+            assert answer["ok"] is False
+            assert "malformed control frame" in answer["error"]
+            assert recv_frame(sock) is None
+        finally:
+            sock.close()
+        fresh = hello_client(server.port)  # and the server serves on
+        fresh.close()
 
 
 @given(junk=st.binary(max_size=512))

@@ -5,9 +5,9 @@ an inline answer while X is idle, may touch X's map, and a ``load``
 snapshot is one C-level ``tuple()`` over it.  Here four client threads hit
 one provider at once with the interpreter switching threads every
 microsecond: lone inserts to ``A`` (answered on the event loop), scans of
-``B`` (dispatch workers), ``tuple-count`` reads of ``A`` (workers, queued
-under ``A``'s key) and the ``stats`` / ``metrics`` / ``relation-names``
-control operations (workers, another key).  No request may fail, no scan
+``B`` (dispatch workers), ``TUPLE_COUNT`` reads of ``A`` (workers, queued
+under ``A``'s key), and the ``stats`` / ``metrics`` control operations and
+``RELATION_NAMES`` envelopes (workers, other keys).  No request may fail, no scan
 may see a torn ``B``, no count of ``A`` may go backwards or past what was
 acknowledged, and ``A`` must end holding exactly the inserted tuples, in
 order.
@@ -28,6 +28,7 @@ from repro.outsourcing.protocol import (
     MessageV2,
     decode_count,
     decode_evaluation_result,
+    decode_relation_names,
     encode_encrypted_query,
     encode_encrypted_tuple,
     parse_message,
@@ -103,7 +104,7 @@ def test_inline_writes_beside_worker_scans_and_control_ops():
         seen = 0
         for _ in range(ROUNDS * 2):
             done = len(acknowledged)
-            count = _control(sock, {"op": "tuple-count", "relation": "A"})["count"]
+            count = decode_count(_envelope(sock, MessageKind.TUPLE_COUNT, "A", b"").body)
             assert done <= count <= INSERTS  # nothing lost, nothing invented
             assert count >= seen
             seen = count
@@ -112,7 +113,8 @@ def test_inline_writes_beside_worker_scans_and_control_ops():
         for _ in range(ROUNDS):
             assert _control(sock, {"op": "stats"})["relations"] == ["A", "B"]
             assert _control(sock, {"op": "metrics"})["metrics"]["counters"]
-            assert _control(sock, {"op": "relation-names"})["names"] == ["A", "B"]
+            names = _envelope(sock, MessageKind.RELATION_NAMES, "", b"").body
+            assert decode_relation_names(names) == ("A", "B")
 
     def guarded(work, sock):
         try:

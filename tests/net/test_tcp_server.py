@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from repro.api import EncryptedDatabase
+from repro.api import DatabaseError, EncryptedDatabase
 from repro.net import (
     CHANNEL_CONTROL,
     CHANNEL_ENVELOPE,
@@ -21,7 +21,6 @@ from repro.net import (
 )
 from repro.net.client import ConnectionLostError, ConnectionPool, RemoteConnection, parse_tcp_url
 from repro.outsourcing import MessageKind, MessageV2, OutsourcedDatabaseServer
-from repro.outsourcing.protocol import PROTOCOL_V1
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
 
@@ -51,15 +50,18 @@ class TestHelloNegotiation:
         try:
             hello = send_hello(sock)
             assert hello["ok"] and hello["version"] == 2
-            assert hello["versions"] == [1, 2, 3]
+            assert hello["versions"] == [2, 3]
             assert hello["max_frame_size"] > 0
         finally:
             sock.close()
 
-    def test_v1_only_client_gets_v1(self, provider):
+    def test_v1_only_client_is_refused(self, provider):
         sock = raw_connection(provider.port)
         try:
-            assert send_hello(sock, versions=(1,))["version"] == 1
+            hello = send_hello(sock, versions=(1,))
+            assert not hello["ok"]
+            assert "no common protocol version" in hello["error"]
+            assert recv_frame(sock) is None  # server hung up
         finally:
             sock.close()
 
@@ -84,20 +86,15 @@ class TestHelloNegotiation:
         finally:
             sock.close()
 
-    def test_proxy_against_v1_only_provider(self):
+    def test_proxy_refuses_a_v1_only_provider(self):
         class V1OnlyServer(OutsourcedDatabaseServer):
-            SUPPORTED_PROTOCOL_VERSIONS = (PROTOCOL_V1,)
+            SUPPORTED_PROTOCOL_VERSIONS = (1,)
 
         with ThreadedTcpServer(V1OnlyServer()) as server:
-            proxy = RemoteServerProxy("127.0.0.1", server.port)
-            try:
-                assert proxy.supported_protocol_versions == (PROTOCOL_V1,)
-                db = EncryptedDatabase.connect(proxy)
-                assert db.protocol_version == PROTOCOL_V1
-                db.create_table(EMP_DECL, rows=[("A", "HR", 1)])
-                assert len(db.select("SELECT * FROM Emp WHERE dept = 'HR'").relation) == 1
-            finally:
-                proxy.close()
+            with pytest.raises(RemoteError, match="no common protocol version"):
+                RemoteServerProxy("127.0.0.1", server.port)
+            with pytest.raises(DatabaseError, match="no common protocol version"):
+                EncryptedDatabase.connect(f"tcp://127.0.0.1:{server.port}")
 
 
 class TestHostileBytes:
@@ -198,8 +195,8 @@ class TestConcurrentClients:
         for thread in threads:
             thread.join(timeout=60)
         assert not errors, errors
-        stats = provider.server.stats
-        assert stats.connections_total >= 6
+        stats = provider.server.stats.as_dict()
+        assert stats["connections_total"] >= 6
         names = provider.server.database_server.relation_names
         assert set(names) == {f"T{i}" for i in range(6)}
 
@@ -211,7 +208,7 @@ class TestConcurrentClients:
         stats = proxy.server_stats()
         assert stats["stats"]["connections_total"] >= 1
         assert stats["stats"]["envelope_frames"] >= 2  # store + query
-        assert stats["stats"]["control_frames"] >= 2  # hello + register
+        assert stats["stats"]["control_frames"] == 2  # hello + this read-out
         assert stats["audit"]["query-executed"] >= 1
         assert stats["relations"] == ["Emp"]
         db.close()
@@ -248,8 +245,6 @@ class TestReconnect:
         with pytest.raises(Exception) as excinfo:
             db.count("Emp")
         # surfaced through the facade's error type, not a raw socket error
-        from repro.api import DatabaseError
-
         assert isinstance(excinfo.value, DatabaseError)
         db.close()
 
@@ -310,7 +305,7 @@ class TestClientPieces:
         pool = ConnectionPool(factory, max_size=2)
         with pytest.raises(RemoteError):
             with pool.checkout() as connection:
-                connection.call_control("stored-relation", relation="nope")
+                connection.call_control("no-such-op")
         with pool.checkout() as connection:
             assert connection.call_control("ping")["ok"]
         assert len(built) == 1  # the same healthy connection served both
@@ -352,9 +347,12 @@ class TestGracefulShutdown:
         db.close()
         server.stop()
         stats = server.server.stats
-        assert stats.connections_active == 0
-        assert stats.connections_total >= 1
-        assert stats.frames_received == stats.envelope_frames + stats.control_frames
+        counts = stats.as_dict()
+        assert counts["connections_active"] == 0
+        assert counts["connections_total"] >= 1
+        assert counts["frames_received"] == (
+            counts["envelope_frames"] + counts["control_frames"]
+        )
         assert "connection(s)" in stats.throughput_summary()
 
     def test_double_stop_is_idempotent(self):

@@ -1,10 +1,12 @@
 """The TCP front-end reveals nothing the in-process provider does not.
 
-One seeded stream of DDL, indexed selects, inserts and deletes runs through
-an in-process provider and through ``tcp://`` (whose bounded requests are
+One seeded stream runs through an in-process provider and through
+``tcp://``: create, indexed selects, inserts and deletes, then a second
+session's attach, count and full fetch, and the drop -- every one of them an
+envelope.  (On ``tcp://`` the bounded requests are
 answered from the connection's read callback, the rest on dispatch
-workers -- every insert and delete among the former).  What the session
-receives -- every response envelope, byte for byte -- and what the provider
+workers -- every insert and delete among the former.)  What the sessions
+receive -- every response envelope, byte for byte -- and what the provider
 observes -- its audit sequence of ``(kind, relation_name, detail)`` -- must
 be identical.  The last test breaks the TCP path on purpose and checks the
 comparison notices.
@@ -97,6 +99,11 @@ def run(server, seed: int) -> tuple[list[bytes], list[tuple]]:
             db.insert("Emp", argument)
         else:
             replies.append(db.delete(argument))
+    other = EncryptedDatabase.open(KEY, server=recording, rng=DeterministicRng(seed))
+    other.attach_table(DECL)
+    replies.append(other.count("Emp"))
+    replies.append(sorted(map(repr, other.retrieve_all("Emp").tuples)))
+    db.drop_table("Emp")
     return recording.responses, replies
 
 
@@ -150,9 +157,10 @@ def test_tcp_transcript_equals_the_in_process_one(seed):
         AuditEventKind.TUPLE_INSERTED,
         AuditEventKind.INDEX_DELTA_APPLIED,
         AuditEventKind.TUPLES_DELETED,
+        AuditEventKind.RELATION_DROPPED,
     } <= kinds
     # Both receive paths took part: bounded requests inline, the rest on workers.
-    assert 0 < inline < stats.requests_dispatched
+    assert 0 < inline < stats.as_dict()["requests_dispatched"]
     # Every insert and delete was bounded, alone and on an idle relation.
     assert write_threads
     assert not [t for t in write_threads if t.startswith("repro-net-dispatch")]

@@ -115,3 +115,7 @@ class TestHelloCodecs:
             decode_control_response(b"[1, 2]")
         assert control_error({"error": "boom"}) == "boom"
         assert "unspecified" in control_error({})
+
+    def test_deeply_nested_control_payload_is_a_wire_error(self):
+        with pytest.raises(WireProtocolError, match="malformed control response"):
+            decode_control_response(b"[" * 200_000)

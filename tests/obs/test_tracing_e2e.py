@@ -2,8 +2,9 @@
 
 Covers the PR's acceptance path (a traced exact select on a two-shard
 indexed fleet assembling session, proxy, router, per-shard, dispatcher and
-access-method spans into one trace), the protocol-negotiation edges (v1 and
-pre-trace v2 providers keep working, their spans simply absent), the
+access-method spans into one trace), the protocol-negotiation edges
+(pre-trace v2 providers keep working, their spans simply absent; v1-only
+providers are refused), the
 old-name compatibility of the ``stats`` control operation, and the
 ``repro stats`` / ``repro trace`` subcommands over a live socket.
 """
@@ -18,7 +19,7 @@ from repro.net import ThreadedTcpServer
 from repro.obs import histogram_summaries
 from repro.outsourcing import OutsourcedDatabaseServer
 from repro.outsourcing.audit import ServerAuditLog
-from repro.outsourcing.protocol import PROTOCOL_V1, PROTOCOL_V2
+from repro.outsourcing.protocol import PROTOCOL_V2, ProtocolError
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
 ROWS = [(f"emp{i}", "HR" if i % 2 else "IT", 1000 + i) for i in range(24)]
@@ -27,13 +28,13 @@ ROWS = [(f"emp{i}", "HR" if i % 2 else "IT", 1000 + i) for i in range(24)]
 class V1OnlyServer(OutsourcedDatabaseServer):
     """A provider from before the v2 envelope existed."""
 
-    SUPPORTED_PROTOCOL_VERSIONS = (PROTOCOL_V1,)
+    SUPPORTED_PROTOCOL_VERSIONS = (1,)
 
 
 class PreTraceServer(OutsourcedDatabaseServer):
     """A v2 provider from before trace ids rode the envelope."""
 
-    SUPPORTED_PROTOCOL_VERSIONS = (PROTOCOL_V1, PROTOCOL_V2)
+    SUPPORTED_PROTOCOL_VERSIONS = (PROTOCOL_V2,)
 
 
 def _span_names(trace: dict) -> set[str]:
@@ -174,16 +175,9 @@ class TestTcpTracing:
 
 
 class TestNegotiationEdges:
-    def test_v1_provider_serves_untraced(self, secret_key, rng):
-        db = EncryptedDatabase.open(secret_key, server=V1OnlyServer(), rng=rng)
-        try:
-            db.create_table(EMP_DECL, rows=ROWS)
-            assert len(db.select("SELECT * FROM Emp WHERE dept = 'HR'").relation) == 12
-            trace = db.fetch_trace()
-            # the session still traces itself; the provider speaks no v3
-            assert "session.select" in _span_names(trace)
-        finally:
-            db.close()
+    def test_v1_provider_is_refused(self, secret_key, rng):
+        with pytest.raises(ProtocolError, match="no common protocol version"):
+            EncryptedDatabase.open(secret_key, server=V1OnlyServer(), rng=rng)
 
     def test_pre_trace_v2_provider_over_tcp(self, secret_key, rng):
         with ThreadedTcpServer(PreTraceServer()) as server:

@@ -1,4 +1,4 @@
-"""Evaluator description round trips (the remote deployment codec)."""
+"""Evaluator description round trips (the ``REGISTER_EVALUATOR`` body codec)."""
 
 from __future__ import annotations
 
@@ -12,10 +12,17 @@ from repro.core.dph import (
     EvaluationResult,
     ServerEvaluator,
 )
-from repro.net.evaluators import (
+from repro.outsourcing import MessageKind, MessageV2, OutsourcedDatabaseServer
+from repro.outsourcing.evaluators import (
     EvaluatorDescriptionError,
     build_evaluator,
     describe_evaluator,
+)
+from repro.outsourcing.protocol import (
+    ProtocolError,
+    decode_evaluator_description,
+    encode_evaluator_description,
+    parse_message,
 )
 from repro.relational.query import Selection
 from repro.schemes.registry import available_schemes, create
@@ -29,8 +36,9 @@ class TestRoundTrip:
         scheme = create(scheme_name, employee_schema, secret_key, rng=rng)
         evaluator = scheme.server_evaluator()
         description = describe_evaluator(evaluator)
-        # must survive a JSON wire trip
-        rebuilt = build_evaluator(json.loads(json.dumps(description)))
+        # must survive the envelope body's JSON trip
+        body = encode_evaluator_description(description)
+        rebuilt = build_evaluator(decode_evaluator_description(body))
         assert rebuilt.scheme_name == evaluator.scheme_name
 
     def test_rebuilt_evaluator_answers_queries(
@@ -94,3 +102,35 @@ class TestRejection:
 
         with pytest.raises(EvaluatorDescriptionError, match="does not describe"):
             describe_evaluator(OpaqueEvaluator())
+
+
+class TestBodyDecoder:
+    """The provider parses a peer's bytes: refusals are ProtocolErrors."""
+
+    def test_deeply_nested_json_is_a_protocol_error(self):
+        with pytest.raises(ProtocolError, match="malformed evaluator description"):
+            decode_evaluator_description(b"[" * 200_000)
+
+    @pytest.mark.parametrize("body", [b"", b"\xff\xfe", b"{", b"[1, 2]", b'"searchable"'])
+    def test_anything_but_one_object_is_a_protocol_error(self, body):
+        with pytest.raises(ProtocolError):
+            decode_evaluator_description(body)
+
+    def test_the_encoding_is_canonical(self):
+        assert encode_evaluator_description({"b": 1, "a": [2, 3]}) == b'{"a":[2,3],"b":1}'
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"[" * 200_000,
+            json.dumps({"type": "pickled-code", "payload": "gASV..."}).encode(),
+            json.dumps({"type": "searchable", "backend": "dph-swp"}).encode(),
+        ],
+        ids=["deep", "unknown-type", "missing-fields"],
+    )
+    def test_the_provider_answers_an_error_envelope(self, body):
+        provider = OutsourcedDatabaseServer()
+        raw = MessageV2(MessageKind.REGISTER_EVALUATOR, "Emp", body).to_bytes()
+        response = parse_message(provider.handle_message(raw))
+        assert response.kind is MessageKind.ERROR
+        assert provider.metric_relation("Emp") == "(unknown)"  # nothing deployed

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 from mutating_provider import TRANSPORTS, MutatingServer, swp_session
+from provider_calls import drop_relation, register_evaluator
 
 from repro.api import DatabaseError, EncryptedDatabase
 from repro.crypto.keys import SecretKey
@@ -60,7 +61,7 @@ def test_decoder_raises_protocol_error(what):
 
 def assert_error_then_still_serving(provider) -> None:
     evaluator = PlaintextDph(RelationSchema.parse(EMP_DECL), SecretKey.generate())
-    provider.register_evaluator("Emp", evaluator.server_evaluator())
+    register_evaluator(provider, "Emp", evaluator.server_evaluator())
     for what, schema_field in BAD_SCHEMAS.items():
         response = parse_message(provider.handle_message(store_envelope(schema_field)))
         assert response.kind is MessageKind.ERROR, what
@@ -79,7 +80,7 @@ def test_tcp_provider_answers_error_and_connection_stays_usable(secret_key, rng,
         url = f"tcp://127.0.0.1:{provider.port}{suffix}"
         with EncryptedDatabase.connect(url, secret_key, scheme="swp", rng=rng) as db:
             assert_error_then_still_serving(db.server)
-            db.server.drop_relation("Emp")
+            drop_relation(db.server, "Emp")
             db.create_table(EMP_DECL, rows=ROWS)
             assert len(db.select("SELECT * FROM Emp WHERE dept = 'HR'").relation) == 1
             assert provider.server.stats.as_dict()["connections_total"] == 1

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from repro.core.dph import EncryptedQuery, EncryptedRelation, EncryptedTuple
 from repro.outsourcing.protocol import (
-    Message,
     MessageKind,
+    MessageV2,
     ProtocolError,
     decode_encrypted_query,
     decode_encrypted_relation,
@@ -71,19 +71,19 @@ class TestQueryEncoding:
 
 class TestMessageEnvelope:
     def test_roundtrip(self):
-        message = Message(kind=MessageKind.QUERY, relation_name="emp", body=b"body")
-        assert Message.from_bytes(message.to_bytes()) == message
+        message = MessageV2(kind=MessageKind.QUERY, relation_name="emp", body=b"body")
+        assert MessageV2.from_bytes(message.to_bytes()) == message
 
     def test_unknown_kind_rejected(self):
-        message = Message(kind=MessageKind.QUERY, relation_name="emp", body=b"")
+        message = MessageV2(kind=MessageKind.QUERY, relation_name="emp", body=b"")
         raw = message.to_bytes().replace(b"query", b"nosuc")
         with pytest.raises(ProtocolError):
-            Message.from_bytes(raw)
+            MessageV2.from_bytes(raw)
 
     def test_trailing_bytes_rejected(self):
-        raw = Message(kind=MessageKind.ERROR, relation_name="emp").to_bytes()
+        raw = MessageV2(kind=MessageKind.ERROR, relation_name="emp").to_bytes()
         with pytest.raises(ProtocolError):
-            Message.from_bytes(raw + b"x")
+            MessageV2.from_bytes(raw + b"x")
 
 
 @given(

@@ -1,4 +1,4 @@
-"""Tests for protocol v2: new message kinds, versioning, wire dispatch."""
+"""Tests for protocol v2: message kinds, versioning, wire dispatch."""
 
 from __future__ import annotations
 
@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from repro.core.dph import EncryptedQuery, EncryptedRelation, EncryptedTuple, EvaluationResult
 from repro.outsourcing.protocol import (
-    Message,
     MessageKind,
     MessageV2,
-    PROTOCOL_V1,
     PROTOCOL_V2,
+    PROTOCOL_V3,
     ProtocolError,
     SUPPORTED_VERSIONS,
     V2_MAGIC,
@@ -31,6 +30,14 @@ from repro.outsourcing.protocol import (
     peek_version,
 )
 from repro.relational import RelationSchema, Selection
+
+
+def v1_frame(kind: str, relation_name: str, body: bytes = b"") -> bytes:
+    """The retired unversioned v1 framing: three length-prefixed fields."""
+    return b"".join(
+        len(part).to_bytes(4, "big") + part
+        for part in (kind.encode(), relation_name.encode(), body)
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -138,12 +145,13 @@ class TestCounts:
 
 class TestVersioning:
     def test_peek_distinguishes_versions(self):
-        v1 = Message(kind=MessageKind.QUERY, relation_name="emp", body=b"b")
         v2 = MessageV2(kind=MessageKind.QUERY, relation_name="emp", body=b"b")
-        assert peek_version(v1.to_bytes()) == PROTOCOL_V1
+        v3 = MessageV2(kind=MessageKind.QUERY, relation_name="emp", trace_id=b"t" * 16)
         assert peek_version(v2.to_bytes()) == PROTOCOL_V2
-        assert v1.version == PROTOCOL_V1
+        assert peek_version(v3.to_bytes()) == PROTOCOL_V3
         assert v2.version == PROTOCOL_V2
+        with pytest.raises(ProtocolError, match="not a versioned protocol envelope"):
+            peek_version(v1_frame("query", "emp", b"b"))
 
     def test_unknown_future_version_rejected(self):
         raw = V2_MAGIC + bytes([7]) + b"\x00" * 12
@@ -153,17 +161,19 @@ class TestVersioning:
         with pytest.raises(ProtocolError):
             parse_message(raw)
 
-    def test_v2_only_kind_rejected_in_v1_envelope(self):
-        for kind in (MessageKind.DELETE_TUPLES, MessageKind.BATCH_QUERY,
-                     MessageKind.BATCH_RESULT):
-            raw = Message(kind=kind, relation_name="emp").to_bytes()
-            with pytest.raises(ProtocolError, match="requires protocol version"):
-                Message.from_bytes(raw)
+    def test_a_v1_envelope_is_refused(self):
+        for kind in ("store-relation", "insert-tuple", "query", "delete-tuples"):
+            with pytest.raises(ProtocolError, match="not a versioned protocol envelope"):
+                parse_message(v1_frame(kind, "emp"))
 
     def test_negotiation_picks_highest_common(self):
-        assert negotiate_version((1, 2), (1, 2)) == 2
-        assert negotiate_version((1,), (1, 2)) == 1
+        assert negotiate_version((2, 3), (2, 3)) == 3
+        assert negotiate_version((2,), (2, 3)) == 2
         assert negotiate_version(SUPPORTED_VERSIONS, (2,)) == 2
+
+    def test_a_v1_only_peer_is_refused(self):
+        with pytest.raises(ProtocolError, match="no common protocol version"):
+            negotiate_version((1,), SUPPORTED_VERSIONS)
 
     def test_negotiation_fails_without_common_version(self):
         with pytest.raises(ProtocolError):
@@ -171,7 +181,7 @@ class TestVersioning:
 
 
 class TestWireDispatch:
-    """The server's handle_message speaks both envelope versions."""
+    """The server's handle_message: every kind, and v1 frames refused."""
 
     @pytest.fixture
     def loaded_server(self, swp_dph, employee_relation):
@@ -205,21 +215,13 @@ class TestWireDispatch:
         assert len(result.matching) == 2
         assert result.examined == 5
 
-    def test_query_v1_is_still_served(self, loaded_server, swp_dph):
-        from repro.outsourcing.protocol import (
-            decode_encrypted_relation,
-            encode_encrypted_query,
-        )
+    def test_a_v1_query_frame_is_refused(self, loaded_server, swp_dph):
+        from repro.outsourcing.protocol import encode_encrypted_query
 
-        query = Message(
-            kind=MessageKind.QUERY,
-            relation_name="Emp",
-            body=encode_encrypted_query(swp_dph.encrypt_query(Selection.equals("dept", "IT"))),
-        )
-        response = parse_message(loaded_server.handle_message(query.to_bytes()))
-        assert response.version == PROTOCOL_V1
-        assert response.kind is MessageKind.QUERY_RESULT
-        assert len(decode_encrypted_relation(response.body)) == 2
+        body = encode_encrypted_query(swp_dph.encrypt_query(Selection.equals("dept", "IT")))
+        with pytest.raises(ProtocolError, match="not a versioned protocol envelope"):
+            loaded_server.handle_message(v1_frame("query", "Emp", body))
+        assert loaded_server.audit_log.summary()["query-executed"] == 0
 
     def test_delete_tuples_by_id(self, loaded_server):
         stored = loaded_server.stored_relation("Emp")
@@ -289,22 +291,19 @@ class TestWireDispatch:
         response = parse_message(loaded_server.handle_message(request.to_bytes()))
         assert response.kind is MessageKind.ERROR
 
-    def test_list_tuple_ids_is_v2_only(self):
-        # Hand-build a v1 envelope carrying the v2-only kind: rejected.
-        raw = (
-            (len("list-tuple-ids")).to_bytes(4, "big") + b"list-tuple-ids"
-            + (3).to_bytes(4, "big") + b"Emp"
-            + (0).to_bytes(4, "big")
-        )
-        with pytest.raises(ProtocolError, match="version >= 2"):
-            Message.from_bytes(raw)
+    def test_a_v1_list_tuple_ids_frame_is_refused(self):
+        with pytest.raises(ProtocolError, match="not a versioned protocol envelope"):
+            parse_message(v1_frame("list-tuple-ids", "Emp"))
 
     def test_peek_envelope_matches_the_full_parse(self, loaded_server):
         from repro.outsourcing.protocol import peek_envelope
 
         for envelope in (
             MessageV2(kind=MessageKind.QUERY, relation_name="Emp", body=b"x" * 64),
-            Message(kind=MessageKind.INSERT_TUPLE, relation_name="Other", body=b"y"),
+            MessageV2(
+                kind=MessageKind.INSERT_TUPLE, relation_name="Other", body=b"y",
+                trace_id=b"t" * 16,
+            ),
             MessageV2(kind=MessageKind.LIST_TUPLE_IDS, relation_name="Emp"),
         ):
             raw = envelope.to_bytes()
@@ -324,14 +323,9 @@ class TestWireDispatch:
             peek_envelope(raw + b"!")  # trailing bytes
         with pytest.raises(ProtocolError):
             peek_envelope(b"\x00\x00\x00\x05junk!")  # unknown kind
-        # v2-only kind in a v1 envelope is still a protocol violation.
-        v1_raw = (
-            (len("batch-query")).to_bytes(4, "big") + b"batch-query"
-            + (3).to_bytes(4, "big") + b"Emp"
-            + (0).to_bytes(4, "big")
-        )
-        with pytest.raises(ProtocolError, match="version >= 2"):
-            peek_envelope(v1_raw)
+        # A v1 envelope is a protocol violation, whatever its kind.
+        with pytest.raises(ProtocolError, match="not a versioned protocol envelope"):
+            peek_envelope(v1_frame("query", "Emp"))
 
     def test_list_tuple_ids_is_audited(self, loaded_server):
         from repro.outsourcing.audit import AuditEventKind

@@ -6,17 +6,18 @@ import pytest
 
 from repro.outsourcing import protocol
 from repro.outsourcing.protocol import (
-    PROTOCOL_V1,
     PROTOCOL_V2,
     PROTOCOL_V3,
     TRACE_ID_SIZE,
-    Message,
     MessageKind,
     MessageV2,
     ProtocolError,
 )
 
 TID = bytes(range(TRACE_ID_SIZE))
+
+#: A query in the retired unversioned v1 framing.
+V1_QUERY = b"".join(len(part).to_bytes(4, "big") + part for part in (b"query", b"Emp", b""))
 
 
 def _v2_frame(body: bytes = b"payload") -> bytes:
@@ -59,10 +60,12 @@ class TestMessageV3:
 
     def test_supported_versions_advertise_v3(self):
         assert PROTOCOL_V3 in protocol.SUPPORTED_VERSIONS
-        assert protocol.negotiate_version((1, 2, 3), (1, 2, 3)) == PROTOCOL_V3
+        assert protocol.negotiate_version((2, 3), (2, 3)) == PROTOCOL_V3
         # a pre-trace peer drags the session down to what it speaks
-        assert protocol.negotiate_version((1, 2, 3), (1, 2)) == PROTOCOL_V2
-        assert protocol.negotiate_version((1, 2, 3), (1,)) == PROTOCOL_V1
+        assert protocol.negotiate_version((2, 3), (2,)) == PROTOCOL_V2
+        # ... and a v1-only one cannot host a session at all
+        with pytest.raises(ProtocolError, match="no common protocol version"):
+            protocol.negotiate_version(protocol.SUPPORTED_VERSIONS, (1,))
 
 
 class TestRawHelpers:
@@ -76,10 +79,9 @@ class TestRawHelpers:
             len(protocol.V2_MAGIC) + 1:
         ]
 
-    def test_attach_is_an_identity_on_v1_frames(self):
-        raw = Message(kind=MessageKind.QUERY, relation_name="Emp").to_bytes()
-        assert protocol.attach_trace(raw, TID) == raw
-        assert protocol.peek_version(raw) == PROTOCOL_V1
+    def test_attach_refuses_a_v1_frame(self):
+        with pytest.raises(ProtocolError, match="not a versioned protocol envelope"):
+            protocol.attach_trace(V1_QUERY, TID)
 
     def test_attach_twice_is_a_caller_bug(self):
         traced = protocol.attach_trace(_v2_frame(), TID)
@@ -97,8 +99,8 @@ class TestRawHelpers:
     def test_strip_passes_untraced_frames_through(self):
         raw = _v2_frame()
         assert protocol.strip_trace(raw) == raw
-        v1 = Message(kind=MessageKind.QUERY, relation_name="Emp").to_bytes()
-        assert protocol.strip_trace(v1) == v1
+        with pytest.raises(ProtocolError, match="not a versioned protocol envelope"):
+            protocol.strip_trace(V1_QUERY)
 
     def test_peek_trace_id(self):
         raw = _v2_frame()
@@ -110,13 +112,13 @@ class TestRawHelpers:
             version, _, _ = protocol.peek_envelope(raw)
             assert protocol.peek_trace_id(raw, version) == protocol.peek_trace_id(raw)
 
-    def test_parse_message_handles_all_three_versions(self):
-        v1 = Message(kind=MessageKind.QUERY, relation_name="Emp").to_bytes()
+    def test_parse_message_reads_v2_and_v3_and_refuses_v1(self):
         v2 = _v2_frame()
         v3 = protocol.attach_trace(v2, TID)
-        assert isinstance(protocol.parse_message(v1), Message)
         assert protocol.parse_message(v2).trace_id is None
         assert protocol.parse_message(v3).trace_id == TID
+        with pytest.raises(ProtocolError, match="not a versioned protocol envelope"):
+            protocol.parse_message(V1_QUERY)
 
     def test_peek_envelope_accepts_v3(self):
         version, kind, relation = protocol.peek_envelope(

@@ -1,0 +1,97 @@
+"""The provider operations tests call directly, each spelled as its envelope.
+
+A provider, a ``tcp://`` proxy and a shard router all answer one surface,
+``handle_message``; a test that pokes one directly sends the operation's
+envelope through :func:`repro.outsourcing.request` and decodes the answer
+here.  A refusal raises ``error`` (``ServerError`` unless the caller says
+otherwise).  Lives next to ``tests/conftest.py``, which puts this directory
+on ``sys.path``.
+"""
+
+from __future__ import annotations
+
+from repro.outsourcing import MessageKind, ServerError, protocol, request
+from repro.outsourcing.evaluators import describe_evaluator
+
+
+def _send(provider, kind, name, body=b"", expect=MessageKind.ACK, error=ServerError):
+    return request(provider, kind, name, body, expect=expect, error=error)
+
+
+def relation_names(provider, error=ServerError) -> tuple[str, ...]:
+    response = _send(
+        provider, MessageKind.RELATION_NAMES, "", expect=MessageKind.RELATIONS, error=error
+    )
+    return protocol.decode_relation_names(response.body)
+
+
+def stored_relation(provider, name: str, error=ServerError):
+    response = _send(
+        provider, MessageKind.FETCH_RELATION, name,
+        expect=MessageKind.QUERY_RESULT, error=error,
+    )
+    return protocol.decode_query_result(response.body).matching
+
+
+def tuple_count(provider, name: str, error=ServerError) -> int:
+    response = _send(provider, MessageKind.TUPLE_COUNT, name, error=error)
+    return protocol.decode_count(response.body)
+
+
+def drop_relation(provider, name: str, error=ServerError) -> None:
+    _send(provider, MessageKind.DROP_RELATION, name, error=error)
+
+
+def register_evaluator(provider, name: str, evaluator, error=ServerError) -> None:
+    body = protocol.encode_evaluator_description(describe_evaluator(evaluator))
+    _send(provider, MessageKind.REGISTER_EVALUATOR, name, body, error=error)
+
+
+def store_relation(provider, name: str, relation, evaluator, error=ServerError) -> None:
+    register_evaluator(provider, name, evaluator, error=error)
+    body = protocol.encode_encrypted_relation(relation)
+    _send(provider, MessageKind.STORE_RELATION, name, body, error=error)
+
+
+def insert_tuple(provider, name: str, encrypted_tuple, error=ServerError) -> None:
+    body = protocol.encode_encrypted_tuple(encrypted_tuple)
+    _send(provider, MessageKind.INSERT_TUPLE, name, body, error=error)
+
+
+def execute_query(provider, name: str, encrypted_query, error=ServerError):
+    response = _send(
+        provider, MessageKind.QUERY, name, protocol.encode_encrypted_query(encrypted_query),
+        expect=MessageKind.QUERY_RESULT, error=error,
+    )
+    return protocol.decode_query_result(response.body)
+
+
+def execute_batch(provider, name: str, encrypted_queries, error=ServerError) -> list:
+    response = _send(
+        provider, MessageKind.BATCH_QUERY, name,
+        protocol.encode_query_batch(encrypted_queries),
+        expect=MessageKind.BATCH_RESULT, error=error,
+    )
+    return list(protocol.decode_result_batch(response.body))
+
+
+def delete_tuples(provider, name: str, tuple_ids, error=ServerError) -> int:
+    body = protocol.encode_tuple_ids(list(tuple_ids))
+    response = _send(provider, MessageKind.DELETE_TUPLES, name, body, error=error)
+    return protocol.decode_count(response.body)
+
+
+def delete_tuples_exact(provider, name: str, tuple_ids, error=ServerError) -> tuple:
+    response = _send(
+        provider, MessageKind.DELETE_TUPLES_EXACT, name,
+        protocol.encode_tuple_ids(list(tuple_ids)),
+        expect=MessageKind.TUPLE_IDS, error=error,
+    )
+    return protocol.decode_tuple_ids(response.body)
+
+
+def list_tuple_ids(provider, name: str, error=ServerError) -> tuple:
+    response = _send(
+        provider, MessageKind.LIST_TUPLE_IDS, name, expect=MessageKind.TUPLE_IDS, error=error
+    )
+    return protocol.decode_tuple_ids(response.body)

@@ -10,11 +10,13 @@ every probe query is read through both sessions -- which also re-caches it,
 so each write meets a full cache.
 
 An axis is a subclass that says how the session under test reaches the
-provider (:meth:`SessionMachine.open_session`) and may add rules:
-``tests/cache/test_cached_session_stateful.py`` (in-process; failed writes,
-re-declaration, scribbling, cache breakages) and
+provider (:meth:`SessionMachine.open_session`, :meth:`~SessionMachine.make_provider`)
+and may add rules: ``tests/cache/test_cached_session_stateful.py``
+(in-process; failed writes, re-declaration, scribbling, cache breakages),
 ``tests/net/test_session_machine_tcp.py`` (over ``tcp://``, where the
-provider answers single-row writes on its event loop).  Lives next to
+provider answers single-row writes on its event loop) and
+``tests/cluster/test_session_machine_cluster.py`` (a shard router with
+one or two replicas; stored copy and count checked).  Lives next to
 ``tests/conftest.py``, which puts this directory on ``sys.path``.
 """
 
@@ -221,11 +223,11 @@ class SessionMachine(RuleBasedStateMachine):
             self._same(query)
 
 
-def machine_settings(phases=(Phase.generate, Phase.shrink)) -> settings:
+def machine_settings(phases=(Phase.generate, Phase.shrink), max_examples=6) -> settings:
     """A fixed budget, the same examples every run; a failure prints its blob."""
     return settings(
         phases=phases,
-        max_examples=6,
+        max_examples=max_examples,
         stateful_step_count=15,
         derandomize=True,
         print_blob=True,
