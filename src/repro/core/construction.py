@@ -35,7 +35,8 @@ procedure described in the paper) is also provided and tested for equivalence.
 
 from __future__ import annotations
 
-from typing import Callable
+from operator import attrgetter
+from typing import Sequence
 
 from repro.core.dph import (
     DatabasePrivacyHomomorphism,
@@ -43,9 +44,8 @@ from repro.core.dph import (
     EncryptedQuery,
     EncryptedRelation,
     EncryptedTuple,
-    EvaluationResult,
     ServerEvaluator,
-    evaluate_conjunction,
+    TupleFilter,
 )
 from repro.crypto.errors import CryptoError
 from repro.crypto.keys import KeyHierarchy, SecretKey
@@ -266,9 +266,10 @@ class SearchableServerEvaluator(ServerEvaluator):
     """Keyless server-side evaluation of encrypted exact selects.
 
     Holds only public parameters (backend name, word length, check / entry
-    lengths).  Every query token is compiled once per :meth:`evaluate` into
-    the keyless tests :class:`repro.searchable.swp.SwpMatcher` and
-    :func:`repro.searchable.index_sse.index_contains`.
+    lengths).  Every query token is compiled once per scan into a filter
+    over the stored tuples: a :class:`repro.searchable.swp.SwpMatcher` scan
+    of each tuple's words, or :func:`repro.searchable.index_sse.index_contains`
+    against each tuple's secure index.
     """
 
     def __init__(
@@ -300,37 +301,36 @@ class SearchableServerEvaluator(ServerEvaluator):
             "entry_length": self._entry_length,
         }
 
-    def evaluate(
-        self, encrypted_query: EncryptedQuery, encrypted_relation: EncryptedRelation
-    ) -> EvaluationResult:
-        """Return every tuple ciphertext matched by *all* query tokens."""
-        if encrypted_query.scheme_name != self._backend:
-            raise DphError(
-                f"query was encrypted for {encrypted_query.scheme_name!r}, "
-                f"this evaluator handles {self._backend!r}"
-            )
-        conditions = [self._compile(raw) for raw in encrypted_query.tokens]
-        return evaluate_conjunction(encrypted_relation, conditions)
-
-    def _compile(self, raw_token: bytes) -> Callable[[EncryptedTuple], bool]:
+    def compile_token(self, raw_token: bytes) -> TupleFilter:
+        """Any stored word passes the SWP check, or the secure index holds the label."""
         if self._backend == SWP_BACKEND:
-            matches = compile_swp_token(raw_token, self._word_length, self._check_length)
-            return lambda t: any(map(matches, t.search_fields))
+            matcher = compile_swp_token(raw_token, self._word_length, self._check_length)
+            fields = attrgetter("search_fields")
+
+            def keep(tuples: Sequence[EncryptedTuple]) -> list[EncryptedTuple]:
+                return matcher.select(tuples, map(fields, tuples))
+
+            return keep
         label = IndexToken.from_bytes(raw_token).label
-        return lambda t: index_contains(t.metadata, t.tuple_id, label, self._entry_length)
+        entry_length = self._entry_length
+
+        def keep(tuples: Sequence[EncryptedTuple]) -> list[EncryptedTuple]:
+            return [
+                t for t in tuples
+                if index_contains(t.metadata, t.tuple_id, label, entry_length)
+            ]
+
+        return keep
 
 
-def compile_swp_token(
-    raw_token: bytes, word_length: int, check_length: int
-) -> Callable[[bytes], bool]:
-    """Compile one serialized SWP trapdoor into a word-ciphertext test.
+def compile_swp_token(raw_token: bytes, word_length: int, check_length: int) -> SwpMatcher:
+    """Compile one serialized SWP trapdoor into the keyless word-ciphertext check.
 
     This is where a trapdoor from the wire is validated -- once per scan,
     before any tuple is looked at, so a malformed one is a :class:`DphError`
     for empty and non-empty relations alike.
     """
     try:
-        token = SwpToken.from_bytes(raw_token)
-        return SwpMatcher(token, word_length, check_length).matches
+        return SwpMatcher(SwpToken.from_bytes(raw_token), word_length, check_length)
     except (CryptoError, ValueError) as exc:
         raise DphError(f"malformed SWP trapdoor: {exc}") from exc

@@ -154,28 +154,29 @@ class EvaluationResult:
     token_evaluations: int = 0
 
 
-def evaluate_conjunction(
-    encrypted_relation: EncryptedRelation,
-    conditions: Sequence[Callable[[EncryptedTuple], bool]],
-) -> EvaluationResult:
-    """Return the tuple ciphertexts that every compiled condition accepts.
+#: One query token compiled for a scan: takes tuple ciphertexts, returns
+#: those the token accepts, in their order.
+TupleFilter = Callable[[Sequence[EncryptedTuple]], Sequence[EncryptedTuple]]
 
-    The one scan loop of the searchable evaluators: they compile each query
-    token once into a ``condition`` and the loop only calls it, stopping at a
-    tuple's first rejection (which is what ``token_evaluations`` counts).
+
+def evaluate_conjunction(
+    encrypted_relation: EncryptedRelation, filters: Sequence[TupleFilter]
+) -> EvaluationResult:
+    """Return the tuple ciphertexts that every compiled filter accepts.
+
+    The one scan driver of every evaluator: each filter runs once, over the
+    survivors of the filter before it, so relation order is kept and a
+    tuple meets a token only while every earlier token accepted it --
+    ``token_evaluations`` counts those meetings.
     """
-    matching = []
+    survivors = encrypted_relation.encrypted_tuples
     token_evaluations = 0
-    for encrypted_tuple in encrypted_relation.encrypted_tuples:
-        for condition in conditions:
-            token_evaluations += 1
-            if not condition(encrypted_tuple):
-                break
-        else:
-            matching.append(encrypted_tuple)
+    for keep in filters:
+        token_evaluations += len(survivors)
+        survivors = keep(survivors)
     return EvaluationResult(
         matching=EncryptedRelation(
-            schema=encrypted_relation.schema, encrypted_tuples=tuple(matching)
+            schema=encrypted_relation.schema, encrypted_tuples=tuple(survivors)
         ),
         examined=len(encrypted_relation),
         token_evaluations=token_evaluations,
@@ -187,7 +188,9 @@ class ServerEvaluator(ABC):
 
     Instances are constructed from *public parameters only* and are therefore
     safe to hand to the untrusted server; they constitute the entire code the
-    server needs to answer encrypted queries.
+    server needs to answer encrypted queries.  An evaluator compiles each
+    query token into a :data:`TupleFilter`; :func:`evaluate_conjunction`
+    runs them.
     """
 
     @property
@@ -196,10 +199,23 @@ class ServerEvaluator(ABC):
         """Identifier matching :attr:`EncryptedQuery.scheme_name`."""
 
     @abstractmethod
+    def compile_token(self, raw_token: bytes) -> TupleFilter:
+        """Compile one query token, validating it: a malformed one raises here."""
+
+    def compile(self, encrypted_query: EncryptedQuery) -> list[TupleFilter]:
+        """Every token of ``encrypted_query`` compiled, before any tuple is looked at."""
+        if encrypted_query.scheme_name != self.scheme_name:
+            raise DphError(
+                f"query was encrypted for {encrypted_query.scheme_name!r}, "
+                f"this evaluator handles {self.scheme_name!r}"
+            )
+        return [self.compile_token(raw) for raw in encrypted_query.tokens]
+
     def evaluate(
         self, encrypted_query: EncryptedQuery, encrypted_relation: EncryptedRelation
     ) -> EvaluationResult:
         """Apply the encrypted query to the encrypted relation."""
+        return evaluate_conjunction(encrypted_relation, self.compile(encrypted_query))
 
     def describe(self) -> dict:
         """JSON-able public parameters from which the evaluator can be rebuilt.

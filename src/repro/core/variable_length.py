@@ -25,7 +25,8 @@ benchmark ``benchmarks/bench_a1_variable_length.py``.
 
 from __future__ import annotations
 
-from typing import Callable
+from operator import attrgetter, itemgetter
+from typing import Sequence
 
 from repro.core.construction import compile_swp_token
 from repro.core.dph import (
@@ -34,9 +35,8 @@ from repro.core.dph import (
     EncryptedQuery,
     EncryptedRelation,
     EncryptedTuple,
-    EvaluationResult,
     ServerEvaluator,
-    evaluate_conjunction,
+    TupleFilter,
 )
 from repro.crypto.keys import KeyHierarchy, SecretKey
 from repro.crypto.rng import RandomSource, SystemRng
@@ -193,23 +193,19 @@ class VariableWidthServerEvaluator(ServerEvaluator):
             "attribute_parameters": [list(pair) for pair in self._parameters],
         }
 
-    def evaluate(
-        self, encrypted_query: EncryptedQuery, encrypted_relation: EncryptedRelation
-    ) -> EvaluationResult:
-        """Return tuples matched by every token (conjunction)."""
-        if encrypted_query.scheme_name != VARIABLE_BACKEND:
-            raise DphError(
-                f"query was encrypted for {encrypted_query.scheme_name!r}, "
-                f"this evaluator handles {VARIABLE_BACKEND!r}"
-            )
-        conditions = [self._compile(raw) for raw in encrypted_query.tokens]
-        return evaluate_conjunction(encrypted_relation, conditions)
-
-    def _compile(self, raw: bytes) -> Callable[[EncryptedTuple], bool]:
+    def compile_token(self, raw: bytes) -> TupleFilter:
+        """The SWP check of the one field at the token's attribute position."""
         if len(raw) < 2:
             raise DphError("malformed variable-width query token")
         index = int.from_bytes(raw[:2], "big")
         if index >= len(self._parameters):
             raise DphError(f"token refers to unknown attribute position {index}")
-        matches = compile_swp_token(raw[2:], *self._parameters[index])
-        return lambda t: index < len(t.search_fields) and matches(t.search_fields[index])
+        matcher = compile_swp_token(raw[2:], *self._parameters[index])
+        # A tuple with no field at ``index`` has no word to test.
+        field_at = itemgetter(slice(index, index + 1))
+        fields = attrgetter("search_fields")
+
+        def keep(tuples: Sequence[EncryptedTuple]) -> list[EncryptedTuple]:
+            return matcher.select(tuples, map(field_at, map(fields, tuples)))
+
+        return keep

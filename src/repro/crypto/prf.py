@@ -101,6 +101,20 @@ class Prf:
         outer.update(inner.digest())
         return outer.digest()
 
+    def single_block(self, out_len: int):
+        """``(copy_inner, copy_outer, suffix)`` when ``out_len`` bytes are one HMAC, else ``None``.
+
+        For a scan that inlines the evaluation in its own loop: the output for
+        ``message`` is the first ``out_len`` bytes of the outer digest after
+        ``inner = copy_inner(); inner.update(message + suffix); outer =
+        copy_outer(); outer.update(inner.digest())`` -- exactly what
+        :meth:`fixed` computes.
+        """
+        suffixes = _block_suffixes(out_len)
+        if len(suffixes) > 1:
+            return None
+        return self._inner.copy, self._outer.copy, suffixes[0]
+
     def fixed(self, out_len: int) -> Callable[[bytes], bytes]:
         """The evaluator ``message -> out_len bytes``, for callers whose length is fixed.
 
@@ -110,8 +124,10 @@ class Prf:
         HKDF-Expand-style, ``T_i = HMAC(key, T_{i-1} || message || "|" ||
         out_len (4 bytes) || i)``.  ``message`` must be ``bytes``.
         """
-        suffixes = _block_suffixes(out_len)
-        if len(suffixes) > 1:
+        one_block = self.single_block(out_len)
+        if one_block is None:
+            suffixes = _block_suffixes(out_len)
+
             def evaluate(message: bytes) -> bytes:
                 blocks = []
                 previous = b""
@@ -122,8 +138,7 @@ class Prf:
 
             return evaluate
 
-        (suffix,) = suffixes
-        copy_inner, copy_outer = self._inner.copy, self._outer.copy
+        copy_inner, copy_outer, suffix = one_block
 
         def evaluate(message: bytes) -> bytes:
             inner = copy_inner()

@@ -32,6 +32,8 @@ from repro.core.dph import (
     EncryptedTuple,
     EvaluationResult,
     ServerEvaluator,
+    TupleFilter,
+    evaluate_conjunction,
 )
 from repro.obs import MetricsRegistry, span as obs_span
 from repro.outsourcing import protocol
@@ -220,22 +222,8 @@ class OutsourcedDatabaseServer:
     def execute_query(self, name: str, encrypted_query: EncryptedQuery) -> EvaluationResult:
         """Run the encrypted query against a stored relation."""
         stored = self._load(name)
-        evaluator = self._evaluator(name)
-        if encrypted_query.scheme_name != evaluator.scheme_name:
-            raise ServerError(
-                f"query scheme {encrypted_query.scheme_name!r} does not match the "
-                f"relation's scheme {evaluator.scheme_name!r}"
-            )
-        result = evaluator.evaluate(encrypted_query, stored)
-        self._audit.record(
-            AuditEventKind.QUERY_EXECUTED,
-            name,
-            result_size=len(result.matching),
-            examined=result.examined,
-            token_evaluations=result.token_evaluations,
-            token_count=len(encrypted_query.tokens),
-        )
-        return result
+        (filters,) = self._compile(name, (encrypted_query,))
+        return self._scan(name, stored, encrypted_query, filters)
 
     def execute_batch(
         self, name: str, encrypted_queries: Sequence[EncryptedQuery]
@@ -244,30 +232,16 @@ class OutsourcedDatabaseServer:
 
         Eve observes each query exactly as in the sequential case (one
         ``QUERY_EXECUTED`` audit event per query); the batch saves only the
-        per-message envelope and relation lookups.
+        per-message envelope and relation lookups.  Every query is compiled
+        before the first scan, so a foreign scheme or a malformed trapdoor
+        anywhere in the batch rejects all of it, with nothing run or logged.
         """
         stored = self._load(name)
-        evaluator = self._evaluator(name)
-        # Validate the whole batch up front so a bad query rejects it atomically
-        # instead of aborting after earlier queries already ran (and were logged).
-        for encrypted_query in encrypted_queries:
-            if encrypted_query.scheme_name != evaluator.scheme_name:
-                raise ServerError(
-                    f"query scheme {encrypted_query.scheme_name!r} does not match "
-                    f"the relation's scheme {evaluator.scheme_name!r}"
-                )
-        results = []
-        for encrypted_query in encrypted_queries:
-            result = evaluator.evaluate(encrypted_query, stored)
-            self._audit.record(
-                AuditEventKind.QUERY_EXECUTED,
-                name,
-                result_size=len(result.matching),
-                examined=result.examined,
-                token_evaluations=result.token_evaluations,
-                token_count=len(encrypted_query.tokens),
-            )
-            results.append(result)
+        compiled = self._compile(name, encrypted_queries)
+        results = [
+            self._scan(name, stored, encrypted_query, filters)
+            for encrypted_query, filters in zip(encrypted_queries, compiled)
+        ]
         self._audit.record(
             AuditEventKind.BATCH_EXECUTED, name, query_count=len(results)
         )
@@ -556,6 +530,37 @@ class OutsourcedDatabaseServer:
             raise ServerError(
                 f"no evaluator is registered for relation {name!r}"
             ) from exc
+
+    def _compile(
+        self, name: str, encrypted_queries: Sequence[EncryptedQuery]
+    ) -> list[list[TupleFilter]]:
+        """Each query's filters under ``name``'s evaluator; any bad query raises first."""
+        evaluator = self._evaluator(name)
+        for encrypted_query in encrypted_queries:
+            if encrypted_query.scheme_name != evaluator.scheme_name:
+                raise ServerError(
+                    f"query scheme {encrypted_query.scheme_name!r} does not match the "
+                    f"relation's scheme {evaluator.scheme_name!r}"
+                )
+        return [evaluator.compile(q) for q in encrypted_queries]
+
+    def _scan(
+        self,
+        name: str,
+        stored: EncryptedRelation,
+        encrypted_query: EncryptedQuery,
+        filters: Sequence[TupleFilter],
+    ) -> EvaluationResult:
+        result = evaluate_conjunction(stored, filters)
+        self._audit.record(
+            AuditEventKind.QUERY_EXECUTED,
+            name,
+            result_size=len(result.matching),
+            examined=result.examined,
+            token_evaluations=result.token_evaluations,
+            token_count=len(encrypted_query.tokens),
+        )
+        return result
 
 
 def _answer(request: MessageV2, kind: MessageKind, body: bytes) -> MessageV2:

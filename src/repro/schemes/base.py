@@ -20,6 +20,7 @@ subclasses provide :meth:`FieldMatchDph._search_field`.
 from __future__ import annotations
 
 from abc import abstractmethod
+from typing import Sequence
 
 from repro.core.dph import (
     DatabasePrivacyHomomorphism,
@@ -27,8 +28,8 @@ from repro.core.dph import (
     EncryptedQuery,
     EncryptedRelation,
     EncryptedTuple,
-    EvaluationResult,
     ServerEvaluator,
+    TupleFilter,
 )
 from repro.crypto.keys import KeyHierarchy, SecretKey
 from repro.crypto.rng import RandomSource, SystemRng
@@ -164,34 +165,14 @@ class FieldMatchEvaluator(ServerEvaluator):
         """Public parameters for remote deployment (no key material)."""
         return {"type": "field-match", "scheme_name": self._scheme_name}
 
-    def evaluate(
-        self, encrypted_query: EncryptedQuery, encrypted_relation: EncryptedRelation
-    ) -> EvaluationResult:
-        """Return tuples whose fields equal every token's field (conjunction)."""
-        if encrypted_query.scheme_name != self._scheme_name:
-            raise DphError(
-                f"query was encrypted for {encrypted_query.scheme_name!r}, "
-                f"this evaluator handles {self._scheme_name!r}"
-            )
-        conditions = [decode_field_token(t) for t in encrypted_query.tokens]
-        matching = []
-        token_evaluations = 0
-        for encrypted_tuple in encrypted_relation.encrypted_tuples:
-            matched_all = True
-            for attribute_index, field in conditions:
-                token_evaluations += 1
-                if attribute_index >= len(encrypted_tuple.search_fields):
-                    matched_all = False
-                    break
-                if encrypted_tuple.search_fields[attribute_index] != field:
-                    matched_all = False
-                    break
-            if matched_all:
-                matching.append(encrypted_tuple)
-        return EvaluationResult(
-            matching=EncryptedRelation(
-                schema=encrypted_relation.schema, encrypted_tuples=tuple(matching)
-            ),
-            examined=len(encrypted_relation),
-            token_evaluations=token_evaluations,
-        )
+    def compile_token(self, raw_token: bytes) -> TupleFilter:
+        """Tuples whose field at the token's attribute position equals its field."""
+        index, field = decode_field_token(raw_token)
+
+        def keep(tuples: Sequence[EncryptedTuple]) -> list[EncryptedTuple]:
+            return [
+                t for t in tuples
+                if index < len(t.search_fields) and t.search_fields[index] == field
+            ]
+
+        return keep

@@ -33,7 +33,7 @@ ciphertexts.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence, TypeVar
 
 from repro.crypto.errors import DecryptionError, ParameterError
 from repro.crypto.kdf import derive_key
@@ -64,16 +64,21 @@ CHECK_KEY_LEN = 32
 #: use.  About 0.25 MB per scheme at this bound (15-byte words).
 PRE_ENCRYPT_MEMO_WORDS = 1024
 
+T = TypeVar("T")
+
 
 class SwpMatcher:
     """One trapdoor ``(X, k)`` compiled for a scan: what the server runs, keyless.
 
     The trapdoor is validated once here (a malformed one raises
     :class:`~repro.crypto.errors.CryptoError` whatever the relation holds),
-    ``X`` is kept as an integer and the check PRF ``F_k`` is keyed once, so
-    testing a word ciphertext is one integer XOR, a shift and a mask around a
-    single PRF evaluation.  It holds nothing but the trapdoor and the public
-    word/check lengths -- no code path on the server touches key material.
+    ``X`` is kept as an integer and the check PRF ``F_k`` is keyed once.
+    :meth:`select` is the only implementation of the check: one loop over
+    many items' words in which testing a word ciphertext is one integer XOR,
+    a shift and a mask around the two hash-state copies and finalisations of
+    a single HMAC, with no function call of its own.  It holds nothing but
+    the trapdoor and the public word/check lengths -- no code path on the
+    server touches key material.
     """
 
     def __init__(self, token: SwpToken, word_length: int, check_length: int) -> None:
@@ -89,18 +94,56 @@ class SwpMatcher:
             )
         self._word_length = word_length
         self._left_length = word_length - check_length
+        self._check_length = check_length
         self._check_bits = 8 * check_length
         self._check_mask = (1 << self._check_bits) - 1
         self._pre_encrypted = int.from_bytes(token.pre_encrypted_word, "big")
-        self._check = Prf(token.check_key).fixed(check_length)
+        prf = Prf(token.check_key)
+        # One HMAC per word in practice (m <= 32); a longer check chains blocks.
+        self._one_block = prf.single_block(check_length)
+        self._chained = None if self._one_block else prf.fixed(check_length)
+
+    def select(self, items: Iterable[T], words: Iterable[Iterable[bytes]]) -> list[T]:
+        """The ``items`` with a word that passes the check, in order.
+
+        ``words`` runs beside ``items``: the word ciphertexts of each.  Per
+        word ``C``: ``T = C XOR X``, accept iff ``F_k(T[:w-m]) == T[w-m:]``;
+        a word of the wrong length never matches, and an item is kept at its
+        first hit.
+        """
+        word_length = self._word_length
+        left_length = self._left_length
+        check_length = self._check_length
+        check_bits = self._check_bits
+        check_mask = self._check_mask
+        pre_encrypted = self._pre_encrypted
+        chained = self._chained
+        if chained is None:
+            copy_inner, copy_outer, suffix = self._one_block
+        from_bytes = int.from_bytes
+        hits = []
+        for item, item_words in zip(items, words):
+            for ciphertext in item_words:
+                if len(ciphertext) != word_length:
+                    continue
+                masked = from_bytes(ciphertext, "big") ^ pre_encrypted
+                stream_part = (masked >> check_bits).to_bytes(left_length, "big")
+                if chained is None:
+                    inner = copy_inner()
+                    inner.update(stream_part + suffix)
+                    outer = copy_outer()
+                    outer.update(inner.digest())
+                    tag = outer.digest()[:check_length]
+                else:
+                    tag = chained(stream_part)
+                if from_bytes(tag, "big") == masked & check_mask:
+                    hits.append(item)
+                    break
+        return hits
 
     def matches(self, ciphertext: bytes) -> bool:
-        """``T = C XOR X``; accept iff ``F_k(T[:w-m]) == T[w-m:]``."""
-        if len(ciphertext) != self._word_length:
-            return False
-        masked = int.from_bytes(ciphertext, "big") ^ self._pre_encrypted
-        stream_part = (masked >> self._check_bits).to_bytes(self._left_length, "big")
-        return int.from_bytes(self._check(stream_part), "big") == masked & self._check_mask
+        """Whether one word ciphertext passes the check (:meth:`select` of one item)."""
+        return bool(self.select((True,), ((ciphertext,),)))
 
 
 def swp_search(
@@ -113,12 +156,11 @@ def swp_search(
 
     This free function is deliberately independent of :class:`SwpScheme` so
     that no code path on the server side ever has access to key material.
+    Each word is its own item, so the hits are the matching positions.
     """
-    matches = SwpMatcher(token, word_length, check_length).matches
+    words = document.encrypted_words
     positions = tuple(
-        index
-        for index, ciphertext in enumerate(document.encrypted_words)
-        if matches(ciphertext)
+        SwpMatcher(token, word_length, check_length).select(range(len(words)), zip(words))
     )
     return SearchMatch(matched=bool(positions), positions=positions)
 

@@ -1,9 +1,10 @@
 """The TCP front-end reveals nothing the in-process provider does not.
 
 One seeded stream runs through an in-process provider and through
-``tcp://``: create, indexed selects, inserts and deletes, then a second
-session's attach, count and full fetch, and the drop -- every one of them an
-envelope.  (On ``tcp://`` the bounded requests are
+``tcp://``: create, indexed selects, inserts and deletes, then a second,
+unindexed session's attach, one- and two-predicate scans and a
+``select_many`` batch of them, count and full fetch, and the drop -- every
+one of them an envelope.  (On ``tcp://`` the bounded requests are
 answered from the connection's read callback, the rest on dispatch
 workers -- every insert and delete among the former.)  What the sessions
 receive -- every response envelope, byte for byte -- and what the provider
@@ -31,6 +32,14 @@ from repro.outsourcing.protocol import peek_envelope
 KEY = b"transcript-test-master-key-32byt"
 DECL = "Emp(name:string[10], dept:string[5], salary:int[6])"
 DEPTS = ("HR", "IT", "SALES", "OPS")
+#: One- and two-predicate scans; the conjunctions' second token meets only
+#: the first one's survivors, which ``token_evaluations`` records.
+SCANS = (
+    "SELECT * FROM Emp WHERE dept = 'IT'",
+    "SELECT * FROM Emp WHERE name = 'emp5' AND dept = 'IT'",
+    "SELECT * FROM Emp WHERE dept = 'HR' AND name = 'emp4'",
+    "SELECT * FROM Emp WHERE name = 'nobody' AND dept = 'OPS'",
+)
 
 
 class Recording:
@@ -101,6 +110,12 @@ def run(server, seed: int) -> tuple[list[bytes], list[tuple]]:
             replies.append(db.delete(argument))
     other = EncryptedDatabase.open(KEY, server=recording, rng=DeterministicRng(seed))
     other.attach_table(DECL)
+    # No index on this session: every select is a scan through the match kernel.
+    for query in SCANS:
+        replies.append(sorted(map(repr, other.select(query).relation.tuples)))
+    replies.append(
+        [sorted(map(repr, o.relation.tuples)) for o in other.select_many(SCANS, table="Emp")]
+    )
     replies.append(other.count("Emp"))
     replies.append(sorted(map(repr, other.retrieve_all("Emp").tuples)))
     db.drop_table("Emp")
@@ -157,8 +172,18 @@ def test_tcp_transcript_equals_the_in_process_one(seed):
         AuditEventKind.TUPLE_INSERTED,
         AuditEventKind.INDEX_DELTA_APPLIED,
         AuditEventKind.TUPLES_DELETED,
+        AuditEventKind.QUERY_EXECUTED,
+        AuditEventKind.BATCH_EXECUTED,
         AuditEventKind.RELATION_DROPPED,
     } <= kinds
+    # The scans' counters are part of what was compared, and a conjunction's
+    # second token met fewer tuples than were examined.
+    scans = [d for kind, _, d in local_audit if kind is AuditEventKind.QUERY_EXECUTED]
+    assert len(scans) == 2 * len(SCANS)
+    assert any(
+        d["token_count"] == 2 and 0 < d["token_evaluations"] < 2 * d["examined"]
+        for d in scans
+    )
     # Both receive paths took part: bounded requests inline, the rest on workers.
     assert 0 < inline < stats.as_dict()["requests_dispatched"]
     # Every insert and delete was bounded, alone and on an idle relation.

@@ -6,12 +6,7 @@ import json
 
 import pytest
 
-from repro.core.dph import (
-    EncryptedQuery,
-    EncryptedRelation,
-    EvaluationResult,
-    ServerEvaluator,
-)
+from repro.core.dph import EncryptedQuery, ServerEvaluator
 from repro.outsourcing import MessageKind, MessageV2, OutsourcedDatabaseServer
 from repro.outsourcing.evaluators import (
     EvaluatorDescriptionError,
@@ -93,12 +88,8 @@ class TestRejection:
             def scheme_name(self) -> str:
                 return "opaque"
 
-            def evaluate(self, encrypted_query, encrypted_relation):
-                return EvaluationResult(
-                    matching=EncryptedRelation(
-                        schema=encrypted_relation.schema, encrypted_tuples=()
-                    )
-                )
+            def compile_token(self, raw_token):
+                return list
 
         with pytest.raises(EvaluatorDescriptionError, match="does not describe"):
             describe_evaluator(OpaqueEvaluator())
