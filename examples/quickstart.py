@@ -28,8 +28,7 @@ def main() -> None:
     print(f"Registered schemes: {', '.join(available_schemes())}")
     key = SecretKey.generate()
     db = EncryptedDatabase.open(key, scheme="swp")
-    print(f"Session opened with scheme {db.scheme_name!r}, "
-          f"protocol v{db.protocol_version}")
+    print(f"Session opened with scheme {db.scheme_name!r}")
 
     # 2. Create and populate the outsourced relation.
     db.create_table(

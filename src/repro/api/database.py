@@ -2,7 +2,7 @@
 
 One object wraps the whole outsourcing stack of the paper: a master secret
 (``K``), a registered scheme (``E``, ``Eq``, ``D``), an untrusted provider
-and the versioned wire protocol between them.  Each table gets its own
+and the envelope wire protocol between them.  Each table gets its own
 scheme instance keyed with a sub-key derived from the master secret, so one
 session can hold many relations while the user manages a single key.
 
@@ -62,12 +62,7 @@ from repro.obs import (
 from repro.outsourcing import protocol
 from repro.outsourcing.client import SelectOutcome, request
 from repro.outsourcing.evaluators import describe_evaluator
-from repro.outsourcing.protocol import (
-    MessageKind,
-    MessageV2,
-    SUPPORTED_VERSIONS,
-    negotiate_version,
-)
+from repro.outsourcing.protocol import MessageKind, MessageV2
 from repro.outsourcing.server import OutsourcedDatabaseServer, ServerError
 from repro.outsourcing.storage import StorageBackend
 from repro.relational.errors import QueryError
@@ -202,9 +197,6 @@ class EncryptedDatabase:
         self._rng = rng
         self._scheme_options = dict(scheme_options or {})
         self._tables: dict[str, TableHandle] = {}
-        self._version = negotiate_version(
-            SUPPORTED_VERSIONS, server.supported_protocol_versions
-        )
         self._index_enabled = bool(index)
         #: Memoized "this provider cannot serve index ops" flag: set on the
         #: first ``cannot serve message kind`` error so a fleet of older
@@ -254,8 +246,9 @@ class EncryptedDatabase:
         key:
             The master secret; generated freshly when omitted.
         server:
-            The provider to talk to; an in-process one is created when
-            omitted (optionally over ``storage``).
+            The provider to talk to -- any object with a
+            ``handle_message(bytes) -> bytes``; an in-process one is
+            created when omitted (optionally over ``storage``).
         scheme:
             Name (or alias) of a registered scheme; see
             :func:`repro.schemes.registry.available_schemes`.
@@ -512,11 +505,6 @@ class EncryptedDatabase:
     def scheme_name(self) -> str:
         """Canonical name of the scheme this session instantiates per table."""
         return self._scheme_name
-
-    @property
-    def protocol_version(self) -> int:
-        """The negotiated envelope version."""
-        return self._version
 
     @property
     def index_enabled(self) -> bool:

@@ -686,6 +686,14 @@ def _print_trace(trace: dict) -> None:
         print(f"{line}  {suffix}" if suffix else line)
 
 
+def _count(text: str) -> int:
+    """An argparse type: a non-negative integer."""
+    value = int(text) if text.strip().isdecimal() else -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"want a count (an integer >= 0), got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -796,7 +804,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_cmd.add_argument("--trace-id", default=None, metavar="HEX",
                            help="assemble one trace by id across every shard "
                                 "instead of listing recent ones")
-    trace_cmd.add_argument("--limit", type=int, default=10,
+    trace_cmd.add_argument("--limit", type=_count, default=10,
                            help="recent traces / slow queries to show per shard")
     trace_cmd.add_argument("--watch", type=float, default=None, metavar="SECONDS",
                            help="re-poll every SECONDS until interrupted")

@@ -87,7 +87,6 @@ from repro.outsourcing.protocol import (
     MessageKind,
     MessageV2,
     ProtocolError,
-    SUPPORTED_VERSIONS,
     UNSERVED_KIND_REFUSAL,
 )
 from repro.outsourcing.server import ServerError
@@ -882,18 +881,6 @@ class ShardRouter:
     # ------------------------------------------------------------------ #
     # One provider's surface
     # ------------------------------------------------------------------ #
-
-    @property
-    def supported_protocol_versions(self) -> tuple[int, ...]:
-        """Versions every shard speaks (the fleet negotiates as one)."""
-        return tuple(
-            version
-            for version in SUPPORTED_VERSIONS
-            if all(
-                version in shard.server.supported_protocol_versions
-                for shard in self._shards.values()
-            )
-        )
 
     def _invalidate_cache(self, relation: str) -> None:
         """Bump the coordinator cache's generation for one relation."""

@@ -108,10 +108,6 @@ class RelationIndex:
     def spill_length(self, label: bytes) -> int:
         return len(self._spill.get(label, ()))
 
-    @property
-    def label_count(self) -> int:
-        return len(self._members)
-
     def stats(self) -> dict[str, int]:
         return {
             "labels": len(self._members),

@@ -27,7 +27,7 @@ from repro.core.dph import EncryptedRelation
 from repro.crypto.kdf import derive_key
 from repro.crypto.prf import Prf
 from repro.crypto.rng import RandomSource, SystemRng
-from repro.index.wire import IndexDelta, IndexLookupRequest, IndexSnapshot, IndexingError
+from repro.index.wire import IndexDelta, IndexSnapshot, IndexingError
 from repro.relational.encoding import ValueCodec
 from repro.relational.query import Query, selection_predicates
 from repro.relational.relation import Relation, RelationTuple
@@ -107,12 +107,6 @@ class TableIndexer:
         """
         predicates = selection_predicates(query)
         return tuple(self.label(p.attribute, p.value) for p in predicates)
-
-    def lookup_request(self, query: Query, fallback_query=None) -> IndexLookupRequest:
-        """Build an ``INDEX_LOOKUP`` body for ``query``."""
-        return IndexLookupRequest(
-            labels=self.query_labels(query), fallback_query=fallback_query
-        )
 
     def snapshot(
         self, relation: Relation, encrypted: EncryptedRelation

@@ -22,7 +22,8 @@ machine boundary.  ``repro.net`` is that missing transport, in three layers:
     :class:`~repro.net.server.DatabaseTcpServer`: an asyncio server hosting
     one :class:`~repro.outsourcing.server.OutsourcedDatabaseServer` for many
     concurrent connections.  Each connection starts with a hello exchange
-    that negotiates the protocol version; envelope dispatch is parallel
+    (there is no version to agree on: every envelope says in its version
+    byte whether a trace id rides along); envelope dispatch is parallel
     across relations and FIFO within one
     (:class:`~repro.net.server.KeyedSerialDispatcher`), so a heavy scan of
     one relation blocks neither other connections' I/O nor other
@@ -93,7 +94,7 @@ from repro.net.server import (
     TcpServerStats,
     ThreadedTcpServer,
 )
-from repro.net.wire import ClientChannel, ServerHello
+from repro.net.wire import ClientChannel
 
 __all__ = [
     "AsyncRemoteConnection",
@@ -125,5 +126,4 @@ __all__ = [
     "TcpServerStats",
     "ThreadedTcpServer",
     "ClientChannel",
-    "ServerHello",
 ]

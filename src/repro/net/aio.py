@@ -40,7 +40,6 @@ import contextlib
 import socket
 import threading
 import time
-from typing import Sequence
 
 from repro.net import wire
 from repro.net.client import (
@@ -58,7 +57,6 @@ from repro.net.framing import (
 )
 from repro.obs import current_trace
 from repro.outsourcing import protocol
-from repro.outsourcing.protocol import PROTOCOL_V3, SUPPORTED_VERSIONS
 
 
 class EventLoopThread:
@@ -159,10 +157,6 @@ class AsyncRemoteConnection:
         self._failed: BaseException | None = None
         self._closed = False
         self._reader_task: asyncio.Task | None = None
-        self.server_versions: tuple[int, ...] = ()
-        self.negotiated_version: int = 0
-        self.server_software: str = "unknown"
-        self.server_max_frame_size: int = max_frame_size
 
     @classmethod
     async def open(
@@ -172,7 +166,6 @@ class AsyncRemoteConnection:
         *,
         timeout: float | None = 30.0,
         max_frame_size: int = DEFAULT_MAX_FRAME_SIZE,
-        client_versions: Sequence[int] = SUPPORTED_VERSIONS,
     ) -> "AsyncRemoteConnection":
         """Connect, start the reader, and perform the hello handshake."""
         try:
@@ -191,13 +184,14 @@ class AsyncRemoteConnection:
         connection._reader_task = asyncio.ensure_future(connection._read_loop())
         try:
             frame = await asyncio.wait_for(
-                connection.request(wire.encode_hello(client_versions), CHANNEL_CONTROL),
+                connection.request(
+                    wire.encode_control_request("hello"), CHANNEL_CONTROL
+                ),
                 timeout,
             )
             response = wire.decode_control_response(frame.payload)
             if not response.get("ok"):
                 raise RemoteError(wire.control_error(response))
-            hello = wire.decode_hello(response, max_frame_size)
         except asyncio.TimeoutError as exc:
             await connection.close()
             raise ConnectionLostError(
@@ -209,10 +203,6 @@ class AsyncRemoteConnection:
         except BaseException:
             await connection.close()
             raise
-        connection.server_versions = hello.versions
-        connection.negotiated_version = hello.version
-        connection.server_software = hello.software
-        connection.server_max_frame_size = hello.max_frame_size
         return connection
 
     @property
@@ -340,27 +330,22 @@ class AsyncRemoteServerProxy(RemoteProxyBase):
         loop: EventLoopThread | None = None,
         timeout: float | None = 30.0,
         max_frame_size: int = DEFAULT_MAX_FRAME_SIZE,
-        client_versions: Sequence[int] = SUPPORTED_VERSIONS,
     ) -> None:
         self._host = host
         self._port = port
         self._timeout = timeout
         self._max_frame_size = max_frame_size
-        self._client_versions = tuple(client_versions)
         self._owns_loop = loop is None
         self._loop_thread = loop if loop is not None else EventLoopThread().start()
         self._conn: AsyncRemoteConnection | None = None
         self._conn_lock: asyncio.Lock | None = None
         self._closed = False
         try:
-            connection = self._loop_thread.run(self._async_setup())
+            self._loop_thread.run(self._async_setup())
         except BaseException:
             if self._owns_loop:
                 self._loop_thread.stop()
             raise
-        self._server_versions = connection.server_versions
-        self._negotiated_version = connection.negotiated_version
-        self._server_software = connection.server_software
 
     @classmethod
     def connect(
@@ -400,10 +385,9 @@ class AsyncRemoteServerProxy(RemoteProxyBase):
         if self._owns_loop:
             self._loop_thread.stop()
 
-    async def _async_setup(self) -> AsyncRemoteConnection:
+    async def _async_setup(self) -> None:
         self._conn_lock = asyncio.Lock()
         self._conn = await self._open_connection()
-        return self._conn
 
     async def _open_connection(self) -> AsyncRemoteConnection:
         return await AsyncRemoteConnection.open(
@@ -411,7 +395,6 @@ class AsyncRemoteServerProxy(RemoteProxyBase):
             self._port,
             timeout=self._timeout,
             max_frame_size=self._max_frame_size,
-            client_versions=self._client_versions,
         )
 
     async def _async_close(self) -> None:
@@ -459,13 +442,12 @@ class AsyncRemoteServerProxy(RemoteProxyBase):
     ) -> bytes:
         """Ship one envelope over the pipelined connection.
 
-        ``trace_id`` is attached (rewriting the envelope to protocol v3)
-        only when this session negotiated v3; older providers never see
-        trace bytes.  Coroutines cannot rely on the ambient trace -- the
-        caller captured it on its own thread -- so the id arrives here as
-        an explicit argument.
+        A ``trace_id`` is attached (rewriting the envelope to the traced
+        layout).  Coroutines cannot rely on the ambient trace -- the caller
+        captured it on its own thread -- so the id arrives here as an
+        explicit argument.
         """
-        if trace_id is not None and self._negotiated_version >= PROTOCOL_V3:
+        if trace_id is not None:
             raw = protocol.attach_trace(raw, trace_id)
         frame = await self._acall(raw, CHANNEL_ENVELOPE, idempotent)
         if frame.channel == CHANNEL_CONTROL:

@@ -20,9 +20,10 @@ protocol logic and differ only in how bytes move.
 
 Connections are blocking sockets behind a bounded :class:`ConnectionPool`,
 so several threads can issue queries concurrently, each on its own
-connection.  Every new connection performs the hello handshake (the server's
-advertised protocol versions feed the session's
-:func:`~repro.outsourcing.protocol.negotiate_version`).  A call that hits a
+connection.  Every new connection opens with the hello handshake, whose
+answer is only checked for ``ok``: there is no version to agree on, since
+every provider reads both envelope layouts and a proxy attaches the trace
+id of the ambient trace to every envelope it ships.  A call that hits a
 dead connection -- the provider restarted, an idle socket timed out -- is
 retried once on a fresh connection before the error surfaces.
 
@@ -37,7 +38,6 @@ import contextlib
 import socket
 import threading
 import time
-from typing import Sequence
 from urllib.parse import urlsplit
 
 from repro.net.framing import (
@@ -50,7 +50,7 @@ from repro.net.framing import (
 from repro.net import wire
 from repro.obs import current_trace
 from repro.outsourcing import protocol
-from repro.outsourcing.protocol import MessageKind, PROTOCOL_V3, SUPPORTED_VERSIONS
+from repro.outsourcing.protocol import MessageKind
 from repro.outsourcing.server import ServerError
 
 
@@ -137,7 +137,7 @@ def parse_tcp_url(url: str) -> tuple[str, int]:
 
 
 class RemoteConnection:
-    """One blocking framed connection, hello-negotiated at construction.
+    """One blocking framed connection, greeted with a hello at construction.
 
     The wire work -- correlation ids, response pairing, hello -- lives in
     the sans-IO :class:`~repro.net.wire.ClientChannel`; this class only
@@ -153,9 +153,7 @@ class RemoteConnection:
         *,
         timeout: float | None = 30.0,
         max_frame_size: int = DEFAULT_MAX_FRAME_SIZE,
-        client_versions: Sequence[int] = SUPPORTED_VERSIONS,
     ) -> None:
-        self._max_frame_size = max_frame_size
         self._channel = wire.ClientChannel(max_frame_size)
         try:
             self._sock = socket.create_connection((host, port), timeout=timeout)
@@ -165,24 +163,18 @@ class RemoteConnection:
             ) from exc
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         try:
-            hello = self.call_control("hello", versions=list(client_versions))
+            self.call_control("hello")
         except RemoteError:
             self.close()
             raise
-        parsed = wire.decode_hello(hello, max_frame_size)
-        self.server_versions: tuple[int, ...] = parsed.versions
-        self.negotiated_version: int = parsed.version
-        self.server_software: str = parsed.software
-        self.server_max_frame_size: int = parsed.max_frame_size
 
     def call_envelope(self, raw: bytes, trace_id: bytes | None = None) -> bytes:
         """One protocol round trip: envelope bytes out, envelope bytes back.
 
-        ``trace_id`` is attached to the envelope (rewriting it to protocol
-        v3, an O(1) byte splice) only when this connection negotiated v3 --
-        older providers never see trace bytes they could not parse.
+        A ``trace_id`` is attached to the envelope (rewriting it to the
+        traced layout, an O(1) byte splice).
         """
-        if trace_id is not None and self.negotiated_version >= PROTOCOL_V3:
+        if trace_id is not None:
             raw = protocol.attach_trace(raw, trace_id)
         frame = self._round_trip(raw, CHANNEL_ENVELOPE)
         if frame.channel == CHANNEL_CONTROL:
@@ -362,11 +354,6 @@ class RemoteProxyBase:
         {MessageKind.INSERT_TUPLE, MessageKind.DROP_RELATION}
     )
 
-    # Subclasses set these during their handshake.
-    _server_versions: tuple[int, ...]
-    _negotiated_version: int
-    _server_software: str
-
     # ------------------------------------------------------------------ #
     # Transport primitives (implemented by the frontends)
     # ------------------------------------------------------------------ #
@@ -379,20 +366,6 @@ class RemoteProxyBase:
 
     def close(self) -> None:
         raise NotImplementedError
-
-    # ------------------------------------------------------------------ #
-    # Connection facts
-    # ------------------------------------------------------------------ #
-
-    @property
-    def server_software(self) -> str:
-        """What the provider announced in its hello response."""
-        return self._server_software
-
-    @property
-    def supported_protocol_versions(self) -> tuple[int, ...]:
-        """The versions the remote provider advertised at hello time."""
-        return self._server_versions
 
     def __enter__(self):
         return self
@@ -456,20 +429,15 @@ class RemoteServerProxy(RemoteProxyBase):
         pool_size: int = 4,
         timeout: float | None = 30.0,
         max_frame_size: int = DEFAULT_MAX_FRAME_SIZE,
-        client_versions: Sequence[int] = SUPPORTED_VERSIONS,
     ) -> None:
         self._host = host
         self._port = port
         self._timeout = timeout
         self._max_frame_size = max_frame_size
-        self._client_versions = tuple(client_versions)
         self._pool = ConnectionPool(self._new_connection, max_size=pool_size)
-        # Handshake eagerly: fail fast on a bad address, and learn the
-        # server's protocol versions for the session's negotiation.
-        with self._pool.checkout() as connection:
-            self._server_versions = connection.server_versions
-            self._negotiated_version = connection.negotiated_version
-            self._server_software = connection.server_software
+        # Handshake eagerly: fail fast on a bad address.
+        with self._pool.checkout():
+            pass
 
     @classmethod
     def connect(cls, url: str, **kwargs) -> "RemoteServerProxy":
@@ -502,7 +470,6 @@ class RemoteServerProxy(RemoteProxyBase):
             self._port,
             timeout=self._timeout,
             max_frame_size=self._max_frame_size,
-            client_versions=self._client_versions,
         )
 
     def _call(self, operation, idempotent: bool = True):

@@ -5,10 +5,11 @@
 listening socket.  Each accepted connection is one :class:`asyncio.Protocol`
 that speaks the framing of :mod:`repro.net.framing`:
 
-* the connection opens with a mandatory **hello** control exchange that
-  negotiates the protocol version
-  (:func:`repro.outsourcing.protocol.negotiate_version`) and advertises the
-  server's frame-size limit;
+* the connection opens with a mandatory **hello** control exchange,
+  ``{"op": "hello"}`` (any other field is ignored), answered with the
+  server's software name and frame-size limit.  There is no version to
+  agree on: the provider reads both envelope layouts, untraced (version
+  byte 2) and traced (3), whichever a frame carries;
 * **envelope** frames are forwarded verbatim to
   :meth:`~repro.outsourcing.server.OutsourcedDatabaseServer.handle_message`
   -- on the dispatch pool, or on the event loop itself when the request
@@ -111,7 +112,7 @@ from repro.net.framing import (
 )
 from repro.outsourcing import protocol
 from repro.outsourcing.client import request as envelope_request
-from repro.outsourcing.protocol import MessageKind, ProtocolError, negotiate_version
+from repro.outsourcing.protocol import MessageKind, ProtocolError
 from repro.outsourcing.server import (
     UNKNOWN_RELATION,
     OutsourcedDatabaseServer,
@@ -251,7 +252,9 @@ class ConnectionStats:
     bytes_sent: int = 0
     envelope_frames: int = 0
     control_frames: int = 0
-    negotiated_version: int | None = None
+    #: Set once the connection's hello is answered; nothing else is served
+    #: before it.
+    greeted: bool = False
     #: Requests admitted but not yet answered (shutdown only waits for
     #: connections with in-flight work).
     in_flight: int = 0
@@ -737,13 +740,13 @@ class _Connection(asyncio.Protocol):
                 self._refuse(f"malformed control frame: {exc}", correlation)
                 return
             if request["op"] == "hello":
-                self._hello(request, correlation)
-            elif self.stats.negotiated_version is None:
+                self._hello(correlation)
+            elif not self.stats.greeted:
                 self._refuse("the first frame must be a hello", correlation)
             else:
                 self._submit(("global",), correlation, server._control_answer, request)
             return
-        if self.stats.negotiated_version is None:
+        if not self.stats.greeted:
             self._refuse("the first frame must be a hello", correlation)
             return
         try:
@@ -809,25 +812,11 @@ class _Connection(asyncio.Protocol):
             self.stats.in_flight -= 1
             self._admit_backlog()
 
-    def _hello(self, request: dict, correlation: int) -> None:
-        database = self._server._database
-        try:
-            client_versions = [int(v) for v in request["versions"]]
-            version = negotiate_version(
-                client_versions, database.supported_protocol_versions
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            self._refuse(f"malformed hello: {exc}", correlation)
-            return
-        except ProtocolError as exc:
-            self._refuse(str(exc), correlation)
-            return
-        self.stats.negotiated_version = version
+    def _hello(self, correlation: int) -> None:
+        self.stats.greeted = True
         self._send_control(
             {
                 "ok": True,
-                "version": version,
-                "versions": list(database.supported_protocol_versions),
                 "server": SERVER_SOFTWARE,
                 "max_frame_size": self._server._max_frame_size,
             },

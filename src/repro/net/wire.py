@@ -22,8 +22,7 @@ slow provider must never be delivered to the wrong caller.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 from repro.net.framing import (
     CHANNEL_CONTROL,
@@ -145,23 +144,8 @@ class ClientChannel:
 
 
 # --------------------------------------------------------------------------- #
-# The hello handshake and control-frame JSON (shared by both frontends)
+# Control-frame JSON, the hello included (shared by both frontends)
 # --------------------------------------------------------------------------- #
-
-@dataclass(frozen=True)
-class ServerHello:
-    """What the provider announced in its hello response."""
-
-    version: int
-    versions: tuple[int, ...]
-    software: str
-    max_frame_size: int
-
-
-def encode_hello(client_versions: Sequence[int]) -> bytes:
-    """The hello control request opening every connection."""
-    return encode_control_request("hello", versions=[int(v) for v in client_versions])
-
 
 def encode_control_request(op: str, **fields) -> bytes:
     """Serialize one control-channel request."""
@@ -189,17 +173,3 @@ def control_error(response: dict) -> str:
     """The error text of a failed (``ok: false``) control response."""
     return str(response.get("error", "unspecified provider error"))
 
-
-def decode_hello(response: dict, fallback_max_frame_size: int) -> ServerHello:
-    """Extract the negotiated session parameters from an ``ok`` hello."""
-    try:
-        return ServerHello(
-            version=int(response["version"]),
-            versions=tuple(int(v) for v in response.get("versions", ())),
-            software=str(response.get("server", "unknown")),
-            max_frame_size=int(
-                response.get("max_frame_size", fallback_max_frame_size)
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WireProtocolError(f"malformed hello response: {exc}") from exc

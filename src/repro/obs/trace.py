@@ -241,10 +241,10 @@ class TraceBuffer:
         return trace.as_dict() if trace is not None else None
 
     def recent(self, limit: int = 10) -> list[dict]:
-        """The most recently completed traces, newest first."""
+        """The ``limit`` most recently completed traces, newest first."""
         with self._lock:
             traces = list(self._traces.values())
-        return [t.as_dict() for t in reversed(traces[-limit:])]
+        return [t.as_dict() for t in _newest(traces, limit)]
 
 
 class SlowQueryLog:
@@ -277,7 +277,14 @@ class SlowQueryLog:
         return True
 
     def entries(self, limit: int = 20) -> list[dict]:
-        """The slowest-query records, newest first."""
+        """The ``limit`` newest slow-query records, newest first."""
         with self._lock:
             entries = list(self._entries)
-        return list(reversed(entries[-limit:]))
+        return _newest(entries, limit)
+
+
+def _newest(items: list, limit: int) -> list:
+    """The last ``limit`` of ``items``, newest first; a negative limit is refused."""
+    if limit < 0:
+        raise ValueError(f"limit must be a count (>= 0), got {limit}")
+    return list(reversed(items[-limit:])) if limit else []

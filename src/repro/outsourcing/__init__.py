@@ -26,7 +26,6 @@ from repro.outsourcing.protocol import (
     MessageV2,
     PROTOCOL_V2,
     ProtocolError,
-    SUPPORTED_VERSIONS,
     decode_count,
     decode_encrypted_query,
     decode_encrypted_relation,
@@ -43,7 +42,6 @@ from repro.outsourcing.protocol import (
     encode_query_batch,
     encode_result_batch,
     encode_tuple_ids,
-    negotiate_version,
     parse_message,
     peek_version,
 )
@@ -67,7 +65,6 @@ __all__ = [
     "MessageV2",
     "PROTOCOL_V2",
     "ProtocolError",
-    "SUPPORTED_VERSIONS",
     "decode_count",
     "decode_encrypted_query",
     "decode_encrypted_relation",
@@ -84,7 +81,6 @@ __all__ = [
     "encode_query_batch",
     "encode_result_batch",
     "encode_tuple_ids",
-    "negotiate_version",
     "parse_message",
     "peek_version",
     "OutsourcedDatabaseServer",

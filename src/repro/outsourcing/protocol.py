@@ -25,15 +25,14 @@ parses, audits and times.
   :data:`TRACE_ID_SIZE` trailing bytes carrying a trace id (see
   :mod:`repro.obs.trace`).  The fixed trailing length makes trace handling
   O(1) on raw frames: :func:`attach_trace` upgrades a serialized v2
-  envelope without re-encoding it, :func:`peek_trace_id` reads the id
-  without parsing, and :func:`strip_trace` downgrades back to v2.
-  Responses never carry trace ids; only requests do.
+  envelope without re-encoding it and :func:`peek_trace_id` reads the id
+  without parsing.  Responses never carry trace ids; only requests do.
 
-A frame that does not start with :data:`V2_MAGIC` -- the retired unversioned
-v1 framing, or garbage -- is a :class:`ProtocolError`.
-:func:`negotiate_version` picks the highest version both endpoints support
--- a pre-trace v2 peer simply never negotiates v3, so mixed fleets degrade
-to untraced envelopes shard by shard.
+So the version byte is a one-bit trace flag, not something peers agree on:
+every peer built from this tree reads both layouts, and a sender attaches a
+trace id whenever it has one.  A frame that does not start with
+:data:`V2_MAGIC` -- the retired unversioned v1 framing, or garbage -- or that
+carries any other version byte is a :class:`ProtocolError`.
 
 Encoding conventions: all integers are big-endian; variable-length byte
 strings are length-prefixed with 4 bytes; sequences are prefixed with a
@@ -58,10 +57,9 @@ from repro.core.dph import (
 from repro.relational.errors import SchemaError
 from repro.relational.schema import RelationSchema
 
-#: Protocol versions this module can speak.
+#: The two envelope version bytes: untraced, and with a trace id appended.
 PROTOCOL_V2 = 2
 PROTOCOL_V3 = 3
-SUPPORTED_VERSIONS = (PROTOCOL_V2, PROTOCOL_V3)
 
 #: Size of the trace id a v3 envelope carries as its trailing bytes.
 TRACE_ID_SIZE = 16
@@ -518,7 +516,7 @@ def _envelope_view(raw: bytes) -> tuple[int, MessageKind, str, int, int]:
     decoding -- shared by :func:`peek_envelope` and the full parse.
     """
     version = peek_version(raw)
-    if version not in SUPPORTED_VERSIONS:
+    if version not in (PROTOCOL_V2, PROTOCOL_V3):
         raise ProtocolError(f"unsupported protocol version {version}")
     end = len(raw)
     if version == PROTOCOL_V3:
@@ -564,20 +562,6 @@ def attach_trace(raw: bytes, trace_id: bytes) -> bytes:
     return V2_MAGIC + bytes([PROTOCOL_V3]) + raw[header + 1:] + trace_id
 
 
-def strip_trace(raw: bytes) -> bytes:
-    """Downgrade a serialized v3 envelope to v2, dropping its trace id.
-
-    Untraced envelopes pass through unchanged, so a relay in front of a
-    pre-trace peer can call this unconditionally.
-    """
-    if peek_version(raw) != PROTOCOL_V3:
-        return raw
-    if len(raw) < len(V2_MAGIC) + 1 + TRACE_ID_SIZE:
-        raise ProtocolError("truncated trace id")
-    header = len(V2_MAGIC)
-    return V2_MAGIC + bytes([PROTOCOL_V2]) + raw[header + 1: -TRACE_ID_SIZE]
-
-
 def peek_trace_id(raw: bytes, version: int | None = None) -> bytes | None:
     """The trace id of a raw v3 frame (None for untraced versions), O(1);
     a caller that already peeked the frame's ``version`` passes it along."""
@@ -587,17 +571,3 @@ def peek_trace_id(raw: bytes, version: int | None = None) -> bytes | None:
         raise ProtocolError("truncated trace id")
     return raw[-TRACE_ID_SIZE:]
 
-
-def negotiate_version(
-    client_versions: Iterable[int], server_versions: Iterable[int]
-) -> int:
-    """The highest protocol version both endpoints support."""
-    client = set(client_versions)
-    server = set(server_versions)
-    common = client & server
-    if not common:
-        raise ProtocolError(
-            f"no common protocol version (client {sorted(client)}, "
-            f"server {sorted(server)})"
-        )
-    return max(common)

@@ -43,7 +43,6 @@ from repro.outsourcing.protocol import (
     MessageKind,
     MessageV2,
     ProtocolError,
-    SUPPORTED_VERSIONS,
     UNSERVED_KIND_REFUSAL,
 )
 from repro.outsourcing.storage import (
@@ -70,9 +69,6 @@ class ServerError(Exception):
 
 class OutsourcedDatabaseServer:
     """The untrusted service provider, generic over its storage backend."""
-
-    #: Protocol versions this server implementation can speak.
-    SUPPORTED_PROTOCOL_VERSIONS = SUPPORTED_VERSIONS
 
     def __init__(
         self,
@@ -138,11 +134,6 @@ class OutsourcedDatabaseServer:
     def storage(self) -> StorageBackend:
         """The backend holding the ciphertext relations."""
         return self._storage
-
-    @property
-    def supported_protocol_versions(self) -> tuple[int, ...]:
-        """What :func:`repro.outsourcing.protocol.negotiate_version` consumes."""
-        return self.SUPPORTED_PROTOCOL_VERSIONS
 
     @property
     def relation_names(self) -> tuple[str, ...]:

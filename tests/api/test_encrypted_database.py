@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.api import DatabaseError, EncryptedDatabase
+from repro.crypto.keys import SecretKey
+from repro.crypto.rng import DeterministicRng
 from repro.outsourcing import (
     FileStorageBackend,
     InMemoryStorageBackend,
@@ -12,7 +14,6 @@ from repro.outsourcing import (
     OutsourcingClient,
     StorageError,
 )
-from repro.outsourcing.protocol import ProtocolError
 from repro.relational import ConjunctiveSelection, Selection
 from repro.schemes.registry import available_schemes
 from provider_calls import drop_relation, relation_names, stored_relation
@@ -352,11 +353,43 @@ class TestLegacyInterop:
         assert len(db.select("SELECT * FROM Emp WHERE dept = 'HR'").relation) == 2
         assert set(server.relation_names) == {"Legacy", "Emp"}
 
-    def test_a_v1_only_server_is_refused(self, secret_key):
-        """A provider that cannot take a DDL envelope cannot host a session."""
 
-        class V1OnlyServer(OutsourcedDatabaseServer):
-            SUPPORTED_PROTOCOL_VERSIONS = (1,)
 
-        with pytest.raises(ProtocolError, match="no common protocol version"):
-            EncryptedDatabase.open(secret_key, server=V1OnlyServer())
+class OneMethodProvider:
+    """A provider that is nothing but ``handle_message``."""
+
+    def __init__(self, inner: OutsourcedDatabaseServer) -> None:
+        self._inner = inner
+
+    def handle_message(self, raw: bytes) -> bytes:
+        return self._inner.handle_message(raw)
+
+
+class TestOneMethodProvider:
+    """``handle_message`` is all a session asks of its provider."""
+
+    @staticmethod
+    def _run(server) -> list:
+        rng = DeterministicRng(31)
+        db = EncryptedDatabase(SecretKey.generate(rng=rng), server, "swp", rng=rng)
+        answers = [db.create_table(EMP_DECL, rows=ROWS).schema]
+        db.insert("Emp", {"name": "Zoe", "dept": "HR", "salary": 7500})
+        for sql in (
+            "SELECT * FROM Emp WHERE dept = 'HR'",
+            "SELECT * FROM Emp WHERE salary = 7500",
+            "SELECT * FROM Emp WHERE dept = 'OPS'",
+        ):
+            answers.append(sorted(tuple(t.values()) for t in db.select(sql).relation.tuples))
+        answers.append(db.delete("SELECT * FROM Emp WHERE dept = 'IT'"))
+        answers.append(sorted(tuple(t.values()) for t in db.retrieve_all("Emp").tuples))
+        answers.append(db.count("Emp"))
+        return answers
+
+    def test_answers_equal_the_in_process_provider(self):
+        hosted = OutsourcedDatabaseServer()
+        in_process = OutsourcedDatabaseServer()
+        answers = self._run(OneMethodProvider(hosted))
+        assert answers == self._run(in_process)
+        assert len(answers[1]) == 3 and answers[4] == 2 and answers[6] == 4
+        # the very same ciphertexts reached both stores
+        assert stored_relation(hosted, "Emp") == stored_relation(in_process, "Emp")

@@ -16,7 +16,6 @@ from repro.cluster import (
     parse_cluster_url,
 )
 from repro.outsourcing import OutsourcedDatabaseServer, OutsourcingClient, ServerError
-from repro.outsourcing.protocol import PROTOCOL_V2, PROTOCOL_V3, ProtocolError
 from repro.relational import Selection
 from provider_calls import (
     delete_tuples,
@@ -115,23 +114,6 @@ class TestRouting:
 
 
 class TestDuckType:
-    def test_version_intersection(self, backends):
-        class PreTrace(OutsourcedDatabaseServer):
-            SUPPORTED_PROTOCOL_VERSIONS = (PROTOCOL_V2,)
-
-        class V1Only(OutsourcedDatabaseServer):
-            SUPPORTED_PROTOCOL_VERSIONS = (1,)
-
-        full = ShardRouter(backends)
-        assert full.supported_protocol_versions == (PROTOCOL_V2, PROTOCOL_V3)
-        mixed = ShardRouter([OutsourcedDatabaseServer(), PreTrace()])
-        assert mixed.supported_protocol_versions == (PROTOCOL_V2,)
-        # A v1-only member leaves the fleet nothing a session can speak.
-        refused = ShardRouter([OutsourcedDatabaseServer(), V1Only()])
-        assert refused.supported_protocol_versions == ()
-        with pytest.raises(ProtocolError, match="no common protocol version"):
-            EncryptedDatabase.open(server=refused)
-
     def test_legacy_outsourcing_client_works_over_a_cluster(
         self, employee_relation, swp_dph
     ):

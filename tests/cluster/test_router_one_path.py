@@ -41,16 +41,12 @@ ROWS = [(f"emp{i}", "HR" if i % 2 else "IT", 1000 + i) for i in range(18)]
 class EnvelopeOnlyShard:
     """A shard with no typed operations at all.
 
-    ``handle_message`` (and the versions it speaks) is everything the router
-    may ask of a backend: data, index and DDL operations alike.
+    ``handle_message`` is everything the router may ask of a backend: data,
+    index and DDL operations alike.
     """
 
     def __init__(self) -> None:
         self._inner = OutsourcedDatabaseServer()
-
-    @property
-    def supported_protocol_versions(self):
-        return self._inner.supported_protocol_versions
 
     def handle_message(self, raw: bytes) -> bytes:
         return self._inner.handle_message(raw)

@@ -1,8 +1,8 @@
 """Index maintenance edge cases on the serving path.
 
 Covers the corners the happy path skips: labels emptied by the last
-delete, bucket-cap overflow spill, v1 providers refused outright, mixed
-fleets where only some shards speak the index ops, and the exact-delete
+delete, bucket-cap overflow spill, mixed fleets where only some shards
+speak the index ops, and the exact-delete
 protocol op under duplicates and replays.
 """
 
@@ -12,11 +12,7 @@ import pytest
 
 from repro.api import EncryptedDatabase
 from repro.outsourcing import OutsourcedDatabaseServer
-from repro.outsourcing.protocol import (
-    MessageKind,
-    ProtocolError,
-    UNSERVED_KIND_REFUSAL,
-)
+from repro.outsourcing.protocol import MessageKind, UNSERVED_KIND_REFUSAL
 from repro.outsourcing.server import ServerError
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
@@ -72,12 +68,6 @@ class TestOverflowSpill:
         assert outcome.evaluation.examined == 3 * capacity
 
 
-class V1OnlyServer(OutsourcedDatabaseServer):
-    """A provider from before the v2 envelope existed."""
-
-    SUPPORTED_PROTOCOL_VERSIONS = (1,)
-
-
 _INDEX_KINDS = frozenset(
     {
         MessageKind.INDEX_PUT,
@@ -103,14 +93,6 @@ class NoLookupServer(NoIndexServer):
     """Accepts index maintenance but cannot serve lookups (mid-upgrade)."""
 
     REFUSED = frozenset({MessageKind.INDEX_LOOKUP})
-
-
-class TestV1Negotiation:
-    def test_a_v1_provider_is_refused_not_downgraded(self, secret_key, rng):
-        # It cannot take a DDL envelope, so no session -- indexed or not --
-        # can run on it.
-        with pytest.raises(ProtocolError, match="no common protocol version"):
-            EncryptedDatabase.open(secret_key, server=V1OnlyServer(), rng=rng, index=True)
 
 
 class TestPreIndexProvider:

@@ -216,7 +216,7 @@ class TestAsyncReconnect:
             frames = []
             while not frames:  # the hello
                 frames += decoder.feed(conn.recv(65536))
-            response = {"ok": True, "version": 2, "versions": [2], "server": "rogue"}
+            response = {"ok": True, "server": "rogue"}
             conn.sendall(
                 encode_frame(
                     json.dumps(response).encode(),

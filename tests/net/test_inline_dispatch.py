@@ -152,8 +152,6 @@ class ExplodingAllWorkerServer(ExplodingServer, AllWorkerServer):
 class Opaque:
     """What a coordinator puts behind the socket: frames in, frames out."""
 
-    supported_protocol_versions = OutsourcedDatabaseServer.SUPPORTED_PROTOCOL_VERSIONS
-
     def __init__(self, inner: ThreadRecordingServer) -> None:
         self.inner = inner
 
@@ -195,7 +193,7 @@ def scan(fixture: Fixture, traced=False) -> bytes:
 def open_client(port: int) -> socket.socket:
     sock = socket.create_connection(("127.0.0.1", port), timeout=10.0)
     sock.settimeout(10.0)
-    hello = json.dumps({"op": "hello", "versions": [1, 2, 3]}).encode()
+    hello = json.dumps({"op": "hello"}).encode()
     send_frame(sock, hello, channel=CHANNEL_CONTROL, correlation=1)
     assert json.loads(recv_frame(sock).payload)["ok"]
     return sock

@@ -88,7 +88,7 @@ class TestKeyedSerialDispatcher:
 
 
 def hello(sock) -> dict:
-    send_frame(sock, json.dumps({"op": "hello", "versions": [1, 2]}).encode(),
+    send_frame(sock, json.dumps({"op": "hello"}).encode(),
                channel=CHANNEL_CONTROL, correlation=1)
     return json.loads(recv_frame(sock).payload)
 

@@ -47,7 +47,7 @@ from repro.schemes.plaintext import PlaintextDph
 SCHEMA = RelationSchema.parse("Emp(name:string[8], dept:string[4])")
 L1, L2 = b"\x01" * 32, b"\x02" * 32
 MAX_FRAME = 4096
-HELLO = json.dumps({"op": "hello", "versions": [2, 3]}).encode()
+HELLO = json.dumps({"op": "hello"}).encode()
 
 
 def indexed_provider() -> tuple[OutsourcedDatabaseServer, PlaintextDph]:

@@ -50,7 +50,7 @@ def _scheme(decl: str) -> PlaintextDph:
 
 def _client(port: int) -> socket.socket:
     sock = socket.create_connection(("127.0.0.1", port), timeout=30.0)
-    _control(sock, {"op": "hello", "versions": [2]})
+    _control(sock, {"op": "hello"})
     return sock
 
 

@@ -1,4 +1,4 @@
-"""Edge cases of the TCP serving layer: negotiation, hostile bytes, lifecycle."""
+"""Edge cases of the TCP serving layer: the hello, hostile bytes, lifecycle."""
 
 from __future__ import annotations
 
@@ -37,40 +37,52 @@ def raw_connection(port: int) -> socket.socket:
     return sock
 
 
-def send_hello(sock, versions=(1, 2)) -> dict:
-    send_frame(sock, json.dumps({"op": "hello", "versions": list(versions)}).encode(),
+def send_hello(sock, **fields) -> dict:
+    send_frame(sock, json.dumps({"op": "hello", **fields}).encode(),
                channel=CHANNEL_CONTROL)
     frame = recv_frame(sock)
     return json.loads(frame.payload)
 
 
-class TestHelloNegotiation:
-    def test_negotiates_highest_common_version(self, provider):
+def control(sock, request: dict) -> dict:
+    send_frame(sock, json.dumps(request).encode(), channel=CHANNEL_CONTROL)
+    return json.loads(recv_frame(sock).payload)
+
+
+class TestHello:
+    def test_a_bare_hello_is_greeted(self, provider):
         sock = raw_connection(provider.port)
         try:
             hello = send_hello(sock)
-            assert hello["ok"] and hello["version"] == 2
-            assert hello["versions"] == [2, 3]
+            assert hello == {
+                "ok": True,
+                "server": "repro-provider",
+                "max_frame_size": hello["max_frame_size"],
+            }
             assert hello["max_frame_size"] > 0
+            assert control(sock, {"op": "ping"})["ok"]
         finally:
             sock.close()
 
-    def test_v1_only_client_is_refused(self, provider):
+    @pytest.mark.parametrize("versions", [[1, 2], [1], [99], "junk"])
+    def test_a_hello_carrying_a_versions_list_is_greeted(self, provider, versions):
+        # An older client still sends the list it once offered; it is ignored.
         sock = raw_connection(provider.port)
         try:
-            hello = send_hello(sock, versions=(1,))
-            assert not hello["ok"]
-            assert "no common protocol version" in hello["error"]
+            assert send_hello(sock, versions=versions)["ok"]
+            assert control(sock, {"op": "ping"})["ok"]
+        finally:
+            sock.close()
+
+    @pytest.mark.parametrize("payload", [b'"hello"', b'["hello"]', b"{}", b"42"])
+    def test_a_non_object_hello_is_refused_and_closed(self, provider, payload):
+        sock = raw_connection(provider.port)
+        try:
+            send_frame(sock, payload, channel=CHANNEL_CONTROL)
+            response = json.loads(recv_frame(sock).payload)
+            assert not response["ok"]
+            assert "malformed control frame" in response["error"]
             assert recv_frame(sock) is None  # server hung up
-        finally:
-            sock.close()
-
-    def test_no_common_version_is_an_error(self, provider):
-        sock = raw_connection(provider.port)
-        try:
-            hello = send_hello(sock, versions=(99,))
-            assert not hello["ok"]
-            assert "common protocol version" in hello["error"]
         finally:
             sock.close()
 
@@ -86,15 +98,52 @@ class TestHelloNegotiation:
         finally:
             sock.close()
 
-    def test_proxy_refuses_a_v1_only_provider(self):
-        class V1OnlyServer(OutsourcedDatabaseServer):
-            SUPPORTED_PROTOCOL_VERSIONS = (1,)
+    def test_a_control_op_before_hello_rejected_and_closed(self, provider):
+        sock = raw_connection(provider.port)
+        try:
+            response = control(sock, {"op": "ping"})
+            assert not response["ok"]
+            assert "hello" in response["error"]
+            assert recv_frame(sock) is None
+        finally:
+            sock.close()
 
-        with ThreadedTcpServer(V1OnlyServer()) as server:
-            with pytest.raises(RemoteError, match="no common protocol version"):
-                RemoteServerProxy("127.0.0.1", server.port)
-            with pytest.raises(DatabaseError, match="no common protocol version"):
-                EncryptedDatabase.connect(f"tcp://127.0.0.1:{server.port}")
+
+class TestTraceLimit:
+    @pytest.fixture
+    def traced_provider(self, provider, secret_key):
+        with EncryptedDatabase.connect(
+            f"tcp://127.0.0.1:{provider.port}", secret_key
+        ) as db:
+            db.create_table(EMP_DECL, rows=[("a", "HR", 1), ("b", "IT", 2)])
+            for dept in ("HR", "IT", "OPS"):
+                db.select(f"SELECT * FROM Emp WHERE dept = '{dept}'")
+        yield provider
+
+    def test_limit_bounds_the_recent_traces(self, traced_provider):
+        sock = raw_connection(traced_provider.port)
+        try:
+            assert send_hello(sock)["ok"]
+            assert len(control(sock, {"op": "trace", "limit": 10})["traces"]) >= 3
+            assert len(control(sock, {"op": "trace", "limit": 2})["traces"]) == 2
+            response = control(sock, {"op": "trace", "limit": 0})
+            assert response["ok"]
+            assert response["traces"] == [] and response["slow"] == []
+        finally:
+            sock.close()
+
+    def test_a_negative_limit_is_malformed_and_the_connection_lives(
+        self, traced_provider
+    ):
+        sock = raw_connection(traced_provider.port)
+        try:
+            assert send_hello(sock)["ok"]
+            response = control(sock, {"op": "trace", "limit": -2})
+            assert not response["ok"]
+            assert "malformed 'trace' request" in response["error"]
+            assert control(sock, {"op": "ping"})["ok"]
+        finally:
+            sock.close()
 
 
 class TestHostileBytes:

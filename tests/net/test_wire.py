@@ -10,8 +10,7 @@ from repro.net.wire import (
     WireProtocolError,
     control_error,
     decode_control_response,
-    decode_hello,
-    encode_hello,
+    encode_control_request,
 )
 
 
@@ -85,28 +84,10 @@ class TestClientChannel:
         assert wrapped == 1
 
 
-class TestHelloCodecs:
+class TestControlCodecs:
     def test_hello_round_trip(self):
-        payload = encode_hello([1, 2])
-        request = decode_control_response(payload)
-        assert request == {"op": "hello", "versions": [1, 2]}
-
-    def test_decode_hello_extracts_the_session_parameters(self):
-        hello = decode_hello(
-            {"ok": True, "version": 2, "versions": [1, 2], "server": "x",
-             "max_frame_size": 512},
-            fallback_max_frame_size=1024,
-        )
-        assert hello.version == 2
-        assert hello.versions == (1, 2)
-        assert hello.software == "x"
-        assert hello.max_frame_size == 512
-
-    def test_decode_hello_defaults_and_errors(self):
-        hello = decode_hello({"ok": True, "version": 1}, fallback_max_frame_size=99)
-        assert hello.max_frame_size == 99
-        with pytest.raises(WireProtocolError):
-            decode_hello({"ok": True}, fallback_max_frame_size=99)
+        payload = encode_control_request("hello")
+        assert decode_control_response(payload) == {"op": "hello"}
 
     def test_malformed_control_payloads_rejected(self):
         with pytest.raises(WireProtocolError):

@@ -153,6 +153,23 @@ class TestTraceBuffer:
             traces[1].trace_id.hex(),
         ]
 
+    def test_recent_honours_every_count(self):
+        buffer = TraceBuffer()
+        traces = [Trace(new_trace_id()) for _ in range(5)]
+        for trace in traces:
+            buffer.record(trace)
+        newest_first = [t.trace_id.hex() for t in reversed(traces)]
+        for limit in (0, 1, 4, 5, 9):
+            assert [t["trace_id"] for t in buffer.recent(limit)] == newest_first[:limit]
+
+    @pytest.mark.parametrize("limit", [-1, -2, -5])
+    def test_a_negative_limit_is_refused(self, limit):
+        buffer = TraceBuffer()
+        for _ in range(5):
+            buffer.record(Trace(new_trace_id()))
+        with pytest.raises(ValueError, match="limit"):
+            buffer.recent(limit)
+
     def test_zero_capacity_is_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             TraceBuffer(max_traces=0)
@@ -186,3 +203,14 @@ class TestSlowQueryLog:
         entries = log.entries()
         assert len(entries) == 2
         assert entries[0]["trace_id"] == traces[2].trace_id.hex()
+
+    def test_entries_honour_every_count(self):
+        log = SlowQueryLog(threshold_s=0.0)
+        traces = [self._trace_lasting(0.1) for _ in range(5)]
+        for trace in traces:
+            log.observe(trace)
+        newest_first = [t.trace_id.hex() for t in reversed(traces)]
+        for limit in (0, 1, 4, 5, 9):
+            assert [e["trace_id"] for e in log.entries(limit)] == newest_first[:limit]
+        with pytest.raises(ValueError, match="limit"):
+            log.entries(-2)

@@ -2,9 +2,7 @@
 
 Covers the PR's acceptance path (a traced exact select on a two-shard
 indexed fleet assembling session, proxy, router, per-shard, dispatcher and
-access-method spans into one trace), the protocol-negotiation edges
-(pre-trace v2 providers keep working, their spans simply absent; v1-only
-providers are refused), the
+access-method spans into one trace), the
 old-name compatibility of the ``stats`` control operation, and the
 ``repro stats`` / ``repro trace`` subcommands over a live socket.
 """
@@ -19,22 +17,9 @@ from repro.net import ThreadedTcpServer
 from repro.obs import histogram_summaries
 from repro.outsourcing import OutsourcedDatabaseServer
 from repro.outsourcing.audit import ServerAuditLog
-from repro.outsourcing.protocol import PROTOCOL_V2, ProtocolError
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
 ROWS = [(f"emp{i}", "HR" if i % 2 else "IT", 1000 + i) for i in range(24)]
-
-
-class V1OnlyServer(OutsourcedDatabaseServer):
-    """A provider from before the v2 envelope existed."""
-
-    SUPPORTED_PROTOCOL_VERSIONS = (1,)
-
-
-class PreTraceServer(OutsourcedDatabaseServer):
-    """A v2 provider from before trace ids rode the envelope."""
-
-    SUPPORTED_PROTOCOL_VERSIONS = (PROTOCOL_V2,)
 
 
 def _span_names(trace: dict) -> set[str]:
@@ -174,58 +159,6 @@ class TestTcpTracing:
         assert any(name == "audit_events" for name, _kind in gauges)
 
 
-class TestNegotiationEdges:
-    def test_v1_provider_is_refused(self, secret_key, rng):
-        with pytest.raises(ProtocolError, match="no common protocol version"):
-            EncryptedDatabase.open(secret_key, server=V1OnlyServer(), rng=rng)
-
-    def test_pre_trace_v2_provider_over_tcp(self, secret_key, rng):
-        with ThreadedTcpServer(PreTraceServer()) as server:
-            url = f"tcp://127.0.0.1:{server.port}"
-            with EncryptedDatabase.connect(url, secret_key, rng=rng) as db:
-                db.create_table(EMP_DECL, rows=ROWS)
-                assert len(db.select("SELECT * FROM Emp WHERE dept = 'HR'").relation) == 12
-                trace = db.fetch_trace()
-                names = _span_names(trace)
-                # client-side spans exist; the provider never saw a trace id
-                assert "session.select" in names
-                assert "proxy.request" in names
-                assert "server.dispatch" not in names
-                db.drop_table("Emp")
-
-    def test_mixed_fleet_traces_only_the_speakers(self, secret_key, rng):
-        with ThreadedTcpServer() as modern, ThreadedTcpServer(PreTraceServer()) as old:
-            url = (
-                f"cluster://127.0.0.1:{modern.port},127.0.0.1:{old.port}"
-            )
-            with EncryptedDatabase.connect(url, secret_key, rng=rng) as db:
-                db.create_table(EMP_DECL, rows=ROWS)
-                result = db.select("SELECT * FROM Emp WHERE dept = 'HR'")
-                assert len(result.relation) == 12
-                trace = db.fetch_trace()
-                names = _span_names(trace)
-                assert "session.select" in names
-                assert "router.scatter" in names
-                # both shards answered (client-side spans for each)...
-                shard_spans = [
-                    s for s in trace["spans"] if s["name"] == "shard.request"
-                ]
-                modern_id = f"tcp://127.0.0.1:{modern.port}"
-                old_id = f"tcp://127.0.0.1:{old.port}"
-                assert {s["annotations"]["shard_id"] for s in shard_spans} == {
-                    modern_id,
-                    old_id,
-                }
-                # ...but only the modern shard recorded server-side spans
-                dispatch_shards = {
-                    s["annotations"].get("shard_id")
-                    for s in trace["spans"]
-                    if s["name"] == "server.dispatch"
-                }
-                assert dispatch_shards == {modern_id}
-                db.drop_table("Emp")
-
-
 class TestClusterAcceptance:
     def test_traced_indexed_select_on_a_two_shard_fleet(self, secret_key, rng):
         with ThreadedTcpServer() as one, ThreadedTcpServer() as two:
@@ -327,6 +260,23 @@ class TestCliObservability:
         out = capsys.readouterr().out
         assert f"trace {db.last_trace_id}:" in out
         assert "server.dispatch" in out
+
+    def test_repro_trace_limit_bounds_the_listing(self, serving, capsys):
+        url, db = serving
+        db.select("SELECT * FROM Emp WHERE dept = 'IT'")
+        assert main(["trace", url, "--limit", "2"]) == 0
+        assert "2 recent trace(s)" in capsys.readouterr().out
+        assert main(["trace", url, "--limit", "1"]) == 0
+        assert "1 recent trace(s)" in capsys.readouterr().out
+        assert main(["trace", url, "--limit", "0"]) == 0
+        assert "0 recent trace(s)" in capsys.readouterr().out
+
+    def test_negative_limit_is_a_usage_error(self, serving, capsys):
+        url, _db = serving
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trace", url, "--limit", "-1"])
+        assert excinfo.value.code == 2
+        assert "--limit" in capsys.readouterr().err
 
     def test_repro_trace_unknown_id(self, serving, capsys):
         url, _db = serving

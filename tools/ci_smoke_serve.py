@@ -1,8 +1,10 @@
 """CI smoke test of the standalone provider.
 
 Starts ``repro serve`` as a real subprocess, runs one remote query through
-``EncryptedDatabase.connect("tcp://...")``, then shuts the provider down
-with SIGTERM and checks it exits cleanly.  Every wait is bounded so a hung
+``EncryptedDatabase.connect("tcp://...")`` and checks that the query's trace
+holds the provider's own spans (the trace id crossed the wire), lists the
+provider's recent traces with ``repro trace --limit 1`` and ``--limit 0``,
+then shuts the provider down with SIGTERM and checks it exits cleanly.  Every wait is bounded so a hung
 provider fails the CI step instead of wedging it (the workflow additionally
 wraps the whole script in ``timeout``).
 
@@ -21,6 +23,22 @@ import tempfile
 
 STARTUP_TIMEOUT_S = 30
 SHUTDOWN_TIMEOUT_S = 15
+CLI_TIMEOUT_S = 30
+
+
+def recent_trace_count(url: str, limit: int) -> str:
+    """The ``N recent trace(s)`` phrase of ``repro trace URL --limit limit``."""
+    listing = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "trace", url, "--limit", str(limit),
+         "--timeout", str(CLI_TIMEOUT_S)],
+        capture_output=True,
+        text=True,
+        timeout=CLI_TIMEOUT_S,
+    )
+    match = re.search(r"\d+ recent trace\(s\)", listing.stdout)
+    if listing.returncode != 0 or match is None:
+        return f"exit {listing.returncode}: {listing.stdout}{listing.stderr}"
+    return match.group(0)
 
 
 def main() -> int:
@@ -55,6 +73,18 @@ def main() -> int:
                     print(f"FAIL: expected 2 rows, got {len(outcome.relation)}")
                     return 1
                 print("remote query answered correctly")
+                spans = {span["name"] for span in db.fetch_trace()["spans"]}
+                if not any(name.startswith("provider.") for name in spans):
+                    print(f"FAIL: no provider span in the select's trace: {sorted(spans)}")
+                    return 1
+                print("the select's trace id reached the provider")
+
+            for limit in (1, 0):
+                listed = recent_trace_count(url, limit)
+                if listed != f"{limit} recent trace(s)":
+                    print(f"FAIL: repro trace --limit {limit}: {listed}")
+                    return 1
+            print("repro trace --limit 1 / --limit 0 list 1 / 0 traces")
 
             proc.send_signal(signal.SIGTERM)
             output, _ = proc.communicate(timeout=SHUTDOWN_TIMEOUT_S)
