@@ -17,9 +17,9 @@ The library implements, from scratch:
   games of Definitions 1.2 and 2.1, the concrete attacks of Sections 1 and 2,
   the generic Theorem-2.1 adversary and empirical advantage estimation;
 * the **outsourcing protocol** (:mod:`repro.outsourcing`): an untrusted server
-  (Eve) with pluggable ciphertext storage, a client (Alex) and the versioned
-  byte-level messages they exchange (v2 adds ``DELETE_TUPLES`` and
-  ``BATCH_QUERY`` for full CRUD);
+  (Eve) with pluggable ciphertext storage, a client (Alex) and the one
+  byte-level envelope they exchange for every data, index and DDL
+  operation;
 * the **network serving layer** (:mod:`repro.net`): length-prefixed framing,
   an asyncio TCP provider (``repro serve``) for many concurrent clients, and
   a pooled client proxy so ``EncryptedDatabase.connect("tcp://host:port")``

@@ -198,10 +198,6 @@ class EncryptedDatabase:
         self._scheme_options = dict(scheme_options or {})
         self._tables: dict[str, TableHandle] = {}
         self._index_enabled = bool(index)
-        #: Memoized "this provider cannot serve index ops" flag: set on the
-        #: first ``cannot serve message kind`` error so a fleet of older
-        #: servers costs one failed round trip, not one per operation.
-        self._index_unsupported = False
         # The client-side observability plane: per-op latency histograms,
         # completed traces, and the slow-query log of this session.
         self._metrics = MetricsRegistry()
@@ -512,11 +508,6 @@ class EncryptedDatabase:
         return self._index_enabled
 
     @property
-    def index_active(self) -> bool:
-        """True while indexed serving is enabled *and* the provider plays along."""
-        return self._index_enabled and not self._index_unsupported
-
-    @property
     def cache(self) -> ResultCache | None:
         """The session's client-side result cache, or None when disabled."""
         return self._cache
@@ -554,23 +545,16 @@ class EncryptedDatabase:
     def metrics_snapshot(self) -> dict:
         """One merged snapshot: this session's registry plus the provider's.
 
-        Works against every provider shape -- in-process servers and
-        routers contribute their ``metrics_snapshot``, remote proxies the
-        ``metrics`` control operation, and anything older simply adds
-        nothing.  Never raises: metrics are diagnostics, not serving.
+        Every provider shape -- in-process server, router, remote proxy --
+        contributes its ``metrics_snapshot``; a bare ``handle_message``
+        object adds nothing.  Never raises: metrics are diagnostics, not
+        serving.
         """
         snapshots = [self._metrics.snapshot()]
-        local = getattr(self._server, "metrics_snapshot", None)
-        if local is not None:
+        provider = getattr(self._server, "metrics_snapshot", None)
+        if provider is not None:
             with contextlib.suppress(Exception):
-                snapshots.append(local())
-        else:
-            remote = getattr(self._server, "metrics", None)
-            if callable(remote):  # a proxy's metrics control op
-                with contextlib.suppress(Exception):
-                    snapshot = remote().get("metrics")
-                    if snapshot:
-                        snapshots.append(snapshot)
+                snapshots.append(provider())
         return merge_snapshots(*snapshots)
 
     def fetch_trace(self, trace_id: str | bytes | None = None) -> dict | None:
@@ -679,9 +663,9 @@ class EncryptedDatabase:
             raise
         finally:
             self._invalidate_cache(name)
-        if handle.indexer is not None and not self._index_unsupported:
+        if handle.indexer is not None:
             snapshot = handle.indexer.snapshot(relation, encrypted)
-            self._index_request(
+            self._request(
                 MessageKind.INDEX_PUT,
                 name,
                 encode_index_snapshot(snapshot),
@@ -711,13 +695,13 @@ class EncryptedDatabase:
                 f"{stored.schema!r}"
             )
         handle = self._bind_table(schema)
-        if handle.indexer is not None and not self._index_unsupported:
+        if handle.indexer is not None:
             # The provider's index is soft state the previous session may
             # have taken with it; rebuild it from the stored ciphertexts
             # (decrypting client-side, as always) and re-ship it.
             rows = [handle.scheme.decrypt_tuple(t) for t in stored.encrypted_tuples]
             snapshot = handle.indexer.snapshot(Relation(schema, rows), stored)
-            self._index_request(
+            self._request(
                 MessageKind.INDEX_PUT,
                 name,
                 encode_index_snapshot(snapshot),
@@ -785,7 +769,7 @@ class EncryptedDatabase:
             relation_tuple = self._as_tuple(handle, row)
             encrypted = handle.scheme.encrypt_tuple(relation_tuple)
             try:
-                if handle.indexer is not None and not self._index_unsupported:
+                if handle.indexer is not None:
                     # Postings first, tuple second: a crash in between leaves a
                     # stale posting whose id fetches nothing (a harmless
                     # superset); the other order could leave an indexed lookup
@@ -793,7 +777,7 @@ class EncryptedDatabase:
                     delta = handle.indexer.insert_delta(
                         relation_tuple, encrypted.tuple_id
                     )
-                    self._index_request(
+                    self._request(
                         MessageKind.INDEX_DELTA,
                         table,
                         encode_index_delta(delta),
@@ -1074,7 +1058,7 @@ class EncryptedDatabase:
         filter below discards index false candidates exactly as it
         discards scheme false positives).
         """
-        if handle.indexer is not None and not self._index_unsupported:
+        if handle.indexer is not None:
             try:
                 labels = handle.indexer.query_labels(parsed)
             except QueryError:
@@ -1083,14 +1067,13 @@ class EncryptedDatabase:
                 request = IndexLookupRequest(
                     labels=labels, fallback_query=encrypted_query
                 )
-                response = self._index_request(
+                response = self._request(
                     MessageKind.INDEX_LOOKUP,
                     handle.name,
                     encode_index_lookup(request),
                     expect=MessageKind.QUERY_RESULT,
                 )
-                if response is not None:
-                    return self._decode_query_result(response)
+                return self._decode_query_result(response)
         response = self._request(
             MessageKind.QUERY,
             handle.name,
@@ -1117,46 +1100,28 @@ class EncryptedDatabase:
     def _delete_matches_uncached(
         self, handle: TableHandle, name: str, body: bytes, matches: list[tuple]
     ) -> int:
-        if handle.indexer is not None and not self._index_unsupported:
-            response = self._index_request(
+        if handle.indexer is not None:
+            response = self._request(
                 MessageKind.DELETE_TUPLES_EXACT,
                 name,
                 body,
                 expect=MessageKind.TUPLE_IDS,
             )
-            if response is not None:
-                deleted_ids = protocol.decode_tuple_ids(response.body)
-                delta = handle.indexer.remove_delta(
-                    (plaintext, t.tuple_id) for t, plaintext in matches
-                )
-                self._index_request(
-                    MessageKind.INDEX_DELTA,
-                    name,
-                    encode_index_delta(delta),
-                    expect=MessageKind.ACK,
-                )
-                return len(deleted_ids)
+            deleted_ids = protocol.decode_tuple_ids(response.body)
+            delta = handle.indexer.remove_delta(
+                (plaintext, t.tuple_id) for t, plaintext in matches
+            )
+            self._request(
+                MessageKind.INDEX_DELTA,
+                name,
+                encode_index_delta(delta),
+                expect=MessageKind.ACK,
+            )
+            return len(deleted_ids)
         response = self._request(
             MessageKind.DELETE_TUPLES, name, body, expect=MessageKind.ACK
         )
         return protocol.decode_count(response.body)
-
-    def _index_request(
-        self, kind: MessageKind, relation_name: str, body: bytes, expect: MessageKind
-    ) -> MessageV2 | None:
-        """A request the provider may legitimately not serve.
-
-        ``None`` means the provider rejected the *kind* (an older build):
-        the session memoizes that and every later operation goes straight
-        to the scan/plain-op path.  Real failures still raise.
-        """
-        try:
-            return self._request(kind, relation_name, body, expect=expect)
-        except DatabaseError as exc:
-            if protocol.UNSERVED_KIND_REFUSAL in str(exc):
-                self._index_unsupported = True
-                return None
-            raise
 
     def _true_matches(
         self, name: str, parsed: Query

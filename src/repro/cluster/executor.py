@@ -123,22 +123,17 @@ class ShardRequest:
     """One envelope bound for one shard, plus the step applied to its answer.
 
     ``step`` is a plain function over the shard's response bytes: it
-    returns the checked answer, raises, or returns a follow-up
-    :class:`ShardRequest` for the *same* shard (how an index lookup falls
-    back to a scan on a shard that cannot serve it).  Keeping the step
-    free of I/O is what lets the two drivers below -- one per transport --
-    stay three lines each and share every rule about what an answer means.
+    returns the checked answer or raises.  Keeping the step free of I/O is
+    what lets the two drivers below -- one per transport -- stay one line
+    each and share every rule about what an answer means.
     """
 
     envelope: bytes
     step: Callable[[bytes], Any]
 
     def __call__(self, server: Any) -> Any:
-        """Blocking driver: one ``handle_message`` per request in the chain."""
-        result: Any = self
-        while isinstance(result, ShardRequest):
-            result = result.step(server.handle_message(result.envelope))
-        return result
+        """Blocking driver: one ``handle_message``."""
+        return self.step(server.handle_message(self.envelope))
 
     async def pipelined(self, server: Any, trace_id: bytes | None) -> Any:
         """Event-loop driver over a pipelined proxy.
@@ -147,12 +142,9 @@ class ShardRequest:
         coroutine runs on the loop thread, where the ambient trace
         contextvar is unset.
         """
-        result: Any = self
-        while isinstance(result, ShardRequest):
-            result = result.step(
-                await server.handle_message_async(result.envelope, trace_id=trace_id)
-            )
-        return result
+        return self.step(
+            await server.handle_message_async(self.envelope, trace_id=trace_id)
+        )
 
 
 class ScatterGatherExecutor:

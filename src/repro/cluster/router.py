@@ -57,6 +57,7 @@ which is the same access pattern the paper already concedes.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 from dataclasses import dataclass
@@ -83,12 +84,7 @@ from repro.cluster.executor import (
 from repro.cluster.ring import ConsistentHashRing, DEFAULT_VIRTUAL_NODES
 from repro.obs import MetricsRegistry, current_trace, current_trace_id, merge_snapshots
 from repro.outsourcing import protocol
-from repro.outsourcing.protocol import (
-    MessageKind,
-    MessageV2,
-    ProtocolError,
-    UNSERVED_KIND_REFUSAL,
-)
+from repro.outsourcing.protocol import MessageKind, MessageV2, ProtocolError
 from repro.outsourcing.server import ServerError
 from repro.outsourcing.storage import StorageError
 
@@ -218,9 +214,6 @@ class ClusterStats:
         "loop_scatters",
         # ``INDEX_LOOKUP`` scatters routed across the fleet.
         "index_lookups",
-        # Per-shard scan fallbacks inside index lookups (a fleet member that
-        # does not speak ``INDEX_LOOKUP`` answered the embedded query).
-        "index_scan_fallbacks",
         # ``INDEX_PUT`` / ``INDEX_DELTA`` fan-outs.
         "index_writes",
     )
@@ -253,9 +246,6 @@ class ClusterStats:
 
     def record_index_lookup(self) -> None:
         self._counters["index_lookups"].inc()
-
-    def record_index_scan_fallback(self) -> None:
-        self._counters["index_scan_fallbacks"].inc()
 
     def record_index_write(self) -> None:
         self._counters["index_writes"].inc()
@@ -302,7 +292,7 @@ class _Plan:
     #: ``(decoded per-shard answers, payload) -> the fleet's one answer``.
     merge: Callable[[Sequence[Any], Any], Any]
     #: Decodes (and so validates) the request body into the ``payload`` that
-    #: ``targets``, ``fallback`` and ``merge`` see; None forwards it unread.
+    #: ``targets`` and ``merge`` see; None forwards it unread.
     decode: Callable[[bytes], Any] | None = None
     #: Reads may fail over to surviving replicas; everything else is a write
     #: and invalidates the coordinator cache's entries for its relation.
@@ -311,9 +301,6 @@ class _Plan:
     policy: str | None = FAIL_FAST
     #: Coordinator-cache namespace of a cacheable read.
     cache: str | None = None
-    #: ``(router, request, payload) -> envelope | None``: what to replay to a
-    #: shard that refuses this kind (see ``ShardRouter._shard_step``).
-    fallback: Callable[..., bytes | None] | None = None
     #: The ``ClusterStats`` recorder bumped once per routed request.
     record: Callable[[ClusterStats], None] | None = None
     #: The kind every addressed shard must answer with, when ``targets``
@@ -329,12 +316,6 @@ def _decode_insert(body: bytes) -> EncryptedTuple:
     if consumed != len(body):
         raise ProtocolError("trailing bytes after encrypted tuple")
     return encrypted_tuple
-
-
-def _decode_lookup(body: bytes):
-    from repro.index.wire import decode_index_lookup
-
-    return decode_index_lookup(body)
 
 
 #: Body codecs ``(decode, encode)`` of the answer kinds.
@@ -810,34 +791,23 @@ class ShardRouter:
     def metrics_snapshot(self) -> dict:
         """One merged snapshot: the router's registry plus every shard's.
 
-        Shards that cannot answer (dead, or builds without the metrics
-        plane) are skipped -- a metrics probe never raises.  Histograms
-        merge exactly because every registry shares the fixed bucket
-        bounds.
+        Shards that cannot answer are skipped -- a metrics probe never
+        raises.  Histograms merge exactly because every registry shares the
+        fixed bucket bounds.
         """
         snapshots = [self._metrics.snapshot()]
         for shard in self._shards.values():
-            try:
-                local = getattr(shard.server, "metrics_snapshot", None)
-                if local is not None:
-                    snapshots.append(local())
-                    continue
-                remote = getattr(shard.server, "metrics", None)
-                if callable(remote):  # a proxy's metrics control op
-                    snapshot = remote().get("metrics")
-                    if snapshot:
-                        snapshots.append(snapshot)
-            except Exception:  # noqa: BLE001 - a metrics probe never raises
-                continue
+            with contextlib.suppress(Exception):
+                snapshots.append(shard.server.metrics_snapshot())
         return merge_snapshots(*snapshots)
 
     def collect_trace(self, trace_id: bytes) -> list[dict]:
         """Every span the fleet recorded under ``trace_id``, shard-tagged.
 
         Fans the ``trace`` control operation out to shards that support it
-        (older builds simply contribute nothing) and annotates each span
-        with the shard it came from; per-shard failures are suppressed --
-        trace assembly is diagnostics, not serving.
+        (a bare ``handle_message`` backend contributes nothing) and annotates
+        each span with the shard it came from; per-shard failures are
+        suppressed -- trace assembly is diagnostics, not serving.
         """
         spans: list[dict] = []
         for shard in self._shards.values():
@@ -932,7 +902,7 @@ class ShardRouter:
     ) -> Any:
         """One envelope to one shard, member or not, outside any scatter."""
         expect = self._PLANS[kind].answers
-        step = partial(self._shard_step, shard.shard_id, expect, None)
+        step = partial(self._shard_step, shard.shard_id, expect)
         raw = MessageV2(kind, relation_name, body).to_bytes()
         return _decode_answer(ShardRequest(raw, step)(shard.server))
 
@@ -993,31 +963,16 @@ class ShardRouter:
         """
         payload = plan.decode(request.body) if plan.decode is not None else None
         envelopes = plan.targets(self, request, raw, payload)
-        fallback = (
-            plan.fallback(self, request, payload) if plan.fallback is not None else None
-        )
         if plan.record is not None:
             plan.record(self._stats)
         expect = plan.expect or plan.answers
         requests = [
-            (shard_id, ShardRequest(
-                envelope, partial(self._shard_step, shard_id, expect, fallback)
-            ))
+            (shard_id, ShardRequest(envelope, partial(self._shard_step, shard_id, expect)))
             for shard_id, envelope in envelopes.items()
         ]
         complete = True
         if not requests:
             responses: Sequence[MessageV2] = ()
-        elif len(requests) == 1 and plan.targets is ShardRouter._to_replicas:
-            # Unreplicated fast path: the one owning shard is called on this
-            # thread, no scatter hop.
-            shard_id, direct = requests[0]
-            try:
-                responses = (direct(self.shard(shard_id)),)
-            except (ServerError, StorageError, ProtocolError, DphError, ValueError):
-                raise
-            except Exception as exc:  # a dying backend must not escape the contract
-                raise ClusterError(f"shard {shard_id!r} failed: {exc}") from exc
         else:
             gathered = self._gather(
                 f"{request.kind.value}({request.relation_name!r})",
@@ -1029,30 +984,13 @@ class ShardRouter:
         values = [_decode_answer(response) for response in responses]
         return plan.merge(values, payload), complete
 
+    @staticmethod
     def _shard_step(
-        self,
-        shard_id: str,
-        expect: MessageKind,
-        fallback: bytes | None,
-        raw_response: bytes,
-    ) -> MessageV2 | ShardRequest:
-        """What one shard's answer means: the checked response, or a follow-up.
-
-        A fleet member that does not speak the requested kind (an older
-        build in a mixed fleet) answers with the
-        :data:`~repro.outsourcing.protocol.UNSERVED_KIND_REFUSAL` error;
-        when the plan supplied a ``fallback`` envelope (an index lookup's
-        embedded scan query) it is replayed to *that shard only*, so the
-        merged answer stays complete -- some shards at O(result), the
-        stragglers at O(data) -- instead of failing the read.
-        """
+        shard_id: str, expect: MessageKind, raw_response: bytes
+    ) -> MessageV2:
+        """What one shard's answer means: the checked response, or an error."""
         response = protocol.parse_message(raw_response)
         if response.kind is MessageKind.ERROR:
-            if fallback is not None and UNSERVED_KIND_REFUSAL.encode() in response.body:
-                self._stats.record_index_scan_fallback()
-                return ShardRequest(
-                    fallback, partial(self._shard_step, shard_id, expect, None)
-                )
             raise ClusterError(response.body.decode("utf-8", "replace"))
         if response.kind is not expect:
             raise ClusterError(
@@ -1113,12 +1051,6 @@ class ShardRouter:
             for shard_id, tuples in groups.items()
         }
 
-    def _scan_fallback(self, request: MessageV2, lookup) -> bytes | None:
-        if lookup.fallback_query is None:
-            return None
-        body = protocol.encode_encrypted_query(lookup.fallback_query)
-        return self._frame(request, MessageKind.QUERY, body)
-
     # -- settle: the router's own bookkeeping ---------------------------- #
 
     def _remember_evaluator(self, request: MessageV2) -> None:
@@ -1163,8 +1095,8 @@ class ShardRouter:
         ),
         MessageKind.INDEX_LOOKUP: _Plan(
             _to_every_shard, MessageKind.QUERY_RESULT, _merge_results,
-            read=True, policy=None, cache="index", decode=_decode_lookup,
-            fallback=_scan_fallback, record=ClusterStats.record_index_lookup,
+            read=True, policy=None, cache="index",
+            record=ClusterStats.record_index_lookup,
         ),
         MessageKind.REGISTER_EVALUATOR: _Plan(
             _to_every_shard, MessageKind.ACK, _first, settle=_remember_evaluator

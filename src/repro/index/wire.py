@@ -12,9 +12,8 @@ Three ciphertext objects cross the trust boundary:
   add or tombstone.
 * :class:`IndexLookupRequest` -- an ``INDEX_LOOKUP`` body: the trapdoor
   labels for a query's predicates plus the ordinary encrypted fallback
-  query, so a provider without the index (a pre-index fleet member, a
-  restarted shard, a mid-rebalance arrival) can answer by scan instead of
-  failing.
+  query, so a provider without an installed index (a restarted shard, a
+  mid-rebalance arrival) can answer by scan instead of failing.
 
 Everything here is deliberately dumb bytes-in/bytes-out: the PRF key
 material lives in :mod:`repro.index.client`, the serving logic in

@@ -404,6 +404,10 @@ class RemoteProxyBase:
         response = self._control("metrics", **fields)
         return {key: value for key, value in response.items() if key != "ok"}
 
+    def metrics_snapshot(self) -> dict:
+        """The provider's structured metrics snapshot (``{}`` when empty)."""
+        return self._control("metrics").get("metrics") or {}
+
     def collect_trace(self, trace_id: bytes) -> list[dict]:
         """The spans this provider recorded under ``trace_id`` (may be [])."""
         response = self._control("trace", trace_id=trace_id.hex())

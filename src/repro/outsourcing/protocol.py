@@ -430,13 +430,6 @@ class MessageKind(Enum):
     RELATIONS = "relations"
 
 
-#: How a provider's ``ERROR`` body begins when it refuses a message *kind*
-#: (an older build that predates the op).  Coordinators and sessions match
-#: on it to fall back -- index lookup to scan, exact delete to counted
-#: delete -- so the provider and every matcher must share this one spelling.
-UNSERVED_KIND_REFUSAL = "cannot serve message kind"
-
-
 @dataclass(frozen=True)
 class MessageV2:
     """A protocol message: a kind, a target relation name, and a body.

@@ -39,12 +39,7 @@ from repro.obs import MetricsRegistry, span as obs_span
 from repro.outsourcing import protocol
 from repro.outsourcing.audit import AuditEventKind, ServerAuditLog
 from repro.outsourcing.evaluators import build_evaluator
-from repro.outsourcing.protocol import (
-    MessageKind,
-    MessageV2,
-    ProtocolError,
-    UNSERVED_KIND_REFUSAL,
-)
+from repro.outsourcing.protocol import MessageKind, MessageV2, ProtocolError
 from repro.outsourcing.storage import (
     InMemoryStorageBackend,
     StorageBackend,
@@ -502,7 +497,7 @@ class OutsourcedDatabaseServer:
                 MessageKind.RELATIONS,
                 protocol.encode_relation_names(self.relation_names),
             )
-        raise ServerError(f"{UNSERVED_KIND_REFUSAL} {kind.value!r}")
+        raise ServerError(f"cannot serve message kind {kind.value!r}")
 
     # ------------------------------------------------------------------ #
     # Internals

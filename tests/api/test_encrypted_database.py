@@ -187,7 +187,7 @@ class TestCrudAcrossAllSchemes:
         above already proved byte-for-byte equality with the expectation."""
         outcome = db.select("SELECT * FROM Emp WHERE dept = 'HR'")
         assert len(outcome.relation) == 2
-        if db.index_active:
+        if db.index_enabled:
             assert outcome.evaluation.examined == 2
         else:
             assert outcome.evaluation is None or (

@@ -2,24 +2,27 @@
 
 A shard needs nothing but ``handle_message``; every kind of fleet (in-process,
 blocking ``tcp://``, pipelined) agrees on answers, provider state, counters
-and errors; single queries and batches share one coordinator cache; and a
-failed construction leaves no thread behind.
+and errors; single queries and batches share one coordinator cache; a
+refused or malformed request fails loudly; every request crosses the one
+scatter; and a failed construction leaves no thread behind.
 """
 
 from __future__ import annotations
 
 import contextlib
 import threading
+from collections import Counter
 
 import pytest
 
-from repro.api import EncryptedDatabase
+from repro.api import DatabaseError, EncryptedDatabase
 from repro.cluster import DEGRADED, ShardRouter
 from repro.core import SearchableSelectDph
 from repro.crypto.rng import DeterministicRng
+from repro.index import IndexLookupRequest, encode_index_lookup
 from repro.net import ThreadedTcpServer
 from repro.outsourcing import OutsourcedDatabaseServer, protocol
-from repro.outsourcing.protocol import MessageKind, MessageV2, UNSERVED_KIND_REFUSAL
+from repro.outsourcing.protocol import MessageKind, MessageV2
 from repro.outsourcing.server import ServerError
 from repro.relational import Relation, RelationSchema, Selection
 from provider_calls import (
@@ -63,12 +66,23 @@ class DyingServer(OutsourcedDatabaseServer):
         return super().handle_message(raw)
 
 
-class NoLookupServer(OutsourcedDatabaseServer):
-    """An older build: refuses ``INDEX_LOOKUP`` with the shared refusal text."""
+class RefusingServer(OutsourcedDatabaseServer):
+    """Refuses the ``refused`` kind as a provider refuses any unknown kind.
+
+    ``served`` lists every kind it did answer, so a test can tell a loud
+    failure from a silent replay of some other kind.
+    """
+
+    refused: MessageKind | None = None
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.served: list[MessageKind] = []
 
     def _dispatch(self, request):
-        if request.kind is MessageKind.INDEX_LOOKUP:
-            raise ServerError(f"{UNSERVED_KIND_REFUSAL} {request.kind.value!r}")
+        if request.kind is self.refused:
+            raise ServerError(f"cannot serve message kind {request.kind.value!r}")
+        self.served.append(request.kind)
         return super()._dispatch(request)
 
 
@@ -346,28 +360,91 @@ class TestOneCache:
         assert len(execute_query(router, "Emp", hr).matching) == 9  # no replay
 
 
-class TestRefusedKindFallsBackToScan:
-    """The shared refusal constant keeps index -> scan fallback working."""
+class TestRefusedKindsFailLoudly:
+    """A refused kind is a ``DatabaseError`` on every call, never a silent scan."""
+
+    CALLS = {
+        MessageKind.INDEX_PUT: lambda db, attempt: db.create_table(
+            EMP_DECL.replace("Emp", f"Emp{attempt}"), rows=ROWS
+        ),
+        MessageKind.INDEX_LOOKUP: lambda db, _: db.select(
+            Selection.equals("dept", "HR"), table="Emp"
+        ),
+        MessageKind.DELETE_TUPLES_EXACT: lambda db, _: db.delete(
+            Selection.equals("dept", "HR"), table="Emp"
+        ),
+    }
+
+    @pytest.mark.parametrize("refused", list(CALLS), ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("kind", ["provider", "in-process", "pipelined"])
+    def test_every_call_raises(self, kind, refused, secret_key, rng):
+        servers = [RefusingServer() for _ in range(1 if kind == "provider" else 3)]
+        with contextlib.ExitStack() as stack:
+            provider = servers[0]
+            if kind != "provider":
+                provider = stack.enter_context(_fleet(kind, servers, replicas=2))
+            db = EncryptedDatabase.open(secret_key, server=provider, rng=rng, index=True)
+            db.create_table(EMP_DECL, rows=ROWS)
+            served = [len(server.served) for server in servers]
+            for server in servers:
+                server.refused = refused
+            refusal = f"cannot serve message kind '{refused.value}'"
+            for attempt in range(3):
+                with pytest.raises(DatabaseError, match=refusal):
+                    self.CALLS[refused](db, attempt)
+            replayed = {MessageKind.QUERY, MessageKind.DELETE_TUPLES}
+            for server, before in zip(servers, served):
+                assert not replayed & set(server.served[before:])
+            for server in servers:
+                server.refused = None
+            assert db.count("Emp") == len(ROWS)
+
+
+class TestMalformedLookup:
+    """``INDEX_LOOKUP`` is forwarded unread; the shards' refusal is the answer."""
 
     @pytest.mark.parametrize("kind", ["in-process", "pipelined"])
-    def test_through_the_router_on_both_scatter_transports(self, kind, secret_key, rng):
-        servers = [OutsourcedDatabaseServer(), NoLookupServer(), OutsourcedDatabaseServer()]
-        with _fleet(kind, servers, replicas=2) as router:
-            db = EncryptedDatabase.open(secret_key, server=router, rng=rng, index=True)
-            db.create_table(EMP_DECL, rows=ROWS)
-            outcome = db.select(Selection.equals("dept", "HR"), table="Emp")
-            assert len(outcome.relation) == 9
-            assert db.index_active  # the fleet as a whole still serves lookups
-            assert router.stats.as_dict()["index_scan_fallbacks"] == 1
-            assert router.stats.as_dict()["index_lookups"] == 1
-            assert (router.stats.as_dict()["loop_scatters"] > 0) == (kind == "pipelined")
+    def test_answers_error_and_fills_no_cache_entry(self, kind, dph, encrypted):
+        servers = [OutsourcedDatabaseServer() for _ in range(3)]
+        with _fleet(kind, servers, replicas=2, cache=True) as router:
+            store_relation(router, "Emp", encrypted, dph.server_evaluator())
+            garbage = b"\x00\x07garbage"
+            error = _envelope(router, MessageKind.INDEX_LOOKUP, garbage, MessageKind.ERROR)
+            assert b"truncated" in error.body
+            assert len(router.cache) == 0
+            # no index installed: every shard answers the embedded query by scan
+            lookup = IndexLookupRequest(
+                labels=(b"l" * 32,), fallback_query=_query(dph, "dept", "HR")
+            )
+            response = _envelope(
+                router, MessageKind.INDEX_LOOKUP, encode_index_lookup(lookup),
+                MessageKind.QUERY_RESULT,
+            )
+            assert len(protocol.decode_query_result(response.body).matching) == 9
+            assert len(router.cache) == 1
 
-    def test_through_a_single_provider_session(self, secret_key, rng):
-        db = EncryptedDatabase.open(secret_key, server=NoLookupServer(), rng=rng, index=True)
+
+class TestEveryRequestCrossesTheGather:
+    """Bugfix: an unreplicated insert is timed and traced like every request."""
+
+    def test_r1_insert_records_one_scatter(self, secret_key, rng):
+        router = ShardRouter([OutsourcedDatabaseServer() for _ in range(3)])
+        db = EncryptedDatabase.open(secret_key, server=router, rng=rng)
         db.create_table(EMP_DECL, rows=ROWS)
-        assert db.index_active
-        assert len(db.select(Selection.equals("dept", "HR"), table="Emp").relation) == 9
-        assert not db.index_active  # memoized: later selects go straight to QUERY
+
+        def samples():
+            return sum(
+                entry["count"]
+                for entry in router.metrics.snapshot()["histograms"]
+                if entry["name"] == "cluster_shard_seconds"
+            )
+
+        before = samples()
+        db.insert("Emp", {"name": "Zoe", "dept": "HR", "salary": 1})
+        names = [span["name"] for span in db.fetch_trace()["spans"]]
+        assert names.count("router.scatter") == 1
+        assert names.count("shard.request") == 1
+        assert samples() == before + 1
 
 
 class TestFailedConstructionLeaksNothing:
@@ -387,8 +464,11 @@ class TestFailedConstructionLeaksNothing:
         ids=["bad-cache-config", "bad-policy", "duplicate-shard-id", "unreachable-shard"],
     )
     def test_thread_names_are_unchanged(self, shards, options):
-        before = sorted(thread.name for thread in threading.enumerate())
+        # Pool threads of earlier routers may exit meanwhile, so only a gain
+        # counts as a leak.
+        before = Counter(thread.name for thread in threading.enumerate())
         for _ in range(3):
             with pytest.raises(ServerError):  # ClusterError, or the proxy's own
                 ShardRouter(shards, async_transport=True, **options)
-        assert sorted(thread.name for thread in threading.enumerate()) == before
+        after = Counter(thread.name for thread in threading.enumerate())
+        assert after - before == Counter()

@@ -1,18 +1,20 @@
 """Index maintenance edge cases on the serving path.
 
 Covers the corners the happy path skips: labels emptied by the last
-delete, bucket-cap overflow spill, mixed fleets where only some shards
-speak the index ops, and the exact-delete
-protocol op under duplicates and replays.
+delete, bucket-cap overflow spill, a lookup outage that must not leave a
+session maintaining no index, an indexed fleet against its unindexed twin,
+and the exact-delete protocol op under duplicates and replays.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
-from repro.api import EncryptedDatabase
+from repro.api import DatabaseError, EncryptedDatabase
 from repro.outsourcing import OutsourcedDatabaseServer
-from repro.outsourcing.protocol import MessageKind, UNSERVED_KIND_REFUSAL
+from repro.outsourcing.protocol import MessageKind
 from repro.outsourcing.server import ServerError
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
@@ -36,7 +38,7 @@ class TestEmptiedLabels:
         outcome = db.select("SELECT * FROM Emp WHERE dept = 'HR'")
         assert len(outcome.relation) == 0
         # the emptied label answers from the index (0 fetched), not by scan
-        assert db.index_active
+        assert db.index_enabled
         assert outcome.evaluation.examined == 0
 
     def test_other_labels_survive_the_emptying(self, db):
@@ -68,66 +70,39 @@ class TestOverflowSpill:
         assert outcome.evaluation.examined == 3 * capacity
 
 
-_INDEX_KINDS = frozenset(
-    {
-        MessageKind.INDEX_PUT,
-        MessageKind.INDEX_DELTA,
-        MessageKind.INDEX_LOOKUP,
-        MessageKind.DELETE_TUPLES_EXACT,
-    }
-)
+class LookupOutage(OutsourcedDatabaseServer):
+    """Refuses ``INDEX_LOOKUP`` while ``down``, as it refuses any unknown kind."""
 
-
-class NoIndexServer(OutsourcedDatabaseServer):
-    """A v2 provider from before the index ops existed."""
-
-    REFUSED = _INDEX_KINDS
+    down = False
 
     def _dispatch(self, request):
-        if request.kind in self.REFUSED:
-            raise ServerError(f"{UNSERVED_KIND_REFUSAL} {request.kind.value!r}")
+        if self.down and request.kind is MessageKind.INDEX_LOOKUP:
+            raise ServerError(f"cannot serve message kind {request.kind.value!r}")
         return super()._dispatch(request)
 
 
-class NoLookupServer(NoIndexServer):
-    """Accepts index maintenance but cannot serve lookups (mid-upgrade)."""
+class TestRefusedLookupLeavesNoSessionBehind:
+    def test_every_session_sees_the_insert_or_raises(self, secret_key, rng):
+        """One refused lookup must not turn a session's index maintenance off."""
+        server = LookupOutage()
+        writer = EncryptedDatabase.open(secret_key, server=server, rng=rng, index=True)
+        writer.create_table(EMP_DECL, rows=[("x", "HR", 1)])
+        reader = EncryptedDatabase.open(secret_key, server=server, rng=rng, index=True)
+        reader.attach_table(EMP_DECL)
+        server.down = True
+        with contextlib.suppress(DatabaseError):
+            writer.select("SELECT * FROM Emp WHERE dept = 'HR'")
+        server.down = False
+        writer.insert("Emp", {"name": "y", "dept": "HR", "salary": 2})
+        for session in (writer, reader):
+            try:
+                outcome = session.select("SELECT * FROM Emp WHERE dept = 'HR'")
+            except DatabaseError:
+                continue
+            assert _names(outcome) == ["x", "y"]
 
-    REFUSED = frozenset({MessageKind.INDEX_LOOKUP})
 
-
-class TestPreIndexProvider:
-    def test_session_falls_back_to_scans_and_stays_correct(self, secret_key, rng):
-        db = EncryptedDatabase.open(
-            secret_key, server=NoIndexServer(), rng=rng, index=True
-        )
-        db.create_table(EMP_DECL, rows=ROWS)
-        # the failed INDEX_PUT memoized "provider has no index ops"
-        assert db.index_enabled
-        assert not db.index_active
-        outcome = db.select("SELECT * FROM Emp WHERE dept = 'HR'")
-        assert len(outcome.relation) == 10
-        assert db.delete("SELECT * FROM Emp WHERE name = 'emp1'") == 1
-        assert db.update("SELECT * FROM Emp WHERE name = 'emp3'", {"salary": 9}) == 1
-        assert len(db.select("SELECT * FROM Emp WHERE dept = 'HR'").relation) == 9
-
-
-class TestMixedFleet:
-    def test_lookups_fall_back_per_shard(self, secret_key, rng):
-        db = EncryptedDatabase.open(
-            secret_key,
-            shards=[OutsourcedDatabaseServer(), NoLookupServer()],
-            rng=rng,
-            index=True,
-        )
-        db.create_table(EMP_DECL, rows=ROWS)
-        assert db.index_active  # maintenance succeeded fleet-wide
-        outcome = db.select("SELECT * FROM Emp WHERE dept = 'HR'")
-        assert len(outcome.relation) == 10
-        # the lookup was served: indexed on one shard, by scan on the other
-        assert db.server.stats.as_dict()["index_lookups"] >= 1
-        assert db.server.stats.as_dict()["index_scan_fallbacks"] >= 1
-        assert db.index_active  # per-shard fallback never disables the session
-
+class TestAllServingFleet:
     def test_results_match_an_unindexed_twin(self, secret_key, rng):
         from repro.crypto.rng import DeterministicRng
 
@@ -135,7 +110,7 @@ class TestMixedFleet:
         for index in (True, False):
             db = EncryptedDatabase.open(
                 secret_key,
-                shards=[OutsourcedDatabaseServer(), NoLookupServer()],
+                shards=[OutsourcedDatabaseServer(), OutsourcedDatabaseServer()],
                 rng=DeterministicRng(7),
                 index=index,
             )

@@ -58,7 +58,7 @@ class TestIndexedLookupsUnderCrashDuplicates:
         assert counts["shard-2"] > 0  # the migration's inserts landed
 
     def test_indexed_results_equal_scan_results(self, crashed, secret_key):
-        assert crashed.index_active
+        assert crashed.index_enabled
         scan = EncryptedDatabase.open(secret_key, server=crashed.server)
         scan.attach_table(EMP_DECL)
         for where in ("dept = 'HR'", "dept = 'IT'", "name = 'emp17'"):

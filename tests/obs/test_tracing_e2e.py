@@ -167,7 +167,7 @@ class TestClusterAcceptance:
                 url, secret_key, rng=rng, index=True
             ) as db:
                 db.create_table(EMP_DECL, rows=ROWS)
-                assert db.index_active
+                assert db.index_enabled
                 result = db.select("SELECT * FROM Emp WHERE dept = 'HR'")
                 assert len(result.relation) == 12
                 trace = db.fetch_trace()
