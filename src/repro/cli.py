@@ -57,6 +57,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import contextlib
+import math
 import signal
 import sys
 from typing import Sequence
@@ -565,6 +566,7 @@ def command_stats(args: argparse.Namespace) -> int:
 
     def scrape() -> int:
         snapshots = []
+        kernels = []
         unreachable = 0
         for shard_url in shard_urls:
             try:
@@ -578,6 +580,9 @@ def command_stats(args: argparse.Namespace) -> int:
                 continue
             if snapshot:
                 snapshots.append(snapshot)
+                impl = next((g["labels"].get("impl") for g in snapshot.get("gauges", ())
+                             if g["name"] == "match_kernel" and g["value"]), "unknown")
+                kernels.append(f"  {shard_url}: match kernel: {impl}")
         merged = merge_snapshots(*snapshots)
         if args.prometheus:
             sys.stdout.write(render_prometheus(merged))
@@ -586,6 +591,8 @@ def command_stats(args: argparse.Namespace) -> int:
             f"metrics from {len(shard_urls) - unreachable}/{len(shard_urls)} "
             f"shard(s)"
         )
+        for line in kernels:
+            print(line)
         for kind in ("counters", "gauges"):
             for entry in sorted(
                 merged[kind], key=lambda e: (e["name"], sorted(e["labels"].items()))
@@ -694,6 +701,19 @@ def _count(text: str) -> int:
     return value
 
 
+def _seconds(text: str) -> float:
+    """An argparse type: a finite number of seconds greater than zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"want a number of seconds (finite and > 0), got {text!r}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -782,7 +802,7 @@ def build_parser() -> argparse.ArgumentParser:
     status.add_argument("--manifest", default=None, metavar="FILE",
                         help="read the fleet topology from a manifest file "
                              "instead of a URL")
-    status.add_argument("--timeout", type=float, default=10.0,
+    status.add_argument("--timeout", type=_seconds, default=10.0,
                         help="per-shard connection timeout in seconds")
     status.set_defaults(handler=command_cluster_status)
 
@@ -792,9 +812,9 @@ def build_parser() -> argparse.ArgumentParser:
     stats_cmd.add_argument("--prometheus", action="store_true",
                            help="print the Prometheus text exposition instead "
                                 "of the human summary")
-    stats_cmd.add_argument("--watch", type=float, default=None, metavar="SECONDS",
+    stats_cmd.add_argument("--watch", type=_seconds, default=None, metavar="SECONDS",
                            help="rescrape every SECONDS until interrupted")
-    stats_cmd.add_argument("--timeout", type=float, default=10.0,
+    stats_cmd.add_argument("--timeout", type=_seconds, default=10.0,
                            help="per-shard connection timeout in seconds")
     stats_cmd.set_defaults(handler=command_stats)
 
@@ -806,9 +826,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 "instead of listing recent ones")
     trace_cmd.add_argument("--limit", type=_count, default=10,
                            help="recent traces / slow queries to show per shard")
-    trace_cmd.add_argument("--watch", type=float, default=None, metavar="SECONDS",
+    trace_cmd.add_argument("--watch", type=_seconds, default=None, metavar="SECONDS",
                            help="re-poll every SECONDS until interrupted")
-    trace_cmd.add_argument("--timeout", type=float, default=10.0,
+    trace_cmd.add_argument("--timeout", type=_seconds, default=10.0,
                            help="per-shard connection timeout in seconds")
     trace_cmd.set_defaults(handler=command_trace)
 

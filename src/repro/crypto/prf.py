@@ -34,16 +34,21 @@ MIN_KEY_LEN = 16
 MAX_BLOCKS = 255
 
 
+def hmac_block_key(key: bytes) -> bytes:
+    """The HMAC-SHA256 key as the block it is absorbed as: hashed first when
+    longer than the block, as HMAC specifies, then zero-padded to it."""
+    if len(key) > _BLOCK_SIZE:
+        key = _DIGEST(key).digest()
+    return key.ljust(_BLOCK_SIZE, b"\x00")
+
+
 def keyed_hmac_states(key: bytes):
     """HMAC-SHA256 keyed once: the ``(inner, outer)`` hash states after the padded key.
 
     A tag is then two ``copy()`` calls and two finalisations, which costs a
-    fraction of keying (or of copying) an ``hmac`` object.  Keys longer than
-    the block are hashed first, as HMAC specifies.
+    fraction of keying (or of copying) an ``hmac`` object.
     """
-    if len(key) > _BLOCK_SIZE:
-        key = _DIGEST(key).digest()
-    key = key.ljust(_BLOCK_SIZE, b"\x00")
+    key = hmac_block_key(key)
     return _DIGEST(key.translate(_IPAD)), _DIGEST(key.translate(_OPAD))
 
 
@@ -92,7 +97,8 @@ class Prf:
     """
 
     def __init__(self, key: bytes, label: bytes | str = b"") -> None:
-        self._inner, self._outer = keyed_hmac_states(_mac_key(key, label))
+        self._block_key = hmac_block_key(_mac_key(key, label))
+        self._inner, self._outer = keyed_hmac_states(self._block_key)
 
     def _hmac(self, message: bytes) -> bytes:
         inner = self._inner.copy()
@@ -102,18 +108,20 @@ class Prf:
         return outer.digest()
 
     def single_block(self, out_len: int):
-        """``(copy_inner, copy_outer, suffix)`` when ``out_len`` bytes are one HMAC, else ``None``.
+        """``(copy_inner, copy_outer, suffix, block_key)`` when ``out_len`` bytes
+        are one HMAC, else ``None``.
 
         For a scan that inlines the evaluation in its own loop: the output for
         ``message`` is the first ``out_len`` bytes of the outer digest after
         ``inner = copy_inner(); inner.update(message + suffix); outer =
         copy_outer(); outer.update(inner.digest())`` -- exactly what
-        :meth:`fixed` computes.
+        :meth:`fixed` computes.  ``block_key`` (see :func:`hmac_block_key`)
+        is what the two states were keyed from, for a loop in native code.
         """
         suffixes = _block_suffixes(out_len)
         if len(suffixes) > 1:
             return None
-        return self._inner.copy, self._outer.copy, suffixes[0]
+        return self._inner.copy, self._outer.copy, suffixes[0], self._block_key
 
     def fixed(self, out_len: int) -> Callable[[bytes], bytes]:
         """The evaluator ``message -> out_len bytes``, for callers whose length is fixed.
@@ -138,7 +146,7 @@ class Prf:
 
             return evaluate
 
-        copy_inner, copy_outer, suffix = one_block
+        copy_inner, copy_outer, suffix, _ = one_block
 
         def evaluate(message: bytes) -> bytes:
             inner = copy_inner()

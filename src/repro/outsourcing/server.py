@@ -25,6 +25,7 @@ from __future__ import annotations
 import time
 from typing import Sequence
 
+from repro import native
 from repro.core.dph import (
     DphError,
     EncryptedQuery,
@@ -113,11 +114,14 @@ class OutsourcedDatabaseServer:
 
         The audit log is a ring buffer mutated on every operation; rather
         than double-count through parallel instruments, its totals are
-        copied into gauges at snapshot time.
+        copied into gauges at snapshot time.  ``match_kernel{impl=...}`` is
+        1 for the SWP check this process runs (:mod:`repro.native`).
         """
         self._metrics.gauge("audit_events_dropped").set(self._audit.dropped_events)
         for kind, count in self._audit.summary().items():
             self._metrics.gauge("audit_events", kind=kind).set(count)
+        impl = "python" if native.kernel is None else "native"
+        self._metrics.gauge("match_kernel", impl=impl).set(1)
         return self._metrics.snapshot()
 
     @property

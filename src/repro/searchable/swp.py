@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence, TypeVar
 
+from repro import native
 from repro.crypto.errors import DecryptionError, ParameterError
 from repro.crypto.kdf import derive_key
 from repro.crypto.prf import Prf, prf_once
@@ -73,12 +74,14 @@ class SwpMatcher:
     The trapdoor is validated once here (a malformed one raises
     :class:`~repro.crypto.errors.CryptoError` whatever the relation holds),
     ``X`` is kept as an integer and the check PRF ``F_k`` is keyed once.
-    :meth:`select` is the only implementation of the check: one loop over
-    many items' words in which testing a word ciphertext is one integer XOR,
-    a shift and a mask around the two hash-state copies and finalisations of
-    a single HMAC, with no function call of its own.  It holds nothing but
-    the trapdoor and the public word/check lengths -- no code path on the
-    server touches key material.
+    :meth:`select` is the one check: when the check is one HMAC (``m <= 32``)
+    and :mod:`repro.native` loaded its kernel, the loop runs in C over the
+    same trapdoor; otherwise it is one Python loop over many items' words in
+    which testing a word ciphertext is one integer XOR, a shift and a mask
+    around the two hash-state copies and finalisations of a single HMAC, with
+    no function call of its own.  That loop is the reference the C one is
+    tested against.  It holds nothing but the trapdoor and the public
+    word/check lengths -- no code path on the server touches key material.
     """
 
     def __init__(self, token: SwpToken, word_length: int, check_length: int) -> None:
@@ -97,6 +100,7 @@ class SwpMatcher:
         self._check_length = check_length
         self._check_bits = 8 * check_length
         self._check_mask = (1 << self._check_bits) - 1
+        self._pre_encrypted_word = bytes(token.pre_encrypted_word)
         self._pre_encrypted = int.from_bytes(token.pre_encrypted_word, "big")
         prf = Prf(token.check_key)
         # One HMAC per word in practice (m <= 32); a longer check chains blocks.
@@ -111,15 +115,20 @@ class SwpMatcher:
         a word of the wrong length never matches, and an item is kept at its
         first hit.
         """
+        check_length = self._check_length
+        chained = self._chained
+        if chained is None:
+            copy_inner, copy_outer, suffix, block_key = self._one_block
+            kernel = native.kernel
+            if kernel is not None:
+                return kernel.swp_select(
+                    items, words, self._pre_encrypted_word, block_key, suffix, check_length
+                )
         word_length = self._word_length
         left_length = self._left_length
-        check_length = self._check_length
         check_bits = self._check_bits
         check_mask = self._check_mask
         pre_encrypted = self._pre_encrypted
-        chained = self._chained
-        if chained is None:
-            copy_inner, copy_outer, suffix = self._one_block
         from_bytes = int.from_bytes
         hits = []
         for item, item_words in zip(items, words):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import native
 from repro.core import SearchableSelectDph
 from repro.crypto.keys import SecretKey
 from repro.crypto.rng import DeterministicRng
@@ -89,3 +90,18 @@ def all_schemes(employee_schema, secret_key, rng):
         DeterministicDph(employee_schema, secret_key, rng=rng),
         PlaintextDph(employee_schema, secret_key, rng=rng),
     ]
+
+
+@pytest.fixture(params=["native", "python"], scope="module")
+def match_kernel(request):
+    """Run a module's tests once per SWP check path: the C kernel and the Python loop.
+
+    The Python run sets the loaded kernel to ``None``, which is what a host
+    without a compiler gets; the native run is skipped on such a host.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        if request.param == "python":
+            patch.setattr(native, "kernel", None)
+        elif native.kernel is None:
+            pytest.skip("the native kernel did not build on this host")
+        yield request.param

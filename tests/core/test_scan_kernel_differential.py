@@ -17,7 +17,9 @@ or dropped: the same integer), tuples with fewer search fields, conjunctions
 of one to three tokens, the empty relation, malformed or foreign tokens and
 malformed stored index metadata -- both must return the same tuple ids in
 the same order with equal ``examined`` and ``token_evaluations``, or raise
-the same exception class with the same message.
+the same exception class with the same message.  Each test runs twice, once
+over the native SWP kernel and once over the Python loop (the
+``match_kernel`` fixture).
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ from repro.schemes.base import decode_field_token
 from repro.schemes.registry import available_schemes, create
 from repro.searchable.index_sse import index_contains
 from repro.searchable.tokens import IndexToken, SwpToken
+
+pytestmark = pytest.mark.usefixtures("match_kernel")
 
 KEY = bytes(range(32))
 SCHEMA = RelationSchema.parse("Emp(name:string[6], dept:string[4], salary:int[4])")

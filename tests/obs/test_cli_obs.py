@@ -12,6 +12,7 @@ import re
 
 import pytest
 
+from repro import native
 from repro.api import EncryptedDatabase
 from repro.cli import main
 from repro.net import ThreadedTcpServer
@@ -95,6 +96,20 @@ class TestStatsCommand:
             if "relation_tuples" in line or "provider_op_seconds" in line
         ]
         assert gauge_lines
+
+    def test_each_shard_reports_its_match_kernel(self, capsys, monkeypatch):
+        with ThreadedTcpServer() as one, ThreadedTcpServer() as two:
+            url = f"cluster://127.0.0.1:{one.port},127.0.0.1:{two.port}"
+            expected = "python" if native.kernel is None else "native"
+            assert main(["stats", url]) == 0
+            out = capsys.readouterr().out
+            assert f"127.0.0.1:{one.port}: match kernel: {expected}" in out
+            assert f"127.0.0.1:{two.port}: match kernel: {expected}" in out
+            assert f'match_kernel{{impl={expected}}} 2' in out
+            monkeypatch.setattr(native, "kernel", None)
+            with ThreadedTcpServer() as pure:
+                assert main(["stats", f"tcp://127.0.0.1:{pure.port}", "--prometheus"]) == 0
+        assert 'match_kernel{impl="python"} 1' in capsys.readouterr().out
 
     def test_unreachable_shard_fails_the_scrape(self, provider, capsys):
         url = f"cluster://127.0.0.1:{provider.port},127.0.0.1:1"

@@ -3,9 +3,11 @@
 The transcription below is the specification (Section 3: ``T = C_i XOR X``,
 accept iff ``F_k(T[:w-m]) == T[w-m:]``) written with a byte-wise XOR and a
 fresh ``hmac.new`` per evaluation.  It lives here, not in ``src/``: the
-product has exactly one implementation, and this file is what it is checked
-against -- over random documents and tokens, wrong-length word ciphertexts,
-planted matches at every position and multi-token conjunctions.
+product has one reference, the Python loop, and one native twin, the C
+kernel of :mod:`repro.native`, and every test below runs against each of the
+two (the ``match_kernel`` fixture) -- over random documents and tokens,
+wrong-length word ciphertexts, planted matches at every position and
+multi-token conjunctions.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from repro.searchable.interfaces import EncryptedDocument
 from repro.searchable.swp import SwpMatcher, SwpScheme, swp_search
 from repro.searchable.tokens import SwpToken
 from repro.searchable.words import Word
+
+pytestmark = pytest.mark.usefixtures("match_kernel")
 
 KEY = bytes(range(32))
 

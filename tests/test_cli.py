@@ -9,6 +9,34 @@ from repro.schemes.registry import available_schemes
 from repro.workloads import employee_schema
 
 
+SECONDS_OPTIONS = [
+    ("stats", "tcp://127.0.0.1:1", "--watch"),
+    ("stats", "tcp://127.0.0.1:1", "--timeout"),
+    ("trace", "tcp://127.0.0.1:1", "--watch"),
+    ("trace", "tcp://127.0.0.1:1", "--timeout"),
+    ("cluster status", "cluster://127.0.0.1:1", "--timeout"),
+]
+
+
+class TestSecondsOptions:
+    """Every ``--watch`` / ``--timeout`` is a finite number of seconds above zero."""
+
+    @pytest.mark.parametrize("command, url, option", SECONDS_OPTIONS)
+    @pytest.mark.parametrize("bad", ["-1", "nan", "0", "inf", "-inf", "soon", ""])
+    def test_a_bad_value_is_a_usage_error(self, command, url, option, bad, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([*command.split(), url, f"{option}={bad}"])
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err
+        assert error.startswith("usage:")
+        assert "finite and > 0" in error
+
+    @pytest.mark.parametrize("command, url, option", SECONDS_OPTIONS)
+    def test_a_positive_value_parses(self, command, url, option):
+        args = build_parser().parse_args([*command.split(), url, option, "0.25"])
+        assert getattr(args, option.lstrip("-")) == 0.25
+
+
 class TestParser:
     def test_requires_a_command(self):
         with pytest.raises(SystemExit):
