@@ -699,7 +699,7 @@ class EncryptedDatabase:
             # The provider's index is soft state the previous session may
             # have taken with it; rebuild it from the stored ciphertexts
             # (decrypting client-side, as always) and re-ship it.
-            rows = [handle.scheme.decrypt_tuple(t) for t in stored.encrypted_tuples]
+            rows = handle.scheme.decrypt_tuples(stored.encrypted_tuples)
             snapshot = handle.indexer.snapshot(Relation(schema, rows), stored)
             self._request(
                 MessageKind.INDEX_PUT,
@@ -1130,12 +1130,14 @@ class EncryptedDatabase:
         handle = self.table(name)
         result = self._run_query(handle, parsed).evaluation
         predicates = selection_predicates(parsed)
-        matches = []
-        for encrypted_tuple in result.matching.encrypted_tuples:
-            plaintext = handle.scheme.decrypt_tuple(encrypted_tuple)
-            if all(p.matches(plaintext) for p in predicates):
-                matches.append((encrypted_tuple, plaintext))
-        return matches
+        returned = result.matching.encrypted_tuples
+        return [
+            (encrypted_tuple, plaintext)
+            for encrypted_tuple, plaintext in zip(
+                returned, handle.scheme.decrypt_tuples(returned)
+            )
+            if all(p.matches(plaintext) for p in predicates)
+        ]
 
     def _outcome(
         self, handle: TableHandle, answer: _Answer, parsed: Query

@@ -39,11 +39,11 @@ from operator import attrgetter
 from typing import Sequence
 
 from repro.core.dph import (
-    DatabasePrivacyHomomorphism,
     DphError,
     EncryptedQuery,
     EncryptedRelation,
     EncryptedTuple,
+    SealedPayloadDph,
     ServerEvaluator,
     TupleFilter,
 )
@@ -71,7 +71,7 @@ SWP_BACKEND = "dph-swp"
 INDEX_BACKEND = "dph-index"
 
 
-class SearchableSelectDph(DatabasePrivacyHomomorphism):
+class SearchableSelectDph(SealedPayloadDph):
     """Database PH for exact selects built on a searchable encryption scheme.
 
     Parameters
@@ -193,9 +193,10 @@ class SearchableSelectDph(DatabasePrivacyHomomorphism):
         searchable words (the literal procedure of the paper); the default uses
         the authenticated payload, which additionally detects tampering.
         """
+        if not via_words:
+            return super().decrypt_relation(encrypted_relation)
         tuples = [
-            self.decrypt_tuple(t, via_words=via_words)
-            for t in encrypted_relation.encrypted_tuples
+            self.decrypt_tuple(t, via_words=True) for t in encrypted_relation.encrypted_tuples
         ]
         return Relation(self._schema, tuples)
 
@@ -207,10 +208,7 @@ class SearchableSelectDph(DatabasePrivacyHomomorphism):
             document = self._document_of(encrypted_tuple)
             words = self._scheme.decrypt_document(document)
             return self._words_to_tuple(words)
-        raw = self._payload_cipher.decrypt_bytes(
-            encrypted_tuple.payload, associated_data=encrypted_tuple.tuple_id
-        )
-        return self._tuple_codec.decode(raw)
+        return super().decrypt_tuple(encrypted_tuple)
 
     def encrypt_query(self, query: Query) -> EncryptedQuery:
         """``Eq``: one searchable trapdoor per equality predicate."""

@@ -24,18 +24,25 @@ the baselines in :mod:`repro.schemes`):
   from public parameters only) makes the trust boundary explicit: nothing the
   server executes ever touches key material.
 * :class:`DatabasePrivacyHomomorphism` -- the client-side ``(E, Eq, D)``.
+* :class:`SealedPayloadDph` -- its ``D`` for the schemes whose payload is the
+  tuple codec's bytes sealed by the payload cipher under the tuple id.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from repro.relational.query import Query, selection_predicates
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
 from repro.relational.tuples import RelationTuple
+
+if TYPE_CHECKING:
+    from repro.crypto.symmetric import SymmetricCipher
+    from repro.relational.encoding import TupleCodec
 
 
 class DphError(Exception):
@@ -293,13 +300,15 @@ class DatabasePrivacyHomomorphism(ABC):
 
     def decrypt_relation(self, encrypted_relation: EncryptedRelation) -> Relation:
         """``D``: decrypt a (full or partial) encrypted relation."""
-        return Relation(
-            self.schema, map(self.decrypt_tuple, encrypted_relation.encrypted_tuples)
-        )
+        return Relation(self.schema, self.decrypt_tuples(encrypted_relation.encrypted_tuples))
+
+    def decrypt_tuple(self, encrypted_tuple: EncryptedTuple) -> RelationTuple:
+        """Decrypt a single tuple ciphertext: the batch of one."""
+        return self.decrypt_tuples((encrypted_tuple,))[0]
 
     @abstractmethod
-    def decrypt_tuple(self, encrypted_tuple: EncryptedTuple) -> RelationTuple:
-        """Decrypt a single tuple ciphertext."""
+    def decrypt_tuples(self, encrypted_tuples: Sequence[EncryptedTuple]) -> list[RelationTuple]:
+        """Decrypt each ciphertext, in order; raises at the first that fails."""
 
     @abstractmethod
     def encrypt_query(self, query: Query) -> EncryptedQuery:
@@ -316,10 +325,45 @@ class DatabasePrivacyHomomorphism(ABC):
 
         This is the paper's "Alex needs to run a filter on the output": the
         searchable scheme (and the lossy baselines even more so) may return
-        tuples that do not satisfy the plaintext query; the client removes
-        them as it decrypts, in one pass over the returned ciphertexts.
+        tuples that do not satisfy the plaintext query; the client decrypts
+        the returned ciphertexts as one batch (:meth:`decrypt_tuples`) and
+        removes them in one pass over the plaintexts.
         """
         encrypted = result.matching if isinstance(result, EvaluationResult) else result
-        return filter_tuples(
-            self.schema, map(self.decrypt_tuple, encrypted.encrypted_tuples), query
-        )
+        return filter_tuples(self.schema, self.decrypt_tuples(encrypted.encrypted_tuples), query)
+
+
+_payloads = attrgetter("payload")
+_tuple_ids = attrgetter("tuple_id")
+
+
+class SealedPayloadDph(DatabasePrivacyHomomorphism):
+    """A database PH whose tuple payload is its codec bytes sealed under its id.
+
+    The paper's construction, its variable-width variant and the field-match
+    baselines all store ``_payload_cipher.encrypt_bytes(codec bytes,
+    associated_data=tuple_id)`` (the baselines may store the codec bytes
+    bare, with ``_payload_cipher`` ``None``), so they share this ``D``: one
+    :meth:`~repro.crypto.symmetric.SymmetricCipher.decrypt_many` over the
+    batch, each row decoded as it is opened.
+    """
+
+    _payload_cipher: SymmetricCipher | None
+    _tuple_codec: TupleCodec
+
+    def decrypt_tuples(self, encrypted_tuples: Sequence[EncryptedTuple]) -> list[RelationTuple]:
+        """Open and decode each ciphertext, in order; raises at the first that fails.
+
+        What is raised, and at which row, is what :meth:`decrypt_tuple` per
+        row would raise: the MAC or length check's
+        :class:`~repro.crypto.errors.CryptoError`, or the codec's
+        :class:`~repro.relational.errors.EncodingError`.
+        """
+        payloads = list(map(_payloads, encrypted_tuples))
+        if self._payload_cipher is None:
+            opened = payloads
+        else:
+            opened = self._payload_cipher.decrypt_many(
+                payloads, list(map(_tuple_ids, encrypted_tuples))
+            )
+        return list(map(self._tuple_codec.decode, opened))

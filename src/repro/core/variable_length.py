@@ -30,11 +30,11 @@ from typing import Sequence
 
 from repro.core.construction import compile_swp_token
 from repro.core.dph import (
-    DatabasePrivacyHomomorphism,
     DphError,
     EncryptedQuery,
     EncryptedRelation,
     EncryptedTuple,
+    SealedPayloadDph,
     ServerEvaluator,
     TupleFilter,
 )
@@ -53,7 +53,7 @@ from repro.searchable.words import WordCodec
 VARIABLE_BACKEND = "dph-swp-variable"
 
 
-class VariableWidthSelectDph(DatabasePrivacyHomomorphism):
+class VariableWidthSelectDph(SealedPayloadDph):
     """Exact-select database PH with per-attribute word widths.
 
     Parameters mirror :class:`repro.core.construction.SearchableSelectDph`;
@@ -145,13 +145,6 @@ class VariableWidthSelectDph(DatabasePrivacyHomomorphism):
             payload=payload,
             search_fields=tuple(fields),
         )
-
-    def decrypt_tuple(self, encrypted_tuple: EncryptedTuple) -> RelationTuple:
-        """Decrypt a single tuple ciphertext."""
-        raw = self._payload_cipher.decrypt_bytes(
-            encrypted_tuple.payload, associated_data=encrypted_tuple.tuple_id
-        )
-        return self._tuple_codec.decode(raw)
 
     def encrypt_query(self, query: Query) -> EncryptedQuery:
         """``Eq``: a position-tagged trapdoor per predicate, under that attribute's scheme."""

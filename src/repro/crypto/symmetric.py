@@ -10,16 +10,23 @@ standard encrypt-then-MAC composition:
 
 Ciphertexts are represented by :class:`SymmetricCiphertext` and serialize to
 ``nonce || tag || body`` via :meth:`SymmetricCiphertext.to_bytes`.
+
+:meth:`SymmetricCipher.decrypt_many` opens a batch (a query result's
+payloads) in one call to the native kernel of :mod:`repro.native` when it is
+loaded; :meth:`SymmetricCipher.decrypt_bytes` is the reference and the
+fallback.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
-from repro.crypto.errors import DecryptionError, KeyError_
+from repro import native
+from repro.crypto.errors import DecryptionError, KeyError_, ParameterError
 from repro.crypto.kdf import derive_key
 from repro.crypto.mac import TAG_LEN, Hmac
-from repro.crypto.prf import Prf
+from repro.crypto.prf import Prf, hmac_block_key
 from repro.crypto.prg import KEYSTREAM_BLOCK_LEN, prf_keystream, xor_bytes
 from repro.crypto.rng import RandomSource, SystemRng
 
@@ -64,10 +71,13 @@ class SymmetricCipher:
     def __init__(self, key: bytes, rng: RandomSource | None = None) -> None:
         if not isinstance(key, (bytes, bytearray)) or len(key) < 16:
             raise KeyError_("symmetric key must be at least 16 bytes")
-        self._stream_block = Prf(
-            derive_key(bytes(key), "symmetric/enc"), label=b"ks"
-        ).fixed(KEYSTREAM_BLOCK_LEN)
-        self._mac = Hmac(derive_key(bytes(key), "symmetric/mac"))
+        stream = Prf(derive_key(bytes(key), "symmetric/enc"), label=b"ks")
+        mac_key = derive_key(bytes(key), "symmetric/mac")
+        self._stream_block = stream.fixed(KEYSTREAM_BLOCK_LEN)
+        self._mac = Hmac(mac_key)
+        _, _, stream_suffix, stream_key = stream.single_block(KEYSTREAM_BLOCK_LEN)
+        #: ``open_payloads``'s key arguments: both HMACs' padded key blocks.
+        self._kernel_keys = (stream_key, stream_suffix, hmac_block_key(mac_key))
         self._rng = rng if rng is not None else SystemRng()
 
     def encrypt(self, plaintext: bytes, associated_data: bytes = b"") -> SymmetricCiphertext:
@@ -85,9 +95,43 @@ class SymmetricCipher:
         return nonce + self._mac.tag(associated_data + nonce + body) + body
 
     def decrypt_bytes(self, raw: bytes, associated_data: bytes = b"") -> bytes:
-        """Parse the wire format, verify the tag, then decrypt."""
+        """Parse the wire format, verify the tag, then decrypt.
+
+        ``raw`` and ``associated_data`` may be any bytes-like objects; their
+        bytes are what is read.
+        """
+        if not isinstance(raw, bytes):
+            raw = bytes(memoryview(raw))
         if len(raw) < NONCE_LEN + TAG_LEN:
             raise DecryptionError("ciphertext too short")
         nonce, body = raw[:NONCE_LEN], raw[NONCE_LEN + TAG_LEN:]
-        self._mac.verify(associated_data + nonce + body, raw[NONCE_LEN: NONCE_LEN + TAG_LEN])
+        self._mac.verify(
+            b"".join((associated_data, nonce, body)), raw[NONCE_LEN: NONCE_LEN + TAG_LEN]
+        )
         return xor_bytes(body, prf_keystream(self._stream_block, len(body), nonce))
+
+    def decrypt_many(
+        self, raws: Sequence[bytes], associated_data: Sequence[bytes]
+    ) -> Iterator[bytes]:
+        """:meth:`decrypt_bytes` of each ``(raw, associated_data)`` row, in order.
+
+        With the native kernel loaded the whole batch is opened in one call
+        (tag verified before the body is touched); a row it leaves unopened --
+        too short, forged, not a plain byte buffer -- goes through
+        :meth:`decrypt_bytes`.  Either way the iterator yields what
+        :meth:`decrypt_bytes` returns and raises what it raises, at the same
+        row, so a caller that decodes as it iterates fails where the per-row
+        path would.
+        """
+        if len(raws) != len(associated_data):
+            raise ParameterError("payloads and associated data differ in length")
+        kernel = native.kernel
+        if kernel is None:
+            return map(self.decrypt_bytes, raws, associated_data)
+        opened = kernel.open_payloads(raws, associated_data, *self._kernel_keys)
+        return self._reopened(opened, raws, associated_data)
+
+    def _reopened(self, opened, raws, associated_data) -> Iterator[bytes]:
+        """The kernel's plaintexts, with each ``None`` row opened by :meth:`decrypt_bytes`."""
+        for plaintext, raw, data in zip(opened, raws, associated_data):
+            yield self.decrypt_bytes(raw, data) if plaintext is None else plaintext

@@ -1,8 +1,14 @@
-"""The native SWP select kernel: :data:`kernel` is ``_native.c`` compiled, or ``None``.
+"""The native kernel: :data:`kernel` is ``_native.c`` compiled, or ``None``.
 
-:meth:`repro.searchable.swp.SwpMatcher.select` hands a one-digest check to
-``kernel.swp_select`` when a kernel is loaded and runs its own Python loop
-(the reference) otherwise.  The kernel is built on first import, not by an
+It has two functions, each with a Python reference that runs when
+:data:`kernel` is ``None``:
+
+- ``swp_select``: :meth:`repro.searchable.swp.SwpMatcher.select` hands it a
+  one-digest check (the provider's scan);
+- ``open_payloads``: :meth:`repro.crypto.symmetric.SymmetricCipher.decrypt_many`
+  hands it a batch of tuple payloads (the client's result path).
+
+The kernel is built on first import, not by an
 install step, so it loads wherever the package is imported from: the source
 tree, an editable install or a regular one.
 
@@ -13,7 +19,8 @@ tree, an editable install or a regular one.
 - On a miss (and only then) the interpreter's own compiler, as configured
   for building extensions, compiles it against ``libcrypto`` into a
   temporary file that is renamed into place, so processes importing at once
-  never load a half-written file.
+  never load a half-written file.  The builds of older sources or flags are
+  then removed (a process that has one loaded keeps its mapping).
 - A cached file that does not load is rebuilt once.  Any failure -- no
   compiler, no OpenSSL headers, a read-only package directory -- leaves
   :data:`kernel` ``None``, silently; answers are the same either way.
@@ -67,6 +74,22 @@ def _build(target: str) -> None:
     finally:
         if os.path.exists(temporary):
             os.unlink(temporary)
+    _remove_stale_builds(target)
+
+
+def _remove_stale_builds(fresh: str) -> None:
+    """Unlink every cached build in the cache directory but ``fresh``, as far as allowed.
+
+    Best effort: a build that cannot be removed (or that a concurrent first
+    import removed first) stays, and the fresh one loads all the same.
+    """
+    keep = os.path.basename(fresh)
+    for name in os.listdir(_CACHE_DIR):
+        if name.startswith("_native-") and name.endswith(_SUFFIX) and name != keep:
+            try:
+                os.unlink(os.path.join(_CACHE_DIR, name))
+            except OSError:
+                pass
 
 
 def _import(path: str):
@@ -92,5 +115,6 @@ def load():
         return None
 
 
-#: The loaded ``_native`` module (``swp_select``), or ``None``: the Python loop runs.
+#: The loaded ``_native`` module (``swp_select``, ``open_payloads``), or ``None``:
+#: the Python references run.
 kernel = load()

@@ -23,11 +23,11 @@ from abc import abstractmethod
 from typing import Sequence
 
 from repro.core.dph import (
-    DatabasePrivacyHomomorphism,
     DphError,
     EncryptedQuery,
     EncryptedRelation,
     EncryptedTuple,
+    SealedPayloadDph,
     ServerEvaluator,
     TupleFilter,
 )
@@ -58,7 +58,7 @@ def decode_field_token(raw: bytes) -> tuple[int, bytes]:
     return int.from_bytes(raw[:2], "big"), raw[2:]
 
 
-class FieldMatchDph(DatabasePrivacyHomomorphism):
+class FieldMatchDph(SealedPayloadDph):
     """Base class of schemes with one deterministic searchable field per attribute."""
 
     def __init__(
@@ -123,16 +123,6 @@ class FieldMatchDph(DatabasePrivacyHomomorphism):
             for attribute in self._schema.attributes
         )
         return EncryptedTuple(tuple_id=tuple_id, payload=payload, search_fields=fields)
-
-    def decrypt_tuple(self, encrypted_tuple: EncryptedTuple) -> RelationTuple:
-        """Decrypt a single tuple ciphertext."""
-        if self._payload_cipher is not None:
-            raw = self._payload_cipher.decrypt_bytes(
-                encrypted_tuple.payload, associated_data=encrypted_tuple.tuple_id
-            )
-        else:
-            raw = encrypted_tuple.payload
-        return self._tuple_codec.decode(raw)
 
     def encrypt_query(self, query: Query) -> EncryptedQuery:
         """``Eq``: the deterministic field of the searched value, per predicate."""

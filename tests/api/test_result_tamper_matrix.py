@@ -5,7 +5,9 @@ session, but still MAC-verifies every returned payload before decrypting it
 and validates every decoded value against its attribute.  A provider that
 alters what it returns must therefore make the select *raise* -- a tampered
 tuple silently dropped as a "false positive" would be a wrong answer.  Each
-mutation below fails if either per-row check is skipped.
+mutation below fails if either per-row check is skipped.  The module runs
+once per payload opener (the ``match_kernel`` fixture): the native
+``open_payloads`` batch and the per-row Python ``decrypt_bytes``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ ROWS = [
     ("Brown", "HR", 4100),
 ]
 HR_SELECT = "SELECT * FROM Emp WHERE dept = 'HR'"
+
+pytestmark = pytest.mark.usefixtures("match_kernel")
 
 
 def with_payload(encrypted_tuple: EncryptedTuple, payload: bytes) -> EncryptedTuple:

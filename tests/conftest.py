@@ -94,8 +94,11 @@ def all_schemes(employee_schema, secret_key, rng):
 
 @pytest.fixture(params=["native", "python"], scope="module")
 def match_kernel(request):
-    """Run a module's tests once per SWP check path: the C kernel and the Python loop.
+    """Run a module's tests once per kernel path: the C kernel and the Python references.
 
+    Both native functions switch together: the SWP check (``swp_select``
+    against ``SwpMatcher.select``'s loop) and the payload opener
+    (``open_payloads`` against ``SymmetricCipher.decrypt_bytes`` per row).
     The Python run sets the loaded kernel to ``None``, which is what a host
     without a compiler gets; the native run is skipped on such a host.
     """

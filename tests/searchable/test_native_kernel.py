@@ -205,3 +205,40 @@ def test_the_cache_name_follows_source_and_flags(monkeypatch):
     assert native._cached_path(b"int y;") != first
     monkeypatch.setattr(native, "_FLAGS", ("-O3",))
     assert native._cached_path(b"int x;") != first
+
+
+def fake_compiler(command, **kwargs):
+    with open(command[command.index("-o") + 1], "wb") as handle:
+        handle.write(b"\x7fELF built")
+
+
+def stale_builds(cache_dir):
+    cache_dir.mkdir()
+    names = [f"_native-{digest}{native._SUFFIX}" for digest in ("0" * 16, "f" * 16)]
+    for name in names:
+        (cache_dir / name).write_bytes(b"\x7fELF old")
+    (cache_dir / "other.pyc").write_bytes(b"kept")
+    return names
+
+
+def test_a_build_removes_the_stale_builds(cache_dir, monkeypatch):
+    stale_builds(cache_dir)
+    target = native._cached_path(b"int fresh;")
+    monkeypatch.setattr(subprocess, "run", fake_compiler)
+    native._build(target)
+    assert sorted(entry.name for entry in cache_dir.iterdir()) == sorted(
+        [os.path.basename(target), "other.pyc"]
+    )
+    assert (cache_dir / os.path.basename(target)).read_bytes() == b"\x7fELF built"
+
+
+def test_a_failing_build_leaves_the_stale_builds(cache_dir, monkeypatch):
+    names = stale_builds(cache_dir)
+
+    def failing_compiler(command, **kwargs):
+        raise subprocess.CalledProcessError(1, command)
+
+    monkeypatch.setattr(subprocess, "run", failing_compiler)
+    with pytest.raises(OSError):
+        native._build(native._cached_path(b"int fresh;"))
+    assert sorted(entry.name for entry in cache_dir.iterdir()) == sorted([*names, "other.pyc"])
