@@ -1,9 +1,12 @@
-/* The two batch loops of the result path's ends, in C.
+/* The four batch loops of the result path, in C.
  *
  * swp_select is the SWP select of repro.searchable.swp.SwpMatcher.select, run
  * by the provider; open_payloads is SymmetricCipher.decrypt_bytes over a batch
- * of tuple payloads, run by the key-holding client.  Both key HMAC-SHA256
- * once per call (keyed_states) and offer the interpreter lock during a long
+ * of tuple payloads, run by the key-holding client; decode_tuples is the tuple
+ * walk of repro.outsourcing.protocol.decode_encrypted_relation, run by both;
+ * decode_rows is TupleCodec.decode's common case over the opened payloads, run
+ * by the client.  The two crypto loops key HMAC-SHA256 once per call
+ * (keyed_states), and every loop offers the interpreter lock during a long
  * batch (offer_lock).
  *
  * swp_select(items, words, X, hmac_block_key, suffix, check_length) walks
@@ -29,6 +32,29 @@
  * nonce and tag, when its tag does not verify, or when a payload or id is not
  * a plain byte buffer; the caller re-runs the Python path on such a row, so
  * what it raises (or, for an exotic buffer, returns) is Python's.
+ *
+ * decode_tuples(raw, start, end, tuple_type) walks the counted sequence of
+ * tuple ciphertexts that fills raw[start:end] where it lies: a 4-byte count,
+ * then per tuple a 4-byte body length and a body of id, payload, counted
+ * search fields and metadata, each length-prefixed.  Each tuple is built as
+ * the Python walk builds it, ``object.__new__(tuple_type)`` and
+ * ``object.__setattr__`` of its four fields and of ``wire``, the body it was
+ * parsed from.  Any irregular framing -- a part past its bounds, bytes left
+ * in a body or after the last tuple, a raw that is not exactly ``bytes`` --
+ * returns None, and the caller's Python walk raises its own ProtocolError.  A
+ * claimed count is checked against the bytes that could back it before any
+ * allocation, so memory is bounded by the frame, never by the peer's count.
+ *
+ * decode_rows(rows, plan, tuple_type, schema) decodes each TupleCodec row
+ * (per value a 2-byte length and the value's bytes; ``plan`` is the codec's
+ * ``(integer, width)`` per attribute) into ``tuple_type`` with ``_schema`` and
+ * ``_values`` set, as RelationTuple.from_checked_values does.  Only the
+ * common case is decoded: every value ASCII and within its width, no ``#`` in
+ * a string, an integer of the form ``-?[0-9]+`` with at most 18 digits, and
+ * nothing after the last value.  Every other row, and every row that is not
+ * exactly ``bytes`` (None, for an unopened payload), is None: the caller's
+ * TupleCodec.decode decides it, so what is accepted, and what is raised, is
+ * Python's.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -492,6 +518,370 @@ done:
     return opened;
 }
 
+/* The 4-byte big-endian length or count at ``p``. */
+static Py_ssize_t
+read_u32(const unsigned char *p)
+{
+    return (Py_ssize_t)((size_t)p[0] << 24 | (size_t)p[1] << 16 | (size_t)p[2] << 8 | p[3]);
+}
+
+/* The smallest tuple frame: its body length and the four prefixes in it. */
+#define MIN_TUPLE_FRAME 20
+
+/* Names the tuple walk and the row decode set, interned at import. */
+static PyObject *tuple_id_name, *payload_name, *search_fields_name, *metadata_name,
+    *wire_name, *schema_name, *values_name, *no_arguments;
+
+/* ``object.__new__(cls)``: an instance its class's ``__init__`` never saw. */
+static PyObject *
+bare_instance(PyObject *cls)
+{
+    return PyBaseObject_Type.tp_new((PyTypeObject *)cls, no_arguments, NULL);
+}
+
+/* ``object.__setattr__`` of each ``(name, value)`` pair on ``instance``;
+ * steals the values (NULL when building one failed).  0, or -1 on error. */
+static int
+set_stolen(PyObject *instance, int count, PyObject **names, PyObject **values)
+{
+    int i, status = 0;
+
+    for (i = 0; i < count; i++) {
+        if (status == 0) {
+            status = values[i] == NULL ? -1
+                     : PyObject_GenericSetAttr(instance, names[i], values[i]);
+        }
+        Py_XDECREF(values[i]);
+    }
+    return status;
+}
+
+/* The length-prefixed byte string at ``*offset``, which must end by ``end``:
+ * 1 and its bounds, or 0 when the prefix or the bytes run past ``end``. */
+static int
+part_at(const unsigned char *data, Py_ssize_t *offset, Py_ssize_t end,
+        Py_ssize_t *start)
+{
+    Py_ssize_t length;
+
+    if (end - *offset < 4) {
+        return 0;
+    }
+    length = read_u32(data + *offset);
+    *start = *offset + 4;
+    if (length > end - *start) {
+        return 0;
+    }
+    *offset = *start + length;
+    return 1;
+}
+
+static PyObject *
+bytes_between(const unsigned char *data, Py_ssize_t start, Py_ssize_t end)
+{
+    return PyBytes_FromStringAndSize((const char *)data + start, end - start);
+}
+
+/* The tuple ciphertext framed at ``*offset`` (its 4-byte body length, then
+ * the body), which must end by ``end``: 1 with ``*built`` set, 0 when the
+ * framing is irregular, -1 on error. */
+static int
+tuple_at(const unsigned char *data, Py_ssize_t *offset, Py_ssize_t end,
+         PyObject *cls, PyObject **built)
+{
+    Py_ssize_t begin, body_end, id_start, id_end, payload_start, payload_end;
+    Py_ssize_t metadata_start, field_start, field_count, i;
+    PyObject *fields, *field, *instance;
+    PyObject *names[5] = {tuple_id_name, payload_name, search_fields_name,
+                          metadata_name, wire_name};
+    PyObject *values[5];
+
+    body_end = *offset;
+    if (!part_at(data, &body_end, end, &begin)) {
+        return 0;
+    }
+    *offset = begin;
+    if (!part_at(data, offset, body_end, &id_start)) {
+        return 0;
+    }
+    id_end = *offset;
+    if (!part_at(data, offset, body_end, &payload_start)) {
+        return 0;
+    }
+    payload_end = *offset;
+    if (body_end - *offset < 4) {
+        return 0;
+    }
+    field_count = read_u32(data + *offset);
+    *offset += 4;
+    /* Each field takes its 4-byte prefix and the metadata one more, so the
+     * count is bounded by the body before anything is allocated for it. */
+    if (field_count > (body_end - *offset - 4) / 4) {
+        return 0;
+    }
+    fields = PyTuple_New(field_count);
+    if (fields == NULL) {
+        return -1;
+    }
+    for (i = 0; i < field_count; i++) {
+        if (!part_at(data, offset, body_end, &field_start)) {
+            Py_DECREF(fields);
+            return 0;
+        }
+        field = bytes_between(data, field_start, *offset);
+        if (field == NULL) {
+            Py_DECREF(fields);
+            return -1;
+        }
+        PyTuple_SET_ITEM(fields, i, field);
+    }
+    if (!part_at(data, offset, body_end, &metadata_start) || *offset != body_end) {
+        Py_DECREF(fields);
+        return 0;
+    }
+    instance = bare_instance(cls);
+    if (instance == NULL) {
+        Py_DECREF(fields);
+        return -1;
+    }
+    values[0] = bytes_between(data, id_start, id_end);
+    values[1] = bytes_between(data, payload_start, payload_end);
+    values[2] = fields;
+    values[3] = bytes_between(data, metadata_start, body_end);
+    values[4] = bytes_between(data, begin, body_end);
+    if (set_stolen(instance, 5, names, values) < 0) {
+        Py_DECREF(instance);
+        return -1;
+    }
+    *built = instance;
+    return 1;
+}
+
+static PyObject *
+decode_tuples(PyObject *module, PyObject *args)
+{
+    PyObject *raw, *cls, *tuples, *item;
+    const unsigned char *data;
+    Py_ssize_t start, end, offset, count, index;
+    double held_since, hold_limit;
+    int status;
+
+    if (!PyArg_ParseTuple(args, "OnnO!:decode_tuples", &raw, &start, &end,
+                          &PyType_Type, &cls)) {
+        return NULL;
+    }
+    if (!PyBytes_CheckExact(raw)) {
+        Py_RETURN_NONE;
+    }
+    if (start < 0 || start > end || end > PyBytes_GET_SIZE(raw)) {
+        PyErr_SetString(PyExc_ValueError, "start and end must satisfy 0 <= start <= end <= len(raw)");
+        return NULL;
+    }
+    data = (const unsigned char *)PyBytes_AS_STRING(raw);
+    if (end - start < 4) {
+        Py_RETURN_NONE;
+    }
+    count = read_u32(data + start);
+    offset = start + 4;
+    /* A claimed count is bounded by the frame before anything is allocated. */
+    if (count > (end - offset) / MIN_TUPLE_FRAME) {
+        Py_RETURN_NONE;
+    }
+    if (lock_hold_limit(&hold_limit) < 0) {
+        return NULL;
+    }
+    tuples = PyTuple_New(count);
+    if (tuples == NULL) {
+        return NULL;
+    }
+    held_since = monotonic_seconds();
+    for (index = 0; index < count; index++) {
+        status = tuple_at(data, &offset, end, cls, &item);
+        if (status <= 0) {
+            Py_DECREF(tuples);
+            if (status < 0) {
+                return NULL;
+            }
+            Py_RETURN_NONE;
+        }
+        PyTuple_SET_ITEM(tuples, index, item);
+        if ((index + 1) % ITEMS_PER_CLOCK == 0) {
+            offer_lock(&held_since, hold_limit);
+        }
+    }
+    if (offset != end) {
+        Py_DECREF(tuples);
+        Py_RETURN_NONE;
+    }
+    return tuples;
+}
+
+/* The longest decimal text decoded here: any 18 digits fit a long long. */
+#define MAX_DIGITS 18
+
+typedef struct {
+    int integer;
+    Py_ssize_t width;
+} Column;
+
+/* The value of ``length`` bytes at ``text`` in a column, a new reference;
+ * None (a new reference) when the text is not the common case, NULL on error. */
+static PyObject *
+column_value(const Column *column, const unsigned char *text, Py_ssize_t length)
+{
+    Py_ssize_t i, digits = length;
+    long long value = 0;
+
+    if (length > column->width) {
+        return Py_NewRef(Py_None);
+    }
+    if (!column->integer) {
+        for (i = 0; i < length; i++) {
+            if (text[i] >= 0x80 || text[i] == '#') {
+                return Py_NewRef(Py_None);
+            }
+        }
+        return PyUnicode_DecodeASCII((const char *)text, length, NULL);
+    }
+    i = length > 0 && text[0] == '-';
+    digits -= i;
+    if (digits < 1 || digits > MAX_DIGITS) {
+        return Py_NewRef(Py_None);
+    }
+    for (; i < length; i++) {
+        if (text[i] < '0' || text[i] > '9') {
+            return Py_NewRef(Py_None);
+        }
+        value = value * 10 + (text[i] - '0');
+    }
+    return PyLong_FromLongLong(text[0] == '-' ? -value : value);
+}
+
+/* The values of one row, a new tuple; None (a new reference) when the row
+ * is not the common case, NULL on error. */
+static PyObject *
+row_values(const Column *columns, Py_ssize_t arity, PyObject *row)
+{
+    const unsigned char *data;
+    Py_ssize_t length, offset = 0, start, index;
+    PyObject *values, *value;
+
+    if (!PyBytes_CheckExact(row)) {
+        return Py_NewRef(Py_None);
+    }
+    data = (const unsigned char *)PyBytes_AS_STRING(row);
+    length = PyBytes_GET_SIZE(row);
+    values = PyTuple_New(arity);
+    if (values == NULL) {
+        return NULL;
+    }
+    for (index = 0; index < arity; index++) {
+        if (length - offset < 2) {
+            break;
+        }
+        start = offset + 2;
+        offset = start + (data[offset] << 8 | data[offset + 1]);
+        if (offset > length) {
+            break;
+        }
+        value = column_value(&columns[index], data + start, offset - start);
+        if (value == NULL) {
+            Py_DECREF(values);
+            return NULL;
+        }
+        if (value == Py_None) {
+            Py_DECREF(value);
+            break;
+        }
+        PyTuple_SET_ITEM(values, index, value);
+    }
+    if (index < arity || offset != length) {
+        Py_DECREF(values);
+        return Py_NewRef(Py_None);
+    }
+    return values;
+}
+
+static PyObject *
+decode_rows(PyObject *module, PyObject *args)
+{
+    PyObject *rows, *plan, *cls, *schema;
+    PyObject *row_tuple = NULL, *plan_tuple = NULL, *decoded = NULL, *values, *instance;
+    PyObject *names[2] = {schema_name, values_name};
+    PyObject *set[2];
+    Column *columns = NULL;
+    Py_ssize_t arity, count, index;
+    double held_since, hold_limit;
+
+    if (!PyArg_ParseTuple(args, "OOO!O:decode_rows", &rows, &plan, &PyType_Type, &cls,
+                          &schema)) {
+        return NULL;
+    }
+    plan_tuple = PySequence_Tuple(plan);
+    if (plan_tuple == NULL) {
+        goto done;
+    }
+    arity = PyTuple_GET_SIZE(plan_tuple);
+    columns = PyMem_New(Column, arity > 0 ? arity : 1);
+    if (columns == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (index = 0; index < arity; index++) {
+        if (!PyArg_ParseTuple(PyTuple_GET_ITEM(plan_tuple, index), "pn;a plan column is (integer, width)",
+                              &columns[index].integer, &columns[index].width)) {
+            goto done;
+        }
+    }
+    /* A tuple, so a thread that runs while the lock is offered cannot
+     * resize what the loop indexes. */
+    row_tuple = PySequence_Tuple(rows);
+    if (row_tuple == NULL) {
+        goto done;
+    }
+    if (lock_hold_limit(&hold_limit) < 0) {
+        goto done;
+    }
+    count = PyTuple_GET_SIZE(row_tuple);
+    decoded = PyList_New(count);
+    if (decoded == NULL) {
+        goto done;
+    }
+    held_since = monotonic_seconds();
+    for (index = 0; index < count; index++) {
+        values = row_values(columns, arity, PyTuple_GET_ITEM(row_tuple, index));
+        if (values == NULL || values == Py_None) {
+            instance = values;
+        }
+        else {
+            instance = bare_instance(cls);
+            set[0] = Py_NewRef(schema);
+            set[1] = values;
+            if (instance == NULL) {
+                Py_DECREF(set[0]);
+                Py_DECREF(set[1]);
+            }
+            else if (set_stolen(instance, 2, names, set) < 0) {
+                Py_CLEAR(instance);
+            }
+        }
+        if (instance == NULL) {
+            Py_CLEAR(decoded);
+            goto done;
+        }
+        PyList_SET_ITEM(decoded, index, instance);
+        if ((index + 1) % ITEMS_PER_CLOCK == 0) {
+            offer_lock(&held_since, hold_limit);
+        }
+    }
+
+done:
+    PyMem_Free(columns);
+    Py_XDECREF(plan_tuple);
+    Py_XDECREF(row_tuple);
+    return decoded;
+}
+
 static PyMethodDef native_methods[] = {
     {"swp_select", swp_select, METH_VARARGS,
      "swp_select(items, words, X, hmac_block_key, suffix, check_length) -> list\n\n"
@@ -500,15 +890,45 @@ static PyMethodDef native_methods[] = {
      "open_payloads(payloads, associated_data, stream_block_key, stream_suffix,\n"
      "              mac_block_key) -> list\n\n"
      "Each payload's plaintext, or None where it is short, forged or not a byte buffer."},
+    {"decode_tuples", decode_tuples, METH_VARARGS,
+     "decode_tuples(raw, start, end, tuple_type) -> tuple or None\n\n"
+     "The tuple ciphertexts of the counted sequence raw[start:end], or None where it is irregular."},
+    {"decode_rows", decode_rows, METH_VARARGS,
+     "decode_rows(rows, plan, tuple_type, schema) -> list\n\n"
+     "Each tuple encoding's tuple, or None where it is not the common case."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef native_module = {
-    PyModuleDef_HEAD_INIT, "_native", "The native SWP select and payload-opening kernel.", -1, native_methods,
+    PyModuleDef_HEAD_INIT, "_native", "The native SWP select, payload opener, tuple walk and row decode.", -1, native_methods,
 };
 
 PyMODINIT_FUNC
 PyInit__native(void)
 {
+    struct {
+        PyObject **slot;
+        const char *text;
+    } interned[] = {
+        {&tuple_id_name, "tuple_id"}, {&payload_name, "payload"},
+        {&search_fields_name, "search_fields"}, {&metadata_name, "metadata"},
+        {&wire_name, "wire"}, {&schema_name, "_schema"}, {&values_name, "_values"},
+    };
+    size_t i;
+
+    for (i = 0; i < sizeof interned / sizeof interned[0]; i++) {
+        if (*interned[i].slot == NULL) {
+            *interned[i].slot = PyUnicode_InternFromString(interned[i].text);
+            if (*interned[i].slot == NULL) {
+                return NULL;
+            }
+        }
+    }
+    if (no_arguments == NULL) {
+        no_arguments = PyTuple_New(0);
+        if (no_arguments == NULL) {
+            return NULL;
+        }
+    }
     return PyModule_Create(&native_module);
 }

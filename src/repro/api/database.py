@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 from repro.cache import CacheError, ResultCache, coerce_cache_config
 from repro.core.dph import (
@@ -62,7 +63,7 @@ from repro.obs import (
 from repro.outsourcing import protocol
 from repro.outsourcing.client import SelectOutcome, request
 from repro.outsourcing.evaluators import describe_evaluator
-from repro.outsourcing.protocol import MessageKind, MessageV2
+from repro.outsourcing.protocol import MessageKind, ProtocolError
 from repro.outsourcing.server import OutsourcedDatabaseServer, ServerError
 from repro.outsourcing.storage import StorageBackend
 from repro.relational.errors import QueryError
@@ -72,6 +73,10 @@ from repro.relational.schema import RelationSchema
 from repro.relational.sql import parse_sql
 from repro.relational.tuples import RelationTuple
 from repro.schemes import registry
+
+
+#: What a reply body decodes into (see ``EncryptedDatabase._request``).
+_Decoded = TypeVar("_Decoded")
 
 
 class DatabaseError(Exception):
@@ -901,13 +906,13 @@ class EncryptedDatabase:
                 encrypted = [
                     handle.scheme.encrypt_query(resolved[i][1]) for i in missing
                 ]
-                response = self._request(
+                fetched = self._request(
                     MessageKind.BATCH_QUERY,
                     name,
                     protocol.encode_query_batch(encrypted),
                     expect=MessageKind.BATCH_RESULT,
+                    decode=protocol.decode_result_batch,
                 )
-                fetched = protocol.decode_result_batch(response.body)
                 if len(fetched) != len(missing):
                     raise DatabaseError(
                         f"provider answered {len(fetched)} results "
@@ -933,10 +938,10 @@ class EncryptedDatabase:
     def count(self, table: str) -> int:
         """Number of tuples the provider currently stores."""
         self.table(table)
-        response = self._request(
-            MessageKind.TUPLE_COUNT, table, b"", expect=MessageKind.ACK
+        return self._request(
+            MessageKind.TUPLE_COUNT, table, b"", expect=MessageKind.ACK,
+            decode=protocol.decode_count,
         )
-        return protocol.decode_count(response.body)
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -963,30 +968,40 @@ class EncryptedDatabase:
 
     def _stored(self, table: str):
         """The provider's ciphertext copy of a relation."""
-        response = self._request(
-            MessageKind.FETCH_RELATION, table, b"", expect=MessageKind.QUERY_RESULT
-        )
-        return self._decode_query_result(response).matching
+        return self._request(
+            MessageKind.FETCH_RELATION, table, b"", expect=MessageKind.QUERY_RESULT,
+            decode=protocol.decode_query_result,
+        ).matching
 
     def _relation_names(self) -> tuple[str, ...]:
-        response = self._request(
-            MessageKind.RELATION_NAMES, "", b"", expect=MessageKind.RELATIONS
+        return self._request(
+            MessageKind.RELATION_NAMES, "", b"", expect=MessageKind.RELATIONS,
+            decode=protocol.decode_relation_names,
         )
-        return protocol.decode_relation_names(response.body)
 
     def _request(
-        self, kind: MessageKind, relation_name: str, body: bytes, expect: MessageKind
-    ) -> MessageV2:
-        """One envelope to the provider; any failure is a :class:`DatabaseError`."""
-        return request(
+        self,
+        kind: MessageKind,
+        relation_name: str,
+        body: bytes,
+        expect: MessageKind,
+        decode: Callable[[bytes], _Decoded] | None = None,
+    ) -> _Decoded | None:
+        """One envelope to the provider, and ``decode`` of its reply body.
+
+        Any failure is a :class:`DatabaseError`: the request helper's, and
+        a reply body ``decode`` rejects (the :class:`ProtocolError` is its
+        ``__cause__``).
+        """
+        response = request(
             self._server, kind, relation_name, body, expect=expect, error=DatabaseError
         )
-
-    def _decode_query_result(self, response: MessageV2) -> EvaluationResult:
-        result, consumed = protocol.decode_evaluation_result(response.body)
-        if consumed != len(response.body):
-            raise DatabaseError("trailing bytes after evaluation result")
-        return result
+        if decode is None:
+            return None
+        try:
+            return decode(response.body)
+        except ProtocolError as exc:
+            raise DatabaseError(str(exc)) from exc
 
     def _resolve(self, query: Query | str, table: str | None) -> tuple[str, Query]:
         """Route a query (AST node or SQL text) to a table of this session."""
@@ -1067,20 +1082,20 @@ class EncryptedDatabase:
                 request = IndexLookupRequest(
                     labels=labels, fallback_query=encrypted_query
                 )
-                response = self._request(
+                return self._request(
                     MessageKind.INDEX_LOOKUP,
                     handle.name,
                     encode_index_lookup(request),
                     expect=MessageKind.QUERY_RESULT,
+                    decode=protocol.decode_query_result,
                 )
-                return self._decode_query_result(response)
-        response = self._request(
+        return self._request(
             MessageKind.QUERY,
             handle.name,
             protocol.encode_encrypted_query(encrypted_query),
             expect=MessageKind.QUERY_RESULT,
+            decode=protocol.decode_query_result,
         )
-        return self._decode_query_result(response)
 
     def _delete_matches(self, name: str, matches: list[tuple]) -> int:
         """Remove already-resolved matches; returns the logical count.
@@ -1101,13 +1116,13 @@ class EncryptedDatabase:
         self, handle: TableHandle, name: str, body: bytes, matches: list[tuple]
     ) -> int:
         if handle.indexer is not None:
-            response = self._request(
+            deleted_ids = self._request(
                 MessageKind.DELETE_TUPLES_EXACT,
                 name,
                 body,
                 expect=MessageKind.TUPLE_IDS,
+                decode=protocol.decode_tuple_ids,
             )
-            deleted_ids = protocol.decode_tuple_ids(response.body)
             delta = handle.indexer.remove_delta(
                 (plaintext, t.tuple_id) for t, plaintext in matches
             )
@@ -1118,10 +1133,10 @@ class EncryptedDatabase:
                 expect=MessageKind.ACK,
             )
             return len(deleted_ids)
-        response = self._request(
-            MessageKind.DELETE_TUPLES, name, body, expect=MessageKind.ACK
+        return self._request(
+            MessageKind.DELETE_TUPLES, name, body, expect=MessageKind.ACK,
+            decode=protocol.decode_count,
         )
-        return protocol.decode_count(response.body)
 
     def _true_matches(
         self, name: str, parsed: Query

@@ -344,8 +344,8 @@ class SealedPayloadDph(DatabasePrivacyHomomorphism):
     baselines all store ``_payload_cipher.encrypt_bytes(codec bytes,
     associated_data=tuple_id)`` (the baselines may store the codec bytes
     bare, with ``_payload_cipher`` ``None``), so they share this ``D``: one
-    :meth:`~repro.crypto.symmetric.SymmetricCipher.decrypt_many` over the
-    batch, each row decoded as it is opened.
+    native open and one native decode over the batch, the Python references
+    for the rows they leave.
     """
 
     _payload_cipher: SymmetricCipher | None
@@ -354,16 +354,27 @@ class SealedPayloadDph(DatabasePrivacyHomomorphism):
     def decrypt_tuples(self, encrypted_tuples: Sequence[EncryptedTuple]) -> list[RelationTuple]:
         """Open and decode each ciphertext, in order; raises at the first that fails.
 
-        What is raised, and at which row, is what :meth:`decrypt_tuple` per
-        row would raise: the MAC or length check's
+        The batch is opened (:meth:`~repro.crypto.symmetric.SymmetricCipher.open_many`)
+        and decoded (:meth:`~repro.relational.encoding.TupleCodec.decode_regular`)
+        by the native kernel; a row it did not both open and decode goes
+        through ``decrypt_bytes`` and then ``decode``, the references, in
+        row order.  So what is raised, and at which row, is what
+        :meth:`decrypt_tuple` per row would raise: the MAC or length check's
         :class:`~repro.crypto.errors.CryptoError`, or the codec's
         :class:`~repro.relational.errors.EncodingError`.
         """
         payloads = list(map(_payloads, encrypted_tuples))
-        if self._payload_cipher is None:
-            opened = payloads
+        cipher = self._payload_cipher
+        codec = self._tuple_codec
+        if cipher is None:
+            rows = codec.decode_regular(payloads)
         else:
-            opened = self._payload_cipher.decrypt_many(
-                payloads, list(map(_tuple_ids, encrypted_tuples))
-            )
-        return list(map(self._tuple_codec.decode, opened))
+            tuple_ids = list(map(_tuple_ids, encrypted_tuples))
+            rows = codec.decode_regular(cipher.open_many(payloads, tuple_ids))
+        for index, row in enumerate(rows):
+            if row is None:
+                plaintext = payloads[index]
+                if cipher is not None:
+                    plaintext = cipher.decrypt_bytes(plaintext, tuple_ids[index])
+                rows[index] = codec.decode(plaintext)
+        return rows

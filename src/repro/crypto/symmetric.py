@@ -11,10 +11,11 @@ standard encrypt-then-MAC composition:
 Ciphertexts are represented by :class:`SymmetricCiphertext` and serialize to
 ``nonce || tag || body`` via :meth:`SymmetricCiphertext.to_bytes`.
 
-:meth:`SymmetricCipher.decrypt_many` opens a batch (a query result's
+:meth:`SymmetricCipher.open_many` opens a batch (a query result's
 payloads) in one call to the native kernel of :mod:`repro.native` when it is
-loaded; :meth:`SymmetricCipher.decrypt_bytes` is the reference and the
-fallback.
+loaded, and :meth:`SymmetricCipher.decrypt_many` re-runs
+:meth:`SymmetricCipher.decrypt_bytes`, the reference, on every row it left
+unopened.
 """
 
 from __future__ import annotations
@@ -110,25 +111,35 @@ class SymmetricCipher:
         )
         return xor_bytes(body, prf_keystream(self._stream_block, len(body), nonce))
 
-    def decrypt_many(
+    def open_many(
         self, raws: Sequence[bytes], associated_data: Sequence[bytes]
-    ) -> Iterator[bytes]:
-        """:meth:`decrypt_bytes` of each ``(raw, associated_data)`` row, in order.
+    ) -> list[bytes | None]:
+        """The native kernel's opening of each ``(raw, associated_data)`` row.
 
-        With the native kernel loaded the whole batch is opened in one call
-        (tag verified before the body is touched); a row it leaves unopened --
-        too short, forged, not a plain byte buffer -- goes through
-        :meth:`decrypt_bytes`.  Either way the iterator yields what
-        :meth:`decrypt_bytes` returns and raises what it raises, at the same
-        row, so a caller that decodes as it iterates fails where the per-row
-        path would.
+        A row is its plaintext, or ``None`` where :meth:`decrypt_bytes` must
+        decide -- too short, forged, not a plain byte buffer, or any row
+        when the kernel is not loaded.
         """
         if len(raws) != len(associated_data):
             raise ParameterError("payloads and associated data differ in length")
         kernel = native.kernel
         if kernel is None:
-            return map(self.decrypt_bytes, raws, associated_data)
-        opened = kernel.open_payloads(raws, associated_data, *self._kernel_keys)
+            return [None] * len(raws)
+        return kernel.open_payloads(raws, associated_data, *self._kernel_keys)
+
+    def decrypt_many(
+        self, raws: Sequence[bytes], associated_data: Sequence[bytes]
+    ) -> Iterator[bytes]:
+        """:meth:`decrypt_bytes` of each ``(raw, associated_data)`` row, in order.
+
+        The batch is opened by :meth:`open_many` (with the kernel, in one call
+        that verifies each tag before its body is touched); a row it leaves
+        unopened goes through :meth:`decrypt_bytes`.  So the iterator yields
+        what :meth:`decrypt_bytes` returns and raises what it raises, at the
+        same row, and a caller that decodes as it iterates fails where the
+        per-row path would.
+        """
+        opened = self.open_many(raws, associated_data)
         return self._reopened(opened, raws, associated_data)
 
     def _reopened(self, opened, raws, associated_data) -> Iterator[bytes]:

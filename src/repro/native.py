@@ -1,12 +1,19 @@
 """The native kernel: :data:`kernel` is ``_native.c`` compiled, or ``None``.
 
-It has two functions, each with a Python reference that runs when
-:data:`kernel` is ``None``:
+It has four functions, each with a Python reference that runs when
+:data:`kernel` is ``None`` (and, for the last three, on every item the
+function leaves ``None``):
 
 - ``swp_select``: :meth:`repro.searchable.swp.SwpMatcher.select` hands it a
   one-digest check (the provider's scan);
-- ``open_payloads``: :meth:`repro.crypto.symmetric.SymmetricCipher.decrypt_many`
-  hands it a batch of tuple payloads (the client's result path).
+- ``open_payloads``: :meth:`repro.crypto.symmetric.SymmetricCipher.open_many`
+  hands it a batch of tuple payloads (the client's result path);
+- ``decode_tuples``: :func:`repro.outsourcing.protocol.decode_encrypted_relation`
+  and ``decode_evaluation_result`` hand it a relation's tuple sequence where
+  it lies in the frame (the Python walk re-runs on an irregular one to raise);
+- ``decode_rows``: :meth:`repro.relational.encoding.TupleCodec.decode_regular`
+  hands it the opened payloads (``TupleCodec.decode`` decides every row
+  outside the common case).
 
 The kernel is built on first import, not by an
 install step, so it loads wherever the package is imported from: the source
@@ -115,6 +122,6 @@ def load():
         return None
 
 
-#: The loaded ``_native`` module (``swp_select``, ``open_payloads``), or ``None``:
-#: the Python references run.
+#: The loaded ``_native`` module (``swp_select``, ``open_payloads``,
+#: ``decode_tuples``, ``decode_rows``), or ``None``: the Python references run.
 kernel = load()

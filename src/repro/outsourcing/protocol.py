@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
+from repro import native
 from repro.core.dph import (
     EncryptedQuery,
     EncryptedRelation,
@@ -91,14 +92,20 @@ def _encode_bytes(value: bytes) -> bytes:
     return len(value).to_bytes(4, "big") + value
 
 
-def _decode_bytes(raw: bytes, offset: int) -> tuple[bytes, int]:
-    if offset + 4 > len(raw):
+def _span(raw: bytes, offset: int) -> tuple[int, int]:
+    """``(start, end)`` of the length-prefixed byte string at ``offset``."""
+    start = offset + 4
+    if start > len(raw):
         raise ProtocolError("truncated length prefix")
-    length = int.from_bytes(raw[offset: offset + 4], "big")
-    offset += 4
-    if offset + length > len(raw):
+    end = start + int.from_bytes(raw[offset:start], "big")
+    if end > len(raw):
         raise ProtocolError("truncated byte string")
-    return raw[offset: offset + length], offset + length
+    return start, end
+
+
+def _decode_bytes(raw: bytes, offset: int) -> tuple[bytes, int]:
+    start, end = _span(raw, offset)
+    return raw[start:end], end
 
 
 def _encode_sequence(items: list[bytes]) -> bytes:
@@ -205,11 +212,44 @@ def decode_encrypted_relation(raw: bytes) -> EncryptedRelation:
     The schema declaration is public but not trusted: bytes that do not
     parse as one are a :class:`ProtocolError` like any other malformed part.
     """
-    schema_bytes, offset = _decode_bytes(raw, 0)
+    return _decode_relation_at(raw, 0, len(raw))
+
+
+def _decode_relation_at(raw: bytes, start: int, end: int) -> EncryptedRelation:
+    """Parse the encrypted relation that fills ``raw[start:end]``.
+
+    With the native kernel loaded its ``decode_tuples`` walks the tuples in
+    place, building each as :func:`_decode_tuple_at` does; on any irregular
+    framing it returns ``None`` and the Python walk below, the reference,
+    runs over the slice to raise its own :class:`ProtocolError`.  A
+    bytes-like frame is read as the bytes it holds.
+    """
+    if not isinstance(raw, bytes):
+        raw = bytes(memoryview(raw))
+    kernel = native.kernel
+    if kernel is not None and end - start >= 4:
+        offset = start + 4 + _U32.unpack_from(raw, start)[0]
+        if offset <= end:
+            schema = _schema_at(raw[start + 4:offset])
+            tuples = kernel.decode_tuples(raw, offset, end, EncryptedTuple)
+            if tuples is not None:
+                return EncryptedRelation(schema=schema, encrypted_tuples=tuples)
+    if start or end != len(raw):
+        raw = raw[start:end]
+    return _walk_relation(raw)
+
+
+def _schema_at(declaration: bytes) -> RelationSchema:
     try:
-        schema = _parse_schema_declaration(schema_bytes)
+        return _parse_schema_declaration(declaration)
     except (SchemaError, UnicodeDecodeError) as exc:
         raise ProtocolError(f"malformed schema declaration: {exc}") from exc
+
+
+def _walk_relation(raw: bytes) -> EncryptedRelation:
+    """The Python walk of :func:`decode_encrypted_relation` over a whole frame."""
+    schema_bytes, offset = _decode_bytes(raw, 0)
+    schema = _schema_at(schema_bytes)
     total = len(raw)
     tuples = []
     try:
@@ -240,15 +280,19 @@ def encode_encrypted_query(encrypted_query: EncryptedQuery) -> bytes:
 
 
 def decode_encrypted_query(raw: bytes) -> EncryptedQuery:
-    """Parse an encrypted query."""
+    """Parse an encrypted query: a UTF-8 scheme name and at least one token."""
     name, offset = _decode_bytes(raw, 0)
     tokens, offset = _decode_sequence(raw, offset)
     metadata, offset = _decode_bytes(raw, offset)
     if offset != len(raw):
         raise ProtocolError("trailing bytes after encrypted query")
-    return EncryptedQuery(
-        scheme_name=name.decode("utf-8"), tokens=tuple(tokens), metadata=metadata
-    )
+    if not tokens:
+        raise ProtocolError("an encrypted query needs at least one token")
+    try:
+        scheme_name = name.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"scheme name {name!r} is not valid UTF-8") from exc
+    return EncryptedQuery(scheme_name=scheme_name, tokens=tuple(tokens), metadata=metadata)
 
 
 @functools.lru_cache(maxsize=SCHEMA_MEMO_SIZE)
@@ -311,15 +355,18 @@ def encode_evaluation_result(result: EvaluationResult) -> bytes:
 
 
 def decode_evaluation_result(raw: bytes, offset: int = 0) -> tuple[EvaluationResult, int]:
-    """Parse an evaluation result, returning it and the next offset."""
-    relation_bytes, offset = _decode_bytes(raw, offset)
+    """Parse an evaluation result, returning it and the next offset.
+
+    The relation is parsed where it lies in ``raw``, not sliced out first.
+    """
+    start, offset = _span(raw, offset)
     if offset + 16 > len(raw):
         raise ProtocolError("truncated evaluation statistics")
     examined = int.from_bytes(raw[offset: offset + 8], "big")
     token_evaluations = int.from_bytes(raw[offset + 8: offset + 16], "big")
     return (
         EvaluationResult(
-            matching=decode_encrypted_relation(relation_bytes),
+            matching=_decode_relation_at(raw, start, offset),
             examined=examined,
             token_evaluations=token_evaluations,
         ),

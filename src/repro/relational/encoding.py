@@ -14,6 +14,9 @@ Two encodings live here:
 
 from __future__ import annotations
 
+from typing import Sequence
+
+from repro import native
 from repro.relational.errors import EncodingError, SchemaError
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.tuples import RelationTuple
@@ -101,6 +104,20 @@ class TupleCodec:
                 raise EncodingError("encoded value too long")
             parts.append(len(raw).to_bytes(2, "big") + raw)
         return b"".join(parts)
+
+    def decode_regular(self, raws: Sequence[bytes | None]) -> list[RelationTuple | None]:
+        """The native kernel's :meth:`decode` of each row in the common case.
+
+        The common case is ASCII values within their declared widths, no
+        ``#`` in a string and an integer of the form ``-?[0-9]+`` of at most
+        18 digits, with nothing after the last value.  Every other row --
+        ``None`` and non-``bytes`` rows included, and every row when the
+        kernel is not loaded -- is ``None``: :meth:`decode` decides it.
+        """
+        kernel = native.kernel
+        if kernel is None:
+            return [None] * len(raws)
+        return kernel.decode_rows(raws, self._plan, RelationTuple, self._schema)
 
     def decode(self, raw: bytes) -> RelationTuple:
         """Parse bytes produced by :meth:`encode` back into a validated tuple.

@@ -111,6 +111,47 @@ class TestQueryEncoding:
         with pytest.raises(ProtocolError):
             decode_encrypted_query(raw + b"!")
 
+    def test_a_scheme_name_that_is_not_utf8_is_a_protocol_error(self):
+        with pytest.raises(ProtocolError, match="scheme name .* is not valid UTF-8"):
+            decode_encrypted_query(query_frame(b"sw\xffp", [b"token"]))
+
+    def test_a_query_without_tokens_is_a_protocol_error(self):
+        with pytest.raises(ProtocolError, match="at least one token"):
+            decode_encrypted_query(query_frame(b"swp", []))
+
+    def test_a_batch_holding_a_query_without_tokens_is_a_protocol_error(self):
+        good = query_frame(b"swp", [b"token"])
+        for bad in (query_frame(b"swp", []), query_frame(b"\xc3", [b"token"])):
+            with pytest.raises(ProtocolError):
+                decode_query_batch(counted([good, bad]))
+
+    @pytest.mark.parametrize("kind", [MessageKind.QUERY, MessageKind.BATCH_QUERY])
+    @pytest.mark.parametrize("name, tokens", [(b"swp", []), (b"\xffswp", [b"t"])],
+                             ids=["no tokens", "not UTF-8"])
+    def test_the_provider_answers_a_malformed_query_with_error(self, kind, name, tokens):
+        from repro.outsourcing import OutsourcedDatabaseServer
+        body = query_frame(name, tokens)
+        if kind is MessageKind.BATCH_QUERY:
+            body = counted([body])
+        request = MessageV2(kind=kind, relation_name="Emp", body=body)
+        response = parse_message(OutsourcedDatabaseServer().handle_message(request.to_bytes()))
+        assert response.kind is MessageKind.ERROR
+
+
+def counted(parts: list[bytes]) -> bytes:
+    """A 4-byte count, then each part behind its 4-byte length."""
+    return len(parts).to_bytes(4, "big") + b"".join(
+        len(part).to_bytes(4, "big") + part for part in parts
+    )
+
+
+def query_frame(name: bytes, tokens: list[bytes], metadata: bytes = b"") -> bytes:
+    """An encrypted query's bytes, whatever its scheme name and token count."""
+    return (
+        len(name).to_bytes(4, "big") + name + counted(tokens)
+        + len(metadata).to_bytes(4, "big") + metadata
+    )
+
 
 class TestMessageEnvelope:
     def test_roundtrip(self):

@@ -11,6 +11,13 @@ The last section pins the wire memo a decoded tuple carries: re-encoding
 what any of the four result-path decoders accepts returns the bytes the
 parent returned, and the memo is invisible to ``==``, ``hash``, ``repr`` and
 ``dataclasses.replace``.
+
+The module runs once per tuple walk (the ``match_kernel`` fixture): the
+native ``decode_tuples``, which walks a relation where it lies in the frame
+and hands any irregular one back to the Python walk, and the Python walk
+alone.  Hostile frames -- truncated at every offset, a count or length near
+2**32, bytes-like copies -- must get the same verdict and the same message
+on both.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import native
 from repro.core.dph import EncryptedRelation, EncryptedTuple, EvaluationResult
 from repro.crypto.rng import DeterministicRng
 from repro.outsourcing import (
@@ -49,6 +57,8 @@ from repro.relational.errors import SchemaError
 from repro.schemes.registry import create
 
 SCHEMA = RelationSchema.parse("Emp(name:string[14], dept:string[5], salary:int[6])")
+
+pytestmark = pytest.mark.usefixtures("match_kernel")
 
 
 # --------------------------------------------------------------------------- #
@@ -259,6 +269,117 @@ def test_a_field_may_not_reach_past_its_tuple_body():
     with pytest.raises(ProtocolError):
         decode_encrypted_relation(bytes(frame))
     assert_same_verdict(bytes(frame))
+
+
+# --------------------------------------------------------------------------- #
+# Hostile frames: both walks, the same verdict and message
+# --------------------------------------------------------------------------- #
+
+SAMPLE = EncryptedRelation(SCHEMA, (
+    EncryptedTuple(b"id-1", b"payload-1", (b"f1", b""), b""),
+    EncryptedTuple(b"", b"", (), b"meta"),
+    EncryptedTuple(b"id-3", b"p" * 40, (b"field",) * 3, b"m"),
+))
+SAMPLE_FRAME = encode_encrypted_relation(SAMPLE)
+
+
+def python_walk_outcome(decode, raw):
+    """What ``decode(raw)`` gives with the native kernel unloaded."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "kernel", None)
+        return outcome(decode, raw)
+
+
+def outcome(decode, raw):
+    try:
+        return "decoded", decode(raw)
+    except ProtocolError as exc:
+        return "error", str(exc)
+
+
+def assert_same_on_both_walks(decode, raw) -> None:
+    assert outcome(decode, raw) == python_walk_outcome(decode, raw)
+
+
+def test_truncation_at_every_offset():
+    for cut in range(len(SAMPLE_FRAME)):
+        assert_same_on_both_walks(decode_encrypted_relation, SAMPLE_FRAME[:cut])
+        assert_same_verdict(SAMPLE_FRAME[:cut])
+
+
+def test_truncation_at_every_offset_inside_an_evaluation_result():
+    """The relation is parsed in place: its end is the prefix's, not the frame's."""
+    statistics = (7).to_bytes(8, "big") + (9).to_bytes(8, "big")
+    for cut in range(len(SAMPLE_FRAME)):
+        damaged = cut.to_bytes(4, "big") + SAMPLE_FRAME[:cut] + statistics
+        assert outcome(decode_evaluation_result, damaged)[0] == "error"
+        assert_same_on_both_walks(decode_evaluation_result, damaged)
+
+
+_TUPLE_COUNT = 4 + int.from_bytes(SAMPLE_FRAME[:4], "big")
+#: Offsets of SAMPLE_FRAME's count and length prefixes; the first tuple's
+#: field count follows its id ("id-1") and payload ("payload-1").
+PREFIXES = {
+    "schema length": 0,
+    "tuple count": _TUPLE_COUNT,
+    "first tuple body length": _TUPLE_COUNT + 4,
+    "first tuple id length": _TUPLE_COUNT + 8,
+    "first field count": _TUPLE_COUNT + 8 + (4 + 4) + (4 + 9),
+}
+
+
+@pytest.mark.parametrize("value", [2**32 - 1, 2**32 - 20, 2**31, 2**31 - 1, 2**24])
+@pytest.mark.parametrize("prefix", PREFIXES)
+def test_a_prefix_near_two_to_the_32_is_rejected_without_allocating(prefix, value):
+    frame = bytearray(SAMPLE_FRAME)
+    position = PREFIXES[prefix]
+    frame[position:position + 4] = value.to_bytes(4, "big")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProtocolError):
+            decode_encrypted_relation(bytes(frame))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert_same_on_both_walks(decode_encrypted_relation, bytes(frame))
+
+
+@pytest.mark.parametrize("container", [bytearray, memoryview], ids=lambda c: c.__name__)
+def test_bytes_like_frames_decode_as_bytes_do(container):
+    for raw in (SAMPLE_FRAME, SAMPLE_FRAME[:-1], SAMPLE_FRAME + b"!"):
+        verdict = outcome(decode_encrypted_relation, container(raw))
+        assert verdict[0] == outcome(decode_encrypted_relation, raw)[0]
+        assert verdict == python_walk_outcome(decode_encrypted_relation, container(raw))
+        if verdict[0] == "decoded":
+            assert verdict[1] == SAMPLE
+
+
+@given(relation=relations, prefix=short_bytes, suffix=short_bytes)
+@settings(max_examples=150, deadline=None)
+def test_the_kernel_walks_every_regular_frame_in_place(match_kernel, relation, prefix, suffix):
+    """``decode_tuples`` declines nothing regular, so the walks above are its own.
+
+    It reads ``raw[start:end]`` where it lies, sets the wire memo, and
+    returns ``None`` for anything else: here, the same span a byte short or
+    a byte long.  Bounds outside ``raw`` are a caller's bug.
+    """
+    if match_kernel == "python":
+        pytest.skip("the kernel on its own")
+    frame = encode_encrypted_relation(relation)
+    start = len(prefix) + 4 + int.from_bytes(frame[:4], "big")
+    raw = prefix + frame + suffix
+    end = len(prefix) + len(frame)
+    walked = native.kernel.decode_tuples(raw, start, end, EncryptedTuple)
+    assert walked == relation.encrypted_tuples
+    assert [t.wire for t in walked] == [encode_encrypted_tuple(t) for t in relation]
+    assert all(type(t) is EncryptedTuple for t in walked)
+    assert native.kernel.decode_tuples(raw, start, end - 1, EncryptedTuple) is None
+    if suffix:
+        assert native.kernel.decode_tuples(raw, start, end + 1, EncryptedTuple) is None
+    for bounds in ((-1, end), (start, len(raw) + 1), (end, start - 1)):
+        with pytest.raises(ValueError):
+            native.kernel.decode_tuples(raw, *bounds, EncryptedTuple)
 
 
 # --------------------------------------------------------------------------- #
