@@ -22,16 +22,11 @@ from __future__ import annotations
 import time
 from collections import Counter
 
+from repro import EncryptedDatabase
 from repro.crypto.keys import SecretKey
-from repro.outsourcing import OutsourcedDatabaseServer, OutsourcingClient
-from repro.schemes.registry import available_schemes, create as create_scheme
+from repro.outsourcing import OutsourcedDatabaseServer
+from repro.schemes.registry import available_schemes
 from repro.workloads import EmployeeWorkload
-
-
-def build_schemes(schema):
-    """One instance of every registered scheme over the employee schema."""
-    key = SecretKey.generate()
-    return [create_scheme(name, schema, key) for name in available_schemes()]
 
 
 def equality_leak(encrypted_relation) -> int:
@@ -52,6 +47,8 @@ def equality_leak(encrypted_relation) -> int:
 
 def main() -> None:
     workload = EmployeeWorkload.generate(800, seed=7)
+    rows = [tuple(row.values()) for row in workload.relation]
+    key = SecretKey.generate()
     print(f"Workload: {workload.size} employees, departments {workload.departments}")
 
     queries = [
@@ -67,29 +64,30 @@ def main() -> None:
     print("\n" + header)
     print("-" * len(header))
 
-    for scheme in build_schemes(workload.schema):
+    for name in available_schemes():
         server = OutsourcedDatabaseServer()
-        client = OutsourcingClient(scheme, server, relation_name="Emp")
+        db = EncryptedDatabase.open(key, server=server, scheme=name)
 
         start = time.perf_counter()
-        shipped = client.outsource(workload.relation)
+        table = db.create_table(workload.schema, rows=rows)
         store_ms = (time.perf_counter() - start) * 1000
+        shipped = server.storage_in_bytes("Emp")
 
         start = time.perf_counter()
         false_positives = 0
         for statement in queries:
-            outcome = client.select(statement)
+            outcome = db.select(statement)
             false_positives += outcome.false_positives
         query_ms = (time.perf_counter() - start) * 1000
 
         # Streaming insert, then confirm it is findable.
-        client.insert({"name": "newhire", "dept": "HR", "salary": 4242})
-        found = client.select("SELECT * FROM Emp WHERE name = 'newhire'")
+        db.insert("Emp", {"name": "newhire", "dept": "HR", "salary": 4242})
+        found = db.select("SELECT * FROM Emp WHERE name = 'newhire'")
         assert len(found.relation) == 1
 
         leak = equality_leak(server.stored_relation("Emp"))
         print(
-            f"{scheme.name:<15} {store_ms:>9.1f} {query_ms:>9.1f} {shipped:>9} "
+            f"{table.scheme.name:<15} {store_ms:>9.1f} {query_ms:>9.1f} {shipped:>9} "
             f"{false_positives:>9} {leak:>14}"
         )
 

@@ -17,9 +17,8 @@ The library implements, from scratch:
   games of Definitions 1.2 and 2.1, the concrete attacks of Sections 1 and 2,
   the generic Theorem-2.1 adversary and empirical advantage estimation;
 * the **outsourcing protocol** (:mod:`repro.outsourcing`): an untrusted server
-  (Eve) with pluggable ciphertext storage, a client (Alex) and the one
-  byte-level envelope they exchange for every data, index and DDL
-  operation;
+  (Eve) with pluggable ciphertext storage and the one byte-level envelope
+  the client exchanges with it for every data, index and DDL operation;
 * the **network serving layer** (:mod:`repro.net`): length-prefixed framing,
   an asyncio TCP provider (``repro serve``) for many concurrent clients, and
   a pooled client proxy so ``EncryptedDatabase.connect("tcp://host:port")``
@@ -30,8 +29,9 @@ The library implements, from scratch:
   ``EncryptedDatabase.connect("cluster://h1:p1,h2:p2")`` targets a whole
   fleet transparently (``repro cluster`` spawns/inspects one);
 * the **public session API** (:mod:`repro.api`): the
-  :class:`~repro.api.EncryptedDatabase` facade driving any scheme registered
-  in :mod:`repro.schemes.registry` through the wire protocol;
+  :class:`~repro.api.EncryptedDatabase` facade -- the client (Alex), who
+  holds the key -- driving any scheme registered in
+  :mod:`repro.schemes.registry` through the wire protocol;
 * **workload generators** and **analysis utilities** for the experiment suite
   (:mod:`repro.workloads`, :mod:`repro.analysis`).
 
@@ -49,8 +49,8 @@ Quickstart::
     db.update("SELECT * FROM Emp WHERE name = 'Smith'", {"salary": 5500})
     db.delete("SELECT * FROM Emp WHERE dept = 'HR'")
 
-The lower-level objects (``SearchableSelectDph``, ``OutsourcingClient``, the
-security games) remain available for experiments that need to drive single
+The lower-level objects (``SearchableSelectDph``, the provider's
+``OutsourcedDatabaseServer``, the security games) remain available for experiments that need to drive single
 pieces of the stack.
 """
 

@@ -60,11 +60,12 @@ import contextlib
 import math
 import signal
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
+from repro.api import EncryptedDatabase
 from repro.crypto.keys import SecretKey
 from repro.experiments import EXPERIMENTS
-from repro.outsourcing import OutsourcedDatabaseServer, OutsourcingClient, request
+from repro.outsourcing import OutsourcedDatabaseServer, request
 from repro.outsourcing.protocol import MessageKind, decode_count, decode_relation_names
 from repro.schemes.registry import available_schemes, create as create_scheme
 from repro.security import IndistinguishabilityGame
@@ -112,18 +113,22 @@ def command_experiments(args: argparse.Namespace) -> int:
 def command_demo(args: argparse.Namespace) -> int:
     """Outsource a synthetic employee relation and run a few queries."""
     workload = EmployeeWorkload.generate(args.size, seed=args.seed)
-    scheme = build_scheme(args.scheme, workload.schema)
     server = OutsourcedDatabaseServer()
-    client = OutsourcingClient(scheme, server, relation_name="Emp")
-    shipped = client.outsource(workload.relation)
-    print(f"Outsourced {workload.size} tuples with {scheme.name}: {shipped} ciphertext bytes.")
+    db = EncryptedDatabase.open(server=server, scheme=args.scheme)
+    table = db.create_table(
+        workload.schema, rows=[tuple(row.values()) for row in workload.relation]
+    )
+    print(
+        f"Outsourced {workload.size} tuples with {table.scheme.name}: "
+        f"{server.storage_in_bytes('Emp')} ciphertext bytes."
+    )
 
     statements = [
         "SELECT * FROM Emp WHERE dept = 'HR'",
         f"SELECT name, salary FROM Emp WHERE name = 'emp{args.size // 2}'",
     ]
     for statement in statements:
-        outcome = client.select(statement)
+        outcome = db.select(statement)
         print(f"{statement}")
         print(
             f"  -> {len(outcome.relation)} tuple(s), "
@@ -693,25 +698,45 @@ def _print_trace(trace: dict) -> None:
         print(f"{line}  {suffix}" if suffix else line)
 
 
-def _count(text: str) -> int:
-    """An argparse type: a non-negative integer."""
-    value = int(text) if text.strip().isdecimal() else -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"want a count (an integer >= 0), got {text!r}")
-    return value
+def _integer(low: int, high: int | None = None) -> Callable[[str], int]:
+    """An argparse type: an integer from ``low`` up to ``high`` (if given)."""
+    wanted = f">= {low}" if high is None else f"in [{low}, {high}]"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(f"want an integer {wanted}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _seconds(text: str) -> float:
-    """An argparse type: a finite number of seconds greater than zero."""
+_count = _integer(0)
+_positive = _integer(1)
+_port = _integer(0, 65535)
+
+
+def _seconds(text: str, zero_allowed: bool = False) -> float:
+    """An argparse type: a finite number of seconds greater than zero
+    (or equal to it, when ``zero_allowed``)."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not (math.isfinite(value) and value > 0):
+    if not (math.isfinite(value) and (value > 0 or zero_allowed and value == 0)):
+        wanted = ">= 0" if zero_allowed else "> 0"
         raise argparse.ArgumentTypeError(
-            f"want a number of seconds (finite and > 0), got {text!r}"
+            f"want a number of seconds (finite and {wanted}), got {text!r}"
         )
     return value
+
+
+def _interval(text: str) -> float:
+    """An argparse type: :func:`_seconds`, where 0 means never."""
+    return _seconds(text, zero_allowed=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -728,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     demo = subparsers.add_parser("demo", help="outsource a synthetic employee database")
     demo.add_argument("--scheme", choices=available_schemes(), default="swp")
-    demo.add_argument("--size", type=int, default=500)
+    demo.add_argument("--size", type=_count, default=500)
     demo.add_argument("--seed", type=int, default=0)
     demo.set_defaults(handler=command_demo)
 
@@ -736,22 +761,23 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("attack", choices=("salary-pair", "hospital", "john"))
     attack.add_argument("--scheme", choices=available_schemes(), default=None,
                         help="target scheme for salary-pair (default bucketization)")
-    attack.add_argument("--size", type=int, default=1000, help="hospital database size")
-    attack.add_argument("--trials", type=int, default=100, help="game trials for salary-pair")
+    attack.add_argument("--size", type=_positive, default=1000, help="hospital database size")
+    attack.add_argument("--trials", type=_positive, default=100,
+                        help="game trials for salary-pair")
     attack.add_argument("--seed", type=int, default=0)
     attack.set_defaults(handler=command_attack)
 
     serve = subparsers.add_parser("serve", help="run a standalone TCP provider")
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
-    serve.add_argument("--port", type=int, default=7707,
+    serve.add_argument("--port", type=_port, default=7707,
                        help="bind port (0 picks an ephemeral one)")
     serve.add_argument("--data-dir", default=None, metavar="DIR",
                        help="persist relations as files under DIR (default in-memory)")
-    serve.add_argument("--max-audit-events", type=int, default=10_000,
+    serve.add_argument("--max-audit-events", type=_positive, default=10_000,
                        help="ring-buffer cap on the provider's audit log")
-    serve.add_argument("--max-frame-size", type=int, default=64 * 1024 * 1024,
+    serve.add_argument("--max-frame-size", type=_positive, default=64 * 1024 * 1024,
                        help="reject frames larger than this many bytes")
-    serve.add_argument("--stats-interval", type=float, default=0.0, metavar="SECONDS",
+    serve.add_argument("--stats-interval", type=_interval, default=0.0, metavar="SECONDS",
                        help="log a transport-stats line every SECONDS (0 disables)")
     serve.add_argument("--dispatch-workers", type=int, default=4, metavar="N",
                        help="requests touching different relations execute on up "
@@ -774,7 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
     spawn.add_argument("--host", default="127.0.0.1", help="bind address")
     spawn.add_argument("--data-dir", default=None, metavar="DIR",
                        help="persist each shard under DIR/shard-<i> (default in-memory)")
-    spawn.add_argument("--max-audit-events", type=int, default=10_000,
+    spawn.add_argument("--max-audit-events", type=_positive, default=10_000,
                        help="ring-buffer cap on each provider's audit log")
     spawn.add_argument("--manifest", default=None, metavar="FILE",
                        help="write the fleet topology (shard ids/addresses, "

@@ -73,12 +73,7 @@ from repro.cluster.manifest import (
     ShardEntry,
     parse_cluster_file_url,
 )
-from repro.cluster.rebalance import (
-    RebalanceReport,
-    misplaced_tuples,
-    rebalance,
-    surplus_copies,
-)
+from repro.cluster.rebalance import RebalanceReport, rebalance
 from repro.cluster.ring import (
     ConsistentHashRing,
     DEFAULT_REPLICAS,
@@ -112,9 +107,7 @@ __all__ = [
     "ShardEntry",
     "parse_cluster_file_url",
     "RebalanceReport",
-    "misplaced_tuples",
     "rebalance",
-    "surplus_copies",
     "ConsistentHashRing",
     "DEFAULT_REPLICAS",
     "DEFAULT_VIRTUAL_NODES",

@@ -81,7 +81,7 @@ class RebalanceReport:
 
 
 def _index_copies(
-    fleet, relation_name: str, report: RebalanceReport | None = None
+    fleet, relation_name: str, report: RebalanceReport
 ) -> dict[bytes, tuple[Any, set[str]]]:
     """``tuple_id -> (encrypted_tuple, holder shard ids)`` for one relation.
 
@@ -92,8 +92,7 @@ def _index_copies(
     stored = fleet.each_shard(MessageKind.FETCH_RELATION, relation_name)
     for shard_id, result in stored.items():
         relation = result.matching
-        if report is not None:
-            report.scanned += len(relation)
+        report.scanned += len(relation)
         for encrypted_tuple in relation:
             entry = placement.get(encrypted_tuple.tuple_id)
             if entry is None:
@@ -101,49 +100,6 @@ def _index_copies(
             else:
                 entry[1].add(shard_id)
     return placement
-
-
-def misplaced_tuples(
-    fleet,
-    ring: ConsistentHashRing,
-    relation_name: str,
-    *,
-    replication: int = 1,
-) -> list[tuple[str, str, Any]]:
-    """``(source, target, encrypted_tuple)`` for every copy the fleet lacks.
-
-    One entry per missing ``(tuple, successor shard)`` pair; ``source`` is
-    a shard currently holding a copy the rebalance would duplicate from.
-    """
-    moves = []
-    for tuple_id, (encrypted_tuple, holders) in _index_copies(
-        fleet, relation_name
-    ).items():
-        desired = set(ring.successors(tuple_id, replication))
-        missing = desired - holders
-        if not missing:
-            continue
-        kept = holders & desired
-        source = sorted(kept)[0] if kept else sorted(holders)[0]
-        for target in sorted(missing):
-            moves.append((source, target, encrypted_tuple))
-    return moves
-
-
-def surplus_copies(
-    fleet,
-    ring: ConsistentHashRing,
-    relation_name: str,
-    *,
-    replication: int = 1,
-) -> list[tuple[str, bytes]]:
-    """``(shard_id, tuple_id)`` for every copy stored off its successor set."""
-    surplus = []
-    for tuple_id, (_, holders) in _index_copies(fleet, relation_name).items():
-        desired = set(ring.successors(tuple_id, replication))
-        for shard_id in sorted(holders - desired):
-            surplus.append((shard_id, tuple_id))
-    return surplus
 
 
 def rebalance(

@@ -2,9 +2,8 @@
 
 :class:`ShardRouter` answers :meth:`~ShardRouter.handle_message` exactly as
 one provider would -- and every data and DDL operation is an envelope -- so
-:class:`~repro.api.EncryptedDatabase` and
-:class:`~repro.outsourcing.client.OutsourcingClient` drive N providers
-exactly as they drive one.  Each backend is either an in-process
+:class:`~repro.api.EncryptedDatabase` drives N providers exactly as it
+drives one.  Each backend is either an in-process
 :class:`~repro.outsourcing.server.OutsourcedDatabaseServer` (or anything with
 its ``handle_message``) or a ``tcp://host:port`` URL (opened as an owned
 :class:`~repro.net.client.RemoteServerProxy`), mixed freely.

@@ -11,16 +11,14 @@ scratch, on top of :mod:`hashlib` / :mod:`hmac` only:
 * :mod:`repro.crypto.prp` -- pseudorandom permutations: a byte-string Feistel
   network and a small-domain integer permutation (cycle walking), used e.g.
   for the secret bucket permutation of the Hacigumus scheme.
-* :mod:`repro.crypto.blockcipher` -- a 16-byte Luby--Rackoff block cipher and
-  the classic modes of operation (ECB/CBC/CTR) in :mod:`repro.crypto.modes`.
 * :mod:`repro.crypto.symmetric` -- a randomized, authenticated symmetric
   encryption scheme (CTR + encrypt-then-MAC), the "secure cipher" used to
   protect tuple payloads.
 * :mod:`repro.crypto.mac` -- message authentication codes.
 * :mod:`repro.crypto.kdf` -- HKDF-style key derivation, used to derive
   independent sub-keys from a single master key.
-* :mod:`repro.crypto.padding` -- PKCS#7 padding and the fixed-width ``'#'``
-  padding used by the paper for attribute values.
+* :mod:`repro.crypto.padding` -- the fixed-width ``'#'`` padding used by the
+  paper for attribute values.
 * :mod:`repro.crypto.keys` -- key generation and hierarchical key management.
 * :mod:`repro.crypto.rng` -- deterministic (seedable) and system randomness
   sources.
@@ -39,12 +37,7 @@ from repro.crypto.errors import (
 from repro.crypto.kdf import hkdf_expand, hkdf_extract, derive_key
 from repro.crypto.keys import KeyHierarchy, SecretKey, generate_key
 from repro.crypto.mac import Hmac, verify_mac
-from repro.crypto.padding import (
-    hash_pad,
-    hash_unpad,
-    pkcs7_pad,
-    pkcs7_unpad,
-)
+from repro.crypto.padding import hash_pad, hash_unpad
 from repro.crypto.prf import Prf
 from repro.crypto.prg import Prg, keystream
 from repro.crypto.prp import FeistelPrp, IntegerPrp, UnbalancedFeistelPrp
@@ -67,8 +60,6 @@ __all__ = [
     "verify_mac",
     "hash_pad",
     "hash_unpad",
-    "pkcs7_pad",
-    "pkcs7_unpad",
     "Prf",
     "Prg",
     "keystream",

@@ -23,11 +23,10 @@ class KeyError_(CryptoError):
 class PaddingError(CryptoError):
     """Padding is malformed and cannot be removed.
 
-    Raised by :func:`repro.crypto.padding.pkcs7_unpad` and
-    :func:`repro.crypto.padding.hash_unpad` when the padded input does not
-    conform to the expected format.  Callers that decrypt attacker-controlled
-    data should treat this identically to :class:`DecryptionError` to avoid
-    padding-oracle style information leaks.
+    Raised by :func:`repro.crypto.padding.hash_unpad` when the padded input
+    does not conform to the expected format.  Callers that decrypt
+    attacker-controlled data should treat this identically to
+    :class:`DecryptionError` to avoid padding-oracle style information leaks.
     """
 
 

@@ -1,18 +1,14 @@
-"""Padding schemes.
+"""Fixed-width '#' padding.
 
-Two kinds of padding appear in the reproduction:
+This is exactly the padding the paper uses to bring attribute values to the
+globally fixed word length::
 
-* **PKCS#7** byte padding, used by the block-cipher modes when a plaintext is
-  not a multiple of the block size.
-* **Fixed-width '#' padding**, which is exactly the padding the paper uses to
-  bring attribute values to the globally fixed word length::
+    <name:"Montgomery", dept:"HR", sal:7500>
+        |-> {"MontgomeryN", "HR########D", "7500######S"}
 
-      <name:"Montgomery", dept:"HR", sal:7500>
-          |-> {"MontgomeryN", "HR########D", "7500######S"}
-
-  The functions :func:`hash_pad` / :func:`hash_unpad` implement that scheme
-  over byte strings; the relational encoding layer
-  (:mod:`repro.relational.encoding`) uses them for string attributes.
+The functions :func:`hash_pad` / :func:`hash_unpad` implement that scheme over
+byte strings; the word encoder (:mod:`repro.searchable.words`) uses them for
+attribute values.
 """
 
 from __future__ import annotations
@@ -21,28 +17,6 @@ from repro.crypto.errors import PaddingError
 
 #: The padding byte used by the paper's examples (the ``'#'`` symbol).
 PAD_BYTE = b"#"
-
-
-def pkcs7_pad(data: bytes, block_size: int) -> bytes:
-    """Pad ``data`` to a multiple of ``block_size`` using PKCS#7."""
-    if not 1 <= block_size <= 255:
-        raise PaddingError("block size must be in [1, 255]")
-    pad_len = block_size - (len(data) % block_size)
-    return data + bytes([pad_len]) * pad_len
-
-
-def pkcs7_unpad(data: bytes, block_size: int) -> bytes:
-    """Remove PKCS#7 padding, validating it fully."""
-    if not 1 <= block_size <= 255:
-        raise PaddingError("block size must be in [1, 255]")
-    if not data or len(data) % block_size != 0:
-        raise PaddingError("padded data length is not a multiple of the block size")
-    pad_len = data[-1]
-    if pad_len < 1 or pad_len > block_size:
-        raise PaddingError("invalid padding length byte")
-    if data[-pad_len:] != bytes([pad_len]) * pad_len:
-        raise PaddingError("padding bytes are inconsistent")
-    return data[:-pad_len]
 
 
 def hash_pad(value: bytes, width: int, pad_byte: bytes = PAD_BYTE) -> bytes:
@@ -71,12 +45,3 @@ def hash_unpad(padded: bytes, pad_byte: bytes = PAD_BYTE) -> bytes:
     if pad_byte in stripped:
         raise PaddingError("padding byte occurs in the interior of the value")
     return stripped
-
-
-def zero_pad(value: bytes, width: int) -> bytes:
-    """Left-pad with ASCII ``'0'`` to ``width`` -- used for numeric attribute values."""
-    if len(value) > width:
-        raise PaddingError(
-            f"value of length {len(value)} does not fit in a width-{width} field"
-        )
-    return b"0" * (width - len(value)) + value

@@ -13,15 +13,14 @@ Ciphertexts are represented by :class:`SymmetricCiphertext` and serialize to
 
 :meth:`SymmetricCipher.open_many` opens a batch (a query result's
 payloads) in one call to the native kernel of :mod:`repro.native` when it is
-loaded, and :meth:`SymmetricCipher.decrypt_many` re-runs
-:meth:`SymmetricCipher.decrypt_bytes`, the reference, on every row it left
-unopened.
+loaded; a caller re-runs :meth:`SymmetricCipher.decrypt_bytes`, the
+reference, on every row it left unopened.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro import native
 from repro.crypto.errors import DecryptionError, KeyError_, ParameterError
@@ -126,23 +125,3 @@ class SymmetricCipher:
         if kernel is None:
             return [None] * len(raws)
         return kernel.open_payloads(raws, associated_data, *self._kernel_keys)
-
-    def decrypt_many(
-        self, raws: Sequence[bytes], associated_data: Sequence[bytes]
-    ) -> Iterator[bytes]:
-        """:meth:`decrypt_bytes` of each ``(raw, associated_data)`` row, in order.
-
-        The batch is opened by :meth:`open_many` (with the kernel, in one call
-        that verifies each tag before its body is touched); a row it leaves
-        unopened goes through :meth:`decrypt_bytes`.  So the iterator yields
-        what :meth:`decrypt_bytes` returns and raises what it raises, at the
-        same row, and a caller that decodes as it iterates fails where the
-        per-row path would.
-        """
-        opened = self.open_many(raws, associated_data)
-        return self._reopened(opened, raws, associated_data)
-
-    def _reopened(self, opened, raws, associated_data) -> Iterator[bytes]:
-        """The kernel's plaintexts, with each ``None`` row opened by :meth:`decrypt_bytes`."""
-        for plaintext, raw, data in zip(opened, raws, associated_data):
-            yield self.decrypt_bytes(raw, data) if plaintext is None else plaintext

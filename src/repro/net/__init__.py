@@ -36,9 +36,8 @@ machine boundary.  ``repro.net`` is that missing transport, in three layers:
 **Client side** (:mod:`repro.net.client` / :mod:`repro.net.aio`)
     One sans-IO protocol core (:mod:`repro.net.wire`) under two frontends
     whose ``handle_message`` is the one
-    :class:`~repro.api.EncryptedDatabase` and
-    :class:`~repro.outsourcing.client.OutsourcingClient` already send every
-    envelope through:
+    :class:`~repro.api.EncryptedDatabase` already sends every envelope
+    through:
     :class:`~repro.net.client.RemoteServerProxy`, a blocking proxy with a
     bounded connection pool (``connect("tcp://host:port")``), and
     :class:`~repro.net.aio.AsyncRemoteServerProxy`, which multiplexes any

@@ -6,9 +6,8 @@ the provider's answer, exactly as
 :meth:`OutsourcedDatabaseServer.handle_message
 <repro.outsourcing.server.OutsourcedDatabaseServer.handle_message>` does
 in-process, and every data and DDL operation is an envelope -- so
-:class:`~repro.api.EncryptedDatabase` and
-:class:`~repro.outsourcing.client.OutsourcingClient` drive a remote
-provider with the code paths they already use in-process.  Besides it, the
+:class:`~repro.api.EncryptedDatabase` drives a remote provider with the
+code paths it already uses in-process.  Besides it, the
 proxy carries only the operator read-outs of the JSON control channel
 (``ping`` / ``stats`` / ``metrics`` / ``trace``).
 

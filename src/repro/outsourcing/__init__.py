@@ -1,6 +1,8 @@
 """End-to-end outsourcing protocol: client (Alex), untrusted server (Eve).
 
-* :mod:`repro.outsourcing.client` -- the key-holding client;
+* :mod:`repro.outsourcing.client` -- the request helper every client of a
+  provider sends its envelopes through, and the select outcome it returns
+  (the key-holding client itself is :class:`~repro.api.EncryptedDatabase`);
 * :mod:`repro.outsourcing.server` -- the keyless service provider;
 * :mod:`repro.outsourcing.protocol` -- the byte-level wire format of the
   ciphertext objects the two exchange;
@@ -15,12 +17,7 @@ socket (``repro serve``) without this package knowing about it.
 """
 
 from repro.outsourcing.audit import AuditEvent, AuditEventKind, ServerAuditLog
-from repro.outsourcing.client import (
-    ClientError,
-    OutsourcingClient,
-    SelectOutcome,
-    request,
-)
+from repro.outsourcing.client import SelectOutcome, request
 from repro.outsourcing.protocol import (
     MessageKind,
     MessageV2,
@@ -57,8 +54,6 @@ __all__ = [
     "AuditEvent",
     "AuditEventKind",
     "ServerAuditLog",
-    "ClientError",
-    "OutsourcingClient",
     "SelectOutcome",
     "request",
     "MessageKind",

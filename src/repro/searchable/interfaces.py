@@ -49,15 +49,6 @@ class EncryptedDocument:
             + len(self.payload)
         )
 
-    def with_payload(self, payload: bytes) -> "EncryptedDocument":
-        """Return a copy carrying ``payload``."""
-        return EncryptedDocument(
-            document_id=self.document_id,
-            encrypted_words=self.encrypted_words,
-            index=self.index,
-            payload=payload,
-        )
-
 
 @dataclass(frozen=True)
 class SearchMatch:

@@ -10,8 +10,6 @@
   storage experiments.
 * :mod:`repro.workloads.generator` -- a generic schema-driven synthetic
   relation generator.
-* :mod:`repro.workloads.queries` -- exact-select query workloads with
-  controllable selectivity.
 """
 
 from repro.workloads.distributions import (
@@ -22,10 +20,6 @@ from repro.workloads.distributions import (
 from repro.workloads.employees import EmployeeWorkload, employee_schema
 from repro.workloads.generator import SyntheticRelationGenerator
 from repro.workloads.hospital import HospitalWorkload, hospital_schema
-from repro.workloads.queries import (
-    random_equality_queries,
-    queries_over_values,
-)
 
 __all__ = [
     "CategoricalDistribution",
@@ -36,6 +30,4 @@ __all__ = [
     "SyntheticRelationGenerator",
     "HospitalWorkload",
     "hospital_schema",
-    "random_equality_queries",
-    "queries_over_values",
 ]

@@ -11,10 +11,9 @@ from repro.outsourcing import (
     FileStorageBackend,
     InMemoryStorageBackend,
     OutsourcedDatabaseServer,
-    OutsourcingClient,
     StorageError,
 )
-from repro.relational import ConjunctiveSelection, Selection
+from repro.relational import ConjunctiveSelection, Relation, Selection
 from repro.schemes.registry import available_schemes
 from provider_calls import drop_relation, relation_names, stored_relation
 
@@ -111,7 +110,9 @@ def db(request, transport, secret_key, rng):
 class TestCrudAcrossAllSchemes:
     def test_select_sql_and_ast(self, db):
         outcome = db.select("SELECT * FROM Emp WHERE dept = 'HR'")
-        assert len(outcome.relation) == 2
+        assert outcome.relation == Relation.from_rows(
+            db.schema("Emp"), [row for row in ROWS if row[1] == "HR"]
+        )
         outcome = db.select(Selection.equals("dept", "IT"), table="Emp")
         assert len(outcome.relation) == 2
         assert sorted(t["name"] for t in outcome.relation) == ["Adams", "Smith"]
@@ -176,10 +177,8 @@ class TestCrudAcrossAllSchemes:
         )
         assert [len(o.relation) for o in outcomes] == [2, 2, 1]
 
-    def test_retrieve_all_roundtrip(self, db, employee_schema):
-        relation = db.retrieve_all("Emp")
-        assert len(relation) == len(ROWS)
-        assert sorted(t["name"] for t in relation) == sorted(r[0] for r in ROWS)
+    def test_retrieve_all_roundtrip(self, db):
+        assert db.retrieve_all("Emp") == Relation.from_rows(db.schema("Emp"), ROWS)
 
     def test_indexed_serving_is_o_result(self, db):
         """Indexed sessions answer from the index (examined ~ result size);
@@ -335,24 +334,6 @@ class TestFileBackedSessions:
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(StorageError):
             storage.load("Emp")
-
-
-class TestLegacyInterop:
-    def test_legacy_client_and_facade_share_a_server(self, secret_key, rng,
-                                                     employee_schema, employee_relation,
-                                                     swp_dph):
-        server = OutsourcedDatabaseServer()
-        legacy = OutsourcingClient(swp_dph, server, relation_name="Legacy")
-        legacy.outsource(employee_relation)
-
-        db = EncryptedDatabase.open(secret_key, server=server, rng=rng)
-        db.create_table(EMP_DECL, rows=ROWS)
-
-        # both paths keep working side by side
-        assert len(legacy.select(Selection.equals("dept", "HR")).relation) == 2
-        assert len(db.select("SELECT * FROM Emp WHERE dept = 'HR'").relation) == 2
-        assert set(server.relation_names) == {"Legacy", "Emp"}
-
 
 
 class OneMethodProvider:

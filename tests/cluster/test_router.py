@@ -15,7 +15,7 @@ from repro.cluster import (
     parse_cluster_options,
     parse_cluster_url,
 )
-from repro.outsourcing import OutsourcedDatabaseServer, OutsourcingClient, ServerError
+from repro.outsourcing import OutsourcedDatabaseServer, ServerError
 from repro.relational import Selection
 from provider_calls import (
     delete_tuples,
@@ -114,16 +114,6 @@ class TestRouting:
 
 
 class TestDuckType:
-    def test_legacy_outsourcing_client_works_over_a_cluster(
-        self, employee_relation, swp_dph
-    ):
-        router = ShardRouter([OutsourcedDatabaseServer(), OutsourcedDatabaseServer()])
-        client = OutsourcingClient(swp_dph, router, relation_name="Legacy")
-        client.outsource(employee_relation)
-        assert len(client.select(Selection.equals("dept", "HR")).relation) == 2
-        counts = router.per_shard_tuple_counts("Legacy")
-        assert sum(counts.values()) == len(employee_relation)
-
     def test_relation_names_unions_shards(self, db):
         assert relation_names(db.server) == ("Emp",)
 

@@ -1,16 +1,19 @@
 """The native payload opener against ``SymmetricCipher.decrypt_bytes``.
 
-``SymmetricCipher.decrypt_many`` opens a batch in one ``open_payloads`` call
-when :mod:`repro.native` loaded its kernel and maps ``decrypt_bytes`` (the
-reference) over it otherwise.  For Hypothesis-drawn batches -- bodies of 0,
-1, 31, 32, 33, 64 and 200 bytes, raw payloads of 47 and exactly 48 bytes, a
-flipped bit in the nonce, tag, body or associated data, empty associated
-data, ``bytearray`` / ``memoryview`` payloads and ids -- both paths must
-yield the same plaintexts or raise the same exception class at the same row.
-The kernel is also checked on its own, since ``decrypt_many`` re-runs the
-reference on every row the kernel leaves unopened and so would hide a kernel
-that opens nothing: every authentic plain-buffer row must come back opened,
-and every other one as ``None``.
+``SealedPayloadDph.decrypt_tuples`` opens a result's payloads with
+``SymmetricCipher.open_many`` -- one ``open_payloads`` call when
+:mod:`repro.native` loaded its kernel, every row ``None`` otherwise -- and
+runs ``decrypt_bytes`` (the reference) on each row left ``None``, in row
+order.  For Hypothesis-drawn batches -- bodies of 0, 1, 31, 32, 33, 64 and
+200 bytes, raw payloads of 47 and exactly 48 bytes, a flipped bit in the
+nonce, tag, body or associated data, empty associated data, ``bytearray`` /
+``memoryview`` payloads and ids -- that composition must yield, with the
+kernel and without it, the same plaintexts as ``decrypt_bytes`` row by row,
+or raise the same exception class at the same row.  The kernel is also
+checked on its own, since the composition re-runs the reference on every row
+the kernel leaves unopened and so would hide a kernel that opens nothing:
+every authentic plain-buffer row must come back opened, and every other one
+as ``None``.
 """
 
 from __future__ import annotations
@@ -97,12 +100,22 @@ def outcome(opened) -> tuple[list[bytes], type | None]:
     return plaintexts, None
 
 
+def open_rows(raws, ads):
+    """The batch as ``decrypt_tuples`` opens it: ``open_many``, then
+    ``decrypt_bytes`` on each row it left ``None``, yielded in row order."""
+    opened = CIPHER.open_many(raws, ads)
+    return (
+        CIPHER.decrypt_bytes(raw, ad) if plaintext is None else plaintext
+        for plaintext, raw, ad in zip(opened, raws, ads)
+    )
+
+
 def both_paths(raws, ads, monkeypatch):
-    """``(native, python)`` outcomes of ``decrypt_many`` over one batch."""
-    native_side = outcome(CIPHER.decrypt_many(raws, ads))
+    """``(native, python)`` outcomes of :func:`open_rows` over one batch."""
+    native_side = outcome(open_rows(raws, ads))
     with monkeypatch.context() as patch:
         patch.setattr(native, "kernel", None)
-        python_side = outcome(CIPHER.decrypt_many(raws, ads))
+        python_side = outcome(open_rows(raws, ads))
     return native_side, python_side
 
 
@@ -116,7 +129,7 @@ def reference(raw, ad) -> bytes | None:
 @needs_kernel
 @given(batch=st.lists(rows(), max_size=8))
 @settings(max_examples=300, deadline=None)
-def test_decrypt_many_equals_decrypt_bytes_row_by_row(batch):
+def test_open_many_then_decrypt_bytes_equals_decrypt_bytes_row_by_row(batch):
     raws = [raw for raw, _ in batch]
     ads = [ad for _, ad in batch]
     with pytest.MonkeyPatch.context() as monkeypatch:
@@ -158,9 +171,9 @@ def test_lengths_around_the_header():
     assert native.kernel.open_payloads([empty, empty[:47], b""], [ad] * 3, *keys) == [
         b"", None, None,
     ]
-    assert list(CIPHER.decrypt_many([empty], [ad])) == [b""]
+    assert list(open_rows([empty], [ad])) == [b""]
     with pytest.raises(DecryptionError):
-        list(CIPHER.decrypt_many([empty, empty[:47]], [ad, ad]))
+        list(open_rows([empty, empty[:47]], [ad, ad]))
 
 
 @pytest.mark.parametrize("bad_row", [0, 3, 6])
@@ -178,7 +191,7 @@ def test_a_bad_row_raises_where_it_sits(bad_row, tamper, path, monkeypatch):
     plaintexts = [os.urandom(40) for _ in range(7)]
     raws = [CIPHER.encrypt_bytes(p, ad) for p, ad in zip(plaintexts, ads)]
     raws[bad_row], ads[bad_row] = mutate(raws[bad_row], ads[bad_row], how, 5)
-    assert outcome(CIPHER.decrypt_many(raws, ads)) == (plaintexts[:bad_row], expected)
+    assert outcome(open_rows(raws, ads)) == (plaintexts[:bad_row], expected)
 
 
 def test_objects_that_are_not_buffers_raise_as_in_python(monkeypatch):
@@ -208,10 +221,10 @@ def test_malformed_kernel_arguments_raise():
 
 def test_unequal_batches_are_refused_on_both_paths(monkeypatch):
     with pytest.raises(ParameterError):
-        CIPHER.decrypt_many([b"x" * 48], [])
+        CIPHER.open_many([b"x" * 48], [])
     monkeypatch.setattr(native, "kernel", None)
     with pytest.raises(ParameterError):
-        CIPHER.decrypt_many([b"x" * 48], [])
+        CIPHER.open_many([b"x" * 48], [])
 
 
 @needs_kernel
@@ -223,9 +236,9 @@ def test_a_long_open_lets_other_threads_run():
     ad = os.urandom(16)
     raws, ads = [CIPHER.encrypt_bytes(os.urandom(8), ad)] * count, [ad] * count
     started = time.perf_counter()
-    CIPHER.decrypt_many(raws[: count // 20], ads[: count // 20])
+    CIPHER.open_many(raws[: count // 20], ads[: count // 20])
     open_s = (time.perf_counter() - started) * 20
-    opening = threading.Thread(target=CIPHER.decrypt_many, args=(raws, ads))
+    opening = threading.Thread(target=CIPHER.open_many, args=(raws, ads))
     gaps, last = [], time.perf_counter()
     opening.start()
     while opening.is_alive():

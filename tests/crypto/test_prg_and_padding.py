@@ -1,4 +1,4 @@
-"""Tests for the pseudorandom generator, keystream helper and padding schemes."""
+"""Tests for the pseudorandom generator, keystream helper and '#' padding."""
 
 from __future__ import annotations
 
@@ -7,14 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.errors import PaddingError, ParameterError
-from repro.crypto.padding import (
-    PAD_BYTE,
-    hash_pad,
-    hash_unpad,
-    pkcs7_pad,
-    pkcs7_unpad,
-    zero_pad,
-)
+from repro.crypto.padding import PAD_BYTE, hash_pad, hash_unpad
 from repro.crypto.prg import Prg, keystream, xor_bytes
 
 KEY = b"k" * 32
@@ -70,35 +63,6 @@ class TestKeystream:
             xor_bytes(b"ab", b"abc")
 
 
-class TestPkcs7:
-    def test_roundtrip(self):
-        for length in range(0, 40):
-            data = bytes(range(length % 256))[:length]
-            assert pkcs7_unpad(pkcs7_pad(data, 16), 16) == data
-
-    def test_padded_length_is_multiple_of_block(self):
-        assert len(pkcs7_pad(b"abc", 16)) % 16 == 0
-
-    def test_full_block_added_when_aligned(self):
-        assert len(pkcs7_pad(b"x" * 16, 16)) == 32
-
-    def test_invalid_padding_detected(self):
-        padded = bytearray(pkcs7_pad(b"abc", 16))
-        padded[-1] = 0  # invalid pad length byte
-        with pytest.raises(PaddingError):
-            pkcs7_unpad(bytes(padded), 16)
-
-    def test_inconsistent_padding_detected(self):
-        padded = bytearray(pkcs7_pad(b"abc", 16))
-        padded[-2] ^= 0xFF
-        with pytest.raises(PaddingError):
-            pkcs7_unpad(bytes(padded), 16)
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(PaddingError):
-            pkcs7_unpad(b"123", 16)
-
-
 class TestHashPadding:
     """The paper's '#' padding for fixed-width attribute values."""
 
@@ -123,11 +87,6 @@ class TestHashPadding:
         with pytest.raises(PaddingError):
             hash_unpad(b"a#b#")
 
-    def test_zero_pad(self):
-        assert zero_pad(b"42", 6) == b"000042"
-        with pytest.raises(PaddingError):
-            zero_pad(b"1234567", 6)
-
     def test_pad_byte_constant_is_hash(self):
         assert PAD_BYTE == b"#"
 
@@ -140,9 +99,3 @@ def test_property_hash_pad_roundtrip(value, extra):
     if width == 0:
         width = 1
     assert hash_unpad(hash_pad(value, width)) == value
-
-
-@given(data=st.binary(min_size=0, max_size=100), block=st.integers(min_value=1, max_value=64))
-@settings(max_examples=80, deadline=None)
-def test_property_pkcs7_roundtrip(data, block):
-    assert pkcs7_unpad(pkcs7_pad(data, block), block) == data

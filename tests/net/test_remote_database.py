@@ -9,13 +9,8 @@ from __future__ import annotations
 import pytest
 
 from repro.api import DatabaseError, EncryptedDatabase
-from repro.net import RemoteServerProxy, ThreadedTcpServer
-from repro.outsourcing import (
-    FileStorageBackend,
-    OutsourcedDatabaseServer,
-    OutsourcingClient,
-    ServerAuditLog,
-)
+from repro.net import ThreadedTcpServer
+from repro.outsourcing import FileStorageBackend, OutsourcedDatabaseServer, ServerAuditLog
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
 ROWS = [("Montgomery", "HR", 7500), ("Smith", "IT", 5200), ("Jones", "HR", 7500)]
@@ -107,26 +102,6 @@ class TestRemoteSessions:
             )
             assert [len(o.relation) for o in outcomes] == [2, 1]
             db.close()
-
-
-class TestLegacyClientRemote:
-    def test_outsourcing_client_drives_a_remote_provider(
-        self, swp_dph, employee_relation
-    ):
-        """The PR-0-era client works unchanged against a tcp:// proxy."""
-        from repro.relational import Selection
-
-        with ThreadedTcpServer() as server:
-            proxy = RemoteServerProxy("127.0.0.1", server.port)
-            client = OutsourcingClient(swp_dph, proxy, relation_name="Legacy")
-            shipped = client.outsource(employee_relation)
-            assert shipped > 0
-            outcome = client.select(Selection.equals("dept", "HR"))
-            assert len(outcome.relation) == 2
-            client.insert({"name": "Zoe", "dept": "HR", "salary": 1})
-            assert len(client.select(Selection.equals("dept", "HR")).relation) == 3
-            assert len(client.retrieve_all()) == len(employee_relation) + 1
-            proxy.close()
 
 
 class TestRemoteAuditCap:

@@ -1,18 +1,11 @@
-"""Tests for the client/server outsourcing layer and the audit log."""
+"""Tests for the outsourcing server (the provider) and its audit log."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import SearchableSelectDph
-from repro.outsourcing import (
-    AuditEventKind,
-    ClientError,
-    OutsourcedDatabaseServer,
-    OutsourcingClient,
-    ServerError,
-)
-from repro.relational import Relation, RelationSchema, Selection
+from repro.outsourcing import AuditEventKind, OutsourcedDatabaseServer, ServerError
+from repro.relational import Selection
 from repro.relational.tuples import RelationTuple
 from repro.schemes import HacigumusDph
 
@@ -20,11 +13,6 @@ from repro.schemes import HacigumusDph
 @pytest.fixture
 def server():
     return OutsourcedDatabaseServer()
-
-
-@pytest.fixture
-def client(swp_dph, server):
-    return OutsourcingClient(swp_dph, server)
 
 
 class TestServer:
@@ -70,57 +58,3 @@ class TestServer:
         server.insert_tuple("emp", swp_dph.encrypt_tuple(new_tuple))
         assert len(server.stored_relation("emp")) == len(employee_relation) + 1
         assert len(server.audit_log.events_of_kind(AuditEventKind.TUPLE_INSERTED)) == 1
-
-
-class TestClient:
-    def test_outsource_and_select(self, client, employee_relation):
-        shipped = client.outsource(employee_relation)
-        assert shipped > 0
-        outcome = client.select(Selection.equals("dept", "HR"))
-        assert len(outcome.relation) == 2
-        assert outcome.false_positives == 0
-
-    def test_select_with_sql(self, client, employee_relation):
-        client.outsource(employee_relation)
-        outcome = client.select("SELECT name, salary FROM Emp WHERE dept = 'IT'")
-        assert len(outcome.relation) == 2
-        assert sorted(outcome.projected_rows) == [("Adams", 6100), ("Smith", 5200)]
-
-    def test_retrieve_all(self, client, employee_relation):
-        client.outsource(employee_relation)
-        assert client.retrieve_all() == employee_relation
-
-    def test_insert_then_select(self, client, employee_relation):
-        client.outsource(employee_relation)
-        client.insert({"name": "Zoe", "dept": "HR", "salary": 3000})
-        outcome = client.select(Selection.equals("name", "Zoe"))
-        assert len(outcome.relation) == 1
-
-    def test_schema_mismatch_rejected(self, client):
-        other = Relation(RelationSchema.parse("Other(x:string[3])"))
-        with pytest.raises(ClientError):
-            client.outsource(other)
-
-    def test_relation_name_defaults_to_schema_name(self, client):
-        assert client.relation_name == "Emp"
-
-    def test_server_only_sees_ciphertext(self, client, employee_relation, server):
-        client.outsource(employee_relation)
-        stored = server.stored_relation("Emp")
-        blob = b"".join(
-            t.tuple_id + t.payload + b"".join(t.search_fields) + t.metadata
-            for t in stored.encrypted_tuples
-        )
-        assert b"Montgomery" not in blob
-        assert b"7500" not in blob
-
-
-class TestEndToEndWithAllSchemes:
-    def test_every_scheme_supports_the_client_workflow(self, all_schemes, employee_relation):
-        for scheme in all_schemes:
-            server = OutsourcedDatabaseServer()
-            client = OutsourcingClient(scheme, server, relation_name=scheme.name)
-            client.outsource(employee_relation)
-            outcome = client.select(Selection.equals("dept", "HR"))
-            assert len(outcome.relation) == 2
-            assert outcome.relation == employee_relation.select_equal("dept", "HR")

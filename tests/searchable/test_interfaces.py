@@ -15,14 +15,6 @@ class TestEncryptedDocument:
         )
         assert document.size_in_bytes() == 4 + 8 + 2 + 2
 
-    def test_with_payload_preserves_other_fields(self):
-        document = EncryptedDocument(document_id=b"1234", encrypted_words=(b"abcd",))
-        updated = document.with_payload(b"payload")
-        assert updated.payload == b"payload"
-        assert updated.document_id == document.document_id
-        assert updated.encrypted_words == document.encrypted_words
-        assert document.payload == b""  # original untouched
-
     def test_defaults(self):
         document = EncryptedDocument(document_id=b"d")
         assert document.encrypted_words == ()

@@ -37,7 +37,46 @@ class TestSecondsOptions:
         assert getattr(args, option.lstrip("-")) == 0.25
 
 
+BAD_NUMBERS = [
+    ("demo --size -3", "--size", ">= 0"),
+    ("attack john --size 0", "--size", ">= 1"),
+    ("attack hospital --size -1", "--size", ">= 1"),
+    ("attack salary-pair --trials 0", "--trials", ">= 1"),
+    ("attack salary-pair --trials -1", "--trials", ">= 1"),
+    ("serve --max-audit-events -1", "--max-audit-events", ">= 1"),
+    ("serve --max-audit-events 0", "--max-audit-events", ">= 1"),
+    ("serve --port -5", "--port", "in [0, 65535]"),
+    ("serve --port 65536", "--port", "in [0, 65535]"),
+    ("serve --port http", "--port", "in [0, 65535]"),
+    ("serve --max-frame-size 0", "--max-frame-size", ">= 1"),
+    ("serve --stats-interval -1", "--stats-interval", "finite and >= 0"),
+    ("serve --stats-interval nan", "--stats-interval", "finite and >= 0"),
+    ("cluster spawn --max-audit-events 0", "--max-audit-events", ">= 1"),
+    ("trace tcp://127.0.0.1:1 --limit -1", "--limit", ">= 0"),
+]
+
+
 class TestParser:
+    @pytest.mark.parametrize("argv, option, wanted", BAD_NUMBERS)
+    def test_a_number_out_of_range_is_a_usage_error(self, argv, option, wanted, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv.split())
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err
+        assert error.startswith("usage:")
+        assert f"argument {option}: want " in error and wanted in error
+        assert "Traceback" not in error
+
+    def test_edge_values_parse(self):
+        parse = build_parser().parse_args
+        assert parse(["demo", "--size", "0"]).size == 0
+        assert parse(["attack", "john", "--size", "1", "--trials", "1"]).trials == 1
+        serve = parse(["serve", "--port", "0", "--max-frame-size", "1",
+                       "--max-audit-events", "1", "--stats-interval", "0"])
+        assert (serve.port, serve.max_frame_size, serve.max_audit_events,
+                serve.stats_interval) == (0, 1, 1, 0.0)
+        assert parse(["serve", "--port", "65535"]).port == 65535
+
     def test_requires_a_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

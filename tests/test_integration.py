@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro import SearchableSelectDph, SecretKey
+from repro import EncryptedDatabase, SearchableSelectDph, SecretKey
 from repro.core import check_homomorphism
 from repro.crypto.rng import DeterministicRng
-from repro.outsourcing import OutsourcedDatabaseServer, OutsourcingClient
+from repro.outsourcing import OutsourcedDatabaseServer
 from repro.relational import Relation, RelationSchema, Selection, parse_sql
 from repro.schemes import BucketizationConfig, HacigumusDph
 from repro.security import (
@@ -35,28 +35,33 @@ class TestPaperSection3Example:
     """The worked example of Section 3: Emp(name, dept, salary)."""
 
     def test_montgomery_example_end_to_end(self):
-        schema = RelationSchema.parse("Emp(name:string[10], dept:string[5], salary:int[6])")
-        relation = Relation.from_rows(
-            schema,
-            [("Montgomery", "HR", 7500), ("Smith", "IT", 5200), ("Weaver", "HR", 6800)],
-        )
-        dph = SearchableSelectDph(schema, SecretKey.generate(rng=DeterministicRng(1)),
-                                  rng=DeterministicRng(2))
+        rows = [("Montgomery", "HR", 7500), ("Smith", "IT", 5200), ("Weaver", "HR", 6800)]
         server = OutsourcedDatabaseServer()
-        client = OutsourcingClient(dph, server)
-        client.outsource(relation)
+        db = EncryptedDatabase.open(
+            SecretKey.generate(rng=DeterministicRng(1)),
+            server=server,
+            scheme="swp",
+            rng=DeterministicRng(2),
+        )
+        table = db.create_table(
+            "Emp(name:string[10], dept:string[5], salary:int[6])", rows=rows
+        )
+        assert isinstance(table.scheme, SearchableSelectDph)
 
         # sigma_{name:"Montgomery"}  |->  phi_{"MontgomeryN"}
-        outcome = client.select("SELECT * FROM Emp WHERE name = 'Montgomery'")
+        outcome = db.select("SELECT * FROM Emp WHERE name = 'Montgomery'")
         assert len(outcome.relation) == 1
         assert outcome.relation.tuples[0].value("salary") == 7500
+        assert db.retrieve_all("Emp") == Relation.from_rows(table.schema, rows)
 
         # The provider never sees plaintext.
         stored = server.stored_relation("Emp")
         leaked = b"".join(
-            t.payload + b"".join(t.search_fields) + t.metadata for t in stored
+            t.tuple_id + t.payload + b"".join(t.search_fields) + t.metadata
+            for t in stored
         )
         assert b"Montgomery" not in leaked and b"HR" not in leaked
+        assert b"7500" not in leaked
 
     def test_word_length_matches_paper_rule(self):
         """Word length = longest attribute value + attribute identifier length."""
@@ -119,13 +124,16 @@ class TestSecurityLandscape:
 
 
 class TestSqlFrontendIntegration:
-    def test_sql_and_ast_paths_agree(self, swp_dph, employee_relation):
-        server = OutsourcedDatabaseServer()
-        client = OutsourcingClient(swp_dph, server)
-        client.outsource(employee_relation)
-        via_sql = client.select("SELECT * FROM Emp WHERE dept = 'HR'")
-        via_ast = client.select(Selection.equals("dept", "HR"))
-        assert via_sql.relation == via_ast.relation
+    def test_sql_and_ast_paths_agree(self, secret_key, employee_schema, employee_relation):
+        db = EncryptedDatabase.open(secret_key, scheme="swp")
+        db.create_table(
+            employee_schema, rows=[tuple(row.values()) for row in employee_relation]
+        )
+        via_sql = db.select("SELECT * FROM Emp WHERE dept = 'HR'")
+        via_ast = db.select(Selection.equals("dept", "HR"))
+        assert via_sql.relation == via_ast.relation == employee_relation.select_equal(
+            "dept", "HR"
+        )
 
     def test_parse_sql_result_round_trips_through_scheme(self, swp_dph):
         parsed = parse_sql("SELECT * FROM Emp WHERE salary = 7500", swp_dph.schema)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.crypto.rng import DeterministicRng
-from repro.relational import Selection
 from repro.relational.schema import Attribute, RelationSchema
 from repro.workloads import (
     CategoricalDistribution,
@@ -15,8 +14,6 @@ from repro.workloads import (
     UniformIntDistribution,
     ZipfDistribution,
     hospital_schema,
-    queries_over_values,
-    random_equality_queries,
 )
 from repro.workloads.hospital import FATAL, HEALTHY
 
@@ -179,34 +176,3 @@ class TestSyntheticGenerator:
         schema = RelationSchema("T", [Attribute.string("label", 6)])
         with pytest.raises(ValueError):
             SyntheticRelationGenerator(schema).generate(-1)
-
-
-class TestQueryWorkloads:
-    def test_queries_over_values(self):
-        queries = queries_over_values("dept", ["HR", "IT"])
-        assert [q.value for q in queries] == ["HR", "IT"]
-
-    def test_random_hit_queries_match_existing_values(self, employee_workload):
-        queries = random_equality_queries(
-            employee_workload.relation, "dept", 20, seed=1, hit_probability=1.0
-        )
-        present = employee_workload.relation.distinct_values("dept")
-        assert all(q.value in present for q in queries)
-
-    def test_random_miss_queries_never_match(self, employee_workload):
-        queries = random_equality_queries(
-            employee_workload.relation, "salary", 10, seed=2, hit_probability=0.0
-        )
-        present = employee_workload.relation.distinct_values("salary")
-        assert all(q.value not in present for q in queries)
-
-    def test_count_and_validation(self, employee_workload):
-        assert len(random_equality_queries(employee_workload.relation, "dept", 7, seed=3)) == 7
-        with pytest.raises(ValueError):
-            random_equality_queries(employee_workload.relation, "dept", -1)
-        with pytest.raises(ValueError):
-            random_equality_queries(employee_workload.relation, "dept", 1, hit_probability=2.0)
-
-    def test_queries_are_selections(self, employee_workload):
-        queries = random_equality_queries(employee_workload.relation, "dept", 5, seed=4)
-        assert all(isinstance(q, Selection) for q in queries)
