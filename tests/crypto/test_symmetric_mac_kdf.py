@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.crypto.errors import DecryptionError, IntegrityError, KeyError_, ParameterError
 from repro.crypto.kdf import derive_key, hkdf_expand, hkdf_extract
 from repro.crypto.mac import TAG_LEN, Hmac, verify_mac
+from repro.crypto.prg import KEYSTREAM_BLOCK_LEN
 from repro.crypto.rng import DeterministicRng
 from repro.crypto.symmetric import NONCE_LEN, SymmetricCipher, SymmetricCiphertext
 
@@ -139,6 +140,54 @@ class TestSymmetricCipher:
         second = SymmetricCipher(b"q" * 32)
         with pytest.raises(IntegrityError):
             second.decrypt(first.encrypt(b"message"))
+
+    def test_empty_message_roundtrip(self):
+        cipher = SymmetricCipher(KEY, rng=DeterministicRng(8))
+        raw = cipher.encrypt_bytes(b"", associated_data=b"ad")
+        assert len(raw) == NONCE_LEN + TAG_LEN
+        assert cipher.decrypt_bytes(raw, associated_data=b"ad") == b""
+
+    def test_different_keys_give_different_ciphertexts(self):
+        first = SymmetricCipher(KEY, rng=DeterministicRng(9)).encrypt(b"same message")
+        second = SymmetricCipher(b"q" * 32, rng=DeterministicRng(9)).encrypt(b"same message")
+        assert first.nonce == second.nonce
+        assert first.body != second.body
+        assert first.tag != second.tag
+
+    @pytest.mark.parametrize(
+        "length",
+        [0, 1, KEYSTREAM_BLOCK_LEN - 1, KEYSTREAM_BLOCK_LEN, KEYSTREAM_BLOCK_LEN + 1,
+         2 * KEYSTREAM_BLOCK_LEN, 2 * KEYSTREAM_BLOCK_LEN + 1],
+    )
+    def test_roundtrip_across_keystream_blocks(self, length):
+        """The body is exactly as long as the message, on and off block edges."""
+        cipher = SymmetricCipher(KEY, rng=DeterministicRng(10))
+        message = bytes(range(length))
+        raw = cipher.encrypt_bytes(message, associated_data=b"ad")
+        assert len(raw) == NONCE_LEN + TAG_LEN + length
+        assert raw[NONCE_LEN + TAG_LEN:] != message or length == 0
+        assert cipher.decrypt_bytes(raw, associated_data=b"ad") == message
+
+    @pytest.mark.parametrize(
+        "start, stop",
+        [(0, NONCE_LEN), (NONCE_LEN, NONCE_LEN + TAG_LEN), (NONCE_LEN + TAG_LEN, None)],
+        ids=["nonce", "tag", "body"],
+    )
+    def test_a_flipped_bit_anywhere_is_rejected(self, start, stop):
+        cipher = SymmetricCipher(KEY, rng=DeterministicRng(11))
+        raw = cipher.encrypt_bytes(b"a payload of some length", associated_data=b"ad")
+        for position in range(start, len(raw) if stop is None else stop):
+            tampered = bytearray(raw)
+            tampered[position] ^= 0x80
+            with pytest.raises(IntegrityError):
+                cipher.decrypt_bytes(bytes(tampered), associated_data=b"ad")
+
+    def test_every_truncation_is_rejected(self):
+        cipher = SymmetricCipher(KEY, rng=DeterministicRng(12))
+        raw = cipher.encrypt_bytes(b"a payload of some length")
+        for cut in range(len(raw)):
+            with pytest.raises(DecryptionError):
+                cipher.decrypt_bytes(raw[:cut])
 
 
 @given(message=st.binary(min_size=0, max_size=300), ad=st.binary(min_size=0, max_size=30))

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import build_parser, build_scheme, main
 from repro.schemes.registry import available_schemes
-from repro.workloads import employee_schema
+from repro.workloads import EmployeeWorkload, employee_schema
 
 
 SECONDS_OPTIONS = [
@@ -55,6 +55,19 @@ BAD_NUMBERS = [
     ("trace tcp://127.0.0.1:1 --limit -1", "--limit", ">= 0"),
 ]
 
+EDGE_NUMBERS = [
+    ("demo --size 0", "size", 0),
+    ("attack john --size 1", "size", 1),
+    ("attack salary-pair --trials 1", "trials", 1),
+    ("serve --port 0", "port", 0),
+    ("serve --port 65535", "port", 65535),
+    ("serve --max-frame-size 1", "max_frame_size", 1),
+    ("serve --max-audit-events 1", "max_audit_events", 1),
+    ("serve --stats-interval 0", "stats_interval", 0.0),
+    ("cluster spawn --max-audit-events 1", "max_audit_events", 1),
+    ("trace tcp://127.0.0.1:1 --limit 0", "limit", 0),
+]
+
 
 class TestParser:
     @pytest.mark.parametrize("argv, option, wanted", BAD_NUMBERS)
@@ -67,15 +80,9 @@ class TestParser:
         assert f"argument {option}: want " in error and wanted in error
         assert "Traceback" not in error
 
-    def test_edge_values_parse(self):
-        parse = build_parser().parse_args
-        assert parse(["demo", "--size", "0"]).size == 0
-        assert parse(["attack", "john", "--size", "1", "--trials", "1"]).trials == 1
-        serve = parse(["serve", "--port", "0", "--max-frame-size", "1",
-                       "--max-audit-events", "1", "--stats-interval", "0"])
-        assert (serve.port, serve.max_frame_size, serve.max_audit_events,
-                serve.stats_interval) == (0, 1, 1, 0.0)
-        assert parse(["serve", "--port", "65535"]).port == 65535
+    @pytest.mark.parametrize("argv, attribute, value", EDGE_NUMBERS)
+    def test_edge_values_parse(self, argv, attribute, value):
+        assert getattr(build_parser().parse_args(argv.split()), attribute) == value
 
     def test_requires_a_command(self):
         with pytest.raises(SystemExit):
@@ -141,6 +148,23 @@ class TestCommands:
         assert exit_code == 0
         assert "Outsourced 60 tuples" in captured.out
         assert "false positive" in captured.out
+
+    @pytest.mark.parametrize("scheme", available_schemes())
+    def test_demo_runs_on_every_scheme(self, scheme, capsys):
+        assert main(["demo", "--scheme", scheme, "--size", "40", "--seed", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        label = build_scheme(scheme, employee_schema()).name
+        assert lines[0].startswith(f"Outsourced 40 tuples with {label}: ")
+        assert int(lines[0].split(": ")[1].split()[0]) > 0
+        hr = EmployeeWorkload.generate(40, seed=2).relation.select_equal("dept", "HR")
+        assert lines[1] == "SELECT * FROM Emp WHERE dept = 'HR'"
+        assert lines[2].startswith(f"  -> {len(hr)} tuple(s), ")
+
+    def test_demo_of_an_empty_relation(self, capsys):
+        assert main(["demo", "--size", "0"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("Outsourced 0 tuples with dph-swp: 0 ciphertext bytes.")
+        assert out.count("-> 0 tuple(s), 0 false positive(s) filtered") == 2
 
     def test_attack_salary_pair(self, capsys):
         exit_code = main(["attack", "salary-pair", "--trials", "20", "--scheme", "deterministic"])
