@@ -1,11 +1,15 @@
-/* The four batch loops of the result path, in C.
+/* The batch loops of the result path and of the write path, in C.
  *
- * swp_select is the SWP select of repro.searchable.swp.SwpMatcher.select, run
- * by the provider; open_payloads is SymmetricCipher.decrypt_bytes over a batch
- * of tuple payloads, run by the key-holding client; decode_tuples is the tuple
- * walk of repro.outsourcing.protocol.decode_encrypted_relation, run by both;
+ * Result path: swp_select is the SWP select of
+ * repro.searchable.swp.SwpMatcher.select, run by the provider; open_payloads
+ * is SymmetricCipher.decrypt_bytes over a batch of tuple payloads, run by the
+ * key-holding client; decode_tuples is the tuple walk of
+ * repro.outsourcing.protocol.decode_encrypted_relation, run by both;
  * decode_rows is TupleCodec.decode's common case over the opened payloads, run
- * by the client.  The two crypto loops key HMAC-SHA256 once per call
+ * by the client.  Write path, run by the client: swp_sealer and
+ * swp_encrypt_words are SwpScheme's word encryption and trapdoors, and
+ * seal_payloads is SymmetricCipher.encrypt_bytes over a batch under nonces the
+ * caller drew.  The crypto loops key HMAC-SHA256 once per call or per scheme
  * (keyed_states), and every loop offers the interpreter lock during a long
  * batch (offer_lock).
  *
@@ -55,6 +59,34 @@
  * exactly ``bytes`` (None, for an unopened payload), is None: the caller's
  * TupleCodec.decode decides it, so what is accepted, and what is raised, is
  * Python's.
+ *
+ * swp_sealer(round_keys, check_key, stream_key, value_suffix, word_length,
+ * check_length) keys one SwpScheme into a capsule, once: each Feistel round's,
+ * the check key PRF's and the stream PRF's ``(hmac_block_key, suffix)``, and
+ * the suffix of the per-word check value.  It takes only single-HMAC lengths
+ * (``w - m <= 32`` and ``m <= 32``, hence halves of at most 32 bytes); any
+ * other scheme stays in Python.
+ *
+ * swp_encrypt_words(items, document_ids, sealer, memo, memo_words) runs that
+ * scheme.  Per word W it takes the trapdoor ``(X, k)`` from ``memo`` (the
+ * scheme's dict, as SwpScheme._pre_encrypt keeps it: cleared when it holds
+ * ``memo_words`` words) or computes it -- ``X`` by the 8-round alternating
+ * unbalanced Feistel network, round r XORing ``F_r('|' || half[1 - r % 2])``
+ * into half ``r % 2``, ``k = f(X[:w-m])`` -- and remembers it.  With
+ * ``document_ids`` None, ``items`` are words and each comes back as its
+ * ``(X, k)``; otherwise ``items`` are documents, sequences of words, and each
+ * comes back as the tuple of its word ciphertexts ``C_i = X XOR (S_i ||
+ * F_k(S_i))``, ``S_i`` the stream block of ``id || i`` (4 bytes) and ``F_k``
+ * keyed from scratch per word.  A word, an id or a document holding a word
+ * that is not exactly ``bytes`` of its length comes back None: the caller's
+ * Python reference decides it.
+ *
+ * seal_payloads(plaintexts, associated_data, nonces, stream_block_key,
+ * stream_suffix, mac_block_key) is open_payloads' mirror: each row's body is
+ * the plaintext XOR the keystream under its nonce, and the row is
+ * ``nonce || HMAC(mac_key, ad || nonce || body) || body``.  A row whose
+ * plaintext, id or nonce is not exactly ``bytes`` (a nonce of 16 bytes) is
+ * None, for the caller's Python reference.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -346,6 +378,8 @@ done:
     return hits;
 }
 
+/* The payload cipher's keystream and MAC HMACs, keyed once per call of
+ * open_payloads or seal_payloads. */
 typedef struct {
     SHA256_CTX stream_inner;
     SHA256_CTX stream_outer;
@@ -372,39 +406,33 @@ plain_buffer(PyObject *object, Py_buffer *view)
     return -1;
 }
 
-/* The plaintext of one payload (new reference), None, or NULL on error. */
-static PyObject *
-open_payload(const Opener *opener, const unsigned char *raw, Py_ssize_t raw_length,
-             const unsigned char *ad, Py_ssize_t ad_length)
+/* ``HMAC(mac_key, ad || nonce || body)`` into ``digest``. */
+static void
+payload_tag(const Opener *opener, const unsigned char *ad, Py_ssize_t ad_length,
+            const unsigned char *nonce, const unsigned char *body, Py_ssize_t body_length,
+            unsigned char *digest)
 {
-    unsigned char digest[SHA256_DIGEST_LENGTH], counter[8];
-    const unsigned char *nonce = raw, *tag = raw + NONCE_LENGTH;
-    const unsigned char *body = raw + NONCE_LENGTH + TAG_LENGTH;
-    unsigned char *plain;
-    Py_ssize_t body_length, offset, i, take;
-    unsigned long long block;
-    SHA256_CTX ctx;
-    PyObject *opened;
-    int k;
+    SHA256_CTX ctx = opener->mac_inner;
 
-    if (raw_length < NONCE_LENGTH + TAG_LENGTH) {
-        Py_RETURN_NONE;
-    }
-    body_length = raw_length - NONCE_LENGTH - TAG_LENGTH;
-    ctx = opener->mac_inner;
     SHA256_Update(&ctx, ad, (size_t)ad_length);
     SHA256_Update(&ctx, nonce, NONCE_LENGTH);
     SHA256_Update(&ctx, body, (size_t)body_length);
     finish_hmac(&ctx, &opener->mac_outer, digest);
-    if (CRYPTO_memcmp(digest, tag, TAG_LENGTH) != 0) {
-        Py_RETURN_NONE;
-    }
-    opened = PyBytes_FromStringAndSize(NULL, body_length);
-    if (opened == NULL) {
-        return NULL;
-    }
-    plain = (unsigned char *)PyBytes_AS_STRING(opened);
-    for (offset = 0, block = 0; offset < body_length; offset += take, block++) {
+}
+
+/* ``out = in XOR`` the keystream blocks ``HMAC(stream_key, nonce || counter
+ * (8 bytes, big-endian) || stream_suffix)``, ``length`` bytes. */
+static void
+xor_keystream(const Opener *opener, const unsigned char *nonce, const unsigned char *in,
+              unsigned char *out, Py_ssize_t length)
+{
+    unsigned char digest[SHA256_DIGEST_LENGTH], counter[8];
+    Py_ssize_t offset, i, take;
+    unsigned long long block;
+    SHA256_CTX ctx;
+    int k;
+
+    for (offset = 0, block = 0; offset < length; offset += take, block++) {
         for (k = 0; k < 8; k++) {
             counter[k] = (unsigned char)(block >> (8 * (7 - k)));
         }
@@ -413,12 +441,37 @@ open_payload(const Opener *opener, const unsigned char *raw, Py_ssize_t raw_leng
         SHA256_Update(&ctx, counter, sizeof counter);
         SHA256_Update(&ctx, opener->stream_suffix, (size_t)opener->stream_suffix_length);
         finish_hmac(&ctx, &opener->stream_outer, digest);
-        take = body_length - offset < KEYSTREAM_BLOCK_LENGTH
-               ? body_length - offset : KEYSTREAM_BLOCK_LENGTH;
+        take = length - offset < KEYSTREAM_BLOCK_LENGTH ? length - offset : KEYSTREAM_BLOCK_LENGTH;
         for (i = 0; i < take; i++) {
-            plain[offset + i] = body[offset + i] ^ digest[i];
+            out[offset + i] = in[offset + i] ^ digest[i];
         }
     }
+}
+
+/* The plaintext of one payload (new reference), None, or NULL on error. */
+static PyObject *
+open_payload(const Opener *opener, const unsigned char *raw, Py_ssize_t raw_length,
+             const unsigned char *ad, Py_ssize_t ad_length)
+{
+    unsigned char digest[SHA256_DIGEST_LENGTH];
+    const unsigned char *nonce = raw, *tag = raw + NONCE_LENGTH;
+    const unsigned char *body = raw + NONCE_LENGTH + TAG_LENGTH;
+    Py_ssize_t body_length;
+    PyObject *opened;
+
+    if (raw_length < NONCE_LENGTH + TAG_LENGTH) {
+        Py_RETURN_NONE;
+    }
+    body_length = raw_length - NONCE_LENGTH - TAG_LENGTH;
+    payload_tag(opener, ad, ad_length, nonce, body, body_length, digest);
+    if (CRYPTO_memcmp(digest, tag, TAG_LENGTH) != 0) {
+        Py_RETURN_NONE;
+    }
+    opened = PyBytes_FromStringAndSize(NULL, body_length);
+    if (opened == NULL) {
+        return NULL;
+    }
+    xor_keystream(opener, nonce, body, (unsigned char *)PyBytes_AS_STRING(opened), body_length);
     return opened;
 }
 
@@ -518,7 +571,494 @@ done:
     return opened;
 }
 
-/* The 4-byte big-endian length or count at ``p``. */
+/* The longest suffix a PRF message ends with ('|', a 4-byte length, a counter). */
+#define MAX_SUFFIX 16
+
+/* A PRF whose output is one HMAC-SHA256 (at most 32 bytes), keyed once: the
+ * states after the padded key, and the public suffix every message ends with. */
+typedef struct {
+    SHA256_CTX inner;
+    SHA256_CTX outer;
+    unsigned char suffix[MAX_SUFFIX];
+    Py_ssize_t suffix_length;
+} Keyed;
+
+/* ``HMAC(key, head || body || suffix)`` into ``digest`` (32 bytes). */
+static void
+keyed_hmac(const Keyed *prf, const unsigned char *head, Py_ssize_t head_length,
+           const unsigned char *body, Py_ssize_t body_length, unsigned char *digest)
+{
+    SHA256_CTX ctx = prf->inner;
+
+    SHA256_Update(&ctx, head, (size_t)head_length);
+    SHA256_Update(&ctx, body, (size_t)body_length);
+    SHA256_Update(&ctx, prf->suffix, (size_t)prf->suffix_length);
+    finish_hmac(&ctx, &prf->outer, digest);
+}
+
+/* ``suffix`` as a PRF's suffix; 0, or -1 with an exception set. */
+static int
+set_suffix(Keyed *prf, PyObject *suffix)
+{
+    if (!PyBytes_Check(suffix) || PyBytes_GET_SIZE(suffix) > MAX_SUFFIX) {
+        PyErr_SetString(PyExc_ValueError, "a PRF suffix is bytes of at most 16 bytes");
+        return -1;
+    }
+    prf->suffix_length = PyBytes_GET_SIZE(suffix);
+    memcpy(prf->suffix, PyBytes_AS_STRING(suffix), (size_t)prf->suffix_length);
+    return 0;
+}
+
+/* A ``(hmac_block_key, suffix)`` pair as a Keyed PRF; 0, or -1 with an
+ * exception set. */
+static int
+keyed_from_pair(PyObject *pair, Keyed *prf)
+{
+    PyObject *block_key;
+
+    if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2
+        || !PyBytes_Check(block_key = PyTuple_GET_ITEM(pair, 0))
+        || PyBytes_GET_SIZE(block_key) != BLOCK_SIZE) {
+        PyErr_SetString(PyExc_ValueError, "a PRF key is a (64-byte block key, suffix) pair");
+        return -1;
+    }
+    keyed_states((const unsigned char *)PyBytes_AS_STRING(block_key), &prf->inner,
+                 &prf->outer);
+    return set_suffix(prf, PyTuple_GET_ITEM(pair, 1));
+}
+
+/* The most Feistel rounds a sealer takes (the scheme uses 8). */
+#define MAX_ROUNDS 16
+/* What the empty tweak's separator puts before each round's source half. */
+static const unsigned char ROUND_PREFIX[1] = {'|'};
+/* The name of the capsule that holds a Sealer. */
+static const char SEALER_NAME[] = "repro._native.Sealer";
+
+/* One SwpScheme's keys, keyed once per scheme (swp_sealer). */
+typedef struct {
+    Keyed rounds[MAX_ROUNDS];
+    Keyed check_key;
+    Keyed stream;
+    Keyed value; /* only its suffix: F_k is keyed per word */
+    Py_ssize_t round_count;
+    Py_ssize_t word_length;
+    Py_ssize_t left_length;
+    Py_ssize_t check_length;
+    Py_ssize_t halves[2]; /* ceil(w/2) and floor(w/2) */
+} Sealer;
+
+static void
+free_sealer(PyObject *capsule)
+{
+    PyMem_Free(PyCapsule_GetPointer(capsule, SEALER_NAME));
+}
+
+static PyObject *
+swp_sealer(PyObject *module, PyObject *args)
+{
+    PyObject *round_keys, *check_key, *stream_key, *value_suffix, *rounds = NULL;
+    PyObject *capsule = NULL;
+    Py_ssize_t word_length, check_length, index;
+    Sealer *sealer;
+
+    if (!PyArg_ParseTuple(args, "OOOOnn:swp_sealer", &round_keys, &check_key, &stream_key,
+                          &value_suffix, &word_length, &check_length)) {
+        return NULL;
+    }
+    if (check_length < 1 || check_length > SHA256_DIGEST_LENGTH
+        || word_length - check_length < 1 || word_length - check_length > SHA256_DIGEST_LENGTH) {
+        PyErr_SetString(PyExc_ValueError, "lengths must satisfy 1 <= m <= 32 and 1 <= w - m <= 32");
+        return NULL;
+    }
+    sealer = PyMem_New(Sealer, 1);
+    if (sealer == NULL) {
+        return PyErr_NoMemory();
+    }
+    sealer->word_length = word_length;
+    sealer->check_length = check_length;
+    sealer->left_length = word_length - check_length;
+    sealer->halves[0] = (word_length + 1) / 2;
+    sealer->halves[1] = word_length / 2;
+    rounds = PySequence_Tuple(round_keys);
+    if (rounds == NULL) {
+        goto fail;
+    }
+    sealer->round_count = PyTuple_GET_SIZE(rounds);
+    if (sealer->round_count < 1 || sealer->round_count > MAX_ROUNDS) {
+        PyErr_SetString(PyExc_ValueError, "a sealer takes 1 to 16 Feistel rounds");
+        goto fail;
+    }
+    for (index = 0; index < sealer->round_count; index++) {
+        if (keyed_from_pair(PyTuple_GET_ITEM(rounds, index), &sealer->rounds[index]) < 0) {
+            goto fail;
+        }
+    }
+    if (keyed_from_pair(check_key, &sealer->check_key) < 0
+        || keyed_from_pair(stream_key, &sealer->stream) < 0
+        || set_suffix(&sealer->value, value_suffix) < 0) {
+        goto fail;
+    }
+    capsule = PyCapsule_New(sealer, SEALER_NAME, free_sealer);
+    if (capsule == NULL) {
+        goto fail;
+    }
+    Py_DECREF(rounds);
+    return capsule;
+
+fail:
+    Py_XDECREF(rounds);
+    PyMem_Free(sealer);
+    return NULL;
+}
+
+/* The pre-encryption ``X = P(word)`` (word_length bytes) and its check key
+ * ``k = f(X[:w-m])`` (32 bytes): the alternating unbalanced Feistel network,
+ * round r XORing ``F_r('|' || half[1 - r % 2])`` into half ``r % 2``. */
+static void
+pre_encrypt(const Sealer *sealer, const unsigned char *word, unsigned char *x,
+            unsigned char *check_key)
+{
+    unsigned char digest[SHA256_DIGEST_LENGTH];
+    unsigned char *half[2] = {x, x + sealer->halves[0]};
+    Py_ssize_t r, i, target;
+
+    memcpy(x, word, (size_t)sealer->word_length);
+    for (r = 0; r < sealer->round_count; r++) {
+        target = r % 2;
+        keyed_hmac(&sealer->rounds[r], ROUND_PREFIX, 1, half[1 - target],
+                   sealer->halves[1 - target], digest);
+        for (i = 0; i < sealer->halves[target]; i++) {
+            half[target][i] ^= digest[i];
+        }
+    }
+    keyed_hmac(&sealer->check_key, NULL, 0, x, sealer->left_length, check_key);
+}
+
+/* The word ciphertext ``C = X XOR (S || F_k(S))`` at ``position`` of the
+ * document ``document_id``, from the word's ``(X, k)``, into ``sealed``
+ * (word_length bytes). */
+static void
+seal_word(const Sealer *sealer, const unsigned char *x, const unsigned char *check_key,
+          const unsigned char *document_id, Py_ssize_t position, unsigned char *sealed)
+{
+    unsigned char block_key[BLOCK_SIZE], index[4];
+    unsigned char stream[SHA256_DIGEST_LENGTH], value[SHA256_DIGEST_LENGTH];
+    Keyed fresh;
+    Py_ssize_t i;
+
+    for (i = 0; i < 4; i++) {
+        index[i] = (unsigned char)((size_t)position >> (8 * (3 - i)));
+    }
+    keyed_hmac(&sealer->stream, document_id, NONCE_LENGTH, index, 4, stream);
+    /* F_k keyed from scratch, as prf_once keys it: ``k || '|'`` zero-padded. */
+    memcpy(block_key, check_key, SHA256_DIGEST_LENGTH);
+    block_key[SHA256_DIGEST_LENGTH] = '|';
+    memset(block_key + SHA256_DIGEST_LENGTH + 1, 0, BLOCK_SIZE - SHA256_DIGEST_LENGTH - 1);
+    keyed_states(block_key, &fresh.inner, &fresh.outer);
+    memcpy(fresh.suffix, sealer->value.suffix, (size_t)sealer->value.suffix_length);
+    fresh.suffix_length = sealer->value.suffix_length;
+    keyed_hmac(&fresh, NULL, 0, stream, sealer->left_length, value);
+    for (i = 0; i < sealer->left_length; i++) {
+        sealed[i] = x[i] ^ stream[i];
+    }
+    for (i = 0; i < sealer->check_length; i++) {
+        sealed[sealer->left_length + i] = x[sealer->left_length + i] ^ value[i];
+    }
+}
+
+/* Whether ``object`` is exactly bytes of ``length`` bytes. */
+static int
+bytes_of_length(PyObject *object, Py_ssize_t length)
+{
+    return PyBytes_CheckExact(object) && PyBytes_GET_SIZE(object) == length;
+}
+
+/* Whether ``pair`` is a tuple ``(X, k)`` of bytes of the word length and of
+ * 32 bytes. */
+static int
+is_pair(const Sealer *sealer, PyObject *pair)
+{
+    return PyTuple_CheckExact(pair) && PyTuple_GET_SIZE(pair) == 2
+           && bytes_of_length(PyTuple_GET_ITEM(pair, 0), sealer->word_length)
+           && bytes_of_length(PyTuple_GET_ITEM(pair, 1), SHA256_DIGEST_LENGTH);
+}
+
+/* The memo of a scheme's ``(X, k)`` pairs, as SwpScheme._pre_encrypt keeps
+ * it: a dict from word to pair, cleared when it holds ``limit`` words. */
+typedef struct {
+    PyObject *words;
+    Py_ssize_t limit;
+} Memo;
+
+/* The ``(X, k)`` of a word of exactly the word length, from the memo or
+ * computed and remembered: a borrowed reference (the memo holds it), or
+ * NULL on error. */
+static PyObject *
+pre_encrypted(const Sealer *sealer, Memo *memo, PyObject *word)
+{
+    PyObject *pair, *x, *check_key;
+    int status;
+
+    pair = PyDict_GetItemWithError(memo->words, word);
+    if (pair != NULL) {
+        if (!is_pair(sealer, pair)) {
+            PyErr_SetString(PyExc_TypeError, "a memo entry is not an (X, k) pair");
+            return NULL;
+        }
+        return pair;
+    }
+    if (PyErr_Occurred()) {
+        return NULL;
+    }
+    pair = PyTuple_New(2);
+    if (pair == NULL) {
+        return NULL;
+    }
+    x = PyBytes_FromStringAndSize(NULL, sealer->word_length);
+    PyTuple_SET_ITEM(pair, 0, x);
+    check_key = PyBytes_FromStringAndSize(NULL, SHA256_DIGEST_LENGTH);
+    PyTuple_SET_ITEM(pair, 1, check_key);
+    if (x == NULL || check_key == NULL) {
+        Py_DECREF(pair);
+        return NULL;
+    }
+    pre_encrypt(sealer, (const unsigned char *)PyBytes_AS_STRING(word),
+                (unsigned char *)PyBytes_AS_STRING(x),
+                (unsigned char *)PyBytes_AS_STRING(check_key));
+    if (PyDict_GET_SIZE(memo->words) >= memo->limit) {
+        PyDict_Clear(memo->words);
+    }
+    status = PyDict_SetItem(memo->words, word, pair);
+    Py_DECREF(pair);
+    return status < 0 ? NULL : pair;
+}
+
+/* The trapdoor ``(X, k)`` of one word, a new reference; None when the word is
+ * not exactly bytes of the word length, NULL on error. */
+static PyObject *
+word_trapdoor(const Sealer *sealer, Memo *memo, PyObject *word)
+{
+    if (!bytes_of_length(word, sealer->word_length)) {
+        return Py_NewRef(Py_None);
+    }
+    return Py_XNewRef(pre_encrypted(sealer, memo, word));
+}
+
+/* The word ciphertexts of one document, a new tuple; None when the id or a
+ * word is not exactly bytes of its length, NULL on error. */
+static PyObject *
+seal_document(const Sealer *sealer, Memo *memo, PyObject *words, PyObject *document_id)
+{
+    PyObject *sequence, *sealed, *pair, *ciphertext;
+    Py_ssize_t count, position;
+
+    if (!bytes_of_length(document_id, NONCE_LENGTH)) {
+        return Py_NewRef(Py_None);
+    }
+    sequence = PySequence_Fast(words, "a document is a sequence of words");
+    if (sequence == NULL) {
+        return NULL;
+    }
+    count = PySequence_Fast_GET_SIZE(sequence);
+    for (position = 0; position < count; position++) {
+        if (!bytes_of_length(PySequence_Fast_GET_ITEM(sequence, position),
+                             sealer->word_length)) {
+            Py_DECREF(sequence);
+            return Py_NewRef(Py_None);
+        }
+    }
+    sealed = PyTuple_New(count);
+    for (position = 0; sealed != NULL && position < count; position++) {
+        pair = pre_encrypted(sealer, memo, PySequence_Fast_GET_ITEM(sequence, position));
+        ciphertext = pair == NULL ? NULL : PyBytes_FromStringAndSize(NULL, sealer->word_length);
+        if (ciphertext == NULL) {
+            Py_CLEAR(sealed);
+            break;
+        }
+        seal_word(sealer, (const unsigned char *)PyBytes_AS_STRING(PyTuple_GET_ITEM(pair, 0)),
+                  (const unsigned char *)PyBytes_AS_STRING(PyTuple_GET_ITEM(pair, 1)),
+                  (const unsigned char *)PyBytes_AS_STRING(document_id), position,
+                  (unsigned char *)PyBytes_AS_STRING(ciphertext));
+        PyTuple_SET_ITEM(sealed, position, ciphertext);
+    }
+    Py_DECREF(sequence);
+    return sealed;
+}
+
+static PyObject *
+swp_encrypt_words(PyObject *module, PyObject *args)
+{
+    PyObject *items, *document_ids, *capsule;
+    PyObject *item_rows = NULL, *id_rows = NULL, *results = NULL, *row;
+    const Sealer *sealer;
+    Memo memo;
+    Py_ssize_t count, index;
+    double held_since, hold_limit;
+
+    if (!PyArg_ParseTuple(args, "OOOO!n:swp_encrypt_words", &items, &document_ids, &capsule,
+                          &PyDict_Type, &memo.words, &memo.limit)) {
+        return NULL;
+    }
+    sealer = PyCapsule_GetPointer(capsule, SEALER_NAME);
+    if (sealer == NULL) {
+        return NULL;
+    }
+    if (memo.limit < 1) {
+        PyErr_SetString(PyExc_ValueError, "the memo must hold at least one word");
+        return NULL;
+    }
+    /* A strong reference: a thread that runs while the lock is offered may
+     * drop the scheme, not the memo under the loop. */
+    Py_INCREF(memo.words);
+    /* Tuples, so such a thread cannot resize what the loop indexes either. */
+    item_rows = PySequence_Tuple(items);
+    if (item_rows == NULL) {
+        goto done;
+    }
+    count = PyTuple_GET_SIZE(item_rows);
+    if (document_ids != Py_None) {
+        id_rows = PySequence_Tuple(document_ids);
+        if (id_rows == NULL) {
+            goto done;
+        }
+        if (PyTuple_GET_SIZE(id_rows) != count) {
+            PyErr_SetString(PyExc_ValueError, "documents and document ids differ in length");
+            goto done;
+        }
+    }
+    if (lock_hold_limit(&hold_limit) < 0) {
+        goto done;
+    }
+    results = PyList_New(count);
+    if (results == NULL) {
+        goto done;
+    }
+    held_since = monotonic_seconds();
+    for (index = 0; index < count; index++) {
+        if (id_rows == NULL) {
+            row = word_trapdoor(sealer, &memo, PyTuple_GET_ITEM(item_rows, index));
+        }
+        else {
+            row = seal_document(sealer, &memo, PyTuple_GET_ITEM(item_rows, index),
+                                PyTuple_GET_ITEM(id_rows, index));
+        }
+        if (row == NULL) {
+            Py_CLEAR(results);
+            goto done;
+        }
+        PyList_SET_ITEM(results, index, row);
+        if ((index + 1) % ITEMS_PER_CLOCK == 0) {
+            offer_lock(&held_since, hold_limit);
+        }
+    }
+
+done:
+    Py_DECREF(memo.words);
+    Py_XDECREF(item_rows);
+    Py_XDECREF(id_rows);
+    return results;
+}
+
+/* ``nonce || HMAC(mac_key, ad || nonce || body) || body`` with ``body`` the
+ * plaintext XOR the keystream: a new bytes object, or NULL on error. */
+static PyObject *
+seal_payload(const Opener *opener, const unsigned char *plain, Py_ssize_t plain_length,
+             const unsigned char *ad, Py_ssize_t ad_length, const unsigned char *nonce)
+{
+    unsigned char *raw, *body;
+    PyObject *sealed;
+
+    sealed = PyBytes_FromStringAndSize(NULL, NONCE_LENGTH + TAG_LENGTH + plain_length);
+    if (sealed == NULL) {
+        return NULL;
+    }
+    raw = (unsigned char *)PyBytes_AS_STRING(sealed);
+    body = raw + NONCE_LENGTH + TAG_LENGTH;
+    memcpy(raw, nonce, NONCE_LENGTH);
+    xor_keystream(opener, nonce, plain, body, plain_length);
+    payload_tag(opener, ad, ad_length, nonce, body, plain_length, raw + NONCE_LENGTH);
+    return sealed;
+}
+
+static PyObject *
+seal_payloads(PyObject *module, PyObject *args)
+{
+    PyObject *plaintexts, *associated_data, *nonces;
+    PyObject *plain_rows = NULL, *ad_rows = NULL, *nonce_rows = NULL, *sealed = NULL, *row;
+    PyObject *plain, *ad, *nonce;
+    Py_buffer stream_key, stream_suffix, mac_key;
+    Py_ssize_t count, index;
+    Opener opener;
+    double held_since, hold_limit;
+
+    if (!PyArg_ParseTuple(args, "OOOy*y*y*:seal_payloads", &plaintexts, &associated_data,
+                          &nonces, &stream_key, &stream_suffix, &mac_key)) {
+        return NULL;
+    }
+    if (stream_key.len != BLOCK_SIZE || mac_key.len != BLOCK_SIZE) {
+        PyErr_SetString(PyExc_ValueError, "stream and MAC block keys must be 64 bytes");
+        goto done;
+    }
+    /* Tuples, so a thread that runs while the lock is offered cannot
+     * resize what the loop indexes. */
+    plain_rows = PySequence_Tuple(plaintexts);
+    ad_rows = plain_rows == NULL ? NULL : PySequence_Tuple(associated_data);
+    nonce_rows = ad_rows == NULL ? NULL : PySequence_Tuple(nonces);
+    if (nonce_rows == NULL) {
+        goto done;
+    }
+    count = PyTuple_GET_SIZE(plain_rows);
+    if (PyTuple_GET_SIZE(ad_rows) != count || PyTuple_GET_SIZE(nonce_rows) != count) {
+        PyErr_SetString(PyExc_ValueError,
+                        "plaintexts, associated data and nonces differ in length");
+        goto done;
+    }
+    if (lock_hold_limit(&hold_limit) < 0) {
+        goto done;
+    }
+    keyed_states(stream_key.buf, &opener.stream_inner, &opener.stream_outer);
+    keyed_states(mac_key.buf, &opener.mac_inner, &opener.mac_outer);
+    opener.stream_suffix = stream_suffix.buf;
+    opener.stream_suffix_length = stream_suffix.len;
+    sealed = PyList_New(count);
+    if (sealed == NULL) {
+        goto done;
+    }
+    held_since = monotonic_seconds();
+    for (index = 0; index < count; index++) {
+        plain = PyTuple_GET_ITEM(plain_rows, index);
+        ad = PyTuple_GET_ITEM(ad_rows, index);
+        nonce = PyTuple_GET_ITEM(nonce_rows, index);
+        if (PyBytes_CheckExact(plain) && PyBytes_CheckExact(ad)
+            && bytes_of_length(nonce, NONCE_LENGTH)) {
+            row = seal_payload(&opener, (const unsigned char *)PyBytes_AS_STRING(plain),
+                               PyBytes_GET_SIZE(plain),
+                               (const unsigned char *)PyBytes_AS_STRING(ad),
+                               PyBytes_GET_SIZE(ad),
+                               (const unsigned char *)PyBytes_AS_STRING(nonce));
+            if (row == NULL) {
+                Py_CLEAR(sealed);
+                goto done;
+            }
+        }
+        else {
+            row = Py_NewRef(Py_None);
+        }
+        PyList_SET_ITEM(sealed, index, row);
+        if ((index + 1) % ITEMS_PER_CLOCK == 0) {
+            offer_lock(&held_since, hold_limit);
+        }
+    }
+
+done:
+    Py_XDECREF(plain_rows);
+    Py_XDECREF(ad_rows);
+    Py_XDECREF(nonce_rows);
+    PyBuffer_Release(&stream_key);
+    PyBuffer_Release(&stream_suffix);
+    PyBuffer_Release(&mac_key);
+    return sealed;
+}
 static Py_ssize_t
 read_u32(const unsigned char *p)
 {
@@ -896,11 +1436,25 @@ static PyMethodDef native_methods[] = {
     {"decode_rows", decode_rows, METH_VARARGS,
      "decode_rows(rows, plan, tuple_type, schema) -> list\n\n"
      "Each tuple encoding's tuple, or None where it is not the common case."},
+    {"swp_sealer", swp_sealer, METH_VARARGS,
+     "swp_sealer(round_keys, check_key, stream_key, value_suffix, word_length,\n"
+     "           check_length) -> capsule\n\n"
+     "One SwpScheme's keys, keyed once, for swp_encrypt_words."},
+    {"swp_encrypt_words", swp_encrypt_words, METH_VARARGS,
+     "swp_encrypt_words(items, document_ids, sealer, memo, memo_words) -> list\n\n"
+     "Each word's trapdoor (X, k), or with document ids each document's SWP word\n"
+     "ciphertexts; None where an id or a word is not bytes of its length."},
+    {"seal_payloads", seal_payloads, METH_VARARGS,
+     "seal_payloads(plaintexts, associated_data, nonces, stream_block_key,\n"
+     "              stream_suffix, mac_block_key) -> list\n\n"
+     "Each row's nonce || tag || body, or None where a row is not plain bytes."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef native_module = {
-    PyModuleDef_HEAD_INIT, "_native", "The native SWP select, payload opener, tuple walk and row decode.", -1, native_methods,
+    PyModuleDef_HEAD_INIT, "_native",
+    "The native SWP select, payload opener, tuple walk and row decode, and the SWP and payload sealers.",
+    -1, native_methods,
 };
 
 PyMODINIT_FUNC

@@ -39,6 +39,7 @@ from operator import attrgetter
 from typing import Sequence
 
 from repro.core.dph import (
+    TUPLE_ID_LEN,
     DphError,
     EncryptedQuery,
     EncryptedRelation,
@@ -50,7 +51,7 @@ from repro.core.dph import (
 from repro.crypto.errors import CryptoError
 from repro.crypto.keys import KeyHierarchy, SecretKey
 from repro.crypto.rng import RandomSource, SystemRng
-from repro.crypto.symmetric import SymmetricCipher
+from repro.crypto.symmetric import NONCE_LEN, SymmetricCipher
 from repro.relational.encoding import TupleCodec, ValueCodec
 from repro.relational.query import Query, selection_predicates
 from repro.relational.relation import Relation
@@ -136,6 +137,8 @@ class SearchableSelectDph(SealedPayloadDph):
                 entry_length=entry_length,
                 rng=self._rng,
             )
+            # A row draws its document id, then its word payload's nonce.
+            self._row_draws = (TUPLE_ID_LEN, NONCE_LEN)
         else:
             raise DphError(f"unknown searchable backend {backend!r}")
 
@@ -161,28 +164,6 @@ class SearchableSelectDph(SealedPayloadDph):
     def false_positive_rate(self) -> float:
         """Per-word false-positive probability of the searchable backend."""
         return self._scheme.false_positive_rate()
-
-    def encrypt_relation(self, relation: Relation) -> EncryptedRelation:
-        """``E``: encrypt every tuple into a searchable document plus payload."""
-        if relation.schema != self._schema:
-            raise DphError("relation schema does not match the construction's schema")
-        encrypted = tuple(self.encrypt_tuple(t) for t in relation)
-        return EncryptedRelation(schema=self._schema, encrypted_tuples=encrypted)
-
-    def encrypt_tuple(self, relation_tuple: RelationTuple) -> EncryptedTuple:
-        """Encrypt a single tuple (exposed for streaming inserts)."""
-        self._tuple_codec.check_schema(relation_tuple)
-        encoded = self._tuple_codec.encode_values(relation_tuple)
-        document = self._scheme.encrypt_document(self._tuple_to_words(encoded))
-        payload = self._payload_cipher.encrypt_bytes(
-            self._tuple_codec.frame(encoded), associated_data=document.document_id
-        )
-        return EncryptedTuple(
-            tuple_id=document.document_id,
-            payload=payload,
-            search_fields=document.encrypted_words,
-            metadata=document.index,
-        )
 
     def decrypt_relation(
         self, encrypted_relation: EncryptedRelation, via_words: bool = False
@@ -231,6 +212,19 @@ class SearchableSelectDph(SealedPayloadDph):
             check_length=self._check_length,
             entry_length=self._entry_length,
         )
+
+    def _searchable(self, relation_tuple: RelationTuple, encoded_values: list[bytes]):
+        """The row's document: one word ``pad(value) | attr-id`` per attribute."""
+        return self._tuple_to_words(encoded_values)
+
+    def _search_fields(self, searchable, draws):
+        """All documents encrypted by the searchable scheme in one batch, under
+        the rows' tuple ids (and, for the index, their word payloads' nonces)."""
+        if self._backend == SWP_BACKEND:
+            sealed = self._scheme.seal_documents(searchable, [row[0] for row in draws])
+            return [(words, b"") for words in sealed]
+        documents = self._scheme.encrypt_documents(searchable, [row[:2] for row in draws])
+        return [(document.encrypted_words, document.index) for document in documents]
 
     # ------------------------------------------------------------------ #
     # Word <-> tuple mapping

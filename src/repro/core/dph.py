@@ -24,23 +24,26 @@ the baselines in :mod:`repro.schemes`):
   from public parameters only) makes the trust boundary explicit: nothing the
   server executes ever touches key material.
 * :class:`DatabasePrivacyHomomorphism` -- the client-side ``(E, Eq, D)``.
-* :class:`SealedPayloadDph` -- its ``D`` for the schemes whose payload is the
-  tuple codec's bytes sealed by the payload cipher under the tuple id.
+* :class:`SealedPayloadDph` -- its ``E`` and ``D`` for the schemes whose
+  payload is the tuple codec's bytes sealed by the payload cipher under the
+  tuple id.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
+from repro.crypto.symmetric import NONCE_LEN
 from repro.relational.query import Query, selection_predicates
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
 from repro.relational.tuples import RelationTuple
 
 if TYPE_CHECKING:
+    from repro.crypto.rng import RandomSource
     from repro.crypto.symmetric import SymmetricCipher
     from repro.relational.encoding import TupleCodec
 
@@ -336,6 +339,9 @@ class DatabasePrivacyHomomorphism(ABC):
 _payloads = attrgetter("payload")
 _tuple_ids = attrgetter("tuple_id")
 
+#: Length in bytes of the random per-tuple identifier.
+TUPLE_ID_LEN = 16
+
 
 class SealedPayloadDph(DatabasePrivacyHomomorphism):
     """A database PH whose tuple payload is its codec bytes sealed under its id.
@@ -343,13 +349,85 @@ class SealedPayloadDph(DatabasePrivacyHomomorphism):
     The paper's construction, its variable-width variant and the field-match
     baselines all store ``_payload_cipher.encrypt_bytes(codec bytes,
     associated_data=tuple_id)`` (the baselines may store the codec bytes
-    bare, with ``_payload_cipher`` ``None``), so they share this ``D``: one
-    native open and one native decode over the batch, the Python references
-    for the rows they leave.
+    bare, with ``_payload_cipher`` ``None``), so they share this ``E`` and
+    this ``D``: one native seal or open per batch, and for ``D`` one native
+    decode, with the Python references for the rows the kernel leaves.  A
+    subclass says what a row's search fields are made of
+    (:meth:`_searchable`) and how a batch of them is encrypted
+    (:meth:`_search_fields`).
     """
 
     _payload_cipher: SymmetricCipher | None
     _tuple_codec: TupleCodec
+    _rng: RandomSource
+    #: The random strings, by length, each row draws before its payload
+    #: nonce; the first is its tuple id.
+    _row_draws: tuple[int, ...] = (TUPLE_ID_LEN,)
+
+    @abstractmethod
+    def _searchable(self, relation_tuple: RelationTuple, encoded_values: list[bytes]):
+        """What the row's search fields are made of; validates and draws nothing."""
+
+    @abstractmethod
+    def _search_fields(
+        self, searchable: list, draws: list[tuple[bytes, ...]]
+    ) -> list[tuple[tuple[bytes, ...], bytes]]:
+        """Each row's ``(search_fields, metadata)``, from its :meth:`_searchable`
+        material and its draws (tuple id first)."""
+
+    def encrypt_relation(self, relation: Relation) -> EncryptedRelation:
+        """``E``: encrypt every tuple, as one batch (:meth:`encrypt_tuples`)."""
+        if relation.schema != self.schema:
+            raise DphError("relation schema does not match the scheme's schema")
+        return EncryptedRelation(
+            schema=self.schema, encrypted_tuples=tuple(self.encrypt_tuples(relation))
+        )
+
+    def encrypt_tuple(self, relation_tuple: RelationTuple) -> EncryptedTuple:
+        """Encrypt a single tuple (exposed for streaming inserts): the batch of one."""
+        return self.encrypt_tuples((relation_tuple,))[0]
+
+    def encrypt_tuples(self, relation_tuples: Iterable[RelationTuple]) -> list[EncryptedTuple]:
+        """Encrypt each tuple, in order: the one ``E`` of these schemes.
+
+        Three steps.  Every row is checked against the schema, encoded
+        (:meth:`~repro.relational.encoding.TupleCodec.encode_values`, each
+        value validated once) and framed, and its search material built, so
+        a bad row raises what it always raised before any randomness is
+        drawn.  Then each row draws its tuple id (and any draw of its
+        scheme's) and then its payload nonce from the scheme's
+        :class:`~repro.crypto.rng.RandomSource`, row by row: the order the
+        tuple-at-a-time loop drew in, so seeded ciphertexts do not change.
+        Last, the payloads are sealed in one
+        :meth:`~repro.crypto.symmetric.SymmetricCipher.seal_many` and the
+        search fields made in one batch per searchable scheme.
+        """
+        codec = self._tuple_codec
+        check_schema, encode_values, frame = codec.check_schema, codec.encode_values, codec.frame
+        searchable = self._searchable
+        frames, material = [], []
+        for relation_tuple in relation_tuples:
+            check_schema(relation_tuple)
+            encoded = encode_values(relation_tuple)
+            frames.append(frame(encoded))
+            material.append(searchable(relation_tuple, encoded))
+        cipher = self._payload_cipher
+        sizes = self._row_draws if cipher is None else (*self._row_draws, NONCE_LEN)
+        draw = self._rng.bytes
+        draws = [tuple(map(draw, sizes)) for _ in frames]
+        tuple_ids = [row_draws[0] for row_draws in draws]
+        if cipher is None:
+            payloads = frames
+        else:
+            payloads = cipher.seal_many(
+                frames, tuple_ids, [row_draws[-1] for row_draws in draws]
+            )
+        return [
+            EncryptedTuple(tuple_id, payload, fields, metadata)
+            for tuple_id, payload, (fields, metadata) in zip(
+                tuple_ids, payloads, self._search_fields(material, draws)
+            )
+        ]
 
     def decrypt_tuples(self, encrypted_tuples: Sequence[EncryptedTuple]) -> list[RelationTuple]:
         """Open and decode each ciphertext, in order; raises at the first that fails.

@@ -32,7 +32,6 @@ from repro.core.construction import compile_swp_token
 from repro.core.dph import (
     DphError,
     EncryptedQuery,
-    EncryptedRelation,
     EncryptedTuple,
     SealedPayloadDph,
     ServerEvaluator,
@@ -43,7 +42,6 @@ from repro.crypto.rng import RandomSource, SystemRng
 from repro.crypto.symmetric import SymmetricCipher
 from repro.relational.encoding import TupleCodec, ValueCodec
 from repro.relational.query import Query, selection_predicates
-from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
 from repro.relational.tuples import RelationTuple
 from repro.searchable.swp import DEFAULT_CHECK_LEN, SwpScheme
@@ -115,36 +113,33 @@ class VariableWidthSelectDph(SealedPayloadDph):
         index = self._schema.position(attribute_name)
         return self._codecs[index].word_length
 
-    def encrypt_relation(self, relation: Relation) -> EncryptedRelation:
-        """``E``: one variable-width searchable word per attribute, plus payload."""
-        if relation.schema != self._schema:
-            raise DphError("relation schema does not match the construction's schema")
-        encrypted = tuple(self.encrypt_tuple(t) for t in relation)
-        return EncryptedRelation(schema=self._schema, encrypted_tuples=encrypted)
+    def _searchable(self, relation_tuple: RelationTuple, encoded_values: list[bytes]):
+        """The row's word per attribute, each in that attribute's width."""
+        return [
+            codec.encode_bytes(identifier, value_bytes)
+            for codec, identifier, value_bytes in zip(
+                self._codecs, self._identifiers, encoded_values
+            )
+        ]
 
-    def encrypt_tuple(self, relation_tuple: RelationTuple) -> EncryptedTuple:
-        """Encrypt a single tuple.
+    def _search_fields(self, searchable, draws):
+        """One batch per attribute scheme, every word under its row's tuple id.
 
         All per-attribute words share the tuple's single random nonce; this is
         safe because each attribute's scheme is independently keyed, and it
         keeps the per-tuple overhead at one nonce regardless of arity.
         """
-        self._tuple_codec.check_schema(relation_tuple)
-        encoded = self._tuple_codec.encode_values(relation_tuple)
-        tuple_id = self._rng.bytes(16)
-        fields = []
-        for index, value_bytes in enumerate(encoded):
-            word = self._codecs[index].encode_bytes(self._identifiers[index], value_bytes)
-            document = self._schemes[index].encrypt_document([word], document_id=tuple_id)
-            fields.append(document.encrypted_words[0])
-        payload = self._payload_cipher.encrypt_bytes(
-            self._tuple_codec.frame(encoded), associated_data=tuple_id
-        )
-        return EncryptedTuple(
-            tuple_id=tuple_id,
-            payload=payload,
-            search_fields=tuple(fields),
-        )
+        tuple_ids = [row[0] for row in draws]
+        columns = [
+            [
+                words[0]
+                for words in scheme.seal_documents(
+                    [[words[index]] for words in searchable], tuple_ids
+                )
+            ]
+            for index, scheme in enumerate(self._schemes)
+        ]
+        return [(fields, b"") for fields in zip(*columns)]
 
     def encrypt_query(self, query: Query) -> EncryptedQuery:
         """``Eq``: a position-tagged trapdoor per predicate, under that attribute's scheme."""

@@ -69,6 +69,16 @@ def _block_suffixes(out_len: int) -> tuple[bytes, ...]:
     return tuple(info + bytes([counter]) for counter in range(1, block_count + 1))
 
 
+def one_block_suffix(out_len: int) -> bytes | None:
+    """What an ``out_len``-byte output appends to its message when it is one
+    HMAC, else ``None`` (it chains blocks).
+
+    For native code that keys a PRF itself, as ``prf_once`` does.
+    """
+    suffixes = _block_suffixes(out_len)
+    return suffixes[0] if len(suffixes) == 1 else None
+
+
 def _mac_key(key: bytes, label: bytes | str = b"") -> bytes:
     """Validate a PRF key and bind the domain-separation label to it."""
     if not isinstance(key, (bytes, bytearray)):

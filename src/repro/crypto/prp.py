@@ -135,6 +135,7 @@ class UnbalancedFeistelPrp(_ByteFeistel):
         if block_len < 2:
             raise ParameterError("block length must be at least 2 bytes")
         lengths = ((block_len + 1) // 2, block_len // 2)
+        prfs = _round_prfs(key, "ufeistel", rounds)
         plan = [
             (
                 prf.fixed(lengths[index % 2]),
@@ -142,10 +143,18 @@ class UnbalancedFeistelPrp(_ByteFeistel):
                 lengths[1 - index % 2],
                 _byte_mask(lengths[index % 2]),
             )
-            for index, prf in enumerate(_round_prfs(key, "ufeistel", rounds))
+            for index, prf in enumerate(prfs)
         ]
         # The rounds alternate their target and the halves never swap.
         super().__init__(block_len, lengths[0], plan, crossed=False)
+        one_blocks = [prf.single_block(lengths[index % 2]) for index, prf in enumerate(prfs)]
+        #: Each round's ``(hmac_block_key, suffix)`` when every round is one
+        #: HMAC (halves of at most 32 bytes), for the native Feistel loop of
+        #: ``swp_encrypt_words``; else ``None``.
+        self.round_keys = (
+            None if None in one_blocks
+            else tuple((block_key, suffix) for _, _, suffix, block_key in one_blocks)
+        )
 
 
 class IntegerPrp:

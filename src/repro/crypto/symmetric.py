@@ -14,7 +14,9 @@ Ciphertexts are represented by :class:`SymmetricCiphertext` and serialize to
 :meth:`SymmetricCipher.open_many` opens a batch (a query result's
 payloads) in one call to the native kernel of :mod:`repro.native` when it is
 loaded; a caller re-runs :meth:`SymmetricCipher.decrypt_bytes`, the
-reference, on every row it left unopened.
+reference, on every row it left unopened.  :meth:`SymmetricCipher.seal_many`
+is its mirror on the encrypt path: a batch of payloads sealed under nonces the
+caller drew, in one kernel call.
 """
 
 from __future__ import annotations
@@ -76,7 +78,8 @@ class SymmetricCipher:
         self._stream_block = stream.fixed(KEYSTREAM_BLOCK_LEN)
         self._mac = Hmac(mac_key)
         _, _, stream_suffix, stream_key = stream.single_block(KEYSTREAM_BLOCK_LEN)
-        #: ``open_payloads``'s key arguments: both HMACs' padded key blocks.
+        #: ``open_payloads``'s and ``seal_payloads``'s key arguments: both
+        #: HMACs' padded key blocks and the keystream's suffix.
         self._kernel_keys = (stream_key, stream_suffix, hmac_block_key(mac_key))
         self._rng = rng if rng is not None else SystemRng()
 
@@ -90,7 +93,40 @@ class SymmetricCipher:
 
     def encrypt_bytes(self, plaintext: bytes, associated_data: bytes = b"") -> bytes:
         """Encrypt and return the serialized ``nonce || tag || body`` wire format."""
-        nonce = self._rng.bytes(NONCE_LEN)
+        return self._seal(plaintext, associated_data, self._rng.bytes(NONCE_LEN))
+
+    def seal_many(
+        self,
+        plaintexts: Sequence[bytes],
+        associated_data: Sequence[bytes],
+        nonces: Sequence[bytes],
+    ) -> list[bytes]:
+        """Each row's ``nonce || tag || body``, in order: :meth:`encrypt_bytes`
+        under the caller's nonces.
+
+        The batch is sealed in one call to the native kernel when it is
+        loaded; a row it leaves ``None`` (not plain ``bytes``, or a nonce of
+        another length) and every row without it go through the Python
+        reference, which raises what ``encrypt_bytes`` would.
+        """
+        if not len(plaintexts) == len(associated_data) == len(nonces):
+            raise ParameterError("plaintexts, associated data and nonces differ in length")
+        kernel = native.kernel
+        if kernel is None:
+            sealed = [None] * len(plaintexts)
+        else:
+            sealed = kernel.seal_payloads(plaintexts, associated_data, nonces, *self._kernel_keys)
+        for index, raw in enumerate(sealed):
+            if raw is None:
+                sealed[index] = self._seal(
+                    plaintexts[index], associated_data[index], nonces[index]
+                )
+        return sealed
+
+    def _seal(self, plaintext: bytes, associated_data: bytes, nonce: bytes) -> bytes:
+        """The reference of ``seal_payloads``: CTR under ``nonce``, then the MAC."""
+        if len(nonce) != NONCE_LEN:
+            raise ParameterError(f"nonce must be {NONCE_LEN} bytes")
         body = xor_bytes(plaintext, prf_keystream(self._stream_block, len(plaintext), nonce))
         return nonce + self._mac.tag(associated_data + nonce + body) + body
 

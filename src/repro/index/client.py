@@ -40,7 +40,7 @@ LABEL_LEN = 32
 #: large enough that low-frequency keywords are indistinguishable.
 DEFAULT_BUCKET_CAPACITY = 8
 
-#: Length of the public tuple-id nonces (see repro.schemes.base.TUPLE_ID_LEN);
+#: Length of the public tuple-id nonces (see repro.core.dph.TUPLE_ID_LEN);
 #: dummy padding ids are drawn at the same length so they are
 #: indistinguishable from real ids.
 _TUPLE_ID_LEN = 16

@@ -1,8 +1,7 @@
 """The native kernel: :data:`kernel` is ``_native.c`` compiled, or ``None``.
 
-It has four functions, each with a Python reference that runs when
-:data:`kernel` is ``None`` (and, for the last three, on every item the
-function leaves ``None``):
+Its functions each have a Python reference that runs when :data:`kernel` is
+``None``, and on every item a function leaves ``None``.  On the result path:
 
 - ``swp_select``: :meth:`repro.searchable.swp.SwpMatcher.select` hands it a
   one-digest check (the provider's scan);
@@ -14,6 +13,16 @@ function leaves ``None``):
 - ``decode_rows``: :meth:`repro.relational.encoding.TupleCodec.decode_regular`
   hands it the opened payloads (``TupleCodec.decode`` decides every row
   outside the common case).
+
+On the write path (the client's ``E`` and ``Eq``):
+
+- ``swp_sealer`` / ``swp_encrypt_words``: a
+  :class:`repro.searchable.swp.SwpScheme` whose every HMAC is one digest keys
+  itself into the kernel once, then hands it a batch of documents to seal
+  (``seal_documents``) or of words to turn into trapdoors (``trapdoors``),
+  with its ``(X, k)`` memo;
+- ``seal_payloads``: :meth:`repro.crypto.symmetric.SymmetricCipher.seal_many`
+  hands it a batch of tuple payloads and the nonces drawn for them.
 
 The kernel is built on first import, not by an
 install step, so it loads wherever the package is imported from: the source
@@ -123,5 +132,6 @@ def load():
 
 
 #: The loaded ``_native`` module (``swp_select``, ``open_payloads``,
-#: ``decode_tuples``, ``decode_rows``), or ``None``: the Python references run.
+#: ``decode_tuples``, ``decode_rows``, ``swp_sealer``, ``swp_encrypt_words``,
+#: ``seal_payloads``), or ``None``: the Python references run.
 kernel = load()

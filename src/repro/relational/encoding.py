@@ -89,21 +89,38 @@ class TupleCodec:
 
         For a caller that needs the value bytes for more than the serialization
         (the searchable words are built from the same bytes); it hands them to
-        :meth:`frame` afterwards and each value is validated once.
+        :meth:`frame` afterwards and each value is validated once.  The tuple
+        must be of this codec's schema (:meth:`check_schema`).  The common
+        case -- a ``str`` that is ASCII, within its width and free of ``#``,
+        an ``int`` (not a ``bool``) within its width -- is encoded inline;
+        every other value goes through :meth:`ValueCodec.encode`, which
+        raises the error it always raised.
         """
-        return [
-            ValueCodec.encode(attribute, relation_tuple.value(attribute.name))
-            for attribute in self._schema.attributes
-        ]
+        encoded = []
+        for (integer, width), attribute, value in zip(
+            self._plan, self._schema.attributes, relation_tuple._values
+        ):
+            if integer:
+                if type(value) is int:
+                    text = str(value)
+                    if len(text) <= width:
+                        encoded.append(text.encode("ascii"))
+                        continue
+            elif (
+                type(value) is str and len(value) <= width and "#" not in value
+                and value.isascii()
+            ):
+                encoded.append(value.encode("ascii"))
+                continue
+            encoded.append(ValueCodec.encode(attribute, value))
+        return encoded
 
     def frame(self, encoded_values: list[bytes]) -> bytes:
         """Length-prefix and join the output of :meth:`encode_values`."""
-        parts = []
-        for raw in encoded_values:
-            if len(raw) > 0xFFFF:
-                raise EncodingError("encoded value too long")
-            parts.append(len(raw).to_bytes(2, "big") + raw)
-        return b"".join(parts)
+        try:
+            return b"".join([len(raw).to_bytes(2, "big") + raw for raw in encoded_values])
+        except OverflowError:  # a length past 0xFFFF does not fit its two bytes
+            raise EncodingError("encoded value too long") from None
 
     def decode_regular(self, raws: Sequence[bytes | None]) -> list[RelationTuple | None]:
         """The native kernel's :meth:`decode` of each row in the common case.

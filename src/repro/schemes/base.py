@@ -25,7 +25,6 @@ from typing import Sequence
 from repro.core.dph import (
     DphError,
     EncryptedQuery,
-    EncryptedRelation,
     EncryptedTuple,
     SealedPayloadDph,
     ServerEvaluator,
@@ -36,12 +35,8 @@ from repro.crypto.rng import RandomSource, SystemRng
 from repro.crypto.symmetric import SymmetricCipher
 from repro.relational.encoding import TupleCodec
 from repro.relational.query import Query, selection_predicates
-from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.tuples import RelationTuple
-
-#: Length in bytes of the random per-tuple identifier.
-TUPLE_ID_LEN = 16
 
 
 def encode_field_token(attribute_index: int, field: bytes) -> bytes:
@@ -103,26 +98,16 @@ class FieldMatchDph(SealedPayloadDph):
         """The key hierarchy (exposed for subclasses)."""
         return self._keys
 
-    def encrypt_relation(self, relation: Relation) -> EncryptedRelation:
-        """``E``: payload encryption plus per-attribute deterministic fields."""
-        if relation.schema != self._schema:
-            raise DphError("relation schema does not match the scheme's schema")
-        encrypted = tuple(self.encrypt_tuple(t) for t in relation)
-        return EncryptedRelation(schema=self._schema, encrypted_tuples=encrypted)
-
-    def encrypt_tuple(self, relation_tuple: RelationTuple) -> EncryptedTuple:
-        """Encrypt a single tuple."""
-        serialized = self._tuple_codec.encode(relation_tuple)
-        tuple_id = self._rng.bytes(TUPLE_ID_LEN)
-        if self._payload_cipher is not None:
-            payload = self._payload_cipher.encrypt_bytes(serialized, associated_data=tuple_id)
-        else:
-            payload = serialized
-        fields = tuple(
+    def _searchable(self, relation_tuple: RelationTuple, encoded_values: list[bytes]):
+        """The row's deterministic field per attribute: its search fields."""
+        return tuple(
             self._search_field(attribute, relation_tuple.value(attribute.name))
             for attribute in self._schema.attributes
         )
-        return EncryptedTuple(tuple_id=tuple_id, payload=payload, search_fields=fields)
+
+    def _search_fields(self, searchable, draws):
+        """The fields need no randomness; no metadata."""
+        return [(fields, b"") for fields in searchable]
 
     def encrypt_query(self, query: Query) -> EncryptedQuery:
         """``Eq``: the deterministic field of the searched value, per predicate."""

@@ -35,14 +35,14 @@ from repro.crypto.errors import DecryptionError, ParameterError
 from repro.crypto.kdf import derive_key
 from repro.crypto.prf import Prf
 from repro.crypto.rng import RandomSource, SystemRng
-from repro.crypto.symmetric import SymmetricCipher
+from repro.crypto.symmetric import NONCE_LEN, SymmetricCipher
 from repro.searchable.interfaces import (
     EncryptedDocument,
     SearchableEncryptionScheme,
     SearchMatch,
 )
 from repro.searchable.tokens import IndexToken
-from repro.searchable.words import Word
+from repro.searchable.words import Word, word_bytes
 
 #: Length in bytes of the public per-document nonce.
 DOCUMENT_ID_LEN = 16
@@ -114,25 +114,43 @@ class IndexSseScheme(SearchableEncryptionScheme):
 
     def encrypt_document(self, words: Sequence[Word]) -> EncryptedDocument:
         """Build the salted index and the recoverable word payload."""
-        for word in words:
-            if len(word) != self._word_length:
-                raise ParameterError(
-                    f"word must be exactly {self._word_length} bytes, got {len(word)}"
-                )
-        document_id = self._rng.bytes(DOCUMENT_ID_LEN)
-        entries = sorted(
-            self._index_entry(self._label(bytes(word)), document_id) for word in words
+        return self.encrypt_documents([words])[0]
+
+    def encrypt_documents(
+        self,
+        documents: Sequence[Sequence[Word]],
+        draws: Sequence[tuple[bytes, bytes]] | None = None,
+    ) -> list[EncryptedDocument]:
+        """:meth:`encrypt_document` of each document, in order.
+
+        ``draws`` holds each document's ``(document_id, payload nonce)``;
+        ``None`` draws them fresh, document by document, the id first.  The
+        word payloads are sealed in one
+        :meth:`~repro.crypto.symmetric.SymmetricCipher.seal_many`.
+        """
+        length = self._word_length
+        documents = [[word_bytes(word, length) for word in words] for words in documents]
+        if draws is None:
+            draw = self._rng.bytes
+            draws = [(draw(DOCUMENT_ID_LEN), draw(NONCE_LEN)) for _ in documents]
+        document_ids = [document_id for document_id, _ in draws]
+        payloads = self._payload_cipher.seal_many(
+            [b"".join(words) for words in documents],
+            document_ids,
+            [nonce for _, nonce in draws],
         )
-        index = b"".join(entries)
-        payload = self._payload_cipher.encrypt_bytes(
-            b"".join(bytes(word) for word in words), associated_data=document_id
-        )
-        self._typical_words_per_document = max(1, len(words))
-        return EncryptedDocument(
-            document_id=document_id,
-            encrypted_words=(payload,),
-            index=index,
-        )
+        if documents:
+            self._typical_words_per_document = max(1, len(documents[-1]))
+        return [
+            EncryptedDocument(
+                document_id=document_id,
+                encrypted_words=(payload,),
+                index=b"".join(
+                    sorted(self._index_entry(self._label(word), document_id) for word in words)
+                ),
+            )
+            for words, document_id, payload in zip(documents, document_ids, payloads)
+        ]
 
     def decrypt_document(self, document: EncryptedDocument) -> list[Word]:
         """Decrypt the word payload and split it into fixed-length words."""
@@ -150,12 +168,7 @@ class IndexSseScheme(SearchableEncryptionScheme):
 
     def trapdoor(self, word: Word) -> IndexToken:
         """Produce the per-word label token."""
-        data = bytes(word)
-        if len(data) != self._word_length:
-            raise ParameterError(
-                f"word must be exactly {self._word_length} bytes, got {len(data)}"
-            )
-        return IndexToken(label=self._label(data))
+        return IndexToken(label=self._label(word_bytes(word, self._word_length)))
 
     def search(self, document: EncryptedDocument, token: IndexToken) -> SearchMatch:
         """Constant-work membership test against the document's index."""

@@ -38,7 +38,7 @@ from typing import Iterable, Sequence, TypeVar
 from repro import native
 from repro.crypto.errors import DecryptionError, ParameterError
 from repro.crypto.kdf import derive_key
-from repro.crypto.prf import Prf, prf_once
+from repro.crypto.prf import Prf, one_block_suffix, prf_once
 from repro.crypto.prg import xor_bytes
 from repro.crypto.prp import UnbalancedFeistelPrp
 from repro.crypto.rng import RandomSource, SystemRng
@@ -48,7 +48,7 @@ from repro.searchable.interfaces import (
     SearchMatch,
 )
 from repro.searchable.tokens import SwpToken
-from repro.searchable.words import Word
+from repro.searchable.words import Word, word_bytes
 
 #: Length in bytes of the public per-document nonce.
 DOCUMENT_ID_LEN = 16
@@ -210,10 +210,30 @@ class SwpScheme(SearchableEncryptionScheme):
         self._check_length = check_length
         self._left_length = word_length - check_length
         self._pre_prp = UnbalancedFeistelPrp(derive_key(key, "swp/word"), word_length)
-        self._stream = Prf(derive_key(key, "swp/stream")).fixed(self._left_length)
-        self._check_key = Prf(derive_key(key, "swp/check")).fixed(CHECK_KEY_LEN)
+        stream = Prf(derive_key(key, "swp/stream"))
+        check_key = Prf(derive_key(key, "swp/check"))
+        self._stream = stream.fixed(self._left_length)
+        self._check_key = check_key.fixed(CHECK_KEY_LEN)
+        #: This scheme's keys in the native kernel (``swp_sealer``) when it
+        #: is loaded and every HMAC of a word is one digest (``w - m <= 32``
+        #: and ``m <= 32``, so halves of at most 32 bytes); else ``None``,
+        #: and the scheme runs the Python references.
+        self._sealer = None
+        stream_block = stream.single_block(self._left_length)
+        value_suffix = one_block_suffix(check_length)
+        if native.kernel is not None and stream_block is not None and value_suffix is not None:
+            _, _, stream_suffix, stream_key = stream_block
+            _, _, check_suffix, check_block_key = check_key.single_block(CHECK_KEY_LEN)
+            self._sealer = native.kernel.swp_sealer(
+                self._pre_prp.round_keys,
+                (check_block_key, check_suffix),
+                (stream_key, stream_suffix),
+                value_suffix,
+                word_length,
+                check_length,
+            )
         # W -> (X, k), client memory only; see _pre_encrypt.
-        self._memo: dict[bytes, tuple[int, bytes]] = {}
+        self._memo: dict[bytes, tuple[bytes, bytes]] = {}
         self._rng = rng if rng is not None else SystemRng()
 
     # ------------------------------------------------------------------ #
@@ -238,17 +258,65 @@ class SwpScheme(SearchableEncryptionScheme):
         Passing ``document_id`` explicitly is safe as long as the caller never
         reuses a nonce *under the same key*; the variable-width construction
         uses it to share one nonce across its independently keyed
-        per-attribute schemes.
+        per-attribute schemes.  :meth:`encrypt_documents` of one document.
         """
-        if document_id is None:
-            document_id = self._rng.bytes(DOCUMENT_ID_LEN)
-        if len(document_id) != DOCUMENT_ID_LEN:
-            raise ParameterError(f"document id must be {DOCUMENT_ID_LEN} bytes")
-        encrypted = tuple(
-            self._encrypt_word(bytes(word), document_id, index)
-            for index, word in enumerate(words)
-        )
-        return EncryptedDocument(document_id=document_id, encrypted_words=encrypted)
+        return self.encrypt_documents(
+            [words], None if document_id is None else [document_id]
+        )[0]
+
+    def encrypt_documents(
+        self,
+        documents: Sequence[Sequence[Word | bytes]],
+        document_ids: Sequence[bytes] | None = None,
+    ) -> list[EncryptedDocument]:
+        """Encrypt each document, in order, under its id (drawn fresh when ``None``).
+
+        Every word is validated first -- a :class:`Word` or a bytes-like
+        object of exactly the word length, else :class:`ParameterError` --
+        so a refused batch draws no randomness and pre-encrypts nothing.
+        """
+        length = self._word_length
+        documents = [[word_bytes(word, length) for word in words] for words in documents]
+        if document_ids is None:
+            document_ids = [self._rng.bytes(DOCUMENT_ID_LEN) for _ in documents]
+        elif len(document_ids) != len(documents):
+            raise ParameterError("documents and document ids differ in length")
+        sealed = self.seal_documents(documents, document_ids)
+        return [
+            EncryptedDocument(document_id=document_id, encrypted_words=words)
+            for document_id, words in zip(document_ids, sealed)
+        ]
+
+    def seal_documents(
+        self, documents: Sequence[Sequence[bytes]], document_ids: Sequence[bytes]
+    ) -> list[tuple[bytes, ...]]:
+        """The word ciphertexts of each document of word bytes, in order.
+
+        :meth:`encrypt_documents` without the wrapping, for a caller that
+        built the words itself (the construction's words come out of its
+        :class:`~repro.searchable.words.WordCodec`).  The native kernel
+        seals the whole batch in one call, probing and filling the
+        ``(X, k)`` memo as :meth:`_pre_encrypt` does; without it, and for
+        any document it leaves ``None``, the Python reference runs.
+        """
+        for document_id in document_ids:
+            if len(document_id) != DOCUMENT_ID_LEN:
+                raise ParameterError(f"document id must be {DOCUMENT_ID_LEN} bytes")
+        kernel = native.kernel
+        if kernel is None or self._sealer is None:
+            sealed = [None] * len(documents)
+        else:
+            sealed = kernel.swp_encrypt_words(
+                documents, document_ids, self._sealer, self._memo, PRE_ENCRYPT_MEMO_WORDS
+            )
+        for index, words in enumerate(sealed):
+            if words is None:
+                document_id = document_ids[index]
+                sealed[index] = tuple(
+                    self._encrypt_word(word, document_id, position)
+                    for position, word in enumerate(documents[index])
+                )
+        return sealed
 
     def decrypt_document(self, document: EncryptedDocument) -> list[Word]:
         """Recover the plaintext words of a document."""
@@ -258,12 +326,25 @@ class SwpScheme(SearchableEncryptionScheme):
         ]
 
     def trapdoor(self, word: Word | bytes) -> SwpToken:
-        """Produce the search token ``(X, k)`` for ``word``."""
-        pre_encrypted, check_key = self._pre_encrypt(bytes(word))
-        return SwpToken(
-            pre_encrypted_word=pre_encrypted.to_bytes(self._word_length, "big"),
-            check_key=check_key,
-        )
+        """Produce the search token ``(X, k)`` for ``word``: :meth:`trapdoors` of one."""
+        return self.trapdoors([word])[0]
+
+    def trapdoors(self, words: Sequence[Word | bytes]) -> list[SwpToken]:
+        """The search token ``(X, k)`` of each word, in order (validated as in
+        :meth:`encrypt_documents`): one native call, :meth:`_pre_encrypt` per
+        word without the kernel and for any word it leaves ``None``."""
+        words = [word_bytes(word, self._word_length) for word in words]
+        kernel = native.kernel
+        if kernel is None or self._sealer is None:
+            pairs = [None] * len(words)
+        else:
+            pairs = kernel.swp_encrypt_words(
+                words, None, self._sealer, self._memo, PRE_ENCRYPT_MEMO_WORDS
+            )
+        return [
+            SwpToken(*(self._pre_encrypt(word) if pair is None else pair))
+            for word, pair in zip(words, pairs)
+        ]
 
     def search(self, document: EncryptedDocument, token: SwpToken) -> SearchMatch:
         """Linear scan of the document's word ciphertexts (server-side, keyless)."""
@@ -277,8 +358,8 @@ class SwpScheme(SearchableEncryptionScheme):
     # Internals
     # ------------------------------------------------------------------ #
 
-    def _pre_encrypt(self, word: bytes) -> tuple[int, bytes]:
-        """The deterministic half of SWP: ``X = P_{k_word}(W)`` (as an integer) and ``k``.
+    def _pre_encrypt(self, word: bytes) -> tuple[bytes, bytes]:
+        """The deterministic half of SWP: ``X = P_{k_word}(W)`` and ``k``.
 
         Both the word ciphertext and the trapdoor start here.  The pair is a
         pure function of ``W`` under this scheme's key, so it is remembered
@@ -286,18 +367,13 @@ class SwpScheme(SearchableEncryptionScheme):
         :data:`PRE_ENCRYPT_MEMO_WORDS` words: a repeated word costs its
         stream block and check value, not the eight Feistel rounds.  Threads
         sharing a scheme need no lock, a lost update is a recomputation.
+        This is the reference the native kernel's memo and Feistel loop
+        follow.
         """
         known = self._memo.get(word)
         if known is None:
-            if len(word) != self._word_length:
-                raise ParameterError(
-                    f"word must be exactly {self._word_length} bytes, got {len(word)}"
-                )
             permuted = self._pre_prp.permute(word)
-            known = (
-                int.from_bytes(permuted, "big"),
-                self._check_key(permuted[: self._left_length]),
-            )
+            known = (permuted, self._check_key(permuted[: self._left_length]))
             if len(self._memo) >= PRE_ENCRYPT_MEMO_WORDS:
                 self._memo.clear()
             self._memo[word] = known
@@ -307,10 +383,11 @@ class SwpScheme(SearchableEncryptionScheme):
         return self._stream(document_id + index.to_bytes(4, "big"))
 
     def _encrypt_word(self, word: bytes, document_id: bytes, index: int) -> bytes:
+        """``C_i = X XOR (S_i || F_k(S_i))`` in Python: the reference of the native sealer."""
         pre_encrypted, check_key = self._pre_encrypt(word)
         stream = self._stream_block(document_id, index)
         pad = stream + prf_once(check_key, stream, self._check_length)
-        return (pre_encrypted ^ int.from_bytes(pad, "big")).to_bytes(
+        return (int.from_bytes(pre_encrypted, "big") ^ int.from_bytes(pad, "big")).to_bytes(
             self._word_length, "big"
         )
 

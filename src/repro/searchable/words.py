@@ -19,8 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.errors import PaddingError
-from repro.crypto.padding import hash_pad, hash_unpad
+from repro.crypto.errors import PaddingError, ParameterError
+from repro.crypto.padding import PAD_BYTE, hash_pad, hash_unpad
+
+#: The padding byte as the integer a ``bytes`` membership test takes fastest.
+_PAD = PAD_BYTE[0]
 
 
 class WordError(ValueError):
@@ -43,6 +46,27 @@ class Word:
 
     def __bytes__(self) -> bytes:
         return self.data
+
+
+def word_bytes(word: Word | bytes, length: int) -> bytes:
+    """The bytes of a word: a :class:`Word` or a bytes-like object of exactly
+    ``length`` bytes, else :class:`~repro.crypto.errors.ParameterError`.
+
+    Anything else is refused rather than converted: ``bytes(15)`` would be
+    fifteen zero bytes, and a ``str`` has no bytes of its own.
+    """
+    if isinstance(word, Word):
+        word = word.data
+    elif type(word) is not bytes:
+        try:
+            word = bytes(memoryview(word))
+        except TypeError:
+            raise ParameterError(
+                f"a word is a Word or bytes-like, got {type(word).__name__}"
+            ) from None
+    if len(word) != length:
+        raise ParameterError(f"word must be exactly {length} bytes, got {len(word)}")
+    return word
 
 
 class WordCodec:
@@ -91,6 +115,8 @@ class WordCodec:
             raise WordError(
                 f"attribute id must be exactly {self._id_width} bytes, got {len(attribute_id)}"
             )
+        if type(value) is bytes and len(value) <= self._value_width and _PAD not in value:
+            return value.ljust(self._value_width, PAD_BYTE) + attribute_id
         try:
             padded = hash_pad(value, self._value_width)
         except PaddingError as exc:

@@ -96,12 +96,17 @@ def all_schemes(employee_schema, secret_key, rng):
 def match_kernel(request):
     """Run a module's tests once per kernel path: the C kernel and the Python references.
 
-    All four native functions switch together: the SWP check
-    (``swp_select`` against ``SwpMatcher.select``'s loop), the payload opener
-    (``open_payloads`` against ``SymmetricCipher.decrypt_bytes`` per row), the
-    tuple walk (``decode_tuples`` against ``decode_encrypted_relation``'s
-    Python walk) and the row decode (``decode_rows`` against
-    ``TupleCodec.decode`` per row).
+    All the native functions switch together.  On the result path: the SWP
+    check (``swp_select`` against ``SwpMatcher.select``'s loop), the payload
+    opener (``open_payloads`` against ``SymmetricCipher.decrypt_bytes`` per
+    row), the tuple walk (``decode_tuples`` against
+    ``decode_encrypted_relation``'s Python walk) and the row decode
+    (``decode_rows`` against ``TupleCodec.decode`` per row).  On the write
+    path: the SWP sealer (``swp_encrypt_words`` against
+    ``SwpScheme._encrypt_word`` / ``_pre_encrypt`` per word; a scheme keys
+    itself into the kernel when it is built, so build it inside the test)
+    and the payload sealer (``seal_payloads`` against
+    ``SymmetricCipher._seal`` per row).
     The Python run sets the loaded kernel to ``None``, which is what a host
     without a compiler gets; the native run is skipped on such a host.
     """

@@ -5,7 +5,8 @@ searchable words and the payload from those bytes; ``encrypt_query`` and the
 index's ``insert_delta`` encode through the same ``ValueCodec``.  The types
 and messages below were recorded on the commit before that change (2329cc0),
 except for tuples of another schema: every scheme now refuses those with the
-codec's schema error before it looks at a value or draws randomness.
+codec's schema error before it looks at a value or draws randomness, and
+``encrypt_relation`` validates every row before its first draw.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from repro.core.construction import SearchableSelectDph
 from repro.core.variable_length import VariableWidthSelectDph
 from repro.crypto.rng import DeterministicRng
 from repro.index import TableIndexer
-from repro.relational import RelationSchema, Selection
+from repro.relational import Relation, RelationSchema, Selection
 from repro.relational.errors import EncodingError, SchemaError
 from repro.relational.tuples import RelationTuple
 from repro.schemes.registry import available_schemes, create
@@ -118,3 +119,27 @@ def test_every_registered_scheme_checks_the_schema_before_the_values(scheme, wha
     fresh = create(scheme, SCHEMA, KEY, rng=DeterministicRng(1))
     good = RelationTuple(SCHEMA, GOOD)
     assert dph.encrypt_tuple(good) == fresh.encrypt_tuple(good)
+
+
+#: Where the one bad row of a relation sits.
+POSITIONS = {"first": 0, "middle": 2, "last": 4}
+
+
+@pytest.mark.parametrize("position", POSITIONS)
+@pytest.mark.parametrize("what", BAD_VALUES)
+@pytest.mark.parametrize("scheme", [*SCHEMES, *available_schemes()])
+def test_a_relation_with_a_bad_row_draws_nothing(scheme, what, position):
+    """``encrypt_relation`` validates every row before its first draw: a bad
+    row anywhere raises what ``encrypt_tuple`` of it raises, and the next
+    relation encrypts as a fresh scheme's would."""
+    build = SCHEMES.get(scheme) or (lambda rng: create(scheme, SCHEMA, KEY, rng=rng))
+    attribute, value, message = BAD_VALUES[what]
+    rows = [
+        RelationTuple(SCHEMA, {**GOOD, "salary": salary}) for salary in (1, 2, 3, 4, 5)
+    ]
+    rows[POSITIONS[position]] = unvalidated({**GOOD, attribute: value})
+    dph = build(DeterministicRng(1))
+    with raises_exactly(SchemaError, message):
+        dph.encrypt_relation(Relation(SCHEMA, rows))
+    good = Relation(SCHEMA, [RelationTuple(SCHEMA, GOOD), RelationTuple(SCHEMA, GOOD)])
+    assert dph.encrypt_relation(good) == build(DeterministicRng(1)).encrypt_relation(good)

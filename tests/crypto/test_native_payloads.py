@@ -219,6 +219,24 @@ def test_malformed_kernel_arguments_raise():
         open_payloads([], [], "not bytes", suffix, mac_key)
 
 
+@needs_kernel
+def test_malformed_seal_arguments_raise():
+    seal_payloads = native.kernel.seal_payloads
+    stream_key, suffix, mac_key = kernel_keys(KEY)
+    nonce = b"n" * NONCE_LEN
+    with pytest.raises(ValueError):
+        seal_payloads([], [], [], b"k" * 63, suffix, mac_key)
+    with pytest.raises(ValueError):
+        seal_payloads([b"x"], [b"id"], [], stream_key, suffix, mac_key)
+    with pytest.raises(TypeError):
+        seal_payloads(None, [], [], stream_key, suffix, mac_key)
+    # Rows the kernel does not seal are left to SymmetricCipher._seal.
+    assert seal_payloads(
+        [b"x", bytearray(b"x"), b"x", b"x"], [b"id", b"id", "id", b"id"],
+        [nonce, nonce, nonce, nonce[:15]], stream_key, suffix, mac_key,
+    )[1:] == [None, None, None]
+
+
 def test_unequal_batches_are_refused_on_both_paths(monkeypatch):
     with pytest.raises(ParameterError):
         CIPHER.open_many([b"x" * 48], [])
@@ -248,3 +266,26 @@ def test_a_long_open_lets_other_threads_run():
     opening.join(timeout=60)
     assert not opening.is_alive()
     assert max(gaps) < max(0.05, open_s / 4), (max(gaps), open_s)
+
+
+@needs_kernel
+def test_a_long_seal_lets_other_threads_run():
+    """The encrypt side's ``seal_payloads`` offers the lock as ``open_payloads``
+    does: a busy thread beside a 500 000-row seal is never held off for more
+    than a quarter of it."""
+    count = 500_000
+    plaintexts, ads, nonces = [os.urandom(8)] * count, [os.urandom(16)] * count, [
+        os.urandom(NONCE_LEN)] * count
+    started = time.perf_counter()
+    CIPHER.seal_many(plaintexts[: count // 20], ads[: count // 20], nonces[: count // 20])
+    seal_s = (time.perf_counter() - started) * 20
+    sealing = threading.Thread(target=CIPHER.seal_many, args=(plaintexts, ads, nonces))
+    gaps, last = [], time.perf_counter()
+    sealing.start()
+    while sealing.is_alive():
+        now = time.perf_counter()
+        gaps.append(now - last)
+        last = now
+    sealing.join(timeout=60)
+    assert not sealing.is_alive()
+    assert max(gaps) < max(0.05, seal_s / 4), (max(gaps), seal_s)

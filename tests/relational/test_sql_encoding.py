@@ -139,6 +139,22 @@ class TestTupleCodec:
         with pytest.raises(EncodingError):
             codec.decode(b"\x00")
 
+    def test_frame_takes_values_up_to_two_length_bytes(self, schema):
+        codec = TupleCodec(schema)
+        assert codec.frame([b"", b"x" * 0xFFFF]) == b"\x00\x00\xff\xff" + b"x" * 0xFFFF
+        with pytest.raises(EncodingError, match="^encoded value too long$"):
+            codec.frame([b"ok", b"x" * 0x10000])
+
+    def test_encode_values_takes_subclasses_as_validation_does(self, schema):
+        class Text(str):
+            pass
+
+        class Number(int):
+            pass
+
+        t = RelationTuple(schema, {"name": Text("Ada"), "dept": "IT", "salary": Number(900)})
+        assert TupleCodec(schema).encode_values(t) == [b"Ada", b"IT", b"900"]
+
     def test_word_value_width(self, schema):
         assert word_value_width(schema) == 10
 

@@ -65,6 +65,16 @@ class TestIndexSseRoundtrip:
         with pytest.raises(ParameterError):
             scheme.trapdoor(Word(b"x"))
 
+    @pytest.mark.parametrize("bad", [WORD_LENGTH, "x" * WORD_LENGTH, None])
+    def test_a_word_that_is_not_bytes_like_is_rejected(self, bad):
+        """``bytes(10)`` would be ten zero bytes: an int is refused, not converted."""
+        scheme = make_scheme()
+        with pytest.raises(ParameterError, match="a word is a Word or bytes-like"):
+            scheme.trapdoor(bad)
+        with pytest.raises(ParameterError, match="a word is a Word or bytes-like"):
+            scheme.encrypt_document([*words("ok"), bad])
+        assert scheme.encrypt_document(words("ok")) == make_scheme().encrypt_document(words("ok"))
+
     def test_decrypt_rejects_malformed_documents(self):
         scheme = make_scheme()
         document = scheme.encrypt_document(words("alpha"))

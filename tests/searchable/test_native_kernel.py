@@ -8,6 +8,11 @@ items whose words are forged matches, wrong-length or empty words, no words
 at all, ``bytearray`` / ``memoryview`` copies, wider-than-a-byte buffers and
 objects that are not bytes, both must return the same hits or raise the same
 exception class -- also when ``items`` and ``words`` differ in length.
+
+The encrypt side's ``swp_encrypt_words`` is checked here alone as well (its
+differential tests are ``test_swp_encrypt_kernel.py``): a word or id that is
+not ``bytes`` of its length comes back ``None`` for Python to decide, and a
+malformed sealer, memo or batch raises.
 """
 
 from __future__ import annotations
@@ -24,8 +29,11 @@ from hypothesis import strategies as st
 
 from repro import native
 from repro.crypto.prf import Prf
-from repro.searchable.swp import SwpMatcher
+from repro.crypto.rng import DeterministicRng
+from repro.searchable.swp import SwpMatcher, SwpScheme
 from repro.searchable.tokens import SwpToken
+
+KEY = bytes(range(32))
 
 needs_kernel = pytest.mark.skipif(
     native.kernel is None, reason="the native kernel did not build on this host"
@@ -163,6 +171,49 @@ def cache_dir(tmp_path, monkeypatch):
     directory = tmp_path / "__pycache__"
     monkeypatch.setattr(native, "_CACHE_DIR", str(directory))
     return directory
+
+
+@needs_kernel
+def test_the_encrypt_kernel_leaves_irregular_inputs_to_python():
+    """The kernel alone: a word or id that is not bytes of its length is ``None``."""
+    swp = SwpScheme(KEY, word_length=11, check_length=6, rng=DeterministicRng(5))
+    encrypt = native.kernel.swp_encrypt_words
+    good = b"HR########D"
+    trapdoors = encrypt([good, b"short", bytearray(good), None], None, swp._sealer, {}, 4)
+    assert trapdoors[0] == (swp.trapdoor(good).pre_encrypted_word, swp.trapdoor(good).check_key)
+    assert trapdoors[1:] == [None, None, None]
+    sealed = encrypt(
+        [[good], [good, b"short"], [good], [bytearray(good)], []],
+        [b"n" * 16, b"n" * 16, b"n" * 15, b"n" * 16, b"n" * 16],
+        swp._sealer, {}, 4,
+    )
+    assert sealed == [swp.seal_documents([[good]], [b"n" * 16])[0], None, None, None, ()]
+
+
+@needs_kernel
+def test_malformed_encrypt_kernel_arguments_raise():
+    swp = SwpScheme(KEY, word_length=11, check_length=6)
+    sealer, encrypt = swp._sealer, native.kernel.swp_encrypt_words
+    with pytest.raises(ValueError):
+        encrypt([[b"HR########D"]], [], sealer, {}, 4)
+    with pytest.raises(ValueError):
+        encrypt([], None, sealer, {}, 0)
+    with pytest.raises(TypeError):
+        encrypt([], None, sealer, [], 4)
+    with pytest.raises((TypeError, ValueError)):
+        encrypt([], None, b"not a sealer", {}, 4)
+    with pytest.raises(TypeError):
+        encrypt([b"HR########D"], None, sealer, {b"HR########D": "junk"}, 4)
+    key_pair = (bytes(64), b"|\x00\x00\x00\x05\x01")
+    make = native.kernel.swp_sealer
+    with pytest.raises(ValueError):
+        make((key_pair,) * 8, key_pair, key_pair, b"|", 40, 33)  # m past one digest
+    with pytest.raises(ValueError):
+        make((key_pair,) * 8, key_pair, key_pair, b"|", 40, 1)  # w - m past one digest
+    with pytest.raises(ValueError):
+        make((), key_pair, key_pair, b"|", 11, 6)
+    with pytest.raises(ValueError):
+        make(((bytes(63), b"|"),) * 8, key_pair, key_pair, b"|", 11, 6)
 
 
 def test_a_failing_compiler_leaves_no_kernel_and_no_file(cache_dir, monkeypatch):

@@ -4,7 +4,9 @@
 words it has seen.  These tests hold it to its contract: a scheme that has
 seen a word and one that has not produce the same ciphertexts and trapdoors,
 the memo never outgrows its bound, it belongs to one scheme instance and
-starts empty, and nothing the provider runs can reach it.
+starts empty, and nothing the provider runs can reach it -- on both paths
+(the ``match_kernel`` fixture): the native kernel's ``swp_encrypt_words``
+probes and fills the same dict.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from repro.relational import RelationSchema
 from repro.relational.tuples import RelationTuple
 from repro.searchable.swp import PRE_ENCRYPT_MEMO_WORDS, SwpMatcher, SwpScheme
 from repro.searchable.words import Word
+
+pytestmark = pytest.mark.usefixtures("match_kernel")
 
 KEY = bytes(range(32))
 WORD_LENGTH = 11
@@ -87,13 +91,18 @@ def test_the_memo_never_outgrows_its_bound():
 
 
 def test_a_word_of_the_wrong_length_is_rejected_and_not_remembered():
+    """Every word is validated before any is pre-encrypted or an id is drawn:
+    a refused document leaves nothing behind, its good words included."""
     swp = scheme(DeterministicRng(3))
     for bad in (b"short", b"x" * (WORD_LENGTH + 1)):
         with pytest.raises(ParameterError, match="word must be exactly 11 bytes"):
             swp.trapdoor(Word(bad))
         with pytest.raises(ParameterError, match="word must be exactly 11 bytes"):
             swp.encrypt_document([Word(DOCUMENTS[0][0]), Word(bad)])
-    assert set(memo(swp)) == {DOCUMENTS[0][0]}
+    assert memo(swp) == {}
+    assert swp.encrypt_document(DOCUMENTS[0]) == scheme(DeterministicRng(3)).encrypt_document(
+        DOCUMENTS[0]
+    )
 
 
 def test_a_table_bound_twice_starts_cold_each_time():
