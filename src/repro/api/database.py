@@ -12,7 +12,9 @@ Every operation -- reads and writes, and the DDL and metadata of
 :meth:`~EncryptedDatabase.retrieve_all`, evaluator deployment included --
 travels as protocol envelopes through the provider's ``handle_message``
 (the same bytes a remote transport carries), sent with the one
-:func:`~repro.outsourcing.client.request` helper.  The provider is the
+:func:`~repro.outsourcing.client.request` helper, which checks and decodes
+each answer as :data:`~repro.outsourcing.protocol.ANSWERS` declares it, so
+a call names only its request kind.  The provider is the
 in-process :class:`~repro.outsourcing.server.OutsourcedDatabaseServer`, a
 :class:`~repro.net.client.RemoteServerProxy` carrying the envelopes over
 :mod:`repro.net`, or a sharded fleet behind a
@@ -23,16 +25,19 @@ in-process :class:`~repro.outsourcing.server.OutsourcedDatabaseServer`, a
 Reads accept query AST nodes or SQL strings; SQL is routed to the right
 table via the relation name in its ``FROM`` clause.  Deletes and updates
 resolve the *true* matches client-side (decrypt, filter false positives)
-and then address tuples by their public random ids with the
-``DELETE_TUPLES`` message, so the provider never learns which plaintext
-predicate drove the mutation.
+and then address tuples by their public random ids -- with the
+``DELETE_TUPLES`` message, or ``DELETE_TUPLES_EXACT`` on an indexed session,
+which needs the ids that really went -- so the provider never learns which
+plaintext predicate drove the mutation.  A delete is never resent on a
+fresh connection once it may have been delivered
+(:data:`~repro.outsourcing.protocol.REPLAY_UNSAFE`): a lost answer is a
+:class:`DatabaseError`, not a count of 0 for rows that were removed.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Callable, TypeVar
 
 from repro.cache import CacheError, ResultCache, coerce_cache_config
 from repro.core.dph import (
@@ -63,7 +68,7 @@ from repro.obs import (
 from repro.outsourcing import protocol
 from repro.outsourcing.client import SelectOutcome, request
 from repro.outsourcing.evaluators import describe_evaluator
-from repro.outsourcing.protocol import MessageKind, ProtocolError
+from repro.outsourcing.protocol import MessageKind
 from repro.outsourcing.server import OutsourcedDatabaseServer, ServerError
 from repro.outsourcing.storage import StorageBackend
 from repro.relational.errors import QueryError
@@ -73,10 +78,6 @@ from repro.relational.schema import RelationSchema
 from repro.relational.sql import parse_sql
 from repro.relational.tuples import RelationTuple
 from repro.schemes import registry
-
-
-#: What a reply body decodes into (see ``EncryptedDatabase._request``).
-_Decoded = TypeVar("_Decoded")
 
 
 class DatabaseError(Exception):
@@ -657,12 +658,8 @@ class EncryptedDatabase:
             relation = Relation.from_rows(schema, rows)
         encrypted = handle.scheme.encrypt_relation(relation)
         try:
-            self._request(
-                MessageKind.STORE_RELATION,
-                name,
-                protocol.encode_encrypted_relation(encrypted),
-                expect=MessageKind.ACK,
-            )
+            body = protocol.encode_encrypted_relation(encrypted)
+            self._request(MessageKind.STORE_RELATION, name, body)
         except DatabaseError:
             self._unbind_table(name)
             raise
@@ -670,12 +667,7 @@ class EncryptedDatabase:
             self._invalidate_cache(name)
         if handle.indexer is not None:
             snapshot = handle.indexer.snapshot(relation, encrypted)
-            self._request(
-                MessageKind.INDEX_PUT,
-                name,
-                encode_index_snapshot(snapshot),
-                expect=MessageKind.ACK,
-            )
+            self._request(MessageKind.INDEX_PUT, name, encode_index_snapshot(snapshot))
         return handle
 
     def attach_table(self, schema: RelationSchema | str) -> TableHandle:
@@ -706,12 +698,7 @@ class EncryptedDatabase:
             # (decrypting client-side, as always) and re-ship it.
             rows = handle.scheme.decrypt_tuples(stored.encrypted_tuples)
             snapshot = handle.indexer.snapshot(Relation(schema, rows), stored)
-            self._request(
-                MessageKind.INDEX_PUT,
-                name,
-                encode_index_snapshot(snapshot),
-                expect=MessageKind.ACK,
-            )
+            self._request(MessageKind.INDEX_PUT, name, encode_index_snapshot(snapshot))
         return handle
 
     def _bind_table(self, schema: RelationSchema) -> TableHandle:
@@ -734,12 +721,8 @@ class EncryptedDatabase:
             )
         handle = TableHandle(name=name, schema=schema, scheme=scheme, indexer=indexer)
         description = describe_evaluator(scheme.server_evaluator())
-        self._request(
-            MessageKind.REGISTER_EVALUATOR,
-            name,
-            protocol.encode_evaluator_description(description),
-            expect=MessageKind.ACK,
-        )
+        body = protocol.encode_evaluator_description(description)
+        self._request(MessageKind.REGISTER_EVALUATOR, name, body)
         self._tables[name] = handle
         self._statements = {}
         return handle
@@ -757,7 +740,7 @@ class EncryptedDatabase:
         """
         self.table(name)
         try:
-            self._request(MessageKind.DROP_RELATION, name, b"", expect=MessageKind.ACK)
+            self._request(MessageKind.DROP_RELATION, name)
         finally:
             self._invalidate_cache(name)
             self._unbind_table(name)
@@ -782,18 +765,10 @@ class EncryptedDatabase:
                     delta = handle.indexer.insert_delta(
                         relation_tuple, encrypted.tuple_id
                     )
-                    self._request(
-                        MessageKind.INDEX_DELTA,
-                        table,
-                        encode_index_delta(delta),
-                        expect=MessageKind.ACK,
-                    )
-                self._request(
-                    MessageKind.INSERT_TUPLE,
-                    table,
-                    protocol.encode_encrypted_tuple(encrypted),
-                    expect=MessageKind.ACK,
-                )
+                    body = encode_index_delta(delta)
+                    self._request(MessageKind.INDEX_DELTA, table, body)
+                body = protocol.encode_encrypted_tuple(encrypted)
+                self._request(MessageKind.INSERT_TUPLE, table, body)
             finally:
                 # Even a failed insert may have mutated provider state (the
                 # index delta can land without the tuple), so the eviction is
@@ -813,7 +788,8 @@ class EncryptedDatabase:
 
         Matching happens client-side on decrypted results (so the scheme's
         false positives are never deleted); the provider only sees the
-        public tuple ids in the ``DELETE_TUPLES`` message.
+        public tuple ids in the ``DELETE_TUPLES`` (indexed:
+        ``DELETE_TUPLES_EXACT``) message.
         """
         with self._traced("delete") as op_span:
             name, parsed = self._resolve(query, table)
@@ -906,13 +882,8 @@ class EncryptedDatabase:
                 encrypted = [
                     handle.scheme.encrypt_query(resolved[i][1]) for i in missing
                 ]
-                fetched = self._request(
-                    MessageKind.BATCH_QUERY,
-                    name,
-                    protocol.encode_query_batch(encrypted),
-                    expect=MessageKind.BATCH_RESULT,
-                    decode=protocol.decode_result_batch,
-                )
+                body = protocol.encode_query_batch(encrypted)
+                fetched = self._request(MessageKind.BATCH_QUERY, name, body)
                 if len(fetched) != len(missing):
                     raise DatabaseError(
                         f"provider answered {len(fetched)} results "
@@ -938,10 +909,7 @@ class EncryptedDatabase:
     def count(self, table: str) -> int:
         """Number of tuples the provider currently stores."""
         self.table(table)
-        return self._request(
-            MessageKind.TUPLE_COUNT, table, b"", expect=MessageKind.ACK,
-            decode=protocol.decode_count,
-        )
+        return self._request(MessageKind.TUPLE_COUNT, table)
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -968,40 +936,20 @@ class EncryptedDatabase:
 
     def _stored(self, table: str):
         """The provider's ciphertext copy of a relation."""
-        return self._request(
-            MessageKind.FETCH_RELATION, table, b"", expect=MessageKind.QUERY_RESULT,
-            decode=protocol.decode_query_result,
-        ).matching
+        return self._request(MessageKind.FETCH_RELATION, table).matching
 
     def _relation_names(self) -> tuple[str, ...]:
-        return self._request(
-            MessageKind.RELATION_NAMES, "", b"", expect=MessageKind.RELATIONS,
-            decode=protocol.decode_relation_names,
-        )
+        return self._request(MessageKind.RELATION_NAMES, "")
 
-    def _request(
-        self,
-        kind: MessageKind,
-        relation_name: str,
-        body: bytes,
-        expect: MessageKind,
-        decode: Callable[[bytes], _Decoded] | None = None,
-    ) -> _Decoded | None:
-        """One envelope to the provider, and ``decode`` of its reply body.
+    def _request(self, kind: MessageKind, relation_name: str, body: bytes = b""):
+        """One envelope to the provider; its decoded answer.
 
-        Any failure is a :class:`DatabaseError`: the request helper's, and
-        a reply body ``decode`` rejects (the :class:`ProtocolError` is its
+        Any failure is a :class:`DatabaseError`: a refusal, a transport
+        failure, and a reply or reply body that does not parse (the
+        :class:`~repro.outsourcing.protocol.ProtocolError` is its
         ``__cause__``).
         """
-        response = request(
-            self._server, kind, relation_name, body, expect=expect, error=DatabaseError
-        )
-        if decode is None:
-            return None
-        try:
-            return decode(response.body)
-        except ProtocolError as exc:
-            raise DatabaseError(str(exc)) from exc
+        return request(self._server, kind, relation_name, body, error=DatabaseError)
 
     def _resolve(self, query: Query | str, table: str | None) -> tuple[str, Query]:
         """Route a query (AST node or SQL text) to a table of this session."""
@@ -1082,20 +1030,10 @@ class EncryptedDatabase:
                 request = IndexLookupRequest(
                     labels=labels, fallback_query=encrypted_query
                 )
-                return self._request(
-                    MessageKind.INDEX_LOOKUP,
-                    handle.name,
-                    encode_index_lookup(request),
-                    expect=MessageKind.QUERY_RESULT,
-                    decode=protocol.decode_query_result,
-                )
-        return self._request(
-            MessageKind.QUERY,
-            handle.name,
-            protocol.encode_encrypted_query(encrypted_query),
-            expect=MessageKind.QUERY_RESULT,
-            decode=protocol.decode_query_result,
-        )
+                body = encode_index_lookup(request)
+                return self._request(MessageKind.INDEX_LOOKUP, handle.name, body)
+        body = protocol.encode_encrypted_query(encrypted_query)
+        return self._request(MessageKind.QUERY, handle.name, body)
 
     def _delete_matches(self, name: str, matches: list[tuple]) -> int:
         """Remove already-resolved matches; returns the logical count.
@@ -1116,27 +1054,13 @@ class EncryptedDatabase:
         self, handle: TableHandle, name: str, body: bytes, matches: list[tuple]
     ) -> int:
         if handle.indexer is not None:
-            deleted_ids = self._request(
-                MessageKind.DELETE_TUPLES_EXACT,
-                name,
-                body,
-                expect=MessageKind.TUPLE_IDS,
-                decode=protocol.decode_tuple_ids,
-            )
+            deleted_ids = self._request(MessageKind.DELETE_TUPLES_EXACT, name, body)
             delta = handle.indexer.remove_delta(
                 (plaintext, t.tuple_id) for t, plaintext in matches
             )
-            self._request(
-                MessageKind.INDEX_DELTA,
-                name,
-                encode_index_delta(delta),
-                expect=MessageKind.ACK,
-            )
+            self._request(MessageKind.INDEX_DELTA, name, encode_index_delta(delta))
             return len(deleted_ids)
-        return self._request(
-            MessageKind.DELETE_TUPLES, name, body, expect=MessageKind.ACK,
-            decode=protocol.decode_count,
-        )
+        return self._request(MessageKind.DELETE_TUPLES, name, body)
 
     def _true_matches(
         self, name: str, parsed: Query

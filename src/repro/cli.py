@@ -66,7 +66,7 @@ from repro.api import EncryptedDatabase
 from repro.crypto.keys import SecretKey
 from repro.experiments import EXPERIMENTS
 from repro.outsourcing import OutsourcedDatabaseServer, request
-from repro.outsourcing.protocol import MessageKind, decode_count, decode_relation_names
+from repro.outsourcing.protocol import MessageKind
 from repro.schemes.registry import available_schemes, create as create_scheme
 from repro.security import IndistinguishabilityGame
 from repro.security.attacks import (
@@ -83,14 +83,8 @@ def build_scheme(name: str, schema):
 
 def relation_counts(provider) -> dict[str, int]:
     """Each relation a provider stores, with its tuple count (two envelope kinds)."""
-    names = request(
-        provider, MessageKind.RELATION_NAMES, "", expect=MessageKind.RELATIONS
-    )
-    counts = {}
-    for name in decode_relation_names(names.body):
-        count = request(provider, MessageKind.TUPLE_COUNT, name, expect=MessageKind.ACK)
-        counts[name] = decode_count(count.body)
-    return counts
+    names = request(provider, MessageKind.RELATION_NAMES, "")
+    return {name: request(provider, MessageKind.TUPLE_COUNT, name) for name in names}
 
 
 def command_experiments(args: argparse.Namespace) -> int:

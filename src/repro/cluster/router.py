@@ -31,6 +31,9 @@ DDL                  ``REGISTER_EVALUATOR`` / ``DROP_RELATION`` to every
                      shard (fail-fast); ``RELATION_NAMES`` unions the lists
 ===================  ====================================================
 
+Each kind is answered, and each shard's answer checked, as
+:data:`~repro.outsourcing.protocol.ANSWERS` declares it for one provider.
+
 Writes always run fail-fast (a partially applied write is corruption).
 Scatter reads first try to *fail over*: when some shards fail but every
 ring segment still has a live replica (:meth:`ConsistentHashRing.covers`),
@@ -83,6 +86,7 @@ from repro.cluster.executor import (
 from repro.cluster.ring import ConsistentHashRing, DEFAULT_VIRTUAL_NODES
 from repro.obs import MetricsRegistry, current_trace, current_trace_id, merge_snapshots
 from repro.outsourcing import protocol
+from repro.outsourcing.client import checked_answer, request as envelope_request
 from repro.outsourcing.protocol import MessageKind, MessageV2, ProtocolError
 from repro.outsourcing.server import ServerError
 from repro.outsourcing.storage import StorageError
@@ -285,10 +289,8 @@ class _Plan:
     #: ``(router, request, raw, payload) -> {shard id: envelope bytes}``:
     #: which shards are addressed, and with which bytes each.
     targets: Callable[..., dict[str, bytes]]
-    #: The kind the router answers the session with -- which is also how
-    #: one provider answers this kind.
-    answers: MessageKind
-    #: ``(decoded per-shard answers, payload) -> the fleet's one answer``.
+    #: ``(decoded per-shard answers, payload) -> the fleet's one answer``,
+    #: which goes back as the kind ``protocol.ANSWERS`` names for the request.
     merge: Callable[[Sequence[Any], Any], Any]
     #: Decodes (and so validates) the request body into the ``payload`` that
     #: ``targets`` and ``merge`` see; None forwards it unread.
@@ -302,38 +304,12 @@ class _Plan:
     cache: str | None = None
     #: The ``ClusterStats`` recorder bumped once per routed request.
     record: Callable[[ClusterStats], None] | None = None
-    #: The kind every addressed shard must answer with, when ``targets``
-    #: sends another kind than the session's; None means ``answers``.
-    expect: MessageKind | None = None
+    #: The kind the shards are asked instead of the request's own (same
+    #: relation and body); None forwards the request's kind.
+    sends: MessageKind | None = None
     #: ``(router, request) -> None``: the router's own bookkeeping once the
     #: fleet has answered (what ``add_shard`` must replay on a newcomer).
     settle: Callable[..., None] | None = None
-
-
-def _decode_insert(body: bytes) -> EncryptedTuple:
-    encrypted_tuple, consumed = protocol.decode_encrypted_tuple(body)
-    if consumed != len(body):
-        raise ProtocolError("trailing bytes after encrypted tuple")
-    return encrypted_tuple
-
-
-#: Body codecs ``(decode, encode)`` of the answer kinds.
-_ANSWER_CODECS = {
-    MessageKind.ACK: (protocol.decode_count, protocol.encode_count),
-    MessageKind.TUPLE_IDS: (protocol.decode_tuple_ids, protocol.encode_tuple_ids),
-    MessageKind.BATCH_RESULT: (protocol.decode_result_batch, protocol.encode_result_batch),
-    MessageKind.QUERY_RESULT: (
-        protocol.decode_query_result, protocol.encode_evaluation_result
-    ),
-    MessageKind.RELATIONS: (
-        protocol.decode_relation_names, protocol.encode_relation_names
-    ),
-}
-
-
-def _decode_answer(response: MessageV2) -> Any:
-    """One shard's checked answer as a value the merges work on."""
-    return _ANSWER_CODECS[response.kind][0](response.body)
 
 
 def _first(values: Sequence[Any], _payload: Any) -> Any:
@@ -743,8 +719,8 @@ class ShardRouter:
     ) -> dict[str, Any]:
         """One envelope to each listed shard (default: the fleet), in turn.
 
-        Each shard's answer is checked and decoded as ``kind``'s row of
-        :attr:`_PLANS` says one provider answers it, and the first refusal
+        Each shard's answer is checked and decoded as ``protocol.ANSWERS``
+        says one provider answers ``kind``, and the first refusal
         raises; returns the answers by shard id.  This is how the
         rebalancer and the membership changes address individual shards.
         """
@@ -888,8 +864,8 @@ class ShardRouter:
                 self._invalidate_cache(request.relation_name)
         if plan.settle is not None:
             plan.settle(self, request)
-        body = _ANSWER_CODECS[plan.answers][1](answer)
-        return self._frame(request, plan.answers, body)
+        kind = protocol.ANSWERS[request.kind]
+        return self._frame(request, kind, protocol.ANSWER_CODECS[kind][1](answer))
 
     def _routed(self, kind: MessageKind, relation_name: str = "") -> Any:
         """The fleet's merged answer to one body-less read, decoded."""
@@ -900,10 +876,7 @@ class ShardRouter:
         self, shard: _Shard, kind: MessageKind, relation_name: str, body: bytes = b""
     ) -> Any:
         """One envelope to one shard, member or not, outside any scatter."""
-        expect = self._PLANS[kind].answers
-        step = partial(self._shard_step, shard.shard_id, expect)
-        raw = MessageV2(kind, relation_name, body).to_bytes()
-        return _decode_answer(ShardRequest(raw, step)(shard.server))
+        return envelope_request(shard.server, kind, relation_name, body, error=ClusterError)
 
     def _answer(self, plan: _Plan, request: MessageV2, raw: bytes) -> Any:
         """The fleet's merged answer, through the coordinator cache.
@@ -961,13 +934,17 @@ class ShardRouter:
         False; a read that failed over to surviving replicas is complete.
         """
         payload = plan.decode(request.body) if plan.decode is not None else None
+        kind = request.kind
+        if plan.sends is not None:
+            kind = plan.sends
+            raw = self._frame(request, kind, request.body)
         envelopes = plan.targets(self, request, raw, payload)
         if plan.record is not None:
             plan.record(self._stats)
-        expect = plan.expect or plan.answers
+        expect = protocol.ANSWERS[kind]
+        step = partial(checked_answer, expect=expect, error=ClusterError)
         requests = [
-            (shard_id, ShardRequest(envelope, partial(self._shard_step, shard_id, expect)))
-            for shard_id, envelope in envelopes.items()
+            (shard_id, ShardRequest(envelope, step)) for shard_id, envelope in envelopes.items()
         ]
         complete = True
         if not requests:
@@ -980,23 +957,9 @@ class ShardRouter:
                 read=plan.read,
             )
             responses, complete = gathered.values, not gathered.degraded
-        values = [_decode_answer(response) for response in responses]
+        decode = protocol.ANSWER_CODECS[expect][0]
+        values = [decode(response.body) for response in responses]
         return plan.merge(values, payload), complete
-
-    @staticmethod
-    def _shard_step(
-        shard_id: str, expect: MessageKind, raw_response: bytes
-    ) -> MessageV2:
-        """What one shard's answer means: the checked response, or an error."""
-        response = protocol.parse_message(raw_response)
-        if response.kind is MessageKind.ERROR:
-            raise ClusterError(response.body.decode("utf-8", "replace"))
-        if response.kind is not expect:
-            raise ClusterError(
-                f"shard {shard_id!r} answered {response.kind.value!r}, "
-                f"expected {expect.value!r}"
-            )
-        return response
 
     # -- plan targets: which shards get which bytes ---------------------- #
 
@@ -1009,12 +972,6 @@ class ShardRouter:
 
     def _to_every_shard(self, request: MessageV2, raw: bytes, payload: Any):
         return dict.fromkeys(self._shards, raw)
-
-    def _to_id_listings(self, request: MessageV2, raw: bytes, payload: Any):
-        # A logical count is the distinct ids: each shard lists its own.
-        return dict.fromkeys(
-            self._shards, self._frame(request, MessageKind.LIST_TUPLE_IDS, b"")
-        )
 
     def _to_every_shard_by_id(self, request: MessageV2, raw: bytes, ids: Sequence[bytes]):
         # Every shard gets the full id list: ring ownership is a *placement*
@@ -1059,67 +1016,53 @@ class ShardRouter:
         self._evaluators.pop(request.relation_name, None)
         self._schemas.pop(request.relation_name, None)
 
-    #: One row per routed kind: targets, answer kind, merge, then the
-    #: departures from a plain fail-fast write.  Reads scatter to the full
-    #: fleet because failover's coverage maths (``ring.covers``) needs every
-    #: shard's outcome; the metadata reads may fail over but never degrade
-    #: (a count or a stored copy must be complete).
+    #: One row per routed kind: targets, merge, then the departures from a
+    #: plain fail-fast write; the answer kinds are ``protocol.ANSWERS``'s.
+    #: Reads scatter to the full fleet because failover's coverage maths
+    #: (``ring.covers``) needs every shard's outcome; the metadata reads may
+    #: fail over but never degrade (a count or a stored copy must be complete).
     _PLANS = {
         MessageKind.INSERT_TUPLE: _Plan(
-            _to_replicas, MessageKind.ACK, _first,
-            decode=_decode_insert, record=ClusterStats.record_routed_insert,
+            _to_replicas, _first,
+            decode=protocol.decode_tuple_body, record=ClusterStats.record_routed_insert,
         ),
         MessageKind.STORE_RELATION: _Plan(
-            _to_partitions, MessageKind.ACK, _count_of_relation,
-            decode=protocol.decode_encrypted_relation,
+            _to_partitions, _count_of_relation, decode=protocol.decode_encrypted_relation
         ),
         MessageKind.DELETE_TUPLES: _Plan(
-            _to_every_shard_by_id, MessageKind.ACK, _logical_deletions,
-            decode=protocol.decode_tuple_ids,
+            _to_every_shard_by_id, _logical_deletions, decode=protocol.decode_tuple_ids
         ),
         # Like DELETE_TUPLES, the full id list goes to the whole fleet.
-        MessageKind.DELETE_TUPLES_EXACT: _Plan(
-            _to_every_shard, MessageKind.TUPLE_IDS, _union_of_ids
-        ),
-        MessageKind.LIST_TUPLE_IDS: _Plan(
-            _to_every_shard, MessageKind.TUPLE_IDS, _union_of_ids, read=True
-        ),
+        MessageKind.DELETE_TUPLES_EXACT: _Plan(_to_every_shard, _union_of_ids),
+        MessageKind.LIST_TUPLE_IDS: _Plan(_to_every_shard, _union_of_ids, read=True),
         MessageKind.QUERY: _Plan(
-            _to_every_shard, MessageKind.QUERY_RESULT, _merge_results,
-            read=True, policy=None, cache="query",
+            _to_every_shard, _merge_results, read=True, policy=None, cache="query"
         ),
         MessageKind.BATCH_QUERY: _Plan(
-            _to_every_shard, MessageKind.BATCH_RESULT, _merge_batches,
-            read=True, policy=None, cache="query",
+            _to_every_shard, _merge_batches, read=True, policy=None, cache="query"
         ),
         MessageKind.INDEX_LOOKUP: _Plan(
-            _to_every_shard, MessageKind.QUERY_RESULT, _merge_results,
-            read=True, policy=None, cache="index",
+            _to_every_shard, _merge_results, read=True, policy=None, cache="index",
             record=ClusterStats.record_index_lookup,
         ),
         MessageKind.REGISTER_EVALUATOR: _Plan(
-            _to_every_shard, MessageKind.ACK, _first, settle=_remember_evaluator
+            _to_every_shard, _first, settle=_remember_evaluator
         ),
         MessageKind.DROP_RELATION: _Plan(
-            _to_every_shard, MessageKind.ACK, _first, settle=_forget_relation
+            _to_every_shard, _first, settle=_forget_relation
         ),
-        MessageKind.FETCH_RELATION: _Plan(
-            _to_every_shard, MessageKind.QUERY_RESULT, _merge_results, read=True
-        ),
+        MessageKind.FETCH_RELATION: _Plan(_to_every_shard, _merge_results, read=True),
+        # A logical count is the distinct ids: each shard lists its own.
         MessageKind.TUPLE_COUNT: _Plan(
-            _to_id_listings, MessageKind.ACK, _distinct_ids,
-            read=True, expect=MessageKind.TUPLE_IDS,
+            _to_every_shard, _distinct_ids, read=True, sends=MessageKind.LIST_TUPLE_IDS
         ),
-        MessageKind.RELATION_NAMES: _Plan(
-            _to_every_shard, MessageKind.RELATIONS, _union_of_names, read=True
-        ),
+        MessageKind.RELATION_NAMES: _Plan(_to_every_shard, _union_of_names, read=True),
     }
     # Index writes replicate fleet-wide: every shard holds the whole index
     # (it is compact soft state), so lookups stay correct under any
     # placement -- rebalances, crash duplicates, replica reads.
     _PLANS[MessageKind.INDEX_PUT] = _PLANS[MessageKind.INDEX_DELTA] = _Plan(
-        _to_every_shard, MessageKind.ACK, _max_count,
-        record=ClusterStats.record_index_write,
+        _to_every_shard, _max_count, record=ClusterStats.record_index_write
     )
 
     # ------------------------------------------------------------------ #

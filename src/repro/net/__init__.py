@@ -43,8 +43,8 @@ machine boundary.  ``repro.net`` is that missing transport, in three layers:
     :class:`~repro.net.aio.AsyncRemoteServerProxy`, which multiplexes any
     number of in-flight requests over **one** pipelined asyncio connection
     (``connect("tcp://host:port?async=1")``).  Both retry a dead
-    connection once with at-most-once semantics for non-idempotent
-    operations.
+    connection once with at-most-once semantics for the kinds in
+    ``protocol.REPLAY_UNSAFE`` (inserts, drops and deletes).
 
 Evaluator deployment ships no objects either: a ``REGISTER_EVALUATOR``
 envelope carries the allowlisted public-parameter description of

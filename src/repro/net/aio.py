@@ -23,8 +23,9 @@ The proxy serves two worlds at once:
   flight from one coordinator thread.
 
 Failure semantics mirror the blocking proxy exactly: a call that hits a
-dead connection is retried once on a fresh one, but a non-idempotent
-operation is retried only when its request never reached the wire
+dead connection is retried once on a fresh one, but a kind in
+:data:`~repro.outsourcing.protocol.REPLAY_UNSAFE` (insert, drop, both
+deletes) is retried only when its request never reached the wire
 (at-most-once).  When a multiplexed connection dies, every in-flight
 request fails with ``request_delivered=True`` -- the provider may have
 processed any of them -- and each caller applies that same rule
@@ -434,7 +435,7 @@ class AsyncRemoteServerProxy(RemoteProxyBase):
         """Async twin of :meth:`handle_message`, same retry semantics."""
         _, kind, _ = protocol.peek_envelope(raw)  # O(header) on the loop thread
         return await self.call_envelope_async(
-            raw, idempotent=kind not in self.NON_IDEMPOTENT_KINDS, trace_id=trace_id
+            raw, idempotent=kind not in protocol.REPLAY_UNSAFE, trace_id=trace_id
         )
 
     async def call_envelope_async(

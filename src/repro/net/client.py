@@ -49,7 +49,6 @@ from repro.net.framing import (
 from repro.net import wire
 from repro.obs import current_trace
 from repro.outsourcing import protocol
-from repro.outsourcing.protocol import MessageKind
 from repro.outsourcing.server import ServerError
 
 
@@ -344,15 +343,6 @@ class RemoteProxyBase:
     proxies, so their sync surfaces cannot drift apart.
     """
 
-    #: Envelope kinds whose replay would change provider state a second time:
-    #: INSERT_TUPLE appends blindly, and a replayed DROP_RELATION that was
-    #: applied would surface a spurious "no such relation" error.  (A
-    #: STORE_RELATION replaces, DELETE_TUPLES ignores unknown ids, reads are
-    #: read-only.)
-    NON_IDEMPOTENT_KINDS = frozenset(
-        {MessageKind.INSERT_TUPLE, MessageKind.DROP_RELATION}
-    )
-
     # ------------------------------------------------------------------ #
     # Transport primitives (implemented by the frontends)
     # ------------------------------------------------------------------ #
@@ -373,10 +363,14 @@ class RemoteProxyBase:
         self.close()
 
     def handle_message(self, raw: bytes) -> bytes:
-        """Ship one protocol envelope and return the provider's response."""
+        """Ship one protocol envelope and return the provider's response.
+
+        A kind in :data:`~repro.outsourcing.protocol.REPLAY_UNSAFE` is never
+        resent once it may have reached the provider.
+        """
         _, kind, _ = protocol.peek_envelope(raw)  # O(header): no body copy
         return self._transport_envelope(
-            raw, idempotent=kind not in self.NON_IDEMPOTENT_KINDS
+            raw, idempotent=kind not in protocol.REPLAY_UNSAFE
         )
 
     # ------------------------------------------------------------------ #

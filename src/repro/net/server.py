@@ -557,17 +557,12 @@ class DatabaseTcpServer:
         if op == "ping":
             return {"ok": True}
         if op == "stats":
-            names = envelope_request(
-                self._database,
-                MessageKind.RELATION_NAMES,
-                "",
-                expect=MessageKind.RELATIONS,
-            )
+            names = envelope_request(self._database, MessageKind.RELATION_NAMES, "")
             report = {
                 "ok": True,
                 "stats": self.stats.as_dict(),
                 "audit": self._database.audit_log.summary(),
-                "relations": list(protocol.decode_relation_names(names.body)),
+                "relations": list(names),
             }
             index_stats = getattr(self._database, "index_stats", None)
             if index_stats is not None:

@@ -20,6 +20,13 @@ whatever Eve is asked to do, she is asked in bytes that
 :meth:`~repro.outsourcing.server.OutsourcedDatabaseServer.handle_message`
 parses, audits and times.
 
+Which kind answers which is declared once, here: :data:`ANSWERS` maps each
+request kind to its one answer kind (a refusal is ``ERROR``),
+:data:`ANSWER_CODECS` gives each answer kind's body codec and
+:data:`REPLAY_UNSAFE` lists the kinds a transport never resends.  The
+provider, the shard router and the request helper all read them, so a new
+kind is one row here, one provider branch and one router plan.
+
 * **v2** -- ``V2_MAGIC | version | kind | relation_name | body``.
 * **v3** -- byte-for-byte the v2 layout with version byte ``3`` and exactly
   :data:`TRACE_ID_SIZE` trailing bytes carrying a trace id (see
@@ -197,6 +204,14 @@ def _decode_tuple_at(raw: bytes, offset: int, end: int) -> tuple[EncryptedTuple,
 def decode_encrypted_tuple(raw: bytes, offset: int = 0) -> tuple[EncryptedTuple, int]:
     """Parse one tuple ciphertext, returning it and the next offset."""
     return _decode_tuple_at(raw, offset, len(raw))
+
+
+def decode_tuple_body(raw: bytes) -> EncryptedTuple:
+    """Parse an ``INSERT_TUPLE`` body: one tuple ciphertext, nothing after it."""
+    encrypted_tuple, consumed = _decode_tuple_at(raw, 0, len(raw))
+    if consumed != len(raw):
+        raise ProtocolError("trailing bytes after encrypted tuple")
+    return encrypted_tuple
 
 
 def encode_encrypted_relation(encrypted_relation: EncryptedRelation) -> bytes:
@@ -475,6 +490,45 @@ class MessageKind(Enum):
     DROP_RELATION = "delete-relation"
     RELATION_NAMES = "list-relations"
     RELATIONS = "relations"
+
+
+#: The one kind each request kind is answered with (a refusal is ``ERROR``).
+ANSWERS = {
+    MessageKind.STORE_RELATION: MessageKind.ACK,
+    MessageKind.INSERT_TUPLE: MessageKind.ACK,
+    MessageKind.QUERY: MessageKind.QUERY_RESULT,
+    MessageKind.DELETE_TUPLES: MessageKind.ACK,
+    MessageKind.BATCH_QUERY: MessageKind.BATCH_RESULT,
+    MessageKind.LIST_TUPLE_IDS: MessageKind.TUPLE_IDS,
+    MessageKind.DELETE_TUPLES_EXACT: MessageKind.TUPLE_IDS,
+    MessageKind.INDEX_PUT: MessageKind.ACK,
+    MessageKind.INDEX_DELTA: MessageKind.ACK,
+    MessageKind.INDEX_LOOKUP: MessageKind.QUERY_RESULT,
+    MessageKind.REGISTER_EVALUATOR: MessageKind.ACK,
+    MessageKind.FETCH_RELATION: MessageKind.QUERY_RESULT,
+    MessageKind.TUPLE_COUNT: MessageKind.ACK,
+    MessageKind.DROP_RELATION: MessageKind.ACK,
+    MessageKind.RELATION_NAMES: MessageKind.RELATIONS,
+}
+
+#: Body codecs ``(decode, encode)`` of the answer kinds.
+ANSWER_CODECS = {
+    MessageKind.ACK: (decode_count, encode_count),
+    MessageKind.QUERY_RESULT: (decode_query_result, encode_evaluation_result),
+    MessageKind.BATCH_RESULT: (decode_result_batch, encode_result_batch),
+    MessageKind.TUPLE_IDS: (decode_tuple_ids, encode_tuple_ids),
+    MessageKind.RELATIONS: (decode_relation_names, encode_relation_names),
+}
+
+#: Request kinds a transport never resends once they may have been delivered:
+#: a replayed insert adds a second copy, a replayed drop finds no relation and
+#: a replayed delete finds its ids gone, so it answers 0 for removed tuples.
+REPLAY_UNSAFE = frozenset({
+    MessageKind.INSERT_TUPLE,
+    MessageKind.DROP_RELATION,
+    MessageKind.DELETE_TUPLES,
+    MessageKind.DELETE_TUPLES_EXACT,
+})
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,9 @@ deployment included -- arrives as an envelope.  The typed methods
 (:meth:`~OutsourcedDatabaseServer.register_evaluator`,
 :meth:`~OutsourcedDatabaseServer.insert_tuple`, ...) are the steps
 ``_dispatch`` calls for those envelopes; test doubles override them to
-inject faults.
+inject faults.  A step's answer is a value (a count, a result, ids, names)
+that ``handle_message`` frames as :data:`~repro.outsourcing.protocol.ANSWERS`
+and ``ANSWER_CODECS`` say, so no branch names an answer kind or codec.
 """
 
 from __future__ import annotations
@@ -50,6 +52,15 @@ from repro.outsourcing.storage import (
 
 #: The ``relation`` metric label of every name the provider does not know.
 UNKNOWN_RELATION = "(unknown)"
+
+#: The request kinds whose envelope carries no body.
+_BODYLESS = frozenset({
+    MessageKind.LIST_TUPLE_IDS,
+    MessageKind.FETCH_RELATION,
+    MessageKind.TUPLE_COUNT,
+    MessageKind.DROP_RELATION,
+    MessageKind.RELATION_NAMES,
+})
 
 #: Writes whose cost is the request's on a ``bounded_by_request`` store.
 _BOUNDED_WRITES = (
@@ -388,18 +399,26 @@ class OutsourcedDatabaseServer:
     def handle_message(self, raw: bytes) -> bytes:
         """Process one protocol frame and return the serialized response.
 
-        Failures inside a well-framed request come back as ``ERROR``
-        messages rather than exceptions, mirroring what a remote provider
-        would do; a frame that does not parse raises :class:`ProtocolError`.
+        The step's answer goes back as the kind
+        :data:`~repro.outsourcing.protocol.ANSWERS` names for the request,
+        encoded by that kind's codec.  Failures inside a well-framed
+        request -- an unknown request kind included -- come back as
+        ``ERROR`` messages rather than exceptions, mirroring what a remote
+        provider would do; a frame that does not parse raises
+        :class:`ProtocolError`.
         """
         request = protocol.parse_message(raw)
+        kind = request.kind
         started = time.monotonic()
         outcome = "ok"
-        with obs_span(
-            f"provider.{request.kind.value}", relation=request.relation_name
-        ) as op_span:
+        with obs_span(f"provider.{kind.value}", relation=request.relation_name) as op_span:
             try:
-                response = self._dispatch(request)
+                answer_kind = protocol.ANSWERS.get(kind)
+                if answer_kind is None:
+                    raise ServerError(f"cannot serve message kind {kind.value!r}")
+                if kind in _BODYLESS and request.body:
+                    raise ProtocolError(f"a {kind.value} request carries no body")
+                body = protocol.ANSWER_CODECS[answer_kind][1](self._dispatch(request))
             # Malformed trapdoors are a DphError, raised when the evaluator
             # compiles the query; ValueError covers other scheme bytes
             # rejected deep inside an evaluator.
@@ -408,100 +427,63 @@ class OutsourcedDatabaseServer:
             ) as exc:
                 outcome = "error"
                 op_span.annotations["error"] = str(exc)
-                response = _answer(request, MessageKind.ERROR, str(exc).encode("utf-8"))
+                answer_kind, body = MessageKind.ERROR, str(exc).encode("utf-8")
         self._metrics.histogram(
             "provider_op_seconds",
-            op_kind=request.kind.value,
+            op_kind=kind.value,
             relation=self.metric_relation(request.relation_name),
             outcome=outcome,
         ).observe(time.monotonic() - started)
-        return response.to_bytes()
+        return MessageV2(answer_kind, request.relation_name, body).to_bytes()
 
-    def _dispatch(self, request: MessageV2) -> MessageV2:
+    def _dispatch(self, request: MessageV2):
+        """Run the step ``request`` asks for; its answer, still to be encoded."""
         name = request.relation_name
         kind = request.kind
+        body = request.body
         if kind is MessageKind.STORE_RELATION:
-            encrypted_relation = protocol.decode_encrypted_relation(request.body)
-            evaluator = self._evaluator(name)
-            self.store_relation(name, encrypted_relation, evaluator)
-            count = protocol.encode_count(len(encrypted_relation))
-            return _answer(request, MessageKind.ACK, count)
+            encrypted_relation = protocol.decode_encrypted_relation(body)
+            self.store_relation(name, encrypted_relation, self._evaluator(name))
+            return len(encrypted_relation)
         if kind is MessageKind.INSERT_TUPLE:
-            encrypted_tuple, consumed = protocol.decode_encrypted_tuple(request.body)
-            if consumed != len(request.body):
-                raise ProtocolError("trailing bytes after encrypted tuple")
-            self.insert_tuple(name, encrypted_tuple)
-            return _answer(request, MessageKind.ACK, protocol.encode_count(1))
+            self.insert_tuple(name, protocol.decode_tuple_body(body))
+            return 1
         if kind is MessageKind.QUERY:
-            encrypted_query = protocol.decode_encrypted_query(request.body)
-            result = self.execute_query(name, encrypted_query)
-            body = protocol.encode_evaluation_result(result)
-            return _answer(request, MessageKind.QUERY_RESULT, body)
+            return self.execute_query(name, protocol.decode_encrypted_query(body))
         if kind is MessageKind.DELETE_TUPLES:
-            tuple_ids = protocol.decode_tuple_ids(request.body)
-            deleted = self.delete_tuples(name, tuple_ids)
-            return _answer(request, MessageKind.ACK, protocol.encode_count(deleted))
+            return self.delete_tuples(name, protocol.decode_tuple_ids(body))
         if kind is MessageKind.BATCH_QUERY:
-            queries = protocol.decode_query_batch(request.body)
-            results = self.execute_batch(name, queries)
-            return _answer(
-                request, MessageKind.BATCH_RESULT, protocol.encode_result_batch(results)
-            )
+            return self.execute_batch(name, protocol.decode_query_batch(body))
         if kind is MessageKind.LIST_TUPLE_IDS:
-            _no_body(request)
-            ids = self.list_tuple_ids(name)
-            body = protocol.encode_tuple_ids(ids)
-            return _answer(request, MessageKind.TUPLE_IDS, body)
+            return self.list_tuple_ids(name)
         if kind is MessageKind.DELETE_TUPLES_EXACT:
-            tuple_ids = protocol.decode_tuple_ids(request.body)
-            deleted_ids = self.delete_tuples_exact(name, tuple_ids)
-            return _answer(
-                request, MessageKind.TUPLE_IDS, protocol.encode_tuple_ids(deleted_ids)
-            )
+            return self.delete_tuples_exact(name, protocol.decode_tuple_ids(body))
         if kind is MessageKind.INDEX_PUT:
             from repro.index.wire import decode_index_snapshot
 
-            labels = self.put_index(name, decode_index_snapshot(request.body))
-            return _answer(request, MessageKind.ACK, protocol.encode_count(labels))
+            return self.put_index(name, decode_index_snapshot(body))
         if kind is MessageKind.INDEX_DELTA:
             from repro.index.wire import decode_index_delta
 
-            applied = self.apply_index_delta(name, decode_index_delta(request.body))
-            return _answer(request, MessageKind.ACK, protocol.encode_count(applied))
+            return self.apply_index_delta(name, decode_index_delta(body))
         if kind is MessageKind.INDEX_LOOKUP:
             from repro.index.wire import decode_index_lookup
 
-            result = self.index_lookup(name, decode_index_lookup(request.body))
-            body = protocol.encode_evaluation_result(result)
-            return _answer(request, MessageKind.QUERY_RESULT, body)
+            return self.index_lookup(name, decode_index_lookup(body))
         if kind is MessageKind.REGISTER_EVALUATOR:
-            description = protocol.decode_evaluator_description(request.body)
+            description = protocol.decode_evaluator_description(body)
             self.register_evaluator(name, build_evaluator(description))
-            return _answer(request, MessageKind.ACK, protocol.encode_count(1))
+            return 1
         if kind is MessageKind.FETCH_RELATION:
-            _no_body(request)
-            relation = self.stored_relation(name)
-            return _answer(
-                request,
-                MessageKind.QUERY_RESULT,
-                protocol.encode_evaluation_result(EvaluationResult(matching=relation)),
-            )
+            return EvaluationResult(matching=self.stored_relation(name))
         if kind is MessageKind.TUPLE_COUNT:
-            _no_body(request)
-            count = protocol.encode_count(self.tuple_count(name))
-            return _answer(request, MessageKind.ACK, count)
+            return self.tuple_count(name)
         if kind is MessageKind.DROP_RELATION:
-            _no_body(request)
             self.drop_relation(name)
-            return _answer(request, MessageKind.ACK, protocol.encode_count(1))
+            return 1
         if kind is MessageKind.RELATION_NAMES:
-            _no_body(request)
-            return _answer(
-                request,
-                MessageKind.RELATIONS,
-                protocol.encode_relation_names(self.relation_names),
-            )
-        raise ServerError(f"cannot serve message kind {kind.value!r}")
+            return self.relation_names
+        raise ServerError(f"no step serves message kind {kind.value!r}")
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -551,13 +533,3 @@ class OutsourcedDatabaseServer:
             token_count=len(encrypted_query.tokens),
         )
         return result
-
-
-def _answer(request: MessageV2, kind: MessageKind, body: bytes) -> MessageV2:
-    """The response to ``request``: same relation, untraced."""
-    return MessageV2(kind=kind, relation_name=request.relation_name, body=body)
-
-
-def _no_body(request: MessageV2) -> None:
-    if request.body:
-        raise ProtocolError(f"a {request.kind.value} request carries no body")

@@ -58,11 +58,23 @@ def delete(db, key):
 
 
 def create_table(db, key):
-    return db.create_table("Dept(code:string[5], floor:int[2])")
+    return db.create_table("Dept(code:string[5], floor:int[6])")
 
 
 def attach_table(db, key):
     return EncryptedDatabase(key, db.server, "swp").attach_table(EMP_DECL)
+
+
+def insert(db, key):
+    return db.insert("Emp", ("Brown", "IT", 6100))
+
+
+def update(db, key):
+    return db.update("SELECT * FROM Emp WHERE dept = 'IT'", {"salary": 5300})
+
+
+def drop_table(db, key):
+    return db.drop_table("Emp")
 
 
 #: session call -> (the reply kind it decodes, whether the session is indexed)
@@ -76,8 +88,21 @@ CASES = {
     attach_table: (MessageKind.QUERY_RESULT, False),
     "indexed select": (MessageKind.QUERY_RESULT, True),
     "indexed delete": (MessageKind.TUPLE_IDS, True),
+    # An ACK's count is decoded too, even where the session has no use for it.
+    insert: (MessageKind.ACK, False),
+    "indexed insert": (MessageKind.ACK, True),
+    update: (MessageKind.ACK, False),
+    drop_table: (MessageKind.ACK, False),
+    "create_table with a damaged ACK": (MessageKind.ACK, False),
 }
-CALLS = {"indexed select": select, "indexed delete": delete}
+CALLS = {
+    "indexed select": select,
+    "indexed delete": delete,
+    "indexed insert": insert,
+    "create_table with a damaged ACK": create_table,
+}
+#: Rows a failed call leaves behind: its request landed, only the reply was damaged.
+ADDED = {insert: 1, update: 1}
 
 
 @pytest.mark.parametrize(
@@ -95,4 +120,8 @@ def test_a_truncated_reply_body_is_a_database_error(case, secret_key):
     assert isinstance(raised.value.__cause__, ProtocolError)
     assert str(raised.value) == str(raised.value.__cause__)
     provider.damage = frozenset()
-    assert db.count("Emp") in (len(ROWS), len(ROWS) - 1)  # the session lives on
+    db.create_table("After(name:string[14])", rows=[("Brown",)])  # the session lives on
+    assert db.count("After") == 1
+    if call is not drop_table:
+        rows = db.count("Emp") - ADDED.get(case, 0)
+        assert rows in (len(ROWS), len(ROWS) - 1)

@@ -7,6 +7,8 @@ unversioned v1 framing, is refused by every reader.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -540,3 +542,82 @@ class TestRawHelpers:
         assert version == PROTOCOL_V3
         assert kind is MessageKind.QUERY
         assert relation == "Emp"
+
+
+class _RecordingShard:
+    """An in-process provider that logs every ``(request, answer)`` it sees."""
+
+    def __init__(self, log: list) -> None:
+        from repro.outsourcing import OutsourcedDatabaseServer
+
+        self._provider = OutsourcedDatabaseServer()
+        self._log = log
+
+    def handle_message(self, raw: bytes) -> bytes:
+        answer = self._provider.handle_message(raw)
+        self._log.append((parse_message(raw), parse_message(answer)))
+        return answer
+
+
+@pytest.fixture(scope="module")
+def provider_answers():
+    """Every envelope an in-process provider answered under a session workload.
+
+    A plain and an indexed session, on one provider and behind a router
+    (which counts by ``LIST_TUPLE_IDS``), send every request kind there is,
+    so each shows up here with real, well-formed bodies.
+    """
+    from repro.api import EncryptedDatabase
+    from repro.cluster import ShardRouter
+    from repro.crypto.keys import SecretKey
+    from repro.crypto.rng import DeterministicRng
+
+    log: list = []
+    router = ShardRouter([_RecordingShard(log), _RecordingShard(log)])
+    providers = (_RecordingShard(log), router)
+    for provider, index in itertools.product(providers, (False, True)):
+        rng = DeterministicRng(7)
+        key = SecretKey.generate(rng=rng)
+        db = EncryptedDatabase(key, provider, "swp", index=index, rng=rng)
+        db.create_table(
+            "Emp(name:string[14], dept:string[5], salary:int[6])",
+            rows=[("Montgomery", "HR", 7500), ("Smith", "IT", 5200)],
+        )
+        db.insert("Emp", ("Jones", "HR", 7500))
+        db.select("SELECT * FROM Emp WHERE dept = 'HR'")
+        db.select_many(["SELECT * FROM Emp WHERE dept = 'IT'"])
+        db.retrieve_all("Emp")
+        db.count("Emp")
+        db.delete("SELECT * FROM Emp WHERE dept = 'IT'")
+        db.drop_table("Emp")
+    router.close()
+    return log
+
+
+@pytest.mark.parametrize("kind", list(MessageKind), ids=lambda kind: kind.value)
+def test_each_kind_is_declared_once_and_every_layer_serves_it(kind, provider_answers):
+    """``ANSWERS`` / ``ANSWER_CODECS`` hold every kind, and the layers agree.
+
+    A kind is exactly one of ``ERROR``, a request kind (a key of
+    ``ANSWERS``, routed by a row of ``ShardRouter._PLANS``, answered by a
+    provider with ``ANSWERS[kind]`` or ``ERROR``) and an answer kind (a key
+    of ``ANSWER_CODECS``, whose codec re-encodes a real answer body byte for
+    byte).
+    """
+    from repro.cluster import ShardRouter
+
+    roles = (
+        kind is MessageKind.ERROR, kind in protocol.ANSWERS, kind in protocol.ANSWER_CODECS
+    )
+    assert sum(roles) == 1, roles
+    if kind in protocol.ANSWERS:
+        assert kind in ShardRouter._PLANS
+        kinds = {answer.kind for request, answer in provider_answers if request.kind is kind}
+        assert protocol.ANSWERS[kind] in kinds, f"no {kind.value} request was answered"
+        assert kinds <= {protocol.ANSWERS[kind], MessageKind.ERROR}
+    if kind in protocol.ANSWER_CODECS:
+        decode, encode = protocol.ANSWER_CODECS[kind]
+        bodies = [answer.body for _, answer in provider_answers if answer.kind is kind]
+        assert bodies, f"no provider answered with {kind.value}"
+        for body in bodies:
+            assert encode(decode(body)) == body

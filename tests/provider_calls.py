@@ -2,10 +2,10 @@
 
 A provider, a ``tcp://`` proxy and a shard router all answer one surface,
 ``handle_message``; a test that pokes one directly sends the operation's
-envelope through :func:`repro.outsourcing.request` and decodes the answer
-here.  A refusal raises ``error`` (``ServerError`` unless the caller says
-otherwise).  Lives next to ``tests/conftest.py``, which puts this directory
-on ``sys.path``.
+envelope through :func:`repro.outsourcing.request`, which returns the
+answer decoded as ``protocol.ANSWERS`` declares it.  A refusal raises
+``error`` (``ServerError`` unless the caller says otherwise).  Lives next
+to ``tests/conftest.py``, which puts this directory on ``sys.path``.
 """
 
 from __future__ import annotations
@@ -14,28 +14,20 @@ from repro.outsourcing import MessageKind, ServerError, protocol, request
 from repro.outsourcing.evaluators import describe_evaluator
 
 
-def _send(provider, kind, name, body=b"", expect=MessageKind.ACK, error=ServerError):
-    return request(provider, kind, name, body, expect=expect, error=error)
+def _send(provider, kind, name, body=b"", error=ServerError):
+    return request(provider, kind, name, body, error=error)
 
 
 def relation_names(provider, error=ServerError) -> tuple[str, ...]:
-    response = _send(
-        provider, MessageKind.RELATION_NAMES, "", expect=MessageKind.RELATIONS, error=error
-    )
-    return protocol.decode_relation_names(response.body)
+    return _send(provider, MessageKind.RELATION_NAMES, "", error=error)
 
 
 def stored_relation(provider, name: str, error=ServerError):
-    response = _send(
-        provider, MessageKind.FETCH_RELATION, name,
-        expect=MessageKind.QUERY_RESULT, error=error,
-    )
-    return protocol.decode_query_result(response.body).matching
+    return _send(provider, MessageKind.FETCH_RELATION, name, error=error).matching
 
 
 def tuple_count(provider, name: str, error=ServerError) -> int:
-    response = _send(provider, MessageKind.TUPLE_COUNT, name, error=error)
-    return protocol.decode_count(response.body)
+    return _send(provider, MessageKind.TUPLE_COUNT, name, error=error)
 
 
 def drop_relation(provider, name: str, error=ServerError) -> None:
@@ -59,39 +51,24 @@ def insert_tuple(provider, name: str, encrypted_tuple, error=ServerError) -> Non
 
 
 def execute_query(provider, name: str, encrypted_query, error=ServerError):
-    response = _send(
-        provider, MessageKind.QUERY, name, protocol.encode_encrypted_query(encrypted_query),
-        expect=MessageKind.QUERY_RESULT, error=error,
-    )
-    return protocol.decode_query_result(response.body)
+    body = protocol.encode_encrypted_query(encrypted_query)
+    return _send(provider, MessageKind.QUERY, name, body, error=error)
 
 
 def execute_batch(provider, name: str, encrypted_queries, error=ServerError) -> list:
-    response = _send(
-        provider, MessageKind.BATCH_QUERY, name,
-        protocol.encode_query_batch(encrypted_queries),
-        expect=MessageKind.BATCH_RESULT, error=error,
-    )
-    return list(protocol.decode_result_batch(response.body))
+    body = protocol.encode_query_batch(encrypted_queries)
+    return list(_send(provider, MessageKind.BATCH_QUERY, name, body, error=error))
 
 
 def delete_tuples(provider, name: str, tuple_ids, error=ServerError) -> int:
     body = protocol.encode_tuple_ids(list(tuple_ids))
-    response = _send(provider, MessageKind.DELETE_TUPLES, name, body, error=error)
-    return protocol.decode_count(response.body)
+    return _send(provider, MessageKind.DELETE_TUPLES, name, body, error=error)
 
 
 def delete_tuples_exact(provider, name: str, tuple_ids, error=ServerError) -> tuple:
-    response = _send(
-        provider, MessageKind.DELETE_TUPLES_EXACT, name,
-        protocol.encode_tuple_ids(list(tuple_ids)),
-        expect=MessageKind.TUPLE_IDS, error=error,
-    )
-    return protocol.decode_tuple_ids(response.body)
+    body = protocol.encode_tuple_ids(list(tuple_ids))
+    return _send(provider, MessageKind.DELETE_TUPLES_EXACT, name, body, error=error)
 
 
 def list_tuple_ids(provider, name: str, error=ServerError) -> tuple:
-    response = _send(
-        provider, MessageKind.LIST_TUPLE_IDS, name, expect=MessageKind.TUPLE_IDS, error=error
-    )
-    return protocol.decode_tuple_ids(response.body)
+    return _send(provider, MessageKind.LIST_TUPLE_IDS, name, error=error)
