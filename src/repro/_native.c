@@ -42,12 +42,14 @@
  * then per tuple a 4-byte body length and a body of id, payload, counted
  * search fields and metadata, each length-prefixed.  Each tuple is built as
  * the Python walk builds it, ``object.__new__(tuple_type)`` and
- * ``object.__setattr__`` of its four fields and of ``wire``, the body it was
- * parsed from.  Any irregular framing -- a part past its bounds, bytes left
- * in a body or after the last tuple, a raw that is not exactly ``bytes`` --
- * returns None, and the caller's Python walk raises its own ProtocolError.  A
- * claimed count is checked against the bytes that could back it before any
- * allocation, so memory is bounded by the frame, never by the peer's count.
+ * ``object.__setattr__`` of its four fields and of ``framed``, the tuple as
+ * the frame carries it: one slice from its 4-byte body length to the end of
+ * the body, so a provider re-emits it in a join, prefix included.  Any
+ * irregular framing -- a part past its bounds, bytes left in a body or after
+ * the last tuple, a raw that is not exactly ``bytes`` -- returns None, and
+ * the caller's Python walk raises its own ProtocolError.  A claimed count is
+ * checked against the bytes that could back it before any allocation, so
+ * memory is bounded by the frame, never by the peer's count.
  *
  * decode_rows(rows, plan, tuple_type, schema) decodes each TupleCodec row
  * (per value a 2-byte length and the value's bytes; ``plan`` is the codec's
@@ -1070,7 +1072,7 @@ read_u32(const unsigned char *p)
 
 /* Names the tuple walk and the row decode set, interned at import. */
 static PyObject *tuple_id_name, *payload_name, *search_fields_name, *metadata_name,
-    *wire_name, *schema_name, *values_name, *no_arguments;
+    *framed_name, *schema_name, *values_name, *no_arguments;
 
 /* ``object.__new__(cls)``: an instance its class's ``__init__`` never saw. */
 static PyObject *
@@ -1133,7 +1135,7 @@ tuple_at(const unsigned char *data, Py_ssize_t *offset, Py_ssize_t end,
     Py_ssize_t metadata_start, field_start, field_count, i;
     PyObject *fields, *field, *instance;
     PyObject *names[5] = {tuple_id_name, payload_name, search_fields_name,
-                          metadata_name, wire_name};
+                          metadata_name, framed_name};
     PyObject *values[5];
 
     body_end = *offset;
@@ -1188,7 +1190,7 @@ tuple_at(const unsigned char *data, Py_ssize_t *offset, Py_ssize_t end,
     values[1] = bytes_between(data, payload_start, payload_end);
     values[2] = fields;
     values[3] = bytes_between(data, metadata_start, body_end);
-    values[4] = bytes_between(data, begin, body_end);
+    values[4] = bytes_between(data, begin - 4, body_end);
     if (set_stolen(instance, 5, names, values) < 0) {
         Py_DECREF(instance);
         return -1;
@@ -1466,7 +1468,7 @@ PyInit__native(void)
     } interned[] = {
         {&tuple_id_name, "tuple_id"}, {&payload_name, "payload"},
         {&search_fields_name, "search_fields"}, {&metadata_name, "metadata"},
-        {&wire_name, "wire"}, {&schema_name, "_schema"}, {&values_name, "_values"},
+        {&framed_name, "framed"}, {&schema_name, "_schema"}, {&values_name, "_values"},
     };
     size_t i;
 

@@ -44,6 +44,7 @@ from repro.core.dph import (
     DatabasePrivacyHomomorphism,
     DecryptionReport,
     EvaluationResult,
+    filter_tuples,
 )
 from repro.crypto.keys import SecretKey
 from repro.crypto.rng import RandomSource
@@ -1067,15 +1068,13 @@ class EncryptedDatabase:
     ) -> list[tuple]:
         """Decrypted true matches of a query: ``(encrypted_tuple, plaintext)`` pairs."""
         handle = self.table(name)
-        result = self._run_query(handle, parsed).evaluation
-        predicates = selection_predicates(parsed)
-        returned = result.matching.encrypted_tuples
+        returned = self._run_query(handle, parsed).evaluation.matching.encrypted_tuples
+        plaintexts = handle.scheme.decrypt_tuples(returned)
+        kept = set(map(id, filter_tuples(handle.schema, plaintexts, parsed).relation))
         return [
             (encrypted_tuple, plaintext)
-            for encrypted_tuple, plaintext in zip(
-                returned, handle.scheme.decrypt_tuples(returned)
-            )
-            if all(p.matches(plaintext) for p in predicates)
+            for encrypted_tuple, plaintext in zip(returned, plaintexts)
+            if id(plaintext) in kept
         ]
 
     def _outcome(
@@ -1093,7 +1092,7 @@ class EncryptedDatabase:
         else:
             rows, returned, false_positives, kept = answer.decrypted
             report = DecryptionReport(
-                Relation(handle.schema, rows), returned, false_positives, kept
+                Relation._of_checked(handle.schema, rows), returned, false_positives, kept
             )
         projected = None
         if isinstance(parsed, Projection) and parsed.attributes:

@@ -80,13 +80,13 @@ class EncryptedTuple:
     search_fields: tuple[bytes, ...] = ()
     metadata: bytes = b""
 
-    #: The bytes :func:`repro.outsourcing.protocol.decode_encrypted_tuple`
-    #: parsed this ciphertext from, which ``encode_encrypted_tuple`` hands
-    #: back instead of encoding it again (the codec is canonical, so they
-    #: equal a fresh encode).  Not a field: only the decoder sets it, on the
-    #: instance, and it takes no part in ``==``, ``hash``, ``repr`` or
-    #: ``dataclasses.replace``; the class is frozen, so it never goes stale.
-    wire = None
+    #: The 4-byte body length and the body a decoder parsed this ciphertext
+    #: from, as a relation frame carries it; the encoders join it instead of
+    #: encoding again (the codec is canonical, so it equals a fresh encode).
+    #: Not a field: only a decoder sets it, on the instance, and it takes no
+    #: part in ``==``, ``hash``, ``repr`` or ``dataclasses.replace``; the
+    #: class is frozen, so it never goes stale.
+    framed = None
 
     def size_in_bytes(self) -> int:
         """Total storage footprint of this ciphertext."""
@@ -263,25 +263,29 @@ def filter_tuples(
     (plain ``D``).  Projections are ignored at this stage -- the filter only
     drops tuples that fail the selection predicates; projecting columns is a
     separate, lossless step the caller can apply afterwards.
+
+    When every row is a :class:`RelationTuple` of ``schema`` itself (what
+    ``decrypt_tuples`` returns), each predicate is one list pass by position
+    and the survivors are not checked against the schema again; any other
+    rows take the per-row path, with its errors.
     """
     predicates = () if query is None else selection_predicates(query)
     for predicate in predicates:
         predicate.validate(schema)
-    kept = []
-    returned = 0
-    for relation_tuple in tuples:
-        returned += 1
+    rows = list(tuples)
+    returned = len(rows)
+    for row in rows:
+        if row.__class__ is not RelationTuple or row._schema is not schema:
+            rows = [r for r in rows if all(p.matches(r) for p in predicates)]
+            relation = Relation(schema, rows)
+            break
+    else:
         for predicate in predicates:
-            if not predicate.matches(relation_tuple):
-                break
-        else:
-            kept.append(relation_tuple)
-    return DecryptionReport(
-        relation=Relation(schema, kept),
-        returned=returned,
-        false_positives=returned - len(kept),
-        kept=len(kept),
-    )
+            position, value = schema.position(predicate.attribute), predicate.value
+            rows = [row for row in rows if row._values[position] == value]
+        relation = Relation._of_checked(schema, rows)
+    kept = len(rows)
+    return DecryptionReport(relation, returned, returned - kept, kept)
 
 
 class DatabasePrivacyHomomorphism(ABC):

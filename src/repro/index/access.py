@@ -87,10 +87,17 @@ class RelationIndex:
         A label with no postings (never indexed, or emptied by deletes)
         makes the whole intersection empty.  The result may contain dummy
         padding ids and stale ids; both fetch nothing from the store.
+
+        Tombstones are always members (:meth:`apply_delta` tombstones no
+        other id), so a label without any is not copied: for one label the
+        result may be the index's own set, which callers only read.
         """
         result: set[bytes] | None = None
         for label in labels:
-            live = self._members.get(label, set()) - self._tombstones.get(label, set())
+            live = self._members.get(label, frozenset())
+            tombstones = self._tombstones.get(label)
+            if tombstones:
+                live = live - tombstones
             result = live if result is None else result & live
             if not result:
                 return set()
@@ -98,7 +105,7 @@ class RelationIndex:
 
     def live_posting_count(self, label: bytes) -> int:
         """Live (non-tombstoned) posting slots of one label, dummies included."""
-        return len(self._members.get(label, set()) - self._tombstones.get(label, set()))
+        return len(self._members.get(label, ())) - len(self._tombstones.get(label, ()))
 
     def sealed_bucket_count(self, label: bytes | None = None) -> int:
         if label is not None:

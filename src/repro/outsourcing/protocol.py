@@ -43,7 +43,9 @@ carries any other version byte is a :class:`ProtocolError`.
 
 Encoding conventions: all integers are big-endian; variable-length byte
 strings are length-prefixed with 4 bytes; sequences are prefixed with a
-4-byte element count.
+4-byte element count.  A decoded tuple keeps its frame, length included, as
+``EncryptedTuple.framed``, so a relation or a result of decoded tuples is
+one join over those memos.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ import json
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from repro import native
@@ -81,6 +84,7 @@ _U32 = struct.Struct(">I")
 
 _new_object = object.__new__
 _set = object.__setattr__
+_framed = attrgetter("framed")
 
 #: Distinct schema declarations whose parse -- and, the other way, distinct
 #: schemas whose declaration -- is remembered (LRU).
@@ -136,10 +140,10 @@ def _decode_sequence(raw: bytes, offset: int) -> tuple[list[bytes], int]:
 # --------------------------------------------------------------------------- #
 
 def encode_encrypted_tuple(encrypted_tuple: EncryptedTuple) -> bytes:
-    """Serialize one tuple ciphertext: the bytes it was decoded from, if any."""
-    wire = encrypted_tuple.wire
-    if wire is not None:
-        return wire
+    """Serialize one tuple ciphertext: the body it was decoded from, if any."""
+    framed = encrypted_tuple.framed
+    if framed is not None:
+        return framed[4:]
     parts = [
         _U32.pack(len(encrypted_tuple.tuple_id)),
         encrypted_tuple.tuple_id,
@@ -153,7 +157,16 @@ def encode_encrypted_tuple(encrypted_tuple: EncryptedTuple) -> bytes:
     return b"".join(parts)
 
 
-def _decode_tuple_at(raw: bytes, offset: int, end: int) -> tuple[EncryptedTuple, int]:
+def frame_encrypted_tuple(encrypted_tuple: EncryptedTuple) -> bytes:
+    """One tuple ciphertext as a relation frame carries it, body length
+    first: its ``framed`` memo, or a fresh encode."""
+    framed = encrypted_tuple.framed
+    return _encode_bytes(encode_encrypted_tuple(encrypted_tuple)) if framed is None else framed
+
+
+def _decode_tuple_at(
+    raw: bytes, offset: int, end: int, framed: bool = False
+) -> tuple[EncryptedTuple, int]:
     """Parse the tuple ciphertext that starts at ``offset`` and must end by ``end``.
 
     Walks the length prefixes in place (only the parts themselves are sliced
@@ -161,11 +174,12 @@ def _decode_tuple_at(raw: bytes, offset: int, end: int) -> tuple[EncryptedTuple,
     bounds every part; the search-field loop checks it per field so a hostile
     count stops at the first field it cannot back with bytes.
 
-    The ciphertext keeps the span it was parsed from as its ``wire`` memo.
-    It is built by ``object.__setattr__`` without the frozen dataclass
-    ``__init__`` and its Python frame.  Writing its ``__dict__`` directly
-    is quicker still, but materializes a dict per tuple, which raised a
-    provider's peak RSS several times more than the memo's own bytes do.
+    The ciphertext keeps its ``framed`` memo: one slice from the body's
+    length on when ``framed`` says a relation frame holds it, else the
+    length packed before the body.  It is built by ``object.__setattr__``
+    without the frozen dataclass ``__init__``; writing its ``__dict__`` is
+    quicker, but raised a provider's peak RSS several times more than the
+    memo's own bytes do.
     """
     read_length = _U32.unpack_from
     begin = offset
@@ -197,7 +211,8 @@ def _decode_tuple_at(raw: bytes, offset: int, end: int) -> tuple[EncryptedTuple,
     _set(encrypted_tuple, "payload", payload)
     _set(encrypted_tuple, "search_fields", tuple(fields))
     _set(encrypted_tuple, "metadata", metadata)
-    _set(encrypted_tuple, "wire", raw[begin:offset])
+    memo = raw[begin - 4:offset] if framed else _U32.pack(offset - begin) + raw[begin:offset]
+    _set(encrypted_tuple, "framed", memo)
     return encrypted_tuple, offset
 
 
@@ -214,11 +229,21 @@ def decode_tuple_body(raw: bytes) -> EncryptedTuple:
     return encrypted_tuple
 
 
+def _relation_parts(encrypted_relation: EncryptedRelation) -> list[bytes]:
+    """An encrypted relation's frame as parts to join: an empty head (the
+    slot for a result's relation length), the schema declaration, the count
+    and each tuple's ``framed`` memo, or its fresh frame when one lacks it."""
+    tuples = encrypted_relation.encrypted_tuples
+    framed = list(map(_framed, tuples))
+    if not all(framed):
+        framed = list(map(frame_encrypted_tuple, tuples))
+    schema = _encode_bytes(_schema_declaration(encrypted_relation.schema).encode("utf-8"))
+    return [b"", schema, len(tuples).to_bytes(4, "big"), *framed]
+
+
 def encode_encrypted_relation(encrypted_relation: EncryptedRelation) -> bytes:
     """Serialize an encrypted relation (schema travels as its public declaration)."""
-    schema_decl = _schema_declaration(encrypted_relation.schema)
-    body = [encode_encrypted_tuple(t) for t in encrypted_relation.encrypted_tuples]
-    return _encode_bytes(schema_decl.encode("utf-8")) + _encode_sequence(body)
+    return b"".join(_relation_parts(encrypted_relation))
 
 
 def decode_encrypted_relation(raw: bytes) -> EncryptedRelation:
@@ -274,7 +299,7 @@ def _walk_relation(raw: bytes) -> EncryptedRelation:
             end = offset + 4 + _U32.unpack_from(raw, offset)[0]
             if end > total:
                 raise ProtocolError("truncated byte string")
-            encrypted_tuple, offset = _decode_tuple_at(raw, offset + 4, end)
+            encrypted_tuple, offset = _decode_tuple_at(raw, offset + 4, end, True)
             if offset != end:
                 raise ProtocolError("trailing bytes after encrypted tuple")
             tuples.append(encrypted_tuple)
@@ -361,12 +386,12 @@ def decode_query_batch(raw: bytes) -> tuple[EncryptedQuery, ...]:
 
 
 def encode_evaluation_result(result: EvaluationResult) -> bytes:
-    """Serialize a server evaluation result (matches plus work statistics)."""
-    return (
-        _encode_bytes(encode_encrypted_relation(result.matching))
-        + result.examined.to_bytes(8, "big")
-        + result.token_evaluations.to_bytes(8, "big")
-    )
+    """Serialize a server evaluation result (matches plus work statistics)
+    in one join: the relation's length and parts, then the statistics."""
+    parts = _relation_parts(result.matching)
+    parts[0] = sum(map(len, parts)).to_bytes(4, "big")
+    parts += (result.examined.to_bytes(8, "big"), result.token_evaluations.to_bytes(8, "big"))
+    return b"".join(parts)
 
 
 def decode_evaluation_result(raw: bytes, offset: int = 0) -> tuple[EvaluationResult, int]:

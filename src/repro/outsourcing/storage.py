@@ -10,7 +10,8 @@ sharded / remote one) without touching the protocol layer.
 The file backend reuses the wire codecs of
 :mod:`repro.outsourcing.protocol`, so bytes at rest are exactly the bytes in
 flight -- what a provider-side disk leak would expose is precisely what the
-storage-overhead experiment E9 measures.
+storage-overhead experiment E9 measures.  An append writes a decoded tuple's
+``framed`` memo as it is.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.core.dph import EncryptedRelation, EncryptedTuple
 from repro.outsourcing.protocol import (
     decode_encrypted_relation,
     encode_encrypted_relation,
-    encode_encrypted_tuple,
+    frame_encrypted_tuple,
 )
 
 
@@ -153,9 +154,9 @@ class _HeldRelation:
 class InMemoryStorageBackend(StorageBackend):
     """The default backend: each relation is a map from tuple id to ciphertext.
 
-    :meth:`append` is O(1), :meth:`remove` and :meth:`fetch` O(ids), and
-    :meth:`load` returns an immutable snapshot that only the first load
-    after a write rebuilds.  Tuple ids are public random nonces, so keying
+    :meth:`append` is O(1), :meth:`remove` and :meth:`fetch` O(ids) (one
+    probe per id), and :meth:`load` returns an immutable snapshot that only
+    the first load after a write rebuilds.  Tuple ids are public random nonces, so keying
     the store by them reveals nothing the ciphertexts do not.
 
     Single writer: one thread at a time touches a relation -- the TCP
@@ -210,10 +211,9 @@ class InMemoryStorageBackend(StorageBackend):
 
     def fetch(self, name: str, tuple_ids: Iterable[bytes]) -> EncryptedRelation:
         held = self._held(name)
-        tuples = held.tuples
         return EncryptedRelation(
             schema=held.schema,
-            encrypted_tuples=tuple(tuples[i] for i in tuple_ids if i in tuples),
+            encrypted_tuples=tuple(filter(None, map(held.tuples.get, tuple_ids))),
         )
 
     def delete(self, name: str) -> None:
@@ -339,7 +339,7 @@ class FileStorageBackend(StorageBackend):
         path = self._path(name)
         if not path.exists():
             raise StorageError(f"no relation named {name!r} is stored")
-        item = encode_encrypted_tuple(encrypted_tuple)
+        item = frame_encrypted_tuple(encrypted_tuple)
         try:
             # Unbuffered: a failed write raises at the write, not at close.
             with path.open("r+b", buffering=0) as handle:
@@ -354,7 +354,7 @@ class FileStorageBackend(StorageBackend):
                 count = int.from_bytes(count_raw, "big") + 1
                 end = handle.seek(0, os.SEEK_END)
                 try:
-                    _write_all(handle, len(item).to_bytes(4, "big") + item)
+                    _write_all(handle, item)
                     handle.seek(count_offset)
                     _write_all(handle, count.to_bytes(4, "big"))
                 except OSError:

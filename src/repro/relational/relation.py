@@ -29,6 +29,15 @@ class Relation:
         for item in tuples:
             self.add(item)
 
+    @classmethod
+    def _of_checked(cls, schema: RelationSchema, rows: Iterable[RelationTuple]) -> "Relation":
+        """A relation of ``rows`` known to be tuples of ``schema``, unchecked;
+        it copies them into a list of its own."""
+        relation = cls.__new__(cls)
+        relation._schema = schema
+        relation._tuples = list(rows)
+        return relation
+
     @property
     def schema(self) -> RelationSchema:
         """The relation's schema."""

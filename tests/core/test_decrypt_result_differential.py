@@ -6,6 +6,13 @@ engine's selection over it into a second relation.  The base-class rewrite
 decrypts, tests the predicates and keeps or counts each tuple in one pass; for
 every scheme it must hand back the same multiset of tuples (in the same
 order) and the same ``returned`` / ``false_positives`` / ``kept``.
+
+The last section holds ``filter_tuples`` -- predicates resolved to
+positions, one list pass each -- to the per-row filter it replaced, on the
+rows it keeps by position and on the rows it hands to the per-row path
+(another schema object, mappings); and a session over a lossy scheme keeps
+false positives out of ``select``, ``update`` and ``delete`` on both kernel
+paths.
 """
 
 from __future__ import annotations
@@ -16,8 +23,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import EncryptedDatabase
 from repro.core import VariableWidthSelectDph
-from repro.core.dph import DatabasePrivacyHomomorphism, EvaluationResult
+from repro.core.dph import DatabasePrivacyHomomorphism, EvaluationResult, filter_tuples
 from repro.crypto.keys import SecretKey
 from repro.crypto.rng import DeterministicRng
 from repro.relational import (
@@ -25,10 +33,12 @@ from repro.relational import (
     Projection,
     Relation,
     RelationSchema,
+    RelationTuple,
     Selection,
 )
 from repro.relational.engine import PlaintextEngine
-from repro.relational.errors import QueryError
+from repro.relational.errors import QueryError, SchemaError
+from repro.relational.query import selection_predicates
 from repro.schemes import BucketizationConfig, registry
 
 SCHEMA = RelationSchema.parse("Emp(name:string[12], dept:string[5], salary:int[5])")
@@ -149,3 +159,150 @@ def test_decrypt_result_is_defined_once():
             if "decrypt_result" in vars(cls)
         )
         assert owner is DatabasePrivacyHomomorphism, scheme_name
+
+
+# --------------------------------------------------------------------------- #
+# One filter, by position
+# --------------------------------------------------------------------------- #
+
+def reference_filter_tuples(schema, tuples, query=None):
+    """The parent commit's ``filter_tuples``: per row, per predicate, by name."""
+    predicates = () if query is None else selection_predicates(query)
+    for predicate in predicates:
+        predicate.validate(schema)
+    kept = []
+    returned = 0
+    for relation_tuple in tuples:
+        returned += 1
+        for predicate in predicates:
+            if not predicate.matches(relation_tuple):
+                break
+        else:
+            kept.append(relation_tuple)
+    return Relation(schema, kept), returned, returned - len(kept), len(kept)
+
+
+def filter_outcome(filter_, schema, rows, query):
+    """What a filter gives: the kept tuples and the counts, or what it raised."""
+    try:
+        report = filter_(schema, list(rows), query)
+    except Exception as exc:  # noqa: BLE001 -- compared, not swallowed
+        return "raised", type(exc), str(exc)
+    if isinstance(report, tuple):
+        relation, *counts = report
+    else:
+        relation = report.relation
+        counts = [report.returned, report.false_positives, report.kept]
+    assert relation.schema is schema
+    return "kept", relation.tuples, tuple(counts)
+
+
+def assert_same_filter(schema, rows, query):
+    outcome = filter_outcome(filter_tuples, schema, rows, query)
+    assert outcome == filter_outcome(reference_filter_tuples, schema, rows, query)
+    return outcome
+
+
+#: The same declaration parsed again: equal to ``SCHEMA``, not ``SCHEMA`` itself.
+TWIN_SCHEMA = RelationSchema.parse("Emp(name:string[12], dept:string[5], salary:int[5])")
+OTHER_SCHEMA = RelationSchema.parse("Emp(name:string[12], dept:string[5])")
+
+one_attribute = st.tuples(st.just("dept"), st.sampled_from(DEPARTMENTS)).map(
+    lambda p: ConjunctiveSelection.of(p)
+)
+two_attributes = st.tuples(
+    st.sampled_from(DEPARTMENTS), st.sampled_from(SALARIES)
+).map(lambda p: ConjunctiveSelection.of(("dept", p[0]), ("salary", p[1])))
+
+
+@given(rows=rows, query=st.one_of(one_attribute, two_attributes, queries))
+@settings(max_examples=200, deadline=None)
+def test_conjunctions_filter_as_the_per_row_filter(rows, query):
+    tuples = [RelationTuple.from_values(SCHEMA, row) for row in rows]
+    assert_same_filter(SCHEMA, tuples, query)
+
+
+@given(rows=rows, query=st.one_of(st.none(), one_attribute, two_attributes))
+@settings(max_examples=100, deadline=None)
+def test_rows_of_an_equal_schema_object_filter_as_before(rows, query):
+    tuples = [RelationTuple.from_values(TWIN_SCHEMA, row) for row in rows]
+    outcome = assert_same_filter(SCHEMA, tuples, query)
+    assert outcome[0] == "kept"
+    mixed = [
+        RelationTuple.from_values(SCHEMA if i % 2 else TWIN_SCHEMA, row)
+        for i, row in enumerate(rows)
+    ]
+    assert_same_filter(SCHEMA, mixed, query)
+
+
+@given(rows=rows, query=st.one_of(st.none(), one_attribute, two_attributes))
+@settings(max_examples=100, deadline=None)
+def test_mapping_rows_filter_as_before(rows, query):
+    """Mappings take the per-row path: built into tuples with no predicate,
+    and whatever the per-row filter raised with one."""
+    mappings = [dict(zip(SCHEMA.attribute_names, row)) for row in rows]
+    outcome = assert_same_filter(SCHEMA, mappings, query)
+    if query is None:
+        assert outcome[1] == tuple(RelationTuple.from_values(SCHEMA, row) for row in rows)
+    tuples = [RelationTuple.from_values(SCHEMA, row) for row in rows]
+    assert_same_filter(SCHEMA, [*tuples, *mappings], query)
+
+
+def test_rows_of_another_schema_filter_as_before():
+    rows = [RelationTuple.from_values(OTHER_SCHEMA, ("ada", "HR"))]
+    for query in (None, Selection.equals("dept", "HR"), Selection.equals("salary", 1)):
+        outcome = assert_same_filter(SCHEMA, rows, query)
+        assert outcome[0] == "raised", query
+    # A row the predicates drop is never checked against the schema.
+    assert assert_same_filter(SCHEMA, rows, Selection.equals("dept", "IT"))[:2] == ("kept", ())
+
+
+def test_no_predicate_keeps_a_relation_of_its_own():
+    tuples = [RelationTuple.from_values(SCHEMA, row) for row in [("ada", "HR", 1)] * 3]
+    report = filter_tuples(SCHEMA, tuples, None)
+    assert (report.returned, report.false_positives, report.kept) == (3, 0, 3)
+    before = report.relation.tuples
+    tuples.clear()
+    tuples.append(RelationTuple.from_values(SCHEMA, ("bob", "IT", 2)))
+    assert report.relation.tuples == before and len(report.relation) == 3
+    report.relation.add(RelationTuple.from_values(SCHEMA, ("cy", "OPS", 3)))
+    assert len(tuples) == 1  # and the other way round
+    empty = filter_tuples(SCHEMA, [], Selection.equals("dept", "HR"))
+    assert (empty.returned, empty.kept, len(empty.relation)) == (0, 0, 0)
+
+
+def lossy_session() -> EncryptedDatabase:
+    """A session whose provider answers every salary select with its whole
+    two-bucket range: most returned rows are false positives."""
+    config = BucketizationConfig.uniform(SCHEMA, num_buckets=2, minimum=0, maximum=9999)
+    db = EncryptedDatabase.open(
+        SecretKey.generate(rng=DeterministicRng(7)),
+        scheme="bucketization",
+        scheme_options={"config": config},
+        rng=DeterministicRng(8),
+    )
+    db.create_table(
+        SCHEMA, rows=[(f"n{i}", DEPARTMENTS[i % 3], 10 * i) for i in range(40)]
+    )
+    return db
+
+
+def test_a_lossy_session_keeps_false_positives_out(match_kernel):
+    db = lossy_session()
+    query = Selection.equals("salary", 20)
+    outcome = db.select(query, table="Emp")
+    assert outcome.report.false_positives > 0, "the buckets no longer force false positives"
+    assert [t.value("name") for t in outcome.relation] == ["n2"]
+    assert db.update(query, {"dept": "IT"}, table="Emp") == 1
+    rows = sorted(t.project(["name", "dept"]) for t in db.retrieve_all("Emp"))
+    assert ("n2", "IT") in rows and len(rows) == 40
+    assert rows == sorted(
+        (f"n{i}", "IT" if i == 2 else DEPARTMENTS[i % 3]) for i in range(40)
+    )
+    assert db.delete(Selection.equals("salary", 30), table="Emp") == 1
+    assert sorted(t.value("name") for t in db.retrieve_all("Emp")) == sorted(
+        f"n{i}" for i in range(40) if i != 3
+    )
+    assert db.delete(Selection.equals("salary", 35), table="Emp") == 0
+    assert db.update(Selection.equals("salary", 35), {"dept": "HR"}, table="Emp") == 0
+    assert db.count("Emp") == 39

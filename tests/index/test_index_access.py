@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import SearchableSelectDph
 from repro.index import (
@@ -88,6 +90,50 @@ class TestRelationIndex:
 
     def test_no_labels_means_no_candidates(self):
         assert RelationIndex(bucket_capacity=4).candidates([]) == set()
+
+
+LABELS = (L1, L2, b"\x03" * 32)
+postings = st.tuples(st.sampled_from(LABELS), st.integers(1, 6).map(_id))
+deltas = st.builds(
+    IndexDelta,
+    additions=st.lists(postings, max_size=5).map(tuple),
+    removals=st.lists(postings, max_size=5).map(tuple),
+)
+
+
+def live_by_difference(index: RelationIndex, label: bytes) -> set[bytes]:
+    """The live postings of ``label`` as the set difference that defines them."""
+    return index._members.get(label, set()) - index._tombstones.get(label, set())
+
+
+@given(
+    snapshot=st.dictionaries(
+        st.sampled_from(LABELS), st.lists(st.integers(1, 6).map(_id), max_size=4), max_size=2
+    ),
+    history=st.lists(deltas, max_size=8),
+    asked=st.lists(st.lists(st.sampled_from(LABELS), max_size=3), min_size=1, max_size=4),
+)
+@settings(max_examples=200, deadline=None)
+def test_candidates_equal_the_set_difference(snapshot, history, asked):
+    """Adds, removes and resurrections in any order: tombstones stay among
+    the members, and every answer is the set-difference definition's."""
+    index = RelationIndex.from_snapshot(
+        IndexSnapshot(bucket_capacity=2, entries={k: (tuple(v),) for k, v in snapshot.items()})
+    )
+    for delta in history:
+        index.apply_delta(delta)
+        for label in LABELS:
+            assert index._tombstones.get(label, set()) <= index._members.get(label, set())
+            live = live_by_difference(index, label)
+            assert index.live_posting_count(label) == len(live)
+        for labels in asked:
+            expected: set[bytes] | None = None
+            for label in labels:
+                live = live_by_difference(index, label)
+                expected = live if expected is None else expected & live
+            answer = index.candidates(labels)
+            assert answer == (expected or set())
+            assert type(answer) is set
 
 
 @pytest.fixture

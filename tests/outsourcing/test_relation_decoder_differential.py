@@ -7,10 +7,13 @@ offset; it must accept exactly the frames the reference accepts, with equal
 values, and reject every other frame with ``ProtocolError`` -- never an
 ``IndexError``, ``struct.error``, ``SchemaError`` or ``MemoryError``.
 
-The last section pins the wire memo a decoded tuple carries: re-encoding
-what any of the four result-path decoders accepts returns the bytes the
-parent returned, and the memo is invisible to ``==``, ``hash``, ``repr`` and
-``dataclasses.replace``.
+The last section pins the ``framed`` memo a decoded tuple carries -- its
+body length and body, as a relation frame carries it: re-encoding what any
+of the four result-path decoders accepts returns the bytes the parent
+returned, the memo equals a fresh encode wherever it is set (the relation
+walk, an ``INSERT_TUPLE`` body, the file store), a relation mixing memos and
+fresh tuples encodes as the per-tuple encoder does, and the memo is
+invisible to ``==``, ``hash``, ``repr`` and ``dataclasses.replace``.
 
 The module runs once per tuple walk (the ``match_kernel`` fixture): the
 native ``decode_tuples``, which walks a relation where it lies in the frame
@@ -45,6 +48,7 @@ from repro.outsourcing.protocol import (
     decode_encrypted_tuple,
     decode_evaluation_result,
     decode_result_batch,
+    decode_tuple_body,
     encode_encrypted_query,
     encode_encrypted_relation,
     encode_encrypted_tuple,
@@ -57,6 +61,11 @@ from repro.relational.errors import SchemaError
 from repro.schemes.registry import create
 
 SCHEMA = RelationSchema.parse("Emp(name:string[14], dept:string[5], salary:int[6])")
+
+
+def prefixed(body: bytes) -> bytes:
+    """``body`` after its 4-byte big-endian length: a tuple as a relation frame carries it."""
+    return len(body).to_bytes(4, "big") + body
 
 pytestmark = pytest.mark.usefixtures("match_kernel")
 
@@ -360,7 +369,7 @@ def test_bytes_like_frames_decode_as_bytes_do(container):
 def test_the_kernel_walks_every_regular_frame_in_place(match_kernel, relation, prefix, suffix):
     """``decode_tuples`` declines nothing regular, so the walks above are its own.
 
-    It reads ``raw[start:end]`` where it lies, sets the wire memo, and
+    It reads ``raw[start:end]`` where it lies, sets the framed memo, and
     returns ``None`` for anything else: here, the same span a byte short or
     a byte long.  Bounds outside ``raw`` are a caller's bug.
     """
@@ -372,7 +381,7 @@ def test_the_kernel_walks_every_regular_frame_in_place(match_kernel, relation, p
     end = len(prefix) + len(frame)
     walked = native.kernel.decode_tuples(raw, start, end, EncryptedTuple)
     assert walked == relation.encrypted_tuples
-    assert [t.wire for t in walked] == [encode_encrypted_tuple(t) for t in relation]
+    assert [t.framed for t in walked] == [prefixed(encode_encrypted_tuple(t)) for t in relation]
     assert all(type(t) is EncryptedTuple for t in walked)
     assert native.kernel.decode_tuples(raw, start, end - 1, EncryptedTuple) is None
     if suffix:
@@ -383,11 +392,12 @@ def test_the_kernel_walks_every_regular_frame_in_place(match_kernel, relation, p
 
 
 # --------------------------------------------------------------------------- #
-# The wire memo: a decoded tuple re-emits the bytes it arrived in
+# The framed memo: a decoded tuple re-emits the bytes it arrived in
 # --------------------------------------------------------------------------- #
 #
-# A decoded ``EncryptedTuple`` keeps the span it was parsed from, and
-# ``encode_encrypted_tuple`` returns it instead of encoding the tuple again.
+# A decoded ``EncryptedTuple`` keeps the span it was parsed from, length
+# prefix included, and the encoders return it instead of encoding the tuple
+# again.
 # Re-encoding whatever a decoder accepts must give exactly what the parent
 # gave (decode with the reference, encode afresh); for every frame an encoder
 # wrote, that is the input itself.  Only a schema declaration has more than
@@ -521,8 +531,8 @@ def test_arbitrary_accepted_bytes_reencode_as_the_parent_did(codec, junk):
 def test_the_memo_is_exactly_the_span_parsed(encrypted_tuple, prefix, suffix):
     body = encode_encrypted_tuple(encrypted_tuple)
     decoded, _ = decode_encrypted_tuple(prefix + body + suffix, len(prefix))
-    assert decoded.wire == body
-    assert encrypted_tuple.wire is None
+    assert decoded.framed == prefixed(body)
+    assert encrypted_tuple.framed is None
 
 
 @given(relation=relations)
@@ -532,13 +542,13 @@ def test_the_memo_is_invisible(relation):
     assert decoded == relation and hash(decoded) == hash(relation)
     assert repr(decoded) == repr(relation)
     for twin, copy in zip(relation, decoded):
-        assert copy.wire is not None
+        assert copy.framed is not None
         assert copy == twin and hash(copy) == hash(twin) and repr(copy) == repr(twin)
         assert dataclasses.fields(copy) == dataclasses.fields(twin)
         assert dataclasses.astuple(copy) == dataclasses.astuple(twin)
-        assert dataclasses.replace(copy).wire is None
+        assert dataclasses.replace(copy).framed is None
         changed = dataclasses.replace(copy, metadata=copy.metadata + b"!")
-        assert changed.wire is None
+        assert changed.framed is None
         assert encode_encrypted_tuple(changed) == encode_encrypted_tuple(
             dataclasses.replace(twin, metadata=twin.metadata + b"!")
         )
@@ -570,7 +580,7 @@ def test_stored_tuples_are_reemitted_as_they_arrived(store, tmp_path):
     fresh = stored.encrypted_tuples + inserted
     held = provider.stored_relation("Emp").encrypted_tuples
     assert held == fresh
-    assert [t.wire for t in held] == [encode_encrypted_tuple(t) for t in fresh]
+    assert [t.framed for t in held] == [prefixed(encode_encrypted_tuple(t)) for t in fresh]
     query = dph.encrypt_query(Selection.equals("dept", "HR"))
     answer = send(provider, MessageKind.QUERY, encode_encrypted_query(query))
     result, _ = decode_evaluation_result(answer)
@@ -578,3 +588,88 @@ def test_stored_tuples_are_reemitted_as_they_arrived(store, tmp_path):
     assert answer == encode_evaluation_result(
         dataclasses.replace(result, matching=EncryptedRelation(SCHEMA, fresh))
     )
+
+
+# --------------------------------------------------------------------------- #
+# The memo equals a fresh encode wherever it is set
+# --------------------------------------------------------------------------- #
+
+def fresh_frame(encrypted_tuple: EncryptedTuple) -> bytes:
+    """The tuple framed from its fields alone (``replace`` drops any memo)."""
+    return prefixed(encode_encrypted_tuple(dataclasses.replace(encrypted_tuple)))
+
+
+def per_tuple_relation_frame(relation: EncryptedRelation) -> bytes:
+    """A relation frame built one tuple at a time, as the parent encoder built it."""
+    declaration = encode_encrypted_relation(EncryptedRelation(relation.schema, ()))[:-4]
+    return (
+        declaration
+        + len(relation).to_bytes(4, "big")
+        + b"".join(fresh_frame(t) for t in relation)
+    )
+
+
+@given(relation=relations)
+@settings(max_examples=150, deadline=None)
+def test_the_walked_memo_is_a_fresh_frame(relation):
+    frame = encode_encrypted_relation(relation)
+    decoded = decode_encrypted_relation(frame)
+    assert [t.framed for t in decoded] == [fresh_frame(t) for t in relation]
+    result, _ = decode_evaluation_result(
+        encode_evaluation_result(EvaluationResult(relation, 3, 4))
+    )
+    assert [t.framed for t in result.matching] == [fresh_frame(t) for t in relation]
+
+
+@given(encrypted_tuple=encrypted_tuples)
+@settings(max_examples=150, deadline=None)
+def test_an_insert_body_memo_is_a_fresh_frame(encrypted_tuple):
+    body = encode_encrypted_tuple(encrypted_tuple)
+    decoded = decode_tuple_body(body)
+    assert decoded.framed == prefixed(body) == fresh_frame(encrypted_tuple)
+    assert encode_encrypted_tuple(decoded) == body
+
+
+@given(relation=relations, picks=st.lists(st.booleans(), min_size=6, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_a_mixed_relation_encodes_as_the_per_tuple_encoder(relation, picks):
+    """Memo-carrying tuples beside fresh ones: the join falls back per tuple."""
+    decoded = decode_encrypted_relation(encode_encrypted_relation(relation))
+    mixed = EncryptedRelation(SCHEMA, tuple(
+        memo if pick else fresh for memo, fresh, pick in zip(decoded, relation, picks)
+    ))
+    expected = per_tuple_relation_frame(relation)
+    assert encode_encrypted_relation(mixed) == expected
+    assert encode_evaluation_result(EvaluationResult(mixed, 5, 9)) == (
+        prefixed(expected) + (5).to_bytes(8, "big") + (9).to_bytes(8, "big")
+    )
+
+
+def test_a_replaced_tuple_carries_no_memo():
+    decoded = decode_encrypted_relation(SAMPLE_FRAME)
+    for memo, twin in zip(decoded, SAMPLE):
+        assert memo.framed == fresh_frame(twin)
+        assert dataclasses.replace(memo).framed is None
+        assert dataclasses.replace(memo, tuple_id=b"other").framed is None
+        assert twin.framed is None
+
+
+@given(relation=relations, appended=st.lists(encrypted_tuples, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_a_file_store_append_round_trips_the_memo(tmp_path_factory, relation, appended):
+    """Append memo-less and memo-carrying tuples; the file is a per-tuple
+    frame, and every loaded memo is a fresh frame."""
+    storage = FileStorageBackend(tmp_path_factory.mktemp("store"))
+    storage.save("Emp", relation)
+    for encrypted_tuple in appended:
+        storage.append("Emp", encrypted_tuple)
+        storage.append("Emp", decode_tuple_body(encode_encrypted_tuple(encrypted_tuple)))
+    everything = EncryptedRelation(
+        SCHEMA, relation.encrypted_tuples + tuple(t for t in appended for _ in range(2))
+    )
+    assert storage._path("Emp").read_bytes() == (
+        per_tuple_relation_frame(everything)
+    )
+    loaded = storage.load("Emp")
+    assert loaded == everything
+    assert [t.framed for t in loaded] == [fresh_frame(t) for t in everything]
