@@ -23,15 +23,17 @@ in-process :class:`~repro.outsourcing.server.OutsourcedDatabaseServer`, a
 :meth:`EncryptedDatabase.open`); only how the bytes travel differs.
 
 Reads accept query AST nodes or SQL strings; SQL is routed to the right
-table via the relation name in its ``FROM`` clause.  Deletes and updates
-resolve the *true* matches client-side (decrypt, filter false positives)
-and then address tuples by their public random ids -- with the
-``DELETE_TUPLES`` message, or ``DELETE_TUPLES_EXACT`` on an indexed session,
-which needs the ids that really went -- so the provider never learns which
-plaintext predicate drove the mutation.  A delete is never resent on a
+table via the relation name in its ``FROM`` clause.  Each write is one
+envelope, an indexed session's posting delta included: an insert of any
+number of rows is one ``INSERT_TUPLES``; deletes and updates resolve the
+*true* matches client-side (decrypt, filter false positives) and then
+address tuples by their public random ids in one ``DELETE_TUPLES``, which
+answers the ids that really went -- so the provider never learns which
+plaintext predicate drove the mutation.  A write is never resent on a
 fresh connection once it may have been delivered
 (:data:`~repro.outsourcing.protocol.REPLAY_UNSAFE`): a lost answer is a
-:class:`DatabaseError`, not a count of 0 for rows that were removed.
+:class:`DatabaseError`, not a second copy or a count of 0 for rows that
+were removed.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from repro.crypto.keys import SecretKey
 from repro.crypto.rng import RandomSource
 from repro.index.client import TableIndexer
 from repro.index.wire import (
+    IndexDelta,
     IndexLookupRequest,
     encode_index_delta,
     encode_index_lookup,
@@ -752,45 +755,47 @@ class EncryptedDatabase:
 
     def insert(self, table: str, row: RelationTuple | dict | tuple) -> None:
         """Encrypt and append one row (a dict, tuple, or :class:`RelationTuple`)."""
+        self.insert_many(table, [row])
+
+    def insert_many(self, table: str, rows) -> int:
+        """Encrypt and append several rows in one ``INSERT_TUPLES``; returns how many.
+
+        Every row is checked and encrypted first, so a bad row raises what
+        inserting it alone raises and nothing is sent.  Like
+        ``create_table(rows=)``, a batch past the frame ceiling fails whole.
+        """
         with self._traced("insert") as op_span:
             op_span.annotations["table"] = table
             handle = self.table(table)
-            relation_tuple = self._as_tuple(handle, row)
-            encrypted = handle.scheme.encrypt_tuple(relation_tuple)
+            relation_tuples = [self._as_tuple(handle, row) for row in rows]
+            if not relation_tuples:
+                return 0
+            encrypted = handle.scheme.encrypt_tuples(relation_tuples)
+            postings = b""
+            if handle.indexer is not None:
+                delta_of = handle.indexer.insert_delta
+                additions = tuple(
+                    posting
+                    for row, encrypted_tuple in zip(relation_tuples, encrypted)
+                    for posting in delta_of(row, encrypted_tuple.tuple_id).additions
+                )
+                postings = encode_index_delta(IndexDelta(additions=additions))
+            body = protocol.encode_insert_tuples(postings, encrypted)
             try:
-                if handle.indexer is not None:
-                    # Postings first, tuple second: a crash in between leaves a
-                    # stale posting whose id fetches nothing (a harmless
-                    # superset); the other order could leave an indexed lookup
-                    # missing a tuple.
-                    delta = handle.indexer.insert_delta(
-                        relation_tuple, encrypted.tuple_id
-                    )
-                    body = encode_index_delta(delta)
-                    self._request(MessageKind.INDEX_DELTA, table, body)
-                body = protocol.encode_encrypted_tuple(encrypted)
-                self._request(MessageKind.INSERT_TUPLE, table, body)
+                self._request(MessageKind.INSERT_TUPLES, table, body)
             finally:
-                # Even a failed insert may have mutated provider state (the
-                # index delta can land without the tuple), so the eviction is
-                # unconditional: one extra miss beats one stale hit.
-                self._invalidate_cache(table, [relation_tuple])
-
-    def insert_many(self, table: str, rows) -> int:
-        """Insert several rows; returns how many were shipped."""
-        count = 0
-        for row in rows:
-            self.insert(table, row)
-            count += 1
-        return count
+                # Even a failed insert may have reached the provider, so the
+                # eviction is unconditional: one extra miss beats one stale hit.
+                self._invalidate_cache(table, relation_tuples)
+            return len(relation_tuples)
 
     def delete(self, query: Query | str, table: str | None = None) -> int:
         """Delete the tuples matching an exact-select query; returns the count.
 
         Matching happens client-side on decrypted results (so the scheme's
         false positives are never deleted); the provider only sees the
-        public tuple ids in the ``DELETE_TUPLES`` (indexed:
-        ``DELETE_TUPLES_EXACT``) message.
+        public tuple ids (and, indexed, their posting tombstones) in the
+        ``DELETE_TUPLES`` message, and the count is the ids it reports gone.
         """
         with self._traced("delete") as op_span:
             name, parsed = self._resolve(query, table)
@@ -804,13 +809,13 @@ class EncryptedDatabase:
         """Re-encrypt the matching tuples with ``changes`` applied.
 
         Implemented as insert-then-delete: fresh ciphertexts (new random
-        ids, new nonces) are appended first and only then are the old ids
-        removed, so the provider cannot link a tuple's pre- and post-update
-        versions and a mid-operation failure degrades to transient
-        duplicates rather than data loss.  Returns the number of
-        re-encrypted replacements shipped (which can exceed the provider's
-        acknowledged deletions if a concurrent session removed a matched
-        tuple first).
+        ids, new nonces) are appended first, and only once that insert has
+        fully succeeded are the old ids removed, so the provider cannot link
+        a tuple's pre- and post-update versions and a mid-operation failure
+        degrades to transient duplicates rather than data loss.  Returns the
+        number of re-encrypted replacements shipped (which can exceed the
+        provider's acknowledged deletions if a concurrent session removed a
+        matched tuple first).
         """
         with self._traced("update") as op_span:
             name, parsed = self._resolve(query, table)
@@ -829,8 +834,7 @@ class EncryptedDatabase:
                 values = plaintext.as_dict()
                 values.update(changes)
                 replacements.append(self._make_tuple(handle.schema, values))
-            for replacement in replacements:
-                self.insert(name, replacement)
+            self.insert_many(name, replacements)
             self._delete_matches(name, matches)
             return len(replacements)
 
@@ -1037,31 +1041,20 @@ class EncryptedDatabase:
         return self._request(MessageKind.QUERY, handle.name, body)
 
     def _delete_matches(self, name: str, matches: list[tuple]) -> int:
-        """Remove already-resolved matches; returns the logical count.
-
-        Indexed sessions use the per-id ``DELETE_TUPLES_EXACT`` op --
-        tuples first, posting tombstones second, so a crash in between
-        leaves only stale postings (a harmless superset) -- and the
-        reported count is exact even when the batch raced another session.
-        """
+        """Remove already-resolved matches in one ``DELETE_TUPLES``; returns
+        how many of their ids the provider reports gone (exact under races)."""
         handle = self.table(name)
-        body = protocol.encode_tuple_ids([t.tuple_id for t, _ in matches])
-        try:
-            return self._delete_matches_uncached(handle, name, body, matches)
-        finally:
-            self._invalidate_cache(name, [plaintext for _, plaintext in matches])
-
-    def _delete_matches_uncached(
-        self, handle: TableHandle, name: str, body: bytes, matches: list[tuple]
-    ) -> int:
+        postings = b""
         if handle.indexer is not None:
-            deleted_ids = self._request(MessageKind.DELETE_TUPLES_EXACT, name, body)
             delta = handle.indexer.remove_delta(
                 (plaintext, t.tuple_id) for t, plaintext in matches
             )
-            self._request(MessageKind.INDEX_DELTA, name, encode_index_delta(delta))
-            return len(deleted_ids)
-        return self._request(MessageKind.DELETE_TUPLES, name, body)
+            postings = encode_index_delta(delta)
+        body = protocol.encode_delete_tuples([t.tuple_id for t, _ in matches], postings)
+        try:
+            return len(self._request(MessageKind.DELETE_TUPLES, name, body))
+        finally:
+            self._invalidate_cache(name, [plaintext for _, plaintext in matches])
 
     def _true_matches(
         self, name: str, parsed: Query

@@ -29,8 +29,9 @@ requires).
 
 Everything here drives the fleet's shards through the router's plan rows
 (:meth:`ShardRouter.each_shard <repro.cluster.router.ShardRouter.each_shard>`:
-``FETCH_RELATION`` / ``INSERT_TUPLE`` / ``DELETE_TUPLES`` envelopes), so
-in-process shards and ``tcp://`` proxies migrate identically.  The fleet may
+``FETCH_RELATION`` / ``INSERT_TUPLES`` / ``DELETE_TUPLES`` envelopes, one
+write per shard and relation, with no postings), so in-process shards and
+``tcp://`` proxies migrate identically.  The fleet may
 hold shards that are *not* on the ring (a leaving shard being drained): they
 serve as copy sources and end up holding nothing.
 """
@@ -130,6 +131,7 @@ def rebalance(
     report = RebalanceReport()
     for name in relation_names:
         placement = _index_copies(fleet, name, report)
+        pending_inserts: dict[str, list[Any]] = {}
         pending_deletes: dict[str, list[bytes]] = {}
         for tuple_id, (encrypted_tuple, holders) in placement.items():
             desired = set(ring.successors(tuple_id, replication))
@@ -137,17 +139,17 @@ def rebalance(
                 continue
             kept = holders & desired
             source = sorted(kept)[0] if kept else sorted(holders)[0]
-            # Insert-first: a crash here leaves a surplus copy, not a loss.
-            targets = sorted(desired - holders)
-            if targets:
-                body = protocol.encode_encrypted_tuple(encrypted_tuple)
-                fleet.each_shard(MessageKind.INSERT_TUPLE, name, body, targets)
-            for target in targets:
+            for target in sorted(desired - holders):
+                pending_inserts.setdefault(target, []).append(encrypted_tuple)
                 report.record_move(name, source, target)
             for shard_id in sorted(holders - desired):
                 pending_deletes.setdefault(shard_id, []).append(tuple_id)
+        # Insert-first: a crash before the deletes leaves surplus copies, not a loss.
+        for shard_id, tuples in sorted(pending_inserts.items()):
+            body = protocol.encode_insert_tuples(b"", tuples)
+            fleet.each_shard(MessageKind.INSERT_TUPLES, name, body, [shard_id])
         for shard_id, tuple_ids in pending_deletes.items():
-            body = protocol.encode_tuple_ids(tuple_ids)
+            body = protocol.encode_delete_tuples(tuple_ids, b"")
             deleted = fleet.each_shard(MessageKind.DELETE_TUPLES, name, body, [shard_id])
-            report.removed += deleted[shard_id]
+            report.removed += len(deleted[shard_id])
     return report

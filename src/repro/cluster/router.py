@@ -15,10 +15,13 @@ factor R (``replicas=R``) every tuple lives on its R ring successors --
 R distinct shards.  Operation shapes:
 
 ===================  ====================================================
-``INSERT_TUPLE``     all R replica shards of the tuple id (fail-fast)
-``DELETE_TUPLES``    scatter the public ids to every shard (providers
+``INSERT_TUPLES``    one re-framed envelope per shard: the tuples it is an R
+                     ring successor of, plus every posting (the whole index
+                     lives on every shard); a shard with neither gets nothing
+``DELETE_TUPLES``    the ids and postings to every shard (providers
                      ignore unknown ids, so this stays correct while
-                     tuples are mid-migration or a rebalance is deferred)
+                     tuples are mid-migration or a rebalance is deferred);
+                     the answer is the union of the ids that went
 ``STORE_RELATION``   partitioned across all shards, each tuple stored on
                      its R successors (every shard stores the relation,
                      possibly empty, so queries can fan out)
@@ -27,6 +30,8 @@ R distinct shards.  Operation shapes:
 ``BATCH_QUERY``      scatter the whole batch, merge element-wise
 ``FETCH_RELATION``   scatter, merge the stored copies (one per tuple id)
 ``TUPLE_COUNT``      ``LIST_TUPLE_IDS`` to every shard, count distinct ids
+``INDEX_PUT``        the snapshot to every shard (fail-fast)
+``INDEX_LOOKUP``     scatter, merge as ``QUERY``
 DDL                  ``REGISTER_EVALUATOR`` / ``DROP_RELATION`` to every
                      shard (fail-fast); ``RELATION_NAMES`` unions the lists
 ===================  ====================================================
@@ -217,7 +222,7 @@ class ClusterStats:
         "loop_scatters",
         # ``INDEX_LOOKUP`` scatters routed across the fleet.
         "index_lookups",
-        # ``INDEX_PUT`` / ``INDEX_DELTA`` fan-outs.
+        # ``INDEX_PUT`` fan-outs.
         "index_writes",
     )
 
@@ -320,22 +325,9 @@ def _count_of_relation(_values: Sequence[int], relation: EncryptedRelation) -> i
     return len(relation)
 
 
-def _logical_deletions(per_shard_deleted: Sequence[int], tuple_ids: Sequence[bytes]) -> int:
-    """Logical tuples removed, from per-shard physical deletion counts.
-
-    With replication (and with transient migration duplicates) one
-    logical tuple dies on several shards, so the raw sum over-counts;
-    the fleet cannot report per-id outcomes, so the sum is capped at
-    the number of addressed ids.  This is exact whenever every
-    addressed id still existed somewhere -- the normal case, since the
-    session derives the ids from a just-executed query.  It is an
-    *estimate* for stale batches on a replicated cluster: addressing
-    ids that no longer exist alongside ids with R live copies can make
-    the capped sum land anywhere between the true logical count and
-    the batch size.  A caller that needs the exact count sends the
-    per-id ``DELETE_TUPLES_EXACT`` op instead (an indexed session does).
-    """
-    return min(sum(per_shard_deleted), len(tuple_ids))
+def _count_of_tuples(_values: Sequence[int], payload: tuple) -> int:
+    # An INSERT_TUPLES payload is ``(postings, tuples)``: the logical count.
+    return len(payload[1])
 
 
 def _union_of_ids(per_shard_ids: Sequence[Sequence[bytes]], _payload: Any) -> list[bytes]:
@@ -963,48 +955,46 @@ class ShardRouter:
 
     # -- plan targets: which shards get which bytes ---------------------- #
 
-    def _to_replicas(self, request: MessageV2, raw: bytes, encrypted_tuple: EncryptedTuple):
-        # All R ring successors of the tuple id.  Every replica must apply
-        # the write or the write as a whole fails: providers tolerate a
-        # retried insert only as a duplicate that reads deduplicate, so
-        # surfacing the failure beats silently under-replicating.
-        return dict.fromkeys(self.replica_shards(encrypted_tuple.tuple_id), raw)
-
     def _to_every_shard(self, request: MessageV2, raw: bytes, payload: Any):
+        # A delete too: a deferred rebalance or a crash mid-migration can
+        # leave a tuple off its ring owner, and providers ignore unknown ids.
         return dict.fromkeys(self._shards, raw)
 
-    def _to_every_shard_by_id(self, request: MessageV2, raw: bytes, ids: Sequence[bytes]):
-        # Every shard gets the full id list: ring ownership is a *placement*
-        # policy, not an invariant -- a deferred rebalance or a crash mid-
-        # migration can leave a tuple (or its transient duplicate) off its
-        # owner, and providers ignore ids they do not hold.
-        if not ids:
-            return {}
-        envelope = self._frame(
-            request, MessageKind.DELETE_TUPLES, protocol.encode_tuple_ids(ids)
-        )
-        return dict.fromkeys(self._shards, envelope)
+    def _shares(self, tuples) -> dict[str, list[EncryptedTuple]]:
+        """Each shard's share of ``tuples``: those it is an R ring successor of."""
+        shares: dict[str, list[EncryptedTuple]] = {shard_id: [] for shard_id in self._shards}
+        for encrypted_tuple in tuples:
+            for shard_id in self.replica_shards(encrypted_tuple.tuple_id):
+                shares[shard_id].append(encrypted_tuple)
+        return shares
+
+    def _to_holders(self, request: MessageV2, raw: bytes, payload: tuple):
+        # Each shard's share of the tuples and every posting (the whole
+        # index lives on every shard), fail-fast: surfacing a failure beats
+        # silently under-replicating.
+        postings, tuples = payload
+        return {
+            shard_id: self._frame(
+                request, MessageKind.INSERT_TUPLES, protocol.encode_insert_tuples(postings, share)
+            )
+            for shard_id, share in self._shares(tuples).items()
+            if share or postings
+        }
 
     def _to_partitions(self, request: MessageV2, raw: bytes, relation: EncryptedRelation):
         # Every shard stores the relation -- possibly an empty slice -- so
         # queries can fan out; each tuple goes to each of its R successors.
         schema = relation.schema
         self._schemas[request.relation_name] = schema
-        groups: dict[str, list[EncryptedTuple]] = {
-            shard_id: [] for shard_id in self._shards
-        }
-        for encrypted_tuple in relation:
-            for shard_id in self.replica_shards(encrypted_tuple.tuple_id):
-                groups[shard_id].append(encrypted_tuple)
         return {
             shard_id: self._frame(
                 request,
                 MessageKind.STORE_RELATION,
                 protocol.encode_encrypted_relation(
-                    EncryptedRelation(schema=schema, encrypted_tuples=tuple(tuples))
+                    EncryptedRelation(schema=schema, encrypted_tuples=tuple(share))
                 ),
             )
-            for shard_id, tuples in groups.items()
+            for shard_id, share in self._shares(relation).items()
         }
 
     # -- settle: the router's own bookkeeping ---------------------------- #
@@ -1022,18 +1012,21 @@ class ShardRouter:
     #: (``ring.covers``) needs every shard's outcome; the metadata reads may
     #: fail over but never degrade (a count or a stored copy must be complete).
     _PLANS = {
-        MessageKind.INSERT_TUPLE: _Plan(
-            _to_replicas, _first,
-            decode=protocol.decode_tuple_body, record=ClusterStats.record_routed_insert,
+        MessageKind.INSERT_TUPLES: _Plan(
+            _to_holders, _count_of_tuples,
+            decode=protocol.decode_insert_tuples, record=ClusterStats.record_routed_insert,
         ),
         MessageKind.STORE_RELATION: _Plan(
             _to_partitions, _count_of_relation, decode=protocol.decode_encrypted_relation
         ),
-        MessageKind.DELETE_TUPLES: _Plan(
-            _to_every_shard_by_id, _logical_deletions, decode=protocol.decode_tuple_ids
+        MessageKind.DELETE_TUPLES: _Plan(_to_every_shard, _union_of_ids),
+        # Index snapshots replicate fleet-wide, as the postings each write
+        # carries do: every shard holds the whole index (it is compact soft
+        # state), so lookups stay correct under any placement -- rebalances,
+        # crash duplicates, replica reads.
+        MessageKind.INDEX_PUT: _Plan(
+            _to_every_shard, _max_count, record=ClusterStats.record_index_write
         ),
-        # Like DELETE_TUPLES, the full id list goes to the whole fleet.
-        MessageKind.DELETE_TUPLES_EXACT: _Plan(_to_every_shard, _union_of_ids),
         MessageKind.LIST_TUPLE_IDS: _Plan(_to_every_shard, _union_of_ids, read=True),
         MessageKind.QUERY: _Plan(
             _to_every_shard, _merge_results, read=True, policy=None, cache="query"
@@ -1058,12 +1051,6 @@ class ShardRouter:
         ),
         MessageKind.RELATION_NAMES: _Plan(_to_every_shard, _union_of_names, read=True),
     }
-    # Index writes replicate fleet-wide: every shard holds the whole index
-    # (it is compact soft state), so lookups stay correct under any
-    # placement -- rebalances, crash duplicates, replica reads.
-    _PLANS[MessageKind.INDEX_PUT] = _PLANS[MessageKind.INDEX_DELTA] = _Plan(
-        _to_every_shard, _max_count, record=ClusterStats.record_index_write
-    )
 
     # ------------------------------------------------------------------ #
     # Elastic membership

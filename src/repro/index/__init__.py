@@ -7,10 +7,11 @@ inverted index* next to the data so the provider can answer the same
 selects in O(result):
 
 * :mod:`repro.index.wire` -- the ciphertext index objects that travel on
-  the protocol (``INDEX_PUT`` / ``INDEX_DELTA`` / ``INDEX_LOOKUP`` bodies):
-  a snapshot of PRF-derived keyword labels mapping to capped, padded
-  buckets of public tuple ids, incremental posting deltas, and the lookup
-  request carrying trapdoor labels plus a scan-fallback query.
+  the protocol: a snapshot of PRF-derived keyword labels mapping to capped,
+  padded buckets of public tuple ids (the ``INDEX_PUT`` body), incremental
+  posting deltas (riding in the ``INSERT_TUPLES`` / ``DELETE_TUPLES`` of
+  the write they maintain), and the lookup request carrying trapdoor labels
+  plus a scan-fallback query (the ``INDEX_LOOKUP`` body).
 * :mod:`repro.index.client` -- :class:`TableIndexer`, the key-holding side:
   derives per-keyword labels with a keyed PRF (the same construction as
   the secure-index SSE backend), builds snapshots from plaintext rows and

@@ -6,7 +6,8 @@ The provider's evaluate path is a strategy choice between two
 * :class:`ScanAccess` -- the paper's baseline: run the relation's keyless
   evaluator over every stored ciphertext, O(data) work per query.
 * :class:`IndexAccess` -- the client shipped an encrypted inverted index
-  (``INDEX_PUT`` / ``INDEX_DELTA``): intersect the posting sets of the
+  (``INDEX_PUT``, then the posting deltas each ``INSERT_TUPLES`` /
+  ``DELETE_TUPLES`` carries): intersect the posting sets of the
   query's trapdoor labels and fetch the candidate ciphertexts from the
   store by public tuple id, O(result) work per query on the in-memory
   store.

@@ -7,9 +7,11 @@ Three ciphertext objects cross the trust boundary:
   PRF outputs; each label maps to fixed-capacity buckets of public tuple
   ids, the last bucket padded with dummy ids so the provider sees only a
   bucket *count* per label, never an exact posting count.
-* :class:`IndexDelta` -- incremental maintenance shipped by
-  ``INDEX_DELTA`` on every insert/delete: ``(label, tuple_id)`` pairs to
-  add or tombstone.
+* :class:`IndexDelta` -- incremental maintenance riding in the write it
+  maintains: ``(label, tuple_id)`` pairs to add, carried by the
+  ``INSERT_TUPLES`` of the inserted tuples, or to tombstone, carried by the
+  ``DELETE_TUPLES`` of the deleted ones.  The empty delta -- what a session
+  without an index sends -- encodes as no bytes at all.
 * :class:`IndexLookupRequest` -- an ``INDEX_LOOKUP`` body: the trapdoor
   labels for a query's predicates plus the ordinary encrypted fallback
   query, so a provider without an installed index (a restarted shard, a
@@ -138,10 +140,14 @@ def _decode_pairs(raw: bytes, offset: int) -> tuple[tuple[tuple[bytes, bytes], .
 
 
 def encode_index_delta(delta: IndexDelta) -> bytes:
+    if not delta:
+        return b""
     return _encode_pairs(delta.additions) + _encode_pairs(delta.removals)
 
 
 def decode_index_delta(raw: bytes) -> IndexDelta:
+    if not raw:
+        return IndexDelta()
     additions, offset = _decode_pairs(raw, 0)
     removals, offset = _decode_pairs(raw, offset)
     if offset != len(raw):

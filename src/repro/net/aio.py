@@ -24,8 +24,8 @@ The proxy serves two worlds at once:
 
 Failure semantics mirror the blocking proxy exactly: a call that hits a
 dead connection is retried once on a fresh one, but a kind in
-:data:`~repro.outsourcing.protocol.REPLAY_UNSAFE` (insert, drop, both
-deletes) is retried only when its request never reached the wire
+:data:`~repro.outsourcing.protocol.REPLAY_UNSAFE` (insert, delete, drop)
+is retried only when its request never reached the wire
 (at-most-once).  When a multiplexed connection dies, every in-flight
 request fails with ``request_delivered=True`` -- the provider may have
 processed any of them -- and each caller applies that same rule

@@ -34,9 +34,9 @@ blocks every other relation behind it.
 
 *Bounded* is the provider's word (``bounded_work(kind, relation)``): the
 work is limited by the request and its reply, never by the stored relation.
-Today that is ``INDEX_DELTA`` and, on the in-memory store (keyed by tuple
-id), ``INSERT_TUPLE`` (O(1)), ``DELETE_TUPLES`` / ``DELETE_TUPLES_EXACT``
-(O(ids)) and an ``INDEX_LOOKUP`` the index serves; every shard request of a
+Today that is, on the in-memory store (keyed by tuple id), the two writes
+``INSERT_TUPLES`` (O(tuples + postings)) and ``DELETE_TUPLES`` (O(ids +
+postings)) and an ``INDEX_LOOKUP`` the index serves; every shard request of a
 cluster's insert, update and delete is one of these.  Stores, scans and
 lookups that would scan, everything on a file-backed provider (a write
 rewrites the file, a lookup re-reads it), and any object without the

@@ -27,7 +27,7 @@ class AuditEventKind(Enum):
     RELATION_DROPPED = "relation-dropped"
     TUPLE_IDS_LISTED = "tuple-ids-listed"
     INDEX_STORED = "index-stored"
-    INDEX_DELTA_APPLIED = "index-delta-applied"
+    POSTINGS_APPLIED = "index-delta-applied"
     INDEX_LOOKUP_SERVED = "index-lookup-served"
 
 

@@ -7,7 +7,7 @@ bandwidth overhead experiments E8-E9 measure realistic serialized sizes, not
 Python object graphs).
 
 Every operation a session performs is one envelope (:class:`MessageV2`):
-the data operations (``STORE_RELATION``, ``INSERT_TUPLE``, ``QUERY``,
+the data operations (``STORE_RELATION``, ``INSERT_TUPLES``, ``QUERY``,
 tuple-id-addressed ``DELETE_TUPLES``, multi-query ``BATCH_QUERY``, the
 metadata read ``LIST_TUPLE_IDS``), the encrypted-index operations, and the
 DDL and metadata operations -- ``REGISTER_EVALUATOR`` (the keyless
@@ -19,6 +19,10 @@ evaluation result, ``TUPLE_IDS`` / ``RELATIONS`` carrying a sequence.  So
 whatever Eve is asked to do, she is asked in bytes that
 :meth:`~repro.outsourcing.server.OutsourcedDatabaseServer.handle_message`
 parses, audits and times.
+
+A write is one envelope carrying its index postings (an encoded
+:class:`~repro.index.wire.IndexDelta`, no bytes without an index): see
+:func:`encode_insert_tuples` and :func:`encode_delete_tuples`.
 
 Which kind answers which is declared once, here: :data:`ANSWERS` maps each
 request kind to its one answer kind (a refusal is ``ERROR``),
@@ -221,14 +225,6 @@ def decode_encrypted_tuple(raw: bytes, offset: int = 0) -> tuple[EncryptedTuple,
     return _decode_tuple_at(raw, offset, len(raw))
 
 
-def decode_tuple_body(raw: bytes) -> EncryptedTuple:
-    """Parse an ``INSERT_TUPLE`` body: one tuple ciphertext, nothing after it."""
-    encrypted_tuple, consumed = _decode_tuple_at(raw, 0, len(raw))
-    if consumed != len(raw):
-        raise ProtocolError("trailing bytes after encrypted tuple")
-    return encrypted_tuple
-
-
 def _relation_parts(encrypted_relation: EncryptedRelation) -> list[bytes]:
     """An encrypted relation's frame as parts to join: an empty head (the
     slot for a result's relation length), the schema declaration, the count
@@ -290,6 +286,11 @@ def _walk_relation(raw: bytes) -> EncryptedRelation:
     """The Python walk of :func:`decode_encrypted_relation` over a whole frame."""
     schema_bytes, offset = _decode_bytes(raw, 0)
     schema = _schema_at(schema_bytes)
+    return EncryptedRelation(schema=schema, encrypted_tuples=_walk_tuples(raw, offset))
+
+
+def _walk_tuples(raw: bytes, offset: int) -> tuple[EncryptedTuple, ...]:
+    """The Python walk of the counted tuple frames from ``offset`` to the end."""
     total = len(raw)
     tuples = []
     try:
@@ -307,7 +308,7 @@ def _walk_relation(raw: bytes) -> EncryptedRelation:
         raise ProtocolError("truncated length prefix") from exc
     if offset != total:
         raise ProtocolError("trailing bytes after encrypted relation")
-    return EncryptedRelation(schema=schema, encrypted_tuples=tuple(tuples))
+    return tuple(tuples)
 
 
 def encode_encrypted_query(encrypted_query: EncryptedQuery) -> bytes:
@@ -360,16 +361,48 @@ def _parse_schema_declaration(declaration: bytes) -> RelationSchema:
 # --------------------------------------------------------------------------- #
 
 def encode_tuple_ids(tuple_ids: Sequence[bytes]) -> bytes:
-    """Serialize an id list (``DELETE_TUPLES`` request / ``TUPLE_IDS`` response)."""
+    """Serialize a ``TUPLE_IDS`` body: an id list."""
     return _encode_sequence(list(tuple_ids))
 
 
 def decode_tuple_ids(raw: bytes) -> tuple[bytes, ...]:
-    """Parse a ``DELETE_TUPLES`` or ``TUPLE_IDS`` body."""
+    """Parse a ``TUPLE_IDS`` body."""
     ids, offset = _decode_sequence(raw, 0)
     if offset != len(raw):
         raise ProtocolError("trailing bytes after tuple id list")
     return tuple(ids)
+
+
+def encode_insert_tuples(postings: bytes, encrypted_tuples: Sequence[EncryptedTuple]) -> bytes:
+    """Serialize an ``INSERT_TUPLES`` body: the posting additions, length-prefixed,
+    then the tuples as a relation frame carries them (count, then frames)."""
+    frames = map(frame_encrypted_tuple, encrypted_tuples)
+    return b"".join([_encode_bytes(postings), _U32.pack(len(encrypted_tuples)), *frames])
+
+
+def decode_insert_tuples(raw: bytes) -> tuple[bytes, tuple[EncryptedTuple, ...]]:
+    """Parse an ``INSERT_TUPLES`` body into ``(postings, tuples)`` as a relation's
+    tuples are walked, each keeping its ``framed`` memo."""
+    if not isinstance(raw, bytes):
+        raw = bytes(memoryview(raw))
+    postings, offset = _decode_bytes(raw, 0)
+    kernel = native.kernel
+    if kernel is not None:
+        tuples = kernel.decode_tuples(raw, offset, len(raw), EncryptedTuple)
+        if tuples is not None:
+            return postings, tuples
+    return postings, _walk_tuples(raw, offset)
+
+
+def encode_delete_tuples(tuple_ids: Sequence[bytes], postings: bytes) -> bytes:
+    """Serialize a ``DELETE_TUPLES`` body: the id list, then the posting removals."""
+    return _encode_sequence(list(tuple_ids)) + postings
+
+
+def decode_delete_tuples(raw: bytes) -> tuple[tuple[bytes, ...], bytes]:
+    """Parse a ``DELETE_TUPLES`` body: ``(tuple ids, postings)``."""
+    ids, offset = _decode_sequence(raw, 0)
+    return tuple(ids), raw[offset:]
 
 
 def encode_query_batch(queries: Iterable[EncryptedQuery]) -> bytes:
@@ -494,7 +527,7 @@ class MessageKind(Enum):
     """Protocol message types."""
 
     STORE_RELATION = "store-relation"
-    INSERT_TUPLE = "insert-tuple"
+    INSERT_TUPLES = "insert-tuples"
     QUERY = "query"
     QUERY_RESULT = "query-result"
     ERROR = "error"
@@ -504,9 +537,7 @@ class MessageKind(Enum):
     BATCH_RESULT = "batch-result"
     LIST_TUPLE_IDS = "list-tuple-ids"
     TUPLE_IDS = "tuple-ids"
-    DELETE_TUPLES_EXACT = "delete-tuples-exact"
     INDEX_PUT = "index-put"
-    INDEX_DELTA = "index-delta"
     INDEX_LOOKUP = "index-lookup"
     # DDL and metadata:
     REGISTER_EVALUATOR = "deploy-evaluator"
@@ -520,14 +551,12 @@ class MessageKind(Enum):
 #: The one kind each request kind is answered with (a refusal is ``ERROR``).
 ANSWERS = {
     MessageKind.STORE_RELATION: MessageKind.ACK,
-    MessageKind.INSERT_TUPLE: MessageKind.ACK,
+    MessageKind.INSERT_TUPLES: MessageKind.ACK,
     MessageKind.QUERY: MessageKind.QUERY_RESULT,
-    MessageKind.DELETE_TUPLES: MessageKind.ACK,
+    MessageKind.DELETE_TUPLES: MessageKind.TUPLE_IDS,
     MessageKind.BATCH_QUERY: MessageKind.BATCH_RESULT,
     MessageKind.LIST_TUPLE_IDS: MessageKind.TUPLE_IDS,
-    MessageKind.DELETE_TUPLES_EXACT: MessageKind.TUPLE_IDS,
     MessageKind.INDEX_PUT: MessageKind.ACK,
-    MessageKind.INDEX_DELTA: MessageKind.ACK,
     MessageKind.INDEX_LOOKUP: MessageKind.QUERY_RESULT,
     MessageKind.REGISTER_EVALUATOR: MessageKind.ACK,
     MessageKind.FETCH_RELATION: MessageKind.QUERY_RESULT,
@@ -547,12 +576,12 @@ ANSWER_CODECS = {
 
 #: Request kinds a transport never resends once they may have been delivered:
 #: a replayed insert adds a second copy, a replayed drop finds no relation and
-#: a replayed delete finds its ids gone, so it answers 0 for removed tuples.
+#: a replayed delete finds its ids gone, so it answers none of the removed
+#: tuples.  The postings ride in the writes, so they are never resent either.
 REPLAY_UNSAFE = frozenset({
-    MessageKind.INSERT_TUPLE,
+    MessageKind.INSERT_TUPLES,
     MessageKind.DROP_RELATION,
     MessageKind.DELETE_TUPLES,
-    MessageKind.DELETE_TUPLES_EXACT,
 })
 
 

@@ -15,7 +15,7 @@ so a transport can shuttle opaque frames between client and provider, and
 every operation a session performs -- data, index and DDL, evaluator
 deployment included -- arrives as an envelope.  The typed methods
 (:meth:`~OutsourcedDatabaseServer.register_evaluator`,
-:meth:`~OutsourcedDatabaseServer.insert_tuple`, ...) are the steps
+:meth:`~OutsourcedDatabaseServer.insert_tuples`, ...) are the steps
 ``_dispatch`` calls for those envelopes; test doubles override them to
 inject faults.  A step's answer is a value (a count, a result, ids, names)
 that ``handle_message`` frames as :data:`~repro.outsourcing.protocol.ANSWERS`
@@ -63,11 +63,7 @@ _BODYLESS = frozenset({
 })
 
 #: Writes whose cost is the request's on a ``bounded_by_request`` store.
-_BOUNDED_WRITES = (
-    MessageKind.INSERT_TUPLE,
-    MessageKind.DELETE_TUPLES,
-    MessageKind.DELETE_TUPLES_EXACT,
-)
+_BOUNDED_WRITES = (MessageKind.INSERT_TUPLES, MessageKind.DELETE_TUPLES)
 
 
 class ServerError(Exception):
@@ -180,33 +176,33 @@ class OutsourcedDatabaseServer:
             scheme=evaluator.scheme_name,
         )
 
-    def insert_tuple(self, name: str, encrypted_tuple: EncryptedTuple) -> None:
-        """Append one tuple ciphertext to a stored relation."""
+    def insert_tuples(self, name: str, encrypted_tuples: Sequence[EncryptedTuple], delta) -> int:
+        """Append tuple ciphertexts to a stored relation, their postings
+        (``delta``, an :class:`~repro.index.wire.IndexDelta`) first: a failure
+        in between leaves stale postings whose ids fetch nothing (a harmless
+        superset), the other order an indexed lookup missing a tuple."""
+        if name not in self._storage:
+            raise ServerError(f"no relation named {name!r} is stored")
+        if delta:
+            self._apply_postings(name, delta)
         try:
-            self._storage.append(name, encrypted_tuple)
+            self._storage.append(name, encrypted_tuples)
         except StorageError as exc:
             raise ServerError(str(exc)) from exc
-        self._audit.record(
-            AuditEventKind.TUPLE_INSERTED,
-            name,
-            size_in_bytes=encrypted_tuple.size_in_bytes(),
-        )
+        for encrypted_tuple in encrypted_tuples:
+            self._audit.record(
+                AuditEventKind.TUPLE_INSERTED,
+                name,
+                size_in_bytes=encrypted_tuple.size_in_bytes(),
+            )
+        return len(encrypted_tuples)
 
-    def delete_tuples(self, name: str, tuple_ids: Sequence[bytes]) -> int:
-        """Remove the named tuple ciphertexts; returns how many were dropped.
+    def delete_tuples(self, name: str, tuple_ids: Sequence[bytes], delta) -> tuple[bytes, ...]:
+        """Remove the named tuple ciphertexts, then tombstone ``delta``'s
+        postings; returns the ids that went.
 
-        Unknown ids are ignored (the client addresses tuples by the public
-        random ids, which may already have been deleted by a racing request).
-        """
-        return len(self.delete_tuples_exact(name, tuple_ids))
-
-    def delete_tuples_exact(self, name: str, tuple_ids: Sequence[bytes]) -> tuple[bytes, ...]:
-        """Remove the named tuple ciphertexts and report *which* ids went.
-
-        The per-id outcome is what a coordinator needs under replayed or
-        stale delete batches: a count alone cannot say which addressed
-        tuples were still live on this provider, the id set can -- and it
-        is exactly the set whose index postings must be tombstoned.
+        Unknown ids are ignored (a racing request may have deleted them), so
+        the id set is exact under replayed or stale batches.
         """
         try:
             deleted_ids, copies = self._storage.remove(name, tuple_ids)
@@ -218,6 +214,8 @@ class OutsourcedDatabaseServer:
             requested=len(tuple_ids),  # what Eve saw on the wire, duplicates included
             deleted=copies,
         )
+        if delta:
+            self._apply_postings(name, delta)
         return deleted_ids
 
     def execute_query(self, name: str, encrypted_query: EncryptedQuery) -> EvaluationResult:
@@ -301,23 +299,17 @@ class OutsourcedDatabaseServer:
         )
         return len(snapshot.entries)
 
-    def apply_index_delta(self, name: str, delta) -> int:
-        """Apply a posting delta; a provider without the index no-ops.
-
-        The index is soft state: acknowledging a delta it cannot apply is
-        safe because the next lookup on this provider falls back to scan.
-        Returns how many posting pairs were applied (0 for the no-op).
-        """
+    def _apply_postings(self, name: str, delta) -> None:
+        """Apply a write's posting delta; a provider without the index (soft
+        state: its next lookup scans) drops it."""
         applied = self._index_access.apply_delta(name, delta)
-        count = (len(delta.additions) + len(delta.removals)) if applied else 0
         self._audit.record(
-            AuditEventKind.INDEX_DELTA_APPLIED,
+            AuditEventKind.POSTINGS_APPLIED,
             name,
             additions=len(delta.additions),
             removals=len(delta.removals),
             applied=applied,
         )
-        return count
 
     def index_lookup(self, name: str, request) -> EvaluationResult:
         """Answer an exact select through the best available access method."""
@@ -360,18 +352,15 @@ class OutsourcedDatabaseServer:
 
         :mod:`repro.net.server` answers such a request on its event loop, so
         this is never true for work that grows with the stored relation.
-        ``INDEX_DELTA`` is O(delta) (a no-op without an index).  On a store
-        whose writes and fetches cost what the request carries
-        (``bounded_by_request``: the in-memory one), so are
-        ``INSERT_TUPLE`` (O(1)), ``DELETE_TUPLES`` / ``DELETE_TUPLES_EXACT``
-        (O(ids)) and an ``INDEX_LOOKUP`` the index serves (O(postings of
-        the request's labels + reply)); a lookup that would scan is not.
-        A file-backed store rewrites or re-reads the relation, so all of
+        On a store whose writes and fetches cost what the request carries
+        (``bounded_by_request``: the in-memory one), ``INSERT_TUPLES``
+        (O(tuples + postings)), ``DELETE_TUPLES`` (O(ids + postings)) and
+        an ``INDEX_LOOKUP`` the index serves (O(postings of the request's
+        labels + reply)) are; a lookup that would scan is not.  A
+        file-backed store rewrites or re-reads the relation, so all of
         these stay unbounded there.  The answer holds only while no other
         request for ``name`` is running.
         """
-        if kind is MessageKind.INDEX_DELTA:
-            return True
         if not self._storage.bounded_by_request:
             return False
         if kind is MessageKind.INDEX_LOOKUP:
@@ -445,27 +434,26 @@ class OutsourcedDatabaseServer:
             encrypted_relation = protocol.decode_encrypted_relation(body)
             self.store_relation(name, encrypted_relation, self._evaluator(name))
             return len(encrypted_relation)
-        if kind is MessageKind.INSERT_TUPLE:
-            self.insert_tuple(name, protocol.decode_tuple_body(body))
-            return 1
+        if kind is MessageKind.INSERT_TUPLES:
+            from repro.index.wire import decode_index_delta
+
+            postings, tuples = protocol.decode_insert_tuples(body)
+            return self.insert_tuples(name, tuples, decode_index_delta(postings))
         if kind is MessageKind.QUERY:
             return self.execute_query(name, protocol.decode_encrypted_query(body))
         if kind is MessageKind.DELETE_TUPLES:
-            return self.delete_tuples(name, protocol.decode_tuple_ids(body))
+            from repro.index.wire import decode_index_delta
+
+            tuple_ids, postings = protocol.decode_delete_tuples(body)
+            return self.delete_tuples(name, tuple_ids, decode_index_delta(postings))
         if kind is MessageKind.BATCH_QUERY:
             return self.execute_batch(name, protocol.decode_query_batch(body))
         if kind is MessageKind.LIST_TUPLE_IDS:
             return self.list_tuple_ids(name)
-        if kind is MessageKind.DELETE_TUPLES_EXACT:
-            return self.delete_tuples_exact(name, protocol.decode_tuple_ids(body))
         if kind is MessageKind.INDEX_PUT:
             from repro.index.wire import decode_index_snapshot
 
             return self.put_index(name, decode_index_snapshot(body))
-        if kind is MessageKind.INDEX_DELTA:
-            from repro.index.wire import decode_index_delta
-
-            return self.apply_index_delta(name, decode_index_delta(body))
         if kind is MessageKind.INDEX_LOOKUP:
             from repro.index.wire import decode_index_lookup
 

@@ -10,8 +10,8 @@ sharded / remote one) without touching the protocol layer.
 The file backend reuses the wire codecs of
 :mod:`repro.outsourcing.protocol`, so bytes at rest are exactly the bytes in
 flight -- what a provider-side disk leak would expose is precisely what the
-storage-overhead experiment E9 measures.  An append writes a decoded tuple's
-``framed`` memo as it is.
+storage-overhead experiment E9 measures.  An append writes each decoded
+tuple's ``framed`` memo as it is.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import os
 import pathlib
 import tempfile
 from abc import ABC, abstractmethod
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.core.dph import EncryptedRelation, EncryptedTuple
 from repro.outsourcing.protocol import (
@@ -75,20 +75,9 @@ class StorageBackend(ABC):
         """
         return len(self.load(name))
 
-    def append(self, name: str, encrypted_tuple: EncryptedTuple) -> None:
-        """Append one tuple ciphertext to a stored relation.
-
-        The default rewrites the whole relation; backends with cheaper
-        append paths override this.
-        """
-        stored = self.load(name)
-        self.save(
-            name,
-            EncryptedRelation(
-                schema=stored.schema,
-                encrypted_tuples=stored.encrypted_tuples + (encrypted_tuple,),
-            ),
-        )
+    @abstractmethod
+    def append(self, name: str, encrypted_tuples: Sequence[EncryptedTuple]) -> None:
+        """Append tuple ciphertexts, in order, to a stored relation: all or none."""
 
     def remove(self, name: str, tuple_ids: Iterable[bytes]) -> tuple[tuple[bytes, ...], int]:
         """Delete every stored copy of ``tuple_ids``; unknown ids are ignored.
@@ -191,8 +180,10 @@ class InMemoryStorageBackend(StorageBackend):
     def tuple_count(self, name: str) -> int:
         return len(self._held(name).tuples)
 
-    def append(self, name: str, encrypted_tuple: EncryptedTuple) -> None:
-        self._held(name).add(encrypted_tuple)
+    def append(self, name: str, encrypted_tuples: Sequence[EncryptedTuple]) -> None:
+        add = self._held(name).add
+        for encrypted_tuple in encrypted_tuples:
+            add(encrypted_tuple)
 
     def remove(self, name: str, tuple_ids: Iterable[bytes]) -> tuple[tuple[bytes, ...], int]:
         held = self._held(name)
@@ -326,20 +317,20 @@ class FileStorageBackend(StorageBackend):
             raise StorageError(f"stored relation {name!r} is corrupt")
         return int.from_bytes(count_raw, "big")
 
-    def append(self, name: str, encrypted_tuple: EncryptedTuple) -> None:
-        """Append in place: extend the file, then bump the tuple count.
+    def append(self, name: str, encrypted_tuples: Sequence[EncryptedTuple]) -> None:
+        """Append in place: extend the file, then bump the tuple count once.
 
         The wire layout is ``len(schema) || schema || count || items...``
         with 4-byte big-endian prefixes, so an append only rewrites the
-        4-byte count instead of the whole relation.  The item goes first;
-        a failed write puts the old count back (it may have half landed)
-        and truncates the file to its old length, so a full disk fails the
-        append and leaves the relation as it was.
+        4-byte count instead of the whole relation.  The items go first, in
+        one write; a failed write puts the old count back (it may have half
+        landed) and truncates the file to its old length, so a full disk
+        fails the append and leaves the relation as it was.
         """
         path = self._path(name)
         if not path.exists():
             raise StorageError(f"no relation named {name!r} is stored")
-        item = frame_encrypted_tuple(encrypted_tuple)
+        items = b"".join(map(frame_encrypted_tuple, encrypted_tuples))
         try:
             # Unbuffered: a failed write raises at the write, not at close.
             with path.open("r+b", buffering=0) as handle:
@@ -351,10 +342,10 @@ class FileStorageBackend(StorageBackend):
                 count_raw = handle.read(4)
                 if len(count_raw) != 4:
                     raise StorageError(f"stored relation {name!r} is corrupt")
-                count = int.from_bytes(count_raw, "big") + 1
+                count = int.from_bytes(count_raw, "big") + len(encrypted_tuples)
                 end = handle.seek(0, os.SEEK_END)
                 try:
-                    _write_all(handle, item)
+                    _write_all(handle, items)
                     handle.seek(count_offset)
                     _write_all(handle, count.to_bytes(4, "big"))
                 except OSError:

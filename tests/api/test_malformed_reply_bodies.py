@@ -83,7 +83,7 @@ CASES = {
     select_many: (MessageKind.BATCH_RESULT, False),
     count: (MessageKind.ACK, False),
     retrieve_all: (MessageKind.QUERY_RESULT, False),
-    delete: (MessageKind.ACK, False),
+    delete: (MessageKind.TUPLE_IDS, False),
     create_table: (MessageKind.RELATIONS, False),
     attach_table: (MessageKind.QUERY_RESULT, False),
     "indexed select": (MessageKind.QUERY_RESULT, True),
@@ -102,7 +102,7 @@ CALLS = {
     "create_table with a damaged ACK": create_table,
 }
 #: Rows a failed call leaves behind: its request landed, only the reply was damaged.
-ADDED = {insert: 1, update: 1}
+ADDED = {insert: 1, "indexed insert": 1, update: 1}
 
 
 @pytest.mark.parametrize(

@@ -116,12 +116,7 @@ class CachedSessionMachine(SessionMachine):
 
     @rule(
         kind=st.sampled_from(
-            [
-                MessageKind.INSERT_TUPLE,
-                MessageKind.INDEX_DELTA,
-                MessageKind.DELETE_TUPLES,
-                MessageKind.DELETE_TUPLES_EXACT,
-            ]
+            [MessageKind.INSERT_TUPLES, MessageKind.DELETE_TUPLES]
         ),
         lands=st.booleans(),
         row=rows,
@@ -132,7 +127,7 @@ class CachedSessionMachine(SessionMachine):
     def failed_write(self, kind, lands, row, where, new, write):
         """One provider request of the write is lost, or its reply is.
 
-        E.g. the index delta lands and the tuple raises; or the tuple lands
+        E.g. an update's insert is lost before it lands, or its delete lands
         and the client only sees the error.  Whatever reached the store,
         the reads that follow must agree with the uncached session.
         """

@@ -6,6 +6,7 @@ import pytest
 
 from repro.api import EncryptedDatabase
 from repro.cluster import ClusterError, ShardRouter, rebalance
+from repro.index import IndexDelta
 from repro.outsourcing import OutsourcedDatabaseServer
 from repro.relational import Selection
 from provider_calls import stored_relation
@@ -141,7 +142,7 @@ class TestCrashMidMigration:
         for shard_id in router.shard_ids:
             backend = router.shard(shard_id)
 
-            def refuse(name, tuple_ids):
+            def refuse(name, tuple_ids, delta):
                 raise ConnectionError("crashed before the delete phase")
 
             backend.delete_tuples = refuse  # shadow the bound method
@@ -209,7 +210,7 @@ class TestReplicatedRebalance:
         # wound one replica set: drop a single copy behind the router's back
         tuple_id, holders = next(iter(self._holders(router, "Emp").items()))
         victim = sorted(holders)[0]
-        router.shard(victim).delete_tuples("Emp", [tuple_id])
+        router.shard(victim).delete_tuples("Emp", [tuple_id], IndexDelta())
         report = router.rebalance()
         assert report.moved == 1
         # copied from a surviving holder onto the wounded shard, nothing removed

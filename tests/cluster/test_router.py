@@ -15,12 +15,13 @@ from repro.cluster import (
     parse_cluster_options,
     parse_cluster_url,
 )
+from repro.index import IndexDelta
 from repro.outsourcing import OutsourcedDatabaseServer, ServerError
 from repro.relational import Selection
 from provider_calls import (
     delete_tuples,
     execute_query,
-    insert_tuple,
+    insert_tuples,
     relation_names,
     stored_relation,
     tuple_count,
@@ -271,9 +272,9 @@ class TestReplication:
         victim = router.replica_shards(encrypted.tuple_id)[1]
         router.shard(victim).down = True
         with pytest.raises(ServerError, match="shard is down"):
-            insert_tuple(router, "Emp", encrypted)
+            insert_tuples(router, "Emp", [encrypted])
         router.shard(victim).down = False
-        insert_tuple(router, "Emp", encrypted)
+        insert_tuples(router, "Emp", [encrypted])
         _assert_fully_replicated(router, "Emp")
 
     def test_deletes_fail_fast_and_count_logically(self):
@@ -336,7 +337,7 @@ class TestDuplicateSafety:
         # new owner happened, the delete at the old owner did not
         victim = router.shard("shard-0").stored_relation("Emp").encrypted_tuples[0]
         other = "shard-1" if router.shard_for(victim.tuple_id) == "shard-0" else "shard-0"
-        router.shard(other).insert_tuple("Emp", victim)
+        router.shard(other).insert_tuples("Emp", [victim], IndexDelta())
         return db, router, victim
 
     def test_query_returns_exactly_one_copy(self, secret_key, rng):

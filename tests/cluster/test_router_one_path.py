@@ -27,10 +27,9 @@ from repro.outsourcing.server import ServerError
 from repro.relational import Relation, RelationSchema, Selection
 from provider_calls import (
     delete_tuples,
-    delete_tuples_exact,
     execute_batch,
     execute_query,
-    insert_tuple,
+    insert_tuples,
     register_evaluator,
     store_relation,
     tuple_count,
@@ -164,16 +163,16 @@ class TestEnvelopeOnlyBackends:
         router = ShardRouter([EnvelopeOnlyShard() for _ in range(3)], replicas=2)
         store_relation(router, "Emp", encrypted, dph.server_evaluator())
         assert tuple_count(router, "Emp") == len(ROWS)
-        insert_tuple(router, "Emp", _tuple(dph, "Zoe", "NEW"))
+        insert_tuples(router, "Emp", [_tuple(dph, "Zoe", "NEW")])
         assert len(execute_query(router, "Emp", _query(dph, "dept", "NEW")).matching) == 1
         hr, it = execute_batch(
             router, "Emp", [_query(dph, "dept", "HR"), _query(dph, "dept", "IT")]
         )
         assert (len(hr.matching), len(it.matching)) == (9, 9)
-        # DELETE_TUPLES counts by the capped sum of its fan-out: 2 physical
+        # DELETE_TUPLES answers the union of the ids that went: 2 physical
         # copies each, 9 logical
-        assert delete_tuples(router, "Emp", _ids_of(hr)) == 9
-        gone = delete_tuples_exact(router, "Emp", _ids_of(it) + _ids_of(hr))
+        assert sorted(delete_tuples(router, "Emp", _ids_of(hr))) == _ids_of(hr)
+        gone = delete_tuples(router, "Emp", _ids_of(it) + _ids_of(hr))
         assert sorted(gone) == _ids_of(it)  # the HR ids were already dead
         assert tuple_count(router, "Emp") == 1
 
@@ -206,8 +205,8 @@ class TestFleetsAgree:
         )
         _envelope(
             router,
-            MessageKind.INSERT_TUPLE,
-            protocol.encode_encrypted_tuple(_tuple(dph, "Zoe", "NEW")),
+            MessageKind.INSERT_TUPLES,
+            protocol.encode_insert_tuples(b"", [_tuple(dph, "Zoe", "NEW")]),
             MessageKind.ACK,
         )
         answers["query"] = _envelope(
@@ -228,8 +227,8 @@ class TestFleetsAgree:
         answers["exact"] = protocol.decode_tuple_ids(
             _envelope(
                 router,
-                MessageKind.DELETE_TUPLES_EXACT,
-                protocol.encode_tuple_ids(it_ids[:3] + it_ids[:1]),
+                MessageKind.DELETE_TUPLES,
+                protocol.encode_delete_tuples(it_ids[:3] + it_ids[:1], b""),
                 MessageKind.TUPLE_IDS,
             ).body
         )
@@ -237,8 +236,8 @@ class TestFleetsAgree:
             protocol.decode_tuple_ids(
                 _envelope(
                     router,
-                    MessageKind.DELETE_TUPLES_EXACT,
-                    protocol.encode_tuple_ids(it_ids[2:6]),
+                    MessageKind.DELETE_TUPLES,
+                    protocol.encode_delete_tuples(it_ids[2:6], b""),
                     MessageKind.TUPLE_IDS,
                 ).body
             )
@@ -285,7 +284,7 @@ class TestSurfacesFailAlike:
         router = self._fleet(replicas, dph, encrypted)
         some_id = encrypted.encrypted_tuples[0].tuple_id
         with pytest.raises(ServerError, match="down"):
-            insert_tuple(router, "Emp", _tuple(dph, "Zoe"))
+            insert_tuples(router, "Emp", [_tuple(dph, "Zoe")])
         with pytest.raises(ServerError, match="down"):
             delete_tuples(router, "Emp", [some_id])
         with pytest.raises(ServerError, match="down"):
@@ -298,8 +297,8 @@ class TestSurfacesFailAlike:
         router = self._fleet(replicas, dph, encrypted)
         some_id = encrypted.encrypted_tuples[0].tuple_id
         for kind, body in (
-            (MessageKind.INSERT_TUPLE, protocol.encode_encrypted_tuple(_tuple(dph, "Zoe"))),
-            (MessageKind.DELETE_TUPLES, protocol.encode_tuple_ids([some_id])),
+            (MessageKind.INSERT_TUPLES, protocol.encode_insert_tuples(b"", [_tuple(dph, "Zoe")])),
+            (MessageKind.DELETE_TUPLES, protocol.encode_delete_tuples([some_id], b"")),
             (MessageKind.QUERY, protocol.encode_encrypted_query(_query(dph, "dept", "HR"))),
         ):
             response = _envelope(router, kind, body, MessageKind.ERROR)
@@ -370,7 +369,10 @@ class TestRefusedKindsFailLoudly:
         MessageKind.INDEX_LOOKUP: lambda db, _: db.select(
             Selection.equals("dept", "HR"), table="Emp"
         ),
-        MessageKind.DELETE_TUPLES_EXACT: lambda db, _: db.delete(
+        MessageKind.INSERT_TUPLES: lambda db, _: db.insert(
+            "Emp", {"name": "Zoe", "dept": "HR", "salary": 1}
+        ),
+        MessageKind.DELETE_TUPLES: lambda db, _: db.delete(
             Selection.equals("dept", "HR"), table="Emp"
         ),
     }

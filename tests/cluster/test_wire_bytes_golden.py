@@ -8,7 +8,11 @@ digest.  ``GOLDEN`` holds the digests captured on the parent commit
 a plan-table entry that addresses other shards, re-frames an envelope or
 merges differently fails here by kind.  The DDL and metadata kinds
 (``deploy-evaluator`` ... ``list-relations``) were pinned when they became
-envelopes; the v1 entries went with the v1 envelope.
+envelopes; the v1 entries went with the v1 envelope.  The write entries
+were re-pinned when each write became one envelope carrying its postings
+(``insert-tuples``, and ``delete-tuples`` answering the ids that went, in
+place of ``insert-tuple``, ``index-delta`` and ``delete-tuples-exact``);
+every read kind kept its digest.
 
 Regenerate (only when a wire change is intended):
 ``PYTHONPATH=src python tests/cluster/test_wire_bytes_golden.py``
@@ -107,7 +111,7 @@ def transcript(replicas: int, cache) -> dict[str, str]:
     for _ in range(2):  # INDEX_LOOKUP; the repeat is a hit on a cached router
         indexed.select(Selection.equals("dept", "HR"), table="Emp")
     indexed.update(Selection.equals("name", "emp3"), {"salary": 9}, table="Emp")
-    indexed.delete(Selection.equals("name", "emp5"), table="Emp")  # EXACT + DELTA
+    indexed.delete(Selection.equals("name", "emp5"), table="Emp")  # DELETE_TUPLES + postings
     indexed.count("Emp")  # TUPLE_COUNT
     tap.handle_message(
         MessageV2(kind=MessageKind.LIST_TUPLE_IDS, relation_name="Emp").to_bytes()
@@ -173,22 +177,18 @@ GOLDEN = {'replicas=1': {'ack/v2': '444c08f3560e97a2',
                 'count-tuples/v3': '67bdb67547a14250',
                 'delete-relation/v2': '2cfb04c654c1737a',
                 'delete-relation/v3': '19c05051ee30cb20',
-                'delete-tuples-exact/v2': 'a4b2e5d33b101aa7',
-                'delete-tuples-exact/v3': 'c4781a985b733b7d',
-                'delete-tuples/v2': 'ad55aee130acaa93',
-                'delete-tuples/v3': 'ad55aee130acaa93',
+                'delete-tuples/v2': '41e8afac9e4f5ed1',
+                'delete-tuples/v3': 'bbee27d37a9fd0ba',
                 'deploy-evaluator/v2': '8a99d022a27b526c',
                 'deploy-evaluator/v3': '475ec6bb71858696',
                 'fetch-relation/v2': '7f1f0c3004f5ec90',
                 'fetch-relation/v3': '993f051ecffa827f',
-                'index-delta/v2': 'fe68bc41fd1b0e4b',
-                'index-delta/v3': 'ffd41487dcba0003',
                 'index-lookup/v2': '3a944f80a98e11a2',
                 'index-lookup/v3': '093dd4655cf81cbc',
                 'index-put/v2': '31af14edb9954ec0',
                 'index-put/v3': '9eae7367ff33aa02',
-                'insert-tuple/v2': 'cdeeeab4b6a49107',
-                'insert-tuple/v3': '2ad61db51fcb0849',
+                'insert-tuples/v2': '51ce36bc617b408c',
+                'insert-tuples/v3': '51ce36bc617b408c',
                 'list-relations/v2': '245a7ee962d04f7f',
                 'list-relations/v3': 'b258e1b3a95dfb53',
                 'list-tuple-ids/v2': 'a1e67b8d85a85e26',
@@ -205,22 +205,18 @@ GOLDEN = {'replicas=1': {'ack/v2': '444c08f3560e97a2',
                 'count-tuples/v3': '67bdb67547a14250',
                 'delete-relation/v2': '2cfb04c654c1737a',
                 'delete-relation/v3': '19c05051ee30cb20',
-                'delete-tuples-exact/v2': 'a4b2e5d33b101aa7',
-                'delete-tuples-exact/v3': 'c4781a985b733b7d',
-                'delete-tuples/v2': 'ad55aee130acaa93',
-                'delete-tuples/v3': 'ad55aee130acaa93',
+                'delete-tuples/v2': '41e8afac9e4f5ed1',
+                'delete-tuples/v3': 'bbee27d37a9fd0ba',
                 'deploy-evaluator/v2': '8a99d022a27b526c',
                 'deploy-evaluator/v3': '475ec6bb71858696',
                 'fetch-relation/v2': '8b90b1d0c2fc1f21',
                 'fetch-relation/v3': 'ef151380c7de13ca',
-                'index-delta/v2': 'fe68bc41fd1b0e4b',
-                'index-delta/v3': 'ffd41487dcba0003',
                 'index-lookup/v2': 'fd45db56ff9f4b97',
                 'index-lookup/v3': '7b1bc77e308abad7',
                 'index-put/v2': '31af14edb9954ec0',
                 'index-put/v3': '9eae7367ff33aa02',
-                'insert-tuple/v2': '96db573cf987fe54',
-                'insert-tuple/v3': 'dbfa2a77800a285e',
+                'insert-tuples/v2': 'aea924b44d65106e',
+                'insert-tuples/v3': 'aea924b44d65106e',
                 'list-relations/v2': '245a7ee962d04f7f',
                 'list-relations/v3': 'b258e1b3a95dfb53',
                 'list-tuple-ids/v2': 'a1e67b8d85a85e26',
@@ -237,22 +233,18 @@ GOLDEN = {'replicas=1': {'ack/v2': '444c08f3560e97a2',
                       'count-tuples/v3': '67bdb67547a14250',
                       'delete-relation/v2': '2cfb04c654c1737a',
                       'delete-relation/v3': '19c05051ee30cb20',
-                      'delete-tuples-exact/v2': 'a4b2e5d33b101aa7',
-                      'delete-tuples-exact/v3': 'c4781a985b733b7d',
-                      'delete-tuples/v2': 'ad55aee130acaa93',
-                      'delete-tuples/v3': 'ad55aee130acaa93',
+                      'delete-tuples/v2': '41e8afac9e4f5ed1',
+                      'delete-tuples/v3': 'bbee27d37a9fd0ba',
                       'deploy-evaluator/v2': '8a99d022a27b526c',
                       'deploy-evaluator/v3': '475ec6bb71858696',
                       'fetch-relation/v2': '8b90b1d0c2fc1f21',
                       'fetch-relation/v3': 'ef151380c7de13ca',
-                      'index-delta/v2': 'fe68bc41fd1b0e4b',
-                      'index-delta/v3': 'ffd41487dcba0003',
                       'index-lookup/v2': '879e82c837196621',
                       'index-lookup/v3': '89cf47b2a3b4658c',
                       'index-put/v2': '31af14edb9954ec0',
                       'index-put/v3': '9eae7367ff33aa02',
-                      'insert-tuple/v2': '96db573cf987fe54',
-                      'insert-tuple/v3': 'dbfa2a77800a285e',
+                      'insert-tuples/v2': 'aea924b44d65106e',
+                      'insert-tuples/v3': 'aea924b44d65106e',
                       'list-relations/v2': '245a7ee962d04f7f',
                       'list-relations/v3': 'b258e1b3a95dfb53',
                       'list-tuple-ids/v2': 'a1e67b8d85a85e26',

@@ -218,7 +218,7 @@ class TestIndexAccess:
         assert len(access.search("Emp", lookup).matching) == 2
         storage.remove("Emp", [first.tuple_id])
         assert access.search("Emp", lookup).matching.encrypted_tuples == (second,)
-        storage.append("Emp", first)
+        storage.append("Emp", [first])
         assert len(access.search("Emp", lookup).matching) == 2
 
     def test_stats_shape(self, served):

@@ -77,9 +77,15 @@ class TestDeltaCodec:
         assert delta == IndexDelta()
 
     def test_trailing_bytes_rejected(self):
-        raw = encode_index_delta(IndexDelta())
+        raw = encode_index_delta(IndexDelta(removals=((b"L1", _ids(1)[0]),)))
         with pytest.raises(ProtocolError, match="trailing"):
             decode_index_delta(raw + b"x")
+
+    def test_the_empty_delta_is_no_bytes(self):
+        """What a session without an index puts in its writes."""
+        assert encode_index_delta(IndexDelta()) == b""
+        assert decode_index_delta(b"") == IndexDelta()
+        assert decode_index_delta(bytes(8)) == IndexDelta()  # two empty pair lists
 
 
 class TestLookupCodec:

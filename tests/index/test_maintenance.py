@@ -13,6 +13,7 @@ import contextlib
 import pytest
 
 from repro.api import DatabaseError, EncryptedDatabase
+from repro.index import IndexDelta
 from repro.outsourcing import OutsourcedDatabaseServer
 from repro.outsourcing.protocol import MessageKind
 from repro.outsourcing.server import ServerError
@@ -152,10 +153,10 @@ class TestExactDeletes:
         encrypted = dph.encrypt_relation(relation)
         server.store_relation("Emp", encrypted, dph.server_evaluator())
         ids = [t.tuple_id for t in encrypted.encrypted_tuples]
-        first = server.delete_tuples_exact("Emp", ids)
+        first = server.delete_tuples("Emp", ids, IndexDelta())
         assert sorted(first) == sorted(ids)
         # a stale batch replayed after a crash deletes nothing more
-        assert server.delete_tuples_exact("Emp", ids) == ()
+        assert server.delete_tuples("Emp", ids, IndexDelta()) == ()
 
     def test_duplicate_ids_in_one_batch_count_once(self, secret_key, rng, employee_schema):
         from repro.core import SearchableSelectDph
@@ -167,4 +168,4 @@ class TestExactDeletes:
         encrypted = dph.encrypt_relation(relation)
         server.store_relation("Emp", encrypted, dph.server_evaluator())
         the_id = encrypted.encrypted_tuples[0].tuple_id
-        assert server.delete_tuples_exact("Emp", [the_id, the_id]) == (the_id,)
+        assert server.delete_tuples("Emp", [the_id, the_id], IndexDelta()) == (the_id,)

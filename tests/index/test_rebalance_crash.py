@@ -39,7 +39,7 @@ def crashed(secret_key, rng):
     for shard_id in router.shard_ids:
         backend = router.shard(shard_id)
 
-        def refuse(name, tuple_ids):
+        def refuse(name, tuple_ids, delta):
             raise ConnectionError("killed before the delete phase")
 
         backend.delete_tuples = refuse  # shadow the bound method

@@ -35,9 +35,9 @@ from repro.outsourcing import (
 from repro.outsourcing.protocol import (
     MessageKind,
     MessageV2,
+    encode_delete_tuples,
     encode_encrypted_query,
-    encode_encrypted_tuple,
-    encode_tuple_ids,
+    encode_insert_tuples,
     parse_message,
 )
 from repro.relational import Relation, RelationSchema, RelationTuple, Selection
@@ -175,11 +175,18 @@ def lookup(relation: str, *labels: bytes, fallback=None, traced=False) -> bytes:
     )
 
 
-def delta(relation: str, additions=(), removals=(), traced=False) -> bytes:
-    body = encode_index_delta(
-        IndexDelta(additions=tuple(additions), removals=tuple(removals))
-    )
-    return envelope(MessageKind.INDEX_DELTA, relation, body, traced)
+def insert(relation: str, tuples=(), additions=(), traced=False) -> bytes:
+    """An ``INSERT_TUPLES`` of ``tuples`` carrying the posting ``additions``."""
+    postings = encode_index_delta(IndexDelta(additions=tuple(additions)))
+    body = encode_insert_tuples(postings, list(tuples))
+    return envelope(MessageKind.INSERT_TUPLES, relation, body, traced)
+
+
+def delete(relation: str, ids=(), removals=(), traced=False) -> bytes:
+    """A ``DELETE_TUPLES`` of ``ids`` carrying the posting ``removals``."""
+    postings = encode_index_delta(IndexDelta(removals=tuple(removals)))
+    body = encode_delete_tuples(list(ids), postings)
+    return envelope(MessageKind.DELETE_TUPLES, relation, body, traced)
 
 
 def scan(fixture: Fixture, traced=False) -> bytes:
@@ -233,23 +240,21 @@ class LoadCountingStorage(InMemoryStorageBackend):
 
 
 class TestBoundedWorkPredicate:
-    def test_index_reads_deltas_and_single_row_writes_are_bounded(self, tmp_path):
+    def test_index_reads_and_writes_are_bounded(self, tmp_path):
         bounded = {
             kind for kind in MessageKind if provider().bounded_work(kind, "Emp")
         }
         assert bounded == {
             MessageKind.INDEX_LOOKUP,
-            MessageKind.INDEX_DELTA,
-            MessageKind.INSERT_TUPLE,
+            MessageKind.INSERT_TUPLES,
             MessageKind.DELETE_TUPLES,
-            MessageKind.DELETE_TUPLES_EXACT,
         }
         # A file-backed write rewrites (or a lookup re-reads) the file.
         file_backed = OutsourcedDatabaseServer(storage=FileStorageBackend(tmp_path))
         emp_fixture().install(file_backed)
         assert {
             kind for kind in MessageKind if file_backed.bounded_work(kind, "Emp")
-        } == {MessageKind.INDEX_DELTA}
+        } == set()
 
     def test_a_lookup_without_an_index_is_unbounded(self):
         database = provider()
@@ -281,14 +286,15 @@ class TestBoundedWorkPredicate:
         storage.loads = 0
         assert database.bounded_work(MessageKind.INDEX_LOOKUP, "Emp")
         assert l1_rows() == 4
-        database.insert_tuple("Emp", spare)
-        database.apply_index_delta("Emp", IndexDelta(additions=((L1, spare.tuple_id),)))
+        database.insert_tuples("Emp", [spare], IndexDelta(additions=((L1, spare.tuple_id),)))
         assert l1_rows() == 5
         # Deleted ids come back in stored order, not request order.
-        assert database.delete_tuples_exact("Emp", [spare.tuple_id, emp.ids[0]]) == (
-            emp.ids[0], spare.tuple_id,
+        assert database.delete_tuples(
+            "Emp", [spare.tuple_id, emp.ids[0]], IndexDelta()
+        ) == (emp.ids[0], spare.tuple_id)
+        assert database.delete_tuples("Emp", [emp.ids[0], emp.ids[1]], IndexDelta()) == (
+            emp.ids[1],
         )
-        assert database.delete_tuples("Emp", [emp.ids[0], emp.ids[1]]) == 1
         assert l1_rows() == 2
         assert storage.loads == 0
         assert len(database.stored_relation("Emp")) == 6  # a scan's view is current
@@ -308,7 +314,7 @@ class TestWhichThreadAnswers:
             try:
                 for request in (
                     lookup("Emp", L1),
-                    delta("Emp", additions=[(L1, b"\x09" * 16)]),
+                    insert("Emp", additions=[(L1, b"\x09" * 16)]),
                     lookup("Fast", L2),
                 ):
                     frame = ask(sock, request)
@@ -339,11 +345,9 @@ class TestWhichThreadAnswers:
             sock = open_client(server.port)
             try:
                 for request in (
-                    envelope(MessageKind.INSERT_TUPLE, "Emp", encode_encrypted_tuple(spare)),
-                    envelope(
-                        MessageKind.DELETE_TUPLES_EXACT, "Emp", encode_tuple_ids([spare.tuple_id])
-                    ),
-                    envelope(MessageKind.DELETE_TUPLES, "Emp", encode_tuple_ids(emp.ids[:1])),
+                    insert("Emp", [spare]),
+                    delete("Emp", [spare.tuple_id]),
+                    delete("Emp", emp.ids[:1]),
                 ):
                     ask(sock, scan(emp))  # a worker, then straight to the write
                     answer = parse_message(ask(sock, request).payload)
@@ -568,29 +572,24 @@ def run_script(factory, traced: bool) -> Transcript:
     spare0, spare1 = emp.spares
     singles = [
         lookup("Emp", L1, traced=traced),
-        delta("Emp", additions=[(L1, spare0.tuple_id)], traced=traced),
+        insert("Emp", additions=[(L1, spare0.tuple_id)], traced=traced),
         scan(emp, traced),
         lookup("Fast", L2, traced=traced),
-        envelope(MessageKind.INSERT_TUPLE, "Emp", encode_encrypted_tuple(spare0), traced),
+        insert("Emp", [spare0], traced=traced),
         lookup("Emp", L1, traced=traced),
     ]
     one_relation = [
-        envelope(MessageKind.INSERT_TUPLE, "Emp", encode_encrypted_tuple(spare1), traced),
-        delta("Emp", additions=[(L2, spare1.tuple_id)], traced=traced),
+        insert("Emp", [spare1], traced=traced),
+        insert("Emp", additions=[(L2, spare1.tuple_id)], traced=traced),
         lookup("Emp", L2, traced=traced),
         scan(emp, traced),
-        envelope(
-            MessageKind.DELETE_TUPLES,
-            "Emp",
-            encode_tuple_ids([spare1.tuple_id, emp.ids[0]]),
-            traced,
-        ),
+        delete("Emp", [spare1.tuple_id, emp.ids[0]], traced=traced),
     ]
     interleaved = [
         lookup("Emp", L1, traced=traced),
         lookup("Fast", L1, traced=traced),
-        delta("Emp", removals=[(L1, emp.ids[1])], traced=traced),
-        delta("Fast", additions=[(L2, fast.spares[0].tuple_id)], traced=traced),
+        delete("Emp", removals=[(L1, emp.ids[1])], traced=traced),
+        insert("Fast", additions=[(L2, fast.spares[0].tuple_id)], traced=traced),
         scan(emp, traced),
         scan(fast, traced),
         lookup("Emp", L1, traced=traced),

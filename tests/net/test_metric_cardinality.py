@@ -11,12 +11,15 @@ from __future__ import annotations
 import pytest
 
 from repro.api import EncryptedDatabase
-from repro.index import IndexDelta
-from repro.index.wire import encode_index_delta
 from repro.net import ThreadedTcpServer
 from repro.net.client import RemoteConnection
 from repro.outsourcing import FileStorageBackend, OutsourcedDatabaseServer
-from repro.outsourcing.protocol import MessageKind, MessageV2, parse_message
+from repro.outsourcing.protocol import (
+    MessageKind,
+    MessageV2,
+    encode_insert_tuples,
+    parse_message,
+)
 from repro.outsourcing.server import UNKNOWN_RELATION
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
@@ -36,9 +39,9 @@ def _relation_labels(server: ThreadedTcpServer, name: str) -> set[str]:
     }
 
 
-@pytest.mark.parametrize("kind", [MessageKind.QUERY, MessageKind.INDEX_DELTA])
+@pytest.mark.parametrize("kind", [MessageKind.QUERY, MessageKind.INSERT_TUPLES])
 def test_hostile_relation_names_share_one_label(kind):
-    body = encode_index_delta(IndexDelta()) if kind is MessageKind.INDEX_DELTA else b""
+    body = encode_insert_tuples(b"", []) if kind is MessageKind.INSERT_TUPLES else b""
     with ThreadedTcpServer() as server:
         connection = RemoteConnection("127.0.0.1", server.port)
         try:

@@ -4,9 +4,9 @@ The transport axis of the machine in ``tests/session_machine.py``: its
 session under test reaches the provider through an in-thread
 :class:`~repro.net.ThreadedTcpServer`, while the oracle session reads the
 same provider in-process, by scan.  The session is blocking and alone on
-its connection, so every write it sends -- ``INSERT_TUPLE``, the
-``DELETE_TUPLES_EXACT`` of an update or a delete, their ``INDEX_DELTA`` --
-is answered from the connection's read callback; the provider records the
+its connection, so every write it sends -- the ``INSERT_TUPLES`` of an
+insert or an update, the ``DELETE_TUPLES`` of an update or a delete, their
+postings riding in them -- is answered from the connection's read callback; the provider records the
 thread of each, and the machine fails if a write ever took a dispatch
 worker.  An inline insert that files the ciphertext where a scan sees it but
 not under the tuple id that index lookups and deletes address must fail the
@@ -31,12 +31,7 @@ from repro.outsourcing.protocol import peek_envelope
 from repro.schemes.registry import available_schemes
 from session_machine import SessionMachine, machine_settings
 
-WRITES = (
-    MessageKind.INSERT_TUPLE,
-    MessageKind.DELETE_TUPLES,
-    MessageKind.DELETE_TUPLES_EXACT,
-    MessageKind.INDEX_DELTA,
-)
+WRITES = (MessageKind.INSERT_TUPLES, MessageKind.DELETE_TUPLES)
 
 
 class WriteThreadRecordingServer(OutsourcedDatabaseServer):
@@ -85,11 +80,12 @@ def _machine(scheme: str, index: bool):
     )
 
 
-def _append_without_its_id(self, name, encrypted_tuple):
-    """The ciphertext lands where a scan sees it, but not under its id."""
+def _append_without_its_id(self, name, encrypted_tuples):
+    """The ciphertexts land where a scan sees them, but not under their ids."""
     held = self._held(name)
-    held.tuples[(encrypted_tuple.tuple_id, held.appended)] = encrypted_tuple
-    held.appended += 1
+    for encrypted_tuple in encrypted_tuples:
+        held.tuples[(encrypted_tuple.tuple_id, held.appended)] = encrypted_tuple
+        held.appended += 1
     held.snapshot = None
 
 

@@ -30,7 +30,7 @@ from repro.outsourcing.protocol import (
     decode_evaluation_result,
     decode_relation_names,
     encode_encrypted_query,
-    encode_encrypted_tuple,
+    encode_insert_tuples,
     parse_message,
 )
 from repro.relational import Relation, RelationSchema, RelationTuple, Selection
@@ -88,7 +88,7 @@ def test_inline_writes_beside_worker_scans_and_control_ops():
     def inserter(sock):
         for encrypted_tuple in new_tuples:
             answer = _envelope(
-                sock, MessageKind.INSERT_TUPLE, "A", encode_encrypted_tuple(encrypted_tuple)
+                sock, MessageKind.INSERT_TUPLES, "A", encode_insert_tuples(b"", [encrypted_tuple])
             )
             assert decode_count(answer.body) == 1
             acknowledged.append(encrypted_tuple)

@@ -61,11 +61,7 @@ class Recording:
 class WriteThreads(OutsourcedDatabaseServer):
     """A provider that notes the thread serving each tuple write."""
 
-    WRITES = (
-        MessageKind.INSERT_TUPLE,
-        MessageKind.DELETE_TUPLES,
-        MessageKind.DELETE_TUPLES_EXACT,
-    )
+    WRITES = (MessageKind.INSERT_TUPLES, MessageKind.DELETE_TUPLES)
 
     def __init__(self) -> None:
         super().__init__()
@@ -170,7 +166,7 @@ def test_tcp_transcript_equals_the_in_process_one(seed):
         AuditEventKind.INDEX_STORED,
         AuditEventKind.INDEX_LOOKUP_SERVED,
         AuditEventKind.TUPLE_INSERTED,
-        AuditEventKind.INDEX_DELTA_APPLIED,
+        AuditEventKind.POSTINGS_APPLIED,
         AuditEventKind.TUPLES_DELETED,
         AuditEventKind.QUERY_EXECUTED,
         AuditEventKind.BATCH_EXECUTED,

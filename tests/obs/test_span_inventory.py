@@ -5,7 +5,10 @@ mechanism was replaced (generator context managers -> self-timing slotted
 spans): for every transport x index x cache combination, the multiset of
 span names in ``fetch_trace()`` after each step of one fixed script, each
 with the sorted *keys* of its annotations.  The mechanism may change; that
-table may not.  Regenerate it (only when spans are added on purpose) with
+table may not.  It was re-declared once since, when each write became one
+envelope: the write steps' ``provider.*`` span names and their request and
+scatter counts changed, nothing else did.  Regenerate it (only when spans
+are added on purpose, or requests are) with
 ``PYTHONPATH=src python tests/obs/test_span_inventory.py > tests/obs/span_inventory.json``.
 """
 

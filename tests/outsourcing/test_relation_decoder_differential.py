@@ -11,7 +11,7 @@ The last section pins the ``framed`` memo a decoded tuple carries -- its
 body length and body, as a relation frame carries it: re-encoding what any
 of the four result-path decoders accepts returns the bytes the parent
 returned, the memo equals a fresh encode wherever it is set (the relation
-walk, an ``INSERT_TUPLE`` body, the file store), a relation mixing memos and
+walk, an ``INSERT_TUPLES`` body, the file store), a relation mixing memos and
 fresh tuples encodes as the per-tuple encoder does, and the memo is
 invisible to ``==``, ``hash``, ``repr`` and ``dataclasses.replace``.
 
@@ -26,6 +26,7 @@ on both.
 from __future__ import annotations
 
 import dataclasses
+import re
 import tracemalloc
 
 import pytest
@@ -47,12 +48,13 @@ from repro.outsourcing.protocol import (
     decode_encrypted_relation,
     decode_encrypted_tuple,
     decode_evaluation_result,
+    decode_insert_tuples,
     decode_result_batch,
-    decode_tuple_body,
     encode_encrypted_query,
     encode_encrypted_relation,
     encode_encrypted_tuple,
     encode_evaluation_result,
+    encode_insert_tuples,
     encode_result_batch,
     parse_message,
 )
@@ -178,7 +180,7 @@ def test_tuple_decoder_reports_the_same_next_offset(encrypted_tuple, prefix, suf
 @given(encrypted_tuple=encrypted_tuples, junk=st.binary(max_size=60), data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_tuple_decoder_on_damaged_bytes(encrypted_tuple, junk, data):
-    """The ``INSERT_TUPLE`` body: truncated, overwritten, or not a tuple at all."""
+    """One tuple's body: truncated, overwritten, or not a tuple at all."""
     frame = bytearray(encode_encrypted_tuple(encrypted_tuple))
     position = data.draw(st.integers(min_value=0, max_value=len(frame) - 1))
     overwritten = bytes(frame[:position]) + junk[:4] + bytes(frame[position + len(junk[:4]):])
@@ -564,8 +566,9 @@ def send(provider, kind: MessageKind, body: bytes) -> bytes:
 
 @pytest.mark.parametrize("store", ["memory", "file"])
 def test_stored_tuples_are_reemitted_as_they_arrived(store, tmp_path):
-    """``STORE_RELATION``, ``INSERT_TUPLE`` and the file store keep the memo
-    or rebuild it, and a query answer is byte-identical to a fresh encode."""
+    """``STORE_RELATION``, ``INSERT_TUPLES`` (of one tuple and of several) and
+    the file store keep the memo or rebuild it, and a query answer is
+    byte-identical to a fresh encode."""
     storage = InMemoryStorageBackend() if store == "memory" else FileStorageBackend(tmp_path)
     provider = OutsourcedDatabaseServer(storage=storage)
     dph = create("index", SCHEMA, bytes(range(32)), rng=DeterministicRng(3))
@@ -574,8 +577,8 @@ def test_stored_tuples_are_reemitted_as_they_arrived(store, tmp_path):
     stored = dph.encrypt_relation(Relation(SCHEMA, rows[:3]))
     inserted = tuple(dph.encrypt_tuple(row) for row in rows[3:])
     send(provider, MessageKind.STORE_RELATION, encode_encrypted_relation(stored))
-    for encrypted_tuple in inserted:
-        send(provider, MessageKind.INSERT_TUPLE, encode_encrypted_tuple(encrypted_tuple))
+    for batch in (inserted[:1], inserted[1:]):
+        send(provider, MessageKind.INSERT_TUPLES, encode_insert_tuples(b"", batch))
 
     fresh = stored.encrypted_tuples + inserted
     held = provider.stored_relation("Emp").encrypted_tuples
@@ -621,13 +624,32 @@ def test_the_walked_memo_is_a_fresh_frame(relation):
     assert [t.framed for t in result.matching] == [fresh_frame(t) for t in relation]
 
 
-@given(encrypted_tuple=encrypted_tuples)
+@given(inserted=st.lists(encrypted_tuples, max_size=3), postings=st.binary(max_size=24))
 @settings(max_examples=150, deadline=None)
-def test_an_insert_body_memo_is_a_fresh_frame(encrypted_tuple):
-    body = encode_encrypted_tuple(encrypted_tuple)
-    decoded = decode_tuple_body(body)
-    assert decoded.framed == prefixed(body) == fresh_frame(encrypted_tuple)
-    assert encode_encrypted_tuple(decoded) == body
+def test_an_insert_body_memo_is_a_fresh_frame(inserted, postings):
+    body = encode_insert_tuples(postings, inserted)
+    for raw in (body, bytearray(body)):
+        decoded_postings, decoded = decode_insert_tuples(raw)
+        assert decoded_postings == postings and decoded == tuple(inserted)
+        assert [t.framed for t in decoded] == [fresh_frame(t) for t in inserted]
+    assert encode_insert_tuples(postings, decoded) == body
+
+
+@given(relation=relations, postings=st.binary(max_size=24), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_an_insert_body_walks_its_tuples_as_a_relation_frame(relation, postings, data):
+    """An ``INSERT_TUPLES`` body's tuples are a relation frame's count and
+    frames: cut anywhere, they get the relation frame's verdict and message."""
+    body = encode_insert_tuples(postings, relation.encrypted_tuples)
+    frame = encode_encrypted_relation(relation)
+    head = 4 + len(postings)
+    schema_head = len(frame) - (len(body) - head)
+    assert body[head:] == frame[schema_head:]
+    cut = data.draw(st.integers(min_value=0, max_value=len(body) - head - 1))
+    with pytest.raises(ProtocolError) as expected:
+        decode_encrypted_relation(frame[: schema_head + cut])
+    with pytest.raises(ProtocolError, match=re.escape(str(expected.value))):
+        decode_insert_tuples(body[: head + cut])
 
 
 @given(relation=relations, picks=st.lists(st.booleans(), min_size=6, max_size=6))
@@ -661,11 +683,10 @@ def test_a_file_store_append_round_trips_the_memo(tmp_path_factory, relation, ap
     frame, and every loaded memo is a fresh frame."""
     storage = FileStorageBackend(tmp_path_factory.mktemp("store"))
     storage.save("Emp", relation)
-    for encrypted_tuple in appended:
-        storage.append("Emp", encrypted_tuple)
-        storage.append("Emp", decode_tuple_body(encode_encrypted_tuple(encrypted_tuple)))
+    storage.append("Emp", appended)
+    storage.append("Emp", decode_insert_tuples(encode_insert_tuples(b"", appended))[1])
     everything = EncryptedRelation(
-        SCHEMA, relation.encrypted_tuples + tuple(t for t in appended for _ in range(2))
+        SCHEMA, relation.encrypted_tuples + tuple(appended) * 2
     )
     assert storage._path("Emp").read_bytes() == (
         per_tuple_relation_frame(everything)

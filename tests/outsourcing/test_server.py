@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import DatabaseError, EncryptedDatabase
+from repro.index import IndexDelta
 from repro.outsourcing import AuditEventKind, OutsourcedDatabaseServer, ServerError
 from repro.relational import Selection
 from repro.relational.tuples import RelationTuple
@@ -79,7 +80,7 @@ class TestServer:
         server.store_relation("emp", swp_dph.encrypt_relation(employee_relation),
                               swp_dph.server_evaluator())
         new_tuple = RelationTuple(employee_schema, {"name": "Eve", "dept": "HR", "salary": 1})
-        server.insert_tuple("emp", swp_dph.encrypt_tuple(new_tuple))
+        server.insert_tuples("emp", [swp_dph.encrypt_tuple(new_tuple)], IndexDelta())
         assert len(server.stored_relation("emp")) == len(employee_relation) + 1
         assert len(server.audit_log.events_of_kind(AuditEventKind.TUPLE_INSERTED)) == 1
 

@@ -114,33 +114,52 @@ class _FullDiskHandle:
         self._handle.close()
 
 
-class TestAtomicAppend:
-    @pytest.mark.parametrize(
-        "landed", [0, -1, None], ids=["nothing-landed", "part-landed", "all-landed"]
+def _append_on_a_full_disk(backend, tmp_path, monkeypatch, extra, fail_on, landed):
+    """Append ``extra`` with the ``fail_on``-th write failing: nothing old is
+    lost, nothing new is kept, and the relation then takes the append."""
+    original = [t.tuple_id for t in backend.load("Emp")]
+    (stored_file,) = tmp_path.glob("*.rel")
+    size = stored_file.stat().st_size
+    real_open = pathlib.Path.open
+    monkeypatch.setattr(
+        pathlib.Path,
+        "open",
+        lambda path, *args, **kwargs: _FullDiskHandle(
+            real_open(path, *args, **kwargs), fail_on, landed
+        ),
     )
+    with pytest.raises(StorageError, match="cannot append"):
+        backend.append("Emp", extra)
+    monkeypatch.undo()
+
+    assert [t.tuple_id for t in backend.load("Emp")] == original
+    assert backend.tuple_count("Emp") == len(original)
+    assert stored_file.stat().st_size == size
+    # ... and the relation still takes appends.
+    backend.append("Emp", extra)
+    assert [t.tuple_id for t in backend.load("Emp")] == original + [t.tuple_id for t in extra]
+
+
+LANDED = pytest.mark.parametrize(
+    "landed", [0, -1, None], ids=["nothing-landed", "part-landed", "all-landed"]
+)
+
+
+class TestAtomicAppend:
+    @LANDED
     @pytest.mark.parametrize("fail_on", [1, 2], ids=["first-write", "second-write"])
     def test_a_failed_append_keeps_every_old_tuple(
         self, backend, tmp_path, swp_dph, employee_relation, monkeypatch, fail_on, landed
     ):
-        original = [t.tuple_id for t in backend.load("Emp")]
-        (stored_file,) = tmp_path.glob("*.rel")
-        size = stored_file.stat().st_size
-        extra = swp_dph.encrypt_tuple(employee_relation.tuples[0])
-        real_open = pathlib.Path.open
-        monkeypatch.setattr(
-            pathlib.Path,
-            "open",
-            lambda path, *args, **kwargs: _FullDiskHandle(
-                real_open(path, *args, **kwargs), fail_on, landed
-            ),
-        )
-        with pytest.raises(StorageError, match="cannot append"):
-            backend.append("Emp", extra)
-        monkeypatch.undo()
+        extra = [swp_dph.encrypt_tuple(employee_relation.tuples[0])]
+        _append_on_a_full_disk(backend, tmp_path, monkeypatch, extra, fail_on, landed)
 
-        assert [t.tuple_id for t in backend.load("Emp")] == original
-        assert backend.tuple_count("Emp") == len(original)
-        assert stored_file.stat().st_size == size
-        # ... and the relation still takes appends.
-        backend.append("Emp", extra)
-        assert [t.tuple_id for t in backend.load("Emp")] == original + [extra.tuple_id]
+    @LANDED
+    @pytest.mark.parametrize("fail_on", [1, 2], ids=["tuples-write", "count-write"])
+    def test_a_failed_batch_append_adds_none_of_its_tuples(
+        self, backend, tmp_path, swp_dph, employee_relation, monkeypatch, fail_on, landed
+    ):
+        """k tuples go in one write and the count in one more; either failing
+        keeps every old tuple and adds none of the k."""
+        extra = swp_dph.encrypt_tuples(employee_relation.tuples[:3])
+        _append_on_a_full_disk(backend, tmp_path, monkeypatch, extra, fail_on, landed)

@@ -30,6 +30,7 @@ from hypothesis.stateful import (
 )
 
 from repro.core.dph import EncryptedRelation, EncryptedTuple
+from repro.index import IndexDelta
 from repro.outsourcing import (
     FileStorageBackend,
     InMemoryStorageBackend,
@@ -80,9 +81,10 @@ class TupleRewriteModel:
 class DropsDuplicateCopies(InMemoryStorageBackend):
     """An append of an id already stored is lost."""
 
-    def append(self, name, encrypted_tuple):
-        if not self.fetch(name, [encrypted_tuple.tuple_id]).encrypted_tuples:
-            super().append(name, encrypted_tuple)
+    def append(self, name, encrypted_tuples):
+        for encrypted_tuple in encrypted_tuples:
+            if not self.fetch(name, [encrypted_tuple.tuple_id]).encrypted_tuples:
+                super().append(name, [encrypted_tuple])
 
 
 class ReportsRequestOrder(InMemoryStorageBackend):
@@ -139,9 +141,9 @@ class StoreMachine(RuleBasedStateMachine):
         encrypted_tuple = self._tuple(tuple_id)
         if self._absent(name):
             with pytest.raises(StorageError):
-                self.store.append(name, encrypted_tuple)
+                self.store.append(name, [encrypted_tuple])
             return
-        self.store.append(name, encrypted_tuple)
+        self.store.append(name, [encrypted_tuple])
         self.model.relations[name].append(encrypted_tuple)
 
     @rule(name=names, tuple_ids=id_lists)
@@ -156,10 +158,10 @@ class StoreMachine(RuleBasedStateMachine):
     def delete_through_the_provider(self, name, tuple_ids):
         if self._absent(name):
             with pytest.raises(ServerError):
-                self.server.delete_tuples_exact(name, tuple_ids)
+                self.server.delete_tuples(name, tuple_ids, IndexDelta())
             return
         deleted_ids, copies = self.model.remove(name, tuple_ids)
-        assert self.server.delete_tuples_exact(name, tuple_ids) == deleted_ids
+        assert self.server.delete_tuples(name, tuple_ids, IndexDelta()) == deleted_ids
         event = self.server.audit_log.events[-1]
         assert event.kind is AuditEventKind.TUPLES_DELETED
         assert event.detail == {"requested": len(tuple_ids), "deleted": copies}

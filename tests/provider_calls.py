@@ -45,9 +45,9 @@ def store_relation(provider, name: str, relation, evaluator, error=ServerError) 
     _send(provider, MessageKind.STORE_RELATION, name, body, error=error)
 
 
-def insert_tuple(provider, name: str, encrypted_tuple, error=ServerError) -> None:
-    body = protocol.encode_encrypted_tuple(encrypted_tuple)
-    _send(provider, MessageKind.INSERT_TUPLE, name, body, error=error)
+def insert_tuples(provider, name: str, encrypted_tuples, postings=b"", error=ServerError) -> int:
+    body = protocol.encode_insert_tuples(postings, list(encrypted_tuples))
+    return _send(provider, MessageKind.INSERT_TUPLES, name, body, error=error)
 
 
 def execute_query(provider, name: str, encrypted_query, error=ServerError):
@@ -60,14 +60,9 @@ def execute_batch(provider, name: str, encrypted_queries, error=ServerError) -> 
     return list(_send(provider, MessageKind.BATCH_QUERY, name, body, error=error))
 
 
-def delete_tuples(provider, name: str, tuple_ids, error=ServerError) -> int:
-    body = protocol.encode_tuple_ids(list(tuple_ids))
+def delete_tuples(provider, name: str, tuple_ids, postings=b"", error=ServerError) -> tuple:
+    body = protocol.encode_delete_tuples(list(tuple_ids), postings)
     return _send(provider, MessageKind.DELETE_TUPLES, name, body, error=error)
-
-
-def delete_tuples_exact(provider, name: str, tuple_ids, error=ServerError) -> tuple:
-    body = protocol.encode_tuple_ids(list(tuple_ids))
-    return _send(provider, MessageKind.DELETE_TUPLES_EXACT, name, body, error=error)
 
 
 def list_tuple_ids(provider, name: str, error=ServerError) -> tuple:

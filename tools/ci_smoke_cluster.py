@@ -28,8 +28,9 @@ instead of wedging it:
 
 4. **Indexed fleet** -- two ``repro serve`` subprocesses behind a
    ``cluster://...?index=1`` session: the session builds the encrypted
-   inverted index through ``INDEX_PUT``/``INDEX_DELTA`` as it creates
-   and mutates the table, exact selects are served by ``INDEX_LOOKUP``
+   inverted index through ``INDEX_PUT`` as it creates the table and keeps
+   it current through the postings every ``INSERT_TUPLES`` /
+   ``DELETE_TUPLES`` carries, exact selects are served by ``INDEX_LOOKUP``
    in ~O(result) provider work (asserted via the per-query ``examined``
    stat), every indexed result is compared against a plain scanning
    session on the same fleet, and the router's index counters must fire.

@@ -1,8 +1,11 @@
 """CI smoke test of the standalone provider.
 
-Starts ``repro serve`` as a real subprocess, runs one remote query through
-``EncryptedDatabase.connect("tcp://...")`` and checks that the query's trace
-holds the provider's own spans (the trace id crossed the wire), lists the
+Starts ``repro serve`` as a real subprocess over a file-backed ``--data-dir``,
+runs one remote query through ``EncryptedDatabase.connect("tcp://...")`` and
+checks that the query's trace holds the provider's own spans (the trace id
+crossed the wire), then drives the writes through a ``?index=1`` session --
+``insert_many`` of 3 rows, an ``update`` and a ``delete``, one envelope
+each -- checking ``count`` and an indexed select after each.  It lists the
 provider's recent traces with ``repro trace --limit 1`` and ``--limit 0``,
 then shuts the provider down with SIGTERM and checks it exits cleanly.  Every wait is bounded so a hung
 provider fails the CI step instead of wedging it (the workflow additionally
@@ -39,6 +42,28 @@ def recent_trace_count(url: str, limit: int) -> str:
     if listing.returncode != 0 or match is None:
         return f"exit {listing.returncode}: {listing.stdout}{listing.stderr}"
     return match.group(0)
+
+
+def indexed_writes(url: str) -> str | None:
+    """``insert_many``, ``update`` and ``delete`` on an indexed session; the
+    first wrong ``count`` or indexed select, or None."""
+    from repro.api import EncryptedDatabase
+
+    steps = (
+        (lambda db: db.insert_many("Writes", [("a", 1), ("b", 2), ("c", 1)]), 3, 2),
+        (lambda db: db.update("SELECT * FROM Writes WHERE name = 'b'", {"value": 1}), 3, 3),
+        (lambda db: db.delete("SELECT * FROM Writes WHERE name = 'a'"), 2, 2),
+    )
+    with EncryptedDatabase.connect(f"{url}?index=1", timeout=STARTUP_TIMEOUT_S) as db:
+        db.create_table("Writes(name:string[10], value:int[4])")
+        for step, (write, count, selected) in enumerate(steps):
+            write(db)
+            outcome = db.select("SELECT * FROM Writes WHERE value = 1")
+            got = (db.count("Writes"), len(outcome.relation), outcome.evaluation.examined)
+            # An index lookup examines only what it returns.
+            if got != (count, selected, selected):
+                return f"step {step}: count, rows, examined {got}, expected {count}, {selected}"
+    return None
 
 
 def main() -> int:
@@ -78,6 +103,12 @@ def main() -> int:
                     print(f"FAIL: no provider span in the select's trace: {sorted(spans)}")
                     return 1
                 print("the select's trace id reached the provider")
+
+            failure = indexed_writes(url)
+            if failure is not None:
+                print(f"FAIL: indexed writes: {failure}")
+                return 1
+            print("indexed insert_many / update / delete: counts and selects right")
 
             for limit in (1, 0):
                 listed = recent_trace_count(url, limit)
