@@ -1,9 +1,9 @@
-"""Regenerate every experiment table (E1-E9) with reduced parameters.
+"""Regenerate every experiment table (E1-E9 and the ablation A1).
 
-The full-size runs live in ``benchmarks/`` (one module per experiment, run
-with ``pytest benchmarks/ --benchmark-only``); this script is the quick tour:
-it iterates over the experiment registry and prints each table in a minute or
-two of total runtime.
+This script iterates over the experiment registry and prints each table,
+run with the parameters the registry declares -- the same runs whose shape
+``python -m pytest tests/experiments`` asserts and whose tables
+``python tools/generate_experiments_md.py`` writes to ``EXPERIMENTS.md``.
 
 Run with::
 
@@ -19,13 +19,12 @@ from repro.experiments import EXPERIMENTS
 
 def main() -> None:
     print("Reproducing the evaluation of 'Provable Security for Outsourcing "
-          "Database Operations' (ICDE 2006) -- quick parameters.\n")
+          "Database Operations' (ICDE 2006).\n")
     total_start = time.perf_counter()
     for spec in EXPERIMENTS:
-        print(f"[{spec.identifier}] {spec.claim}")
-        print(f"    full-size run: pytest {spec.benchmark} --benchmark-only")
+        print(f"[{spec.identifier}] {spec.title}")
         start = time.perf_counter()
-        result = spec.run_quick()
+        result = spec.run()
         elapsed = time.perf_counter() - start
         print(result.to_table().render())
         print(f"    ({elapsed:.1f}s)\n")

@@ -1,8 +1,9 @@
 """Plain-text experiment tables.
 
-Every benchmark in ``benchmarks/`` prints the rows it reproduces using
-:class:`ExperimentTable`, so the output of ``pytest benchmarks/`` can be
-compared line by line with the tables recorded in ``EXPERIMENTS.md``.
+Every experiment of :mod:`repro.experiments` renders its rows as an
+:class:`ExperimentTable`: ``repro experiments`` prints them and
+``tools/generate_experiments_md.py`` embeds them in ``EXPERIMENTS.md``, whose
+``--check`` compares every cell except the table's wall-clock columns.
 """
 
 from __future__ import annotations
@@ -12,11 +13,22 @@ from dataclasses import dataclass, field
 
 @dataclass
 class ExperimentTable:
-    """A titled table with a fixed header and appendable rows."""
+    """A titled table with a fixed header and appendable rows.
+
+    ``timing`` names the wall-clock columns: rendered like the others, but
+    they differ from run to run, so no comparison of two renderings reads
+    them.
+    """
 
     title: str
     columns: list[str]
     rows: list[list[str]] = field(default_factory=list)
+    timing: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        unknown = set(self.timing) - set(self.columns)
+        if unknown:
+            raise ValueError(f"timing columns {sorted(unknown)} are not columns")
 
     def add_row(self, *values) -> None:
         """Append a row; values are converted with :func:`format_value`."""
@@ -33,6 +45,22 @@ class ExperimentTable:
     def __str__(self) -> str:
         return self.render()
 
+    def comparable(self, rendered: str) -> list[str]:
+        """The lines of a rendering of this table, cells unpadded and timing cells blanked.
+
+        Two renderings of runs of one experiment are equal here when they
+        differ only in timing cells, and so in the padding those cells set.
+        """
+        hidden = {self.columns.index(column) for column in self.timing}
+        lines = []
+        for number, line in enumerate(rendered.splitlines()):
+            if number == 2:
+                continue  # the separator, as wide as each column's widest cell
+            lines.append(" | ".join(
+                "" if number > 2 and index in hidden else cell.strip()
+                for index, cell in enumerate(line.split(" | "))
+            ))
+        return lines
 
 def format_value(value) -> str:
     """Human-friendly formatting for table cells."""

@@ -4,8 +4,8 @@ Installed as ``python -m repro.cli`` (or imported and called programmatically),
 the CLI exposes the reproduction's main entry points without writing any code:
 
 ``experiments``
-    Run one or all of the E1-E9 experiments with the registry's quick
-    parameters and print the resulting tables.
+    Run one or all of the experiments (E1-E9 and the ablation A1) with the
+    parameters the registry declares and print the resulting tables.
 
 ``demo``
     Outsource a synthetic employee database with a chosen scheme and run a few
@@ -97,8 +97,8 @@ def command_experiments(args: argparse.Namespace) -> int:
     for spec in EXPERIMENTS:
         if wanted and spec.identifier not in wanted:
             continue
-        print(f"[{spec.identifier}] {spec.claim}")
-        result = spec.run_quick()
+        print(f"[{spec.identifier}] {spec.title}")
+        result = spec.run()
         print(result.to_table().render())
         print()
     return 0
@@ -741,7 +741,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    experiments = subparsers.add_parser("experiments", help="run E1-E9 with quick parameters")
+    experiments = subparsers.add_parser("experiments", help="run E1-E9 and A1 with their registered parameters")
     experiments.add_argument("--only", nargs="*", metavar="ID", help="experiment ids, e.g. E1 E4")
     experiments.set_defaults(handler=command_experiments)
 

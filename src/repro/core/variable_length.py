@@ -19,8 +19,8 @@ that optimization:
 Security is unchanged: each per-attribute scheme is the same SWP construction
 over a fixed-width domain, and the attribute position of a query token was
 already public in the fixed-width construction (the token length reveals it).
-The gain is purely storage/throughput and is quantified by the ablation
-benchmark ``benchmarks/bench_a1_variable_length.py``.
+The gain is purely storage/throughput and is quantified by the ablation A1
+(:func:`repro.experiments.run_a1_variable_length`).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Experiments E7-E9: false positives, throughput, storage.
+"""Experiments E7-E9 and the ablation A1: false positives, throughput, storage.
 
 * **E7** -- false-positive rate of the SWP searchable scheme as a function of
   the check length ``m`` (predicted ``2^{-8m}`` vs observed), and the cost of
@@ -7,6 +7,9 @@
   server evaluation, decrypt+filter) as the relation grows.
 * **E9** -- ciphertext expansion: stored bytes per scheme relative to the
   plaintext serialization.
+* **A1** -- the word-layout ablation: the poster's one global word width
+  against the full version's per-attribute widths, on a schema with one wide
+  attribute and two narrow ones.
 """
 
 from __future__ import annotations
@@ -16,13 +19,17 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.analysis.reporting import ExperimentTable
+from repro.core import SearchableSelectDph, VariableWidthSelectDph, check_homomorphism
 from repro.crypto.keys import SecretKey
 from repro.crypto.rng import DeterministicRng
+from repro.relational import Relation, RelationSchema, Selection
 from repro.relational.encoding import TupleCodec
 from repro.schemes.registry import available_schemes, create as create_scheme
 from repro.searchable.swp import SwpScheme
 from repro.searchable.words import Word
 from repro.workloads import EmployeeWorkload
+from repro.workloads.distributions import CategoricalDistribution, UniformIntDistribution
+from repro.workloads.generator import SyntheticRelationGenerator
 
 
 def _scheme_instances(schema, seed: int = 0):
@@ -140,6 +147,7 @@ class ThroughputExperiment:
         table = ExperimentTable(
             "E8: end-to-end cost of an outsourced exact select",
             ["scheme", "n", "encrypt ms", "Eq ms", "server ms", "decrypt+filter ms", "hits", "fps"],
+            timing=("encrypt ms", "Eq ms", "server ms", "decrypt+filter ms"),
         )
         for row in self.rows:
             table.add_row(
@@ -259,3 +267,99 @@ def run_e9_storage_overhead(
             )
     return StorageExperiment(tuple(rows))
 
+
+# --------------------------------------------------------------------------- #
+# A1: fixed vs variable word layout
+# --------------------------------------------------------------------------- #
+
+@dataclass(frozen=True)
+class WordLayoutRow:
+    """One row of A1 (times in milliseconds)."""
+
+    layout: str
+    relation_size: int
+    ciphertext_bytes: int
+    encrypt_ms: float
+    server_ms: float
+    homomorphism_holds: bool
+
+
+@dataclass(frozen=True)
+class WordLayoutExperiment:
+    """A1 result."""
+
+    rows: tuple[WordLayoutRow, ...]
+
+    def to_table(self) -> ExperimentTable:
+        """Render the A1 table."""
+        table = ExperimentTable(
+            "A1: fixed vs variable word layout",
+            ["layout", "n", "ciphertext bytes", "encrypt ms", "server ms", "homomorphism"],
+            timing=("encrypt ms", "server ms"),
+        )
+        for row in self.rows:
+            table.add_row(
+                row.layout,
+                row.relation_size,
+                row.ciphertext_bytes,
+                row.encrypt_ms,
+                row.server_ms,
+                row.homomorphism_holds,
+            )
+        return table
+
+
+def _document_relation(size: int, seed: int) -> Relation:
+    """A Doc(title[40], category[6], year[4]) relation: one wide attribute, two narrow."""
+    schema = RelationSchema.parse("Doc(title:string[40], category:string[6], year:int[4])")
+    generator = SyntheticRelationGenerator(
+        schema,
+        {
+            "category": CategoricalDistribution(
+                ["DB", "CRYPTO", "OS", "NET"], [0.4, 0.3, 0.2, 0.1]
+            ),
+            "year": UniformIntDistribution(1995, 2006),
+        },
+    )
+    return generator.generate(size, seed=seed)
+
+
+def run_a1_variable_length(
+    sizes: Sequence[int] = (500, 2000),
+    seed: int = 11,
+) -> WordLayoutExperiment:
+    """A1: storage and end-to-end cost of the fixed and the variable word layout."""
+    rows = []
+    for size in sizes:
+        relation = _document_relation(size, seed)
+        schema = relation.schema
+        query = Selection.equals("category", "DB")
+        for layout, dph in (
+            ("fixed-width", SearchableSelectDph(
+                schema, SecretKey.generate(rng=DeterministicRng(seed)), backend="swp",
+                rng=DeterministicRng(seed + 1))),
+            ("variable-width", VariableWidthSelectDph(
+                schema, SecretKey.generate(rng=DeterministicRng(seed)),
+                rng=DeterministicRng(seed + 2))),
+        ):
+            start = time.perf_counter()
+            encrypted = dph.encrypt_relation(relation)
+            encrypt_ms = _ms(start)
+
+            evaluator = dph.server_evaluator()
+            encrypted_query = dph.encrypt_query(query)
+            start = time.perf_counter()
+            evaluator.evaluate(encrypted_query, encrypted)
+            server_ms = _ms(start)
+
+            rows.append(
+                WordLayoutRow(
+                    layout=layout,
+                    relation_size=size,
+                    ciphertext_bytes=encrypted.size_in_bytes(),
+                    encrypt_ms=encrypt_ms,
+                    server_ms=server_ms,
+                    homomorphism_holds=check_homomorphism(dph, relation, [query]).holds,
+                )
+            )
+    return WordLayoutExperiment(tuple(rows))

@@ -191,7 +191,7 @@ class TestCommands:
         assert exit_code == 2
         assert "unknown experiment" in captured.err
 
-    def test_experiments_single_quick_run(self, capsys):
+    def test_experiments_single_run(self, capsys):
         exit_code = main(["experiments", "--only", "E9"])
         captured = capsys.readouterr()
         assert exit_code == 0

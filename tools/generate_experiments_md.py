@@ -1,23 +1,37 @@
-"""Generate EXPERIMENTS.md from the tables written by the benchmark harness.
+"""Generate EXPERIMENTS.md: the paper's claims beside the tables measured here.
 
 Usage::
 
-    python tools/generate_experiments_md.py
+    python tools/generate_experiments_md.py            # rewrite EXPERIMENTS.md
+    python tools/generate_experiments_md.py --check    # exit 1 if EXPERIMENTS.md is stale
 
-Reads ``benchmarks/results/*.txt`` (produced by ``pytest benchmarks/
---benchmark-only``) and writes ``EXPERIMENTS.md`` with, for every experiment,
-the paper's claim, the expected shape, and the measured table.  Keeping the
-document generated guarantees it never drifts from what the harness actually
-produces.
+Runs every experiment of ``repro.experiments.EXPERIMENTS`` (E1-E9 and the
+ablation A1) with its registered parameters and writes, per experiment, the
+prose the registry declares and the table the run rendered.  ``--check``
+rewrites nothing: it compares every prose line and every table cell with the
+checked-in file, except the cells of the columns a table declares wall-clock
+(``ExperimentTable.timing``), and exits 1 on the first difference.  Keeping
+the document generated guarantees it says what the experiments measure.
 """
 
 from __future__ import annotations
 
 import pathlib
+import re
 import sys
+from itertools import zip_longest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-RESULTS = ROOT / "benchmarks" / "results"
+if str(ROOT / "src") not in sys.path:
+    sys.path.insert(0, str(ROOT / "src"))
+
+from repro.analysis.reporting import ExperimentTable  # noqa: E402
+from repro.experiments import EXPERIMENTS  # noqa: E402
+
+TARGET = ROOT / "EXPERIMENTS.md"
+
+#: One table block of the document; ``split`` alternates prose and tables.
+TABLE_BLOCK = re.compile(r"^```text\n(.*?)\n```$", re.S | re.M)
 
 PREAMBLE = """\
 # EXPERIMENTS — paper claims vs. measured results
@@ -28,141 +42,23 @@ a set of worked attack examples and qualitative claims about the construction.
 the ablation A1); this file records, for each one, the paper's claim, the
 expected shape of the result, and the table measured in this repository.
 
-*How these numbers were produced.* `pytest benchmarks/ --benchmark-only`
-regenerates every table below; each benchmark writes its table to
-`benchmarks/results/<id>.txt` (the files embedded here) and asserts the
-qualitative shape, so a regression in the library fails the harness rather
-than silently changing the story. Absolute timings are from a single
-container-class CPU core and are only meaningful relative to each other.
-Game-based probabilities use 40–150 fresh-key trials per row; the statistical
-resolution is therefore roughly ±0.1 on success probabilities (Wilson 95%).
+*How these numbers were produced.* `python tools/generate_experiments_md.py`
+runs every registered experiment with the parameters quoted in its section and
+writes this file; `--check` fails when any prose line or any table cell other
+than a wall-clock one differs from a fresh run. `python -m pytest
+tests/experiments` asserts the qualitative shape of every table on both kernel
+paths (the C kernel and the Python references), so a regression in the
+library fails tier-1 rather than silently changing the story. All games and
+workloads are seeded, so every cell except a timing one is the same on every
+run and on both paths. Timing columns are wall-clock on the host that wrote
+the file and are only meaningful relative to each other. Game-based
+probabilities use 40–150 fresh-key trials per row; the statistical resolution
+is therefore roughly ±0.1 on success probabilities (Wilson 95%).
 
 This reproduction substitutes laptop-scale simulation for the paper's (never
 reported) testbed, so the comparison is about *shape*: who wins each game, by
-roughly what factor, and how costs scale. `repro.experiments.registry` names
-the benchmark and the reduced parameters behind each table.
+roughly what factor, and how costs scale.
 """
-
-SECTIONS = [
-    (
-        "E1",
-        "e1_bucketization_attack",
-        "Salary-pair attack vs bucketization (paper §1)",
-        "Paper claim: the two-salary-table adversary determines \"with high probability\" "
-        "which table was encrypted under the Hacıgümüş bucketization scheme, because bucket "
-        "identifiers are encrypted deterministically.",
-        "Expected shape: success probability ≈ 1 for every reasonable bucket count; the paper's "
-        "own construction reduces the same adversary to a coin flip (advantage ≈ 0).",
-        "Measured: matches. Bucketization is broken outright for 4–256 buckets; the SWP-backed "
-        "construction shows advantage statistically indistinguishable from 0.",
-    ),
-    (
-        "E2",
-        "e2_damiani_attack",
-        "Salary-pair attack vs the Damiani hashed index (paper §1)",
-        "Paper claim: \"Similar attacks work on the scheme of Damiani et al.\" — the truncated "
-        "keyed-hash index is deterministic, so equality of values leaks.",
-        "Expected shape: success ≈ 1 − 1/(2·num_hash_values)·… i.e. near-perfect once the two "
-        "salaries are unlikely to collide in the index (≥16 hash values); still well above 1/2 even "
-        "for the coarsest index.",
-        "Measured: matches. Success grows from ≈0.78 at 2 hash values to 1.0 at 256; plain "
-        "deterministic encryption (no collisions) is broken with probability 1.",
-    ),
-    (
-        "E3",
-        "e3_dph_indistinguishability",
-        "Indistinguishability of the construction at q = 0 (paper §3)",
-        "Paper claim: under the relaxation q = 0 (Eve stores data but never sees live queries), the "
-        "searchable-encryption construction is secure in a rigorous sense.",
-        "Expected shape: every implemented q = 0 distinguisher — including the one that breaks "
-        "bucketization — ends with advantage ≈ 0 against both backends.",
-        "Measured: matches. All advantages lie within sampling noise of 0 (|adv| ≤ ~0.2 at 150 "
-        "trials) and none of the adversaries crosses the 'broken' threshold.",
-    ),
-    (
-        "E4",
-        "e4_theorem21",
-        "Theorem 2.1: every database PH falls once q > 0",
-        "Paper claim: \"Any database PH (K, E, Eq, D) is insecure in the sense of Definition 2.1 if "
-        "q > 0\", actively or passively.",
-        "Expected shape: the generic result-size adversaries win with probability ≈ 1 against every "
-        "scheme (including the paper's construction) at q = 1, and degrade to guessing at q = 0.",
-        "Measured: matches exactly — success 1.0 for every scheme at q = 1 (active and passive), "
-        "0.5 at q = 0.",
-    ),
-    (
-        "E5",
-        "e5_hospital_inference",
-        "Passive hospital inference (paper §2)",
-        "Paper claim: from the sizes of four query results and their intersections, Eve \"can infer "
-        "the ratio of lethal to successful outcomes in hospital 1\", knowing only the schema and "
-        "rough priors (flows 0.2/0.3/0.5, outcomes 0.08/0.92).",
-        "Expected shape: query identification succeeds essentially always once the database has a few "
-        "hundred patients, and the recovered fatality ratios equal the ground truth (the construction "
-        "introduces no false positives at default parameters).",
-        "Measured: matches — identification rate 1.0 and zero error at 500–8000 patients, against the "
-        "paper's own (q = 0 secure) construction.",
-    ),
-    (
-        "E6",
-        "e6_active_adversary",
-        "Active adversary locates a known patient (\"John\", paper §2)",
-        "Paper claim: with a query-encryption oracle, Eve determines John's hospital by intersecting "
-        "four query results, and \"analogously, she can find his status\".",
-        "Expected shape: success probability 1 with a single-digit number of oracle queries, "
-        "independent of the database size.",
-        "Measured: matches — hospital and outcome recovered in every trial with 3–6 oracle queries.",
-    ),
-    (
-        "E7",
-        "e7_false_positives",
-        "False positives of the searchable scheme (paper §3)",
-        "Paper claim: the SWP scheme \"sometimes return[s] false positives … As the error rate is "
-        "relatively small for all practical purposes, this does not affect the efficiency of our "
-        "construction.\"",
-        "Expected shape: observed false-positive rate ≈ 2^(−8m) for an m-byte check value; already at "
-        "m = 2 bytes no false positives are observed at this sample size.",
-        "Measured: matches — 127 false positives in 30 000 words at m = 1 (0.0042 ≈ 1/256), none at "
-        "m ≥ 2. The client-side filter removes them without affecting result correctness (E8's 'fps' "
-        "column and the homomorphism tests).",
-    ),
-    (
-        "E8",
-        "e8_throughput",
-        "End-to-end cost of an outsourced exact select",
-        "Paper claim (implicit): the construction's overhead is a constant factor — encryption, query "
-        "encryption, server search and client decryption all scale linearly in the table size.",
-        "Expected shape: linear growth for every phase and every scheme; the searchable backends cost "
-        "a constant factor more than the weakly-protected baselines; the lossy baselines pay instead "
-        "with false positives the client must filter.",
-        "Measured: matches — e.g. SWP encryption 27 ms → 1.9 s from 100 → 5000 tuples (linear), server "
-        "scan 4.5 ms → 169 ms; bucketization/hashing are ~5–7× cheaper but return hundreds of false "
-        "positives at n = 5000, while the construction returns none.",
-    ),
-    (
-        "E9",
-        "e9_storage_overhead",
-        "Ciphertext expansion",
-        "Paper claim (implicit in the construction): storage overhead is a per-tuple constant — fixed-"
-        "width searchable words plus an authenticated payload.",
-        "Expected shape: expansion factors independent of table size; plaintext passthrough is the "
-        "floor; the index backend pays extra for its per-document secure index.",
-        "Measured: matches — expansion ≈ 6.6–7.0× (SWP), ≈ 10.4–10.9× (index), ≈ 4.9–5.2× "
-        "(bucketization / hashed index), ≈ 2.5× (plaintext, dominated by the tuple-id and field "
-        "duplication), constant across 200 vs 2000 tuples.",
-    ),
-    (
-        "A1",
-        "a1_variable_length",
-        "Ablation: variable-length attribute words (full-version optimization)",
-        "Paper claim: the full version describes \"straight-forward optimizations such as attributes "
-        "of variable length\" over the poster's single global word width.",
-        "Expected shape: identical homomorphism behaviour with meaningfully smaller ciphertext and "
-        "faster server scans on schemas with one wide attribute.",
-        "Measured: matches — on a Doc(title[40], category[6], year[4]) schema the variable layout "
-        "stores ~30% fewer bytes and scans ~3× faster, with the homomorphism property preserved.",
-    ),
-]
 
 CLOSING = """\
 ## Reading the results against the paper
@@ -183,28 +79,67 @@ Putting E1–E6 side by side reproduces the paper's overall argument:
 """
 
 
-def main() -> int:
-    if not RESULTS.exists():
-        print("run `pytest benchmarks/ --benchmark-only` first", file=sys.stderr)
-        return 1
+def run_all() -> dict[str, ExperimentTable]:
+    """Each experiment's table, by id, in registry order."""
+    return {spec.identifier: spec.run().to_table() for spec in EXPERIMENTS}
+
+
+def generate(tables: dict[str, ExperimentTable]) -> str:
+    """The document for one run of every experiment."""
     parts = [PREAMBLE]
-    for identifier, stem, title, claim, expected, measured in SECTIONS:
-        table_path = RESULTS / f"{stem}.txt"
-        table = table_path.read_text(encoding="utf-8").rstrip() if table_path.exists() else "(table not generated yet)"
-        claim = claim.removeprefix("Paper claim: ")
-        expected = expected.removeprefix("Expected shape: ")
-        measured = measured.removeprefix("Measured: ")
-        parts.append(f"\n## {identifier} — {title}\n")
-        parts.append(f"**Paper claim.** {claim}\n")
-        parts.append(f"**Expected shape.** {expected}\n")
-        parts.append(f"**Measured.** {measured}\n")
-        parts.append("```text\n" + table + "\n```\n")
-        parts.append(f"Regenerate with `pytest benchmarks/bench_{stem}.py --benchmark-only`.\n")
+    for spec in EXPERIMENTS:
+        parameters = ", ".join(f"{name}={value!r}" for name, value in spec.parameters.items())
+        parts.append(f"\n## {spec.identifier} — {spec.title}\n")
+        parts.append(f"**Paper claim.** {spec.claim}\n")
+        parts.append(f"**Expected shape.** {spec.expected}\n")
+        parts.append(f"**Measured.** {spec.measured}\n")
+        parts.append(f"Parameters: `{parameters}`.\n")
+        parts.append("```text\n" + tables[spec.identifier].render() + "\n```\n")
     parts.append("\n" + CLOSING)
-    (ROOT / "EXPERIMENTS.md").write_text("\n".join(parts), encoding="utf-8")
-    print(f"wrote {ROOT / 'EXPERIMENTS.md'}")
+    return "\n".join(parts)
+
+
+def _first_difference(fresh: list[str], checked_in: list[str]) -> str | None:
+    for new, old in zip_longest(fresh, checked_in, fillvalue="(nothing)"):
+        if new != old:
+            return f"  checked in: {old}\n  a run gives: {new}"
+    return None
+
+
+def difference(text: str, checked_in: str, tables: dict[str, ExperimentTable]) -> str | None:
+    """The first prose line or non-timing cell where ``checked_in`` is not ``text``."""
+    fresh, old = TABLE_BLOCK.split(text), TABLE_BLOCK.split(checked_in)
+    if len(fresh) != len(old):
+        return f"  {(len(old) - 1) // 2} tables checked in, {(len(fresh) - 1) // 2} expected"
+    ordered = list(tables.values())
+    for index, (new_part, old_part) in enumerate(zip(fresh, old)):
+        if index % 2:
+            table = ordered[index // 2]
+            found = _first_difference(table.comparable(new_part), table.comparable(old_part))
+        else:
+            found = _first_difference(new_part.splitlines(), old_part.splitlines())
+        if found:
+            return found
+    return None
+
+
+def main(argv: list[str]) -> int:
+    tables = run_all()
+    text = generate(tables)
+    if "--check" in argv:
+        checked_in = TARGET.read_text(encoding="utf-8") if TARGET.exists() else ""
+        found = difference(text, checked_in, tables)
+        if found:
+            print(
+                f"EXPERIMENTS.md is stale: run python tools/generate_experiments_md.py\n{found}",
+                file=sys.stderr,
+            )
+            return 1
+        return 0
+    TARGET.write_text(text, encoding="utf-8")
+    print(f"wrote {TARGET}")
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    sys.exit(main(sys.argv[1:]))
