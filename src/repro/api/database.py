@@ -218,14 +218,22 @@ class EncryptedDatabase:
         # typed by the schema, so every DDL swaps in a fresh dict; a parse
         # in flight then fills the dict it started from, which nobody reads.
         self._statements: dict[tuple, tuple[str, Query]] = {}
-        # The client-side hot-key result cache (see repro.cache and
-        # _cache_key): a write of this session evicts what its rows can satisfy.
+        # The hot-key result cache (see repro.cache and _cache_key): a write
+        # of this session evicts what its rows can satisfy.
         try:
             cache_config = coerce_cache_config(cache)
         except CacheError as exc:
             raise DatabaseError(str(exc)) from exc
+        # A router under repro.cluster.DEGRADED answers a read with the
+        # shards that are up; cached, that partial answer would outlive
+        # the outage.
+        if cache_config is not None and getattr(server, "policy", None) == "degraded":
+            raise DatabaseError(
+                "a result cache would replay the partial answers of a degraded "
+                "router after its shards recover; use policy='fail_fast' or no cache"
+            )
         self._cache = (
-            ResultCache(cache_config, metrics=self._metrics, tier="client")
+            ResultCache(cache_config, metrics=self._metrics)
             if cache_config is not None
             else None
         )
@@ -285,14 +293,15 @@ class EncryptedDatabase:
             work, falling back to the linear scan whenever the provider
             cannot serve it.
         cache:
-            Keep a client-side result cache of this session's reads (see
+            Keep a result cache of this session's reads (see
             :mod:`repro.cache`): repeated hot queries are answered from
             memory without a provider round trip.  A write of this
             session evicts the entries its rows can satisfy (and a TTL
             bounds writers this session cannot see).  ``True`` enables
             the defaults; an int sets the entry budget; a
             :class:`~repro.cache.CacheConfig` (or dict of its fields)
-            sets everything.  Off by default.
+            sets everything.  Off by default, and refused over a
+            ``degraded`` router, whose partial answers it would replay.
         """
         if key is None:
             key = SecretKey.generate(rng=rng)
@@ -388,16 +397,12 @@ class EncryptedDatabase:
         inverted indexes and answer exact selects via ``INDEX_LOOKUP``
         (see :mod:`repro.index`), scan-falling-back wherever unsupported.
 
-        A ``cache=1`` URL option opts into the hot-key result cache tier
-        (see :mod:`repro.cache`) that matches the transport: on a
-        ``tcp://...?cache=1`` URL it is this session's client-side cache
-        (same as the ``cache`` keyword, and they must agree when both are
-        given), while on a ``cluster://...?cache=1`` URL it is the
-        *coordinator-side* cache shared by every session routed through
-        the :class:`~repro.cluster.router.ShardRouter` -- hot reads are
-        absorbed before any shard is touched, and invalidation rides the
-        router's write paths.  The ``cache`` keyword always configures
-        the session's own client-side tier (both tiers compose).
+        A ``cache=1`` URL option (``tcp://...?cache=1``,
+        ``cluster://...?cache=1``) -- or the ``cache`` keyword; they must
+        agree when both are given -- keeps this session's result cache
+        (see :mod:`repro.cache`): a hot query is answered from memory, a
+        write of this session evicts exactly what its rows can change,
+        and another session's writes show up within the cache's TTL.
 
         Anything that is not a URL string is treated as a server object and
         handed to :meth:`open` unchanged, so call sites can take "where is
@@ -444,7 +449,8 @@ class EncryptedDatabase:
                 elif is_cluster:
                     from repro.cluster.router import parse_cluster_options
 
-                    url_index = parse_cluster_options(provider)[1].get("index")
+                    options = parse_cluster_options(provider)[1]
+                    url_index, url_cache = options.get("index"), options.get("cache")
                     provider = ShardRouter.connect(
                         provider,
                         pool_size=pool_size,
@@ -455,8 +461,7 @@ class EncryptedDatabase:
                     )
                 else:
                     host, port, options = parse_tcp_options(provider)
-                    url_index = options.get("index")
-                    url_cache = options.get("cache")
+                    url_index, url_cache = options.get("index"), options.get("cache")
                     if options.get("async"):
                         from repro.net.aio import AsyncRemoteServerProxy
 
@@ -519,7 +524,7 @@ class EncryptedDatabase:
 
     @property
     def cache(self) -> ResultCache | None:
-        """The session's client-side result cache, or None when disabled."""
+        """The session's result cache, or None when disabled."""
         return self._cache
 
     @property

@@ -1,18 +1,15 @@
 """A thread-safe LRU + TTL result cache with write-set invalidation.
 
-One :class:`ResultCache` backs both tiers of the hot-key cache (the
-client session's and the coordinator's).  Entries are keyed on
-``(relation, token)`` where *token* is opaque to the cache: the raw
-request body on the coordinator tier, which therefore holds nothing the
-provider has not already seen on the wire; the query's own
-``(attribute, value)`` conjuncts on the client tier, which lives in the
-key-holder's memory and may therefore hold plaintext -- there the value
-is the provider's ciphertext answer plus the rows the session decrypted
-from it (see ``repro.api.database._Answer``); the cache itself never
-looks inside a value.  An entry may also be
-*filed* under eviction tags: hashable values the owner chooses and the
-cache only ever hashes and compares (the session uses the first conjunct
-of the query; the keyless coordinator files under none).
+:class:`ResultCache` is the session's hot-key cache (the one cache tier;
+see :mod:`repro.cache`).  Entries are keyed on ``(relation, token)``
+where *token* is opaque to the cache: the session uses the query's own
+``(attribute, value)`` conjuncts, which is safe because the cache lives
+in the key-holder's memory, the one party that may see plaintext.  The
+value is the provider's ciphertext answer plus the rows the session
+decrypted from it (see ``repro.api.database._Answer``); the cache itself
+never looks inside a value.  An entry may also be *filed* under eviction
+tags: hashable values the owner chooses and the cache only ever hashes
+and compares (the session uses the first conjunct of the query).
 
 Correctness model
 -----------------
@@ -42,10 +39,6 @@ every write path can afford to call it unconditionally, including
 failed writes, where evicting what the write *might* have changed costs
 a miss instead of a stale hit.
 
-:meth:`~ResultCache.flush` bumps a global epoch covering relations the
-cache has never even seen, which is what membership changes and
-rebalances use: after shards move, no pre-flush fill may survive.
-
 Observability
 -------------
 
@@ -54,8 +47,8 @@ Counters (``cache_hits_total``, ``cache_misses_total``,
 invalidating call -- and ``cache_invalidated_entries_total`` -- the
 entries those calls dropped, which tells precise from wholesale) and
 gauges (``cache_entries``, ``cache_hit_ratio``; computed when read, so a
-lookup pays for neither) are registered in the owning component's
-:class:`~repro.obs.MetricsRegistry` labelled with the cache ``tier``, so
+lookup pays for neither) are registered in the owning session's
+:class:`~repro.obs.MetricsRegistry` under the label ``tier="client"``, so
 they ride the existing snapshot/merge/Prometheus plane and show up in
 ``repro stats``.  :meth:`~ResultCache.lookup` records a
 ``cache.lookup`` trace span with the outcome.
@@ -78,8 +71,8 @@ DEFAULT_MAX_ENTRIES = 4096
 
 #: Default TTL.  Generations catch every write the cache's owner sees;
 #: the TTL bounds staleness from writers it cannot see (another session
-#: writing through a different coordinator, a provider restored from a
-#: backup).  ``ttl_s=None`` disables the bound for single-writer setups.
+#: on the same provider or fleet, a provider restored from a backup).
+#: ``ttl_s=None`` disables the bound for single-writer setups.
 DEFAULT_TTL_S = 60.0
 
 
@@ -89,7 +82,7 @@ class CacheError(ValueError):
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Knobs for one :class:`ResultCache` tier."""
+    """Knobs for one :class:`ResultCache`."""
 
     max_entries: int = DEFAULT_MAX_ENTRIES
     ttl_s: float | None = DEFAULT_TTL_S
@@ -139,6 +132,9 @@ def coerce_cache_config(value: Any) -> CacheConfig | None:
     )
 
 
+#: The label every instrument and ``cache.lookup`` span carries.
+_TIER = "client"
+
 #: The tag of the entries filed under no other: every write evicts them.
 _UNTAGGED = object()
 
@@ -156,9 +152,8 @@ class ResultCache:
     """Thread-safe LRU + TTL cache with per-relation generations.
 
     ``metrics`` is the owner's registry (a private one is created when
-    omitted, e.g. in unit tests); ``tier`` labels every instrument so the
-    client and coordinator tiers stay distinguishable after fleet-wide
-    snapshot merging.  ``clock`` is injectable for deterministic TTL
+    omitted, e.g. in unit tests); every instrument carries the label
+    ``tier="client"``.  ``clock`` is injectable for deterministic TTL
     tests and must be monotonic.
     """
 
@@ -167,57 +162,50 @@ class ResultCache:
         config: CacheConfig | None = None,
         *,
         metrics: MetricsRegistry | None = None,
-        tier: str = "client",
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self._config = (config or CacheConfig()).validate()
         self._clock = clock
-        self._tier = tier
         self._lock = threading.Lock()
         self._entries: "OrderedDict[tuple[str, Hashable], _Entry]" = OrderedDict()
         # relation -> tag -> keys of the live entries filed under it; a key
         # is listed exactly under its entry's ``tags`` (see ``_drop_locked``).
         self._index: dict[str, dict[Hashable, set]] = {}
         self._generations: dict[str, int] = {}
-        self._epoch = 0
         registry = metrics if metrics is not None else MetricsRegistry()
         self._metrics = registry
-        self._hits = registry.counter("cache_hits_total", tier=tier)
-        self._misses = registry.counter("cache_misses_total", tier=tier)
-        self._evictions = registry.counter("cache_evictions_total", tier=tier)
-        self._invalidations = registry.counter("cache_invalidations_total", tier=tier)
+        self._hits = registry.counter("cache_hits_total", tier=_TIER)
+        self._misses = registry.counter("cache_misses_total", tier=_TIER)
+        self._evictions = registry.counter("cache_evictions_total", tier=_TIER)
+        self._invalidations = registry.counter("cache_invalidations_total", tier=_TIER)
         self._invalidated_entries = registry.counter(
-            "cache_invalidated_entries_total", tier=tier
+            "cache_invalidated_entries_total", tier=_TIER
         )
-        registry.gauge("cache_entries", tier=tier).set_function(
+        registry.gauge("cache_entries", tier=_TIER).set_function(
             lambda: len(self._entries)
         )
-        registry.gauge("cache_hit_ratio", tier=tier).set_function(self._hit_ratio)
+        registry.gauge("cache_hit_ratio", tier=_TIER).set_function(self._hit_ratio)
 
     @property
     def config(self) -> CacheConfig:
         return self._config
 
-    @property
-    def tier(self) -> str:
-        return self._tier
-
     # ------------------------------------------------------------------ #
     # Read path
     # ------------------------------------------------------------------ #
 
-    def generation(self, relation: str) -> tuple[int, int]:
+    def generation(self, relation: str) -> int:
         """The fill token for ``relation``; capture *before* the round trip.
 
-        Opaque to callers: hand it back to :meth:`put`, which drops the
-        fill if any invalidation or flush happened in between.
+        Hand it back to :meth:`put`, which drops the fill if any
+        invalidation of the relation happened in between.  One dict read
+        needs no lock: :meth:`put` compares under it.
         """
-        with self._lock:
-            return (self._epoch, self._generations.get(relation, 0))
+        return self._generations.get(relation, 0)
 
     def lookup(self, relation: str, token: Hashable) -> Any | None:
         """:meth:`get` wrapped in a ``cache.lookup`` trace span."""
-        with trace_span("cache.lookup", tier=self._tier, relation=relation) as entry:
+        with trace_span("cache.lookup", tier=_TIER, relation=relation) as entry:
             value = self.get(relation, token)
             entry.annotations["outcome"] = "miss" if value is None else "hit"
             return value
@@ -246,23 +234,22 @@ class ResultCache:
         relation: str,
         token: Hashable,
         value: Any,
-        generation: tuple[int, int],
+        generation: int,
         tags: Iterable[Hashable] = (),
     ) -> bool:
         """Fill one entry; returns False if the fill was stale and dropped.
 
         ``generation`` must come from :meth:`generation` *before* the
         provider round trip that produced ``value``: if a write
-        invalidated the relation (or a flush bumped the epoch) while the
-        read was in flight, the answer may predate the write and is
-        discarded rather than cached.  ``tags`` files the entry for
+        invalidated the relation while the read was in flight, the answer
+        may predate the write and is discarded rather than cached.  ``tags`` files the entry for
         :meth:`invalidate`; with none, every write to the relation evicts it.
         """
         # Hashing every tag here means an unhashable one raises before
         # anything is mutated.
         filed_under = tuple(set(tags)) or (_UNTAGGED,)
         with self._lock:
-            if generation != (self._epoch, self._generations.get(relation, 0)):
+            if generation != self._generations.get(relation, 0):
                 return False
             expires_at = (
                 None
@@ -313,20 +300,6 @@ class ResultCache:
                         dropped += 1
             self._invalidated_entries.inc(dropped)
 
-    def flush(self) -> None:
-        """Drop everything and fence *all* in-flight fills (epoch bump).
-
-        The conservative hammer for events that move data between shards
-        (membership changes, rebalances): even a fill for a relation the
-        cache has never seen is dropped if its read started pre-flush.
-        """
-        with self._lock:
-            self._epoch += 1
-            self._invalidations.inc()
-            self._invalidated_entries.inc(len(self._entries))
-            self._entries.clear()
-            self._index.clear()
-
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
@@ -339,7 +312,6 @@ class ResultCache:
         """A JSON-able summary (the ``cluster status`` / smoke-test surface)."""
         with self._lock:
             return {
-                "tier": self._tier,
                 "entries": len(self._entries),
                 "max_entries": self._config.max_entries,
                 "ttl_s": self._config.ttl_s,

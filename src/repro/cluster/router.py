@@ -71,7 +71,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Sequence
 
-from repro.cache import CacheError, ResultCache, coerce_cache_config
 from repro.core.dph import (
     DphError,
     EncryptedRelation,
@@ -104,46 +103,27 @@ def parse_cluster_options(url: str) -> tuple[tuple[str, ...], dict]:
     """Split ``cluster://h1:p1,...?replicas=R&async=1`` into URLs and options.
 
     Returns the per-shard ``tcp://`` URLs plus the parsed query options:
-    ``replicas`` (the replication factor of the deployment), ``async``
-    (drive the fleet over pipelined asyncio connections from one
-    event-loop thread instead of a blocking pool per shard), ``index``
-    (the session maintains encrypted inverted indexes and serves exact
-    selects through ``INDEX_LOOKUP``) and ``cache`` (the router keeps a
-    coordinator-side result cache shared by every session it serves).
-    Unknown options are rejected rather than ignored: a typo silently
-    dropping ``?async=1`` would be a silent performance change.
+    ``replicas`` (the replication factor of the deployment) and the
+    options every provider URL takes (see
+    :func:`~repro.net.client.parse_url_query`): ``async`` (drive the fleet
+    over pipelined asyncio connections from one event-loop thread instead
+    of a blocking pool per shard), ``index`` (the session maintains
+    encrypted inverted indexes and serves exact selects through
+    ``INDEX_LOOKUP``) and ``cache`` (the session keeps its result cache,
+    exactly as on a ``tcp://`` URL).  An unknown or repeated option is
+    rejected rather than ignored.
     """
-    from repro.net.client import RemoteError, parse_bool_option, parse_tcp_url
+    from repro.net.client import RemoteError, parse_tcp_url, parse_url_query
 
     if not url.startswith(CLUSTER_URL_PREFIX):
         raise ClusterError(
             f"unsupported cluster URL {url!r} (want {CLUSTER_URL_PREFIX}host:port,...)"
         )
-    rest = url[len(CLUSTER_URL_PREFIX):]
-    options: dict = {}
-    if "?" in rest:
-        rest, _, query = rest.partition("?")
-        for item in query.split("&"):
-            if not item:
-                continue
-            key, _, value = item.partition("=")
-            if key == "replicas":
-                try:
-                    options["replicas"] = int(value)
-                except ValueError as exc:
-                    raise ClusterError(
-                        f"cluster URL option replicas must be an integer, got {value!r}"
-                    ) from exc
-            elif key in ("async", "index", "cache"):
-                try:
-                    options[key] = parse_bool_option(key, value)
-                except RemoteError as exc:
-                    raise ClusterError(str(exc)) from exc
-            else:
-                raise ClusterError(
-                    f"unknown cluster URL option {key!r} "
-                    "(supported: replicas, async, index, cache)"
-                )
+    rest, _, query = url[len(CLUSTER_URL_PREFIX):].partition("?")
+    try:
+        options = parse_url_query(query, "cluster", integers=("replicas",))
+    except RemoteError as exc:
+        raise ClusterError(str(exc)) from exc
     parts = [part.strip() for part in rest.split(",")]
     parts = [part for part in parts if part]
     if not parts:
@@ -300,13 +280,10 @@ class _Plan:
     #: Decodes (and so validates) the request body into the ``payload`` that
     #: ``targets`` and ``merge`` see; None forwards it unread.
     decode: Callable[[bytes], Any] | None = None
-    #: Reads may fail over to surviving replicas; everything else is a write
-    #: and invalidates the coordinator cache's entries for its relation.
+    #: Reads may fail over to surviving replicas; everything else is a write.
     read: bool = False
     #: Partial-failure policy of the gather; None means the router's own.
     policy: str | None = FAIL_FAST
-    #: Coordinator-cache namespace of a cacheable read.
-    cache: str | None = None
     #: The ``ClusterStats`` recorder bumped once per routed request.
     record: Callable[[ClusterStats], None] | None = None
     #: The kind the shards are asked instead of the request's own (same
@@ -373,11 +350,11 @@ class ShardRouter:
 
     Every operation is defined once, as an envelope: a row of
     :attr:`_PLANS` says which shards get which bytes and how their answers
-    merge, :meth:`_fetch` runs plan -> scatter -> merge, :meth:`_answer`
-    wraps it in the coordinator cache, and :meth:`_route` frames the
-    response.  :meth:`handle_message` is that route with failures turned
-    into ``ERROR`` envelopes.  The membership changes and the rebalancer
-    drive single shards through the same rows (:meth:`each_shard`).
+    merge, :meth:`_fetch` runs plan -> scatter -> merge, and :meth:`_route`
+    frames the response.  :meth:`handle_message` is that route with
+    failures turned into ``ERROR`` envelopes.  The membership changes and
+    the rebalancer drive single shards through the same rows
+    (:meth:`each_shard`).
     """
 
     def __init__(
@@ -392,7 +369,6 @@ class ShardRouter:
         pool_size: int = 4,
         timeout: float | None = 30.0,
         async_transport: bool = False,
-        cache=None,
     ) -> None:
         """Build a router over backends (server objects and/or tcp:// URLs).
 
@@ -433,17 +409,6 @@ class ShardRouter:
             Envelope scatters then run on the event loop whenever every
             addressed shard is pipelined; mixed fleets (object backends
             alongside URLs) fall back to the thread pool per call.
-        cache:
-            Keep a coordinator-side result cache (see :mod:`repro.cache`):
-            repeated hot reads are answered from the router's memory
-            before any shard is touched, and the cache is shared by every
-            session this router serves.  Every routed write invalidates
-            its relation, membership changes and rebalances flush
-            everything, and degraded reads are never cached, so replication
-            and failover cannot resurrect stale entries.  ``True`` enables
-            the defaults; an int sets the entry budget; a
-            :class:`~repro.cache.CacheConfig` (or dict of its fields) sets
-            everything (``cluster://...?cache=1``).  Off by default.
         """
         if not shards:
             raise ClusterError("a cluster needs at least one shard")
@@ -463,10 +428,6 @@ class ShardRouter:
             raise ClusterError(
                 f"{len(shards)} shard(s) but {len(shard_ids)} shard id(s)"
             )
-        try:
-            cache_config = coerce_cache_config(cache)
-        except CacheError as exc:
-            raise ClusterError(str(exc)) from exc
         self._policy = policy
         self._replication = replicas
         self._pool_size = pool_size
@@ -480,11 +441,6 @@ class ShardRouter:
         self._schemas: dict[str, Any] = {}
         self._metrics = MetricsRegistry()
         self._stats = ClusterStats(metrics=self._metrics)
-        self._cache = (
-            ResultCache(cache_config, metrics=self._metrics, tier="coordinator")
-            if cache_config is not None
-            else None
-        )
         self._closed = False
         # Room for several concurrent scatters (threads are created lazily,
         # so the headroom is free when idle).  Note the per-shard timeout is
@@ -528,14 +484,14 @@ class ShardRouter:
         pool_size: int = 4,
         timeout: float | None = 30.0,
         async_transport: bool | None = None,
-        cache=None,
     ) -> "ShardRouter":
         """Open a router from a ``cluster://h1:p1[?replicas=R&async=1]`` URL.
 
-        The replication factor, the transport and the coordinator cache
-        can come from the URL query or the keywords (they must agree when
-        both are given); replication defaults to 1, the transport to
-        blocking pools, the cache to off.
+        The replication factor and the transport can come from the URL
+        query or the keywords (they must agree when both are given);
+        replication defaults to 1, the transport to blocking pools.  The
+        ``index`` and ``cache`` options configure the session, not the
+        router (see :meth:`~repro.api.EncryptedDatabase.connect`).
         """
         urls, options = parse_cluster_options(url)
         url_replicas = options.get("replicas")
@@ -554,14 +510,6 @@ class ShardRouter:
                 f"conflicting transports: the URL says async={url_async}, "
                 f"the caller says async_transport={async_transport}"
             )
-        url_cache = options.get("cache")
-        if cache is None:
-            cache = bool(url_cache) if url_cache is not None else None
-        elif url_cache is not None and bool(url_cache) != bool(cache):
-            raise ClusterError(
-                f"conflicting cache settings: the URL says cache={url_cache}, "
-                f"the caller says cache={cache}"
-            )
         return cls(
             urls,
             replicas=replicas,
@@ -571,7 +519,6 @@ class ShardRouter:
             pool_size=pool_size,
             timeout=timeout,
             async_transport=async_transport,
-            cache=cache,
         )
 
     @classmethod
@@ -584,7 +531,6 @@ class ShardRouter:
         pool_size: int = 4,
         timeout: float | None = 30.0,
         async_transport: bool | None = None,
-        cache=None,
     ) -> "ShardRouter":
         """Open a router from a :class:`~repro.cluster.manifest.ClusterManifest`.
 
@@ -610,7 +556,6 @@ class ShardRouter:
                 if async_transport is None
                 else async_transport
             ),
-            cache=cache,
         )
 
     def _open_backend(
@@ -678,11 +623,6 @@ class ShardRouter:
         """Scatter/routing counters."""
         return self._stats
 
-    @property
-    def cache(self) -> ResultCache | None:
-        """The coordinator-side result cache, or None when disabled."""
-        return self._cache
-
     def shard(self, shard_id: str) -> Any:
         """The backend registered under one ring identifier."""
         try:
@@ -743,11 +683,6 @@ class ShardRouter:
             except Exception as exc:  # noqa: BLE001 - a status probe never raises
                 entry = {"ok": False, "error": str(exc)}
             status[shard.shard_id] = entry
-        if self._cache is not None:
-            # The coordinator itself is part of the serving picture when it
-            # absorbs reads; consumers iterating per-shard entries can key
-            # on "cache" to tell this row apart (it still reports ok=True).
-            status["coordinator-cache"] = {"ok": True, "cache": self._cache.stats()}
         return status
 
     @property
@@ -796,8 +731,8 @@ class ShardRouter:
     def close(self) -> None:
         """Close owned backends, the scatter pool, and the loop thread.
 
-        Idempotent: several sessions may share one router (the coordinator
-        cache deployment), and each closing session closes its server.
+        Idempotent: several sessions may share one router, and each closing
+        session closes its server.
         """
         if self._closed:
             return
@@ -819,16 +754,6 @@ class ShardRouter:
     # One provider's surface
     # ------------------------------------------------------------------ #
 
-    def _invalidate_cache(self, relation: str) -> None:
-        """Bump the coordinator cache's generation for one relation."""
-        if self._cache is not None:
-            self._cache.invalidate(relation)
-
-    def _flush_cache(self) -> None:
-        """Conservative full flush: data may have moved between shards."""
-        if self._cache is not None:
-            self._cache.flush()
-
     def handle_message(self, raw: bytes) -> bytes:
         """Route one protocol envelope across the fleet.
 
@@ -842,18 +767,11 @@ class ShardRouter:
             return self._frame(request, MessageKind.ERROR, str(exc).encode("utf-8"))
 
     def _route(self, request: MessageV2, raw: bytes) -> bytes:
-        """Plan, answer (through the cache), frame the response; raises on failure."""
+        """Plan, fetch, frame the response; raises on failure."""
         plan = self._PLANS.get(request.kind)
         if plan is None:
             raise ClusterError(f"cannot route message kind {request.kind.value!r}")
-        try:
-            answer = self._answer(plan, request, raw)
-        finally:
-            if not plan.read:
-                # Even on failure: a fail-fast write can still have landed on
-                # some replicas before failing, and one extra miss beats one
-                # stale hit.
-                self._invalidate_cache(request.relation_name)
+        answer = self._fetch(plan, request, raw)
         if plan.settle is not None:
             plan.settle(self, request)
         kind = protocol.ANSWERS[request.kind]
@@ -862,7 +780,7 @@ class ShardRouter:
     def _routed(self, kind: MessageKind, relation_name: str = "") -> Any:
         """The fleet's merged answer to one body-less read, decoded."""
         request = MessageV2(kind, relation_name)
-        return self._fetch(self._PLANS[kind], request, request.to_bytes())[0]
+        return self._fetch(self._PLANS[kind], request, request.to_bytes())
 
     def _ask(
         self, shard: _Shard, kind: MessageKind, relation_name: str, body: bytes = b""
@@ -870,61 +788,8 @@ class ShardRouter:
         """One envelope to one shard, member or not, outside any scatter."""
         return envelope_request(shard.server, kind, relation_name, body, error=ClusterError)
 
-    def _answer(self, plan: _Plan, request: MessageV2, raw: bytes) -> Any:
-        """The fleet's merged answer, through the coordinator cache.
-
-        The one cache wrapper: lookup, capture the generation, fetch the
-        misses, fill.  Tokens are ``(namespace, encoded query bytes)``: a
-        ``QUERY`` body *is* the encoded encrypted query and each
-        ``BATCH_QUERY`` element encodes to the same bytes, so single-query
-        fills serve later batch elements and vice versa; an
-        ``INDEX_LOOKUP`` is keyed on its raw body (labels plus embedded
-        fallback query), which an indexed session repeats byte-for-byte
-        when it re-asks a hot query.  Only *complete* answers are cached: a
-        degraded read (some ring segment unanswered) is correct to serve
-        once but must not be replayed after the shards recover.  Failover
-        reads are complete, so they stay cacheable.
-        """
-        if self._cache is None or plan.cache is None:
-            return self._fetch(plan, request, raw)[0]
-        name = request.relation_name
-        batched = request.kind is MessageKind.BATCH_QUERY
-        if batched:
-            queries = protocol.decode_query_batch(request.body)
-            bodies = [protocol.encode_encrypted_query(query) for query in queries]
-        else:
-            bodies = [request.body]
-        tokens = [(plan.cache, body) for body in bodies]
-        answers = [self._cache.lookup(name, token) for token in tokens]
-        missing = [i for i, answer in enumerate(answers) if answer is None]
-        if missing:
-            generation = self._cache.generation(name)
-            if batched:  # element-wise: only the queries the cache misses scatter
-                raw = self._frame(
-                    request,
-                    MessageKind.BATCH_QUERY,
-                    protocol.encode_query_batch([queries[i] for i in missing]),
-                )
-            fetched, complete = self._fetch(plan, request, raw)
-            if not batched:
-                fetched = [fetched]
-            elif len(fetched) != len(missing):
-                raise ClusterError(
-                    f"shards answered {len(fetched)} results "
-                    f"for {len(missing)} queries"
-                )
-            for position, answer in zip(missing, fetched):
-                answers[position] = answer
-                if complete:
-                    self._cache.put(name, tokens[position], answer, generation)
-        return answers if batched else answers[0]
-
-    def _fetch(self, plan: _Plan, request: MessageV2, raw: bytes) -> tuple[Any, bool]:
-        """Plan -> scatter -> merge: the answer plus whether it is *complete*.
-
-        Only a DEGRADED-policy gather that actually lost data reports
-        False; a read that failed over to surviving replicas is complete.
-        """
+    def _fetch(self, plan: _Plan, request: MessageV2, raw: bytes) -> Any:
+        """Plan -> scatter -> merge: the fleet's one answer."""
         payload = plan.decode(request.body) if plan.decode is not None else None
         kind = request.kind
         if plan.sends is not None:
@@ -938,20 +803,17 @@ class ShardRouter:
         requests = [
             (shard_id, ShardRequest(envelope, step)) for shard_id, envelope in envelopes.items()
         ]
-        complete = True
-        if not requests:
-            responses: Sequence[MessageV2] = ()
-        else:
-            gathered = self._gather(
+        responses: Sequence[MessageV2] = ()
+        if requests:
+            responses = self._gather(
                 f"{request.kind.value}({request.relation_name!r})",
                 requests,
                 policy=plan.policy or self._policy,
                 read=plan.read,
-            )
-            responses, complete = gathered.values, not gathered.degraded
+            ).values
         decode = protocol.ANSWER_CODECS[expect][0]
         values = [decode(response.body) for response in responses]
-        return plan.merge(values, payload), complete
+        return plan.merge(values, payload)
 
     # -- plan targets: which shards get which bytes ---------------------- #
 
@@ -1029,13 +891,13 @@ class ShardRouter:
         ),
         MessageKind.LIST_TUPLE_IDS: _Plan(_to_every_shard, _union_of_ids, read=True),
         MessageKind.QUERY: _Plan(
-            _to_every_shard, _merge_results, read=True, policy=None, cache="query"
+            _to_every_shard, _merge_results, read=True, policy=None
         ),
         MessageKind.BATCH_QUERY: _Plan(
-            _to_every_shard, _merge_batches, read=True, policy=None, cache="query"
+            _to_every_shard, _merge_batches, read=True, policy=None
         ),
         MessageKind.INDEX_LOOKUP: _Plan(
-            _to_every_shard, _merge_results, read=True, policy=None, cache="index",
+            _to_every_shard, _merge_results, read=True, policy=None,
             record=ClusterStats.record_index_lookup,
         ),
         MessageKind.REGISTER_EVALUATOR: _Plan(
@@ -1093,9 +955,6 @@ class ShardRouter:
         self._shards[shard.shard_id] = shard
         self._ring.add_shard(shard.shard_id)
         self._resize_executor()
-        # The ring changed: routed reads may now land on the (still empty)
-        # newcomer, so no pre-join cache entry may survive.
-        self._flush_cache()
         if not rebalance:
             return None
         return self.rebalance()
@@ -1140,10 +999,8 @@ class ShardRouter:
         except BaseException:
             # Put the shard back: its data was not (fully) drained.
             self._ring.add_shard(shard_id)
-            self._flush_cache()
             raise
         del self._shards[shard_id]
-        self._flush_cache()
         if leaving.owned:
             leaving.server.close()
         return report
@@ -1152,17 +1009,12 @@ class ShardRouter:
         """Repair every tuple's placement to exactly its R ring successors."""
         from repro.cluster.rebalance import rebalance as run_rebalance
 
-        try:
-            return run_rebalance(
-                self,
-                self._ring,
-                self._routed(MessageKind.RELATION_NAMES),
-                replication=self._replication,
-            )
-        finally:
-            # Tuples moved between shards: even a partial move invalidates
-            # any cached merge that predates it.
-            self._flush_cache()
+        return run_rebalance(
+            self,
+            self._ring,
+            self._routed(MessageKind.RELATION_NAMES),
+            replication=self._replication,
+        )
 
     def _any_schema(self, name: str):
         """The (public) schema of a stored relation.

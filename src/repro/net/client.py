@@ -74,31 +74,58 @@ class ConnectionLostError(RemoteError):
 _TRUE_OPTION_VALUES = frozenset({"1", "true", "yes", "on"})
 _FALSE_OPTION_VALUES = frozenset({"0", "false", "no", "off"})
 
+#: The options every provider URL takes, all boolean: ``async`` (the
+#: pipelined transport, :class:`~repro.net.aio.AsyncRemoteServerProxy`),
+#: ``index`` (encrypted inverted indexes, :mod:`repro.index`) and
+#: ``cache`` (the session's result cache, :mod:`repro.cache`).
+_URL_OPTIONS = ("async", "index", "cache")
 
-def parse_bool_option(key: str, value: str) -> bool:
-    """Parse a boolean URL query value, strictly."""
-    lowered = value.strip().lower()
-    if lowered in _TRUE_OPTION_VALUES:
-        return True
-    if lowered in _FALSE_OPTION_VALUES:
-        return False
-    raise RemoteError(
-        f"URL option {key} must be a boolean (0/1/true/false), got {value!r}"
-    )
+
+def parse_url_query(query: str, scheme: str = "provider", integers=()) -> dict:
+    """Parse the options of a provider URL's query string, strictly.
+
+    ``async``, ``index`` and ``cache`` take a boolean; a key in
+    ``integers`` (the ``cluster://`` scheme's ``replicas``) takes an
+    integer.  An unknown key, a bad value or a key given twice raises
+    :class:`RemoteError` naming the ``scheme``: a silently dropped typo
+    like ``?asnyc=1`` would quietly run the session on the wrong
+    transport, and a silently overridden ``replicas=2&replicas=1`` on an
+    unreplicated fleet.
+    """
+    options: dict = {}
+    for item in query.split("&"):
+        if not item:
+            continue
+        key, _, value = item.partition("=")
+        if key in options:
+            raise RemoteError(f"{scheme} URL option {key!r} is given twice")
+        if key in integers:
+            try:
+                options[key] = int(value)
+            except ValueError:
+                raise RemoteError(
+                    f"{scheme} URL option {key} must be an integer, got {value!r}"
+                ) from None
+        elif key in _URL_OPTIONS:
+            lowered = value.strip().lower()
+            if lowered not in _TRUE_OPTION_VALUES | _FALSE_OPTION_VALUES:
+                raise RemoteError(
+                    f"URL option {key} must be a boolean (0/1/true/false), got {value!r}"
+                )
+            options[key] = lowered in _TRUE_OPTION_VALUES
+        else:
+            raise RemoteError(
+                f"unknown {scheme} URL option {key!r} "
+                f"(supported: {', '.join((*integers, *_URL_OPTIONS))})"
+            )
+    return options
 
 
 def parse_tcp_options(url: str) -> tuple[str, int, dict]:
-    """Split ``tcp://host:port[?async=1&index=1]`` into its parts, strictly.
+    """Split ``tcp://host:port[?async=1&index=1&cache=1]`` into its parts, strictly.
 
-    Returns ``(host, port, options)``; the supported options are ``async``
-    (picks the pipelined asyncio transport, see
-    :class:`~repro.net.aio.AsyncRemoteServerProxy`), ``index`` (the
-    session maintains encrypted inverted indexes and serves exact selects
-    through ``INDEX_LOOKUP``) and ``cache`` (the session keeps a
-    client-side result cache of its reads, see :mod:`repro.cache`).
-    Unknown options are rejected, not ignored: a silently dropped typo
-    like ``?asnyc=1`` would quietly run the session on the wrong
-    transport.
+    Returns ``(host, port, options)``, the options read by
+    :func:`parse_url_query`.
     """
     parts = urlsplit(url)
     if parts.scheme != "tcp":
@@ -111,19 +138,7 @@ def parse_tcp_options(url: str) -> tuple[str, int, dict]:
         raise RemoteError(f"provider URL {url!r} needs both a host and a port")
     if parts.path or parts.fragment:
         raise RemoteError(f"provider URL {url!r} carries an unexpected path")
-    options: dict = {}
-    if parts.query:
-        for item in parts.query.split("&"):
-            if not item:
-                continue
-            key, _, value = item.partition("=")
-            if key not in ("async", "index", "cache"):
-                raise RemoteError(
-                    f"unknown provider URL option {key!r} "
-                    "(supported: async, index, cache)"
-                )
-            options[key] = parse_bool_option(key, value)
-    return hostname, port, options
+    return hostname, port, parse_url_query(parts.query)
 
 
 def parse_tcp_url(url: str) -> tuple[str, int]:

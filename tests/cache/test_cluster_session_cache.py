@@ -1,0 +1,275 @@
+"""The session's result cache over a sharded fleet.
+
+A cached session on a :class:`ShardRouter` keeps the contract it keeps on
+one provider: its own writes evict exactly what they change, another
+session's writes show up within ``ttl_s``, and no injected fault -- a
+shard killed mid-workload, a shard joining or leaving -- makes cache-on
+answer differently from cache-off.  A cache over a ``degraded`` router is
+refused: it would replay a partial answer after the shards recover.
+"""
+
+from __future__ import annotations
+
+import contextlib
+from unittest import mock
+
+import pytest
+
+from repro.api import DatabaseError, EncryptedDatabase
+from repro.cluster import DEGRADED, ShardRouter
+from repro.crypto.rng import DeterministicRng
+from repro.net import ThreadedTcpServer
+from repro.outsourcing import OutsourcedDatabaseServer
+from repro.relational import Selection
+
+EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
+ROWS = [(f"emp{i}", "HR" if i % 2 else "IT", 1000 + i) for i in range(30)]
+HR, IT = Selection.equals("dept", "HR"), Selection.equals("dept", "IT")
+
+
+class FlakyServer(OutsourcedDatabaseServer):
+    """A shard that can be switched off to exercise failure paths."""
+
+    def __init__(self):
+        super().__init__()
+        self.down = False
+
+    def handle_message(self, raw: bytes) -> bytes:
+        if self.down:
+            raise ConnectionError("shard is down")
+        return super().handle_message(raw)
+
+
+class FakeClock:
+    """The cache's monotonic clock, advanced by hand."""
+
+    def __init__(self):
+        self.now = 100.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
+def _rows(outcome):
+    return sorted(tuple(t.values()) for t in outcome.relation)
+
+
+def _session(secret_key, router, *, cache=True, seed=0, create=True):
+    db = EncryptedDatabase.open(
+        secret_key, server=router, rng=DeterministicRng(seed), cache=cache
+    )
+    if create:
+        db.create_table(EMP_DECL, rows=ROWS)
+    else:
+        db.attach_table(EMP_DECL)
+    return db
+
+
+class TestDegradedRouterRefusesACache:
+    """Bugfix: a cached session on a degraded router replayed a partial answer."""
+
+    def test_open_refuses(self, secret_key):
+        router = ShardRouter([FlakyServer(), FlakyServer()], policy=DEGRADED)
+        with pytest.raises(DatabaseError, match="degraded"):
+            EncryptedDatabase.open(secret_key, server=router, cache=True)
+        with pytest.raises(DatabaseError, match="degraded"):
+            EncryptedDatabase.connect(router, secret_key, cache=True)
+
+    def test_connect_refuses_a_cluster_url(self, secret_key):
+        with contextlib.ExitStack() as stack:
+            ports = [
+                stack.enter_context(ThreadedTcpServer(OutsourcedDatabaseServer())).port
+                for _ in range(2)
+            ]
+            url = "cluster://" + ",".join(f"127.0.0.1:{port}" for port in ports)
+            with pytest.raises(DatabaseError, match="degraded"):
+                EncryptedDatabase.connect(f"{url}?cache=1", secret_key, policy=DEGRADED)
+            # Uncached, the same router serves (and heals) as before.
+            EncryptedDatabase.connect(url, secret_key, policy=DEGRADED).close()
+
+    def test_an_uncached_degraded_read_heals(self, secret_key):
+        shards = [FlakyServer(), FlakyServer()]
+        db = _session(secret_key, ShardRouter(shards, policy=DEGRADED), cache=None)
+        full = _rows(db.select(HR, table="Emp"))
+        shards[1].down = True
+        assert len(db.select(HR, table="Emp").relation) < len(full)
+        shards[1].down = False
+        assert _rows(db.select(HR, table="Emp")) == full
+
+
+class TestFailover:
+    def test_a_failover_read_is_complete_and_cacheable(self, secret_key):
+        shards = [FlakyServer() for _ in range(3)]
+        db = _session(secret_key, ShardRouter(shards, replicas=2))
+        expected = sorted(row for row in ROWS if row[1] == "HR")
+        shards[2].down = True  # R=2 covers one dead shard
+        assert _rows(db.select(HR, table="Emp")) == expected
+        assert len(db.cache) == 1  # the failover answer was complete
+        hits = db.cache.stats()["hits"]
+        assert _rows(db.select(HR, table="Emp")) == expected
+        assert db.cache.stats()["hits"] == hits + 1
+
+    def test_a_shard_killed_mid_workload_matches_uncached(self, secret_key):
+        """Writes stay fail-fast, so the post-kill delete fails in both runs;
+        a failed write still evicts, and failover reads never resurrect a
+        pre-write answer."""
+
+        def run(cache: bool) -> list:
+            shards = [FlakyServer() for _ in range(3)]
+            db = _session(secret_key, ShardRouter(shards, replicas=2), cache=cache)
+            observed = []
+
+            def observe():
+                observed.extend(_rows(db.select(probe, table="Emp")) for probe in (HR, IT))
+
+            observe()
+            db.insert("Emp", {"name": "mid1", "dept": "HR", "salary": 5})
+            observe()
+            db.delete(Selection.equals("name", "emp7"), table="Emp")
+            db.update(Selection.equals("name", "emp2"), {"salary": 3}, table="Emp")
+            observe()
+            shards[0].down = True
+            observe()
+            with pytest.raises(DatabaseError, match="shard is down"):
+                db.delete(Selection.equals("name", "emp9"), table="Emp")
+            observe()
+            return observed
+
+        assert run(True) == run(False)
+
+
+@contextlib.contextmanager
+def _router(kind: str):
+    """A router over three shards reached in-process, or as envelopes over
+    blocking or pipelined tcp://."""
+    servers = [OutsourcedDatabaseServer() for _ in range(3)]
+    with contextlib.ExitStack() as stack:
+        shards = servers
+        if kind != "in-process":
+            shards = [
+                f"tcp://127.0.0.1:{stack.enter_context(ThreadedTcpServer(server)).port}"
+                for server in servers
+            ]
+        yield stack.enter_context(
+            ShardRouter(
+                shards,
+                shard_ids=["a", "b", "c"],
+                async_transport=(kind == "pipelined"),
+            )
+        )
+
+
+class TestCacheOnMatchesCacheOff:
+    @pytest.mark.parametrize("kind", ["in-process", "tcp", "pipelined"])
+    def test_under_interleaved_writes(self, kind, secret_key):
+        probes = [HR, IT, Selection.equals("name", "emp11")]
+
+        def run(cache: bool) -> list:
+            with _router(kind) as router:
+                db = _session(secret_key, router, cache=cache)
+                observed = []
+
+                def observe():
+                    observed.extend(_rows(db.select(probe, table="Emp")) for probe in probes)
+
+                observe()
+                observe()  # the second pass hits when cached
+                db.insert("Emp", {"name": "w1", "dept": "IT", "salary": 8})
+                observe()
+                db.delete(Selection.equals("name", "emp11"), table="Emp")
+                observe()
+                db.update(HR, {"salary": 6}, table="Emp")
+                observe()
+                return observed
+
+        assert run(True) == run(False)
+
+    @pytest.mark.parametrize("replicas", [1, 2])
+    def test_across_membership_changes(self, replicas, secret_key):
+        """``add_shard``, ``rebalance`` and ``remove_shard`` move tuples, not
+        answers: cached hits and post-move misses both stay exact."""
+        router = ShardRouter(
+            [OutsourcedDatabaseServer() for _ in range(3)], replicas=replicas
+        )
+        cached = _session(secret_key, router)
+        plain = _session(secret_key, router, cache=None, seed=1, create=False)
+        names = [Selection.equals("name", f"emp{i}") for i in range(0, 30, 3)]
+
+        def agree(probes):
+            for probe in probes:
+                assert _rows(cached.select(probe, table="Emp")) == _rows(
+                    plain.select(probe, table="Emp")
+                )
+
+        agree([HR, IT, *names[:5]])
+        hits = cached.cache.stats()["hits"]
+        router.add_shard(OutsourcedDatabaseServer(), "d")
+        agree([HR, IT, *names])  # hits, then misses served by the new layout
+        router.rebalance()
+        cached.insert("Emp", {"name": "joined", "dept": "HR", "salary": 7})
+        agree([HR, IT, *names])
+        router.remove_shard("shard-0")
+        cached.delete(Selection.equals("name", "emp3"), table="Emp")
+        agree([HR, IT, *names])
+        assert cached.cache.stats()["hits"] > hits
+
+
+@contextlib.contextmanager
+def _provider(kind: str):
+    """What two sessions share: one router object, one fleet behind a
+    ``cluster://`` URL, or one ``tcp://`` provider."""
+    if kind == "router":
+        with ShardRouter([OutsourcedDatabaseServer() for _ in range(3)]) as router:
+            yield router
+        return
+    with contextlib.ExitStack() as stack:
+        ports = [
+            stack.enter_context(ThreadedTcpServer(OutsourcedDatabaseServer())).port
+            for _ in range(3 if kind == "cluster" else 1)
+        ]
+        hosts = ",".join(f"127.0.0.1:{port}" for port in ports)
+        yield f"{kind}://{hosts}?cache=1"
+
+
+class TestSharedRouter:
+    def test_close_is_idempotent_for_shared_sessions(self, secret_key):
+        router = ShardRouter([OutsourcedDatabaseServer() for _ in range(2)])
+        db1 = _session(secret_key, router)
+        db2 = _session(secret_key, router, seed=1, create=False)
+        db1.close()
+        db2.close()  # the second close of the shared router is a no-op
+        router.close()
+
+
+class TestForeignWriter:
+    """ROADMAP 3(d): another session's writes show up within ``ttl_s``."""
+
+    TTL = 30.0
+
+    @pytest.mark.parametrize("kind", ["router", "cluster", "tcp"])
+    def test_a_foreign_insert_shows_within_the_ttl(self, kind, secret_key):
+        with _provider(kind) as provider:
+            writer, reader = (
+                EncryptedDatabase.connect(
+                    provider, secret_key, rng=DeterministicRng(seed), cache={"ttl_s": self.TTL}
+                )
+                for seed in (0, 1)
+            )
+            clock = FakeClock()
+            with writer, reader, mock.patch.object(
+                writer.cache, "_clock", clock
+            ), mock.patch.object(reader.cache, "_clock", clock):
+                writer.create_table(EMP_DECL, rows=ROWS)
+                reader.attach_table(EMP_DECL)
+                before = _rows(reader.select(HR, table="Emp"))
+                assert _rows(writer.select(HR, table="Emp")) == before
+                writer.insert("Emp", {"name": "foreign", "dept": "HR", "salary": 1})
+                after = sorted([*before, ("foreign", "HR", 1)])
+                # The writer's own reads are never stale.
+                assert _rows(writer.select(HR, table="Emp")) == after
+                # The reader may miss it until the TTL, and no longer.
+                clock.now += self.TTL - 0.5
+                assert _rows(reader.select(HR, table="Emp")) in (before, after)
+                clock.now += 0.5
+                assert _rows(reader.select(HR, table="Emp")) == after
+                assert _rows(writer.select(HR, table="Emp")) == after

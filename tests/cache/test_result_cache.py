@@ -1,4 +1,4 @@
-"""ResultCache unit behavior: LRU, TTL, generations, flush, config."""
+"""ResultCache unit behavior: LRU, TTL, generations, config."""
 
 from __future__ import annotations
 
@@ -149,15 +149,6 @@ class TestGenerations:
         assert not cache.put("Emp", b"t", "pre-write answer", generation)
         assert cache.get("Emp", b"t") is None
 
-    def test_flush_fences_every_relation(self):
-        cache = ResultCache()
-        generation = cache.generation("NeverSeen")
-        _fill(cache, "Emp", b"a", 1)
-        cache.flush()
-        assert cache.get("Emp", b"a") is None
-        # even a fill for a relation the cache never held is rejected
-        assert not cache.put("NeverSeen", b"t", "old", generation)
-
     def test_fresh_generation_after_invalidate_fills_fine(self):
         cache = ResultCache()
         cache.invalidate("Emp")
@@ -265,14 +256,6 @@ class TestWriteSetInvalidation:
         assert cache.get("Emp", b"q") is None
         assert cache._index == {}
 
-    def test_flush_clears_the_index(self):
-        cache = ResultCache()
-        _fill(cache, "Emp", b"a", 1, tags=[("name", "ann")])
-        _fill(cache, "Dept", b"b", 2)
-        cache.flush()
-        assert cache._index == {}
-        assert cache.stats()["invalidated_entries"] == 2
-
     def test_the_index_empties_with_the_cache(self):
         cache = ResultCache(CacheConfig(max_entries=64, ttl_s=None))
         for i in range(200):  # LRU churn on the way
@@ -343,11 +326,6 @@ class ResultCacheMachine(RuleBasedStateMachine):
             ):
                 del self.model[key]
 
-    @rule()
-    def flush(self):
-        self.cache.flush()
-        self.model.clear()
-
     @invariant()
     def entries_and_index_match_the_model(self):
         assert list(self.cache._entries) == list(self.model)
@@ -402,14 +380,14 @@ class TestObservability:
         from repro.obs import MetricsRegistry
 
         registry = MetricsRegistry()
-        cache = ResultCache(metrics=registry, tier="coordinator")
+        cache = ResultCache(metrics=registry)
         cache.lookup("Emp", b"t")
         snapshot = registry.snapshot()
         misses = [
             c
             for c in snapshot["counters"]
             if c["name"] == "cache_misses_total"
-            and c["labels"] == {"tier": "coordinator"}
+            and c["labels"] == {"tier": "client"}
         ]
         assert misses and misses[0]["value"] == 1
         assert any(g["name"] == "cache_hit_ratio" for g in snapshot["gauges"])
@@ -440,29 +418,24 @@ class TestObservability:
         clock.advance(11.0)
         assert cache.get("Emp", b"b") is None  # the TTL drop changes the count
         assert gauges() == {"cache_entries": 1, "cache_hit_ratio": 6 / 9}
-        cache.flush()
+        cache.invalidate("Emp")
         assert gauges()["cache_entries"] == 0
 
-    def test_invalidated_entries_counter_is_labelled_by_tier(self):
+    def test_invalidated_entries_counter_counts_the_dropped_entries(self):
         from repro.obs import MetricsRegistry
 
         registry = MetricsRegistry()
-        cache = ResultCache(metrics=registry, tier="coordinator")
+        cache = ResultCache(metrics=registry)
         _fill(cache, "Emp", b"a", 1)
         _fill(cache, "Emp", b"b", 2)
         cache.invalidate("Emp")
         cache.invalidate("Emp")
-        counters = {
-            c["name"]: c["value"]
-            for c in registry.snapshot()["counters"]
-            if c["labels"] == {"tier": "coordinator"}
-        }
+        counters = {c["name"]: c["value"] for c in registry.snapshot()["counters"]}
         assert counters["cache_invalidations_total"] == 2
         assert counters["cache_invalidated_entries_total"] == 2
 
     def test_stats_surface(self):
-        cache = ResultCache(CacheConfig(max_entries=7, ttl_s=3.0), tier="client")
+        cache = ResultCache(CacheConfig(max_entries=7, ttl_s=3.0))
         stats = cache.stats()
-        assert stats["tier"] == "client"
         assert stats["max_entries"] == 7
         assert stats["ttl_s"] == 3.0

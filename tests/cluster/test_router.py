@@ -432,6 +432,13 @@ class TestConstruction:
         assert options == {"replicas": 2}
         assert parse_cluster_options("cluster://h1:1")[1] == {}
         assert parse_cluster_options("cluster://h1:1?cache=1")[1] == {"cache": True}
+        # Both schemes take the same boolean options.
+        from repro.net.client import parse_tcp_options
+
+        query = "async=1&index=0&cache=yes"
+        expected = {"async": True, "index": False, "cache": True}
+        assert parse_tcp_options(f"tcp://h:1?{query}")[2] == expected
+        assert parse_cluster_options(f"cluster://h:1?{query}")[1] == expected
         with pytest.raises(ClusterError, match="unknown cluster URL option"):
             parse_cluster_options("cluster://h1:1?quorum=2")
         with pytest.raises(ClusterError, match="integer"):
@@ -454,6 +461,56 @@ class TestConstruction:
             r"\(supported: async, index, cache\)",
         ):
             parse_tcp_options("tcp://h1:1?asnyc=1")
+
+    def test_the_router_keeps_no_cache(self):
+        # The one cache tier is the session's (``cache=`` / ``?cache=1``).
+        with pytest.raises(TypeError):
+            ShardRouter([OutsourcedDatabaseServer()], cache=True)
+        with pytest.raises(TypeError):
+            ShardRouter.connect("cluster://h1:1", cache=True)
+        assert not hasattr(ShardRouter, "cache")
+
+    @pytest.mark.parametrize(
+        "url, key",
+        [
+            ("cluster://a:1,b:2?replicas=2&replicas=1", "replicas"),
+            ("cluster://a:1?cache=1&async=1&cache=0", "cache"),
+            ("tcp://h:1?cache=1&cache=0", "cache"),
+            ("tcp://h:1?index=1&index=1", "index"),
+        ],
+    )
+    def test_a_repeated_option_is_rejected(self, url, key):
+        """Bugfix: a repeated option silently took its last value."""
+        from repro.net.client import parse_tcp_options
+
+        # ClusterError and RemoteError are both ServerErrors.
+        with pytest.raises(ServerError, match=f"option '{key}' is given twice"):
+            if url.startswith("cluster"):
+                parse_cluster_options(url)
+            else:
+                parse_tcp_options(url)
+
+    def test_connect_refuses_a_repeated_option(self):
+        with pytest.raises(DatabaseError, match="given twice"):
+            EncryptedDatabase.connect("tcp://h:1?async=1&async=0")
+        with pytest.raises(DatabaseError, match="given twice"):
+            EncryptedDatabase.connect("cluster://a:1?replicas=1&replicas=1")
+
+    @pytest.mark.parametrize("scheme", ["tcp", "cluster"])
+    def test_cache_url_option_is_the_session_cache(self, scheme, secret_key):
+        from repro.net import ThreadedTcpServer
+
+        with ThreadedTcpServer(OutsourcedDatabaseServer()) as server:
+            url = f"{scheme}://127.0.0.1:{server.port}"
+            with EncryptedDatabase.connect(f"{url}?cache=1", secret_key) as db:
+                assert db.cache is not None
+            with EncryptedDatabase.connect(url, secret_key, cache=True) as db:
+                assert db.cache is not None
+            with EncryptedDatabase.connect(f"{url}?cache=0", secret_key) as db:
+                assert db.cache is None
+            for query, keyword in (("cache=1", False), ("cache=0", True)):
+                with pytest.raises(DatabaseError, match="conflicting cache settings"):
+                    EncryptedDatabase.connect(f"{url}?{query}", secret_key, cache=keyword)
 
     def test_connect_surfaces_url_typos_as_database_errors(self):
         with pytest.raises(DatabaseError, match="unknown provider URL option"):

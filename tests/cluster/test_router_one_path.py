@@ -2,8 +2,7 @@
 
 A shard needs nothing but ``handle_message``; every kind of fleet (in-process,
 blocking ``tcp://``, pipelined) agrees on answers, provider state, counters
-and errors; single queries and batches share one coordinator cache; a
-refused or malformed request fails loudly; every request crosses the one
+and errors; a refused or malformed request fails loudly; every request crosses the one
 scatter; and a failed construction leaves no thread behind.
 """
 
@@ -16,7 +15,7 @@ from collections import Counter
 import pytest
 
 from repro.api import DatabaseError, EncryptedDatabase
-from repro.cluster import DEGRADED, ShardRouter
+from repro.cluster import ShardRouter
 from repro.core import SearchableSelectDph
 from repro.crypto.rng import DeterministicRng
 from repro.index import IndexLookupRequest, encode_index_lookup
@@ -305,60 +304,6 @@ class TestSurfacesFailAlike:
             assert b"down" in response.body
 
 
-class TestOneCache:
-    """(d) single queries and batches fill and hit the same cache entries."""
-
-    def _fleet(self, dph, encrypted, **options):
-        shards = [DyingServer() for _ in range(3)]
-        router = ShardRouter(shards, cache=True, **options)
-        store_relation(router, "Emp", encrypted, dph.server_evaluator())
-        return router, shards
-
-    def test_query_fills_serve_a_batch(self, dph, encrypted):
-        router, _ = self._fleet(dph, encrypted)
-        hr, it = _query(dph, "dept", "HR"), _query(dph, "dept", "IT")
-        filled = [execute_query(router, "Emp", hr), execute_query(router, "Emp", it)]
-        reads = router.stats.as_dict()["scatter_reads"]
-        batch = _envelope(
-            router,
-            MessageKind.BATCH_QUERY,
-            protocol.encode_query_batch([hr, it]),
-            MessageKind.BATCH_RESULT,
-        )
-        assert router.stats.as_dict()["scatter_reads"] == reads  # both elements were hits
-        assert protocol.decode_result_batch(batch.body) == tuple(filled)
-
-    def test_a_batch_fill_serves_queries_and_batches(self, dph, encrypted):
-        router, _ = self._fleet(dph, encrypted)
-        hr, it = _query(dph, "dept", "HR"), _query(dph, "dept", "IT")
-        batch = _envelope(
-            router,
-            MessageKind.BATCH_QUERY,
-            protocol.encode_query_batch([hr, it]),
-            MessageKind.BATCH_RESULT,
-        )
-        reads = router.stats.as_dict()["scatter_reads"]
-        assert execute_query(router, "Emp", it) == protocol.decode_result_batch(batch.body)[1]
-        assert execute_batch(router, "Emp", [it, hr])[1] is not None
-        assert router.stats.as_dict()["scatter_reads"] == reads
-
-    def test_a_degraded_read_fills_nothing(self, dph, encrypted):
-        router, shards = self._fleet(dph, encrypted, policy=DEGRADED)
-        shards[1].down = True
-        hr = _query(dph, "dept", "HR")
-        partial = execute_query(router, "Emp", hr)
-        assert len(partial.matching) < 9 and len(router.cache) == 0
-        _envelope(
-            router,
-            MessageKind.QUERY,
-            protocol.encode_encrypted_query(hr),
-            MessageKind.QUERY_RESULT,
-        )
-        assert len(router.cache) == 0 and router.stats.as_dict()["degraded_reads"] == 2
-        shards[1].down = False
-        assert len(execute_query(router, "Emp", hr).matching) == 9  # no replay
-
-
 class TestRefusedKindsFailLoudly:
     """A refused kind is a ``DatabaseError`` on every call, never a silent scan."""
 
@@ -406,14 +351,13 @@ class TestMalformedLookup:
     """``INDEX_LOOKUP`` is forwarded unread; the shards' refusal is the answer."""
 
     @pytest.mark.parametrize("kind", ["in-process", "pipelined"])
-    def test_answers_error_and_fills_no_cache_entry(self, kind, dph, encrypted):
+    def test_answers_error(self, kind, dph, encrypted):
         servers = [OutsourcedDatabaseServer() for _ in range(3)]
-        with _fleet(kind, servers, replicas=2, cache=True) as router:
+        with _fleet(kind, servers, replicas=2) as router:
             store_relation(router, "Emp", encrypted, dph.server_evaluator())
             garbage = b"\x00\x07garbage"
             error = _envelope(router, MessageKind.INDEX_LOOKUP, garbage, MessageKind.ERROR)
             assert b"truncated" in error.body
-            assert len(router.cache) == 0
             # no index installed: every shard answers the embedded query by scan
             lookup = IndexLookupRequest(
                 labels=(b"l" * 32,), fallback_query=_query(dph, "dept", "HR")
@@ -423,7 +367,6 @@ class TestMalformedLookup:
                 MessageKind.QUERY_RESULT,
             )
             assert len(protocol.decode_query_result(response.body).matching) == 9
-            assert len(router.cache) == 1
 
 
 class TestEveryRequestCrossesTheGather:
@@ -455,7 +398,6 @@ class TestFailedConstructionLeaksNothing:
     @pytest.mark.parametrize(
         "shards, options",
         [
-            ([OutsourcedDatabaseServer()], dict(cache={"bogus": 1})),
             ([OutsourcedDatabaseServer()], dict(policy="hope")),
             (
                 [OutsourcedDatabaseServer(), OutsourcedDatabaseServer()],
@@ -463,7 +405,7 @@ class TestFailedConstructionLeaksNothing:
             ),
             (["tcp://127.0.0.1:1"], dict(timeout=2.0)),
         ],
-        ids=["bad-cache-config", "bad-policy", "duplicate-shard-id", "unreachable-shard"],
+        ids=["bad-policy", "duplicate-shard-id", "unreachable-shard"],
     )
     def test_thread_names_are_unchanged(self, shards, options):
         # Pool threads of earlier routers may exit meanwhile, so only a gain

@@ -44,9 +44,8 @@ ROWS = [(f"emp{i}", "HR" if i % 2 else "IT", 1000 + i) for i in range(24)]
 TRACE_ID = bytes(range(16))
 
 CONFIGS = {
-    "replicas=1": dict(replicas=1, cache=None),
-    "replicas=2": dict(replicas=2, cache=None),
-    "replicas=2,cache": dict(replicas=2, cache=True),
+    "replicas=1": dict(replicas=1),
+    "replicas=2": dict(replicas=2),
 }
 
 
@@ -95,10 +94,10 @@ class SessionTap:
         return response
 
 
-def transcript(replicas: int, cache) -> dict[str, str]:
+def transcript(replicas: int) -> dict[str, str]:
     """Digest per ``kind/version`` of one seeded workload through a router."""
     shards = [RecordingShard() for _ in range(3)]
-    router = ShardRouter(shards, replicas=replicas, cache=cache)
+    router = ShardRouter(shards, replicas=replicas)
     tap = SessionTap(router, shards)
     key = SecretKey.generate(rng=DeterministicRng(7))
 
@@ -108,7 +107,7 @@ def transcript(replicas: int, cache) -> dict[str, str]:
     # RELATION_NAMES, REGISTER_EVALUATOR, STORE_RELATION, INDEX_PUT
     indexed.create_table(EMP_DECL, rows=ROWS)
     indexed.insert("Emp", {"name": "Zoe", "dept": "NEW", "salary": 1})
-    for _ in range(2):  # INDEX_LOOKUP; the repeat is a hit on a cached router
+    for _ in range(2):  # INDEX_LOOKUP, twice
         indexed.select(Selection.equals("dept", "HR"), table="Emp")
     indexed.update(Selection.equals("name", "emp3"), {"salary": 9}, table="Emp")
     indexed.delete(Selection.equals("name", "emp5"), table="Emp")  # DELETE_TUPLES + postings
@@ -119,9 +118,9 @@ def transcript(replicas: int, cache) -> dict[str, str]:
 
     plain = EncryptedDatabase.open(key, server=tap, rng=DeterministicRng(13))
     plain.attach_table(EMP_DECL)  # RELATION_NAMES, FETCH_RELATION, REGISTER_EVALUATOR
-    for _ in range(2):  # QUERY; the repeat is a hit on a cached router
+    for _ in range(2):  # QUERY, twice
         plain.select(Selection.equals("dept", "IT"), table="Emp")
-    plain.select_many(  # BATCH_QUERY: one element already cached, one new
+    plain.select_many(  # BATCH_QUERY: one element already asked, one new
         [Selection.equals("dept", "IT"), Selection.equals("dept", "NEW")],
         table="Emp",
     )
@@ -224,35 +223,7 @@ GOLDEN = {'replicas=1': {'ack/v2': '444c08f3560e97a2',
                 'query/v2': '7b75aef482761fcb',
                 'query/v3': 'fad1d263c697befc',
                 'store-relation/v2': '5a9fe0e98125ba93',
-                'store-relation/v3': '5a9fe0e98125ba93'},
- 'replicas=2,cache': {'ack/v2': '444c08f3560e97a2',
-                      'ack/v3': '444c08f3560e97a2',
-                      'batch-query/v2': 'b27155d56ae1bf6d',
-                      'batch-query/v3': 'b27155d56ae1bf6d',
-                      'count-tuples/v2': '67bdb67547a14250',
-                      'count-tuples/v3': '67bdb67547a14250',
-                      'delete-relation/v2': '2cfb04c654c1737a',
-                      'delete-relation/v3': '19c05051ee30cb20',
-                      'delete-tuples/v2': '41e8afac9e4f5ed1',
-                      'delete-tuples/v3': 'bbee27d37a9fd0ba',
-                      'deploy-evaluator/v2': '8a99d022a27b526c',
-                      'deploy-evaluator/v3': '475ec6bb71858696',
-                      'fetch-relation/v2': '8b90b1d0c2fc1f21',
-                      'fetch-relation/v3': 'ef151380c7de13ca',
-                      'index-lookup/v2': '879e82c837196621',
-                      'index-lookup/v3': '89cf47b2a3b4658c',
-                      'index-put/v2': '31af14edb9954ec0',
-                      'index-put/v3': '9eae7367ff33aa02',
-                      'insert-tuples/v2': 'aea924b44d65106e',
-                      'insert-tuples/v3': 'aea924b44d65106e',
-                      'list-relations/v2': '245a7ee962d04f7f',
-                      'list-relations/v3': 'b258e1b3a95dfb53',
-                      'list-tuple-ids/v2': 'a1e67b8d85a85e26',
-                      'list-tuple-ids/v3': '7ac91d6b3dda3f7d',
-                      'query/v2': '4c1b3816f5faaddb',
-                      'query/v3': 'a549c1d2dd55d8f3',
-                      'store-relation/v2': '5a9fe0e98125ba93',
-                      'store-relation/v3': '5a9fe0e98125ba93'}}
+                'store-relation/v3': '5a9fe0e98125ba93'}}
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))

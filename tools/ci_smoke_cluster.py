@@ -42,12 +42,11 @@ instead of wedging it:
    and the per-shard snapshots must merge into fleet-wide p50/p95/p99
    summaries.
 
-6. **Coordinator cache** -- three ``repro serve`` subprocesses behind a
+6. **Session cache** -- three ``repro serve`` subprocesses behind a
    ``cluster://...?cache=1`` session: a zipfian point-select burst must
-   land a non-zero hit ratio on the coordinator cache (scraped from the
-   ``coordinator-cache`` entry in ``cluster status``), then a fleet-wide
-   delete followed by a full re-read sweep must serve *zero* stale rows
-   and bump the cache's invalidation counter.
+   land a non-zero hit ratio on the session's cache (``db.cache.stats()``),
+   then a fleet-wide delete followed by a full re-read sweep must serve
+   *zero* stale rows and bump the cache's invalidation counter.
 
 Usage::
 
@@ -465,7 +464,7 @@ def smoke_cache_tier() -> int:
                 "Smoke(name:string[10], value:int[4])",
                 rows=[(f"row{i}", i % 3) for i in range(NUM_ROWS)],
             )
-            # A skewed read burst: the hot keys repeat, so the coordinator
+            # A skewed read burst: the hot keys repeat, so the session's
             # cache must absorb most of the scatter round trips.
             distribution = ZipfDistribution(range(NUM_ROWS), exponent=1.3)
             for index in distribution.sample_many(DeterministicRng(6), 40):
@@ -476,11 +475,7 @@ def smoke_cache_tier() -> int:
                         f"{len(hits.relation)} rows"
                     )
                     return 1
-            entry = db.server.cluster_status().get("coordinator-cache")
-            if not entry or not entry.get("ok"):
-                print(f"FAIL: cluster status does not report the cache: {entry}")
-                return 1
-            stats = entry["cache"]
+            stats = db.cache.stats()
             if stats["hits"] == 0 or stats["hit_ratio"] <= 0.0:
                 print(f"FAIL: zipfian burst never hit the cache: {stats}")
                 return 1
@@ -508,14 +503,11 @@ def smoke_cache_tier() -> int:
                         f"{len(rows)} rows (expected {expected})"
                     )
                     return 1
-            after = db.server.cluster_status()["coordinator-cache"]["cache"]
-            if after["invalidations"] <= stats["invalidations"]:
-                print(f"FAIL: the delete did not bump invalidations: {after}")
+            after = db.cache.stats()["invalidations"]
+            if after <= stats["invalidations"]:
+                print(f"FAIL: the delete did not bump invalidations ({after})")
                 return 1
-            print(
-                "delete invalidated the coordinator cache "
-                f"(invalidations={after['invalidations']}), zero stale re-reads"
-            )
+            print(f"delete invalidated the cache ({after}), zero stale re-reads")
         return 0
     finally:
         for proc in procs:
