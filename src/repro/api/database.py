@@ -224,14 +224,6 @@ class EncryptedDatabase:
             cache_config = coerce_cache_config(cache)
         except CacheError as exc:
             raise DatabaseError(str(exc)) from exc
-        # A router under repro.cluster.DEGRADED answers a read with the
-        # shards that are up; cached, that partial answer would outlive
-        # the outage.
-        if cache_config is not None and getattr(server, "policy", None) == "degraded":
-            raise DatabaseError(
-                "a result cache would replay the partial answers of a degraded "
-                "router after its shards recover; use policy='fail_fast' or no cache"
-            )
         self._cache = (
             ResultCache(cache_config, metrics=self._metrics)
             if cache_config is not None
@@ -274,7 +266,7 @@ class EncryptedDatabase:
             server objects and/or ``tcp://`` URLs wrapped in a
             :class:`~repro.cluster.router.ShardRouter`.  Mutually exclusive
             with ``server`` and ``storage``; build the router yourself for
-            non-default cluster options (policy, timeouts, shard ids).
+            non-default cluster options (timeouts, shard ids).
         replicas:
             Replication factor of a sharded session: every tuple is stored
             on this many shards, so reads stay complete with up to
@@ -300,8 +292,8 @@ class EncryptedDatabase:
             bounds writers this session cannot see).  ``True`` enables
             the defaults; an int sets the entry budget; a
             :class:`~repro.cache.CacheConfig` (or dict of its fields)
-            sets everything.  Off by default, and refused over a
-            ``degraded`` router, whose partial answers it would replay.
+            sets everything.  Off by default.  A read that raises caches
+            nothing, so a shard outage never leaves a partial answer behind.
         """
         if key is None:
             key = SecretKey.generate(rng=rng)
@@ -349,7 +341,6 @@ class EncryptedDatabase:
         scheme_options: dict | None = None,
         pool_size: int = 4,
         timeout: float | None = 30.0,
-        policy: str = "fail_fast",
         shard_timeout: float | None = None,
         replicas: int | None = None,
         index: bool | None = None,
@@ -373,13 +364,14 @@ class EncryptedDatabase:
         deployment (see :mod:`repro.cluster`): one
         :class:`~repro.cluster.router.ShardRouter` spreads the session's
         tuples across every listed provider and scatter-gathers its queries.
-        ``policy`` (``"fail_fast"`` or ``"degraded"``) and ``shard_timeout``
-        configure the router's partial-failure handling for reads and apply
-        to cluster URLs only.  A ``?replicas=R`` URL query (or the
-        ``replicas`` keyword; they must agree when both are given) stores
-        every tuple on R shards, so reads stay complete -- failing over to
-        surviving replicas, never degrading -- with up to R-1 providers
-        down: ``connect("cluster://h1:p1,h2:p2,h3:p3?replicas=2")``.  An
+        ``shard_timeout`` bounds each shard's answer and applies to cluster
+        URLs only.  A ``?replicas=R`` URL query (or the ``replicas``
+        keyword; they must agree when both are given) stores every tuple on
+        R shards, so reads stay complete -- failing over to surviving
+        replicas -- with up to R-1 providers down:
+        ``connect("cluster://h1:p1,h2:p2,h3:p3?replicas=2")``.  A read that
+        loses more shards than that raises :class:`DatabaseError`; it never
+        answers with part of the rows.  An
         ``&async=1`` option drives the whole fleet over pipelined
         connections from one event-loop thread (the scatter keeps every
         shard's round trip in flight simultaneously instead of burning a
@@ -413,13 +405,9 @@ class EncryptedDatabase:
         is_cluster = is_manifest or (owns_proxy and provider.startswith("cluster://"))
         url_index: bool | None = None
         url_cache: bool | None = None
-        if not is_cluster and (policy, shard_timeout, replicas) != (
-            "fail_fast",
-            None,
-            None,
-        ):
+        if not is_cluster and (shard_timeout, replicas) != (None, None):
             raise DatabaseError(
-                "policy/shard_timeout/replicas apply to cluster:// URLs only; "
+                "shard_timeout/replicas apply to cluster:// URLs only; "
                 "configure the ShardRouter directly"
             )
         if owns_proxy:
@@ -443,7 +431,6 @@ class EncryptedDatabase:
                         manifest,
                         pool_size=pool_size,
                         timeout=timeout,
-                        policy=policy,
                         shard_timeout=shard_timeout,
                     )
                 elif is_cluster:
@@ -455,7 +442,6 @@ class EncryptedDatabase:
                         provider,
                         pool_size=pool_size,
                         timeout=timeout,
-                        policy=policy,
                         shard_timeout=shard_timeout,
                         replicas=replicas,
                     )

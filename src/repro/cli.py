@@ -518,8 +518,8 @@ def command_cluster_status(args: argparse.Namespace) -> int:
         else:
             print(
                 f"replication factor {replicas}: {unreachable} shard(s) down "
-                f"exceeds the {tolerated} the replicas absorb -- reads may "
-                f"be incomplete"
+                f"exceeds the {tolerated} the replicas absorb -- reads raise "
+                f"until a shard returns"
             )
     return 1 if unreachable else 0
 

@@ -13,9 +13,7 @@ horizontally scalable service:
     shards holding its replicas.
 
 **Execution** (:mod:`repro.cluster.executor`)
-    Scatter-gather with per-shard timeouts and a pluggable
-    partial-failure policy: ``fail_fast`` for correctness-critical paths,
-    ``degraded`` for reads that should survive a dead shard.  Two
+    Scatter-gather with per-shard timeouts, one outcome per shard.  Two
     engines, one outcome model: a thread pool (one blocking call per
     shard) and an event-loop scatter that drives every shard's round trip
     concurrently from a single coordinator thread over pipelined
@@ -38,8 +36,9 @@ horizontally scalable service:
     fan out fleet-wide, queries scatter to all shards and the evaluation
     results merge client-side, deduplicated by tuple id.  A read that
     loses shards fails over to surviving replicas and stays *complete*
-    whenever the ring coverage holds -- a dead shard stops degrading
-    queries.
+    whenever the ring coverage holds; past that it raises
+    :class:`ShardFailedError`.  Every answer is the complete one or an
+    error, never a partial one.
 
 **Elasticity** (:mod:`repro.cluster.rebalance`)
     Insert-first, replica-aware tuple migration when shards are added or
@@ -55,15 +54,10 @@ paper's per-provider security analysis carries over unchanged.
 
 from repro.cluster.executor import (
     ClusterError,
-    DEGRADED,
-    FAIL_FAST,
-    GatherResult,
-    PARTIAL_FAILURE_POLICIES,
     ScatterGatherExecutor,
     ShardFailedError,
     ShardOutcome,
     ShardTimeoutError,
-    resolve_outcomes,
     scatter_async,
 )
 from repro.cluster.manifest import (
@@ -91,15 +85,10 @@ from repro.cluster.router import (
 
 __all__ = [
     "ClusterError",
-    "DEGRADED",
-    "FAIL_FAST",
-    "GatherResult",
-    "PARTIAL_FAILURE_POLICIES",
     "ScatterGatherExecutor",
     "ShardFailedError",
     "ShardOutcome",
     "ShardTimeoutError",
-    "resolve_outcomes",
     "scatter_async",
     "CLUSTER_FILE_URL_PREFIX",
     "ClusterManifest",

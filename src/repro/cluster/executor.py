@@ -7,14 +7,11 @@ anyway, and a ``tcp://`` shard spends its time blocked on the socket while
 the remote provider does the work -- which is exactly where the near-linear
 scaling of the sharded deployment comes from.
 
-Failure handling is a *policy*, not hard-coded:
-
-* :data:`FAIL_FAST` -- any shard failure fails the whole operation
-  (:class:`ShardFailedError` carries every outcome for diagnosis).  Always
-  used for writes: a partially applied write is corruption.
-* :data:`DEGRADED` -- a read that loses some shards still answers from the
-  survivors; the caller is told which shards were missing so it can surface
-  the result as partial.  At least one shard must answer.
+The executor only gathers outcomes; it never decides what a failure
+means.  :class:`~repro.cluster.router.ShardRouter` fails a read over to
+surviving replicas when the ring proves their answers complete and raises
+:class:`ShardFailedError` (carrying every outcome for diagnosis) on any
+other failure, so an answer is either complete or an error.
 
 A per-shard ``timeout`` bounds how long the gather waits for each shard:
 every shard gets the *full* budget over its own wait window (it is not a
@@ -41,8 +38,8 @@ wall clock of one gather is ``timeout``, not ``len(calls) * timeout``.  A
 shard that exceeds its budget has its in-flight request *cancelled*
 (:func:`asyncio.wait_for`), which orphans the correlation id on the
 pipelined connection: the connection survives, the provider's late answer
-is dropped.  Outcome semantics (per-shard :class:`ShardOutcome`, policy
-resolution) are identical to the thread-pool path, so the router's
+is dropped.  Outcome semantics (per-shard :class:`ShardOutcome`) are
+identical to the thread-pool path, so the router's
 failover and dedup logic is transport-agnostic.
 """
 
@@ -52,19 +49,11 @@ import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.obs import current_trace, use_trace
 from repro.outsourcing.server import ServerError
-
-#: Any shard failure fails the operation.
-FAIL_FAST = "fail_fast"
-#: Serve reads from the surviving shards and flag the result as partial.
-DEGRADED = "degraded"
-
-PARTIAL_FAILURE_POLICIES = (FAIL_FAST, DEGRADED)
-
 
 class ClusterError(ServerError):
     """A cluster operation failed (subclasses the provider error, so the
@@ -102,20 +91,6 @@ class ShardOutcome:
     @property
     def ok(self) -> bool:
         return self.error is None
-
-
-@dataclass(frozen=True)
-class GatherResult:
-    """A policy-resolved scatter: the surviving values, in scatter order."""
-
-    values: tuple[Any, ...]
-    #: Shards that failed but were tolerated by the DEGRADED policy.
-    missing_shard_ids: tuple[str, ...] = ()
-    outcomes: tuple[ShardOutcome, ...] = field(default=())
-
-    @property
-    def degraded(self) -> bool:
-        return bool(self.missing_shard_ids)
 
 
 @dataclass(frozen=True)
@@ -174,9 +149,7 @@ class ScatterGatherExecutor:
         self._pool.shutdown(wait=False)
 
     def scatter(
-        self,
-        calls: Sequence[tuple[str, Callable[[], Any]]],
-        timeout: float | None = None,
+        self, calls: Sequence[tuple[str, Callable[[], Any]]]
     ) -> list[ShardOutcome]:
         """Run every ``(shard_id, thunk)`` concurrently; never raises itself.
 
@@ -187,8 +160,6 @@ class ScatterGatherExecutor:
         (If the pool stays saturated for the entire window the queued thunk
         may still never run -- see the module docstring.)
         """
-        if timeout is None:
-            timeout = self._timeout
         # Capture the caller's ambient trace here: the thunks run on pool
         # threads where the contextvar is unset, so _timed re-binds it.
         trace = current_trace()
@@ -201,12 +172,14 @@ class ScatterGatherExecutor:
             wait_started = time.monotonic()
             wait_started_wall = time.time()
             try:
-                value, elapsed, started_wall = future.result(timeout=timeout)
+                value, elapsed, started_wall = future.result(timeout=self._timeout)
             except Exception as exc:  # noqa: BLE001 - per-shard failures are data
                 outcomes.append(
                     ShardOutcome(
                         shard_id=shard_id,
-                        error=_shard_error(shard_id, exc, FutureTimeoutError, timeout),
+                        error=_shard_error(
+                            shard_id, exc, FutureTimeoutError, self._timeout
+                        ),
                         elapsed_s=time.monotonic() - wait_started,
                         started_s=wait_started_wall,
                     )
@@ -221,19 +194,6 @@ class ScatterGatherExecutor:
                     )
                 )
         return outcomes
-
-    def gather(
-        self,
-        operation: str,
-        calls: Sequence[tuple[str, Callable[[], Any]]],
-        *,
-        policy: str = FAIL_FAST,
-        timeout: float | None = None,
-    ) -> GatherResult:
-        """Scatter, then resolve the outcomes under a partial-failure policy."""
-        return resolve_outcomes(
-            operation, self.scatter(calls, timeout=timeout), policy=policy
-        )
 
     @staticmethod
     def _timed(trace, thunk: Callable[[], Any]) -> tuple[Any, float, float]:
@@ -290,36 +250,3 @@ def _shard_error(
         )
     return exc
 
-
-def resolve_outcomes(
-    operation: str, outcomes: Sequence[ShardOutcome], *, policy: str = FAIL_FAST
-) -> GatherResult:
-    """Apply a partial-failure policy to raw scatter outcomes.
-
-    Raises :class:`ShardFailedError` when the policy does not tolerate the
-    observed failures; otherwise returns the surviving values (in scatter
-    order) plus the ids of any shards the DEGRADED policy papered over.
-    """
-    if policy not in PARTIAL_FAILURE_POLICIES:
-        raise ClusterError(
-            f"unknown partial-failure policy {policy!r} "
-            f"(choose from {PARTIAL_FAILURE_POLICIES})"
-        )
-    failures = [o for o in outcomes if not o.ok]
-    if not failures:
-        return GatherResult(
-            values=tuple(o.value for o in outcomes), outcomes=tuple(outcomes)
-        )
-    detail = "; ".join(
-        f"{o.shard_id}: {o.error}" for o in failures[:3]
-    ) + ("; ..." if len(failures) > 3 else "")
-    if policy == FAIL_FAST or len(failures) == len(outcomes):
-        raise ShardFailedError(
-            f"{operation} failed on {len(failures)}/{len(outcomes)} shard(s): {detail}",
-            outcomes,
-        )
-    return GatherResult(
-        values=tuple(o.value for o in outcomes if o.ok),
-        missing_shard_ids=tuple(o.shard_id for o in failures),
-        outcomes=tuple(outcomes),
-    )

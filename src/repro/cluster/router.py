@@ -43,11 +43,10 @@ Writes always run fail-fast (a partially applied write is corruption).
 Scatter reads first try to *fail over*: when some shards fail but every
 ring segment still has a live replica (:meth:`ConsistentHashRing.covers`),
 the surviving answers are provably complete after deduplication and the
-read succeeds as if nothing happened -- no policy fires, nothing degrades.
-Only when failover is impossible (more failures than replicas can absorb)
-does the router fall back to its partial-failure ``policy``
-(:data:`~repro.cluster.executor.FAIL_FAST` or
-:data:`~repro.cluster.executor.DEGRADED`).
+read succeeds as if nothing happened.  Any other shard failure -- more
+failures than the replicas can absorb, or any failure of a write -- raises
+:class:`~repro.cluster.executor.ShardFailedError`: an answer is either the
+complete one or an error, never a partial one.
 
 Merged reads deduplicate by the public tuple id: replication makes
 multiple physical copies of one ciphertext the *normal* case, and the
@@ -65,7 +64,6 @@ which is the same access pattern the paper already concedes.
 from __future__ import annotations
 
 import contextlib
-import threading
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -79,12 +77,9 @@ from repro.core.dph import (
 )
 from repro.cluster.executor import (
     ClusterError,
-    FAIL_FAST,
-    GatherResult,
-    PARTIAL_FAILURE_POLICIES,
     ScatterGatherExecutor,
+    ShardFailedError,
     ShardRequest,
-    resolve_outcomes,
     scatter_async,
 )
 from repro.cluster.ring import ConsistentHashRing, DEFAULT_VIRTUAL_NODES
@@ -185,15 +180,13 @@ class ClusterStats:
     ``cluster_<name>_total``), so one registry snapshot covers transport,
     provider, and routing activity alike; :meth:`as_dict` is the read-out.
     Scatters run on a thread pool and several sessions may share one
-    router, so mutations go through the ``record_*`` methods (registry
-    counters carry their own locks; the last-shard-id tuples share this
-    object's lock) and :meth:`as_dict` returns an atomic snapshot of the
-    tuple pair.
+    router, so mutations go through the ``record_*`` methods: registry
+    counters carry their own locks, and the last failover's shard ids are
+    one tuple, replaced whole.
     """
 
     _COUNTERS = (
         "scatter_reads",
-        "degraded_reads",
         #: see record_failover_read: reads completed via surviving replicas.
         "failover_reads",
         "routed_inserts",
@@ -212,9 +205,6 @@ class ClusterStats:
         self._counters = {
             name: registry.counter(f"cluster_{name}_total") for name in self._COUNTERS
         }
-        self._lock = threading.Lock()
-        #: Shards missing from the most recent degraded read.
-        self.last_missing_shard_ids: tuple[str, ...] = ()
         #: Shards whose failure the most recent failover read absorbed.
         self.last_failover_shard_ids: tuple[str, ...] = ()
 
@@ -238,21 +228,13 @@ class ClusterStats:
     def record_index_write(self) -> None:
         self._counters["index_writes"].inc()
 
-    def record_degraded_read(self, missing_shard_ids: Sequence[str]) -> None:
-        self._counters["degraded_reads"].inc()
-        with self._lock:
-            self.last_missing_shard_ids = tuple(missing_shard_ids)
-
     def record_failover_read(self, failed_shard_ids: Sequence[str]) -> None:
         self._counters["failover_reads"].inc()
-        with self._lock:
-            self.last_failover_shard_ids = tuple(failed_shard_ids)
+        self.last_failover_shard_ids = tuple(failed_shard_ids)
 
     def as_dict(self) -> dict:
         counts = {name: self._counters[name].value for name in self._COUNTERS}
-        with self._lock:
-            counts["last_missing_shard_ids"] = list(self.last_missing_shard_ids)
-            counts["last_failover_shard_ids"] = list(self.last_failover_shard_ids)
+        counts["last_failover_shard_ids"] = list(self.last_failover_shard_ids)
         return counts
 
 
@@ -282,8 +264,6 @@ class _Plan:
     decode: Callable[[bytes], Any] | None = None
     #: Reads may fail over to surviving replicas; everything else is a write.
     read: bool = False
-    #: Partial-failure policy of the gather; None means the router's own.
-    policy: str | None = FAIL_FAST
     #: The ``ClusterStats`` recorder bumped once per routed request.
     record: Callable[[ClusterStats], None] | None = None
     #: The kind the shards are asked instead of the request's own (same
@@ -364,7 +344,6 @@ class ShardRouter:
         shard_ids: Sequence[str] | None = None,
         replicas: int = 1,
         virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
-        policy: str = FAIL_FAST,
         shard_timeout: float | None = None,
         pool_size: int = 4,
         timeout: float | None = 30.0,
@@ -392,10 +371,6 @@ class ShardRouter:
             replication.
         virtual_nodes:
             Virtual nodes per shard on the ring.
-        policy:
-            Partial-failure policy for scatter reads whose failures exceed
-            what the replicas can absorb (``fail_fast`` or ``degraded``);
-            writes are always fail-fast.
         shard_timeout:
             Per-shard gather timeout in seconds (None waits forever).
         pool_size / timeout:
@@ -419,16 +394,10 @@ class ShardRouter:
                 f"replication factor {replicas} needs at least {replicas} "
                 f"shard(s), got {len(shards)}"
             )
-        if policy not in PARTIAL_FAILURE_POLICIES:
-            raise ClusterError(
-                f"unknown partial-failure policy {policy!r} "
-                f"(choose from {PARTIAL_FAILURE_POLICIES})"
-            )
         if shard_ids is not None and len(shard_ids) != len(shards):
             raise ClusterError(
                 f"{len(shards)} shard(s) but {len(shard_ids)} shard id(s)"
             )
-        self._policy = policy
         self._replication = replicas
         self._pool_size = pool_size
         self._timeout = timeout
@@ -479,7 +448,6 @@ class ShardRouter:
         *,
         replicas: int | None = None,
         virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
-        policy: str = FAIL_FAST,
         shard_timeout: float | None = None,
         pool_size: int = 4,
         timeout: float | None = 30.0,
@@ -514,7 +482,6 @@ class ShardRouter:
             urls,
             replicas=replicas,
             virtual_nodes=virtual_nodes,
-            policy=policy,
             shard_timeout=shard_timeout,
             pool_size=pool_size,
             timeout=timeout,
@@ -526,7 +493,6 @@ class ShardRouter:
         cls,
         manifest,
         *,
-        policy: str = FAIL_FAST,
         shard_timeout: float | None = None,
         pool_size: int = 4,
         timeout: float | None = 30.0,
@@ -538,7 +504,7 @@ class ShardRouter:
         ring ids*, replication factor, virtual-node count, default
         transport -- so a coordinator restart reproduces the placement
         ring exactly (no tuples look misplaced just because the shard
-        order changed hands).  Runtime knobs (policy, timeouts, pool
+        order changed hands).  Runtime knobs (timeouts, pool
         size) stay caller-side; ``async_transport`` overrides the
         manifest's default when given.
         """
@@ -547,7 +513,6 @@ class ShardRouter:
             shard_ids=manifest.shard_ids,
             replicas=manifest.replicas,
             virtual_nodes=manifest.virtual_nodes,
-            policy=policy,
             shard_timeout=shard_timeout,
             pool_size=pool_size,
             timeout=timeout,
@@ -602,11 +567,6 @@ class ShardRouter:
     def ring(self) -> ConsistentHashRing:
         """The placement ring (shared, do not mutate directly)."""
         return self._ring
-
-    @property
-    def policy(self) -> str:
-        """Partial-failure policy applied to scatter reads."""
-        return self._policy
 
     @property
     def replication(self) -> int:
@@ -808,9 +768,8 @@ class ShardRouter:
             responses = self._gather(
                 f"{request.kind.value}({request.relation_name!r})",
                 requests,
-                policy=plan.policy or self._policy,
                 read=plan.read,
-            ).values
+            )
         decode = protocol.ANSWER_CODECS[expect][0]
         values = [decode(response.body) for response in responses]
         return plan.merge(values, payload)
@@ -871,8 +830,7 @@ class ShardRouter:
     #: One row per routed kind: targets, merge, then the departures from a
     #: plain fail-fast write; the answer kinds are ``protocol.ANSWERS``'s.
     #: Reads scatter to the full fleet because failover's coverage maths
-    #: (``ring.covers``) needs every shard's outcome; the metadata reads may
-    #: fail over but never degrade (a count or a stored copy must be complete).
+    #: (``ring.covers``) needs every shard's outcome.
     _PLANS = {
         MessageKind.INSERT_TUPLES: _Plan(
             _to_holders, _count_of_tuples,
@@ -890,14 +848,10 @@ class ShardRouter:
             _to_every_shard, _max_count, record=ClusterStats.record_index_write
         ),
         MessageKind.LIST_TUPLE_IDS: _Plan(_to_every_shard, _union_of_ids, read=True),
-        MessageKind.QUERY: _Plan(
-            _to_every_shard, _merge_results, read=True, policy=None
-        ),
-        MessageKind.BATCH_QUERY: _Plan(
-            _to_every_shard, _merge_batches, read=True, policy=None
-        ),
+        MessageKind.QUERY: _Plan(_to_every_shard, _merge_results, read=True),
+        MessageKind.BATCH_QUERY: _Plan(_to_every_shard, _merge_batches, read=True),
         MessageKind.INDEX_LOOKUP: _Plan(
-            _to_every_shard, _merge_results, read=True, policy=None,
+            _to_every_shard, _merge_results, read=True,
             record=ClusterStats.record_index_lookup,
         ),
         MessageKind.REGISTER_EVALUATOR: _Plan(
@@ -1049,10 +1003,9 @@ class ShardRouter:
         operation: str,
         calls: Sequence[tuple[str, ShardRequest]],
         *,
-        policy: str,
         read: bool = False,
-    ) -> GatherResult:
-        """Scatter ``calls`` and resolve failures: failover first, then policy.
+    ) -> list[Any]:
+        """Scatter ``calls``; the answer values, or raise on a lost shard.
 
         Each call pairs a shard id with the :class:`ShardRequest` to run
         against that shard's server.  This is the one place a transport is
@@ -1062,15 +1015,15 @@ class ShardRouter:
         all shard round trips in flight at once, timeouts cancelling
         mid-flight.  Otherwise (in-process backends, mixed fleets, sync
         proxies) the thread pool serves.  Outcome resolution -- failover,
-        policy, stats -- is identical either way.
+        errors, stats -- is identical either way.
 
         A full-fleet *read* that loses shards first tries replica failover:
         when every ring segment still has a live successor
         (:meth:`ConsistentHashRing.covers`) the surviving answers are
-        complete after deduplication, so the read succeeds un-degraded and
-        only the ``failover_reads`` counter records that anything happened.
-        Only when the failures exceed what the replicas absorb does the
-        partial-failure ``policy`` decide between raising and degrading.
+        complete after deduplication, so the read succeeds and only the
+        ``failover_reads`` counter records that anything happened.  Any
+        other failure raises :class:`ShardFailedError`, naming the failed
+        shards: a partial answer is never returned.
         """
         if read:
             self._stats.record_scatter_read()
@@ -1102,24 +1055,25 @@ class ShardRouter:
         self._record_outcomes(
             trace, operation, transport, scatter_started_wall, scatter_elapsed, outcomes
         )
+        values = [o.value for o in outcomes if o.ok]
+        if len(values) == len(outcomes):
+            return values
         failures = [o for o in outcomes if not o.ok]
+        live = [o.shard_id for o in outcomes if o.ok]
         if (
-            failures
-            and read
+            read
             and self._replication > 1
             and len(calls) == len(self._shards)  # coverage math needs the full fleet
+            and self._ring.covers(live, self._replication)
         ):
-            live = [o.shard_id for o in outcomes if o.ok]
-            if self._ring.covers(live, self._replication):
-                self._stats.record_failover_read([o.shard_id for o in failures])
-                return GatherResult(
-                    values=tuple(o.value for o in outcomes if o.ok),
-                    outcomes=tuple(outcomes),
-                )
-        gathered = resolve_outcomes(operation, outcomes, policy=policy)
-        if gathered.degraded:
-            self._stats.record_degraded_read(gathered.missing_shard_ids)
-        return gathered
+            self._stats.record_failover_read([o.shard_id for o in failures])
+            return values
+        detail = "; ".join(f"{o.shard_id}: {o.error}" for o in failures[:3])
+        raise ShardFailedError(
+            f"{operation} failed on {len(failures)}/{len(outcomes)} shard(s): {detail}"
+            + ("; ..." if len(failures) > 3 else ""),
+            outcomes,
+        )
 
     def _record_outcomes(
         self,

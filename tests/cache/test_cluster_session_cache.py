@@ -4,8 +4,8 @@ A cached session on a :class:`ShardRouter` keeps the contract it keeps on
 one provider: its own writes evict exactly what they change, another
 session's writes show up within ``ttl_s``, and no injected fault -- a
 shard killed mid-workload, a shard joining or leaving -- makes cache-on
-answer differently from cache-off.  A cache over a ``degraded`` router is
-refused: it would replay a partial answer after the shards recover.
+answer differently from cache-off.  A read that loses a shard the
+replicas cannot cover raises, and a raised read caches nothing.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from unittest import mock
 import pytest
 
 from repro.api import DatabaseError, EncryptedDatabase
-from repro.cluster import DEGRADED, ShardRouter
+from repro.cluster import ShardRouter
 from repro.crypto.rng import DeterministicRng
 from repro.net import ThreadedTcpServer
 from repro.outsourcing import OutsourcedDatabaseServer
@@ -65,34 +65,50 @@ def _session(secret_key, router, *, cache=True, seed=0, create=True):
     return db
 
 
-class TestDegradedRouterRefusesACache:
-    """Bugfix: a cached session on a degraded router replayed a partial answer."""
+class TestARaisedReadCachesNothing:
+    """A shard outage past the replicas raises; the cache keeps no trace of it."""
 
-    def test_open_refuses(self, secret_key):
-        router = ShardRouter([FlakyServer(), FlakyServer()], policy=DEGRADED)
-        with pytest.raises(DatabaseError, match="degraded"):
-            EncryptedDatabase.open(secret_key, server=router, cache=True)
-        with pytest.raises(DatabaseError, match="degraded"):
-            EncryptedDatabase.connect(router, secret_key, cache=True)
+    def test_the_outage_fills_nothing_and_recovery_is_exact(self, secret_key):
+        shards = [FlakyServer(), FlakyServer()]
+        db = _session(secret_key, ShardRouter(shards))  # replicas=1
+        before = _rows(db.select(HR, table="Emp"))
+        assert before == sorted(row for row in ROWS if row[1] == "HR")
+        db.cache.invalidate("Emp")  # the next select asks the fleet
+        shards[1].down = True
+        with pytest.raises(DatabaseError, match="shard is down"):
+            db.select(HR, table="Emp")
+        assert db.cache.stats()["entries"] == 0
+        shards[1].down = False
+        assert _rows(db.select(HR, table="Emp")) == before
+        assert db.cache.stats()["entries"] == 1
 
-    def test_connect_refuses_a_cluster_url(self, secret_key):
+    def test_over_a_cluster_url(self, secret_key):
+        shards = [FlakyServer(), FlakyServer()]
         with contextlib.ExitStack() as stack:
             ports = [
-                stack.enter_context(ThreadedTcpServer(OutsourcedDatabaseServer())).port
-                for _ in range(2)
+                stack.enter_context(ThreadedTcpServer(shard)).port for shard in shards
             ]
             url = "cluster://" + ",".join(f"127.0.0.1:{port}" for port in ports)
-            with pytest.raises(DatabaseError, match="degraded"):
-                EncryptedDatabase.connect(f"{url}?cache=1", secret_key, policy=DEGRADED)
-            # Uncached, the same router serves (and heals) as before.
-            EncryptedDatabase.connect(url, secret_key, policy=DEGRADED).close()
+            db = stack.enter_context(
+                EncryptedDatabase.connect(f"{url}?cache=1", secret_key, timeout=10.0)
+            )
+            db.create_table(EMP_DECL, rows=ROWS)
+            shards[0].down = True
+            with pytest.raises(DatabaseError, match="failed on 1/2 shard"):
+                db.select(HR, table="Emp")
+            assert db.cache.stats()["entries"] == 0
+            shards[0].down = False
+            assert _rows(db.select(HR, table="Emp")) == sorted(
+                row for row in ROWS if row[1] == "HR"
+            )
 
-    def test_an_uncached_degraded_read_heals(self, secret_key):
+    def test_an_uncached_read_raises_then_heals(self, secret_key):
         shards = [FlakyServer(), FlakyServer()]
-        db = _session(secret_key, ShardRouter(shards, policy=DEGRADED), cache=None)
+        db = _session(secret_key, ShardRouter(shards), cache=None)
         full = _rows(db.select(HR, table="Emp"))
         shards[1].down = True
-        assert len(db.select(HR, table="Emp").relation) < len(full)
+        with pytest.raises(DatabaseError, match="shard is down"):
+            db.select(HR, table="Emp")
         shards[1].down = False
         assert _rows(db.select(HR, table="Emp")) == full
 

@@ -7,9 +7,8 @@ import asyncio
 import pytest
 from gated_provider import GatedServer, store_empty
 
-from repro.api import EncryptedDatabase
+from repro.api import DatabaseError, EncryptedDatabase
 from repro.cluster import ShardRouter, ShardTimeoutError, scatter_async
-from repro.cluster.executor import DEGRADED
 from repro.net import EventLoopThread, ThreadedTcpServer
 from repro.outsourcing import OutsourcedDatabaseServer
 from provider_calls import drop_relation
@@ -133,30 +132,30 @@ class TestAsyncTransportFleet:
                 assert db.count("Emp") == len(ROWS)
                 stats = db.server.stats
                 assert stats.as_dict()["failover_reads"] >= 1
-                assert stats.as_dict()["degraded_reads"] == 0
 
 
 class TestScatterTimeoutCancellation:
     def test_slow_shard_times_out_and_its_request_is_cancelled(self, secret_key, rng):
-        """A gated shard exceeds its budget mid-scatter: the read degrades,
-        the in-flight request is cancelled (orphaning its response), and
-        the same connections keep serving once the shard recovers."""
+        """A gated shard exceeds its budget mid-scatter: the read raises with
+        the timeout in its detail, the in-flight request is cancelled
+        (orphaning its response), and the same connections answer the next
+        select completely once the shard recovers."""
         slow_database = GatedServer()
         with ThreadedTcpServer() as fast, ThreadedTcpServer(slow_database) as slow:
             url = f"cluster://127.0.0.1:{fast.port},127.0.0.1:{slow.port}?async=1"
-            router = ShardRouter.connect(
-                url, policy=DEGRADED, shard_timeout=0.5, timeout=10.0
-            )
+            router = ShardRouter.connect(url, shard_timeout=0.5, timeout=10.0)
             db = EncryptedDatabase.open(secret_key, server=router, rng=rng)
             try:
                 db.create_table(EMP_DECL, rows=ROWS)
                 gate = slow_database.gate("Emp")
-                outcome = db.select("SELECT * FROM Emp WHERE dept = 'HR'")
-                # Complete on the fast shard's slice only: degraded read.
-                assert 0 < len(outcome.relation) < 12
-                assert router.stats.as_dict()["degraded_reads"] >= 1
                 slow_shard_id = f"tcp://127.0.0.1:{slow.port}"
-                assert router.stats.last_missing_shard_ids == (slow_shard_id,)
+                timeout = ShardTimeoutError(
+                    f"shard {slow_shard_id!r} did not answer within its 0.5s budget"
+                )
+                with pytest.raises(DatabaseError, match="failed on 1/2 shard") as excinfo:
+                    db.select("SELECT * FROM Emp WHERE dept = 'HR'")
+                assert f"{slow_shard_id}: {timeout}" in str(excinfo.value)
+                assert router.stats.as_dict()["loop_scatters"] >= 1
                 # Release the gate: the orphaned late answer is dropped and
                 # the *same* pipelined connection serves the next scatter.
                 gate.set()

@@ -74,16 +74,16 @@ class TestClusterUrlSessions:
 
 
 class TestFacadeKnobs:
-    def test_policy_rejected_for_plain_tcp(self, fleet):
+    def test_shard_timeout_rejected_for_plain_tcp(self, fleet):
         one, _ = fleet
         with pytest.raises(DatabaseError, match="cluster:// URLs only"):
             EncryptedDatabase.connect(
-                f"tcp://127.0.0.1:{one.port}", policy="degraded"
+                f"tcp://127.0.0.1:{one.port}", shard_timeout=1.0
             )
 
-    def test_policy_rejected_for_server_objects(self):
+    def test_shard_timeout_rejected_for_server_objects(self):
         with pytest.raises(DatabaseError, match="cluster:// URLs only"):
-            EncryptedDatabase.connect(OutsourcedDatabaseServer(), policy="degraded")
+            EncryptedDatabase.connect(OutsourcedDatabaseServer(), shard_timeout=1.0)
 
     def test_shards_exclusive_with_server_and_storage(self, secret_key):
         from repro.outsourcing import InMemoryStorageBackend
@@ -105,11 +105,9 @@ class TestFacadeKnobs:
         with pytest.raises(DatabaseError):
             EncryptedDatabase.connect("cluster://")
 
-    def test_degraded_policy_reaches_the_router(self, fleet, secret_key):
-        with EncryptedDatabase.connect(
-            _url(fleet), secret_key, policy="degraded", shard_timeout=30.0
-        ) as db:
-            assert db.server.policy == "degraded"
+    def test_there_is_no_partial_failure_policy(self, fleet, secret_key):
+        with pytest.raises(TypeError, match="policy"):
+            EncryptedDatabase.connect(_url(fleet), secret_key, policy="degraded")
 
     def test_url_replicas_reach_the_router(self, fleet, secret_key):
         with EncryptedDatabase.connect(
@@ -142,4 +140,3 @@ class TestReplicatedClusterOverSockets:
                 assert db.count("Emp") == len(ROWS)
                 stats = db.server.stats
                 assert stats.as_dict()["failover_reads"] >= 1
-                assert stats.as_dict()["degraded_reads"] == 0

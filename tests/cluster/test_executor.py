@@ -1,4 +1,4 @@
-"""Scatter-gather executor: concurrency, timeouts, partial-failure policies."""
+"""Scatter-gather executor: concurrency, timeouts, failures as outcome data."""
 
 from __future__ import annotations
 
@@ -9,14 +9,13 @@ import pytest
 
 from repro.cluster.executor import (
     ClusterError,
-    DEGRADED,
-    FAIL_FAST,
     ScatterGatherExecutor,
     ShardFailedError,
     ShardOutcome,
     ShardTimeoutError,
-    resolve_outcomes,
 )
+from repro.obs import Trace, current_trace, use_trace
+from repro.outsourcing.server import ServerError
 
 
 @pytest.fixture
@@ -97,7 +96,7 @@ class TestScatter:
         assert isinstance(outcomes[1].error, ShardTimeoutError)
 
 
-class TestPolicies:
+class TestOutcomes:
     def _outcomes(self, *oks):
         return [
             ShardOutcome(shard_id=f"s{i}", value=i)
@@ -106,49 +105,25 @@ class TestPolicies:
             for i, ok in enumerate(oks)
         ]
 
-    def test_all_ok_passes_both_policies(self):
-        for policy in (FAIL_FAST, DEGRADED):
-            result = resolve_outcomes("op", self._outcomes(True, True), policy=policy)
-            assert result.values == (0, 1)
-            assert not result.degraded
+    def test_a_failed_scatter_names_its_failed_shards(self):
+        outcomes = self._outcomes(True, False, False)
+        error = ShardFailedError("op failed", outcomes)
+        assert error.failed_shard_ids == ("s1", "s2")
+        assert error.outcomes == tuple(outcomes)
 
-    def test_fail_fast_raises_on_any_failure(self):
-        with pytest.raises(ShardFailedError) as excinfo:
-            resolve_outcomes("op", self._outcomes(True, False), policy=FAIL_FAST)
-        assert excinfo.value.failed_shard_ids == ("s1",)
-        assert "down 1" in str(excinfo.value)
+    def test_cluster_errors_are_provider_errors(self):
+        # The session translates ServerError, so a fleet failure surfaces
+        # exactly as a single provider's would.
+        for error_type in (ShardFailedError, ShardTimeoutError):
+            assert issubclass(error_type, ClusterError)
+            assert issubclass(error_type, ServerError)
 
-    def test_degraded_serves_the_survivors(self):
-        result = resolve_outcomes(
-            "op", self._outcomes(True, False, True), policy=DEGRADED
-        )
-        assert result.values == (0, 2)
-        assert result.degraded
-        assert result.missing_shard_ids == ("s1",)
+    def test_the_pool_needs_a_worker(self):
+        with pytest.raises(ValueError, match="at least one worker"):
+            ScatterGatherExecutor(max_workers=0)
 
-    def test_degraded_still_fails_when_no_shard_answered(self):
-        with pytest.raises(ShardFailedError):
-            resolve_outcomes("op", self._outcomes(False, False), policy=DEGRADED)
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ClusterError):
-            resolve_outcomes("op", self._outcomes(True), policy="optimistic")
-
-    def test_gather_combines_scatter_and_policy(self, executor=None):
-        executor = ScatterGatherExecutor(max_workers=2)
-        try:
-            with pytest.raises(ShardFailedError):
-                executor.gather(
-                    "op",
-                    [("ok", lambda: 1), ("bad", lambda: 1 / 0)],
-                    policy=FAIL_FAST,
-                )
-            result = executor.gather(
-                "op",
-                [("ok", lambda: 1), ("bad", lambda: 1 / 0)],
-                policy=DEGRADED,
-            )
-            assert result.values == (1,)
-            assert result.missing_shard_ids == ("bad",)
-        finally:
-            executor.close()
+    def test_thunks_run_under_the_callers_trace(self, executor):
+        trace = Trace(bytes(16))
+        with use_trace(trace):
+            outcomes = executor.scatter([("s0", current_trace), ("s1", current_trace)])
+        assert [o.value for o in outcomes] == [trace, trace]

@@ -1,6 +1,8 @@
-"""ShardRouter: CRUD routing, merging, partial failure, duck-type fidelity."""
+"""ShardRouter: CRUD routing, merging, shard failure, duck-type fidelity."""
 
 from __future__ import annotations
+
+import contextlib
 
 import pytest
 
@@ -9,13 +11,15 @@ import threading
 from repro.api import DatabaseError, EncryptedDatabase
 from repro.cluster import (
     ClusterError,
+    ClusterManifest,
     ClusterStats,
-    DEGRADED,
+    ShardEntry,
     ShardRouter,
     parse_cluster_options,
     parse_cluster_url,
 )
 from repro.index import IndexDelta
+from repro.net import ThreadedTcpServer
 from repro.outsourcing import OutsourcedDatabaseServer, ServerError
 from repro.relational import Selection
 from provider_calls import (
@@ -32,7 +36,7 @@ ROWS = [(f"emp{i}", "HR" if i % 2 else "IT", 1000 + i) for i in range(30)]
 
 
 class FlakyServer(OutsourcedDatabaseServer):
-    """A shard that can be switched off to exercise partial-failure paths.
+    """A shard that can be switched off to exercise shard-failure paths.
 
     Overriding ``handle_message`` alone makes it "down": every data
     operation the router performs reaches a shard as an envelope.
@@ -123,57 +127,139 @@ class TestDuckType:
             db.count("Nope")
 
 
-class TestPartialFailure:
-    def _cluster(self, policy):
+HR, IT = Selection.equals("dept", "HR"), Selection.equals("dept", "IT")
+SHARD_IDS = ["shard-0", "shard-1", "shard-2"]
+
+
+def _rows(relation):
+    return sorted(tuple(t.values()) for t in relation)
+
+
+#: Every read kind a session sends, against its plaintext oracle over ROWS.
+READS = {
+    "select": (
+        lambda db: _rows(db.select(HR, table="Emp").relation),
+        sorted(row for row in ROWS if row[1] == "HR"),
+    ),
+    "select_many": (
+        lambda db: [_rows(o.relation) for o in db.select_many([HR, IT], table="Emp")],
+        [sorted(row for row in ROWS if row[1] == dept) for dept in ("HR", "IT")],
+    ),
+    "indexed-select": (
+        lambda db: _rows(db.select(HR, table="Emp").relation),
+        sorted(row for row in ROWS if row[1] == "HR"),
+    ),
+    "retrieve_all": (lambda db: _rows(db.retrieve_all("Emp")), sorted(ROWS)),
+    "count": (lambda db: db.count("Emp"), len(ROWS)),
+}
+
+
+@contextlib.contextmanager
+def _replicated_fleet(driver: str, *, index: bool = False):
+    """Three flaky shards at ``replicas=2`` behind one scatter driver.
+
+    The thread pool drives in-process shards; the event loop drives the
+    same shards served over pipelined ``tcp://`` connections.
+    """
+    shards = [FlakyServer() for _ in range(3)]
+    with contextlib.ExitStack() as stack:
+        backends = shards
+        if driver == "event-loop":
+            backends = [
+                f"tcp://127.0.0.1:{stack.enter_context(ThreadedTcpServer(shard)).port}"
+                for shard in shards
+            ]
+        router = stack.enter_context(
+            ShardRouter(
+                backends,
+                shard_ids=SHARD_IDS,
+                replicas=2,
+                async_transport=(driver == "event-loop"),
+                timeout=10.0,
+            )
+        )
+        db = EncryptedDatabase.open(server=router, index=index)
+        db.create_table(EMP_DECL, rows=ROWS)
+        yield db, router, shards
+
+
+@pytest.mark.parametrize("kind", list(READS))
+@pytest.mark.parametrize("driver", ["thread-pool", "event-loop"])
+class TestAFleetReadIsCompleteOrRaises:
+    """Contract: every read kind equals the oracle or raises, never partial."""
+
+    def test_within_the_replicas_the_read_is_the_oracle(self, driver, kind):
+        read, oracle = READS[kind]
+        with _replicated_fleet(driver, index=kind == "indexed-select") as (
+            db, router, shards
+        ):
+            shards[1].down = True
+            assert read(db) == oracle
+            stats = router.stats.as_dict()
+            assert stats["failover_reads"] >= 1
+            assert stats["last_failover_shard_ids"] == ["shard-1"]
+            assert (stats["loop_scatters"] > 0) == (driver == "event-loop")
+            if kind == "indexed-select":
+                assert stats["index_lookups"] >= 1
+
+    def test_past_the_replicas_the_read_raises(self, driver, kind):
+        read, _ = READS[kind]
+        with _replicated_fleet(driver, index=kind == "indexed-select") as (
+            db, router, shards
+        ):
+            shards[0].down = shards[1].down = True  # 2 dead >= R=2
+            with pytest.raises(DatabaseError, match="failed on 2/3 shard") as excinfo:
+                read(db)
+            message = str(excinfo.value)
+            assert "shard-0: " in message and "shard-1: " in message
+            assert "shard-2" not in message
+            shards[0].down = shards[1].down = False
+            assert read(db) == READS[kind][1]
+
+
+class TestShardFailure:
+    def _cluster(self):
         shards = [FlakyServer(), FlakyServer(), FlakyServer()]
-        router = ShardRouter(shards, policy=policy)
+        router = ShardRouter(shards)
         db = EncryptedDatabase.open(server=router)
         db.create_table(EMP_DECL, rows=ROWS)
         return db, router, shards
 
-    def test_fail_fast_read_surfaces_the_failure(self):
-        db, router, shards = self._cluster("fail_fast")
+    def test_an_unreplicated_read_surfaces_the_failure(self):
+        db, router, shards = self._cluster()
         shards[1].down = True
         with pytest.raises(DatabaseError, match="shard is down"):
             db.select("SELECT * FROM Emp WHERE dept = 'HR'")
 
-    def test_degraded_read_serves_the_survivors(self):
-        db, router, shards = self._cluster(DEGRADED)
-        full = len(db.select("SELECT * FROM Emp WHERE dept = 'HR'").relation)
-        assert full == 15
-        handle = db.table("Emp")
-        hr_on_lost_shard = sum(
-            1
-            for t in shards[1].stored_relation("Emp")
-            if handle.scheme.decrypt_tuple(t)["dept"] == "HR"
-        )
-        assert hr_on_lost_shard > 0  # the outage actually hides matches
+    def test_a_read_heals_when_the_shard_returns(self):
+        db, router, shards = self._cluster()
+        full = _rows(db.select(HR, table="Emp").relation)
         shards[1].down = True
-        partial = db.select("SELECT * FROM Emp WHERE dept = 'HR'")
-        assert len(partial.relation) == full - hr_on_lost_shard
-        assert router.stats.as_dict()["degraded_reads"] >= 1
-        assert router.stats.last_missing_shard_ids == ("shard-1",)
+        with pytest.raises(DatabaseError, match="1/3 shard"):
+            db.select(HR, table="Emp")
+        shards[1].down = False
+        assert _rows(db.select(HR, table="Emp").relation) == full
+        assert router.stats.as_dict()["failover_reads"] == 0
 
-    def test_degraded_with_every_shard_down_still_fails(self):
-        db, router, shards = self._cluster(DEGRADED)
+    def test_every_shard_down_fails(self):
+        db, router, shards = self._cluster()
         for shard in shards:
             shard.down = True
-        with pytest.raises(DatabaseError):
+        with pytest.raises(DatabaseError, match="failed on 3/3 shard"):
             db.select("SELECT * FROM Emp WHERE dept = 'HR'")
 
-    def test_writes_are_always_fail_fast(self):
-        db, router, shards = self._cluster(DEGRADED)
-        # ids physically owned by shard-2, captured before the outage
-        lost_ids = [t.tuple_id for t in shards[2].stored_relation("Emp")]
-        assert lost_ids
-        shards[2].down = True
-        with pytest.raises(ServerError, match="shard is down"):
-            delete_tuples(router, "Emp", lost_ids)
-        # a degraded *read* of the same table still works meanwhile
-        assert db.select("SELECT * FROM Emp WHERE dept = 'IT'").relation is not None
+    def test_writes_fail_even_where_reads_fail_over(self):
+        with _replicated_fleet("thread-pool") as (db, router, shards):
+            # ids physically owned by shard-2, captured before the outage
+            lost_ids = [t.tuple_id for t in shards[2].stored_relation("Emp")]
+            assert lost_ids
+            shards[2].down = True
+            assert db.count("Emp") == len(ROWS)  # the read fails over
+            with pytest.raises(ServerError, match="shard is down"):
+                delete_tuples(router, "Emp", lost_ids)  # the write does not
 
     def test_insert_to_a_down_shard_fails_loudly(self):
-        db, router, shards = self._cluster(DEGRADED)
+        db, router, shards = self._cluster()
         for shard in shards:
             shard.down = True
         with pytest.raises(DatabaseError):
@@ -198,9 +284,9 @@ def _assert_fully_replicated(router, name):
 
 
 class TestReplication:
-    def _cluster(self, shard_count=3, replicas=2, policy="fail_fast"):
+    def _cluster(self, shard_count=3, replicas=2):
         shards = [FlakyServer() for _ in range(shard_count)]
-        router = ShardRouter(shards, replicas=replicas, policy=policy)
+        router = ShardRouter(shards, replicas=replicas)
         db = EncryptedDatabase.open(server=router)
         db.create_table(EMP_DECL, rows=ROWS)
         return db, router, shards
@@ -227,12 +313,11 @@ class TestReplication:
         assert len(stored_relation(db.server, "Emp")) == len(ROWS)
 
     def test_reads_fail_over_when_one_replica_is_down(self):
-        db, router, shards = self._cluster()  # fail_fast policy!
+        db, router, shards = self._cluster()
         shards[1].down = True
         outcome = db.select("SELECT * FROM Emp WHERE dept = 'HR'")
-        assert len(outcome.relation) == 15  # complete, not degraded
+        assert len(outcome.relation) == 15  # complete, not partial
         assert router.stats.as_dict()["failover_reads"] >= 1
-        assert router.stats.as_dict()["degraded_reads"] == 0
         assert router.stats.last_failover_shard_ids == ("shard-1",)
 
     def test_batch_reads_fail_over_too(self):
@@ -243,7 +328,7 @@ class TestReplication:
             table="Emp",
         )
         assert [len(o.relation) for o in outcomes] == [15, 15]
-        assert router.stats.as_dict()["degraded_reads"] == 0
+        assert router.stats.as_dict()["failover_reads"] >= 1
 
     def test_stored_relation_and_count_survive_one_dead_shard(self):
         db, router, shards = self._cluster()
@@ -321,7 +406,6 @@ class TestReplication:
         shards[0].down = True
         after = db.select("SELECT * FROM Emp WHERE dept = 'IT'")
         assert len(after.relation) == before == 15
-        assert router.stats.as_dict()["degraded_reads"] == 0
         assert router.stats.as_dict()["failover_reads"] >= 1
 
 
@@ -373,7 +457,6 @@ class TestStatsThreadSafety:
             for _ in range(rounds):
                 stats.record_scatter_read()
                 stats.record_routed_insert()
-                stats.record_degraded_read((shard_id,))
                 stats.record_failover_read((shard_id,))
                 snapshots.append(stats.as_dict())
 
@@ -386,11 +469,10 @@ class TestStatsThreadSafety:
             thread.join(timeout=30)
         assert stats.as_dict()["scatter_reads"] == 8 * rounds
         assert stats.as_dict()["routed_inserts"] == 8 * rounds
-        assert stats.as_dict()["degraded_reads"] == 8 * rounds
         assert stats.as_dict()["failover_reads"] == 8 * rounds
         for snapshot in snapshots:  # every snapshot is internally consistent
-            assert snapshot["degraded_reads"] <= snapshot["scatter_reads"] * 2
-            assert tuple(snapshot["last_missing_shard_ids"]) != ()
+            assert snapshot["failover_reads"] <= snapshot["scatter_reads"] * 2
+            assert len(snapshot["last_failover_shard_ids"]) == 1
 
 
 class TestConstruction:
@@ -409,9 +491,15 @@ class TestConstruction:
                 shard_ids=["a", "a"],
             )
 
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ClusterError):
-            ShardRouter([OutsourcedDatabaseServer()], policy="hope")
+    def test_there_is_no_partial_failure_policy(self):
+        shards = [OutsourcedDatabaseServer()]
+        with pytest.raises(TypeError, match="policy"):
+            ShardRouter(shards, policy="degraded")
+        with pytest.raises(TypeError, match="policy"):
+            ShardRouter.connect("cluster://127.0.0.1:1", policy="degraded")
+        manifest = ClusterManifest(shards=(ShardEntry("a", "tcp://127.0.0.1:1"),))
+        with pytest.raises(TypeError, match="policy"):
+            ShardRouter.from_manifest(manifest, policy="degraded")
 
     def test_parse_cluster_url(self):
         assert parse_cluster_url("cluster://h1:1,h2:2") == (

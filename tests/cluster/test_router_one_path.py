@@ -398,14 +398,14 @@ class TestFailedConstructionLeaksNothing:
     @pytest.mark.parametrize(
         "shards, options",
         [
-            ([OutsourcedDatabaseServer()], dict(policy="hope")),
+            ([OutsourcedDatabaseServer()], dict(replicas=2)),
             (
                 [OutsourcedDatabaseServer(), OutsourcedDatabaseServer()],
                 dict(shard_ids=["a", "a"]),
             ),
             (["tcp://127.0.0.1:1"], dict(timeout=2.0)),
         ],
-        ids=["bad-policy", "duplicate-shard-id", "unreachable-shard"],
+        ids=["bad-replicas", "duplicate-shard-id", "unreachable-shard"],
     )
     def test_thread_names_are_unchanged(self, shards, options):
         # Pool threads of earlier routers may exit meanwhile, so only a gain

@@ -320,6 +320,24 @@ class TestClusterCommands:
         assert exit_code == 1  # a shard is still down, even if reads survive
         assert "replication factor 2: reads stay complete" in captured.out
 
+    def test_status_says_reads_raise_past_the_tolerated_outages(self, capsys):
+        from repro.net import ThreadedTcpServer
+
+        with ThreadedTcpServer() as one:
+            exit_code = main([
+                "cluster", "status",
+                f"cluster://127.0.0.1:{one.port},127.0.0.1:1,127.0.0.1:2?replicas=2",
+                "--timeout", "2",
+            ])
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        assert "1/3 shard(s) up" in captured.out
+        assert (
+            "replication factor 2: 2 shard(s) down exceeds the 1 the replicas "
+            "absorb -- reads raise until a shard returns"
+        ) in captured.out
+        assert "incomplete" not in captured.out
+
     def test_status_from_a_manifest_file(self, capsys, tmp_path):
         from repro.cluster import ClusterManifest, ShardEntry
         from repro.net import ThreadedTcpServer

@@ -15,9 +15,11 @@ instead of wedging it:
    subprocesses (separate processes, so one can be SIGKILLed alone),
    connects with ``?replicas=2``, stores a relation, SIGKILLs one
    provider mid-workload, and asserts the next query still answers
-   *complete and non-degraded*: the surviving replicas cover the dead
-   shard's data, the router's failover counter fires and its degraded
-   counter stays zero.
+   *complete*: the surviving replicas cover the dead shard's data and the
+   router's failover counter fires.  It then SIGKILLs a second provider,
+   past what the replicas cover, and asserts that ``select`` and
+   ``count`` raise ``DatabaseError`` instead of answering with part of
+   the rows.
 
 3. **Async pipelined transport** -- two ``repro serve`` subprocesses
    driven through a ``cluster://...?async=1`` session: the full CRUD
@@ -55,6 +57,7 @@ Usage::
 
 from __future__ import annotations
 
+import contextlib
 import re
 import signal
 import subprocess
@@ -150,18 +153,40 @@ def _spawn_provider() -> tuple[subprocess.Popen, str]:
     return proc, f"{match.group(1)}:{match.group(2)}"
 
 
-def smoke_replicated_failover() -> int:
+@contextlib.contextmanager
+def _providers(n: int):
+    """``n`` separate ``repro serve`` processes, as ``(procs, hosts)``.
+
+    On exit every provider still running gets SIGTERM, then SIGKILL if it
+    outlives ``SHUTDOWN_TIMEOUT_S``.
+    """
     procs: list[subprocess.Popen] = []
+    hosts: list[str] = []
     try:
-        hosts = []
-        for _ in range(3):
+        for _ in range(n):
             proc, host = _spawn_provider()
             procs.append(proc)
             hosts.append(host)
+        yield procs, hosts
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.send_signal(signal.SIGTERM)
+        for proc in procs:
+            if proc.poll() is None:
+                try:
+                    proc.communicate(timeout=SHUTDOWN_TIMEOUT_S)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+                    proc.wait(timeout=10)
+
+
+def smoke_replicated_failover() -> int:
+    with _providers(3) as (procs, hosts):
         url = "cluster://" + ",".join(hosts) + "?replicas=2"
         print(f"replicated fleet up at {url}")
 
-        from repro.api import EncryptedDatabase
+        from repro.api import DatabaseError, EncryptedDatabase
 
         with EncryptedDatabase.connect(url, timeout=STARTUP_TIMEOUT_S) as db:
             db.create_table(
@@ -184,43 +209,41 @@ def smoke_replicated_failover() -> int:
             outcome = db.select("SELECT * FROM Smoke WHERE value = 1")
             if len(outcome.relation) != expected:
                 print(
-                    f"FAIL: post-kill query degraded: {len(outcome.relation)} "
+                    f"FAIL: post-kill query incomplete: {len(outcome.relation)} "
                     f"of {expected} rows"
                 )
                 return 1
             stats = db.server.stats.as_dict()
-            if stats["degraded_reads"] != 0 or stats["failover_reads"] < 1:
-                print(f"FAIL: read was not a clean failover: {stats}")
+            if stats["failover_reads"] < 1:
+                print(f"FAIL: read was not a failover: {stats}")
                 return 1
             if db.count("Smoke") != NUM_ROWS:
                 print(f"FAIL: post-kill count inflated/deflated: {db.count('Smoke')}")
                 return 1
             print(
-                "query stayed complete and non-degraded with 1/3 providers dead "
+                "query stayed complete with 1/3 providers dead "
                 f"(failover_reads={stats['failover_reads']})"
             )
-        return 0
-    finally:
-        for proc in procs:
-            if proc.poll() is None:
-                proc.send_signal(signal.SIGTERM)
-        for proc in procs:
-            if proc.poll() is None:
+
+            procs[1].send_signal(signal.SIGKILL)  # past what R=2 covers
+            procs[1].wait(timeout=SHUTDOWN_TIMEOUT_S)
+            print(f"SIGKILLed provider {hosts[1]}")
+            for name, read in (
+                ("select", lambda: db.select("SELECT * FROM Smoke WHERE value = 1")),
+                ("count", lambda: db.count("Smoke")),
+            ):
                 try:
-                    proc.communicate(timeout=SHUTDOWN_TIMEOUT_S)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait(timeout=10)
+                    answer = read()
+                except DatabaseError as exc:
+                    print(f"{name} raised with 2/3 providers dead: {exc}")
+                else:
+                    print(f"FAIL: {name} answered {answer!r} with 2/3 providers dead")
+                    return 1
+        return 0
 
 
 def smoke_async_transport() -> int:
-    procs: list[subprocess.Popen] = []
-    try:
-        hosts = []
-        for _ in range(2):
-            proc, host = _spawn_provider()
-            procs.append(proc)
-            hosts.append(host)
+    with _providers(2) as (_, hosts):
         url = "cluster://" + ",".join(hosts) + "?async=1"
         print(f"async fleet up at {url}")
 
@@ -274,27 +297,10 @@ def smoke_async_transport() -> int:
             proxy.close()
         print("32 pipelined in-flight requests answered on one connection")
         return 0
-    finally:
-        for proc in procs:
-            if proc.poll() is None:
-                proc.send_signal(signal.SIGTERM)
-        for proc in procs:
-            if proc.poll() is None:
-                try:
-                    proc.communicate(timeout=SHUTDOWN_TIMEOUT_S)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait(timeout=10)
 
 
 def smoke_indexed_fleet() -> int:
-    procs: list[subprocess.Popen] = []
-    try:
-        hosts = []
-        for _ in range(2):
-            proc, host = _spawn_provider()
-            procs.append(proc)
-            hosts.append(host)
+    with _providers(2) as (_, hosts):
         url = "cluster://" + ",".join(hosts) + "?index=1"
         print(f"indexed fleet up at {url}")
 
@@ -352,27 +358,10 @@ def smoke_indexed_fleet() -> int:
                 f"examined={examined} for {expected} results, scan-equivalent"
             )
         return 0
-    finally:
-        for proc in procs:
-            if proc.poll() is None:
-                proc.send_signal(signal.SIGTERM)
-        for proc in procs:
-            if proc.poll() is None:
-                try:
-                    proc.communicate(timeout=SHUTDOWN_TIMEOUT_S)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait(timeout=10)
 
 
 def smoke_metrics_plane() -> int:
-    procs: list[subprocess.Popen] = []
-    try:
-        hosts = []
-        for _ in range(2):
-            proc, host = _spawn_provider()
-            procs.append(proc)
-            hosts.append(host)
+    with _providers(2) as (_, hosts):
         url = "cluster://" + ",".join(hosts)
         print(f"metrics fleet up at {url}")
 
@@ -431,27 +420,10 @@ def smoke_metrics_plane() -> int:
                 f"over {sum(s['count'] for s in dispatch)} request(s)"
             )
         return 0
-    finally:
-        for proc in procs:
-            if proc.poll() is None:
-                proc.send_signal(signal.SIGTERM)
-        for proc in procs:
-            if proc.poll() is None:
-                try:
-                    proc.communicate(timeout=SHUTDOWN_TIMEOUT_S)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait(timeout=10)
 
 
 def smoke_cache_tier() -> int:
-    procs: list[subprocess.Popen] = []
-    try:
-        hosts = []
-        for _ in range(3):
-            proc, host = _spawn_provider()
-            procs.append(proc)
-            hosts.append(host)
+    with _providers(3) as (_, hosts):
         url = "cluster://" + ",".join(hosts) + "?cache=1"
         print(f"cached fleet up at {url}")
 
@@ -509,36 +481,24 @@ def smoke_cache_tier() -> int:
                 return 1
             print(f"delete invalidated the cache ({after}), zero stale re-reads")
         return 0
-    finally:
-        for proc in procs:
-            if proc.poll() is None:
-                proc.send_signal(signal.SIGTERM)
-        for proc in procs:
-            if proc.poll() is None:
-                try:
-                    proc.communicate(timeout=SHUTDOWN_TIMEOUT_S)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait(timeout=10)
+
+
+PHASES = (
+    smoke_scatter_gather_crud,
+    smoke_replicated_failover,
+    smoke_async_transport,
+    smoke_indexed_fleet,
+    smoke_metrics_plane,
+    smoke_cache_tier,
+)
 
 
 def main() -> int:
-    exit_code = smoke_scatter_gather_crud()
-    if exit_code != 0:
-        return exit_code
-    exit_code = smoke_replicated_failover()
-    if exit_code != 0:
-        return exit_code
-    exit_code = smoke_async_transport()
-    if exit_code != 0:
-        return exit_code
-    exit_code = smoke_indexed_fleet()
-    if exit_code != 0:
-        return exit_code
-    exit_code = smoke_metrics_plane()
-    if exit_code != 0:
-        return exit_code
-    return smoke_cache_tier()
+    for phase in PHASES:
+        exit_code = phase()
+        if exit_code != 0:
+            return exit_code
+    return 0
 
 
 if __name__ == "__main__":
