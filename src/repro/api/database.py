@@ -371,16 +371,15 @@ class EncryptedDatabase:
         replicas -- with up to R-1 providers down:
         ``connect("cluster://h1:p1,h2:p2,h3:p3?replicas=2")``.  A read that
         loses more shards than that raises :class:`DatabaseError`; it never
-        answers with part of the rows.  An
-        ``&async=1`` option drives the whole fleet over pipelined
-        connections from one event-loop thread (the scatter keeps every
-        shard's round trip in flight simultaneously instead of burning a
-        blocking thread per shard).
+        answers with part of the rows.  Every fleet scatters on one
+        thread pool over blocking shard connections, so a gather waits at
+        most the shard count times ``shard_timeout``; an ``&async=1``
+        option is accepted and has no effect on a cluster URL.
 
         A ``"cluster+file://fleet.json"`` URL restores a sharded session
         from a fleet manifest (``repro cluster spawn --manifest``): shard
-        addresses, stable ring ids, replication factor and transport all
-        come from the file, so a coordinator restart needs no re-supplied
+        addresses, stable ring ids and replication factor all come from
+        the file, so a coordinator restart needs no re-supplied
         topology.
 
         An ``index=1`` URL option (``tcp://...?index=1``,

@@ -40,7 +40,9 @@ the CLI exposes the reproduction's main entry points without writing any code:
     (relations and counts by envelope, transport numbers from the ``stats``
     read-out; by URL or ``--manifest``).  Sessions
     connect with
-    ``EncryptedDatabase.connect("cluster://h1:p1,...[?replicas=R&async=1]")``.
+    ``EncryptedDatabase.connect("cluster://h1:p1,...[?replicas=R]")``; the
+    fleet scatters on a thread pool over blocking shard connections, and
+    ``async=1`` has no effect on a cluster URL.
 
 Examples::
 

@@ -13,12 +13,10 @@ horizontally scalable service:
     shards holding its replicas.
 
 **Execution** (:mod:`repro.cluster.executor`)
-    Scatter-gather with per-shard timeouts, one outcome per shard.  Two
-    engines, one outcome model: a thread pool (one blocking call per
-    shard) and an event-loop scatter that drives every shard's round trip
-    concurrently from a single coordinator thread over pipelined
-    connections (``cluster://...?async=1``), cancelling stragglers
-    mid-flight on timeout.
+    Scatter-gather with per-shard timeouts, one outcome per shard: a
+    thread pool makes one blocking call per shard, over blocking
+    ``tcp://`` connections.  It is the only scatter; ``async=1`` on a
+    ``cluster://`` URL is accepted and has no effect.
 
 **Topology persistence** (:mod:`repro.cluster.manifest`)
     Fleet manifests: shard ids/addresses, replication factor and ring
@@ -58,7 +56,6 @@ from repro.cluster.executor import (
     ShardFailedError,
     ShardOutcome,
     ShardTimeoutError,
-    scatter_async,
 )
 from repro.cluster.manifest import (
     CLUSTER_FILE_URL_PREFIX,
@@ -89,7 +86,6 @@ __all__ = [
     "ShardFailedError",
     "ShardOutcome",
     "ShardTimeoutError",
-    "scatter_async",
     "CLUSTER_FILE_URL_PREFIX",
     "ClusterManifest",
     "ManifestError",

@@ -28,24 +28,16 @@ ever picks it up and is then reported as timed out without having run;
 :class:`~repro.cluster.router.ShardRouter` sizes its pool at 4x the shard
 count to keep that out of the single-gather path.
 
-The **event-loop scatter** (:func:`scatter_async`, run on an
-:class:`~repro.net.aio.EventLoopThread`) is the pipelined alternative:
-when every shard sits behind an asyncio proxy
-(:class:`~repro.net.aio.AsyncRemoteServerProxy`), one coordinator thread
-drives *all* shard round trips concurrently as coroutines -- no thread per
-shard, every shard's timeout ticking simultaneously, so the worst-case
-wall clock of one gather is ``timeout``, not ``len(calls) * timeout``.  A
-shard that exceeds its budget has its in-flight request *cancelled*
-(:func:`asyncio.wait_for`), which orphans the correlation id on the
-pipelined connection: the connection survives, the provider's late answer
-is dropped.  Outcome semantics (per-shard :class:`ShardOutcome`) are
-identical to the thread-pool path, so the router's
-failover and dedup logic is transport-agnostic.
+Every fleet scatters this one way: ``tcp://`` shards are blocking
+:class:`~repro.net.client.RemoteServerProxy` connections (a
+``cluster://...?async=1`` URL opens exactly the fleet the URL without the
+key opens).  A timed-out request keeps its pooled connection until the
+late answer arrives on it, so that answer is read by the worker that asked
+and discarded: it never reaches another request.
 """
 
 from __future__ import annotations
 
-import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -98,28 +90,15 @@ class ShardRequest:
     """One envelope bound for one shard, plus the step applied to its answer.
 
     ``step`` is a plain function over the shard's response bytes: it
-    returns the checked answer or raises.  Keeping the step free of I/O is
-    what lets the two drivers below -- one per transport -- stay one line
-    each and share every rule about what an answer means.
+    returns the checked answer or raises.
     """
 
     envelope: bytes
     step: Callable[[bytes], Any]
 
     def __call__(self, server: Any) -> Any:
-        """Blocking driver: one ``handle_message``."""
+        """One ``handle_message`` on the shard's server, checked by ``step``."""
         return self.step(server.handle_message(self.envelope))
-
-    async def pipelined(self, server: Any, trace_id: bytes | None) -> Any:
-        """Event-loop driver over a pipelined proxy.
-
-        ``trace_id`` is captured by the caller on the session thread: this
-        coroutine runs on the loop thread, where the ambient trace
-        contextvar is unset.
-        """
-        return self.step(
-            await server.handle_message_async(self.envelope, trace_id=trace_id)
-        )
 
 
 class ScatterGatherExecutor:
@@ -177,9 +156,7 @@ class ScatterGatherExecutor:
                 outcomes.append(
                     ShardOutcome(
                         shard_id=shard_id,
-                        error=_shard_error(
-                            shard_id, exc, FutureTimeoutError, self._timeout
-                        ),
+                        error=_shard_error(shard_id, exc, self._timeout),
                         elapsed_s=time.monotonic() - wait_started,
                         started_s=wait_started_wall,
                     )
@@ -204,47 +181,9 @@ class ScatterGatherExecutor:
         return value, time.monotonic() - started, started_wall
 
 
-async def scatter_async(
-    calls: Sequence[tuple[str, Callable[[], Any]]],
-    timeout: float | None = None,
-) -> list[ShardOutcome]:
-    """Run every ``(shard_id, coroutine factory)`` concurrently on this loop.
-
-    The event-loop twin of :meth:`ScatterGatherExecutor.scatter`: one task
-    per shard, all awaited together, each granted the full ``timeout``
-    concurrently.  Timeouts *cancel* the shard's in-flight coroutine
-    (pipelined connections orphan the correlation id and live on); other
-    per-shard exceptions become failed outcomes.  Never raises itself.
-    """
-
-    async def run_one(shard_id: str, factory: Callable[[], Any]) -> ShardOutcome:
-        started_wall = time.time()
-        started = time.monotonic()
-        value = error = None
-        try:
-            value = await asyncio.wait_for(factory(), timeout)
-        except Exception as exc:  # noqa: BLE001 - per-shard failures are data
-            error = _shard_error(shard_id, exc, asyncio.TimeoutError, timeout)
-        return ShardOutcome(
-            shard_id=shard_id,
-            value=value,
-            error=error,
-            elapsed_s=time.monotonic() - started,
-            started_s=started_wall,
-        )
-
-    return list(
-        await asyncio.gather(
-            *(run_one(shard_id, factory) for shard_id, factory in calls)
-        )
-    )
-
-
-def _shard_error(
-    shard_id: str, exc: Exception, timeout_type: type, timeout: float | None
-) -> Exception:
-    """A shard's failure as outcome data; either transport's timeout, typed."""
-    if isinstance(exc, timeout_type):
+def _shard_error(shard_id: str, exc: Exception, timeout: float | None) -> Exception:
+    """A shard's failure as outcome data; a missed budget, typed."""
+    if isinstance(exc, FutureTimeoutError):
         return ShardTimeoutError(
             f"shard {shard_id!r} did not answer within its {timeout}s budget"
         )

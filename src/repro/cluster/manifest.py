@@ -15,7 +15,6 @@ A :class:`ClusterManifest` captures that topology as a small JSON document:
       "version": 1,
       "replicas": 2,
       "virtual_nodes": 256,
-      "async": false,
       "shards": [
         {"shard_id": "shard-0", "url": "tcp://127.0.0.1:7707"},
         {"shard_id": "shard-1", "url": "tcp://127.0.0.1:7708"}
@@ -27,7 +26,10 @@ it starts, and ``EncryptedDatabase.connect("cluster+file://fleet.json")``
 (or ``repro cluster status --manifest fleet.json``) restores a session
 from it without re-supplying topology.  Shard ids in the manifest are the
 ring's key space: they survive address changes (repoint a shard's URL and
-its data placement is untouched) and coordinator restarts.
+its data placement is untouched) and coordinator restarts.  A document
+written before the fleet had one scatter may carry ``"async": true``; it
+loads, and opens exactly the fleet the same document without the key
+opens.
 """
 
 from __future__ import annotations
@@ -68,8 +70,6 @@ class ClusterManifest:
     shards: tuple[ShardEntry, ...]
     replicas: int = 1
     virtual_nodes: int = DEFAULT_VIRTUAL_NODES
-    #: Whether sessions should default to the pipelined async transport.
-    async_transport: bool = False
 
     def __post_init__(self) -> None:
         from repro.net.client import RemoteError, parse_tcp_url
@@ -116,12 +116,7 @@ class ClusterManifest:
     def cluster_url(self) -> str:
         """The equivalent ``cluster://`` URL (topology options included)."""
         hosts = ",".join(url[len("tcp://"):] for url in self.shard_urls)
-        options = []
-        if self.replicas != 1:
-            options.append(f"replicas={self.replicas}")
-        if self.async_transport:
-            options.append("async=1")
-        query = ("?" + "&".join(options)) if options else ""
+        query = f"?replicas={self.replicas}" if self.replicas != 1 else ""
         return f"cluster://{hosts}{query}"
 
     def to_json(self) -> dict:
@@ -130,7 +125,6 @@ class ClusterManifest:
             "version": MANIFEST_VERSION,
             "replicas": self.replicas,
             "virtual_nodes": self.virtual_nodes,
-            "async": self.async_transport,
             "shards": [
                 {"shard_id": entry.shard_id, "url": entry.url}
                 for entry in self.shards
@@ -166,14 +160,12 @@ class ClusterManifest:
         try:
             replicas = int(document.get("replicas", 1))
             virtual_nodes = int(document.get("virtual_nodes", DEFAULT_VIRTUAL_NODES))
-            async_transport = bool(document.get("async", False))
         except (TypeError, ValueError) as exc:
             raise ManifestError(f"malformed manifest field: {exc}") from exc
         return cls(
             shards=tuple(shards),
             replicas=replicas,
             virtual_nodes=virtual_nodes,
-            async_transport=async_transport,
         )
 
     def save(self, path: str | pathlib.Path) -> pathlib.Path:

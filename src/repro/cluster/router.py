@@ -80,10 +80,9 @@ from repro.cluster.executor import (
     ScatterGatherExecutor,
     ShardFailedError,
     ShardRequest,
-    scatter_async,
 )
 from repro.cluster.ring import ConsistentHashRing, DEFAULT_VIRTUAL_NODES
-from repro.obs import MetricsRegistry, current_trace, current_trace_id, merge_snapshots
+from repro.obs import MetricsRegistry, current_trace, merge_snapshots
 from repro.outsourcing import protocol
 from repro.outsourcing.client import checked_answer, request as envelope_request
 from repro.outsourcing.protocol import MessageKind, MessageV2, ProtocolError
@@ -95,14 +94,14 @@ CLUSTER_URL_PREFIX = "cluster://"
 
 
 def parse_cluster_options(url: str) -> tuple[tuple[str, ...], dict]:
-    """Split ``cluster://h1:p1,...?replicas=R&async=1`` into URLs and options.
+    """Split ``cluster://h1:p1,...?replicas=R&index=1`` into URLs and options.
 
     Returns the per-shard ``tcp://`` URLs plus the parsed query options:
     ``replicas`` (the replication factor of the deployment) and the
     options every provider URL takes (see
-    :func:`~repro.net.client.parse_url_query`): ``async`` (drive the fleet
-    over pipelined asyncio connections from one event-loop thread instead
-    of a blocking pool per shard), ``index`` (the session maintains
+    :func:`~repro.net.client.parse_url_query`): ``async`` (accepted and
+    without effect: every fleet scatters on the thread pool over blocking
+    shard connections), ``index`` (the session maintains
     encrypted inverted indexes and serves exact selects through
     ``INDEX_LOOKUP``) and ``cache`` (the session keeps its result cache,
     exactly as on a ``tcp://`` URL).  An unknown or repeated option is
@@ -190,9 +189,6 @@ class ClusterStats:
         #: see record_failover_read: reads completed via surviving replicas.
         "failover_reads",
         "routed_inserts",
-        # Scatters driven as coroutines on the event-loop thread (the
-        # pipelined async-transport path) rather than the thread pool.
-        "loop_scatters",
         # ``INDEX_LOOKUP`` scatters routed across the fleet.
         "index_lookups",
         # ``INDEX_PUT`` fan-outs.
@@ -218,9 +214,6 @@ class ClusterStats:
 
     def record_routed_insert(self) -> None:
         self._counters["routed_inserts"].inc()
-
-    def record_loop_scatter(self) -> None:
-        self._counters["loop_scatters"].inc()
 
     def record_index_lookup(self) -> None:
         self._counters["index_lookups"].inc()
@@ -347,7 +340,6 @@ class ShardRouter:
         shard_timeout: float | None = None,
         pool_size: int = 4,
         timeout: float | None = 30.0,
-        async_transport: bool = False,
     ) -> None:
         """Build a router over backends (server objects and/or tcp:// URLs).
 
@@ -375,15 +367,6 @@ class ShardRouter:
             Per-shard gather timeout in seconds (None waits forever).
         pool_size / timeout:
             Connection-pool settings for URL shards.
-        async_transport:
-            Open URL shards as pipelined asyncio proxies
-            (:class:`~repro.net.aio.AsyncRemoteServerProxy`) sharing one
-            event-loop thread, so every scatter drives all shard round
-            trips concurrently from that single thread instead of burning
-            a blocking thread per shard (``cluster://...?async=1``).
-            Envelope scatters then run on the event loop whenever every
-            addressed shard is pipelined; mixed fleets (object backends
-            alongside URLs) fall back to the thread pool per call.
         """
         if not shards:
             raise ClusterError("a cluster needs at least one shard")
@@ -401,7 +384,6 @@ class ShardRouter:
         self._replication = replicas
         self._pool_size = pool_size
         self._timeout = timeout
-        self._loop_thread = None
         self._shards: dict[str, _Shard] = {}
         self._ring = ConsistentHashRing(virtual_nodes=virtual_nodes)
         #: ``REGISTER_EVALUATOR`` bodies and schemas by relation: what
@@ -421,13 +403,6 @@ class ShardRouter:
         # Everything above only validates and allocates; from here on threads
         # and sockets exist, so any failure must tear them down again.
         try:
-            if async_transport:
-                from repro.net.aio import EventLoopThread
-
-                # One loop thread for the whole fleet: every pipelined shard
-                # connection lives on it, and the event-loop scatter path
-                # drives all shard round trips from it concurrently.
-                self._loop_thread = EventLoopThread("repro-cluster-aio").start()
             for index, backend in enumerate(shards):
                 explicit = shard_ids[index] if shard_ids is not None else None
                 shard = self._open_backend(backend, explicit, index)
@@ -451,15 +426,15 @@ class ShardRouter:
         shard_timeout: float | None = None,
         pool_size: int = 4,
         timeout: float | None = 30.0,
-        async_transport: bool | None = None,
     ) -> "ShardRouter":
-        """Open a router from a ``cluster://h1:p1[?replicas=R&async=1]`` URL.
+        """Open a router from a ``cluster://h1:p1[?replicas=R]`` URL.
 
-        The replication factor and the transport can come from the URL
-        query or the keywords (they must agree when both are given);
-        replication defaults to 1, the transport to blocking pools.  The
+        The replication factor can come from the URL query or the keyword
+        (they must agree when both are given) and defaults to 1.  The
         ``index`` and ``cache`` options configure the session, not the
-        router (see :meth:`~repro.api.EncryptedDatabase.connect`).
+        router (see :meth:`~repro.api.EncryptedDatabase.connect`), and
+        ``async`` has no effect: the fleet is the one the URL without it
+        opens.
         """
         urls, options = parse_cluster_options(url)
         url_replicas = options.get("replicas")
@@ -470,14 +445,6 @@ class ShardRouter:
                 f"conflicting replication factors: the URL says "
                 f"{url_replicas}, the caller says {replicas}"
             )
-        url_async = options.get("async")
-        if async_transport is None:
-            async_transport = bool(url_async) if url_async is not None else False
-        elif url_async is not None and url_async != async_transport:
-            raise ClusterError(
-                f"conflicting transports: the URL says async={url_async}, "
-                f"the caller says async_transport={async_transport}"
-            )
         return cls(
             urls,
             replicas=replicas,
@@ -485,7 +452,6 @@ class ShardRouter:
             shard_timeout=shard_timeout,
             pool_size=pool_size,
             timeout=timeout,
-            async_transport=async_transport,
         )
 
     @classmethod
@@ -496,17 +462,14 @@ class ShardRouter:
         shard_timeout: float | None = None,
         pool_size: int = 4,
         timeout: float | None = 30.0,
-        async_transport: bool | None = None,
     ) -> "ShardRouter":
         """Open a router from a :class:`~repro.cluster.manifest.ClusterManifest`.
 
         The manifest supplies the topology -- shard URLs *and their stable
-        ring ids*, replication factor, virtual-node count, default
-        transport -- so a coordinator restart reproduces the placement
-        ring exactly (no tuples look misplaced just because the shard
-        order changed hands).  Runtime knobs (timeouts, pool
-        size) stay caller-side; ``async_transport`` overrides the
-        manifest's default when given.
+        ring ids*, replication factor, virtual-node count -- so a
+        coordinator restart reproduces the placement ring exactly (no
+        tuples look misplaced just because the shard order changed hands).
+        Runtime knobs (timeouts, pool size) stay caller-side.
         """
         return cls(
             manifest.shard_urls,
@@ -516,11 +479,6 @@ class ShardRouter:
             shard_timeout=shard_timeout,
             pool_size=pool_size,
             timeout=timeout,
-            async_transport=(
-                manifest.async_transport
-                if async_transport is None
-                else async_transport
-            ),
         )
 
     def _open_backend(
@@ -534,18 +492,11 @@ class ShardRouter:
             raise ClusterError(f"duplicate shard id {shard_id!r}")
         if not is_url:
             return _Shard(shard_id=shard_id, server=backend)
-        if self._loop_thread is not None:
-            from repro.net.aio import AsyncRemoteServerProxy
+        from repro.net.client import RemoteServerProxy
 
-            proxy: Any = AsyncRemoteServerProxy.connect(
-                backend, loop=self._loop_thread, timeout=self._timeout
-            )
-        else:
-            from repro.net.client import RemoteServerProxy
-
-            proxy = RemoteServerProxy.connect(
-                backend, pool_size=self._pool_size, timeout=self._timeout
-            )
+        proxy = RemoteServerProxy.connect(
+            backend, pool_size=self._pool_size, timeout=self._timeout
+        )
         return _Shard(shard_id=shard_id, server=proxy, owned=True)
 
     def _free_shard_id(self, index: int) -> str:
@@ -572,11 +523,6 @@ class ShardRouter:
     def replication(self) -> int:
         """Replication factor R: physical copies stored per tuple."""
         return self._replication
-
-    @property
-    def async_transport(self) -> bool:
-        """True when URL shards ride pipelined asyncio connections."""
-        return self._loop_thread is not None
 
     @property
     def stats(self) -> ClusterStats:
@@ -689,7 +635,7 @@ class ShardRouter:
         return spans
 
     def close(self) -> None:
-        """Close owned backends, the scatter pool, and the loop thread.
+        """Close owned backends and the scatter pool.
 
         Idempotent: several sessions may share one router, and each closing
         session closes its server.
@@ -701,8 +647,6 @@ class ShardRouter:
             if shard.owned:
                 shard.server.close()
         self._executor.close()
-        if self._loop_thread is not None:
-            self._loop_thread.stop()
 
     def __enter__(self) -> "ShardRouter":
         return self
@@ -1008,14 +952,9 @@ class ShardRouter:
         """Scatter ``calls``; the answer values, or raise on a lost shard.
 
         Each call pairs a shard id with the :class:`ShardRequest` to run
-        against that shard's server.  This is the one place a transport is
-        chosen.  When every addressed shard sits behind a pipelined asyncio
-        proxy (the ``async_transport`` fleet), the scatter runs as
-        coroutines on the router's loop thread -- one coordinator thread,
-        all shard round trips in flight at once, timeouts cancelling
-        mid-flight.  Otherwise (in-process backends, mixed fleets, sync
-        proxies) the thread pool serves.  Outcome resolution -- failover,
-        errors, stats -- is identical either way.
+        against that shard's server, on the executor's thread pool; each
+        shard gets the full per-shard timeout, so a gather waits at most
+        ``len(calls) * timeout``.
 
         A full-fleet *read* that loses shards first tries replica failover:
         when every ring segment still has a live successor
@@ -1028,32 +967,15 @@ class ShardRouter:
         if read:
             self._stats.record_scatter_read()
         trace = current_trace()
-        bound = [(shard_id, work, self.shard(shard_id)) for shard_id, work in calls]
+        bound = [
+            (shard_id, partial(work, self.shard(shard_id))) for shard_id, work in calls
+        ]
         scatter_started_wall = time.time()
         scatter_started = time.monotonic()
-        if self._loop_thread is not None and all(
-            hasattr(server, "handle_message_async") for _, _, server in bound
-        ):
-            self._stats.record_loop_scatter()
-            transport = "event-loop"
-            trace_id = current_trace_id()  # here, on the session thread
-            outcomes = self._loop_thread.run(
-                scatter_async(
-                    [
-                        (shard_id, partial(work.pipelined, server, trace_id))
-                        for shard_id, work, server in bound
-                    ],
-                    self._executor.timeout,
-                )
-            )
-        else:
-            transport = "thread-pool"
-            outcomes = self._executor.scatter(
-                [(shard_id, partial(work, server)) for shard_id, work, server in bound]
-            )
+        outcomes = self._executor.scatter(bound)
         scatter_elapsed = time.monotonic() - scatter_started
         self._record_outcomes(
-            trace, operation, transport, scatter_started_wall, scatter_elapsed, outcomes
+            trace, operation, scatter_started_wall, scatter_elapsed, outcomes
         )
         values = [o.value for o in outcomes if o.ok]
         if len(values) == len(outcomes):
@@ -1079,7 +1001,6 @@ class ShardRouter:
         self,
         trace,
         operation: str,
-        transport: str,
         started_wall: float,
         elapsed_s: float,
         outcomes,
@@ -1104,7 +1025,7 @@ class ShardRouter:
             started_wall,
             elapsed_s,
             operation=operation,
-            transport=transport,
+            transport="thread-pool",
             shards=len(outcomes),
             failed_shard_ids=failed,
         )

@@ -15,7 +15,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.analysis.reporting import ExperimentTable
@@ -167,16 +167,29 @@ def _ms(start: float) -> float:
     return (time.perf_counter() - start) * 1000.0
 
 
+#: Timed runs of E8's encrypt phase per scheme; a row keeps the fastest.
+E8_ENCRYPT_RUNS = 3
+
+
 def run_e8_throughput(
     sizes: Sequence[int] = (100, 1000, 5000),
     seed: int = 8,
 ) -> ThroughputExperiment:
-    """E8: time every phase of an outsourced query for every scheme."""
+    """E8: time every phase of an outsourced query for every scheme.
+
+    The encrypt phase, which E8's claim compares across schemes, is the
+    fastest of :data:`E8_ENCRYPT_RUNS` runs taken in rounds over the
+    schemes, so a short slow spell on the host lands on one round, not on
+    one scheme.  The extra rounds follow the measured pass, so they change
+    no count in the table.
+    """
     rows = []
     for size in sizes:
         workload = EmployeeWorkload.generate(size, seed=seed)
         query = workload.department_query()
-        for scheme in _scheme_instances(workload.schema, seed=seed):
+        schemes = _scheme_instances(workload.schema, seed=seed)
+        size_rows = []
+        for scheme in schemes:
             start = time.perf_counter()
             encrypted = scheme.encrypt_relation(workload.relation)
             encrypt_ms = _ms(start)
@@ -194,7 +207,7 @@ def run_e8_throughput(
             report = scheme.decrypt_result(evaluation, query)
             decrypt_ms = _ms(start)
 
-            rows.append(
+            size_rows.append(
                 ThroughputRow(
                     scheme=scheme.name,
                     relation_size=size,
@@ -206,6 +219,13 @@ def run_e8_throughput(
                     false_positives=report.false_positives,
                 )
             )
+        for _ in range(E8_ENCRYPT_RUNS - 1):
+            for index, scheme in enumerate(schemes):
+                start = time.perf_counter()
+                scheme.encrypt_relation(workload.relation)
+                fastest = min(size_rows[index].encrypt_ms, _ms(start))
+                size_rows[index] = replace(size_rows[index], encrypt_ms=fastest)
+        rows.extend(size_rows)
     return ThroughputExperiment(tuple(rows))
 
 

@@ -151,7 +151,8 @@ EXPERIMENTS: tuple[ExperimentSpec, ...] = (
         "5000 tuples, nowhere near quadratically, and the SWP construction encrypts more slowly "
         "than plaintext. The four "
         "`ms` columns are wall-clock on the host that wrote this file and are not compared; the "
-        "counts are. At n = 5000 bucketization returns 510 false positives and the hashed "
+        "counts are. `encrypt ms` is the fastest of three runs per scheme, taken in rounds over "
+        "the schemes. At n = 5000 bucketization returns 510 false positives and the hashed "
         "index 233, while the construction returns none.",
         run_e8_throughput,
         {"sizes": (100, 1000, 5000)},

@@ -18,9 +18,8 @@ The proxy serves two worlds at once:
   a coroutine to the proxy's :class:`EventLoopThread` and blocks for its
   own result only -- N threads calling concurrently become N requests
   pipelined on one socket.
-* **The event loop itself** (the cluster's scatter path, benchmarks) calls
-  the ``*_async`` surface directly and keeps hundreds of round trips in
-  flight from one coordinator thread.
+* **Coroutines on the proxy's loop** call the ``*_async`` surface directly
+  and keep many round trips in flight from one thread.
 
 Failure semantics mirror the blocking proxy exactly: a call that hits a
 dead connection is retried once on a fresh one, but a kind in
@@ -29,7 +28,7 @@ is retried only when its request never reached the wire
 (at-most-once).  When a multiplexed connection dies, every in-flight
 request fails with ``request_delivered=True`` -- the provider may have
 processed any of them -- and each caller applies that same rule
-individually.  A request cancelled mid-flight (a scatter timeout) orphans
+individually.  A request cancelled mid-flight (a timeout) orphans
 its correlation id: the connection stays healthy and the provider's late
 answer is counted and dropped, never delivered to the wrong caller.
 """
@@ -63,14 +62,11 @@ from repro.outsourcing import protocol
 class EventLoopThread:
     """A dedicated asyncio event loop on a daemon thread.
 
-    One of these drives every async proxy opened from blocking code; a
-    cluster router shares a single instance across all its shard proxies,
-    which is what lets one coordinator thread keep every shard's round
-    trips in flight simultaneously.
+    Each async proxy opened from blocking code owns one and drives its
+    connection from it.
     """
 
-    def __init__(self, name: str = "repro-aio") -> None:
-        self._name = name
+    def __init__(self) -> None:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._started = threading.Event()
@@ -90,7 +86,7 @@ class EventLoopThread:
         """Start the loop thread (idempotent)."""
         if self._thread is not None:
             return self
-        self._thread = threading.Thread(target=self._run, name=self._name, daemon=True)
+        self._thread = threading.Thread(target=self._run, name="repro-aio", daemon=True)
         self._thread.start()
         self._started.wait()
         return self
@@ -247,7 +243,7 @@ class AsyncRemoteConnection:
         try:
             return await future
         except asyncio.CancelledError:
-            # Caller gave up (scatter timeout): orphan the correlation id so
+            # Caller gave up (a timeout): orphan the correlation id so
             # the provider's late answer is dropped, not misdelivered.
             self._channel.cancel(correlation)
             raise
@@ -315,12 +311,9 @@ class AsyncRemoteServerProxy(RemoteProxyBase):
     """A remote provider behind one pipelined asyncio connection.
 
     Drop-in for :class:`~repro.net.client.RemoteServerProxy` (same sync
-    duck-type, same constructor shape apart from ``loop`` replacing
-    ``pool_size``), plus the ``*_async`` surface for callers that live on
-    the event loop -- :meth:`handle_message_async` is also what the
-    cluster router keys on to route a scatter over the event loop.
-    Opened by ``EncryptedDatabase.connect`` for ``tcp://host:port?async=1``
-    URLs.
+    duck-type, same constructor shape minus ``pool_size``), plus the
+    ``*_async`` surface for callers that live on the event loop.  Opened
+    by ``EncryptedDatabase.connect`` for ``tcp://host:port?async=1`` URLs.
     """
 
     def __init__(
@@ -328,7 +321,6 @@ class AsyncRemoteServerProxy(RemoteProxyBase):
         host: str,
         port: int,
         *,
-        loop: EventLoopThread | None = None,
         timeout: float | None = 30.0,
         max_frame_size: int = DEFAULT_MAX_FRAME_SIZE,
     ) -> None:
@@ -336,25 +328,21 @@ class AsyncRemoteServerProxy(RemoteProxyBase):
         self._port = port
         self._timeout = timeout
         self._max_frame_size = max_frame_size
-        self._owns_loop = loop is None
-        self._loop_thread = loop if loop is not None else EventLoopThread().start()
+        self._loop_thread = EventLoopThread().start()
         self._conn: AsyncRemoteConnection | None = None
         self._conn_lock: asyncio.Lock | None = None
         self._closed = False
         try:
             self._loop_thread.run(self._async_setup())
         except BaseException:
-            if self._owns_loop:
-                self._loop_thread.stop()
+            self._loop_thread.stop()
             raise
 
     @classmethod
-    def connect(
-        cls, url: str, *, loop: EventLoopThread | None = None, **kwargs
-    ) -> "AsyncRemoteServerProxy":
+    def connect(cls, url: str, **kwargs) -> "AsyncRemoteServerProxy":
         """Open a proxy from a ``tcp://host:port[?async=1]`` URL."""
         host, port, _ = parse_tcp_options(url)  # the async option selects this class
-        return cls(host, port, loop=loop, **kwargs)
+        return cls(host, port, **kwargs)
 
     # ------------------------------------------------------------------ #
     # Connection management
@@ -377,14 +365,13 @@ class AsyncRemoteServerProxy(RemoteProxyBase):
         return connection.orphan_frames if connection is not None else 0
 
     def close(self) -> None:
-        """Close the connection (and the loop thread when this proxy owns it)."""
+        """Close the connection and stop the loop thread."""
         if self._closed:
             return
         self._closed = True
         with contextlib.suppress(Exception):
             self._loop_thread.run(self._async_close(), timeout=10.0)
-        if self._owns_loop:
-            self._loop_thread.stop()
+        self._loop_thread.stop()
 
     async def _async_setup(self) -> None:
         self._conn_lock = asyncio.Lock()
@@ -426,17 +413,8 @@ class AsyncRemoteServerProxy(RemoteProxyBase):
             return self._conn
 
     # ------------------------------------------------------------------ #
-    # The async call surface (what the cluster's event-loop scatter drives)
+    # The async call surface
     # ------------------------------------------------------------------ #
-
-    async def handle_message_async(
-        self, raw: bytes, trace_id: bytes | None = None
-    ) -> bytes:
-        """Async twin of :meth:`handle_message`, same retry semantics."""
-        _, kind, _ = protocol.peek_envelope(raw)  # O(header) on the loop thread
-        return await self.call_envelope_async(
-            raw, idempotent=kind not in protocol.REPLAY_UNSAFE, trace_id=trace_id
-        )
 
     async def call_envelope_async(
         self, raw: bytes, idempotent: bool = True, trace_id: bytes | None = None

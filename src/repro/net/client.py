@@ -75,9 +75,10 @@ _TRUE_OPTION_VALUES = frozenset({"1", "true", "yes", "on"})
 _FALSE_OPTION_VALUES = frozenset({"0", "false", "no", "off"})
 
 #: The options every provider URL takes, all boolean: ``async`` (the
-#: pipelined transport, :class:`~repro.net.aio.AsyncRemoteServerProxy`),
-#: ``index`` (encrypted inverted indexes, :mod:`repro.index`) and
-#: ``cache`` (the session's result cache, :mod:`repro.cache`).
+#: pipelined transport, :class:`~repro.net.aio.AsyncRemoteServerProxy`, on
+#: ``tcp://``; accepted without effect on ``cluster://``), ``index``
+#: (encrypted inverted indexes, :mod:`repro.index`) and ``cache`` (the
+#: session's result cache, :mod:`repro.cache`).
 _URL_OPTIONS = ("async", "index", "cache")
 
 

@@ -30,7 +30,6 @@ from repro.obs.trace import (
     Trace,
     TraceBuffer,
     current_trace,
-    current_trace_id,
     new_trace_id,
     span,
     use_trace,
@@ -49,7 +48,6 @@ __all__ = [
     "Trace",
     "TraceBuffer",
     "current_trace",
-    "current_trace_id",
     "new_trace_id",
     "span",
     "use_trace",

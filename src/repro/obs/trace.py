@@ -162,12 +162,6 @@ def current_trace() -> Trace | None:
     return _current_trace.get()
 
 
-def current_trace_id() -> bytes | None:
-    """The ambient trace's id, or None when untraced."""
-    trace = _current_trace.get()
-    return trace.trace_id if trace is not None else None
-
-
 class use_trace:
     """Bind ``trace`` as the ambient trace for the ``with`` block.
 

@@ -35,3 +35,8 @@ class PlaintextDph(FieldMatchDph):
 
     def _search_field(self, attribute: Attribute, value) -> bytes:
         return ValueCodec.encode(attribute, value)
+
+    def _searchable(self, relation_tuple, encoded_values: list[bytes]):
+        """The row's value encodings, which are its plaintext fields: the
+        bytes :meth:`_search_field` gives each value, already made once."""
+        return tuple(encoded_values)

@@ -21,6 +21,7 @@ from repro.crypto.rng import DeterministicRng
 from repro.net import ThreadedTcpServer
 from repro.outsourcing import OutsourcedDatabaseServer
 from repro.relational import Selection
+from async_key_fleet import async_key_router
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
 ROWS = [(f"emp{i}", "HR" if i % 2 else "IT", 1000 + i) for i in range(30)]
@@ -157,26 +158,27 @@ class TestFailover:
 @contextlib.contextmanager
 def _router(kind: str):
     """A router over three shards reached in-process, or as envelopes over
-    blocking or pipelined tcp://."""
+    tcp:// (``async-key``: opened from a manifest carrying the old
+    ``"async": true`` key, which has no effect)."""
     servers = [OutsourcedDatabaseServer() for _ in range(3)]
+    shard_ids = ["a", "b", "c"]
     with contextlib.ExitStack() as stack:
-        shards = servers
-        if kind != "in-process":
-            shards = [
-                f"tcp://127.0.0.1:{stack.enter_context(ThreadedTcpServer(server)).port}"
-                for server in servers
-            ]
-        yield stack.enter_context(
-            ShardRouter(
-                shards,
-                shard_ids=["a", "b", "c"],
-                async_transport=(kind == "pipelined"),
-            )
-        )
+        if kind == "in-process":
+            yield stack.enter_context(ShardRouter(servers, shard_ids=shard_ids))
+            return
+        urls = [
+            f"tcp://127.0.0.1:{stack.enter_context(ThreadedTcpServer(server)).port}"
+            for server in servers
+        ]
+        if kind == "async-key":
+            router = async_key_router(urls, shard_ids)
+        else:
+            router = ShardRouter(urls, shard_ids=shard_ids)
+        yield stack.enter_context(router)
 
 
 class TestCacheOnMatchesCacheOff:
-    @pytest.mark.parametrize("kind", ["in-process", "tcp", "pipelined"])
+    @pytest.mark.parametrize("kind", ["in-process", "tcp", "async-key"])
     def test_under_interleaved_writes(self, kind, secret_key):
         probes = [HR, IT, Selection.equals("name", "emp11")]
 

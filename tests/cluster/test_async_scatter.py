@@ -1,15 +1,22 @@
-"""The event-loop scatter path: pipelined fleets, timeouts, cancellation."""
+"""The one cluster scatter: outcome contracts, ``?async=1`` fleets, timeouts.
+
+Every fleet scatters on :class:`ScatterGatherExecutor`'s thread pool over
+blocking shard connections; ``async=1`` on a ``cluster://`` URL is accepted
+and opens exactly the fleet the URL without it opens.
+"""
 
 from __future__ import annotations
 
-import asyncio
+import threading
+import time
 
 import pytest
-from gated_provider import GatedServer, store_empty
+from gated_provider import GatedServer
 
 from repro.api import DatabaseError, EncryptedDatabase
-from repro.cluster import ShardRouter, ShardTimeoutError, scatter_async
-from repro.net import EventLoopThread, ThreadedTcpServer
+from repro.cluster import ScatterGatherExecutor, ShardRouter, ShardTimeoutError
+from repro.net import ThreadedTcpServer
+from repro.net.client import RemoteServerProxy
 from repro.outsourcing import OutsourcedDatabaseServer
 from provider_calls import drop_relation
 
@@ -28,95 +35,102 @@ def async_url(fleet) -> str:
     return f"cluster://127.0.0.1:{one.port},127.0.0.1:{two.port}?async=1"
 
 
-class TestScatterAsync:
-    def test_outcomes_in_scatter_order(self):
-        with EventLoopThread() as loop_thread:
-            async def value(n):
-                return n
+def _names(outcome) -> list[str]:
+    return sorted(row["name"] for row in outcome.relation)
 
-            outcomes = loop_thread.run(
-                scatter_async([("a", lambda: value(1)), ("b", lambda: value(2))])
-            )
+
+def _oracle(dept: str) -> list[str]:
+    return sorted(name for name, row_dept, _ in ROWS if row_dept == dept)
+
+
+def _assert_blocking(router: ShardRouter) -> None:
+    for shard_id in router.shard_ids:
+        assert type(router.shard(shard_id)) is RemoteServerProxy
+
+
+class TestTheOneScatter:
+    def test_outcomes_in_scatter_order(self):
+        def late(value):
+            time.sleep(0.05)
+            return value
+
+        executor = ScatterGatherExecutor(max_workers=2)
+        try:
+            outcomes = executor.scatter([("a", lambda: late(1)), ("b", lambda: 2)])
+        finally:
+            executor.close()
         assert [(o.shard_id, o.value) for o in outcomes] == [("a", 1), ("b", 2)]
         assert all(o.ok for o in outcomes)
 
     def test_per_shard_exceptions_are_data(self):
-        with EventLoopThread() as loop_thread:
-            async def boom():
-                raise RuntimeError("shard on fire")
+        def boom():
+            raise RuntimeError("shard on fire")
 
-            async def fine():
-                return "ok"
-
-            outcomes = loop_thread.run(
-                scatter_async([("bad", boom), ("good", fine)])
-            )
+        executor = ScatterGatherExecutor(max_workers=2)
+        try:
+            outcomes = executor.scatter([("bad", boom), ("good", lambda: "ok")])
+        finally:
+            executor.close()
         assert not outcomes[0].ok
         assert isinstance(outcomes[0].error, RuntimeError)
         assert outcomes[1].value == "ok"
 
-    def test_timeout_cancels_the_laggard_mid_flight(self):
-        """Every shard gets its full budget concurrently; the laggard's
-        coroutine is cancelled (not abandoned) on expiry."""
-        cancelled = asyncio.Event()
+    def test_timeout_reports_the_laggard_and_discards_its_late_value(self):
+        """The laggard is a typed failure naming its budget; the rest answer,
+        and its value, produced after the gather returned, goes nowhere."""
+        release, finished = threading.Event(), threading.Event()
 
-        with EventLoopThread() as loop_thread:
-            async def laggard():
-                try:
-                    await asyncio.sleep(30)
-                except asyncio.CancelledError:
-                    cancelled.set()
-                    raise
+        def laggard():
+            release.wait(10)
+            finished.set()
+            return "late"
 
-            async def quick():
-                return "fast"
-
-            outcomes = loop_thread.run(
-                scatter_async(
-                    [("slow", laggard), ("fast", quick)], timeout=0.2
-                )
-            )
-            assert isinstance(outcomes[0].error, ShardTimeoutError)
-            assert outcomes[1].value == "fast"
-            assert loop_thread.run(asyncio.wait_for(cancelled.wait(), 5)) or True
+        executor = ScatterGatherExecutor(max_workers=2, timeout=0.2)
+        try:
+            outcomes = executor.scatter([("slow", laggard), ("fast", lambda: "fast")])
+            release.set()
+            assert finished.wait(5)
+        finally:
+            release.set()
+            executor.close()
+        assert isinstance(outcomes[0].error, ShardTimeoutError)
+        assert str(outcomes[0].error) == "shard 'slow' did not answer within its 0.2s budget"
+        assert outcomes[0].value is None
+        assert outcomes[1].value == "fast"
 
 
 class TestAsyncTransportFleet:
-    def test_crud_over_a_pipelined_fleet(self, fleet, secret_key, rng):
+    def test_crud_over_an_async_url_fleet(self, fleet, secret_key, rng):
         with EncryptedDatabase.connect(async_url(fleet), secret_key, rng=rng) as db:
             router = db.server
-            assert router.async_transport
+            _assert_blocking(router)
             db.create_table(EMP_DECL, rows=ROWS)
             counts = router.per_shard_tuple_counts("Emp")
             assert sum(counts.values()) == len(ROWS)
-            assert len(db.select("SELECT * FROM Emp WHERE dept = 'HR'").relation) == 12
+            assert _names(db.select("SELECT * FROM Emp WHERE dept = 'HR'")) == _oracle("HR")
             db.insert("Emp", {"name": "Zoe", "dept": "HR", "salary": 1})
             assert db.delete("SELECT * FROM Emp WHERE dept = 'IT'") == 12
             assert db.count("Emp") == 13
             stats = router.stats.as_dict()
-            # The hot path (store, query, delete scatters) rode the loop.
-            assert stats["loop_scatters"] >= 3
+            assert stats["scatter_reads"] >= 2
+            assert "loop_scatters" not in stats
             db.drop_table("Emp")
 
-    def test_mixed_fleet_falls_back_to_the_thread_pool(self, fleet, secret_key, rng):
+    def test_a_mixed_fleet_scatters_on_the_one_pool(self, fleet, secret_key, rng):
         one, _ = fleet
         local = OutsourcedDatabaseServer()
-        router = ShardRouter(
-            [f"tcp://127.0.0.1:{one.port}", local], async_transport=True
-        )
+        router = ShardRouter([f"tcp://127.0.0.1:{one.port}", local])
         db = EncryptedDatabase.open(secret_key, server=router, rng=rng)
         try:
             db.create_table(EMP_DECL, rows=ROWS)
             assert db.count("Emp") == len(ROWS)
-            assert len(db.select("SELECT * FROM Emp WHERE dept = 'IT'").relation) == 12
-            # The in-process shard cannot pipeline, so envelope scatters
-            # stayed on the thread pool -- correct, just not loop-driven.
-            assert router.stats.as_dict()["loop_scatters"] == 0
+            assert _names(db.select("SELECT * FROM Emp WHERE dept = 'IT'")) == _oracle("IT")
+            assert router.shard("shard-1") is local
         finally:
             drop_relation(router, "Emp")
             db.close()
 
-    def test_replicated_failover_over_async_transport(self, secret_key, rng):
+    def test_replicated_failover_over_an_async_url(self, secret_key, rng):
         with ThreadedTcpServer() as one, ThreadedTcpServer() as two:
             three = ThreadedTcpServer().start()
             url = (
@@ -124,27 +138,34 @@ class TestAsyncTransportFleet:
                 f"127.0.0.1:{three.port}?replicas=2&async=1"
             )
             with EncryptedDatabase.connect(url, secret_key, rng=rng, timeout=10.0) as db:
+                _assert_blocking(db.server)
                 db.create_table(EMP_DECL, rows=ROWS)
-                assert len(db.select("SELECT * FROM Emp WHERE dept = 'HR'").relation) == 12
+                assert _names(db.select("SELECT * FROM Emp WHERE dept = 'HR'")) == _oracle("HR")
                 three.stop()  # a provider dies mid-workload
                 outcome = db.select("SELECT * FROM Emp WHERE dept = 'HR'")
-                assert len(outcome.relation) == 12  # complete, not partial
+                assert _names(outcome) == _oracle("HR")  # complete, not partial
                 assert db.count("Emp") == len(ROWS)
                 stats = db.server.stats
                 assert stats.as_dict()["failover_reads"] >= 1
 
 
-class TestScatterTimeoutCancellation:
-    def test_slow_shard_times_out_and_its_request_is_cancelled(self, secret_key, rng):
+class TestASlowShard:
+    def test_the_select_raises_and_the_late_answer_reaches_no_other_request(
+        self, secret_key, rng
+    ):
         """A gated shard exceeds its budget mid-scatter: the read raises with
-        the timeout in its detail, the in-flight request is cancelled
-        (orphaning its response), and the same connections answer the next
-        select completely once the shard recovers."""
+        the shard's timeout in its detail.  One pooled connection per shard
+        means the next request to that shard rides the very connection the
+        late answer arrives on, so a misdelivered answer would be the wrong
+        department's rows."""
         slow_database = GatedServer()
         with ThreadedTcpServer() as fast, ThreadedTcpServer(slow_database) as slow:
             url = f"cluster://127.0.0.1:{fast.port},127.0.0.1:{slow.port}?async=1"
-            router = ShardRouter.connect(url, shard_timeout=0.5, timeout=10.0)
+            router = ShardRouter.connect(
+                url, shard_timeout=0.5, timeout=10.0, pool_size=1
+            )
             db = EncryptedDatabase.open(secret_key, server=router, rng=rng)
+            gate = threading.Event()
             try:
                 db.create_table(EMP_DECL, rows=ROWS)
                 gate = slow_database.gate("Emp")
@@ -155,14 +176,11 @@ class TestScatterTimeoutCancellation:
                 with pytest.raises(DatabaseError, match="failed on 1/2 shard") as excinfo:
                     db.select("SELECT * FROM Emp WHERE dept = 'HR'")
                 assert f"{slow_shard_id}: {timeout}" in str(excinfo.value)
-                assert router.stats.as_dict()["loop_scatters"] >= 1
-                # Release the gate: the orphaned late answer is dropped and
-                # the *same* pipelined connection serves the next scatter.
+                # Release the gate: the late HR answer is still owed.
                 gate.set()
                 del slow_database.gates["Emp"]
-                outcome = db.select("SELECT * FROM Emp WHERE dept = 'HR'")
-                assert len(outcome.relation) == 12
-                assert router.shard(slow_shard_id).orphan_frames >= 1
+                assert _names(db.select("SELECT * FROM Emp WHERE dept = 'IT'")) == _oracle("IT")
+                assert _names(db.select("SELECT * FROM Emp WHERE dept = 'HR'")) == _oracle("HR")
             finally:
                 gate.set()
                 db.close()

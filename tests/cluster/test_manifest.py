@@ -15,6 +15,7 @@ from repro.cluster import (
     parse_cluster_file_url,
 )
 from repro.net import ThreadedTcpServer
+from repro.net.client import RemoteServerProxy
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
 ROWS = [(f"emp{i}", "HR" if i % 2 else "IT", 1000 + i) for i in range(24)]
@@ -39,14 +40,13 @@ class TestManifestDocument:
             ),
             replicas=2,
             virtual_nodes=128,
-            async_transport=True,
         )
         path = manifest.save(tmp_path / "fleet.json")
         assert ClusterManifest.load(path) == manifest
         document = json.loads(path.read_text())
         assert document["version"] == 1
         assert document["replicas"] == 2
-        assert document["async"] is True
+        assert "async" not in document
 
     def test_cluster_url_carries_the_topology_options(self):
         manifest = ClusterManifest(
@@ -55,11 +55,27 @@ class TestManifestDocument:
                 ShardEntry("b", "tcp://h2:2"),
             ),
             replicas=2,
-            async_transport=True,
         )
-        assert manifest.cluster_url() == "cluster://h1:1,h2:2?replicas=2&async=1"
+        assert manifest.cluster_url() == "cluster://h1:1,h2:2?replicas=2"
         plain = ClusterManifest(shards=(ShardEntry("a", "tcp://h1:1"),))
         assert plain.cluster_url() == "cluster://h1:1"
+
+    def test_an_old_async_document_loads_and_is_written_back_without_it(self):
+        old = {
+            "version": 1,
+            "replicas": 2,
+            "async": True,
+            "shards": [
+                {"shard_id": "a", "url": "tcp://h1:1"},
+                {"shard_id": "b", "url": "tcp://h2:2"},
+            ],
+        }
+        manifest = ClusterManifest.from_json(old)
+        assert manifest == ClusterManifest.from_json({**old, "async": False})
+        assert "async" not in manifest.to_json()
+        assert manifest.cluster_url() == "cluster://h1:1,h2:2?replicas=2"
+        with pytest.raises(TypeError, match="async_transport"):
+            ClusterManifest(shards=manifest.shards, async_transport=True)
 
     def test_validation_rejects_broken_topologies(self):
         entry = ShardEntry("a", "tcp://h:1")
@@ -104,7 +120,9 @@ class TestManifestSessions:
             try:
                 assert router.shard_ids == ("shard-0", "shard-1")
                 assert router.replication == 2
-                assert not router.async_transport
+                assert all(
+                    type(router.shard(i)) is RemoteServerProxy for i in router.shard_ids
+                )
             finally:
                 router.close()
 
@@ -128,14 +146,20 @@ class TestManifestSessions:
                 assert len(db.select("SELECT * FROM Emp WHERE dept = 'HR'").relation) == 12
                 db.drop_table("Emp")
 
-    def test_manifest_async_default_picks_the_pipelined_transport(self, secret_key):
-        with ThreadedTcpServer() as one:
-            manifest = manifest_for(one, async_transport=True)
-            router = ShardRouter.from_manifest(manifest)
-            try:
-                assert router.async_transport
-            finally:
-                router.close()
+    def test_an_old_async_manifest_opens_the_blocking_fleet(self, tmp_path, secret_key):
+        with ThreadedTcpServer() as one, ThreadedTcpServer() as two:
+            document = manifest_for(one, two).to_json()
+            path = tmp_path / "fleet.json"
+            path.write_text(json.dumps({**document, "async": True}))
+            with EncryptedDatabase.connect(f"cluster+file://{path}", secret_key) as db:
+                router = db.server
+                assert router.shard_ids == ("shard-0", "shard-1")
+                assert all(
+                    type(router.shard(i)) is RemoteServerProxy for i in router.shard_ids
+                )
+                db.create_table(EMP_DECL, rows=ROWS)
+                assert len(db.select("SELECT * FROM Emp WHERE dept = 'HR'").relation) == 12
+                db.drop_table("Emp")
 
     def test_conflicting_replicas_keyword_is_rejected(self, tmp_path):
         with ThreadedTcpServer() as one, ThreadedTcpServer() as two:

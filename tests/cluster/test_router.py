@@ -20,8 +20,10 @@ from repro.cluster import (
 )
 from repro.index import IndexDelta
 from repro.net import ThreadedTcpServer
+from repro.net.client import RemoteServerProxy
 from repro.outsourcing import OutsourcedDatabaseServer, ServerError
 from repro.relational import Selection
+from async_key_fleet import async_key_router
 from provider_calls import (
     delete_tuples,
     execute_query,
@@ -155,42 +157,38 @@ READS = {
 
 
 @contextlib.contextmanager
-def _replicated_fleet(driver: str, *, index: bool = False):
-    """Three flaky shards at ``replicas=2`` behind one scatter driver.
+def _replicated_fleet(backend: str, *, index: bool = False):
+    """Three flaky shards at ``replicas=2``, in-process or over ``tcp://``.
 
-    The thread pool drives in-process shards; the event loop drives the
-    same shards served over pipelined ``tcp://`` connections.
+    The ``tcp://`` fleet is opened from a manifest carrying the old
+    ``"async": true`` key, which has no effect: its shards are blocking
+    proxies and it scatters on the same thread pool.
     """
     shards = [FlakyServer() for _ in range(3)]
     with contextlib.ExitStack() as stack:
-        backends = shards
-        if driver == "event-loop":
-            backends = [
+        if backend == "in-process":
+            router = ShardRouter(shards, shard_ids=SHARD_IDS, replicas=2)
+        else:
+            urls = [
                 f"tcp://127.0.0.1:{stack.enter_context(ThreadedTcpServer(shard)).port}"
                 for shard in shards
             ]
-        router = stack.enter_context(
-            ShardRouter(
-                backends,
-                shard_ids=SHARD_IDS,
-                replicas=2,
-                async_transport=(driver == "event-loop"),
-                timeout=10.0,
-            )
-        )
+            router = async_key_router(urls, SHARD_IDS, replicas=2, timeout=10.0)
+            assert all(type(router.shard(i)) is RemoteServerProxy for i in SHARD_IDS)
+        stack.enter_context(router)
         db = EncryptedDatabase.open(server=router, index=index)
         db.create_table(EMP_DECL, rows=ROWS)
         yield db, router, shards
 
 
 @pytest.mark.parametrize("kind", list(READS))
-@pytest.mark.parametrize("driver", ["thread-pool", "event-loop"])
+@pytest.mark.parametrize("backend", ["in-process", "async-key-tcp"])
 class TestAFleetReadIsCompleteOrRaises:
     """Contract: every read kind equals the oracle or raises, never partial."""
 
-    def test_within_the_replicas_the_read_is_the_oracle(self, driver, kind):
+    def test_within_the_replicas_the_read_is_the_oracle(self, backend, kind):
         read, oracle = READS[kind]
-        with _replicated_fleet(driver, index=kind == "indexed-select") as (
+        with _replicated_fleet(backend, index=kind == "indexed-select") as (
             db, router, shards
         ):
             shards[1].down = True
@@ -198,13 +196,12 @@ class TestAFleetReadIsCompleteOrRaises:
             stats = router.stats.as_dict()
             assert stats["failover_reads"] >= 1
             assert stats["last_failover_shard_ids"] == ["shard-1"]
-            assert (stats["loop_scatters"] > 0) == (driver == "event-loop")
             if kind == "indexed-select":
                 assert stats["index_lookups"] >= 1
 
-    def test_past_the_replicas_the_read_raises(self, driver, kind):
+    def test_past_the_replicas_the_read_raises(self, backend, kind):
         read, _ = READS[kind]
-        with _replicated_fleet(driver, index=kind == "indexed-select") as (
+        with _replicated_fleet(backend, index=kind == "indexed-select") as (
             db, router, shards
         ):
             shards[0].down = shards[1].down = True  # 2 dead >= R=2
@@ -249,7 +246,7 @@ class TestShardFailure:
             db.select("SELECT * FROM Emp WHERE dept = 'HR'")
 
     def test_writes_fail_even_where_reads_fail_over(self):
-        with _replicated_fleet("thread-pool") as (db, router, shards):
+        with _replicated_fleet("in-process") as (db, router, shards):
             # ids physically owned by shard-2, captured before the outage
             lost_ids = [t.tuple_id for t in shards[2].stored_relation("Emp")]
             assert lost_ids
@@ -500,6 +497,38 @@ class TestConstruction:
         manifest = ClusterManifest(shards=(ShardEntry("a", "tcp://127.0.0.1:1"),))
         with pytest.raises(TypeError, match="policy"):
             ShardRouter.from_manifest(manifest, policy="degraded")
+
+    @pytest.mark.parametrize("entry", ["router", "connect", "from_manifest"])
+    def test_there_is_no_async_transport(self, entry):
+        open_router = {
+            "router": lambda **kw: ShardRouter([OutsourcedDatabaseServer()], **kw),
+            "connect": lambda **kw: ShardRouter.connect("cluster://127.0.0.1:1", **kw),
+            "from_manifest": lambda **kw: ShardRouter.from_manifest(
+                ClusterManifest(shards=(ShardEntry("a", "tcp://127.0.0.1:1"),)), **kw
+            ),
+        }[entry]
+        with pytest.raises(TypeError, match="async_transport"):
+            open_router(async_transport=True)
+        assert not hasattr(ShardRouter, "async_transport")
+
+    @pytest.mark.parametrize("form", ["async=1", "async=0", "plain", "async-manifest"])
+    def test_every_async_spelling_opens_blocking_shard_proxies(self, form, secret_key):
+        with ThreadedTcpServer() as one, ThreadedTcpServer() as two:
+            urls = [f"tcp://127.0.0.1:{one.port}", f"tcp://127.0.0.1:{two.port}"]
+            hosts = ",".join(url[len("tcp://"):] for url in urls)
+            if form == "async-manifest":
+                router = async_key_router(urls, urls, replicas=2)
+            else:
+                query = "" if form == "plain" else f"&{form}"
+                router = ShardRouter.connect(f"cluster://{hosts}?replicas=2{query}")
+            with router:
+                assert router.shard_ids == tuple(urls)
+                assert [type(router.shard(url)) for url in urls] == [RemoteServerProxy] * 2
+                db = EncryptedDatabase.open(secret_key, server=router)
+                db.create_table(EMP_DECL, rows=ROWS)
+                assert _rows(db.select(HR, table="Emp").relation) == READS["select"][1]
+                assert sum(router.per_shard_tuple_counts("Emp").values()) == 2 * len(ROWS)
+                db.drop_table("Emp")
 
     def test_parse_cluster_url(self):
         assert parse_cluster_url("cluster://h1:1,h2:2") == (

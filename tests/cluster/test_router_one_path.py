@@ -1,9 +1,10 @@
 """ShardRouter defines each operation once, as an envelope.
 
 A shard needs nothing but ``handle_message``; every kind of fleet (in-process,
-blocking ``tcp://``, pipelined) agrees on answers, provider state, counters
-and errors; a refused or malformed request fails loudly; every request crosses the one
-scatter; and a failed construction leaves no thread behind.
+blocking ``tcp://``, ``tcp://`` opened from a manifest with the old ``async``
+key) agrees on answers, provider state, counters and errors; a refused or
+malformed request fails loudly; every request crosses the one scatter; and a
+failed construction leaves no thread behind.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from repro.outsourcing import OutsourcedDatabaseServer, protocol
 from repro.outsourcing.protocol import MessageKind, MessageV2
 from repro.outsourcing.server import ServerError
 from repro.relational import Relation, RelationSchema, Selection
+from async_key_fleet import async_key_router
 from provider_calls import (
     delete_tuples,
     execute_batch,
@@ -125,7 +127,8 @@ def _provider_state(servers):
 
 @contextlib.contextmanager
 def _fleet(kind, servers, **router_options):
-    """A router over ``servers`` reached in-process, over blocking tcp, or pipelined."""
+    """A router over ``servers`` reached in-process or over tcp (``async-key``:
+    opened from a manifest carrying ``"async": true``, which has no effect)."""
     if kind == "in-process":
         router = ShardRouter(servers, **router_options)
         try:
@@ -138,21 +141,20 @@ def _fleet(kind, servers, **router_options):
             f"tcp://127.0.0.1:{stack.enter_context(ThreadedTcpServer(server)).port}"
             for server in servers
         ]
-        router = ShardRouter(
-            urls,
-            # the default ids are the URLs, whose ports -- and so the ring
-            # placement -- would differ from one fleet to the next
-            shard_ids=[f"shard-{index}" for index in range(len(urls))],
-            async_transport=(kind == "pipelined"),
-            **router_options,
-        )
+        # the default ids are the URLs, whose ports -- and so the ring
+        # placement -- would differ from one fleet to the next
+        shard_ids = [f"shard-{index}" for index in range(len(urls))]
+        if kind == "async-key":
+            router = async_key_router(urls, shard_ids, **router_options)
+        else:
+            router = ShardRouter(urls, shard_ids=shard_ids, **router_options)
         try:
             yield router
         finally:
             router.close()
 
 
-FLEET_KINDS = ("in-process", "blocking-tcp", "pipelined")
+FLEET_KINDS = ("in-process", "blocking-tcp", "async-key")
 
 
 class TestEnvelopeOnlyBackends:
@@ -259,12 +261,8 @@ class TestFleetsAgree:
         assert answers == reference[0]  # decoded answers
         assert answers["count"] == 3  # ids 2..5, one already deleted
         assert state == reference[1]  # provider state
-        scatters = counters.pop("loop_scatters")
-        reference[2].pop("loop_scatters")
         assert counters == reference[2]  # cluster_*_total counters
         assert counters["routed_inserts"] == 1 and counters["scatter_reads"] == 2
-        # deploy, store, insert, query, batch, two deletes: all on the event loop
-        assert scatters == (7 if kind == "pipelined" else 0)
 
 
 class TestSurfacesFailAlike:
@@ -323,7 +321,7 @@ class TestRefusedKindsFailLoudly:
     }
 
     @pytest.mark.parametrize("refused", list(CALLS), ids=lambda kind: kind.value)
-    @pytest.mark.parametrize("kind", ["provider", "in-process", "pipelined"])
+    @pytest.mark.parametrize("kind", ["provider", "in-process", "async-key"])
     def test_every_call_raises(self, kind, refused, secret_key, rng):
         servers = [RefusingServer() for _ in range(1 if kind == "provider" else 3)]
         with contextlib.ExitStack() as stack:
@@ -350,7 +348,7 @@ class TestRefusedKindsFailLoudly:
 class TestMalformedLookup:
     """``INDEX_LOOKUP`` is forwarded unread; the shards' refusal is the answer."""
 
-    @pytest.mark.parametrize("kind", ["in-process", "pipelined"])
+    @pytest.mark.parametrize("kind", ["in-process", "async-key"])
     def test_answers_error(self, kind, dph, encrypted):
         servers = [OutsourcedDatabaseServer() for _ in range(3)]
         with _fleet(kind, servers, replicas=2) as router:
@@ -393,7 +391,7 @@ class TestEveryRequestCrossesTheGather:
 
 
 class TestFailedConstructionLeaksNothing:
-    """Bugfix: no ``repro-cluster-aio`` thread outlives a failed constructor."""
+    """Bugfix: no scatter-pool or connection thread outlives a failed constructor."""
 
     @pytest.mark.parametrize(
         "shards, options",
@@ -413,6 +411,6 @@ class TestFailedConstructionLeaksNothing:
         before = Counter(thread.name for thread in threading.enumerate())
         for _ in range(3):
             with pytest.raises(ServerError):  # ClusterError, or the proxy's own
-                ShardRouter(shards, async_transport=True, **options)
+                ShardRouter(shards, **options)
         after = Counter(thread.name for thread in threading.enumerate())
         assert after - before == Counter()

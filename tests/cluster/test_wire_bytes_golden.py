@@ -14,20 +14,31 @@ were re-pinned when each write became one envelope carrying its postings
 place of ``insert-tuple``, ``index-delta`` and ``delete-tuples-exact``);
 every read kind kept its digest.
 
+The same workload over ``tcp://`` shards, with the fleet opened through
+every spelling of the ``async`` key a cluster URL or manifest may carry,
+sends the same bytes: the key has no effect.  A URL names its shards by
+address, so those transcripts are compared with the in-process router
+under the same ring ids; the manifest names them ``shard-<index>`` and
+meets ``GOLDEN`` itself.
+
 Regenerate (only when a wire change is intended):
 ``PYTHONPATH=src python tests/cluster/test_wire_bytes_golden.py``
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import hashlib
 
 import pytest
 
 from repro.api import EncryptedDatabase
-from repro.cluster import ShardRouter
+from repro.cluster import ClusterManifest, ShardRouter
 from repro.crypto.keys import SecretKey
 from repro.crypto.rng import DeterministicRng
+from repro.net import ThreadedTcpServer
+from repro.net.client import RemoteServerProxy
 from repro.outsourcing import OutsourcedDatabaseServer
 from repro.outsourcing.protocol import (
     MessageKind,
@@ -59,6 +70,49 @@ class RecordingShard(OutsourcedDatabaseServer):
     def handle_message(self, raw: bytes) -> bytes:
         self.requests.append(raw)
         return super().handle_message(raw)
+
+
+class SocketRecordingShard(RecordingShard):
+    """A :class:`RecordingShard` served over ``tcp://``.
+
+    A proxy attaches the session's ambient trace id (random per operation)
+    to every envelope it ships; an in-process shard sees that envelope
+    untraced.  Only that id is dropped from the record, so the digests
+    compare what the router sent.
+    """
+
+    def handle_message(self, raw: bytes) -> bytes:
+        message = parse_message(raw)
+        if message.trace_id in (None, TRACE_ID):
+            return super().handle_message(raw)
+        self.requests.append(dataclasses.replace(message, trace_id=None).to_bytes())
+        return OutsourcedDatabaseServer.handle_message(self, raw)
+
+
+#: Every spelling of the ``async`` key: ``(urls, replicas) -> router``.
+FORMS = {
+    "async=1": lambda urls, replicas: ShardRouter.connect(_url(urls, replicas, "&async=1")),
+    "async=0": lambda urls, replicas: ShardRouter.connect(_url(urls, replicas, "&async=0")),
+    "plain": lambda urls, replicas: ShardRouter.connect(_url(urls, replicas, "")),
+    "async-manifest": lambda urls, replicas: ShardRouter.from_manifest(
+        ClusterManifest.from_json(
+            {
+                "version": 1,
+                "replicas": replicas,
+                "async": True,
+                "shards": [
+                    {"shard_id": f"shard-{index}", "url": url}
+                    for index, url in enumerate(urls)
+                ],
+            }
+        )
+    ),
+}
+
+
+def _url(urls, replicas: int, option: str) -> str:
+    hosts = ",".join(url[len("tcp://"):] for url in urls)
+    return f"cluster://{hosts}?replicas={replicas}{option}"
 
 
 class SessionTap:
@@ -94,10 +148,27 @@ class SessionTap:
         return response
 
 
-def transcript(replicas: int) -> dict[str, str]:
+def transcript(replicas: int, shard_ids=None) -> dict[str, str]:
     """Digest per ``kind/version`` of one seeded workload through a router."""
     shards = [RecordingShard() for _ in range(3)]
-    router = ShardRouter(shards, replicas=replicas)
+    return _drive(ShardRouter(shards, shard_ids=shard_ids, replicas=replicas), shards)
+
+
+def socket_transcript(replicas: int, form: str) -> tuple[dict[str, str], tuple]:
+    """The digests over ``tcp://`` shards opened through ``FORMS[form]``,
+    plus the router's ring ids."""
+    shards = [SocketRecordingShard() for _ in range(3)]
+    with contextlib.ExitStack() as stack:
+        urls = [
+            f"tcp://127.0.0.1:{stack.enter_context(ThreadedTcpServer(shard)).port}"
+            for shard in shards
+        ]
+        router = FORMS[form](urls, replicas)
+        assert all(type(router.shard(i)) is RemoteServerProxy for i in router.shard_ids)
+        return _drive(router, shards), router.shard_ids
+
+
+def _drive(router: ShardRouter, shards: list[RecordingShard]) -> dict[str, str]:
     tap = SessionTap(router, shards)
     key = SecretKey.generate(rng=DeterministicRng(7))
 
@@ -229,6 +300,16 @@ GOLDEN = {'replicas=1': {'ack/v2': '444c08f3560e97a2',
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 def test_wire_bytes_match_the_parent_commit(config):
     assert transcript(**CONFIGS[config]) == GOLDEN[config]
+
+
+@pytest.mark.parametrize("form", sorted(FORMS))
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_every_async_spelling_sends_the_same_bytes(config, form):
+    digests, shard_ids = socket_transcript(form=form, **CONFIGS[config])
+    if form == "async-manifest":
+        assert digests == GOLDEN[config]
+    else:
+        assert digests == transcript(shard_ids=shard_ids, **CONFIGS[config])
 
 
 def test_every_routed_kind_is_pinned():

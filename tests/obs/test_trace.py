@@ -13,7 +13,6 @@ from repro.obs import (
     Trace,
     TraceBuffer,
     current_trace,
-    current_trace_id,
     new_trace_id,
     span,
     use_trace,
@@ -61,13 +60,11 @@ class TestTrace:
 class TestAmbientTrace:
     def test_untraced_by_default(self):
         assert current_trace() is None
-        assert current_trace_id() is None
 
     def test_use_trace_binds_and_restores(self):
         trace = Trace(new_trace_id())
         with use_trace(trace):
             assert current_trace() is trace
-            assert current_trace_id() == trace.trace_id
         assert current_trace() is None
 
     def test_use_trace_accepts_none(self):
