@@ -353,12 +353,11 @@ class EncryptedDatabase:
         speaks the same protocol frames as an in-process one, only carried
         over a socket by a pooled :class:`~repro.net.client.RemoteServerProxy`.
         ``pool_size`` and ``timeout`` configure that pool and are rejected
-        for non-URL providers (configure the server object directly).
-        Append ``?async=1`` to ride the *pipelined* transport instead
-        (:class:`~repro.net.aio.AsyncRemoteServerProxy`): one asyncio
-        connection multiplexing every in-flight request by correlation id
-        -- the same sync session API, but N concurrent callers share one
-        socket instead of a pool (``pool_size`` does not apply).
+        for non-URL providers (configure the server object directly):
+        concurrent callers each borrow their own connection, and
+        ``timeout`` bounds each whole round trip.  An ``async=1`` option is
+        accepted and has no effect; every ``tcp://`` URL opens the same
+        pooled proxy.
 
         A ``"cluster://host:port,host:port,..."`` URL targets a *sharded*
         deployment (see :mod:`repro.cluster`): one
@@ -374,7 +373,7 @@ class EncryptedDatabase:
         answers with part of the rows.  Every fleet scatters on one
         thread pool over blocking shard connections, so a gather waits at
         most the shard count times ``shard_timeout``; an ``&async=1``
-        option is accepted and has no effect on a cluster URL.
+        option is accepted and has no effect here either.
 
         A ``"cluster+file://fleet.json"`` URL restores a sharded session
         from a fleet manifest (``repro cluster spawn --manifest``): shard
@@ -447,16 +446,9 @@ class EncryptedDatabase:
                 else:
                     host, port, options = parse_tcp_options(provider)
                     url_index, url_cache = options.get("index"), options.get("cache")
-                    if options.get("async"):
-                        from repro.net.aio import AsyncRemoteServerProxy
-
-                        provider = AsyncRemoteServerProxy(
-                            host, port, timeout=timeout
-                        )
-                    else:
-                        provider = RemoteServerProxy(
-                            host, port, pool_size=pool_size, timeout=timeout
-                        )
+                    provider = RemoteServerProxy(
+                        host, port, pool_size=pool_size, timeout=timeout
+                    )
             except ServerError as exc:
                 raise DatabaseError(str(exc)) from exc
         elif (pool_size, timeout) != (4, 30.0):

@@ -20,8 +20,10 @@ the CLI exposes the reproduction's main entry points without writing any code:
     Run a standalone untrusted provider over TCP (see :mod:`repro.net`),
     optionally file-backed, until interrupted.  Requests touching
     different relations dispatch in parallel (``--dispatch-workers``);
-    same-relation requests stay FIFO.  Sessions connect with
-    ``EncryptedDatabase.connect("tcp://host:port[?async=1]")``.
+    same-relation requests stay FIFO, and a client may pipeline many
+    requests on one connection.  Sessions connect with
+    ``EncryptedDatabase.connect("tcp://host:port")`` over a pool of
+    blocking connections; an ``async=1`` option has no effect.
 
 ``stats`` / ``trace``
     The observability plane of a running provider or fleet: ``stats``

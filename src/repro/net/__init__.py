@@ -33,18 +33,15 @@ machine boundary.  ``repro.net`` is that missing transport, in three layers:
     whole thing as a standalone process over any registered storage
     backend.
 
-**Client side** (:mod:`repro.net.client` / :mod:`repro.net.aio`)
-    One sans-IO protocol core (:mod:`repro.net.wire`) under two frontends
-    whose ``handle_message`` is the one
-    :class:`~repro.api.EncryptedDatabase` already sends every envelope
-    through:
-    :class:`~repro.net.client.RemoteServerProxy`, a blocking proxy with a
-    bounded connection pool (``connect("tcp://host:port")``), and
-    :class:`~repro.net.aio.AsyncRemoteServerProxy`, which multiplexes any
-    number of in-flight requests over **one** pipelined asyncio connection
-    (``connect("tcp://host:port?async=1")``).  Both retry a dead
-    connection once with at-most-once semantics for the kinds in
-    ``protocol.REPLAY_UNSAFE`` (inserts, drops and deletes).
+**Client side** (:mod:`repro.net.client`, over the sans-IO :mod:`repro.net.wire`)
+    :class:`~repro.net.client.RemoteServerProxy`, whose ``handle_message``
+    is the one :class:`~repro.api.EncryptedDatabase` already sends every
+    envelope through (``connect("tcp://host:port")``): a bounded pool of
+    blocking connections, one request in flight on each, so concurrent
+    callers each get their own.  ``timeout`` bounds each whole round trip.
+    A dead connection is retried once, with at-most-once semantics for the
+    kinds in ``protocol.REPLAY_UNSAFE`` (inserts, drops and deletes).  The
+    ``async`` URL key is still read and has no effect.
 
 Evaluator deployment ships no objects either: a ``REGISTER_EVALUATOR``
 envelope carries the allowlisted public-parameter description of
@@ -57,17 +54,11 @@ traffic metadata (frame sizes and timing), which the paper's model already
 concedes to her.
 """
 
-from repro.net.aio import (
-    AsyncRemoteConnection,
-    AsyncRemoteServerProxy,
-    EventLoopThread,
-)
 from repro.net.client import (
     ConnectionLostError,
     ConnectionPool,
     RemoteConnection,
     RemoteError,
-    RemoteProxyBase,
     RemoteServerProxy,
     parse_tcp_options,
     parse_tcp_url,
@@ -96,14 +87,10 @@ from repro.net.server import (
 from repro.net.wire import ClientChannel
 
 __all__ = [
-    "AsyncRemoteConnection",
-    "AsyncRemoteServerProxy",
-    "EventLoopThread",
     "ConnectionLostError",
     "ConnectionPool",
     "RemoteConnection",
     "RemoteError",
-    "RemoteProxyBase",
     "RemoteServerProxy",
     "parse_tcp_options",
     "parse_tcp_url",

@@ -1,7 +1,7 @@
-"""Client side of the TCP transport: connections, pool, and the proxies.
+"""Client side of the TCP transport: connections, the pool, and the proxy.
 
 :class:`RemoteServerProxy` is the piece that makes the network transparent:
-its :meth:`~RemoteProxyBase.handle_message` ships an envelope and returns
+its :meth:`~RemoteServerProxy.handle_message` ships an envelope and returns
 the provider's answer, exactly as
 :meth:`OutsourcedDatabaseServer.handle_message
 <repro.outsourcing.server.OutsourcedDatabaseServer.handle_message>` does
@@ -11,20 +11,20 @@ code paths it already uses in-process.  Besides it, the
 proxy carries only the operator read-outs of the JSON control channel
 (``ping`` / ``stats`` / ``metrics`` / ``trace``).
 
-That surface lives in :class:`RemoteProxyBase`, expressed in terms of two
-transport primitives (ship an envelope, run a control operation), so the
-blocking proxy here and the pipelined
-:class:`~repro.net.aio.AsyncRemoteServerProxy` share every line of
-protocol logic and differ only in how bytes move.
-
 Connections are blocking sockets behind a bounded :class:`ConnectionPool`,
 so several threads can issue queries concurrently, each on its own
-connection.  Every new connection opens with the hello handshake, whose
-answer is only checked for ``ok``: there is no version to agree on, since
-every provider reads both envelope layouts and a proxy attaches the trace
-id of the ambient trace to every envelope it ships.  A call that hits a
-dead connection -- the provider restarted, an idle socket timed out -- is
-retried once on a fresh connection before the error surfaces.
+connection; the wire work (correlation ids, response pairing, control
+JSON) is the sans-IO :class:`~repro.net.wire.ClientChannel`.  Every new
+connection opens with the hello handshake, whose answer is only checked
+for ``ok``: there is no version to agree on, since every provider reads
+both envelope layouts and a proxy attaches the trace id of the ambient
+trace to every envelope it ships.  ``timeout`` bounds each whole round
+trip, not each ``recv``, so a provider that trickles its answer cannot
+hold a caller past it.  A call that hits a dead connection -- the provider
+restarted, an idle socket timed out, a round trip ran out of time -- is
+retried once on a fresh connection before the error surfaces, unless its
+kind is in :data:`~repro.outsourcing.protocol.REPLAY_UNSAFE` and the
+request may have reached the provider (at-most-once).
 
 Errors raised here subclass
 :class:`~repro.outsourcing.server.ServerError`, so the facade's existing
@@ -74,11 +74,10 @@ class ConnectionLostError(RemoteError):
 _TRUE_OPTION_VALUES = frozenset({"1", "true", "yes", "on"})
 _FALSE_OPTION_VALUES = frozenset({"0", "false", "no", "off"})
 
-#: The options every provider URL takes, all boolean: ``async`` (the
-#: pipelined transport, :class:`~repro.net.aio.AsyncRemoteServerProxy`, on
-#: ``tcp://``; accepted without effect on ``cluster://``), ``index``
-#: (encrypted inverted indexes, :mod:`repro.index`) and ``cache`` (the
-#: session's result cache, :mod:`repro.cache`).
+#: The options every provider URL takes, all boolean: ``index`` (encrypted
+#: inverted indexes, :mod:`repro.index`), ``cache`` (the session's result
+#: cache, :mod:`repro.cache`) and ``async``, which has no effect: it named a
+#: pipelined transport that is gone, and URLs written for it still load.
 _URL_OPTIONS = ("async", "index", "cache")
 
 
@@ -156,8 +155,9 @@ class RemoteConnection:
     The wire work -- correlation ids, response pairing, hello -- lives in
     the sans-IO :class:`~repro.net.wire.ClientChannel`; this class only
     moves bytes through a blocking socket, one request at a time
-    (concurrency comes from the pool, pipelining from the asyncio
-    frontend over the very same channel core).
+    (concurrency comes from the pool).  ``timeout`` is a deadline for each
+    whole round trip: the socket's timeout is set to what remains of it
+    before every send and ``recv``.
     """
 
     def __init__(
@@ -169,6 +169,7 @@ class RemoteConnection:
         max_frame_size: int = DEFAULT_MAX_FRAME_SIZE,
     ) -> None:
         self._channel = wire.ClientChannel(max_frame_size)
+        self._timeout = timeout
         try:
             self._sock = socket.create_connection((host, port), timeout=timeout)
         except OSError as exc:
@@ -218,13 +219,16 @@ class RemoteConnection:
             self._sock.close()
 
     def _round_trip(self, payload: bytes, channel: int) -> Frame:
+        deadline = None if self._timeout is None else time.monotonic() + self._timeout
         delivered = False
         correlation = None
         try:
             correlation, wire_bytes = self._channel.send(payload, channel)
+            self._arm(deadline)
             self._sock.sendall(wire_bytes)
             delivered = True
             while True:
+                self._arm(deadline)
                 chunk = self._sock.recv(65536)
                 if not chunk:
                     raise ConnectionLostError(
@@ -234,7 +238,7 @@ class RemoteConnection:
                 if matched:
                     # One request in flight at a time: the first (and only)
                     # matched response is ours.
-                    return matched[0][1]
+                    return matched[0]
                 if self._channel.fault is not None:
                     # The server broadcast why it is hanging up (e.g. our
                     # frame exceeded its size limit); surface that instead
@@ -242,12 +246,26 @@ class RemoteConnection:
                     raise ConnectionLostError(
                         self._connection_lost_message(), request_delivered=True
                     )
+        except socket.timeout as exc:
+            # The connection now holds a late answer: the checkout drops it.
+            raise ConnectionLostError(
+                f"provider did not answer within {self._timeout}s",
+                request_delivered=delivered,
+            ) from exc
         except (OSError, FramingError) as exc:
             if correlation is not None:
                 self._channel.cancel(correlation)
             raise ConnectionLostError(
                 f"provider connection failed: {exc}", request_delivered=delivered
             ) from exc
+
+    def _arm(self, deadline: float | None) -> None:
+        """Give the next socket call what remains of the round trip's time."""
+        if deadline is not None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise socket.timeout("timed out")
+            self._sock.settimeout(remaining)
 
     def _connection_lost_message(self) -> str:
         if self._channel.fault is not None:
@@ -349,34 +367,86 @@ class ConnectionPool:
             connection.close()
 
 
-class RemoteProxyBase:
-    """A remote provider's ``handle_message`` over two primitives.
+class RemoteServerProxy:
+    """A remote provider behind a pool of blocking connections."""
 
-    Subclasses provide :meth:`_transport_envelope` (ship one protocol
-    envelope, honoring the retry/idempotence contract) and
-    :meth:`_control` (run one operator read-out); everything else is
-    written once here and shared by the blocking and the pipelined asyncio
-    proxies, so their sync surfaces cannot drift apart.
-    """
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        *,
+        pool_size: int = 4,
+        timeout: float | None = 30.0,
+        max_frame_size: int = DEFAULT_MAX_FRAME_SIZE,
+    ) -> None:
+        self._host = host
+        self._port = port
+        self._timeout = timeout
+        self._max_frame_size = max_frame_size
+        self._pool = ConnectionPool(self._new_connection, max_size=pool_size)
+        # Handshake eagerly: fail fast on a bad address.
+        with self._pool.checkout():
+            pass
+
+    @classmethod
+    def connect(cls, url: str, **kwargs) -> "RemoteServerProxy":
+        """Open a proxy from a ``tcp://host:port[?async=1]`` URL.
+
+        The URL's options are the session's (``index``, ``cache``) or have
+        no effect (``async``).
+        """
+        host, port, _ = parse_tcp_options(url)
+        return cls(host, port, **kwargs)
 
     # ------------------------------------------------------------------ #
-    # Transport primitives (implemented by the frontends)
+    # Connection management
     # ------------------------------------------------------------------ #
 
-    def _transport_envelope(self, raw: bytes, idempotent: bool) -> bytes:
-        raise NotImplementedError
-
-    def _control(self, op: str, **fields) -> dict:
-        raise NotImplementedError
+    @property
+    def address(self) -> tuple[str, int]:
+        """The provider's ``(host, port)``."""
+        return self._host, self._port
 
     def close(self) -> None:
-        raise NotImplementedError
+        """Close the proxy's connection pool."""
+        self._pool.close()
 
-    def __enter__(self):
+    def __enter__(self) -> "RemoteServerProxy":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+    def _new_connection(self) -> RemoteConnection:
+        return RemoteConnection(
+            self._host,
+            self._port,
+            timeout=self._timeout,
+            max_frame_size=self._max_frame_size,
+        )
+
+    def _call(self, operation, idempotent: bool = True):
+        """Run ``operation(connection)``, retrying once on a dead connection.
+
+        Only transport-level failures (:class:`ConnectionLostError`) are
+        retried, and a non-idempotent operation is only retried when the
+        request never left this machine (``request_delivered`` is False) --
+        otherwise a provider that processed the request before dying would
+        see it applied twice.  Protocol-level errors are never retried.
+        """
+        try:
+            with self._pool.checkout() as connection:
+                return operation(connection)
+        except ConnectionLostError as exc:
+            if exc.request_delivered and not idempotent:
+                raise
+            self._pool.discard_idle()
+            with self._pool.checkout() as connection:
+                return operation(connection)
+
+    # ------------------------------------------------------------------ #
+    # The provider's surface
+    # ------------------------------------------------------------------ #
 
     def handle_message(self, raw: bytes) -> bytes:
         """Ship one protocol envelope and return the provider's response.
@@ -385,9 +455,28 @@ class RemoteProxyBase:
         resent once it may have reached the provider.
         """
         _, kind, _ = protocol.peek_envelope(raw)  # O(header): no body copy
-        return self._transport_envelope(
-            raw, idempotent=kind not in protocol.REPLAY_UNSAFE
-        )
+        trace = current_trace()
+        trace_id = trace.trace_id if trace is not None else None
+        started = time.time()
+        mono = time.monotonic()
+        try:
+            return self._call(
+                lambda connection: connection.call_envelope(raw, trace_id=trace_id),
+                idempotent=kind not in protocol.REPLAY_UNSAFE,
+            )
+        finally:
+            if trace is not None:
+                trace.record(
+                    "proxy.request",
+                    started,
+                    time.monotonic() - mono,
+                    transport="tcp",
+                    host=self._host,
+                    port=self._port,
+                )
+
+    def _control(self, op: str, **fields) -> dict:
+        return self._call(lambda connection: connection.call_control(op, **fields))
 
     # ------------------------------------------------------------------ #
     # Diagnostics
@@ -429,105 +518,3 @@ class RemoteProxyBase:
         """The provider's most recent traces and slow-query entries."""
         response = self._control("trace", limit=limit)
         return {key: value for key, value in response.items() if key != "ok"}
-
-
-class RemoteServerProxy(RemoteProxyBase):
-    """A remote provider behind a pool of blocking connections."""
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        pool_size: int = 4,
-        timeout: float | None = 30.0,
-        max_frame_size: int = DEFAULT_MAX_FRAME_SIZE,
-    ) -> None:
-        self._host = host
-        self._port = port
-        self._timeout = timeout
-        self._max_frame_size = max_frame_size
-        self._pool = ConnectionPool(self._new_connection, max_size=pool_size)
-        # Handshake eagerly: fail fast on a bad address.
-        with self._pool.checkout():
-            pass
-
-    @classmethod
-    def connect(cls, url: str, **kwargs) -> "RemoteServerProxy":
-        """Open a proxy from a ``tcp://host:port`` URL."""
-        host, port, options = parse_tcp_options(url)
-        if options.get("async"):
-            raise RemoteError(
-                f"provider URL {url!r} requests the async transport; open it "
-                "with AsyncRemoteServerProxy.connect (or through "
-                "EncryptedDatabase.connect, which dispatches on the option)"
-            )
-        return cls(host, port, **kwargs)
-
-    # ------------------------------------------------------------------ #
-    # Connection management
-    # ------------------------------------------------------------------ #
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """The provider's ``(host, port)``."""
-        return self._host, self._port
-
-    def close(self) -> None:
-        """Close the proxy's connection pool."""
-        self._pool.close()
-
-    def _new_connection(self) -> RemoteConnection:
-        return RemoteConnection(
-            self._host,
-            self._port,
-            timeout=self._timeout,
-            max_frame_size=self._max_frame_size,
-        )
-
-    def _call(self, operation, idempotent: bool = True):
-        """Run ``operation(connection)``, retrying once on a dead connection.
-
-        Only transport-level failures (:class:`ConnectionLostError`) are
-        retried, and a non-idempotent operation is only retried when the
-        request never left this machine (``request_delivered`` is False) --
-        otherwise a provider that processed the request before dying would
-        see it applied twice.  Protocol-level errors are never retried.
-        """
-        try:
-            with self._pool.checkout() as connection:
-                return operation(connection)
-        except ConnectionLostError as exc:
-            if exc.request_delivered and not idempotent:
-                raise
-            self._pool.discard_idle()
-            with self._pool.checkout() as connection:
-                return operation(connection)
-
-    # ------------------------------------------------------------------ #
-    # Transport primitives
-    # ------------------------------------------------------------------ #
-
-    def _transport_envelope(self, raw: bytes, idempotent: bool) -> bytes:
-        trace = current_trace()
-        trace_id = trace.trace_id if trace is not None else None
-        started = time.time()
-        mono = time.monotonic()
-        try:
-            return self._call(
-                lambda connection: connection.call_envelope(raw, trace_id=trace_id),
-                idempotent=idempotent,
-            )
-        finally:
-            if trace is not None:
-                trace.record(
-                    "proxy.request",
-                    started,
-                    time.monotonic() - mono,
-                    transport="tcp",
-                    host=self._host,
-                    port=self._port,
-                )
-
-    def _control(self, op: str, **fields) -> dict:
-        return self._call(lambda connection: connection.call_control(op, **fields))

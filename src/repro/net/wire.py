@@ -1,29 +1,21 @@
 """Sans-IO client side of the framed transport.
 
-The blocking :class:`~repro.net.client.RemoteConnection` and the asyncio
-:class:`~repro.net.aio.AsyncRemoteConnection` speak exactly the same wire
-protocol -- correlation-id allocation, request/response pairing, the hello
-handshake, control-frame JSON -- and differ only in how bytes reach the
-socket.  This module is the shared core: it owns every protocol decision
-and performs no I/O, so both frontends are thin shims and the pipelining
-semantics are tested once.
-
-:class:`ClientChannel` is the heart of it.  ``send`` allocates a fresh
-correlation id for an outgoing request and remembers the caller's opaque
-*context* (the blocking client passes a sentinel, the asyncio client passes
-the future awaiting the response); ``receive`` absorbs raw socket bytes and
-yields ``(context, frame)`` pairs for every response that matches a pending
-request.  A response whose correlation id matches nothing -- the reply to a
-request the caller already cancelled, e.g. a scatter timeout -- is counted
-in :attr:`ClientChannel.orphan_frames` and dropped: late answers from a
-slow provider must never be delivered to the wrong caller.
+:class:`ClientChannel` owns every protocol decision of a client connection
+-- correlation-id allocation, request/response pairing, the provider's
+connection-fatal diagnostic -- and performs no I/O, so the blocking
+:class:`~repro.net.client.RemoteConnection` only moves bytes and the
+pairing rules are tested without a socket.  ``send`` allocates a fresh
+correlation id for an outgoing request; ``receive`` absorbs raw socket
+bytes and returns every response frame that matches a pending request.
+A response whose correlation id matches nothing -- the reply to a request
+the caller already cancelled -- is counted in
+:attr:`ClientChannel.orphan_frames` and dropped: a late answer must never
+be delivered to the wrong caller.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
-
 from repro.net.framing import (
     CHANNEL_CONTROL,
     DEFAULT_MAX_FRAME_SIZE,
@@ -44,14 +36,14 @@ class ClientChannel:
 
     The channel tracks every in-flight request by its correlation id.  It is
     not thread-safe by itself: the blocking client serializes access through
-    its connection object, the asyncio client confines it to the event loop.
+    its connection object.
     """
 
     def __init__(self, max_frame_size: int = DEFAULT_MAX_FRAME_SIZE) -> None:
         self._max_frame_size = max_frame_size
         self._decoder = FrameDecoder(max_frame_size)
         self._next_correlation = 1
-        self._pending: dict[int, Any] = {}
+        self._pending: set[int] = set()
         self._orphans = 0
         self._fault: str | None = None
 
@@ -71,22 +63,16 @@ class ClientChannel:
 
         The server answers byte-level violations it cannot attribute to a
         request (a frame that never decoded has no correlation id) with a
-        control error on correlation 0 and then hangs up; frontends fold
-        this text into the connection-failure error they raise, so the
+        control error on correlation 0 and then hangs up; the connection
+        folds this text into the connection-failure error it raises, so the
         caller sees *why* the provider cut them off instead of a bare EOF.
         """
         return self._fault
 
-    def send(
-        self, payload: bytes, channel: int, context: Any = None
-    ) -> tuple[int, bytes]:
-        """Register one outgoing request; returns ``(correlation, wire bytes)``.
-
-        ``context`` is handed back verbatim when the matching response
-        arrives (or when the connection fails, via :meth:`fail_all`).
-        """
+    def send(self, payload: bytes, channel: int) -> tuple[int, bytes]:
+        """Register one outgoing request; returns ``(correlation, wire bytes)``."""
         correlation = self._allocate_correlation()
-        self._pending[correlation] = context
+        self._pending.add(correlation)
         wire = encode_frame(
             payload,
             channel=channel,
@@ -95,8 +81,8 @@ class ClientChannel:
         )
         return correlation, wire
 
-    def receive(self, data: bytes) -> list[tuple[Any, Frame]]:
-        """Absorb socket bytes; returns the matched ``(context, frame)`` pairs.
+    def receive(self, data: bytes) -> list[Frame]:
+        """Absorb socket bytes; returns the frames answering pending requests.
 
         Raises :class:`~repro.net.framing.FramingError` on byte-level
         garbage.  Orphaned responses (no pending request under that
@@ -104,31 +90,23 @@ class ClientChannel:
         """
         matched = []
         for frame in self._decoder.feed(data):
-            try:
-                context = self._pending.pop(frame.correlation)
-            except KeyError:
-                if frame.correlation == 0 and frame.channel == CHANNEL_CONTROL:
-                    # Unaddressed control frame: a transport-fatal
-                    # diagnostic, not an orphaned answer.
-                    try:
-                        self._fault = control_error(decode_control_response(frame.payload))
-                    except WireProtocolError:
-                        self._fault = "unreadable provider fault"
-                else:
-                    self._orphans += 1
-                continue
-            matched.append((context, frame))
+            if frame.correlation in self._pending:
+                self._pending.remove(frame.correlation)
+                matched.append(frame)
+            elif frame.correlation == 0 and frame.channel == CHANNEL_CONTROL:
+                # Unaddressed control frame: a transport-fatal diagnostic,
+                # not an orphaned answer.
+                try:
+                    self._fault = control_error(decode_control_response(frame.payload))
+                except WireProtocolError:
+                    self._fault = "unreadable provider fault"
+            else:
+                self._orphans += 1
         return matched
 
-    def cancel(self, correlation: int) -> Any:
+    def cancel(self, correlation: int) -> None:
         """Forget a pending request (its late response becomes an orphan)."""
-        return self._pending.pop(correlation, None)
-
-    def fail_all(self) -> list[Any]:
-        """Connection died: pop and return every pending request's context."""
-        contexts = list(self._pending.values())
-        self._pending.clear()
-        return contexts
+        self._pending.discard(correlation)
 
     def _allocate_correlation(self) -> int:
         # Wrap at 32 bits, skipping ids still in flight (a pathological
@@ -144,7 +122,7 @@ class ClientChannel:
 
 
 # --------------------------------------------------------------------------- #
-# Control-frame JSON, the hello included (shared by both frontends)
+# Control-frame JSON, the hello included
 # --------------------------------------------------------------------------- #
 
 def encode_control_request(op: str, **fields) -> bytes:

@@ -41,18 +41,19 @@ def tcp_provider():
     params=[
         "in-process",
         "tcp",
-        "tcp-async",
+        "async-key",
         "cluster",
         "in-process+index",
         "tcp+index",
-        "tcp-async+index",
+        "async-key+index",
         "cluster+index",
     ]
 )
 def transport(request):
-    """Direct provider, a socket (blocking or pipelined), or a 2-shard
-    cluster of in-process backends -- each plain and with the encrypted
-    inverted index maintained through every operation."""
+    """Direct provider, a socket (``async-key``: its URL carries
+    ``async=1``, which has no effect), or a 2-shard cluster of in-process
+    backends -- each plain and with the encrypted inverted index maintained
+    through every operation."""
     return request.param
 
 
@@ -86,9 +87,11 @@ def db(request, transport, secret_key, rng):
             session.close()  # shuts the router's scatter pool down
         return
     # The same suite over tcp:// -- the transport must be transparent --
-    # both the blocking pooled proxy and the pipelined asyncio proxy.
+    # and with the old async key, which opens the same pooled proxy.
+    from repro.net import RemoteServerProxy
+
     provider = request.getfixturevalue("tcp_provider")
-    options = [opt for opt, on in (("async=1", base == "tcp-async"),
+    options = [opt for opt, on in (("async=1", base == "async-key"),
                                    ("index=1", indexed)) if on]
     suffix = "?" + "&".join(options) if options else ""
     session = EncryptedDatabase.connect(
@@ -97,6 +100,7 @@ def db(request, transport, secret_key, rng):
         scheme=request.param,
         rng=rng,
     )
+    assert type(session.server) is RemoteServerProxy
     try:
         session.create_table(EMP_DECL, rows=ROWS)
         yield session

@@ -17,7 +17,7 @@ import pytest
 
 from repro.api import DatabaseError, EncryptedDatabase
 from repro.index.wire import encode_index_delta
-from repro.net import ThreadedTcpServer
+from repro.net import RemoteServerProxy, ThreadedTcpServer
 from repro.outsourcing import MessageKind, MessageV2, OutsourcedDatabaseServer
 from repro.outsourcing.protocol import (
     encode_delete_tuples,
@@ -117,11 +117,12 @@ def test_a_bad_row_anywhere_in_a_batch_sends_nothing(position, bad, index, secre
     assert len(db.select("SELECT * FROM Emp WHERE dept = 'OPS'").relation) == 0
 
 
-@pytest.mark.parametrize("suffix", ["", "?async=1"], ids=["blocking", "pipelined"])
+@pytest.mark.parametrize("suffix", ["", "?async=1"], ids=["tcp", "async-key"])
 def test_a_batch_past_the_frame_ceiling_fails_whole(suffix, secret_key, rng):
     with ThreadedTcpServer(max_frame_size=4096) as server:
         url = f"tcp://127.0.0.1:{server.port}{suffix}"
         with EncryptedDatabase.connect(url, secret_key, rng=rng, index=True) as db:
+            assert type(db.server) is RemoteServerProxy
             db.create_table(EMP_DECL, rows=ROWS)
             big = [(f"row{i}", "OPS", i) for i in range(40)]
             with pytest.raises(DatabaseError, match="exceeds the 4096-byte limit"):

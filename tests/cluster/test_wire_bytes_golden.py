@@ -19,7 +19,8 @@ every spelling of the ``async`` key a cluster URL or manifest may carry,
 sends the same bytes: the key has no effect.  A URL names its shards by
 address, so those transcripts are compared with the in-process router
 under the same ring ids; the manifest names them ``shard-<index>`` and
-meets ``GOLDEN`` itself.
+meets ``GOLDEN`` itself.  A single ``tcp://`` provider driven through the
+proxy a ``?async=1`` URL opens receives what the plain URL's proxy sends.
 
 Regenerate (only when a wire change is intended):
 ``PYTHONPATH=src python tests/cluster/test_wire_bytes_golden.py``
@@ -310,6 +311,22 @@ def test_every_async_spelling_sends_the_same_bytes(config, form):
         assert digests == GOLDEN[config]
     else:
         assert digests == transcript(shard_ids=shard_ids, **CONFIGS[config])
+
+
+def provider_transcript(query: str) -> dict[str, str]:
+    """The digests of the workload through one ``tcp://`` provider, its
+    proxy opened from a URL carrying ``query``."""
+    shard = SocketRecordingShard()
+    with ThreadedTcpServer(shard) as server:
+        proxy = RemoteServerProxy.connect(f"tcp://127.0.0.1:{server.port}{query}")
+        assert type(proxy) is RemoteServerProxy
+        return _drive(proxy, [shard])
+
+
+def test_a_tcp_async_url_sends_the_same_bytes():
+    plain = provider_transcript("")
+    assert provider_transcript("?async=1") == plain
+    assert provider_transcript("?async=0") == plain
 
 
 def test_every_routed_kind_is_pinned():

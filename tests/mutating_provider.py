@@ -17,7 +17,7 @@ from typing import Callable
 
 from repro.api import EncryptedDatabase
 from repro.core.dph import EncryptedRelation, EncryptedTuple, EvaluationResult
-from repro.net import ThreadedTcpServer
+from repro.net import RemoteServerProxy, ThreadedTcpServer
 from repro.outsourcing import MessageKind, OutsourcedDatabaseServer
 from repro.outsourcing.protocol import (
     decode_evaluation_result,
@@ -87,8 +87,9 @@ def rewriting_tuples(
     return mutate
 
 
-#: The ways a session reaches the dishonest provider in these tests.
-TRANSPORTS = ("in-process", "tcp", "tcp-async")
+#: The ways a session reaches the dishonest provider in these tests
+#: (``async-key``: a ``tcp://`` URL carrying ``async=1``, which has no effect).
+TRANSPORTS = ("in-process", "tcp", "async-key")
 
 
 @contextlib.contextmanager
@@ -98,8 +99,9 @@ def swp_session(provider: MutatingServer, transport: str, secret_key, rng):
         with EncryptedDatabase.open(secret_key, server=provider, scheme="swp", rng=rng) as db:
             yield db
         return
-    suffix = "?async=1" if transport == "tcp-async" else ""
+    suffix = "?async=1" if transport == "async-key" else ""
     with ThreadedTcpServer(provider) as tcp:
         url = f"tcp://127.0.0.1:{tcp.port}{suffix}"
         with EncryptedDatabase.connect(url, secret_key, scheme="swp", rng=rng) as db:
+            assert type(db.server) is RemoteServerProxy
             yield db

@@ -1,16 +1,16 @@
 """A write whose answer is lost is never replayed into a wrong store or count.
 
-Both proxies resend a request on a fresh connection when the old one dies,
+The proxy resends a request on a fresh connection when the old one dies,
 unless the request may have reached the provider and its kind is in
 ``protocol.REPLAY_UNSAFE``.  A delete the provider applied but never
 answered, sent again, finds its ids gone: the provider answers no ids, and
 a session that took that answer would report 0 rows deleted after deleting
 some.  An insert sent again stores its rows twice.  Here the first write of
 the chosen kind is applied and its answer is then lost with
-``request_delivered=True``; the session must raise, over the blocking and
-the pipelined proxy, and per shard behind a router, and every row that
-landed is stored once.  Postings ride in the writes, so an indexed session
-is covered the same way.
+``request_delivered=True``; the session must raise, over ``tcp://`` (with
+and without the ``async`` key, which has no effect) and per shard behind a
+router, and every row that landed is stored once.  Postings ride in the
+writes, so an indexed session is covered the same way.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ from __future__ import annotations
 import pytest
 
 from repro.api import DatabaseError, EncryptedDatabase
-from repro.net import CHANNEL_ENVELOPE, ThreadedTcpServer
-from repro.net.aio import AsyncRemoteConnection
-from repro.net.client import ConnectionLostError, RemoteConnection
+from repro.net import ThreadedTcpServer
+from repro.net.client import ConnectionLostError, RemoteConnection, RemoteServerProxy
 from repro.outsourcing.protocol import REPLAY_UNSAFE, MessageKind, peek_envelope
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
@@ -63,30 +62,28 @@ WRITES = {
 }
 
 
+def connect(transport: str, port: int, secret_key, index: bool) -> EncryptedDatabase:
+    db = EncryptedDatabase.connect(URLS[transport].format(port=port), secret_key, index=index)
+    if transport.startswith("tcp"):
+        assert type(db.server) is RemoteServerProxy  # the async key has no effect
+    return db
+
+
 @pytest.fixture
 def lose_first_answer(monkeypatch):
-    """Both connection classes apply the first write of ``lost[0]``'s kind,
-    then lose its answer; ``lost`` then also holds that kind."""
+    """The connection applies the first write of ``lost[0]``'s kind, then
+    loses its answer; ``lost`` then also holds that kind."""
     lost: list = []
+    call_envelope = RemoteConnection.call_envelope
 
-    def losing(answer, raw):
+    def losing(self, raw, trace_id=None):
+        answer = call_envelope(self, raw, trace_id)
         if len(lost) == 1 and peek_envelope(raw)[1] is lost[0]:
             lost.append(lost[0])
             raise ConnectionLostError("answer lost", request_delivered=True)
         return answer
 
-    call_envelope = RemoteConnection.call_envelope
-    request = AsyncRemoteConnection.request
-
-    def blocking(self, raw, trace_id=None):
-        return losing(call_envelope(self, raw, trace_id), raw)
-
-    async def pipelined(self, payload, channel):
-        frame = await request(self, payload, channel)
-        return frame if channel != CHANNEL_ENVELOPE else losing(frame, payload)
-
-    monkeypatch.setattr(RemoteConnection, "call_envelope", blocking)
-    monkeypatch.setattr(AsyncRemoteConnection, "request", pipelined)
+    monkeypatch.setattr(RemoteConnection, "call_envelope", losing)
     return lost
 
 
@@ -104,8 +101,7 @@ def test_a_delete_whose_answer_is_lost_fails_loudly(
     transport, index, secret_key, lose_first_answer
 ):
     with ThreadedTcpServer() as server:
-        url = URLS[transport].format(port=server.port)
-        db = EncryptedDatabase.connect(url, secret_key, index=index)
+        db = connect(transport, server.port, secret_key, index)
         try:
             db.create_table(EMP_DECL, rows=ROWS)
             lose_first_answer.append(MessageKind.DELETE_TUPLES)
@@ -126,8 +122,7 @@ def test_a_write_whose_answer_is_lost_fails_loudly_and_lands_once(
 ):
     kind, run, count, selects = WRITES[write]
     with ThreadedTcpServer() as server:
-        url = URLS[transport].format(port=server.port)
-        db = EncryptedDatabase.connect(url, secret_key, index=index)
+        db = connect(transport, server.port, secret_key, index)
         try:
             db.create_table(EMP_DECL, rows=ROWS)
             lose_first_answer.append(kind)

@@ -15,6 +15,8 @@ import time
 import pytest
 from gated_provider import GatedServer, store_empty
 
+from repro.core.dph import EncryptedRelation
+from repro.crypto.keys import SecretKey
 from repro.net import (
     CHANNEL_CONTROL,
     KeyedSerialDispatcher,
@@ -23,7 +25,15 @@ from repro.net import (
     send_frame,
 )
 from repro.outsourcing import OutsourcedDatabaseServer
-from repro.outsourcing.protocol import MessageKind, MessageV2, parse_message
+from repro.outsourcing.protocol import (
+    MessageKind,
+    MessageV2,
+    decode_count,
+    encode_insert_tuples,
+    parse_message,
+)
+from repro.relational import RelationSchema, RelationTuple
+from repro.schemes.plaintext import PlaintextDph
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
 
@@ -181,34 +191,53 @@ class TestPipelinedConnections:
                 fast_sock.close()
 
     def test_same_relation_requests_stay_fifo_under_pipelining(self):
-        """Pipelined inserts into one relation apply in send order."""
-        from repro.api import EncryptedDatabase
-
-        with ThreadedTcpServer() as server:
-            db = EncryptedDatabase.connect(
-                f"tcp://127.0.0.1:{server.port}?async=1", scheme="plaintext"
-            )
+        """Ten inserts into one relation, all in flight on one connection
+        at once, apply in send order."""
+        scheme = PlaintextDph(RelationSchema.parse("Log(seq:int[6])"), SecretKey.generate())
+        database = GatedServer()
+        database.store_relation(
+            "Log",
+            EncryptedRelation(schema=scheme.schema, encrypted_tuples=()),
+            scheme.server_evaluator(),
+        )
+        gate = database.gate("Log")
+        rows = [
+            scheme.encrypt_tuple(RelationTuple.from_values(scheme.schema, (seq,)))
+            for seq in range(10)
+        ]
+        with ThreadedTcpServer(database) as server:
+            sock = open_client(server.port)
             try:
-                db.create_table("Log(seq:int[6])")
-                threads = [
-                    threading.Thread(target=db.insert, args=("Log", {"seq": i}))
-                    for i in range(10)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=30)
-                assert db.count("Log") == 10
-                db.drop_table("Log")
+                for correlation, row in enumerate(rows, start=100):
+                    send_frame(
+                        sock,
+                        MessageV2(
+                            kind=MessageKind.INSERT_TUPLES,
+                            relation_name="Log",
+                            body=encode_insert_tuples(b"", [row]),
+                        ).to_bytes(),
+                        correlation=correlation,
+                    )
+                # The first insert holds the relation; the other nine queue
+                # behind it, every one of them sent and unanswered.
+                assert database.entered["Log"].wait(timeout=10)
+                gate.set()
+                answers = {}
+                for _ in rows:
+                    frame = recv_frame(sock)
+                    answers[frame.correlation] = decode_count(
+                        parse_message(frame.payload).body
+                    )
+                assert answers == {correlation: 1 for correlation in range(100, 110)}
             finally:
-                db.close()
+                sock.close()
+        assert database.stored_relation("Log").encrypted_tuples == tuple(rows)
 
     def test_transport_fault_reaches_the_caller(self):
         """A frame the server's decoder rejects outright (no correlation
         id exists yet) is broadcast on correlation 0; the client folds the
         diagnostic into its connection error instead of dropping it."""
         from repro.api import EncryptedDatabase
-        from repro.net import AsyncRemoteServerProxy, ConnectionLostError
 
         with ThreadedTcpServer(max_frame_size=4096) as server:
             db = EncryptedDatabase.connect(
@@ -223,13 +252,18 @@ class TestPipelinedConnections:
                 assert "exceeds the 4096-byte limit" in str(excinfo.value)
             finally:
                 db.close()
-            # The pipelined client surfaces the same diagnostic.
-            proxy = AsyncRemoteServerProxy("127.0.0.1", server.port)
+            # On the wire: the diagnostic rides correlation 0, not the
+            # oversized request's id, and the server then hangs up.
+            sock = open_client(server.port)
             try:
-                with pytest.raises(ConnectionLostError, match="exceeds"):
-                    proxy._transport_envelope(b"\x00" * 8192, idempotent=False)
+                send_frame(sock, b"\x00" * 8192, correlation=5)
+                frame = recv_frame(sock)
+                assert (frame.channel, frame.correlation) == (CHANNEL_CONTROL, 0)
+                answer = json.loads(frame.payload)
+                assert not answer["ok"] and "exceeds" in answer["error"]
+                assert sock.recv(1) == b""
             finally:
-                proxy.close()
+                sock.close()
 
     def test_dispatch_stats_report_parallelism(self):
         database = GatedServer()

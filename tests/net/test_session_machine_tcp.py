@@ -10,7 +10,10 @@ postings riding in them -- is answered from the connection's read callback; the 
 thread of each, and the machine fails if a write ever took a dispatch
 worker.  An inline insert that files the ciphertext where a scan sees it but
 not under the tuple id that index lookups and deletes address must fail the
-machine.
+machine, and so must a connection that hands a read the reply an identical
+earlier read got, as a misrouted correlation id would.  A second axis opens
+the session with the old ``async`` URL key on the default pool of four
+connections: it must get the same blocking proxy and the same answers.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from hypothesis.stateful import run_state_machine_as_test
 
 from repro.api import EncryptedDatabase
 from repro.crypto.rng import DeterministicRng
-from repro.net import ThreadedTcpServer
+from repro.net import RemoteServerProxy, ThreadedTcpServer
+from repro.net.client import RemoteConnection
 from repro.net.server import DatabaseTcpServer
 from repro.outsourcing import InMemoryStorageBackend, MessageKind, OutsourcedDatabaseServer
 from repro.outsourcing.protocol import peek_envelope
@@ -32,6 +36,7 @@ from repro.schemes.registry import available_schemes
 from session_machine import SessionMachine, machine_settings
 
 WRITES = (MessageKind.INSERT_TUPLES, MessageKind.DELETE_TUPLES)
+READS = (MessageKind.QUERY, MessageKind.BATCH_QUERY, MessageKind.INDEX_LOOKUP)
 
 
 class WriteThreadRecordingServer(OutsourcedDatabaseServer):
@@ -71,11 +76,28 @@ class TcpSessionMachine(SessionMachine):
         assert self.provider.worker_writes == 0, "a write took a dispatch worker"
 
 
-def _machine(scheme: str, index: bool):
+class PooledSessionMachine(TcpSessionMachine):
+    """The session opens with the old ``async`` key on the default pool."""
+
+    def open_session(self) -> EncryptedDatabase:
+        self.server = ThreadedTcpServer(self.provider).start()
+        session = EncryptedDatabase.connect(
+            f"tcp://127.0.0.1:{self.server.port}?async=1",
+            self.key,
+            scheme=self.scheme,
+            rng=DeterministicRng(2),
+            index=self.index,
+            cache=True,
+        )
+        assert type(session.server) is RemoteServerProxy
+        return session
+
+
+def _machine(scheme: str, index: bool, base=TcpSessionMachine):
     # The name seeds the derandomized run.
     return type(
-        f"TcpSessionMachine[{scheme}, {index}]",
-        (TcpSessionMachine,),
+        f"{base.__name__}[{scheme}, {index}]",
+        (base,),
         {"scheme": scheme, "index": index},
     )
 
@@ -101,10 +123,35 @@ def _inline_inserts_skip_the_id():
     return mock.patch.object(DatabaseTcpServer, "_dispatch_envelope", dispatch)
 
 
+def _reads_get_an_earlier_reply():
+    """A connection that answers a read with the reply the same envelope
+    got before."""
+    real = RemoteConnection.call_envelope
+    replies: dict[bytes, bytes] = {}
+
+    def call(self, raw, trace_id=None):
+        if peek_envelope(raw)[1] not in READS:
+            return real(self, raw, trace_id)
+        if raw not in replies:
+            replies[raw] = real(self, raw, trace_id)
+        return replies[raw]
+
+    return mock.patch.object(RemoteConnection, "call_envelope", call)
+
+
 @pytest.mark.parametrize("index", [False, True], ids=["scan", "index"])
 @pytest.mark.parametrize("scheme", available_schemes())
 def test_a_tcp_session_answers_like_an_in_process_one(scheme, index):
     run_state_machine_as_test(_machine(scheme, index), settings=machine_settings())
+
+
+@pytest.mark.parametrize("index", [False, True], ids=["scan", "index"])
+@pytest.mark.parametrize("scheme", available_schemes())
+def test_a_pooled_async_key_session_answers_like_an_in_process_one(scheme, index):
+    run_state_machine_as_test(
+        _machine(scheme, index, PooledSessionMachine),
+        settings=machine_settings(max_examples=3),
+    )
 
 
 def test_the_machine_fails_when_inline_inserts_skip_the_id():
@@ -112,5 +159,14 @@ def test_the_machine_fails_when_inline_inserts_skip_the_id():
         with pytest.raises(AssertionError, match="stale"):
             run_state_machine_as_test(
                 _machine("deterministic", True),
+                settings=machine_settings(phases=[Phase.generate]),
+            )
+
+
+def test_the_machine_fails_when_a_read_gets_an_earlier_reply():
+    with _reads_get_an_earlier_reply():
+        with pytest.raises(AssertionError, match="stale"):
+            run_state_machine_as_test(
+                _machine("swp", False),
                 settings=machine_settings(phases=[Phase.generate]),
             )

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
+import sys
 import threading
+import time
 
 import pytest
 
@@ -23,6 +26,10 @@ from repro.net.client import ConnectionLostError, ConnectionPool, RemoteConnecti
 from repro.outsourcing import MessageKind, MessageV2, OutsourcedDatabaseServer
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
+DEPTS = ("HR", "IT", "OPS", "SALES")
+READ = MessageV2(kind=MessageKind.LIST_TUPLE_IDS, relation_name="Emp").to_bytes()
+WRITE = MessageV2(kind=MessageKind.INSERT_TUPLES, relation_name="Emp").to_bytes()
+ANSWER = MessageV2(kind=MessageKind.TUPLE_IDS, relation_name="Emp", body=bytes(64)).to_bytes()
 
 
 @pytest.fixture
@@ -249,6 +256,46 @@ class TestConcurrentClients:
         names = provider.server.database_server.relation_names
         assert set(names) == {f"T{i}" for i in range(6)}
 
+    def test_eight_threads_share_one_pooled_session(self, provider, secret_key):
+        """Eight threads through one blocking session of four pooled
+        connections: every answer equals the plaintext oracle's."""
+        rows = [(f"emp{i}", DEPTS[i % len(DEPTS)], 1000 + i) for i in range(40)]
+        oracle = {
+            dept: sorted(row[0] for row in rows if row[1] == dept) for dept in DEPTS
+        }
+        db = EncryptedDatabase.connect(
+            f"tcp://127.0.0.1:{provider.port}", secret_key, pool_size=4
+        )
+        db.create_table(EMP_DECL, rows=rows)
+        answers, errors = [], []
+        barrier = threading.Barrier(8)
+
+        def reader(offset: int) -> None:
+            try:
+                barrier.wait(timeout=10)
+                for step in range(12):
+                    dept = DEPTS[(offset + step) % len(DEPTS)]
+                    outcome = db.select(f"SELECT * FROM Emp WHERE dept = '{dept}'")
+                    answers.append((dept, sorted(t["name"] for t in outcome.relation)))
+            except Exception as exc:  # noqa: BLE001 - collected for the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            db.close()
+        assert not errors and not any(thread.is_alive() for thread in threads), errors
+        assert len(answers) == 8 * 12
+        assert all(names == oracle[dept] for dept, names in answers)
+        assert provider.server.stats.as_dict()["connections_total"] <= 4
+
     def test_stats_count_frames_and_bytes(self, provider, secret_key):
         db = EncryptedDatabase.connect(f"tcp://127.0.0.1:{provider.port}", secret_key)
         db.create_table(EMP_DECL, rows=[("A", "HR", 1)])
@@ -297,6 +344,194 @@ class TestReconnect:
         assert isinstance(excinfo.value, DatabaseError)
         db.close()
 
+    @pytest.mark.parametrize("raw, sent", [(READ, 2), (WRITE, 1)], ids=["read", "write"])
+    def test_a_request_the_peer_hangs_up_on_fails_as_delivered(self, raw, sent):
+        """A provider that reads the request and closes without answering:
+        the read is resent once on a fresh connection, the write never."""
+        def hang_up(conn, frame, index, stop):
+            conn.shutdown(socket.SHUT_RDWR)
+
+        with scripted_provider(hang_up) as (address, requests):
+            with RemoteServerProxy(*address, timeout=5.0) as proxy:
+                with pytest.raises(ConnectionLostError, match="closed the connection") as excinfo:
+                    proxy.handle_message(raw)
+        assert excinfo.value.request_delivered
+        assert len(requests) == sent
+
+
+def drip(conn: socket.socket, data: bytes, gap: float, stop: threading.Event) -> None:
+    """Send ``data`` a byte at a time, ``gap`` seconds apart, until ``stop``."""
+    with contextlib.suppress(OSError):  # the client hung up
+        for byte in data:
+            if stop.wait(gap):
+                return
+            conn.sendall(bytes([byte]))
+
+
+def answer(frame, payload: bytes = ANSWER) -> bytes:
+    return encode_frame(payload, channel=frame.channel, correlation=frame.correlation)
+
+
+@contextlib.contextmanager
+def scripted_provider(reply, hello_gap: float = 0.0):
+    """A raw-socket provider whose answers a test scripts.
+
+    It greets every connection -- at once, or a byte every ``hello_gap``
+    seconds -- and hands the n-th envelope request it reads, counted over
+    all connections from 0, to ``reply(conn, frame, n, stop)``.  Yields
+    ``(address, requests)``, ``requests`` collecting every envelope frame.
+    """
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.1)
+    stop = threading.Event()
+    requests = []
+    lock = threading.Lock()
+
+    def serve(conn: socket.socket) -> None:
+        conn.settimeout(10.0)
+        with conn, contextlib.suppress(OSError):
+            hello = recv_frame(conn)
+            greeting = answer(hello, b'{"ok": true}')
+            if hello_gap:
+                drip(conn, greeting, hello_gap, stop)
+                return
+            conn.sendall(greeting)
+            while (frame := recv_frame(conn)) is not None and not stop.is_set():
+                with lock:
+                    requests.append(frame)
+                    index = len(requests) - 1
+                reply(conn, frame, index, stop)
+
+    def accept() -> None:
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except socket.timeout:
+                continue
+            except OSError:
+                return
+            threading.Thread(target=serve, args=(conn,), daemon=True).start()
+
+    acceptor = threading.Thread(target=accept, daemon=True)
+    acceptor.start()
+    try:
+        yield listener.getsockname(), requests
+    finally:
+        stop.set()
+        listener.close()
+        acceptor.join(timeout=10)
+
+
+def timed(call):
+    """``(result or raised exception, seconds taken)`` of ``call()``."""
+    started = time.monotonic()
+    try:
+        outcome = call()
+    except ConnectionLostError as exc:
+        outcome = exc
+    return outcome, time.monotonic() - started
+
+
+class TestRoundTripDeadline:
+    TIMEOUT = 0.5
+
+    def test_a_trickled_reply_times_out_within_two_timeouts(self):
+        """``timeout`` bounds the whole round trip, not each ``recv``: a
+        provider that answers the hello and then drips its reply a byte at
+        a time fails the call, after one retry of the idempotent read."""
+
+        def trickle(conn, frame, index, stop):  # well past the timeout in all
+            drip(conn, answer(frame), 0.05, stop)
+
+        with scripted_provider(trickle) as (address, requests):
+            with RemoteServerProxy(*address, timeout=self.TIMEOUT) as proxy:
+                outcome, elapsed = timed(lambda: proxy.handle_message(READ))
+        assert isinstance(outcome, ConnectionLostError)
+        assert "did not answer within" in str(outcome)
+        assert len(requests) == 2  # the read, and its one retry
+        assert elapsed < 2 * self.TIMEOUT + 0.5, elapsed
+
+    def test_a_trickled_write_times_out_within_one_timeout_and_is_not_resent(self):
+        def trickle(conn, frame, index, stop):
+            drip(conn, answer(frame), 0.05, stop)
+
+        with scripted_provider(trickle) as (address, requests):
+            with RemoteServerProxy(*address, timeout=self.TIMEOUT) as proxy:
+                outcome, elapsed = timed(lambda: proxy.handle_message(WRITE))
+        assert isinstance(outcome, ConnectionLostError)
+        assert outcome.request_delivered
+        assert len(requests) == 1
+        assert elapsed < self.TIMEOUT + 0.4, elapsed
+
+    def test_a_trickled_hello_times_out_the_connect(self):
+        with scripted_provider(None, hello_gap=0.05) as (address, requests):
+            outcome, elapsed = timed(
+                lambda: RemoteConnection(*address, timeout=self.TIMEOUT)
+            )
+        assert isinstance(outcome, ConnectionLostError)
+        assert elapsed < self.TIMEOUT + 0.4, elapsed
+
+    def test_a_reply_trickled_within_the_deadline_is_accepted(self):
+        def trickle(conn, frame, index, stop):  # about 0.2 s in all
+            data = answer(frame)
+            for part in range(4):
+                if stop.wait(0.05):
+                    return
+                conn.sendall(data[part * len(data) // 4:(part + 1) * len(data) // 4])
+
+        with scripted_provider(trickle) as (address, requests):
+            with RemoteServerProxy(*address, timeout=2.0) as proxy:
+                assert proxy.handle_message(READ) == ANSWER
+        assert len(requests) == 1
+
+    def test_the_deadline_restarts_for_each_round_trip(self):
+        """Two round trips of 0.6 ``timeout`` each outlast one ``timeout``
+        together; on one connection both are answered."""
+
+        def late(conn, frame, index, stop):
+            if not stop.wait(0.6 * self.TIMEOUT):
+                conn.sendall(answer(frame))
+
+        with scripted_provider(late) as (address, requests):
+            connection = RemoteConnection(*address, timeout=self.TIMEOUT)
+            try:
+                assert connection.call_envelope(READ) == ANSWER
+                assert connection.call_envelope(READ) == ANSWER
+            finally:
+                connection.close()
+        assert len(requests) == 2
+
+    def test_no_timeout_waits_for_a_late_reply(self):
+        def late(conn, frame, index, stop):
+            if not stop.wait(0.3):
+                conn.sendall(answer(frame))
+
+        with scripted_provider(late) as (address, requests):
+            connection = RemoteConnection(*address, timeout=None)
+            try:
+                assert connection.call_envelope(READ) == ANSWER
+            finally:
+                connection.close()
+
+    def test_a_timed_out_connection_is_not_reused(self):
+        """The connection a deadline cut still holds a late answer: the
+        next call runs on a fresh one and gets its own answer promptly."""
+
+        def slow_then_prompt(conn, frame, index, stop):
+            if index < 2:  # the read and its retry
+                drip(conn, answer(frame, b"late" * 16), 0.05, stop)
+            else:
+                conn.sendall(answer(frame))
+
+        with scripted_provider(slow_then_prompt) as (address, requests):
+            with RemoteServerProxy(*address, timeout=self.TIMEOUT) as proxy:
+                first, _ = timed(lambda: proxy.handle_message(READ))
+                second, elapsed = timed(lambda: proxy.handle_message(READ))
+        assert isinstance(first, ConnectionLostError)
+        assert second == ANSWER
+        assert elapsed < self.TIMEOUT, elapsed
+        assert len(requests) == 3
+
 
 class TestClientPieces:
     def test_parse_tcp_url(self):
@@ -305,6 +540,17 @@ class TestClientPieces:
                     "tcp://h:abc", "tcp://h:99999"):
             with pytest.raises(RemoteError):
                 parse_tcp_url(bad)
+
+    def test_proxy_connect_accepts_the_async_option(self, provider):
+        with RemoteServerProxy.connect(f"tcp://127.0.0.1:{provider.port}?async=1") as proxy:
+            assert type(proxy) is RemoteServerProxy
+            assert proxy.ping()
+
+    def test_the_async_proxy_name_is_the_blocking_proxy(self):
+        # The frozen benchmark harness still imports the old name.
+        from repro.net.aio import AsyncRemoteServerProxy
+
+        assert AsyncRemoteServerProxy is RemoteServerProxy
 
     def test_connect_refused_surfaces_cleanly(self):
         with socket.socket() as placeholder:

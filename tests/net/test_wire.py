@@ -26,15 +26,15 @@ class TestClientChannel:
         assert first != second
         assert channel.pending_count == 2
 
-    def test_response_pairs_to_its_context(self):
+    def test_responses_pair_by_correlation_in_any_order(self):
         channel = ClientChannel()
-        one, _ = channel.send(b"a", CHANNEL_ENVELOPE, context="first")
-        two, _ = channel.send(b"b", CHANNEL_ENVELOPE, context="second")
+        one, _ = channel.send(b"a", CHANNEL_ENVELOPE)
+        two, _ = channel.send(b"b", CHANNEL_ENVELOPE)
         # Answer out of order: the second request first.
         matched = channel.receive(response_bytes(two, b"B") + response_bytes(one, b"A"))
-        assert [(ctx, frame.payload) for ctx, frame in matched] == [
-            ("second", b"B"),
-            ("first", b"A"),
+        assert [(frame.correlation, frame.payload) for frame in matched] == [
+            (two, b"B"),
+            (one, b"A"),
         ]
         assert channel.pending_count == 0
 
@@ -47,8 +47,8 @@ class TestClientChannel:
 
     def test_cancelled_requests_orphan_their_late_response(self):
         channel = ClientChannel()
-        correlation, _ = channel.send(b"slow", CHANNEL_ENVELOPE, context="gone")
-        assert channel.cancel(correlation) == "gone"
+        correlation, _ = channel.send(b"slow", CHANNEL_ENVELOPE)
+        channel.cancel(correlation)
         assert channel.pending_count == 0
         matched = channel.receive(response_bytes(correlation))
         assert matched == []
@@ -59,21 +59,15 @@ class TestClientChannel:
         assert channel.receive(response_bytes(1234)) == []
         assert channel.orphan_frames == 1
 
-    def test_fail_all_pops_every_context(self):
-        channel = ClientChannel()
-        channel.send(b"a", CHANNEL_ENVELOPE, context="x")
-        channel.send(b"b", CHANNEL_ENVELOPE, context="y")
-        assert channel.fail_all() == ["x", "y"]
-        assert channel.pending_count == 0
-
     def test_partial_frames_buffer_across_receives(self):
         channel = ClientChannel()
-        correlation, _ = channel.send(b"req", CHANNEL_ENVELOPE, context="ctx")
+        correlation, _ = channel.send(b"req", CHANNEL_ENVELOPE)
         raw = response_bytes(correlation, b"answer")
         assert channel.receive(raw[:7]) == []
         matched = channel.receive(raw[7:])
-        assert matched[0][0] == "ctx"
-        assert matched[0][1].payload == b"answer"
+        assert [(frame.correlation, frame.payload) for frame in matched] == [
+            (correlation, b"answer")
+        ]
 
     def test_correlations_skip_in_flight_ids_when_wrapping(self):
         channel = ClientChannel()

@@ -33,7 +33,11 @@ ROWS = [(f"emp{i}", "HR" if i % 2 else "IT", 1000 + i) for i in range(12)]
 ONE = "SELECT * FROM Emp WHERE name = 'emp3'"
 OTHER = "SELECT * FROM Emp WHERE name = 'emp4'"
 
-TRANSPORTS = ("in-process", "tcp", "tcp-async", "cluster")
+#: ``async-key`` is a ``tcp://`` URL carrying ``async=1``, which has no
+#: effect: it records what ``tcp`` records.  The file's ``tcp-async`` rows,
+#: written for a pipelined proxy that is gone, equal its ``tcp`` rows and
+#: go at the next re-declaration.
+TRANSPORTS = ("in-process", "tcp", "async-key", "cluster")
 OPTIONS = tuple((index, cache) for index in (False, True) for cache in (False, True))
 
 #: The script: (step, what it does to the session).
@@ -62,7 +66,7 @@ def session(transport: str, index: bool, cache: bool):
             hosts = ",".join(f"127.0.0.1:{port}" for port in ports)
             url = {
                 "tcp": f"tcp://{hosts}",
-                "tcp-async": f"tcp://{hosts}?async=1",
+                "async-key": f"tcp://{hosts}?async=1",
                 "cluster": f"cluster://{hosts}?replicas=2",
             }[transport]
             db = EncryptedDatabase.connect(
@@ -103,7 +107,8 @@ EXPECTED = json.loads(
 @pytest.mark.parametrize("index,cache", OPTIONS)
 @pytest.mark.parametrize("transport", TRANSPORTS)
 def test_every_step_records_what_it_recorded_before(transport, index, cache):
-    assert observed(transport, index, cache) == EXPECTED[_row(transport, index, cache)]
+    row = _row("tcp" if transport == "async-key" else transport, index, cache)
+    assert observed(transport, index, cache) == EXPECTED[row]
 
 
 def _op_count(db, op_kind: str) -> int:
@@ -174,6 +179,7 @@ if __name__ == "__main__":
             {
                 _row(transport, index, cache): observed(transport, index, cache)
                 for transport in TRANSPORTS
+                if transport != "async-key"
                 for index, cache in OPTIONS
             },
             indent=1,

@@ -16,7 +16,7 @@ from provider_calls import drop_relation, register_evaluator
 
 from repro.api import DatabaseError, EncryptedDatabase
 from repro.crypto.keys import SecretKey
-from repro.net import ThreadedTcpServer
+from repro.net import RemoteServerProxy, ThreadedTcpServer
 from repro.outsourcing import MessageKind, MessageV2, OutsourcedDatabaseServer
 from repro.outsourcing.protocol import (
     ProtocolError,
@@ -74,11 +74,12 @@ def test_handle_message_answers_error():
     assert_error_then_still_serving(OutsourcedDatabaseServer())
 
 
-@pytest.mark.parametrize("suffix", ["", "?async=1"], ids=["tcp", "tcp-async"])
+@pytest.mark.parametrize("suffix", ["", "?async=1"], ids=["tcp", "async-key"])
 def test_tcp_provider_answers_error_and_connection_stays_usable(secret_key, rng, suffix):
     with ThreadedTcpServer() as provider:
         url = f"tcp://127.0.0.1:{provider.port}{suffix}"
         with EncryptedDatabase.connect(url, secret_key, scheme="swp", rng=rng) as db:
+            assert type(db.server) is RemoteServerProxy
             assert_error_then_still_serving(db.server)
             drop_relation(db.server, "Emp")
             db.create_table(EMP_DECL, rows=ROWS)

@@ -16,7 +16,7 @@ from repro.api import EncryptedDatabase
 from repro.core.construction import SearchableSelectDph
 from repro.core.dph import DphError, EncryptedQuery, EncryptedRelation
 from repro.core.variable_length import VariableWidthSelectDph
-from repro.net import ThreadedTcpServer
+from repro.net import RemoteServerProxy, ThreadedTcpServer
 from repro.outsourcing import MessageKind, MessageV2, OutsourcedDatabaseServer
 from repro.outsourcing.protocol import (
     decode_evaluation_result,
@@ -95,11 +95,12 @@ def test_handle_message_answers_error(employee_schema, secret_key, rng, scheme):
     assert_error_then_still_serving(server, good, scheme)
 
 
-@pytest.mark.parametrize("suffix", ["", "?async=1"], ids=["tcp", "tcp-async"])
+@pytest.mark.parametrize("suffix", ["", "?async=1"], ids=["tcp", "async-key"])
 def test_tcp_provider_answers_error_and_connection_stays_usable(secret_key, rng, suffix):
     with ThreadedTcpServer() as provider:
         url = f"tcp://127.0.0.1:{provider.port}{suffix}"
         with EncryptedDatabase.connect(url, secret_key, scheme="swp", rng=rng) as db:
+            assert type(db.server) is RemoteServerProxy
             db.create_table(EMP_DECL, rows=ROWS)
             db.create_table(EMPTY_DECL)
             good = db.table("Emp").scheme.encrypt_query(Selection.equals("dept", "HR"))

@@ -13,9 +13,9 @@ oracle of the same rows.
    failover read); a second makes ``select`` and ``count`` raise
    ``DatabaseError`` instead of answering with part of the rows.
 3. **The async key** -- the round trip through a ``cluster://...?async=1``
-   session, whose shards are blocking proxies (the key has no effect on a
-   cluster URL), then a burst of 32 in-flight pings on one pipelined
-   ``tcp://...?async=1`` connection.
+   session, whose shards are blocking proxies, and a ``tcp://...?async=1``
+   session that is one too (the key has no effect); then 32 ping frames
+   pipelined on one raw socket, all answered by correlation id.
 4. **Indexed fleet** -- ``?index=1``: exact selects served by
    ``INDEX_LOOKUP`` at ``examined`` = result size, equal to a scanning
    session's answers, and the router's index counters fire.
@@ -31,10 +31,11 @@ Usage::
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
+import json
 import re
 import signal
+import socket
 import subprocess
 import sys
 
@@ -170,29 +171,26 @@ def smoke_replicated_failover() -> None:
 
 
 def smoke_async_key() -> None:
-    from repro.net import AsyncRemoteServerProxy
-    from repro.net.client import RemoteServerProxy
+    from repro.net import CHANNEL_CONTROL, RemoteServerProxy, recv_frame, send_frame
 
     with providers(2) as (_, hosts):
-        with connect("cluster://" + ",".join(hosts) + "?async=1") as db:
-            router = db.server
-            check(all(type(router.shard(i)) is RemoteServerProxy for i in router.shard_ids),
-                  "the async key opened something other than blocking shard proxies")
+        with (connect("cluster://" + ",".join(hosts) + "?async=1") as db,
+              connect(f"tcp://{hosts[0]}?async=1") as single):
+            proxies = [db.server.shard(i) for i in db.server.shard_ids] + [single.server]
+            check(all(type(proxy) is RemoteServerProxy for proxy in proxies),
+                  "an async=1 URL opened something other than blocking proxies")
             crud_round_trip(db)
-        print("cluster://...?async=1 CRUD round trip matched the oracle")
+        print("cluster://...?async=1 CRUD round trip matched the oracle; "
+              "every async=1 URL opened blocking proxies")
         host, port = hosts[0].rsplit(":", 1)
-        proxy = AsyncRemoteServerProxy(host, int(port), timeout=STARTUP_TIMEOUT_S)
-        try:
-            async def burst():
-                return await asyncio.gather(
-                    *(proxy.call_control_async("ping") for _ in range(32)))
-
-            responses = proxy.loop_thread.run(burst())
-        finally:
-            proxy.close()
-        check(len(responses) == 32 and all(r.get("ok") for r in responses),
-              "the pipelined burst lost responses")
-    print("32 pipelined in-flight requests answered on one connection")
+        with socket.create_connection((host, int(port)), timeout=STARTUP_TIMEOUT_S) as sock:
+            for correlation, op in enumerate(["hello"] + ["ping"] * 32, start=1):
+                send_frame(sock, json.dumps({"op": op}).encode(),
+                           channel=CHANNEL_CONTROL, correlation=correlation)
+            frames = [recv_frame(sock) for _ in range(33)]
+        answers = {frame.correlation: json.loads(frame.payload).get("ok") for frame in frames}
+        check(answers == dict.fromkeys(range(1, 34), True), "the pipelined burst lost responses")
+    print("32 pipelined in-flight pings answered on one connection")
 
 
 def smoke_indexed_fleet() -> None:
