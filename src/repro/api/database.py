@@ -370,10 +370,13 @@ class EncryptedDatabase:
         replicas -- with up to R-1 providers down:
         ``connect("cluster://h1:p1,h2:p2,h3:p3?replicas=2")``.  A read that
         loses more shards than that raises :class:`DatabaseError`; it never
-        answers with part of the rows.  Every fleet scatters on one
-        thread pool over blocking shard connections, so a gather waits at
-        most the shard count times ``shard_timeout``; an ``&async=1``
-        option is accepted and has no effect here either.
+        answers with part of the rows.  Every fleet scatters in the
+        caller's thread: every ``tcp://`` shard's envelope is sent, then
+        the answers are read in turn, so a gather waits at most the shard
+        count times ``shard_timeout``, and a shard that misses it has its
+        connection closed.  In-process shards are called inline, and
+        ``shard_timeout`` does not bound them.  An ``&async=1`` option is
+        accepted and has no effect here either.
 
         A ``"cluster+file://fleet.json"`` URL restores a sharded session
         from a fleet manifest (``repro cluster spawn --manifest``): shard

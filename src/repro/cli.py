@@ -43,8 +43,10 @@ the CLI exposes the reproduction's main entry points without writing any code:
     read-out; by URL or ``--manifest``).  Sessions
     connect with
     ``EncryptedDatabase.connect("cluster://h1:p1,...[?replicas=R]")``; the
-    fleet scatters on a thread pool over blocking shard connections, and
-    ``async=1`` has no effect on a cluster URL.
+    fleet scatters in the caller's thread (every shard's envelope sent,
+    then the answers read in turn; a shard that misses ``shard_timeout``
+    has its connection closed), and ``async=1`` has no effect on a cluster
+    URL.
 
 Examples::
 

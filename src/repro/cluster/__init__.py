@@ -2,7 +2,7 @@
 
 The paper outsources one encrypted relation to one untrusted provider;
 this subsystem spreads the same ciphertexts across a *fleet* of providers
-and queries them in parallel, which is what turns the reproduction into a
+and queries them all at once, which is what turns the reproduction into a
 horizontally scalable service:
 
 **Placement** (:mod:`repro.cluster.ring`)
@@ -13,9 +13,11 @@ horizontally scalable service:
     shards holding its replicas.
 
 **Execution** (:mod:`repro.cluster.executor`)
-    Scatter-gather with per-shard timeouts, one outcome per shard: a
-    thread pool makes one blocking call per shard, over blocking
-    ``tcp://`` connections.  It is the only scatter; ``async=1`` on a
+    Scatter-gather with per-shard timeouts, one outcome per shard, in the
+    caller's thread: every ``tcp://`` shard's envelope is sent first,
+    in-process shards are called inline (``shard_timeout`` does not bound
+    them), then the remote answers are read in turn; a leg that times out
+    closes its connection.  It is the only scatter; ``async=1`` on a
     ``cluster://`` URL is accepted and has no effect.
 
 **Topology persistence** (:mod:`repro.cluster.manifest`)
@@ -52,10 +54,10 @@ paper's per-provider security analysis carries over unchanged.
 
 from repro.cluster.executor import (
     ClusterError,
-    ScatterGatherExecutor,
     ShardFailedError,
     ShardOutcome,
     ShardTimeoutError,
+    scatter,
 )
 from repro.cluster.manifest import (
     CLUSTER_FILE_URL_PREFIX,
@@ -82,10 +84,10 @@ from repro.cluster.router import (
 
 __all__ = [
     "ClusterError",
-    "ScatterGatherExecutor",
     "ShardFailedError",
     "ShardOutcome",
     "ShardTimeoutError",
+    "scatter",
     "CLUSTER_FILE_URL_PREFIX",
     "ClusterManifest",
     "ManifestError",

@@ -77,9 +77,9 @@ from repro.core.dph import (
 )
 from repro.cluster.executor import (
     ClusterError,
-    ScatterGatherExecutor,
     ShardFailedError,
     ShardRequest,
+    scatter,
 )
 from repro.cluster.ring import ConsistentHashRing, DEFAULT_VIRTUAL_NODES
 from repro.obs import MetricsRegistry, current_trace, merge_snapshots
@@ -100,8 +100,8 @@ def parse_cluster_options(url: str) -> tuple[tuple[str, ...], dict]:
     ``replicas`` (the replication factor of the deployment) and the
     options every provider URL takes (see
     :func:`~repro.net.client.parse_url_query`): ``async`` (accepted and
-    without effect: every fleet scatters on the thread pool over blocking
-    shard connections), ``index`` (the session maintains
+    without effect: every fleet scatters one way, in the caller's thread),
+    ``index`` (the session maintains
     encrypted inverted indexes and serves exact selects through
     ``INDEX_LOOKUP``) and ``cache`` (the session keeps its result cache,
     exactly as on a ``tcp://`` URL).  An unknown or repeated option is
@@ -178,8 +178,8 @@ class ClusterStats:
     The counters live in a :class:`~repro.obs.MetricsRegistry` (as
     ``cluster_<name>_total``), so one registry snapshot covers transport,
     provider, and routing activity alike; :meth:`as_dict` is the read-out.
-    Scatters run on a thread pool and several sessions may share one
-    router, so mutations go through the ``record_*`` methods: registry
+    Several sessions, in several threads, may share one router, so
+    mutations go through the ``record_*`` methods: registry
     counters carry their own locks, and the last failover's shard ids are
     one tuple, replaced whole.
     """
@@ -364,7 +364,9 @@ class ShardRouter:
         virtual_nodes:
             Virtual nodes per shard on the ring.
         shard_timeout:
-            Per-shard gather timeout in seconds (None waits forever).
+            Per-shard gather timeout in seconds (None waits forever): how
+            long the gather waits for each ``tcp://`` shard's answer.  An
+            in-process shard is called inline and is not bounded by it.
         pool_size / timeout:
             Connection-pool settings for URL shards.
         """
@@ -382,6 +384,7 @@ class ShardRouter:
                 f"{len(shards)} shard(s) but {len(shard_ids)} shard id(s)"
             )
         self._replication = replicas
+        self._shard_timeout = shard_timeout
         self._pool_size = pool_size
         self._timeout = timeout
         self._shards: dict[str, _Shard] = {}
@@ -393,15 +396,8 @@ class ShardRouter:
         self._metrics = MetricsRegistry()
         self._stats = ClusterStats(metrics=self._metrics)
         self._closed = False
-        # Room for several concurrent scatters (threads are created lazily,
-        # so the headroom is free when idle).  Note the per-shard timeout is
-        # measured from the scatter call, so under heavier concurrency than
-        # this headroom it also covers time spent queued for a worker.
-        self._executor = ScatterGatherExecutor(
-            max_workers=self._pool_headroom(len(shards)), timeout=shard_timeout
-        )
-        # Everything above only validates and allocates; from here on threads
-        # and sockets exist, so any failure must tear them down again.
+        # Everything above only validates and allocates; from here on
+        # sockets exist, so any failure must tear them down again.
         try:
             for index, backend in enumerate(shards):
                 explicit = shard_ids[index] if shard_ids is not None else None
@@ -411,10 +407,6 @@ class ShardRouter:
         except BaseException:
             self.close()
             raise
-
-    @staticmethod
-    def _pool_headroom(shard_count: int) -> int:
-        return min(64, max(8, 4 * shard_count))
 
     @classmethod
     def connect(
@@ -635,7 +627,7 @@ class ShardRouter:
         return spans
 
     def close(self) -> None:
-        """Close owned backends and the scatter pool.
+        """Close owned backends.
 
         Idempotent: several sessions may share one router, and each closing
         session closes its server.
@@ -646,7 +638,6 @@ class ShardRouter:
         for shard in self._shards.values():
             if shard.owned:
                 shard.server.close()
-        self._executor.close()
 
     def __enter__(self) -> "ShardRouter":
         return self
@@ -852,7 +843,6 @@ class ShardRouter:
             raise
         self._shards[shard.shard_id] = shard
         self._ring.add_shard(shard.shard_id)
-        self._resize_executor()
         if not rebalance:
             return None
         return self.rebalance()
@@ -929,15 +919,6 @@ class ShardRouter:
         self._schemas[name] = schema
         return schema
 
-    def _resize_executor(self) -> None:
-        wanted = self._pool_headroom(len(self._shards))
-        if wanted > self._executor.max_workers:
-            old = self._executor
-            self._executor = ScatterGatherExecutor(
-                max_workers=wanted, timeout=old.timeout
-            )
-            old.close()
-
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
@@ -952,9 +933,12 @@ class ShardRouter:
         """Scatter ``calls``; the answer values, or raise on a lost shard.
 
         Each call pairs a shard id with the :class:`ShardRequest` to run
-        against that shard's server, on the executor's thread pool; each
-        shard gets the full per-shard timeout, so a gather waits at most
-        ``len(calls) * timeout``.
+        against that shard's server, in the fleet's order;
+        :func:`~repro.cluster.executor.scatter` sends every ``tcp://``
+        leg, calls in-process shards inline, then reads the remote answers
+        in the caller's thread.  Each remote leg gets the full per-shard
+        timeout, so a gather waits at most ``len(calls) * timeout``, and a
+        leg that times out closes its connection.
 
         A full-fleet *read* that loses shards first tries replica failover:
         when every ring segment still has a live successor
@@ -967,12 +951,10 @@ class ShardRouter:
         if read:
             self._stats.record_scatter_read()
         trace = current_trace()
-        bound = [
-            (shard_id, partial(work, self.shard(shard_id))) for shard_id, work in calls
-        ]
+        bound = [(shard_id, self.shard(shard_id), work) for shard_id, work in calls]
         scatter_started_wall = time.time()
         scatter_started = time.monotonic()
-        outcomes = self._executor.scatter(bound)
+        outcomes = scatter(bound, self._shard_timeout)
         scatter_elapsed = time.monotonic() - scatter_started
         self._record_outcomes(
             trace, operation, scatter_started_wall, scatter_elapsed, outcomes
@@ -1008,7 +990,7 @@ class ShardRouter:
         """Per-shard latency histograms plus, when traced, the scatter spans.
 
         Every outcome -- success, failure, timeout -- feeds its shard's
-        ``cluster_shard_seconds`` histogram (the executor timed all of
+        ``cluster_shard_seconds`` histogram (the scatter timed all of
         them), so shard tail latency is visible without tracing; under a
         trace the router additionally records one ``router.scatter`` span
         and a ``shard.request`` child span per outcome.
@@ -1025,7 +1007,7 @@ class ShardRouter:
             started_wall,
             elapsed_s,
             operation=operation,
-            transport="thread-pool",
+            transport="caller-thread",
             shards=len(outcomes),
             failed_shard_ids=failed,
         )

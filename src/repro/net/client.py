@@ -18,13 +18,20 @@ JSON) is the sans-IO :class:`~repro.net.wire.ClientChannel`.  Every new
 connection opens with the hello handshake, whose answer is only checked
 for ``ok``: there is no version to agree on, since every provider reads
 both envelope layouts and a proxy attaches the trace id of the ambient
-trace to every envelope it ships.  ``timeout`` bounds each whole round
-trip, not each ``recv``, so a provider that trickles its answer cannot
-hold a caller past it.  A call that hits a dead connection -- the provider
-restarted, an idle socket timed out, a round trip ran out of time -- is
-retried once on a fresh connection before the error surfaces, unless its
-kind is in :data:`~repro.outsourcing.protocol.REPLAY_UNSAFE` and the
-request may have reached the provider (at-most-once).
+trace to every envelope it ships.
+
+A round trip is two halves: :meth:`RemoteServerProxy.send_message` sends
+on a borrowed connection and returns a :class:`PendingReply`, whose
+:meth:`~PendingReply.receive` reads the answer -- so one thread can have a
+request out to each of several providers before reading any answer (the
+shard router's scatter), and ``handle_message`` is the two back to back.
+``timeout`` bounds each whole round trip, not each ``recv``, so a provider
+that trickles its answer cannot hold a caller past it.  A call that hits a
+dead connection -- the provider restarted, an idle socket timed out, a
+round trip ran out of time -- is resent once on a fresh connection before
+the error surfaces, unless its kind is in
+:data:`~repro.outsourcing.protocol.REPLAY_UNSAFE` and the request may have
+reached the provider (at-most-once).
 
 Errors raised here subclass
 :class:`~repro.outsourcing.server.ServerError`, so the facade's existing
@@ -149,15 +156,27 @@ def parse_tcp_url(url: str) -> tuple[str, int]:
     return hostname, port
 
 
+class ReplyOverdueError(RemoteError):
+    """A caller's budget for one answer ran out; its connection was closed.
+
+    Unlike a :class:`ConnectionLostError` this is never retried: the caller
+    chose to stop waiting, and the closed connection means the late answer
+    can never reach another request.
+    """
+
+
 class RemoteConnection:
     """One blocking framed connection, greeted with a hello at construction.
 
     The wire work -- correlation ids, response pairing, hello -- lives in
     the sans-IO :class:`~repro.net.wire.ClientChannel`; this class only
     moves bytes through a blocking socket, one request at a time
-    (concurrency comes from the pool).  ``timeout`` is a deadline for each
-    whole round trip: the socket's timeout is set to what remains of it
-    before every send and ``recv``.
+    (concurrency comes from the pool).  A round trip is two halves,
+    :meth:`send` and :meth:`receive`, so a caller can have one request out
+    on each of several connections before it reads any answer.
+    ``timeout`` is a deadline for each whole round trip, started by
+    :meth:`send`: the socket's timeout is set to what remains of it before
+    every send and ``recv``.
     """
 
     def __init__(
@@ -170,6 +189,7 @@ class RemoteConnection:
     ) -> None:
         self._channel = wire.ClientChannel(max_frame_size)
         self._timeout = timeout
+        self._deadline: float | None = None
         try:
             self._sock = socket.create_connection((host, port), timeout=timeout)
         except OSError as exc:
@@ -183,50 +203,49 @@ class RemoteConnection:
             self.close()
             raise
 
-    def call_envelope(self, raw: bytes, trace_id: bytes | None = None) -> bytes:
-        """One protocol round trip: envelope bytes out, envelope bytes back.
-
-        A ``trace_id`` is attached to the envelope (rewriting it to the
-        traced layout, an O(1) byte splice).
-        """
-        if trace_id is not None:
-            raw = protocol.attach_trace(raw, trace_id)
-        frame = self._round_trip(raw, CHANNEL_ENVELOPE)
-        if frame.channel == CHANNEL_CONTROL:
-            # The server only answers an envelope with a control frame to
-            # report a fatal transport-level failure before closing.
-            raise RemoteError(self._control_error(frame.payload))
-        return frame.payload
-
     def call_control(self, op: str, **fields) -> dict:
         """One control round trip; returns the response object on ``ok``."""
-        frame = self._round_trip(
-            wire.encode_control_request(op, **fields), CHANNEL_CONTROL
-        )
-        if frame.channel != CHANNEL_CONTROL:
-            raise RemoteError(f"provider answered control op {op!r} on the wrong channel")
-        try:
-            response = wire.decode_control_response(frame.payload)
-        except wire.WireProtocolError as exc:
-            raise RemoteError(str(exc)) from exc
-        if not response.get("ok"):
-            raise RemoteError(wire.control_error(response))
-        return response
+        self.send(wire.encode_control_request(op, **fields), CHANNEL_CONTROL)
+        return _control_answer(op, self.receive())
 
     def close(self) -> None:
         """Close the underlying socket (idempotent)."""
         with contextlib.suppress(OSError):
             self._sock.close()
 
-    def _round_trip(self, payload: bytes, channel: int) -> Frame:
-        deadline = None if self._timeout is None else time.monotonic() + self._timeout
-        delivered = False
-        correlation = None
+    def send(self, payload: bytes, channel: int) -> None:
+        """The send half: frame one request and hand it to the kernel.
+
+        Starts the round trip's deadline.  Raises
+        :class:`ConnectionLostError` with ``request_delivered=False``: no
+        byte of a request whose send failed counts as delivered.
+        """
+        self._deadline = None if self._timeout is None else time.monotonic() + self._timeout
         try:
-            correlation, wire_bytes = self._channel.send(payload, channel)
-            self._arm(deadline)
+            _, wire_bytes = self._channel.send(payload, channel)
+            self._arm(self._deadline)
             self._sock.sendall(wire_bytes)
-            delivered = True
+        except socket.timeout as exc:
+            raise ConnectionLostError(
+                f"provider did not answer within {self._timeout}s"
+            ) from exc
+        except (OSError, FramingError) as exc:
+            raise ConnectionLostError(f"provider connection failed: {exc}") from exc
+
+    def receive(self, until: float | None = None) -> Frame:
+        """The receive half: read until the answer to the request sent arrives.
+
+        Waits at most until the round trip's deadline or ``until`` (a
+        :func:`time.monotonic` instant, the caller's own budget), whichever
+        comes first.  A missed round-trip deadline is a
+        :class:`ConnectionLostError`; a missed ``until`` is a
+        :class:`ReplyOverdueError`.  Either way the connection holds a late
+        answer and must be closed.
+        """
+        deadline, overdue = self._deadline, False
+        if until is not None and (deadline is None or until < deadline):
+            deadline, overdue = until, True
+        try:
             while True:
                 self._arm(deadline)
                 chunk = self._sock.recv(65536)
@@ -247,37 +266,56 @@ class RemoteConnection:
                         self._connection_lost_message(), request_delivered=True
                     )
         except socket.timeout as exc:
-            # The connection now holds a late answer: the checkout drops it.
+            if overdue:
+                raise ReplyOverdueError("no answer within the caller's budget") from exc
             raise ConnectionLostError(
                 f"provider did not answer within {self._timeout}s",
-                request_delivered=delivered,
+                request_delivered=True,
             ) from exc
         except (OSError, FramingError) as exc:
-            if correlation is not None:
-                self._channel.cancel(correlation)
             raise ConnectionLostError(
-                f"provider connection failed: {exc}", request_delivered=delivered
+                f"provider connection failed: {exc}", request_delivered=True
             ) from exc
 
     def _arm(self, deadline: float | None) -> None:
         """Give the next socket call what remains of the round trip's time."""
+        remaining = None
         if deadline is not None:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise socket.timeout("timed out")
-            self._sock.settimeout(remaining)
+        self._sock.settimeout(remaining)
 
     def _connection_lost_message(self) -> str:
         if self._channel.fault is not None:
             return f"provider closed the connection: {self._channel.fault}"
         return "provider closed the connection"
 
-    @staticmethod
-    def _control_error(payload: bytes) -> str:
+
+def _envelope_answer(frame: Frame) -> bytes:
+    """The answer envelope an envelope request's frame carries."""
+    if frame.channel == CHANNEL_CONTROL:
+        # The server only answers an envelope with a control frame to
+        # report a fatal transport-level failure before closing.
         try:
-            return wire.control_error(wire.decode_control_response(payload))
+            message = wire.control_error(wire.decode_control_response(frame.payload))
         except wire.WireProtocolError:
-            return "unreadable provider error"
+            message = "unreadable provider error"
+        raise RemoteError(message)
+    return frame.payload
+
+
+def _control_answer(op: str, frame: Frame) -> dict:
+    """The response object a control request's frame carries, on ``ok``."""
+    if frame.channel != CHANNEL_CONTROL:
+        raise RemoteError(f"provider answered control op {op!r} on the wrong channel")
+    try:
+        response = wire.decode_control_response(frame.payload)
+    except wire.WireProtocolError as exc:
+        raise RemoteError(str(exc)) from exc
+    if not response.get("ok"):
+        raise RemoteError(wire.control_error(response))
+    return response
 
 
 class _Checkout:
@@ -328,25 +366,33 @@ class ConnectionPool:
         """Borrow a connection for a ``with`` block (see :class:`_Checkout`)."""
         return _Checkout(self)
 
-    def _borrow(self) -> RemoteConnection:
+    def _acquire(self) -> RemoteConnection | None:
+        """Take a slot; the most recently returned idle connection, or None."""
         self._slots.acquire()
+        with self._lock:
+            if self._closed:
+                self._slots.release()
+                raise RemoteError("the connection pool is closed")
+            return self._idle.pop() if self._idle else None
+
+    def _borrow(self) -> RemoteConnection:
+        connection = self._acquire()
+        if connection is not None:
+            return connection
         try:
-            with self._lock:
-                if self._closed:
-                    raise RemoteError("the connection pool is closed")
-                connection = self._idle.pop() if self._idle else None
-            return connection if connection is not None else self._factory()
+            return self._factory()
         except BaseException:
             self._slots.release()
             raise
 
-    def _give_back(self, connection: RemoteConnection, reusable: bool) -> None:
+    def _give_back(self, connection: RemoteConnection | None, reusable: bool) -> None:
+        """End a slot's checkout: keep ``connection`` idle, or close it."""
         try:
             with self._lock:
                 keep = reusable and not self._closed
                 if keep:
                     self._idle.append(connection)
-            if not keep:
+            if not keep and connection is not None:
                 connection.close()
         finally:
             self._slots.release()
@@ -365,6 +411,96 @@ class ConnectionPool:
             idle, self._idle = self._idle, []
         for connection in idle:
             connection.close()
+
+
+class PendingReply:
+    """One request sent on a borrowed connection, its answer still owed.
+
+    Construction is the send half of a round trip: it takes a pool slot
+    (waiting while every slot is out) and an idle or fresh connection, and
+    sends; :meth:`receive` is the receive half and gives the slot back,
+    keeping the connection only when an answer came back on it.  A dead
+    connection -- the provider restarted, an idle socket timed out, a
+    round trip ran out of time, a send failed -- is replaced once, in the
+    same slot, and the request resent, unless its kind is in
+    :data:`~repro.outsourcing.protocol.REPLAY_UNSAFE` and it may have
+    reached the provider (at-most-once).  Resending never waits for
+    another slot, so callers that send on several pools in one fixed order
+    cannot deadlock.
+    """
+
+    __slots__ = ("_proxy", "_connection", "_payload", "_channel", "_idempotent",
+                 "_lost", "_trace", "_started", "_mono")
+
+    def __init__(self, proxy, payload: bytes, channel: int, idempotent: bool, trace=None) -> None:
+        self._proxy = proxy
+        self._payload = payload
+        self._channel = channel
+        self._idempotent = idempotent
+        self._trace = trace
+        self._started = time.time()
+        self._mono = time.monotonic()
+        self._lost: ConnectionLostError | None = None
+        pool = proxy._pool
+        self._connection = pool._acquire()
+        try:
+            if self._connection is None:
+                self._connection = pool._factory()
+            self._connection.send(payload, channel)
+        except ConnectionLostError as exc:
+            self._lost = exc
+        except BaseException:
+            pool._give_back(self._connection, False)
+            raise
+
+    def receive(self, budget: float | None = None) -> bytes:
+        """The receive half: the provider's answer envelope.
+
+        ``budget`` bounds the wait from now, beside the connection's own
+        round-trip deadline: when it runs out the connection is closed and
+        :class:`ReplyOverdueError` raised.
+        """
+        try:
+            return _envelope_answer(self.frame(budget))
+        finally:
+            if self._trace is not None:
+                self._trace.record(
+                    "proxy.request",
+                    self._started,
+                    time.monotonic() - self._mono,
+                    transport="tcp",
+                    host=self._proxy._host,
+                    port=self._proxy._port,
+                )
+
+    def abandon(self) -> None:
+        """Return the slot without reading the answer; the connection closes."""
+        self._proxy._pool._give_back(self._connection, False)
+
+    def frame(self, budget: float | None = None) -> Frame:
+        """The answer frame, resent once on a fresh connection if allowed."""
+        until = None if budget is None else time.monotonic() + budget
+        pool = self._proxy._pool
+        try:
+            try:
+                if self._lost is not None:
+                    raise self._lost
+                frame = self._connection.receive(until)
+            except ConnectionLostError as exc:
+                if exc.request_delivered and not self._idempotent:
+                    raise
+                pool.discard_idle()
+                if self._connection is not None:
+                    self._connection.close()
+                    self._connection = None
+                self._connection = pool._factory()
+                self._connection.send(self._payload, self._channel)
+                frame = self._connection.receive(until)
+        except BaseException:
+            pool._give_back(self._connection, False)
+            raise
+        pool._give_back(self._connection, True)
+        return frame
 
 
 class RemoteServerProxy:
@@ -425,25 +561,6 @@ class RemoteServerProxy:
             max_frame_size=self._max_frame_size,
         )
 
-    def _call(self, operation, idempotent: bool = True):
-        """Run ``operation(connection)``, retrying once on a dead connection.
-
-        Only transport-level failures (:class:`ConnectionLostError`) are
-        retried, and a non-idempotent operation is only retried when the
-        request never left this machine (``request_delivered`` is False) --
-        otherwise a provider that processed the request before dying would
-        see it applied twice.  Protocol-level errors are never retried.
-        """
-        try:
-            with self._pool.checkout() as connection:
-                return operation(connection)
-        except ConnectionLostError as exc:
-            if exc.request_delivered and not idempotent:
-                raise
-            self._pool.discard_idle()
-            with self._pool.checkout() as connection:
-                return operation(connection)
-
     # ------------------------------------------------------------------ #
     # The provider's surface
     # ------------------------------------------------------------------ #
@@ -454,29 +571,27 @@ class RemoteServerProxy:
         A kind in :data:`~repro.outsourcing.protocol.REPLAY_UNSAFE` is never
         resent once it may have reached the provider.
         """
+        return self.send_message(raw).receive()
+
+    def send_message(self, raw: bytes) -> PendingReply:
+        """The send half of :meth:`handle_message`: ship one envelope now.
+
+        The envelope carries the ambient trace's id; the returned
+        :class:`PendingReply` holds a pooled connection until its
+        :meth:`~PendingReply.receive` reads the answer, and records the
+        ``proxy.request`` span then.
+        """
         _, kind, _ = protocol.peek_envelope(raw)  # O(header): no body copy
         trace = current_trace()
-        trace_id = trace.trace_id if trace is not None else None
-        started = time.time()
-        mono = time.monotonic()
-        try:
-            return self._call(
-                lambda connection: connection.call_envelope(raw, trace_id=trace_id),
-                idempotent=kind not in protocol.REPLAY_UNSAFE,
-            )
-        finally:
-            if trace is not None:
-                trace.record(
-                    "proxy.request",
-                    started,
-                    time.monotonic() - mono,
-                    transport="tcp",
-                    host=self._host,
-                    port=self._port,
-                )
+        if trace is not None:
+            raw = protocol.attach_trace(raw, trace.trace_id)
+        return PendingReply(
+            self, raw, CHANNEL_ENVELOPE, kind not in protocol.REPLAY_UNSAFE, trace
+        )
 
     def _control(self, op: str, **fields) -> dict:
-        return self._call(lambda connection: connection.call_control(op, **fields))
+        payload = wire.encode_control_request(op, **fields)
+        return _control_answer(op, PendingReply(self, payload, CHANNEL_CONTROL, True).frame())
 
     # ------------------------------------------------------------------ #
     # Diagnostics

@@ -7,10 +7,8 @@ connection-fatal diagnostic -- and performs no I/O, so the blocking
 pairing rules are tested without a socket.  ``send`` allocates a fresh
 correlation id for an outgoing request; ``receive`` absorbs raw socket
 bytes and returns every response frame that matches a pending request.
-A response whose correlation id matches nothing -- the reply to a request
-the caller already cancelled -- is counted in
-:attr:`ClientChannel.orphan_frames` and dropped: a late answer must never
-be delivered to the wrong caller.
+A response whose correlation id matches nothing is dropped: a late answer
+must never be delivered to the wrong caller.
 """
 
 from __future__ import annotations
@@ -44,18 +42,7 @@ class ClientChannel:
         self._decoder = FrameDecoder(max_frame_size)
         self._next_correlation = 1
         self._pending: set[int] = set()
-        self._orphans = 0
         self._fault: str | None = None
-
-    @property
-    def pending_count(self) -> int:
-        """Requests sent but not yet answered (or cancelled)."""
-        return len(self._pending)
-
-    @property
-    def orphan_frames(self) -> int:
-        """Responses that arrived after their request was cancelled."""
-        return self._orphans
 
     @property
     def fault(self) -> str | None:
@@ -86,7 +73,7 @@ class ClientChannel:
 
         Raises :class:`~repro.net.framing.FramingError` on byte-level
         garbage.  Orphaned responses (no pending request under that
-        correlation id) are counted and dropped.
+        correlation id) are dropped.
         """
         matched = []
         for frame in self._decoder.feed(data):
@@ -100,13 +87,7 @@ class ClientChannel:
                     self._fault = control_error(decode_control_response(frame.payload))
                 except WireProtocolError:
                     self._fault = "unreadable provider fault"
-            else:
-                self._orphans += 1
         return matched
-
-    def cancel(self, correlation: int) -> None:
-        """Forget a pending request (its late response becomes an orphan)."""
-        self._pending.discard(correlation)
 
     def _allocate_correlation(self) -> int:
         # Wrap at 32 bits, skipping ids still in flight (a pathological

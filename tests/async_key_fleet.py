@@ -2,8 +2,8 @@
 
 A manifest written when a fleet could scatter on an event loop may carry
 ``"async": true``.  The key still loads and has no effect: the fleet is
-the one the same document without it opens, scattering on the thread
-pool over blocking shard connections.  Lives next to ``tests/conftest.py``
+the one the same document without it opens, scattering in the caller's
+thread over blocking shard connections.  Lives next to ``tests/conftest.py``
 so cluster and cache tests share one spelling of such a document.
 """
 

@@ -1,12 +1,14 @@
-"""The one cluster scatter: outcome contracts, ``?async=1`` fleets, timeouts.
+"""The one cluster scatter: ``?async=1`` fleets, the caller's thread, timeouts.
 
-Every fleet scatters on :class:`ScatterGatherExecutor`'s thread pool over
-blocking shard connections; ``async=1`` on a ``cluster://`` URL is accepted
-and opens exactly the fleet the URL without it opens.
+Every fleet scatters in the caller's thread over blocking shard
+connections (:func:`repro.cluster.scatter`; its own contracts are
+``test_executor.py``); ``async=1`` on a ``cluster://`` URL is accepted and
+opens exactly the fleet the URL without it opens.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 
@@ -14,10 +16,11 @@ import pytest
 from gated_provider import GatedServer
 
 from repro.api import DatabaseError, EncryptedDatabase
-from repro.cluster import ScatterGatherExecutor, ShardRouter, ShardTimeoutError
+from repro.cluster import ShardRouter, ShardTimeoutError
 from repro.net import ThreadedTcpServer
 from repro.net.client import RemoteServerProxy
-from repro.outsourcing import OutsourcedDatabaseServer
+from repro.outsourcing import MessageKind, OutsourcedDatabaseServer
+from repro.outsourcing.protocol import peek_envelope
 from provider_calls import drop_relation
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
@@ -48,57 +51,6 @@ def _assert_blocking(router: ShardRouter) -> None:
         assert type(router.shard(shard_id)) is RemoteServerProxy
 
 
-class TestTheOneScatter:
-    def test_outcomes_in_scatter_order(self):
-        def late(value):
-            time.sleep(0.05)
-            return value
-
-        executor = ScatterGatherExecutor(max_workers=2)
-        try:
-            outcomes = executor.scatter([("a", lambda: late(1)), ("b", lambda: 2)])
-        finally:
-            executor.close()
-        assert [(o.shard_id, o.value) for o in outcomes] == [("a", 1), ("b", 2)]
-        assert all(o.ok for o in outcomes)
-
-    def test_per_shard_exceptions_are_data(self):
-        def boom():
-            raise RuntimeError("shard on fire")
-
-        executor = ScatterGatherExecutor(max_workers=2)
-        try:
-            outcomes = executor.scatter([("bad", boom), ("good", lambda: "ok")])
-        finally:
-            executor.close()
-        assert not outcomes[0].ok
-        assert isinstance(outcomes[0].error, RuntimeError)
-        assert outcomes[1].value == "ok"
-
-    def test_timeout_reports_the_laggard_and_discards_its_late_value(self):
-        """The laggard is a typed failure naming its budget; the rest answer,
-        and its value, produced after the gather returned, goes nowhere."""
-        release, finished = threading.Event(), threading.Event()
-
-        def laggard():
-            release.wait(10)
-            finished.set()
-            return "late"
-
-        executor = ScatterGatherExecutor(max_workers=2, timeout=0.2)
-        try:
-            outcomes = executor.scatter([("slow", laggard), ("fast", lambda: "fast")])
-            release.set()
-            assert finished.wait(5)
-        finally:
-            release.set()
-            executor.close()
-        assert isinstance(outcomes[0].error, ShardTimeoutError)
-        assert str(outcomes[0].error) == "shard 'slow' did not answer within its 0.2s budget"
-        assert outcomes[0].value is None
-        assert outcomes[1].value == "fast"
-
-
 class TestAsyncTransportFleet:
     def test_crud_over_an_async_url_fleet(self, fleet, secret_key, rng):
         with EncryptedDatabase.connect(async_url(fleet), secret_key, rng=rng) as db:
@@ -116,7 +68,7 @@ class TestAsyncTransportFleet:
             assert "loop_scatters" not in stats
             db.drop_table("Emp")
 
-    def test_a_mixed_fleet_scatters_on_the_one_pool(self, fleet, secret_key, rng):
+    def test_a_mixed_fleet_scatters_in_one_pass(self, fleet, secret_key, rng):
         one, _ = fleet
         local = OutsourcedDatabaseServer()
         router = ShardRouter([f"tcp://127.0.0.1:{one.port}", local])
@@ -154,10 +106,10 @@ class TestASlowShard:
         self, secret_key, rng
     ):
         """A gated shard exceeds its budget mid-scatter: the read raises with
-        the shard's timeout in its detail.  One pooled connection per shard
-        means the next request to that shard rides the very connection the
-        late answer arrives on, so a misdelivered answer would be the wrong
-        department's rows."""
+        the shard's timeout in its detail.  The shard has one pooled
+        connection, and the timed-out one is closed: were it reused, the
+        late answer arriving on it would be the next request's, and the
+        wrong department's rows."""
         slow_database = GatedServer()
         with ThreadedTcpServer() as fast, ThreadedTcpServer(slow_database) as slow:
             url = f"cluster://127.0.0.1:{fast.port},127.0.0.1:{slow.port}?async=1"
@@ -184,3 +136,130 @@ class TestASlowShard:
             finally:
                 gate.set()
                 db.close()
+
+
+class CountingServer(OutsourcedDatabaseServer):
+    """Records the kind of every envelope it is handed."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.kinds: list[MessageKind] = []
+
+    def handle_message(self, raw: bytes) -> bytes:
+        self.kinds.append(peek_envelope(raw)[1])
+        return super().handle_message(raw)
+
+
+@contextlib.contextmanager
+def three_providers():
+    """Three counting providers over ``tcp://``, and their cluster URL."""
+    databases = [CountingServer() for _ in range(3)]
+    with contextlib.ExitStack() as stack:
+        servers = [stack.enter_context(ThreadedTcpServer(d)) for d in databases]
+        url = "cluster://" + ",".join(f"127.0.0.1:{s.port}" for s in servers)
+        yield databases, servers, url
+
+
+def restart(server: ThreadedTcpServer, database) -> ThreadedTcpServer:
+    """The same provider state behind a bounced front-end: every pooled
+    connection to it is now dead."""
+    port = server.port
+    server.stop()
+    return ThreadedTcpServer(database, port=port).start()
+
+
+class TestTheCallersThread:
+    def test_eight_threads_share_one_session_within_two_connections_a_shard(
+        self, secret_key, rng
+    ):
+        """Every scatter takes the shards' pool slots in the fleet's one
+        order, so eight threads over ``pool_size=2`` neither deadlock nor
+        open a third connection to any provider."""
+        oracle = {dept: _oracle(dept) for dept in ("HR", "IT")}
+        answers, errors = [], []
+        barrier = threading.Barrier(8)
+        with three_providers() as (_, servers, url):
+            db = EncryptedDatabase.connect(url, secret_key, rng=rng, pool_size=2, timeout=10.0)
+            try:
+                db.create_table(EMP_DECL, rows=ROWS)
+
+                def reader(offset: int) -> None:
+                    try:
+                        barrier.wait(timeout=10)
+                        for step in range(10):
+                            dept = ("HR", "IT")[(offset + step) % 2]
+                            outcome = db.select(f"SELECT * FROM Emp WHERE dept = '{dept}'")
+                            answers.append((dept, _names(outcome)))
+                    except Exception as exc:  # noqa: BLE001 - asserted below
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=reader, args=(i,)) for i in range(8)]
+                started = time.monotonic()
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                elapsed = time.monotonic() - started
+                assert db.count("Emp") == len(ROWS)
+            finally:
+                db.close()
+            connections = [s.server.stats.as_dict()["connections_total"] for s in servers]
+        assert not errors and not any(t.is_alive() for t in threads), errors
+        assert elapsed < 60
+        assert len(answers) == 8 * 10
+        assert all(names == oracle[dept] for dept, names in answers)
+        assert max(connections) <= 2, connections
+
+    def test_a_session_starts_no_thread(self, secret_key, rng):
+        with three_providers() as (_, servers, url):
+            # The providers run in this process: let their dispatch workers
+            # start before counting, through sessions that are no fleet.
+            for server in servers:
+                tcp_url = f"tcp://127.0.0.1:{server.port}"
+                with EncryptedDatabase.connect(tcp_url, secret_key) as warm:
+                    warm.create_table(EMP_DECL, rows=ROWS)
+                    warm.drop_table("Emp")
+            before = threading.active_count()
+            with EncryptedDatabase.connect(url, secret_key, rng=rng) as db:
+                db.create_table(EMP_DECL, rows=ROWS)
+                assert _names(db.select("SELECT * FROM Emp WHERE dept = 'HR'")) == _oracle("HR")
+                db.insert("Emp", {"name": "Zoe", "dept": "HR", "salary": 1})
+                db.update("SELECT * FROM Emp WHERE name = 'Zoe'", {"salary": 2})
+                assert db.delete("SELECT * FROM Emp WHERE dept = 'IT'") == 12
+                assert db.count("Emp") == 13
+                assert threading.active_count() == before
+            assert threading.active_count() == before
+
+    def test_a_stale_read_leg_is_resent_once(self, secret_key, rng):
+        """A restarted provider leaves its pooled connections dead: the
+        read's leg to it is resent once on a fresh one, and the read
+        answers the oracle's rows."""
+        with three_providers() as (databases, servers, url):
+            with EncryptedDatabase.connect(url, secret_key, rng=rng, timeout=10.0) as db:
+                db.create_table(EMP_DECL, rows=ROWS)
+                bounced = restart(servers[1], databases[1])
+                try:
+                    for database in databases:
+                        database.kinds.clear()
+                    outcome = db.select("SELECT * FROM Emp WHERE dept = 'HR'")
+                finally:
+                    bounced.stop()
+        assert _names(outcome) == _oracle("HR")
+        assert [d.kinds for d in databases] == [[MessageKind.QUERY]] * 3
+
+    def test_a_delivered_insert_leg_is_never_resent(self, secret_key, rng):
+        """The insert's leg to a restarted provider leaves on a dead
+        connection: it may have been delivered, so it is not resent and
+        the write fails loudly."""
+        with three_providers() as (databases, servers, url):
+            with EncryptedDatabase.connect(url, secret_key, rng=rng, timeout=10.0) as db:
+                db.create_table(EMP_DECL, rows=ROWS)
+                bounced = restart(servers[1], databases[1])
+                try:
+                    databases[1].kinds.clear()
+                    new = [(f"new{i}", "OPS", i) for i in range(24)]
+                    with pytest.raises(DatabaseError, match="failed on 1/3 shard"):
+                        db.insert_many("Emp", new)
+                finally:
+                    bounced.stop()
+        assert MessageKind.INSERT_TUPLES not in databases[1].kinds

@@ -1,99 +1,191 @@
-"""Scatter-gather executor: concurrency, timeouts, failures as outcome data."""
+"""The one scatter: remote legs overlap, budgets, failures as outcome data.
+
+Every remote leg here is a gated provider over ``tcp://`` behind a
+one-connection proxy, and every leg asks for a relation named after its
+shard, so an answer names the request it answers (an unknown relation
+is an ``ERROR`` answer that still carries the name).
+"""
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
+from functools import partial
 
-import pytest
+from gated_provider import GatedServer
 
 from repro.cluster.executor import (
     ClusterError,
-    ScatterGatherExecutor,
     ShardFailedError,
     ShardOutcome,
+    ShardRequest,
     ShardTimeoutError,
+    scatter,
 )
+from repro.net import ThreadedTcpServer
+from repro.net.client import RemoteServerProxy
 from repro.obs import Trace, current_trace, use_trace
+from repro.outsourcing.client import checked_answer
+from repro.outsourcing.protocol import MessageKind, MessageV2, parse_message
 from repro.outsourcing.server import ServerError
 
 
-@pytest.fixture
-def executor():
-    ex = ScatterGatherExecutor(max_workers=4)
-    yield ex
-    ex.close()
+def named(shard_id: str) -> ShardRequest:
+    """A read for the relation ``shard_id``; its step answers that name."""
+    envelope = MessageV2(MessageKind.LIST_TUPLE_IDS, shard_id).to_bytes()
+    return ShardRequest(envelope, lambda raw: parse_message(raw).relation_name)
+
+
+def checked(shard_id: str) -> ShardRequest:
+    """The same read, checked: an unknown relation is a ``ClusterError``."""
+    step = partial(checked_answer, expect=MessageKind.TUPLE_IDS, error=ClusterError)
+    return ShardRequest(named(shard_id).envelope, step)
+
+
+@contextlib.contextmanager
+def fleet(count: int):
+    """``count`` gated providers, each behind a ``pool_size=1`` proxy."""
+    with contextlib.ExitStack() as stack:
+        databases = [GatedServer() for _ in range(count)]
+        proxies = []
+        for database in databases:
+            tcp = stack.enter_context(ThreadedTcpServer(database))
+            proxy = RemoteServerProxy("127.0.0.1", tcp.port, pool_size=1, timeout=10.0)
+            proxies.append(stack.enter_context(proxy))
+        try:
+            yield databases, proxies
+        finally:
+            for database in databases:  # a parked request never outlives the test
+                for gate in database.gates.values():
+                    gate.set()
+
+
+def release_after(gate: threading.Event, seconds: float) -> threading.Timer:
+    timer = threading.Timer(seconds, gate.set)
+    timer.start()
+    return timer
 
 
 class TestScatter:
-    def test_results_keep_scatter_order(self, executor):
-        calls = [(f"s{i}", (lambda v: lambda: v)(i)) for i in range(4)]
-        outcomes = executor.scatter(calls)
+    def test_results_keep_scatter_order(self):
+        """The first leg answers last; outcomes still come in call order."""
+        with fleet(4) as (databases, proxies):
+            release_after(databases[0].gate("s0"), 0.1)
+            outcomes = scatter([(f"s{i}", p, named(f"s{i}")) for i, p in enumerate(proxies)])
         assert [o.shard_id for o in outcomes] == ["s0", "s1", "s2", "s3"]
-        assert [o.value for o in outcomes] == [0, 1, 2, 3]
+        assert [o.value for o in outcomes] == ["s0", "s1", "s2", "s3"]
         assert all(o.ok for o in outcomes)
 
-    def test_calls_actually_overlap(self, executor):
-        barrier = threading.Barrier(3, timeout=5)
+    def test_remote_legs_overlap(self):
+        """Both providers hold their request before either answer is read:
+        the gates open only once both have entered."""
+        both_entered = threading.Event()
+        with fleet(2) as (databases, proxies):
+            gates = [database.gate(f"s{i}") for i, database in enumerate(databases)]
 
-        def rendezvous():
-            barrier.wait()  # deadlocks unless all three run concurrently
-            return True
+            def open_once_both_entered():
+                if all(d.entered[f"s{i}"].wait(5) for i, d in enumerate(databases)):
+                    both_entered.set()
+                for gate in gates:
+                    gate.set()
 
-        outcomes = executor.scatter([(f"s{i}", rendezvous) for i in range(3)])
-        assert all(o.ok for o in outcomes)
+            opener = threading.Thread(target=open_once_both_entered)
+            opener.start()
+            outcomes = scatter([(f"s{i}", p, named(f"s{i}")) for i, p in enumerate(proxies)])
+            opener.join()
+        assert both_entered.is_set()
+        assert [o.value for o in outcomes] == ["s0", "s1"]
 
-    def test_exceptions_become_outcomes(self, executor):
-        def boom():
-            raise RuntimeError("shard exploded")
+    def test_exceptions_become_outcomes(self):
+        """A refused read, a closed proxy and an in-process shard that
+        raises are each one failed outcome; the good leg still answers."""
 
-        outcomes = executor.scatter([("ok", lambda: 1), ("bad", boom)])
-        assert outcomes[0].ok and outcomes[0].value == 1
-        assert not outcomes[1].ok
-        assert "shard exploded" in str(outcomes[1].error)
+        class Exploding:
+            def handle_message(self, raw):
+                raise RuntimeError("shard exploded")
 
-    def test_per_shard_timeout(self):
-        executor = ScatterGatherExecutor(max_workers=2, timeout=0.05)
-        try:
-            outcomes = executor.scatter(
-                [("fast", lambda: "x"), ("slow", lambda: time.sleep(2.0))]
-            )
-        finally:
-            executor.close()
-        assert outcomes[0].ok
-        assert isinstance(outcomes[1].error, ShardTimeoutError)
+        with fleet(3) as (_, (good, refusing, closed)):
+            closed.close()
+            outcomes = scatter([
+                ("bad", refusing, checked("bad")),
+                ("good", good, named("good")),
+                ("closed", closed, named("closed")),
+                ("local", Exploding(), named("local")),
+            ])
+        assert [o.ok for o in outcomes] == [False, True, False, False]
+        assert isinstance(outcomes[0].error, ClusterError)
+        assert outcomes[1].value == "good"
+        assert "closed" in str(outcomes[2].error)
+        assert isinstance(outcomes[3].error, RuntimeError)
+        assert "shard exploded" in str(outcomes[3].error)
+
+    def test_per_shard_timeout_reports_the_laggard_and_discards_its_late_value(self):
+        """The laggard is a typed failure naming its budget, and the rest
+        answer.  Its connection is closed, so the late answer -- released
+        after the gather returned -- reaches no later request on that
+        one-connection proxy."""
+        with fleet(2) as (databases, (slow, fast)):
+            gate = databases[0].gate("slow")
+            outcomes = scatter([("slow", slow, named("slow")), ("fast", fast, named("fast"))], 0.2)
+            gate.set()
+            later = slow.handle_message(named("later").envelope)
+        assert isinstance(outcomes[0].error, ShardTimeoutError)
+        assert str(outcomes[0].error) == "shard 'slow' did not answer within its 0.2s budget"
+        assert outcomes[0].value is None
+        assert outcomes[1].value == "fast"
+        assert parse_message(later).relation_name == "later"
 
     def test_each_slow_shard_gets_its_full_budget(self):
         # Regression: the timeout used to be one shared deadline burned from
         # scatter start, so with several slow-but-in-budget shards the later
-        # ones inherited ~0s and were misreported as timed out.  Two shards
-        # serialized on one worker each take 0.3s against a 0.45s per-shard
-        # budget: both must succeed even though the second finishes 0.6s
-        # after scatter start.
-        executor = ScatterGatherExecutor(max_workers=1, timeout=0.45)
-
-        def slow():
-            time.sleep(0.3)
-            return "done"
-
-        try:
-            outcomes = executor.scatter([("s1", slow), ("s2", slow)])
-        finally:
-            executor.close()
+        # ones inherited ~0s and were misreported as timed out.  The second
+        # leg answers 0.8 s after the scatter began, past a 0.6 s budget,
+        # but only 0.4 s after the gather turned to it: both succeed.
+        with fleet(2) as (databases, proxies):
+            release_after(databases[0].gate("s1"), 0.4)
+            release_after(databases[1].gate("s2"), 0.8)
+            calls = [("s1", proxies[0], named("s1")), ("s2", proxies[1], named("s2"))]
+            outcomes = scatter(calls, 0.6)
         assert [o.ok for o in outcomes] == [True, True], [
             (o.shard_id, o.error) for o in outcomes
         ]
 
-    def test_a_genuinely_slow_shard_still_times_out_behind_a_queue(self):
-        executor = ScatterGatherExecutor(max_workers=1, timeout=0.2)
-        try:
-            outcomes = executor.scatter(
-                [("fast", lambda: "x"), ("slow", lambda: time.sleep(2.0))]
+    def test_a_genuinely_slow_shard_still_times_out_behind_a_slow_one(self):
+        with fleet(2) as (databases, proxies):
+            release_after(databases[0].gate("first"), 0.15)
+            databases[1].gate("stuck")
+            outcomes = scatter(
+                [("first", proxies[0], named("first")), ("stuck", proxies[1], named("stuck"))], 0.4
             )
-        finally:
-            executor.close()
         assert outcomes[0].ok
         assert isinstance(outcomes[1].error, ShardTimeoutError)
+
+    def test_an_in_process_shard_is_called_inline_and_not_bounded(self):
+        """No budget bounds a plain call: a slow in-process shard answers."""
+
+        class Sleepy:
+            def handle_message(self, raw):
+                time.sleep(0.3)
+                return MessageV2(MessageKind.TUPLE_IDS, "local").to_bytes()
+
+        outcomes = scatter([("local", Sleepy(), named("local"))], 0.05)
+        assert outcomes[0].ok and outcomes[0].value == "local"
+        assert outcomes[0].elapsed_s >= 0.3
+
+    def test_legs_run_under_the_callers_trace(self):
+        class Tracing:
+            def handle_message(self, raw):
+                return current_trace()
+
+        trace = Trace(bytes(16))
+        with fleet(1) as (_, (proxy,)), use_trace(trace):
+            outcomes = scatter([
+                ("local", Tracing(), ShardRequest(b"", lambda answer: answer)),
+                ("remote", proxy, named("remote")),
+            ])
+        assert outcomes[0].value is trace
+        assert [s.name for s in trace.spans] == ["proxy.request"]
 
 
 class TestOutcomes:
@@ -118,12 +210,3 @@ class TestOutcomes:
             assert issubclass(error_type, ClusterError)
             assert issubclass(error_type, ServerError)
 
-    def test_the_pool_needs_a_worker(self):
-        with pytest.raises(ValueError, match="at least one worker"):
-            ScatterGatherExecutor(max_workers=0)
-
-    def test_thunks_run_under_the_callers_trace(self, executor):
-        trace = Trace(bytes(16))
-        with use_trace(trace):
-            outcomes = executor.scatter([("s0", current_trace), ("s1", current_trace)])
-        assert [o.value for o in outcomes] == [trace, trace]

@@ -162,7 +162,7 @@ def _replicated_fleet(backend: str, *, index: bool = False):
 
     The ``tcp://`` fleet is opened from a manifest carrying the old
     ``"async": true`` key, which has no effect: its shards are blocking
-    proxies and it scatters on the same thread pool.
+    proxies and it scatters as every fleet does, in the caller's thread.
     """
     shards = [FlakyServer() for _ in range(3)]
     with contextlib.ExitStack() as stack:

@@ -138,7 +138,7 @@ class SessionTap:
         )
         for shard, mark in zip(self._shards, marks):
             # Per-shard order is deterministic; cross-shard arrival order
-            # (a thread-pool scatter) is not, so shards are folded in turn.
+            # (providers work at once) is not, so shards are folded in turn.
             for envelope in shard.requests[mark:]:
                 digest.update(len(envelope).to_bytes(4, "big") + envelope)
             digest.update(b"|")

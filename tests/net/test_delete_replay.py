@@ -19,6 +19,7 @@ import pytest
 
 from repro.api import DatabaseError, EncryptedDatabase
 from repro.net import ThreadedTcpServer
+from repro.net.framing import CHANNEL_ENVELOPE
 from repro.net.client import ConnectionLostError, RemoteConnection, RemoteServerProxy
 from repro.outsourcing.protocol import REPLAY_UNSAFE, MessageKind, peek_envelope
 
@@ -72,18 +73,28 @@ def connect(transport: str, port: int, secret_key, index: bool) -> EncryptedData
 @pytest.fixture
 def lose_first_answer(monkeypatch):
     """The connection applies the first write of ``lost[0]``'s kind, then
-    loses its answer; ``lost`` then also holds that kind."""
-    lost: list = []
-    call_envelope = RemoteConnection.call_envelope
+    loses its answer; ``lost`` then also holds that kind.
 
-    def losing(self, raw, trace_id=None):
-        answer = call_envelope(self, raw, trace_id)
-        if len(lost) == 1 and peek_envelope(raw)[1] is lost[0]:
+    The loss is injected in the receive half every round trip shares --
+    ``handle_message`` and a router's scatter legs alike -- below the
+    proxy's resend rule, which must then refuse to resend the write."""
+    lost: list = []
+    send, receive = RemoteConnection.send, RemoteConnection.receive
+    kinds: dict = {}  # connection -> the kind of the request it last sent
+
+    def sending(self, payload, channel):
+        kinds[self] = peek_envelope(payload)[1] if channel == CHANNEL_ENVELOPE else None
+        send(self, payload, channel)
+
+    def losing(self, until=None):
+        answer = receive(self, until)
+        if len(lost) == 1 and kinds.get(self) is lost[0]:
             lost.append(lost[0])
             raise ConnectionLostError("answer lost", request_delivered=True)
         return answer
 
-    monkeypatch.setattr(RemoteConnection, "call_envelope", losing)
+    monkeypatch.setattr(RemoteConnection, "send", sending)
+    monkeypatch.setattr(RemoteConnection, "receive", losing)
     return lost
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import EncryptedDatabase
-from repro.net import ThreadedTcpServer
+from repro.net import CHANNEL_ENVELOPE, ThreadedTcpServer
 from repro.net.client import RemoteConnection
 from repro.outsourcing import FileStorageBackend, OutsourcedDatabaseServer
 from repro.outsourcing.protocol import (
@@ -45,12 +45,14 @@ def test_hostile_relation_names_share_one_label(kind):
     with ThreadedTcpServer() as server:
         connection = RemoteConnection("127.0.0.1", server.port)
         try:
-            connection.call_envelope(MessageV2(kind, "warm-up", body).to_bytes())
+            connection.send(MessageV2(kind, "warm-up", body).to_bytes(), CHANNEL_ENVELOPE)
+            connection.receive()
             before = len(_instruments(server))
             for i in range(1000):
-                raw = connection.call_envelope(
-                    MessageV2(kind, f"no-such-{i}", body).to_bytes()
+                connection.send(
+                    MessageV2(kind, f"no-such-{i}", body).to_bytes(), CHANNEL_ENVELOPE
                 )
+                raw = connection.receive().payload
                 assert parse_message(raw).relation_name == f"no-such-{i}"
             assert len(_instruments(server)) - before <= 3
         finally:

@@ -28,7 +28,6 @@ from hypothesis.stateful import run_state_machine_as_test
 from repro.api import EncryptedDatabase
 from repro.crypto.rng import DeterministicRng
 from repro.net import RemoteServerProxy, ThreadedTcpServer
-from repro.net.client import RemoteConnection
 from repro.net.server import DatabaseTcpServer
 from repro.outsourcing import InMemoryStorageBackend, MessageKind, OutsourcedDatabaseServer
 from repro.outsourcing.protocol import peek_envelope
@@ -124,19 +123,19 @@ def _inline_inserts_skip_the_id():
 
 
 def _reads_get_an_earlier_reply():
-    """A connection that answers a read with the reply the same envelope
-    got before."""
-    real = RemoteConnection.call_envelope
+    """A proxy that answers a read with the reply the same envelope got
+    before."""
+    real = RemoteServerProxy.handle_message
     replies: dict[bytes, bytes] = {}
 
-    def call(self, raw, trace_id=None):
+    def call(self, raw):
         if peek_envelope(raw)[1] not in READS:
-            return real(self, raw, trace_id)
+            return real(self, raw)
         if raw not in replies:
-            replies[raw] = real(self, raw, trace_id)
+            replies[raw] = real(self, raw)
         return replies[raw]
 
-    return mock.patch.object(RemoteConnection, "call_envelope", call)
+    return mock.patch.object(RemoteServerProxy, "handle_message", call)
 
 
 @pytest.mark.parametrize("index", [False, True], ids=["scan", "index"])

@@ -422,6 +422,12 @@ def scripted_provider(reply, hello_gap: float = 0.0):
         acceptor.join(timeout=10)
 
 
+def envelope_round_trip(connection: RemoteConnection, raw: bytes) -> bytes:
+    """One envelope round trip on one connection: its two halves in turn."""
+    connection.send(raw, CHANNEL_ENVELOPE)
+    return connection.receive().payload
+
+
 def timed(call):
     """``(result or raised exception, seconds taken)`` of ``call()``."""
     started = time.monotonic()
@@ -495,8 +501,8 @@ class TestRoundTripDeadline:
         with scripted_provider(late) as (address, requests):
             connection = RemoteConnection(*address, timeout=self.TIMEOUT)
             try:
-                assert connection.call_envelope(READ) == ANSWER
-                assert connection.call_envelope(READ) == ANSWER
+                assert envelope_round_trip(connection, READ) == ANSWER
+                assert envelope_round_trip(connection, READ) == ANSWER
             finally:
                 connection.close()
         assert len(requests) == 2
@@ -509,7 +515,7 @@ class TestRoundTripDeadline:
         with scripted_provider(late) as (address, requests):
             connection = RemoteConnection(*address, timeout=None)
             try:
-                assert connection.call_envelope(READ) == ANSWER
+                assert envelope_round_trip(connection, READ) == ANSWER
             finally:
                 connection.close()
 
@@ -606,21 +612,23 @@ class TestClientPieces:
         assert len(built) == 1  # the same healthy connection served both
         pool.close()
 
-    def test_non_idempotent_ops_are_not_retried_once_delivered(self, provider):
+    def test_non_idempotent_ops_are_not_retried_once_delivered(self, provider, monkeypatch):
         proxy = RemoteServerProxy("127.0.0.1", provider.port)
         calls = []
 
-        def exploding(connection):
+        def exploding(connection, until=None):
             calls.append(connection)
             raise ConnectionLostError("late failure", request_delivered=True)
 
+        monkeypatch.setattr(RemoteConnection, "receive", exploding)
+        write = MessageV2(MessageKind.DELETE_TUPLES, "Emp").to_bytes()
         # delivered + idempotent -> one retry; delivered + non-idempotent -> none
         with pytest.raises(ConnectionLostError):
-            proxy._call(exploding, idempotent=True)
+            proxy.handle_message(READ)
         assert len(calls) == 2
         calls.clear()
         with pytest.raises(ConnectionLostError):
-            proxy._call(exploding, idempotent=False)
+            proxy.handle_message(write)
         assert len(calls) == 1
         proxy.close()
 

@@ -24,7 +24,8 @@ class TestClientChannel:
         first, _ = channel.send(b"a", CHANNEL_ENVELOPE)
         second, _ = channel.send(b"b", CHANNEL_ENVELOPE)
         assert first != second
-        assert channel.pending_count == 2
+        matched = channel.receive(response_bytes(first) + response_bytes(second))
+        assert [frame.correlation for frame in matched] == [first, second]
 
     def test_responses_pair_by_correlation_in_any_order(self):
         channel = ClientChannel()
@@ -36,7 +37,8 @@ class TestClientChannel:
             (two, b"B"),
             (one, b"A"),
         ]
-        assert channel.pending_count == 0
+        # Both answered: neither is pending, so a repeat pairs with nothing.
+        assert channel.receive(response_bytes(one) + response_bytes(two)) == []
 
     def test_wire_bytes_carry_the_correlation(self):
         channel = ClientChannel()
@@ -45,19 +47,23 @@ class TestClientChannel:
         assert frames[0].correlation == correlation
         assert frames[0].channel == CHANNEL_CONTROL
 
-    def test_cancelled_requests_orphan_their_late_response(self):
+    def test_a_second_answer_to_one_request_is_dropped(self):
         channel = ClientChannel()
         correlation, _ = channel.send(b"slow", CHANNEL_ENVELOPE)
-        channel.cancel(correlation)
-        assert channel.pending_count == 0
-        matched = channel.receive(response_bytes(correlation))
-        assert matched == []
-        assert channel.orphan_frames == 1
+        late = response_bytes(correlation, b"late")
+        matched = channel.receive(response_bytes(correlation) + late)
+        assert [frame.payload for frame in matched] == [b"pong"]
+        assert channel.receive(late) == []
 
     def test_unsolicited_response_is_an_orphan(self):
         channel = ClientChannel()
         assert channel.receive(response_bytes(1234)) == []
-        assert channel.orphan_frames == 1
+        # ...and does not stand in for a later request's answer.
+        correlation, _ = channel.send(b"req", CHANNEL_ENVELOPE)
+        assert correlation != 1234
+        assert [f.correlation for f in channel.receive(response_bytes(correlation))] == [
+            correlation
+        ]
 
     def test_partial_frames_buffer_across_receives(self):
         channel = ClientChannel()

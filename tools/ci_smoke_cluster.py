@@ -6,8 +6,8 @@ provider fails the CI step instead of wedging it.  Each CRUD round trip
 oracle of the same rows.
 
 1. **Scatter-gather CRUD** -- ``repro cluster spawn --shards 2``: the round
-   trip through its ``cluster://`` session, both shards storing data and
-   serving envelopes, then a clean SIGTERM shutdown.
+   trip through its ``cluster://`` session, starting no client thread, both
+   shards storing data and serving envelopes, then a clean SIGTERM shutdown.
 2. **Replicated failover** -- three ``repro serve`` processes at
    ``?replicas=2``: one SIGKILLed provider leaves reads complete (a
    failover read); a second makes ``select`` and ``count`` raise
@@ -38,6 +38,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 
 STARTUP_TIMEOUT_S = 30
 SHUTDOWN_TIMEOUT_S = 15
@@ -61,8 +62,8 @@ def rows_where(db, where: str) -> list:
 
 
 def crud_round_trip(db) -> None:
-    """Create, select, insert, delete and count, each against the oracle."""
-    oracle = list(ROWS)  # sorted, as rows_where answers
+    """Create, select, insert, delete and count against the oracle, starting no thread."""
+    threads, oracle = threading.active_count(), list(ROWS)  # sorted, as rows_where answers
     db.create_table(DECL, rows=oracle)
     check(rows_where(db, "value = 1") == [r for r in oracle if r[1] == 1],
           "select disagrees with the oracle")
@@ -75,6 +76,7 @@ def crud_round_trip(db) -> None:
         check(rows_where(db, f"value = {value}") == [r for r in oracle if r[1] == value],
               f"select value = {value} after insert + delete disagrees with the oracle")
     check(db.count("Smoke") == len(oracle), f"count is not {len(oracle)}")
+    check(threading.active_count() == threads, "the CRUD round trip started a thread")
 
 
 @contextlib.contextmanager
@@ -133,7 +135,7 @@ def smoke_scatter_gather_crud() -> None:
             for shard_id, entry in db.server.cluster_status().items():
                 frames = entry.get("stats", {}).get("stats", {}).get("envelope_frames", 0)
                 check(entry.get("ok") and frames > 0, f"{shard_id} served no envelopes")
-        print(f"CRUD round trip matched the oracle on both shards: {counts}")
+        print(f"CRUD round trip matched the oracle on both shards, no thread: {counts}")
         proc.send_signal(signal.SIGTERM)
         output, _ = proc.communicate(timeout=SHUTDOWN_TIMEOUT_S)
         check(proc.returncode == 0, f"fleet exited {proc.returncode}\n{output}")
@@ -180,8 +182,7 @@ def smoke_async_key() -> None:
             check(all(type(proxy) is RemoteServerProxy for proxy in proxies),
                   "an async=1 URL opened something other than blocking proxies")
             crud_round_trip(db)
-        print("cluster://...?async=1 CRUD round trip matched the oracle; "
-              "every async=1 URL opened blocking proxies")
+        print("cluster://...?async=1 round trip matched the oracle over blocking proxies")
         host, port = hosts[0].rsplit(":", 1)
         with socket.create_connection((host, int(port)), timeout=STARTUP_TIMEOUT_S) as sock:
             for correlation, op in enumerate(["hello"] + ["ping"] * 32, start=1):
@@ -203,8 +204,7 @@ def smoke_indexed_fleet() -> None:
             check(db.index_enabled, "the session did not activate indexed serving")
             db.create_table(DECL, rows=ROWS)
             db.insert("Smoke", {"name": "extra", "value": 1})
-            check(db.delete("SELECT * FROM Smoke WHERE name = 'row0'") == 1,
-                  "indexed delete mismatch")
+            check(db.delete("SELECT * FROM Smoke WHERE name = 'row0'") == 1, "delete mismatch")
             expected = NUM_ROWS // 3 + 1
             outcome = db.select("SELECT * FROM Smoke WHERE value = 1")
             examined = outcome.evaluation.examined if outcome.evaluation else None
