@@ -62,6 +62,17 @@
  * TupleCodec.decode decides it, so what is accepted, and what is raised, is
  * Python's.
  *
+ * Both decoders leave what they build untracked by the cyclic collector:
+ * each tuple ciphertext and its search_fields tuple, each decoded row and its
+ * values tuple.  These records hold only bytes, str, int, tuples of those
+ * and, in a row, its schema, which holds no record; nothing sets an
+ * attribute on them after the decoder returns.  No reference cycle can pass
+ * through them, so reference counting alone frees them, and a collection
+ * need not walk them (CPython untracks a tuple of atoms by the same rule,
+ * lazily, at its first collection).  A result of a thousand rows would
+ * otherwise leave two thousand tracked objects alive across the select,
+ * promoted into the older generations that full collections walk.
+ *
  * swp_sealer(round_keys, check_key, stream_key, value_suffix, word_length,
  * check_length) keys one SwpScheme into a capsule, once: each Feistel round's,
  * the check key PRF's and the stream PRF's ``(hmac_block_key, suffix)``, and
@@ -1081,6 +1092,16 @@ bare_instance(PyObject *cls)
     return PyBaseObject_Type.tp_new((PyTypeObject *)cls, no_arguments, NULL);
 }
 
+/* ``object`` out of the cyclic collector's lists (see the header); a no-op
+ * on an object that is not a collector object or is untracked already. */
+static void
+untrack(PyObject *object)
+{
+    if (PyObject_IS_GC(object)) {
+        PyObject_GC_UnTrack(object);
+    }
+}
+
 /* ``object.__setattr__`` of each ``(name, value)`` pair on ``instance``;
  * steals the values (NULL when building one failed).  0, or -1 on error. */
 static int
@@ -1195,6 +1216,8 @@ tuple_at(const unsigned char *data, Py_ssize_t *offset, Py_ssize_t end,
         Py_DECREF(instance);
         return -1;
     }
+    untrack(fields);
+    untrack(instance);
     *built = instance;
     return 1;
 }
@@ -1405,6 +1428,10 @@ decode_rows(PyObject *module, PyObject *args)
             }
             else if (set_stolen(instance, 2, names, set) < 0) {
                 Py_CLEAR(instance);
+            }
+            else {
+                untrack(values);
+                untrack(instance);
             }
         }
         if (instance == NULL) {

@@ -14,6 +14,14 @@ Its functions each have a Python reference that runs when :data:`kernel` is
   hands it the opened payloads (``TupleCodec.decode`` decides every row
   outside the common case).
 
+``decode_tuples`` and ``decode_rows`` build their records untracked by the
+cyclic collector: each ``EncryptedTuple`` and its ``search_fields``, each
+``RelationTuple`` and its values.  They hold only bytes, text, integers,
+tuples of those and the schema, which holds no record, and nothing sets an
+attribute on them once built, so no cycle can pass through them and
+reference counting frees them; a large answer then adds nothing for a
+collection to walk.  The Python references build the same records tracked.
+
 On the write path (the client's ``E`` and ``Eq``):
 
 - ``swp_sealer`` / ``swp_encrypt_words``: a

@@ -318,39 +318,14 @@ def _control_answer(op: str, frame: Frame) -> dict:
     return response
 
 
-class _Checkout:
-    """One borrowed connection; broken ones are dropped on the way out.
-
-    A :class:`RemoteError` that is not a :class:`ConnectionLostError` means
-    a round trip *completed* and the provider answered ``ok: false`` -- the
-    connection is healthy and goes back to the pool.  Anything else
-    (transport failure, unexpected caller error) leaves the connection in
-    an unknown state, so it is closed instead.
-    """
-
-    __slots__ = ("_pool", "_connection")
-
-    def __init__(self, pool: "ConnectionPool") -> None:
-        self._pool = pool
-
-    def __enter__(self) -> "RemoteConnection":
-        self._connection = self._pool._borrow()
-        return self._connection
-
-    def __exit__(self, exc_type, exc, traceback) -> None:
-        reusable = exc_type is None or (
-            issubclass(exc_type, RemoteError)
-            and not issubclass(exc_type, ConnectionLostError)
-        )
-        self._pool._give_back(self._connection, reusable)
-
-
 class ConnectionPool:
     """A bounded pool of :class:`RemoteConnection` for concurrent callers.
 
-    ``max_size`` caps *concurrent* checkouts (a semaphore); idle connections
-    are reused most-recently-returned first.  A connection that fails inside
-    :meth:`checkout` is discarded, never returned to the pool.
+    ``max_size`` caps *concurrent* borrowers (a semaphore).  A borrower takes
+    a slot with :meth:`_acquire` -- and the most recently returned idle
+    connection, or ``None``, when it builds one with the factory -- and
+    ends with :meth:`_give_back`, which keeps the connection only when an
+    answer came back on it (see :class:`PendingReply`).
     """
 
     def __init__(self, factory, max_size: int = 4) -> None:
@@ -362,10 +337,6 @@ class ConnectionPool:
         self._idle: list[RemoteConnection] = []
         self._closed = False
 
-    def checkout(self) -> "_Checkout":
-        """Borrow a connection for a ``with`` block (see :class:`_Checkout`)."""
-        return _Checkout(self)
-
     def _acquire(self) -> RemoteConnection | None:
         """Take a slot; the most recently returned idle connection, or None."""
         self._slots.acquire()
@@ -375,18 +346,8 @@ class ConnectionPool:
                 raise RemoteError("the connection pool is closed")
             return self._idle.pop() if self._idle else None
 
-    def _borrow(self) -> RemoteConnection:
-        connection = self._acquire()
-        if connection is not None:
-            return connection
-        try:
-            return self._factory()
-        except BaseException:
-            self._slots.release()
-            raise
-
     def _give_back(self, connection: RemoteConnection | None, reusable: bool) -> None:
-        """End a slot's checkout: keep ``connection`` idle, or close it."""
+        """End a borrow: keep ``connection`` idle, or close it; free the slot."""
         try:
             with self._lock:
                 keep = reusable and not self._closed
@@ -521,8 +482,12 @@ class RemoteServerProxy:
         self._max_frame_size = max_frame_size
         self._pool = ConnectionPool(self._new_connection, max_size=pool_size)
         # Handshake eagerly: fail fast on a bad address.
-        with self._pool.checkout():
-            pass
+        self._pool._acquire()
+        connection = None
+        try:
+            connection = self._new_connection()
+        finally:
+            self._pool._give_back(connection, connection is not None)
 
     @classmethod
     def connect(cls, url: str, **kwargs) -> "RemoteServerProxy":

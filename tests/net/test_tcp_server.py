@@ -22,7 +22,7 @@ from repro.net import (
     recv_frame,
     send_frame,
 )
-from repro.net.client import ConnectionLostError, ConnectionPool, RemoteConnection, parse_tcp_url
+from repro.net.client import ConnectionLostError, RemoteConnection, parse_tcp_url
 from repro.outsourcing import MessageKind, MessageV2, OutsourcedDatabaseServer
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
@@ -565,52 +565,60 @@ class TestClientPieces:
         with pytest.raises(ConnectionLostError):
             RemoteConnection("127.0.0.1", unused_port, timeout=1.0)
 
-    def test_pool_bounds_concurrent_checkouts(self, provider):
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every connection a proxy's pool builds, in order."""
         built = []
+        new_connection = RemoteServerProxy._new_connection
 
-        def factory():
-            connection = RemoteConnection("127.0.0.1", provider.port)
+        def recording(proxy):
+            connection = new_connection(proxy)
             built.append(connection)
             return connection
 
-        pool = ConnectionPool(factory, max_size=2)
-        with pool.checkout() as a, pool.checkout() as b:
-            assert a is not b
-        # both went back to the pool; a third checkout reuses, not rebuilds
-        with pool.checkout():
-            pass
+        monkeypatch.setattr(RemoteServerProxy, "_new_connection", recording)
+        return built
+
+    def test_pool_bounds_concurrent_checkouts(self, provider, built):
+        proxy = RemoteServerProxy("127.0.0.1", provider.port, pool_size=2)
+        first, second = proxy.send_message(READ), proxy.send_message(READ)
+        assert first._connection is not second._connection
+        # both slots are out: a third sender waits until one comes back
+        third = threading.Thread(target=proxy.handle_message, args=(READ,))
+        third.start()
+        third.join(0.2)
+        assert third.is_alive()
+        first.receive()
+        third.join(5.0)
+        assert not third.is_alive()
+        second.receive()
+        # the handshake's connection and one more served all four borrows
         assert len(built) == 2
-        pool.close()
+        proxy.close()
 
-    def test_pool_discards_broken_connections(self, provider):
-        pool = ConnectionPool(
-            lambda: RemoteConnection("127.0.0.1", provider.port), max_size=2
-        )
-        with pytest.raises(RuntimeError):
-            with pool.checkout() as connection:
-                raise RuntimeError("boom")
+    def test_pool_discards_broken_connections(self, provider, built, monkeypatch):
+        proxy = RemoteServerProxy("127.0.0.1", provider.port, pool_size=2)
+
+        def boom(connection, until=None):
+            raise RuntimeError("boom")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(RemoteConnection, "receive", boom)
+            with pytest.raises(RuntimeError):
+                proxy.handle_message(READ)
         # the failed connection was not returned to the pool
-        with pool.checkout() as fresh:
-            assert fresh.call_control("ping")["ok"]
-        pool.close()
+        assert proxy.ping()
+        assert len(built) == 2
+        proxy.close()
 
-    def test_pool_reuses_connection_after_protocol_level_error(self, provider):
+    def test_pool_reuses_connection_after_protocol_level_error(self, provider, built):
         """An ok:false answer completes the round trip; no reconnect churn."""
-        built = []
-
-        def factory():
-            connection = RemoteConnection("127.0.0.1", provider.port)
-            built.append(connection)
-            return connection
-
-        pool = ConnectionPool(factory, max_size=2)
+        proxy = RemoteServerProxy("127.0.0.1", provider.port, pool_size=2)
         with pytest.raises(RemoteError):
-            with pool.checkout() as connection:
-                connection.call_control("no-such-op")
-        with pool.checkout() as connection:
-            assert connection.call_control("ping")["ok"]
+            proxy._control("no-such-op")
+        assert proxy.ping()
         assert len(built) == 1  # the same healthy connection served both
-        pool.close()
+        proxy.close()
 
     def test_non_idempotent_ops_are_not_retried_once_delivered(self, provider, monkeypatch):
         proxy = RemoteServerProxy("127.0.0.1", provider.port)
@@ -633,13 +641,10 @@ class TestClientPieces:
         proxy.close()
 
     def test_closed_pool_rejects_checkout(self, provider):
-        pool = ConnectionPool(
-            lambda: RemoteConnection("127.0.0.1", provider.port), max_size=1
-        )
-        pool.close()
+        proxy = RemoteServerProxy("127.0.0.1", provider.port, pool_size=1)
+        proxy.close()
         with pytest.raises(RemoteError, match="closed"):
-            with pool.checkout():
-                pass
+            proxy.handle_message(READ)
 
 
 class TestGracefulShutdown:

@@ -11,8 +11,6 @@ import contextlib
 import sys
 
 from repro.api import EncryptedDatabase
-from repro.net import ThreadedTcpServer
-from repro.net.client import ConnectionPool, RemoteConnection
 from repro.obs import Trace, new_trace_id, span, use_trace
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
@@ -26,20 +24,17 @@ WARM_SELECT_CALL_BUDGET = 51
 
 def test_no_request_path_scope_is_a_generator_context_manager(secret_key, rng):
     trace = Trace(new_trace_id())
-    with EncryptedDatabase.open(secret_key, rng=rng) as db, ThreadedTcpServer() as tcp:
-        pool = ConnectionPool(lambda: RemoteConnection("127.0.0.1", tcp.port))
+    with EncryptedDatabase.open(secret_key, rng=rng) as db:
         scopes = {
             "Trace.span": trace.span("work"),
             "obs.span": span("work"),
             "use_trace": use_trace(trace),
             "_traced": db._traced("select"),
-            "ConnectionPool.checkout": pool.checkout(),
         }
         for name, scope in scopes.items():
             assert not isinstance(scope, contextlib._GeneratorContextManager), name
             with scope:  # ...and each still is a context manager
                 pass
-        pool.close()
 
 
 def test_a_warm_cached_select_stays_inside_its_call_budget(secret_key, rng):

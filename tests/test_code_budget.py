@@ -12,7 +12,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 #: Path under the repository root -> the most Python lines it may hold.
 BUDGETS = {
-    "src": 18_500,
+    "src": 18_214,
     "src/repro/cluster/router.py": 1_200,
 }
 
