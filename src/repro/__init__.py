@@ -20,7 +20,7 @@ The library implements, from scratch:
   (Eve) with pluggable ciphertext storage and the one byte-level envelope
   the client exchanges with it for every data, index and DDL operation;
 * the **network serving layer** (:mod:`repro.net`): length-prefixed framing,
-  an asyncio TCP provider (``repro serve``) for many concurrent clients, and
+  a threaded TCP provider (``repro serve``) for many concurrent clients, and
   a pooled client proxy so ``EncryptedDatabase.connect("tcp://host:port")``
   targets a remote provider transparently;
 * the **cluster layer** (:mod:`repro.cluster`): consistent-hash sharding of

@@ -18,10 +18,10 @@ the CLI exposes the reproduction's main entry points without writing any code:
 
 ``serve``
     Run a standalone untrusted provider over TCP (see :mod:`repro.net`),
-    optionally file-backed, until interrupted.  Requests touching
-    different relations dispatch in parallel (``--dispatch-workers``);
-    same-relation requests stay FIFO, and a client may pipeline many
-    requests on one connection.  Sessions connect with
+    optionally file-backed, until interrupted.  Each connection is served
+    serially on a thread of its own; requests touching different relations
+    run in parallel, and requests touching one relation never overlap.
+    Sessions connect with
     ``EncryptedDatabase.connect("tcp://host:port")`` over a pool of
     blocking connections; an ``async=1`` option has no effect.
 
@@ -61,11 +61,10 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import asyncio
-import contextlib
 import math
 import signal
 import sys
+import time
 from typing import Callable, Sequence
 
 from repro.api import EncryptedDatabase
@@ -197,16 +196,11 @@ def command_serve(args: argparse.Namespace) -> int:
         audit_log=ServerAuditLog(max_events=args.max_audit_events),
         storage=storage,
     )
-    if args.dispatch_workers < 1:
-        print(f"--dispatch-workers must be positive, got {args.dispatch_workers}",
-              file=sys.stderr)
-        return 2
     tcp = DatabaseTcpServer(
         database,
         host=args.host,
         port=args.port,
         max_frame_size=args.max_frame_size,
-        dispatch_workers=args.dispatch_workers,
         slow_query_threshold=args.slow_query_threshold,
     )
 
@@ -218,57 +212,54 @@ def command_serve(args: argparse.Namespace) -> int:
             f"{stats['lookups']} lookup(s), {stats['scan_fallbacks']} scan fallback(s)"
         )
 
-    async def _report_stats() -> None:
+    def _report_stats() -> None:
         from repro.obs import log_json
 
         # One JSON record per interval (instead of a prose line), so log
         # shippers and `jq` consume the periodic state without a parser.
-        while True:
-            await asyncio.sleep(args.stats_interval)
-            log_json(
-                "stats",
-                transport=tcp.stats.as_dict(),
-                index=database.index_stats(),
-                slow_queries=len(tcp.slow_queries),
-            )
-
-    async def _serve() -> None:
-        await tcp.start()
-        host, port = tcp.address
-        where = "in-memory"
-        if storage:
-            where = f"{len(relation_counts(database))} relation(s) on disk"
-        print(
-            f"repro provider listening on tcp://{host}:{port} ({where}, "
-            f"{tcp.dispatch_workers} dispatch worker(s))",
-            flush=True,
-        )
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            with contextlib.suppress(NotImplementedError, ValueError):
-                loop.add_signal_handler(signum, stop.set)
-        reporter = None
-        if args.stats_interval > 0:
-            reporter = asyncio.ensure_future(_report_stats())
-        await stop.wait()
-        if reporter is not None:
-            reporter.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await reporter
-        print("repro provider shutting down...", flush=True)
-        await tcp.stop()
-        print(
-            f"repro provider stopped: {tcp.stats.throughput_summary()}; "
-            f"index: {_index_summary()}",
-            flush=True,
+        log_json(
+            "stats",
+            transport=tcp.stats.as_dict(),
+            index=database.index_stats(),
+            slow_queries=len(tcp.slow_queries),
         )
 
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        pass  # platforms without signal-handler support land here
+    tcp.start()
+    host, port = tcp.address
+    where = "in-memory"
+    if storage:
+        where = f"{len(relation_counts(database))} relation(s) on disk"
+    print(f"repro provider listening on tcp://{host}:{port} ({where})", flush=True)
+    _wait_for_signal(args.stats_interval, _report_stats)
+    print("repro provider shutting down...", flush=True)
+    tcp.stop()
+    print(
+        f"repro provider stopped: {tcp.stats.throughput_summary()}; "
+        f"index: {_index_summary()}",
+        flush=True,
+    )
     return 0
+
+
+def _wait_for_signal(interval: float = 0.0, tick: Callable[[], None] | None = None) -> None:
+    """Block until SIGINT or SIGTERM; call ``tick`` every ``interval`` seconds (0: never)."""
+
+    def interrupt(signum, frame) -> None:
+        raise KeyboardInterrupt
+
+    previous = {
+        signum: signal.signal(signum, interrupt) for signum in (signal.SIGINT, signal.SIGTERM)
+    }
+    try:
+        while True:
+            time.sleep(interval or 3600.0)
+            if interval and tick is not None:
+                tick()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
 
 
 def command_cluster_spawn(args: argparse.Namespace) -> int:
@@ -307,65 +298,53 @@ def command_cluster_spawn(args: argparse.Namespace) -> int:
         DatabaseTcpServer(make_database(index), host=args.host, port=0)
         for index in range(args.shards)
     ]
+    for server in servers:
+        server.start()
+    addresses = []
+    for index, server in enumerate(servers):
+        host, port = server.address
+        addresses.append(f"{host}:{port}")
+        print(f"repro cluster shard {index} listening on tcp://{host}:{port}", flush=True)
+    url = f"cluster://{','.join(addresses)}"
+    if args.replicas > 1:
+        url += f"?replicas={args.replicas}"
+        print(
+            f"repro cluster replication: every tuple stored on "
+            f"{args.replicas} of {args.shards} shard(s); reads stay "
+            f"complete with up to {args.replicas - 1} shard(s) down",
+            flush=True,
+        )
+    if args.manifest:
+        from repro.cluster import ClusterManifest, ShardEntry
 
-    async def _serve() -> None:
-        for server in servers:
-            await server.start()
-        addresses = []
-        for index, server in enumerate(servers):
-            host, port = server.address
-            addresses.append(f"{host}:{port}")
-            print(f"repro cluster shard {index} listening on tcp://{host}:{port}", flush=True)
-        url = f"cluster://{','.join(addresses)}"
-        if args.replicas > 1:
-            url += f"?replicas={args.replicas}"
-            print(
-                f"repro cluster replication: every tuple stored on "
-                f"{args.replicas} of {args.shards} shard(s); reads stay "
-                f"complete with up to {args.replicas - 1} shard(s) down",
-                flush=True,
-            )
-        if args.manifest:
-            from repro.cluster import ClusterManifest, ShardEntry
-
-            # Shard ids deliberately equal the URLs: that is the id a plain
-            # cluster:// session derives, so both advertised ways of
-            # connecting to this fleet build the *identical* placement
-            # ring.  Hand-author symbolic ids only for fleets whose
-            # addresses change while their data persists (then rebalance
-            # or keep sessions manifest-only).
-            manifest = ClusterManifest(
-                shards=tuple(
-                    ShardEntry(shard_id=f"tcp://{address}", url=f"tcp://{address}")
-                    for address in addresses
-                ),
-                replicas=args.replicas,
-            )
-            path = manifest.save(args.manifest)
-            print(f"repro cluster manifest written: {path}", flush=True)
-            print(
-                f"repro cluster sessions can restore topology with "
-                f"cluster+file://{path}",
-                flush=True,
-            )
-        print(f"repro cluster ready: {url}", flush=True)
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            with contextlib.suppress(NotImplementedError, ValueError):
-                loop.add_signal_handler(signum, stop.set)
-        await stop.wait()
-        print("repro cluster shutting down...", flush=True)
-        for server in servers:
-            await server.stop()
-        for index, server in enumerate(servers):
-            print(f"repro cluster shard {index} stopped: "
-                  f"{server.stats.throughput_summary()}", flush=True)
-
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        pass  # platforms without signal-handler support land here
+        # Shard ids deliberately equal the URLs: that is the id a plain
+        # cluster:// session derives, so both advertised ways of
+        # connecting to this fleet build the *identical* placement
+        # ring.  Hand-author symbolic ids only for fleets whose
+        # addresses change while their data persists (then rebalance
+        # or keep sessions manifest-only).
+        manifest = ClusterManifest(
+            shards=tuple(
+                ShardEntry(shard_id=f"tcp://{address}", url=f"tcp://{address}")
+                for address in addresses
+            ),
+            replicas=args.replicas,
+        )
+        path = manifest.save(args.manifest)
+        print(f"repro cluster manifest written: {path}", flush=True)
+        print(
+            f"repro cluster sessions can restore topology with "
+            f"cluster+file://{path}",
+            flush=True,
+        )
+    print(f"repro cluster ready: {url}", flush=True)
+    _wait_for_signal()
+    print("repro cluster shutting down...", flush=True)
+    for server in servers:
+        server.stop()
+    for index, server in enumerate(servers):
+        print(f"repro cluster shard {index} stopped: "
+              f"{server.stats.throughput_summary()}", flush=True)
     return 0
 
 
@@ -779,9 +758,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reject frames larger than this many bytes")
     serve.add_argument("--stats-interval", type=_interval, default=0.0, metavar="SECONDS",
                        help="log a transport-stats line every SECONDS (0 disables)")
-    serve.add_argument("--dispatch-workers", type=int, default=4, metavar="N",
-                       help="requests touching different relations execute on up "
-                            "to N threads (same-relation requests stay FIFO)")
     serve.add_argument("--slow-query-threshold", type=float, default=1.0,
                        metavar="SECONDS",
                        help="traced requests slower than this land in the "

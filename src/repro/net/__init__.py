@@ -13,25 +13,23 @@ machine boundary.  ``repro.net`` is that missing transport, in three layers:
     index and DDL operation of a session) and *control* frames (JSON: the
     hello handshake and the operator read-outs ``ping`` / ``stats`` /
     ``metrics`` / ``trace``) on one connection, and a
-    4-byte **correlation id** pairs every response to its request so a
-    connection is a pipeline: many requests in flight, answered in
-    whatever order dispatch completes.  The decoder is sans-IO, shared by
-    every endpoint.
+    4-byte **correlation id** pairs every response with its request.  The
+    decoder is sans-IO, shared by every endpoint.
 
 **Provider side** (:mod:`repro.net.server`)
-    :class:`~repro.net.server.DatabaseTcpServer`: an asyncio server hosting
+    :class:`~repro.net.server.DatabaseTcpServer`: a blocking server hosting
     one :class:`~repro.outsourcing.server.OutsourcedDatabaseServer` for many
-    concurrent connections.  Each connection starts with a hello exchange
-    (there is no version to agree on: every envelope says in its version
-    byte whether a trace id rides along); envelope dispatch is parallel
-    across relations and FIFO within one
-    (:class:`~repro.net.server.KeyedSerialDispatcher`), so a heavy scan of
-    one relation blocks neither other connections' I/O nor other
-    relations' requests; shutdown drains in-flight requests.
-    Per-connection and aggregate stats (including the dispatch parallelism
-    achieved) are kept, and ``repro serve`` (see :mod:`repro.cli`) runs the
-    whole thing as a standalone process over any registered storage
-    backend.
+    concurrent connections, each served serially on a thread of its own:
+    one frame, one dispatch, one answer, in arrival order.  Each connection
+    starts with a hello exchange (there is no version to agree on: every
+    envelope says in its version byte whether a trace id rides along); an
+    envelope runs under its relation's lock, so requests for one relation
+    never overlap while a heavy scan of one relation blocks neither other
+    connections nor other relations; shutdown lets a busy connection finish
+    its request.  Per-connection and aggregate stats (including the
+    dispatch parallelism achieved) are kept, and ``repro serve`` (see
+    :mod:`repro.cli`) runs the whole thing as a standalone process over any
+    registered storage backend.
 
 **Client side** (:mod:`repro.net.client`, over the sans-IO :mod:`repro.net.wire`)
     :class:`~repro.net.client.RemoteServerProxy`, whose ``handle_message``
@@ -80,7 +78,6 @@ from repro.net.framing import (
 from repro.net.server import (
     ConnectionStats,
     DatabaseTcpServer,
-    KeyedSerialDispatcher,
     TcpServerStats,
     ThreadedTcpServer,
 )
@@ -108,7 +105,6 @@ __all__ = [
     "send_frame",
     "ConnectionStats",
     "DatabaseTcpServer",
-    "KeyedSerialDispatcher",
     "TcpServerStats",
     "ThreadedTcpServer",
     "ClientChannel",

@@ -19,12 +19,10 @@ connection:
   hello/version handshake and the operator read-outs (``ping``, ``stats``,
   ``metrics``, ``trace``).
 
-The **correlation id** is what makes the connection pipelinable: a client
-may keep many requests in flight, the server answers each in whatever order
-dispatch completes, and every response frame echoes the correlation id of
-the request it answers.  The id is transport-local (allocated per
-connection, wrapping at 32 bits) and never reaches the protocol layer --
-envelopes stay byte-identical to the in-process path.
+Every response frame echoes the **correlation id** of the request it
+answers.  The id is transport-local (allocated per connection, wrapping at
+32 bits) and never reaches the protocol layer -- envelopes stay
+byte-identical to the in-process path.
 
 Framing is strict by design: a frame announcing more than
 ``max_frame_size`` bytes kills the connection before any allocation happens
@@ -34,8 +32,8 @@ and a stream that ends mid-frame raises :class:`TruncatedFrameError` so
 callers can distinguish a clean EOF between frames from a peer dying
 mid-send.
 
-:class:`FrameDecoder` is sans-IO (fed bytes, yields frames) so the asyncio
-server and the blocking client share one tested implementation.
+:class:`FrameDecoder` is sans-IO (fed bytes, yields frames) so the server
+and the client share one tested implementation.
 """
 
 from __future__ import annotations

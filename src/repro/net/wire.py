@@ -4,11 +4,11 @@
 -- correlation-id allocation, request/response pairing, the provider's
 connection-fatal diagnostic -- and performs no I/O, so the blocking
 :class:`~repro.net.client.RemoteConnection` only moves bytes and the
-pairing rules are tested without a socket.  ``send`` allocates a fresh
-correlation id for an outgoing request; ``receive`` absorbs raw socket
-bytes and returns every response frame that matches a pending request.
-A response whose correlation id matches nothing is dropped: a late answer
-must never be delivered to the wrong caller.
+pairing rules are tested without a socket.  A connection has one request
+in flight: ``send`` allocates the next correlation id and waits for it
+alone; ``receive`` absorbs raw socket bytes and returns the response frame
+carrying that id.  A response with any other correlation id is dropped: a
+late answer must never be delivered to the wrong caller.
 """
 
 from __future__ import annotations
@@ -30,18 +30,19 @@ class WireProtocolError(FramingError):
 
 
 class ClientChannel:
-    """Correlated request/response multiplexing over one connection (sans-IO).
+    """One request at a time over one connection, paired by correlation id (sans-IO).
 
-    The channel tracks every in-flight request by its correlation id.  It is
-    not thread-safe by itself: the blocking client serializes access through
-    its connection object.
+    The channel remembers the correlation id of the request it last sent
+    until that request is answered.  It is not thread-safe by itself: the
+    blocking client serializes access through its connection object.
     """
 
     def __init__(self, max_frame_size: int = DEFAULT_MAX_FRAME_SIZE) -> None:
         self._max_frame_size = max_frame_size
         self._decoder = FrameDecoder(max_frame_size)
         self._next_correlation = 1
-        self._pending: set[int] = set()
+        #: The correlation id of the unanswered request, if any.
+        self._awaiting: int | None = None
         self._fault: str | None = None
 
     @property
@@ -57,9 +58,12 @@ class ClientChannel:
         return self._fault
 
     def send(self, payload: bytes, channel: int) -> tuple[int, bytes]:
-        """Register one outgoing request; returns ``(correlation, wire bytes)``."""
-        correlation = self._allocate_correlation()
-        self._pending.add(correlation)
+        """Frame the next request and await its answer alone; returns
+        ``(correlation, wire bytes)``.  Ids count up from 1 and wrap at 32
+        bits."""
+        correlation = self._next_correlation
+        self._next_correlation = 1 if correlation >= MAX_CORRELATION_ID else correlation + 1
+        self._awaiting = correlation
         wire = encode_frame(
             payload,
             channel=channel,
@@ -69,16 +73,17 @@ class ClientChannel:
         return correlation, wire
 
     def receive(self, data: bytes) -> list[Frame]:
-        """Absorb socket bytes; returns the frames answering pending requests.
+        """Absorb socket bytes; returns the frame answering the awaited
+        request, once it is complete (an empty list until then).
 
         Raises :class:`~repro.net.framing.FramingError` on byte-level
-        garbage.  Orphaned responses (no pending request under that
-        correlation id) are dropped.
+        garbage.  Orphaned responses (any other correlation id, or a second
+        answer to the same request) are dropped.
         """
         matched = []
         for frame in self._decoder.feed(data):
-            if frame.correlation in self._pending:
-                self._pending.remove(frame.correlation)
+            if frame.correlation == self._awaiting:
+                self._awaiting = None
                 matched.append(frame)
             elif frame.correlation == 0 and frame.channel == CHANNEL_CONTROL:
                 # Unaddressed control frame: a transport-fatal diagnostic,
@@ -88,18 +93,6 @@ class ClientChannel:
                 except WireProtocolError:
                     self._fault = "unreadable provider fault"
         return matched
-
-    def _allocate_correlation(self) -> int:
-        # Wrap at 32 bits, skipping ids still in flight (a pathological
-        # 2**32 concurrent requests would spin here; real fleets top out at
-        # a few hundred).
-        while True:
-            correlation = self._next_correlation
-            self._next_correlation = (
-                1 if correlation >= MAX_CORRELATION_ID else correlation + 1
-            )
-            if correlation not in self._pending:
-                return correlation
 
 
 # --------------------------------------------------------------------------- #

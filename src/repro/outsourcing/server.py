@@ -62,9 +62,6 @@ _BODYLESS = frozenset({
     MessageKind.RELATION_NAMES,
 })
 
-#: Writes whose cost is the request's on a ``bounded_by_request`` store.
-_BOUNDED_WRITES = (MessageKind.INSERT_TUPLES, MessageKind.DELETE_TUPLES)
-
 
 class ServerError(Exception):
     """The server refused or failed to process a request."""
@@ -346,26 +343,6 @@ class OutsourcedDatabaseServer:
             f"no access method can serve the lookup on relation {name!r} "
             "(no index installed and no fallback query supplied)"
         )
-
-    def bounded_work(self, kind: MessageKind, name: str) -> bool:
-        """Whether serving ``kind`` on ``name`` is bounded by the request and its reply.
-
-        :mod:`repro.net.server` answers such a request on its event loop, so
-        this is never true for work that grows with the stored relation.
-        On a store whose writes and fetches cost what the request carries
-        (``bounded_by_request``: the in-memory one), ``INSERT_TUPLES``
-        (O(tuples + postings)), ``DELETE_TUPLES`` (O(ids + postings)) and
-        an ``INDEX_LOOKUP`` the index serves (O(postings of the request's
-        labels + reply)) are; a lookup that would scan is not.  A
-        file-backed store rewrites or re-reads the relation, so all of
-        these stay unbounded there.  The answer holds only while no other
-        request for ``name`` is running.
-        """
-        if not self._storage.bounded_by_request:
-            return False
-        if kind is MessageKind.INDEX_LOOKUP:
-            return self._index_access.index_for(name) is not None
-        return kind in _BOUNDED_WRITES
 
     def index_stats(self) -> dict:
         """Index-serving statistics for operators (``repro serve`` stats)."""

@@ -39,11 +39,6 @@ class StorageError(Exception):
 class StorageBackend(ABC):
     """Where the provider keeps its (ciphertext-only) relations."""
 
-    #: True when :meth:`append`, :meth:`remove` and :meth:`fetch` cost what
-    #: the request carries, never the relation's size; only then can the
-    #: provider call writes and index lookups bounded (``bounded_work``).
-    bounded_by_request = False
-
     @abstractmethod
     def save(self, name: str, encrypted_relation: EncryptedRelation) -> None:
         """Store (or replace) a relation under ``name``."""
@@ -149,13 +144,11 @@ class InMemoryStorageBackend(StorageBackend):
     the store by them reveals nothing the ciphertexts do not.
 
     Single writer: one thread at a time touches a relation -- the TCP
-    front-end's per-relation FIFO job, or its event loop while the relation
-    is idle.  Other relations may be served meanwhile: the relation table
-    is read by single C-level operations (a probe, ``tuple(dict)``), and a
-    snapshot is one ``tuple()`` over the map.
+    front-end runs each request under its relation's lock.  Other relations
+    may be served meanwhile: the relation table is read by single C-level
+    operations (a probe, ``tuple(dict)``), and a snapshot is one
+    ``tuple()`` over the map.
     """
-
-    bounded_by_request = True
 
     def __init__(self) -> None:
         self._relations: dict[str, _HeldRelation] = {}

@@ -18,6 +18,7 @@ from gated_provider import GatedServer
 from repro.api import DatabaseError, EncryptedDatabase
 from repro.cluster import ShardRouter, ShardTimeoutError
 from repro.net import ThreadedTcpServer
+from repro.net.server import CONNECTION_THREAD_PREFIX
 from repro.net.client import RemoteServerProxy
 from repro.outsourcing import MessageKind, OutsourcedDatabaseServer
 from repro.outsourcing.protocol import peek_envelope
@@ -168,6 +169,14 @@ def restart(server: ThreadedTcpServer, database) -> ThreadedTcpServer:
     return ThreadedTcpServer(database, port=port).start()
 
 
+def _threads_but_the_providers() -> int:
+    """Live threads, less the in-process providers' connection threads."""
+    return sum(
+        not thread.name.startswith(CONNECTION_THREAD_PREFIX)
+        for thread in threading.enumerate()
+    )
+
+
 class TestTheCallersThread:
     def test_eight_threads_share_one_session_within_two_connections_a_shard(
         self, secret_key, rng
@@ -212,14 +221,10 @@ class TestTheCallersThread:
 
     def test_a_session_starts_no_thread(self, secret_key, rng):
         with three_providers() as (_, servers, url):
-            # The providers run in this process: let their dispatch workers
-            # start before counting, through sessions that are no fleet.
-            for server in servers:
-                tcp_url = f"tcp://127.0.0.1:{server.port}"
-                with EncryptedDatabase.connect(tcp_url, secret_key) as warm:
-                    warm.create_table(EMP_DECL, rows=ROWS)
-                    warm.drop_table("Emp")
-            before = threading.active_count()
+            # The providers run in this process: their connection threads
+            # come and go with the session's connections, so they are not
+            # counted.
+            before = _threads_but_the_providers()
             with EncryptedDatabase.connect(url, secret_key, rng=rng) as db:
                 db.create_table(EMP_DECL, rows=ROWS)
                 assert _names(db.select("SELECT * FROM Emp WHERE dept = 'HR'")) == _oracle("HR")
@@ -227,8 +232,8 @@ class TestTheCallersThread:
                 db.update("SELECT * FROM Emp WHERE name = 'Zoe'", {"salary": 2})
                 assert db.delete("SELECT * FROM Emp WHERE dept = 'IT'") == 12
                 assert db.count("Emp") == 13
-                assert threading.active_count() == before
-            assert threading.active_count() == before
+                assert _threads_but_the_providers() == before
+            assert _threads_but_the_providers() == before
 
     def test_a_stale_read_leg_is_resent_once(self, secret_key, rng):
         """A restarted provider leaves its pooled connections dead: the

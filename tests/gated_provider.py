@@ -33,10 +33,6 @@ class GatedServer(OutsourcedDatabaseServer):
         self.entered[relation] = threading.Event()
         return self.gates[relation]
 
-    def bounded_work(self, kind, name: str) -> bool:
-        """A gated relation parks its caller: never on the event loop."""
-        return name not in self.gates and super().bounded_work(kind, name)
-
     def handle_message(self, raw: bytes) -> bytes:
         name = parse_message(raw).relation_name
         gate = self.gates.get(name)

@@ -59,7 +59,6 @@ def test_hostile_relation_names_share_one_label(kind):
             connection.close()
         for name in (
             "server_dispatch_queue_seconds",
-            "server_inline_answers_total",
             "provider_op_seconds",
         ):
             assert _relation_labels(server, name) <= {UNKNOWN_RELATION}

@@ -1,4 +1,4 @@
-"""The server's per-relation dispatch and pipelined connections.
+"""The server's per-relation locks and pipelined connections.
 
 Concurrency here is driven by *events*, not sleeps: a "slow" relation is a
 provider whose ``handle_message`` blocks on a :class:`threading.Event` for
@@ -19,7 +19,6 @@ from repro.core.dph import EncryptedRelation
 from repro.crypto.keys import SecretKey
 from repro.net import (
     CHANNEL_CONTROL,
-    KeyedSerialDispatcher,
     ThreadedTcpServer,
     recv_frame,
     send_frame,
@@ -36,65 +35,6 @@ from repro.relational import RelationSchema, RelationTuple
 from repro.schemes.plaintext import PlaintextDph
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
-
-
-class TestKeyedSerialDispatcher:
-    def test_same_key_is_fifo(self):
-        dispatcher = KeyedSerialDispatcher(max_workers=4)
-        order = []
-        gate = threading.Event()
-
-        def job(index):
-            if index == 0:
-                gate.wait(timeout=10)
-            order.append(index)
-            return index
-
-        futures = [dispatcher.submit("k", job, i) for i in range(5)]
-        gate.set()
-        assert [f.result(timeout=10) for f in futures] == list(range(5))
-        assert order == list(range(5))
-        dispatcher.shutdown()
-
-    def test_different_keys_run_concurrently(self):
-        dispatcher = KeyedSerialDispatcher(max_workers=4)
-        gate = threading.Event()
-        entered = threading.Event()
-
-        def slow():
-            entered.set()
-            gate.wait(timeout=10)
-            return "slow"
-
-        slow_future = dispatcher.submit("slow-key", slow)
-        assert entered.wait(timeout=10)
-        # With the slow key's worker parked, other keys still execute.
-        fast_future = dispatcher.submit("fast-key", lambda: "fast")
-        assert fast_future.result(timeout=10) == "fast"
-        assert not slow_future.done()
-        gate.set()
-        assert slow_future.result(timeout=10) == "slow"
-        assert dispatcher.peak_concurrency >= 2
-        assert dispatcher.total_dispatched == 2
-        dispatcher.shutdown()
-
-    def test_exceptions_travel_through_the_future(self):
-        dispatcher = KeyedSerialDispatcher(max_workers=1)
-
-        def boom():
-            raise RuntimeError("kaboom")
-
-        failing = dispatcher.submit("k", boom)
-        healthy = dispatcher.submit("k", lambda: "after")
-        with pytest.raises(RuntimeError, match="kaboom"):
-            failing.result(timeout=10)
-        # The key keeps draining after a failed job.
-        assert healthy.result(timeout=10) == "after"
-        dispatcher.shutdown()
-
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ValueError):
-            KeyedSerialDispatcher(max_workers=0)
 
 
 def hello(sock) -> dict:
@@ -124,35 +64,6 @@ class TestPipelinedConnections:
                     send_frame(sock, envelope, correlation=correlation)
                 seen = {recv_frame(sock).correlation for _ in range(3)}
                 assert seen == {7, 99, 42}
-            finally:
-                sock.close()
-
-    def test_interleaved_responses_on_one_connection(self):
-        """A slow relation's response arrives *after* a fast one pipelined
-        behind it, paired by correlation id (out-of-order completion)."""
-        database = GatedServer()
-        store_empty(database, EMP_DECL)
-        store_empty(database, "Fast(name:string[8], v:int[4])")
-        gate = database.gate("Emp")
-        with ThreadedTcpServer(database) as server:
-            sock = open_client(server.port)
-            try:
-                slow = MessageV2(
-                    kind=MessageKind.LIST_TUPLE_IDS, relation_name="Emp"
-                ).to_bytes()
-                fast = MessageV2(
-                    kind=MessageKind.LIST_TUPLE_IDS, relation_name="Fast"
-                ).to_bytes()
-                send_frame(sock, slow, correlation=1)
-                assert database.entered["Emp"].wait(timeout=10)
-                send_frame(sock, fast, correlation=2)
-                first = recv_frame(sock)
-                assert first.correlation == 2  # the fast relation overtook
-                gate.set()
-                second = recv_frame(sock)
-                assert second.correlation == 1
-                for frame in (first, second):
-                    assert parse_message(frame.payload).kind is MessageKind.TUPLE_IDS
             finally:
                 sock.close()
 
@@ -266,33 +177,136 @@ class TestPipelinedConnections:
                 sock.close()
 
     def test_dispatch_stats_report_parallelism(self):
+        """Two relations served at once, on two connections' threads."""
         database = GatedServer()
         store_empty(database, EMP_DECL)
         store_empty(database, "Fast(name:string[8], v:int[4])")
         gate = database.gate("Emp")
-        with ThreadedTcpServer(database, dispatch_workers=3) as server:
-            sock = open_client(server.port)
+        with ThreadedTcpServer(database) as server:
+            slow_sock = open_client(server.port)
+            fast_sock = open_client(server.port)
             try:
                 send_frame(
-                    sock,
+                    slow_sock,
                     MessageV2(kind=MessageKind.LIST_TUPLE_IDS,
                               relation_name="Emp").to_bytes(),
                     correlation=1,
                 )
                 assert database.entered["Emp"].wait(timeout=10)
                 send_frame(
-                    sock,
+                    fast_sock,
                     MessageV2(kind=MessageKind.LIST_TUPLE_IDS,
                               relation_name="Fast").to_bytes(),
                     correlation=2,
                 )
-                assert recv_frame(sock).correlation == 2
+                assert recv_frame(fast_sock).correlation == 2
                 gate.set()
-                assert recv_frame(sock).correlation == 1
+                assert recv_frame(slow_sock).correlation == 1
             finally:
-                sock.close()
+                slow_sock.close()
+                fast_sock.close()
             stats = server.server.stats
-            assert stats.as_dict()["dispatch_workers"] == 3
             assert stats.as_dict()["peak_concurrent_dispatch"] >= 2
             assert stats.as_dict()["requests_dispatched"] >= 2
-            assert "dispatch 3 worker(s)" in stats.throughput_summary()
+            assert "peak 2 concurrent" in stats.throughput_summary()
+
+
+class ExplodingServer(OutsourcedDatabaseServer):
+    """``handle_message`` raises for relation ``Emp`` -- a provider bug."""
+
+    def handle_message(self, raw: bytes) -> bytes:
+        if parse_message(raw).relation_name == "Emp":
+            raise RuntimeError("kaboom")
+        return super().handle_message(raw)
+
+
+def ask(sock: socket.socket, relation: str, correlation: int = 5, trace_id=None):
+    envelope = MessageV2(MessageKind.LIST_TUPLE_IDS, relation, trace_id=trace_id)
+    send_frame(sock, envelope.to_bytes(), correlation=correlation)
+    frame = recv_frame(sock)
+    assert frame.correlation == correlation
+    return frame
+
+
+def ping(sock: socket.socket) -> dict:
+    send_frame(sock, json.dumps({"op": "ping"}).encode(), channel=CHANNEL_CONTROL)
+    return json.loads(recv_frame(sock).payload)
+
+
+class TestTheOneDispatchPath:
+    def test_an_escaping_exception_is_a_control_frame_and_the_connection_lives(self):
+        database = ExplodingServer()
+        store_empty(database, EMP_DECL)
+        store_empty(database, "Fast(name:string[8], v:int[4])")
+        with ThreadedTcpServer(database) as server:
+            sock, sibling = open_client(server.port), open_client(server.port)
+            try:
+                frame = ask(sock, "Emp", correlation=77)
+                assert frame.channel == CHANNEL_CONTROL
+                assert json.loads(frame.payload) == {
+                    "ok": False, "error": "internal dispatch failure: kaboom",
+                }
+                # Neither this connection nor its sibling died of it, and
+                # the relation's lock was let go.
+                answer = parse_message(ask(sock, "Fast").payload)
+                assert answer.kind is MessageKind.TUPLE_IDS
+                assert ping(sibling) == {"ok": True}
+            finally:
+                sock.close()
+                sibling.close()
+            assert server.server._locks == {}
+
+    def test_a_traced_request_is_a_span_a_buffered_trace_and_a_slow_query(self):
+        database = OutsourcedDatabaseServer()
+        store_empty(database, EMP_DECL)
+        trace_id = b"\x7a" * 16
+        with ThreadedTcpServer(database, slow_query_threshold=0.0) as server:
+            sock = open_client(server.port)
+            try:
+                ask(sock, "Emp", trace_id=trace_id)
+                ask(sock, "Emp")
+            finally:
+                sock.close()
+            trace = server.server.trace_buffer.get(trace_id)
+            (dispatch,) = [s for s in trace["spans"] if s["name"] == "server.dispatch"]
+            assert set(dispatch["annotations"]) == {"relation", "queue_wait_s"}
+            assert dispatch["annotations"]["relation"] == "Emp"
+            assert dispatch["annotations"]["queue_wait_s"] >= 0
+            assert len(server.server.slow_queries) == 1
+            queue_waits = [
+                h for h in server.server.metrics.snapshot()["histograms"]
+                if h["name"] == "server_dispatch_queue_seconds"
+                and h["labels"] == {"relation": "Emp"}
+            ]
+            assert queue_waits[0]["count"] == 2  # traced or not
+
+    def test_stop_closes_an_idle_connection_and_lets_a_busy_one_finish(self):
+        database = GatedServer()
+        store_empty(database, EMP_DECL)
+        gate = database.gate("Emp")
+        server = ThreadedTcpServer(database).start()
+        busy, idle = open_client(server.port), open_client(server.port)
+        try:
+            send_frame(
+                busy,
+                MessageV2(MessageKind.LIST_TUPLE_IDS, "Emp").to_bytes(),
+                correlation=9,
+            )
+            assert database.entered["Emp"].wait(timeout=10)
+            stopping = threading.Thread(target=server.stop)
+            stopping.start()
+            assert recv_frame(idle) is None  # cut at once
+            assert stopping.is_alive()  # the busy connection holds the stop
+            gate.set()
+            frame = recv_frame(busy)
+            assert frame.correlation == 9
+            assert parse_message(frame.payload).kind is MessageKind.TUPLE_IDS
+            assert recv_frame(busy) is None  # then a clean close
+            stopping.join(timeout=10)
+            assert not stopping.is_alive()
+            assert server.server.stats.as_dict()["connections_active"] == 0
+        finally:
+            gate.set()
+            busy.close()
+            idle.close()
+            server.stop()

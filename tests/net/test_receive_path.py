@@ -1,15 +1,15 @@
 """Properties of the server's receive path (``repro.net.server``).
 
-A connection is fed by ``data_received`` in whatever chunks the socket
-delivers.  Chunk boundaries must not change what is answered; bytes that
-break the framing or protocol rules get one control error frame and a
-closed connection in bounded time; and a client that pipelines more than
-``max_in_flight`` requests without reading never has more admitted.
+A connection's thread reads whatever chunks the socket delivers.  Chunk
+boundaries must not change what is answered; bytes that break the framing
+or protocol rules get one control error frame and a closed connection in
+bounded time; a client that pipelines without reading has one request in
+flight at a time and gets every answer in order; and a peer bounds neither
+the connections served at once nor the server's table of relation locks.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
 import time
@@ -31,6 +31,7 @@ from repro.net.framing import (
     FramingError,
     encode_frame,
 )
+from repro.net import server as server_module
 from repro.net.server import DatabaseTcpServer, _Connection
 from repro.outsourcing import OutsourcedDatabaseServer
 from repro.outsourcing.protocol import (
@@ -98,73 +99,25 @@ def request_pool(scheme: PlaintextDph) -> list[tuple[int, bytes]]:
     ] + [(CHANNEL_CONTROL, json.dumps(message).encode()) for message in control]
 
 
-class FakeTransport(asyncio.Transport):
-    """Keeps what the server writes and whether it wants to read.
-
-    With ``high_water`` set, the write that brings the count of writes to
-    it calls the protocol's ``pause_writing``, as a real transport does
-    when its buffer passes the high-water mark.
-    """
-
-    def __init__(
-        self, protocol: asyncio.Protocol | None = None, high_water: int = 0
-    ) -> None:
-        super().__init__()
-        self.written = bytearray()
-        self.writes = 0
-        self.reading = True
-        self.closed = False
-        self._protocol = protocol
-        self._high_water = high_water
-
-    def write(self, data) -> None:
-        self.written += data
-        self.writes += 1
-        if self.writes == self._high_water:
-            self._protocol.pause_writing()
-
-    def is_closing(self) -> bool:
-        return self.closed
-
-    def close(self) -> None:
-        self.closed = True
-
-    def get_extra_info(self, name, default=None):
-        return ("fake", 0) if name == "peername" else default
-
-    def pause_reading(self) -> None:
-        self.reading = False
-
-    def resume_reading(self) -> None:
-        self.reading = True
-
-
 @pytest.fixture(scope="module")
 def served():
     database, scheme = indexed_provider()
-    server = DatabaseTcpServer(database)
-    yield server, request_pool(scheme)
-    server._dispatcher.shutdown()
+    return DatabaseTcpServer(database), request_pool(scheme)
 
 
 def answers_to(server: DatabaseTcpServer, chunks: list[bytes], expected: int) -> dict:
-    """Feed ``chunks`` to one connection; its answers by correlation id."""
-
-    async def scenario() -> bytes:
-        loop = asyncio.get_running_loop()
-        connection = _Connection(server, loop)
-        transport = FakeTransport()
-        connection.connection_made(transport)
+    """Serve ``chunks``, one read each, on a connection over a socket pair;
+    its answers by correlation id."""
+    ours, peer = socket.socketpair()
+    connection = _Connection(server, ours)
+    with ours, peer:
         for chunk in chunks:
-            connection.data_received(chunk)
-        deadline = loop.time() + 5
-        while len(FrameDecoder().feed(bytes(transport.written))) < expected:
-            assert loop.time() < deadline, "the answers never all arrived"
-            await asyncio.sleep(0.001)
-        connection.connection_lost(None)
-        return bytes(transport.written)
-
-    frames = FrameDecoder().feed(asyncio.run(scenario()))
+            assert connection._serve(chunk)
+        ours.shutdown(socket.SHUT_WR)
+        written = b""
+        while data := peer.recv(65536):
+            written += data
+    frames = FrameDecoder().feed(written)
     answers = {frame.correlation: (frame.channel, frame.payload) for frame in frames}
     assert len(answers) == len(frames) == expected
     return answers
@@ -190,47 +143,6 @@ def test_chunk_boundaries_do_not_change_the_answers(served, picks, data):
     assert json.loads(whole[1][1])["ok"]
 
 
-def test_write_backpressure_stops_admission_until_the_buffer_drains():
-    database, _ = indexed_provider()
-    server = DatabaseTcpServer(database, max_in_flight=2)
-    request = MessageV2(MessageKind.LIST_TUPLE_IDS, "Emp").to_bytes()
-    correlations = range(10, 18)
-    wire = encode_frame(HELLO, channel=CHANNEL_CONTROL, correlation=1) + b"".join(
-        encode_frame(request, correlation=c) for c in correlations
-    )
-
-    async def settle(condition) -> None:
-        deadline = asyncio.get_running_loop().time() + 5
-        while not condition():
-            assert asyncio.get_running_loop().time() < deadline
-            await asyncio.sleep(0.001)
-
-    async def scenario() -> None:
-        connection = _Connection(server, asyncio.get_running_loop())
-        # The hello answer, then the first worker answer crosses the mark.
-        transport = FakeTransport(connection, high_water=2)
-        connection.connection_made(transport)
-        connection.data_received(wire)
-        await settle(lambda: not connection.stats.in_flight)
-        # The two admitted before the pause are answered; no third is
-        # admitted while the peer is not reading.
-        await asyncio.sleep(0.05)
-        assert connection.stats.frames_received == 1 + 2
-        assert transport.writes == 1 + 2
-        assert not transport.reading
-        connection.resume_writing()
-        await settle(lambda: transport.writes == 1 + len(correlations))
-        assert transport.reading
-        connection.connection_lost(None)
-        answered = FrameDecoder().feed(bytes(transport.written))
-        assert [frame.correlation for frame in answered[1:]] == list(correlations)
-
-    try:
-        asyncio.run(scenario())
-    finally:
-        server._dispatcher.shutdown()
-
-
 # --------------------------------------------------------------------------- #
 # Hostile bytes over a real socket
 # --------------------------------------------------------------------------- #
@@ -248,6 +160,11 @@ def hello_client(port: int) -> socket.socket:
     send_frame(sock, HELLO, channel=CHANNEL_CONTROL, correlation=1)
     assert json.loads(recv_frame(sock).payload)["ok"]
     return sock
+
+
+def ping(sock: socket.socket) -> bool:
+    send_frame(sock, json.dumps({"op": "ping"}).encode(), channel=CHANNEL_CONTROL)
+    return json.loads(recv_frame(sock).payload)["ok"]
 
 
 def refused_envelope(payload: bytes) -> bool:
@@ -359,38 +276,67 @@ def test_decoders_raise_only_their_own_errors(junk):
 
 
 # --------------------------------------------------------------------------- #
-# Admission
+# Admission and the bounds a peer cannot move
 # --------------------------------------------------------------------------- #
 
 
-@given(limit=st.integers(1, 6))
-@settings(max_examples=4, deadline=None)
-def test_a_client_that_does_not_read_has_at_most_max_in_flight_admitted(limit):
+def test_a_client_that_does_not_read_has_one_request_in_flight():
     database = GatedServer()
     store_empty(database, "Emp(name:string[8], dept:string[4])")
     gate = database.gate("Emp")
     request = MessageV2(MessageKind.LIST_TUPLE_IDS, "Emp").to_bytes()
-    correlations = set(range(100, 100 + 4 * limit))
-    with ThreadedTcpServer(database, max_in_flight=limit) as server:
+    correlations = [103, 101, 104, 102]
+    with ThreadedTcpServer(database) as server:
         sock = hello_client(server.port)
         try:
-            sock.sendall(
-                b"".join(encode_frame(request, correlation=c) for c in sorted(correlations))
-            )
+            sock.sendall(b"".join(encode_frame(request, correlation=c) for c in correlations))
             assert database.entered["Emp"].wait(timeout=10)
             peer = str(sock.getsockname())
             (stats,) = [
                 c for c in tuple(server.server._connections.values()) if c.peer == peer
             ]
-            deadline = time.monotonic() + 10
-            while stats.in_flight < limit:
-                assert time.monotonic() < deadline
-                time.sleep(0.001)
-            assert stats.in_flight == limit  # the rest wait, unadmitted
+            assert stats.in_flight == 1
             gate.set()
-            seen = {recv_frame(sock).correlation for _ in correlations}
-            assert seen == correlations
-            assert stats.peak_in_flight == limit
+            answers = [recv_frame(sock) for _ in correlations]
+            assert [frame.correlation for frame in answers] == correlations
+            assert all(
+                parse_message(frame.payload).kind is MessageKind.TUPLE_IDS
+                for frame in answers
+            )
+            assert stats.peak_in_flight == 1
         finally:
             gate.set()
             sock.close()
+
+
+def test_a_peer_past_the_connection_cap_waits_in_the_backlog(monkeypatch):
+    monkeypatch.setattr(server_module, "MAX_CONNECTIONS", 2)
+    with ThreadedTcpServer() as server:
+        first, second = hello_client(server.port), hello_client(server.port)
+        third = socket.create_connection(("127.0.0.1", server.port), timeout=2.0)
+        try:
+            send_frame(third, HELLO, channel=CHANNEL_CONTROL, correlation=1)
+            third.settimeout(0.3)
+            with pytest.raises(socket.timeout):
+                third.recv(1)
+            assert ping(second)  # the two served peers are served on
+            first.close()
+            third.settimeout(2.0)
+            assert json.loads(recv_frame(third).payload)["ok"]
+            assert server.server.stats.as_dict()["connections_total"] == 3
+        finally:
+            for sock in (first, second, third):
+                sock.close()
+
+
+def test_the_relation_lock_table_forgets_idle_relations():
+    with ThreadedTcpServer() as server:
+        sock = hello_client(server.port)
+        try:
+            for i in range(100):
+                send_frame(sock, MessageV2(MessageKind.TUPLE_COUNT, f"made-up-{i}").to_bytes())
+                assert parse_message(recv_frame(sock).payload).kind is MessageKind.ERROR
+            assert ping(sock)
+        finally:
+            sock.close()
+        assert server.server._locks == {}

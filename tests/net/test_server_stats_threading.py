@@ -36,7 +36,7 @@ class TestConcurrentMutation:
         assert stats.as_dict()["connections_active"] == 0
 
     def test_mixed_counter_traffic_from_many_threads(self):
-        stats = TcpServerStats(dispatch_workers=4)
+        stats = TcpServerStats()
         barrier = threading.Barrier(THREADS)
 
         def worker():
@@ -55,12 +55,11 @@ class TestConcurrentMutation:
         assert as_dict["envelope_frames"] == THREADS * ROUNDS
         assert as_dict["frames_sent"] == THREADS * ROUNDS
         assert as_dict["bytes_sent"] == THREADS * ROUNDS * 7
-        assert as_dict["dispatch_workers"] == 4
 
 
 class TestReadSurface:
     def test_as_dict_reads_and_order_are_preserved(self):
-        stats = TcpServerStats(dispatch_workers=2)
+        stats = TcpServerStats()
         stats.inc("connections_total")
         stats.inc("framing_errors")
         assert stats.as_dict()["connections_total"] == 1
@@ -75,7 +74,6 @@ class TestReadSurface:
             "envelope_frames",
             "control_frames",
             "framing_errors",
-            "dispatch_workers",
             "peak_concurrent_dispatch",
             "requests_dispatched",
         ]
@@ -97,8 +95,8 @@ class TestReadSurface:
         assert by_name["server_frames_received"] == 5
 
     def test_throughput_summary_mentions_every_headline(self):
-        stats = TcpServerStats(dispatch_workers=3)
+        stats = TcpServerStats()
         stats.inc("connections_total")
         summary = stats.throughput_summary()
         assert "1 connection(s)" in summary
-        assert "3 worker(s)" in summary
+        assert "peak 0 concurrent" in summary

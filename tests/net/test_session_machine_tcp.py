@@ -1,24 +1,22 @@
-"""The stateful machine over ``tcp://``: writes answered on the event loop stay right.
+"""The stateful machine over ``tcp://``: writes served by the TCP front-end stay right.
 
 The transport axis of the machine in ``tests/session_machine.py``: its
 session under test reaches the provider through an in-thread
 :class:`~repro.net.ThreadedTcpServer`, while the oracle session reads the
-same provider in-process, by scan.  The session is blocking and alone on
-its connection, so every write it sends -- the ``INSERT_TUPLES`` of an
-insert or an update, the ``DELETE_TUPLES`` of an update or a delete, their
-postings riding in them -- is answered from the connection's read callback; the provider records the
-thread of each, and the machine fails if a write ever took a dispatch
-worker.  An inline insert that files the ciphertext where a scan sees it but
-not under the tuple id that index lookups and deletes address must fail the
-machine, and so must a connection that hands a read the reply an identical
-earlier read got, as a misrouted correlation id would.  A second axis opens
+same provider in-process, by scan.  Every write the session sends -- the
+``INSERT_TUPLES`` of an insert or an update, the ``DELETE_TUPLES`` of an
+update or a delete, their postings riding in them -- is served on its
+connection's thread, under the relation's lock.  A served insert that
+files the ciphertext where a scan sees it but not under the tuple id that
+index lookups and deletes address must fail the machine, and so must a
+connection that hands a read the reply an identical earlier read got, as
+a misrouted correlation id would.  A second axis opens
 the session with the old ``async`` URL key on the default pool of four
 connections: it must get the same blocking proxy and the same answers.
 """
 
 from __future__ import annotations
 
-import threading
 from unittest import mock
 
 import pytest
@@ -29,34 +27,15 @@ from repro.api import EncryptedDatabase
 from repro.crypto.rng import DeterministicRng
 from repro.net import RemoteServerProxy, ThreadedTcpServer
 from repro.net.server import DatabaseTcpServer
-from repro.outsourcing import InMemoryStorageBackend, MessageKind, OutsourcedDatabaseServer
+from repro.outsourcing import InMemoryStorageBackend, MessageKind
 from repro.outsourcing.protocol import peek_envelope
 from repro.schemes.registry import available_schemes
 from session_machine import SessionMachine, machine_settings
 
-WRITES = (MessageKind.INSERT_TUPLES, MessageKind.DELETE_TUPLES)
 READS = (MessageKind.QUERY, MessageKind.BATCH_QUERY, MessageKind.INDEX_LOOKUP)
 
 
-class WriteThreadRecordingServer(OutsourcedDatabaseServer):
-    """Counts the writes a dispatch worker, not the event loop, served."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.worker_writes = 0
-
-    def handle_message(self, raw: bytes) -> bytes:
-        if peek_envelope(raw)[1] in WRITES and threading.current_thread().name.startswith(
-            "repro-net-dispatch"
-        ):
-            self.worker_writes += 1
-        return super().handle_message(raw)
-
-
 class TcpSessionMachine(SessionMachine):
-    def make_provider(self) -> WriteThreadRecordingServer:
-        return WriteThreadRecordingServer()
-
     def open_session(self) -> EncryptedDatabase:
         self.server = ThreadedTcpServer(self.provider).start()
         return EncryptedDatabase.connect(
@@ -72,7 +51,6 @@ class TcpSessionMachine(SessionMachine):
     def teardown(self) -> None:
         self.cached.close()
         self.server.stop()
-        assert self.provider.worker_writes == 0, "a write took a dispatch worker"
 
 
 class PooledSessionMachine(TcpSessionMachine):
@@ -110,14 +88,13 @@ def _append_without_its_id(self, name, encrypted_tuples):
     held.snapshot = None
 
 
-def _inline_inserts_skip_the_id():
+def _served_inserts_skip_the_id():
+    """Every insert the TCP front-end serves -- and no other -- skips the id."""
     real = DatabaseTcpServer._dispatch_envelope
 
-    def dispatch(self, trace_id, relation_name, payload, submitted_mono, path):
-        if path != "inline":
-            return real(self, trace_id, relation_name, payload, submitted_mono, path)
+    def dispatch(self, trace_id, relation_name, payload):
         with mock.patch.object(InMemoryStorageBackend, "append", _append_without_its_id):
-            return real(self, trace_id, relation_name, payload, submitted_mono, path)
+            return real(self, trace_id, relation_name, payload)
 
     return mock.patch.object(DatabaseTcpServer, "_dispatch_envelope", dispatch)
 
@@ -153,8 +130,8 @@ def test_a_pooled_async_key_session_answers_like_an_in_process_one(scheme, index
     )
 
 
-def test_the_machine_fails_when_inline_inserts_skip_the_id():
-    with _inline_inserts_skip_the_id():
+def test_the_machine_fails_when_served_inserts_skip_the_id():
+    with _served_inserts_skip_the_id():
         with pytest.raises(AssertionError, match="stale"):
             run_state_machine_as_test(
                 _machine("deterministic", True),

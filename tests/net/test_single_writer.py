@@ -1,13 +1,12 @@
 """The provider's single-writer rule under a scheduler that switches constantly.
 
-The in-memory store takes no lock: only the job for relation X's key, or
-an inline answer while X is idle, may touch X's map, and a ``load``
-snapshot is one C-level ``tuple()`` over it.  Here four client threads hit
-one provider at once with the interpreter switching threads every
-microsecond: lone inserts to ``A`` (answered on the event loop), scans of
-``B`` (dispatch workers), ``TUPLE_COUNT`` reads of ``A`` (workers, queued
-under ``A``'s key), and the ``stats`` / ``metrics`` control operations and
-``RELATION_NAMES`` envelopes (workers, other keys).  No request may fail, no scan
+The in-memory store takes no lock: only a request holding relation X's
+lock in the TCP front-end may touch X's map, and a ``load`` snapshot is
+one C-level ``tuple()`` over it.  Here four client threads hit one
+provider at once with the interpreter switching threads every
+microsecond: inserts to ``A``, scans of ``B``, ``TUPLE_COUNT`` reads of
+``A`` (waiting for ``A``'s lock), and the ``stats`` / ``metrics`` control
+operations and ``RELATION_NAMES`` envelopes (other locks).  No request may fail, no scan
 may see a torn ``B``, no count of ``A`` may go backwards or past what was
 acknowledged, and ``A`` must end holding exactly the inserted tuples, in
 order.
@@ -68,7 +67,7 @@ def _envelope(sock: socket.socket, kind: MessageKind, relation: str, body: bytes
     return answer
 
 
-def test_inline_writes_beside_worker_scans_and_control_ops():
+def test_writes_beside_scans_and_control_ops():
     a, b = _scheme("A(k:int[4])"), _scheme("B(name:string[6], v:int[4])")
     b_rows = [(f"b{i}", i % 3) for i in range(30)]
     provider = OutsourcedDatabaseServer()
@@ -139,7 +138,7 @@ def test_inline_writes_beside_worker_scans_and_control_ops():
         finally:
             sys.setswitchinterval(interval)
         assert not [thread for thread in threads if thread.is_alive()]
-        inline = server.server._inline_answers
+        locks = dict(server.server._locks)
     assert not errors, errors
     assert provider.stored_relation("A").encrypted_tuples == tuple(new_tuples)
-    assert inline > 0  # inserts that found A idle; the rest queued behind a count
+    assert locks == {}  # no relation's lock outlives its last request

@@ -4,9 +4,8 @@ One seeded stream runs through an in-process provider and through
 ``tcp://``: create, indexed selects, inserts and deletes, then a second,
 unindexed session's attach, one- and two-predicate scans and a
 ``select_many`` batch of them, count and full fetch, and the drop -- every
-one of them an envelope.  (On ``tcp://`` the bounded requests are
-answered from the connection's read callback, the rest on dispatch
-workers -- every insert and delete among the former.)  What the sessions
+one of them an envelope.  (On ``tcp://`` every request is answered on its
+connection's thread.)  What the sessions
 receive -- every response envelope, byte for byte -- and what the provider
 observes -- its audit sequence of ``(kind, relation_name, detail)`` -- must
 be identical.  The last test breaks the TCP path on purpose and checks the
@@ -127,7 +126,7 @@ def observations(provider: OutsourcedDatabaseServer) -> list[tuple]:
 
 def transcripts(seed: int):
     """(in-process, tcp) transcripts of one stream, the tcp server's stats and
-    inline answers, and the threads that served the tcp side's writes."""
+    requests dispatched, and the threads that served the tcp side's writes."""
     local = OutsourcedDatabaseServer()
     local_responses, local_replies = run(local, seed)
     remote = WriteThreads()
@@ -138,13 +137,13 @@ def transcripts(seed: int):
         finally:
             proxy.close()
         stats = server.server.stats
-        inline = server.server._inline_answers
+        dispatched = stats.as_dict()["requests_dispatched"]
     assert local_replies == remote_replies
     return (
         (local_responses, observations(local)),
         (remote_responses, observations(remote)),
         stats,
-        inline,
+        dispatched,
         remote.threads,
     )
 
@@ -155,7 +154,7 @@ def test_tcp_transcript_equals_the_in_process_one(seed):
         (local_responses, local_audit),
         (remote_responses, remote_audit),
         stats,
-        inline,
+        dispatched,
         write_threads,
     ) = transcripts(seed)
     assert remote_responses == local_responses
@@ -180,27 +179,25 @@ def test_tcp_transcript_equals_the_in_process_one(seed):
         d["token_count"] == 2 and 0 < d["token_evaluations"] < 2 * d["examined"]
         for d in scans
     )
-    # Both receive paths took part: bounded requests inline, the rest on workers.
-    assert 0 < inline < stats.as_dict()["requests_dispatched"]
-    # Every insert and delete was bounded, alone and on an idle relation.
+    assert dispatched == len(remote_responses)  # every envelope took the one path
     assert write_threads
-    assert not [t for t in write_threads if t.startswith("repro-net-dispatch")]
+    assert all(t.startswith("repro-net-connection") for t in write_threads)
 
 
-def test_the_comparison_sees_an_extra_observation_on_the_inline_path(monkeypatch):
+def test_the_comparison_sees_an_extra_observation_on_the_dispatch_path(monkeypatch):
     original = DatabaseTcpServer._dispatch_envelope
 
-    def leaky(self, trace_id, relation_name, payload, submitted_mono, path):
-        if path == "inline":
+    def leaky(self, trace_id, relation_name, payload):
+        if relation_name:
             self._database.audit_log.record(
                 AuditEventKind.TUPLE_IDS_LISTED, relation_name, id_count=0
             )
-        return original(self, trace_id, relation_name, payload, submitted_mono, path)
+        return original(self, trace_id, relation_name, payload)
 
     monkeypatch.setattr(DatabaseTcpServer, "_dispatch_envelope", leaky)
-    (local_responses, local_audit), (remote_responses, remote_audit), _, inline, _ = (
+    (local_responses, local_audit), (remote_responses, remote_audit), _, dispatched, _ = (
         transcripts(1)
     )
-    assert inline > 0
+    assert dispatched > 0
     assert remote_responses == local_responses  # the answers alone do not show it
     assert remote_audit != local_audit

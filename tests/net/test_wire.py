@@ -22,22 +22,22 @@ class TestClientChannel:
     def test_requests_get_distinct_correlations(self):
         channel = ClientChannel()
         first, _ = channel.send(b"a", CHANNEL_ENVELOPE)
+        assert [frame.correlation for frame in channel.receive(response_bytes(first))] == [first]
         second, _ = channel.send(b"b", CHANNEL_ENVELOPE)
-        assert first != second
-        matched = channel.receive(response_bytes(first) + response_bytes(second))
-        assert [frame.correlation for frame in matched] == [first, second]
+        assert second != first
+        assert [frame.correlation for frame in channel.receive(response_bytes(second))] == [
+            second
+        ]
 
-    def test_responses_pair_by_correlation_in_any_order(self):
+    def test_only_the_awaited_request_is_answered(self):
         channel = ClientChannel()
         one, _ = channel.send(b"a", CHANNEL_ENVELOPE)
         two, _ = channel.send(b"b", CHANNEL_ENVELOPE)
-        # Answer out of order: the second request first.
-        matched = channel.receive(response_bytes(two, b"B") + response_bytes(one, b"A"))
-        assert [(frame.correlation, frame.payload) for frame in matched] == [
-            (two, b"B"),
-            (one, b"A"),
-        ]
-        # Both answered: neither is pending, so a repeat pairs with nothing.
+        # The earlier request's answer pairs with nothing; the awaited one
+        # is matched wherever it falls in the bytes.
+        matched = channel.receive(response_bytes(one, b"A") + response_bytes(two, b"B"))
+        assert [(frame.correlation, frame.payload) for frame in matched] == [(two, b"B")]
+        # Answered: a repeat pairs with nothing.
         assert channel.receive(response_bytes(one) + response_bytes(two)) == []
 
     def test_wire_bytes_carry_the_correlation(self):
@@ -75,7 +75,30 @@ class TestClientChannel:
             (correlation, b"answer")
         ]
 
-    def test_correlations_skip_in_flight_ids_when_wrapping(self):
+    @pytest.mark.parametrize("payload, fault", [
+        (b'{"ok": false, "error": "frame too large"}', "frame too large"),
+        (b'{"ok": false}', "unspecified provider error"),
+        (b"\xff\xfe", "unreadable provider fault"),
+        (b"[1, 2]", "unreadable provider fault"),
+    ], ids=["error", "no-error-text", "not-utf8", "not-an-object"])
+    def test_a_correlation_zero_control_frame_is_the_connection_fault(self, payload, fault):
+        channel = ClientChannel()
+        correlation, _ = channel.send(b"req", CHANNEL_ENVELOPE)
+        broadcast = encode_frame(payload, channel=CHANNEL_CONTROL, correlation=0)
+        assert channel.receive(broadcast) == []
+        assert channel.fault == fault
+        # The awaited request is still the one that pairs.
+        assert [f.correlation for f in channel.receive(response_bytes(correlation))] == [
+            correlation
+        ]
+
+    def test_a_correlation_zero_envelope_frame_is_dropped_without_a_fault(self):
+        channel = ClientChannel()
+        channel.send(b"req", CHANNEL_ENVELOPE)
+        assert channel.receive(response_bytes(0, b'{"ok": false, "error": "x"}')) == []
+        assert channel.fault is None
+
+    def test_correlations_wrap_at_32_bits(self):
         channel = ClientChannel()
         channel._next_correlation = 2**32 - 1
         high, _ = channel.send(b"a", CHANNEL_ENVELOPE)

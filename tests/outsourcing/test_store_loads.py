@@ -1,0 +1,67 @@
+"""Index lookups and tuple writes on the in-memory store never load the relation.
+
+The store keys each relation by tuple id, so a lookup fetches its ids, an
+insert appends and a delete removes by id; only a scan's ``load`` builds
+the whole relation, and only the first load after a write rebuilds it.
+"""
+
+from __future__ import annotations
+
+from repro.crypto.keys import SecretKey
+from repro.crypto.rng import DeterministicRng
+from repro.index import IndexDelta, IndexLookupRequest, IndexSnapshot
+from repro.outsourcing import InMemoryStorageBackend, OutsourcedDatabaseServer
+from repro.relational import Relation, RelationSchema, RelationTuple
+from repro.schemes.plaintext import PlaintextDph
+
+SCHEMA = RelationSchema.parse("Emp(name:string[14], dept:string[5], salary:int[6])")
+L1, L2 = b"\x01" * 32, b"\x02" * 32
+
+
+class LoadCountingStorage(InMemoryStorageBackend):
+    """The in-memory store, counting full-relation loads."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.loads = 0
+
+    def load(self, name):
+        self.loads += 1
+        return super().load(name)
+
+
+def test_lookups_and_writes_never_load_the_relation():
+    """The first lookup after a put and every request after a write skip ``load``."""
+    scheme = PlaintextDph(
+        SCHEMA, SecretKey.generate(rng=DeterministicRng(7)), rng=DeterministicRng(8)
+    )
+    rows = [(f"emp{i}", "HR" if i % 2 else "IT", 1000 + i) for i in range(8)]
+    encrypted = scheme.encrypt_relation(Relation.from_rows(SCHEMA, rows))
+    ids = [t.tuple_id for t in encrypted.encrypted_tuples]
+    spare = scheme.encrypt_tuple(RelationTuple.from_values(SCHEMA, ("spare0", "HR", 1)))
+    storage = LoadCountingStorage()
+    database = OutsourcedDatabaseServer(storage=storage)
+    database.store_relation("Emp", encrypted, scheme.server_evaluator())
+    database.put_index(
+        "Emp",
+        IndexSnapshot(bucket_capacity=4, entries={L1: (tuple(ids[:4]),), L2: (tuple(ids[4:]),)}),
+    )
+
+    def l1_rows() -> int:
+        request = IndexLookupRequest(labels=(L1,))
+        return len(database.index_lookup("Emp", request).matching)
+
+    storage.loads = 0
+    assert l1_rows() == 4
+    database.insert_tuples("Emp", [spare], IndexDelta(additions=((L1, spare.tuple_id),)))
+    assert l1_rows() == 5
+    # Deleted ids come back in stored order, not request order.
+    assert database.delete_tuples("Emp", [spare.tuple_id, ids[0]], IndexDelta()) == (
+        ids[0],
+        spare.tuple_id,
+    )
+    assert database.delete_tuples("Emp", [ids[0], ids[1]], IndexDelta()) == (ids[1],)
+    assert l1_rows() == 2
+    assert storage.loads == 0
+    assert len(database.stored_relation("Emp")) == 6  # a scan's view is current
+    assert storage.loads == 1

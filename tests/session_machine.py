@@ -14,7 +14,7 @@ provider (:meth:`SessionMachine.open_session`, :meth:`~SessionMachine.make_provi
 and may add rules: ``tests/cache/test_cached_session_stateful.py``
 (in-process; failed writes, re-declaration, scribbling, cache breakages),
 ``tests/net/test_session_machine_tcp.py`` (over ``tcp://``, where the
-provider answers single-row writes on its event loop) and
+provider serves each write on its connection's thread) and
 ``tests/cluster/test_session_machine_cluster.py`` (a shard router with
 one or two replicas; stored copy and count checked).  Lives next to
 ``tests/conftest.py``, which puts this directory on ``sys.path``.

@@ -148,3 +148,16 @@ def test_the_report_prints_each_verdict(capsys):
     out = capsys.readouterr().out
     assert "LARGER FAILED SHARE" in out
     assert "outside" in out and "better" in out
+
+
+def test_the_report_prints_every_pair_in_run_order(capsys):
+    rev = [document("w", 0, 10, ops_per_s=value) for value in (100.0, 101.0, 99.0)]
+    tree = [document("w", 0, 10, ops_per_s=value) for value in (110.0, 80.0, 108.0)]
+    summary = ab.summarize(pairs_of(rev, tree), DECLARED)
+    assert rows_by_name(summary)["ops_per_s"]["pairs"] == [
+        (100.0, 110.0), (101.0, 80.0), (99.0, 108.0)
+    ]
+    ab.report(summary, 3)
+    lines = capsys.readouterr().out.splitlines()
+    row = next(i for i, line in enumerate(lines) if line.strip().startswith("ops_per_s"))
+    assert lines[row + 1].split() == ["1:", "100/110", "2:", "101/80", "3:", "99/108"]

@@ -2,8 +2,17 @@
 
 from __future__ import annotations
 
+import json
+import os
+import re
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, build_scheme, main
 from repro.schemes.registry import available_schemes
 from repro.workloads import EmployeeWorkload, employee_schema
@@ -112,11 +121,6 @@ class TestParser:
     def test_serve_stats_interval_flag(self):
         args = build_parser().parse_args(["serve", "--stats-interval", "2.5"])
         assert args.stats_interval == 2.5
-
-    def test_serve_dispatch_workers_flag(self):
-        args = build_parser().parse_args(["serve", "--dispatch-workers", "8"])
-        assert args.dispatch_workers == 8
-        assert build_parser().parse_args(["serve"]).dispatch_workers == 4
 
     def test_cluster_manifest_flags(self):
         spawn = build_parser().parse_args(
@@ -368,6 +372,96 @@ class TestClusterCommands:
         assert main(["cluster", "status", "--manifest", str(bad)]) == 2
         assert "JSON" in capsys.readouterr().err
 
-    def test_serve_rejects_zero_dispatch_workers(self, capsys):
-        assert main(["serve", "--dispatch-workers", "0"]) == 2
-        assert "dispatch-workers" in capsys.readouterr().err
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+#: What a deployment script reads off a provider's ready line.
+LISTENING = re.compile(r"listening on tcp://([\d.]+):(\d+)")
+
+
+def start_cli(*argv: str) -> subprocess.Popen:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", *argv], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+
+
+def ping(host: str, port: int) -> dict:
+    import socket
+
+    from repro.net import CHANNEL_CONTROL, recv_frame, send_frame
+
+    with socket.create_connection((host, int(port)), timeout=10.0) as sock:
+        for correlation, op in enumerate(("hello", "ping"), start=1):
+            send_frame(sock, json.dumps({"op": op}).encode(),
+                       channel=CHANNEL_CONTROL, correlation=correlation)
+            answer = json.loads(recv_frame(sock).payload)
+        return answer
+
+
+class TestServingProcesses:
+    """``repro serve`` and ``repro cluster spawn`` until a signal stops them."""
+
+    def test_serve_prints_its_address_serves_and_stops_on_sigterm(self):
+        process = start_cli("serve", "--port", "0")
+        try:
+            ready = process.stdout.readline()
+            assert ready.startswith("repro provider listening on tcp://"), ready
+            host, port = LISTENING.search(ready).groups()
+            assert ping(host, port) == {"ok": True}
+            process.send_signal(signal.SIGTERM)
+            rest = process.communicate(timeout=30)[0]
+        finally:
+            process.kill()
+            process.wait()
+        assert process.returncode == 0, rest
+        assert rest.splitlines()[0] == "repro provider shutting down..."
+        assert rest.splitlines()[-1].startswith("repro provider stopped: 1 connection(s)")
+
+    def test_serve_logs_a_stats_record_every_interval(self):
+        process = start_cli("serve", "--port", "0", "--stats-interval", "0.05")
+        try:
+            assert "listening on tcp://" in process.stdout.readline()
+            records = [json.loads(process.stdout.readline()) for _ in range(2)]
+            process.send_signal(signal.SIGINT)
+            process.communicate(timeout=30)
+        finally:
+            process.kill()
+            process.wait()
+        assert process.returncode == 0
+        assert [record["event"] for record in records] == ["stats", "stats"]
+        assert records[0]["transport"]["connections_total"] == 0
+
+    def test_cluster_spawn_prints_every_shard_and_stops_on_sigterm(self):
+        process = start_cli("cluster", "spawn", "--shards", "2")
+        try:
+            lines = [process.stdout.readline() for _ in range(3)]
+            shards = [LISTENING.search(line).groups() for line in lines[:2]]
+            assert lines[2] == (
+                "repro cluster ready: cluster://"
+                + ",".join(f"{host}:{port}" for host, port in shards) + "\n"
+            )
+            assert [ping(host, port) for host, port in shards] == [{"ok": True}] * 2
+            process.send_signal(signal.SIGTERM)
+            rest = process.communicate(timeout=30)[0]
+        finally:
+            process.kill()
+            process.wait()
+        assert process.returncode == 0, rest
+        assert [line.split(":")[0] for line in rest.splitlines()[1:]] == [
+            "repro cluster shard 0 stopped", "repro cluster shard 1 stopped",
+        ]
+
+    def test_the_signal_wait_ticks_until_interrupted_and_restores_the_handlers(self):
+        ticks = []
+
+        def tick() -> None:
+            ticks.append(1)
+            if len(ticks) == 3:
+                signal.raise_signal(signal.SIGTERM)
+
+        before = {s: signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)}
+        cli._wait_for_signal(0.01, tick)
+        assert len(ticks) == 3
+        assert {s: signal.getsignal(s) for s in before} == before

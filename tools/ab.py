@@ -11,9 +11,10 @@ prints each side's median and quartiles over the pairs, the ratio of the
 medians (tree / rev), the pairs the tree won (ties count for neither) and,
 for the end-to-end metrics (``--trace 0``), the bound ``BENCHMARK.json``
 declares and a verdict: ``better`` (the tree's median is better),
-``outside`` (it is worse by more than the bound) or ``same``.  Per workload
-it prints each side's failed operations and flags a larger failed share on
-the tree's side.
+``outside`` (it is worse by more than the bound) or ``same``; under each
+metric, every pair's rev and tree value in run order, so a lost pair can be
+told from drift or an outlier.  Per workload it prints each side's failed
+operations and flags a larger failed share on the tree's side.
 
 Exit status: 0 when no metric is ``outside`` and no workload failed a larger
 share; 1 when one did, or when a run could not be made; 2 on a usage error
@@ -109,6 +110,7 @@ def summarize(pairs: list[tuple[dict, dict]], declared: list[dict]) -> list[dict
                 "rev": rev_spread,
                 "tree": tree_spread,
                 "wins": sum(sign * (b - a) > 0 for a, b in zip(rev, tree)),
+                "pairs": list(zip(rev, tree)),
                 "bound": metric.get("bound"),
                 "verdict": verdict(rev_spread[1], tree_spread[1], metric),
             })
@@ -135,7 +137,8 @@ def exit_status(summary: list[dict]) -> int:
 
 def report(summary: list[dict], pair_count: int) -> None:
     print(f"{pair_count} pair(s); columns: rev q1/median/q3, tree q1/median/q3, "
-          f"tree/rev, tree wins, bound, verdict")
+          f"tree/rev, tree wins, bound, verdict; then rev/tree of each pair in run "
+          f"order (odd pairs ran the rev first)")
     for workload in summary:
         failed, attempted = workload["failed"], workload["attempted"]
         flag = "  LARGER FAILED SHARE" if workload["more_failed"] else ""
@@ -147,6 +150,10 @@ def report(summary: list[dict], pair_count: int) -> None:
             bound = "-" if row["bound"] is None else f"{row['bound']:.0%}"
             print(f"  {row['name']:36s} {r1:.4g}/{rm:.4g}/{r3:.4g}  {t1:.4g}/{tm:.4g}/{t3:.4g}  "
                   f"{ratio}  {row['wins']}/{pair_count}  {bound}  {row['verdict'] or '-'}")
+            print("    " + "  ".join(
+                f"{number}: {rev:.4g}/{tree:.4g}"
+                for number, (rev, tree) in enumerate(row["pairs"], start=1)
+            ))
 
 
 def positive_int(text: str) -> int:
