@@ -195,13 +195,10 @@ def command_serve(args: argparse.Namespace) -> int:
         # only matters to the in-process security experiments.
         audit_log=ServerAuditLog(max_events=args.max_audit_events),
         storage=storage,
+        slow_query_threshold=args.slow_query_threshold,
     )
     tcp = DatabaseTcpServer(
-        database,
-        host=args.host,
-        port=args.port,
-        max_frame_size=args.max_frame_size,
-        slow_query_threshold=args.slow_query_threshold,
+        database, host=args.host, port=args.port, max_frame_size=args.max_frame_size
     )
 
     def _index_summary() -> str:
@@ -221,7 +218,7 @@ def command_serve(args: argparse.Namespace) -> int:
             "stats",
             transport=tcp.stats.as_dict(),
             index=database.index_stats(),
-            slow_queries=len(tcp.slow_queries),
+            slow_queries=len(database.slow_queries),
         )
 
     tcp.start()

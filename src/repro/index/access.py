@@ -178,7 +178,7 @@ class IndexAccess(AccessMethod):
     ) -> None:
         self._storage = storage
         self._indexes: dict[str, RelationIndex] = {}
-        # Registry-backed counters (thread-safe under the dispatch pool);
+        # Registry-backed counters (thread-safe across relations' requests);
         # the old attribute names stay readable as properties below.
         self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._puts = self._metrics.counter("index_puts_total")

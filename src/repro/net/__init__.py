@@ -23,13 +23,13 @@ machine boundary.  ``repro.net`` is that missing transport, in three layers:
     one frame, one dispatch, one answer, in arrival order.  Each connection
     starts with a hello exchange (there is no version to agree on: every
     envelope says in its version byte whether a trace id rides along); an
-    envelope runs under its relation's lock, so requests for one relation
-    never overlap while a heavy scan of one relation blocks neither other
+    envelope goes verbatim to the provider's ``handle_message``, which runs
+    it under its relation's lock, so requests for one relation never
+    overlap while a heavy scan of one relation blocks neither other
     connections nor other relations; shutdown lets a busy connection finish
-    its request.  Per-connection and aggregate stats (including the
-    dispatch parallelism achieved) are kept, and ``repro serve`` (see
-    :mod:`repro.cli`) runs the whole thing as a standalone process over any
-    registered storage backend.
+    its request.  Per-connection and aggregate stats are kept, and
+    ``repro serve`` (see :mod:`repro.cli`) runs the whole thing as a
+    standalone process over any registered storage backend.
 
 **Client side** (:mod:`repro.net.client`, over the sans-IO :mod:`repro.net.wire`)
     :class:`~repro.net.client.RemoteServerProxy`, whose ``handle_message``

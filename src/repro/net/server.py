@@ -14,7 +14,9 @@ of :mod:`repro.net.framing`:
   agree on: the provider reads both envelope layouts, untraced (version
   byte 2) and traced (3), whichever a frame carries;
 * **envelope** frames are forwarded verbatim to
-  :meth:`~repro.outsourcing.server.OutsourcedDatabaseServer.handle_message`;
+  :meth:`~repro.outsourcing.server.OutsourcedDatabaseServer.handle_message`,
+  which parses each once and runs it under its relation's lock (the
+  provider's single-writer rule, the same on every transport);
 * **control** frames carry the operator read-outs only -- ``ping``,
   ``stats``, ``metrics`` and ``trace``.  Everything a session does, DDL and
   evaluator deployment included, is an envelope.
@@ -22,16 +24,6 @@ of :mod:`repro.net.framing`:
 Every response frame echoes the correlation id of the request it answers.
 A peer may still send many frames without reading: it gets every answer,
 in the order it sent the requests.
-
-**One writer per relation.**  The storage backends are not thread-safe per
-relation, so an envelope runs under its relation's lock, taken around the
-provider call; requests for *different* relations -- or different shards
-colocated in one process -- run at once on their connections' threads, so
-a slow scan of one relation blocks no other.  The time spent waiting for
-the lock is the ``server_dispatch_queue_seconds`` histogram and the
-``server.dispatch`` span's ``queue_wait_s``.  A relation's lock lives only
-while a request holds it or waits for it, so relation names a peer makes up
-leave nothing behind.  The control operations share one lock of their own.
 
 **Bounds against a hostile peer.**  At most :data:`MAX_CONNECTIONS`
 connections are served at once; further peers wait in the listen backlog
@@ -43,9 +35,9 @@ well-framed request stay inside the protocol (``ERROR`` envelopes /
 ``ok: false`` control responses) and the connection lives on.
 
 The server counts per-connection and aggregate traffic
-(:class:`ConnectionStats` / :class:`TcpServerStats`, including the dispatch
-parallelism actually achieved); ``repro serve`` prints the aggregate on
-shutdown and the ``stats`` control operation exposes it to remote clients.
+(:class:`ConnectionStats` / :class:`TcpServerStats`); ``repro serve``
+prints the aggregate on shutdown and the ``stats`` control operation
+exposes it to remote clients.
 """
 
 from __future__ import annotations
@@ -59,14 +51,7 @@ import time
 from dataclasses import dataclass
 
 from repro.net import framing
-from repro.obs import (
-    MetricsRegistry,
-    SlowQueryLog,
-    Trace,
-    TraceBuffer,
-    render_prometheus,
-    use_trace,
-)
+from repro.obs import MetricsRegistry, render_prometheus
 from repro.net.framing import (
     CHANNEL_CONTROL,
     CHANNEL_ENVELOPE,
@@ -74,14 +59,8 @@ from repro.net.framing import (
     FrameDecoder,
     FramingError,
 )
-from repro.outsourcing import protocol
-from repro.outsourcing.client import request as envelope_request
-from repro.outsourcing.protocol import MessageKind, ProtocolError
-from repro.outsourcing.server import (
-    UNKNOWN_RELATION,
-    OutsourcedDatabaseServer,
-    ServerError,
-)
+from repro.outsourcing.protocol import ProtocolError
+from repro.outsourcing.server import OutsourcedDatabaseServer, ServerError
 from repro.outsourcing.storage import StorageError
 
 #: Identifier the server announces in its hello response.
@@ -102,9 +81,6 @@ _LINGER_SECONDS = 1.0
 #: Wire bytes of a frame beyond its payload.
 _FRAME_OVERHEAD = framing.LENGTH_PREFIX_SIZE + framing.FRAME_HEADER_SIZE
 
-#: The lock key of the control operations (relation names are strings).
-_CONTROL = None
-
 
 @dataclass
 class ConnectionStats:
@@ -120,11 +96,6 @@ class ConnectionStats:
     #: Set once the connection's hello is answered; nothing else is served
     #: before it.
     greeted: bool = False
-    #: 1 while the connection serves what it read, else 0 (shutdown only
-    #: waits for busy connections).
-    in_flight: int = 0
-    #: Most requests this connection ever had in flight at once.
-    peak_in_flight: int = 0
 
 
 class TcpServerStats:
@@ -133,7 +104,9 @@ class TcpServerStats:
     Every counter is a locked :class:`~repro.obs.MetricsRegistry`
     instrument (``server_<name>``), bumped from every connection's thread;
     :meth:`as_dict` is the read-out (what the ``stats`` control operation
-    returns).
+    returns).  The registry is the provider's, which counts the envelopes
+    it dispatched and the most it ran at once under their relations'
+    locks; the front end adds its control operations to the former.
     """
 
     #: The fields, in ``as_dict`` order.
@@ -199,8 +172,6 @@ class DatabaseTcpServer:
         port: int = 0,
         *,
         max_frame_size: int = DEFAULT_MAX_FRAME_SIZE,
-        trace_buffer_size: int = 256,
-        slow_query_threshold: float = 1.0,
     ) -> None:
         self._database = (
             database_server if database_server is not None else OutsourcedDatabaseServer()
@@ -208,11 +179,6 @@ class DatabaseTcpServer:
         self._requested_host = host
         self._requested_port = port
         self._max_frame_size = max_frame_size
-        # An object that does not say which relations it knows gets the one
-        # fixed label: a peer's frames never mint metric labels.
-        self._metric_relation = getattr(
-            self._database, "metric_relation", lambda relation_name: UNKNOWN_RELATION
-        )
         self._listener: socket.socket | None = None
         self._address: tuple[str, int] | None = None
         self._accept_thread: threading.Thread | None = None
@@ -220,21 +186,9 @@ class DatabaseTcpServer:
         # Registered and dropped by single dict operations, whole under the
         # GIL; stop() iterates a tuple() of it.
         self._connections: dict[_Connection, ConnectionStats] = {}
-        # Lock key (relation name, or _CONTROL) -> [lock, holders and waiters].
-        self._locks: dict[str | None, list] = {}
-        self._locks_guard = threading.Lock()
-        self._dispatching = self._peak_dispatching = 0  # under _locks_guard
-        # Share the wrapped provider's registry when it has one, so the
-        # metrics control operation answers with one unified snapshot.
-        database_metrics = getattr(self._database, "metrics", None)
-        self._metrics = (
-            database_metrics
-            if isinstance(database_metrics, MetricsRegistry)
-            else MetricsRegistry()
-        )
-        self._stats = TcpServerStats(metrics=self._metrics)
-        self._traces = TraceBuffer(trace_buffer_size)
-        self._slow_queries = SlowQueryLog(slow_query_threshold)
+        # The provider's registry, so the metrics control operation answers
+        # with one unified snapshot.
+        self._stats = TcpServerStats(metrics=self._database.metrics)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -253,17 +207,7 @@ class DatabaseTcpServer:
     @property
     def metrics(self) -> MetricsRegistry:
         """The registry behind this server's (and its provider's) metrics."""
-        return self._metrics
-
-    @property
-    def trace_buffer(self) -> TraceBuffer:
-        """Completed server-side traces, keyed by trace id."""
-        return self._traces
-
-    @property
-    def slow_queries(self) -> SlowQueryLog:
-        """Requests slower than the configured threshold."""
-        return self._slow_queries
+        return self._stats.metrics
 
     @property
     def address(self) -> tuple[str, int]:
@@ -351,74 +295,7 @@ class DatabaseTcpServer:
         self._stats.dec("connections_active")
 
     # ------------------------------------------------------------------ #
-    # Dispatch (on the connection's thread)
-    # ------------------------------------------------------------------ #
-
-    def _acquire(self, key: str | None) -> list:
-        """Wait for ``key``'s lock; its table entry, for :meth:`_release`."""
-        with self._locks_guard:
-            entry = self._locks.get(key)
-            if entry is None:
-                entry = self._locks[key] = [threading.Lock(), 0]
-            entry[1] += 1
-        entry[0].acquire()
-        with self._locks_guard:
-            self._dispatching += 1
-            if self._dispatching > self._peak_dispatching:
-                self._peak_dispatching = self._dispatching
-                self._stats.set("peak_concurrent_dispatch", self._dispatching)
-        return entry
-
-    def _release(self, key: str | None, entry: list) -> None:
-        """Let the next request for ``key`` run; forget the lock when none waits."""
-        entry[0].release()
-        with self._locks_guard:
-            self._dispatching -= 1
-            entry[1] -= 1
-            if not entry[1]:
-                del self._locks[key]
-        self._stats.inc("requests_dispatched")
-
-    def _dispatch_envelope(
-        self, trace_id: bytes | None, relation_name: str, payload: bytes
-    ) -> tuple[int, bytes]:
-        """Run one envelope under its relation's lock; ``(channel, answer)``.
-
-        The wait for the lock is the request's queue wait.  When the
-        envelope carries a v3 trace id the whole dispatch executes under
-        that trace, producing the server-side span and feeding the trace
-        buffer and slow-query log.  An exception escaping the provider
-        becomes the control-channel failure answer here.
-        """
-        arrived = time.monotonic()
-        entry = self._acquire(relation_name)
-        try:
-            queue_wait = time.monotonic() - arrived
-            self._metrics.histogram(
-                "server_dispatch_queue_seconds",
-                relation=self._metric_relation(relation_name),
-            ).observe(queue_wait)
-            if trace_id is None:
-                return CHANNEL_ENVELOPE, self._database.handle_message(payload)
-            trace = Trace(trace_id)
-            try:
-                with use_trace(trace), trace.span(
-                    "server.dispatch",
-                    relation=relation_name,
-                    queue_wait_s=round(queue_wait, 6),
-                ):
-                    return CHANNEL_ENVELOPE, self._database.handle_message(payload)
-            finally:
-                self._traces.record(trace)
-                self._slow_queries.observe(trace)
-        except Exception as exc:  # noqa: BLE001 - a dispatch bug must not kill siblings
-            failure = {"ok": False, "error": f"internal dispatch failure: {exc}"}
-            return CHANNEL_CONTROL, json.dumps(failure).encode("utf-8")
-        finally:
-            self._release(relation_name, entry)
-
-    # ------------------------------------------------------------------ #
-    # Operator read-outs: control operations (under the control lock)
+    # Operator read-outs: control operations
     # ------------------------------------------------------------------ #
 
     def _control_answer(self, request: dict) -> tuple[int, bytes]:
@@ -427,7 +304,6 @@ class DatabaseTcpServer:
         A failure is an ``ok: false`` answer: the connection lives on.
         """
         op = request["op"]
-        entry = self._acquire(_CONTROL)
         try:
             response = self._control_operation(request)
         except (ServerError, StorageError, ProtocolError) as exc:
@@ -436,43 +312,36 @@ class DatabaseTcpServer:
             response = {"ok": False, "error": f"malformed {op!r} request: {exc}"}
         except Exception as exc:  # noqa: BLE001 - a dispatch bug must not kill siblings
             response = {"ok": False, "error": f"internal dispatch failure: {exc}"}
-        finally:
-            self._release(_CONTROL, entry)
+        self._stats.inc("requests_dispatched")
         return CHANNEL_CONTROL, json.dumps(response).encode("utf-8")
 
     def _control_operation(self, request: dict) -> dict:
-        op = request["op"]
+        op, database = request["op"], self._database
         if op == "ping":
             return {"ok": True}
         if op == "stats":
-            names = envelope_request(self._database, MessageKind.RELATION_NAMES, "")
-            report = {
+            return {
                 "ok": True,
                 "stats": self.stats.as_dict(),
-                "audit": self._database.audit_log.summary(),
-                "relations": list(names),
+                "audit": database.audit_log.summary(),
+                "relations": list(database.relation_names),
+                "indexes": database.index_stats(),
             }
-            index_stats = getattr(self._database, "index_stats", None)
-            if index_stats is not None:
-                report["indexes"] = index_stats()
-            return report
         if op == "metrics":
-            snapshot_fn = getattr(self._database, "metrics_snapshot", None)
-            snapshot = (
-                snapshot_fn() if snapshot_fn is not None else self._metrics.snapshot()
-            )
+            snapshot = database.metrics_snapshot()
             if request.get("format") == "prometheus":
                 return {"ok": True, "prometheus": render_prometheus(snapshot)}
             return {"ok": True, "metrics": snapshot}
         if op == "trace":
+            traces = database.trace_buffer
             trace_hex = request.get("trace_id")
             if trace_hex:
-                return {"ok": True, "trace": self._traces.get(bytes.fromhex(str(trace_hex)))}
+                return {"ok": True, "trace": traces.get(bytes.fromhex(str(trace_hex)))}
             limit = int(request.get("limit", 10))
             return {
                 "ok": True,
-                "traces": self._traces.recent(limit),
-                "slow": self._slow_queries.entries(limit),
+                "traces": traces.recent(limit),
+                "slow": database.slow_queries.entries(limit),
             }
         raise ServerError(f"unknown control operation {op!r}")
 
@@ -502,6 +371,8 @@ class _Connection:
         self._lock = threading.Lock()
         #: Serve nothing more; set by shut().
         self._closing = False
+        #: Serving what it read (shutdown only waits for busy connections).
+        self._busy = False
 
     def run(self) -> None:
         """``recv``, serve every frame read, answer each; until the peer leaves."""
@@ -510,12 +381,12 @@ class _Connection:
                 with self._lock:
                     if self._closing:
                         return
-                    self.stats.in_flight = self.stats.peak_in_flight = 1
+                    self._busy = True
                 try:
                     served = self._serve(data)
                 finally:
                     with self._lock:
-                        self.stats.in_flight = 0
+                        self._busy = False
                 if not served or self._closing:
                     return
         except OSError:
@@ -531,7 +402,7 @@ class _Connection:
         """Serve nothing more: close now when idle, else after the current request."""
         with self._lock:
             self._closing = True
-            busy = self.stats.in_flight
+            busy = self._busy
         if not busy:
             self.abort()
 
@@ -604,17 +475,17 @@ class _Connection:
             self._refuse("the first frame must be a hello", correlation)
             return False
         else:
+            channel = CHANNEL_ENVELOPE
             try:
-                # A structural peek -- O(header), the body is never copied
-                # here -- learns the relation to lock; handle_message parses
-                # in full.  Garbage that does not even frame is a protocol
-                # violation, not a servable error: answer and close.
-                version, _, relation_name = protocol.peek_envelope(payload)
-                trace_id = protocol.peek_trace_id(payload, version)
+                answer = server._database.handle_message(payload)
+            # Envelope bytes that do not parse are a protocol violation, not
+            # a servable error: answer and close.
             except ProtocolError as exc:
                 self._refuse(str(exc), correlation)
                 return False
-            channel, answer = server._dispatch_envelope(trace_id, relation_name, payload)
+            except Exception as exc:  # noqa: BLE001 - a provider bug must not kill siblings
+                failure = {"ok": False, "error": f"internal dispatch failure: {exc}"}
+                channel, answer = CHANNEL_CONTROL, json.dumps(failure).encode("utf-8")
         self._send(answer, channel, correlation)
         return True
 

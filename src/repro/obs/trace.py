@@ -9,12 +9,12 @@ without any of them holding a reference to the others.
 
 Within one process the current trace is **ambient**: the session facade
 sets it around each operation (:func:`use_trace`), and every instrumented
-layer below -- proxies, router, dispatcher, access methods -- records spans
+layer below -- proxies, router, provider, access methods -- records spans
 with :func:`span` without threading a trace object through its arguments.
 The ambient store is a :class:`contextvars.ContextVar`, so concurrent
-asyncio tasks and threads never see each other's traces; code that hops
-threads (the scatter executor, the dispatch pool) captures the trace at
-submission and re-binds it in the worker.
+threads never see each other's traces.  Every request runs on the thread
+that sent it or, on a provider, on the thread that read it: no layer hands
+a request to another thread.
 
 Completed traces land in a bounded :class:`TraceBuffer` (merged by id, so
 the several envelopes of one operation build one trace) and, above a
@@ -31,7 +31,7 @@ import time
 from collections import OrderedDict, deque
 
 #: Size of a trace id in bytes (fixed: the v3 envelope appends exactly this
-#: many trailing bytes, which is what makes the O(1) attach/peek possible).
+#: many trailing bytes, which is what makes the O(1) attach possible).
 TRACE_ID_SIZE = 16
 
 

@@ -86,7 +86,7 @@ class ServerAuditLog:
         self._events: deque[AuditEvent] = deque(maxlen=max_events)
         self._dropped = 0
         self._counts = dict.fromkeys(AuditEventKind, 0)
-        # Providers record from several dispatch workers at once.
+        # A provider records from several relations' requests at once.
         self._lock = threading.Lock()
 
     @property

@@ -36,8 +36,8 @@ kind is one row here, one provider branch and one router plan.
   :data:`TRACE_ID_SIZE` trailing bytes carrying a trace id (see
   :mod:`repro.obs.trace`).  The fixed trailing length makes trace handling
   O(1) on raw frames: :func:`attach_trace` upgrades a serialized v2
-  envelope without re-encoding it and :func:`peek_trace_id` reads the id
-  without parsing.  Responses never carry trace ids; only requests do.
+  envelope without re-encoding it.  Responses never carry trace ids; only
+  requests do.
 
 So the version byte is a one-bit trace flag, not something peers agree on:
 every peer built from this tree reads both layouts, and a sender attaches a
@@ -649,9 +649,9 @@ def parse_message(raw: bytes) -> MessageV2:
 def peek_envelope(raw: bytes) -> tuple[int, MessageKind, str]:
     """``(version, kind, relation_name)`` of an envelope, its body not copied.
 
-    Performs every structural check the full parse does, so a dispatcher can
-    learn an envelope's routing key at ``O(header)`` cost even for a frame
-    carrying a whole relation.
+    Performs every structural check the full parse does, so a caller can
+    learn an envelope's kind at ``O(header)`` cost even for a frame carrying
+    a whole relation.
     """
     return _envelope_view(raw)[:3]
 
@@ -708,14 +708,3 @@ def attach_trace(raw: bytes, trace_id: bytes) -> bytes:
         raise ProtocolError(f"cannot attach a trace id to a v{version} envelope")
     header = len(V2_MAGIC)
     return V2_MAGIC + bytes([PROTOCOL_V3]) + raw[header + 1:] + trace_id
-
-
-def peek_trace_id(raw: bytes, version: int | None = None) -> bytes | None:
-    """The trace id of a raw v3 frame (None for untraced versions), O(1);
-    a caller that already peeked the frame's ``version`` passes it along."""
-    if (peek_version(raw) if version is None else version) != PROTOCOL_V3:
-        return None
-    if len(raw) < len(V2_MAGIC) + 1 + TRACE_ID_SIZE:
-        raise ProtocolError("truncated trace id")
-    return raw[-TRACE_ID_SIZE:]
-

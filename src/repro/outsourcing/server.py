@@ -20,10 +20,22 @@ deployment included -- arrives as an envelope.  The typed methods
 inject faults.  A step's answer is a value (a count, a result, ids, names)
 that ``handle_message`` frames as :data:`~repro.outsourcing.protocol.ANSWERS`
 and ``ANSWER_CODECS`` say, so no branch names an answer kind or codec.
+
+**One writer per relation.**  The storage backends are not thread-safe per
+relation, so ``handle_message`` runs each envelope under its relation's
+lock, on every transport: an in-process session, the ``tcp://`` front end
+and in-process shards behind a router that several threads share all call
+it.  Requests for *different* relations run at once, so a slow scan of one
+relation blocks no other.  The time spent waiting for the lock is the
+``server_dispatch_queue_seconds`` histogram and the ``server.dispatch``
+span's ``queue_wait_s``.  A relation's lock lives only while a request
+holds it or waits for it, so relation names a peer makes up leave nothing
+behind.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Sequence
 
@@ -38,7 +50,14 @@ from repro.core.dph import (
     TupleFilter,
     evaluate_conjunction,
 )
-from repro.obs import MetricsRegistry, span as obs_span
+from repro.obs import (
+    MetricsRegistry,
+    SlowQueryLog,
+    Trace,
+    TraceBuffer,
+    span as obs_span,
+    use_trace,
+)
 from repro.outsourcing import protocol
 from repro.outsourcing.audit import AuditEventKind, ServerAuditLog
 from repro.outsourcing.evaluators import build_evaluator
@@ -75,6 +94,8 @@ class OutsourcedDatabaseServer:
         audit_log: ServerAuditLog | None = None,
         storage: StorageBackend | None = None,
         metrics: MetricsRegistry | None = None,
+        *,
+        slow_query_threshold: float = 1.0,
     ) -> None:
         # Imported here, not at module top: repro.index.wire speaks this
         # package's protocol, so a top-level import would be circular.
@@ -91,6 +112,14 @@ class OutsourcedDatabaseServer:
         self._scan_fallback_counter = self._metrics.counter(
             "index_scan_fallbacks_total"
         )
+        # Relation name -> [lock, holders and waiters]; see handle_message.
+        self._locks: dict[str, list] = {}
+        self._locks_guard = threading.Lock()
+        self._dispatching = self._peak_dispatching = 0  # under _locks_guard
+        self._peak_dispatch_gauge = self._metrics.gauge("server_peak_concurrent_dispatch")
+        self._dispatched_counter = self._metrics.counter("server_requests_dispatched")
+        self._traces = TraceBuffer()
+        self._slow_queries = SlowQueryLog(slow_query_threshold)
 
     @property
     def index_access(self):
@@ -127,6 +156,16 @@ class OutsourcedDatabaseServer:
         impl = "python" if native.kernel is None else "native"
         self._metrics.gauge("match_kernel", impl=impl).set(1)
         return self._metrics.snapshot()
+
+    @property
+    def trace_buffer(self) -> TraceBuffer:
+        """Completed traces of the traced envelopes served, keyed by trace id."""
+        return self._traces
+
+    @property
+    def slow_queries(self) -> SlowQueryLog:
+        """Traced envelopes slower than the configured threshold."""
+        return self._slow_queries
 
     @property
     def audit_log(self) -> ServerAuditLog:
@@ -365,15 +404,72 @@ class OutsourcedDatabaseServer:
     def handle_message(self, raw: bytes) -> bytes:
         """Process one protocol frame and return the serialized response.
 
+        The frame is parsed once; a frame that does not parse raises
+        :class:`ProtocolError` before any lock is taken.  The request then
+        runs under its relation's lock, and the wait for it is the request's
+        queue wait.  When the envelope carries a v3 trace id the request
+        runs under that trace, inside the ``server.dispatch`` span, and the
+        trace is filed in :attr:`trace_buffer` and :attr:`slow_queries`.
+        """
+        request = protocol.parse_message(raw)
+        name = request.relation_name
+        arrived = time.monotonic()
+        entry = self._acquire(name)
+        try:
+            queue_wait = time.monotonic() - arrived
+            self._metrics.histogram(
+                "server_dispatch_queue_seconds", relation=self.metric_relation(name)
+            ).observe(queue_wait)
+            if request.trace_id is None:
+                return self._serve(request)
+            trace = Trace(request.trace_id)
+            try:
+                with use_trace(trace), trace.span(
+                    "server.dispatch", relation=name, queue_wait_s=round(queue_wait, 6)
+                ):
+                    return self._serve(request)
+            finally:
+                self._traces.record(trace)
+                self._slow_queries.observe(trace)
+        finally:
+            self._release(name, entry)
+
+    def _acquire(self, name: str) -> list:
+        """Wait for ``name``'s lock; its table entry, for :meth:`_release`."""
+        with self._locks_guard:
+            entry = self._locks.get(name)
+            if entry is None:
+                entry = self._locks[name] = [threading.Lock(), 0]
+            entry[1] += 1
+        entry[0].acquire()
+        with self._locks_guard:
+            self._dispatching += 1
+            if self._dispatching > self._peak_dispatching:
+                self._peak_dispatching = self._dispatching
+                self._peak_dispatch_gauge.set(self._dispatching)
+        return entry
+
+    def _release(self, name: str, entry: list) -> None:
+        """Let the next request for ``name`` run; forget the lock when none waits."""
+        entry[0].release()
+        with self._locks_guard:
+            self._dispatching -= 1
+            entry[1] -= 1
+            if not entry[1]:
+                del self._locks[name]
+        self._dispatched_counter.inc()
+
+    def _serve(self, request: MessageV2) -> bytes:
+        """Answer one parsed request (under its relation's lock).
+
         The step's answer goes back as the kind
         :data:`~repro.outsourcing.protocol.ANSWERS` names for the request,
         encoded by that kind's codec.  Failures inside a well-framed
         request -- an unknown request kind included -- come back as
         ``ERROR`` messages rather than exceptions, mirroring what a remote
-        provider would do; a frame that does not parse raises
-        :class:`ProtocolError`.
+        provider would do.  Test doubles override it to hold a request
+        under its relation's lock.
         """
-        request = protocol.parse_message(raw)
         kind = request.kind
         started = time.monotonic()
         outcome = "ok"

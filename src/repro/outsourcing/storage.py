@@ -143,11 +143,11 @@ class InMemoryStorageBackend(StorageBackend):
     the first load after a write rebuilds.  Tuple ids are public random nonces, so keying
     the store by them reveals nothing the ciphertexts do not.
 
-    Single writer: one thread at a time touches a relation -- the TCP
-    front-end runs each request under its relation's lock.  Other relations
-    may be served meanwhile: the relation table is read by single C-level
-    operations (a probe, ``tuple(dict)``), and a snapshot is one
-    ``tuple()`` over the map.
+    Single writer: one thread at a time touches a relation -- the
+    provider's ``handle_message`` runs each request under its relation's
+    lock, on every transport.  Other relations may be served meanwhile:
+    the relation table is read by single C-level operations (a probe,
+    ``tuple(dict)``), and a snapshot is one ``tuple()`` over the map.
     """
 
     def __init__(self) -> None:

@@ -16,6 +16,7 @@ import pytest
 from gated_provider import GatedServer
 from repro.api import DatabaseError, EncryptedDatabase, database
 from repro.outsourcing import OutsourcedDatabaseServer
+from repro.outsourcing.protocol import parse_message
 from repro.relational import QueryError, Selection
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
@@ -338,14 +339,27 @@ class TestWritePathInvalidation:
         assert len(db.cache) == 0
 
 
+class AnsweredGateServer(GatedServer):
+    """Parks a gated relation's answer once the provider has served it,
+    outside the relation's lock: the reply is in flight while a write runs."""
+
+    def _serve(self, request):
+        return OutsourcedDatabaseServer._serve(self, request)
+
+    def handle_message(self, raw: bytes) -> bytes:
+        answer = super().handle_message(raw)
+        self.pass_gate(parse_message(raw).relation_name)
+        return answer
+
+
 class TestInFlightFence:
     """A write during a read's round trip drops that read's fill -- whatever
-    the write evicts.  Deterministic: the reader is parked inside the
+    the write evicts.  Deterministic: the reader's answer is parked at the
     provider on an event, not raced against a clock."""
 
     @pytest.fixture
     def gated(self, secret_key, rng):
-        provider = GatedServer()
+        provider = AnsweredGateServer()
         db = EncryptedDatabase.open(secret_key, server=provider, rng=rng, cache=True)
         db.create_table(EMP_DECL, rows=ROWS)
         return provider, db

@@ -4,7 +4,10 @@ Lives next to ``tests/conftest.py`` (which puts this directory on
 ``sys.path``) so net and cluster tests share one implementation.  A
 "slow" relation is modelled deterministically: requests for a gated
 relation block on a :class:`threading.Event` instead of a sleep, so
-ordering assertions never race the clock.
+ordering assertions never race the clock.  The gate is inside the
+relation's lock (the provider's ``_serve`` step), so requests queued
+behind a gated one for the same relation wait for the lock in arrival
+order.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import threading
 from repro.core.dph import EncryptedRelation
 from repro.crypto.keys import SecretKey
 from repro.outsourcing import OutsourcedDatabaseServer
-from repro.outsourcing.protocol import parse_message
+from repro.outsourcing.protocol import MessageV2
 from repro.relational import RelationSchema
 from repro.schemes.plaintext import PlaintextDph
 
@@ -33,13 +36,16 @@ class GatedServer(OutsourcedDatabaseServer):
         self.entered[relation] = threading.Event()
         return self.gates[relation]
 
-    def handle_message(self, raw: bytes) -> bytes:
-        name = parse_message(raw).relation_name
+    def pass_gate(self, name: str) -> None:
+        """Wait at ``name``'s gate, if it has one."""
         gate = self.gates.get(name)
         if gate is not None:
             self.entered[name].set()
             assert gate.wait(timeout=30), f"gate for {name!r} never released"
-        return super().handle_message(raw)
+
+    def _serve(self, request: MessageV2) -> bytes:
+        self.pass_gate(request.relation_name)
+        return super()._serve(request)
 
 
 def store_empty(database: OutsourcedDatabaseServer, decl: str) -> None:

@@ -1,8 +1,8 @@
 """The server's per-relation locks and pipelined connections.
 
 Concurrency here is driven by *events*, not sleeps: a "slow" relation is a
-provider whose ``handle_message`` blocks on a :class:`threading.Event` for
-that relation, so every ordering assertion is deterministic.
+provider that blocks on a :class:`threading.Event` for that relation, under
+the relation's lock, so every ordering assertion is deterministic.
 """
 
 from __future__ import annotations
@@ -254,25 +254,25 @@ class TestTheOneDispatchPath:
             finally:
                 sock.close()
                 sibling.close()
-            assert server.server._locks == {}
+            assert database._locks == {}
 
     def test_a_traced_request_is_a_span_a_buffered_trace_and_a_slow_query(self):
-        database = OutsourcedDatabaseServer()
+        database = OutsourcedDatabaseServer(slow_query_threshold=0.0)
         store_empty(database, EMP_DECL)
         trace_id = b"\x7a" * 16
-        with ThreadedTcpServer(database, slow_query_threshold=0.0) as server:
+        with ThreadedTcpServer(database) as server:
             sock = open_client(server.port)
             try:
                 ask(sock, "Emp", trace_id=trace_id)
                 ask(sock, "Emp")
             finally:
                 sock.close()
-            trace = server.server.trace_buffer.get(trace_id)
+            trace = database.trace_buffer.get(trace_id)
             (dispatch,) = [s for s in trace["spans"] if s["name"] == "server.dispatch"]
             assert set(dispatch["annotations"]) == {"relation", "queue_wait_s"}
             assert dispatch["annotations"]["relation"] == "Emp"
             assert dispatch["annotations"]["queue_wait_s"] >= 0
-            assert len(server.server.slow_queries) == 1
+            assert len(database.slow_queries) == 1
             queue_waits = [
                 h for h in server.server.metrics.snapshot()["histograms"]
                 if h["name"] == "server_dispatch_queue_seconds"

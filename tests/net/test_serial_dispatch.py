@@ -1,9 +1,9 @@
 """Every connection is served serially on its own thread, under relation locks.
 
 The rule under test (``repro.net.server``): a connection's thread serves
-the frames it reads in arrival order; an envelope runs under its
-relation's lock, control operations under a lock of their own, so a slow
-relation holds up only the requests for it.  Which thread ran a request is
+the frames it reads in arrival order, and the provider's ``handle_message``
+runs each envelope under its relation's lock, so a slow relation holds up
+only the requests for it; control operations take no relation's lock.  Which thread ran a request is
 observed directly (the provider records it); blocking is modelled with
 events, never sleeps.
 """
@@ -37,7 +37,6 @@ from repro.outsourcing.protocol import (
     encode_insert_tuples,
     parse_message,
 )
-from repro.outsourcing.server import UNKNOWN_RELATION
 from repro.relational import Relation, RelationSchema, RelationTuple, Selection
 from repro.schemes.plaintext import PlaintextDph
 
@@ -126,16 +125,6 @@ class SlowScanServer(OutsourcedDatabaseServer):
         return super().execute_query(name, encrypted_query)
 
 
-class Opaque:
-    """What a coordinator puts behind the socket: frames in, frames out."""
-
-    def __init__(self, inner: ThreadRecordingServer) -> None:
-        self.inner = inner
-
-    def handle_message(self, raw: bytes) -> bytes:
-        return self.inner.handle_message(raw)
-
-
 def envelope(kind: MessageKind, relation: str, body: bytes = b"", traced=False) -> bytes:
     return MessageV2(
         kind=kind,
@@ -200,12 +189,12 @@ def unanswered(sock: socket.socket) -> bool:
     return not select.select([sock], [], [], 0.05)[0]
 
 
-def connection_stats(server: ThreadedTcpServer, sock: socket.socket):
+def connection_of(server: ThreadedTcpServer, sock: socket.socket):
     peer = str(sock.getsockname())
-    (stats,) = [
-        c for c in tuple(server.server._connections.values()) if c.peer == peer
+    (connection,) = [
+        c for c in tuple(server.server._connections) if c.stats.peer == peer
     ]
-    return stats
+    return connection
 
 
 def wait_until(predicate, timeout: float = 10.0) -> None:
@@ -363,22 +352,6 @@ class TestWhichThreadAnswers:
             for name in first_threads | second_threads
         )
 
-    def test_a_provider_without_relation_labels_gets_the_fixed_one(self):
-        """What a coordinator puts behind the socket knows no relations:
-        its queue waits share the one fixed label."""
-        inner = provider(ThreadRecordingServer)
-        with ThreadedTcpServer(Opaque(inner)) as server:
-            sock = open_client(server.port)
-            try:
-                answer = parse_message(ask(sock, lookup("Emp", L1)).payload)
-            finally:
-                sock.close()
-            assert answer.kind is MessageKind.QUERY_RESULT
-            assert inner.threads[-1].startswith(CONNECTION_THREAD_PREFIX)
-            histograms = queue_wait_histograms(server)
-            assert set(histograms) == {UNKNOWN_RELATION}
-            assert histograms[UNKNOWN_RELATION]["count"] == 1
-
     def test_a_request_behind_same_relation_work_waits_for_its_lock(self):
         database = provider(SlowScanServer)
         with ThreadedTcpServer(database) as server:
@@ -388,7 +361,7 @@ class TestWhichThreadAnswers:
                 assert database.scanning.wait(timeout=10)
                 send_frame(reader, lookup("Emp", L1), correlation=2)
                 # The scan holds Emp's lock and the lookup waits for it.
-                wait_until(lambda: server.server._locks["Emp"][1] == 2)
+                wait_until(lambda: database._locks["Emp"][1] == 2)
                 assert unanswered(reader)
                 database.release.set()
                 assert recv_frame(scanner).correlation == 1
@@ -400,7 +373,7 @@ class TestWhichThreadAnswers:
             emp = queue_wait_histograms(server)["Emp"]
             assert emp["count"] == 2
             assert emp["sum"] > 0  # the lookup's wait for the scan
-            assert server.server._locks == {}
+            assert database._locks == {}
 
     def test_file_backed_provider_answers_selects_like_the_in_memory_one(self, tmp_path):
         """What ``repro serve --data-dir`` builds: ``load`` reads the file."""
@@ -444,8 +417,8 @@ class OverlapRecordingServer(OutsourcedDatabaseServer):
         self.emp_entered = threading.Event()
         self.fast_met_emp = threading.Event()
 
-    def handle_message(self, raw: bytes) -> bytes:
-        name = parse_message(raw).relation_name
+    def _serve(self, request: MessageV2) -> bytes:
+        name = request.relation_name
         with self._guard:
             self.running[name] = self.running.get(name, 0) + 1
             self.peak[name] = max(self.peak.get(name, 0), self.running[name])
@@ -459,7 +432,7 @@ class OverlapRecordingServer(OutsourcedDatabaseServer):
                 assert self.fast_met_emp.wait(timeout=10)
             else:
                 time.sleep(0.001)  # widen the window another writer could use
-            return super().handle_message(raw)
+            return super()._serve(request)
         finally:
             with self._guard:
                 self.running[name] -= 1
@@ -508,19 +481,19 @@ class TestTheLockIsReleasedBeforeAnswering:
     def test_the_relation_is_idle_and_counted_when_the_answer_is_sent(self, monkeypatch):
         seen = []
         send = server_module._Connection._send
+        database = provider()
 
         def recording_send(connection, payload, channel, correlation):
             if correlation >= 5:
-                server = connection._server
                 seen.append((
                     correlation,
-                    dict(server._locks),
-                    server.stats.as_dict()["requests_dispatched"],
+                    dict(database._locks),
+                    connection._server.stats.as_dict()["requests_dispatched"],
                 ))
             send(connection, payload, channel, correlation)
 
         monkeypatch.setattr(server_module._Connection, "_send", recording_send)
-        with ThreadedTcpServer(provider()) as server:
+        with ThreadedTcpServer(database) as server:
             sock = open_client(server.port)
             try:
                 ask(sock, lookup("Emp", L1), correlation=5)
@@ -608,7 +581,6 @@ class TestASlowRelationHoldsUpNoOtherRequest:
                 assert {parse_message(f.payload).kind for f in frames} == {
                     MessageKind.QUERY_RESULT
                 }
-                assert connection_stats(server, a).peak_in_flight == 1
             finally:
                 gate.set()
                 a.close()
@@ -644,11 +616,12 @@ class TestASlowRelationHoldsUpNoOtherRequest:
                     c.peer == peer and c.frames_sent > 1
                     for c in tuple(server.server._connections.values())
                 ))
-                stats = connection_stats(server, hog)
+                connection = connection_of(server, hog)
+                stats = connection.stats
                 assert ping(other) == {"ok": True}
                 answer = parse_message(ask(other, lookup("Fast", L1)).payload)
                 assert answer.kind is MessageKind.QUERY_RESULT
-                assert stats.in_flight == 1
+                assert connection._busy
                 assert stats.frames_sent < 1 + requests  # parked in sendall
                 assert json.loads(recv_frame(hog).payload)["ok"]  # the hello
                 frames = [recv_frame(hog) for _ in range(requests)]
@@ -725,7 +698,7 @@ class TestLifecycle:
             stopping.join(timeout=10)
             assert not stopping.is_alive()
             assert server.server.stats.as_dict()["connections_active"] == 0
-            assert server.server._locks == {}
+            assert database._locks == {}
         finally:
             gate.set()
             busy.close()

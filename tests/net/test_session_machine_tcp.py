@@ -6,7 +6,7 @@ session under test reaches the provider through an in-thread
 same provider in-process, by scan.  Every write the session sends -- the
 ``INSERT_TUPLES`` of an insert or an update, the ``DELETE_TUPLES`` of an
 update or a delete, their postings riding in them -- is served on its
-connection's thread, under the relation's lock.  A served insert that
+connection's thread, under the relation's lock the provider takes.  A served insert that
 files the ciphertext where a scan sees it but not under the tuple id that
 index lookups and deletes address must fail the machine, and so must a
 connection that hands a read the reply an identical earlier read got, as
@@ -26,7 +26,7 @@ from hypothesis.stateful import run_state_machine_as_test
 from repro.api import EncryptedDatabase
 from repro.crypto.rng import DeterministicRng
 from repro.net import RemoteServerProxy, ThreadedTcpServer
-from repro.net.server import DatabaseTcpServer
+from repro.net import server as server_module
 from repro.outsourcing import InMemoryStorageBackend, MessageKind
 from repro.outsourcing.protocol import peek_envelope
 from repro.schemes.registry import available_schemes
@@ -90,13 +90,13 @@ def _append_without_its_id(self, name, encrypted_tuples):
 
 def _served_inserts_skip_the_id():
     """Every insert the TCP front-end serves -- and no other -- skips the id."""
-    real = DatabaseTcpServer._dispatch_envelope
+    real = server_module._Connection._answer
 
-    def dispatch(self, trace_id, relation_name, payload):
+    def answer(self, frame):
         with mock.patch.object(InMemoryStorageBackend, "append", _append_without_its_id):
-            return real(self, trace_id, relation_name, payload)
+            return real(self, frame)
 
-    return mock.patch.object(DatabaseTcpServer, "_dispatch_envelope", dispatch)
+    return mock.patch.object(server_module._Connection, "_answer", answer)
 
 
 def _reads_get_an_earlier_reply():

@@ -1,28 +1,36 @@
 """The provider's single-writer rule under a scheduler that switches constantly.
 
-The in-memory store takes no lock: only a request holding relation X's
-lock in the TCP front-end may touch X's map, and a ``load`` snapshot is
-one C-level ``tuple()`` over it.  Here four client threads hit one
-provider at once with the interpreter switching threads every
+The stores take no lock: only a request holding relation X's lock in the
+provider's ``handle_message`` may touch X, on every transport, and a
+``load`` snapshot of the in-memory store is one C-level ``tuple()`` over
+its map.  Here four worker threads hit one provider at once, in-process
+and over ``tcp://``, with the interpreter switching threads every
 microsecond: inserts to ``A``, scans of ``B``, ``TUPLE_COUNT`` reads of
-``A`` (waiting for ``A``'s lock), and the ``stats`` / ``metrics`` control
-operations and ``RELATION_NAMES`` envelopes (other locks).  No request may fail, no scan
-may see a torn ``B``, no count of ``A`` may go backwards or past what was
-acknowledged, and ``A`` must end holding exactly the inserted tuples, in
-order.
+``A`` (waiting for ``A``'s lock), and the operator read-outs (the ``stats``
+/ ``metrics`` control operations over ``tcp://``, the provider's own
+read-outs in-process) beside ``RELATION_NAMES`` envelopes.  No request may
+fail, no scan may see a torn ``B``, no count of ``A`` may go backwards or
+past what was acknowledged, and ``A`` must end holding exactly the inserted
+tuples, in order.  Then two threads insert through one in-process session,
+each reading back its own row: no acknowledged row may be missing, on the
+in-memory store or the file-backed one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
 import sys
 import threading
 
+import pytest
+
+from repro.api import EncryptedDatabase
 from repro.crypto.keys import SecretKey
 from repro.crypto.rng import DeterministicRng
 from repro.net import CHANNEL_CONTROL, ThreadedTcpServer, recv_frame, send_frame
-from repro.outsourcing import MessageKind, OutsourcedDatabaseServer
+from repro.outsourcing import FileStorageBackend, MessageKind, OutsourcedDatabaseServer
 from repro.outsourcing.protocol import (
     MessageV2,
     decode_count,
@@ -37,6 +45,8 @@ from repro.schemes.plaintext import PlaintextDph
 
 INSERTS = 200
 ROUNDS = 60
+#: Rows each of the two session writers inserts and reads back.
+SESSION_INSERTS = 200
 
 
 def _scheme(decl: str) -> PlaintextDph:
@@ -47,27 +57,99 @@ def _scheme(decl: str) -> PlaintextDph:
     )
 
 
-def _client(port: int) -> socket.socket:
-    sock = socket.create_connection(("127.0.0.1", port), timeout=30.0)
-    _control(sock, {"op": "hello"})
-    return sock
+@contextlib.contextmanager
+def _switching_every_microsecond():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
 
 
-def _control(sock: socket.socket, request: dict) -> dict:
-    send_frame(sock, json.dumps(request).encode(), channel=CHANNEL_CONTROL, correlation=1)
-    answer = json.loads(recv_frame(sock).payload)
-    assert answer["ok"], answer
-    return answer
+def _run(workers) -> list[BaseException]:
+    """Run each ``(work, *args)`` on a thread of its own; what they raised."""
+    errors: list[BaseException] = []
+
+    def guarded(work, *args):
+        try:
+            work(*args)
+        except BaseException as exc:  # noqa: BLE001 - reported by the test thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=worker) for worker in workers]
+    with _switching_every_microsecond():
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    assert not [thread for thread in threads if thread.is_alive()]
+    return errors
 
 
-def _envelope(sock: socket.socket, kind: MessageKind, relation: str, body: bytes):
-    send_frame(sock, MessageV2(kind=kind, relation_name=relation, body=body).to_bytes())
-    answer = parse_message(recv_frame(sock).payload)
-    assert answer.kind is not MessageKind.ERROR, answer.body
-    return answer
+class InProcess:
+    """A worker's way to the provider: calls on the object itself."""
+
+    def __init__(self, provider: OutsourcedDatabaseServer) -> None:
+        self.provider = provider
+
+    def envelope(self, kind: MessageKind, relation: str, body: bytes) -> MessageV2:
+        raw = MessageV2(kind=kind, relation_name=relation, body=body).to_bytes()
+        return parse_message(self.provider.handle_message(raw))
+
+    def relations(self) -> list[str]:
+        self.provider.audit_log.summary()
+        self.provider.index_stats()
+        return list(self.provider.relation_names)
+
+    def counters(self) -> list:
+        return self.provider.metrics_snapshot()["counters"]
+
+    def close(self) -> None:
+        pass
 
 
-def test_writes_beside_scans_and_control_ops():
+class OverTcp:
+    """A worker's way to the provider: a connection of its own."""
+
+    def __init__(self, port: int) -> None:
+        self.sock = socket.create_connection(("127.0.0.1", port), timeout=30.0)
+        self._control({"op": "hello"})
+
+    def _control(self, request: dict) -> dict:
+        send_frame(
+            self.sock, json.dumps(request).encode(), channel=CHANNEL_CONTROL, correlation=1
+        )
+        answer = json.loads(recv_frame(self.sock).payload)
+        assert answer["ok"], answer
+        return answer
+
+    def envelope(self, kind: MessageKind, relation: str, body: bytes) -> MessageV2:
+        send_frame(self.sock, MessageV2(kind=kind, relation_name=relation, body=body).to_bytes())
+        return parse_message(recv_frame(self.sock).payload)
+
+    def relations(self) -> list[str]:
+        return self._control({"op": "stats"})["relations"]
+
+    def counters(self) -> list:
+        return self._control({"op": "metrics"})["metrics"]["counters"]
+
+    def close(self) -> None:
+        self.sock.close()
+
+
+@contextlib.contextmanager
+def _transport(kind: str, provider: OutsourcedDatabaseServer):
+    """Opens one worker's way to ``provider``."""
+    if kind == "in-process":
+        yield lambda: InProcess(provider)
+        return
+    with ThreadedTcpServer(provider) as server:
+        yield lambda: OverTcp(server.port)
+
+
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
+def test_writes_beside_scans_and_control_ops(transport):
     a, b = _scheme("A(k:int[4])"), _scheme("B(name:string[6], v:int[4])")
     b_rows = [(f"b{i}", i % 3) for i in range(30)]
     provider = OutsourcedDatabaseServer()
@@ -82,63 +164,77 @@ def test_writes_beside_scans_and_control_ops():
     ]
     scan_body = encode_encrypted_query(b.encrypt_query(Selection.equals("v", 1)))
     acknowledged = []  # inserts of A answered so far
-    errors: list[BaseException] = []
 
-    def inserter(sock):
+    def ask(channel, kind: MessageKind, relation: str, body: bytes = b"") -> bytes:
+        answer = channel.envelope(kind, relation, body)
+        assert answer.kind is not MessageKind.ERROR, answer.body
+        return answer.body
+
+    def inserter(channel):
         for encrypted_tuple in new_tuples:
-            answer = _envelope(
-                sock, MessageKind.INSERT_TUPLES, "A", encode_insert_tuples(b"", [encrypted_tuple])
-            )
-            assert decode_count(answer.body) == 1
+            body = encode_insert_tuples(b"", [encrypted_tuple])
+            assert decode_count(ask(channel, MessageKind.INSERT_TUPLES, "A", body)) == 1
             acknowledged.append(encrypted_tuple)
 
-    def scanner(sock):
+    def scanner(channel):
         for _ in range(ROUNDS):
-            answer = _envelope(sock, MessageKind.QUERY, "B", scan_body)
-            result, _ = decode_evaluation_result(answer.body)
+            result, _ = decode_evaluation_result(ask(channel, MessageKind.QUERY, "B", scan_body))
             assert len(result.matching) == 10
             assert result.examined == len(b_rows)
 
-    def counter(sock):
+    def counter(channel):
         seen = 0
         for _ in range(ROUNDS * 2):
             done = len(acknowledged)
-            count = decode_count(_envelope(sock, MessageKind.TUPLE_COUNT, "A", b"").body)
+            count = decode_count(ask(channel, MessageKind.TUPLE_COUNT, "A"))
             assert done <= count <= INSERTS  # nothing lost, nothing invented
             assert count >= seen
             seen = count
 
-    def operator(sock):
+    def operator(channel):
         for _ in range(ROUNDS):
-            assert _control(sock, {"op": "stats"})["relations"] == ["A", "B"]
-            assert _control(sock, {"op": "metrics"})["metrics"]["counters"]
-            names = _envelope(sock, MessageKind.RELATION_NAMES, "", b"").body
+            assert channel.relations() == ["A", "B"]
+            assert channel.counters()
+            names = ask(channel, MessageKind.RELATION_NAMES, "")
             assert decode_relation_names(names) == ("A", "B")
 
-    def guarded(work, sock):
+    def served(work, channel):
         try:
-            work(sock)
-        except BaseException as exc:  # noqa: BLE001 - reported by the test thread
-            errors.append(exc)
+            work(channel)
         finally:
-            sock.close()
+            channel.close()
 
-    interval = sys.getswitchinterval()
-    with ThreadedTcpServer(provider) as server:
-        threads = [
-            threading.Thread(target=guarded, args=(work, _client(server.port)))
-            for work in (inserter, scanner, counter, operator)
-        ]
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not [thread for thread in threads if thread.is_alive()]
-        locks = dict(server.server._locks)
+    with _transport(transport, provider) as connect:
+        errors = _run(
+            (served, work, connect()) for work in (inserter, scanner, counter, operator)
+        )
     assert not errors, errors
     assert provider.stored_relation("A").encrypted_tuples == tuple(new_tuples)
-    assert locks == {}  # no relation's lock outlives its last request
+    assert provider._locks == {}  # no relation's lock outlives its last request
+
+
+@pytest.mark.parametrize("storage", ["memory", "file"])
+def test_two_threads_inserting_through_one_in_process_session(storage, tmp_path):
+    """Each writer reads back the row it was just acknowledged, while the
+    other writes; at the end every acknowledged row is stored, once."""
+    backend = FileStorageBackend(tmp_path) if storage == "file" else None
+    db = EncryptedDatabase.open(
+        b"single-writer-session-master-key", scheme="plaintext",
+        storage=backend, rng=DeterministicRng(3),
+    )
+    db.create_table("T(name:string[8], k:int[6])")
+    acknowledged = []
+
+    def writer(prefix: str):
+        for i in range(SESSION_INSERTS):
+            name = f"{prefix}{i}"
+            db.insert("T", (name, i))
+            acknowledged.append(name)
+            found = db.select(Selection.equals("name", name), table="T").relation
+            assert [row["name"] for row in found] == [name], f"{name} not read back"
+
+    with db:
+        errors = _run([(writer, "a"), (writer, "b")])
+        assert not errors, errors
+        assert db.count("T") == len(acknowledged) == 2 * SESSION_INSERTS
+        assert sorted(row["name"] for row in db.retrieve_all("T")) == sorted(acknowledged)

@@ -23,7 +23,8 @@ from repro.api import EncryptedDatabase
 from repro.crypto.rng import DeterministicRng
 from repro.net import ThreadedTcpServer
 from repro.net.client import RemoteServerProxy
-from repro.net.server import DatabaseTcpServer
+from repro.net import server as server_module
+from repro.net.framing import CHANNEL_ENVELOPE
 from repro.outsourcing import MessageKind, OutsourcedDatabaseServer
 from repro.outsourcing.audit import AuditEventKind
 from repro.outsourcing.protocol import peek_envelope
@@ -185,16 +186,17 @@ def test_tcp_transcript_equals_the_in_process_one(seed):
 
 
 def test_the_comparison_sees_an_extra_observation_on_the_dispatch_path(monkeypatch):
-    original = DatabaseTcpServer._dispatch_envelope
+    original = server_module._Connection._answer
 
-    def leaky(self, trace_id, relation_name, payload):
-        if relation_name:
-            self._database.audit_log.record(
-                AuditEventKind.TUPLE_IDS_LISTED, relation_name, id_count=0
-            )
-        return original(self, trace_id, relation_name, payload)
+    def leaky(connection, frame):
+        if frame.channel == CHANNEL_ENVELOPE:
+            if relation_name := peek_envelope(frame.payload)[2]:
+                connection._server.database_server.audit_log.record(
+                    AuditEventKind.TUPLE_IDS_LISTED, relation_name, id_count=0
+                )
+        return original(connection, frame)
 
-    monkeypatch.setattr(DatabaseTcpServer, "_dispatch_envelope", leaky)
+    monkeypatch.setattr(server_module._Connection, "_answer", leaky)
     (local_responses, local_audit), (remote_responses, remote_audit), _, dispatched, _ = (
         transcripts(1)
     )

@@ -517,16 +517,6 @@ class TestRawHelpers:
         with pytest.raises(ProtocolError, match="16 bytes"):
             protocol.attach_trace(_v2_frame(), b"nope")
 
-    def test_peek_trace_id(self):
-        raw = _v2_frame()
-        assert protocol.peek_trace_id(raw) is None
-        assert protocol.peek_trace_id(protocol.attach_trace(raw, TID)) == TID
-
-    def test_peek_trace_id_reuses_an_already_peeked_version(self):
-        for raw in (_v2_frame(), protocol.attach_trace(_v2_frame(), TID)):
-            version, _, _ = protocol.peek_envelope(raw)
-            assert protocol.peek_trace_id(raw, version) == protocol.peek_trace_id(raw)
-
     def test_parse_message_reads_v2_and_v3_and_refuses_v1(self):
         v2 = _v2_frame()
         v3 = protocol.attach_trace(v2, TID)

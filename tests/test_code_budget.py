@@ -12,8 +12,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 #: Path under the repository root -> the most Python lines it may hold.
 BUDGETS = {
-    "src": 17_899,
-    "src/repro/net": 1_778,
+    "src": 17_852,
+    "src/repro/net": 1_649,
     "src/repro/cluster/router.py": 1_200,
 }
 
