@@ -279,8 +279,8 @@ class EncryptedDatabase:
             Extra keyword options forwarded to the scheme factory.
         index:
             Maintain an encrypted inverted index per table (see
-            :mod:`repro.index`): the session ships index snapshots and
-            posting deltas through every DDL/DML operation and serves
+            :mod:`repro.index`): the session ships each table's postings
+            and posting deltas through every DDL/DML operation and serves
             exact selects via ``INDEX_LOOKUP`` in O(result) provider
             work, falling back to the linear scan whenever the provider
             cannot serve it.
@@ -655,8 +655,8 @@ class EncryptedDatabase:
         finally:
             self._invalidate_cache(name)
         if handle.indexer is not None:
-            snapshot = handle.indexer.snapshot(relation, encrypted)
-            self._request(MessageKind.INDEX_PUT, name, encode_index_snapshot(snapshot))
+            postings = handle.indexer.snapshot(relation, encrypted)
+            self._request(MessageKind.INDEX_PUT, name, encode_index_snapshot(postings))
         return handle
 
     def attach_table(self, schema: RelationSchema | str) -> TableHandle:
@@ -686,8 +686,8 @@ class EncryptedDatabase:
             # have taken with it; rebuild it from the stored ciphertexts
             # (decrypting client-side, as always) and re-ship it.
             rows = handle.scheme.decrypt_tuples(stored.encrypted_tuples)
-            snapshot = handle.indexer.snapshot(Relation(schema, rows), stored)
-            self._request(MessageKind.INDEX_PUT, name, encode_index_snapshot(snapshot))
+            postings = handle.indexer.snapshot(Relation(schema, rows), stored)
+            self._request(MessageKind.INDEX_PUT, name, encode_index_snapshot(postings))
         return handle
 
     def _bind_table(self, schema: RelationSchema) -> TableHandle:
@@ -705,9 +705,7 @@ class EncryptedDatabase:
         if self._index_enabled:
             # The index PRF key is its own derivation branch: compromising
             # it reveals keyword labels, never the payload key material.
-            indexer = TableIndexer(
-                schema, self._key.subkey(f"index/{name}"), rng=self._rng
-            )
+            indexer = TableIndexer(schema, self._key.subkey(f"index/{name}"))
         handle = TableHandle(name=name, schema=schema, scheme=scheme, indexer=indexer)
         description = describe_evaluator(scheme.server_evaluator())
         body = protocol.encode_evaluator_description(description)
@@ -779,7 +777,7 @@ class EncryptedDatabase:
 
         Matching happens client-side on decrypted results (so the scheme's
         false positives are never deleted); the provider only sees the
-        public tuple ids (and, indexed, their posting tombstones) in the
+        public tuple ids (and, indexed, their posting removals) in the
         ``DELETE_TUPLES`` message, and the count is the ids it reports gone.
         """
         with self._traced("delete") as op_span:

@@ -30,7 +30,7 @@ R distinct shards.  Operation shapes:
 ``BATCH_QUERY``      scatter the whole batch, merge element-wise
 ``FETCH_RELATION``   scatter, merge the stored copies (one per tuple id)
 ``TUPLE_COUNT``      ``LIST_TUPLE_IDS`` to every shard, count distinct ids
-``INDEX_PUT``        the snapshot to every shard (fail-fast)
+``INDEX_PUT``        the postings to every shard (fail-fast)
 ``INDEX_LOOKUP``     scatter, merge as ``QUERY``
 DDL                  ``REGISTER_EVALUATOR`` / ``DROP_RELATION`` to every
                      shard (fail-fast); ``RELATION_NAMES`` unions the lists
@@ -775,7 +775,7 @@ class ShardRouter:
             _to_partitions, _count_of_relation, decode=protocol.decode_encrypted_relation
         ),
         MessageKind.DELETE_TUPLES: _Plan(_to_every_shard, _union_of_ids),
-        # Index snapshots replicate fleet-wide, as the postings each write
+        # An INDEX_PUT replicates fleet-wide, as the postings each write
         # carries do: every shard holds the whole index (it is compact soft
         # state), so lookups stay correct under any placement -- rebalances,
         # crash duplicates, replica reads.

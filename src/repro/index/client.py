@@ -2,21 +2,23 @@
 
 :class:`TableIndexer` is the key-holding half of ``repro.index``: it turns
 plaintext attribute values into PRF-derived labels (the same keyed-PRF
-construction the secure-index SSE backend uses for its per-word labels),
-builds an :class:`~repro.index.wire.IndexSnapshot` when a relation is
-first outsourced, and emits :class:`~repro.index.wire.IndexDelta` posting
-updates for every insert and delete.
+construction the secure-index SSE backend uses for its per-word labels)
+and pairs each label with the public id of the tuple that holds the value.
+The same ``(label, tuple_id)`` postings make up the ``INDEX_PUT`` shipped
+when a relation is first outsourced (:meth:`TableIndexer.snapshot`) and the
+:class:`~repro.index.wire.IndexDelta` of every insert and delete.
 
-What the provider learns from the shipped objects:
+What the provider learns from the shipped postings:
 
 * labels are PRF outputs under a per-table subkey -- unlinkable to the
   values they encode and to the labels of any other table;
-* postings are chunked into fixed-capacity buckets with the final bucket
-  padded by dummy ids and shuffled, so a snapshot reveals only the bucket
-  *count* per label (frequency rounded up to a multiple of the capacity),
-  not exact counts;
-* deltas necessarily reveal that one tuple touched ``len(schema)`` labels
-  -- that is the incremental-maintenance leakage documented in the README.
+* each label's posting set is the exact set of live tuple ids holding
+  that value, so at rest, without any query, the provider learns every
+  indexed attribute's equality pattern (which tuples share a value, and
+  how many do) -- the leak the paper's Section 1 attacks exploit in
+  bucketization and hashed indexes (ROADMAP item 3);
+* a delta reveals that one tuple touched ``len(schema)`` labels -- the
+  incremental-maintenance leakage documented in the README.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from collections.abc import Iterable, Mapping
 from repro.core.dph import EncryptedRelation
 from repro.crypto.kdf import derive_key
 from repro.crypto.prf import Prf
-from repro.crypto.rng import RandomSource, SystemRng
-from repro.index.wire import IndexDelta, IndexSnapshot, IndexingError
+from repro.index.wire import IndexDelta, IndexingError, Postings
 from repro.relational.encoding import ValueCodec
 from repro.relational.query import Query, selection_predicates
 from repro.relational.relation import Relation, RelationTuple
@@ -36,29 +37,11 @@ from repro.relational.schema import RelationSchema
 #: Label length in bytes -- matches the secure-index SSE construction.
 LABEL_LEN = 32
 
-#: Default ids per bucket.  Small enough that padding waste stays modest,
-#: large enough that low-frequency keywords are indistinguishable.
-DEFAULT_BUCKET_CAPACITY = 8
-
-#: Length of the public tuple-id nonces (see repro.core.dph.TUPLE_ID_LEN);
-#: dummy padding ids are drawn at the same length so they are
-#: indistinguishable from real ids.
-_TUPLE_ID_LEN = 16
-
 
 class TableIndexer:
     """Build and maintain the encrypted inverted index of one table."""
 
-    def __init__(
-        self,
-        schema: RelationSchema,
-        key: bytes,
-        *,
-        bucket_capacity: int = DEFAULT_BUCKET_CAPACITY,
-        rng: RandomSource | None = None,
-    ) -> None:
-        if bucket_capacity < 1:
-            raise IndexingError("bucket capacity must be positive")
+    def __init__(self, schema: RelationSchema, key: bytes) -> None:
         self._schema = schema
         self._label = Prf(derive_key(key, "index/label")).fixed(LABEL_LEN)
         # Per attribute, in schema order: the label input's ``name || 0x00`` prefix.
@@ -66,12 +49,6 @@ class TableIndexer:
             (attribute, attribute.name.encode("ascii") + b"\x00")
             for attribute in schema.attributes
         )
-        self._bucket_capacity = bucket_capacity
-        self._rng = rng if rng is not None else SystemRng()
-
-    @property
-    def bucket_capacity(self) -> int:
-        return self._bucket_capacity
 
     def label(self, attribute_name: str, value: object) -> bytes:
         """The opaque index label of one ``attribute = value`` keyword."""
@@ -108,10 +85,8 @@ class TableIndexer:
         predicates = selection_predicates(query)
         return tuple(self.label(p.attribute, p.value) for p in predicates)
 
-    def snapshot(
-        self, relation: Relation, encrypted: EncryptedRelation
-    ) -> IndexSnapshot:
-        """Build the full index from a plaintext relation and its ciphertext.
+    def snapshot(self, relation: Relation, encrypted: EncryptedRelation) -> Postings:
+        """Every posting of a relation: :meth:`insert_delta`'s pairs for each row.
 
         ``relation`` and ``encrypted`` must be positionally aligned (tuple i
         of the plaintext encrypts to ciphertext i), which is how
@@ -121,37 +96,11 @@ class TableIndexer:
             raise IndexingError(
                 "plaintext relation and ciphertext relation have different sizes"
             )
-        postings: dict[bytes, list[bytes]] = {}
-        id_len = _TUPLE_ID_LEN
-        for row, encrypted_tuple in zip(relation.tuples, encrypted.encrypted_tuples):
-            id_len = len(encrypted_tuple.tuple_id)
-            for label in self.tuple_labels(row):
-                postings.setdefault(label, []).append(encrypted_tuple.tuple_id)
-        entries: dict[bytes, tuple[tuple[bytes, ...], ...]] = {}
-        labels = list(postings)
-        self._rng.shuffle(labels)  # don't leak keyword insertion order
-        for label in labels:
-            entries[label] = self._bucketize(postings[label], id_len)
-        return IndexSnapshot(bucket_capacity=self._bucket_capacity, entries=entries)
-
-    def _bucketize(
-        self, tuple_ids: list[bytes], id_len: int
-    ) -> tuple[tuple[bytes, ...], ...]:
-        """Chunk postings into capacity-sized buckets, padding the last."""
-        capacity = self._bucket_capacity
-        buckets = []
-        for start in range(0, len(tuple_ids), capacity):
-            chunk = list(tuple_ids[start : start + capacity])
-            if len(chunk) < capacity:
-                # Dummy ids are fresh random nonces of the real id length:
-                # absent from the provider's store, they match no fetch and
-                # are indistinguishable from live ids.
-                chunk.extend(
-                    self._rng.bytes(id_len) for _ in range(capacity - len(chunk))
-                )
-                self._rng.shuffle(chunk)
-            buckets.append(tuple(chunk))
-        return tuple(buckets)
+        return tuple(
+            (label, encrypted_tuple.tuple_id)
+            for row, encrypted_tuple in zip(relation.tuples, encrypted.encrypted_tuples)
+            for label in self.tuple_labels(row)
+        )
 
     def insert_delta(
         self, row: RelationTuple | Mapping[str, object], tuple_id: bytes

@@ -97,18 +97,15 @@ class OutsourcedDatabaseServer:
         *,
         slow_query_threshold: float = 1.0,
     ) -> None:
-        # Imported here, not at module top: repro.index.wire speaks this
-        # package's protocol, so a top-level import would be circular.
-        from repro.index.access import IndexAccess, ScanAccess
-
         self._storage = storage if storage is not None else InMemoryStorageBackend()
         self._evaluators: dict[str, ServerEvaluator] = {}
         self._audit = audit_log if audit_log is not None else ServerAuditLog()
         self._metrics = metrics if metrics is not None else MetricsRegistry()
-        self._scan_access = ScanAccess(self.execute_query)
-        self._index_access = IndexAccess(self._storage, metrics=self._metrics)
-        #: Lookup strategies in preference order; first that can serve wins.
-        self._access_methods = (self._index_access, self._scan_access)
+        # Relation name -> its index, the postings the client shipped.
+        self._indexes: dict = {}
+        self._puts = self._metrics.counter("index_puts_total")
+        self._deltas = self._metrics.counter("index_deltas_total")
+        self._lookups = self._metrics.counter("index_lookups_total")
         self._scan_fallback_counter = self._metrics.counter(
             "index_scan_fallbacks_total"
         )
@@ -120,11 +117,6 @@ class OutsourcedDatabaseServer:
         self._dispatched_counter = self._metrics.counter("server_requests_dispatched")
         self._traces = TraceBuffer()
         self._slow_queries = SlowQueryLog(slow_query_threshold)
-
-    @property
-    def index_access(self):
-        """The provider's index-serving strategy (stats, installed indexes)."""
-        return self._index_access
 
     @property
     def metrics(self) -> MetricsRegistry:
@@ -203,7 +195,7 @@ class OutsourcedDatabaseServer:
         self._storage.save(name, encrypted_relation)
         # A full restore invalidates any index built for the old contents;
         # the client ships a fresh INDEX_PUT right after when indexing is on.
-        self._index_access.note_store(name)
+        self._indexes.pop(name, None)
         self._audit.record(
             AuditEventKind.RELATION_STORED,
             name,
@@ -234,8 +226,8 @@ class OutsourcedDatabaseServer:
         return len(encrypted_tuples)
 
     def delete_tuples(self, name: str, tuple_ids: Sequence[bytes], delta) -> tuple[bytes, ...]:
-        """Remove the named tuple ciphertexts, then tombstone ``delta``'s
-        postings; returns the ids that went.
+        """Remove the named tuple ciphertexts, then ``delta``'s postings;
+        returns the ids that went.
 
         Unknown ids are ignored (a racing request may have deleted them), so
         the id set is exact under replayed or stale batches.
@@ -287,7 +279,7 @@ class OutsourcedDatabaseServer:
         stored = self._load(name)  # raise ServerError when absent
         self._storage.delete(name)
         self._evaluators.pop(name, None)
-        self._index_access.note_drop(name)
+        self._indexes.pop(name, None)
         self._audit.record(
             AuditEventKind.RELATION_DROPPED, name, tuple_count=len(stored)
         )
@@ -295,6 +287,12 @@ class OutsourcedDatabaseServer:
     def stored_relation(self, name: str) -> EncryptedRelation:
         """The provider's copy of a relation (what a leak would expose)."""
         return self._load(name)
+
+    def relation_index(self, name: str):
+        """The provider's copy of a relation's index (what a leak would
+        expose), a :class:`~repro.index.access.RelationIndex`; ``None``
+        when it holds none."""
+        return self._indexes.get(name)
 
     def tuple_count(self, name: str) -> int:
         """Number of stored tuple ciphertexts (cheap metadata read)."""
@@ -322,72 +320,93 @@ class OutsourcedDatabaseServer:
     # Encrypted inverted index (repro.index)
     # ------------------------------------------------------------------ #
 
-    def put_index(self, name: str, snapshot) -> int:
-        """Install a client-built index snapshot for a stored relation."""
+    def put_index(self, name: str, postings) -> int:
+        """Install (or replace) a stored relation's index from all of its
+        ``(label, tuple_id)`` postings; answers the number of labels."""
+        # Imported here: repro.index speaks this package's protocol, so a
+        # top-level import would be circular.
+        from repro.index.access import RelationIndex
+
         self._load(name)  # raise ServerError when the relation is absent
-        self._index_access.put(name, snapshot)
+        index = self._indexes[name] = RelationIndex(postings)
+        self._puts.inc()
         self._audit.record(
             AuditEventKind.INDEX_STORED,
             name,
-            labels=len(snapshot.entries),
-            posting_slots=snapshot.posting_slots(),
-            bucket_capacity=snapshot.bucket_capacity,
+            labels=len(index.postings),
+            postings=len(postings),
         )
-        return len(snapshot.entries)
+        return len(index.postings)
 
     def _apply_postings(self, name: str, delta) -> None:
         """Apply a write's posting delta; a provider without the index (soft
         state: its next lookup scans) drops it."""
-        applied = self._index_access.apply_delta(name, delta)
+        index = self._indexes.get(name)
+        if index is not None:
+            index.apply_delta(delta)
+            self._deltas.inc()
         self._audit.record(
             AuditEventKind.POSTINGS_APPLIED,
             name,
             additions=len(delta.additions),
             removals=len(delta.removals),
-            applied=applied,
+            applied=index is not None,
         )
 
     def index_lookup(self, name: str, request) -> EvaluationResult:
-        """Answer an exact select through the best available access method."""
+        """Answer an exact select from the relation's index, or else by scan.
+
+        With an index, the posting sets of the request's labels are
+        intersected and those ids fetched from the store (``access.index``,
+        O(result)); without one, the embedded fallback query runs as a
+        ``QUERY`` would (``access.scan``, O(data)).
+        """
         if name not in self._storage:  # never a load: it is O(n) after a write
             raise ServerError(f"no relation named {name!r} is stored")
-        for method in self._access_methods:
-            if not method.can_serve(name, request):
-                continue
-            fallback_taken = method is self._scan_access
-            if fallback_taken:
-                self._scan_fallback_counter.inc()
-            started = time.monotonic()
-            with obs_span(
-                f"access.{method.name}",
-                relation=name,
-                fallback_taken=fallback_taken,
-            ) as access_span:
-                result = method.search(name, request)
-                access_span.annotations["examined"] = result.examined
-                access_span.annotations["result_size"] = len(result.matching)
-            self._metrics.histogram(
-                "index_lookup_seconds", access_method=method.name, relation=name
-            ).observe(time.monotonic() - started)
-            self._audit.record(
-                AuditEventKind.INDEX_LOOKUP_SERVED,
-                name,
-                access=method.name,
-                labels=len(request.labels),
-                result_size=len(result.matching),
-                examined=result.examined,
-            )
-            return result
-        raise ServerError(
-            f"no access method can serve the lookup on relation {name!r} "
-            "(no index installed and no fallback query supplied)"
+        index = self._indexes.get(name)
+        method = "scan" if index is None else "index"
+        if index is None:
+            self._scan_fallback_counter.inc()
+        started = time.monotonic()
+        with obs_span(
+            f"access.{method}", relation=name, fallback_taken=index is None
+        ) as access_span:
+            if index is None:
+                result = self.execute_query(name, request.fallback_query)
+            else:
+                fetched = self._storage.fetch(name, index.candidates(request.labels))
+                self._lookups.inc()
+                result = EvaluationResult(
+                    matching=fetched,
+                    examined=len(fetched),  # the O(result) headline stat
+                    token_evaluations=0,
+                )
+            access_span.annotations["examined"] = result.examined
+            access_span.annotations["result_size"] = len(result.matching)
+        self._metrics.histogram(
+            "index_lookup_seconds", access_method=method, relation=name
+        ).observe(time.monotonic() - started)
+        self._audit.record(
+            AuditEventKind.INDEX_LOOKUP_SERVED,
+            name,
+            access=method,
+            labels=len(request.labels),
+            result_size=len(result.matching),
+            examined=result.examined,
         )
+        return result
 
     def index_stats(self) -> dict:
         """Index-serving statistics for operators (``repro serve`` stats)."""
-        stats = dict(self._index_access.stats())
-        stats["scan_fallbacks"] = self._scan_fallback_counter.value
-        return stats
+        indexes = sorted(self._indexes.items())
+        return {
+            "indexed_relations": [name for name, _ in indexes],
+            "puts": self._puts.value,
+            "deltas": self._deltas.value,
+            "lookups": self._lookups.value,
+            "relations": {name: index.stats() for name, index in indexes},
+            "scan_fallbacks": self._scan_fallback_counter.value,
+        }
 
     def storage_in_bytes(self, name: str | None = None) -> int:
         """Total ciphertext bytes stored (for one relation or overall)."""

@@ -78,7 +78,7 @@ def test_bad_values_are_refused_by_the_schemes(scheme, what):
 @pytest.mark.parametrize("what", BAD_VALUES)
 def test_bad_values_are_refused_by_the_indexer(what):
     attribute, value, message = BAD_VALUES[what]
-    indexer = TableIndexer(SCHEMA, KEY, rng=DeterministicRng(1))
+    indexer = TableIndexer(SCHEMA, KEY)
     row = {**GOOD, attribute: value}
     for bad_row in (row, unvalidated(row)):
         with raises_exactly(SchemaError, message):

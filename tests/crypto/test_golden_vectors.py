@@ -8,6 +8,10 @@ commit *before* the rewrite that touches it: the ``prf`` / ``ufeistel`` /
 ``feistel`` / ``intprp`` / ``ufeistel/67`` / ``ufeistel/80`` / ``swp34`` /
 ``swp/repeat`` / ``swp/decrypt`` / ``repeat`` / ``index`` vectors before the
 encrypt-path rewrite (PR 14, 2329cc0).
+``index/snapshot``, ``index/insert_delta`` and ``index/rng_after`` were
+re-pinned when the index became its postings: a snapshot is the rows'
+``(label, tuple_id)`` pairs and draws nothing from the shared rng, so the
+id drawn after it moved.
 Ciphertexts, trapdoors and wire bytes must stay bit-for-bit identical, so any
 optimisation of ``Prf`` / ``Hmac`` / ``SymmetricCipher`` / ``xor_bytes`` / the
 SWP code / the tuple and wire codecs that moves one of them fails here.
@@ -117,8 +121,8 @@ def _encrypt_path_vectors() -> dict[str, str]:
     vectors["repeat/query"] = protocol.encode_encrypted_query(
         dph.encrypt_query(ConjunctiveSelection.of(("dept", "HR"), ("salary", 7500)))
     ).hex()
-    # Label bytes and the order of the snapshot's draws from the shared rng.
-    indexer = TableIndexer(schema, KEY, bucket_capacity=2, rng=rng)
+    # Label bytes, and a snapshot that draws nothing from the shared rng.
+    indexer = TableIndexer(schema, KEY)
     vectors["index/snapshot"] = encode_index_snapshot(
         indexer.snapshot(relation, encrypted)
     ).hex()
@@ -587,32 +591,31 @@ GOLDEN: dict[str, str] = {
         "e2a19519a52af706d28b6ffbc80fd4f7bb8f49b8b3e36a501f00000000"
     ),
     "index/snapshot": (
-        "00000002000000050000005800000020ee36da2b43151190e80de155446fa5c5"
-        "f6a2e27cadf96ad4e8f88af650998b4f000000010000002c0000000200000010"
-        "f27024bf17112a754ffb1f1099aed7390000001072f0901f2b0a9b939a603afe"
-        "0a0d2f7a0000008800000020401ee478f09d142d0bfa58654a8371137bf5601c"
-        "5b707e0892ffcf0503ef70d6000000020000002c0000000200000010f27024bf"
-        "17112a754ffb1f1099aed739000000100bfef003609558afe10a6905ad1d25b4"
-        "0000002c0000000200000010fc3039b91c2d2099660fd75aedb1070d00000010"
-        "2d1e979fde40176ff353784a85c4b81d00000088000000206ce31ea415ba39f8"
-        "dea54842ada0caa1b22cf63c6e2dd8fca19196f522f7277d000000020000002c"
-        "0000000200000010f27024bf17112a754ffb1f1099aed739000000100bfef003"
-        "609558afe10a6905ad1d25b40000002c0000000200000010fc3039b91c2d2099"
-        "660fd75aedb1070d000000105eb00de6aa9c02125df98447f761077300000058"
-        "00000020c474cd8a1be7afd8189ee8155aab8be561aa971f0a027b6847d4e5cf"
-        "b1dab39e000000010000002c00000002000000100bfef003609558afe10a6905"
-        "ad1d25b400000010d9a1836e44b235dffae03f5cda2be12e0000005800000020"
-        "06831193a2ecb7b596e319cf8bcea3cdedbddd907e063123f996b74666a9a9a8"
-        "000000010000002c0000000200000010fc3039b91c2d2099660fd75aedb1070d"
-        "0000001015f35f0ba5e78b4c136ba82c9f1ff5c9"
+        "000000090000003800000020ee36da2b43151190e80de155446fa5c5f6a2e27c"
+        "adf96ad4e8f88af650998b4f00000010f27024bf17112a754ffb1f1099aed739"
+        "0000003800000020401ee478f09d142d0bfa58654a8371137bf5601c5b707e08"
+        "92ffcf0503ef70d600000010f27024bf17112a754ffb1f1099aed73900000038"
+        "000000206ce31ea415ba39f8dea54842ada0caa1b22cf63c6e2dd8fca19196f5"
+        "22f7277d00000010f27024bf17112a754ffb1f1099aed7390000003800000020"
+        "c474cd8a1be7afd8189ee8155aab8be561aa971f0a027b6847d4e5cfb1dab39e"
+        "000000100bfef003609558afe10a6905ad1d25b40000003800000020401ee478"
+        "f09d142d0bfa58654a8371137bf5601c5b707e0892ffcf0503ef70d600000010"
+        "0bfef003609558afe10a6905ad1d25b400000038000000206ce31ea415ba39f8"
+        "dea54842ada0caa1b22cf63c6e2dd8fca19196f522f7277d000000100bfef003"
+        "609558afe10a6905ad1d25b4000000380000002006831193a2ecb7b596e319cf"
+        "8bcea3cdedbddd907e063123f996b74666a9a9a800000010fc3039b91c2d2099"
+        "660fd75aedb1070d0000003800000020401ee478f09d142d0bfa58654a837113"
+        "7bf5601c5b707e0892ffcf0503ef70d600000010fc3039b91c2d2099660fd75a"
+        "edb1070d00000038000000206ce31ea415ba39f8dea54842ada0caa1b22cf63c"
+        "6e2dd8fca19196f522f7277d00000010fc3039b91c2d2099660fd75aedb1070d"
     ),
     "index/insert_delta": (
         "000000030000003800000020b2706dd2ef12d61e848ace5025d2f3f2cbf0df3b"
-        "a2aabee8f364e5c469a5490400000010e20276cf31b3a0e17101cd3e3bd1cb85"
+        "a2aabee8f364e5c469a54904000000109d5fc5bb72f0901f2b0a9b939a603afe"
         "0000003800000020e75852cc11c36be974ab884622054fe54034be3494506a39"
-        "2fe3cb96665c5fdf00000010e20276cf31b3a0e17101cd3e3bd1cb8500000038"
+        "2fe3cb96665c5fdf000000109d5fc5bb72f0901f2b0a9b939a603afe00000038"
         "000000206ce31ea415ba39f8dea54842ada0caa1b22cf63c6e2dd8fca19196f5"
-        "22f7277d00000010e20276cf31b3a0e17101cd3e3bd1cb8500000000"
+        "22f7277d000000109d5fc5bb72f0901f2b0a9b939a603afe00000000"
     ),
     "index/remove_delta": (
         "00000000000000060000003800000020b2706dd2ef12d61e848ace5025d2f3f2"
@@ -629,7 +632,7 @@ GOLDEN: dict[str, str] = {
         "6a6a6a6a6a6a6a6a6a6a6a6a6a6a6a6a"
     ),
     "index/rng_after": (
-        "a9089fffbc39678b"
+        "0a0d2f7a8f2d1e97"
     ),
 }
 

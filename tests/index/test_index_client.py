@@ -5,17 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.core import SearchableSelectDph
-from repro.index import DEFAULT_BUCKET_CAPACITY, IndexingError, TableIndexer
+from repro.index import IndexingError, TableIndexer
 from repro.relational import Selection
 from repro.relational.errors import QueryError
 from repro.relational.query import ConjunctiveSelection, Projection
 
 
 @pytest.fixture
-def indexer(employee_schema, secret_key, rng):
-    return TableIndexer(
-        employee_schema, secret_key.subkey("index/Emp"), rng=rng
-    )
+def indexer(employee_schema, secret_key):
+    return TableIndexer(employee_schema, secret_key.subkey("index/Emp"))
 
 
 @pytest.fixture
@@ -36,9 +34,9 @@ class TestLabels:
         }
         assert len(labels) == 3
 
-    def test_labels_differ_across_keys(self, employee_schema, secret_key, rng):
-        one = TableIndexer(employee_schema, secret_key.subkey("index/A"), rng=rng)
-        two = TableIndexer(employee_schema, secret_key.subkey("index/B"), rng=rng)
+    def test_labels_differ_across_keys(self, employee_schema, secret_key):
+        one = TableIndexer(employee_schema, secret_key.subkey("index/A"))
+        two = TableIndexer(employee_schema, secret_key.subkey("index/B"))
         assert one.label("dept", "HR") != two.label("dept", "HR")
 
     def test_tuple_labels_cover_every_attribute(self, indexer, employee_relation):
@@ -61,44 +59,26 @@ class TestLabels:
 
 
 class TestSnapshot:
-    def test_buckets_padded_to_capacity(self, indexer, encrypted_pair):
+    def test_the_postings_are_each_rows_insert_delta(self, indexer, encrypted_pair):
         relation, encrypted = encrypted_pair
-        snapshot = indexer.snapshot(relation, encrypted)
-        assert snapshot.bucket_capacity == DEFAULT_BUCKET_CAPACITY
-        for buckets in snapshot.entries.values():
-            assert all(len(b) == DEFAULT_BUCKET_CAPACITY for b in buckets)
+        expected = tuple(
+            posting
+            for row, t in zip(relation.tuples, encrypted.encrypted_tuples)
+            for posting in indexer.insert_delta(row, t.tuple_id).additions
+        )
+        assert indexer.snapshot(relation, encrypted) == expected
 
-    def test_real_ids_present_dummies_fresh(self, indexer, encrypted_pair):
+    def test_a_label_posts_exactly_the_ids_holding_its_value(self, indexer, encrypted_pair):
         relation, encrypted = encrypted_pair
-        snapshot = indexer.snapshot(relation, encrypted)
-        real = {t.tuple_id for t in encrypted.encrypted_tuples}
         hr_label = indexer.label("dept", "HR")
-        hr_ids = {
+        hr_ids = [
             t.tuple_id
             for row, t in zip(relation.tuples, encrypted.encrypted_tuples)
             if row.value("dept") == "HR"
-        }
-        flat = {i for bucket in snapshot.entries[hr_label] for i in bucket}
-        assert hr_ids <= flat
-        # padding ids are fresh nonces, not recycled real ids
-        assert flat - hr_ids, "expected dummy padding"
-        assert not (flat - hr_ids) & real
-
-    def test_overflowing_label_spills_into_more_buckets(
-        self, employee_schema, secret_key, rng
-    ):
-        from repro.relational import Relation
-
-        indexer = TableIndexer(
-            employee_schema, secret_key.subkey("index/Emp"),
-            bucket_capacity=2, rng=rng,
-        )
-        relation = Relation.from_rows(
-            employee_schema, [(f"e{i}", "HR", 1) for i in range(5)]
-        )
-        dph = SearchableSelectDph(employee_schema, secret_key, backend="swp", rng=rng)
-        snapshot = indexer.snapshot(relation, dph.encrypt_relation(relation))
-        assert len(snapshot.entries[indexer.label("dept", "HR")]) == 3
+        ]
+        postings = indexer.snapshot(relation, encrypted)
+        assert [i for label, i in postings if label == hr_label] == hr_ids
+        assert len(postings) == len(relation.tuples) * len(relation.schema.attributes)
 
     def test_misaligned_relations_rejected(self, indexer, encrypted_pair):
         from repro.relational import Relation
@@ -107,12 +87,6 @@ class TestSnapshot:
         shorter = Relation(relation.schema, list(relation.tuples)[:-1])
         with pytest.raises(IndexingError, match="different sizes"):
             indexer.snapshot(shorter, encrypted)
-
-    def test_bucket_capacity_must_be_positive(self, employee_schema, secret_key):
-        with pytest.raises(IndexingError):
-            TableIndexer(
-                employee_schema, secret_key.subkey("index/Emp"), bucket_capacity=0
-            )
 
 
 class TestDeltas:

@@ -8,7 +8,6 @@ from repro.core import SearchableSelectDph
 from repro.index.wire import (
     IndexDelta,
     IndexLookupRequest,
-    IndexSnapshot,
     decode_index_delta,
     decode_index_lookup,
     decode_index_snapshot,
@@ -16,7 +15,7 @@ from repro.index.wire import (
     encode_index_lookup,
     encode_index_snapshot,
 )
-from repro.outsourcing.protocol import ProtocolError
+from repro.outsourcing.protocol import ProtocolError, _encode_sequence, encode_encrypted_query
 from repro.relational import Selection
 
 
@@ -26,39 +25,27 @@ def _ids(*values):
 
 class TestSnapshotCodec:
     def test_round_trip(self):
-        snapshot = IndexSnapshot(
-            bucket_capacity=3,
-            entries={
-                b"L1" * 16: (_ids(1, 2, 3), _ids(4, 5, 6)),
-                b"L2" * 16: (_ids(7, 8, 9),),
-            },
+        postings = tuple(
+            (label, tuple_id)
+            for label, ids in ((b"L1" * 16, _ids(1, 2, 3)), (b"L2" * 16, _ids(1, 4)))
+            for tuple_id in ids
         )
-        decoded = decode_index_snapshot(encode_index_snapshot(snapshot))
-        assert decoded == snapshot
-        assert decoded.posting_slots() == 9
+        assert decode_index_snapshot(encode_index_snapshot(postings)) == postings
 
     def test_empty_snapshot_round_trips(self):
-        snapshot = IndexSnapshot(bucket_capacity=8, entries={})
-        assert decode_index_snapshot(encode_index_snapshot(snapshot)) == snapshot
+        assert decode_index_snapshot(encode_index_snapshot(())) == ()
+
+    def test_the_put_body_is_the_deltas_pair_codec(self):
+        postings = ((b"L1", _ids(1)[0]), (b"L2", _ids(1)[0]))
+        body = encode_index_snapshot(postings)
+        assert body + bytes(4) == encode_index_delta(IndexDelta(additions=postings))
 
     def test_truncated_rejected(self):
         with pytest.raises(ProtocolError, match="truncated"):
             decode_index_snapshot(b"\x00\x00")
 
-    def test_zero_capacity_rejected(self):
-        raw = encode_index_snapshot(IndexSnapshot(bucket_capacity=1, entries={}))
-        with pytest.raises(ProtocolError, match="capacity"):
-            decode_index_snapshot(b"\x00\x00\x00\x00" + raw[4:])
-
-    def test_overfull_bucket_rejected(self):
-        raw = encode_index_snapshot(
-            IndexSnapshot(bucket_capacity=2, entries={b"L": (_ids(1, 2, 3),)})
-        )
-        with pytest.raises(ProtocolError, match="exceeds"):
-            decode_index_snapshot(raw)
-
     def test_trailing_bytes_rejected(self):
-        raw = encode_index_snapshot(IndexSnapshot(bucket_capacity=2, entries={}))
+        raw = encode_index_snapshot(((b"L", _ids(1)[0]),))
         with pytest.raises(ProtocolError, match="trailing"):
             decode_index_snapshot(raw + b"x")
 
@@ -88,34 +75,38 @@ class TestDeltaCodec:
         assert decode_index_delta(bytes(8)) == IndexDelta()  # two empty pair lists
 
 
-class TestLookupCodec:
-    def test_round_trip_without_fallback(self):
-        request = IndexLookupRequest(labels=(b"A" * 32, b"B" * 32))
-        decoded = decode_index_lookup(encode_index_lookup(request))
-        assert decoded == request
-        assert decoded.fallback_query is None
+@pytest.fixture
+def fallback(employee_schema, secret_key, rng):
+    dph = SearchableSelectDph(employee_schema, secret_key, backend="swp", rng=rng)
+    return dph.encrypt_query(Selection.equals("dept", "HR"))
 
-    def test_round_trip_with_fallback(
-        self, employee_schema, secret_key, rng
-    ):
-        dph = SearchableSelectDph(employee_schema, secret_key, backend="swp", rng=rng)
-        fallback = dph.encrypt_query(Selection.equals("dept", "HR"))
+
+class TestLookupCodec:
+    def test_round_trip(self, fallback):
+        request = IndexLookupRequest(labels=(b"A" * 32, b"B" * 32), fallback_query=fallback)
+        assert decode_index_lookup(encode_index_lookup(request)) == request
+
+    def test_the_body_is_labels_flag_one_and_the_fallback(self, fallback):
         request = IndexLookupRequest(labels=(b"A" * 32,), fallback_query=fallback)
-        decoded = decode_index_lookup(encode_index_lookup(request))
-        assert decoded.labels == request.labels
-        assert decoded.fallback_query is not None
+        assert encode_index_lookup(request) == (
+            _encode_sequence([b"A" * 32]) + b"\x01" + encode_encrypted_query(fallback)
+        )
+
+    def test_a_lookup_without_its_fallback_is_refused(self):
+        with pytest.raises(ProtocolError, match="every lookup carries its fallback"):
+            decode_index_lookup(_encode_sequence([b"A"]) + b"\x00")
 
     def test_truncated_rejected(self):
-        raw = encode_index_lookup(IndexLookupRequest(labels=(b"A",)))
         with pytest.raises(ProtocolError, match="truncated"):
-            decode_index_lookup(raw[:-1])
+            decode_index_lookup(_encode_sequence([b"A"]))
 
-    def test_unknown_flag_rejected(self):
-        raw = encode_index_lookup(IndexLookupRequest(labels=(b"A",)))
-        with pytest.raises(ProtocolError, match="flag"):
-            decode_index_lookup(raw[:-1] + b"\x07")
+    def test_unknown_flag_rejected(self, fallback):
+        raw = encode_index_lookup(IndexLookupRequest(labels=(b"A",), fallback_query=fallback))
+        labels = len(_encode_sequence([b"A"]))
+        with pytest.raises(ProtocolError, match="flag 7"):
+            decode_index_lookup(raw[:labels] + b"\x07" + raw[labels + 1:])
 
-    def test_bare_lookup_trailing_bytes_rejected(self):
-        raw = encode_index_lookup(IndexLookupRequest(labels=(b"A",)))
+    def test_trailing_bytes_rejected(self, fallback):
+        raw = encode_index_lookup(IndexLookupRequest(labels=(b"A",), fallback_query=fallback))
         with pytest.raises(ProtocolError, match="trailing"):
             decode_index_lookup(raw + b"x")

@@ -1,7 +1,7 @@
 """Index maintenance edge cases on the serving path.
 
 Covers the corners the happy path skips: labels emptied by the last
-delete, bucket-cap overflow spill, a lookup outage that must not leave a
+delete, a lookup outage that must not leave a
 session maintaining no index, an indexed fleet against its unindexed twin,
 and the exact-delete protocol op under duplicates and replays.
 """
@@ -54,21 +54,6 @@ class TestEmptiedLabels:
         outcome = db.select("SELECT * FROM Emp WHERE dept = 'HR'")
         assert _names(outcome) == ["Zoe"]
         assert outcome.evaluation.examined == 1
-
-
-class TestOverflowSpill:
-    def test_inserts_past_the_bucket_cap_seal_spill_buckets(self, db):
-        index = db.server.index_access.index_for("Emp")
-        capacity = index.bucket_capacity
-        sealed_before = index.stats()["sealed_buckets"]
-        for i in range(3 * capacity):
-            db.insert("Emp", {"name": f"extra{i}", "dept": "OPS", "salary": 1})
-        assert index.stats()["sealed_buckets"] > sealed_before
-        # the open spill never exceeds a bucket
-        assert index.stats()["spilled_postings"] < index.stats()["labels"] * capacity
-        outcome = db.select("SELECT * FROM Emp WHERE dept = 'OPS'")
-        assert len(outcome.relation) == 3 * capacity
-        assert outcome.evaluation.examined == 3 * capacity
 
 
 class LookupOutage(OutsourcedDatabaseServer):

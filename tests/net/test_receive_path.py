@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.crypto.keys import SecretKey
 from repro.crypto.rng import DeterministicRng
-from repro.index import IndexLookupRequest, IndexSnapshot
+from repro.index import IndexLookupRequest
 from repro.index.wire import encode_index_lookup
 from repro.net import CHANNEL_CONTROL, ThreadedTcpServer, recv_frame, send_frame
 from repro.net.framing import (
@@ -62,12 +62,10 @@ def indexed_provider() -> tuple[OutsourcedDatabaseServer, PlaintextDph]:
     database = OutsourcedDatabaseServer()
     database.store_relation("Emp", encrypted, scheme.server_evaluator())
     database.put_index(
-        "Emp",
-        IndexSnapshot(
-            bucket_capacity=4, entries={L1: (tuple(ids[:4]),), L2: (tuple(ids[4:]),)}
-        ),
+        "Emp", tuple((L1, i) for i in ids[:4]) + tuple((L2, i) for i in ids[4:])
     )
-    database.index_lookup("Emp", IndexLookupRequest(labels=(L1,)))
+    hr_scan = scheme.encrypt_query(Selection.equals("dept", "HR"))
+    database.index_lookup("Emp", IndexLookupRequest(labels=(L1,), fallback_query=hr_scan))
     return database, scheme
 
 
@@ -77,11 +75,13 @@ def request_pool(scheme: PlaintextDph) -> list[tuple[int, bytes]]:
     def envelope(kind, relation="Emp", body=b"", trace_id=None):
         return MessageV2(kind, relation, body, trace_id=trace_id).to_bytes()
 
-    def lookup(*labels, relation="Emp", trace_id=None):
-        body = encode_index_lookup(IndexLookupRequest(labels=labels))
-        return envelope(MessageKind.INDEX_LOOKUP, relation, body, trace_id)
+    hr_scan = scheme.encrypt_query(Selection.equals("dept", "HR"))
 
-    scan = encode_encrypted_query(scheme.encrypt_query(Selection.equals("dept", "HR")))
+    def lookup(*labels, relation="Emp", trace_id=None):
+        request = IndexLookupRequest(labels=labels, fallback_query=hr_scan)
+        return envelope(MessageKind.INDEX_LOOKUP, relation, encode_index_lookup(request), trace_id)
+
+    scan = encode_encrypted_query(hr_scan)
     control = [
         {"op": "ping"},
         {"op": "tuple-count", "relation": "Emp"},

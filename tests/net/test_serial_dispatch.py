@@ -22,7 +22,7 @@ from gated_provider import GatedServer
 from repro.api import EncryptedDatabase
 from repro.crypto.keys import SecretKey
 from repro.crypto.rng import DeterministicRng
-from repro.index import IndexDelta, IndexLookupRequest, IndexSnapshot
+from repro.index import IndexDelta, IndexLookupRequest
 from repro.index.wire import encode_index_delta, encode_index_lookup
 from repro.net import CHANNEL_CONTROL, ThreadedTcpServer, recv_frame, send_frame
 from repro.net import server as server_module
@@ -72,10 +72,7 @@ class Fixture:
         half = len(self.ids) // 2
         database.put_index(
             name,
-            IndexSnapshot(
-                bucket_capacity=half,
-                entries={L1: (tuple(self.ids[:half]),), L2: (tuple(self.ids[half:]),)},
-            ),
+            tuple((L1, i) for i in self.ids[:half]) + tuple((L2, i) for i in self.ids[half:]),
         )
 
 
@@ -134,7 +131,11 @@ def envelope(kind: MessageKind, relation: str, body: bytes = b"", traced=False) 
     ).to_bytes()
 
 
-def lookup(relation: str, *labels: bytes, fallback=None, traced=False) -> bytes:
+#: The scan every lookup embeds; only a provider without the index runs it.
+HR_SCAN = emp_fixture().scheme.encrypt_query(Selection.equals("dept", "HR"))
+
+
+def lookup(relation: str, *labels: bytes, fallback=HR_SCAN, traced=False) -> bytes:
     request = IndexLookupRequest(labels=labels, fallback_query=fallback)
     return envelope(
         MessageKind.INDEX_LOOKUP, relation, encode_index_lookup(request), traced

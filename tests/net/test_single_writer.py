@@ -3,13 +3,15 @@
 The stores take no lock: only a request holding relation X's lock in the
 provider's ``handle_message`` may touch X, on every transport, and a
 ``load`` snapshot of the in-memory store is one C-level ``tuple()`` over
-its map.  Here four worker threads hit one provider at once, in-process
-and over ``tcp://``, with the interpreter switching threads every
-microsecond: inserts to ``A``, scans of ``B``, ``TUPLE_COUNT`` reads of
-``A`` (waiting for ``A``'s lock), and the operator read-outs (the ``stats``
-/ ``metrics`` control operations over ``tcp://``, the provider's own
-read-outs in-process) beside ``RELATION_NAMES`` envelopes.  No request may
-fail, no scan may see a torn ``B``, no count of ``A`` may go backwards or
+its map.  Here five worker threads hit one provider at once, in-process
+and over ``tcp://``, on the in-memory store and the file-backed one, with
+the interpreter switching threads every microsecond: inserts to ``A``,
+whole-relation reads of ``A`` beside them, scans of ``B``, ``TUPLE_COUNT``
+reads of ``A`` (waiting for ``A``'s lock), and the operator read-outs (the
+``stats`` / ``metrics`` control operations over ``tcp://``, the provider's
+own read-outs in-process) beside ``RELATION_NAMES`` envelopes.  No request may fail, no read of ``A`` may
+miss a tuple acknowledged before it was sent or hold a torn or foreign
+one, no scan may see a torn ``B``, no count of ``A`` may go backwards or
 past what was acknowledged, and ``A`` must end holding exactly the inserted
 tuples, in order.  Then two threads insert through one in-process session,
 each reading back its own row: no acknowledged row may be missing, on the
@@ -148,11 +150,14 @@ def _transport(kind: str, provider: OutsourcedDatabaseServer):
         yield lambda: OverTcp(server.port)
 
 
+@pytest.mark.parametrize("storage", ["memory", "file"])
 @pytest.mark.parametrize("transport", ["in-process", "tcp"])
-def test_writes_beside_scans_and_control_ops(transport):
+def test_writes_beside_scans_and_control_ops(transport, storage, tmp_path):
     a, b = _scheme("A(k:int[4])"), _scheme("B(name:string[6], v:int[4])")
     b_rows = [(f"b{i}", i % 3) for i in range(30)]
-    provider = OutsourcedDatabaseServer()
+    provider = OutsourcedDatabaseServer(
+        storage=FileStorageBackend(tmp_path) if storage == "file" else None
+    )
     provider.store_relation(
         "A", a.encrypt_relation(Relation.from_rows(a.schema, [])), a.server_evaluator()
     )
@@ -175,6 +180,19 @@ def test_writes_beside_scans_and_control_ops(transport):
             body = encode_insert_tuples(b"", [encrypted_tuple])
             assert decode_count(ask(channel, MessageKind.INSERT_TUPLES, "A", body)) == 1
             acknowledged.append(encrypted_tuple)
+
+    def reader(channel):
+        """Reads all of ``A`` until the inserter is done: a torn file or a
+        stale ``load`` snapshot (one a read stored after a write dropped
+        it) shows here."""
+        for _ in range(ROUNDS * 20):
+            done = len(acknowledged)
+            if done == INSERTS:
+                break
+            result, _ = decode_evaluation_result(ask(channel, MessageKind.FETCH_RELATION, "A"))
+            seen = result.matching.encrypted_tuples
+            assert seen == tuple(new_tuples[: len(seen)])  # whole tuples, in order
+            assert len(seen) >= done, f"{done - len(seen)} acknowledged tuples missing"
 
     def scanner(channel):
         for _ in range(ROUNDS):
@@ -206,7 +224,8 @@ def test_writes_beside_scans_and_control_ops(transport):
 
     with _transport(transport, provider) as connect:
         errors = _run(
-            (served, work, connect()) for work in (inserter, scanner, counter, operator)
+            (served, work, connect())
+            for work in (inserter, reader, scanner, counter, operator)
         )
     assert not errors, errors
     assert provider.stored_relation("A").encrypted_tuples == tuple(new_tuples)

@@ -1,8 +1,10 @@
 """Every answer-body decoder returns or raises a ``ProtocolError``, on any bytes.
 
 The decoders a client runs on a provider's answer (each ``decode`` of
-``protocol.ANSWER_CODECS``) and the two a provider runs on a write's body
-(``decode_insert_tuples``, ``decode_delete_tuples``) are fed bytes drawn
+``protocol.ANSWER_CODECS``), the two a provider runs on a write's body
+(``decode_insert_tuples``, ``decode_delete_tuples``) and the index
+decoders a provider runs on a write's postings, an ``INDEX_PUT`` body and
+an ``INDEX_LOOKUP`` body (``repro.index.wire``) are fed bytes drawn
 three ways: arbitrary bytes; bytes behind a 4-byte count, small or near
 2**32, and runs of length-prefixed parts whose prefixes may be off by a
 few bytes; and each decoder's own well-formed body, truncated, with one
@@ -21,6 +23,16 @@ from hypothesis import strategies as st
 
 from repro.core.dph import EvaluationResult
 from repro.crypto.rng import DeterministicRng
+from repro.index.wire import (
+    IndexDelta,
+    IndexLookupRequest,
+    decode_index_delta,
+    decode_index_lookup,
+    decode_index_snapshot,
+    encode_index_delta,
+    encode_index_lookup,
+    encode_index_snapshot,
+)
 from repro.outsourcing.protocol import (
     ANSWER_CODECS,
     MessageKind,
@@ -35,7 +47,7 @@ from repro.outsourcing.protocol import (
     encode_result_batch,
     encode_tuple_ids,
 )
-from repro.relational import Relation, RelationSchema
+from repro.relational import Relation, RelationSchema, Selection
 from repro.schemes.registry import create
 
 pytestmark = pytest.mark.usefixtures("match_kernel")
@@ -47,6 +59,11 @@ _ENCRYPTED = _DPH.encrypt_relation(
 )
 _RESULT = EvaluationResult(_ENCRYPTED, examined=2, token_evaluations=6)
 _IDS = [item.tuple_id for item in _ENCRYPTED.encrypted_tuples]
+_POSTINGS = ((b"L" * 32, _IDS[0]), (b"M" * 32, _IDS[0]), (b"L" * 32, _IDS[1]))
+_LOOKUP = IndexLookupRequest(
+    labels=(b"L" * 32, b"M" * 32),
+    fallback_query=_DPH.encrypt_query(Selection.equals("dept", "HR")),
+)
 
 #: Each decoder under test, and a well-formed body it accepts.
 DECODERS = {
@@ -61,6 +78,10 @@ DECODERS = {
     "insert_tuples": (decode_insert_tuples,
                       encode_insert_tuples(b"postings", _ENCRYPTED.encrypted_tuples)),
     "delete_tuples": (decode_delete_tuples, encode_delete_tuples(_IDS, b"postings")),
+    "index_delta": (decode_index_delta, encode_index_delta(
+        IndexDelta(additions=_POSTINGS[:2], removals=_POSTINGS[2:]))),
+    "index_put": (decode_index_snapshot, encode_index_snapshot(_POSTINGS)),
+    "index_lookup": (decode_index_lookup, encode_index_lookup(_LOOKUP)),
 }
 
 

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from repro.crypto.keys import SecretKey
 from repro.crypto.rng import DeterministicRng
-from repro.index import IndexDelta, IndexLookupRequest, IndexSnapshot
+from repro.index import IndexDelta, IndexLookupRequest
 from repro.outsourcing import InMemoryStorageBackend, OutsourcedDatabaseServer
-from repro.relational import Relation, RelationSchema, RelationTuple
+from repro.relational import Relation, RelationSchema, RelationTuple, Selection
 from repro.schemes.plaintext import PlaintextDph
 
 SCHEMA = RelationSchema.parse("Emp(name:string[14], dept:string[5], salary:int[6])")
@@ -44,11 +44,13 @@ def test_lookups_and_writes_never_load_the_relation():
     database.store_relation("Emp", encrypted, scheme.server_evaluator())
     database.put_index(
         "Emp",
-        IndexSnapshot(bucket_capacity=4, entries={L1: (tuple(ids[:4]),), L2: (tuple(ids[4:]),)}),
+        tuple((L1, i) for i in ids[:4]) + tuple((L2, i) for i in ids[4:]),
     )
 
     def l1_rows() -> int:
-        request = IndexLookupRequest(labels=(L1,))
+        request = IndexLookupRequest(
+            labels=(L1,), fallback_query=scheme.encrypt_query(Selection.equals("dept", "HR"))
+        )
         return len(database.index_lookup("Emp", request).matching)
 
     storage.loads = 0
