@@ -6,7 +6,8 @@
  * key-holding client; decode_tuples is the tuple walk of
  * repro.outsourcing.protocol.decode_encrypted_relation, run by both;
  * decode_rows is TupleCodec.decode's common case over the opened payloads, run
- * by the client.  Write path, run by the client: swp_sealer and
+ * by the client; open_result is the client's select: the last three fused
+ * over a QUERY_RESULT body in one pass.  Write path, run by the client: swp_sealer and
  * swp_encrypt_words are SwpScheme's word encryption and trapdoors, and
  * seal_payloads is SymmetricCipher.encrypt_bytes over a batch under nonces the
  * caller drew.  The crypto loops key HMAC-SHA256 once per call or per scheme
@@ -62,7 +63,22 @@
  * TupleCodec.decode decides it, so what is accepted, and what is raised, is
  * Python's.
  *
- * Both decoders leave what they build untracked by the cyclic collector:
+ * open_result(raw, declaration, stream_block_key, stream_suffix, mac_block_key,
+ * plan, tuple_type, schema) walks a QUERY_RESULT body where it lies -- the
+ * relation's 4-byte length, the relation, 16 bytes of statistics and nothing
+ * after -- and for each tuple frame (as decode_tuples reads it, search fields
+ * and metadata skipped) checks the payload's tag over ``id || nonce || body``
+ * as open_payloads does, XORs the body into one scratch buffer reused across
+ * rows, and decodes it as decode_rows does into a tuple_type row.  It
+ * returns the rows, or None for the whole answer when anything is outside
+ * the common case: irregular framing, a schema declaration other than
+ * ``declaration`` (the scheme's own), a payload shorter than nonce and tag, a
+ * tag that does not verify, a row decode_rows would leave None, a raw that is
+ * not exactly bytes.  The caller then decodes and decrypts the answer the
+ * reference way, which raises what it raises.  A claimed count is checked
+ * against the bytes that could back it before anything is allocated.
+ *
+ * The decoders leave what they build untracked by the cyclic collector:
  * each tuple ciphertext and its search_fields tuple, each decoded row and its
  * values tuple.  These records hold only bytes, str, int, tuples of those
  * and, in a row, its schema, which holds no record; nothing sets an
@@ -1322,20 +1338,15 @@ column_value(const Column *column, const unsigned char *text, Py_ssize_t length)
     return PyLong_FromLongLong(text[0] == '-' ? -value : value);
 }
 
-/* The values of one row, a new tuple; None (a new reference) when the row
- * is not the common case, NULL on error. */
+/* The values of one row of ``length`` bytes at ``data``, a new tuple; None (a
+ * new reference) when the row is not the common case, NULL on error. */
 static PyObject *
-row_values(const Column *columns, Py_ssize_t arity, PyObject *row)
+row_values(const Column *columns, Py_ssize_t arity, const unsigned char *data,
+           Py_ssize_t length)
 {
-    const unsigned char *data;
-    Py_ssize_t length, offset = 0, start, index;
+    Py_ssize_t offset = 0, start, index;
     PyObject *values, *value;
 
-    if (!PyBytes_CheckExact(row)) {
-        return Py_NewRef(Py_None);
-    }
-    data = (const unsigned char *)PyBytes_AS_STRING(row);
-    length = PyBytes_GET_SIZE(row);
     values = PyTuple_New(arity);
     if (values == NULL) {
         return NULL;
@@ -1367,13 +1378,72 @@ row_values(const Column *columns, Py_ssize_t arity, PyObject *row)
     return values;
 }
 
+/* The codec's decode plan as columns (PyMem, *arity of them), or NULL with
+ * an exception set. */
+static Column *
+plan_columns(PyObject *plan, Py_ssize_t *arity)
+{
+    PyObject *plan_tuple = PySequence_Tuple(plan);
+    Column *columns = NULL;
+    Py_ssize_t index;
+
+    if (plan_tuple == NULL) {
+        return NULL;
+    }
+    *arity = PyTuple_GET_SIZE(plan_tuple);
+    columns = PyMem_New(Column, *arity > 0 ? *arity : 1);
+    if (columns == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (index = 0; index < *arity; index++) {
+        if (!PyArg_ParseTuple(PyTuple_GET_ITEM(plan_tuple, index), "pn;a plan column is (integer, width)",
+                              &columns[index].integer, &columns[index].width)) {
+            PyMem_Free(columns);
+            columns = NULL;
+            goto done;
+        }
+    }
+
+done:
+    Py_DECREF(plan_tuple);
+    return columns;
+}
+
+/* ``tuple_type`` with ``_schema`` and ``_values`` set, untracked; steals
+ * ``values`` (None and NULL pass through).  NULL on error. */
+static PyObject *
+row_instance(PyObject *cls, PyObject *schema, PyObject *values)
+{
+    PyObject *names[2] = {schema_name, values_name};
+    PyObject *set[2];
+    PyObject *instance;
+
+    if (values == NULL || values == Py_None) {
+        return values;
+    }
+    instance = bare_instance(cls);
+    set[0] = Py_NewRef(schema);
+    set[1] = values;
+    if (instance == NULL) {
+        Py_DECREF(set[0]);
+        Py_DECREF(set[1]);
+        return NULL;
+    }
+    if (set_stolen(instance, 2, names, set) < 0) {
+        Py_DECREF(instance);
+        return NULL;
+    }
+    untrack(values);
+    untrack(instance);
+    return instance;
+}
+
 static PyObject *
 decode_rows(PyObject *module, PyObject *args)
 {
     PyObject *rows, *plan, *cls, *schema;
-    PyObject *row_tuple = NULL, *plan_tuple = NULL, *decoded = NULL, *values, *instance;
-    PyObject *names[2] = {schema_name, values_name};
-    PyObject *set[2];
+    PyObject *row_tuple = NULL, *decoded = NULL, *row, *instance;
     Column *columns = NULL;
     Py_ssize_t arity, count, index;
     double held_since, hold_limit;
@@ -1382,21 +1452,9 @@ decode_rows(PyObject *module, PyObject *args)
                           &schema)) {
         return NULL;
     }
-    plan_tuple = PySequence_Tuple(plan);
-    if (plan_tuple == NULL) {
-        goto done;
-    }
-    arity = PyTuple_GET_SIZE(plan_tuple);
-    columns = PyMem_New(Column, arity > 0 ? arity : 1);
+    columns = plan_columns(plan, &arity);
     if (columns == NULL) {
-        PyErr_NoMemory();
         goto done;
-    }
-    for (index = 0; index < arity; index++) {
-        if (!PyArg_ParseTuple(PyTuple_GET_ITEM(plan_tuple, index), "pn;a plan column is (integer, width)",
-                              &columns[index].integer, &columns[index].width)) {
-            goto done;
-        }
     }
     /* A tuple, so a thread that runs while the lock is offered cannot
      * resize what the loop indexes. */
@@ -1414,26 +1472,12 @@ decode_rows(PyObject *module, PyObject *args)
     }
     held_since = monotonic_seconds();
     for (index = 0; index < count; index++) {
-        values = row_values(columns, arity, PyTuple_GET_ITEM(row_tuple, index));
-        if (values == NULL || values == Py_None) {
-            instance = values;
-        }
-        else {
-            instance = bare_instance(cls);
-            set[0] = Py_NewRef(schema);
-            set[1] = values;
-            if (instance == NULL) {
-                Py_DECREF(set[0]);
-                Py_DECREF(set[1]);
-            }
-            else if (set_stolen(instance, 2, names, set) < 0) {
-                Py_CLEAR(instance);
-            }
-            else {
-                untrack(values);
-                untrack(instance);
-            }
-        }
+        row = PyTuple_GET_ITEM(row_tuple, index);
+        instance = !PyBytes_CheckExact(row) ? Py_NewRef(Py_None)
+                   : row_instance(cls, schema,
+                                  row_values(columns, arity,
+                                             (const unsigned char *)PyBytes_AS_STRING(row),
+                                             PyBytes_GET_SIZE(row)));
         if (instance == NULL) {
             Py_CLEAR(decoded);
             goto done;
@@ -1446,9 +1490,167 @@ decode_rows(PyObject *module, PyObject *args)
 
 done:
     PyMem_Free(columns);
-    Py_XDECREF(plan_tuple);
     Py_XDECREF(row_tuple);
     return decoded;
+}
+
+/* The row of the tuple ciphertext framed at ``*offset`` (see tuple_at), which
+ * must end by ``end``, opened into ``*scratch`` (grown as needed) and
+ * decoded: 1 with ``*built`` set, 0 when the framing is irregular, the tag
+ * does not verify or the row is not the common case, -1 on error. */
+static int
+open_tuple_at(const Opener *opener, const Column *columns, Py_ssize_t arity,
+              PyObject *cls, PyObject *schema, const unsigned char *data,
+              Py_ssize_t *offset, Py_ssize_t end, unsigned char **scratch,
+              Py_ssize_t *scratch_size, PyObject **built)
+{
+    unsigned char digest[SHA256_DIGEST_LENGTH];
+    Py_ssize_t begin, body_end, id_start, payload_start, payload_end, field_count;
+    Py_ssize_t skipped, i, length;
+    const unsigned char *payload;
+    unsigned char *grown;
+
+    body_end = *offset;
+    if (!part_at(data, &body_end, end, &begin)) {
+        return 0;
+    }
+    *offset = begin;
+    if (!part_at(data, offset, body_end, &id_start)
+        || !part_at(data, offset, body_end, &payload_start)) {
+        return 0;
+    }
+    payload_end = *offset;
+    if (body_end - *offset < 4) {
+        return 0;
+    }
+    field_count = read_u32(data + *offset);
+    *offset += 4;
+    for (i = 0; i < field_count; i++) {
+        if (!part_at(data, offset, body_end, &skipped)) {
+            return 0;
+        }
+    }
+    if (!part_at(data, offset, body_end, &skipped) || *offset != body_end) {
+        return 0;
+    }
+    length = payload_end - payload_start - NONCE_LENGTH - TAG_LENGTH;
+    if (length < 0) {
+        return 0;
+    }
+    /* The id's own bytes end where the payload's length prefix starts. */
+    payload = data + payload_start;
+    payload_tag(opener, data + id_start, payload_start - 4 - id_start, payload,
+                payload + NONCE_LENGTH + TAG_LENGTH, length, digest);
+    if (CRYPTO_memcmp(digest, payload + NONCE_LENGTH, TAG_LENGTH) != 0) {
+        return 0;
+    }
+    if (length > *scratch_size) {
+        grown = PyMem_Realloc(*scratch, (size_t)length);
+        if (grown == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        *scratch = grown;
+        *scratch_size = length;
+    }
+    xor_keystream(opener, payload, payload + NONCE_LENGTH + TAG_LENGTH, *scratch, length);
+    *built = row_instance(cls, schema, row_values(columns, arity, *scratch, length));
+    if (*built == NULL) {
+        return -1;
+    }
+    if (*built == Py_None) {
+        Py_DECREF(*built);
+        return 0;
+    }
+    return 1;
+}
+
+static PyObject *
+open_result(PyObject *module, PyObject *args)
+{
+    PyObject *raw, *declaration, *plan, *cls, *schema, *rows = NULL, *row;
+    Py_buffer stream_key, stream_suffix, mac_key;
+    const unsigned char *data;
+    unsigned char *scratch = NULL;
+    Py_ssize_t size, relation_end, offset, declaration_start, count, index;
+    Py_ssize_t arity, scratch_size = 0;
+    Column *columns = NULL;
+    Opener opener;
+    double held_since, hold_limit;
+    int status;
+
+    if (!PyArg_ParseTuple(args, "OSy*y*y*OO!O:open_result", &raw, &declaration, &stream_key,
+                          &stream_suffix, &mac_key, &plan, &PyType_Type, &cls, &schema)) {
+        return NULL;
+    }
+    if (stream_key.len != BLOCK_SIZE || mac_key.len != BLOCK_SIZE) {
+        PyErr_SetString(PyExc_ValueError, "stream and MAC block keys must be 64 bytes");
+        goto done;
+    }
+    if (!PyBytes_CheckExact(raw)) {
+        rows = Py_NewRef(Py_None);
+        goto done;
+    }
+    data = (const unsigned char *)PyBytes_AS_STRING(raw);
+    size = PyBytes_GET_SIZE(raw);
+    /* The relation's length, the relation, then 16 bytes of statistics. */
+    if (size < 4 + 16 || read_u32(data) != size - 4 - 16) {
+        rows = Py_NewRef(Py_None);
+        goto done;
+    }
+    relation_end = size - 16;
+    offset = 4;
+    if (!part_at(data, &offset, relation_end, &declaration_start)
+        || offset - declaration_start != PyBytes_GET_SIZE(declaration)
+        || memcmp(data + declaration_start, PyBytes_AS_STRING(declaration),
+                  (size_t)(offset - declaration_start)) != 0
+        || relation_end - offset < 4) {
+        rows = Py_NewRef(Py_None);
+        goto done;
+    }
+    count = read_u32(data + offset);
+    offset += 4;
+    /* A claimed count is bounded by the frame before anything is allocated. */
+    if (count > (relation_end - offset) / MIN_TUPLE_FRAME) {
+        rows = Py_NewRef(Py_None);
+        goto done;
+    }
+    columns = plan_columns(plan, &arity);
+    if (columns == NULL || lock_hold_limit(&hold_limit) < 0) {
+        goto done;
+    }
+    keyed_states(stream_key.buf, &opener.stream_inner, &opener.stream_outer);
+    keyed_states(mac_key.buf, &opener.mac_inner, &opener.mac_outer);
+    opener.stream_suffix = stream_suffix.buf;
+    opener.stream_suffix_length = stream_suffix.len;
+    rows = PyList_New(count);
+    if (rows == NULL) {
+        goto done;
+    }
+    held_since = monotonic_seconds();
+    for (index = 0; index < count; index++) {
+        status = open_tuple_at(&opener, columns, arity, cls, schema, data, &offset,
+                               relation_end, &scratch, &scratch_size, &row);
+        if (status <= 0) {
+            Py_SETREF(rows, status < 0 ? NULL : Py_NewRef(Py_None));
+            goto done;
+        }
+        PyList_SET_ITEM(rows, index, row);
+        if ((index + 1) % ITEMS_PER_CLOCK == 0) {
+            offer_lock(&held_since, hold_limit);
+        }
+    }
+    if (offset != relation_end) {
+        Py_SETREF(rows, Py_NewRef(Py_None));
+    }
+
+done:
+    PyMem_Free(scratch);
+    PyMem_Free(columns);
+    PyBuffer_Release(&stream_key);
+    PyBuffer_Release(&stream_suffix);
+    PyBuffer_Release(&mac_key);
+    return rows;
 }
 
 static PyMethodDef native_methods[] = {
@@ -1465,6 +1667,10 @@ static PyMethodDef native_methods[] = {
     {"decode_rows", decode_rows, METH_VARARGS,
      "decode_rows(rows, plan, tuple_type, schema) -> list\n\n"
      "Each tuple encoding's tuple, or None where it is not the common case."},
+    {"open_result", open_result, METH_VARARGS,
+     "open_result(raw, declaration, stream_block_key, stream_suffix, mac_block_key,\n"
+     "            plan, tuple_type, schema) -> list or None\n\n"
+     "The decrypted rows of a QUERY_RESULT body, or None where any is irregular."},
     {"swp_sealer", swp_sealer, METH_VARARGS,
      "swp_sealer(round_keys, check_key, stream_key, value_suffix, word_length,\n"
      "           check_length) -> capsule\n\n"

@@ -72,7 +72,7 @@ from repro.obs import (
 from repro.outsourcing import protocol
 from repro.outsourcing.client import SelectOutcome, request
 from repro.outsourcing.evaluators import describe_evaluator
-from repro.outsourcing.protocol import MessageKind
+from repro.outsourcing.protocol import MessageKind, ProtocolError
 from repro.outsourcing.server import OutsourcedDatabaseServer, ServerError
 from repro.outsourcing.storage import StorageBackend
 from repro.relational.errors import QueryError
@@ -129,21 +129,34 @@ def _cache_key(parsed: Query) -> tuple | None:
 class _Answer:
     """One query's answer as the session holds (and caches) it.
 
-    ``evaluation`` is the provider's ciphertext reply, which ``update`` and
-    ``delete`` address tuple ids from.  ``decrypted`` is what the first
-    ``select`` made of it -- ``(rows, returned, false_positives, kept)``,
-    the rows an immutable tuple of immutable tuples -- snapshotted before
-    any caller sees the relation, so every later hit hands out a fresh
-    :class:`Relation` over rows nobody can change.  Immutable by
-    convention: the one late write fills ``decrypted`` with a value that
-    depends on ``evaluation`` alone, so racing fills agree.
+    ``body`` is the provider's ``QUERY_RESULT`` body (``None`` from a
+    batch); a select opens it where it lies.  ``evaluation``, the ciphertext
+    reply ``update`` and ``delete`` take tuple ids from, is decoded on first
+    read.  ``decrypted`` is what the first ``select`` made of it -- ``(rows,
+    returned, false_positives, kept)``, the rows an immutable tuple of
+    immutable tuples -- snapshotted before any caller sees the relation, so
+    every later hit hands out a fresh :class:`Relation` over rows nobody can
+    change.  The late writes depend on the answer's bytes alone, so racing
+    fills agree.
     """
 
-    __slots__ = ("evaluation", "decrypted")
+    __slots__ = ("body", "_evaluation", "decrypted")
 
-    def __init__(self, evaluation: EvaluationResult) -> None:
-        self.evaluation = evaluation
+    def __init__(self, body: bytes | None, evaluation: EvaluationResult | None = None) -> None:
+        self.body = body
+        self._evaluation = evaluation
         self.decrypted: tuple | None = None
+
+    @property
+    def evaluation(self) -> EvaluationResult:
+        evaluation = self._evaluation
+        if evaluation is None:
+            try:
+                evaluation = protocol.decode_query_result(self.body)
+            except ProtocolError as exc:
+                raise DatabaseError(str(exc)) from exc
+            self._evaluation = evaluation
+        return evaluation
 
 
 class _TracedOperation:
@@ -878,7 +891,7 @@ class EncryptedDatabase:
                         f"for {len(missing)} queries"
                     )
                 for position, result in zip(missing, fetched):
-                    answers[position] = _Answer(result)
+                    answers[position] = _Answer(None, result)
                     key = keys[position]
                     if key is not None:
                         self._cache.put(
@@ -929,15 +942,15 @@ class EncryptedDatabase:
     def _relation_names(self) -> tuple[str, ...]:
         return self._request(MessageKind.RELATION_NAMES, "")
 
-    def _request(self, kind: MessageKind, relation_name: str, body: bytes = b""):
-        """One envelope to the provider; its decoded answer.
+    def _request(self, kind: MessageKind, relation_name: str, body: bytes = b"", decode=True):
+        """One envelope to the provider; its decoded answer (or its body).
 
         Any failure is a :class:`DatabaseError`: a refusal, a transport
         failure, and a reply or reply body that does not parse (the
         :class:`~repro.outsourcing.protocol.ProtocolError` is its
         ``__cause__``).
         """
-        return request(self._server, kind, relation_name, body, error=DatabaseError)
+        return request(self._server, kind, relation_name, body, error=DatabaseError, decode=decode)
 
     def _resolve(self, query: Query | str, table: str | None) -> tuple[str, Query]:
         """Route a query (AST node or SQL text) to a table of this session."""
@@ -975,7 +988,7 @@ class EncryptedDatabase:
             validate(self.table(table).schema)
         return table, parsed
 
-    def _run_query(self, handle: TableHandle, parsed: Query) -> _Answer:
+    def _run_query(self, handle: TableHandle, parsed: Query, select: bool = True) -> _Answer:
         """One encrypted read for an already-resolved query, cache included.
 
         On cache-enabled sessions the query's conjuncts are the cache key
@@ -983,7 +996,8 @@ class EncryptedDatabase:
         trip and -- once a select has decrypted the entry -- no ``D``.  The
         fill is generation-checked (see :class:`~repro.cache.ResultCache`):
         a write landing while the read was in flight drops the fill
-        instead of caching a stale answer.
+        instead of caching a stale answer.  A fresh answer is decrypted
+        (``select``) or decoded before it is cached: bad bytes never are.
         """
         key = None if self._cache is None else _cache_key(parsed)
         if key is not None:
@@ -993,14 +1007,16 @@ class EncryptedDatabase:
             generation = self._cache.generation(handle.name)
         encrypted_query = handle.scheme.encrypt_query(parsed)
         answer = _Answer(self._fetch_query_result(handle, parsed, encrypted_query))
+        if select:
+            self._decrypted(handle, answer, parsed)
+        else:
+            answer.evaluation  # decoded now, so bad bytes raise before the put
         if key is not None:
             self._cache.put(handle.name, key, answer, generation, key[:1])
         return answer
 
-    def _fetch_query_result(
-        self, handle: TableHandle, parsed: Query, encrypted_query
-    ) -> EvaluationResult:
-        """The provider round trip behind :meth:`_run_query`.
+    def _fetch_query_result(self, handle: TableHandle, parsed: Query, encrypted_query) -> bytes:
+        """The provider round trip behind :meth:`_run_query`; the answer's body.
 
         Indexed sessions prefer ``INDEX_LOOKUP``: trapdoor labels plus the
         ordinary encrypted query as the embedded scan fallback, so any
@@ -1019,9 +1035,9 @@ class EncryptedDatabase:
                     labels=labels, fallback_query=encrypted_query
                 )
                 body = encode_index_lookup(request)
-                return self._request(MessageKind.INDEX_LOOKUP, handle.name, body)
+                return self._request(MessageKind.INDEX_LOOKUP, handle.name, body, decode=False)
         body = protocol.encode_encrypted_query(encrypted_query)
-        return self._request(MessageKind.QUERY, handle.name, body)
+        return self._request(MessageKind.QUERY, handle.name, body, decode=False)
 
     def _delete_matches(self, name: str, matches: list[tuple]) -> int:
         """Remove already-resolved matches in one ``DELETE_TUPLES``; returns
@@ -1044,7 +1060,8 @@ class EncryptedDatabase:
     ) -> list[tuple]:
         """Decrypted true matches of a query: ``(encrypted_tuple, plaintext)`` pairs."""
         handle = self.table(name)
-        returned = self._run_query(handle, parsed).evaluation.matching.encrypted_tuples
+        answer = self._run_query(handle, parsed, select=False)
+        returned = answer.evaluation.matching.encrypted_tuples
         plaintexts = handle.scheme.decrypt_tuples(returned)
         kept = set(map(id, filter_tuples(handle.schema, plaintexts, parsed).relation))
         return [
@@ -1053,29 +1070,30 @@ class EncryptedDatabase:
             if id(plaintext) in kept
         ]
 
+    def _decrypted(self, handle: TableHandle, answer: _Answer, parsed: Query) -> tuple:
+        """An answer's ``decrypted`` snapshot, made on first use."""
+        if answer.decrypted is None:
+            try:
+                report = handle.scheme.decrypt_result(answer.body or answer.evaluation, parsed)
+            except ProtocolError as exc:
+                raise DatabaseError(str(exc)) from exc
+            answer.decrypted = (
+                report.relation.tuples, report.returned, report.false_positives, report.kept
+            )
+        return answer.decrypted
+
     def _outcome(
         self, handle: TableHandle, answer: _Answer, parsed: Query
     ) -> SelectOutcome:
         """The caller's own copy of an answer: decrypt once, copy row pointers after."""
-        if answer.decrypted is None:
-            report = handle.scheme.decrypt_result(answer.evaluation, parsed)
-            answer.decrypted = (
-                report.relation.tuples,
-                report.returned,
-                report.false_positives,
-                report.kept,
-            )
-        else:
-            rows, returned, false_positives, kept = answer.decrypted
-            report = DecryptionReport(
-                Relation._of_checked(handle.schema, rows), returned, false_positives, kept
-            )
+        rows, returned, false_positives, kept = self._decrypted(handle, answer, parsed)
+        report = DecryptionReport(
+            Relation._of_checked(handle.schema, rows), returned, false_positives, kept
+        )
         projected = None
         if isinstance(parsed, Projection) and parsed.attributes:
             projected = report.relation.project(list(parsed.attributes))
-        return SelectOutcome(
-            report=report, projected_rows=projected, evaluation=answer.evaluation
-        )
+        return SelectOutcome(report=report, projected_rows=projected, answer=answer)
 
     def _as_tuple(self, handle: TableHandle, row) -> RelationTuple:
         if isinstance(row, RelationTuple):

@@ -182,7 +182,7 @@ def command_attack(args: argparse.Namespace) -> int:
 
 def command_serve(args: argparse.Namespace) -> int:
     """Run a standalone TCP provider until interrupted."""
-    from repro.net.server import DatabaseTcpServer
+    from repro.net.server import DatabaseTcpServer, throughput_summary
     from repro.outsourcing import (
         FileStorageBackend,
         OutsourcedDatabaseServer,
@@ -216,7 +216,7 @@ def command_serve(args: argparse.Namespace) -> int:
         # shippers and `jq` consume the periodic state without a parser.
         log_json(
             "stats",
-            transport=tcp.stats.as_dict(),
+            transport=tcp.stats,
             index=database.index_stats(),
             slow_queries=len(database.slow_queries),
         )
@@ -231,7 +231,7 @@ def command_serve(args: argparse.Namespace) -> int:
     print("repro provider shutting down...", flush=True)
     tcp.stop()
     print(
-        f"repro provider stopped: {tcp.stats.throughput_summary()}; "
+        f"repro provider stopped: {throughput_summary(tcp.stats)}; "
         f"index: {_index_summary()}",
         flush=True,
     )
@@ -261,7 +261,7 @@ def _wait_for_signal(interval: float = 0.0, tick: Callable[[], None] | None = No
 
 def command_cluster_spawn(args: argparse.Namespace) -> int:
     """Run a local fleet of providers (ephemeral ports) until interrupted."""
-    from repro.net.server import DatabaseTcpServer
+    from repro.net.server import DatabaseTcpServer, throughput_summary
     from repro.outsourcing import (
         FileStorageBackend,
         OutsourcedDatabaseServer,
@@ -341,7 +341,7 @@ def command_cluster_spawn(args: argparse.Namespace) -> int:
         server.stop()
     for index, server in enumerate(servers):
         print(f"repro cluster shard {index} stopped: "
-              f"{server.stats.throughput_summary()}", flush=True)
+              f"{throughput_summary(server.stats)}", flush=True)
     return 0
 
 

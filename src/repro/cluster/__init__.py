@@ -69,13 +69,11 @@ from repro.cluster.manifest import (
 from repro.cluster.rebalance import RebalanceReport, rebalance
 from repro.cluster.ring import (
     ConsistentHashRing,
-    DEFAULT_REPLICAS,
     DEFAULT_VIRTUAL_NODES,
     RingError,
 )
 from repro.cluster.router import (
     CLUSTER_URL_PREFIX,
-    ClusterStats,
     ShardRouter,
     merge_evaluation_results,
     parse_cluster_options,
@@ -96,11 +94,9 @@ __all__ = [
     "RebalanceReport",
     "rebalance",
     "ConsistentHashRing",
-    "DEFAULT_REPLICAS",
     "DEFAULT_VIRTUAL_NODES",
     "RingError",
     "CLUSTER_URL_PREFIX",
-    "ClusterStats",
     "ShardRouter",
     "merge_evaluation_results",
     "parse_cluster_options",

@@ -39,10 +39,6 @@ from typing import Iterable, Sequence
 #: pins the <=15% bound at 10k keys).
 DEFAULT_VIRTUAL_NODES = 256
 
-#: Backward-compatible alias from before replication existed, when "replicas"
-#: unambiguously meant virtual nodes.  New code should say what it means.
-DEFAULT_REPLICAS = DEFAULT_VIRTUAL_NODES
-
 
 class RingError(Exception):
     """The ring cannot satisfy a placement request."""

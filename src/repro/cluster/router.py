@@ -172,63 +172,9 @@ def _one_copy_per_id(pieces: Sequence[EncryptedRelation]) -> EncryptedRelation:
     )
 
 
-class ClusterStats:
-    """Counters of the router's scatter-gather activity.
-
-    The counters live in a :class:`~repro.obs.MetricsRegistry` (as
-    ``cluster_<name>_total``), so one registry snapshot covers transport,
-    provider, and routing activity alike; :meth:`as_dict` is the read-out.
-    Several sessions, in several threads, may share one router, so
-    mutations go through the ``record_*`` methods: registry
-    counters carry their own locks, and the last failover's shard ids are
-    one tuple, replaced whole.
-    """
-
-    _COUNTERS = (
-        "scatter_reads",
-        #: see record_failover_read: reads completed via surviving replicas.
-        "failover_reads",
-        "routed_inserts",
-        # ``INDEX_LOOKUP`` scatters routed across the fleet.
-        "index_lookups",
-        # ``INDEX_PUT`` fan-outs.
-        "index_writes",
-    )
-
-    def __init__(self, metrics: MetricsRegistry | None = None) -> None:
-        registry = metrics if metrics is not None else MetricsRegistry()
-        self._metrics = registry
-        self._counters = {
-            name: registry.counter(f"cluster_{name}_total") for name in self._COUNTERS
-        }
-        #: Shards whose failure the most recent failover read absorbed.
-        self.last_failover_shard_ids: tuple[str, ...] = ()
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        """The registry holding the routing counters."""
-        return self._metrics
-
-    def record_scatter_read(self) -> None:
-        self._counters["scatter_reads"].inc()
-
-    def record_routed_insert(self) -> None:
-        self._counters["routed_inserts"].inc()
-
-    def record_index_lookup(self) -> None:
-        self._counters["index_lookups"].inc()
-
-    def record_index_write(self) -> None:
-        self._counters["index_writes"].inc()
-
-    def record_failover_read(self, failed_shard_ids: Sequence[str]) -> None:
-        self._counters["failover_reads"].inc()
-        self.last_failover_shard_ids = tuple(failed_shard_ids)
-
-    def as_dict(self) -> dict:
-        counts = {name: self._counters[name].value for name in self._COUNTERS}
-        counts["last_failover_shard_ids"] = list(self.last_failover_shard_ids)
-        return counts
+#: The routing counters, each ``cluster_<name>_total`` in the router's
+#: registry, in :attr:`ShardRouter.stats` order.
+_COUNTERS = ("scatter_reads", "failover_reads", "routed_inserts", "index_lookups", "index_writes")
 
 
 @dataclass
@@ -257,8 +203,8 @@ class _Plan:
     decode: Callable[[bytes], Any] | None = None
     #: Reads may fail over to surviving replicas; everything else is a write.
     read: bool = False
-    #: The ``ClusterStats`` recorder bumped once per routed request.
-    record: Callable[[ClusterStats], None] | None = None
+    #: The ``_COUNTERS`` entry bumped once per routed request.
+    record: str | None = None
     #: The kind the shards are asked instead of the request's own (same
     #: relation and body); None forwards the request's kind.
     sends: MessageKind | None = None
@@ -394,7 +340,11 @@ class ShardRouter:
         self._evaluators: dict[str, bytes] = {}
         self._schemas: dict[str, Any] = {}
         self._metrics = MetricsRegistry()
-        self._stats = ClusterStats(metrics=self._metrics)
+        self._counters = {
+            name: self._metrics.counter(f"cluster_{name}_total") for name in _COUNTERS
+        }
+        #: The shards whose failure the last failover read absorbed.
+        self.last_failover_shard_ids: tuple[str, ...] = ()
         self._closed = False
         # Everything above only validates and allocates; from here on
         # sockets exist, so any failure must tear them down again.
@@ -517,9 +467,12 @@ class ShardRouter:
         return self._replication
 
     @property
-    def stats(self) -> ClusterStats:
-        """Scatter/routing counters."""
-        return self._stats
+    def stats(self) -> dict:
+        """The routing counters, read from the registry, and the last
+        failover read's failed shards."""
+        counts = {name: counter.value for name, counter in self._counters.items()}
+        counts["last_failover_shard_ids"] = list(self.last_failover_shard_ids)
+        return counts
 
     def shard(self, shard_id: str) -> Any:
         """The backend registered under one ring identifier."""
@@ -692,7 +645,7 @@ class ShardRouter:
             raw = self._frame(request, kind, request.body)
         envelopes = plan.targets(self, request, raw, payload)
         if plan.record is not None:
-            plan.record(self._stats)
+            self._counters[plan.record].inc()
         expect = protocol.ANSWERS[kind]
         step = partial(checked_answer, expect=expect, error=ClusterError)
         requests = [
@@ -769,7 +722,7 @@ class ShardRouter:
     _PLANS = {
         MessageKind.INSERT_TUPLES: _Plan(
             _to_holders, _count_of_tuples,
-            decode=protocol.decode_insert_tuples, record=ClusterStats.record_routed_insert,
+            decode=protocol.decode_insert_tuples, record="routed_inserts",
         ),
         MessageKind.STORE_RELATION: _Plan(
             _to_partitions, _count_of_relation, decode=protocol.decode_encrypted_relation
@@ -780,14 +733,14 @@ class ShardRouter:
         # state), so lookups stay correct under any placement -- rebalances,
         # crash duplicates, replica reads.
         MessageKind.INDEX_PUT: _Plan(
-            _to_every_shard, _max_count, record=ClusterStats.record_index_write
+            _to_every_shard, _max_count, record="index_writes"
         ),
         MessageKind.LIST_TUPLE_IDS: _Plan(_to_every_shard, _union_of_ids, read=True),
         MessageKind.QUERY: _Plan(_to_every_shard, _merge_results, read=True),
         MessageKind.BATCH_QUERY: _Plan(_to_every_shard, _merge_batches, read=True),
         MessageKind.INDEX_LOOKUP: _Plan(
             _to_every_shard, _merge_results, read=True,
-            record=ClusterStats.record_index_lookup,
+            record="index_lookups",
         ),
         MessageKind.REGISTER_EVALUATOR: _Plan(
             _to_every_shard, _first, settle=_remember_evaluator
@@ -949,7 +902,7 @@ class ShardRouter:
         shards: a partial answer is never returned.
         """
         if read:
-            self._stats.record_scatter_read()
+            self._counters["scatter_reads"].inc()
         trace = current_trace()
         bound = [(shard_id, self.shard(shard_id), work) for shard_id, work in calls]
         scatter_started_wall = time.time()
@@ -970,7 +923,8 @@ class ShardRouter:
             and len(calls) == len(self._shards)  # coverage math needs the full fleet
             and self._ring.covers(live, self._replication)
         ):
-            self._stats.record_failover_read([o.shard_id for o in failures])
+            self._counters["failover_reads"].inc()
+            self.last_failover_shard_ids = tuple(o.shard_id for o in failures)
             return values
         detail = "; ".join(f"{o.shard_id}: {o.error}" for o in failures[:3])
         raise ShardFailedError(

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
+from repro import native
 from repro.crypto.symmetric import NONCE_LEN
 from repro.relational.query import Query, selection_predicates
 from repro.relational.relation import Relation
@@ -326,7 +327,7 @@ class DatabasePrivacyHomomorphism(ABC):
         """Return the keyless evaluator the untrusted server runs (``psi``)."""
 
     def decrypt_result(
-        self, result: EncryptedRelation | EvaluationResult, query: Query | None = None
+        self, result: EncryptedRelation | EvaluationResult | bytes, query: Query | None = None
     ) -> DecryptionReport:
         """Decrypt a server result and filter false positives against ``query``.
 
@@ -334,10 +335,23 @@ class DatabasePrivacyHomomorphism(ABC):
         searchable scheme (and the lossy baselines even more so) may return
         tuples that do not satisfy the plaintext query; the client decrypts
         the returned ciphertexts as one batch (:meth:`decrypt_tuples`) and
-        removes them in one pass over the plaintexts.
+        removes them in one pass over the plaintexts.  A ``QUERY_RESULT``
+        body is opened where it lies (:meth:`_open_result`) or else decoded.
         """
+        if isinstance(result, bytes):
+            rows = self._open_result(result)
+            if rows is not None:
+                return filter_tuples(self.schema, rows, query)
+            # Imported here: the wire codecs build on this module.
+            from repro.outsourcing.protocol import decode_query_result
+
+            result = decode_query_result(result)
         encrypted = result.matching if isinstance(result, EvaluationResult) else result
         return filter_tuples(self.schema, self.decrypt_tuples(encrypted.encrypted_tuples), query)
+
+    def _open_result(self, body: bytes) -> list[RelationTuple] | None:
+        """The rows of a ``QUERY_RESULT`` body in one pass, or ``None``."""
+        return None
 
 
 _payloads = attrgetter("payload")
@@ -367,6 +381,7 @@ class SealedPayloadDph(DatabasePrivacyHomomorphism):
     #: The random strings, by length, each row draws before its payload
     #: nonce; the first is its tuple id.
     _row_draws: tuple[int, ...] = (TUPLE_ID_LEN,)
+    _opener: tuple | None = None  # open_result's arguments after the body
 
     @abstractmethod
     def _searchable(self, relation_tuple: RelationTuple, encoded_values: list[bytes]):
@@ -432,6 +447,25 @@ class SealedPayloadDph(DatabasePrivacyHomomorphism):
                 tuple_ids, payloads, self._search_fields(material, draws)
             )
         ]
+
+    def _open_result(self, body: bytes) -> list[RelationTuple] | None:
+        """The native ``open_result``: each row checked, opened and decoded
+        where the frame holds it, no :class:`EncryptedTuple` built; ``None``
+        (irregular framing, a bad tag, a row outside the common case) leaves
+        the answer to the reference way and what it raises."""
+        kernel = native.kernel
+        if kernel is None or type(body) is not bytes or self._payload_cipher is None:
+            return None
+        if self._opener is None:
+            # Imported here: the wire codecs build on this module.
+            from repro.outsourcing.protocol import _schema_declaration
+
+            codec = self._tuple_codec
+            self._opener = (
+                _schema_declaration(self.schema).encode("utf-8"),
+                *self._payload_cipher.kernel_keys, codec.plan, RelationTuple, codec.schema,
+            )
+        return kernel.open_result(body, *self._opener)
 
     def decrypt_tuples(self, encrypted_tuples: Sequence[EncryptedTuple]) -> list[RelationTuple]:
         """Open and decode each ciphertext, in order; raises at the first that fails.

@@ -78,9 +78,10 @@ class SymmetricCipher:
         self._stream_block = stream.fixed(KEYSTREAM_BLOCK_LEN)
         self._mac = Hmac(mac_key)
         _, _, stream_suffix, stream_key = stream.single_block(KEYSTREAM_BLOCK_LEN)
-        #: ``open_payloads``'s and ``seal_payloads``'s key arguments: both
+        #: The native kernel's key arguments (``open_payloads``,
+        #: ``seal_payloads``, ``open_result``): both
         #: HMACs' padded key blocks and the keystream's suffix.
-        self._kernel_keys = (stream_key, stream_suffix, hmac_block_key(mac_key))
+        self.kernel_keys = (stream_key, stream_suffix, hmac_block_key(mac_key))
         self._rng = rng if rng is not None else SystemRng()
 
     def encrypt(self, plaintext: bytes, associated_data: bytes = b"") -> SymmetricCiphertext:
@@ -115,7 +116,7 @@ class SymmetricCipher:
         if kernel is None:
             sealed = [None] * len(plaintexts)
         else:
-            sealed = kernel.seal_payloads(plaintexts, associated_data, nonces, *self._kernel_keys)
+            sealed = kernel.seal_payloads(plaintexts, associated_data, nonces, *self.kernel_keys)
         for index, raw in enumerate(sealed):
             if raw is None:
                 sealed[index] = self._seal(
@@ -160,4 +161,4 @@ class SymmetricCipher:
         kernel = native.kernel
         if kernel is None:
             return [None] * len(raws)
-        return kernel.open_payloads(raws, associated_data, *self._kernel_keys)
+        return kernel.open_payloads(raws, associated_data, *self.kernel_keys)

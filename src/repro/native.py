@@ -12,11 +12,13 @@ Its functions each have a Python reference that runs when :data:`kernel` is
   it lies in the frame (the Python walk re-runs on an irregular one to raise);
 - ``decode_rows``: :meth:`repro.relational.encoding.TupleCodec.decode_regular`
   hands it the opened payloads (``TupleCodec.decode`` decides every row
-  outside the common case).
+  outside the common case);
+- ``open_result``: ``decrypt_result`` hands it a select's ``QUERY_RESULT``
+  body, whose rows it checks, opens and decodes where they lie, in one pass.
 
-``decode_tuples`` and ``decode_rows`` build their records untracked by the
-cyclic collector: each ``EncryptedTuple`` and its ``search_fields``, each
-``RelationTuple`` and its values.  They hold only bytes, text, integers,
+The decoders build their records untracked by the cyclic collector: each
+``EncryptedTuple`` and its ``search_fields``, each ``RelationTuple`` and its
+values.  They hold only bytes, text, integers,
 tuples of those and the schema, which holds no record, and nothing sets an
 attribute on them once built, so no cycle can pass through them and
 reference counting frees them; a large answer then adds nothing for a
@@ -140,6 +142,6 @@ def load():
 
 
 #: The loaded ``_native`` module (``swp_select``, ``open_payloads``,
-#: ``decode_tuples``, ``decode_rows``, ``swp_sealer``, ``swp_encrypt_words``,
-#: ``seal_payloads``), or ``None``: the Python references run.
+#: ``decode_tuples``, ``decode_rows``, ``open_result``, ``swp_sealer``,
+#: ``swp_encrypt_words``, ``seal_payloads``), or ``None``: the Python references run.
 kernel = load()

@@ -78,8 +78,8 @@ from repro.net.framing import (
 from repro.net.server import (
     ConnectionStats,
     DatabaseTcpServer,
-    TcpServerStats,
     ThreadedTcpServer,
+    throughput_summary,
 )
 from repro.net.wire import ClientChannel
 
@@ -105,7 +105,7 @@ __all__ = [
     "send_frame",
     "ConnectionStats",
     "DatabaseTcpServer",
-    "TcpServerStats",
     "ThreadedTcpServer",
+    "throughput_summary",
     "ClientChannel",
 ]

@@ -35,7 +35,7 @@ well-framed request stay inside the protocol (``ERROR`` envelopes /
 ``ok: false`` control responses) and the connection lives on.
 
 The server counts per-connection and aggregate traffic
-(:class:`ConnectionStats` / :class:`TcpServerStats`); ``repro serve``
+(:class:`ConnectionStats` / :attr:`DatabaseTcpServer.stats`); ``repro serve``
 prints the aggregate on shutdown and the ``stats`` control operation
 exposes it to remote clients.
 """
@@ -98,68 +98,29 @@ class ConnectionStats:
     greeted: bool = False
 
 
-class TcpServerStats:
-    """Aggregate counters across the server's lifetime.
+#: The aggregate counters, ``server_<name>`` in the provider's registry, in
+#: :attr:`DatabaseTcpServer.stats` order: the provider counts the envelopes it
+#: dispatched and its peak concurrency, the front end the rest.
+_COUNTERS = (
+    "connections_total", "connections_active", "frames_received", "frames_sent",
+    "bytes_received", "bytes_sent", "envelope_frames", "control_frames",
+    "framing_errors", "peak_concurrent_dispatch", "requests_dispatched",
+)
+#: The live connections and the most requests ever served at once.
+_GAUGES = frozenset({"connections_active", "peak_concurrent_dispatch"})
 
-    Every counter is a locked :class:`~repro.obs.MetricsRegistry`
-    instrument (``server_<name>``), bumped from every connection's thread;
-    :meth:`as_dict` is the read-out (what the ``stats`` control operation
-    returns).  The registry is the provider's, which counts the envelopes
-    it dispatched and the most it ran at once under their relations'
-    locks; the front end adds its control operations to the former.
-    """
 
-    #: The fields, in ``as_dict`` order.
-    _FIELDS = (
-        "connections_total", "connections_active", "frames_received", "frames_sent",
-        "bytes_received", "bytes_sent", "envelope_frames", "control_frames",
-        "framing_errors", "peak_concurrent_dispatch", "requests_dispatched",
+def throughput_summary(counts: dict) -> str:
+    """One-line human summary of a server's :attr:`~DatabaseTcpServer.stats`
+    (printed by ``repro serve`` on shutdown)."""
+    return (
+        f"{counts['connections_total']} connection(s), "
+        f"{counts['frames_received']} frame(s) in / {counts['frames_sent']} out, "
+        f"{counts['bytes_received']} B in / {counts['bytes_sent']} B out, "
+        f"{counts['framing_errors']} framing error(s), "
+        f"{counts['requests_dispatched']} request(s) dispatched, "
+        f"peak {counts['peak_concurrent_dispatch']} concurrent"
     )
-    #: Set/adjustable values: live connections and the most requests ever
-    #: served at once; the rest are monotonic counters.
-    _GAUGES = frozenset({"connections_active", "peak_concurrent_dispatch"})
-
-    def __init__(self, metrics: MetricsRegistry | None = None) -> None:
-        self._metrics = registry = metrics if metrics is not None else MetricsRegistry()
-        self._instruments = {
-            name: (registry.gauge if name in self._GAUGES else registry.counter)(
-                f"server_{name}"
-            )
-            for name in self._FIELDS
-        }
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        """The backing registry."""
-        return self._metrics
-
-    def inc(self, name: str, amount: int = 1) -> None:
-        """Thread-safe increment of one counter (or gauge) by name."""
-        self._instruments[name].inc(amount)
-
-    def dec(self, name: str, amount: int = 1) -> None:
-        """Thread-safe decrement of one gauge by name."""
-        self._instruments[name].dec(amount)
-
-    def set(self, name: str, value: int) -> None:
-        """Set one gauge by name."""
-        self._instruments[name].set(value)
-
-    def as_dict(self) -> dict:
-        """JSON-able snapshot (what the ``stats`` control operation returns)."""
-        return {name: self._instruments[name].value for name in self._FIELDS}
-
-    def throughput_summary(self) -> str:
-        """One-line human summary (printed by ``repro serve`` on shutdown)."""
-        counts = self.as_dict()
-        return (
-            f"{counts['connections_total']} connection(s), "
-            f"{counts['frames_received']} frame(s) in / {counts['frames_sent']} out, "
-            f"{counts['bytes_received']} B in / {counts['bytes_sent']} B out, "
-            f"{counts['framing_errors']} framing error(s), "
-            f"{counts['requests_dispatched']} request(s) dispatched, "
-            f"peak {counts['peak_concurrent_dispatch']} concurrent"
-        )
 
 
 class DatabaseTcpServer:
@@ -186,9 +147,13 @@ class DatabaseTcpServer:
         # Registered and dropped by single dict operations, whole under the
         # GIL; stop() iterates a tuple() of it.
         self._connections: dict[_Connection, ConnectionStats] = {}
-        # The provider's registry, so the metrics control operation answers
-        # with one unified snapshot.
-        self._stats = TcpServerStats(metrics=self._database.metrics)
+        # In the provider's registry, so the metrics control operation
+        # answers with one unified snapshot.
+        registry = self._database.metrics
+        self._counters = {
+            name: (registry.gauge if name in _GAUGES else registry.counter)(f"server_{name}")
+            for name in _COUNTERS
+        }
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -200,14 +165,15 @@ class DatabaseTcpServer:
         return self._database
 
     @property
-    def stats(self) -> TcpServerStats:
-        """Aggregate traffic and dispatch counters."""
-        return self._stats
+    def stats(self) -> dict:
+        """Aggregate traffic and dispatch counters, read from the registry
+        (what the ``stats`` control operation returns)."""
+        return {name: counter.value for name, counter in self._counters.items()}
 
     @property
     def metrics(self) -> MetricsRegistry:
         """The registry behind this server's (and its provider's) metrics."""
-        return self._stats.metrics
+        return self._database.metrics
 
     @property
     def address(self) -> tuple[str, int]:
@@ -281,8 +247,8 @@ class DatabaseTcpServer:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             connection = _Connection(self, sock, str(peer), slots)
             self._connections[connection] = connection.stats
-            self._stats.inc("connections_total")
-            self._stats.inc("connections_active")
+            self._counters["connections_total"].inc()
+            self._counters["connections_active"].inc()
             connection.thread = threading.Thread(
                 target=connection.run,
                 name=f"{CONNECTION_THREAD_PREFIX}-{number}",
@@ -292,7 +258,7 @@ class DatabaseTcpServer:
 
     def _closed(self, connection: "_Connection") -> None:
         self._connections.pop(connection, None)
-        self._stats.dec("connections_active")
+        self._counters["connections_active"].dec()
 
     # ------------------------------------------------------------------ #
     # Operator read-outs: control operations
@@ -312,7 +278,7 @@ class DatabaseTcpServer:
             response = {"ok": False, "error": f"malformed {op!r} request: {exc}"}
         except Exception as exc:  # noqa: BLE001 - a dispatch bug must not kill siblings
             response = {"ok": False, "error": f"internal dispatch failure: {exc}"}
-        self._stats.inc("requests_dispatched")
+        self._counters["requests_dispatched"].inc()
         return CHANNEL_CONTROL, json.dumps(response).encode("utf-8")
 
     def _control_operation(self, request: dict) -> dict:
@@ -322,7 +288,7 @@ class DatabaseTcpServer:
         if op == "stats":
             return {
                 "ok": True,
-                "stats": self.stats.as_dict(),
+                "stats": self.stats,
                 "audit": database.audit_log.summary(),
                 "relations": list(database.relation_names),
                 "indexes": database.index_stats(),
@@ -416,7 +382,7 @@ class _Connection:
         try:
             frames = self._decoder.feed(data)
         except FramingError as exc:
-            self._server._stats.inc("framing_errors")
+            self._server._counters["framing_errors"].inc()
             self._refuse(str(exc))
             return False
         if frames:
@@ -437,13 +403,13 @@ class _Connection:
         stats.bytes_received += size
         stats.envelope_frames += envelopes
         stats.control_frames += controls
-        totals = self._server._stats
-        totals.inc("frames_received", received)
-        totals.inc("bytes_received", size)
+        totals = self._server._counters
+        totals["frames_received"].inc(received)
+        totals["bytes_received"].inc(size)
         if envelopes:
-            totals.inc("envelope_frames", envelopes)
+            totals["envelope_frames"].inc(envelopes)
         if controls:
-            totals.inc("control_frames", controls)
+            totals["control_frames"].inc(controls)
 
     def _answer(self, frame: framing.Frame) -> bool:
         """Serve one frame and send its answer; False if it was refused."""
@@ -514,9 +480,9 @@ class _Connection:
         stats = self.stats
         stats.frames_sent += 1
         stats.bytes_sent += size
-        totals = self._server._stats
-        totals.inc("frames_sent")
-        totals.inc("bytes_sent", size)
+        totals = self._server._counters
+        totals["frames_sent"].inc()
+        totals["bytes_sent"].inc(size)
         self._sock.sendall(frame)
 
 

@@ -5,9 +5,9 @@ Dependency-free instrumentation shared by every layer of the reproduction:
 * :mod:`repro.obs.metrics` -- a thread-safe :class:`MetricsRegistry` of
   counters, gauges and fixed-bucket log-scale latency histograms, with a
   JSON-able snapshot format, fleet-wide snapshot merging and Prometheus
-  text rendering.  The legacy stat surfaces (``TcpServerStats``,
-  ``ClusterStats``, index stats) are facades over one of these registries,
-  so every pre-existing counter survives under its old name.
+  text rendering.  The stat surfaces (a TCP server's and a router's
+  ``stats``, index stats) read one of these registries, so every counter
+  keeps its name.
 * :mod:`repro.obs.trace` -- 16-byte trace ids propagated end-to-end in the
   protocol-v3 envelope, an ambient current-trace context, spans recorded
   at every serving layer, a bounded :class:`TraceBuffer` of completed

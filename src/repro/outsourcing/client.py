@@ -34,8 +34,10 @@ def request(
     body: bytes = b"",
     *,
     error: type[Exception] = ServerError,
+    decode: bool = True,
 ):
-    """Send one envelope through ``provider.handle_message``; the decoded answer.
+    """Send one envelope through ``provider.handle_message``; the decoded answer
+    (with ``decode`` false, its body as it came).
 
     The answer must be of the kind :data:`~repro.outsourcing.protocol.ANSWERS`
     names for ``kind`` and is decoded by that kind's codec.  An ``ERROR``
@@ -47,7 +49,8 @@ def request(
     expect = protocol.ANSWERS[kind]
     try:
         raw = provider.handle_message(MessageV2(kind, relation_name, body).to_bytes())
-        return protocol.ANSWER_CODECS[expect][0](checked_answer(raw, expect, error).body)
+        answer = checked_answer(raw, expect, error).body
+        return protocol.ANSWER_CODECS[expect][0](answer) if decode else answer
     except (ServerError, ProtocolError) as exc:
         if isinstance(exc, error):
             raise
@@ -74,10 +77,13 @@ class SelectOutcome:
 
     report: DecryptionReport
     projected_rows: list[tuple] | None = None
-    #: The provider-side evaluation stats (pre-decryption), when the
-    #: transport carried them: result sizes, tuples examined, token work.
-    #: ``examined`` is how O(result) index serving shows up vs O(data) scans.
-    evaluation: EvaluationResult | None = None
+    #: The session's answer, whose ``evaluation`` it decodes on first read.
+    answer: object = None
+
+    @property
+    def evaluation(self) -> EvaluationResult | None:
+        """The provider's evaluation (pre-decryption): result, tuples examined, token work."""
+        return None if self.answer is None else self.answer.evaluation
 
     @property
     def relation(self) -> Relation:

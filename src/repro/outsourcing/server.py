@@ -63,6 +63,7 @@ from repro.outsourcing.audit import AuditEventKind, ServerAuditLog
 from repro.outsourcing.evaluators import build_evaluator
 from repro.outsourcing.protocol import MessageKind, MessageV2, ProtocolError
 from repro.outsourcing.storage import (
+    FileStorageBackend,
     InMemoryStorageBackend,
     StorageBackend,
     StorageError,
@@ -140,13 +141,17 @@ class OutsourcedDatabaseServer:
         The audit log is a ring buffer mutated on every operation; rather
         than double-count through parallel instruments, its totals are
         copied into gauges at snapshot time.  ``match_kernel{impl=...}`` is
-        1 for the SWP check this process runs (:mod:`repro.native`).
+        1 for the SWP check this process runs (:mod:`repro.native`); a file
+        store's ``storage_uncommitted_tails_truncated`` is its uncommitted_tails.
         """
         self._metrics.gauge("audit_events_dropped").set(self._audit.dropped_events)
         for kind, count in self._audit.summary().items():
             self._metrics.gauge("audit_events", kind=kind).set(count)
         impl = "python" if native.kernel is None else "native"
         self._metrics.gauge("match_kernel", impl=impl).set(1)
+        if isinstance(self._storage, FileStorageBackend):
+            tails = self._metrics.gauge("storage_uncommitted_tails_truncated")
+            tails.set(self._storage.uncommitted_tails)
         return self._metrics.snapshot()
 
     @property
@@ -212,7 +217,7 @@ class OutsourcedDatabaseServer:
         if name not in self._storage:
             raise ServerError(f"no relation named {name!r} is stored")
         if delta:
-            self._apply_postings(name, delta)
+            self._apply_postings(name, delta, {t.tuple_id: t.tuple_id for t in encrypted_tuples})
         try:
             self._storage.append(name, encrypted_tuples)
         except StorageError as exc:
@@ -327,8 +332,9 @@ class OutsourcedDatabaseServer:
         # top-level import would be circular.
         from repro.index.access import RelationIndex
 
-        self._load(name)  # raise ServerError when the relation is absent
-        index = self._indexes[name] = RelationIndex(postings)
+        stored = self._load(name)  # raise ServerError when the relation is absent
+        own = {t.tuple_id: t.tuple_id for t in stored.encrypted_tuples}
+        index = self._indexes[name] = RelationIndex(postings, own)
         self._puts.inc()
         self._audit.record(
             AuditEventKind.INDEX_STORED,
@@ -338,12 +344,13 @@ class OutsourcedDatabaseServer:
         )
         return len(index.postings)
 
-    def _apply_postings(self, name: str, delta) -> None:
-        """Apply a write's posting delta; a provider without the index (soft
-        state: its next lookup scans) drops it."""
+    def _apply_postings(self, name: str, delta, stored: dict | None = None) -> None:
+        """Apply a write's posting delta (``stored``: the ids' own objects);
+        a provider without the index (soft state: its next lookup scans)
+        drops it."""
         index = self._indexes.get(name)
         if index is not None:
-            index.apply_delta(delta)
+            index.apply_delta(delta, stored)
             self._deltas.inc()
         self._audit.record(
             AuditEventKind.POSTINGS_APPLIED,
@@ -356,10 +363,10 @@ class OutsourcedDatabaseServer:
     def index_lookup(self, name: str, request) -> EvaluationResult:
         """Answer an exact select from the relation's index, or else by scan.
 
-        With an index, the posting sets of the request's labels are
-        intersected and those ids fetched from the store (``access.index``,
-        O(result)); without one, the embedded fallback query runs as a
-        ``QUERY`` would (``access.scan``, O(data)).
+        With an index, the posted ids of the request's labels are
+        intersected and fetched from the store in store order
+        (``access.index``, O(result)); without one, the embedded fallback
+        query runs as a ``QUERY`` would (``access.scan``, O(data)).
         """
         if name not in self._storage:  # never a load: it is O(n) after a write
             raise ServerError(f"no relation named {name!r} is stored")

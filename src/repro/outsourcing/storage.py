@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 
 from repro.core.dph import EncryptedRelation, EncryptedTuple
 from repro.outsourcing.protocol import (
+    ProtocolError,
     decode_encrypted_relation,
     encode_encrypted_relation,
     frame_encrypted_tuple,
@@ -215,6 +216,8 @@ class FileStorageBackend(StorageBackend):
 
     Relation names are hex-encoded in the filename so arbitrary names are
     safe on any filesystem.  (:meth:`load` decodes the whole file: not O(1).)
+    The tuple count commits an :meth:`append`: bytes past the counted tuples
+    (its process killed before the count) are truncated on load and counted.
     """
 
     SUFFIX = ".rel"
@@ -222,6 +225,8 @@ class FileStorageBackend(StorageBackend):
     def __init__(self, directory: str | pathlib.Path) -> None:
         self._directory = pathlib.Path(directory)
         self._directory.mkdir(parents=True, exist_ok=True)
+        self.uncommitted_tails = 0  # appends' tails that load truncated
+        self._checked: set[str] = set()  # relations loaded or written whole
 
     @property
     def directory(self) -> pathlib.Path:
@@ -253,6 +258,7 @@ class FileStorageBackend(StorageBackend):
                 os.fsync(handle.fileno())
             os.replace(tmp_path, path)
             tmp_path = None
+            self._checked.add(name)
         except OSError as exc:
             raise StorageError(f"cannot save relation {name!r}: {exc}") from exc
         finally:
@@ -268,14 +274,26 @@ class FileStorageBackend(StorageBackend):
         if not path.exists():
             raise StorageError(f"no relation named {name!r} is stored")
         try:
-            return decode_encrypted_relation(path.read_bytes())
+            raw = path.read_bytes()
+            try:
+                relation = decode_encrypted_relation(raw)
+            except ProtocolError:
+                committed = _committed_length(raw)
+                if committed is None:
+                    raise
+                relation = decode_encrypted_relation(raw[:committed])
+                os.truncate(path, committed)
+                self.uncommitted_tails += 1
         except Exception as exc:
             raise StorageError(f"stored relation {name!r} is corrupt: {exc}") from exc
+        self._checked.add(name)
+        return relation
 
     def delete(self, name: str) -> None:
         path = self._path(name)
         if path.exists():
             path.unlink()
+        self._checked.discard(name)
 
     def __contains__(self, name: str) -> bool:
         try:
@@ -323,6 +341,8 @@ class FileStorageBackend(StorageBackend):
         path = self._path(name)
         if not path.exists():
             raise StorageError(f"no relation named {name!r} is stored")
+        if name not in self._checked:
+            self.load(name)  # drops an uncommitted tail left by another process
         items = b"".join(map(frame_encrypted_tuple, encrypted_tuples))
         try:
             # Unbuffered: a failed write raises at the write, not at close.
@@ -348,6 +368,16 @@ class FileStorageBackend(StorageBackend):
                     raise
         except OSError as exc:
             raise StorageError(f"cannot append to relation {name!r}: {exc}") from exc
+
+
+def _committed_length(raw: bytes) -> int | None:
+    """Where a relation file's counted tuples end, when bytes follow them."""
+    offset = 4 + int.from_bytes(raw[:4], "big")
+    count = int.from_bytes(raw[offset:offset + 4], "big")
+    offset += 4
+    for _ in range(min(count, len(raw) // 4)):  # a frame takes 4 bytes or more
+        offset += 4 + int.from_bytes(raw[offset:offset + 4], "big")
+    return offset if count <= len(raw) // 4 and offset < len(raw) else None
 
 
 def _write_all(handle, data: bytes) -> None:

@@ -62,9 +62,9 @@ class TupleCodec:
 
     def __init__(self, schema: RelationSchema) -> None:
         self._schema = schema
-        # The decode plan: per attribute, whether its text parses as an
-        # integer, and its declared width.
-        self._plan = tuple(
+        #: The decode plan: per attribute, whether its text parses as an
+        #: integer, and its declared width (the native row decoders' plan).
+        self.plan = tuple(
             (a.attribute_type is AttributeType.INTEGER, a.max_length)
             for a in schema.attributes
         )
@@ -98,7 +98,7 @@ class TupleCodec:
         """
         encoded = []
         for (integer, width), attribute, value in zip(
-            self._plan, self._schema.attributes, relation_tuple._values
+            self.plan, self._schema.attributes, relation_tuple._values
         ):
             if integer:
                 if type(value) is int:
@@ -134,7 +134,7 @@ class TupleCodec:
         kernel = native.kernel
         if kernel is None:
             return [None] * len(raws)
-        return kernel.decode_rows(raws, self._plan, RelationTuple, self._schema)
+        return kernel.decode_rows(raws, self.plan, RelationTuple, self._schema)
 
     def decode(self, raw: bytes) -> RelationTuple:
         """Parse bytes produced by :meth:`encode` back into a validated tuple.
@@ -151,7 +151,7 @@ class TupleCodec:
         valid = True
         offset = 0
         end = len(raw)
-        for integer, width in self._plan:
+        for integer, width in self.plan:
             start = offset + 2
             if start > end:
                 raise EncodingError("truncated tuple encoding (missing length prefix)")

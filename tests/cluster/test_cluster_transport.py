@@ -138,5 +138,4 @@ class TestReplicatedClusterOverSockets:
                 outcome = db.select("SELECT * FROM Emp WHERE dept = 'HR'")
                 assert len(outcome.relation) == 12  # complete, not partial
                 assert db.count("Emp") == len(ROWS)
-                stats = db.server.stats
-                assert stats.as_dict()["failover_reads"] >= 1
+                assert db.server.stats["failover_reads"] >= 1

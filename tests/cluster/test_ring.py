@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.cluster.ring import (
     ConsistentHashRing,
-    DEFAULT_REPLICAS,
     DEFAULT_VIRTUAL_NODES,
     RingError,
 )
@@ -135,8 +134,6 @@ class TestEdges:
 
     def test_default_virtual_nodes_exported(self):
         assert ConsistentHashRing(["a"]).virtual_nodes == DEFAULT_VIRTUAL_NODES
-        # the pre-replication alias keeps old call sites meaningful
-        assert DEFAULT_REPLICAS == DEFAULT_VIRTUAL_NODES
 
 
 class TestSuccessors:

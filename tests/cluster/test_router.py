@@ -12,7 +12,6 @@ from repro.api import DatabaseError, EncryptedDatabase
 from repro.cluster import (
     ClusterError,
     ClusterManifest,
-    ClusterStats,
     ShardEntry,
     ShardRouter,
     parse_cluster_options,
@@ -193,7 +192,7 @@ class TestAFleetReadIsCompleteOrRaises:
         ):
             shards[1].down = True
             assert read(db) == oracle
-            stats = router.stats.as_dict()
+            stats = router.stats
             assert stats["failover_reads"] >= 1
             assert stats["last_failover_shard_ids"] == ["shard-1"]
             if kind == "indexed-select":
@@ -236,7 +235,7 @@ class TestShardFailure:
             db.select(HR, table="Emp")
         shards[1].down = False
         assert _rows(db.select(HR, table="Emp").relation) == full
-        assert router.stats.as_dict()["failover_reads"] == 0
+        assert router.stats["failover_reads"] == 0
 
     def test_every_shard_down_fails(self):
         db, router, shards = self._cluster()
@@ -314,8 +313,8 @@ class TestReplication:
         shards[1].down = True
         outcome = db.select("SELECT * FROM Emp WHERE dept = 'HR'")
         assert len(outcome.relation) == 15  # complete, not partial
-        assert router.stats.as_dict()["failover_reads"] >= 1
-        assert router.stats.last_failover_shard_ids == ("shard-1",)
+        assert router.stats["failover_reads"] >= 1
+        assert router.stats["last_failover_shard_ids"] == ["shard-1"]
 
     def test_batch_reads_fail_over_too(self):
         db, router, shards = self._cluster()
@@ -325,7 +324,7 @@ class TestReplication:
             table="Emp",
         )
         assert [len(o.relation) for o in outcomes] == [15, 15]
-        assert router.stats.as_dict()["failover_reads"] >= 1
+        assert router.stats["failover_reads"] >= 1
 
     def test_stored_relation_and_count_survive_one_dead_shard(self):
         db, router, shards = self._cluster()
@@ -403,7 +402,7 @@ class TestReplication:
         shards[0].down = True
         after = db.select("SELECT * FROM Emp WHERE dept = 'IT'")
         assert len(after.relation) == before == 15
-        assert router.stats.as_dict()["failover_reads"] >= 1
+        assert router.stats["failover_reads"] >= 1
 
 
 class TestDuplicateSafety:
@@ -445,31 +444,30 @@ class TestDuplicateSafety:
 
 
 class TestStatsThreadSafety:
-    def test_concurrent_mutations_are_not_lost(self):
-        stats = ClusterStats()
-        rounds = 500
+    def test_concurrent_failover_reads_are_all_counted(self):
+        """Eight threads reading past a down replica of one shared router."""
+        db, router, shards = TestReplication()._cluster()
+        shards[1].down = True
+        before = router.stats
+        rounds = 20
         snapshots: list[dict] = []
 
-        def hammer(shard_id: str):
+        def hammer():
             for _ in range(rounds):
-                stats.record_scatter_read()
-                stats.record_routed_insert()
-                stats.record_failover_read((shard_id,))
-                snapshots.append(stats.as_dict())
+                db.select("SELECT * FROM Emp WHERE dept = 'HR'")
+                snapshots.append(router.stats)
 
-        threads = [
-            threading.Thread(target=hammer, args=(f"s{i}",)) for i in range(8)
-        ]
+        threads = [threading.Thread(target=hammer) for _ in range(8)]
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join(timeout=30)
-        assert stats.as_dict()["scatter_reads"] == 8 * rounds
-        assert stats.as_dict()["routed_inserts"] == 8 * rounds
-        assert stats.as_dict()["failover_reads"] == 8 * rounds
-        for snapshot in snapshots:  # every snapshot is internally consistent
-            assert snapshot["failover_reads"] <= snapshot["scatter_reads"] * 2
-            assert len(snapshot["last_failover_shard_ids"]) == 1
+            thread.join(timeout=60)
+        after = router.stats
+        for name in ("scatter_reads", "failover_reads"):
+            assert after[name] - before[name] == 8 * rounds
+        for snapshot in snapshots:  # each read after a failover read, whole
+            assert snapshot["failover_reads"] > before["failover_reads"]
+            assert snapshot["last_failover_shard_ids"] == ["shard-1"]
 
 
 class TestConstruction:

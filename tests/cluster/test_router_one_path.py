@@ -252,7 +252,7 @@ class TestFleetsAgree:
         servers = [OutsourcedDatabaseServer() for _ in range(3)]
         with _fleet(kind, servers, replicas=2) as router:
             answers = self._drive(router, dph, encrypted)
-            return answers, _provider_state(servers), router.stats.as_dict()
+            return answers, _provider_state(servers), router.stats
 
     @pytest.mark.parametrize("kind", FLEET_KINDS)
     def test_same_answers_state_and_counters(self, kind, secret_key):

@@ -1,9 +1,10 @@
 """The native decoders build their records untracked by the cyclic collector.
 
-``decode_tuples`` (the tuple walk of every relation, result and insert body)
-and ``decode_rows`` (the row decode of ``decrypt_tuples``) leave each
-``EncryptedTuple`` and its ``search_fields``, and each ``RelationTuple`` and
-its ``_values``, out of the collector's lists: they hold only bytes, text,
+``decode_tuples`` (the tuple walk of every relation, result and insert body),
+``decode_rows`` (the row decode of ``decrypt_tuples``) and ``open_result``
+(a select's one-pass open of its answer) leave each ``EncryptedTuple`` and
+its ``search_fields``, and each ``RelationTuple`` and its ``_values``, out of
+the collector's lists: they hold only bytes, text,
 integers and the schema, so no reference cycle passes through them and
 reference counting alone frees them.  Here:
 
@@ -12,9 +13,10 @@ reference counting alone frees them.  Here:
   tuple of atoms itself and hide a decoder that stopped doing so);
 - with the kernel off, the Python walks give equal records, tracked as any
   Python-built object is;
-- decoding and decrypting a 1 000-row answer 500 times, with the collector
-  off, leaves the traced heap where it was: reference counting frees every
-  record the collector no longer sees.
+- decoding and decrypting a 1 000-row answer 500 times, and opening it in
+  one pass 500 times, with the collector off, leaves the traced heap where
+  it was: reference counting frees every record the collector no longer
+  sees.
 """
 
 from __future__ import annotations
@@ -97,9 +99,17 @@ def test_kernel_ciphertexts_and_their_fields_are_untracked(decoder, no_collector
     assert not any(gc.is_tracked(item.search_fields) for item in tuples)
 
 
+def _opened() -> list:
+    """The rows of a query result opened in one pass (``open_result``)."""
+    body = encode_evaluation_result(EvaluationResult(ENCRYPTED, examined=40))
+    return DPH._open_result(body)
+
+
 @needs_kernel
-def test_kernel_rows_and_their_values_are_untracked(no_collector):
-    rows = DPH.decrypt_tuples(DECODERS["query_result"]())
+@pytest.mark.parametrize("rows", ["decrypt_tuples", "open_result"])
+def test_kernel_rows_and_their_values_are_untracked(rows, no_collector):
+    rows = _opened() if rows == "open_result" else DPH.decrypt_tuples(
+        DECODERS["query_result"]())
     assert rows == list(RELATION)
     assert not any(map(gc.is_tracked, rows))
     assert not any(gc.is_tracked(row._values) for row in rows)
@@ -116,6 +126,12 @@ def test_python_decode_gives_equal_tracked_rows(python_walks):
     rows = DPH.decrypt_tuples(DECODERS["query_result"]())
     assert rows == list(RELATION)
     assert all(map(gc.is_tracked, rows))
+    assert _opened() is None  # no one-pass open: the reference way runs
+
+
+@needs_kernel
+def test_one_pass_rows_equal_the_decrypted_ones():
+    assert _opened() == DPH.decrypt_tuples(DECODERS["query_result"]())
 
 
 @needs_kernel
@@ -128,12 +144,16 @@ def test_kernel_and_python_records_are_equal(monkeypatch):
 
 
 @needs_kernel
-def test_reference_counting_frees_what_the_collector_does_not_see(no_collector):
+@pytest.mark.parametrize("path", ["decrypt_tuples", "open_result"])
+def test_reference_counting_frees_what_the_collector_does_not_see(path, no_collector):
     dph, relation, encrypted = answer(1000)
     body = encode_evaluation_result(EvaluationResult(encrypted))
 
     def select() -> None:
-        rows = dph.decrypt_tuples(decode_query_result(body).matching.encrypted_tuples)
+        if path == "open_result":
+            rows = dph._open_result(body)
+        else:
+            rows = dph.decrypt_tuples(decode_query_result(body).matching.encrypted_tuples)
         assert len(rows) == 1000
 
     select()

@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 
 from repro.core import SearchableSelectDph
 from repro.index import IndexDelta, IndexLookupRequest, RelationIndex
+from repro.index.wire import encode_index_delta, encode_index_snapshot
 from repro.outsourcing import (
     FileStorageBackend,
     InMemoryStorageBackend,
     OutsourcedDatabaseServer,
 )
 from repro.outsourcing.audit import AuditEventKind
+from repro.outsourcing.client import request
+from repro.outsourcing.protocol import MessageKind, encode_insert_tuples
 from repro.relational import Selection
 
 
@@ -24,52 +27,59 @@ def _id(v: int) -> bytes:
 L1, L2 = b"\x01" * 32, b"\x02" * 32
 
 
+def _ordered(index: RelationIndex) -> dict[bytes, list[bytes]]:
+    """Each label's ids, in the order the index keeps them."""
+    return {label: list(ids) for label, ids in index.postings.items()}
+
+
 class TestRelationIndex:
     def test_postings_group_ids_by_label(self):
-        index = RelationIndex(((L1, _id(1)), (L2, _id(1)), (L1, _id(2))))
-        assert index.postings == {L1: {_id(1), _id(2)}, L2: {_id(1)}}
-        assert index.candidates([L1]) == {_id(1), _id(2)}
+        index = RelationIndex(((L1, _id(2)), (L2, _id(2)), (L1, _id(1))))
+        assert _ordered(index) == {L1: [_id(2), _id(1)], L2: [_id(2)]}
+        assert list(index.candidates([L1])) == [_id(2), _id(1)]
 
     def test_apply_delta_is_idempotent(self):
         index = RelationIndex()
         delta = IndexDelta(additions=((L1, _id(1)),))
         index.apply_delta(delta)
         index.apply_delta(delta)  # replayed batch
-        assert index.postings == {L1: {_id(1)}}
+        assert _ordered(index) == {L1: [_id(1)]}
 
     def test_removals_discard(self):
         index = RelationIndex(((L1, _id(1)), (L1, _id(2))))
         index.apply_delta(IndexDelta(removals=((L1, _id(1)),)))
-        assert index.candidates([L1]) == {_id(2)}
+        assert list(index.candidates([L1])) == [_id(2)]
 
     def test_label_empties_after_last_delete(self):
         index = RelationIndex()
         index.apply_delta(IndexDelta(additions=((L1, _id(1)),)))
         index.apply_delta(IndexDelta(removals=((L1, _id(1)),)))
-        assert index.candidates([L1]) == set()
+        assert list(index.candidates([L1])) == []
         assert L1 not in index.postings
         # and an empty label annihilates any intersection
         index.apply_delta(IndexDelta(additions=((L2, _id(2)),)))
-        assert index.candidates([L1, L2]) == set()
+        assert list(index.candidates([L1, L2])) == []
 
     def test_readdition_after_a_removal_is_live(self):
         index = RelationIndex()
         index.apply_delta(IndexDelta(additions=((L1, _id(1)),)))
         index.apply_delta(IndexDelta(removals=((L1, _id(1)),)))
         index.apply_delta(IndexDelta(additions=((L1, _id(1)),)))
-        assert index.candidates([L1]) == {_id(1)}
+        assert list(index.candidates([L1])) == [_id(1)]
 
     def test_unknown_removals_ignored(self):
         index = RelationIndex(((L1, _id(1)),))
         index.apply_delta(IndexDelta(removals=((L1, _id(9)), (L2, _id(1)))))
-        assert index.postings == {L1: {_id(1)}}
+        assert _ordered(index) == {L1: [_id(1)]}
 
     def test_candidates_intersect(self):
-        index = RelationIndex(((L1, _id(1)), (L1, _id(2)), (L2, _id(2))))
-        assert index.candidates([L1, L2]) == {_id(2)}
+        index = RelationIndex(
+            ((L1, _id(3)), (L1, _id(1)), (L1, _id(2)), (L2, _id(3)), (L2, _id(2)))
+        )
+        assert list(index.candidates([L1, L2])) == [_id(3), _id(2)]
 
     def test_no_labels_means_no_candidates(self):
-        assert RelationIndex(((L1, _id(1)),)).candidates([]) == set()
+        assert list(RelationIndex(((L1, _id(1)),)).candidates([])) == []
 
     def test_stats_count_labels_and_postings(self):
         index = RelationIndex(((L1, _id(1)), (L2, _id(1)), (L1, _id(2))))
@@ -104,12 +114,18 @@ def test_candidates_equal_a_model_of_plain_sets(put, history, asked):
             model[label].add(tuple_id)
         for label, tuple_id in delta.removals:
             model[label].discard(tuple_id)
-        assert index.postings == {label: ids for label, ids in model.items() if ids}
+        assert {label: set(ids) for label, ids in index.postings.items()} == {
+            label: ids for label, ids in model.items() if ids
+        }
         for labels in asked:
             expected = set.intersection(*(model[label] for label in labels)) if labels else set()
-            answer = index.candidates(labels)
-            assert answer == expected
-            assert type(answer) is set
+            answer = list(index.candidates(labels))
+            assert set(answer) == expected and len(answer) == len(expected)
+            # in the posting order of one of the labels asked
+            assert not answer or any(
+                answer == [i for i in index.postings[label] if i in expected]
+                for label in labels
+            )
 
 
 @pytest.fixture
@@ -222,3 +238,32 @@ class TestProviderLookup:
         assert stats["indexed_relations"] == ["Emp"]
         assert stats["puts"] == 1
         assert stats["relations"]["Emp"] == {"labels": 1, "postings": 2}
+
+
+class TestPostingsAreTheStoresIds:
+    """The provider posts the store's own id objects, and a lookup answers
+    in store order."""
+
+    def test_put_and_insert_post_the_stored_id_objects_in_store_order(
+        self, served, employee_relation
+    ):
+        dph, encrypted = served
+        provider = _provider(dph, encrypted)
+        head, tail = encrypted.encrypted_tuples[:3], dph.encrypt_tuples(employee_relation)
+        # Over the wire, so the posted ids arrive as objects of their own.
+        put = tuple((L1, t.tuple_id) for t in head) + ((L1, b"\xee" * 16),)
+        request(provider, MessageKind.INDEX_PUT, "Emp", encode_index_snapshot(put))
+        additions = tuple((L1, t.tuple_id) for t in tail)
+        body = encode_insert_tuples(encode_index_delta(IndexDelta(additions=additions)), tail)
+        request(provider, MessageKind.INSERT_TUPLES, "Emp", body)
+        stored = {t.tuple_id: t.tuple_id for t in provider.stored_relation("Emp")}
+        posted = provider.relation_index("Emp").postings[L1]
+        live = [tuple_id for tuple_id in posted if tuple_id in stored]
+        assert len(live) == len(head) + len(tail) and len(posted) == len(live) + 1
+        assert all(tuple_id is stored[tuple_id] for tuple_id in live)
+        answer = provider.index_lookup("Emp", _lookup(dph)).matching.encrypted_tuples
+        in_store_order = [
+            t.tuple_id for t in provider.stored_relation("Emp") if t.tuple_id in posted
+        ]
+        # ... and the stale id fetched nothing.
+        assert [t.tuple_id for t in answer] == in_store_order == live

@@ -22,6 +22,7 @@ from repro.net import (
     ThreadedTcpServer,
     recv_frame,
     send_frame,
+    throughput_summary,
 )
 from repro.outsourcing import OutsourcedDatabaseServer
 from repro.outsourcing.protocol import (
@@ -206,9 +207,9 @@ class TestPipelinedConnections:
                 slow_sock.close()
                 fast_sock.close()
             stats = server.server.stats
-            assert stats.as_dict()["peak_concurrent_dispatch"] >= 2
-            assert stats.as_dict()["requests_dispatched"] >= 2
-            assert "peak 2 concurrent" in stats.throughput_summary()
+            assert stats["peak_concurrent_dispatch"] >= 2
+            assert stats["requests_dispatched"] >= 2
+            assert "peak 2 concurrent" in throughput_summary(stats)
 
 
 class ExplodingServer(OutsourcedDatabaseServer):
@@ -304,7 +305,7 @@ class TestTheOneDispatchPath:
             assert recv_frame(busy) is None  # then a clean close
             stopping.join(timeout=10)
             assert not stopping.is_alive()
-            assert server.server.stats.as_dict()["connections_active"] == 0
+            assert server.server.stats["connections_active"] == 0
         finally:
             gate.set()
             busy.close()

@@ -319,7 +319,7 @@ def test_a_peer_past_the_connection_cap_waits_in_the_backlog(monkeypatch):
             first.close()
             third.settimeout(2.0)
             assert json.loads(recv_frame(third).payload)["ok"]
-            assert server.server.stats.as_dict()["connections_total"] == 3
+            assert server.server.stats["connections_total"] == 3
         finally:
             for sock in (first, second, third):
                 sock.close()

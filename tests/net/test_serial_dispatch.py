@@ -475,7 +475,7 @@ def test_one_relation_never_runs_on_two_threads_at_once():
     assert not failures, failures
     assert database.peak == {"Emp": 1, "Fast": 1}
     assert database.peak_total == 2
-    assert server.server.stats.as_dict()["requests_dispatched"] == 121
+    assert server.server.stats["requests_dispatched"] == 121
 
 
 class TestTheLockIsReleasedBeforeAnswering:
@@ -489,7 +489,7 @@ class TestTheLockIsReleasedBeforeAnswering:
                 seen.append((
                     correlation,
                     dict(database._locks),
-                    connection._server.stats.as_dict()["requests_dispatched"],
+                    connection._server.stats["requests_dispatched"],
                 ))
             send(connection, payload, channel, correlation)
 
@@ -663,9 +663,8 @@ class TestLifecycle:
                     assert ping(sock) == {"ok": True}
                 finally:
                     sock.close()
-            stats = server.server.stats
-            wait_until(lambda: stats.as_dict()["connections_active"] == 0)
-            assert stats.as_dict()["connections_total"] == 3
+            wait_until(lambda: server.server.stats["connections_active"] == 0)
+            assert server.server.stats["connections_total"] == 3
 
     def test_stop_wakes_an_accept_thread_waiting_for_a_free_slot(self, monkeypatch):
         monkeypatch.setattr(server_module, "MAX_CONNECTIONS", 1)
@@ -698,7 +697,7 @@ class TestLifecycle:
             gate.set()
             stopping.join(timeout=10)
             assert not stopping.is_alive()
-            assert server.server.stats.as_dict()["connections_active"] == 0
+            assert server.server.stats["connections_active"] == 0
             assert database._locks == {}
         finally:
             gate.set()

@@ -13,7 +13,10 @@ own read-outs in-process) beside ``RELATION_NAMES`` envelopes.  No request may f
 miss a tuple acknowledged before it was sent or hold a torn or foreign
 one, no scan may see a torn ``B``, no count of ``A`` may go backwards or
 past what was acknowledged, and ``A`` must end holding exactly the inserted
-tuples, in order.  Then two threads insert through one in-process session,
+tuples, in order.  The ``switching`` store forces the one thread switch a
+missing lock needs to leave the in-memory store a stale snapshot, so that
+case catches a missing lock every run, not by chance.  Then two threads
+insert through one in-process session,
 each reading back its own row: no acknowledged row may be missing, on the
 in-memory store or the file-backed one.
 """
@@ -32,7 +35,13 @@ from repro.api import EncryptedDatabase
 from repro.crypto.keys import SecretKey
 from repro.crypto.rng import DeterministicRng
 from repro.net import CHANNEL_CONTROL, ThreadedTcpServer, recv_frame, send_frame
-from repro.outsourcing import FileStorageBackend, MessageKind, OutsourcedDatabaseServer
+from repro.core.dph import EncryptedRelation
+from repro.outsourcing import (
+    FileStorageBackend,
+    InMemoryStorageBackend,
+    MessageKind,
+    OutsourcedDatabaseServer,
+)
 from repro.outsourcing.protocol import (
     MessageV2,
     decode_count,
@@ -49,6 +58,46 @@ INSERTS = 200
 ROUNDS = 60
 #: Rows each of the two session writers inserts and reads back.
 SESSION_INSERTS = 200
+#: Loads of ``A`` the switching store holds open for a write, and how long.
+SWITCHED_LOADS = 10
+SWITCH_WAIT = 0.02
+
+
+class SwitchingMemoryStore(InMemoryStorageBackend):
+    """The in-memory store with the thread switch inside ``load`` forced.
+
+    For its first :data:`SWITCHED_LOADS` snapshots of ``A``, ``load`` waits
+    (up to :data:`SWITCH_WAIT`) for an ``append`` between taking the tuples
+    and storing the snapshot, and an ``append`` to ``A`` waits as long for a
+    load to be in that window.  A write that lands there -- only a missing
+    relation lock lets one in -- leaves a stale snapshot, which every read
+    of ``A`` gets until the next write, while that write waits out its own
+    turn.  Under the lock each wait just runs out.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.switched = SWITCHED_LOADS
+        self._taken, self._appended = threading.Event(), threading.Event()
+
+    def load(self, name: str) -> EncryptedRelation:
+        held = self._held(name)
+        if name != "A" or held.snapshot is not None or self.switched <= 0:
+            return super().load(name)
+        self.switched -= 1
+        tuples = tuple(held.tuples.values())
+        self._appended.clear()
+        self._taken.set()
+        self._appended.wait(SWITCH_WAIT)
+        self._taken.clear()
+        held.snapshot = EncryptedRelation(schema=held.schema, encrypted_tuples=tuples)
+        return held.snapshot
+
+    def append(self, name: str, encrypted_tuples) -> None:
+        if name == "A" and self.switched > 0:
+            self._taken.wait(SWITCH_WAIT)
+        super().append(name, encrypted_tuples)
+        self._appended.set()
 
 
 def _scheme(decl: str) -> PlaintextDph:
@@ -150,14 +199,13 @@ def _transport(kind: str, provider: OutsourcedDatabaseServer):
         yield lambda: OverTcp(server.port)
 
 
-@pytest.mark.parametrize("storage", ["memory", "file"])
+@pytest.mark.parametrize("storage", ["memory", "file", "switching"])
 @pytest.mark.parametrize("transport", ["in-process", "tcp"])
 def test_writes_beside_scans_and_control_ops(transport, storage, tmp_path):
     a, b = _scheme("A(k:int[4])"), _scheme("B(name:string[6], v:int[4])")
     b_rows = [(f"b{i}", i % 3) for i in range(30)]
-    provider = OutsourcedDatabaseServer(
-        storage=FileStorageBackend(tmp_path) if storage == "file" else None
-    )
+    store = {"file": lambda: FileStorageBackend(tmp_path), "switching": SwitchingMemoryStore}
+    provider = OutsourcedDatabaseServer(storage=store.get(storage, lambda: None)())
     provider.store_relation(
         "A", a.encrypt_relation(Relation.from_rows(a.schema, [])), a.server_evaluator()
     )
@@ -230,6 +278,8 @@ def test_writes_beside_scans_and_control_ops(transport, storage, tmp_path):
     assert not errors, errors
     assert provider.stored_relation("A").encrypted_tuples == tuple(new_tuples)
     assert provider._locks == {}  # no relation's lock outlives its last request
+    if storage == "switching":
+        assert provider.storage.switched == 0  # every forced switch was taken
 
 
 @pytest.mark.parametrize("storage", ["memory", "file"])

@@ -21,6 +21,7 @@ from repro.net import (
     encode_frame,
     recv_frame,
     send_frame,
+    throughput_summary,
 )
 from repro.net.client import ConnectionLostError, RemoteConnection, parse_tcp_url
 from repro.outsourcing import MessageKind, MessageV2, OutsourcedDatabaseServer
@@ -251,7 +252,7 @@ class TestConcurrentClients:
         for thread in threads:
             thread.join(timeout=60)
         assert not errors, errors
-        stats = provider.server.stats.as_dict()
+        stats = provider.server.stats
         assert stats["connections_total"] >= 6
         names = provider.server.database_server.relation_names
         assert set(names) == {f"T{i}" for i in range(6)}
@@ -294,7 +295,7 @@ class TestConcurrentClients:
         assert not errors and not any(thread.is_alive() for thread in threads), errors
         assert len(answers) == 8 * 12
         assert all(names == oracle[dept] for dept, names in answers)
-        assert provider.server.stats.as_dict()["connections_total"] <= 4
+        assert provider.server.stats["connections_total"] <= 4
 
     def test_stats_count_frames_and_bytes(self, provider, secret_key):
         db = EncryptedDatabase.connect(f"tcp://127.0.0.1:{provider.port}", secret_key)
@@ -654,14 +655,13 @@ class TestGracefulShutdown:
         db.create_table(EMP_DECL, rows=[("A", "HR", 1)])
         db.close()
         server.stop()
-        stats = server.server.stats
-        counts = stats.as_dict()
+        counts = server.server.stats
         assert counts["connections_active"] == 0
         assert counts["connections_total"] >= 1
         assert counts["frames_received"] == (
             counts["envelope_frames"] + counts["control_frames"]
         )
-        assert "connection(s)" in stats.throughput_summary()
+        assert "connection(s)" in throughput_summary(counts)
 
     def test_double_stop_is_idempotent(self):
         server = ThreadedTcpServer().start()

@@ -138,7 +138,7 @@ def transcripts(seed: int):
         finally:
             proxy.close()
         stats = server.server.stats
-        dispatched = stats.as_dict()["requests_dispatched"]
+        dispatched = stats["requests_dispatched"]
     assert local_replies == remote_replies
     return (
         (local_responses, observations(local)),

@@ -4,7 +4,8 @@ The decoders a client runs on a provider's answer (each ``decode`` of
 ``protocol.ANSWER_CODECS``), the two a provider runs on a write's body
 (``decode_insert_tuples``, ``decode_delete_tuples``) and the index
 decoders a provider runs on a write's postings, an ``INDEX_PUT`` body and
-an ``INDEX_LOOKUP`` body (``repro.index.wire``) are fed bytes drawn
+an ``INDEX_LOOKUP`` body (``repro.index.wire``), and the session's one-pass
+open of a ``QUERY_RESULT`` body (``open_result``), are fed bytes drawn
 three ways: arbitrary bytes; bytes behind a 4-byte count, small or near
 2**32, and runs of length-prefixed parts whose prefixes may be off by a
 few bytes; and each decoder's own well-formed body, truncated, with one
@@ -82,6 +83,9 @@ DECODERS = {
         IndexDelta(additions=_POSTINGS[:2], removals=_POSTINGS[2:]))),
     "index_put": (decode_index_snapshot, encode_index_snapshot(_POSTINGS)),
     "index_lookup": (decode_index_lookup, encode_index_lookup(_LOOKUP)),
+    # A select's one-pass open of a QUERY_RESULT body: rows, or None for the
+    # reference decode above (None always when the kernel is off).
+    "open_result": (_DPH._open_result, encode_evaluation_result(_RESULT)),
 }
 
 

@@ -84,7 +84,7 @@ def test_tcp_provider_answers_error_and_connection_stays_usable(secret_key, rng,
             drop_relation(db.server, "Emp")
             db.create_table(EMP_DECL, rows=ROWS)
             assert len(db.select("SELECT * FROM Emp WHERE dept = 'HR'").relation) == 1
-            assert provider.server.stats.as_dict()["connections_total"] == 1
+            assert provider.server.stats["connections_total"] == 1
 
 
 def replace_schema(schema_field: bytes):

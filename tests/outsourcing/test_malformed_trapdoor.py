@@ -106,7 +106,7 @@ def test_tcp_provider_answers_error_and_connection_stays_usable(secret_key, rng,
             good = db.table("Emp").scheme.encrypt_query(Selection.equals("dept", "HR"))
             assert_error_then_still_serving(db.server, good, "swp")
             assert len(db.select("SELECT * FROM Emp WHERE dept = 'HR'").relation) == 2
-            assert provider.server.stats.as_dict()["connections_total"] == 1
+            assert provider.server.stats["connections_total"] == 1
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

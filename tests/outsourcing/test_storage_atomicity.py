@@ -5,10 +5,17 @@ from __future__ import annotations
 import errno
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+from repro.index import IndexDelta
+from repro.outsourcing import OutsourcedDatabaseServer
+from repro.outsourcing.protocol import encode_encrypted_relation
 from repro.outsourcing.storage import FileStorageBackend, StorageError
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture
@@ -163,3 +170,75 @@ class TestAtomicAppend:
         keeps every old tuple and adds none of the k."""
         extra = swp_dph.encrypt_tuples(employee_relation.tuples[:3])
         _append_on_a_full_disk(backend, tmp_path, monkeypatch, extra, fail_on, landed)
+
+
+#: Appends ``argv[2]``'s tuples to ``Emp`` in the store at ``argv[1]``, and
+#: dies like a killed process (no rollback, no cleanup) between the append's
+#: item write and its count write.
+KILLED_APPEND = """
+import os, sys
+from repro.outsourcing import storage
+from repro.outsourcing.protocol import decode_encrypted_relation
+
+write = storage._write_all
+
+def write_items_then_die(handle, data):
+    storage._write_all = lambda handle, data: os._exit(9)
+    write(handle, data)
+
+storage._write_all = write_items_then_die
+with open(sys.argv[2], "rb") as handle:
+    tuples = decode_encrypted_relation(handle.read()).encrypted_tuples
+storage.FileStorageBackend(sys.argv[1]).append("Emp", tuples)
+"""
+
+
+class TestTheCountIsTheCommitPoint:
+    """A provider killed inside an append leaves items past the count; a
+    restarted provider drops them and serves every acknowledged row."""
+
+    def _kill_inside_an_append(self, backend, tmp_path, swp_dph, employee_relation) -> int:
+        size = backend._path("Emp").stat().st_size
+        extra = tmp_path / "extra.frame"
+        extra.write_bytes(encode_encrypted_relation(swp_dph.encrypt_relation(employee_relation)))
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        killed = subprocess.run(
+            [sys.executable, "-c", KILLED_APPEND, str(tmp_path), str(extra)],
+            env=dict(os.environ, PYTHONPATH=path), timeout=120,
+        )
+        assert killed.returncode == 9
+        assert backend._path("Emp").stat().st_size > size  # the items landed, the count did not
+        return size
+
+    @pytest.mark.parametrize("first", ["read", "insert"])
+    def test_a_restarted_provider_serves_every_acknowledged_row(
+        self, backend, tmp_path, swp_dph, employee_relation, first
+    ):
+        acknowledged = [t.tuple_id for t in backend.load("Emp")]
+        size = self._kill_inside_an_append(backend, tmp_path, swp_dph, employee_relation)
+        storage = FileStorageBackend(tmp_path)
+        provider = OutsourcedDatabaseServer(storage=storage)
+        provider.register_evaluator("Emp", swp_dph.server_evaluator())
+        added = swp_dph.encrypt_relation(employee_relation).encrypted_tuples[:1]
+        if first == "insert":  # lands after the counted tuples, not after the tail
+            provider.insert_tuples("Emp", added, IndexDelta())
+        else:
+            assert [t.tuple_id for t in provider.stored_relation("Emp")] == acknowledged
+            assert backend._path("Emp").stat().st_size == size
+            provider.insert_tuples("Emp", added, IndexDelta())
+        stored = [t.tuple_id for t in FileStorageBackend(tmp_path).load("Emp")]
+        assert stored == [*acknowledged, added[0].tuple_id]
+        assert provider.tuple_count("Emp") == len(acknowledged) + 1
+        gauges = {g["name"]: g["value"] for g in provider.metrics_snapshot()["gauges"]}
+        assert gauges["storage_uncommitted_tails_truncated"] == 1
+
+    def test_fewer_tuples_than_the_count_is_still_corrupt(self, backend):
+        path = backend._path("Emp")
+        raw = bytearray(path.read_bytes())
+        offset = 4 + int.from_bytes(raw[:4], "big")
+        count = int.from_bytes(raw[offset:offset + 4], "big")
+        raw[offset:offset + 4] = (count + 1).to_bytes(4, "big")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(StorageError, match="corrupt"):
+            FileStorageBackend(backend.directory).load("Emp")
+        assert path.read_bytes() == bytes(raw)

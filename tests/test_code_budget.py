@@ -13,8 +13,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 #: Path under the repository root -> the most Python lines it may hold.
 BUDGETS = {
     "src": 17_576,
-    "src/repro/index": 384,
-    "src/repro/net": 1_649,
+    "src/repro/index": 374,
+    "src/repro/net": 1_615,
     "src/repro/cluster/router.py": 1_200,
 }
 

@@ -156,7 +156,7 @@ def smoke_replicated_failover() -> None:
             procs[0].send_signal(signal.SIGKILL)  # a provider dies, hard
             procs[0].wait(timeout=SHUTDOWN_TIMEOUT_S)
             check(rows_where(db, "value = 1") == expected, "post-kill select incomplete")
-            failovers = db.server.stats.as_dict()["failover_reads"]
+            failovers = db.server.stats["failover_reads"]
             check(failovers >= 1, "the read was not a failover")
             check(db.count("Smoke") == NUM_ROWS, "post-kill count is wrong")
             print(f"complete with 1/3 providers dead (failover_reads={failovers})")
@@ -214,7 +214,7 @@ def smoke_indexed_fleet() -> None:
             for where in ("value = 0", "value = 1", "name = 'extra'"):
                 check(rows_where(db, where) == rows_where(scan, where),
                       f"index/scan divergence on {where!r}")
-            stats = db.server.stats.as_dict()
+            stats = db.server.stats
             check(stats["index_lookups"] >= 1 and stats["index_writes"] >= 1,
                   f"the index serving path never ran: {stats}")
     print(f"indexed fleet: examined={examined} for {expected} results, scan-equivalent")
