@@ -39,8 +39,9 @@ the CLI exposes the reproduction's main entry points without writing any code:
     the topology for ``cluster+file://`` sessions), ``route`` keys through
     the deterministic placement ring offline (including the per-key replica
     sets of a ``?replicas=R`` deployment), and ``status`` a running fleet
-    (relations and counts by envelope, transport numbers from the ``stats``
-    read-out; by URL or ``--manifest``).  Sessions
+    (relations and counts by envelope, the serve shutdown line's transport
+    and index summaries from each shard's ``metrics`` snapshot; by URL or
+    ``--manifest``).  Sessions
     connect with
     ``EncryptedDatabase.connect("cluster://h1:p1,...[?replicas=R]")``; the
     fleet scatters in the caller's thread (every shard's envelope sent,
@@ -70,6 +71,7 @@ from typing import Callable, Sequence
 from repro.api import EncryptedDatabase
 from repro.crypto.keys import SecretKey
 from repro.experiments import EXPERIMENTS
+from repro.obs import snapshot_scalars
 from repro.outsourcing import OutsourcedDatabaseServer, request
 from repro.outsourcing.protocol import MessageKind
 from repro.schemes.registry import available_schemes, create as create_scheme
@@ -201,23 +203,16 @@ def command_serve(args: argparse.Namespace) -> int:
         database, host=args.host, port=args.port, max_frame_size=args.max_frame_size
     )
 
-    def _index_summary() -> str:
-        stats = database.index_stats()
-        return (
-            f"{len(stats['indexed_relations'])} indexed relation(s), "
-            f"{stats['puts']} put(s), {stats['deltas']} delta(s), "
-            f"{stats['lookups']} lookup(s), {stats['scan_fallbacks']} scan fallback(s)"
-        )
-
     def _report_stats() -> None:
         from repro.obs import log_json
 
         # One JSON record per interval (instead of a prose line), so log
         # shippers and `jq` consume the periodic state without a parser.
+        snapshot = database.metrics_snapshot()
         log_json(
             "stats",
-            transport=tcp.stats,
-            index=database.index_stats(),
+            transport=snapshot_scalars(snapshot, "server_"),
+            index=snapshot_scalars(snapshot, "index_"),
             slow_queries=len(database.slow_queries),
         )
 
@@ -226,20 +221,41 @@ def command_serve(args: argparse.Namespace) -> int:
     where = "in-memory"
     if storage:
         where = f"{len(relation_counts(database))} relation(s) on disk"
-    print(f"repro provider listening on tcp://{host}:{port} ({where})", flush=True)
-    _wait_for_signal(args.stats_interval, _report_stats)
+    _wait_for_signal(
+        args.stats_interval, _report_stats,
+        ready=f"repro provider listening on tcp://{host}:{port} ({where})",
+    )
     print("repro provider shutting down...", flush=True)
     tcp.stop()
+    snapshot = database.metrics_snapshot()
     print(
-        f"repro provider stopped: {throughput_summary(tcp.stats)}; "
-        f"index: {_index_summary()}",
+        f"repro provider stopped: {throughput_summary(snapshot)}; "
+        f"index: {index_summary(snapshot)}",
         flush=True,
     )
     return 0
 
 
-def _wait_for_signal(interval: float = 0.0, tick: Callable[[], None] | None = None) -> None:
-    """Block until SIGINT or SIGTERM; call ``tick`` every ``interval`` seconds (0: never)."""
+def index_summary(snapshot: dict) -> str:
+    """One-line summary of a provider's ``index_*`` counters, read from its
+    metrics snapshot (``repro serve``'s shutdown line, ``repro cluster status``)."""
+    counts = snapshot_scalars(snapshot, "index_")
+    return (
+        f"{counts.get('relations', 0)} indexed relation(s), "
+        f"{counts.get('puts_total', 0)} put(s), {counts.get('deltas_total', 0)} delta(s), "
+        f"{counts.get('lookups_total', 0)} lookup(s), "
+        f"{counts.get('scan_fallbacks_total', 0)} scan fallback(s)"
+    )
+
+
+def _wait_for_signal(
+    interval: float = 0.0, tick: Callable[[], None] | None = None, *, ready: str = ""
+) -> None:
+    """Block until SIGINT or SIGTERM; call ``tick`` every ``interval`` seconds (0: never).
+
+    The ``ready`` banner is printed once the handlers are in place, so a
+    signal sent as soon as it is read stops the process cleanly.
+    """
 
     def interrupt(signum, frame) -> None:
         raise KeyboardInterrupt
@@ -248,6 +264,8 @@ def _wait_for_signal(interval: float = 0.0, tick: Callable[[], None] | None = No
         signum: signal.signal(signum, interrupt) for signum in (signal.SIGINT, signal.SIGTERM)
     }
     try:
+        if ready:
+            print(ready, flush=True)
         while True:
             time.sleep(interval or 3600.0)
             if interval and tick is not None:
@@ -334,14 +352,14 @@ def command_cluster_spawn(args: argparse.Namespace) -> int:
             f"cluster+file://{path}",
             flush=True,
         )
-    print(f"repro cluster ready: {url}", flush=True)
-    _wait_for_signal()
+    _wait_for_signal(ready=f"repro cluster ready: {url}")
     print("repro cluster shutting down...", flush=True)
     for server in servers:
         server.stop()
     for index, server in enumerate(servers):
-        print(f"repro cluster shard {index} stopped: "
-              f"{throughput_summary(server.stats)}", flush=True)
+        snapshot = server.database_server.metrics_snapshot()
+        print(f"repro cluster shard {index} stopped: {throughput_summary(snapshot)}; "
+              f"index: {index_summary(snapshot)}", flush=True)
     return 0
 
 
@@ -419,10 +437,11 @@ def command_cluster_route(args: argparse.Namespace) -> int:
     return 0
 
 
-def command_cluster_status(args: argparse.Namespace) -> int:
-    """Probe every shard of a running fleet: envelopes plus the stats read-out."""
+def command_fleet_status(args: argparse.Namespace) -> int:
+    """Probe every shard of a running fleet: envelopes plus its metrics snapshot."""
     from repro.cluster import ClusterError, parse_cluster_options
     from repro.net.client import RemoteServerProxy
+    from repro.net.server import throughput_summary
     from repro.outsourcing import ServerError
 
     if (args.url is None) == (args.manifest is None):
@@ -463,32 +482,15 @@ def command_cluster_status(args: argparse.Namespace) -> int:
             with RemoteServerProxy.connect(
                 shard_url, pool_size=1, timeout=args.timeout
             ) as proxy:
-                stats = proxy.server_stats()
+                snapshot = proxy.metrics_snapshot()
                 counts = relation_counts(proxy)
         except ServerError as exc:
             unreachable += 1
             print(f"{shard_url}: DOWN ({exc})")
             continue
-        transport = stats.get("stats", {})
         relations = ", ".join(f"{name}={count}" for name, count in counts.items()) or "none"
-        print(
-            f"{shard_url}: up, relations: {relations}; "
-            f"{transport.get('connections_total', 0)} connection(s), "
-            f"{transport.get('envelope_frames', 0)} envelope / "
-            f"{transport.get('control_frames', 0)} control frame(s), "
-            f"{transport.get('bytes_received', 0)} B in / "
-            f"{transport.get('bytes_sent', 0)} B out"
-        )
-        indexes = stats.get("indexes")
-        if indexes:
-            indexed = ", ".join(indexes.get("indexed_relations", [])) or "none"
-            print(
-                f"  index: relations: {indexed}; "
-                f"{indexes.get('puts', 0)} put(s), "
-                f"{indexes.get('deltas', 0)} delta(s), "
-                f"{indexes.get('lookups', 0)} lookup(s), "
-                f"{indexes.get('scan_fallbacks', 0)} scan fallback(s)"
-            )
+        print(f"{shard_url}: up, relations: {relations}; {throughput_summary(snapshot)}")
+        print(f"  index: {index_summary(snapshot)}")
     print(f"{len(shard_urls) - unreachable}/{len(shard_urls)} shard(s) up")
     if replicas > 1:
         tolerated = replicas - 1
@@ -754,7 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-frame-size", type=_positive, default=64 * 1024 * 1024,
                        help="reject frames larger than this many bytes")
     serve.add_argument("--stats-interval", type=_interval, default=0.0, metavar="SECONDS",
-                       help="log a transport-stats line every SECONDS (0 disables)")
+                       help="log a JSON counters record every SECONDS (0 disables)")
     serve.add_argument("--slow-query-threshold", type=float, default=1.0,
                        metavar="SECONDS",
                        help="traced requests slower than this land in the "
@@ -803,7 +805,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "instead of a URL")
     status.add_argument("--timeout", type=_seconds, default=10.0,
                         help="per-shard connection timeout in seconds")
-    status.set_defaults(handler=command_cluster_status)
+    status.set_defaults(handler=command_fleet_status)
 
     stats_cmd = subparsers.add_parser(
         "stats", help="scrape the metrics plane of a provider or fleet")

@@ -173,7 +173,7 @@ def _one_copy_per_id(pieces: Sequence[EncryptedRelation]) -> EncryptedRelation:
 
 
 #: The routing counters, each ``cluster_<name>_total`` in the router's
-#: registry, in :attr:`ShardRouter.stats` order.
+#: registry (read through :meth:`ShardRouter.metrics_snapshot`).
 _COUNTERS = ("scatter_reads", "failover_reads", "routed_inserts", "index_lookups", "index_writes")
 
 
@@ -466,14 +466,6 @@ class ShardRouter:
         """Replication factor R: physical copies stored per tuple."""
         return self._replication
 
-    @property
-    def stats(self) -> dict:
-        """The routing counters, read from the registry, and the last
-        failover read's failed shards."""
-        counts = {name: counter.value for name, counter in self._counters.items()}
-        counts["last_failover_shard_ids"] = list(self.last_failover_shard_ids)
-        return counts
-
     def shard(self, shard_id: str) -> Any:
         """The backend registered under one ring identifier."""
         try:
@@ -512,29 +504,6 @@ class ShardRouter:
             shard_id: self._ask(self._shards[shard_id], kind, relation_name, body)
             for shard_id in ids
         }
-
-    def cluster_status(self) -> dict[str, dict]:
-        """Best-effort per-shard health/stats snapshot (never raises)."""
-        status: dict[str, dict] = {}
-        for shard in self._shards.values():
-            try:
-                names = self._ask(shard, MessageKind.RELATION_NAMES, "")
-                entry: dict[str, Any] = {
-                    "ok": True,
-                    "relations": {
-                        name: self._ask(shard, MessageKind.TUPLE_COUNT, name)
-                        for name in names
-                    },
-                }
-                remote_stats = getattr(shard.server, "server_stats", None)
-                if remote_stats is not None:
-                    entry["stats"] = remote_stats()
-                else:
-                    entry["audit"] = shard.server.audit_log.summary()
-            except Exception as exc:  # noqa: BLE001 - a status probe never raises
-                entry = {"ok": False, "error": str(exc)}
-            status[shard.shard_id] = entry
-        return status
 
     @property
     def metrics(self) -> MetricsRegistry:

@@ -55,6 +55,3 @@ class RelationIndex:
         if len(found) < 2:
             return found[0] if found else {}
         return {i: None for i in found[0] if all(i in ids for ids in found[1:])}
-
-    def stats(self) -> dict[str, int]:
-        return {"labels": len(self.postings), "postings": sum(map(len, self.postings.values()))}

@@ -11,8 +11,8 @@ machine boundary.  ``repro.net`` is that missing transport, in three layers:
     one-byte channel tag multiplexes *envelope* frames (opaque protocol
     envelopes, exactly the bytes ``handle_message`` consumes -- every data,
     index and DDL operation of a session) and *control* frames (JSON: the
-    hello handshake and the operator read-outs ``ping`` / ``stats`` /
-    ``metrics`` / ``trace``) on one connection, and a
+    hello handshake and the operator read-outs ``ping`` / ``metrics`` /
+    ``trace``) on one connection, and a
     4-byte **correlation id** pairs every response with its request.  The
     decoder is sans-IO, shared by every endpoint.
 
@@ -27,8 +27,8 @@ machine boundary.  ``repro.net`` is that missing transport, in three layers:
     it under its relation's lock, so requests for one relation never
     overlap while a heavy scan of one relation blocks neither other
     connections nor other relations; shutdown lets a busy connection finish
-    its request.  Per-connection and aggregate stats are kept, and
-    ``repro serve`` (see :mod:`repro.cli`) runs the whole thing as a
+    its request.  Its traffic counters live in the provider's metrics
+    registry, and ``repro serve`` (see :mod:`repro.cli`) runs the whole thing as a
     standalone process over any registered storage backend.
 
 **Client side** (:mod:`repro.net.client`, over the sans-IO :mod:`repro.net.wire`)
@@ -76,7 +76,6 @@ from repro.net.framing import (
     send_frame,
 )
 from repro.net.server import (
-    ConnectionStats,
     DatabaseTcpServer,
     ThreadedTcpServer,
     throughput_summary,
@@ -103,7 +102,6 @@ __all__ = [
     "encode_frame",
     "recv_frame",
     "send_frame",
-    "ConnectionStats",
     "DatabaseTcpServer",
     "ThreadedTcpServer",
     "throughput_summary",

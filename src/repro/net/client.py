@@ -9,7 +9,7 @@ in-process, and every data and DDL operation is an envelope -- so
 :class:`~repro.api.EncryptedDatabase` drives a remote provider with the
 code paths it already uses in-process.  Besides it, the
 proxy carries only the operator read-outs of the JSON control channel
-(``ping`` / ``stats`` / ``metrics`` / ``trace``).
+(``ping`` / ``metrics`` / ``trace``).
 
 Connections are blocking sockets behind a bounded :class:`ConnectionPool`,
 so several threads can issue queries concurrently, each on its own
@@ -566,11 +566,6 @@ class RemoteServerProxy:
         """One control round trip; True when the provider answers."""
         self._control("ping")
         return True
-
-    def server_stats(self) -> dict:
-        """The provider's aggregate transport stats and audit summary."""
-        response = self._control("stats")
-        return {key: value for key, value in response.items() if key != "ok"}
 
     def metrics(self, format: str | None = None) -> dict:
         """The provider's metrics snapshot (or its Prometheus rendering).

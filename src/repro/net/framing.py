@@ -16,8 +16,8 @@ connection:
   :func:`repro.outsourcing.protocol.parse_message` consumes it (v2 or v3)
   -- every data, index and DDL operation; the transport never inspects it.
 * :data:`CHANNEL_CONTROL` -- the payload is a JSON control message: the
-  hello/version handshake and the operator read-outs (``ping``, ``stats``,
-  ``metrics``, ``trace``).
+  hello handshake and the operator read-outs (``ping``, ``metrics``,
+  ``trace``).
 
 Every response frame echoes the **correlation id** of the request it
 answers.  The id is transport-local (allocated per connection, wrapping at

@@ -18,8 +18,8 @@ of :mod:`repro.net.framing`:
   which parses each once and runs it under its relation's lock (the
   provider's single-writer rule, the same on every transport);
 * **control** frames carry the operator read-outs only -- ``ping``,
-  ``stats``, ``metrics`` and ``trace``.  Everything a session does, DDL and
-  evaluator deployment included, is an envelope.
+  ``metrics`` and ``trace``.  Everything a session does, DDL and evaluator
+  deployment included, is an envelope.
 
 Every response frame echoes the correlation id of the request it answers.
 A peer may still send many frames without reading: it gets every answer,
@@ -34,10 +34,11 @@ frame correctly cannot be trusted with further state.  Failures *inside* a
 well-framed request stay inside the protocol (``ERROR`` envelopes /
 ``ok: false`` control responses) and the connection lives on.
 
-The server counts per-connection and aggregate traffic
-(:class:`ConnectionStats` / :attr:`DatabaseTcpServer.stats`); ``repro serve``
-prints the aggregate on shutdown and the ``stats`` control operation
-exposes it to remote clients.
+The server counts its aggregate traffic as ``server_<name>`` instruments
+in the provider's registry, so the ``metrics`` control operation (and
+in-process, the provider's ``metrics_snapshot()``) is the one read-out of
+it; ``repro serve`` prints :func:`throughput_summary` of that snapshot on
+shutdown.
 """
 
 from __future__ import annotations
@@ -48,16 +49,16 @@ import json
 import socket
 import threading
 import time
-from dataclasses import dataclass
 
 from repro.net import framing
-from repro.obs import MetricsRegistry, render_prometheus
+from repro.obs import MetricsRegistry, render_prometheus, snapshot_scalars
 from repro.net.framing import (
     CHANNEL_CONTROL,
     CHANNEL_ENVELOPE,
     DEFAULT_MAX_FRAME_SIZE,
     FrameDecoder,
     FramingError,
+    OversizedFrameError,
 )
 from repro.outsourcing.protocol import ProtocolError
 from repro.outsourcing.server import OutsourcedDatabaseServer, ServerError
@@ -82,25 +83,9 @@ _LINGER_SECONDS = 1.0
 _FRAME_OVERHEAD = framing.LENGTH_PREFIX_SIZE + framing.FRAME_HEADER_SIZE
 
 
-@dataclass
-class ConnectionStats:
-    """Traffic counters of one client connection."""
-
-    peer: str = ""
-    frames_received: int = 0
-    frames_sent: int = 0
-    bytes_received: int = 0
-    bytes_sent: int = 0
-    envelope_frames: int = 0
-    control_frames: int = 0
-    #: Set once the connection's hello is answered; nothing else is served
-    #: before it.
-    greeted: bool = False
-
-
-#: The aggregate counters, ``server_<name>`` in the provider's registry, in
-#: :attr:`DatabaseTcpServer.stats` order: the provider counts the envelopes it
-#: dispatched and its peak concurrency, the front end the rest.
+#: The aggregate counters, ``server_<name>`` in the provider's registry: the
+#: provider counts the envelopes it dispatched and its peak concurrency, the
+#: front end the rest.
 _COUNTERS = (
     "connections_total", "connections_active", "frames_received", "frames_sent",
     "bytes_received", "bytes_sent", "envelope_frames", "control_frames",
@@ -110,9 +95,10 @@ _COUNTERS = (
 _GAUGES = frozenset({"connections_active", "peak_concurrent_dispatch"})
 
 
-def throughput_summary(counts: dict) -> str:
-    """One-line human summary of a server's :attr:`~DatabaseTcpServer.stats`
-    (printed by ``repro serve`` on shutdown)."""
+def throughput_summary(snapshot: dict) -> str:
+    """One-line human summary of a provider's ``server_*`` counters, read
+    from its metrics snapshot (printed by ``repro serve`` on shutdown)."""
+    counts = dict.fromkeys(_COUNTERS, 0) | snapshot_scalars(snapshot, "server_")
     return (
         f"{counts['connections_total']} connection(s), "
         f"{counts['frames_received']} frame(s) in / {counts['frames_sent']} out, "
@@ -144,9 +130,9 @@ class DatabaseTcpServer:
         self._address: tuple[str, int] | None = None
         self._accept_thread: threading.Thread | None = None
         self._slots: threading.Semaphore | None = None
-        # Registered and dropped by single dict operations, whole under the
+        # Registered and dropped by single set operations, whole under the
         # GIL; stop() iterates a tuple() of it.
-        self._connections: dict[_Connection, ConnectionStats] = {}
+        self._connections: set[_Connection] = set()
         # In the provider's registry, so the metrics control operation
         # answers with one unified snapshot.
         registry = self._database.metrics
@@ -163,12 +149,6 @@ class DatabaseTcpServer:
     def database_server(self) -> OutsourcedDatabaseServer:
         """The wrapped provider (storage, evaluators, audit log)."""
         return self._database
-
-    @property
-    def stats(self) -> dict:
-        """Aggregate traffic and dispatch counters, read from the registry
-        (what the ``stats`` control operation returns)."""
-        return {name: counter.value for name, counter in self._counters.items()}
 
     @property
     def metrics(self) -> MetricsRegistry:
@@ -246,7 +226,7 @@ class DatabaseTcpServer:
                 continue
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             connection = _Connection(self, sock, str(peer), slots)
-            self._connections[connection] = connection.stats
+            self._connections.add(connection)
             self._counters["connections_total"].inc()
             self._counters["connections_active"].inc()
             connection.thread = threading.Thread(
@@ -257,7 +237,7 @@ class DatabaseTcpServer:
             connection.thread.start()
 
     def _closed(self, connection: "_Connection") -> None:
-        self._connections.pop(connection, None)
+        self._connections.discard(connection)
         self._counters["connections_active"].dec()
 
     # ------------------------------------------------------------------ #
@@ -285,14 +265,6 @@ class DatabaseTcpServer:
         op, database = request["op"], self._database
         if op == "ping":
             return {"ok": True}
-        if op == "stats":
-            return {
-                "ok": True,
-                "stats": self.stats,
-                "audit": database.audit_log.summary(),
-                "relations": list(database.relation_names),
-                "indexes": database.index_stats(),
-            }
         if op == "metrics":
             snapshot = database.metrics_snapshot()
             if request.get("format") == "prometheus":
@@ -332,7 +304,10 @@ class _Connection:
         self._sock = sock
         self._slots = slots
         self._decoder = FrameDecoder(server._max_frame_size)
-        self.stats = ConnectionStats(peer=peer)
+        self.peer = peer
+        #: Set once the connection's hello is answered; nothing else is
+        #: served before it.
+        self.greeted = False
         self.thread: threading.Thread | None = None
         self._lock = threading.Lock()
         #: Serve nothing more; set by shut().
@@ -398,11 +373,6 @@ class _Connection:
         envelopes = sum(frame.channel == CHANNEL_ENVELOPE for frame in frames)
         size = sum(len(frame.payload) for frame in frames) + received * _FRAME_OVERHEAD
         controls = received - envelopes
-        stats = self.stats
-        stats.frames_received += received
-        stats.bytes_received += size
-        stats.envelope_frames += envelopes
-        stats.control_frames += controls
         totals = self._server._counters
         totals["frames_received"].inc(received)
         totals["bytes_received"].inc(size)
@@ -425,7 +395,7 @@ class _Connection:
                 self._refuse(f"malformed control frame: {exc}", correlation)
                 return False
             if request["op"] == "hello":
-                self.stats.greeted = True
+                self.greeted = True
                 greeting = {
                     "ok": True,
                     "server": SERVER_SOFTWARE,
@@ -433,11 +403,11 @@ class _Connection:
                 }
                 self._send(json.dumps(greeting).encode("utf-8"), CHANNEL_CONTROL, correlation)
                 return True
-            if not self.stats.greeted:
+            if not self.greeted:
                 self._refuse("the first frame must be a hello", correlation)
                 return False
             channel, answer = server._control_answer(request)
-        elif not self.stats.greeted:
+        elif not self.greeted:
             self._refuse("the first frame must be a hello", correlation)
             return False
         else:
@@ -452,7 +422,11 @@ class _Connection:
             except Exception as exc:  # noqa: BLE001 - a provider bug must not kill siblings
                 failure = {"ok": False, "error": f"internal dispatch failure: {exc}"}
                 channel, answer = CHANNEL_CONTROL, json.dumps(failure).encode("utf-8")
-        self._send(answer, channel, correlation)
+        try:
+            self._send(answer, channel, correlation)
+        except OversizedFrameError as exc:  # an answer past the frame limit is an error
+            failure = json.dumps({"ok": False, "error": f"answer refused: {exc}"})
+            self._send(failure.encode("utf-8"), CHANNEL_CONTROL, correlation)
         return True
 
     def _refuse(self, error: str, correlation: int = 0) -> None:
@@ -476,13 +450,9 @@ class _Connection:
             correlation=correlation,
             max_frame_size=self._server._max_frame_size,
         )
-        size = len(frame)
-        stats = self.stats
-        stats.frames_sent += 1
-        stats.bytes_sent += size
         totals = self._server._counters
         totals["frames_sent"].inc()
-        totals["bytes_sent"].inc(size)
+        totals["bytes_sent"].inc(len(frame))
         self._sock.sendall(frame)
 
 

@@ -5,9 +5,9 @@ Dependency-free instrumentation shared by every layer of the reproduction:
 * :mod:`repro.obs.metrics` -- a thread-safe :class:`MetricsRegistry` of
   counters, gauges and fixed-bucket log-scale latency histograms, with a
   JSON-able snapshot format, fleet-wide snapshot merging and Prometheus
-  text rendering.  The stat surfaces (a TCP server's and a router's
-  ``stats``, index stats) read one of these registries, so every counter
-  keeps its name.
+  text rendering.  A provider's snapshot is its one observation surface:
+  every operator read-out (``repro serve``'s lines, ``repro stats``,
+  ``repro cluster status``) is formatted from it.
 * :mod:`repro.obs.trace` -- 16-byte trace ids propagated end-to-end in the
   protocol-v3 envelope, an ambient current-trace context, spans recorded
   at every serving layer, a bounded :class:`TraceBuffer` of completed
@@ -22,6 +22,7 @@ from repro.obs.metrics import (
     histogram_summaries,
     merge_snapshots,
     render_prometheus,
+    snapshot_scalars,
 )
 from repro.obs.trace import (
     TRACE_ID_SIZE,
@@ -42,6 +43,7 @@ __all__ = [
     "histogram_summaries",
     "merge_snapshots",
     "render_prometheus",
+    "snapshot_scalars",
     "TRACE_ID_SIZE",
     "SlowQueryLog",
     "Span",

@@ -13,8 +13,9 @@ counts, and p50/p95/p99 can be recovered from the merged counts.
 
 Snapshots (:meth:`MetricsRegistry.snapshot`) are JSON-able dicts: they
 travel over the ``metrics`` control operation, merge with
-:func:`merge_snapshots`, summarize with :func:`histogram_summaries` and
-render to Prometheus text format with :func:`render_prometheus`.
+:func:`merge_snapshots`, summarize with :func:`histogram_summaries`, read
+by name with :func:`snapshot_scalars` and render to Prometheus text format
+with :func:`render_prometheus`.
 """
 
 from __future__ import annotations
@@ -310,6 +311,17 @@ def _merge_scalar(into: dict, entry: dict) -> None:
         }
     else:
         merged["value"] += entry["value"]
+
+
+def snapshot_scalars(snapshot: dict, prefix: str = "") -> dict[str, int | float]:
+    """The unlabelled counters and gauges of a snapshot named ``prefix...``,
+    keyed by the rest of their name (``server_frames_sent`` -> ``frames_sent``)."""
+    return {
+        entry["name"][len(prefix):]: entry["value"]
+        for kind in ("counters", "gauges")
+        for entry in snapshot.get(kind, ())
+        if not entry["labels"] and entry["name"].startswith(prefix)
+    }
 
 
 def histogram_summaries(snapshot: dict) -> list[dict]:

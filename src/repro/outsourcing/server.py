@@ -136,15 +136,20 @@ class OutsourcedDatabaseServer:
         return UNKNOWN_RELATION
 
     def metrics_snapshot(self) -> dict:
-        """A registry snapshot with the audit-log gauges refreshed.
+        """A registry snapshot with the audit-log gauges refreshed: the
+        provider's one observation surface, which every operator read-out
+        formats.
 
         The audit log is a ring buffer mutated on every operation; rather
         than double-count through parallel instruments, its totals are
-        copied into gauges at snapshot time.  ``match_kernel{impl=...}`` is
-        1 for the SWP check this process runs (:mod:`repro.native`); a file
-        store's ``storage_uncommitted_tails_truncated`` is its uncommitted_tails.
+        copied into gauges at snapshot time, and so is ``index_relations``,
+        the number of relations holding an index.  ``match_kernel{impl=...}``
+        is 1 for the SWP check this process runs (:mod:`repro.native`); a
+        file store's ``storage_uncommitted_tails_truncated`` is its
+        uncommitted_tails.
         """
         self._metrics.gauge("audit_events_dropped").set(self._audit.dropped_events)
+        self._metrics.gauge("index_relations").set(len(self._indexes))
         for kind, count in self._audit.summary().items():
             self._metrics.gauge("audit_events", kind=kind).set(count)
         impl = "python" if native.kernel is None else "native"
@@ -402,18 +407,6 @@ class OutsourcedDatabaseServer:
             examined=result.examined,
         )
         return result
-
-    def index_stats(self) -> dict:
-        """Index-serving statistics for operators (``repro serve`` stats)."""
-        indexes = sorted(self._indexes.items())
-        return {
-            "indexed_relations": [name for name, _ in indexes],
-            "puts": self._puts.value,
-            "deltas": self._deltas.value,
-            "lookups": self._lookups.value,
-            "relations": {name: index.stats() for name, index in indexes},
-            "scan_fallbacks": self._scan_fallback_counter.value,
-        }
 
     def storage_in_bytes(self, name: str | None = None) -> int:
         """Total ciphertext bytes stored (for one relation or overall)."""

@@ -22,7 +22,7 @@ from repro.net.server import CONNECTION_THREAD_PREFIX
 from repro.net.client import RemoteServerProxy
 from repro.outsourcing import MessageKind, OutsourcedDatabaseServer
 from repro.outsourcing.protocol import peek_envelope
-from provider_calls import drop_relation
+from provider_calls import drop_relation, routing_counts, server_counts
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
 ROWS = [(f"emp{i}", "HR" if i % 2 else "IT", 1000 + i) for i in range(24)]
@@ -64,9 +64,9 @@ class TestAsyncTransportFleet:
             db.insert("Emp", {"name": "Zoe", "dept": "HR", "salary": 1})
             assert db.delete("SELECT * FROM Emp WHERE dept = 'IT'") == 12
             assert db.count("Emp") == 13
-            stats = router.stats
-            assert stats["scatter_reads"] >= 2
-            assert "loop_scatters" not in stats
+            stats = routing_counts(router)
+            assert stats["scatter_reads_total"] >= 2
+            assert "loop_scatters_total" not in stats
             db.drop_table("Emp")
 
     def test_a_mixed_fleet_scatters_in_one_pass(self, fleet, secret_key, rng):
@@ -98,7 +98,7 @@ class TestAsyncTransportFleet:
                 outcome = db.select("SELECT * FROM Emp WHERE dept = 'HR'")
                 assert _names(outcome) == _oracle("HR")  # complete, not partial
                 assert db.count("Emp") == len(ROWS)
-                assert db.server.stats["failover_reads"] >= 1
+                assert routing_counts(db.server)["failover_reads_total"] >= 1
 
 
 class TestASlowShard:
@@ -211,7 +211,7 @@ class TestTheCallersThread:
                 assert db.count("Emp") == len(ROWS)
             finally:
                 db.close()
-            connections = [s.server.stats["connections_total"] for s in servers]
+            connections = [server_counts(s.server)["connections_total"] for s in servers]
         assert not errors and not any(t.is_alive() for t in threads), errors
         assert elapsed < 60
         assert len(answers) == 8 * 10

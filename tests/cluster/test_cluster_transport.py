@@ -8,7 +8,7 @@ from repro.api import DatabaseError, EncryptedDatabase
 from repro.net import ThreadedTcpServer
 from repro.outsourcing import OutsourcedDatabaseServer
 from repro.relational import Selection
-from provider_calls import drop_relation
+from provider_calls import drop_relation, routing_counts
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
 ROWS = [(f"emp{i}", "HR" if i % 2 else "IT", 1000 + i) for i in range(24)]
@@ -138,4 +138,4 @@ class TestReplicatedClusterOverSockets:
                 outcome = db.select("SELECT * FROM Emp WHERE dept = 'HR'")
                 assert len(outcome.relation) == 12  # complete, not partial
                 assert db.count("Emp") == len(ROWS)
-                assert db.server.stats["failover_reads"] >= 1
+                assert routing_counts(db.server)["failover_reads_total"] >= 1

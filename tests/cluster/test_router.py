@@ -28,6 +28,7 @@ from provider_calls import (
     execute_query,
     insert_tuples,
     relation_names,
+    routing_counts,
     stored_relation,
     tuple_count,
 )
@@ -192,11 +193,11 @@ class TestAFleetReadIsCompleteOrRaises:
         ):
             shards[1].down = True
             assert read(db) == oracle
-            stats = router.stats
-            assert stats["failover_reads"] >= 1
-            assert stats["last_failover_shard_ids"] == ["shard-1"]
+            stats = routing_counts(router)
+            assert stats["failover_reads_total"] >= 1
+            assert router.last_failover_shard_ids == ("shard-1",)
             if kind == "indexed-select":
-                assert stats["index_lookups"] >= 1
+                assert stats["index_lookups_total"] >= 1
 
     def test_past_the_replicas_the_read_raises(self, backend, kind):
         read, _ = READS[kind]
@@ -235,7 +236,7 @@ class TestShardFailure:
             db.select(HR, table="Emp")
         shards[1].down = False
         assert _rows(db.select(HR, table="Emp").relation) == full
-        assert router.stats["failover_reads"] == 0
+        assert routing_counts(router)["failover_reads_total"] == 0
 
     def test_every_shard_down_fails(self):
         db, router, shards = self._cluster()
@@ -313,8 +314,8 @@ class TestReplication:
         shards[1].down = True
         outcome = db.select("SELECT * FROM Emp WHERE dept = 'HR'")
         assert len(outcome.relation) == 15  # complete, not partial
-        assert router.stats["failover_reads"] >= 1
-        assert router.stats["last_failover_shard_ids"] == ["shard-1"]
+        assert routing_counts(router)["failover_reads_total"] >= 1
+        assert router.last_failover_shard_ids == ("shard-1",)
 
     def test_batch_reads_fail_over_too(self):
         db, router, shards = self._cluster()
@@ -324,7 +325,7 @@ class TestReplication:
             table="Emp",
         )
         assert [len(o.relation) for o in outcomes] == [15, 15]
-        assert router.stats["failover_reads"] >= 1
+        assert routing_counts(router)["failover_reads_total"] >= 1
 
     def test_stored_relation_and_count_survive_one_dead_shard(self):
         db, router, shards = self._cluster()
@@ -402,7 +403,7 @@ class TestReplication:
         shards[0].down = True
         after = db.select("SELECT * FROM Emp WHERE dept = 'IT'")
         assert len(after.relation) == before == 15
-        assert router.stats["failover_reads"] >= 1
+        assert routing_counts(router)["failover_reads_total"] >= 1
 
 
 class TestDuplicateSafety:
@@ -448,26 +449,26 @@ class TestStatsThreadSafety:
         """Eight threads reading past a down replica of one shared router."""
         db, router, shards = TestReplication()._cluster()
         shards[1].down = True
-        before = router.stats
+        before = routing_counts(router)
         rounds = 20
-        snapshots: list[dict] = []
+        snapshots: list[tuple] = []
 
         def hammer():
             for _ in range(rounds):
                 db.select("SELECT * FROM Emp WHERE dept = 'HR'")
-                snapshots.append(router.stats)
+                snapshots.append((routing_counts(router), router.last_failover_shard_ids))
 
         threads = [threading.Thread(target=hammer) for _ in range(8)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=60)
-        after = router.stats
-        for name in ("scatter_reads", "failover_reads"):
+        after = routing_counts(router)
+        for name in ("scatter_reads_total", "failover_reads_total"):
             assert after[name] - before[name] == 8 * rounds
-        for snapshot in snapshots:  # each read after a failover read, whole
-            assert snapshot["failover_reads"] > before["failover_reads"]
-            assert snapshot["last_failover_shard_ids"] == ["shard-1"]
+        for counts, failed in snapshots:  # each read after a failover read, whole
+            assert counts["failover_reads_total"] > before["failover_reads_total"]
+            assert failed == ("shard-1",)
 
 
 class TestConstruction:

@@ -32,6 +32,7 @@ from provider_calls import (
     execute_query,
     insert_tuples,
     register_evaluator,
+    routing_counts,
     store_relation,
     tuple_count,
 )
@@ -252,7 +253,7 @@ class TestFleetsAgree:
         servers = [OutsourcedDatabaseServer() for _ in range(3)]
         with _fleet(kind, servers, replicas=2) as router:
             answers = self._drive(router, dph, encrypted)
-            return answers, _provider_state(servers), router.stats
+            return answers, _provider_state(servers), routing_counts(router)
 
     @pytest.mark.parametrize("kind", FLEET_KINDS)
     def test_same_answers_state_and_counters(self, kind, secret_key):
@@ -262,7 +263,7 @@ class TestFleetsAgree:
         assert answers["count"] == 3  # ids 2..5, one already deleted
         assert state == reference[1]  # provider state
         assert counters == reference[2]  # cluster_*_total counters
-        assert counters["routed_inserts"] == 1 and counters["scatter_reads"] == 2
+        assert counters["routed_inserts_total"] == 1 and counters["scatter_reads_total"] == 2
 
 
 class TestSurfacesFailAlike:

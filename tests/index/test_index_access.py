@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core import SearchableSelectDph
 from repro.index import IndexDelta, IndexLookupRequest, RelationIndex
 from repro.index.wire import encode_index_delta, encode_index_snapshot
+from repro.obs import snapshot_scalars
 from repro.outsourcing import (
     FileStorageBackend,
     InMemoryStorageBackend,
@@ -25,6 +26,11 @@ def _id(v: int) -> bytes:
 
 
 L1, L2 = b"\x01" * 32, b"\x02" * 32
+
+
+def _index_counts(provider) -> dict:
+    """The provider's unlabelled ``index_*`` instruments, from its snapshot."""
+    return snapshot_scalars(provider.metrics_snapshot(), "index_")
 
 
 def _ordered(index: RelationIndex) -> dict[bytes, list[bytes]]:
@@ -80,10 +86,6 @@ class TestRelationIndex:
 
     def test_no_labels_means_no_candidates(self):
         assert list(RelationIndex(((L1, _id(1)),)).candidates([])) == []
-
-    def test_stats_count_labels_and_postings(self):
-        index = RelationIndex(((L1, _id(1)), (L2, _id(1)), (L1, _id(2))))
-        assert index.stats() == {"labels": 2, "postings": 3}
 
 
 LABELS = (L1, L2, b"\x03" * 32)
@@ -167,7 +169,7 @@ class TestProviderLookup:
             for event in provider.audit_log.events_of_kind(AuditEventKind.INDEX_LOOKUP_SERVED)
         ]
         assert accesses == ["scan", "index"]
-        assert provider.index_stats()["scan_fallbacks"] == 1
+        assert _index_counts(provider)["scan_fallbacks_total"] == 1
 
     def test_the_scan_answers_the_embedded_query(self, served):
         dph, encrypted = served
@@ -200,7 +202,7 @@ class TestProviderLookup:
         provider = _provider(dph, encrypted)
         provider.insert_tuples("Emp", [], IndexDelta(additions=((L1, _id(1)),)))
         assert provider.relation_index("Emp") is None
-        assert provider.index_stats()["deltas"] == 0
+        assert _index_counts(provider)["deltas_total"] == 0
 
     def test_storing_the_relation_again_drops_the_index(self, served):
         dph, encrypted = served
@@ -227,17 +229,18 @@ class TestProviderLookup:
         storage.append("Emp", [first])
         assert len(provider.index_lookup("Emp", lookup).matching) == 2
 
-    def test_stats_shape(self, served):
+    def test_the_metrics_snapshot_counts_the_index(self, served):
         dph, encrypted = served
         provider = _provider(dph, encrypted)
+        assert _index_counts(provider)["relations"] == 0
         _put(provider, encrypted)
-        stats = provider.index_stats()
-        assert list(stats) == [
-            "indexed_relations", "puts", "deltas", "lookups", "relations", "scan_fallbacks"
-        ]
-        assert stats["indexed_relations"] == ["Emp"]
-        assert stats["puts"] == 1
-        assert stats["relations"]["Emp"] == {"labels": 1, "postings": 2}
+        provider.index_lookup("Emp", _lookup(dph))
+        assert _index_counts(provider) == {
+            "relations": 1, "puts_total": 1, "deltas_total": 0,
+            "lookups_total": 1, "scan_fallbacks_total": 0,
+        }
+        provider.drop_relation("Emp")
+        assert _index_counts(provider)["relations"] == 0
 
 
 class TestPostingsAreTheStoresIds:

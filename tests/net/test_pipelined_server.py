@@ -14,6 +14,7 @@ import time
 
 import pytest
 from gated_provider import GatedServer, store_empty
+from provider_calls import server_counts
 
 from repro.core.dph import EncryptedRelation
 from repro.crypto.keys import SecretKey
@@ -24,6 +25,7 @@ from repro.net import (
     send_frame,
     throughput_summary,
 )
+from repro.obs import snapshot_scalars
 from repro.outsourcing import OutsourcedDatabaseServer
 from repro.outsourcing.protocol import (
     MessageKind,
@@ -206,10 +208,11 @@ class TestPipelinedConnections:
             finally:
                 slow_sock.close()
                 fast_sock.close()
-            stats = server.server.stats
+            snapshot = server.server.database_server.metrics_snapshot()
+            stats = snapshot_scalars(snapshot, "server_")
             assert stats["peak_concurrent_dispatch"] >= 2
             assert stats["requests_dispatched"] >= 2
-            assert "peak 2 concurrent" in throughput_summary(stats)
+            assert "peak 2 concurrent" in throughput_summary(snapshot)
 
 
 class ExplodingServer(OutsourcedDatabaseServer):
@@ -305,7 +308,7 @@ class TestTheOneDispatchPath:
             assert recv_frame(busy) is None  # then a clean close
             stopping.join(timeout=10)
             assert not stopping.is_alive()
-            assert server.server.stats["connections_active"] == 0
+            assert server_counts(server.server)["connections_active"] == 0
         finally:
             gate.set()
             busy.close()

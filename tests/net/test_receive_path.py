@@ -16,6 +16,7 @@ import time
 
 import pytest
 from gated_provider import GatedServer, store_empty
+from provider_calls import server_counts
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -319,7 +320,7 @@ def test_a_peer_past_the_connection_cap_waits_in_the_backlog(monkeypatch):
             first.close()
             third.settimeout(2.0)
             assert json.loads(recv_frame(third).payload)["ok"]
-            assert server.server.stats["connections_total"] == 3
+            assert server_counts(server.server)["connections_total"] == 3
         finally:
             for sock in (first, second, third):
                 sock.close()

@@ -18,6 +18,7 @@ import time
 
 import pytest
 from gated_provider import GatedServer
+from provider_calls import server_counts
 
 from repro.api import EncryptedDatabase
 from repro.crypto.keys import SecretKey
@@ -28,6 +29,7 @@ from repro.net import CHANNEL_CONTROL, ThreadedTcpServer, recv_frame, send_frame
 from repro.net import server as server_module
 from repro.net.framing import CHANNEL_ENVELOPE, encode_frame
 from repro.net.server import CONNECTION_THREAD_PREFIX
+from repro.obs import snapshot_scalars
 from repro.outsourcing import FileStorageBackend, OutsourcedDatabaseServer
 from repro.outsourcing.protocol import (
     MessageKind,
@@ -193,7 +195,7 @@ def unanswered(sock: socket.socket) -> bool:
 def connection_of(server: ThreadedTcpServer, sock: socket.socket):
     peer = str(sock.getsockname())
     (connection,) = [
-        c for c in tuple(server.server._connections) if c.stats.peer == peer
+        c for c in tuple(server.server._connections) if c.peer == peer
     ]
     return connection
 
@@ -303,7 +305,7 @@ def test_control_and_envelope_frames_pipelined_together_answer_in_arrival_order(
         (CHANNEL_ENVELOPE, lookup("Emp", L1)),
         (CHANNEL_CONTROL, b'{"op": "ping"}'),
         (CHANNEL_ENVELOPE, lookup("Fast", L2)),
-        (CHANNEL_CONTROL, b'{"op": "stats"}'),
+        (CHANNEL_CONTROL, b'{"op": "metrics"}'),
         (CHANNEL_ENVELOPE, lookup("Nope", L1)),
     ]
     with ThreadedTcpServer(provider()) as server:
@@ -320,7 +322,8 @@ def test_control_and_envelope_frames_pipelined_together_answer_in_arrival_order(
         (c, channel) for c, (channel, _) in enumerate(requests, start=10)
     ]
     assert json.loads(frames[1].payload) == {"ok": True}
-    assert json.loads(frames[3].payload)["relations"] == ["Emp", "Fast"]
+    metrics = json.loads(frames[3].payload)["metrics"]
+    assert snapshot_scalars(metrics, "server_")["requests_dispatched"] == 3
     assert [parse_message(frames[i].payload).kind for i in (0, 2, 4)] == [
         MessageKind.QUERY_RESULT, MessageKind.QUERY_RESULT, MessageKind.ERROR,
     ]
@@ -475,7 +478,7 @@ def test_one_relation_never_runs_on_two_threads_at_once():
     assert not failures, failures
     assert database.peak == {"Emp": 1, "Fast": 1}
     assert database.peak_total == 2
-    assert server.server.stats["requests_dispatched"] == 121
+    assert server_counts(server.server)["requests_dispatched"] == 121
 
 
 class TestTheLockIsReleasedBeforeAnswering:
@@ -489,7 +492,7 @@ class TestTheLockIsReleasedBeforeAnswering:
                 seen.append((
                     correlation,
                     dict(database._locks),
-                    connection._server.stats["requests_dispatched"],
+                    server_counts(connection._server)["requests_dispatched"],
                 ))
             send(connection, payload, channel, correlation)
 
@@ -545,9 +548,10 @@ class TestASlowRelationHoldsUpNoOtherRequest:
                 send_frame(slow, lookup("Emp", L1), correlation=1)
                 assert database.entered["Emp"].wait(timeout=10)
                 assert ping(other) == {"ok": True}
-                send_frame(other, b'{"op": "stats"}', channel=CHANNEL_CONTROL, correlation=4)
-                stats = json.loads(recv_frame(other).payload)
-                assert stats["stats"]["requests_dispatched"] == 1  # the ping
+                send_frame(other, b'{"op": "metrics"}', channel=CHANNEL_CONTROL, correlation=4)
+                metrics = json.loads(recv_frame(other).payload)["metrics"]
+                dispatched = snapshot_scalars(metrics, "server_")["requests_dispatched"]
+                assert dispatched == 1  # the ping
                 assert ask(other, lookup("Fast", L1)).channel == CHANNEL_ENVELOPE
                 assert unanswered(slow)
                 gate.set()
@@ -606,29 +610,29 @@ class TestASlowRelationHoldsUpNoOtherRequest:
             hog.settimeout(10.0)
             hog.connect(("127.0.0.1", server.port))
             other = open_client(server.port)
+            before = server_counts(server.server)["frames_sent"]
+
+            def sent() -> int:  # frames sent since ``other``'s hello
+                return server_counts(server.server)["frames_sent"] - before
+
             try:
                 send_frame(hog, b'{"op": "hello"}', channel=CHANNEL_CONTROL, correlation=1)
                 hog.sendall(b"".join(
                     encode_frame(envelope(MessageKind.TUPLE_COUNT, "Big"), correlation=c)
                     for c in range(10, 10 + requests)
                 ))
-                peer = str(hog.getsockname())
-                wait_until(lambda: any(
-                    c.peer == peer and c.frames_sent > 1
-                    for c in tuple(server.server._connections.values())
-                ))
+                wait_until(lambda: sent() > 1)
                 connection = connection_of(server, hog)
-                stats = connection.stats
                 assert ping(other) == {"ok": True}
                 answer = parse_message(ask(other, lookup("Fast", L1)).payload)
                 assert answer.kind is MessageKind.QUERY_RESULT
                 assert connection._busy
-                assert stats.frames_sent < 1 + requests  # parked in sendall
+                assert sent() - 2 < 1 + requests  # less other's two: parked in sendall
                 assert json.loads(recv_frame(hog).payload)["ok"]  # the hello
                 frames = [recv_frame(hog) for _ in range(requests)]
                 assert [f.correlation for f in frames] == list(range(10, 10 + requests))
                 assert {len(f.payload) for f in frames} == {1 << 20}
-                assert stats.frames_sent == 1 + requests
+                assert sent() - 2 == 1 + requests
             finally:
                 hog.close()
                 other.close()
@@ -663,8 +667,8 @@ class TestLifecycle:
                     assert ping(sock) == {"ok": True}
                 finally:
                     sock.close()
-            wait_until(lambda: server.server.stats["connections_active"] == 0)
-            assert server.server.stats["connections_total"] == 3
+            wait_until(lambda: server_counts(server.server)["connections_active"] == 0)
+            assert server_counts(server.server)["connections_total"] == 3
 
     def test_stop_wakes_an_accept_thread_waiting_for_a_free_slot(self, monkeypatch):
         monkeypatch.setattr(server_module, "MAX_CONNECTIONS", 1)
@@ -697,7 +701,7 @@ class TestLifecycle:
             gate.set()
             stopping.join(timeout=10)
             assert not stopping.is_alive()
-            assert server.server.stats["connections_active"] == 0
+            assert server_counts(server.server)["connections_active"] == 0
             assert database._locks == {}
         finally:
             gate.set()

@@ -7,9 +7,9 @@ its map.  Here five worker threads hit one provider at once, in-process
 and over ``tcp://``, on the in-memory store and the file-backed one, with
 the interpreter switching threads every microsecond: inserts to ``A``,
 whole-relation reads of ``A`` beside them, scans of ``B``, ``TUPLE_COUNT``
-reads of ``A`` (waiting for ``A``'s lock), and the operator read-outs (the
-``stats`` / ``metrics`` control operations over ``tcp://``, the provider's
-own read-outs in-process) beside ``RELATION_NAMES`` envelopes.  No request may fail, no read of ``A`` may
+reads of ``A`` (waiting for ``A``'s lock), and the operator read-out (the
+``metrics`` control operation over ``tcp://``, the provider's
+``metrics_snapshot()`` in-process) beside ``RELATION_NAMES`` envelopes.  No request may fail, no read of ``A`` may
 miss a tuple acknowledged before it was sent or hold a torn or foreign
 one, no scan may see a torn ``B``, no count of ``A`` may go backwards or
 past what was acknowledged, and ``A`` must end holding exactly the inserted
@@ -148,11 +148,6 @@ class InProcess:
         raw = MessageV2(kind=kind, relation_name=relation, body=body).to_bytes()
         return parse_message(self.provider.handle_message(raw))
 
-    def relations(self) -> list[str]:
-        self.provider.audit_log.summary()
-        self.provider.index_stats()
-        return list(self.provider.relation_names)
-
     def counters(self) -> list:
         return self.provider.metrics_snapshot()["counters"]
 
@@ -178,9 +173,6 @@ class OverTcp:
     def envelope(self, kind: MessageKind, relation: str, body: bytes) -> MessageV2:
         send_frame(self.sock, MessageV2(kind=kind, relation_name=relation, body=body).to_bytes())
         return parse_message(recv_frame(self.sock).payload)
-
-    def relations(self) -> list[str]:
-        return self._control({"op": "stats"})["relations"]
 
     def counters(self) -> list:
         return self._control({"op": "metrics"})["metrics"]["counters"]
@@ -259,7 +251,6 @@ def test_writes_beside_scans_and_control_ops(transport, storage, tmp_path):
 
     def operator(channel):
         for _ in range(ROUNDS):
-            assert channel.relations() == ["A", "B"]
             assert channel.counters()
             names = ask(channel, MessageKind.RELATION_NAMES, "")
             assert decode_relation_names(names) == ("A", "B")

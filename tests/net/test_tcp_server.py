@@ -10,6 +10,7 @@ import threading
 import time
 
 import pytest
+from provider_calls import relation_names, server_counts
 
 from repro.api import DatabaseError, EncryptedDatabase
 from repro.net import (
@@ -24,6 +25,7 @@ from repro.net import (
     throughput_summary,
 )
 from repro.net.client import ConnectionLostError, RemoteConnection, parse_tcp_url
+from repro.obs import snapshot_scalars
 from repro.outsourcing import MessageKind, MessageV2, OutsourcedDatabaseServer
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
@@ -177,6 +179,26 @@ class TestHostileBytes:
             finally:
                 sock.close()
 
+    def test_an_answer_past_the_frame_limit_is_an_error_and_the_connection_lives(
+        self, secret_key
+    ):
+        database = OutsourcedDatabaseServer()
+        db = EncryptedDatabase.open(secret_key, server=database)
+        db.create_table(EMP_DECL, rows=[(f"emp{i}", "HR", i) for i in range(40)])
+        fetch = MessageV2(kind=MessageKind.FETCH_RELATION, relation_name="Emp").to_bytes()
+        with ThreadedTcpServer(database, max_frame_size=1024) as server:
+            sock = raw_connection(server.port)
+            try:
+                assert send_hello(sock)["ok"]
+                send_frame(sock, fetch, channel=CHANNEL_ENVELOPE, correlation=7)
+                frame = recv_frame(sock)
+                assert (frame.channel, frame.correlation) == (CHANNEL_CONTROL, 7)
+                response = json.loads(frame.payload)
+                assert not response["ok"] and "exceeds the 1024-byte limit" in response["error"]
+                assert control(sock, {"op": "ping"}) == {"ok": True}
+            finally:
+                sock.close()
+
     def test_truncated_frame_then_close_leaves_server_alive(self, provider):
         sock = raw_connection(provider.port)
         sock.sendall(encode_frame(b"x" * 64, channel=CHANNEL_CONTROL)[:-10])
@@ -252,8 +274,7 @@ class TestConcurrentClients:
         for thread in threads:
             thread.join(timeout=60)
         assert not errors, errors
-        stats = provider.server.stats
-        assert stats["connections_total"] >= 6
+        assert server_counts(provider.server)["connections_total"] >= 6
         names = provider.server.database_server.relation_names
         assert set(names) == {f"T{i}" for i in range(6)}
 
@@ -295,19 +316,25 @@ class TestConcurrentClients:
         assert not errors and not any(thread.is_alive() for thread in threads), errors
         assert len(answers) == 8 * 12
         assert all(names == oracle[dept] for dept, names in answers)
-        assert provider.server.stats["connections_total"] <= 4
+        assert server_counts(provider.server)["connections_total"] <= 4
 
-    def test_stats_count_frames_and_bytes(self, provider, secret_key):
+    def test_the_metrics_read_out_counts_frames_and_bytes(self, provider, secret_key):
         db = EncryptedDatabase.connect(f"tcp://127.0.0.1:{provider.port}", secret_key)
         db.create_table(EMP_DECL, rows=[("A", "HR", 1)])
         db.select("SELECT * FROM Emp WHERE dept = 'HR'")
         proxy = db.server
-        stats = proxy.server_stats()
-        assert stats["stats"]["connections_total"] >= 1
-        assert stats["stats"]["envelope_frames"] >= 2  # store + query
-        assert stats["stats"]["control_frames"] == 2  # hello + this read-out
-        assert stats["audit"]["query-executed"] >= 1
-        assert stats["relations"] == ["Emp"]
+        snapshot = proxy.metrics_snapshot()
+        counts = snapshot_scalars(snapshot, "server_")
+        assert counts["connections_total"] >= 1
+        assert counts["envelope_frames"] >= 2  # store + query
+        assert counts["control_frames"] == 2  # hello + this read-out
+        assert counts["bytes_received"] > 0 and counts["bytes_sent"] > 0
+        audit = {
+            entry["labels"]["kind"]: entry["value"]
+            for entry in snapshot["gauges"] if entry["name"] == "audit_events"
+        }
+        assert audit["query-executed"] >= 1
+        assert relation_names(proxy) == ("Emp",)
         db.close()
 
 
@@ -655,13 +682,14 @@ class TestGracefulShutdown:
         db.create_table(EMP_DECL, rows=[("A", "HR", 1)])
         db.close()
         server.stop()
-        counts = server.server.stats
+        snapshot = server.server.database_server.metrics_snapshot()
+        counts = snapshot_scalars(snapshot, "server_")
         assert counts["connections_active"] == 0
         assert counts["connections_total"] >= 1
         assert counts["frames_received"] == (
             counts["envelope_frames"] + counts["control_frames"]
         )
-        assert "connection(s)" in throughput_summary(counts)
+        assert "connection(s)" in throughput_summary(snapshot)
 
     def test_double_stop_is_idempotent(self):
         server = ThreadedTcpServer().start()

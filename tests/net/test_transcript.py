@@ -18,6 +18,7 @@ import random
 import threading
 
 import pytest
+from provider_calls import server_counts
 
 from repro.api import EncryptedDatabase
 from repro.crypto.rng import DeterministicRng
@@ -137,7 +138,7 @@ def transcripts(seed: int):
             remote_responses, remote_replies = run(proxy, seed)
         finally:
             proxy.close()
-        stats = server.server.stats
+        stats = server_counts(server.server)
         dispatched = stats["requests_dispatched"]
     assert local_replies == remote_replies
     return (

@@ -14,7 +14,7 @@ import pytest
 from repro.api import EncryptedDatabase
 from repro.cli import main
 from repro.net import ThreadedTcpServer
-from repro.obs import histogram_summaries
+from repro.obs import histogram_summaries, snapshot_scalars
 from repro.outsourcing import OutsourcedDatabaseServer
 from repro.outsourcing.audit import ServerAuditLog
 
@@ -98,13 +98,13 @@ class TestTcpTracing:
                 assert any(name.startswith("provider.") for name in names)
                 db.drop_table("Emp")
 
-    def test_stats_control_op_keeps_the_old_names(self, secret_key, rng):
+    def test_the_metrics_snapshot_keeps_the_old_server_names(self, secret_key, rng):
         with ThreadedTcpServer() as server:
             url = f"tcp://127.0.0.1:{server.port}"
             with EncryptedDatabase.connect(url, secret_key, rng=rng) as db:
                 db.create_table(EMP_DECL, rows=ROWS)
                 db.select("SELECT * FROM Emp WHERE dept = 'HR'")
-                stats = db.server.server_stats()["stats"]
+                stats = snapshot_scalars(db.server.metrics_snapshot(), "server_")
                 db.drop_table("Emp")
         for name in (
             "connections_total",

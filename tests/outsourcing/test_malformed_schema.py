@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 from mutating_provider import TRANSPORTS, MutatingServer, swp_session
-from provider_calls import drop_relation, register_evaluator
+from provider_calls import drop_relation, register_evaluator, server_counts
 
 from repro.api import DatabaseError, EncryptedDatabase
 from repro.crypto.keys import SecretKey
@@ -84,7 +84,7 @@ def test_tcp_provider_answers_error_and_connection_stays_usable(secret_key, rng,
             drop_relation(db.server, "Emp")
             db.create_table(EMP_DECL, rows=ROWS)
             assert len(db.select("SELECT * FROM Emp WHERE dept = 'HR'").relation) == 1
-            assert provider.server.stats["connections_total"] == 1
+            assert server_counts(provider.server)["connections_total"] == 1
 
 
 def replace_schema(schema_field: bytes):

@@ -4,14 +4,27 @@ A provider, a ``tcp://`` proxy and a shard router all answer one surface,
 ``handle_message``; a test that pokes one directly sends the operation's
 envelope through :func:`repro.outsourcing.request`, which returns the
 answer decoded as ``protocol.ANSWERS`` declares it.  A refusal raises
-``error`` (``ServerError`` unless the caller says otherwise).  Lives next
-to ``tests/conftest.py``, which puts this directory on ``sys.path``.
+``error`` (``ServerError`` unless the caller says otherwise).  The two
+counter readers take what an operator reads: a registry snapshot.  Lives
+next to ``tests/conftest.py``, which puts this directory on ``sys.path``.
 """
 
 from __future__ import annotations
 
+from repro.obs import snapshot_scalars
 from repro.outsourcing import MessageKind, ServerError, protocol, request
 from repro.outsourcing.evaluators import describe_evaluator
+
+
+def server_counts(tcp_server) -> dict:
+    """A ``DatabaseTcpServer``'s ``server_<name>`` counters, as its
+    provider's metrics snapshot holds them."""
+    return snapshot_scalars(tcp_server.database_server.metrics_snapshot(), "server_")
+
+
+def routing_counts(router) -> dict:
+    """A ``ShardRouter``'s ``cluster_<name>_total`` counters, from its registry."""
+    return snapshot_scalars(router.metrics.snapshot(), "cluster_")
 
 
 def _send(provider, kind, name, body=b"", error=ServerError):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
@@ -452,6 +453,41 @@ class TestServingProcesses:
         assert [line.split(":")[0] for line in rest.splitlines()[1:]] == [
             "repro cluster shard 0 stopped", "repro cluster shard 1 stopped",
         ]
+
+    @pytest.mark.parametrize(
+        ("argv", "banner", "stopped"),
+        [
+            (("serve", "--port", "0"), "repro provider listening on", 1),
+            (("cluster", "spawn", "--shards", "2"), "repro cluster ready:", 2),
+        ],
+        ids=["serve", "cluster-spawn"],
+    )
+    def test_a_sigterm_read_off_the_banner_finds_its_handler(
+        self, monkeypatch, argv, banner, stopped
+    ):
+        """The banner is written only once SIGTERM is handled, so a signal
+        sent the moment it is read stops the process cleanly.  No signal is
+        sent: at the banner, the handler in place is called as a SIGTERM
+        would call it."""
+        before = signal.getsignal(signal.SIGTERM)
+        seen = []
+
+        class Stdout(io.StringIO):
+            def write(self, text: str) -> int:
+                written = super().write(text)
+                if text.startswith(banner):
+                    handler = signal.getsignal(signal.SIGTERM)
+                    seen.append(handler)
+                    assert handler is not before, "the banner is out before SIGTERM is handled"
+                    handler(signal.SIGTERM, None)
+                return written
+
+        stdout = Stdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(list(argv)) == 0
+        assert len(seen) == 1
+        assert signal.getsignal(signal.SIGTERM) is before
+        assert stdout.getvalue().count(" stopped: ") == stopped
 
     def test_the_signal_wait_ticks_until_interrupted_and_restores_the_handlers(self):
         ticks = []

@@ -12,9 +12,9 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 #: Path under the repository root -> the most Python lines it may hold.
 BUDGETS = {
-    "src": 17_576,
-    "src/repro/index": 374,
-    "src/repro/net": 1_615,
+    "src": 17_514,
+    "src/repro/index": 371,
+    "src/repro/net": 1_578,
     "src/repro/cluster/router.py": 1_200,
 }
 

@@ -19,6 +19,9 @@ oracle of the same rows.
 4. **Indexed fleet** -- ``?index=1``: exact selects served by
    ``INDEX_LOOKUP`` at ``examined`` = result size, equal to a scanning
    session's answers, and the router's index counters fire.
+
+Every counter is read from a registry snapshot: a shard's through its
+``metrics`` control operation, the router's from its own registry.
 5. **Metrics plane** -- every shard scraped mid-workload: non-empty latency
    histograms, parseable Prometheus text, and fleet-wide merged summaries.
 6. **Session cache** -- ``?cache=1``: a zipfian burst hits the session's
@@ -121,7 +124,16 @@ def connect(url: str, **options):
     return EncryptedDatabase.connect(url, timeout=STARTUP_TIMEOUT_S, **options)
 
 
+def routing_counts(db) -> dict:
+    """The router's ``cluster_<name>_total`` counters, from its registry snapshot."""
+    from repro.obs import snapshot_scalars
+
+    return snapshot_scalars(db.server.metrics.snapshot(), "cluster_")
+
+
 def smoke_scatter_gather_crud() -> None:
+    from repro.obs import snapshot_scalars
+
     with stopping([launch("cluster", "spawn", "--shards", "2")]) as (proc,):
         banners = (re.search(r"cluster ready: (cluster://\S+)", proc.stdout.readline())
                    for _ in range(10))
@@ -132,9 +144,10 @@ def smoke_scatter_gather_crud() -> None:
             counts = db.server.per_shard_tuple_counts("Smoke")
             check(len(counts) == 2 and all(counts.values()),
                   f"traffic did not reach both shards: {counts}")
-            for shard_id, entry in db.server.cluster_status().items():
-                frames = entry.get("stats", {}).get("stats", {}).get("envelope_frames", 0)
-                check(entry.get("ok") and frames > 0, f"{shard_id} served no envelopes")
+            for shard_id in db.server.shard_ids:
+                snapshot = db.server.shard(shard_id).metrics_snapshot()
+                frames = snapshot_scalars(snapshot, "server_").get("envelope_frames", 0)
+                check(frames > 0, f"{shard_id} served no envelopes")
         print(f"CRUD round trip matched the oracle on both shards, no thread: {counts}")
         proc.send_signal(signal.SIGTERM)
         output, _ = proc.communicate(timeout=SHUTDOWN_TIMEOUT_S)
@@ -156,7 +169,7 @@ def smoke_replicated_failover() -> None:
             procs[0].send_signal(signal.SIGKILL)  # a provider dies, hard
             procs[0].wait(timeout=SHUTDOWN_TIMEOUT_S)
             check(rows_where(db, "value = 1") == expected, "post-kill select incomplete")
-            failovers = db.server.stats["failover_reads"]
+            failovers = routing_counts(db)["failover_reads_total"]
             check(failovers >= 1, "the read was not a failover")
             check(db.count("Smoke") == NUM_ROWS, "post-kill count is wrong")
             print(f"complete with 1/3 providers dead (failover_reads={failovers})")
@@ -214,9 +227,9 @@ def smoke_indexed_fleet() -> None:
             for where in ("value = 0", "value = 1", "name = 'extra'"):
                 check(rows_where(db, where) == rows_where(scan, where),
                       f"index/scan divergence on {where!r}")
-            stats = db.server.stats
-            check(stats["index_lookups"] >= 1 and stats["index_writes"] >= 1,
-                  f"the index serving path never ran: {stats}")
+            counts = routing_counts(db)
+            check(counts["index_lookups_total"] >= 1 and counts["index_writes_total"] >= 1,
+                  f"the index serving path never ran: {counts}")
     print(f"indexed fleet: examined={examined} for {expected} results, scan-equivalent")
 
 
