@@ -640,9 +640,12 @@ class EncryptedDatabase:
     ) -> TableHandle:
         """Create an outsourced table from a schema (or declaration string).
 
-        The table is named after the schema; an optional initial ``rows``
-        list is encrypted and shipped with the creating ``STORE_RELATION``
-        message.
+        The table is named after the schema.  The deploy creates the
+        relation, empty, at the provider (an indexed session then ships its
+        empty index); an optional initial ``rows`` list follows as the one
+        ``INSERT_TUPLES`` :meth:`insert_many` would send.  Every row is
+        checked before anything is sent, and a create whose insert fails
+        drops the relation again: it raises and leaves no table behind.
         """
         if isinstance(schema, str):
             schema = RelationSchema.parse(schema)
@@ -654,31 +657,28 @@ class EncryptedDatabase:
                 f"the provider already stores a relation named {name!r}; "
                 "attach_table to reuse it or drop_table to replace it"
             )
+        relation_tuples = self._as_tuples(schema, rows or ())
         handle = self._bind_table(schema)
-        relation = Relation(schema, [])
-        if rows:
-            relation = Relation.from_rows(schema, rows)
-        encrypted = handle.scheme.encrypt_relation(relation)
         try:
-            body = protocol.encode_encrypted_relation(encrypted)
-            self._request(MessageKind.STORE_RELATION, name, body)
-        except DatabaseError:
+            if handle.indexer is not None:
+                self._request(MessageKind.INDEX_PUT, name, encode_index_snapshot(()))
+            self._insert(handle, relation_tuples)
+        except Exception:
+            with contextlib.suppress(DatabaseError):
+                self._request(MessageKind.DROP_RELATION, name)
             self._unbind_table(name)
             raise
         finally:
             self._invalidate_cache(name)
-        if handle.indexer is not None:
-            postings = handle.indexer.snapshot(relation, encrypted)
-            self._request(MessageKind.INDEX_PUT, name, encode_index_snapshot(postings))
         return handle
 
     def attach_table(self, schema: RelationSchema | str) -> TableHandle:
         """Re-attach a table the provider already stores (e.g. file-backed).
 
         Rebuilds the table's scheme instance from this session's master key
-        and re-deploys the evaluator, without shipping a ``STORE_RELATION``
-        message -- the provider's copy is left untouched.  The session key
-        must be the one the table was created under, or decryption will fail.
+        and re-deploys the evaluator; a deploy leaves a stored relation's
+        tuples untouched.  The session key must be the one the table was
+        created under, or decryption will fail.
         """
         if isinstance(schema, str):
             schema = RelationSchema.parse(schema)
@@ -699,12 +699,13 @@ class EncryptedDatabase:
             # have taken with it; rebuild it from the stored ciphertexts
             # (decrypting client-side, as always) and re-ship it.
             rows = handle.scheme.decrypt_tuples(stored.encrypted_tuples)
-            postings = handle.indexer.snapshot(Relation(schema, rows), stored)
+            postings = handle.indexer.snapshot(rows, stored.encrypted_tuples)
             self._request(MessageKind.INDEX_PUT, name, encode_index_snapshot(postings))
         return handle
 
     def _bind_table(self, schema: RelationSchema) -> TableHandle:
-        """Derive the table key, build the scheme, deploy the evaluator."""
+        """Derive the table key, build the scheme, deploy the schema and the
+        evaluator (which creates the relation, empty, unless one is stored)."""
         name = schema.name
         table_key = SecretKey(self._key.subkey(f"table/{name}"))
         scheme = registry.create(
@@ -721,7 +722,7 @@ class EncryptedDatabase:
             indexer = TableIndexer(schema, self._key.subkey(f"index/{name}"))
         handle = TableHandle(name=name, schema=schema, scheme=scheme, indexer=indexer)
         description = describe_evaluator(scheme.server_evaluator())
-        body = protocol.encode_evaluator_description(description)
+        body = protocol.encode_deploy(schema, description)
         self._request(MessageKind.REGISTER_EVALUATOR, name, body)
         self._tables[name] = handle
         self._statements = {}
@@ -757,33 +758,32 @@ class EncryptedDatabase:
         """Encrypt and append several rows in one ``INSERT_TUPLES``; returns how many.
 
         Every row is checked and encrypted first, so a bad row raises what
-        inserting it alone raises and nothing is sent.  Like
-        ``create_table(rows=)``, a batch past the frame ceiling fails whole.
+        inserting it alone raises and nothing is sent.  A batch past the
+        frame ceiling fails whole.
         """
         with self._traced("insert") as op_span:
             op_span.annotations["table"] = table
             handle = self.table(table)
-            relation_tuples = [self._as_tuple(handle, row) for row in rows]
-            if not relation_tuples:
-                return 0
-            encrypted = handle.scheme.encrypt_tuples(relation_tuples)
-            postings = b""
-            if handle.indexer is not None:
-                delta_of = handle.indexer.insert_delta
-                additions = tuple(
-                    posting
-                    for row, encrypted_tuple in zip(relation_tuples, encrypted)
-                    for posting in delta_of(row, encrypted_tuple.tuple_id).additions
-                )
-                postings = encode_index_delta(IndexDelta(additions=additions))
-            body = protocol.encode_insert_tuples(postings, encrypted)
-            try:
-                self._request(MessageKind.INSERT_TUPLES, table, body)
-            finally:
-                # Even a failed insert may have reached the provider, so the
-                # eviction is unconditional: one extra miss beats one stale hit.
-                self._invalidate_cache(table, relation_tuples)
-            return len(relation_tuples)
+            return self._insert(handle, self._as_tuples(handle.schema, rows))
+
+    def _insert(self, handle: TableHandle, relation_tuples: list) -> int:
+        """Encrypt checked tuples and ship them, their postings inside, in
+        one ``INSERT_TUPLES``; returns how many."""
+        if not relation_tuples:
+            return 0
+        encrypted = handle.scheme.encrypt_tuples(relation_tuples)
+        postings = b""
+        if handle.indexer is not None:
+            additions = handle.indexer.snapshot(relation_tuples, encrypted)
+            postings = encode_index_delta(IndexDelta(additions=additions))
+        body = protocol.encode_insert_tuples(postings, encrypted)
+        try:
+            self._request(MessageKind.INSERT_TUPLES, handle.name, body)
+        finally:
+            # Even a failed insert may have reached the provider, so the
+            # eviction is unconditional: one extra miss beats one stale hit.
+            self._invalidate_cache(handle.name, relation_tuples)
+        return len(relation_tuples)
 
     def delete(self, query: Query | str, table: str | None = None) -> int:
         """Delete the tuples matching an exact-select query; returns the count.
@@ -825,11 +825,9 @@ class EncryptedDatabase:
             matches = self._true_matches(name, parsed)
             if not matches:
                 return 0
-            replacements = []
-            for _, plaintext in matches:
-                values = plaintext.as_dict()
-                values.update(changes)
-                replacements.append(self._make_tuple(handle.schema, values))
+            replacements = self._as_tuples(
+                handle.schema, [{**plaintext.as_dict(), **changes} for _, plaintext in matches]
+            )
             self.insert_many(name, replacements)
             self._delete_matches(name, matches)
             return len(replacements)
@@ -1095,23 +1093,17 @@ class EncryptedDatabase:
             projected = report.relation.project(list(parsed.attributes))
         return SelectOutcome(report=report, projected_rows=projected, answer=answer)
 
-    def _as_tuple(self, handle: TableHandle, row) -> RelationTuple:
-        if isinstance(row, RelationTuple):
-            return row
-        if isinstance(row, dict):
-            return self._make_tuple(handle.schema, row)
-        values = dict(zip(handle.schema.attribute_names, row))
-        if len(values) != len(handle.schema.attribute_names) or len(row) != len(values):
-            raise DatabaseError(
-                f"row has {len(row)} values, schema {handle.schema.name!r} "
-                f"has {len(handle.schema.attribute_names)} attributes"
-            )
-        return self._make_tuple(handle.schema, values)
-
     @staticmethod
-    def _make_tuple(schema: RelationSchema, values: dict) -> RelationTuple:
-        """Build a validated tuple, translating schema violations to the API error."""
+    def _as_tuples(schema: RelationSchema, rows) -> list[RelationTuple]:
+        """The rows -- dicts, positional rows or relation tuples -- as
+        validated tuples; a schema violation is a :class:`DatabaseError`."""
+        from_values = RelationTuple.from_values
         try:
-            return RelationTuple(schema, values)
+            return [
+                row if isinstance(row, RelationTuple)
+                else RelationTuple(schema, row) if isinstance(row, dict)
+                else from_values(schema, row)
+                for row in rows
+            ]
         except Exception as exc:
             raise DatabaseError(str(exc)) from exc

@@ -160,7 +160,7 @@ class ClusterManifest:
         try:
             replicas = int(document.get("replicas", 1))
             virtual_nodes = int(document.get("virtual_nodes", DEFAULT_VIRTUAL_NODES))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # 1e400 is an infinity
             raise ManifestError(f"malformed manifest field: {exc}") from exc
         return cls(
             shards=tuple(shards),
@@ -188,15 +188,17 @@ class ClusterManifest:
 
     @classmethod
     def load(cls, path: str | pathlib.Path) -> "ClusterManifest":
-        """Read and validate a manifest file."""
+        """Read and validate a manifest file; any content that is not a
+        valid manifest -- bytes that are not UTF-8, nesting deeper than the
+        parser's recursion limit included -- is a :class:`ManifestError`."""
         source = pathlib.Path(path)
         try:
-            text = source.read_text(encoding="utf-8")
+            raw = source.read_bytes()
         except OSError as exc:
             raise ManifestError(f"cannot read manifest {source}: {exc}") from exc
         try:
-            document = json.loads(text)
-        except ValueError as exc:
+            document = json.loads(raw.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
             raise ManifestError(f"manifest {source} is not valid JSON: {exc}") from exc
         return cls.from_json(document)
 

@@ -23,9 +23,9 @@ and re-added, a failed replicated insert that was retried) is re-copied
 from any surviving holder.
 
 The migration is not atomic with respect to concurrent writers; run it from
-the coordinator while no other session mutates the affected relations (the
-same discipline the single-provider ``STORE_RELATION`` replacement already
-requires).
+the coordinator while no other session mutates the affected relations (a
+concurrent delete may land on a copy before it is placed, and the copy
+then comes back).
 
 Everything here drives the fleet's shards through the router's plan rows
 (:meth:`ShardRouter.each_shard <repro.cluster.router.ShardRouter.each_shard>`:

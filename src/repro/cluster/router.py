@@ -22,9 +22,6 @@ R distinct shards.  Operation shapes:
                      ignore unknown ids, so this stays correct while
                      tuples are mid-migration or a rebalance is deferred);
                      the answer is the union of the ids that went
-``STORE_RELATION``   partitioned across all shards, each tuple stored on
-                     its R successors (every shard stores the relation,
-                     possibly empty, so queries can fan out)
 ``QUERY``            scatter to all shards, merge the evaluation results
                      (deduplicated by public tuple id)
 ``BATCH_QUERY``      scatter the whole batch, merge element-wise
@@ -32,8 +29,10 @@ R distinct shards.  Operation shapes:
 ``TUPLE_COUNT``      ``LIST_TUPLE_IDS`` to every shard, count distinct ids
 ``INDEX_PUT``        the postings to every shard (fail-fast)
 ``INDEX_LOOKUP``     scatter, merge as ``QUERY``
-DDL                  ``REGISTER_EVALUATOR`` / ``DROP_RELATION`` to every
-                     shard (fail-fast); ``RELATION_NAMES`` unions the lists
+DDL                  ``REGISTER_EVALUATOR`` (the deploy: every shard creates
+                     the relation, empty, so queries can fan out) and
+                     ``DROP_RELATION`` to every shard (fail-fast);
+                     ``RELATION_NAMES`` unions the lists
 ===================  ====================================================
 
 Each kind is answered, and each shard's answer checked, as
@@ -217,10 +216,6 @@ def _first(values: Sequence[Any], _payload: Any) -> Any:
     return values[0]
 
 
-def _count_of_relation(_values: Sequence[int], relation: EncryptedRelation) -> int:
-    return len(relation)
-
-
 def _count_of_tuples(_values: Sequence[int], payload: tuple) -> int:
     # An INSERT_TUPLES payload is ``(postings, tuples)``: the logical count.
     return len(payload[1])
@@ -335,10 +330,9 @@ class ShardRouter:
         self._timeout = timeout
         self._shards: dict[str, _Shard] = {}
         self._ring = ConsistentHashRing(virtual_nodes=virtual_nodes)
-        #: ``REGISTER_EVALUATOR`` bodies and schemas by relation: what
-        #: ``add_shard`` deploys on a newcomer before it joins.
+        #: ``REGISTER_EVALUATOR`` bodies by relation: the deploys ``add_shard``
+        #: replays on a newcomer before it joins.
         self._evaluators: dict[str, bytes] = {}
-        self._schemas: dict[str, Any] = {}
         self._metrics = MetricsRegistry()
         self._counters = {
             name: self._metrics.counter(f"cluster_{name}_total") for name in _COUNTERS
@@ -659,22 +653,6 @@ class ShardRouter:
             if share or postings
         }
 
-    def _to_partitions(self, request: MessageV2, raw: bytes, relation: EncryptedRelation):
-        # Every shard stores the relation -- possibly an empty slice -- so
-        # queries can fan out; each tuple goes to each of its R successors.
-        schema = relation.schema
-        self._schemas[request.relation_name] = schema
-        return {
-            shard_id: self._frame(
-                request,
-                MessageKind.STORE_RELATION,
-                protocol.encode_encrypted_relation(
-                    EncryptedRelation(schema=schema, encrypted_tuples=tuple(share))
-                ),
-            )
-            for shard_id, share in self._shares(relation).items()
-        }
-
     # -- settle: the router's own bookkeeping ---------------------------- #
 
     def _remember_evaluator(self, request: MessageV2) -> None:
@@ -682,7 +660,6 @@ class ShardRouter:
 
     def _forget_relation(self, request: MessageV2) -> None:
         self._evaluators.pop(request.relation_name, None)
-        self._schemas.pop(request.relation_name, None)
 
     #: One row per routed kind: targets, merge, then the departures from a
     #: plain fail-fast write; the answer kinds are ``protocol.ANSWERS``'s.
@@ -692,9 +669,6 @@ class ShardRouter:
         MessageKind.INSERT_TUPLES: _Plan(
             _to_holders, _count_of_tuples,
             decode=protocol.decode_insert_tuples, record="routed_inserts",
-        ),
-        MessageKind.STORE_RELATION: _Plan(
-            _to_partitions, _count_of_relation, decode=protocol.decode_encrypted_relation
         ),
         MessageKind.DELETE_TUPLES: _Plan(_to_every_shard, _union_of_ids),
         # An INDEX_PUT replicates fleet-wide, as the postings each write
@@ -734,11 +708,10 @@ class ShardRouter:
     ):
         """Grow the fleet by one shard and migrate its ring share onto it.
 
-        The new shard is primed with every known relation (its evaluator and
-        an empty partition, two envelopes) before it joins the ring, so
-        scatter reads never observe a shard without the relation.  Requires
-        every relation's evaluator to have been registered through this
-        router.
+        The new shard is primed with every known relation -- the relation's
+        remembered deploy, which creates it empty -- before it joins the
+        ring, so scatter reads never observe a shard without the relation.
+        Requires every relation to have been deployed through this router.
 
         Returns the :class:`~repro.cluster.rebalance.RebalanceReport` (or
         None with ``rebalance=False``, leaving existing tuples in place
@@ -754,11 +727,7 @@ class ShardRouter:
         shard = self._open_backend(backend, shard_id, len(self._shards))
         try:
             for name in names:
-                empty = EncryptedRelation(self._any_schema(name), encrypted_tuples=())
-                body = self._evaluators[name]
-                self._ask(shard, MessageKind.REGISTER_EVALUATOR, name, body)
-                body = protocol.encode_encrypted_relation(empty)
-                self._ask(shard, MessageKind.STORE_RELATION, name, body)
+                self._ask(shard, MessageKind.REGISTER_EVALUATOR, name, self._evaluators[name])
         except BaseException:
             if shard.owned:
                 shard.server.close()
@@ -825,21 +794,6 @@ class ShardRouter:
             self._routed(MessageKind.RELATION_NAMES),
             replication=self._replication,
         )
-
-    def _any_schema(self, name: str):
-        """The (public) schema of a stored relation.
-
-        Served from the cache populated at store time; falls back to
-        fetching one shard's copy for relations stored before this router
-        existed (e.g. an attach-style session over persisted shards).
-        """
-        cached = self._schemas.get(name)
-        if cached is not None:
-            return cached
-        first = next(iter(self._shards.values()))
-        schema = self._ask(first, MessageKind.FETCH_RELATION, name).matching.schema
-        self._schemas[name] = schema
-        return schema
 
     # ------------------------------------------------------------------ #
     # Internals

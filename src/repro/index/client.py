@@ -4,9 +4,10 @@
 plaintext attribute values into PRF-derived labels (the same keyed-PRF
 construction the secure-index SSE backend uses for its per-word labels)
 and pairs each label with the public id of the tuple that holds the value.
-The same ``(label, tuple_id)`` postings make up the ``INDEX_PUT`` shipped
-when a relation is first outsourced (:meth:`TableIndexer.snapshot`) and the
-:class:`~repro.index.wire.IndexDelta` of every insert and delete.
+The same ``(label, tuple_id)`` postings (:meth:`TableIndexer.snapshot`)
+make up the ``INDEX_PUT`` shipped when a session attaches a stored table
+and the :class:`~repro.index.wire.IndexDelta` of every insert and delete, a
+new table's first rows included.
 
 What the provider learns from the shipped postings:
 
@@ -23,15 +24,15 @@ What the provider learns from the shipped postings:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 
-from repro.core.dph import EncryptedRelation
+from repro.core.dph import EncryptedTuple
 from repro.crypto.kdf import derive_key
 from repro.crypto.prf import Prf
 from repro.index.wire import IndexDelta, IndexingError, Postings
 from repro.relational.encoding import ValueCodec
 from repro.relational.query import Query, selection_predicates
-from repro.relational.relation import Relation, RelationTuple
+from repro.relational.relation import RelationTuple
 from repro.relational.schema import RelationSchema
 
 #: Label length in bytes -- matches the secure-index SSE construction.
@@ -85,21 +86,18 @@ class TableIndexer:
         predicates = selection_predicates(query)
         return tuple(self.label(p.attribute, p.value) for p in predicates)
 
-    def snapshot(self, relation: Relation, encrypted: EncryptedRelation) -> Postings:
-        """Every posting of a relation: :meth:`insert_delta`'s pairs for each row.
-
-        ``relation`` and ``encrypted`` must be positionally aligned (tuple i
-        of the plaintext encrypts to ciphertext i), which is how
-        ``encrypt_relation`` produces them.
-        """
-        if len(relation.tuples) != len(encrypted.encrypted_tuples):
-            raise IndexingError(
-                "plaintext relation and ciphertext relation have different sizes"
-            )
+    def snapshot(
+        self, rows: Sequence[RelationTuple], encrypted_tuples: Sequence[EncryptedTuple]
+    ) -> Postings:
+        """Every posting of ``rows``, each label paired with its row's tuple
+        id; ``encrypted_tuples`` are the rows' ciphertexts, in row order."""
+        if len(rows) != len(encrypted_tuples):
+            raise IndexingError("plaintext rows and ciphertexts have different counts")
+        labels_of = self.tuple_labels
         return tuple(
             (label, encrypted_tuple.tuple_id)
-            for row, encrypted_tuple in zip(relation.tuples, encrypted.encrypted_tuples)
-            for label in self.tuple_labels(row)
+            for row, encrypted_tuple in zip(rows, encrypted_tuples)
+            for label in labels_of(row)
         )
 
     def insert_delta(

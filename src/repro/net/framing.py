@@ -52,10 +52,10 @@ FRAME_HEADER_SIZE = 5
 MAX_CORRELATION_ID = 2**32 - 1
 
 #: Default ceiling on ``channel byte + correlation id + payload``.  Generous
-#: enough for a whole encrypted relation in one STORE_RELATION frame, or a
-#: whole ``insert_many`` batch in one INSERT_TUPLES frame (neither is split:
-#: a larger one fails whole), small enough that a hostile length prefix
-#: cannot make the peer allocate without bound.
+#: enough for a whole ``insert_many`` batch -- or ``create_table(rows=)``'s
+#: rows -- in one INSERT_TUPLES frame (never split: a larger one fails
+#: whole), small enough that a hostile length prefix cannot make the peer
+#: allocate without bound.
 DEFAULT_MAX_FRAME_SIZE = 64 * 1024 * 1024
 
 #: Channel tags (the byte after the length prefix).

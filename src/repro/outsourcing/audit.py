@@ -19,8 +19,7 @@ from enum import Enum
 class AuditEventKind(Enum):
     """Types of events the service provider observes."""
 
-    RELATION_STORED = "relation-stored"
-    TUPLE_INSERTED = "tuple-inserted"
+    TUPLES_INSERTED = "tuples-inserted"
     QUERY_EXECUTED = "query-executed"
     TUPLES_DELETED = "tuples-deleted"
     BATCH_EXECUTED = "batch-executed"

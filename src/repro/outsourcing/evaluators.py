@@ -60,7 +60,7 @@ def build_evaluator(description: dict) -> ServerEvaluator:
     if not isinstance(description, dict):
         raise EvaluatorDescriptionError("evaluator description must be an object")
     type_tag = description.get("type")
-    builder = _BUILDERS.get(type_tag)
+    builder = _BUILDERS.get(type_tag) if isinstance(type_tag, str) else None
     if builder is None:
         raise EvaluatorDescriptionError(
             f"evaluator type {type_tag!r} is not registered for remote deployment"

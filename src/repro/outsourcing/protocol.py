@@ -7,13 +7,17 @@ bandwidth overhead experiments E8-E9 measure realistic serialized sizes, not
 Python object graphs).
 
 Every operation a session performs is one envelope (:class:`MessageV2`):
-the data operations (``STORE_RELATION``, ``INSERT_TUPLES``, ``QUERY``,
-tuple-id-addressed ``DELETE_TUPLES``, multi-query ``BATCH_QUERY``, the
-metadata read ``LIST_TUPLE_IDS``), the encrypted-index operations, and the
-DDL and metadata operations -- ``REGISTER_EVALUATOR`` (the keyless
-evaluator's public-parameter description, rebuilt by the provider through
-the allowlist of :mod:`repro.outsourcing.evaluators`), ``FETCH_RELATION``,
-``TUPLE_COUNT``, ``DROP_RELATION`` and ``RELATION_NAMES``.  Answers reuse a
+the data operations (``INSERT_TUPLES``, ``QUERY``, tuple-id-addressed
+``DELETE_TUPLES``, multi-query ``BATCH_QUERY``, the metadata read
+``LIST_TUPLE_IDS``), the encrypted-index operations, and the DDL and
+metadata operations -- ``REGISTER_EVALUATOR`` (the deploy: the relation's
+public schema declaration and the keyless evaluator's public-parameter
+description, rebuilt by the provider through the allowlist of
+:mod:`repro.outsourcing.evaluators`; the provider creates the relation,
+empty, unless one is stored under that name), ``FETCH_RELATION``,
+``TUPLE_COUNT``, ``DROP_RELATION`` and ``RELATION_NAMES``.  Rows reach a
+provider one way: a created relation is filled by ``INSERT_TUPLES``, as
+every later insert is.  Answers reuse a
 handful of kinds: ``ACK`` carrying a count, ``QUERY_RESULT`` carrying an
 evaluation result, ``TUPLE_IDS`` / ``RELATIONS`` carrying a sequence.  So
 whatever Eve is asked to do, she is asked in bytes that
@@ -499,13 +503,28 @@ def decode_relation_names(raw: bytes) -> tuple[str, ...]:
 
 
 def encode_evaluator_description(description: dict) -> bytes:
-    """Serialize a ``REGISTER_EVALUATOR`` body: the evaluator's description as JSON."""
+    """Serialize an evaluator's description as JSON (a deploy body's tail)."""
     text = json.dumps(description, sort_keys=True, separators=(",", ":"))
     return text.encode("utf-8")
 
 
+def encode_deploy(schema: RelationSchema, description: dict) -> bytes:
+    """Serialize a ``REGISTER_EVALUATOR`` body: the relation's schema
+    declaration, length-prefixed as a relation frame starts, then the
+    evaluator's description."""
+    declaration = _encode_bytes(_schema_declaration(schema).encode("utf-8"))
+    return declaration + encode_evaluator_description(description)
+
+
+def decode_deploy(raw: bytes) -> tuple[RelationSchema, dict]:
+    """Parse a ``REGISTER_EVALUATOR`` body into ``(schema, description)``; the
+    declaration goes through the schema memo, as a relation frame's does."""
+    declaration, offset = _decode_bytes(raw, 0)
+    return _schema_at(declaration), decode_evaluator_description(raw[offset:])
+
+
 def decode_evaluator_description(raw: bytes) -> dict:
-    """Parse a ``REGISTER_EVALUATOR`` body into its description object.
+    """Parse a deploy body's evaluator description into its object.
 
     The bytes are a peer's: anything but one JSON object -- nesting deeper
     than the parser's recursion limit included -- is a :class:`ProtocolError`.
@@ -526,7 +545,6 @@ def decode_evaluator_description(raw: bytes) -> dict:
 class MessageKind(Enum):
     """Protocol message types."""
 
-    STORE_RELATION = "store-relation"
     INSERT_TUPLES = "insert-tuples"
     QUERY = "query"
     QUERY_RESULT = "query-result"
@@ -550,7 +568,6 @@ class MessageKind(Enum):
 
 #: The one kind each request kind is answered with (a refusal is ``ERROR``).
 ANSWERS = {
-    MessageKind.STORE_RELATION: MessageKind.ACK,
     MessageKind.INSERT_TUPLES: MessageKind.ACK,
     MessageKind.QUERY: MessageKind.QUERY_RESULT,
     MessageKind.DELETE_TUPLES: MessageKind.TUPLE_IDS,
@@ -611,14 +628,15 @@ class MessageV2:
             raise ProtocolError(
                 f"trace ids are {TRACE_ID_SIZE} bytes, got {len(self.trace_id)}"
             )
-        return (
-            V2_MAGIC
-            + bytes([self.version])
-            + _encode_bytes(self.kind.value.encode("utf-8"))
-            + _encode_bytes(self.relation_name.encode("utf-8"))
-            + _encode_bytes(self.body)
-            + (self.trace_id or b"")
-        )
+        return b"".join([
+            V2_MAGIC,
+            bytes([self.version]),
+            _encode_bytes(self.kind.value.encode("utf-8")),
+            _encode_bytes(self.relation_name.encode("utf-8")),
+            _U32.pack(len(self.body)),
+            self.body,  # joined once: a write's body may be megabytes
+            self.trace_id or b"",
+        ])
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "MessageV2":
@@ -706,5 +724,5 @@ def attach_trace(raw: bytes, trace_id: bytes) -> bytes:
     version = peek_version(raw)
     if version != PROTOCOL_V2:
         raise ProtocolError(f"cannot attach a trace id to a v{version} envelope")
-    header = len(V2_MAGIC)
-    return V2_MAGIC + bytes([PROTOCOL_V3]) + raw[header + 1:] + trace_id
+    rest = memoryview(raw)[len(V2_MAGIC) + 1:]
+    return b"".join([V2_MAGIC, bytes([PROTOCOL_V3]), rest, trace_id])  # one copy

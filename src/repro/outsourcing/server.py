@@ -13,8 +13,10 @@ analysis is about.
 point: it speaks the byte-level protocol of :mod:`repro.outsourcing.protocol`,
 so a transport can shuttle opaque frames between client and provider, and
 every operation a session performs -- data, index and DDL, evaluator
-deployment included -- arrives as an envelope.  The typed methods
-(:meth:`~OutsourcedDatabaseServer.register_evaluator`,
+deployment included -- arrives as an envelope.  Rows arrive one way: a
+deploy (``REGISTER_EVALUATOR``) creates its relation empty, and every row,
+a new table's first ones included, comes in an ``INSERT_TUPLES``.  The typed
+methods (:meth:`~OutsourcedDatabaseServer.deploy`,
 :meth:`~OutsourcedDatabaseServer.insert_tuples`, ...) are the steps
 ``_dispatch`` calls for those envelopes; test doubles override them to
 inject faults.  A step's answer is a value (a count, a result, ids, names)
@@ -68,6 +70,7 @@ from repro.outsourcing.storage import (
     StorageBackend,
     StorageError,
 )
+from repro.relational.schema import RelationSchema
 
 
 #: The ``relation`` metric label of every name the provider does not know.
@@ -194,25 +197,13 @@ class OutsourcedDatabaseServer:
             raise ServerError("relation name must be non-empty")
         self._evaluators[name] = evaluator
 
-    def store_relation(
-        self,
-        name: str,
-        encrypted_relation: EncryptedRelation,
-        evaluator: ServerEvaluator,
-    ) -> None:
-        """Store (or replace) an encrypted relation and its query evaluator."""
+    def deploy(self, name: str, schema: RelationSchema, evaluator: ServerEvaluator) -> None:
+        """Deploy a relation's evaluator and create the relation, empty, under
+        ``schema`` -- unless one is stored under ``name``, whose tuples are
+        left as they are (a session re-attaching its table)."""
         self.register_evaluator(name, evaluator)
-        self._storage.save(name, encrypted_relation)
-        # A full restore invalidates any index built for the old contents;
-        # the client ships a fresh INDEX_PUT right after when indexing is on.
-        self._indexes.pop(name, None)
-        self._audit.record(
-            AuditEventKind.RELATION_STORED,
-            name,
-            tuple_count=len(encrypted_relation),
-            size_in_bytes=encrypted_relation.size_in_bytes(),
-            scheme=evaluator.scheme_name,
-        )
+        if name not in self._storage:
+            self._storage.save(name, EncryptedRelation(schema=schema, encrypted_tuples=()))
 
     def insert_tuples(self, name: str, encrypted_tuples: Sequence[EncryptedTuple], delta) -> int:
         """Append tuple ciphertexts to a stored relation, their postings
@@ -227,12 +218,12 @@ class OutsourcedDatabaseServer:
             self._storage.append(name, encrypted_tuples)
         except StorageError as exc:
             raise ServerError(str(exc)) from exc
-        for encrypted_tuple in encrypted_tuples:
-            self._audit.record(
-                AuditEventKind.TUPLE_INSERTED,
-                name,
-                size_in_bytes=encrypted_tuple.size_in_bytes(),
-            )
+        self._audit.record(
+            AuditEventKind.TUPLES_INSERTED,
+            name,
+            tuple_count=len(encrypted_tuples),
+            size_in_bytes=sum(t.size_in_bytes() for t in encrypted_tuples),
+        )
         return len(encrypted_tuples)
 
     def delete_tuples(self, name: str, tuple_ids: Sequence[bytes], delta) -> tuple[bytes, ...]:
@@ -522,10 +513,6 @@ class OutsourcedDatabaseServer:
         name = request.relation_name
         kind = request.kind
         body = request.body
-        if kind is MessageKind.STORE_RELATION:
-            encrypted_relation = protocol.decode_encrypted_relation(body)
-            self.store_relation(name, encrypted_relation, self._evaluator(name))
-            return len(encrypted_relation)
         if kind is MessageKind.INSERT_TUPLES:
             from repro.index.wire import decode_index_delta
 
@@ -551,8 +538,8 @@ class OutsourcedDatabaseServer:
 
             return self.index_lookup(name, decode_index_lookup(body))
         if kind is MessageKind.REGISTER_EVALUATOR:
-            description = protocol.decode_evaluator_description(body)
-            self.register_evaluator(name, build_evaluator(description))
+            schema, description = protocol.decode_deploy(body)
+            self.deploy(name, schema, build_evaluator(description))
             return 1
         if kind is MessageKind.FETCH_RELATION:
             return EvaluationResult(matching=self.stored_relation(name))

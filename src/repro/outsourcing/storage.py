@@ -217,7 +217,13 @@ class FileStorageBackend(StorageBackend):
     Relation names are hex-encoded in the filename so arbitrary names are
     safe on any filesystem.  (:meth:`load` decodes the whole file: not O(1).)
     The tuple count commits an :meth:`append`: bytes past the counted tuples
-    (its process killed before the count) are truncated on load and counted.
+    (its process killed before the count) are never read, and the first
+    append this backend makes to a relation truncates and counts them.
+
+    One provider process owns a directory: it is the one writer, and its
+    appends assume no other process appends meanwhile.  Another backend on
+    the same directory may read it -- :meth:`load` writes nothing, so it
+    never cuts a live append short.
     """
 
     SUFFIX = ".rel"
@@ -225,8 +231,8 @@ class FileStorageBackend(StorageBackend):
     def __init__(self, directory: str | pathlib.Path) -> None:
         self._directory = pathlib.Path(directory)
         self._directory.mkdir(parents=True, exist_ok=True)
-        self.uncommitted_tails = 0  # appends' tails that load truncated
-        self._checked: set[str] = set()  # relations loaded or written whole
+        self.uncommitted_tails = 0  # killed appends' tails an append truncated
+        self._checked: set[str] = set()  # relations known to end at their count
 
     @property
     def directory(self) -> pathlib.Path:
@@ -270,24 +276,25 @@ class FileStorageBackend(StorageBackend):
                     os.unlink(tmp_path)
 
     def load(self, name: str) -> EncryptedRelation:
+        return self._read(name)[0]
+
+    def _read(self, name: str) -> tuple[EncryptedRelation, int | None]:
+        """The relation's counted tuples, and where they end when an
+        uncommitted tail follows them (``None`` when none does)."""
         path = self._path(name)
         if not path.exists():
             raise StorageError(f"no relation named {name!r} is stored")
         try:
             raw = path.read_bytes()
             try:
-                relation = decode_encrypted_relation(raw)
+                return decode_encrypted_relation(raw), None
             except ProtocolError:
                 committed = _committed_length(raw)
                 if committed is None:
                     raise
-                relation = decode_encrypted_relation(raw[:committed])
-                os.truncate(path, committed)
-                self.uncommitted_tails += 1
+                return decode_encrypted_relation(raw[:committed]), committed
         except Exception as exc:
             raise StorageError(f"stored relation {name!r} is corrupt: {exc}") from exc
-        self._checked.add(name)
-        return relation
 
     def delete(self, name: str) -> None:
         path = self._path(name)
@@ -342,7 +349,15 @@ class FileStorageBackend(StorageBackend):
         if not path.exists():
             raise StorageError(f"no relation named {name!r} is stored")
         if name not in self._checked:
-            self.load(name)  # drops an uncommitted tail left by another process
+            # The first touch: cut the tail a killed append left behind.
+            committed = self._read(name)[1]
+            if committed is not None:
+                try:
+                    os.truncate(path, committed)
+                except OSError as exc:
+                    raise StorageError(f"cannot append to relation {name!r}: {exc}") from exc
+                self.uncommitted_tails += 1
+            self._checked.add(name)
         items = b"".join(map(frame_encrypted_tuple, encrypted_tuples))
         try:
             # Unbuffered: a failed write raises at the write, not at close.

@@ -4,7 +4,10 @@ A provider refuses a step -- deploying an evaluator, handing out its stored
 copy, counting, dropping -- by answering that envelope with ``ERROR``; the
 session's one request helper turns each into a :class:`DatabaseError`, over
 an in-process provider, ``tcp://`` and ``cluster://`` alike, and leaves its
-table bookkeeping as the operation's contract says.
+table bookkeeping as the operation's contract says.  A create whose rows
+do not land -- the insert refused, or past a provider's frame limit --
+leaves no relation behind, so it can be retried; a deploy of a stored
+relation leaves its rows alone.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ ROWS = [("Montgomery", "HR", 7500), ("Smith", "IT", 5200), ("Jones", "HR", 7500)
 class RefusingProvider(OutsourcedDatabaseServer):
     """A provider that refuses the ``_dispatch`` steps of one operation.
 
-    ``refuse`` names it: ``deploy``, ``fetch``, ``count`` (a shard router
-    counts through the id listing) or ``drop``.
+    ``refuse`` names it: ``deploy``, ``insert``, ``fetch``, ``count`` (a
+    shard router counts through the id listing) or ``drop``.
     """
 
     refuse: str | None = None
@@ -38,6 +41,9 @@ class RefusingProvider(OutsourcedDatabaseServer):
 
     def register_evaluator(self, name, evaluator):
         return self._step("deploy", super().register_evaluator, name, evaluator)
+
+    def insert_tuples(self, name, encrypted_tuples, delta):
+        return self._step("insert", super().insert_tuples, name, encrypted_tuples, delta)
 
     def stored_relation(self, name):
         return self._step("fetch", super().stored_relation, name)
@@ -126,3 +132,58 @@ def test_a_refused_step_is_a_database_error(operation, transport, secret_key):
         if operation is create:
             create(db)
             assert db.count("Emp") == len(ROWS)
+
+
+def stored_names(providers) -> set:
+    return {name for provider in providers for name in provider.relation_names}
+
+
+@pytest.mark.parametrize("transport", ["in-process", "tcp", "cluster"])
+def test_a_create_whose_insert_is_refused_leaves_no_relation(transport, secret_key):
+    with fleet(transport) as (providers, target), EncryptedDatabase.connect(
+        target, secret_key, index=True
+    ) as db:
+        refuse(providers, "insert")
+        with pytest.raises(DatabaseError, match="refused to insert"):
+            create(db)
+        assert db.tables == ()
+        assert stored_names(providers) == set()
+        refuse(providers, None)
+        create(db)
+        assert db.count("Emp") == len(ROWS)
+        assert len(db.select("SELECT * FROM Emp WHERE dept = 'HR'").relation) == 2
+
+
+#: Big enough for every envelope but a create's insert of ``MANY`` rows.
+FRAME_LIMIT = 16 * 1024
+MANY = [(f"emp{i}", "HR", i) for i in range(600)]
+
+
+@pytest.mark.parametrize("transport", ["tcp", "cluster"])
+def test_a_create_past_the_frame_limit_leaves_no_relation(transport, secret_key):
+    providers = [OutsourcedDatabaseServer() for _ in range(1 if transport == "tcp" else 3)]
+    with contextlib.ExitStack() as stack:
+        hosts = [
+            f"127.0.0.1:{stack.enter_context(ThreadedTcpServer(p, max_frame_size=FRAME_LIMIT)).port}"
+            for p in providers
+        ]
+        url = f"tcp://{hosts[0]}" if transport == "tcp" else f"cluster://{','.join(hosts)}?replicas=2"
+        db = stack.enter_context(EncryptedDatabase.connect(url, secret_key, index=True))
+        with pytest.raises(DatabaseError):
+            db.create_table(EMP_DECL, rows=MANY)
+        assert db.tables == ()
+        assert stored_names(providers) == set()
+        create(db)
+        assert db.count("Emp") == len(ROWS)
+
+
+@pytest.mark.parametrize("transport", ["in-process", "tcp", "cluster"])
+def test_a_deploy_of_a_stored_relation_leaves_its_rows_alone(transport, secret_key):
+    with fleet(transport) as (providers, target), contextlib.ExitStack() as sessions:
+        first = sessions.enter_context(EncryptedDatabase.connect(target, secret_key))
+        create(first)
+        stored = [provider.stored_relation("Emp") for provider in providers]
+        second = sessions.enter_context(EncryptedDatabase.connect(target, secret_key))
+        second.attach_table(EMP_DECL)  # deploys the relation again
+        assert [provider.stored_relation("Emp") for provider in providers] == stored
+        assert second.count("Emp") == len(ROWS)

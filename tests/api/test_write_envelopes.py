@@ -25,6 +25,7 @@ from repro.outsourcing.protocol import (
     parse_message,
     peek_envelope,
 )
+from repro.relational import RelationTuple
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
 ROWS = [(f"emp{i}", "HR" if i % 2 else "IT", 1000 + i) for i in range(6)]
@@ -143,7 +144,7 @@ def test_a_provider_checks_the_whole_write_before_applying_any(secret_key, rng):
     db.create_table(EMP_DECL, rows=ROWS)
     handle = db.table("Emp")
     row = dict(zip(handle.schema.attribute_names, NEW[0]))
-    new = handle.scheme.encrypt_tuples([db._make_tuple(handle.schema, row)])
+    new = handle.scheme.encrypt_tuples([RelationTuple(handle.schema, row)])
     postings = encode_index_delta(handle.indexer.insert_delta(row, new[0].tuple_id))
     some_id = provider.stored_relation("Emp").encrypted_tuples[0].tuple_id
     tuples = encode_insert_tuples(postings, new)

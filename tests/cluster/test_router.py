@@ -21,7 +21,7 @@ from repro.index import IndexDelta
 from repro.net import ThreadedTcpServer
 from repro.net.client import RemoteServerProxy
 from repro.outsourcing import OutsourcedDatabaseServer, ServerError
-from repro.relational import Selection
+from repro.relational import RelationTuple, Selection
 from async_key_fleet import async_key_router
 from provider_calls import (
     delete_tuples,
@@ -349,7 +349,7 @@ class TestReplication:
         db, router, shards = self._cluster()
         handle = db.table("Emp")
         encrypted = handle.scheme.encrypt_tuple(
-            db._make_tuple(handle.schema, {"name": "X", "dept": "HR", "salary": 1})
+            RelationTuple(handle.schema, {"name": "X", "dept": "HR", "salary": 1})
         )
         victim = router.replica_shards(encrypted.tuple_id)[1]
         router.shard(victim).down = True

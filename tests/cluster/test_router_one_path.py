@@ -30,8 +30,8 @@ from provider_calls import (
     delete_tuples,
     execute_batch,
     execute_query,
+    deploy,
     insert_tuples,
-    register_evaluator,
     routing_counts,
     store_relation,
     tuple_count,
@@ -198,11 +198,11 @@ class TestFleetsAgree:
 
     def _drive(self, router, dph, encrypted):
         answers = {}
-        register_evaluator(router, "Emp", dph.server_evaluator())
+        deploy(router, "Emp", SCHEMA, dph.server_evaluator())
         _envelope(
             router,
-            MessageKind.STORE_RELATION,
-            protocol.encode_encrypted_relation(encrypted),
+            MessageKind.INSERT_TUPLES,
+            protocol.encode_insert_tuples(b"", encrypted.encrypted_tuples),
             MessageKind.ACK,
         )
         _envelope(
@@ -263,7 +263,7 @@ class TestFleetsAgree:
         assert answers["count"] == 3  # ids 2..5, one already deleted
         assert state == reference[1]  # provider state
         assert counters == reference[2]  # cluster_*_total counters
-        assert counters["routed_inserts_total"] == 1 and counters["scatter_reads_total"] == 2
+        assert counters["routed_inserts_total"] == 2 and counters["scatter_reads_total"] == 2
 
 
 class TestSurfacesFailAlike:

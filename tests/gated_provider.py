@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import threading
 
-from repro.core.dph import EncryptedRelation
 from repro.crypto.keys import SecretKey
 from repro.outsourcing import OutsourcedDatabaseServer
 from repro.outsourcing.protocol import MessageV2
@@ -52,8 +51,4 @@ def store_empty(database: OutsourcedDatabaseServer, decl: str) -> None:
     """Create an empty (plaintext-scheme) relation on a provider."""
     schema = RelationSchema.parse(decl)
     scheme = PlaintextDph(schema, SecretKey.generate())
-    database.store_relation(
-        schema.name,
-        EncryptedRelation(schema=schema, encrypted_tuples=()),
-        scheme.server_evaluator(),
-    )
+    database.deploy(schema.name, schema, scheme.server_evaluator())

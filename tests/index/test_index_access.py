@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from provider_calls import store_relation
 from repro.core import SearchableSelectDph
 from repro.index import IndexDelta, IndexLookupRequest, RelationIndex
 from repro.index.wire import encode_index_delta, encode_index_snapshot
@@ -141,7 +142,7 @@ def served(employee_schema, employee_relation, secret_key, rng):
 def _provider(dph, encrypted, storage=None) -> OutsourcedDatabaseServer:
     """A provider storing ``encrypted`` as ``Emp``."""
     provider = OutsourcedDatabaseServer(storage=storage)
-    provider.store_relation("Emp", encrypted, dph.server_evaluator())
+    store_relation(provider, "Emp", encrypted, dph.server_evaluator())
     return provider
 
 
@@ -204,11 +205,12 @@ class TestProviderLookup:
         assert provider.relation_index("Emp") is None
         assert _index_counts(provider)["deltas_total"] == 0
 
-    def test_storing_the_relation_again_drops_the_index(self, served):
+    def test_creating_the_relation_again_drops_the_index(self, served):
         dph, encrypted = served
         provider = _provider(dph, encrypted)
         _put(provider, encrypted)
-        provider.store_relation("Emp", encrypted, dph.server_evaluator())
+        provider.drop_relation("Emp")
+        store_relation(provider, "Emp", encrypted, dph.server_evaluator())
         assert provider.relation_index("Emp") is None
         assert provider.index_lookup("Emp", _lookup(dph)).examined == len(encrypted)
 

@@ -85,7 +85,7 @@ class TestSnapshot:
 
         relation, encrypted = encrypted_pair
         shorter = Relation(relation.schema, list(relation.tuples)[:-1])
-        with pytest.raises(IndexingError, match="different sizes"):
+        with pytest.raises(IndexingError, match="different counts"):
             indexer.snapshot(shorter, encrypted)
 
 

@@ -12,6 +12,7 @@ import contextlib
 
 import pytest
 
+from provider_calls import store_relation
 from repro.api import DatabaseError, EncryptedDatabase
 from repro.index import IndexDelta
 from repro.outsourcing import OutsourcedDatabaseServer
@@ -136,7 +137,7 @@ class TestExactDeletes:
             employee_schema, [("A", "HR", 1), ("B", "IT", 2)]
         )
         encrypted = dph.encrypt_relation(relation)
-        server.store_relation("Emp", encrypted, dph.server_evaluator())
+        store_relation(server, "Emp", encrypted, dph.server_evaluator())
         ids = [t.tuple_id for t in encrypted.encrypted_tuples]
         first = server.delete_tuples("Emp", ids, IndexDelta())
         assert sorted(first) == sorted(ids)
@@ -151,6 +152,6 @@ class TestExactDeletes:
         dph = SearchableSelectDph(employee_schema, secret_key, backend="swp", rng=rng)
         relation = Relation.from_rows(employee_schema, [("A", "HR", 1)])
         encrypted = dph.encrypt_relation(relation)
-        server.store_relation("Emp", encrypted, dph.server_evaluator())
+        store_relation(server, "Emp", encrypted, dph.server_evaluator())
         the_id = encrypted.encrypted_tuples[0].tuple_id
         assert server.delete_tuples("Emp", [the_id, the_id], IndexDelta()) == (the_id,)

@@ -16,7 +16,6 @@ import pytest
 from gated_provider import GatedServer, store_empty
 from provider_calls import server_counts
 
-from repro.core.dph import EncryptedRelation
 from repro.crypto.keys import SecretKey
 from repro.net import (
     CHANNEL_CONTROL,
@@ -109,11 +108,7 @@ class TestPipelinedConnections:
         at once, apply in send order."""
         scheme = PlaintextDph(RelationSchema.parse("Log(seq:int[6])"), SecretKey.generate())
         database = GatedServer()
-        database.store_relation(
-            "Log",
-            EncryptedRelation(schema=scheme.schema, encrypted_tuples=()),
-            scheme.server_evaluator(),
-        )
+        database.deploy("Log", scheme.schema, scheme.server_evaluator())
         gate = database.gate("Log")
         rows = [
             scheme.encrypt_tuple(RelationTuple.from_values(scheme.schema, (seq,)))

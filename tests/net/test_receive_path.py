@@ -16,7 +16,7 @@ import time
 
 import pytest
 from gated_provider import GatedServer, store_empty
-from provider_calls import server_counts
+from provider_calls import server_counts, store_relation
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -61,7 +61,7 @@ def indexed_provider() -> tuple[OutsourcedDatabaseServer, PlaintextDph]:
     encrypted = scheme.encrypt_relation(Relation.from_rows(SCHEMA, rows))
     ids = [t.tuple_id for t in encrypted.encrypted_tuples]
     database = OutsourcedDatabaseServer()
-    database.store_relation("Emp", encrypted, scheme.server_evaluator())
+    store_relation(database, "Emp", encrypted, scheme.server_evaluator())
     database.put_index(
         "Emp", tuple((L1, i) for i in ids[:4]) + tuple((L2, i) for i in ids[4:])
     )

@@ -67,10 +67,13 @@ class Fixture:
             for row in spare_rows
         ]
 
-    def install(self, database: OutsourcedDatabaseServer) -> None:
+    def install(self, database: OutsourcedDatabaseServer, index: bool = True) -> None:
         """Store the relation and ship an index (L1/L2 split the ids)."""
         name = self.schema.name
-        database.store_relation(name, self.encrypted, self.scheme.server_evaluator())
+        database.deploy(name, self.schema, self.scheme.server_evaluator())
+        database.insert_tuples(name, self.encrypted.encrypted_tuples, IndexDelta())
+        if not index:
+            return
         half = len(self.ids) // 2
         database.put_index(
             name,
@@ -518,9 +521,8 @@ class TestASlowRelationHoldsUpNoOtherRequest:
     def test_a_lookup_that_falls_back_to_scan_holds_up_no_other_connection(self):
         database = provider(SlowScanServer)
         emp = emp_fixture()
-        database.store_relation(  # restore without INDEX_PUT: the index is gone
-            "Emp", emp.encrypted, emp.scheme.server_evaluator()
-        )
+        database.drop_relation("Emp")  # re-create without INDEX_PUT: no index
+        emp.install(database, index=False)
         fallback = emp.scheme.encrypt_query(Selection.equals("dept", "HR"))
         with ThreadedTcpServer(database) as server:
             slow, other = open_client(server.port), open_client(server.port)

@@ -31,6 +31,7 @@ import threading
 
 import pytest
 
+from provider_calls import store_relation
 from repro.api import EncryptedDatabase
 from repro.crypto.keys import SecretKey
 from repro.crypto.rng import DeterministicRng
@@ -198,11 +199,11 @@ def test_writes_beside_scans_and_control_ops(transport, storage, tmp_path):
     b_rows = [(f"b{i}", i % 3) for i in range(30)]
     store = {"file": lambda: FileStorageBackend(tmp_path), "switching": SwitchingMemoryStore}
     provider = OutsourcedDatabaseServer(storage=store.get(storage, lambda: None)())
-    provider.store_relation(
-        "A", a.encrypt_relation(Relation.from_rows(a.schema, [])), a.server_evaluator()
+    store_relation(
+        provider, "A", a.encrypt_relation(Relation.from_rows(a.schema, [])), a.server_evaluator()
     )
-    provider.store_relation(
-        "B", b.encrypt_relation(Relation.from_rows(b.schema, b_rows)), b.server_evaluator()
+    store_relation(
+        provider, "B", b.encrypt_relation(Relation.from_rows(b.schema, b_rows)), b.server_evaluator()
     )
     new_tuples = [
         a.encrypt_tuple(RelationTuple.from_values(a.schema, (i,))) for i in range(INSERTS)

@@ -163,10 +163,9 @@ def test_tcp_transcript_equals_the_in_process_one(seed):
     assert remote_audit == local_audit
     kinds = {kind for kind, _, _ in local_audit}
     assert {
-        AuditEventKind.RELATION_STORED,
         AuditEventKind.INDEX_STORED,
         AuditEventKind.INDEX_LOOKUP_SERVED,
-        AuditEventKind.TUPLE_INSERTED,
+        AuditEventKind.TUPLES_INSERTED,
         AuditEventKind.POSTINGS_APPLIED,
         AuditEventKind.TUPLES_DELETED,
         AuditEventKind.QUERY_EXECUTED,

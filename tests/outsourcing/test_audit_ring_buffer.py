@@ -23,7 +23,7 @@ class TestAuditEvent:
         assert event == AuditEvent(
             AuditEventKind.QUERY_EXECUTED, "Emp", {"result_size": 3}, event.timestamp
         )
-        assert AuditEvent(AuditEventKind.TUPLE_INSERTED, "Emp").detail == {}
+        assert AuditEvent(AuditEventKind.TUPLES_INSERTED, "Emp").detail == {}
 
 
 class TestRingBuffer:
@@ -46,17 +46,17 @@ class TestRingBuffer:
     def test_cap_not_reached_drops_nothing(self):
         log = ServerAuditLog(max_events=10)
         for i in range(7):
-            log.record(AuditEventKind.TUPLE_INSERTED, "Emp")
+            log.record(AuditEventKind.TUPLES_INSERTED, "Emp")
         assert len(log) == 7
         assert log.dropped_events == 0
 
     def test_summary_and_result_sizes_read_the_retained_window(self):
         log = ServerAuditLog(max_events=3)
-        log.record(AuditEventKind.RELATION_STORED, "Emp", tuple_count=5)
+        log.record(AuditEventKind.TUPLES_INSERTED, "Emp", tuple_count=5)
         for size in (1, 2, 3):
             log.record(AuditEventKind.QUERY_EXECUTED, "Emp", result_size=size)
         assert log.summary()["query-executed"] == 3
-        assert log.summary()["relation-stored"] == 0  # evicted
+        assert log.summary()["tuples-inserted"] == 0  # evicted
         assert log.query_result_sizes("Emp") == [1, 2, 3]
 
     @pytest.mark.parametrize("cap", [None, 1, 7, 50])

@@ -2,25 +2,29 @@
 
 The relation decoder used to let ``RelationSchema.parse`` failures out as
 ``SchemaError`` (and non-UTF-8 bytes as ``UnicodeDecodeError``), which
-``handle_message`` does not catch: a ``STORE_RELATION`` frame with a garbage
-schema field crashed the dispatch instead of being answered with ``ERROR``.
-The contract pinned here: schema bytes are untrusted like every other part
-of a frame, on the provider and on the client alike.
+``handle_message`` does not catch: a frame with a garbage schema field
+crashed the dispatch instead of being answered with ``ERROR``.  The
+contract pinned here: schema bytes are untrusted like every other part of a
+frame -- the declaration a deploy (``REGISTER_EVALUATOR``) carries on the
+provider, a relation frame's on the client.
 """
 
 from __future__ import annotations
 
 import pytest
 from mutating_provider import TRANSPORTS, MutatingServer, swp_session
-from provider_calls import drop_relation, register_evaluator, server_counts
+from provider_calls import drop_relation, server_counts
 
 from repro.api import DatabaseError, EncryptedDatabase
 from repro.crypto.keys import SecretKey
 from repro.net import RemoteServerProxy, ThreadedTcpServer
 from repro.outsourcing import MessageKind, MessageV2, OutsourcedDatabaseServer
+from repro.outsourcing.evaluators import describe_evaluator
 from repro.outsourcing.protocol import (
     ProtocolError,
+    decode_deploy,
     decode_encrypted_relation,
+    encode_evaluator_description,
     parse_message,
 )
 from repro.relational import RelationSchema
@@ -45,28 +49,33 @@ def relation_bytes(schema_field: bytes) -> bytes:
     return len(schema_field).to_bytes(4, "big") + schema_field + (0).to_bytes(4, "big")
 
 
-def store_envelope(schema_field: bytes) -> bytes:
-    return MessageV2(
-        kind=MessageKind.STORE_RELATION,
-        relation_name="Emp",
-        body=relation_bytes(schema_field),
-    ).to_bytes()
+def deploy_body(schema_field: bytes) -> bytes:
+    """A deploy of a well-formed evaluator under the given schema bytes."""
+    evaluator = PlaintextDph(RelationSchema.parse(EMP_DECL), SecretKey.generate())
+    description = encode_evaluator_description(describe_evaluator(evaluator.server_evaluator()))
+    return len(schema_field).to_bytes(4, "big") + schema_field + description
+
+
+def deploy_envelope(schema_field: bytes) -> bytes:
+    body = deploy_body(schema_field)
+    return MessageV2(MessageKind.REGISTER_EVALUATOR, "Emp", body).to_bytes()
 
 
 @pytest.mark.parametrize("what", sorted(BAD_SCHEMAS))
-def test_decoder_raises_protocol_error(what):
+def test_decoders_raise_protocol_error(what):
     with pytest.raises(ProtocolError, match="malformed schema declaration"):
         decode_encrypted_relation(relation_bytes(BAD_SCHEMAS[what]))
+    with pytest.raises(ProtocolError, match="malformed schema declaration"):
+        decode_deploy(deploy_body(BAD_SCHEMAS[what]))
 
 
 def assert_error_then_still_serving(provider) -> None:
-    evaluator = PlaintextDph(RelationSchema.parse(EMP_DECL), SecretKey.generate())
-    register_evaluator(provider, "Emp", evaluator.server_evaluator())
     for what, schema_field in BAD_SCHEMAS.items():
-        response = parse_message(provider.handle_message(store_envelope(schema_field)))
+        response = parse_message(provider.handle_message(deploy_envelope(schema_field)))
         assert response.kind is MessageKind.ERROR, what
         assert b"malformed schema declaration" in response.body, what
-    response = parse_message(provider.handle_message(store_envelope(EMP_DECL.encode())))
+    assert parse_message(provider.handle_message(deploy_envelope(b""))).kind is MessageKind.ERROR
+    response = parse_message(provider.handle_message(deploy_envelope(EMP_DECL.encode())))
     assert response.kind is MessageKind.ACK
 
 

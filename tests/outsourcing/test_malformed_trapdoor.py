@@ -11,7 +11,7 @@ relation holds, and leaves the connection usable.
 from __future__ import annotations
 
 import pytest
-from provider_calls import server_counts
+from provider_calls import server_counts, store_relation
 
 from repro.api import EncryptedDatabase
 from repro.core.construction import SearchableSelectDph
@@ -88,9 +88,9 @@ def test_handle_message_answers_error(employee_schema, secret_key, rng, scheme):
     dph = make_dph(scheme, employee_schema, secret_key, rng)
     server = OutsourcedDatabaseServer()
     relation = Relation.from_rows(employee_schema, ROWS)
-    server.store_relation("Emp", dph.encrypt_relation(relation), dph.server_evaluator())
-    server.store_relation(
-        "Void", dph.encrypt_relation(Relation(employee_schema)), dph.server_evaluator()
+    store_relation(server, "Emp", dph.encrypt_relation(relation), dph.server_evaluator())
+    store_relation(
+        server, "Void", dph.encrypt_relation(Relation(employee_schema)), dph.server_evaluator()
     )
     good = dph.encrypt_query(Selection.equals("dept", "HR"))
     assert_error_then_still_serving(server, good, scheme)

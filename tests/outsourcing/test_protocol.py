@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core.dph import EncryptedQuery, EncryptedTuple, EvaluationResult
 from repro.outsourcing import protocol
+from repro.outsourcing.evaluators import describe_evaluator
 from repro.outsourcing.protocol import (
     MessageKind,
     MessageV2,
@@ -32,10 +33,12 @@ from repro.outsourcing.protocol import (
     decode_result_batch,
     decode_tuple_ids,
     encode_count,
+    encode_deploy,
     encode_encrypted_query,
     encode_encrypted_relation,
     encode_encrypted_tuple,
     encode_evaluation_result,
+    encode_insert_tuples,
     encode_query_batch,
     encode_result_batch,
     encode_tuple_ids,
@@ -324,14 +327,14 @@ class TestWireDispatch:
     def loaded_server(self, swp_dph, employee_relation):
         from repro.outsourcing import OutsourcedDatabaseServer
         server = OutsourcedDatabaseServer()
-        server.register_evaluator("Emp", swp_dph.server_evaluator())
-        store = MessageV2(
-            kind=MessageKind.STORE_RELATION,
-            relation_name="Emp",
-            body=encode_encrypted_relation(swp_dph.encrypt_relation(employee_relation)),
-        )
-        response = parse_message(server.handle_message(store.to_bytes()))
-        assert response.kind is MessageKind.ACK
+        description = describe_evaluator(swp_dph.server_evaluator())
+        tuples = swp_dph.encrypt_relation(employee_relation).encrypted_tuples
+        for kind, body in (
+            (MessageKind.REGISTER_EVALUATOR, encode_deploy(swp_dph.schema, description)),
+            (MessageKind.INSERT_TUPLES, encode_insert_tuples(b"", tuples)),
+        ):
+            response = parse_message(server.handle_message(MessageV2(kind, "Emp", body).to_bytes()))
+            assert response.kind is MessageKind.ACK
         assert decode_count(response.body) == len(employee_relation)
         return server
 

@@ -50,6 +50,7 @@ from repro.outsourcing.protocol import (
     decode_evaluation_result,
     decode_insert_tuples,
     decode_result_batch,
+    encode_deploy,
     encode_encrypted_query,
     encode_encrypted_relation,
     encode_encrypted_tuple,
@@ -58,6 +59,7 @@ from repro.outsourcing.protocol import (
     encode_result_batch,
     parse_message,
 )
+from repro.outsourcing.evaluators import describe_evaluator
 from repro.relational import Relation, RelationSchema, RelationTuple, Selection
 from repro.relational.errors import SchemaError
 from repro.schemes.registry import create
@@ -566,18 +568,18 @@ def send(provider, kind: MessageKind, body: bytes) -> bytes:
 
 @pytest.mark.parametrize("store", ["memory", "file"])
 def test_stored_tuples_are_reemitted_as_they_arrived(store, tmp_path):
-    """``STORE_RELATION``, ``INSERT_TUPLES`` (of one tuple and of several) and
-    the file store keep the memo or rebuild it, and a query answer is
-    byte-identical to a fresh encode."""
+    """``INSERT_TUPLES`` (a create's batch, one tuple, several) and the file
+    store keep the memo or rebuild it, and a query answer is byte-identical
+    to a fresh encode."""
     storage = InMemoryStorageBackend() if store == "memory" else FileStorageBackend(tmp_path)
     provider = OutsourcedDatabaseServer(storage=storage)
     dph = create("index", SCHEMA, bytes(range(32)), rng=DeterministicRng(3))
-    provider.register_evaluator("Emp", dph.server_evaluator())
     rows = [RelationTuple(SCHEMA, {"name": f"e{i}", "dept": "HR", "salary": i}) for i in range(6)]
     stored = dph.encrypt_relation(Relation(SCHEMA, rows[:3]))
     inserted = tuple(dph.encrypt_tuple(row) for row in rows[3:])
-    send(provider, MessageKind.STORE_RELATION, encode_encrypted_relation(stored))
-    for batch in (inserted[:1], inserted[1:]):
+    deploy = encode_deploy(SCHEMA, describe_evaluator(dph.server_evaluator()))
+    send(provider, MessageKind.REGISTER_EVALUATOR, deploy)
+    for batch in (stored.encrypted_tuples, inserted[:1], inserted[1:]):
         send(provider, MessageKind.INSERT_TUPLES, encode_insert_tuples(b"", batch))
 
     fresh = stored.encrypted_tuples + inserted

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from provider_calls import store_relation
 from repro.api import DatabaseError, EncryptedDatabase
 from repro.index import IndexDelta
 from repro.outsourcing import AuditEventKind, OutsourcedDatabaseServer, ServerError
@@ -43,16 +44,16 @@ def stored_bytes(server, name):
 class TestServer:
     def test_store_and_retrieve(self, swp_dph, employee_relation, server):
         encrypted = swp_dph.encrypt_relation(employee_relation)
-        server.store_relation("emp", encrypted, swp_dph.server_evaluator())
+        store_relation(server, "emp", encrypted, swp_dph.server_evaluator())
         assert server.relation_names == ("emp",)
-        assert server.stored_relation("emp") is encrypted
+        assert server.stored_relation("emp") == encrypted
         assert server.storage_in_bytes("emp") == encrypted.size_in_bytes()
         assert server.storage_in_bytes() == encrypted.size_in_bytes()
 
     def test_empty_name_rejected(self, swp_dph, employee_relation, server):
         with pytest.raises(ServerError):
-            server.store_relation("", swp_dph.encrypt_relation(employee_relation),
-                                  swp_dph.server_evaluator())
+            store_relation(server, "", swp_dph.encrypt_relation(employee_relation),
+                           swp_dph.server_evaluator())
 
     def test_unknown_relation_rejected(self, server, swp_dph):
         with pytest.raises(ServerError):
@@ -61,8 +62,8 @@ class TestServer:
             server.execute_query("missing", swp_dph.encrypt_query(Selection.equals("dept", "HR")))
 
     def test_execute_query_and_audit(self, swp_dph, employee_relation, server):
-        server.store_relation("emp", swp_dph.encrypt_relation(employee_relation),
-                              swp_dph.server_evaluator())
+        store_relation(server, "emp", swp_dph.encrypt_relation(employee_relation),
+                       swp_dph.server_evaluator())
         result = server.execute_query("emp", swp_dph.encrypt_query(Selection.equals("dept", "HR")))
         assert len(result.matching) == 2
         sizes = server.audit_log.query_result_sizes("emp")
@@ -70,19 +71,22 @@ class TestServer:
         assert server.audit_log.summary()["query-executed"] == 1
 
     def test_scheme_mismatch_rejected(self, swp_dph, employee_relation, server, employee_schema, secret_key, rng):
-        server.store_relation("emp", swp_dph.encrypt_relation(employee_relation),
-                              swp_dph.server_evaluator())
+        store_relation(server, "emp", swp_dph.encrypt_relation(employee_relation),
+                       swp_dph.server_evaluator())
         other = HacigumusDph(employee_schema, secret_key, rng=rng)
         with pytest.raises(ServerError):
             server.execute_query("emp", other.encrypt_query(Selection.equals("dept", "HR")))
 
     def test_insert_tuple(self, swp_dph, employee_relation, employee_schema, server):
-        server.store_relation("emp", swp_dph.encrypt_relation(employee_relation),
-                              swp_dph.server_evaluator())
+        store_relation(server, "emp", swp_dph.encrypt_relation(employee_relation),
+                       swp_dph.server_evaluator())
         new_tuple = RelationTuple(employee_schema, {"name": "Eve", "dept": "HR", "salary": 1})
-        server.insert_tuples("emp", [swp_dph.encrypt_tuple(new_tuple)], IndexDelta())
+        added = swp_dph.encrypt_tuple(new_tuple)
+        server.insert_tuples("emp", [added], IndexDelta())
         assert len(server.stored_relation("emp")) == len(employee_relation) + 1
-        assert len(server.audit_log.events_of_kind(AuditEventKind.TUPLE_INSERTED)) == 1
+        inserts = server.audit_log.events_of_kind(AuditEventKind.TUPLES_INSERTED)
+        assert [e.detail["tuple_count"] for e in inserts] == [len(employee_relation), 1]
+        assert inserts[-1].detail["size_in_bytes"] == added.size_in_bytes()
 
 
 class TestSessionOverTheServer:
@@ -109,7 +113,8 @@ class TestSessionOverTheServer:
         outcome = session.select(Selection.equals("name", "Zoe"), table="Emp")
         assert [t["salary"] for t in outcome.relation] == [3000]
         assert len(server.stored_relation("Emp")) == len(employee_relation) + 1
-        assert len(server.audit_log.events_of_kind(AuditEventKind.TUPLE_INSERTED)) == 1
+        inserts = server.audit_log.events_of_kind(AuditEventKind.TUPLES_INSERTED)
+        assert [e.detail["tuple_count"] for e in inserts] == [len(employee_relation), 1]
 
     def test_table_is_stored_under_its_schema_name(self, session, server, employee_relation):
         outsource(session, employee_relation)

@@ -12,7 +12,7 @@ import pytest
 
 from repro.index import IndexDelta
 from repro.outsourcing import OutsourcedDatabaseServer
-from repro.outsourcing.protocol import encode_encrypted_relation
+from repro.outsourcing.protocol import encode_encrypted_relation, frame_encrypted_tuple
 from repro.outsourcing.storage import FileStorageBackend, StorageError
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
@@ -220,17 +220,31 @@ class TestTheCountIsTheCommitPoint:
         provider = OutsourcedDatabaseServer(storage=storage)
         provider.register_evaluator("Emp", swp_dph.server_evaluator())
         added = swp_dph.encrypt_relation(employee_relation).encrypted_tuples[:1]
-        if first == "insert":  # lands after the counted tuples, not after the tail
-            provider.insert_tuples("Emp", added, IndexDelta())
-        else:
+        if first == "read":  # a read neither serves nor cuts the tail
             assert [t.tuple_id for t in provider.stored_relation("Emp")] == acknowledged
-            assert backend._path("Emp").stat().st_size == size
-            provider.insert_tuples("Emp", added, IndexDelta())
+            assert backend._path("Emp").stat().st_size > size
+        # The append cuts the tail and lands after the counted tuples.
+        provider.insert_tuples("Emp", added, IndexDelta())
+        assert backend._path("Emp").stat().st_size == size + len(frame_encrypted_tuple(added[0]))
         stored = [t.tuple_id for t in FileStorageBackend(tmp_path).load("Emp")]
         assert stored == [*acknowledged, added[0].tuple_id]
         assert provider.tuple_count("Emp") == len(acknowledged) + 1
         gauges = {g["name"]: g["value"] for g in provider.metrics_snapshot()["gauges"]}
         assert gauges["storage_uncommitted_tails_truncated"] == 1
+
+    def test_a_second_backend_reads_past_a_live_append_without_writing(
+        self, backend, tmp_path, swp_dph, employee_relation
+    ):
+        """Items an append wrote before its count -- a live append in another
+        process, or a killed one -- are left alone by a reader."""
+        acknowledged = [t.tuple_id for t in backend.load("Emp")]
+        self._kill_inside_an_append(backend, tmp_path, swp_dph, employee_relation)
+        before = backend._path("Emp").read_bytes()
+        reader = FileStorageBackend(tmp_path)
+        assert [t.tuple_id for t in reader.load("Emp")] == acknowledged
+        assert reader.tuple_count("Emp") == len(acknowledged)
+        assert backend._path("Emp").read_bytes() == before
+        assert reader.uncommitted_tails == 0
 
     def test_fewer_tuples_than_the_count_is_still_corrupt(self, backend):
         path = backend._path("Emp")

@@ -7,6 +7,7 @@ the whole relation, and only the first load after a write rebuilds it.
 
 from __future__ import annotations
 
+from provider_calls import store_relation
 from repro.crypto.keys import SecretKey
 from repro.crypto.rng import DeterministicRng
 from repro.index import IndexDelta, IndexLookupRequest
@@ -41,7 +42,7 @@ def test_lookups_and_writes_never_load_the_relation():
     spare = scheme.encrypt_tuple(RelationTuple.from_values(SCHEMA, ("spare0", "HR", 1)))
     storage = LoadCountingStorage()
     database = OutsourcedDatabaseServer(storage=storage)
-    database.store_relation("Emp", encrypted, scheme.server_evaluator())
+    store_relation(database, "Emp", encrypted, scheme.server_evaluator())
     database.put_index(
         "Emp",
         tuple((L1, i) for i in ids[:4]) + tuple((L2, i) for i in ids[4:]),

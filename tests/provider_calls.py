@@ -47,15 +47,17 @@ def drop_relation(provider, name: str, error=ServerError) -> None:
     _send(provider, MessageKind.DROP_RELATION, name, error=error)
 
 
-def register_evaluator(provider, name: str, evaluator, error=ServerError) -> None:
-    body = protocol.encode_evaluator_description(describe_evaluator(evaluator))
+def deploy(provider, name: str, schema, evaluator, error=ServerError) -> None:
+    body = protocol.encode_deploy(schema, describe_evaluator(evaluator))
     _send(provider, MessageKind.REGISTER_EVALUATOR, name, body, error=error)
 
 
 def store_relation(provider, name: str, relation, evaluator, error=ServerError) -> None:
-    register_evaluator(provider, name, evaluator, error=error)
-    body = protocol.encode_encrypted_relation(relation)
-    _send(provider, MessageKind.STORE_RELATION, name, body, error=error)
+    """Outsource ``relation`` as a session creates a table: the deploy, then
+    its tuples in one ``INSERT_TUPLES`` (a stored relation keeps its tuples)."""
+    deploy(provider, name, relation.schema, evaluator, error=error)
+    if relation.encrypted_tuples:
+        insert_tuples(provider, name, relation.encrypted_tuples, error=error)
 
 
 def insert_tuples(provider, name: str, encrypted_tuples, postings=b"", error=ServerError) -> int:

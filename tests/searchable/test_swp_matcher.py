@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from provider_calls import store_relation
 from repro.core.construction import SearchableSelectDph
 from repro.core.dph import EncryptedQuery, EncryptedRelation
 from repro.core.variable_length import VariableWidthSelectDph
@@ -248,8 +249,9 @@ PARENT_COUNTERS = {
 def test_counters_and_audit_fields_equal_the_parent_commit(kind):
     dph = make_dph(kind)
     server = OutsourcedDatabaseServer()
-    server.store_relation(
-        "Emp", dph.encrypt_relation(Relation.from_rows(SCHEMA, FIXED_ROWS)), dph.server_evaluator()
+    store_relation(
+        server, "Emp", dph.encrypt_relation(Relation.from_rows(SCHEMA, FIXED_ROWS)),
+        dph.server_evaluator(),
     )
     observed = {}
     for name, query in FIXED_QUERIES.items():

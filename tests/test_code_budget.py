@@ -12,10 +12,10 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 #: Path under the repository root -> the most Python lines it may hold.
 BUDGETS = {
-    "src": 17_514,
-    "src/repro/index": 371,
+    "src": 17_479,
+    "src/repro/index": 369,
     "src/repro/net": 1_578,
-    "src/repro/cluster/router.py": 1_200,
+    "src/repro/cluster/router.py": 908,
 }
 
 

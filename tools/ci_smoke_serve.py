@@ -7,9 +7,14 @@ crossed the wire), then drives the writes through a ``?index=1`` session --
 ``insert_many`` of 3 rows, an ``update`` and a ``delete``, one envelope
 each -- checking ``count`` and an indexed select after each.  It lists the
 provider's recent traces with ``repro trace --limit 1`` and ``--limit 0``,
-then shuts the provider down with SIGTERM and checks it exits cleanly.  Every wait is bounded so a hung
-provider fails the CI step instead of wedging it (the workflow additionally
-wraps the whole script in ``timeout``).
+then shuts the provider down with SIGTERM and checks it exits cleanly.
+Then the data directory has to survive restarts: a provider restarted on it
+serves both tables to a session that attaches them (``Smoke``, and the
+indexed ``Writes``), takes one more row in each, and is killed with SIGKILL
+once they are acknowledged; a provider restarted after that counts every
+acknowledged row and answers an indexed select right.  Every wait is
+bounded so a hung provider fails the CI step instead of wedging it (the
+workflow additionally wraps the whole script in ``timeout``).
 
 Usage::
 
@@ -19,6 +24,7 @@ Usage::
 from __future__ import annotations
 
 import re
+import select
 import signal
 import subprocess
 import sys
@@ -44,7 +50,68 @@ def recent_trace_count(url: str, limit: int) -> str:
     return match.group(0)
 
 
-def indexed_writes(url: str) -> str | None:
+SMOKE = "Smoke(name:string[10], value:int[4])"
+WRITES = "Writes(name:string[10], value:int[4])"
+
+
+def start_provider(data_dir: str) -> tuple[subprocess.Popen, str | None]:
+    """``repro serve`` on ``data_dir``, and its URL (None: no banner came)."""
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.cli", "serve",
+            "--port", "0", "--data-dir", data_dir, "--max-audit-events", "100",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    ready, _, _ = select.select([proc.stdout], [], [], STARTUP_TIMEOUT_S)
+    banner = proc.stdout.readline() if ready else ""
+    match = re.search(r"tcp://([\d.]+):(\d+)", banner)
+    if not match:
+        print(f"FAIL: no listening banner, got {banner!r}")
+        return proc, None
+    return proc, f"tcp://{match.group(1)}:{match.group(2)}"
+
+
+def stop(proc: subprocess.Popen) -> None:
+    if proc.poll() is None:
+        proc.kill()
+        proc.wait(timeout=10)
+
+
+#: What every restarted provider must serve once ``("d", 1)`` went into
+#: each table: table -> (count, names of the rows with ``value = 1``).
+ACKNOWLEDGED = {
+    "Smoke": (4, ["a", "c", "d"]),
+    "Writes": (3, ["b", "c", "d"]),  # after indexed_writes
+}
+
+
+def attached_rows(url: str, key, insert: bool) -> str | None:
+    """Attach both tables on an indexed session (inserting ``("d", 1)`` into
+    each when ``insert``), then check each table's ``count`` and indexed
+    select against :data:`ACKNOWLEDGED`; the first mismatch, or None."""
+    from repro.api import EncryptedDatabase
+
+    with EncryptedDatabase.connect(
+        f"{url}?index=1", key, timeout=STARTUP_TIMEOUT_S
+    ) as db:
+        for declaration in (SMOKE, WRITES):
+            db.attach_table(declaration)
+        for table, expected in ACKNOWLEDGED.items():
+            if insert:
+                db.insert_many(table, [("d", 1)])
+            outcome = db.select(f"SELECT * FROM {table} WHERE value = 1")
+            got = (db.count(table), sorted(row["name"] for row in outcome.relation))
+            if got != expected:
+                return f"{table}: count, names {got}, expected {expected}"
+            if outcome.evaluation.examined != len(outcome.relation):
+                return f"{table}: the select did not go through the index"
+    return None
+
+
+def indexed_writes(url: str, key) -> str | None:
     """``insert_many``, ``update`` and ``delete`` on an indexed session; the
     first wrong ``count`` or indexed select, or None."""
     from repro.api import EncryptedDatabase
@@ -54,8 +121,8 @@ def indexed_writes(url: str) -> str | None:
         (lambda db: db.update("SELECT * FROM Writes WHERE name = 'b'", {"value": 1}), 3, 3),
         (lambda db: db.delete("SELECT * FROM Writes WHERE name = 'a'"), 2, 2),
     )
-    with EncryptedDatabase.connect(f"{url}?index=1", timeout=STARTUP_TIMEOUT_S) as db:
-        db.create_table("Writes(name:string[10], value:int[4])")
+    with EncryptedDatabase.connect(f"{url}?index=1", key, timeout=STARTUP_TIMEOUT_S) as db:
+        db.create_table(WRITES)
         for step, (write, count, selected) in enumerate(steps):
             write(db)
             outcome = db.select("SELECT * FROM Writes WHERE value = 1")
@@ -67,70 +134,78 @@ def indexed_writes(url: str) -> str | None:
 
 
 def main() -> int:
+    from repro.crypto.keys import SecretKey
+
+    key = SecretKey.generate()
     with tempfile.TemporaryDirectory(prefix="repro-smoke-") as data_dir:
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.cli", "serve",
-                "--port", "0", "--data-dir", data_dir, "--max-audit-events", "100",
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
+        proc, url = start_provider(data_dir)
         try:
-            banner = proc.stdout.readline()
-            match = re.search(r"tcp://([\d.]+):(\d+)", banner)
-            if not match:
-                print(f"FAIL: no listening banner, got {banner!r}")
+            if url is None:
                 return 1
-            url = f"tcp://{match.group(1)}:{match.group(2)}"
             print(f"provider up at {url}")
-
-            from repro.api import EncryptedDatabase
-
-            with EncryptedDatabase.connect(url, timeout=STARTUP_TIMEOUT_S) as db:
-                db.create_table(
-                    "Smoke(name:string[10], value:int[4])",
-                    rows=[("a", 1), ("b", 2), ("c", 1)],
-                )
-                outcome = db.select("SELECT * FROM Smoke WHERE value = 1")
-                if len(outcome.relation) != 2:
-                    print(f"FAIL: expected 2 rows, got {len(outcome.relation)}")
-                    return 1
-                print("remote query answered correctly")
-                spans = {span["name"] for span in db.fetch_trace()["spans"]}
-                if not any(name.startswith("provider.") for name in spans):
-                    print(f"FAIL: no provider span in the select's trace: {sorted(spans)}")
-                    return 1
-                print("the select's trace id reached the provider")
-
-            failure = indexed_writes(url)
+            failure = first_run(proc, url, key)
             if failure is not None:
-                print(f"FAIL: indexed writes: {failure}")
+                print(f"FAIL: {failure}")
                 return 1
-            print("indexed insert_many / update / delete: counts and selects right")
-
-            for limit in (1, 0):
-                listed = recent_trace_count(url, limit)
-                if listed != f"{limit} recent trace(s)":
-                    print(f"FAIL: repro trace --limit {limit}: {listed}")
-                    return 1
-            print("repro trace --limit 1 / --limit 0 list 1 / 0 traces")
-
-            proc.send_signal(signal.SIGTERM)
-            output, _ = proc.communicate(timeout=SHUTDOWN_TIMEOUT_S)
-            if proc.returncode != 0:
-                print(f"FAIL: provider exited {proc.returncode}\n{output}")
-                return 1
-            if "stopped" not in output:
-                print(f"FAIL: no graceful-shutdown banner\n{output}")
-                return 1
-            print(f"provider shut down cleanly: {output.strip().splitlines()[-1]}")
-            return 0
         finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=10)
+            stop(proc)
+        return restarts(data_dir, key)
+
+
+def first_run(proc: subprocess.Popen, url: str, key) -> str | None:
+    """The remote query, the indexed writes, the trace listing and a clean
+    SIGTERM shutdown; the first failure, or None."""
+    from repro.api import EncryptedDatabase
+
+    with EncryptedDatabase.connect(url, key, timeout=STARTUP_TIMEOUT_S) as db:
+        db.create_table(SMOKE, rows=[("a", 1), ("b", 2), ("c", 1)])
+        outcome = db.select("SELECT * FROM Smoke WHERE value = 1")
+        if len(outcome.relation) != 2:
+            return f"expected 2 rows, got {len(outcome.relation)}"
+        print("remote query answered correctly")
+        spans = {span["name"] for span in db.fetch_trace()["spans"]}
+        if not any(name.startswith("provider.") for name in spans):
+            return f"no provider span in the select's trace: {sorted(spans)}"
+        print("the select's trace id reached the provider")
+
+    failure = indexed_writes(url, key)
+    if failure is not None:
+        return f"indexed writes: {failure}"
+    print("indexed insert_many / update / delete: counts and selects right")
+
+    for limit in (1, 0):
+        listed = recent_trace_count(url, limit)
+        if listed != f"{limit} recent trace(s)":
+            return f"repro trace --limit {limit}: {listed}"
+    print("repro trace --limit 1 / --limit 0 list 1 / 0 traces")
+
+    proc.send_signal(signal.SIGTERM)
+    output, _ = proc.communicate(timeout=SHUTDOWN_TIMEOUT_S)
+    if proc.returncode != 0:
+        return f"provider exited {proc.returncode}\n{output}"
+    if "stopped" not in output:
+        return f"no graceful-shutdown banner\n{output}"
+    print(f"provider shut down cleanly: {output.strip().splitlines()[-1]}")
+    return None
+
+
+def restarts(data_dir: str, key) -> int:
+    """Restart on the data directory, write and SIGKILL, restart again."""
+    for insert, step in ((True, "after SIGTERM"), (False, "after SIGKILL")):
+        proc, url = start_provider(data_dir)
+        try:
+            if url is None:
+                return 1
+            failure = attached_rows(url, key, insert)
+            if failure is not None:
+                print(f"FAIL: restarted {step}: {failure}")
+                return 1
+            print(f"restarted {step}: every acknowledged row counted and selected")
+            proc.kill()  # SIGKILL, once the rows are acknowledged
+            proc.wait(timeout=SHUTDOWN_TIMEOUT_S)
+        finally:
+            stop(proc)
+    return 0
 
 
 if __name__ == "__main__":
