@@ -21,12 +21,22 @@
  * HMAC-SHA256 over ``T[:w-m] || suffix`` truncated to ``m <= 32`` bytes;
  * ``hmac_block_key`` is the key as HMAC absorbs it (hashed first when longer
  * than a block, then zero-padded to 64 bytes), so the inner and outer hash
- * states after the padded key are computed once per call and copied per word.
+ * states after the padded key are computed once per call.
  *
- * Every word is taken as Python's loop takes it: ``len(word)`` decides
- * whether it is tested and ``bytes(word)`` is what is tested, so bytes-like
- * and other objects match, skip or raise exactly as they do there.  The
- * arguments are the trapdoor ``(X, k)`` and public lengths only.
+ * When the inner message fits one block (``w - m + len(suffix) <= 55``) and
+ * the lanes serve (SWP_CHECK is "sha-ni-2x": the CPU has the SHA extensions
+ * and, at import, the lanes gave OpenSSL's HMAC on fixed blocks), an item
+ * whose words are an exact tuple of exact bytes is held and its words are
+ * checked two at a time on interleaved SHA-NI lanes, pairing across item
+ * boundaries; the inner block's template and the outer block's padding are
+ * built once per call.  Every other item first finishes the held ones, so
+ * hits stay in order, and is walked as the OpenSSL path walks every item
+ * when the lanes do not serve ("openssl"): the keyed states copied and
+ * updated and finalised per word, and each word taken as Python's loop
+ * takes it -- ``len(word)`` decides whether it is tested and ``bytes(word)``
+ * is what is tested, so bytes-like and other objects match, skip or raise
+ * exactly as they do there.  The arguments are the trapdoor ``(X, k)`` and
+ * public lengths only.
  *
  * open_payloads(payloads, associated_data, stream_block_key, stream_suffix,
  * mac_block_key) opens each ``nonce || tag || body`` payload under its
@@ -126,6 +136,12 @@
 #include <openssl/crypto.h>
 #include <openssl/sha.h>
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define SHA_LANES 1
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 #define BLOCK_SIZE 64
 #define NONCE_LENGTH 16
 #define TAG_LENGTH SHA256_DIGEST_LENGTH
@@ -209,6 +225,9 @@ finish_hmac(SHA256_CTX *ctx, const SHA256_CTX *outer, unsigned char *digest)
     SHA256_Final(digest, ctx);
 }
 
+/* Message bytes one padded SHA-256 block holds: 64 less 0x80 and the 8-byte length. */
+#define ONE_BLOCK_ROOM 55
+
 typedef struct {
     SHA256_CTX inner;
     SHA256_CTX outer;
@@ -219,26 +238,289 @@ typedef struct {
     Py_ssize_t left_length;
     Py_ssize_t check_length;
     unsigned char *masked; /* word_length bytes of scratch for T */
+    int lanes;             /* whether check_pair serves exact bytes words */
+#ifdef SHA_LANES
+    __m128i lane_inner[2]; /* the keyed states as the rounds hold them: ABEF, CDGH */
+    __m128i lane_outer[2];
+    unsigned char block[BLOCK_SIZE]; /* the inner block: suffix, 0x80, bit length */
+#endif
 } Check;
+
+/* ``HMAC(key, left || suffix)`` into ``digest``, ``left`` being left_length bytes. */
+static void
+check_digest(const Check *check, const unsigned char *left, unsigned char *digest)
+{
+    SHA256_CTX ctx = check->inner;
+
+    SHA256_Update(&ctx, left, (size_t)check->left_length);
+    SHA256_Update(&ctx, check->suffix, (size_t)check->suffix_length);
+    finish_hmac(&ctx, &check->outer, digest);
+}
 
 /* Whether the word_length bytes at ``ciphertext`` pass the check. */
 static int
 passes(Check *check, const unsigned char *ciphertext)
 {
     unsigned char digest[SHA256_DIGEST_LENGTH];
-    SHA256_CTX ctx;
     Py_ssize_t i;
 
     for (i = 0; i < check->word_length; i++) {
         check->masked[i] = ciphertext[i] ^ check->pre_encrypted[i];
     }
-    ctx = check->inner;
-    SHA256_Update(&ctx, check->masked, (size_t)check->left_length);
-    SHA256_Update(&ctx, check->suffix, (size_t)check->suffix_length);
-    finish_hmac(&ctx, &check->outer, digest);
+    check_digest(check, check->masked, digest);
     return memcmp(digest, check->masked + check->left_length,
                   (size_t)check->check_length) == 0;
 }
+
+#ifdef SHA_LANES
+/* The lane check: two words' HMACs per pass of the SHA-NI round instructions.
+ *
+ * One check is two dependent one-block compressions, the inner block and
+ * then the outer block over the inner digest, so a single stream waits on
+ * each round instruction's latency; a second, independent word interleaved
+ * with it fills those waits.  A state is held as the rounds take it, ABEF
+ * and CDGH, and a block as sixteen message words in four vectors. */
+static const uint32_t ROUND_CONSTANTS[64] __attribute__((aligned(16))) = {
+    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
+    0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
+    0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
+    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
+    0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
+    0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
+    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
+    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
+};
+
+#define LANE_TARGET __attribute__((target("sha,sse4.1,ssse3")))
+
+/* Four rounds in both lanes, over message words x (lane 1) and y (lane 2). */
+#define FOUR_ROUNDS(group, x, y)                                                   \
+    do {                                                                           \
+        __m128i k_ = _mm_load_si128((const __m128i *)ROUND_CONSTANTS + (group));   \
+        __m128i x_ = _mm_add_epi32((x), k_), y_ = _mm_add_epi32((y), k_);          \
+        c1 = _mm_sha256rnds2_epu32(c1, a1, x_);                                    \
+        c2 = _mm_sha256rnds2_epu32(c2, a2, y_);                                    \
+        a1 = _mm_sha256rnds2_epu32(a1, c1, _mm_shuffle_epi32(x_, 0x0E));           \
+        a2 = _mm_sha256rnds2_epu32(a2, c2, _mm_shuffle_epi32(y_, 0x0E));           \
+    } while (0)
+
+/* The next four message words, from the last sixteen (oldest first), into w0. */
+#define NEXT_WORDS(w0, w1, w2, w3)                                                 \
+    ((w0) = _mm_sha256msg2_epu32(                                                  \
+         _mm_add_epi32(_mm_sha256msg1_epu32((w0), (w1)), _mm_alignr_epi8((w3), (w2), 4)), (w3)))
+
+/* One block compressed from ``start`` in each lane: ``state`` gets lane 1's
+ * ABEF and CDGH, then lane 2's; ``message`` holds lane 1's block, then lane 2's. */
+LANE_TARGET static inline void
+compress_two(const __m128i start[2], __m128i state[4], const __m128i message[8])
+{
+    __m128i a1 = start[0], c1 = start[1], a2 = start[0], c2 = start[1];
+    __m128i x0 = message[0], x1 = message[1], x2 = message[2], x3 = message[3];
+    __m128i y0 = message[4], y1 = message[5], y2 = message[6], y3 = message[7];
+    int group;
+
+    FOUR_ROUNDS(0, x0, y0);
+    FOUR_ROUNDS(1, x1, y1);
+    FOUR_ROUNDS(2, x2, y2);
+    FOUR_ROUNDS(3, x3, y3);
+    for (group = 4; group < 16; group += 4) {
+        NEXT_WORDS(x0, x1, x2, x3);
+        NEXT_WORDS(y0, y1, y2, y3);
+        FOUR_ROUNDS(group, x0, y0);
+        NEXT_WORDS(x1, x2, x3, x0);
+        NEXT_WORDS(y1, y2, y3, y0);
+        FOUR_ROUNDS(group + 1, x1, y1);
+        NEXT_WORDS(x2, x3, x0, x1);
+        NEXT_WORDS(y2, y3, y0, y1);
+        FOUR_ROUNDS(group + 2, x2, y2);
+        NEXT_WORDS(x3, x0, x1, x2);
+        NEXT_WORDS(y3, y0, y1, y2);
+        FOUR_ROUNDS(group + 3, x3, y3);
+    }
+    state[0] = _mm_add_epi32(a1, start[0]);
+    state[1] = _mm_add_epi32(c1, start[1]);
+    state[2] = _mm_add_epi32(a2, start[0]);
+    state[3] = _mm_add_epi32(c2, start[1]);
+}
+
+/* A state's words A..D and E..H, in that order, from its ABEF and CDGH. */
+LANE_TARGET static inline __m128i
+state_words_low(__m128i abef, __m128i cdgh)
+{
+    return _mm_shuffle_epi32(_mm_unpackhi_epi64(abef, cdgh), 0xB1);
+}
+
+LANE_TARGET static inline __m128i
+state_words_high(__m128i abef, __m128i cdgh)
+{
+    return _mm_shuffle_epi32(_mm_unpacklo_epi64(abef, cdgh), 0xB1);
+}
+
+/* The HMACs of ``first`` and ``second`` (the T[:w-m] of each word ciphertext
+ * is taken as passes() takes it) into ``digests``. */
+LANE_TARGET static void
+hmac_two(const Check *check, const unsigned char *first, const unsigned char *second,
+         unsigned char digests[2][SHA256_DIGEST_LENGTH])
+{
+    /* Swaps the bytes of each 32-bit word: big-endian bytes to words and back. */
+    const __m128i swap = _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+    const unsigned char *words[2] = {first, second};
+    unsigned char blocks[2][BLOCK_SIZE];
+    __m128i message[8], state[4];
+    int lane, i;
+
+    for (lane = 0; lane < 2; lane++) {
+        memcpy(blocks[lane], check->block, BLOCK_SIZE);
+        for (i = 0; i < check->left_length; i++) {
+            blocks[lane][i] = words[lane][i] ^ check->pre_encrypted[i];
+        }
+        for (i = 0; i < 4; i++) {
+            message[4 * lane + i] = _mm_shuffle_epi8(
+                _mm_loadu_si128((const __m128i *)(blocks[lane] + 16 * i)), swap);
+        }
+    }
+    compress_two(check->lane_inner, state, message);
+    /* The outer block: the inner digest, 0x80, then 96 bytes as a bit length. */
+    for (lane = 0; lane < 2; lane++) {
+        message[4 * lane] = state_words_low(state[2 * lane], state[2 * lane + 1]);
+        message[4 * lane + 1] = state_words_high(state[2 * lane], state[2 * lane + 1]);
+        message[4 * lane + 2] = _mm_set_epi32(0, 0, 0, (int)0x80000000u);
+        message[4 * lane + 3] = _mm_set_epi32(8 * (BLOCK_SIZE + SHA256_DIGEST_LENGTH), 0, 0, 0);
+    }
+    compress_two(check->lane_outer, state, message);
+    for (lane = 0; lane < 2; lane++) {
+        _mm_storeu_si128((__m128i *)digests[lane], _mm_shuffle_epi8(
+            state_words_low(state[2 * lane], state[2 * lane + 1]), swap));
+        _mm_storeu_si128((__m128i *)(digests[lane] + 16), _mm_shuffle_epi8(
+            state_words_high(state[2 * lane], state[2 * lane + 1]), swap));
+    }
+}
+
+/* A keyed state as the rounds hold it. */
+static void
+lane_state(const SHA256_CTX *ctx, __m128i state[2])
+{
+    const unsigned int *h = ctx->h;
+
+    state[0] = _mm_set_epi32((int)h[0], (int)h[1], (int)h[4], (int)h[5]);
+    state[1] = _mm_set_epi32((int)h[2], (int)h[3], (int)h[6], (int)h[7]);
+}
+
+#endif
+
+/* Set once at import: whether the lanes serve checks (lanes_agree). */
+static int sha_lanes;
+
+/* ``check`` keyed and laid out for one call; ``masked`` is left NULL. */
+static void
+check_setup(Check *check, const unsigned char *block_key, const unsigned char *pre_encrypted,
+            Py_ssize_t word_length, Py_ssize_t check_length, const unsigned char *suffix,
+            Py_ssize_t suffix_length)
+{
+    check->pre_encrypted = pre_encrypted;
+    check->suffix = suffix;
+    check->suffix_length = suffix_length;
+    check->word_length = word_length;
+    check->left_length = word_length - check_length;
+    check->check_length = check_length;
+    check->masked = NULL;
+    check->lanes = 0;
+    keyed_states(block_key, &check->inner, &check->outer);
+#ifdef SHA_LANES
+    if (check->left_length + suffix_length <= ONE_BLOCK_ROOM) {
+        uint64_t bits = 8 * (uint64_t)(BLOCK_SIZE + check->left_length + suffix_length);
+        int i;
+
+        memset(check->block, 0, BLOCK_SIZE);
+        memcpy(check->block + check->left_length, suffix, (size_t)suffix_length);
+        check->block[check->left_length + suffix_length] = 0x80;
+        for (i = 0; i < 8; i++) {
+            check->block[BLOCK_SIZE - 1 - i] = (unsigned char)(bits >> (8 * i));
+        }
+        lane_state(&check->inner, check->lane_inner);
+        lane_state(&check->outer, check->lane_outer);
+        check->lanes = sha_lanes;
+    }
+#endif
+}
+
+#ifdef SHA_LANES
+/* Whether ``first`` and ``second`` pass, into passed[0] and passed[1]. */
+static void
+check_pair(Check *check, const unsigned char *first, const unsigned char *second, int passed[2])
+{
+    unsigned char digests[2][SHA256_DIGEST_LENGTH];
+    const unsigned char *words[2] = {first, second};
+    Py_ssize_t left = check->left_length, i;
+    int lane;
+
+    hmac_two(check, first, second, digests);
+    for (lane = 0; lane < 2; lane++) {
+        passed[lane] = 1;
+        for (i = 0; i < check->check_length; i++) {
+            if ((digests[lane][i] ^ check->pre_encrypted[left + i]) != words[lane][left + i]) {
+                passed[lane] = 0;
+                break;
+            }
+        }
+    }
+}
+
+/* 1 when the CPU reports SHA, SSE4.1 and SSSE3 and the lanes give OpenSSL's
+ * HMAC on fixed blocks, the inner message one byte to a full block long. */
+static int
+lanes_agree(void)
+{
+    static const unsigned char suffix[6] = {'|', 0, 0, 0, 6, 1};
+    unsigned int eax, ebx, ecx, edx;
+    unsigned char block_key[BLOCK_SIZE], zeros[ONE_BLOCK_ROOM] = {0};
+    unsigned char words[2][ONE_BLOCK_ROOM], lanes[2][SHA256_DIGEST_LENGTH];
+    unsigned char expected[SHA256_DIGEST_LENGTH];
+    Check check;
+    int i, lane, left;
+
+    if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)
+        || !(ecx & (1u << 9)) || !(ecx & (1u << 19))   /* SSSE3, SSE4.1 */
+        || __get_cpuid_max(0, NULL) < 7) {
+        return 0;
+    }
+    __cpuid_count(7, 0, eax, ebx, ecx, edx);
+    if (!(ebx & (1u << 29))) { /* SHA */
+        return 0;
+    }
+    for (i = 0; i < BLOCK_SIZE; i++) {
+        block_key[i] = (unsigned char)(7 * i + 1);
+    }
+    for (i = 0; i < ONE_BLOCK_ROOM; i++) {
+        words[0][i] = (unsigned char)(31 * i);
+        words[1][i] = (unsigned char)(255 - 13 * i);
+    }
+    for (left = 1; left <= ONE_BLOCK_ROOM - (int)sizeof suffix; left++) {
+        check_setup(&check, block_key, zeros, left + 1, 1, suffix, sizeof suffix);
+        hmac_two(&check, words[0], words[1], lanes);
+        for (lane = 0; lane < 2; lane++) {
+            check_digest(&check, words[lane], expected);
+            if (memcmp(expected, lanes[lane], SHA256_DIGEST_LENGTH) != 0) {
+                return 0;
+            }
+        }
+    }
+    return 1;
+}
+#else
+static void
+check_pair(Check *check, const unsigned char *first, const unsigned char *second, int passed[2])
+{
+    passed[0] = passes(check, first);
+    passed[1] = passes(check, second);
+}
+
+static int
+lanes_agree(void)
+{
+    return 0;
+}
+#endif
 
 /* 1 if ``word`` passes, 0 if not or if its length is not word_length, -1 on error.
  *
@@ -318,6 +600,93 @@ select_item(Check *check, PyObject *hits, PyObject *item, PyObject *item_words)
     return found ? PyList_Append(hits, item) : 0;
 }
 
+/* The items walked since the last flush whose words are a tuple of bytes,
+ * held with those words until their checks are done; their words are checked
+ * two at a time, across item boundaries. */
+typedef struct {
+    PyObject *items[ITEMS_PER_CLOCK];
+    PyObject *words[ITEMS_PER_CLOCK];
+    int found[ITEMS_PER_CLOCK];
+    int count;
+    const unsigned char *waiting; /* a word awaiting the second lane, or NULL */
+    int waiting_slot;
+} Chunk;
+
+/* Whether check_pair takes ``item_words``: an exact tuple of exact bytes. */
+static int
+lane_words(const Check *check, PyObject *item_words)
+{
+    Py_ssize_t i;
+
+    if (!check->lanes || !PyTuple_CheckExact(item_words)) {
+        return 0;
+    }
+    for (i = 0; i < PyTuple_GET_SIZE(item_words); i++) {
+        if (!PyBytes_CheckExact(PyTuple_GET_ITEM(item_words, i))) {
+            return 0;
+        }
+    }
+    return 1;
+}
+
+/* Check the waiting word beside ``word`` (of item ``slot``), or make it wait. */
+static void
+chunk_check(Check *check, Chunk *chunk, const unsigned char *word, int slot)
+{
+    int passed[2];
+
+    if (chunk->waiting == NULL) {
+        chunk->waiting = word;
+        chunk->waiting_slot = slot;
+        return;
+    }
+    check_pair(check, chunk->waiting, word, passed);
+    chunk->found[chunk->waiting_slot] |= passed[0];
+    chunk->found[slot] |= passed[1];
+    chunk->waiting = NULL;
+}
+
+/* Hold ``item`` (its words pass lane_words), stealing both references, and
+ * check its words of the right length until one passes. */
+static void
+chunk_add(Check *check, Chunk *chunk, PyObject *item, PyObject *item_words)
+{
+    int slot = chunk->count++;
+    Py_ssize_t i;
+
+    chunk->items[slot] = item;
+    chunk->words[slot] = item_words;
+    chunk->found[slot] = 0;
+    for (i = 0; i < PyTuple_GET_SIZE(item_words) && !chunk->found[slot]; i++) {
+        PyObject *word = PyTuple_GET_ITEM(item_words, i);
+
+        if (PyBytes_GET_SIZE(word) == check->word_length) {
+            chunk_check(check, chunk, (const unsigned char *)PyBytes_AS_STRING(word), slot);
+        }
+    }
+}
+
+/* Finish the held items' checks and append those that passed to ``hits``, in
+ * order (none when ``hits`` is NULL), then let go of them; 0, or -1 on error. */
+static int
+chunk_flush(Check *check, Chunk *chunk, PyObject *hits)
+{
+    int slot, status = 0;
+
+    if (chunk->waiting != NULL) {
+        chunk_check(check, chunk, chunk->waiting, chunk->waiting_slot);
+    }
+    for (slot = 0; slot < chunk->count; slot++) {
+        if (hits != NULL && status == 0 && chunk->found[slot]) {
+            status = PyList_Append(hits, chunk->items[slot]);
+        }
+        Py_DECREF(chunk->words[slot]);
+        Py_DECREF(chunk->items[slot]);
+    }
+    chunk->count = 0;
+    return status;
+}
+
 static PyObject *
 swp_select(PyObject *module, PyObject *args)
 {
@@ -327,6 +696,7 @@ swp_select(PyObject *module, PyObject *args)
     Py_buffer pre_encrypted, block_key, suffix;
     Py_ssize_t check_length;
     Check check;
+    Chunk chunk;
     int status;
     unsigned int walked = 0;
     double held_since, hold_limit;
@@ -336,6 +706,8 @@ swp_select(PyObject *module, PyObject *args)
         return NULL;
     }
     check.masked = NULL;
+    chunk.count = 0;
+    chunk.waiting = NULL;
     if (block_key.len != BLOCK_SIZE) {
         PyErr_SetString(PyExc_ValueError, "hmac_block_key must be 64 bytes");
         goto done;
@@ -346,18 +718,13 @@ swp_select(PyObject *module, PyObject *args)
                         "check length must satisfy 1 <= m <= 32 and m < len(X)");
         goto done;
     }
-    check.pre_encrypted = pre_encrypted.buf;
-    check.suffix = suffix.buf;
-    check.suffix_length = suffix.len;
-    check.word_length = pre_encrypted.len;
-    check.left_length = pre_encrypted.len - check_length;
-    check.check_length = check_length;
+    check_setup(&check, block_key.buf, pre_encrypted.buf, pre_encrypted.len, check_length,
+                suffix.buf, suffix.len);
     check.masked = PyMem_Malloc((size_t)pre_encrypted.len);
     if (check.masked == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    keyed_states(block_key.buf, &check.inner, &check.outer);
     if (lock_hold_limit(&hold_limit) < 0) {
         goto done;
     }
@@ -382,22 +749,34 @@ swp_select(PyObject *module, PyObject *args)
             Py_DECREF(item);
             break;
         }
-        status = select_item(&check, hits, item, item_words);
-        Py_DECREF(item_words);
-        Py_DECREF(item);
+        if (lane_words(&check, item_words)) {
+            chunk_add(&check, &chunk, item, item_words);
+            status = 0;
+        }
+        else {
+            /* Every other item in turn, after the held ones: hits stay in order. */
+            status = chunk_flush(&check, &chunk, hits);
+            if (status == 0) {
+                status = select_item(&check, hits, item, item_words);
+            }
+            Py_DECREF(item_words);
+            Py_DECREF(item);
+        }
+        if (status == 0 && ++walked % ITEMS_PER_CLOCK == 0) {
+            status = chunk_flush(&check, &chunk, hits);
+            offer_lock(&held_since, hold_limit);
+        }
         if (status < 0) {
             Py_CLEAR(hits);
             goto done;
         }
-        if (++walked % ITEMS_PER_CLOCK == 0) {
-            offer_lock(&held_since, hold_limit);
-        }
     }
-    if (PyErr_Occurred()) {
+    if (PyErr_Occurred() || chunk_flush(&check, &chunk, hits) < 0) {
         Py_CLEAR(hits);
     }
 
 done:
+    chunk_flush(&check, &chunk, NULL);
     PyMem_Free(check.masked);
     Py_XDECREF(items_iterator);
     Py_XDECREF(words_iterator);
@@ -1703,6 +2082,7 @@ PyInit__native(void)
         {&search_fields_name, "search_fields"}, {&metadata_name, "metadata"},
         {&framed_name, "framed"}, {&schema_name, "_schema"}, {&values_name, "_values"},
     };
+    PyObject *module;
     size_t i;
 
     for (i = 0; i < sizeof interned / sizeof interned[0]; i++) {
@@ -1719,5 +2099,11 @@ PyInit__native(void)
             return NULL;
         }
     }
-    return PyModule_Create(&native_module);
+    sha_lanes = lanes_agree();
+    module = PyModule_Create(&native_module);
+    if (module != NULL && PyModule_AddStringConstant(
+            module, "SWP_CHECK", sha_lanes ? "sha-ni-2x" : "openssl") < 0) {
+        Py_CLEAR(module);
+    }
+    return module;
 }

@@ -248,6 +248,12 @@ def index_summary(snapshot: dict) -> str:
     )
 
 
+def match_kernel(snapshot: dict) -> str:
+    """The ``impl`` of a provider's ``match_kernel`` gauge: its SWP check."""
+    return next((g["labels"].get("impl") for g in snapshot.get("gauges", ())
+                 if g["name"] == "match_kernel" and g["value"]), "unknown")
+
+
 def _wait_for_signal(
     interval: float = 0.0, tick: Callable[[], None] | None = None, *, ready: str = ""
 ) -> None:
@@ -490,7 +496,7 @@ def command_fleet_status(args: argparse.Namespace) -> int:
             continue
         relations = ", ".join(f"{name}={count}" for name, count in counts.items()) or "none"
         print(f"{shard_url}: up, relations: {relations}; {throughput_summary(snapshot)}")
-        print(f"  index: {index_summary(snapshot)}")
+        print(f"  index: {index_summary(snapshot)}; match kernel: {match_kernel(snapshot)}")
     print(f"{len(shard_urls) - unreachable}/{len(shard_urls)} shard(s) up")
     if replicas > 1:
         tolerated = replicas - 1
@@ -563,9 +569,7 @@ def command_stats(args: argparse.Namespace) -> int:
                 continue
             if snapshot:
                 snapshots.append(snapshot)
-                impl = next((g["labels"].get("impl") for g in snapshot.get("gauges", ())
-                             if g["name"] == "match_kernel" and g["value"]), "unknown")
-                kernels.append(f"  {shard_url}: match kernel: {impl}")
+                kernels.append(f"  {shard_url}: match kernel: {match_kernel(snapshot)}")
         merged = merge_snapshots(*snapshots)
         if args.prometheus:
             sys.stdout.write(render_prometheus(merged))

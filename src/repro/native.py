@@ -1,38 +1,21 @@
 """The native kernel: :data:`kernel` is ``_native.c`` compiled, or ``None``.
 
-Its functions each have a Python reference that runs when :data:`kernel` is
-``None``, and on every item a function leaves ``None``.  On the result path:
+Its functions (``_native.c``'s header describes each) each have a Python
+reference that runs when :data:`kernel` is ``None``, and on every item a
+function leaves ``None``: on the result path ``swp_select`` (the provider's
+scan, :meth:`repro.searchable.swp.SwpMatcher.select`), ``open_payloads``,
+``decode_tuples``, ``decode_rows`` and ``open_result`` (the client's
+decrypt and the relation and row decoders); on the write path
+``swp_sealer`` / ``swp_encrypt_words`` (:class:`repro.searchable.swp.SwpScheme`)
+and ``seal_payloads`` (:meth:`repro.crypto.symmetric.SymmetricCipher.seal_many`).
+The decoders build their records untracked by the cyclic collector; the
+Python references build the same records tracked.
 
-- ``swp_select``: :meth:`repro.searchable.swp.SwpMatcher.select` hands it a
-  one-digest check (the provider's scan);
-- ``open_payloads``: :meth:`repro.crypto.symmetric.SymmetricCipher.open_many`
-  hands it a batch of tuple payloads (the client's result path);
-- ``decode_tuples``: :func:`repro.outsourcing.protocol.decode_encrypted_relation`
-  and ``decode_evaluation_result`` hand it a relation's tuple sequence where
-  it lies in the frame (the Python walk re-runs on an irregular one to raise);
-- ``decode_rows``: :meth:`repro.relational.encoding.TupleCodec.decode_regular`
-  hands it the opened payloads (``TupleCodec.decode`` decides every row
-  outside the common case);
-- ``open_result``: ``decrypt_result`` hands it a select's ``QUERY_RESULT``
-  body, whose rows it checks, opens and decodes where they lie, in one pass.
-
-The decoders build their records untracked by the cyclic collector: each
-``EncryptedTuple`` and its ``search_fields``, each ``RelationTuple`` and its
-values.  They hold only bytes, text, integers,
-tuples of those and the schema, which holds no record, and nothing sets an
-attribute on them once built, so no cycle can pass through them and
-reference counting frees them; a large answer then adds nothing for a
-collection to walk.  The Python references build the same records tracked.
-
-On the write path (the client's ``E`` and ``Eq``):
-
-- ``swp_sealer`` / ``swp_encrypt_words``: a
-  :class:`repro.searchable.swp.SwpScheme` whose every HMAC is one digest keys
-  itself into the kernel once, then hands it a batch of documents to seal
-  (``seal_documents``) or of words to turn into trapdoors (``trapdoors``),
-  with its ``(X, k)`` memo;
-- ``seal_payloads``: :meth:`repro.crypto.symmetric.SymmetricCipher.seal_many`
-  hands it a batch of tuple payloads and the nonces drawn for them.
+``kernel.SWP_CHECK`` names the HMAC that ``swp_select`` runs per word,
+decided once, at import: ``"sha-ni-2x"`` -- two words per pass on
+interleaved SHA-NI lanes -- when the CPU reports SHA, SSE4.1 and SSSE3 and
+the lanes give OpenSSL's HMAC on fixed blocks, else ``"openssl"``.
+Answers are the same either way.
 
 The kernel is built on first import, not by an
 install step, so it loads wherever the package is imported from: the source
@@ -141,7 +124,5 @@ def load():
         return None
 
 
-#: The loaded ``_native`` module (``swp_select``, ``open_payloads``,
-#: ``decode_tuples``, ``decode_rows``, ``open_result``, ``swp_sealer``,
-#: ``swp_encrypt_words``, ``seal_payloads``), or ``None``: the Python references run.
+#: The loaded ``_native`` module, or ``None``: the Python references run.
 kernel = load()

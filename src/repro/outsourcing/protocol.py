@@ -270,7 +270,7 @@ def _decode_relation_at(raw: bytes, start: int, end: int) -> EncryptedRelation:
     if kernel is not None and end - start >= 4:
         offset = start + 4 + _U32.unpack_from(raw, start)[0]
         if offset <= end:
-            schema = _schema_at(raw[start + 4:offset])
+            schema = decode_schema_declaration(raw[start + 4:offset])
             tuples = kernel.decode_tuples(raw, offset, end, EncryptedTuple)
             if tuples is not None:
                 return EncryptedRelation(schema=schema, encrypted_tuples=tuples)
@@ -279,7 +279,7 @@ def _decode_relation_at(raw: bytes, start: int, end: int) -> EncryptedRelation:
     return _walk_relation(raw)
 
 
-def _schema_at(declaration: bytes) -> RelationSchema:
+def decode_schema_declaration(declaration: bytes) -> RelationSchema:
     try:
         return _parse_schema_declaration(declaration)
     except (SchemaError, UnicodeDecodeError) as exc:
@@ -289,7 +289,7 @@ def _schema_at(declaration: bytes) -> RelationSchema:
 def _walk_relation(raw: bytes) -> EncryptedRelation:
     """The Python walk of :func:`decode_encrypted_relation` over a whole frame."""
     schema_bytes, offset = _decode_bytes(raw, 0)
-    schema = _schema_at(schema_bytes)
+    schema = decode_schema_declaration(schema_bytes)
     return EncryptedRelation(schema=schema, encrypted_tuples=_walk_tuples(raw, offset))
 
 
@@ -520,7 +520,7 @@ def decode_deploy(raw: bytes) -> tuple[RelationSchema, dict]:
     """Parse a ``REGISTER_EVALUATOR`` body into ``(schema, description)``; the
     declaration goes through the schema memo, as a relation frame's does."""
     declaration, offset = _decode_bytes(raw, 0)
-    return _schema_at(declaration), decode_evaluator_description(raw[offset:])
+    return decode_schema_declaration(declaration), decode_evaluator_description(raw[offset:])
 
 
 def decode_evaluator_description(raw: bytes) -> dict:

@@ -147,7 +147,8 @@ class OutsourcedDatabaseServer:
         than double-count through parallel instruments, its totals are
         copied into gauges at snapshot time, and so is ``index_relations``,
         the number of relations holding an index.  ``match_kernel{impl=...}``
-        is 1 for the SWP check this process runs (:mod:`repro.native`); a
+        is 1 for the SWP check this process runs (:mod:`repro.native`:
+        ``python``, ``native`` or ``native-sha-ni``, the kernel's lanes); a
         file store's ``storage_uncommitted_tails_truncated`` is its
         uncommitted_tails.
         """
@@ -155,7 +156,9 @@ class OutsourcedDatabaseServer:
         self._metrics.gauge("index_relations").set(len(self._indexes))
         for kind, count in self._audit.summary().items():
             self._metrics.gauge("audit_events", kind=kind).set(count)
-        impl = "python" if native.kernel is None else "native"
+        kernel = native.kernel
+        impl = "python" if kernel is None else (
+            "native-sha-ni" if kernel.SWP_CHECK == "sha-ni-2x" else "native")
         self._metrics.gauge("match_kernel", impl=impl).set(1)
         if isinstance(self._storage, FileStorageBackend):
             tails = self._metrics.gauge("storage_uncommitted_tails_truncated")
@@ -191,18 +194,18 @@ class OutsourcedDatabaseServer:
     # The steps of _dispatch
     # ------------------------------------------------------------------ #
 
-    def register_evaluator(self, name: str, evaluator: ServerEvaluator) -> None:
-        """Deploy the keyless evaluation procedure for a relation."""
-        if not name:
-            raise ServerError("relation name must be non-empty")
-        self._evaluators[name] = evaluator
-
     def deploy(self, name: str, schema: RelationSchema, evaluator: ServerEvaluator) -> None:
         """Deploy a relation's evaluator and create the relation, empty, under
         ``schema`` -- unless one is stored under ``name``, whose tuples are
-        left as they are (a session re-attaching its table)."""
-        self.register_evaluator(name, evaluator)
-        if name not in self._storage:
+        left as they are (a session re-attaching its table).  A schema named
+        other than ``name``, or other than the stored relation's, is refused."""
+        if schema.name != name:
+            raise ServerError(f"a deploy of {name!r} declares relation {schema.name!r}")
+        stored = name in self._storage
+        if stored and self._storage.schema(name) != schema:
+            raise ServerError(f"relation {name!r} is stored under another schema")
+        self._evaluators[name] = evaluator
+        if not stored:
             self._storage.save(name, EncryptedRelation(schema=schema, encrypted_tuples=()))
 
     def insert_tuples(self, name: str, encrypted_tuples: Sequence[EncryptedTuple], delta) -> int:

@@ -28,9 +28,11 @@ from repro.core.dph import EncryptedRelation, EncryptedTuple
 from repro.outsourcing.protocol import (
     ProtocolError,
     decode_encrypted_relation,
+    decode_schema_declaration,
     encode_encrypted_relation,
     frame_encrypted_tuple,
 )
+from repro.relational.schema import RelationSchema
 
 
 class StorageError(Exception):
@@ -63,13 +65,13 @@ class StorageBackend(ABC):
         """Ciphertext footprint of one relation."""
         return self.load(name).size_in_bytes()
 
-    def tuple_count(self, name: str) -> int:
-        """Number of stored tuple ciphertexts.
+    def schema(self, name: str) -> RelationSchema:
+        """The stored relation's schema; the default decodes the relation."""
+        return self.load(name).schema
 
-        The default decodes the relation; backends with cheaper metadata
-        access override this.
-        """
-        return len(self.load(name))
+    @abstractmethod
+    def tuple_count(self, name: str) -> int:
+        """Number of stored tuple ciphertexts, read without decoding them."""
 
     @abstractmethod
     def append(self, name: str, encrypted_tuples: Sequence[EncryptedTuple]) -> None:
@@ -173,6 +175,9 @@ class InMemoryStorageBackend(StorageBackend):
 
     def tuple_count(self, name: str) -> int:
         return len(self._held(name).tuples)
+
+    def schema(self, name: str) -> RelationSchema:
+        return self._held(name).schema
 
     def append(self, name: str, encrypted_tuples: Sequence[EncryptedTuple]) -> None:
         add = self._held(name).add
@@ -317,23 +322,30 @@ class FileStorageBackend(StorageBackend):
                 continue  # foreign file in the storage directory
         return tuple(names)
 
-    def tuple_count(self, name: str) -> int:
-        """Read the 4-byte count field instead of decoding the whole file."""
+    def _header(self, name: str) -> tuple[bytes, int]:
+        """The schema declaration and the tuple count, read without the tuples."""
         path = self._path(name)
         if not path.exists():
             raise StorageError(f"no relation named {name!r} is stored")
         try:
             with path.open("rb") as handle:
                 header = handle.read(4)
-                if len(header) != 4:
-                    raise StorageError(f"stored relation {name!r} is corrupt")
-                handle.seek(4 + int.from_bytes(header, "big"))
+                declaration = handle.read(int.from_bytes(header, "big"))
                 count_raw = handle.read(4)
         except OSError as exc:
             raise StorageError(f"cannot read relation {name!r}: {exc}") from exc
-        if len(count_raw) != 4:
+        if len(header) != 4 or len(count_raw) != 4:
             raise StorageError(f"stored relation {name!r} is corrupt")
-        return int.from_bytes(count_raw, "big")
+        return declaration, int.from_bytes(count_raw, "big")
+
+    def tuple_count(self, name: str) -> int:
+        return self._header(name)[1]
+
+    def schema(self, name: str) -> RelationSchema:
+        try:
+            return decode_schema_declaration(self._header(name)[0])
+        except ProtocolError as exc:
+            raise StorageError(f"stored relation {name!r} is corrupt: {exc}") from exc
 
     def append(self, name: str, encrypted_tuples: Sequence[EncryptedTuple]) -> None:
         """Append in place: extend the file, then bump the tuple count once.

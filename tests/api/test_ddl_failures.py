@@ -7,7 +7,8 @@ an in-process provider, ``tcp://`` and ``cluster://`` alike, and leaves its
 table bookkeeping as the operation's contract says.  A create whose rows
 do not land -- the insert refused, or past a provider's frame limit --
 leaves no relation behind, so it can be retried; a deploy of a stored
-relation leaves its rows alone.
+relation leaves its rows alone, and one whose schema is not the relation's
+-- named otherwise, or other than the stored one -- is refused.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ import pytest
 
 from repro.api import DatabaseError, EncryptedDatabase
 from repro.cluster import ShardRouter
-from repro.net import ThreadedTcpServer
+from repro.net import RemoteServerProxy, ThreadedTcpServer
 from repro.outsourcing import OutsourcedDatabaseServer, ServerError
+from repro.relational.schema import RelationSchema
+from provider_calls import deploy
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
 ROWS = [("Montgomery", "HR", 7500), ("Smith", "IT", 5200), ("Jones", "HR", 7500)]
@@ -39,8 +42,8 @@ class RefusingProvider(OutsourcedDatabaseServer):
             raise ServerError(f"refused to {operation}")
         return method(*args)
 
-    def register_evaluator(self, name, evaluator):
-        return self._step("deploy", super().register_evaluator, name, evaluator)
+    def deploy(self, name, schema, evaluator):
+        return self._step("deploy", super().deploy, name, schema, evaluator)
 
     def insert_tuples(self, name, encrypted_tuples, delta):
         return self._step("insert", super().insert_tuples, name, encrypted_tuples, delta)
@@ -187,3 +190,31 @@ def test_a_deploy_of_a_stored_relation_leaves_its_rows_alone(transport, secret_k
         second.attach_table(EMP_DECL)  # deploys the relation again
         assert [provider.stored_relation("Emp") for provider in providers] == stored
         assert second.count("Emp") == len(ROWS)
+
+
+#: (the envelope's relation, the declared schema, what the refusal says)
+FOREIGN_DEPLOYS = [
+    ("Emp", "Emp(name:string[14])", "stored under another schema"),
+    ("Emp", "Emp(name:string[14], dept:string[5], salary:int[7])", "stored under another schema"),
+    ("Emp", "Other(x:int[3], y:int[3])", "declares relation 'Other'"),
+    ("X", EMP_DECL, "declares relation 'Emp'"),
+]
+
+
+@pytest.mark.parametrize("transport", ["in-process", "tcp", "cluster"])
+def test_a_deploy_of_a_schema_not_the_relations_is_refused(transport, secret_key, swp_dph):
+    with fleet(transport) as (providers, target), contextlib.ExitStack() as stack:
+        db = stack.enter_context(EncryptedDatabase.connect(target, secret_key))
+        create(db)
+        stored = [provider.stored_relation("Emp") for provider in providers]
+        peer = target
+        if transport == "tcp":
+            peer = stack.enter_context(RemoteServerProxy.connect(target))
+        for name, declaration, refusal in FOREIGN_DEPLOYS:
+            with pytest.raises(ServerError, match=refusal):
+                deploy(peer, name, RelationSchema.parse(declaration), swp_dph.server_evaluator())
+        assert stored_names(providers) == {"Emp"}
+        assert [provider.stored_relation("Emp") for provider in providers] == stored
+        # No refused deploy replaced the session's evaluator.
+        assert db.count("Emp") == len(ROWS)
+        assert len(db.select("SELECT * FROM Emp WHERE dept = 'HR'").relation) == 2

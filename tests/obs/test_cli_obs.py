@@ -100,7 +100,8 @@ class TestStatsCommand:
     def test_each_shard_reports_its_match_kernel(self, capsys, monkeypatch):
         with ThreadedTcpServer() as one, ThreadedTcpServer() as two:
             url = f"cluster://127.0.0.1:{one.port},127.0.0.1:{two.port}"
-            expected = "python" if native.kernel is None else "native"
+            expected = "python" if native.kernel is None else (
+                "native-sha-ni" if native.kernel.SWP_CHECK == "sha-ni-2x" else "native")
             assert main(["stats", url]) == 0
             out = capsys.readouterr().out
             assert f"127.0.0.1:{one.port}: match kernel: {expected}" in out

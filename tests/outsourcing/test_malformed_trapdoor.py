@@ -11,7 +11,7 @@ relation holds, and leaves the connection usable.
 from __future__ import annotations
 
 import pytest
-from provider_calls import server_counts, store_relation
+from provider_calls import deploy, server_counts, store_relation
 
 from repro.api import EncryptedDatabase
 from repro.core.construction import SearchableSelectDph
@@ -26,6 +26,7 @@ from repro.outsourcing.protocol import (
 )
 from repro.relational import Relation
 from repro.relational.query import Selection
+from repro.relational.schema import RelationSchema
 from repro.searchable.tokens import SwpToken
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
@@ -89,9 +90,7 @@ def test_handle_message_answers_error(employee_schema, secret_key, rng, scheme):
     server = OutsourcedDatabaseServer()
     relation = Relation.from_rows(employee_schema, ROWS)
     store_relation(server, "Emp", dph.encrypt_relation(relation), dph.server_evaluator())
-    store_relation(
-        server, "Void", dph.encrypt_relation(Relation(employee_schema)), dph.server_evaluator()
-    )
+    deploy(server, "Void", RelationSchema.parse(EMPTY_DECL), dph.server_evaluator())
     good = dph.encrypt_query(Selection.equals("dept", "HR"))
     assert_error_then_still_serving(server, good, scheme)
 

@@ -44,10 +44,10 @@ def stored_bytes(server, name):
 class TestServer:
     def test_store_and_retrieve(self, swp_dph, employee_relation, server):
         encrypted = swp_dph.encrypt_relation(employee_relation)
-        store_relation(server, "emp", encrypted, swp_dph.server_evaluator())
-        assert server.relation_names == ("emp",)
-        assert server.stored_relation("emp") == encrypted
-        assert server.storage_in_bytes("emp") == encrypted.size_in_bytes()
+        store_relation(server, "Emp", encrypted, swp_dph.server_evaluator())
+        assert server.relation_names == ("Emp",)
+        assert server.stored_relation("Emp") == encrypted
+        assert server.storage_in_bytes("Emp") == encrypted.size_in_bytes()
         assert server.storage_in_bytes() == encrypted.size_in_bytes()
 
     def test_empty_name_rejected(self, swp_dph, employee_relation, server):
@@ -62,28 +62,28 @@ class TestServer:
             server.execute_query("missing", swp_dph.encrypt_query(Selection.equals("dept", "HR")))
 
     def test_execute_query_and_audit(self, swp_dph, employee_relation, server):
-        store_relation(server, "emp", swp_dph.encrypt_relation(employee_relation),
+        store_relation(server, "Emp", swp_dph.encrypt_relation(employee_relation),
                        swp_dph.server_evaluator())
-        result = server.execute_query("emp", swp_dph.encrypt_query(Selection.equals("dept", "HR")))
+        result = server.execute_query("Emp", swp_dph.encrypt_query(Selection.equals("dept", "HR")))
         assert len(result.matching) == 2
-        sizes = server.audit_log.query_result_sizes("emp")
+        sizes = server.audit_log.query_result_sizes("Emp")
         assert sizes == [2]
         assert server.audit_log.summary()["query-executed"] == 1
 
     def test_scheme_mismatch_rejected(self, swp_dph, employee_relation, server, employee_schema, secret_key, rng):
-        store_relation(server, "emp", swp_dph.encrypt_relation(employee_relation),
+        store_relation(server, "Emp", swp_dph.encrypt_relation(employee_relation),
                        swp_dph.server_evaluator())
         other = HacigumusDph(employee_schema, secret_key, rng=rng)
         with pytest.raises(ServerError):
-            server.execute_query("emp", other.encrypt_query(Selection.equals("dept", "HR")))
+            server.execute_query("Emp", other.encrypt_query(Selection.equals("dept", "HR")))
 
     def test_insert_tuple(self, swp_dph, employee_relation, employee_schema, server):
-        store_relation(server, "emp", swp_dph.encrypt_relation(employee_relation),
+        store_relation(server, "Emp", swp_dph.encrypt_relation(employee_relation),
                        swp_dph.server_evaluator())
         new_tuple = RelationTuple(employee_schema, {"name": "Eve", "dept": "HR", "salary": 1})
         added = swp_dph.encrypt_tuple(new_tuple)
-        server.insert_tuples("emp", [added], IndexDelta())
-        assert len(server.stored_relation("emp")) == len(employee_relation) + 1
+        server.insert_tuples("Emp", [added], IndexDelta())
+        assert len(server.stored_relation("Emp")) == len(employee_relation) + 1
         inserts = server.audit_log.events_of_kind(AuditEventKind.TUPLES_INSERTED)
         assert [e.detail["tuple_count"] for e in inserts] == [len(employee_relation), 1]
         assert inserts[-1].detail["size_in_bytes"] == added.size_in_bytes()

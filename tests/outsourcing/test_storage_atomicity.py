@@ -218,7 +218,7 @@ class TestTheCountIsTheCommitPoint:
         size = self._kill_inside_an_append(backend, tmp_path, swp_dph, employee_relation)
         storage = FileStorageBackend(tmp_path)
         provider = OutsourcedDatabaseServer(storage=storage)
-        provider.register_evaluator("Emp", swp_dph.server_evaluator())
+        provider.deploy("Emp", employee_relation.schema, swp_dph.server_evaluator())
         added = swp_dph.encrypt_relation(employee_relation).encrypted_tuples[:1]
         if first == "read":  # a read neither serves nor cuts the tail
             assert [t.tuple_id for t in provider.stored_relation("Emp")] == acknowledged

@@ -2,16 +2,23 @@
 
 The store keys each relation by tuple id, so a lookup fetches its ids, an
 insert appends and a delete removes by id; only a scan's ``load`` builds
-the whole relation, and only the first load after a write rebuilds it.
+the whole relation, and only the first load after a write rebuilds it.  A
+deploy of a stored relation reads its schema alone, from either store.
 """
 
 from __future__ import annotations
 
-from provider_calls import store_relation
+import pytest
+from provider_calls import deploy, store_relation
 from repro.crypto.keys import SecretKey
 from repro.crypto.rng import DeterministicRng
 from repro.index import IndexDelta, IndexLookupRequest
-from repro.outsourcing import InMemoryStorageBackend, OutsourcedDatabaseServer
+from repro.outsourcing import (
+    FileStorageBackend,
+    InMemoryStorageBackend,
+    OutsourcedDatabaseServer,
+    ServerError,
+)
 from repro.relational import Relation, RelationSchema, RelationTuple, Selection
 from repro.schemes.plaintext import PlaintextDph
 
@@ -29,6 +36,35 @@ class LoadCountingStorage(InMemoryStorageBackend):
     def load(self, name):
         self.loads += 1
         return super().load(name)
+
+
+class LoadCountingFiles(FileStorageBackend):
+    """The file store, counting full-relation loads."""
+
+    loads = 0
+
+    def _read(self, name):
+        self.loads += 1
+        return super()._read(name)
+
+
+@pytest.mark.parametrize("store", ["memory", "file"])
+def test_a_deploy_of_a_stored_relation_reads_its_schema_alone(store, tmp_path):
+    scheme = PlaintextDph(
+        SCHEMA, SecretKey.generate(rng=DeterministicRng(7)), rng=DeterministicRng(8)
+    )
+    rows = [(f"emp{i}", "HR", 1000 + i) for i in range(4)]
+    encrypted = scheme.encrypt_relation(Relation.from_rows(SCHEMA, rows))
+    storage = LoadCountingStorage() if store == "memory" else LoadCountingFiles(tmp_path)
+    database = OutsourcedDatabaseServer(storage=storage)
+    store_relation(database, "Emp", encrypted, scheme.server_evaluator())
+    storage.loads = 0
+    deploy(database, "Emp", SCHEMA, scheme.server_evaluator())
+    other = RelationSchema.parse("Emp(name:string[14], dept:string[5])")
+    with pytest.raises(ServerError, match="stored under another schema"):
+        deploy(database, "Emp", other, scheme.server_evaluator())
+    assert storage.loads == 0
+    assert database.stored_relation("Emp") == encrypted
 
 
 def test_lookups_and_writes_never_load_the_relation():

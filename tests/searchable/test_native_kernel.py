@@ -9,6 +9,14 @@ at all, ``bytearray`` / ``memoryview`` copies, wider-than-a-byte buffers and
 objects that are not bytes, both must return the same hits or raise the same
 exception class -- also when ``items`` and ``words`` differ in length.
 
+Items whose words are an exact tuple of exact ``bytes`` take the kernel's
+lane path where it serves (``SWP_CHECK == "sha-ni-2x"``): words checked two
+at a time, paired across items.  Scans of up to about 200 such items, with
+word and check lengths on both sides of the one-block bound, planted hits in
+either lane at every word position and an odd last word, must equal the
+Python loop too, and on a host whose CPU has the SHA extensions the lanes
+must be what serves.
+
 The encrypt side's ``swp_encrypt_words`` is checked here alone as well (its
 differential tests are ``test_swp_encrypt_kernel.py``): a word or id that is
 not ``bytes`` of its length comes back ``None`` for Python to decide, and a
@@ -19,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import random
 import subprocess
 import threading
 import time
@@ -99,6 +108,90 @@ def test_the_kernel_equals_the_python_loop(case):
     with pytest.MonkeyPatch.context() as monkeypatch:
         native_side, python_side = both_paths(matcher, items, words, monkeypatch)
     assert native_side == python_side
+
+
+#: The suffix an m <= 32 check appends: one HMAC block holds T[:w-m] iff w - m <= 49.
+ONE_BLOCK_LEFT = 55 - 6
+
+
+@st.composite
+def byte_scans(draw):
+    """Up to ~200 items of exact bytes tuples, a few other items among them."""
+    left = draw(st.one_of(st.integers(min_value=1, max_value=60),
+                          st.sampled_from([ONE_BLOCK_LEFT, ONE_BLOCK_LEFT + 1])))
+    m = draw(st.integers(min_value=1, max_value=32))
+    w = left + m
+    token = SwpToken(
+        pre_encrypted_word=draw(st.binary(min_size=w, max_size=w)),
+        check_key=draw(st.binary(min_size=16, max_size=100)),
+    )
+    count = draw(st.one_of(st.sampled_from([0, 1, 2, 63, 64, 65, 128, 129]),
+                           st.integers(min_value=0, max_value=200)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    widths = draw(st.one_of(st.just(1), st.integers(min_value=0, max_value=4)))
+    hit_share = draw(st.sampled_from([0.0, 0.02, 0.3]))
+
+    def word() -> bytes:
+        roll = rng.random()
+        if roll < hit_share:
+            return forged(token, rng.randbytes(left), m)
+        if roll < hit_share + 0.05:
+            return rng.randbytes(rng.choice([0, w - 1, w + 1]))
+        return rng.randbytes(w)
+
+    words = [tuple(word() for _ in range(rng.randint(0, widths) if widths > 1 else 1))
+             for _ in range(count)]
+    for index in draw(st.sets(st.integers(min_value=0, max_value=max(count - 1, 0)), max_size=3)):
+        if index < count:  # an item the lanes do not take, walked in its turn
+            words[index] = rng.choice([list, lambda ws: tuple(map(bytearray, ws))])(words[index])
+    return w, m, token, list(range(count)), words
+
+
+@needs_kernel
+@given(case=byte_scans())
+@settings(max_examples=200, deadline=None)
+def test_the_lanes_equal_the_python_loop(case):
+    w, m, token, items, words = case
+    matcher = SwpMatcher(token, w, m)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        native_side, python_side = both_paths(matcher, items, words, monkeypatch)
+    assert native_side == python_side
+
+
+@needs_kernel
+@pytest.mark.parametrize("m", [6, 32])
+@pytest.mark.parametrize("shape", [(1,) * 7, (3, 1, 2, 3), (2, 2, 2), (1, 4)])
+def test_a_hit_is_found_in_either_lane_at_every_word_position(shape, m, monkeypatch):
+    """One planted hit at each global word index -- lane 1 or 2 by its
+    parity, the last word odd or not -- and at each position in its item."""
+    w = m + 15
+    token = SwpToken(pre_encrypted_word=os.urandom(w), check_key=os.urandom(40))
+    matcher = SwpMatcher(token, w, m)
+    items = list(range(len(shape)))
+    for item, width in enumerate(shape):
+        for position in range(width):
+            words = [[os.urandom(w) for _ in range(n)] for n in shape]
+            words[item][position] = forged(token, os.urandom(w - m), m)
+            scan = [tuple(ws) for ws in words]
+            assert both_paths(matcher, items, scan, monkeypatch) == ([item], [item])
+
+
+def sha_extensions() -> bool:
+    """Whether this CPU reports SHA, SSE4.1 and SSSE3 (Linux; False elsewhere)."""
+    try:
+        with open("/proc/cpuinfo", encoding="ascii", errors="replace") as handle:
+            flags = next((line.split(":", 1)[1].split() for line in handle
+                          if line.startswith("flags")), [])
+    except OSError:
+        return False
+    return {"sha_ni", "sse4_1", "ssse3"} <= set(flags)
+
+
+@needs_kernel
+def test_the_lanes_serve_where_the_cpu_has_the_sha_extensions():
+    assert native.kernel.SWP_CHECK in ("sha-ni-2x", "openssl")
+    if sha_extensions():
+        assert native.kernel.SWP_CHECK == "sha-ni-2x"
 
 
 @needs_kernel

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import cli
+from repro import cli, native
 from repro.cli import build_parser, build_scheme, main
 from repro.schemes.registry import available_schemes
 from repro.workloads import EmployeeWorkload, employee_schema
@@ -292,6 +292,9 @@ class TestClusterCommands:
         assert exit_code == 0
         assert "2/2 shard(s) up" in captured.out
         assert "T=" in captured.out
+        kernel = "python" if native.kernel is None else (
+            "native-sha-ni" if native.kernel.SWP_CHECK == "sha-ni-2x" else "native")
+        assert captured.out.count(f"; match kernel: {kernel}\n") == 2
 
     def test_status_flags_a_down_shard(self, capsys):
         from repro.net import ThreadedTcpServer
