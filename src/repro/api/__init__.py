@@ -14,9 +14,11 @@ protocol::
     db.update("SELECT * FROM Emp WHERE name = 'Montgomery'", {"salary": 7600})
     db.delete("SELECT * FROM Emp WHERE dept = 'HR'")
 
-The provider can just as well live in another process:
-``EncryptedDatabase.connect("tcp://host:port")`` opens the same session
-against a standalone ``repro serve`` provider (see :mod:`repro.net`).
+The provider can just as well live elsewhere: ``connect`` takes its
+address -- ``"tcp://host:port"`` for a standalone ``repro serve`` provider
+(see :mod:`repro.net`), ``"cluster://h1:p1,h2:p2?replicas=2"`` or
+``"cluster+file://fleet.json"`` for a sharded fleet (see
+:mod:`repro.cluster`) -- and ``open(server=...)`` takes a provider object.
 """
 
 from repro.api.database import DatabaseError, EncryptedDatabase, TableHandle

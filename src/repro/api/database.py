@@ -18,9 +18,10 @@ a call names only its request kind.  The provider is the
 in-process :class:`~repro.outsourcing.server.OutsourcedDatabaseServer`, a
 :class:`~repro.net.client.RemoteServerProxy` carrying the envelopes over
 :mod:`repro.net`, or a sharded fleet behind a
-:class:`~repro.cluster.router.ShardRouter` (see
-:meth:`EncryptedDatabase.connect` and the ``shards=`` form of
-:meth:`EncryptedDatabase.open`); only how the bytes travel differs.
+:class:`~repro.cluster.router.ShardRouter`; only how the bytes travel
+differs.  :meth:`EncryptedDatabase.connect` takes a provider's address
+(``tcp://``, ``cluster://``, ``cluster+file://``) and
+:meth:`EncryptedDatabase.open` a provider object.
 
 Reads accept query AST nodes or SQL strings; SQL is routed to the right
 table via the relation name in its ``FROM`` clause.  Each write is one
@@ -41,7 +42,7 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 
-from repro.cache import CacheError, ResultCache, coerce_cache_config
+from repro.cache import CacheConfig, CacheError, ResultCache, coerce_cache_config
 from repro.core.dph import (
     DatabasePrivacyHomomorphism,
     DecryptionReport,
@@ -74,7 +75,6 @@ from repro.outsourcing.client import SelectOutcome, request
 from repro.outsourcing.evaluators import describe_evaluator
 from repro.outsourcing.protocol import MessageKind, ProtocolError
 from repro.outsourcing.server import OutsourcedDatabaseServer, ServerError
-from repro.outsourcing.storage import StorageBackend
 from repro.relational.errors import QueryError
 from repro.relational.query import Projection, Query, selection_predicates
 from repro.relational.relation import Relation
@@ -250,15 +250,12 @@ class EncryptedDatabase:
         server: OutsourcedDatabaseServer | None = None,
         scheme: str = "swp",
         *,
-        storage: StorageBackend | None = None,
-        shards: list | None = None,
-        replicas: int = 1,
         rng: RandomSource | None = None,
         scheme_options: dict | None = None,
         index: bool = False,
-        cache=None,
+        cache: bool | CacheConfig | None = None,
     ) -> "EncryptedDatabase":
-        """Open a session.
+        """Open a session on a provider object.
 
         Parameters
         ----------
@@ -266,25 +263,19 @@ class EncryptedDatabase:
             The master secret; generated freshly when omitted.
         server:
             The provider to talk to -- any object with a
-            ``handle_message(bytes) -> bytes``; an in-process one is
-            created when omitted (optionally over ``storage``).
+            ``handle_message(bytes) -> bytes``: an
+            :class:`~repro.outsourcing.server.OutsourcedDatabaseServer`
+            (``OutsourcedDatabaseServer(storage=FileStorageBackend(...))``
+            for a persistent one), a
+            :class:`~repro.net.client.RemoteServerProxy` or a
+            :class:`~repro.cluster.router.ShardRouter`
+            (``ShardRouter([...], replicas=R)`` shards a logical database
+            across server objects and/or ``tcp://`` URLs).  An in-memory
+            in-process provider is created when omitted.  The session closes
+            it on :meth:`close`.
         scheme:
             Name (or alias) of a registered scheme; see
             :func:`repro.schemes.registry.available_schemes`.
-        storage:
-            Storage backend for an auto-created server.  Rejected when an
-            explicit ``server`` is passed (configure that server directly).
-        shards:
-            Shard a logical database across several backends: a list of
-            server objects and/or ``tcp://`` URLs wrapped in a
-            :class:`~repro.cluster.router.ShardRouter`.  Mutually exclusive
-            with ``server`` and ``storage``; build the router yourself for
-            non-default cluster options (timeouts, shard ids).
-        replicas:
-            Replication factor of a sharded session: every tuple is stored
-            on this many shards, so reads stay complete with up to
-            ``replicas - 1`` shards down.  Only valid together with
-            ``shards``; defaults to 1 (no replication).
         rng:
             Randomness source handed to each table's scheme instance
             (seedable for reproducible experiments).
@@ -303,36 +294,17 @@ class EncryptedDatabase:
             memory without a provider round trip.  A write of this
             session evicts the entries its rows can satisfy (and a TTL
             bounds writers this session cannot see).  ``True`` enables
-            the defaults; an int sets the entry budget; a
-            :class:`~repro.cache.CacheConfig` (or dict of its fields)
-            sets everything.  Off by default.  A read that raises caches
-            nothing, so a shard outage never leaves a partial answer behind.
+            the defaults; a :class:`~repro.cache.CacheConfig` sets the
+            entry budget and the TTL.  Off by default.  A read that raises
+            caches nothing, so a shard outage never leaves a partial answer
+            behind.
         """
         if key is None:
             key = SecretKey.generate(rng=rng)
         elif isinstance(key, (bytes, bytearray)):
             key = SecretKey(bytes(key))
-        if shards is not None:
-            if server is not None or storage is not None:
-                raise DatabaseError(
-                    "pass shards on their own, not together with a server "
-                    "or storage backend"
-                )
-            from repro.cluster.router import ShardRouter
-
-            try:
-                server = ShardRouter(shards, replicas=replicas)
-            except ServerError as exc:
-                raise DatabaseError(str(exc)) from exc
-        elif replicas != 1:
-            raise DatabaseError(
-                "replicas applies to sharded sessions only "
-                "(pass shards=[...] or connect to a cluster:// URL)"
-            )
-        elif server is None:
-            server = OutsourcedDatabaseServer(storage=storage)
-        elif storage is not None:
-            raise DatabaseError("pass either a server or a storage backend, not both")
+        if server is None:
+            server = OutsourcedDatabaseServer()
         return cls(
             key,
             server,
@@ -346,7 +318,7 @@ class EncryptedDatabase:
     @classmethod
     def connect(
         cls,
-        provider,
+        url: str,
         key: SecretKey | bytes | None = None,
         scheme: str = "swp",
         *,
@@ -355,150 +327,81 @@ class EncryptedDatabase:
         pool_size: int = 4,
         timeout: float | None = 30.0,
         shard_timeout: float | None = None,
-        replicas: int | None = None,
-        index: bool | None = None,
-        cache=None,
     ) -> "EncryptedDatabase":
-        """Open a session against a provider given by URL (or server object).
+        """Open a session on the provider an address names.
 
-        A ``"tcp://host:port"`` URL transparently targets a remote provider
-        (one started with ``repro serve``, see :mod:`repro.net`): the session
-        speaks the same protocol frames as an in-process one, only carried
-        over a socket by a pooled :class:`~repro.net.client.RemoteServerProxy`.
-        ``pool_size`` and ``timeout`` configure that pool and are rejected
-        for non-URL providers (configure the server object directly):
-        concurrent callers each borrow their own connection, and
-        ``timeout`` bounds each whole round trip.  An ``async=1`` option is
-        accepted and has no effect; every ``tcp://`` URL opens the same
-        pooled proxy.
+        A ``"tcp://host:port"`` URL targets a remote provider (one started
+        with ``repro serve``, see :mod:`repro.net`): the session speaks the
+        same protocol frames as an in-process one, only carried over a
+        socket by a pooled :class:`~repro.net.client.RemoteServerProxy`.
+        Concurrent callers each borrow one of ``pool_size`` connections,
+        and ``timeout`` bounds each whole round trip.
 
-        A ``"cluster://host:port,host:port,..."`` URL targets a *sharded*
-        deployment (see :mod:`repro.cluster`): one
-        :class:`~repro.cluster.router.ShardRouter` spreads the session's
-        tuples across every listed provider and scatter-gathers its queries.
-        ``shard_timeout`` bounds each shard's answer and applies to cluster
-        URLs only.  A ``?replicas=R`` URL query (or the ``replicas``
-        keyword; they must agree when both are given) stores every tuple on
-        R shards, so reads stay complete -- failing over to surviving
-        replicas -- with up to R-1 providers down:
-        ``connect("cluster://h1:p1,h2:p2,h3:p3?replicas=2")``.  A read that
-        loses more shards than that raises :class:`DatabaseError`; it never
-        answers with part of the rows.  Every fleet scatters in the
-        caller's thread: every ``tcp://`` shard's envelope is sent, then
-        the answers are read in turn, so a gather waits at most the shard
-        count times ``shard_timeout``, and a shard that misses it has its
-        connection closed.  In-process shards are called inline, and
-        ``shard_timeout`` does not bound them.  An ``&async=1`` option is
-        accepted and has no effect here either.
+        A fleet address targets a *sharded* deployment (see
+        :mod:`repro.cluster`): ``"cluster://h1:p1,h2:p2,...[?replicas=R]"``
+        names the shards inline, ``"cluster+file://fleet.json"`` restores
+        them from a manifest (``repro cluster spawn --manifest``: shard
+        addresses, stable ring ids and replication factor).  Either is read
+        by :meth:`~repro.cluster.manifest.ClusterManifest.from_url`, and one
+        :class:`~repro.cluster.router.ShardRouter` opened from that manifest
+        spreads the session's tuples across the fleet and scatter-gathers
+        its queries.  With R replicas every tuple lives on R shards, so
+        reads stay complete -- failing over to surviving replicas -- with up
+        to R-1 providers down; a read that loses more raises
+        :class:`DatabaseError` and never answers with part of the rows.
+        The scatter runs in the caller's thread: every ``tcp://`` shard's
+        envelope is sent, then the answers are read in turn, each within
+        ``shard_timeout`` (fleet addresses only), and a shard that misses
+        it has its connection closed.
 
-        A ``"cluster+file://fleet.json"`` URL restores a sharded session
-        from a fleet manifest (``repro cluster spawn --manifest``): shard
-        addresses, stable ring ids and replication factor all come from
-        the file, so a coordinator restart needs no re-supplied
-        topology.
-
-        An ``index=1`` URL option (``tcp://...?index=1``,
-        ``cluster://...?index=1``) -- or the ``index`` keyword; they must
-        agree when both are given -- makes the session maintain encrypted
-        inverted indexes and answer exact selects via ``INDEX_LOOKUP``
-        (see :mod:`repro.index`), scan-falling-back wherever unsupported.
-
-        A ``cache=1`` URL option (``tcp://...?cache=1``,
-        ``cluster://...?cache=1``) -- or the ``cache`` keyword; they must
-        agree when both are given -- keeps this session's result cache
-        (see :mod:`repro.cache`): a hot query is answered from memory, a
-        write of this session evicts exactly what its rows can change,
-        and another session's writes show up within the cache's TTL.
-
-        Anything that is not a URL string is treated as a server object and
-        handed to :meth:`open` unchanged, so call sites can take "where is
-        the provider" as a single configuration value.
+        The session's options ride on the address, on ``tcp://`` and
+        ``cluster://`` alike: ``index=1`` maintains encrypted inverted
+        indexes and answers exact selects via ``INDEX_LOOKUP`` (see
+        :mod:`repro.index`); ``cache=1`` keeps this session's result cache
+        with its default budget and TTL (see :mod:`repro.cache`); ``async=1``
+        is accepted and has no effect.  An unknown, repeated or malformed
+        option is a :class:`DatabaseError`.  To configure anything else --
+        a cache budget, an in-process or custom provider, shard ids --
+        build the provider object and pass it to :meth:`open`.
         """
-        owns_proxy = isinstance(provider, str)
-        is_manifest = owns_proxy and provider.startswith("cluster+file://")
-        is_cluster = is_manifest or (owns_proxy and provider.startswith("cluster://"))
-        url_index: bool | None = None
-        url_cache: bool | None = None
-        if not is_cluster and (shard_timeout, replicas) != (None, None):
+        from repro.cluster.manifest import FLEET_URL_PREFIXES, ClusterManifest
+        from repro.cluster.router import ShardRouter
+        from repro.net.client import RemoteServerProxy, parse_tcp_options
+
+        if not isinstance(url, str):
             raise DatabaseError(
-                "shard_timeout/replicas apply to cluster:// URLs only; "
-                "configure the ShardRouter directly"
-            )
-        if owns_proxy:
-            from repro.cluster.router import ShardRouter
-            from repro.net.client import RemoteServerProxy, parse_tcp_options
-
-            try:
-                if is_manifest:
-                    from repro.cluster.manifest import (
-                        ClusterManifest,
-                        parse_cluster_file_url,
-                    )
-
-                    manifest = ClusterManifest.load(parse_cluster_file_url(provider))
-                    if replicas is not None and replicas != manifest.replicas:
-                        raise DatabaseError(
-                            f"conflicting replication factors: the manifest says "
-                            f"{manifest.replicas}, the caller says {replicas}"
-                        )
-                    provider = ShardRouter.from_manifest(
-                        manifest,
-                        pool_size=pool_size,
-                        timeout=timeout,
-                        shard_timeout=shard_timeout,
-                    )
-                elif is_cluster:
-                    from repro.cluster.router import parse_cluster_options
-
-                    options = parse_cluster_options(provider)[1]
-                    url_index, url_cache = options.get("index"), options.get("cache")
-                    provider = ShardRouter.connect(
-                        provider,
-                        pool_size=pool_size,
-                        timeout=timeout,
-                        shard_timeout=shard_timeout,
-                        replicas=replicas,
-                    )
-                else:
-                    host, port, options = parse_tcp_options(provider)
-                    url_index, url_cache = options.get("index"), options.get("cache")
-                    provider = RemoteServerProxy(
-                        host, port, pool_size=pool_size, timeout=timeout
-                    )
-            except ServerError as exc:
-                raise DatabaseError(str(exc)) from exc
-        elif (pool_size, timeout) != (4, 30.0):
-            raise DatabaseError(
-                "pool_size/timeout apply to tcp:// and cluster:// URLs only; "
-                "configure the server object directly"
+                f"connect takes a provider address (tcp://, cluster:// or "
+                f"cluster+file://), not a {type(url).__name__}; pass a provider "
+                f"object to open(server=...)"
             )
         try:
-            if index is None:
-                index = bool(url_index) if url_index is not None else False
-            elif url_index is not None and bool(url_index) != bool(index):
-                raise DatabaseError(
-                    f"conflicting index settings: the URL says index={url_index}, "
-                    f"the caller says index={index}"
+            if url.startswith(FLEET_URL_PREFIXES):
+                manifest, options = ClusterManifest.from_url(url)
+                server = ShardRouter.from_manifest(
+                    manifest, shard_timeout=shard_timeout, pool_size=pool_size, timeout=timeout
                 )
-            if cache is None:
-                cache = bool(url_cache) if url_cache is not None else None
-            elif url_cache is not None and bool(url_cache) != bool(cache):
+            elif shard_timeout is not None:
                 raise DatabaseError(
-                    f"conflicting cache settings: the URL says cache={url_cache}, "
-                    f"the caller says cache={cache}"
+                    "shard_timeout applies to fleet addresses only "
+                    "(cluster://, cluster+file://)"
                 )
+            else:
+                host, port, options = parse_tcp_options(url)
+                server = RemoteServerProxy(host, port, pool_size=pool_size, timeout=timeout)
+        except ServerError as exc:
+            raise DatabaseError(str(exc)) from exc
+        try:
             return cls.open(
                 key,
-                server=provider,
+                server=server,
                 scheme=scheme,
                 rng=rng,
                 scheme_options=scheme_options,
-                index=index,
-                cache=cache,
+                index=options.get("index", False),
+                cache=options.get("cache"),
             )
         except BaseException:
-            if owns_proxy:
-                provider.close()  # don't leak the handshaken connection pool
+            server.close()  # don't leak the handshaken connections
             raise
 
     # ------------------------------------------------------------------ #

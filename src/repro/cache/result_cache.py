@@ -107,9 +107,8 @@ class CacheConfig:
 def coerce_cache_config(value: Any) -> CacheConfig | None:
     """Normalize the public ``cache=`` option to a config (or None for off).
 
-    Accepted forms: ``None`` / ``False`` (disabled), ``True`` (defaults),
-    an ``int`` (entry budget), a ``CacheConfig``, or a dict of
-    ``CacheConfig`` fields.  Anything else raises :class:`CacheError`.
+    Accepted forms: ``None`` / ``False`` (disabled), ``True`` (defaults)
+    or a ``CacheConfig``.  Anything else raises :class:`CacheError`.
     """
     if value is None or value is False:
         return None
@@ -117,18 +116,8 @@ def coerce_cache_config(value: Any) -> CacheConfig | None:
         return CacheConfig()
     if isinstance(value, CacheConfig):
         return value.validate()
-    if isinstance(value, int):
-        return CacheConfig(max_entries=value).validate()
-    if isinstance(value, dict):
-        unknown = set(value) - {"max_entries", "ttl_s"}
-        if unknown:
-            raise CacheError(
-                f"unknown cache option(s) {sorted(unknown)} "
-                "(supported: max_entries, ttl_s)"
-            )
-        return CacheConfig(**value).validate()
     raise CacheError(
-        f"cache must be a bool, int, dict or CacheConfig, got {type(value).__name__}"
+        f"cache must be a bool or a CacheConfig, got {type(value).__name__}"
     )
 
 

@@ -30,8 +30,8 @@ the CLI exposes the reproduction's main entry points without writing any code:
     scrapes the merged metrics snapshot (counters, gauges, p50/p95/p99
     latency summaries; ``--prometheus`` for the text exposition format)
     and ``trace`` lists recent end-to-end traces and slow queries, or
-    assembles one trace by id across every shard.  Both accept a
-    ``tcp://`` or ``cluster://`` URL and ``--watch SECONDS``.
+    assembles one trace by id across every shard.  Both take
+    ``--watch SECONDS``.
 
 ``cluster``
     Sharded multi-provider tools (see :mod:`repro.cluster`): ``spawn`` a
@@ -40,14 +40,19 @@ the CLI exposes the reproduction's main entry points without writing any code:
     the deterministic placement ring offline (including the per-key replica
     sets of a ``?replicas=R`` deployment), and ``status`` a running fleet
     (relations and counts by envelope, the serve shutdown line's transport
-    and index summaries from each shard's ``metrics`` snapshot; by URL or
-    ``--manifest``).  Sessions
+    and index summaries from each shard's ``metrics`` snapshot).  Sessions
     connect with
     ``EncryptedDatabase.connect("cluster://h1:p1,...[?replicas=R]")``; the
     fleet scatters in the caller's thread (every shard's envelope sent,
     then the answers read in turn; a shard that misses ``shard_timeout``
     has its connection closed), and ``async=1`` has no effect on a cluster
     URL.
+
+``stats``, ``trace``, ``cluster route`` and ``cluster status`` read an
+address the way a session does: a ``tcp://`` URL is one provider, and a
+``cluster://`` or ``cluster+file://`` address is the fleet
+:meth:`~repro.cluster.ClusterManifest.from_url` reads, replication factor
+and shard ids included.
 
 Examples::
 
@@ -57,6 +62,7 @@ Examples::
     python -m repro.cli serve --port 7707 --data-dir /var/lib/repro
     python -m repro.cli cluster spawn --shards 4
     python -m repro.cli cluster status cluster://127.0.0.1:7707,127.0.0.1:7708
+    python -m repro.cli cluster status cluster+file://fleet.json
 """
 
 from __future__ import annotations
@@ -285,6 +291,7 @@ def _wait_for_signal(
 
 def command_cluster_spawn(args: argparse.Namespace) -> int:
     """Run a local fleet of providers (ephemeral ports) until interrupted."""
+    from repro.cluster import ClusterManifest, ShardEntry
     from repro.net.server import DatabaseTcpServer, throughput_summary
     from repro.outsourcing import (
         FileStorageBackend,
@@ -321,14 +328,22 @@ def command_cluster_spawn(args: argparse.Namespace) -> int:
     ]
     for server in servers:
         server.start()
-    addresses = []
+    shard_urls = []
     for index, server in enumerate(servers):
         host, port = server.address
-        addresses.append(f"{host}:{port}")
-        print(f"repro cluster shard {index} listening on tcp://{host}:{port}", flush=True)
-    url = f"cluster://{','.join(addresses)}"
+        shard_urls.append(f"tcp://{host}:{port}")
+        print(f"repro cluster shard {index} listening on {shard_urls[-1]}", flush=True)
+    # Shard ids deliberately equal the URLs: that is the id a cluster://
+    # address derives, so the URL and the manifest file advertised below
+    # build the *identical* placement ring.  Hand-author symbolic ids only
+    # for fleets whose addresses change while their data persists (then
+    # rebalance or keep sessions manifest-only).
+    manifest = ClusterManifest(
+        shards=tuple(ShardEntry(shard_id=url, url=url) for url in shard_urls),
+        replicas=args.replicas,
+    )
+    url = manifest.cluster_url()
     if args.replicas > 1:
-        url += f"?replicas={args.replicas}"
         print(
             f"repro cluster replication: every tuple stored on "
             f"{args.replicas} of {args.shards} shard(s); reads stay "
@@ -336,21 +351,6 @@ def command_cluster_spawn(args: argparse.Namespace) -> int:
             flush=True,
         )
     if args.manifest:
-        from repro.cluster import ClusterManifest, ShardEntry
-
-        # Shard ids deliberately equal the URLs: that is the id a plain
-        # cluster:// session derives, so both advertised ways of
-        # connecting to this fleet build the *identical* placement
-        # ring.  Hand-author symbolic ids only for fleets whose
-        # addresses change while their data persists (then rebalance
-        # or keep sessions manifest-only).
-        manifest = ClusterManifest(
-            shards=tuple(
-                ShardEntry(shard_id=f"tcp://{address}", url=f"tcp://{address}")
-                for address in addresses
-            ),
-            replicas=args.replicas,
-        )
         path = manifest.save(args.manifest)
         print(f"repro cluster manifest written: {path}", flush=True)
         print(
@@ -370,39 +370,22 @@ def command_cluster_spawn(args: argparse.Namespace) -> int:
 
 
 def command_cluster_route(args: argparse.Namespace) -> int:
-    """Show the deterministic ring placement for a cluster URL (offline)."""
+    """Show the deterministic ring placement of a fleet address (offline)."""
     from collections import Counter
 
-    from repro.cluster import (
-        ClusterError,
-        ConsistentHashRing,
-        DEFAULT_VIRTUAL_NODES,
-        parse_cluster_options,
-    )
+    from repro.cluster import ConsistentHashRing
 
-    try:
-        shard_urls, options = parse_cluster_options(args.url)
-    except ClusterError as exc:
-        print(str(exc), file=sys.stderr)
+    fleet = _fleet(args.url)
+    if fleet is None:
         return 2
-    replicas = args.replicas if args.replicas is not None else options.get("replicas", 1)
-    if replicas < 1:
-        print(f"--replicas must be positive, got {replicas}", file=sys.stderr)
-        return 2
-    if replicas > len(shard_urls):
-        print(
-            f"--replicas {replicas} needs at least that many shards, "
-            f"got {len(shard_urls)}",
-            file=sys.stderr,
-        )
-        return 2
+    shard_ids, replicas = fleet.shard_ids, fleet.replicas
     virtual_nodes = (
-        args.virtual_nodes if args.virtual_nodes is not None else DEFAULT_VIRTUAL_NODES
+        args.virtual_nodes if args.virtual_nodes is not None else fleet.virtual_nodes
     )
     if virtual_nodes < 1:
         print(f"--virtual-nodes must be positive, got {virtual_nodes}", file=sys.stderr)
         return 2
-    ring = ConsistentHashRing(shard_urls, virtual_nodes=virtual_nodes)
+    ring = ConsistentHashRing(shard_ids, virtual_nodes=virtual_nodes)
     if args.key is not None:
         try:
             key = bytes.fromhex(args.key)
@@ -415,23 +398,23 @@ def command_cluster_route(args: argparse.Namespace) -> int:
         print(f"--keys must be positive, got {args.keys}", file=sys.stderr)
         return 2
     keys = [f"key-{i}".encode("ascii") for i in range(args.keys)]
-    copies = Counter({shard_url: 0 for shard_url in shard_urls})
+    copies = Counter({shard_id: 0 for shard_id in shard_ids})
     for key in keys:
         copies.update(ring.successors(key, replicas))
     total_copies = args.keys * replicas
-    mean = total_copies / len(shard_urls)
+    mean = total_copies / len(shard_ids)
     print(
-        f"ring of {len(shard_urls)} shard(s), replication factor {replicas}, "
+        f"ring of {len(shard_ids)} shard(s), replication factor {replicas}, "
         f"{virtual_nodes} virtual nodes, {args.keys} sample keys "
         f"({total_copies} copies):"
     )
     worst = 0.0
-    for shard_url in shard_urls:
-        count = copies[shard_url]
+    for shard_id in shard_ids:
+        count = copies[shard_id]
         deviation = (count - mean) / mean if mean else 0.0
         worst = max(worst, abs(deviation))
         print(
-            f"  {shard_url}: {count} copies "
+            f"  {shard_id}: {count} copies "
             f"({count / total_copies:.1%}, {deviation:+.1%} of fair share)"
         )
     print(f"max deviation from fair share: {worst:.1%}")
@@ -445,59 +428,32 @@ def command_cluster_route(args: argparse.Namespace) -> int:
 
 def command_fleet_status(args: argparse.Namespace) -> int:
     """Probe every shard of a running fleet: envelopes plus its metrics snapshot."""
-    from repro.cluster import ClusterError, parse_cluster_options
     from repro.net.client import RemoteServerProxy
     from repro.net.server import throughput_summary
     from repro.outsourcing import ServerError
 
-    if (args.url is None) == (args.manifest is None):
-        print("pass exactly one of a cluster:// URL or --manifest", file=sys.stderr)
+    fleet = _fleet(args.url)
+    if fleet is None:
         return 2
-    if args.manifest is not None:
-        from repro.cluster import ManifestError
-        from repro.cluster.manifest import ClusterManifest
-
-        try:
-            manifest = ClusterManifest.load(args.manifest)
-        except ManifestError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        shard_urls = manifest.shard_urls
-        replicas = manifest.replicas
-        print(
-            f"fleet of {len(shard_urls)} shard(s) from manifest {args.manifest} "
-            f"(ids: {', '.join(manifest.shard_ids)})"
-        )
-    else:
-        try:
-            shard_urls, options = parse_cluster_options(args.url)
-        except ClusterError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        replicas = options.get("replicas", 1)
-    if replicas < 1 or replicas > len(shard_urls):
-        print(
-            f"URL replicas={replicas} is impossible for {len(shard_urls)} "
-            f"shard(s); no session can run with it",
-            file=sys.stderr,
-        )
-        return 2
+    replicas = fleet.replicas
     unreachable = 0
-    for shard_url in shard_urls:
+    for entry in fleet.shards:
+        # A manifest's symbolic ring id is named beside the address it maps to.
+        label = entry.url if entry.shard_id == entry.url else f"{entry.shard_id} ({entry.url})"
         try:
             with RemoteServerProxy.connect(
-                shard_url, pool_size=1, timeout=args.timeout
+                entry.url, pool_size=1, timeout=args.timeout
             ) as proxy:
                 snapshot = proxy.metrics_snapshot()
                 counts = relation_counts(proxy)
         except ServerError as exc:
             unreachable += 1
-            print(f"{shard_url}: DOWN ({exc})")
+            print(f"{label}: DOWN ({exc})")
             continue
         relations = ", ".join(f"{name}={count}" for name, count in counts.items()) or "none"
-        print(f"{shard_url}: up, relations: {relations}; {throughput_summary(snapshot)}")
+        print(f"{label}: up, relations: {relations}; {throughput_summary(snapshot)}")
         print(f"  index: {index_summary(snapshot)}; match kernel: {match_kernel(snapshot)}")
-    print(f"{len(shard_urls) - unreachable}/{len(shard_urls)} shard(s) up")
+    print(f"{len(fleet.shards) - unreachable}/{len(fleet.shards)} shard(s) up")
     if replicas > 1:
         tolerated = replicas - 1
         if unreachable <= tolerated:
@@ -514,18 +470,22 @@ def command_fleet_status(args: argparse.Namespace) -> int:
     return 1 if unreachable else 0
 
 
-def _observability_shard_urls(url: str) -> list[str] | None:
-    """Resolve a ``tcp://`` or ``cluster://`` URL to per-shard TCP URLs."""
-    if url.startswith("cluster"):
-        from repro.cluster import ClusterError, parse_cluster_options
+def _fleet(url: str):
+    """The :class:`~repro.cluster.ClusterManifest` an address names (a
+    ``tcp://`` provider is a fleet of one), or None once the error is printed."""
+    from repro.cluster import FLEET_URL_PREFIXES, ClusterManifest, ShardEntry
+    from repro.net.client import parse_tcp_options
+    from repro.outsourcing import ServerError
 
-        try:
-            shard_urls, _options = parse_cluster_options(url)
-        except ClusterError as exc:
-            print(str(exc), file=sys.stderr)
-            return None
-        return list(shard_urls)
-    return [url]
+    try:
+        if url.startswith(FLEET_URL_PREFIXES):
+            return ClusterManifest.from_url(url)[0]
+        parse_tcp_options(url)
+        address = url.partition("?")[0]
+        return ClusterManifest(shards=(ShardEntry(shard_id=address, url=address),))
+    except ServerError as exc:  # a ClusterError or a RemoteError
+        print(str(exc), file=sys.stderr)
+        return None
 
 
 def _each_watch_tick(interval: float | None):
@@ -549,9 +509,10 @@ def command_stats(args: argparse.Namespace) -> int:
     from repro.net.client import RemoteError, RemoteServerProxy
     from repro.obs import histogram_summaries, merge_snapshots, render_prometheus
 
-    shard_urls = _observability_shard_urls(args.url)
-    if shard_urls is None:
+    fleet = _fleet(args.url)
+    if fleet is None:
         return 2
+    shard_urls = fleet.shard_urls
 
     def scrape() -> int:
         snapshots = []
@@ -613,9 +574,10 @@ def command_trace(args: argparse.Namespace) -> int:
     """List recent traces / slow queries, or assemble one trace by id."""
     from repro.net.client import RemoteError, RemoteServerProxy
 
-    shard_urls = _observability_shard_urls(args.url)
-    if shard_urls is None:
+    fleet = _fleet(args.url)
+    if fleet is None:
         return 2
+    shard_urls = fleet.shard_urls
     trace_id = None
     if args.trace_id is not None:
         try:
@@ -721,6 +683,13 @@ def _interval(text: str) -> float:
     return _seconds(text, zero_allowed=True)
 
 
+#: What every command reading a provider or fleet accepts.
+ADDRESS_HELP = (
+    "tcp://host:port, cluster://host:port,...[?replicas=R] or "
+    "cluster+file://fleet.json"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -789,31 +758,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     route = cluster_sub.add_parser(
         "route", help="show the deterministic ring placement (offline)")
-    route.add_argument("url", help="cluster://host:port,...[?replicas=R] URL")
+    route.add_argument("url", help=ADDRESS_HELP)
     route.add_argument("--keys", type=int, default=10_000,
                        help="number of sample keys for the distribution")
     route.add_argument("--key", default=None, metavar="HEX",
                        help="show the replica shards of one key instead")
-    route.add_argument("--replicas", type=int, default=None,
-                       help="replication factor (default: the URL's ?replicas, else 1)")
     route.add_argument("--virtual-nodes", type=int, default=None,
-                       help="virtual nodes per shard (default: the ring's default)")
+                       help="virtual nodes per shard (default: the fleet's)")
     route.set_defaults(handler=command_cluster_route)
 
     status = cluster_sub.add_parser(
         "status", help="probe every shard of a running fleet")
-    status.add_argument("url", nargs="?", default=None,
-                        help="cluster://host:port,...[?replicas=R] URL")
-    status.add_argument("--manifest", default=None, metavar="FILE",
-                        help="read the fleet topology from a manifest file "
-                             "instead of a URL")
+    status.add_argument("url", help=ADDRESS_HELP)
     status.add_argument("--timeout", type=_seconds, default=10.0,
                         help="per-shard connection timeout in seconds")
     status.set_defaults(handler=command_fleet_status)
 
     stats_cmd = subparsers.add_parser(
         "stats", help="scrape the metrics plane of a provider or fleet")
-    stats_cmd.add_argument("url", help="tcp://host:port or cluster://host:port,... URL")
+    stats_cmd.add_argument("url", help=ADDRESS_HELP)
     stats_cmd.add_argument("--prometheus", action="store_true",
                            help="print the Prometheus text exposition instead "
                                 "of the human summary")
@@ -825,7 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_cmd = subparsers.add_parser(
         "trace", help="inspect recent traces and slow queries of a provider or fleet")
-    trace_cmd.add_argument("url", help="tcp://host:port or cluster://host:port,... URL")
+    trace_cmd.add_argument("url", help=ADDRESS_HELP)
     trace_cmd.add_argument("--trace-id", default=None, metavar="HEX",
                            help="assemble one trace by id across every shard "
                                 "instead of listing recent ones")

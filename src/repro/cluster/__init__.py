@@ -20,18 +20,20 @@ horizontally scalable service:
     closes its connection.  It is the only scatter; ``async=1`` on a
     ``cluster://`` URL is accepted and has no effect.
 
-**Topology persistence** (:mod:`repro.cluster.manifest`)
-    Fleet manifests: shard ids/addresses, replication factor and ring
-    configuration as a JSON file (``repro cluster spawn --manifest``),
-    restored by ``connect("cluster+file://fleet.json")`` without
-    re-supplying topology.
+**Topology** (:mod:`repro.cluster.manifest`)
+    A :class:`ClusterManifest` -- shard ids/addresses, replication factor
+    and ring configuration -- is what every fleet address names:
+    :meth:`ClusterManifest.from_url` reads ``cluster://h1:p1,...?replicas=R``
+    and ``cluster+file://fleet.json`` (the JSON file ``repro cluster spawn
+    --manifest`` writes) alike, and every router opened from an address is
+    opened from its manifest.
 
 **Routing** (:mod:`repro.cluster.router`)
     :class:`ShardRouter` -- one ``handle_message`` answering every
     envelope as one
     :class:`~repro.outsourcing.server.OutsourcedDatabaseServer` would, so
     ``EncryptedDatabase.connect("cluster://h1:p1,h2:p2?replicas=2")`` (or
-    ``EncryptedDatabase.open(shards=[...], replicas=2)``) works
+    ``EncryptedDatabase.open(server=ShardRouter([...], replicas=2))``) works
     transparently: inserts go to all R replica shards (fail-fast), deletes
     fan out fleet-wide, queries scatter to all shards and the evaluation
     results merge client-side, deduplicated by tuple id.  A read that
@@ -61,10 +63,11 @@ from repro.cluster.executor import (
 )
 from repro.cluster.manifest import (
     CLUSTER_FILE_URL_PREFIX,
+    CLUSTER_URL_PREFIX,
+    FLEET_URL_PREFIXES,
     ClusterManifest,
     ManifestError,
     ShardEntry,
-    parse_cluster_file_url,
 )
 from repro.cluster.rebalance import RebalanceReport, rebalance
 from repro.cluster.ring import (
@@ -72,13 +75,7 @@ from repro.cluster.ring import (
     DEFAULT_VIRTUAL_NODES,
     RingError,
 )
-from repro.cluster.router import (
-    CLUSTER_URL_PREFIX,
-    ShardRouter,
-    merge_evaluation_results,
-    parse_cluster_options,
-    parse_cluster_url,
-)
+from repro.cluster.router import ShardRouter, merge_evaluation_results
 
 __all__ = [
     "ClusterError",
@@ -87,18 +84,16 @@ __all__ = [
     "ShardTimeoutError",
     "scatter",
     "CLUSTER_FILE_URL_PREFIX",
+    "CLUSTER_URL_PREFIX",
+    "FLEET_URL_PREFIXES",
     "ClusterManifest",
     "ManifestError",
     "ShardEntry",
-    "parse_cluster_file_url",
     "RebalanceReport",
     "rebalance",
     "ConsistentHashRing",
     "DEFAULT_VIRTUAL_NODES",
     "RingError",
-    "CLUSTER_URL_PREFIX",
     "ShardRouter",
     "merge_evaluation_results",
-    "parse_cluster_options",
-    "parse_cluster_url",
 ]

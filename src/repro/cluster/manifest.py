@@ -1,13 +1,14 @@
-"""Fleet manifests: the topology of a sharded deployment as a file.
+"""Fleet manifests: the one description of a sharded deployment.
 
-A ``cluster://`` URL names the shards but loses everything else a session
-needs to come back to a fleet: the stable shard ids keying the placement
-ring, the replication factor, the ring's virtual-node count.  Restarting a
-coordinator against a persisted fleet therefore meant re-supplying all of
-it by hand -- get the shard order wrong and every tuple looks misplaced
-until a rebalance.
+A :class:`ClusterManifest` is a fleet's topology -- the stable shard ids
+keying the placement ring, each shard's current address, the replication
+factor, the ring's virtual-node count -- and every fleet address resolves
+to one through :meth:`ClusterManifest.from_url`:
 
-A :class:`ClusterManifest` captures that topology as a small JSON document:
+* ``cluster://h1:p1,h2:p2?replicas=R`` names the shards inline; its shard
+  ids are the normalised ``tcp://`` URLs, in URL order, on a ring of
+  default virtual nodes.
+* ``cluster+file://fleet.json`` loads the topology from a JSON document:
 
 .. code-block:: json
 
@@ -22,14 +23,12 @@ A :class:`ClusterManifest` captures that topology as a small JSON document:
     }
 
 ``repro cluster spawn --manifest fleet.json`` writes one next to the fleet
-it starts, and ``EncryptedDatabase.connect("cluster+file://fleet.json")``
-(or ``repro cluster status --manifest fleet.json``) restores a session
-from it without re-supplying topology.  Shard ids in the manifest are the
-ring's key space: they survive address changes (repoint a shard's URL and
-its data placement is untouched) and coordinator restarts.  A document
-written before the fleet had one scatter may carry ``"async": true``; it
-loads, and opens exactly the fleet the same document without the key
-opens.
+it starts, using the shard URLs as ids so that the file and the fleet's
+``cluster://`` URL build the same ring.  Shard ids in a file are the ring's
+key space: they survive address changes (repoint a shard's URL and its
+data placement is untouched) and coordinator restarts.  A document written
+before the fleet had one scatter may carry ``"async": true``; it loads,
+and opens exactly the fleet the same document without the key opens.
 """
 
 from __future__ import annotations
@@ -43,9 +42,16 @@ from dataclasses import dataclass
 
 from repro.cluster.executor import ClusterError
 from repro.cluster.ring import DEFAULT_VIRTUAL_NODES
+from repro.net.client import RemoteError, parse_tcp_url, parse_url_query
+
+#: URL scheme naming a fleet's shards inline: ``cluster://host:port,...``
+CLUSTER_URL_PREFIX = "cluster://"
 
 #: URL scheme resolving a fleet through a manifest file on disk.
 CLUSTER_FILE_URL_PREFIX = "cluster+file://"
+
+#: Every address :meth:`ClusterManifest.from_url` reads.
+FLEET_URL_PREFIXES = (CLUSTER_URL_PREFIX, CLUSTER_FILE_URL_PREFIX)
 
 #: Manifest document version this module reads and writes.
 MANIFEST_VERSION = 1
@@ -72,8 +78,6 @@ class ClusterManifest:
     virtual_nodes: int = DEFAULT_VIRTUAL_NODES
 
     def __post_init__(self) -> None:
-        from repro.net.client import RemoteError, parse_tcp_url
-
         if not self.shards:
             raise ManifestError("a fleet manifest needs at least one shard")
         if self.replicas < 1:
@@ -194,7 +198,7 @@ class ClusterManifest:
         source = pathlib.Path(path)
         try:
             raw = source.read_bytes()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # a NUL byte in the path is a ValueError
             raise ManifestError(f"cannot read manifest {source}: {exc}") from exc
         try:
             document = json.loads(raw.decode("utf-8"))
@@ -202,27 +206,45 @@ class ClusterManifest:
             raise ManifestError(f"manifest {source} is not valid JSON: {exc}") from exc
         return cls.from_json(document)
 
+    @classmethod
+    def from_url(cls, url: str) -> tuple["ClusterManifest", dict]:
+        """The fleet a ``cluster://`` or ``cluster+file://`` address names,
+        and the session options (``index``, ``cache``, ``async``) it carries.
 
-def parse_cluster_file_url(url: str) -> pathlib.Path:
-    """Extract the manifest path from a ``cluster+file://PATH`` URL.
-
-    Query strings are rejected rather than folded into the file name:
-    the manifest itself carries the topology options, and a stray
-    ``?async=1`` silently becoming part of the path would surface as a
-    baffling "no such file" instead of the real mistake.
-    """
-    if not url.startswith(CLUSTER_FILE_URL_PREFIX):
-        raise ManifestError(
-            f"unsupported manifest URL {url!r} "
-            f"(want {CLUSTER_FILE_URL_PREFIX}path/to/fleet.json)"
-        )
-    path = url[len(CLUSTER_FILE_URL_PREFIX):]
-    if "?" in path or "#" in path:
-        raise ManifestError(
-            f"manifest URL {url!r} carries a query or fragment; "
-            "cluster+file:// URLs take no options (the manifest itself "
-            "carries the topology)"
-        )
-    if not path:
-        raise ManifestError(f"manifest URL {url!r} names no file")
-    return pathlib.Path(path)
+        A ``cluster://`` URL's options are read strictly: an unknown or
+        repeated key, a bad value, a duplicate shard or more replicas than
+        shards is a :class:`~repro.cluster.executor.ClusterError`.  A
+        ``cluster+file://PATH`` URL takes no options -- the file carries
+        the topology, and a stray ``?async=1`` folded into the path would
+        surface as a baffling "no such file" instead of the real mistake.
+        """
+        if url.startswith(CLUSTER_FILE_URL_PREFIX):
+            path = url[len(CLUSTER_FILE_URL_PREFIX):]
+            if "?" in path or "#" in path:
+                raise ManifestError(
+                    f"manifest URL {url!r} carries a query or fragment; "
+                    "cluster+file:// URLs take no options (the manifest itself "
+                    "carries the topology)"
+                )
+            if not path:
+                raise ManifestError(f"manifest URL {url!r} names no file")
+            return cls.load(path), {}
+        if not url.startswith(CLUSTER_URL_PREFIX):
+            raise ClusterError(
+                f"unsupported fleet URL {url!r} (want {CLUSTER_URL_PREFIX}host:port,... "
+                f"or {CLUSTER_FILE_URL_PREFIX}path/to/fleet.json)"
+            )
+        rest, _, query = url[len(CLUSTER_URL_PREFIX):].partition("?")
+        try:
+            options = parse_url_query(query, "cluster", integers=("replicas",))
+        except RemoteError as exc:
+            raise ClusterError(str(exc)) from exc
+        urls = [
+            part if part.startswith("tcp://") else f"tcp://{part}"
+            for part in (piece.strip() for piece in rest.split(","))
+            if part
+        ]
+        # The manifest's own checks refuse no shards, a shard named twice
+        # and more replicas than shards.
+        shards = tuple(ShardEntry(shard_id=shard_url, url=shard_url) for shard_url in urls)
+        return cls(shards=shards, replicas=options.pop("replicas", 1)), options

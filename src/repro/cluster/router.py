@@ -80,6 +80,7 @@ from repro.cluster.executor import (
     ShardRequest,
     scatter,
 )
+from repro.cluster.manifest import ClusterManifest
 from repro.cluster.ring import ConsistentHashRing, DEFAULT_VIRTUAL_NODES
 from repro.obs import MetricsRegistry, current_trace, merge_snapshots
 from repro.outsourcing import protocol
@@ -87,57 +88,6 @@ from repro.outsourcing.client import checked_answer, request as envelope_request
 from repro.outsourcing.protocol import MessageKind, MessageV2, ProtocolError
 from repro.outsourcing.server import ServerError
 from repro.outsourcing.storage import StorageError
-
-#: URL scheme of a sharded deployment: ``cluster://host:port,host:port,...``
-CLUSTER_URL_PREFIX = "cluster://"
-
-
-def parse_cluster_options(url: str) -> tuple[tuple[str, ...], dict]:
-    """Split ``cluster://h1:p1,...?replicas=R&index=1`` into URLs and options.
-
-    Returns the per-shard ``tcp://`` URLs plus the parsed query options:
-    ``replicas`` (the replication factor of the deployment) and the
-    options every provider URL takes (see
-    :func:`~repro.net.client.parse_url_query`): ``async`` (accepted and
-    without effect: every fleet scatters one way, in the caller's thread),
-    ``index`` (the session maintains
-    encrypted inverted indexes and serves exact selects through
-    ``INDEX_LOOKUP``) and ``cache`` (the session keeps its result cache,
-    exactly as on a ``tcp://`` URL).  An unknown or repeated option is
-    rejected rather than ignored.
-    """
-    from repro.net.client import RemoteError, parse_tcp_url, parse_url_query
-
-    if not url.startswith(CLUSTER_URL_PREFIX):
-        raise ClusterError(
-            f"unsupported cluster URL {url!r} (want {CLUSTER_URL_PREFIX}host:port,...)"
-        )
-    rest, _, query = url[len(CLUSTER_URL_PREFIX):].partition("?")
-    try:
-        options = parse_url_query(query, "cluster", integers=("replicas",))
-    except RemoteError as exc:
-        raise ClusterError(str(exc)) from exc
-    parts = [part.strip() for part in rest.split(",")]
-    parts = [part for part in parts if part]
-    if not parts:
-        raise ClusterError(f"cluster URL {url!r} names no shards")
-    urls = []
-    for part in parts:
-        tcp_url = part if part.startswith("tcp://") else f"tcp://{part}"
-        try:
-            parse_tcp_url(tcp_url)
-        except RemoteError as exc:
-            raise ClusterError(str(exc)) from exc
-        if tcp_url in urls:
-            raise ClusterError(f"cluster URL {url!r} lists shard {part!r} twice")
-        urls.append(tcp_url)
-    return tuple(urls), options
-
-
-def parse_cluster_url(url: str) -> tuple[str, ...]:
-    """Split ``cluster://h1:p1,h2:p2,...`` into per-shard ``tcp://`` URLs."""
-    return parse_cluster_options(url)[0]
-
 
 def merge_evaluation_results(
     results: Sequence[EvaluationResult],
@@ -357,34 +307,22 @@ class ShardRouter:
         cls,
         url: str,
         *,
-        replicas: int | None = None,
-        virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
         shard_timeout: float | None = None,
         pool_size: int = 4,
         timeout: float | None = 30.0,
     ) -> "ShardRouter":
-        """Open a router from a ``cluster://h1:p1[?replicas=R]`` URL.
+        """Open a router from a fleet address: ``cluster://h1:p1,...[?replicas=R]``
+        or ``cluster+file://fleet.json``.
 
-        The replication factor can come from the URL query or the keyword
-        (they must agree when both are given) and defaults to 1.  The
-        ``index`` and ``cache`` options configure the session, not the
-        router (see :meth:`~repro.api.EncryptedDatabase.connect`), and
-        ``async`` has no effect: the fleet is the one the URL without it
-        opens.
+        The address is read into a manifest
+        (:meth:`~repro.cluster.manifest.ClusterManifest.from_url`), which
+        :meth:`from_manifest` opens.  The ``index`` and ``cache`` options
+        configure the session, not the router (see
+        :meth:`~repro.api.EncryptedDatabase.connect`), and ``async`` has no
+        effect: the fleet is the one the URL without it opens.
         """
-        urls, options = parse_cluster_options(url)
-        url_replicas = options.get("replicas")
-        if replicas is None:
-            replicas = url_replicas if url_replicas is not None else 1
-        elif url_replicas is not None and url_replicas != replicas:
-            raise ClusterError(
-                f"conflicting replication factors: the URL says "
-                f"{url_replicas}, the caller says {replicas}"
-            )
-        return cls(
-            urls,
-            replicas=replicas,
-            virtual_nodes=virtual_nodes,
+        return cls.from_manifest(
+            ClusterManifest.from_url(url)[0],
             shard_timeout=shard_timeout,
             pool_size=pool_size,
             timeout=timeout,
@@ -393,7 +331,7 @@ class ShardRouter:
     @classmethod
     def from_manifest(
         cls,
-        manifest,
+        manifest: ClusterManifest,
         *,
         shard_timeout: float | None = None,
         pool_size: int = 4,
@@ -738,23 +676,20 @@ class ShardRouter:
             return None
         return self.rebalance()
 
-    def remove_shard(self, shard_id: str, *, drain: bool = True):
+    def remove_shard(self, shard_id: str):
         """Shrink the fleet, draining the leaving shard's tuples first.
 
-        With ``drain=True`` the leaving shard is taken off the ring and a
-        replica-aware rebalance runs over the whole fleet (the leaving
-        backend included as a copy source), so every tuple ends up on its R
-        new ring successors -- the replication factor is restored, not just
-        the leaving shard's data rehomed.  The relations are then dropped
-        from the leaving shard before it is detached (and closed, when
-        owned).  Returns the
+        The leaving shard is taken off the ring and a replica-aware
+        rebalance runs over the whole fleet (the leaving backend included as
+        a copy source), so every tuple ends up on its R new ring successors
+        -- the replication factor is restored, not just the leaving shard's
+        data rehomed.  The relations are then dropped from the leaving shard
+        before it is detached (and closed, when owned).  Returns the
         :class:`~repro.cluster.rebalance.RebalanceReport` of the drain.
 
         Removal below R shards is refused: the remaining fleet could not
         hold R distinct copies of anything.
         """
-        from repro.cluster.rebalance import RebalanceReport
-
         if shard_id not in self._shards:
             raise ClusterError(f"no shard named {shard_id!r}")
         if len(self._shards) == 1:
@@ -767,14 +702,12 @@ class ShardRouter:
             )
         leaving = self._shards[shard_id]
         self._ring.remove_shard(shard_id)
-        report = RebalanceReport()
         try:
-            if drain:
-                # Still in ``_shards`` though off the ring: the leaving
-                # backend serves as a copy source and ends up owning nothing.
-                report = self.rebalance()
-                for name in self._ask(leaving, MessageKind.RELATION_NAMES, ""):
-                    self._ask(leaving, MessageKind.DROP_RELATION, name)
+            # Still in ``_shards`` though off the ring: the leaving backend
+            # serves as a copy source and ends up owning nothing.
+            report = self.rebalance()
+            for name in self._ask(leaving, MessageKind.RELATION_NAMES, ""):
+                self._ask(leaving, MessageKind.DROP_RELATION, name)
         except BaseException:
             # Put the shard back: its data was not (fully) drained.
             self._ring.add_shard(shard_id)

@@ -134,15 +134,18 @@ def parse_tcp_options(url: str) -> tuple[str, int, dict]:
     Returns ``(host, port, options)``, the options read by
     :func:`parse_url_query`.
     """
-    parts = urlsplit(url)
+    if any(ord(char) < 33 or ord(char) == 127 for char in url):
+        # urlsplit would silently drop a tab or newline inside the address.
+        raise RemoteError(f"provider URL {url!r} carries whitespace or control characters")
+    try:
+        parts = urlsplit(url)
+        hostname, port = parts.hostname, parts.port
+    except ValueError as exc:  # a bad port, bracket or NFKC-unsafe host
+        raise RemoteError(f"provider URL {url!r}: {exc}") from exc
     if parts.scheme != "tcp":
         raise RemoteError(f"unsupported provider URL scheme {parts.scheme!r} (want tcp://)")
-    try:
-        hostname, port = parts.hostname, parts.port
-    except ValueError as exc:  # non-numeric or out-of-range port
-        raise RemoteError(f"provider URL {url!r}: {exc}") from exc
-    if not hostname or port is None:
-        raise RemoteError(f"provider URL {url!r} needs both a host and a port")
+    if not hostname or not port:
+        raise RemoteError(f"provider URL {url!r} needs both a host and a port (1-65535)")
     if parts.path or parts.fragment:
         raise RemoteError(f"provider URL {url!r} carries an unexpected path")
     return hostname, port, parse_url_query(parts.query)

@@ -209,31 +209,19 @@ def send_frame(
 def recv_frame(sock, max_frame_size: int = DEFAULT_MAX_FRAME_SIZE) -> Frame | None:
     """Read exactly one frame from a blocking socket.
 
+    The length prefix and then the body are read exactly and fed to a
+    :class:`FrameDecoder`, the one parser: it refuses an oversized or
+    too-short prefix before the body is read, and an unknown channel.
     Returns ``None`` on a clean EOF *between* frames; raises
     :class:`TruncatedFrameError` when the peer disappears mid-frame.
     """
-    header = _recv_exactly(sock, LENGTH_PREFIX_SIZE, eof_ok=True)
-    if header is None:
+    decoder = FrameDecoder(max_frame_size)
+    prefix = _recv_exactly(sock, LENGTH_PREFIX_SIZE, eof_ok=True)
+    if prefix is None:
         return None
-    body_size = int.from_bytes(header, "big")
-    if body_size > max_frame_size:
-        raise OversizedFrameError(
-            f"frame of {body_size} bytes exceeds the {max_frame_size}-byte limit"
-        )
-    if body_size < FRAME_HEADER_SIZE:
-        raise FramingError(
-            f"frame body of {body_size} byte(s) cannot carry the "
-            f"{FRAME_HEADER_SIZE}-byte channel/correlation header"
-        )
-    body = _recv_exactly(sock, body_size, eof_ok=False)
-    channel = body[0]
-    if channel not in KNOWN_CHANNELS:
-        raise FramingError(f"unknown frame channel {channel:#x}")
-    return Frame(
-        channel=channel,
-        payload=bytes(body[FRAME_HEADER_SIZE:]),
-        correlation=int.from_bytes(body[1:FRAME_HEADER_SIZE], "big"),
-    )
+    decoder.feed(prefix)
+    (frame,) = decoder.feed(_recv_exactly(sock, _LENGTH.unpack(prefix)[0], eof_ok=False))
+    return frame
 
 
 def _recv_exactly(sock, size: int, eof_ok: bool) -> bytes | None:

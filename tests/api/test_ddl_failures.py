@@ -61,9 +61,16 @@ class RefusingProvider(OutsourcedDatabaseServer):
         return self._step("drop", super().drop_relation, name)
 
 
+def open_session(target, secret_key, index: bool = False) -> EncryptedDatabase:
+    """A session on ``target``: an address, or a provider object."""
+    if isinstance(target, str):
+        return EncryptedDatabase.connect(f"{target}?index=1" if index else target, secret_key)
+    return EncryptedDatabase.open(secret_key, server=target, index=index)
+
+
 @contextlib.contextmanager
 def fleet(transport: str):
-    """The providers to refuse with, and what a session connects to."""
+    """The providers to refuse with, and what a session opens on."""
     if transport == "in-process":
         provider = RefusingProvider()
         yield [provider], provider
@@ -120,7 +127,7 @@ def test_a_refused_step_is_a_database_error(operation, transport, secret_key):
     with fleet(transport) as (providers, target), contextlib.ExitStack() as sessions:
 
         def session() -> EncryptedDatabase:
-            return sessions.enter_context(EncryptedDatabase.connect(target, secret_key))
+            return sessions.enter_context(open_session(target, secret_key))
 
         db = session()
         if stored:
@@ -143,7 +150,7 @@ def stored_names(providers) -> set:
 
 @pytest.mark.parametrize("transport", ["in-process", "tcp", "cluster"])
 def test_a_create_whose_insert_is_refused_leaves_no_relation(transport, secret_key):
-    with fleet(transport) as (providers, target), EncryptedDatabase.connect(
+    with fleet(transport) as (providers, target), open_session(
         target, secret_key, index=True
     ) as db:
         refuse(providers, "insert")
@@ -170,8 +177,8 @@ def test_a_create_past_the_frame_limit_leaves_no_relation(transport, secret_key)
             f"127.0.0.1:{stack.enter_context(ThreadedTcpServer(p, max_frame_size=FRAME_LIMIT)).port}"
             for p in providers
         ]
-        url = f"tcp://{hosts[0]}" if transport == "tcp" else f"cluster://{','.join(hosts)}?replicas=2"
-        db = stack.enter_context(EncryptedDatabase.connect(url, secret_key, index=True))
+        url = f"tcp://{hosts[0]}?index=1" if transport == "tcp" else f"cluster://{','.join(hosts)}?replicas=2&index=1"
+        db = stack.enter_context(EncryptedDatabase.connect(url, secret_key))
         with pytest.raises(DatabaseError):
             db.create_table(EMP_DECL, rows=MANY)
         assert db.tables == ()
@@ -183,10 +190,10 @@ def test_a_create_past_the_frame_limit_leaves_no_relation(transport, secret_key)
 @pytest.mark.parametrize("transport", ["in-process", "tcp", "cluster"])
 def test_a_deploy_of_a_stored_relation_leaves_its_rows_alone(transport, secret_key):
     with fleet(transport) as (providers, target), contextlib.ExitStack() as sessions:
-        first = sessions.enter_context(EncryptedDatabase.connect(target, secret_key))
+        first = sessions.enter_context(open_session(target, secret_key))
         create(first)
         stored = [provider.stored_relation("Emp") for provider in providers]
-        second = sessions.enter_context(EncryptedDatabase.connect(target, secret_key))
+        second = sessions.enter_context(open_session(target, secret_key))
         second.attach_table(EMP_DECL)  # deploys the relation again
         assert [provider.stored_relation("Emp") for provider in providers] == stored
         assert second.count("Emp") == len(ROWS)
@@ -204,7 +211,7 @@ FOREIGN_DEPLOYS = [
 @pytest.mark.parametrize("transport", ["in-process", "tcp", "cluster"])
 def test_a_deploy_of_a_schema_not_the_relations_is_refused(transport, secret_key, swp_dph):
     with fleet(transport) as (providers, target), contextlib.ExitStack() as stack:
-        db = stack.enter_context(EncryptedDatabase.connect(target, secret_key))
+        db = stack.enter_context(open_session(target, secret_key))
         create(db)
         stored = [provider.stored_relation("Emp") for provider in providers]
         peer = target

@@ -9,7 +9,6 @@ from repro.crypto.keys import SecretKey
 from repro.crypto.rng import DeterministicRng
 from repro.outsourcing import (
     FileStorageBackend,
-    InMemoryStorageBackend,
     OutsourcedDatabaseServer,
     StorageError,
 )
@@ -71,11 +70,11 @@ def db(request, transport, secret_key, rng):
     if base == "cluster":
         # The same suite sharded across two backends -- the scatter-gather
         # router must be just as transparent as the socket.
-        from repro.outsourcing import OutsourcedDatabaseServer
+        from repro.cluster import ShardRouter
 
         session = EncryptedDatabase.open(
             secret_key,
-            shards=[OutsourcedDatabaseServer(), OutsourcedDatabaseServer()],
+            server=ShardRouter([OutsourcedDatabaseServer(), OutsourcedDatabaseServer()]),
             scheme=request.param,
             rng=rng,
             index=indexed,
@@ -265,14 +264,6 @@ class TestSessionManagement:
         with pytest.raises(DatabaseError):
             db.update(Selection.equals("dept", "HR"), {"name": "X" * 99}, table="Emp")
 
-    def test_server_and_storage_are_mutually_exclusive(self, secret_key):
-        with pytest.raises(DatabaseError):
-            EncryptedDatabase.open(
-                secret_key,
-                server=OutsourcedDatabaseServer(),
-                storage=InMemoryStorageBackend(),
-            )
-
     def test_scheme_aliases_accepted(self, secret_key):
         db = EncryptedDatabase.open(secret_key, scheme="index-sse")
         assert db.scheme_name == "index"
@@ -281,7 +272,7 @@ class TestSessionManagement:
 class TestFileBackedSessions:
     def test_tables_survive_a_session_restart(self, tmp_path, secret_key):
         storage = FileStorageBackend(tmp_path / "relations")
-        first = EncryptedDatabase.open(secret_key, storage=storage)
+        first = EncryptedDatabase.open(secret_key, server=OutsourcedDatabaseServer(storage=storage))
         first.create_table(EMP_DECL, rows=ROWS)
         first.delete(Selection.equals("dept", "SALES"), table="Emp")
 
@@ -299,7 +290,7 @@ class TestFileBackedSessions:
 
     def test_file_append_keeps_the_count_prefix_consistent(self, tmp_path, secret_key):
         storage = FileStorageBackend(tmp_path)
-        db = EncryptedDatabase.open(secret_key, storage=storage)
+        db = EncryptedDatabase.open(secret_key, server=OutsourcedDatabaseServer(storage=storage))
         db.create_table(EMP_DECL, rows=ROWS[:1])
         # in-place appends (count bump + extend) must stay decodable
         db.insert_many("Emp", [(f"n{i}", "IT", i) for i in range(10)])
@@ -308,10 +299,10 @@ class TestFileBackedSessions:
 
     def test_create_over_stored_relation_rejected(self, tmp_path, secret_key):
         directory = tmp_path / "relations"
-        first = EncryptedDatabase.open(secret_key, storage=FileStorageBackend(directory))
+        first = EncryptedDatabase.open(secret_key, server=OutsourcedDatabaseServer(storage=FileStorageBackend(directory)))
         first.create_table(EMP_DECL, rows=ROWS)
         # a later session must not clobber the persisted ciphertext
-        reopened = EncryptedDatabase.open(secret_key, storage=FileStorageBackend(directory))
+        reopened = EncryptedDatabase.open(secret_key, server=OutsourcedDatabaseServer(storage=FileStorageBackend(directory)))
         with pytest.raises(DatabaseError, match="already stores"):
             reopened.create_table(EMP_DECL)
         assert reopened.attach_table(EMP_DECL).name == "Emp"
@@ -319,20 +310,20 @@ class TestFileBackedSessions:
 
     def test_attach_with_mismatched_schema_rejected(self, tmp_path, secret_key):
         storage = FileStorageBackend(tmp_path)
-        db = EncryptedDatabase.open(secret_key, storage=storage)
+        db = EncryptedDatabase.open(secret_key, server=OutsourcedDatabaseServer(storage=storage))
         db.create_table(EMP_DECL, rows=ROWS)
         other = EncryptedDatabase.open(secret_key, server=db.server)
         with pytest.raises(DatabaseError, match="schema mismatch"):
             other.attach_table("Emp(dept:string[5], name:string[14], salary:int[6])")
 
     def test_attach_requires_stored_relation(self, tmp_path, secret_key):
-        db = EncryptedDatabase.open(secret_key, storage=FileStorageBackend(tmp_path))
+        db = EncryptedDatabase.open(secret_key, server=OutsourcedDatabaseServer(storage=FileStorageBackend(tmp_path)))
         with pytest.raises(DatabaseError):
             db.attach_table(EMP_DECL)
 
     def test_corrupt_file_rejected(self, tmp_path, secret_key):
         storage = FileStorageBackend(tmp_path)
-        db = EncryptedDatabase.open(secret_key, storage=storage)
+        db = EncryptedDatabase.open(secret_key, server=OutsourcedDatabaseServer(storage=storage))
         db.create_table(EMP_DECL, rows=ROWS)
         path = storage._path("Emp")
         path.write_bytes(path.read_bytes()[:-3])

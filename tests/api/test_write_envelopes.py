@@ -51,8 +51,8 @@ def session(provider, transport: str, secret_key, rng, index: bool):
             yield db
         return
     with ThreadedTcpServer(provider) as tcp:
-        url = f"tcp://127.0.0.1:{tcp.port}"
-        with EncryptedDatabase.connect(url, secret_key, rng=rng, index=index) as db:
+        url = f"tcp://127.0.0.1:{tcp.port}?index={int(index)}"
+        with EncryptedDatabase.connect(url, secret_key, rng=rng) as db:
             yield db
 
 
@@ -118,11 +118,11 @@ def test_a_bad_row_anywhere_in_a_batch_sends_nothing(position, bad, index, secre
     assert len(db.select("SELECT * FROM Emp WHERE dept = 'OPS'").relation) == 0
 
 
-@pytest.mark.parametrize("suffix", ["", "?async=1"], ids=["tcp", "async-key"])
+@pytest.mark.parametrize("suffix", ["", "&async=1"], ids=["tcp", "async-key"])
 def test_a_batch_past_the_frame_ceiling_fails_whole(suffix, secret_key, rng):
     with ThreadedTcpServer(max_frame_size=4096) as server:
-        url = f"tcp://127.0.0.1:{server.port}{suffix}"
-        with EncryptedDatabase.connect(url, secret_key, rng=rng, index=True) as db:
+        url = f"tcp://127.0.0.1:{server.port}?index=1{suffix}"
+        with EncryptedDatabase.connect(url, secret_key, rng=rng) as db:
             assert type(db.server) is RemoteServerProxy
             db.create_table(EMP_DECL, rows=ROWS)
             big = [(f"row{i}", "OPS", i) for i in range(40)]

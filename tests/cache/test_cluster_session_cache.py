@@ -16,9 +16,10 @@ from unittest import mock
 import pytest
 
 from repro.api import DatabaseError, EncryptedDatabase
+from repro.cache import CacheConfig
 from repro.cluster import ShardRouter
 from repro.crypto.rng import DeterministicRng
-from repro.net import ThreadedTcpServer
+from repro.net import RemoteServerProxy, ThreadedTcpServer
 from repro.outsourcing import OutsourcedDatabaseServer
 from repro.relational import Selection
 from async_key_fleet import async_key_router
@@ -234,11 +235,12 @@ class TestCacheOnMatchesCacheOff:
 
 @contextlib.contextmanager
 def _provider(kind: str):
-    """What two sessions share: one router object, one fleet behind a
-    ``cluster://`` URL, or one ``tcp://`` provider."""
+    """What two sessions share -- one router object, one fleet behind a
+    ``cluster://`` URL, or one ``tcp://`` provider -- as a factory of the
+    provider object each session opens on."""
     if kind == "router":
         with ShardRouter([OutsourcedDatabaseServer() for _ in range(3)]) as router:
-            yield router
+            yield lambda: router
         return
     with contextlib.ExitStack() as stack:
         ports = [
@@ -246,7 +248,10 @@ def _provider(kind: str):
             for _ in range(3 if kind == "cluster" else 1)
         ]
         hosts = ",".join(f"127.0.0.1:{port}" for port in ports)
-        yield f"{kind}://{hosts}?cache=1"
+        if kind == "cluster":
+            yield lambda: ShardRouter.connect(f"cluster://{hosts}")
+        else:
+            yield lambda: RemoteServerProxy.connect(f"tcp://{hosts}")
 
 
 class TestSharedRouter:
@@ -268,8 +273,11 @@ class TestForeignWriter:
     def test_a_foreign_insert_shows_within_the_ttl(self, kind, secret_key):
         with _provider(kind) as provider:
             writer, reader = (
-                EncryptedDatabase.connect(
-                    provider, secret_key, rng=DeterministicRng(seed), cache={"ttl_s": self.TTL}
+                EncryptedDatabase.open(
+                    secret_key,
+                    server=provider(),
+                    rng=DeterministicRng(seed),
+                    cache=CacheConfig(ttl_s=self.TTL),
                 )
                 for seed in (0, 1)
             )

@@ -52,31 +52,24 @@ class TestConfigCoercion:
         config = coerce_cache_config(True)
         assert config == CacheConfig()
 
-    def test_int_sets_the_entry_budget(self):
-        assert coerce_cache_config(16).max_entries == 16
-
-    def test_dict_sets_fields(self):
-        config = coerce_cache_config({"max_entries": 8, "ttl_s": 2.5})
-        assert (config.max_entries, config.ttl_s) == (8, 2.5)
-
     def test_config_passthrough_is_validated(self):
+        config = CacheConfig(max_entries=8, ttl_s=2.5)
+        assert coerce_cache_config(config) is config
         with pytest.raises(CacheError, match="max_entries"):
             coerce_cache_config(CacheConfig(max_entries=0))
 
-    def test_unknown_dict_keys_rejected(self):
-        with pytest.raises(CacheError, match=r"unknown cache option.*max_size"):
-            coerce_cache_config({"max_size": 8})
-
-    def test_garbage_rejected(self):
-        with pytest.raises(CacheError, match="bool, int, dict or CacheConfig"):
-            coerce_cache_config("yes")
+    @pytest.mark.parametrize("value", ["yes", 16, 0, {"max_entries": 8}, {"ttl_s": 2.5}, 1.0])
+    def test_every_other_form_is_rejected(self, value):
+        # One spelling per setting: a budget or a TTL is a CacheConfig.
+        with pytest.raises(CacheError, match="bool or a CacheConfig"):
+            coerce_cache_config(value)
 
     def test_ttl_validation(self):
         with pytest.raises(CacheError, match="ttl_s must be positive"):
-            coerce_cache_config({"ttl_s": 0})
+            coerce_cache_config(CacheConfig(ttl_s=0))
         with pytest.raises(CacheError, match="ttl_s must be a number"):
-            coerce_cache_config({"ttl_s": "soon"})
-        assert coerce_cache_config({"ttl_s": None}).ttl_s is None
+            coerce_cache_config(CacheConfig(ttl_s="soon"))
+        assert coerce_cache_config(CacheConfig(ttl_s=None)).ttl_s is None
 
 
 class TestLookupAndLru:

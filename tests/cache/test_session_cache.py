@@ -15,6 +15,7 @@ import pytest
 
 from gated_provider import GatedServer
 from repro.api import DatabaseError, EncryptedDatabase, database
+from repro.cache import CacheConfig
 from repro.outsourcing import OutsourcedDatabaseServer
 from repro.outsourcing.protocol import parse_message
 from repro.relational import QueryError, Selection
@@ -472,15 +473,15 @@ class TestConfiguration:
         assert db.cache is None
 
     def test_bad_cache_option_is_a_database_error(self, secret_key):
-        with pytest.raises(DatabaseError, match="cache"):
-            EncryptedDatabase.open(secret_key, cache="yes")
+        for value in ("yes", 5, {"ttl_s": 1.5}):
+            with pytest.raises(DatabaseError, match="bool or a CacheConfig"):
+                EncryptedDatabase.open(secret_key, cache=value)
         with pytest.raises(DatabaseError, match="max_entries"):
-            EncryptedDatabase.open(secret_key, cache=0)
+            EncryptedDatabase.open(secret_key, cache=CacheConfig(max_entries=0))
 
-    def test_int_budget_and_dict_knobs(self, secret_key):
-        assert EncryptedDatabase.open(secret_key, cache=5).cache.config.max_entries == 5
-        db = EncryptedDatabase.open(secret_key, cache={"ttl_s": 1.5})
-        assert db.cache.config.ttl_s == 1.5
+    def test_a_config_sets_the_budget_and_the_ttl(self, secret_key):
+        db = EncryptedDatabase.open(secret_key, cache=CacheConfig(max_entries=5, ttl_s=1.5))
+        assert (db.cache.config.max_entries, db.cache.config.ttl_s) == (5, 1.5)
 
     def test_counters_ride_the_session_metrics_plane(self, db):
         db.select(Selection.equals("dept", "HR"), table="Emp")

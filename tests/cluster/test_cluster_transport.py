@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import DatabaseError, EncryptedDatabase
+from repro.cluster import ShardRouter
 from repro.net import ThreadedTcpServer
 from repro.outsourcing import OutsourcedDatabaseServer
 from repro.relational import Selection
@@ -42,7 +43,7 @@ class TestClusterUrlSessions:
         one, _ = fleet
         local = OutsourcedDatabaseServer()
         db = EncryptedDatabase.open(
-            secret_key, shards=[f"tcp://127.0.0.1:{one.port}", local], rng=rng
+            secret_key, server=ShardRouter([f"tcp://127.0.0.1:{one.port}", local]), rng=rng
         )
         try:
             db.create_table(EMP_DECL, rows=ROWS)
@@ -76,30 +77,14 @@ class TestClusterUrlSessions:
 class TestFacadeKnobs:
     def test_shard_timeout_rejected_for_plain_tcp(self, fleet):
         one, _ = fleet
-        with pytest.raises(DatabaseError, match="cluster:// URLs only"):
+        with pytest.raises(DatabaseError, match="fleet addresses only"):
             EncryptedDatabase.connect(
                 f"tcp://127.0.0.1:{one.port}", shard_timeout=1.0
             )
 
-    def test_shard_timeout_rejected_for_server_objects(self):
-        with pytest.raises(DatabaseError, match="cluster:// URLs only"):
-            EncryptedDatabase.connect(OutsourcedDatabaseServer(), shard_timeout=1.0)
-
-    def test_shards_exclusive_with_server_and_storage(self, secret_key):
-        from repro.outsourcing import InMemoryStorageBackend
-
-        with pytest.raises(DatabaseError):
-            EncryptedDatabase.open(
-                secret_key,
-                server=OutsourcedDatabaseServer(),
-                shards=[OutsourcedDatabaseServer()],
-            )
-        with pytest.raises(DatabaseError):
-            EncryptedDatabase.open(
-                secret_key,
-                storage=InMemoryStorageBackend(),
-                shards=[OutsourcedDatabaseServer()],
-            )
+    def test_connect_takes_an_address_not_a_server_object(self):
+        with pytest.raises(DatabaseError, match=r"open\(server=\.\.\.\)"):
+            EncryptedDatabase.connect(OutsourcedDatabaseServer())
 
     def test_bad_cluster_url_is_a_database_error(self):
         with pytest.raises(DatabaseError):
@@ -115,10 +100,10 @@ class TestFacadeKnobs:
         ) as db:
             assert db.server.replication == 2
 
-    def test_replicas_rejected_for_plain_tcp(self, fleet):
+    def test_replicas_are_a_fleet_option(self, fleet):
         one, _ = fleet
-        with pytest.raises(DatabaseError, match="cluster:// URLs only"):
-            EncryptedDatabase.connect(f"tcp://127.0.0.1:{one.port}", replicas=2)
+        with pytest.raises(DatabaseError, match="unknown provider URL option 'replicas'"):
+            EncryptedDatabase.connect(f"tcp://127.0.0.1:{one.port}?replicas=2")
 
 
 class TestReplicatedClusterOverSockets:

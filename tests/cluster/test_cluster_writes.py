@@ -56,7 +56,7 @@ def test_a_stale_delete_answers_exactly_the_live_ids(secret_key):
 @pytest.mark.parametrize("index", [False, True], ids=["scan", "indexed"])
 def test_a_write_is_one_envelope_per_addressed_shard(index, secret_key, rng):
     shards = [CountingShard() for _ in range(3)]
-    db = EncryptedDatabase.open(secret_key, shards=shards, replicas=2, rng=rng, index=index)
+    db = EncryptedDatabase.open(secret_key, server=ShardRouter(shards, replicas=2), rng=rng, index=index)
     db.create_table(EMP_DECL, rows=ROWS)
     lookup = MessageKind.INDEX_LOOKUP if index else MessageKind.QUERY
     steps = (
@@ -110,7 +110,7 @@ class TestALostShardRequestNeverLosesARow:
         index, positions = ARMED[armed]
         shards = [FailingServer() for _ in range(3)]
         db = EncryptedDatabase.open(
-            secret_key, shards=shards, replicas=2, rng=rng, index=index
+            secret_key, server=ShardRouter(shards, replicas=2), rng=rng, index=index
         )
         db.create_table(EMP_DECL, rows=ROWS)
         return db, [shards[i] for i in positions]

@@ -12,7 +12,6 @@ from repro.cluster import (
     ManifestError,
     ShardEntry,
     ShardRouter,
-    parse_cluster_file_url,
 )
 from repro.net import ThreadedTcpServer
 from repro.net.client import RemoteServerProxy
@@ -103,13 +102,18 @@ class TestManifestDocument:
         with pytest.raises(ManifestError, match="version"):
             ClusterManifest.load(wrong_version)
 
-    def test_parse_cluster_file_url(self):
-        assert str(parse_cluster_file_url("cluster+file:///tmp/f.json")) == "/tmp/f.json"
-        assert str(parse_cluster_file_url("cluster+file://fleet.json")) == "fleet.json"
-        with pytest.raises(ManifestError):
-            parse_cluster_file_url("cluster+file://")
-        with pytest.raises(ManifestError):
-            parse_cluster_file_url("cluster://h:1")
+    def test_a_manifest_url_loads_its_file(self, tmp_path, monkeypatch):
+        manifest = ClusterManifest(shards=(ShardEntry("a", "tcp://h:1"),), replicas=1)
+        manifest.save(tmp_path / "fleet.json")
+        assert ClusterManifest.from_url(f"cluster+file://{tmp_path}/fleet.json") == (
+            manifest, {}
+        )
+        monkeypatch.chdir(tmp_path)
+        assert ClusterManifest.from_url("cluster+file://fleet.json")[0] == manifest
+        with pytest.raises(ManifestError, match="names no file"):
+            ClusterManifest.from_url("cluster+file://")
+        with pytest.raises(ManifestError, match="cannot read"):
+            ClusterManifest.from_url(f"cluster+file://{tmp_path}/absent.json")
 
 
 class TestManifestSessions:
@@ -161,10 +165,12 @@ class TestManifestSessions:
                 assert len(db.select("SELECT * FROM Emp WHERE dept = 'HR'").relation) == 12
                 db.drop_table("Emp")
 
-    def test_conflicting_replicas_keyword_is_rejected(self, tmp_path):
+    def test_the_manifest_alone_sets_the_replication_factor(self, tmp_path, secret_key):
         with ThreadedTcpServer() as one, ThreadedTcpServer() as two:
             path = manifest_for(one, two, replicas=2).save(tmp_path / "fleet.json")
-            with pytest.raises(DatabaseError, match="conflicting replication"):
+            with EncryptedDatabase.connect(f"cluster+file://{path}", secret_key) as db:
+                assert db.server.replication == 2
+            with pytest.raises(TypeError, match="replicas"):
                 EncryptedDatabase.connect(f"cluster+file://{path}", replicas=1)
 
     def test_missing_manifest_is_a_database_error(self, tmp_path):

@@ -25,7 +25,7 @@ def _placement_is_consistent(router, name):
 def db(secret_key, rng):
     session = EncryptedDatabase.open(
         secret_key,
-        shards=[OutsourcedDatabaseServer(), OutsourcedDatabaseServer()],
+        server=ShardRouter([OutsourcedDatabaseServer(), OutsourcedDatabaseServer()]),
         rng=rng,
     )
     session.create_table(EMP_DECL, rows=ROWS)
@@ -101,6 +101,24 @@ class TestRemoveShard:
         assert db.count("Emp") == len(ROWS)
         assert len(db.select("SELECT * FROM Emp WHERE dept = 'HR'").relation) == 20
 
+    def test_an_unreplicated_fleet_reads_every_row_after_a_removal(self, secret_key, rng):
+        """At R = 1 the leaving shard holds the only copy of its rows: removal
+        always drains them first, so every later read still returns them."""
+        router = ShardRouter([OutsourcedDatabaseServer() for _ in range(3)])
+        db = EncryptedDatabase.open(secret_key, server=router, rng=rng)
+        db.create_table(EMP_DECL, rows=ROWS)
+        everything = sorted(ROWS)
+        for leaving in ("shard-1", "shard-0"):
+            assert router.shard(leaving).tuple_count("Emp") > 0
+            router.remove_shard(leaving)
+            rows = sorted(db.retrieve_all("Emp").project(["name", "dept", "salary"]))
+            assert rows == everything
+            selected = db.select("SELECT * FROM Emp WHERE dept = 'HR'").relation
+            assert len(selected) == sum(dept == "HR" for _, dept, _ in ROWS)
+            assert db.count("Emp") == len(ROWS)
+        with pytest.raises(TypeError, match="drain"):
+            router.remove_shard("shard-2", drain=False)
+
     def test_grow_then_shrink_loses_nothing(self, db):
         router = db.server
         router.add_shard(OutsourcedDatabaseServer())
@@ -119,7 +137,7 @@ class TestRemoveShard:
         _placement_is_consistent(router, "Emp")
 
     def test_cannot_remove_the_last_shard(self, secret_key):
-        db = EncryptedDatabase.open(secret_key, shards=[OutsourcedDatabaseServer()])
+        db = EncryptedDatabase.open(secret_key, server=ShardRouter([OutsourcedDatabaseServer()]))
         db.create_table(EMP_DECL, rows=ROWS[:2])
         with pytest.raises(ClusterError, match="last shard"):
             db.server.remove_shard("shard-0")
@@ -182,8 +200,7 @@ class TestReplicatedRebalance:
     def rdb(self, secret_key, rng):
         session = EncryptedDatabase.open(
             secret_key,
-            shards=[OutsourcedDatabaseServer() for _ in range(3)],
-            replicas=self.REPLICAS,
+            server=ShardRouter([OutsourcedDatabaseServer() for _ in range(3)], replicas=self.REPLICAS),
             rng=rng,
         )
         session.create_table(EMP_DECL, rows=ROWS)

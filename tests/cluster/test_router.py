@@ -10,16 +10,16 @@ import threading
 
 from repro.api import DatabaseError, EncryptedDatabase
 from repro.cluster import (
+    DEFAULT_VIRTUAL_NODES,
     ClusterError,
     ClusterManifest,
+    ManifestError,
     ShardEntry,
     ShardRouter,
-    parse_cluster_options,
-    parse_cluster_url,
 )
 from repro.index import IndexDelta
 from repro.net import ThreadedTcpServer
-from repro.net.client import RemoteServerProxy
+from repro.net.client import RemoteError, RemoteServerProxy, parse_tcp_options
 from repro.outsourcing import OutsourcedDatabaseServer, ServerError
 from repro.relational import RelationTuple, Selection
 from async_key_fleet import async_key_router
@@ -64,7 +64,7 @@ def backends():
 
 @pytest.fixture
 def db(backends, secret_key, rng):
-    session = EncryptedDatabase.open(secret_key, shards=backends, rng=rng)
+    session = EncryptedDatabase.open(secret_key, server=ShardRouter(backends), rng=rng)
     session.create_table(EMP_DECL, rows=ROWS)
     return session
 
@@ -411,7 +411,7 @@ class TestDuplicateSafety:
 
     def _duplicated_cluster(self, secret_key, rng):
         backends = [OutsourcedDatabaseServer() for _ in range(2)]
-        db = EncryptedDatabase.open(secret_key, shards=backends, rng=rng)
+        db = EncryptedDatabase.open(secret_key, server=ShardRouter(backends), rng=rng)
         db.create_table(EMP_DECL, rows=ROWS)
         router = db.server
         # simulate the rebalancer crashing mid-migration: the insert at the
@@ -529,36 +529,30 @@ class TestConstruction:
                 assert sum(router.per_shard_tuple_counts("Emp").values()) == 2 * len(ROWS)
                 db.drop_table("Emp")
 
-    def test_parse_cluster_url(self):
-        assert parse_cluster_url("cluster://h1:1,h2:2") == (
-            "tcp://h1:1", "tcp://h2:2"
-        )
-        with pytest.raises(ClusterError):
-            parse_cluster_url("tcp://h1:1")
-        with pytest.raises(ClusterError):
-            parse_cluster_url("cluster://")
-        with pytest.raises(ClusterError):
-            parse_cluster_url("cluster://h1:1,h1:1")
-        with pytest.raises(ClusterError):
-            parse_cluster_url("cluster://h1:notaport")
+    def test_a_cluster_url_is_a_manifest(self):
+        manifest, options = ClusterManifest.from_url("cluster://h1:1, tcp://h2:2")
+        assert manifest.shard_ids == manifest.shard_urls == ("tcp://h1:1", "tcp://h2:2")
+        assert (manifest.replicas, manifest.virtual_nodes) == (1, DEFAULT_VIRTUAL_NODES)
+        assert options == {}
+        for bad in ("tcp://h1:1", "cluster://", "cluster://h1:1,h1:1", "cluster://h1:notaport"):
+            with pytest.raises(ClusterError):
+                ClusterManifest.from_url(bad)
 
-    def test_parse_cluster_options(self):
-        urls, options = parse_cluster_options("cluster://h1:1,h2:2?replicas=2")
-        assert urls == ("tcp://h1:1", "tcp://h2:2")
-        assert options == {"replicas": 2}
-        assert parse_cluster_options("cluster://h1:1")[1] == {}
-        assert parse_cluster_options("cluster://h1:1?cache=1")[1] == {"cache": True}
+    def test_cluster_url_options(self):
+        manifest, options = ClusterManifest.from_url("cluster://h1:1,h2:2?replicas=2")
+        assert (manifest.replicas, options) == (2, {})
+        assert ClusterManifest.from_url("cluster://h1:1?cache=1")[1] == {"cache": True}
         # Both schemes take the same boolean options.
-        from repro.net.client import parse_tcp_options
-
         query = "async=1&index=0&cache=yes"
         expected = {"async": True, "index": False, "cache": True}
         assert parse_tcp_options(f"tcp://h:1?{query}")[2] == expected
-        assert parse_cluster_options(f"cluster://h:1?{query}")[1] == expected
+        assert ClusterManifest.from_url(f"cluster://h:1?{query}")[1] == expected
         with pytest.raises(ClusterError, match="unknown cluster URL option"):
-            parse_cluster_options("cluster://h1:1?quorum=2")
+            ClusterManifest.from_url("cluster://h1:1?quorum=2")
         with pytest.raises(ClusterError, match="integer"):
-            parse_cluster_options("cluster://h1:1?replicas=two")
+            ClusterManifest.from_url("cluster://h1:1?replicas=two")
+        with pytest.raises(ClusterError, match="needs at least"):
+            ClusterManifest.from_url("cluster://h1:1,h2:2?replicas=3")
 
     def test_option_typos_rejected_with_supported_list(self):
         # A silently dropped ?asnyc=1 would quietly run the session on the
@@ -568,9 +562,7 @@ class TestConstruction:
             match=r"unknown cluster URL option 'asnyc' "
             r"\(supported: replicas, async, index, cache\)",
         ):
-            parse_cluster_options("cluster://h1:1?asnyc=1")
-        from repro.net.client import RemoteError, parse_tcp_options
-
+            ClusterManifest.from_url("cluster://h1:1?asnyc=1")
         with pytest.raises(
             RemoteError,
             match=r"unknown provider URL option 'asnyc' "
@@ -597,12 +589,10 @@ class TestConstruction:
     )
     def test_a_repeated_option_is_rejected(self, url, key):
         """Bugfix: a repeated option silently took its last value."""
-        from repro.net.client import parse_tcp_options
-
         # ClusterError and RemoteError are both ServerErrors.
         with pytest.raises(ServerError, match=f"option '{key}' is given twice"):
             if url.startswith("cluster"):
-                parse_cluster_options(url)
+                ClusterManifest.from_url(url)
             else:
                 parse_tcp_options(url)
 
@@ -614,19 +604,15 @@ class TestConstruction:
 
     @pytest.mark.parametrize("scheme", ["tcp", "cluster"])
     def test_cache_url_option_is_the_session_cache(self, scheme, secret_key):
-        from repro.net import ThreadedTcpServer
-
         with ThreadedTcpServer(OutsourcedDatabaseServer()) as server:
             url = f"{scheme}://127.0.0.1:{server.port}"
             with EncryptedDatabase.connect(f"{url}?cache=1", secret_key) as db:
                 assert db.cache is not None
-            with EncryptedDatabase.connect(url, secret_key, cache=True) as db:
-                assert db.cache is not None
-            with EncryptedDatabase.connect(f"{url}?cache=0", secret_key) as db:
-                assert db.cache is None
-            for query, keyword in (("cache=1", False), ("cache=0", True)):
-                with pytest.raises(DatabaseError, match="conflicting cache settings"):
-                    EncryptedDatabase.connect(f"{url}?{query}", secret_key, cache=keyword)
+            for plain in (url, f"{url}?cache=0"):
+                with EncryptedDatabase.connect(plain, secret_key) as db:
+                    assert db.cache is None
+            with pytest.raises(TypeError, match="cache"):
+                EncryptedDatabase.connect(url, secret_key, cache=True)
 
     def test_connect_surfaces_url_typos_as_database_errors(self):
         with pytest.raises(DatabaseError, match="unknown provider URL option"):
@@ -636,16 +622,13 @@ class TestConstruction:
         with pytest.raises(DatabaseError, match="takes? no options"):
             EncryptedDatabase.connect("cluster+file:///fleet.json?cache=1")
 
-    def test_manifest_url_rejects_query_and_fragment(self):
-        from repro.cluster.manifest import ManifestError, parse_cluster_file_url
-
-        assert str(parse_cluster_file_url("cluster+file:///a/fleet.json")).endswith(
-            "fleet.json"
-        )
-        with pytest.raises(ManifestError, match="query or fragment"):
-            parse_cluster_file_url("cluster+file:///a/fleet.json?async=1")
-        with pytest.raises(ManifestError, match="query or fragment"):
-            parse_cluster_file_url("cluster+file:///a/fleet.json#frag")
+    def test_manifest_url_rejects_query_and_fragment(self, tmp_path):
+        manifest = ClusterManifest(shards=(ShardEntry("a", "tcp://127.0.0.1:1"),))
+        path = manifest.save(tmp_path / "fleet.json")
+        assert ClusterManifest.from_url(f"cluster+file://{path}") == (manifest, {})
+        for suffix in ("?async=1", "#frag"):
+            with pytest.raises(ManifestError, match="query or fragment"):
+                ClusterManifest.from_url(f"cluster+file://{path}{suffix}")
 
     def test_replication_factor_validation(self):
         with pytest.raises(ClusterError, match="replication factor"):
@@ -654,15 +637,30 @@ class TestConstruction:
             ShardRouter(
                 [OutsourcedDatabaseServer(), OutsourcedDatabaseServer()], replicas=3
             )
-        with pytest.raises(ClusterError, match="conflicting replication"):
+        # The address carries the factor; there is no second spelling.
+        with pytest.raises(TypeError, match="replicas"):
             ShardRouter.connect("cluster://h1:1,h2:2?replicas=2", replicas=1)
 
-    def test_session_replicas_requires_shards(self, secret_key):
-        with pytest.raises(DatabaseError, match="sharded sessions only"):
-            EncryptedDatabase.open(secret_key, replicas=2)
+    def test_open_takes_a_provider_object(self, secret_key):
+        for option in ({"replicas": 2}, {"shards": []}, {"storage": None}):
+            with pytest.raises(TypeError, match=next(iter(option))):
+                EncryptedDatabase.open(secret_key, **option)
         db = EncryptedDatabase.open(
             secret_key,
-            shards=[OutsourcedDatabaseServer(), OutsourcedDatabaseServer()],
-            replicas=2,
+            server=ShardRouter([OutsourcedDatabaseServer(), OutsourcedDatabaseServer()], replicas=2),
         )
         assert db.server.replication == 2
+
+    def test_a_cluster_url_builds_the_ring_of_its_shard_urls(self):
+        """``ShardRouter.connect`` opens the manifest its URL names, and that
+        manifest's ring is the one ``ShardRouter(urls)`` builds."""
+        ids = [i.to_bytes(4, "big") + b"tuple-id" for i in range(1000)]
+        with ThreadedTcpServer() as one, ThreadedTcpServer() as two, ThreadedTcpServer() as three:
+            hosts = [f"127.0.0.1:{server.port}" for server in (one, two, three)]
+            urls = [f"tcp://{host}" for host in hosts]
+            with ShardRouter.connect(f"cluster://{','.join(hosts)}?replicas=2") as routed, \
+                    ShardRouter(urls, replicas=2) as built:
+                assert routed.shard_ids == built.shard_ids == tuple(urls)
+                assert [routed.replica_shards(i) for i in ids] == [
+                    built.replica_shards(i) for i in ids
+                ]

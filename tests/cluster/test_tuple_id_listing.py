@@ -27,7 +27,7 @@ class FetchCountingServer(OutsourcedDatabaseServer):
 class TestRouterIdListing:
     def test_tuple_count_never_fetches_stored_relations(self, secret_key, rng):
         shards = [FetchCountingServer(), FetchCountingServer()]
-        db = EncryptedDatabase.open(secret_key, shards=shards, rng=rng)
+        db = EncryptedDatabase.open(secret_key, server=ShardRouter(shards), rng=rng)
         try:
             db.create_table(EMP_DECL, rows=ROWS)
             baseline = [shard.full_fetches for shard in shards]
@@ -38,7 +38,7 @@ class TestRouterIdListing:
 
     def test_replicated_count_is_logical_not_physical(self, secret_key, rng):
         shards = [OutsourcedDatabaseServer() for _ in range(3)]
-        db = EncryptedDatabase.open(secret_key, shards=shards, replicas=2, rng=rng)
+        db = EncryptedDatabase.open(secret_key, server=ShardRouter(shards, replicas=2), rng=rng)
         try:
             db.create_table(EMP_DECL, rows=ROWS)
             physical = sum(
@@ -51,7 +51,7 @@ class TestRouterIdListing:
 
     def test_router_list_tuple_ids_unions_distinct(self, secret_key, rng):
         shards = [OutsourcedDatabaseServer() for _ in range(3)]
-        db = EncryptedDatabase.open(secret_key, shards=shards, replicas=2, rng=rng)
+        db = EncryptedDatabase.open(secret_key, server=ShardRouter(shards, replicas=2), rng=rng)
         try:
             db.create_table(EMP_DECL, rows=ROWS)
             router = db.server

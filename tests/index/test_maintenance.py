@@ -14,6 +14,7 @@ import pytest
 
 from provider_calls import store_relation
 from repro.api import DatabaseError, EncryptedDatabase
+from repro.cluster import ShardRouter
 from repro.index import IndexDelta
 from repro.outsourcing import OutsourcedDatabaseServer
 from repro.outsourcing.protocol import MessageKind
@@ -97,7 +98,7 @@ class TestAllServingFleet:
         for index in (True, False):
             db = EncryptedDatabase.open(
                 secret_key,
-                shards=[OutsourcedDatabaseServer(), OutsourcedDatabaseServer()],
+                server=ShardRouter([OutsourcedDatabaseServer(), OutsourcedDatabaseServer()]),
                 rng=DeterministicRng(7),
                 index=index,
             )
@@ -116,8 +117,7 @@ class TestExactDeletes:
     def test_replicated_fleet_counts_each_tuple_once(self, secret_key, rng):
         db = EncryptedDatabase.open(
             secret_key,
-            shards=[OutsourcedDatabaseServer(), OutsourcedDatabaseServer()],
-            replicas=2,
+            server=ShardRouter([OutsourcedDatabaseServer(), OutsourcedDatabaseServer()], replicas=2),
             rng=rng,
             index=True,
         )

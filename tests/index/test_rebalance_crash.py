@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import EncryptedDatabase
+from repro.cluster import ShardRouter
 from repro.outsourcing import OutsourcedDatabaseServer
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
@@ -28,7 +29,7 @@ def crashed(secret_key, rng):
     """An indexed 2-shard session grown to 3, crashed mid-rebalance."""
     db = EncryptedDatabase.open(
         secret_key,
-        shards=[OutsourcedDatabaseServer(), OutsourcedDatabaseServer()],
+        server=ShardRouter([OutsourcedDatabaseServer(), OutsourcedDatabaseServer()]),
         rng=rng,
         index=True,
     )

@@ -64,7 +64,9 @@ WRITES = {
 
 
 def connect(transport: str, port: int, secret_key, index: bool) -> EncryptedDatabase:
-    db = EncryptedDatabase.connect(URLS[transport].format(port=port), secret_key, index=index)
+    url = URLS[transport].format(port=port)
+    separator = "&" if "?" in url else "?"
+    db = EncryptedDatabase.connect(f"{url}{separator}index={int(index)}", secret_key)
     if transport.startswith("tcp"):
         assert type(db.server) is RemoteServerProxy  # the async key has no effect
     return db

@@ -5,6 +5,8 @@ from __future__ import annotations
 import socket
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.framing import (
     CHANNEL_CONTROL,
@@ -142,3 +144,57 @@ class TestBlockingHelpers:
         left.sendall((2**24).to_bytes(LENGTH_PREFIX_SIZE, "big"))
         with pytest.raises(OversizedFrameError):
             recv_frame(right, max_frame_size=1024)
+
+
+#: The one parser's limit in the comparisons below.
+LIMIT = 1024
+
+HOSTILE_FRAMES = [
+    (2**32 - 1).to_bytes(4, "big"),  # oversized
+    (LIMIT + 1).to_bytes(4, "big"),  # one past the limit
+    (0).to_bytes(4, "big"),  # no header at all
+    (FRAME_HEADER_SIZE - 1).to_bytes(4, "big") + b"\x00" * 4,  # a header cut short
+    (FRAME_HEADER_SIZE).to_bytes(4, "big") + b"\x02" + b"\x00" * 4,  # unknown channel
+    (FRAME_HEADER_SIZE + 2).to_bytes(4, "big") + b"\xff" + b"\x00" * 6,
+    encode_frame(b"fine", channel=CHANNEL_CONTROL, correlation=7),
+]
+
+
+def _decoded(data: bytes):
+    """What :class:`FrameDecoder` makes of ``data``: its frames, or its error class."""
+    try:
+        return FrameDecoder(LIMIT).feed(data)
+    except FramingError as exc:
+        return type(exc)
+
+
+def _received(data: bytes):
+    """What :func:`recv_frame` makes of ``data`` sent over a socket pair."""
+    left, right = socket.socketpair()
+    with left, right:
+        left.sendall(data)
+        try:
+            return [recv_frame(right, max_frame_size=LIMIT)]
+        except FramingError as exc:
+            return type(exc)
+
+
+class TestOneFrameParser:
+    """``recv_frame`` is the decoder fed off a socket: it refuses exactly what
+    ``FrameDecoder.feed`` refuses, with the same error class."""
+
+    @pytest.mark.parametrize("data", HOSTILE_FRAMES, ids=lambda data: data[:6].hex())
+    def test_hostile_prefixes_raise_what_the_decoder_raises(self, data):
+        assert _received(data) == _decoded(data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        length=st.one_of(st.integers(0, LIMIT + 8), st.integers(0, 2**32 - 1)),
+        filler=st.binary(max_size=LIMIT),
+    )
+    def test_drawn_prefixes_agree(self, length, filler):
+        # A body is sent only when the prefix allows one, and then whole, so
+        # neither side waits for bytes that never come.
+        body = (filler + bytes(length))[:length] if length <= LIMIT else b""
+        data = length.to_bytes(4, "big") + body
+        assert _received(data) == _decoded(data)

@@ -67,8 +67,8 @@ def test_hostile_relation_names_share_one_label(kind):
 def test_known_relations_keep_their_own_label(secret_key, rng, tmp_path):
     database = OutsourcedDatabaseServer(storage=FileStorageBackend(tmp_path))
     with ThreadedTcpServer(database) as server:
-        url = f"tcp://127.0.0.1:{server.port}"
-        with EncryptedDatabase.connect(url, secret_key, rng=rng, index=True) as db:
+        url = f"tcp://127.0.0.1:{server.port}?index=1"
+        with EncryptedDatabase.connect(url, secret_key, rng=rng) as db:
             db.create_table(EMP_DECL, rows=ROWS)
             db.create_table("Dept(name:string[14], floor:int[6])", rows=[("HR", 1)])
             assert len(db.select("SELECT * FROM Emp WHERE dept = 'HR'").relation) == 4

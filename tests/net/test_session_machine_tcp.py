@@ -39,12 +39,10 @@ class TcpSessionMachine(SessionMachine):
     def open_session(self) -> EncryptedDatabase:
         self.server = ThreadedTcpServer(self.provider).start()
         return EncryptedDatabase.connect(
-            f"tcp://127.0.0.1:{self.server.port}",
+            f"tcp://127.0.0.1:{self.server.port}?index={int(self.index)}&cache=1",
             self.key,
             scheme=self.scheme,
             rng=DeterministicRng(2),
-            index=self.index,
-            cache=True,
             pool_size=1,
         )
 
@@ -59,12 +57,10 @@ class PooledSessionMachine(TcpSessionMachine):
     def open_session(self) -> EncryptedDatabase:
         self.server = ThreadedTcpServer(self.provider).start()
         session = EncryptedDatabase.connect(
-            f"tcp://127.0.0.1:{self.server.port}?async=1",
+            f"tcp://127.0.0.1:{self.server.port}?async=1&index={int(self.index)}&cache=1",
             self.key,
             scheme=self.scheme,
             rng=DeterministicRng(2),
-            index=self.index,
-            cache=True,
         )
         assert type(session.server) is RemoteServerProxy
         return session

@@ -281,7 +281,7 @@ def test_two_threads_inserting_through_one_in_process_session(storage, tmp_path)
     backend = FileStorageBackend(tmp_path) if storage == "file" else None
     db = EncryptedDatabase.open(
         b"single-writer-session-master-key", scheme="plaintext",
-        storage=backend, rng=DeterministicRng(3),
+        server=OutsourcedDatabaseServer(storage=backend), rng=DeterministicRng(3),
     )
     db.create_table("T(name:string[8], k:int[6])")
     acknowledged = []

@@ -67,12 +67,12 @@ def session(transport: str, index: bool, cache: bool):
             ]
             hosts = ",".join(f"127.0.0.1:{port}" for port in ports)
             url = {
-                "tcp": f"tcp://{hosts}",
-                "async-key": f"tcp://{hosts}?async=1",
-                "cluster": f"cluster://{hosts}?replicas=2",
+                "tcp": f"tcp://{hosts}?",
+                "async-key": f"tcp://{hosts}?async=1&",
+                "cluster": f"cluster://{hosts}?replicas=2&",
             }[transport]
             db = EncryptedDatabase.connect(
-                url, key, rng=rng, index=index, cache=cache or None
+                f"{url}index={int(index)}&cache={int(cache)}", key, rng=rng
             )
         with db:
             db.create_table(EMP_DECL, rows=ROWS)

@@ -162,10 +162,8 @@ class TestTcpTracing:
 class TestClusterAcceptance:
     def test_traced_indexed_select_on_a_two_shard_fleet(self, secret_key, rng):
         with ThreadedTcpServer() as one, ThreadedTcpServer() as two:
-            url = f"cluster://127.0.0.1:{one.port},127.0.0.1:{two.port}"
-            with EncryptedDatabase.connect(
-                url, secret_key, rng=rng, index=True
-            ) as db:
+            url = f"cluster://127.0.0.1:{one.port},127.0.0.1:{two.port}?index=1"
+            with EncryptedDatabase.connect(url, secret_key, rng=rng) as db:
                 db.create_table(EMP_DECL, rows=ROWS)
                 assert db.index_enabled
                 result = db.select("SELECT * FROM Emp WHERE dept = 'HR'")

@@ -128,11 +128,20 @@ class TestParser:
             ["cluster", "spawn", "--manifest", "fleet.json"]
         )
         assert spawn.manifest == "fleet.json"
-        status = build_parser().parse_args(
-            ["cluster", "status", "--manifest", "fleet.json"]
-        )
-        assert status.manifest == "fleet.json"
-        assert status.url is None
+        status = build_parser().parse_args(["cluster", "status", "cluster+file://fleet.json"])
+        assert status.url == "cluster+file://fleet.json"
+
+    @pytest.mark.parametrize("argv", [
+        ["cluster", "status"],
+        ["cluster", "status", "--manifest", "fleet.json"],
+        ["cluster", "route", "cluster://h:1,i:2", "--replicas", "2"],
+    ])
+    def test_an_address_carries_the_topology(self, argv, capsys):
+        # The fleet is named once, by its address: no flag overrides it.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.startswith("usage:")
 
 
 class TestBuildScheme:
@@ -242,8 +251,10 @@ class TestClusterCommands:
         assert main(["cluster", "route", "cluster://"]) == 2
         assert main(["cluster", "route", "cluster://h:1", "--key", "zz"]) == 2
         assert main(["cluster", "route", "cluster://h:1", "--keys", "0"]) == 2
-        assert main(["cluster", "route", "cluster://h:1", "--replicas", "0"]) == 2
-        assert main(["cluster", "route", "cluster://h:1", "--replicas", "2"]) == 2
+        assert main(["cluster", "route", "cluster://h:1?replicas=0"]) == 2
+        assert main(["cluster", "route", "cluster://h:1?replicas=2"]) == 2
+        assert main(["cluster", "route", "cluster+file:///no/such/fleet.json"]) == 2
+        assert main(["cluster", "route", "tcp://h:1?replicas=2"]) == 2
         assert main(["cluster", "route", "cluster://h:1", "--virtual-nodes", "0"]) == 2
         assert main(["cluster", "route", "cluster://h:1?quorum=2"]) == 2
 
@@ -260,8 +271,7 @@ class TestClusterCommands:
 
     def test_route_single_key_lists_the_replica_set(self, capsys):
         exit_code = main([
-            "cluster", "route", "cluster://a:1,b:2,c:3", "--key", "deadbeef",
-            "--replicas", "2",
+            "cluster", "route", "cluster://a:1,b:2,c:3?replicas=2", "--key", "deadbeef",
         ])
         captured = capsys.readouterr()
         assert exit_code == 0
@@ -312,7 +322,7 @@ class TestClusterCommands:
 
     def test_status_rejects_an_impossible_replication_factor(self, capsys):
         assert main(["cluster", "status", "cluster://h:1,i:2?replicas=5"]) == 2
-        assert "impossible" in capsys.readouterr().err
+        assert "replication factor 5 needs at least" in capsys.readouterr().err
 
     def test_status_explains_replicated_outage_tolerance(self, capsys):
         from repro.net import ThreadedTcpServer
@@ -357,24 +367,57 @@ class TestClusterCommands:
                     ShardEntry("shard-1", f"tcp://127.0.0.1:{two.port}"),
                 ),
             ).save(tmp_path / "fleet.json")
-            exit_code = main(["cluster", "status", "--manifest", str(path)])
+            exit_code = main(["cluster", "status", f"cluster+file://{path}"])
         captured = capsys.readouterr()
         assert exit_code == 0
         assert "2/2 shard(s) up" in captured.out
-        assert "shard-0" in captured.out
-
-    def test_status_needs_exactly_one_topology_source(self, capsys, tmp_path):
-        assert main(["cluster", "status"]) == 2
-        assert "exactly one" in capsys.readouterr().err
-        assert main([
-            "cluster", "status", "cluster://h:1", "--manifest", str(tmp_path / "f.json")
-        ]) == 2
+        assert f"shard-0 (tcp://127.0.0.1:{one.port}): up" in captured.out
 
     def test_status_rejects_a_broken_manifest(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        assert main(["cluster", "status", "--manifest", str(bad)]) == 2
+        assert main(["cluster", "status", f"cluster+file://{bad}"]) == 2
         assert "JSON" in capsys.readouterr().err
+
+    def test_route_reads_a_manifest_file_by_its_ring_ids(self, capsys, tmp_path):
+        from repro.cluster import ClusterManifest, ShardEntry
+
+        path = ClusterManifest(
+            shards=(ShardEntry("east", "tcp://h:1"), ShardEntry("west", "tcp://h:2")),
+            replicas=2,
+            virtual_nodes=16,
+        ).save(tmp_path / "fleet.json")
+        assert main(["cluster", "route", f"cluster+file://{path}", "--keys", "10"]) == 0
+        out = capsys.readouterr().out
+        assert "ring of 2 shard(s), replication factor 2, 16 virtual nodes" in out
+        assert "  east: 10 copies" in out and "  west: 10 copies" in out
+
+    def test_route_and_status_take_a_tcp_address(self, capsys):
+        from repro.net import ThreadedTcpServer
+
+        assert main(["cluster", "route", "tcp://h:1?index=1", "--key", "00"]) == 0
+        assert "00 -> tcp://h:1\n" in capsys.readouterr().out
+        with ThreadedTcpServer() as one:
+            url = f"tcp://127.0.0.1:{one.port}"
+            assert main(["cluster", "status", f"{url}?cache=1"]) == 0
+            assert f"{url}: up" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["stats", "trace"])
+    def test_the_read_outs_take_every_address(self, command, capsys, tmp_path):
+        from repro.cluster import ClusterManifest, ShardEntry
+        from repro.net import ThreadedTcpServer
+
+        with ThreadedTcpServer() as one, ThreadedTcpServer() as two:
+            urls = [f"tcp://127.0.0.1:{server.port}" for server in (one, two)]
+            path = ClusterManifest(
+                shards=(ShardEntry("a", urls[0]), ShardEntry("b", urls[1]))
+            ).save(tmp_path / "fleet.json")
+            hosts = ",".join(url[len("tcp://"):] for url in urls)
+            for address in (urls[0], f"cluster://{hosts}", f"cluster+file://{path}"):
+                assert main([command, address]) == 0, address
+        for bad in ("tcp://h", "cluster://h:1?replicas=2", f"cluster+file://{tmp_path}/no.json"):
+            assert main([command, bad]) == 2
+        assert "DOWN" not in capsys.readouterr().err
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -127,3 +127,32 @@ def test_the_command_reader(command, paths):
 def test_a_pytest_file_it_does_not_collect_is_refused():
     with pytest.raises(AssertionError, match="does not collect"):
         _named_paths(shlex.split("python -m pytest tools/check_tables.py"))
+
+
+WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
+
+#: A repository path a workflow step runs or reads.
+WORKFLOW_PATH = re.compile(r"(?<![\w$./-])((?:tools|examples|benchmarks|tests)/[\w./*-]*[\w*])")
+
+
+def _workflow_paths() -> list[str]:
+    import yaml
+
+    workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
+    runs = [
+        step["run"]
+        for job in workflow["jobs"].values()
+        for step in job["steps"]
+        if "run" in step
+    ]
+    return sorted({path for run in runs for path in WORKFLOW_PATH.findall(run)})
+
+
+def test_the_ci_workflow_parses_and_names_what_exists():
+    """The workflow is YAML GitHub can read, and every script, example,
+    benchmark and test path its steps name (globs included) exists."""
+    paths = _workflow_paths()
+    assert "tools/ci_smoke_cluster.py" in paths
+    assert "benchmarks/e2e/run.py" in paths
+    missing = [path for path in paths if not any(ROOT.glob(path))]
+    assert not missing, f"{WORKFLOW.name} names missing paths: {missing}"
