@@ -298,7 +298,7 @@ class ResultCache:
             return len(self._entries)
 
     def stats(self) -> dict:
-        """A JSON-able summary (the ``cluster status`` / smoke-test surface)."""
+        """The ``cache_*`` instruments, as ``benchmarks/e2e`` reads them."""
         with self._lock:
             return {
                 "entries": len(self._entries),

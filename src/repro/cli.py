@@ -373,7 +373,7 @@ def command_cluster_route(args: argparse.Namespace) -> int:
     """Show the deterministic ring placement of a fleet address (offline)."""
     from collections import Counter
 
-    from repro.cluster import ConsistentHashRing
+    from repro.cluster.ring import MAX_VIRTUAL_NODES, ConsistentHashRing
 
     fleet = _fleet(args.url)
     if fleet is None:
@@ -382,8 +382,8 @@ def command_cluster_route(args: argparse.Namespace) -> int:
     virtual_nodes = (
         args.virtual_nodes if args.virtual_nodes is not None else fleet.virtual_nodes
     )
-    if virtual_nodes < 1:
-        print(f"--virtual-nodes must be positive, got {virtual_nodes}", file=sys.stderr)
+    if not 1 <= virtual_nodes <= MAX_VIRTUAL_NODES:
+        print(f"--virtual-nodes {virtual_nodes} not in 1..{MAX_VIRTUAL_NODES}", file=sys.stderr)
         return 2
     ring = ConsistentHashRing(shard_ids, virtual_nodes=virtual_nodes)
     if args.key is not None:
@@ -723,7 +723,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=_port, default=7707,
                        help="bind port (0 picks an ephemeral one)")
     serve.add_argument("--data-dir", default=None, metavar="DIR",
-                       help="persist relations as files under DIR (default in-memory)")
+                       help="persist relations as files under DIR, written before "
+                            "memory serves them (default in-memory)")
     serve.add_argument("--max-audit-events", type=_positive, default=10_000,
                        help="ring-buffer cap on the provider's audit log")
     serve.add_argument("--max-frame-size", type=_positive, default=64 * 1024 * 1024,
@@ -747,7 +748,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(tuples stored on this many shards)")
     spawn.add_argument("--host", default="127.0.0.1", help="bind address")
     spawn.add_argument("--data-dir", default=None, metavar="DIR",
-                       help="persist each shard under DIR/shard-<i> (default in-memory)")
+                       help="persist each shard as files under DIR/shard-<i>, "
+                            "served from memory (default in-memory)")
     spawn.add_argument("--max-audit-events", type=_positive, default=10_000,
                        help="ring-buffer cap on each provider's audit log")
     spawn.add_argument("--manifest", default=None, metavar="FILE",

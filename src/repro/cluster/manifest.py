@@ -41,7 +41,7 @@ import tempfile
 from dataclasses import dataclass
 
 from repro.cluster.executor import ClusterError
-from repro.cluster.ring import DEFAULT_VIRTUAL_NODES
+from repro.cluster.ring import DEFAULT_VIRTUAL_NODES, MAX_VIRTUAL_NODES
 from repro.net.client import RemoteError, parse_tcp_url, parse_url_query
 
 #: URL scheme naming a fleet's shards inline: ``cluster://host:port,...``
@@ -87,8 +87,9 @@ class ClusterManifest:
                 f"replication factor {self.replicas} needs at least that many "
                 f"shards, got {len(self.shards)}"
             )
-        if self.virtual_nodes < 1:
-            raise ManifestError("virtual_nodes must be at least 1")
+        if not 1 <= self.virtual_nodes <= MAX_VIRTUAL_NODES:
+            raise ManifestError(
+                f"virtual_nodes {self.virtual_nodes} not in 1..{MAX_VIRTUAL_NODES}")
         seen_ids: set[str] = set()
         seen_urls: set[str] = set()
         for entry in self.shards:

@@ -39,6 +39,9 @@ from typing import Iterable, Sequence
 #: pins the <=15% bound at 10k keys).
 DEFAULT_VIRTUAL_NODES = 256
 
+#: The most virtual nodes per shard a ring (or a manifest) takes: 16x the default.
+MAX_VIRTUAL_NODES = 4096
+
 
 class RingError(Exception):
     """The ring cannot satisfy a placement request."""
@@ -57,8 +60,9 @@ class ConsistentHashRing:
         *,
         virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
     ) -> None:
-        if virtual_nodes < 1:
-            raise RingError("a ring needs at least one virtual node per shard")
+        if not 1 <= virtual_nodes <= MAX_VIRTUAL_NODES:
+            raise RingError(
+                f"virtual nodes per shard {virtual_nodes} not in 1..{MAX_VIRTUAL_NODES}")
         self._virtual_nodes = virtual_nodes
         self._shard_ids: list[str] = []
         # Parallel sorted arrays: bisect over _points, index into _owners.
@@ -94,23 +98,21 @@ class ConsistentHashRing:
         if shard_id in self._shard_ids:
             raise RingError(f"shard {shard_id!r} is already on the ring")
         self._shard_ids.append(shard_id)
-        for point in self._shard_points(shard_id):
-            index = bisect.bisect(self._points, point)
-            self._points.insert(index, point)
-            self._owners.insert(index, shard_id)
+        points = self._points + self._shard_points(shard_id)
+        owners = self._owners + [shard_id] * self._virtual_nodes
+        # A stable sort: a new point goes after an equal one, as bisect.insort.
+        order = sorted(range(len(points)), key=points.__getitem__)
+        self._points = [points[i] for i in order]
+        self._owners = [owners[i] for i in order]
 
     def remove_shard(self, shard_id: str) -> None:
         """Remove one shard's virtual nodes."""
         if shard_id not in self._shard_ids:
             raise RingError(f"shard {shard_id!r} is not on the ring")
         self._shard_ids.remove(shard_id)
-        keep = [
-            (point, owner)
-            for point, owner in zip(self._points, self._owners)
-            if owner != shard_id
-        ]
-        self._points = [point for point, _ in keep]
-        self._owners = [owner for _, owner in keep]
+        keep = [i for i, owner in enumerate(self._owners) if owner != shard_id]
+        self._points = [self._points[i] for i in keep]
+        self._owners = [self._owners[i] for i in keep]
 
     def _shard_points(self, shard_id: str) -> list[int]:
         label = shard_id.encode("utf-8")

@@ -81,7 +81,7 @@ from repro.cluster.executor import (
     scatter,
 )
 from repro.cluster.manifest import ClusterManifest
-from repro.cluster.ring import ConsistentHashRing, DEFAULT_VIRTUAL_NODES
+from repro.cluster.ring import ConsistentHashRing, DEFAULT_VIRTUAL_NODES, MAX_VIRTUAL_NODES
 from repro.obs import MetricsRegistry, current_trace, merge_snapshots
 from repro.outsourcing import protocol
 from repro.outsourcing.client import checked_answer, request as envelope_request
@@ -271,9 +271,9 @@ class ShardRouter:
                 f"shard(s), got {len(shards)}"
             )
         if shard_ids is not None and len(shard_ids) != len(shards):
-            raise ClusterError(
-                f"{len(shards)} shard(s) but {len(shard_ids)} shard id(s)"
-            )
+            raise ClusterError(f"{len(shards)} shard(s) but {len(shard_ids)} shard id(s)")
+        if not 1 <= virtual_nodes <= MAX_VIRTUAL_NODES:
+            raise ClusterError(f"virtual_nodes {virtual_nodes} not in 1..{MAX_VIRTUAL_NODES}")
         self._replication = replicas
         self._shard_timeout = shard_timeout
         self._pool_size = pool_size

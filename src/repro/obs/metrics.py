@@ -313,14 +313,14 @@ def _merge_scalar(into: dict, entry: dict) -> None:
         merged["value"] += entry["value"]
 
 
-def snapshot_scalars(snapshot: dict, prefix: str = "") -> dict[str, int | float]:
-    """The unlabelled counters and gauges of a snapshot named ``prefix...``,
-    keyed by the rest of their name (``server_frames_sent`` -> ``frames_sent``)."""
+def snapshot_scalars(snapshot: dict, prefix: str = "", **labels: str) -> dict[str, int | float]:
+    """The counters and gauges of a snapshot named ``prefix...`` and labelled
+    ``labels`` exactly, keyed by the rest of their name (``server_x`` -> ``x``)."""
     return {
         entry["name"][len(prefix):]: entry["value"]
         for kind in ("counters", "gauges")
         for entry in snapshot.get(kind, ())
-        if not entry["labels"] and entry["name"].startswith(prefix)
+        if entry["labels"] == labels and entry["name"].startswith(prefix)
     }
 
 

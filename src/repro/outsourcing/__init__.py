@@ -46,7 +46,6 @@ from repro.outsourcing.server import OutsourcedDatabaseServer, ServerError
 from repro.outsourcing.storage import (
     FileStorageBackend,
     InMemoryStorageBackend,
-    StorageBackend,
     StorageError,
 )
 
@@ -82,6 +81,5 @@ __all__ = [
     "ServerError",
     "FileStorageBackend",
     "InMemoryStorageBackend",
-    "StorageBackend",
     "StorageError",
 ]

@@ -1,8 +1,9 @@
 """The untrusted database service provider (Eve).
 
-The server stores encrypted relations behind a pluggable
-:class:`~repro.outsourcing.storage.StorageBackend`, answers encrypted queries
-by running the keyless :class:`~repro.core.dph.ServerEvaluator` the client
+The server stores encrypted relations in an
+:class:`~repro.outsourcing.storage.InMemoryStorageBackend` (or the file
+store, that store plus durable writes), answers encrypted queries by
+running the keyless :class:`~repro.core.dph.ServerEvaluator` the client
 registered for each relation, and records everything it sees in a
 :class:`~repro.outsourcing.audit.ServerAuditLog`.  It never holds key
 material; the only plaintext it learns is what the ciphertexts and the query
@@ -67,7 +68,6 @@ from repro.outsourcing.protocol import MessageKind, MessageV2, ProtocolError
 from repro.outsourcing.storage import (
     FileStorageBackend,
     InMemoryStorageBackend,
-    StorageBackend,
     StorageError,
 )
 from repro.relational.schema import RelationSchema
@@ -96,7 +96,7 @@ class OutsourcedDatabaseServer:
     def __init__(
         self,
         audit_log: ServerAuditLog | None = None,
-        storage: StorageBackend | None = None,
+        storage: InMemoryStorageBackend | None = None,
         metrics: MetricsRegistry | None = None,
         *,
         slow_query_threshold: float = 1.0,
@@ -181,7 +181,7 @@ class OutsourcedDatabaseServer:
         return self._audit
 
     @property
-    def storage(self) -> StorageBackend:
+    def storage(self) -> InMemoryStorageBackend:
         """The backend holding the ciphertext relations."""
         return self._storage
 
@@ -404,11 +404,8 @@ class OutsourcedDatabaseServer:
 
     def storage_in_bytes(self, name: str | None = None) -> int:
         """Total ciphertext bytes stored (for one relation or overall)."""
-        if name is not None:
-            return self._load(name).size_in_bytes()
-        return sum(
-            self._storage.size_in_bytes(stored) for stored in self._storage.names()
-        )
+        names = self._storage.names() if name is None else (name,)
+        return sum(self._load(stored).size_in_bytes() for stored in names)
 
     # ------------------------------------------------------------------ #
     # Wire-level API

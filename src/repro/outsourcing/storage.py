@@ -1,11 +1,12 @@
-"""Pluggable ciphertext storage for the untrusted server.
+"""Ciphertext storage for the untrusted server.
 
 The server's state is a map from relation name to encrypted relation; how
 that map is persisted is an operational concern independent of the security
-model (the provider stores only ciphertext either way).  The
-:class:`StorageBackend` interface isolates it so deployments can swap the
-default in-memory dict for the file-backed store (or, in later work, a
-sharded / remote one) without touching the protocol layer.
+model (the provider stores only ciphertext either way).  There is one
+store, :class:`InMemoryStorageBackend`, and every read runs its code.
+:class:`FileStorageBackend` is that store plus durable writes: a write
+reaches the relation's file before memory serves it, and a relation file is
+decoded once per change on disk.
 
 The file backend reuses the wire codecs of
 :mod:`repro.outsourcing.protocol`, so bytes at rest are exactly the bytes in
@@ -21,14 +22,12 @@ import errno
 import os
 import pathlib
 import tempfile
-from abc import ABC, abstractmethod
 from typing import Iterable, Sequence
 
 from repro.core.dph import EncryptedRelation, EncryptedTuple
 from repro.outsourcing.protocol import (
     ProtocolError,
     decode_encrypted_relation,
-    decode_schema_declaration,
     encode_encrypted_relation,
     frame_encrypted_tuple,
 )
@@ -37,70 +36,6 @@ from repro.relational.schema import RelationSchema
 
 class StorageError(Exception):
     """A relation could not be loaded or saved."""
-
-
-class StorageBackend(ABC):
-    """Where the provider keeps its (ciphertext-only) relations."""
-
-    @abstractmethod
-    def save(self, name: str, encrypted_relation: EncryptedRelation) -> None:
-        """Store (or replace) a relation under ``name``."""
-
-    @abstractmethod
-    def load(self, name: str) -> EncryptedRelation:
-        """Return the stored relation, raising :class:`StorageError` if absent."""
-
-    @abstractmethod
-    def delete(self, name: str) -> None:
-        """Drop a stored relation (no-op when absent)."""
-
-    @abstractmethod
-    def names(self) -> tuple[str, ...]:
-        """Names of all stored relations."""
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.names()
-
-    def size_in_bytes(self, name: str) -> int:
-        """Ciphertext footprint of one relation."""
-        return self.load(name).size_in_bytes()
-
-    def schema(self, name: str) -> RelationSchema:
-        """The stored relation's schema; the default decodes the relation."""
-        return self.load(name).schema
-
-    @abstractmethod
-    def tuple_count(self, name: str) -> int:
-        """Number of stored tuple ciphertexts, read without decoding them."""
-
-    @abstractmethod
-    def append(self, name: str, encrypted_tuples: Sequence[EncryptedTuple]) -> None:
-        """Append tuple ciphertexts, in order, to a stored relation: all or none."""
-
-    def remove(self, name: str, tuple_ids: Iterable[bytes]) -> tuple[tuple[bytes, ...], int]:
-        """Delete every stored copy of ``tuple_ids``; unknown ids are ignored.
-
-        Returns the deleted ids, each once and in stored order, and how many
-        ciphertexts went (every copy of a duplicated id counts).  The
-        default rewrites the whole relation when something was deleted.
-        """
-        stored = self.load(name)
-        wanted = set(tuple_ids)
-        kept = tuple(t for t in stored if t.tuple_id not in wanted)
-        deleted = tuple(dict.fromkeys(t.tuple_id for t in stored if t.tuple_id in wanted))
-        if deleted:
-            self.save(name, EncryptedRelation(schema=stored.schema, encrypted_tuples=kept))
-        return deleted, len(stored) - len(kept)
-
-    def fetch(self, name: str, tuple_ids: Iterable[bytes]) -> EncryptedRelation:
-        """The stored ciphertexts of ``tuple_ids`` in the order asked: the first
-        copy of each, nothing for an unknown id.  The default loads it all."""
-        stored = self.load(name)
-        by_id = {t.tuple_id: t for t in reversed(stored.encrypted_tuples)}
-        return EncryptedRelation(
-            schema=stored.schema,
-            encrypted_tuples=tuple(by_id[i] for i in tuple_ids if i in by_id),
-        )
 
 
 class _HeldRelation:
@@ -138,8 +73,9 @@ class _HeldRelation:
         self.snapshot = None
 
 
-class InMemoryStorageBackend(StorageBackend):
-    """The default backend: each relation is a map from tuple id to ciphertext.
+class InMemoryStorageBackend:
+    """Where the provider keeps its (ciphertext-only) relations: in memory,
+    each a map from tuple id to ciphertext.  Every store subclasses it.
 
     :meth:`append` is O(1), :meth:`remove` and :meth:`fetch` O(ids) (one
     probe per id), and :meth:`load` returns an immutable snapshot that only
@@ -185,6 +121,8 @@ class InMemoryStorageBackend(StorageBackend):
             add(encrypted_tuple)
 
     def remove(self, name: str, tuple_ids: Iterable[bytes]) -> tuple[tuple[bytes, ...], int]:
+        """Delete every stored copy of ``tuple_ids`` (unknown ids are ignored);
+        the deleted ids, once each in stored order, and the copies that went."""
         held = self._held(name)
         found, copies = [], 0
         for tuple_id in tuple_ids:
@@ -200,6 +138,7 @@ class InMemoryStorageBackend(StorageBackend):
         return tuple(tuple_id for _, tuple_id in found), copies
 
     def fetch(self, name: str, tuple_ids: Iterable[bytes]) -> EncryptedRelation:
+        """The first stored copy of each known id of ``tuple_ids``, in that order."""
         held = self._held(name)
         return EncryptedRelation(
             schema=held.schema,
@@ -216,28 +155,37 @@ class InMemoryStorageBackend(StorageBackend):
         return name in self._relations
 
 
-class FileStorageBackend(StorageBackend):
-    """One file per relation, serialized with the protocol's wire codec.
+class FileStorageBackend(InMemoryStorageBackend):
+    """The in-memory store plus durable writes: one file per relation, in the
+    protocol's wire codec, its name hex-encoded so any name is safe.
 
-    Relation names are hex-encoded in the filename so arbitrary names are
-    safe on any filesystem.  (:meth:`load` decodes the whole file: not O(1).)
-    The tuple count commits an :meth:`append`: bytes past the counted tuples
-    (its process killed before the count) are never read, and the first
-    append this backend makes to a relation truncates and counts them.
+    Every read runs the in-memory store's code.  A relation file is decoded
+    into the held copy on first use, and again only when its ``(inode,
+    size, mtime_ns)`` -- one ``stat`` per read -- is not that of the file
+    this backend last read or wrote: another backend's write shows on the
+    next read, and a file corrupted under a live provider fails it.  Every
+    write reaches the file before memory serves it, and the next read after
+    a failed one answers what the file holds: a failed append leaves memory
+    as it was, a failed save forgets the signature.  RAM holds the
+    relations this backend has touched.
 
-    One provider process owns a directory: it is the one writer, and its
-    appends assume no other process appends meanwhile.  Another backend on
-    the same directory may read it -- :meth:`load` writes nothing, so it
-    never cuts a live append short.
+    The tuple count commits an :meth:`append`: bytes past the counted
+    tuples (its process killed before the count) are never read, and an
+    append truncates and counts them first.  One provider process owns a
+    directory: it is the one writer.  Another backend may read it -- a read
+    writes nothing, so it never cuts a live append short.
     """
 
     SUFFIX = ".rel"
 
     def __init__(self, directory: str | pathlib.Path) -> None:
+        super().__init__()
         self._directory = pathlib.Path(directory)
         self._directory.mkdir(parents=True, exist_ok=True)
         self.uncommitted_tails = 0  # killed appends' tails an append truncated
-        self._checked: set[str] = set()  # relations known to end at their count
+        # Relation -> the signature of the file its held copy was read from
+        # or written as, and where an uncommitted tail starts (None: none).
+        self._files: dict[str, tuple[tuple[int, int, int], int | None]] = {}
 
     @property
     def directory(self) -> pathlib.Path:
@@ -247,8 +195,38 @@ class FileStorageBackend(StorageBackend):
     def _path(self, name: str) -> pathlib.Path:
         return self._directory / f"{name.encode('utf-8').hex()}{self.SUFFIX}"
 
+    def _held(self, name: str) -> _HeldRelation:
+        path = self._path(name)
+        try:
+            signature = _signature(path)
+        except OSError as exc:
+            self._files.pop(name, None)
+            self._relations.pop(name, None)
+            raise StorageError(f"no relation named {name!r} is stored") from exc
+        seen = self._files.get(name)
+        if seen is None or seen[0] != signature:
+            relation, tail = self._decode(name, path)
+            self._relations[name] = _HeldRelation(relation)
+            self._files[name] = signature, tail
+        return self._relations[name]
+
+    def _decode(self, name: str, path: pathlib.Path) -> tuple[EncryptedRelation, int | None]:
+        """The file's counted tuples, and where they end when an uncommitted
+        tail follows them (``None`` when none does)."""
+        try:
+            raw = path.read_bytes()
+            try:
+                return decode_encrypted_relation(raw), None
+            except ProtocolError:
+                committed = _committed_length(raw)
+                if committed is None:
+                    raise
+                return decode_encrypted_relation(raw[:committed]), committed
+        except Exception as exc:
+            raise StorageError(f"stored relation {name!r} is corrupt: {exc}") from exc
+
     def save(self, name: str, encrypted_relation: EncryptedRelation) -> None:
-        """Write to a temporary file, then rename into place.
+        """Write to a temporary file, then rename into place, then hold it.
 
         ``os.replace`` is atomic on POSIX and Windows, so a crash mid-save
         leaves either the previous relation file or the new one -- never a
@@ -267,10 +245,11 @@ class FileStorageBackend(StorageBackend):
                 handle.write(payload)
                 handle.flush()
                 os.fsync(handle.fileno())
+                signature = _signature(handle.fileno())  # a rename keeps it
             os.replace(tmp_path, path)
             tmp_path = None
-            self._checked.add(name)
         except OSError as exc:
+            self._files.pop(name, None)
             raise StorageError(f"cannot save relation {name!r}: {exc}") from exc
         finally:
             if tmp_fd is not None:
@@ -279,73 +258,8 @@ class FileStorageBackend(StorageBackend):
             if tmp_path is not None:
                 with contextlib.suppress(OSError):
                     os.unlink(tmp_path)
-
-    def load(self, name: str) -> EncryptedRelation:
-        return self._read(name)[0]
-
-    def _read(self, name: str) -> tuple[EncryptedRelation, int | None]:
-        """The relation's counted tuples, and where they end when an
-        uncommitted tail follows them (``None`` when none does)."""
-        path = self._path(name)
-        if not path.exists():
-            raise StorageError(f"no relation named {name!r} is stored")
-        try:
-            raw = path.read_bytes()
-            try:
-                return decode_encrypted_relation(raw), None
-            except ProtocolError:
-                committed = _committed_length(raw)
-                if committed is None:
-                    raise
-                return decode_encrypted_relation(raw[:committed]), committed
-        except Exception as exc:
-            raise StorageError(f"stored relation {name!r} is corrupt: {exc}") from exc
-
-    def delete(self, name: str) -> None:
-        path = self._path(name)
-        if path.exists():
-            path.unlink()
-        self._checked.discard(name)
-
-    def __contains__(self, name: str) -> bool:
-        try:
-            return self._path(name).exists()
-        except OSError:  # e.g. a name too long for the filesystem
-            return False
-
-    def names(self) -> tuple[str, ...]:
-        names = []
-        for path in sorted(self._directory.glob(f"*{self.SUFFIX}")):
-            try:
-                names.append(bytes.fromhex(path.stem).decode("utf-8"))
-            except ValueError:
-                continue  # foreign file in the storage directory
-        return tuple(names)
-
-    def _header(self, name: str) -> tuple[bytes, int]:
-        """The schema declaration and the tuple count, read without the tuples."""
-        path = self._path(name)
-        if not path.exists():
-            raise StorageError(f"no relation named {name!r} is stored")
-        try:
-            with path.open("rb") as handle:
-                header = handle.read(4)
-                declaration = handle.read(int.from_bytes(header, "big"))
-                count_raw = handle.read(4)
-        except OSError as exc:
-            raise StorageError(f"cannot read relation {name!r}: {exc}") from exc
-        if len(header) != 4 or len(count_raw) != 4:
-            raise StorageError(f"stored relation {name!r} is corrupt")
-        return declaration, int.from_bytes(count_raw, "big")
-
-    def tuple_count(self, name: str) -> int:
-        return self._header(name)[1]
-
-    def schema(self, name: str) -> RelationSchema:
-        try:
-            return decode_schema_declaration(self._header(name)[0])
-        except ProtocolError as exc:
-            raise StorageError(f"stored relation {name!r} is corrupt: {exc}") from exc
+        self._files[name] = signature, None
+        super().save(name, encrypted_relation)
 
     def append(self, name: str, encrypted_tuples: Sequence[EncryptedTuple]) -> None:
         """Append in place: extend the file, then bump the tuple count once.
@@ -357,31 +271,19 @@ class FileStorageBackend(StorageBackend):
         landed) and truncates the file to its old length, so a full disk
         fails the append and leaves the relation as it was.
         """
+        self._held(name)  # the file is there and the held copy current
+        tail = self._files[name][1]
         path = self._path(name)
-        if not path.exists():
-            raise StorageError(f"no relation named {name!r} is stored")
-        if name not in self._checked:
-            # The first touch: cut the tail a killed append left behind.
-            committed = self._read(name)[1]
-            if committed is not None:
-                try:
-                    os.truncate(path, committed)
-                except OSError as exc:
-                    raise StorageError(f"cannot append to relation {name!r}: {exc}") from exc
-                self.uncommitted_tails += 1
-            self._checked.add(name)
         items = b"".join(map(frame_encrypted_tuple, encrypted_tuples))
         try:
+            if tail is not None:  # cut the tail a killed append left behind
+                os.truncate(path, tail)
+                self.uncommitted_tails += 1
             # Unbuffered: a failed write raises at the write, not at close.
             with path.open("r+b", buffering=0) as handle:
-                header = handle.read(4)
-                if len(header) != 4:
-                    raise StorageError(f"stored relation {name!r} is corrupt")
-                count_offset = 4 + int.from_bytes(header, "big")
+                count_offset = 4 + int.from_bytes(handle.read(4), "big")
                 handle.seek(count_offset)
                 count_raw = handle.read(4)
-                if len(count_raw) != 4:
-                    raise StorageError(f"stored relation {name!r} is corrupt")
                 count = int.from_bytes(count_raw, "big") + len(encrypted_tuples)
                 end = handle.seek(0, os.SEEK_END)
                 try:
@@ -393,8 +295,35 @@ class FileStorageBackend(StorageBackend):
                     _write_all(handle, count_raw)
                     handle.truncate(end)
                     raise
-        except OSError as exc:
+                signature = _signature(handle.fileno())
+        except OSError as exc:  # the file changed (a new signature) or is as it was
             raise StorageError(f"cannot append to relation {name!r}: {exc}") from exc
+        self._files[name] = signature, None
+        super().append(name, encrypted_tuples)
+
+    def remove(self, name: str, tuple_ids: Iterable[bytes]) -> tuple[tuple[bytes, ...], int]:
+        """Delete from the held copy, then rewrite the file from it."""
+        deleted = super().remove(name, tuple_ids)
+        if deleted[0]:
+            self.save(name, self.load(name))
+        return deleted
+
+    def delete(self, name: str) -> None:
+        self._path(name).unlink(missing_ok=True)
+        self._files.pop(name, None)
+        super().delete(name)
+
+    def __contains__(self, name: str) -> bool:
+        return os.path.exists(self._path(name))  # False, not OSError, for a name too long
+
+    def names(self) -> tuple[str, ...]:
+        names = []
+        for path in sorted(self._directory.glob(f"*{self.SUFFIX}")):
+            try:
+                names.append(bytes.fromhex(path.stem).decode("utf-8"))
+            except ValueError:
+                continue  # foreign file in the storage directory
+        return tuple(names)
 
 
 def _committed_length(raw: bytes) -> int | None:
@@ -412,3 +341,9 @@ def _write_all(handle, data: bytes) -> None:
     written = handle.write(data)
     if written != len(data):
         raise OSError(errno.ENOSPC, f"short write ({written} of {len(data)} bytes)")
+
+
+def _signature(file: str | os.PathLike | int) -> tuple[int, int, int]:
+    """A relation file's ``(inode, size, mtime_ns)``, by path or descriptor."""
+    stat = os.stat(file)
+    return stat.st_ino, stat.st_size, stat.st_mtime_ns

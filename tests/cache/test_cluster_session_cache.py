@@ -23,6 +23,7 @@ from repro.net import RemoteServerProxy, ThreadedTcpServer
 from repro.outsourcing import OutsourcedDatabaseServer
 from repro.relational import Selection
 from async_key_fleet import async_key_router
+from provider_calls import cache_counts
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
 ROWS = [(f"emp{i}", "HR" if i % 2 else "IT", 1000 + i) for i in range(30)]
@@ -79,10 +80,10 @@ class TestARaisedReadCachesNothing:
         shards[1].down = True
         with pytest.raises(DatabaseError, match="shard is down"):
             db.select(HR, table="Emp")
-        assert db.cache.stats()["entries"] == 0
+        assert cache_counts(db)["entries"] == 0
         shards[1].down = False
         assert _rows(db.select(HR, table="Emp")) == before
-        assert db.cache.stats()["entries"] == 1
+        assert cache_counts(db)["entries"] == 1
 
     def test_over_a_cluster_url(self, secret_key):
         shards = [FlakyServer(), FlakyServer()]
@@ -98,7 +99,7 @@ class TestARaisedReadCachesNothing:
             shards[0].down = True
             with pytest.raises(DatabaseError, match="failed on 1/2 shard"):
                 db.select(HR, table="Emp")
-            assert db.cache.stats()["entries"] == 0
+            assert cache_counts(db)["entries"] == 0
             shards[0].down = False
             assert _rows(db.select(HR, table="Emp")) == sorted(
                 row for row in ROWS if row[1] == "HR"
@@ -123,9 +124,9 @@ class TestFailover:
         shards[2].down = True  # R=2 covers one dead shard
         assert _rows(db.select(HR, table="Emp")) == expected
         assert len(db.cache) == 1  # the failover answer was complete
-        hits = db.cache.stats()["hits"]
+        hits = cache_counts(db)["hits_total"]
         assert _rows(db.select(HR, table="Emp")) == expected
-        assert db.cache.stats()["hits"] == hits + 1
+        assert cache_counts(db)["hits_total"] == hits + 1
 
     def test_a_shard_killed_mid_workload_matches_uncached(self, secret_key):
         """Writes stay fail-fast, so the post-kill delete fails in both runs;
@@ -221,7 +222,7 @@ class TestCacheOnMatchesCacheOff:
                 )
 
         agree([HR, IT, *names[:5]])
-        hits = cached.cache.stats()["hits"]
+        hits = cache_counts(cached)["hits_total"]
         router.add_shard(OutsourcedDatabaseServer(), "d")
         agree([HR, IT, *names])  # hits, then misses served by the new layout
         router.rebalance()
@@ -230,7 +231,7 @@ class TestCacheOnMatchesCacheOff:
         router.remove_shard("shard-0")
         cached.delete(Selection.equals("name", "emp3"), table="Emp")
         agree([HR, IT, *names])
-        assert cached.cache.stats()["hits"] > hits
+        assert cache_counts(cached)["hits_total"] > hits
 
 
 @contextlib.contextmanager

@@ -23,6 +23,7 @@ from repro.cache import (
     coerce_cache_config,
     result_cache,
 )
+from repro.obs import snapshot_scalars
 
 
 class FakeClock:
@@ -36,6 +37,11 @@ class FakeClock:
 
     def advance(self, seconds: float) -> None:
         self.now += seconds
+
+
+def _counts(cache: ResultCache) -> dict:
+    """The cache's counters and gauges, as its registry's snapshot holds them."""
+    return snapshot_scalars(cache._metrics.snapshot(), "cache_", tier="client")
 
 
 def _fill(cache: ResultCache, relation: str, token, value, tags=()):
@@ -78,8 +84,8 @@ class TestLookupAndLru:
         assert cache.lookup("Emp", b"t1") is None
         assert _fill(cache, "Emp", b"t1", "value")
         assert cache.lookup("Emp", b"t1") == "value"
-        stats = cache.stats()
-        assert (stats["hits"], stats["misses"]) == (1, 1)
+        stats = _counts(cache)
+        assert (stats["hits_total"], stats["misses_total"]) == (1, 1)
         assert stats["hit_ratio"] == 0.5
 
     def test_keys_are_scoped_by_relation(self):
@@ -96,7 +102,7 @@ class TestLookupAndLru:
         assert cache.get("Emp", b"b") is None
         assert cache.get("Emp", b"a") == 1
         assert cache.get("Emp", b"c") == 3
-        assert cache.stats()["evictions"] == 1
+        assert _counts(cache)["evictions_total"] == 1
 
     def test_len_reports_live_entries(self):
         cache = ResultCache()
@@ -114,7 +120,7 @@ class TestTtl:
         assert cache.get("Emp", b"t") == "value"
         clock.advance(0.2)
         assert cache.get("Emp", b"t") is None
-        assert cache.stats()["evictions"] == 1
+        assert _counts(cache)["evictions_total"] == 1
 
     def test_ttl_none_never_expires(self):
         clock = FakeClock()
@@ -132,7 +138,7 @@ class TestGenerations:
         cache.invalidate("Emp")
         assert cache.get("Emp", b"a") is None
         assert cache.get("Dept", b"b") == 2
-        assert cache.stats()["invalidations"] == 1
+        assert _counts(cache)["invalidations_total"] == 1
 
     def test_stale_fill_is_dropped(self):
         # A write landing while the read is in flight must fence the fill.
@@ -161,8 +167,8 @@ class TestWriteSetInvalidation:
         assert cache.get("Emp", b"q-ann") is None
         assert cache.get("Emp", b"q-bob") == "bob"
         assert cache.get("Emp", b"q-hr") == "hr"
-        stats = cache.stats()
-        assert (stats["invalidations"], stats["invalidated_entries"]) == (1, 1)
+        stats = _counts(cache)
+        assert (stats["invalidations_total"], stats["invalidated_entries_total"]) == (1, 1)
 
     def test_an_entry_filed_under_several_tags_goes_with_any_of_them(self):
         cache = ResultCache()
@@ -190,7 +196,7 @@ class TestWriteSetInvalidation:
         cache.invalidate("Emp")
         assert cache.get("Emp", b"a") is None and cache.get("Emp", b"b") is None
         assert cache.get("Dept", b"c") == 3
-        assert cache.stats()["invalidated_entries"] == 2
+        assert _counts(cache)["invalidated_entries_total"] == 2
 
     def test_relations_sharing_a_tag_value_stay_apart(self):
         cache = ResultCache()
@@ -404,7 +410,7 @@ class TestObservability:
         for _ in range(2):
             assert cache.get("Emp", b"z") is None  # M = 2 misses
         assert gauges() == {"cache_entries": 3, "cache_hit_ratio": 6 / 8}
-        assert cache.stats()["hit_ratio"] == 6 / 8
+        assert _counts(cache)["hit_ratio"] == 6 / 8
         assert 'cache_hit_ratio{tier="client"} 0.75' in render_prometheus(registry.snapshot())
         cache.invalidate("Emp", [b"c"])
         assert gauges()["cache_entries"] == 2
@@ -428,7 +434,25 @@ class TestObservability:
         assert counters["cache_invalidated_entries_total"] == 2
 
     def test_stats_surface(self):
-        cache = ResultCache(CacheConfig(max_entries=7, ttl_s=3.0))
-        stats = cache.stats()
-        assert stats["max_entries"] == 7
-        assert stats["ttl_s"] == 3.0
+        """``stats`` is the registry's counts under short names, and the settings."""
+        clock = FakeClock()
+        cache = ResultCache(CacheConfig(max_entries=7, ttl_s=3.0), clock=clock)
+        _fill(cache, "Emp", b"a", 1, tags=[b"a"])
+        _fill(cache, "Emp", b"b", 2, tags=[b"b"])
+        cache.get("Emp", b"a")
+        cache.get("Emp", b"z")
+        cache.invalidate("Emp", [b"b"])
+        clock.advance(4.0)
+        cache.get("Emp", b"a")
+        counts = _counts(cache)
+        assert cache.stats() == {
+            "max_entries": 7,
+            "ttl_s": 3.0,
+            "entries": counts["entries"],
+            "hit_ratio": counts["hit_ratio"],
+            **{
+                name: counts[f"{name}_total"]
+                for name in ("hits", "misses", "evictions", "invalidations", "invalidated_entries")
+            },
+        }
+        assert (counts["hits_total"], counts["misses_total"], counts["evictions_total"]) == (1, 2, 1)

@@ -14,6 +14,7 @@ import threading
 import pytest
 
 from gated_provider import GatedServer
+from provider_calls import cache_counts
 from repro.api import DatabaseError, EncryptedDatabase, database
 from repro.cache import CacheConfig
 from repro.outsourcing import OutsourcedDatabaseServer
@@ -64,7 +65,7 @@ class TestReadPath:
         second = db.select("SELECT * FROM Emp WHERE dept = 'HR'")
         assert provider.handled == before  # zero round trips
         assert _rows(first) == _rows(second)
-        assert db.cache.stats()["hits"] == 1
+        assert cache_counts(db)["hits_total"] == 1
 
     def test_distinct_queries_do_not_collide(self, db):
         hr = db.select(Selection.equals("dept", "HR"), table="Emp")
@@ -86,8 +87,8 @@ class TestReadPath:
             table="Emp",
         )
         assert [len(o.relation) for o in outcomes] == [6, 6]
-        stats = db.cache.stats()
-        assert stats["hits"] >= 1
+        stats = cache_counts(db)
+        assert stats["hits_total"] >= 1
 
     def test_single_select_fill_serves_batch_elements(self, db, provider):
         db.select(Selection.equals("dept", "HR"), table="Emp")
@@ -110,7 +111,7 @@ class TestReadPath:
         for salary in (1000, 1001, 1000, 1001):
             outcome = db.select(Selection.equals("salary", salary), table="Emp")
             assert [t["salary"] for t in outcome.relation] == [salary]
-        assert db.cache.stats()["hits"] == 2
+        assert cache_counts(db)["hits_total"] == 2
 
 
 @pytest.fixture
@@ -192,7 +193,7 @@ class TestHitPath:
         query = Selection.equals("salary", 1003)
         fill = db.select(query, table="Emp")
         hit = db.select(query, table="Emp")
-        assert db.cache.stats()["hits"] == 1
+        assert cache_counts(db)["hits_total"] == 1
         assert fill.false_positives > 0  # the bucket holds more than one salary
         for field in ("returned", "false_positives", "kept"):
             assert getattr(hit.report, field) == getattr(fill.report, field)
@@ -327,7 +328,7 @@ class TestWritePathInvalidation:
         for query in (hr, it, emp3):
             db.select(query, table="Emp")
         db.insert("Emp", {"name": "Zoe", "dept": "HR", "salary": 9})
-        assert db.cache.stats()["invalidated_entries"] == 1
+        assert cache_counts(db)["invalidated_entries_total"] == 1
         before = provider.handled
         db.select(it, table="Emp")
         db.select(emp3, table="Emp")
@@ -392,9 +393,9 @@ class TestInFlightFence:
         return fills
 
     def _hits(self, db, query) -> bool:
-        before = db.cache.stats()["hits"]
+        before = cache_counts(db)["hits_total"]
         db.select(query, table="Emp")
-        return db.cache.stats()["hits"] == before + 1
+        return cache_counts(db)["hits_total"] == before + 1
 
     def test_a_write_the_read_matches_drops_the_fill_and_the_entry(self, gated):
         provider, db = gated
@@ -420,7 +421,7 @@ class TestInFlightFence:
             db.select(query, table="Emp")
         fills = self._insert_while_reading(provider, db, ("zoe", "OPS", 9))
         assert fills == [False]  # the fence is relation-wide, as before
-        assert db.cache.stats()["invalidated_entries"] == 0
+        assert cache_counts(db)["invalidated_entries_total"] == 0
         assert all(self._hits(db, query) for query in cached)
         assert not self._hits(db, Selection.equals("name", "emp5"))
 
@@ -464,7 +465,7 @@ class TestEquivalenceUnderInterleavedWrites:
                 Selection.equals("dept", "IT"), {"salary": 4}, table="Emp"
             )
         check()
-        assert cached.cache.stats()["invalidations"] > 0
+        assert cache_counts(cached)["invalidations_total"] > 0
 
 
 class TestConfiguration:

@@ -6,8 +6,8 @@ An address is read by one of two parsers: a ``tcp://`` URL by
 :meth:`~repro.cluster.ClusterManifest.from_url`.  Any text, and URLs built
 from hostile parts -- out-of-range and non-numeric ports, empty hosts,
 repeated and unknown options, impossible replication factors, paths,
-fragments, non-ASCII, manifest files that are missing, garbage or
-directories -- must parse or raise a :class:`~repro.cluster.ClusterError`
+fragments, non-ASCII, manifest files that are missing, garbage, directories
+or past the virtual-node bound -- must parse or raise a :class:`~repro.cluster.ClusterError`
 or :class:`~repro.net.client.RemoteError`, never anything else.  An address
 that does not parse makes :meth:`EncryptedDatabase.connect` raise
 :class:`DatabaseError` before any socket is opened.
@@ -15,7 +15,9 @@ that does not parse makes :meth:`EncryptedDatabase.connect` raise
 
 from __future__ import annotations
 
+import json
 import socket
+import time
 from unittest import mock
 
 import pytest
@@ -61,12 +63,16 @@ def manifests(tmp_path_factory):
         shards=(ShardEntry("a", "tcp://127.0.0.1:1"), ShardEntry("b", "tcp://127.0.0.1:2")),
         replicas=2,
     ).save(root / "fleet.json")
+    huge = {"version": 1, "virtual_nodes": 2**62, "shards": [{"shard_id": "a", "url": "tcp://h:1"}]}
+    (root / "huge.json").write_text(json.dumps(huge))
     (root / "garbage.json").write_bytes(b"\xff{not json")
     (root / "empty.json").write_bytes(b"")
     (root / "dir.json").mkdir()
     return [
         f"{root}/{name}{tail}"
-        for name in ("fleet.json", "garbage.json", "empty.json", "dir.json", "absent.json")
+        for name in (
+            "fleet.json", "huge.json", "garbage.json", "empty.json", "dir.json", "absent.json"
+        )
         for tail in ("", "?cache=1", "#frag", "\x00")
     ] + ["", str(root)]
 
@@ -123,3 +129,12 @@ def test_hostile_parts_are_refused(address):
     with pytest.raises((ClusterError, RemoteError)):
         parse(address)
     _refused_without_a_socket(address)
+
+
+def test_a_manifest_past_the_virtual_node_bound_is_refused_within_a_second(manifests):
+    address = "cluster+file://" + next(m for m in manifests if m.endswith("huge.json"))
+    started = time.monotonic()
+    with pytest.raises(ClusterError, match="virtual_nodes"):
+        parse(address)
+    _refused_without_a_socket(address)
+    assert time.monotonic() - started < 1.0

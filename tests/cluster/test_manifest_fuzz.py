@@ -8,6 +8,9 @@ are written to the file; loading it must return a manifest or raise
 :class:`ManifestError` -- never ``RecursionError`` (nesting deeper than the
 parser's limit), ``UnicodeDecodeError`` (bytes that are not UTF-8) or
 ``OverflowError`` (``1e400`` parses as an infinity) -- within a bounded time.
+A ``virtual_nodes`` past :data:`~repro.cluster.ring.MAX_VIRTUAL_NODES` is refused
+within a second by the manifest, the ring, the router, a session and
+``repro cluster route``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,17 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import DatabaseError, EncryptedDatabase
-from repro.cluster import ClusterManifest, ManifestError
+from repro.cli import main
+from repro.cluster import (
+    ClusterError,
+    ClusterManifest,
+    ConsistentHashRing,
+    ManifestError,
+    RingError,
+    ShardRouter,
+)
+from repro.cluster.ring import MAX_VIRTUAL_NODES
+from repro.outsourcing import OutsourcedDatabaseServer
 
 #: The longest one load may take.
 TIMEOUT_S = 5.0
@@ -93,3 +106,37 @@ def test_a_session_over_a_hostile_manifest_is_a_database_error(tmp_path, raw):
     path.write_bytes(raw)
     with pytest.raises(DatabaseError):
         EncryptedDatabase.connect(f"cluster+file://{path}")
+
+
+@settings(
+    max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(virtual_nodes=st.integers(MAX_VIRTUAL_NODES + 1, 2**64)
+       | st.sampled_from([MAX_VIRTUAL_NODES + 1, 2**62]))
+def test_virtual_nodes_past_the_bound_are_refused_within_a_second(tmp_path, virtual_nodes):
+    path = tmp_path / "fleet.json"
+    path.write_text(json.dumps({
+        "version": 1,
+        "virtual_nodes": virtual_nodes,
+        "shards": [{"shard_id": "a", "url": "tcp://127.0.0.1:1"}],
+    }))
+    started = time.monotonic()
+    with pytest.raises(ManifestError, match="virtual_nodes"):
+        ClusterManifest.load(path)
+    with pytest.raises(DatabaseError):
+        EncryptedDatabase.connect(f"cluster+file://{path}")
+    with pytest.raises(RingError, match="virtual nodes"):
+        ConsistentHashRing(["a"], virtual_nodes=virtual_nodes)
+    with pytest.raises(ClusterError, match="virtual_nodes"):
+        ShardRouter([OutsourcedDatabaseServer()], virtual_nodes=virtual_nodes)
+    assert main(["cluster", "route", f"cluster+file://{path}"]) == 2
+    route = ["cluster", "route", "cluster://h:1", "--virtual-nodes", str(virtual_nodes)]
+    assert main(route) == 2
+    assert time.monotonic() - started < 1.0
+
+
+def test_the_bound_itself_is_a_ring():
+    ring = ConsistentHashRing(["a", "b"], virtual_nodes=MAX_VIRTUAL_NODES)
+    assert len(ring._points) == 2 * MAX_VIRTUAL_NODES
+    assert main(["cluster", "route", "cluster://h:1", "--virtual-nodes",
+                 str(MAX_VIRTUAL_NODES), "--keys", "10"]) == 0

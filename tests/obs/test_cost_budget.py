@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import sys
 
+from provider_calls import cache_counts
 from repro.api import EncryptedDatabase
 from repro.obs import Trace, new_trace_id, span, use_trace
 
@@ -53,5 +54,5 @@ def test_a_warm_cached_select_stays_inside_its_call_budget(secret_key, rng):
             db.select(HIT)
         finally:
             sys.setprofile(None)
-        assert db.cache.stats()["hits"] == 2
+        assert cache_counts(db)["hits_total"] == 2
         assert 0 < len(calls) <= WARM_SELECT_CALL_BUDGET, calls

@@ -682,7 +682,7 @@ def test_a_replaced_tuple_carries_no_memo():
 @settings(max_examples=40, deadline=None)
 def test_a_file_store_append_round_trips_the_memo(tmp_path_factory, relation, appended):
     """Append memo-less and memo-carrying tuples; the file is a per-tuple
-    frame, and every loaded memo is a fresh frame."""
+    frame, and every memo a fresh backend loads from it is a fresh frame."""
     storage = FileStorageBackend(tmp_path_factory.mktemp("store"))
     storage.save("Emp", relation)
     storage.append("Emp", appended)
@@ -693,6 +693,7 @@ def test_a_file_store_append_round_trips_the_memo(tmp_path_factory, relation, ap
     assert storage._path("Emp").read_bytes() == (
         per_tuple_relation_frame(everything)
     )
-    loaded = storage.load("Emp")
+    assert storage.load("Emp") == everything
+    loaded = FileStorageBackend(storage.directory).load("Emp")
     assert loaded == everything
     assert [t.framed for t in loaded] == [fresh_frame(t) for t in everything]

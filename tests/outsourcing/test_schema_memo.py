@@ -87,15 +87,14 @@ def test_declarations_that_differ_in_one_width_stay_apart():
 def test_replies_and_files_at_rest_share_the_one_memo(tmp_path):
     schema = RelationSchema.parse("Emp(name:string[14], salary:int[6])")
     relation = EncryptedRelation(schema=schema, encrypted_tuples=())
-    storage = FileStorageBackend(tmp_path)
-    storage.save("Emp", relation)
-    from_file = storage.load("Emp").schema
+    FileStorageBackend(tmp_path).save("Emp", relation)
+    from_file = FileStorageBackend(tmp_path).load("Emp").schema
     reply = encode_evaluation_result(
         EvaluationResult(matching=relation, examined=0, token_evaluations=0)
     )
     from_reply = decode_evaluation_result(reply)[0].matching.schema
     assert from_reply is from_file
-    assert storage.load("Emp").schema is from_file
+    assert FileStorageBackend(tmp_path).load("Emp").schema is from_file
     info = memo.cache_info()
     assert (info.misses, info.hits) == (1, 2)
 

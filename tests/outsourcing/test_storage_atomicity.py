@@ -256,3 +256,99 @@ class TestTheCountIsTheCommitPoint:
         with pytest.raises(StorageError, match="corrupt"):
             FileStorageBackend(backend.directory).load("Emp")
         assert path.read_bytes() == bytes(raw)
+
+
+def _ids(storage) -> list[bytes]:
+    return [t.tuple_id for t in storage.load("Emp")]
+
+
+def _reads_equal_the_file(backend) -> None:
+    """Every read of the live backend answers what a fresh one reads on disk."""
+    fresh = FileStorageBackend(backend.directory)
+    assert backend.load("Emp") == fresh.load("Emp")
+    assert backend.tuple_count("Emp") == fresh.tuple_count("Emp")
+    assert backend.schema("Emp") == fresh.schema("Emp")
+    ids = _ids(fresh)
+    assert backend.fetch("Emp", ids[::-1]) == fresh.fetch("Emp", ids[::-1])
+
+
+class TestReadsAnswerWhatTheFileHolds:
+    """The file store serves reads from memory, yet a read never answers
+    anything but the relation file's content."""
+
+    @pytest.mark.parametrize("write", ["save", "append", "remove", "delete"])
+    def test_a_second_backends_write_shows_on_the_next_read(
+        self, backend, swp_dph, employee_relation, write
+    ):
+        before = _ids(backend)  # the live backend holds the relation now
+        other = FileStorageBackend(backend.directory)
+        if write == "save":
+            other.save("Emp", swp_dph.encrypt_relation(employee_relation))
+        elif write == "append":
+            other.append("Emp", swp_dph.encrypt_tuples(employee_relation.tuples[:2]))
+        elif write == "remove":
+            assert other.remove("Emp", before[:2])[0] == tuple(before[:2])
+        else:
+            other.delete("Emp")
+            assert "Emp" not in backend
+            with pytest.raises(StorageError, match="no relation"):
+                backend.load("Emp")
+            with pytest.raises(StorageError, match="no relation"):
+                backend.append("Emp", swp_dph.encrypt_tuples(employee_relation.tuples[:1]))
+            return
+        assert _ids(backend) == _ids(other) != before
+        _reads_equal_the_file(backend)
+
+    def test_a_file_corrupted_under_a_live_backend_fails_its_next_read(self, backend):
+        backend.load("Emp")
+        path = backend._path("Emp")
+        path.write_bytes(path.read_bytes()[:-1])
+        for read in (backend.load, backend.tuple_count, backend.schema):
+            with pytest.raises(StorageError, match="corrupt"):
+                read("Emp")
+
+    @pytest.mark.parametrize("landed", [False, True], ids=["nothing-landed", "all-landed"])
+    @pytest.mark.parametrize("fail_on", [1, 2, "every"], ids=["items", "count", "every-write"])
+    def test_a_failed_append_leaves_reads_equal_to_the_file(
+        self, backend, swp_dph, employee_relation, monkeypatch, fail_on, landed
+    ):
+        """``every`` fails the rollback's write too, leaving an uncommitted tail."""
+        from repro.outsourcing import storage
+
+        write, calls = storage._write_all, []
+
+        def failing_write(handle, data):
+            calls.append(data)
+            if fail_on == "every" or len(calls) == fail_on:
+                if landed:
+                    write(handle, data)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            write(handle, data)
+
+        before = _ids(backend)
+        monkeypatch.setattr(storage, "_write_all", failing_write)
+        extra = swp_dph.encrypt_tuples(employee_relation.tuples[:2])
+        with pytest.raises(StorageError, match="cannot append"):
+            backend.append("Emp", extra)
+        monkeypatch.undo()
+        assert _ids(backend) == before
+        _reads_equal_the_file(backend)
+        backend.append("Emp", extra)
+        assert _ids(backend) == before + [t.tuple_id for t in extra]
+        _reads_equal_the_file(backend)
+
+    def test_a_failed_remove_leaves_reads_equal_to_the_file(self, backend, monkeypatch):
+        before = _ids(backend)
+
+        def exploding_replace(src, dst):
+            raise OSError("crashed before rename")
+
+        monkeypatch.setattr(os, "replace", exploding_replace)
+        with pytest.raises(StorageError, match="cannot save"):
+            backend.remove("Emp", before[:2])
+        monkeypatch.undo()
+        assert _ids(backend) == before
+        _reads_equal_the_file(backend)
+        assert backend.remove("Emp", before[:2]) == (tuple(before[:2]), 2)
+        assert _ids(backend) == before[2:]
+        _reads_equal_the_file(backend)

@@ -8,10 +8,12 @@ runs random ``save`` / ``append`` / ``remove`` / ``load`` / ``tuple_count``
 / ``fetch`` / ``delete`` sequences over a pool of three tuple ids, so
 duplicate copies of one id are the common case, against both.  Deletes go
 through the provider too, whose ``TUPLES_DELETED`` audit event must count
-every copy removed.  The file-backed store runs the same machine on the
-base class's default ``remove`` / ``fetch``.  Two broken stores -- one that
-drops duplicate copies, one that reports deleted ids in request order --
-must fail it.
+every copy removed.  The file-backed store runs the same machine, every
+read on the in-memory store's code, and a fresh backend on its directory
+must equal the model after every step; a ``reopen`` rule also checks the
+live backend after a fresh one and restarts the provider on the fresh one.
+Two broken stores -- one that drops duplicate copies, one that reports
+deleted ids in request order -- must fail it.
 """
 
 from __future__ import annotations
@@ -183,22 +185,47 @@ class StoreMachine(RuleBasedStateMachine):
 
     @invariant()
     def loads_and_counts_agree(self):
-        assert sorted(self.store.names()) == sorted(self.model.relations)
+        self._agrees(self.store)
+
+    def _agrees(self, store):
+        assert sorted(store.names()) == sorted(self.model.relations)
         for name in NAMES:
-            if self._absent(name):
+            if name not in self.model.relations:
+                assert name not in store
                 with pytest.raises(StorageError):
-                    self.store.load(name)
+                    store.load(name)
                 continue
             expected = tuple(self.model.relations[name])
-            loaded = self.store.load(name)
+            loaded = store.load(name)
             assert loaded.schema == SCHEMA
             assert loaded.encrypted_tuples == expected
-            assert self.store.tuple_count(name) == len(expected)
+            assert store.tuple_count(name) == len(expected)
+
+
+class FileStoreMachine(StoreMachine):
+    """The file store, whose directory must equal the model after every step."""
+
+    backend = "file"
+
+    @rule()
+    def reopen(self):
+        """A fresh backend on the directory equals the model, and so does the
+        live one after it; the provider then restarts on the fresh one."""
+        fresh = FileStorageBackend(self.directory)
+        self._agrees(fresh)
+        self._agrees(self.store)
+        self.store = fresh
+        self.server = OutsourcedDatabaseServer(storage=fresh)
+
+    @invariant()
+    def the_directory_agrees(self):
+        self._agrees(FileStorageBackend(self.directory))
 
 
 def _machine(backend):
     label = backend if isinstance(backend, str) else backend.__name__
-    return type(f"StoreMachine[{label}]", (StoreMachine,), {"backend": backend})
+    base = FileStoreMachine if backend == "file" else StoreMachine
+    return type(f"StoreMachine[{label}]", (base,), {"backend": backend})
 
 
 def _settings(phases=(Phase.generate, Phase.shrink), max_examples=100) -> settings:

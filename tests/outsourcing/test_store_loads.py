@@ -3,7 +3,9 @@
 The store keys each relation by tuple id, so a lookup fetches its ids, an
 insert appends and a delete removes by id; only a scan's ``load`` builds
 the whole relation, and only the first load after a write rebuilds it.  A
-deploy of a stored relation reads its schema alone, from either store.
+deploy of a stored relation reads its schema alone, from either store.  The
+file store serves the same reads from memory: it decodes a relation file on
+first use and again only after the file changed on disk.
 """
 
 from __future__ import annotations
@@ -39,13 +41,13 @@ class LoadCountingStorage(InMemoryStorageBackend):
 
 
 class LoadCountingFiles(FileStorageBackend):
-    """The file store, counting full-relation loads."""
+    """The file store, counting its full-relation loads: file decodes."""
 
     loads = 0
 
-    def _read(self, name):
+    def _decode(self, name, path):
         self.loads += 1
-        return super()._read(name)
+        return super()._decode(name, path)
 
 
 @pytest.mark.parametrize("store", ["memory", "file"])
@@ -104,3 +106,42 @@ def test_lookups_and_writes_never_load_the_relation():
     assert storage.loads == 0
     assert len(database.stored_relation("Emp")) == 6  # a scan's view is current
     assert storage.loads == 1
+
+
+def test_a_file_backed_provider_decodes_a_file_once_per_change(tmp_path):
+    """After the first read, indexed selects, scans and counts decode nothing,
+    and neither do the provider's own writes; a write by another backend on
+    the directory is decoded once, on the next read."""
+    scheme = PlaintextDph(
+        SCHEMA, SecretKey.generate(rng=DeterministicRng(7)), rng=DeterministicRng(8)
+    )
+    rows = [(f"emp{i}", "HR" if i % 2 else "IT", 1000 + i) for i in range(8)]
+    encrypted = scheme.encrypt_relation(Relation.from_rows(SCHEMA, rows))
+    ids = [t.tuple_id for t in encrypted.encrypted_tuples]
+    spare = scheme.encrypt_tuple(RelationTuple.from_values(SCHEMA, ("spare0", "HR", 1)))
+    store_relation(
+        OutsourcedDatabaseServer(storage=FileStorageBackend(tmp_path)),
+        "Emp", encrypted, scheme.server_evaluator(),
+    )
+    storage = LoadCountingFiles(tmp_path)
+    database = OutsourcedDatabaseServer(storage=storage)
+    deploy(database, "Emp", SCHEMA, scheme.server_evaluator())
+    database.put_index("Emp", tuple((L1, i) for i in ids[1::2]))
+    hr = scheme.encrypt_query(Selection.equals("dept", "HR"))
+    lookup = IndexLookupRequest(labels=(L1,), fallback_query=hr)
+    assert storage.loads == 1
+
+    for _ in range(20):
+        assert len(database.index_lookup("Emp", lookup).matching) == 4
+        assert len(database.execute_query("Emp", hr).matching) == 4
+        assert database.tuple_count("Emp") == 8
+    database.insert_tuples("Emp", [spare], IndexDelta(additions=((L1, spare.tuple_id),)))
+    assert database.delete_tuples("Emp", [ids[1]], IndexDelta()) == (ids[1],)
+    assert len(database.index_lookup("Emp", lookup).matching) == 4
+    assert database.tuple_count("Emp") == 8
+    assert storage.loads == 1
+
+    FileStorageBackend(tmp_path).remove("Emp", ids[2:4])
+    assert database.tuple_count("Emp") == 6
+    assert len(database.execute_query("Emp", hr).matching) == 3
+    assert storage.loads == 2

@@ -4,7 +4,7 @@ A provider, a ``tcp://`` proxy and a shard router all answer one surface,
 ``handle_message``; a test that pokes one directly sends the operation's
 envelope through :func:`repro.outsourcing.request`, which returns the
 answer decoded as ``protocol.ANSWERS`` declares it.  A refusal raises
-``error`` (``ServerError`` unless the caller says otherwise).  The two
+``error`` (``ServerError`` unless the caller says otherwise).  The three
 counter readers take what an operator reads: a registry snapshot.  Lives
 next to ``tests/conftest.py``, which puts this directory on ``sys.path``.
 """
@@ -25,6 +25,12 @@ def server_counts(tcp_server) -> dict:
 def routing_counts(router) -> dict:
     """A ``ShardRouter``'s ``cluster_<name>_total`` counters, from its registry."""
     return snapshot_scalars(router.metrics.snapshot(), "cluster_")
+
+
+def cache_counts(session) -> dict:
+    """A session's ``cache_<name>`` counters and gauges (``hits_total``,
+    ``entries``, ...), as its metrics snapshot holds them."""
+    return snapshot_scalars(session.metrics_snapshot(), "cache_", tier="client")
 
 
 def _send(provider, kind, name, body=b"", error=ServerError):

@@ -268,7 +268,11 @@ def smoke_metrics_plane() -> None:
 
 def smoke_cache_tier() -> None:
     from repro.crypto.rng import DeterministicRng
+    from repro.obs import snapshot_scalars
     from repro.workloads.distributions import ZipfDistribution
+
+    def cache_counts(db) -> dict:
+        return snapshot_scalars(db.metrics_snapshot(), "cache_", tier="client")
 
     with providers(3) as (_, hosts):
         with connect("cluster://" + ",".join(hosts) + "?cache=1") as db:
@@ -277,8 +281,8 @@ def smoke_cache_tier() -> None:
             for index in distribution.sample_many(DeterministicRng(6), 40):
                 check(len(rows_where(db, f"name = 'row{index}'")) == 1,
                       f"point select for row{index} is wrong")
-            stats = db.cache.stats()
-            check(stats["hits"] > 0 and stats["hit_ratio"] > 0.0,
+            stats = cache_counts(db)
+            check(stats["hits_total"] > 0 and stats["hit_ratio"] > 0.0,
                   f"the zipfian burst never hit the cache: {stats}")
             print(f"zipfian burst hit ratio {stats['hit_ratio']:.2f}")
             check(db.delete("SELECT * FROM Smoke WHERE value = 2") == NUM_ROWS // 3,
@@ -287,8 +291,8 @@ def smoke_cache_tier() -> None:
             for index in range(NUM_ROWS):
                 check(len(rows_where(db, f"name = 'row{index}'")) == int(index % 3 != 2),
                       f"stale cached answer for row{index}")
-            after = db.cache.stats()["invalidations"]
-            check(after > stats["invalidations"], "the delete did not bump invalidations")
+            after = cache_counts(db)["invalidations_total"]
+            check(after > stats["invalidations_total"], "the delete did not bump invalidations")
     print(f"delete invalidated the cache ({after}), zero stale re-reads")
 
 

@@ -10,9 +10,11 @@ provider's recent traces with ``repro trace --limit 1`` and ``--limit 0``,
 then shuts the provider down with SIGTERM and checks it exits cleanly.
 Then the data directory has to survive restarts: a provider restarted on it
 serves both tables to a session that attaches them (``Smoke``, and the
-indexed ``Writes``), takes one more row in each, and is killed with SIGKILL
-once they are acknowledged; a provider restarted after that counts every
-acknowledged row and answers an indexed select right.  Every wait is
+indexed ``Writes``), takes one more row and one indexed delete in each --
+the delete rewrites the relation file -- and is killed with SIGKILL once
+they are acknowledged; a provider restarted after that counts every
+acknowledged row, none of the deleted ones, and answers an indexed select
+right.  Every wait is
 bounded so a hung provider fails the CI step instead of wedging it (the
 workflow additionally wraps the whole script in ``timeout``).
 
@@ -81,17 +83,19 @@ def stop(proc: subprocess.Popen) -> None:
 
 
 #: What every restarted provider must serve once ``("d", 1)`` went into
-#: each table: table -> (count, names of the rows with ``value = 1``).
+#: each table and ``c`` was deleted from it: table -> (count, names of the
+#: rows with ``value = 1``).
 ACKNOWLEDGED = {
-    "Smoke": (4, ["a", "c", "d"]),
-    "Writes": (3, ["b", "c", "d"]),  # after indexed_writes
+    "Smoke": (3, ["a", "d"]),
+    "Writes": (2, ["b", "d"]),  # after indexed_writes
 }
 
 
-def attached_rows(url: str, key, insert: bool) -> str | None:
+def attached_rows(url: str, key, write: bool) -> str | None:
     """Attach both tables on an indexed session (inserting ``("d", 1)`` into
-    each when ``insert``), then check each table's ``count`` and indexed
-    select against :data:`ACKNOWLEDGED`; the first mismatch, or None."""
+    each and deleting ``c`` from it when ``write``), then check each table's
+    ``count`` and indexed select against :data:`ACKNOWLEDGED`; the first
+    mismatch, or None."""
     from repro.api import EncryptedDatabase
 
     with EncryptedDatabase.connect(
@@ -100,8 +104,10 @@ def attached_rows(url: str, key, insert: bool) -> str | None:
         for declaration in (SMOKE, WRITES):
             db.attach_table(declaration)
         for table, expected in ACKNOWLEDGED.items():
-            if insert:
+            if write:
                 db.insert_many(table, [("d", 1)])
+                if db.delete(f"SELECT * FROM {table} WHERE name = 'c'") != 1:
+                    return f"{table}: the indexed delete of c did not delete one row"
             outcome = db.select(f"SELECT * FROM {table} WHERE value = 1")
             got = (db.count(table), sorted(row["name"] for row in outcome.relation))
             if got != expected:
@@ -190,13 +196,13 @@ def first_run(proc: subprocess.Popen, url: str, key) -> str | None:
 
 
 def restarts(data_dir: str, key) -> int:
-    """Restart on the data directory, write and SIGKILL, restart again."""
-    for insert, step in ((True, "after SIGTERM"), (False, "after SIGKILL")):
+    """Restart on the data directory, insert, delete and SIGKILL, restart again."""
+    for write, step in ((True, "after SIGTERM"), (False, "after SIGKILL")):
         proc, url = start_provider(data_dir)
         try:
             if url is None:
                 return 1
-            failure = attached_rows(url, key, insert)
+            failure = attached_rows(url, key, write)
             if failure is not None:
                 print(f"FAIL: restarted {step}: {failure}")
                 return 1
