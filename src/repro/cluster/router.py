@@ -82,7 +82,7 @@ from repro.cluster.executor import (
 )
 from repro.cluster.manifest import ClusterManifest
 from repro.cluster.ring import ConsistentHashRing, DEFAULT_VIRTUAL_NODES, MAX_VIRTUAL_NODES
-from repro.obs import MetricsRegistry, current_trace, merge_snapshots
+from repro.obs import AMBIENT_TRACE, MetricsRegistry, merge_snapshots
 from repro.outsourcing import protocol
 from repro.outsourcing.client import checked_answer, request as envelope_request
 from repro.outsourcing.protocol import MessageKind, MessageV2, ProtocolError
@@ -759,7 +759,7 @@ class ShardRouter:
         """
         if read:
             self._counters["scatter_reads"].inc()
-        trace = current_trace()
+        trace = AMBIENT_TRACE.get()
         bound = [(shard_id, self.shard(shard_id), work) for shard_id, work in calls]
         scatter_started_wall = time.time()
         scatter_started = time.monotonic()

@@ -54,7 +54,7 @@ from repro.net.framing import (
     FramingError,
 )
 from repro.net import wire
-from repro.obs import current_trace
+from repro.obs import AMBIENT_TRACE
 from repro.outsourcing import protocol
 from repro.outsourcing.server import ServerError
 
@@ -550,7 +550,7 @@ class RemoteServerProxy:
         ``proxy.request`` span then.
         """
         _, kind, _ = protocol.peek_envelope(raw)  # O(header): no body copy
-        trace = current_trace()
+        trace = AMBIENT_TRACE.get()
         if trace is not None:
             raw = protocol.attach_trace(raw, trace.trace_id)
         return PendingReply(

@@ -25,15 +25,14 @@ from repro.obs.metrics import (
     snapshot_scalars,
 )
 from repro.obs.trace import (
+    AMBIENT_TRACE,
     TRACE_ID_SIZE,
     SlowQueryLog,
     Span,
     Trace,
     TraceBuffer,
-    current_trace,
     new_trace_id,
     span,
-    use_trace,
 )
 from repro.obs.logging import log_json
 
@@ -44,14 +43,13 @@ __all__ = [
     "merge_snapshots",
     "render_prometheus",
     "snapshot_scalars",
+    "AMBIENT_TRACE",
     "TRACE_ID_SIZE",
     "SlowQueryLog",
     "Span",
     "Trace",
     "TraceBuffer",
-    "current_trace",
     "new_trace_id",
     "span",
-    "use_trace",
     "log_json",
 ]

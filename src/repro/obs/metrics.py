@@ -219,6 +219,10 @@ class MetricsRegistry:
 
     def histogram(self, name: str, **labels) -> LatencyHistogram:
         """Get or create a latency histogram."""
+        # Observed on every request: a spelling seen before is one probe here.
+        instrument = self._resolved.get((name, *labels.items()))
+        if type(instrument) is LatencyHistogram:
+            return instrument
         return self._instrument(LatencyHistogram, name, labels)
 
     def snapshot(self) -> dict:

@@ -7,14 +7,15 @@ provider the operation touches (see
 record **spans** -- named, annotated time intervals -- against the same id
 without any of them holding a reference to the others.
 
-Within one process the current trace is **ambient**: the session facade
-sets it around each operation (:func:`use_trace`), and every instrumented
-layer below -- proxies, router, provider, access methods -- records spans
-with :func:`span` without threading a trace object through its arguments.
-The ambient store is a :class:`contextvars.ContextVar`, so concurrent
-threads never see each other's traces.  Every request runs on the thread
-that sent it or, on a provider, on the thread that read it: no layer hands
-a request to another thread.
+Within one process the current trace is **ambient**
+(:data:`AMBIENT_TRACE`): a session operation's root span binds it for the
+operation, and every layer below -- proxies, router, provider -- files its
+spans there (:func:`span`, or the provider's one span per request) without
+threading a trace object through its arguments.  The ambient store is a
+:class:`contextvars.ContextVar`, so concurrent threads never see each
+other's traces.  Every request runs on the thread that sent it or, on a
+provider, on the thread that read it: no layer hands a request to another
+thread.
 
 Completed traces land in a bounded :class:`TraceBuffer` (merged by id, so
 the several envelopes of one operation build one trace) and, above a
@@ -50,14 +51,8 @@ class Span:
 
     __slots__ = ("name", "start_s", "duration_s", "annotations", "_trace", "_started")
 
-    def __init__(
-        self,
-        name: str,
-        start_s: float = 0.0,
-        duration_s: float = 0.0,
-        annotations: dict | None = None,
-        trace: "Trace | None" = None,
-    ) -> None:
+    def __init__(self, name: str, start_s: float = 0.0, duration_s: float = 0.0,
+                 annotations: dict | None = None, trace: "Trace | None" = None) -> None:
         self.name = name
         #: Wall-clock start (``time.time()``), for cross-process alignment.
         self.start_s = start_s
@@ -91,38 +86,31 @@ class Span:
 
 
 class Trace:
-    """All spans recorded under one trace id (thread-safe)."""
+    """All spans recorded under one trace id.
+
+    Every span is filed through :meth:`add_span`, one ``list.append``,
+    atomic under the interpreter lock, so any thread may file spans on a
+    trace and none takes a lock.  The trace's extent is computed when it is
+    read.
+    """
+
+    __slots__ = ("trace_id", "_spans")
 
     def __init__(self, trace_id: bytes) -> None:
         if len(trace_id) != TRACE_ID_SIZE:
-            raise ValueError(
-                f"trace ids are {TRACE_ID_SIZE} bytes, got {len(trace_id)}"
-            )
+            raise ValueError(f"trace ids are {TRACE_ID_SIZE} bytes, got {len(trace_id)}")
         self.trace_id = trace_id
-        self._lock = threading.Lock()
         self._spans: list[Span] = []
-        # Wall-clock extent, kept as spans arrive so duration_s() is O(1).
-        self._start_s = float("inf")
-        self._end_s = 0.0
 
     @property
     def spans(self) -> list[Span]:
-        with self._lock:
-            return list(self._spans)
+        return self._spans.copy()
 
     def add_span(self, span: Span) -> None:
-        start = span.start_s
-        end = start + span.duration_s
-        with self._lock:
-            self._spans.append(span)
-            if start < self._start_s:
-                self._start_s = start
-            if end > self._end_s:
-                self._end_s = end
+        """File one finished span on this trace."""
+        self._spans.append(span)
 
-    def record(
-        self, name: str, start_s: float, duration_s: float, **annotations
-    ) -> Span:
+    def record(self, name: str, start_s: float, duration_s: float, **annotations) -> Span:
         """Append an already-timed span (e.g. from a shard outcome)."""
         span = Span(name, start_s, max(duration_s, 0.0), annotations)
         self.add_span(span)
@@ -134,10 +122,10 @@ class Trace:
 
     def duration_s(self) -> float:
         """Wall-clock extent of the trace (latest span end - earliest start)."""
-        with self._lock:
-            if not self._spans:
-                return 0.0
-            return max(self._end_s - self._start_s, 0.0)
+        spans = self._spans.copy()
+        start = min((s.start_s for s in spans), default=0.0)
+        end = max((s.start_s + s.duration_s for s in spans), default=start)
+        return max(end - start, 0.0)
 
     def as_dict(self) -> dict:
         spans = sorted(self.spans, key=lambda s: s.start_s)
@@ -152,34 +140,11 @@ class Trace:
 # Ambient current trace
 # --------------------------------------------------------------------------- #
 
-_current_trace: contextvars.ContextVar[Trace | None] = contextvars.ContextVar(
+#: The trace of the operation in progress (``AMBIENT_TRACE.get()``), or None
+#: when untraced.  A session operation's root span binds it.
+AMBIENT_TRACE: contextvars.ContextVar[Trace | None] = contextvars.ContextVar(
     "repro_obs_current_trace", default=None
 )
-
-
-def current_trace() -> Trace | None:
-    """The trace of the operation in progress, or None when untraced."""
-    return _current_trace.get()
-
-
-class use_trace:
-    """Bind ``trace`` as the ambient trace for the ``with`` block.
-
-    Passing None is allowed and a no-op bind, so thread-hop call sites can
-    unconditionally re-bind whatever they captured.
-    """
-
-    __slots__ = ("_trace", "_token")
-
-    def __init__(self, trace: Trace | None) -> None:
-        self._trace = trace
-
-    def __enter__(self) -> Trace | None:
-        self._token = _current_trace.set(self._trace)
-        return self._trace
-
-    def __exit__(self, exc_type, exc, traceback) -> None:
-        _current_trace.reset(self._token)
 
 
 def span(name: str, **annotations) -> Span:
@@ -188,7 +153,7 @@ def span(name: str, **annotations) -> Span:
     Always a :class:`Span`, so call sites can set annotations without None
     checks; the span is simply discarded when no trace is bound.
     """
-    return Span(name, 0.0, 0.0, annotations, _current_trace.get())
+    return Span(name, 0.0, 0.0, annotations, AMBIENT_TRACE.get())
 
 
 # --------------------------------------------------------------------------- #

@@ -28,6 +28,7 @@ class AuditEventKind(Enum):
     INDEX_STORED = "index-stored"
     POSTINGS_APPLIED = "index-delta-applied"
     INDEX_LOOKUP_SERVED = "index-lookup-served"
+    __hash__ = object.__hash__  # as MessageKind's
 
 
 class AuditEvent:

@@ -564,6 +564,7 @@ class MessageKind(Enum):
     DROP_RELATION = "delete-relation"
     RELATION_NAMES = "list-relations"
     RELATIONS = "relations"
+    __hash__ = object.__hash__  # singletons: hash by identity, in C, not Enum's Python call
 
 
 #: The one kind each request kind is answered with (a refusal is ``ERROR``).

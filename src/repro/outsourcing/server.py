@@ -19,10 +19,10 @@ deploy (``REGISTER_EVALUATOR``) creates its relation empty, and every row,
 a new table's first ones included, comes in an ``INSERT_TUPLES``.  The typed
 methods (:meth:`~OutsourcedDatabaseServer.deploy`,
 :meth:`~OutsourcedDatabaseServer.insert_tuples`, ...) are the steps
-``_dispatch`` calls for those envelopes; test doubles override them to
-inject faults.  A step's answer is a value (a count, a result, ids, names)
-that ``handle_message`` frames as :data:`~repro.outsourcing.protocol.ANSWERS`
-and ``ANSWER_CODECS`` say, so no branch names an answer kind or codec.
+``_dispatch`` calls for those envelopes, through one table of request kinds;
+test doubles override them to inject faults.  A step's answer is a value (a
+count, a result, ids, names) that ``handle_message`` frames as
+:data:`~repro.outsourcing.protocol.ANSWERS` and ``ANSWER_CODECS`` say.
 
 **One writer per relation.**  The storage backends are not thread-safe per
 relation, so ``handle_message`` runs each envelope under its relation's
@@ -30,14 +30,16 @@ lock, on every transport: an in-process session, the ``tcp://`` front end
 and in-process shards behind a router that several threads share all call
 it.  Requests for *different* relations run at once, so a slow scan of one
 relation blocks no other.  The time spent waiting for the lock is the
-``server_dispatch_queue_seconds`` histogram and the ``server.dispatch``
-span's ``queue_wait_s``.  A relation's lock lives only while a request
-holds it or waits for it, so relation names a peer makes up leave nothing
-behind.
+``server_dispatch_queue_seconds`` histogram and the ``queue_wait_s`` of the
+request's one span, ``provider.<kind>``.  A relation's lock lives only while
+a request holds it or waits for it, and a histogram's ``relation`` label is
+:meth:`~OutsourcedDatabaseServer.metric_relation`, so relation names a peer
+makes up leave nothing behind.
 """
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import time
 from typing import Sequence
@@ -53,13 +55,14 @@ from repro.core.dph import (
     TupleFilter,
     evaluate_conjunction,
 )
+from repro.index import access as index_access, wire as index_wire
 from repro.obs import (
+    AMBIENT_TRACE,
     MetricsRegistry,
     SlowQueryLog,
+    Span,
     Trace,
     TraceBuffer,
-    span as obs_span,
-    use_trace,
 )
 from repro.outsourcing import protocol
 from repro.outsourcing.audit import AuditEventKind, ServerAuditLog
@@ -76,14 +79,11 @@ from repro.relational.schema import RelationSchema
 #: The ``relation`` metric label of every name the provider does not know.
 UNKNOWN_RELATION = "(unknown)"
 
-#: The request kinds whose envelope carries no body.
-_BODYLESS = frozenset({
-    MessageKind.LIST_TUPLE_IDS,
-    MessageKind.FETCH_RELATION,
-    MessageKind.TUPLE_COUNT,
-    MessageKind.DROP_RELATION,
-    MessageKind.RELATION_NAMES,
-})
+#: The one span of the request this context is serving (see handle_message),
+#: which the step annotates; None outside a request.
+_REQUEST_SPAN: contextvars.ContextVar[Span | None] = contextvars.ContextVar(
+    "repro_provider_request_span", default=None
+)
 
 
 class ServerError(Exception):
@@ -327,13 +327,9 @@ class OutsourcedDatabaseServer:
     def put_index(self, name: str, postings) -> int:
         """Install (or replace) a stored relation's index from all of its
         ``(label, tuple_id)`` postings; answers the number of labels."""
-        # Imported here: repro.index speaks this package's protocol, so a
-        # top-level import would be circular.
-        from repro.index.access import RelationIndex
-
         stored = self._load(name)  # raise ServerError when the relation is absent
         own = {t.tuple_id: t.tuple_id for t in stored.encrypted_tuples}
-        index = self._indexes[name] = RelationIndex(postings, own)
+        index = self._indexes[name] = index_access.RelationIndex(postings, own)
         self._puts.inc()
         self._audit.record(
             AuditEventKind.INDEX_STORED,
@@ -363,35 +359,34 @@ class OutsourcedDatabaseServer:
         """Answer an exact select from the relation's index, or else by scan.
 
         With an index, the posted ids of the request's labels are
-        intersected and fetched from the store in store order
-        (``access.index``, O(result)); without one, the embedded fallback
-        query runs as a ``QUERY`` would (``access.scan``, O(data)).
+        intersected and fetched from the store in store order (access
+        ``index``, O(result)); without one, the embedded fallback query runs
+        as a ``QUERY`` would (access ``scan``, O(data)).  Either annotates
+        the request's span.
         """
-        if name not in self._storage:  # never a load: it is O(n) after a write
-            raise ServerError(f"no relation named {name!r} is stored")
         index = self._indexes.get(name)
         method = "scan" if index is None else "index"
-        if index is None:
-            self._scan_fallback_counter.inc()
         started = time.monotonic()
-        with obs_span(
-            f"access.{method}", relation=name, fallback_taken=index is None
-        ) as access_span:
-            if index is None:
-                result = self.execute_query(name, request.fallback_query)
-            else:
-                fetched = self._storage.fetch(name, index.candidates(request.labels))
-                self._lookups.inc()
-                result = EvaluationResult(
-                    matching=fetched,
-                    examined=len(fetched),  # the O(result) headline stat
-                    token_evaluations=0,
-                )
-            access_span.annotations["examined"] = result.examined
-            access_span.annotations["result_size"] = len(result.matching)
+        if index is None:
+            result = self.execute_query(name, request.fallback_query)
+            self._scan_fallback_counter.inc()
+        else:  # the fetch raises when the relation is absent
+            fetched = self._storage.fetch(name, index.candidates(request.labels))
+            self._lookups.inc()
+            result = EvaluationResult(
+                matching=fetched,
+                examined=len(fetched),  # the O(result) headline stat
+                token_evaluations=0,
+            )
         self._metrics.histogram(
             "index_lookup_seconds", access_method=method, relation=name
         ).observe(time.monotonic() - started)
+        span = _REQUEST_SPAN.get()  # None for a step called directly
+        if span is not None:
+            span.annotations.update(
+                access=method, fallback_taken=index is None,
+                examined=result.examined, result_size=len(result.matching),
+            )
         self._audit.record(
             AuditEventKind.INDEX_LOOKUP_SERVED,
             name,
@@ -417,30 +412,47 @@ class OutsourcedDatabaseServer:
         The frame is parsed once; a frame that does not parse raises
         :class:`ProtocolError` before any lock is taken.  The request then
         runs under its relation's lock, and the wait for it is the request's
-        queue wait.  When the envelope carries a v3 trace id the request
-        runs under that trace, inside the ``server.dispatch`` span, and the
-        trace is filed in :attr:`trace_buffer` and :attr:`slow_queries`.
+        queue wait.  It files one span, ``provider.<kind>``: on the
+        envelope's v3 trace when it carries one (that trace then goes to
+        :attr:`trace_buffer`, and to :attr:`slow_queries` when the span ran
+        past its threshold), else on the ambient trace.  The span is bound
+        to this context while the request runs, so the step annotates it.
         """
         request = protocol.parse_message(raw)
-        name = request.relation_name
+        name, kind, trace_id = request.relation_name, request.kind, request.trace_id
         arrived = time.monotonic()
         entry = self._acquire(name)
         try:
-            queue_wait = time.monotonic() - arrived
+            started_s, started = time.time(), time.monotonic()
             self._metrics.histogram(
                 "server_dispatch_queue_seconds", relation=self.metric_relation(name)
-            ).observe(queue_wait)
-            if request.trace_id is None:
-                return self._serve(request)
-            trace = Trace(request.trace_id)
+            ).observe(started - arrived)
+            step = _STEPS.get(kind)
+            span = Span(
+                f"provider.{kind.value}" if step is None else step.span_name, started_s,
+                annotations={"relation": name, "queue_wait_s": round(started - arrived, 6)},
+            )
+            trace = AMBIENT_TRACE.get() if trace_id is None else Trace(trace_id)
+            token = _REQUEST_SPAN.set(span)
             try:
-                with use_trace(trace), trace.span(
-                    "server.dispatch", relation=name, queue_wait_s=round(queue_wait, 6)
-                ):
-                    return self._serve(request)
+                answer = self._serve(request)
             finally:
-                self._traces.record(trace)
-                self._slow_queries.observe(trace)
+                _REQUEST_SPAN.reset(token)
+                span.duration_s = time.monotonic() - started
+                if trace is not None:
+                    trace.add_span(span)
+                if trace_id is not None:
+                    self._traces.record(trace)
+                    if span.duration_s >= self._slow_queries.threshold_s:
+                        self._slow_queries.observe(trace)
+            # Labelled after the step, which may have created or dropped it.
+            self._metrics.histogram(
+                "provider_op_seconds",
+                op_kind=kind.value,
+                relation=self.metric_relation(name),
+                outcome="error" if "error" in span.annotations else "ok",
+            ).observe(span.duration_s)
+            return answer
         finally:
             self._release(name, entry)
 
@@ -477,80 +489,30 @@ class OutsourcedDatabaseServer:
         encoded by that kind's codec.  Failures inside a well-framed
         request -- an unknown request kind included -- come back as
         ``ERROR`` messages rather than exceptions, mirroring what a remote
-        provider would do.  Test doubles override it to hold a request
-        under its relation's lock.
+        provider would do, and as the span's ``error``.  Test doubles
+        override it to hold a request under its relation's lock.
         """
         kind = request.kind
-        started = time.monotonic()
-        outcome = "ok"
-        with obs_span(f"provider.{kind.value}", relation=request.relation_name) as op_span:
-            try:
-                answer_kind = protocol.ANSWERS.get(kind)
-                if answer_kind is None:
-                    raise ServerError(f"cannot serve message kind {kind.value!r}")
-                if kind in _BODYLESS and request.body:
-                    raise ProtocolError(f"a {kind.value} request carries no body")
-                body = protocol.ANSWER_CODECS[answer_kind][1](self._dispatch(request))
-            # Malformed trapdoors are a DphError, raised when the evaluator
-            # compiles the query; ValueError covers other scheme bytes
-            # rejected deep inside an evaluator.
-            except (
-                ServerError, StorageError, ProtocolError, DphError, ValueError
-            ) as exc:
-                outcome = "error"
-                op_span.annotations["error"] = str(exc)
-                answer_kind, body = MessageKind.ERROR, str(exc).encode("utf-8")
-        self._metrics.histogram(
-            "provider_op_seconds",
-            op_kind=kind.value,
-            relation=self.metric_relation(request.relation_name),
-            outcome=outcome,
-        ).observe(time.monotonic() - started)
+        step = _STEPS.get(kind)
+        try:
+            if step is None:
+                raise ServerError(f"cannot serve message kind {kind.value!r}")
+            if step.bodyless and request.body:
+                raise ProtocolError(f"a {kind.value} request carries no body")
+            answer_kind, body = step.answer, step.encode(self._dispatch(request))
+        # Malformed trapdoors are a DphError, raised when the evaluator
+        # compiles the query; ValueError covers other scheme bytes
+        # rejected deep inside an evaluator.
+        except (ServerError, StorageError, ProtocolError, DphError, ValueError) as exc:
+            span = _REQUEST_SPAN.get()  # None when called directly
+            if span is not None:
+                span.annotations["error"] = str(exc)
+            answer_kind, body = MessageKind.ERROR, str(exc).encode("utf-8")
         return MessageV2(answer_kind, request.relation_name, body).to_bytes()
 
     def _dispatch(self, request: MessageV2):
         """Run the step ``request`` asks for; its answer, still to be encoded."""
-        name = request.relation_name
-        kind = request.kind
-        body = request.body
-        if kind is MessageKind.INSERT_TUPLES:
-            from repro.index.wire import decode_index_delta
-
-            postings, tuples = protocol.decode_insert_tuples(body)
-            return self.insert_tuples(name, tuples, decode_index_delta(postings))
-        if kind is MessageKind.QUERY:
-            return self.execute_query(name, protocol.decode_encrypted_query(body))
-        if kind is MessageKind.DELETE_TUPLES:
-            from repro.index.wire import decode_index_delta
-
-            tuple_ids, postings = protocol.decode_delete_tuples(body)
-            return self.delete_tuples(name, tuple_ids, decode_index_delta(postings))
-        if kind is MessageKind.BATCH_QUERY:
-            return self.execute_batch(name, protocol.decode_query_batch(body))
-        if kind is MessageKind.LIST_TUPLE_IDS:
-            return self.list_tuple_ids(name)
-        if kind is MessageKind.INDEX_PUT:
-            from repro.index.wire import decode_index_snapshot
-
-            return self.put_index(name, decode_index_snapshot(body))
-        if kind is MessageKind.INDEX_LOOKUP:
-            from repro.index.wire import decode_index_lookup
-
-            return self.index_lookup(name, decode_index_lookup(body))
-        if kind is MessageKind.REGISTER_EVALUATOR:
-            schema, description = protocol.decode_deploy(body)
-            self.deploy(name, schema, build_evaluator(description))
-            return 1
-        if kind is MessageKind.FETCH_RELATION:
-            return EvaluationResult(matching=self.stored_relation(name))
-        if kind is MessageKind.TUPLE_COUNT:
-            return self.tuple_count(name)
-        if kind is MessageKind.DROP_RELATION:
-            self.drop_relation(name)
-            return 1
-        if kind is MessageKind.RELATION_NAMES:
-            return self.relation_names
-        raise ServerError(f"no step serves message kind {kind.value!r}")
+        return _STEPS[request.kind].run(self, request.relation_name, request.body)
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -600,3 +562,56 @@ class OutsourcedDatabaseServer:
             token_count=len(encrypted_query.tokens),
         )
         return result
+
+
+# --------------------------------------------------------------------------- #
+# The step table of _dispatch
+# --------------------------------------------------------------------------- #
+
+class _Step:
+    """How the provider serves one request kind: its step, ``run(server,
+    name, body) -> answer``, the span it files, and how its answer goes back."""
+
+    __slots__ = ("run", "span_name", "answer", "encode", "bodyless")
+
+    def __init__(self, kind: MessageKind, run, bodyless: bool = False) -> None:
+        self.run, self.span_name, self.bodyless = run, f"provider.{kind.value}", bodyless
+        self.answer = protocol.ANSWERS[kind]
+        self.encode = protocol.ANSWER_CODECS[self.answer][1]
+
+
+def _insert(server: OutsourcedDatabaseServer, name: str, body: bytes) -> int:
+    postings, tuples = protocol.decode_insert_tuples(body)
+    return server.insert_tuples(name, tuples, index_wire.decode_index_delta(postings))
+
+
+def _delete(server: OutsourcedDatabaseServer, name: str, body: bytes):
+    tuple_ids, postings = protocol.decode_delete_tuples(body)
+    return server.delete_tuples(name, tuple_ids, index_wire.decode_index_delta(postings))
+
+
+def _deploy(server: OutsourcedDatabaseServer, name: str, body: bytes) -> int:
+    schema, description = protocol.decode_deploy(body)
+    server.deploy(name, schema, build_evaluator(description))
+    return 1
+
+
+_STEPS = {kind: _Step(kind, *step) for kind, step in {
+    MessageKind.INSERT_TUPLES: (_insert,),
+    MessageKind.QUERY: (lambda server, name, body: server.execute_query(
+        name, protocol.decode_encrypted_query(body)),),
+    MessageKind.DELETE_TUPLES: (_delete,),
+    MessageKind.BATCH_QUERY: (lambda server, name, body: server.execute_batch(
+        name, protocol.decode_query_batch(body)),),
+    MessageKind.LIST_TUPLE_IDS: (lambda server, name, body: server.list_tuple_ids(name), True),
+    MessageKind.INDEX_PUT: (lambda server, name, body: server.put_index(
+        name, index_wire.decode_index_snapshot(body)),),
+    MessageKind.INDEX_LOOKUP: (lambda server, name, body: server.index_lookup(
+        name, index_wire.decode_index_lookup(body)),),
+    MessageKind.REGISTER_EVALUATOR: (_deploy,),
+    MessageKind.FETCH_RELATION: (lambda server, name, body: EvaluationResult(
+        matching=server.stored_relation(name)), True),
+    MessageKind.TUPLE_COUNT: (lambda server, name, body: server.tuple_count(name), True),
+    MessageKind.DROP_RELATION: (lambda server, name, body: server.drop_relation(name) or 1, True),
+    MessageKind.RELATION_NAMES: (lambda server, name, body: server.relation_names, True),
+}.items()}

@@ -184,8 +184,9 @@ class FileStorageBackend(InMemoryStorageBackend):
         self._directory.mkdir(parents=True, exist_ok=True)
         self.uncommitted_tails = 0  # killed appends' tails an append truncated
         # Relation -> the signature of the file its held copy was read from
-        # or written as, and where an uncommitted tail starts (None: none).
-        self._files: dict[str, tuple[tuple[int, int, int], int | None]] = {}
+        # or written as, where an uncommitted tail starts (None: none), and
+        # the file's path.
+        self._files: dict[str, tuple[tuple[int, int, int], int | None, pathlib.Path]] = {}
 
     @property
     def directory(self) -> pathlib.Path:
@@ -196,18 +197,18 @@ class FileStorageBackend(InMemoryStorageBackend):
         return self._directory / f"{name.encode('utf-8').hex()}{self.SUFFIX}"
 
     def _held(self, name: str) -> _HeldRelation:
-        path = self._path(name)
+        seen = self._files.get(name)
+        path = self._path(name) if seen is None else seen[2]
         try:
             signature = _signature(path)
         except OSError as exc:
             self._files.pop(name, None)
             self._relations.pop(name, None)
             raise StorageError(f"no relation named {name!r} is stored") from exc
-        seen = self._files.get(name)
         if seen is None or seen[0] != signature:
             relation, tail = self._decode(name, path)
             self._relations[name] = _HeldRelation(relation)
-            self._files[name] = signature, tail
+            self._files[name] = signature, tail, path
         return self._relations[name]
 
     def _decode(self, name: str, path: pathlib.Path) -> tuple[EncryptedRelation, int | None]:
@@ -258,7 +259,7 @@ class FileStorageBackend(InMemoryStorageBackend):
             if tmp_path is not None:
                 with contextlib.suppress(OSError):
                     os.unlink(tmp_path)
-        self._files[name] = signature, None
+        self._files[name] = signature, None, path
         super().save(name, encrypted_relation)
 
     def append(self, name: str, encrypted_tuples: Sequence[EncryptedTuple]) -> None:
@@ -272,8 +273,7 @@ class FileStorageBackend(InMemoryStorageBackend):
         fails the append and leaves the relation as it was.
         """
         self._held(name)  # the file is there and the held copy current
-        tail = self._files[name][1]
-        path = self._path(name)
+        _, tail, path = self._files[name]
         items = b"".join(map(frame_encrypted_tuple, encrypted_tuples))
         try:
             if tail is not None:  # cut the tail a killed append left behind
@@ -298,7 +298,7 @@ class FileStorageBackend(InMemoryStorageBackend):
                 signature = _signature(handle.fileno())
         except OSError as exc:  # the file changed (a new signature) or is as it was
             raise StorageError(f"cannot append to relation {name!r}: {exc}") from exc
-        self._files[name] = signature, None
+        self._files[name] = signature, None, path
         super().append(name, encrypted_tuples)
 
     def remove(self, name: str, tuple_ids: Iterable[bytes]) -> tuple[tuple[bytes, ...], int]:

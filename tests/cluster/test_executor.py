@@ -25,7 +25,7 @@ from repro.cluster.executor import (
 )
 from repro.net import ThreadedTcpServer
 from repro.net.client import RemoteServerProxy
-from repro.obs import Trace, current_trace, use_trace
+from repro.obs import AMBIENT_TRACE, Trace
 from repro.outsourcing.client import checked_answer
 from repro.outsourcing.protocol import MessageKind, MessageV2, parse_message
 from repro.outsourcing.server import ServerError
@@ -176,14 +176,18 @@ class TestScatter:
     def test_legs_run_under_the_callers_trace(self):
         class Tracing:
             def handle_message(self, raw):
-                return current_trace()
+                return AMBIENT_TRACE.get()
 
         trace = Trace(bytes(16))
-        with fleet(1) as (_, (proxy,)), use_trace(trace):
-            outcomes = scatter([
-                ("local", Tracing(), ShardRequest(b"", lambda answer: answer)),
-                ("remote", proxy, named("remote")),
-            ])
+        token = AMBIENT_TRACE.set(trace)
+        try:
+            with fleet(1) as (_, (proxy,)):
+                outcomes = scatter([
+                    ("local", Tracing(), ShardRequest(b"", lambda answer: answer)),
+                    ("remote", proxy, named("remote")),
+                ])
+        finally:
+            AMBIENT_TRACE.reset(token)
         assert outcomes[0].value is trace
         assert [s.name for s in trace.spans] == ["proxy.request"]
 

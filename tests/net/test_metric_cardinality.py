@@ -92,3 +92,53 @@ def test_a_stored_relation_is_known_without_an_evaluator(tmp_path):
     assert restarted.metric_relation("Nope") == UNKNOWN_RELATION
     assert restarted.metric_relation("x" * 4096) == UNKNOWN_RELATION
     assert OutsourcedDatabaseServer().metric_relation("Emp") == UNKNOWN_RELATION
+
+
+def test_a_deploy_is_filed_under_its_new_table_and_a_drop_under_unknown(secret_key, rng):
+    """``provider_op_seconds`` is labelled after the step: the deploy that
+    creates a table is that table's sample, and the drop that removes one is
+    no longer a known relation's."""
+    provider = OutsourcedDatabaseServer()
+    with EncryptedDatabase.open(secret_key, provider, rng=rng) as db:
+        db.create_table(EMP_DECL)
+        db.drop_table("Emp")
+    counts = {
+        (entry["labels"]["op_kind"], entry["labels"]["relation"]): entry["count"]
+        for entry in provider.metrics.snapshot()["histograms"]
+        if entry["name"] == "provider_op_seconds"
+    }
+    assert counts[("deploy-evaluator", "Emp")] == 1
+    assert ("deploy-evaluator", UNKNOWN_RELATION) not in counts
+    assert counts[("delete-relation", UNKNOWN_RELATION)] == 1
+    assert ("delete-relation", "Emp") not in counts
+
+
+def test_made_up_names_leave_the_registry_and_its_spelling_memo_at_a_fixed_size():
+    """The provider labels every histogram with ``metric_relation``, so
+    10 000 envelopes for names it never stored add no instrument and no
+    memoised label spelling once the first of each kind has been served."""
+    provider = OutsourcedDatabaseServer()
+    bodies = {
+        MessageKind.QUERY: b"",
+        MessageKind.INSERT_TUPLES: encode_insert_tuples(b"", []),
+        MessageKind.TUPLE_COUNT: b"",
+        MessageKind.INDEX_LOOKUP: b"",
+    }
+
+    def sizes() -> tuple[int, int]:
+        snapshot = provider.metrics.snapshot()
+        instruments = snapshot["counters"] + snapshot["gauges"] + snapshot["histograms"]
+        return len(instruments), len(provider.metrics._resolved)
+
+    for kind, body in bodies.items():  # the first of each kind resolves its labels
+        provider.handle_message(MessageV2(kind, "warm-up", body).to_bytes())
+    before = sizes()
+    for i in range(10_000 // len(bodies)):
+        for kind, body in bodies.items():
+            answer = parse_message(
+                provider.handle_message(MessageV2(kind, f"made-up-{i}", body).to_bytes())
+            )
+            assert answer.kind is MessageKind.ERROR
+    assert sizes() == before
+    relations = {dict(spelling[1:]).get("relation") for spelling in provider.metrics._resolved}
+    assert relations == {None, UNKNOWN_RELATION}

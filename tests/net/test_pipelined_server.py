@@ -267,10 +267,11 @@ class TestTheOneDispatchPath:
             finally:
                 sock.close()
             trace = database.trace_buffer.get(trace_id)
-            (dispatch,) = [s for s in trace["spans"] if s["name"] == "server.dispatch"]
-            assert set(dispatch["annotations"]) == {"relation", "queue_wait_s"}
-            assert dispatch["annotations"]["relation"] == "Emp"
-            assert dispatch["annotations"]["queue_wait_s"] >= 0
+            (served,) = trace["spans"]  # one span per request
+            assert served["name"] == "provider.list-tuple-ids"
+            assert set(served["annotations"]) == {"relation", "queue_wait_s"}
+            assert served["annotations"]["relation"] == "Emp"
+            assert served["annotations"]["queue_wait_s"] >= 0
             assert len(database.slow_queries) == 1
             queue_waits = [
                 h for h in server.server.metrics.snapshot()["histograms"]

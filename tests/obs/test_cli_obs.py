@@ -131,7 +131,8 @@ class TestTraceCommand:
         captured = capsys.readouterr()
         assert exit_code == 0
         assert "recent trace(s)" in captured.out
-        assert "server.dispatch" in captured.out
+        assert "provider.query" in captured.out
+        assert "queue_wait_s=" in captured.out
 
     def test_trace_id_assembles_provider_spans(self, provider, capsys):
         url = f"tcp://127.0.0.1:{provider.port}"

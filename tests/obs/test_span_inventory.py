@@ -5,12 +5,17 @@ mechanism was replaced (generator context managers -> self-timing slotted
 spans): for every transport x index x cache combination, the multiset of
 span names in ``fetch_trace()`` after each step of one fixed script, each
 with the sorted *keys* of its annotations.  The mechanism may change; that
-table may not.  It was re-declared twice since: when each write became one
-envelope (the write steps' ``provider.*`` span names and their request and
-scatter counts changed), and when the TCP front-end came down to one
-request path (the ``server.dispatch`` span lost its constant ``path``
-annotation); nothing else changed.  Regenerate it (only when spans
-are added on purpose, or requests are) with
+table may not.  It was re-declared three times since: when each write
+became one envelope (the write steps' ``provider.*`` span names and their
+request and scatter counts changed), when the TCP front-end came down to
+one request path (the ``server.dispatch`` span lost its constant ``path``
+annotation), and when the provider came to file one span per request
+(``server.dispatch`` and ``access.<method>`` folded into
+``provider.<kind>``, which gained their ``queue_wait_s`` and, on an index
+lookup, ``access``, ``fallback_taken``, ``examined`` and ``result_size``;
+the ``tcp-async`` rows, equal to the ``tcp`` ones, went).  Nothing else
+changed.  Regenerate it (only when spans are added on purpose, or requests
+are) with
 ``PYTHONPATH=src python tests/obs/test_span_inventory.py > tests/obs/span_inventory.json``.
 """
 
@@ -36,9 +41,8 @@ ONE = "SELECT * FROM Emp WHERE name = 'emp3'"
 OTHER = "SELECT * FROM Emp WHERE name = 'emp4'"
 
 #: ``async-key`` is a ``tcp://`` URL carrying ``async=1``, which has no
-#: effect: it records what ``tcp`` records.  The file's ``tcp-async`` rows,
-#: written for a pipelined proxy that is gone, equal its ``tcp`` rows and
-#: go at the next re-declaration.
+#: effect: it records what ``tcp`` records, so it is checked against the
+#: ``tcp`` rows and has none of its own.
 TRANSPORTS = ("in-process", "tcp", "async-key", "cluster")
 OPTIONS = tuple((index, cache) for index in (False, True) for cache in (False, True))
 

@@ -2,21 +2,34 @@
 
 from __future__ import annotations
 
+import contextlib
 import threading
 
 import pytest
 
 from repro.obs import (
+    AMBIENT_TRACE,
     TRACE_ID_SIZE,
     SlowQueryLog,
     Span,
     Trace,
     TraceBuffer,
-    current_trace,
     new_trace_id,
     span,
-    use_trace,
 )
+
+current_trace = AMBIENT_TRACE.get
+
+
+@contextlib.contextmanager
+def use_trace(trace: Trace | None):
+    """Bind ``trace`` as the ambient trace for the ``with`` block, the way a
+    session operation's root span binds its own."""
+    token = AMBIENT_TRACE.set(trace)
+    try:
+        yield trace
+    finally:
+        AMBIENT_TRACE.reset(token)
 
 
 class TestTrace:
@@ -81,10 +94,10 @@ class TestAmbientTrace:
     def test_module_span_records_on_the_ambient_trace(self):
         trace = Trace(new_trace_id())
         with use_trace(trace):
-            with span("access.index", examined=7):
+            with span("cache.lookup", examined=7):
                 pass
         (recorded,) = trace.spans
-        assert recorded.name == "access.index"
+        assert recorded.name == "cache.lookup"
         assert recorded.annotations == {"examined": 7}
 
     def test_module_span_is_a_noop_when_untraced(self):

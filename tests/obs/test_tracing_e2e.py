@@ -39,8 +39,11 @@ class TestInProcessTracing:
         assert trace["trace_id"] == db.last_trace_id
         names = _span_names(trace)
         assert "session.select" in names
-        assert any(name.startswith("provider.") for name in names)
-        assert any(name.startswith("access.") for name in names)
+        (served,) = [s for s in trace["spans"] if s["name"].startswith("provider.")]
+        assert served["name"] == "provider.index-lookup"
+        assert served["annotations"]["access"] == "index"
+        assert served["annotations"]["fallback_taken"] is False
+        assert served["annotations"]["result_size"] == 12
         # spans come out sorted by wall-clock start with sane durations
         starts = [span["start_s"] for span in trace["spans"]]
         assert starts == sorted(starts)
@@ -84,7 +87,7 @@ class TestInProcessTracing:
 
 
 class TestTcpTracing:
-    def test_remote_select_adds_proxy_and_dispatch_spans(self, secret_key, rng):
+    def test_remote_select_adds_proxy_and_provider_spans(self, secret_key, rng):
         with ThreadedTcpServer() as server:
             url = f"tcp://127.0.0.1:{server.port}"
             with EncryptedDatabase.connect(url, secret_key, rng=rng) as db:
@@ -94,8 +97,11 @@ class TestTcpTracing:
                 names = _span_names(trace)
                 assert "session.select" in names
                 assert "proxy.request" in names
-                assert "server.dispatch" in names
-                assert any(name.startswith("provider.") for name in names)
+                (served,) = [
+                    s for s in trace["spans"] if s["name"].startswith("provider.")
+                ]
+                assert served["name"] == "provider.query"
+                assert served["annotations"]["queue_wait_s"] >= 0
                 db.drop_table("Emp")
 
     def test_the_metrics_snapshot_keeps_the_old_server_names(self, secret_key, rng):
@@ -174,9 +180,10 @@ class TestClusterAcceptance:
                 assert "session.select" in names
                 assert "router.scatter" in names
                 assert "shard.request" in names
-                assert "server.dispatch" in names
-                assert any(name.startswith("provider.") for name in names)
-                assert any(name.startswith("access.") for name in names)
+                served = [s for s in trace["spans"] if s["name"].startswith("provider.")]
+                assert {s["name"] for s in served} == {"provider.index-lookup"}
+                assert all("queue_wait_s" in s["annotations"] for s in served)
+                assert {s["annotations"]["access"] for s in served} == {"index"}
                 # wall-clock ordering is monotonic and durations sane
                 starts = [s["start_s"] for s in trace["spans"]]
                 assert starts == sorted(starts)
@@ -253,11 +260,11 @@ class TestCliObservability:
         assert main(["trace", url]) == 0
         out = capsys.readouterr().out
         assert "recent trace(s)" in out
-        assert "server.dispatch" in out
+        assert "provider." in out
         assert main(["trace", url, "--trace-id", db.last_trace_id]) == 0
         out = capsys.readouterr().out
         assert f"trace {db.last_trace_id}:" in out
-        assert "server.dispatch" in out
+        assert "queue_wait_s=" in out
 
     def test_repro_trace_limit_bounds_the_listing(self, serving, capsys):
         url, db = serving

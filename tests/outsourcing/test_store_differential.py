@@ -8,12 +8,15 @@ runs random ``save`` / ``append`` / ``remove`` / ``load`` / ``tuple_count``
 / ``fetch`` / ``delete`` sequences over a pool of three tuple ids, so
 duplicate copies of one id are the common case, against both.  Deletes go
 through the provider too, whose ``TUPLES_DELETED`` audit event must count
-every copy removed.  The file-backed store runs the same machine, every
-read on the in-memory store's code, and a fresh backend on its directory
-must equal the model after every step; a ``reopen`` rule also checks the
-live backend after a fresh one and restarts the provider on the fresh one.
-Two broken stores -- one that drops duplicate copies, one that reports
-deleted ids in request order -- must fail it.
+every copy removed.  A run starts from a stored relation holding tuples,
+and three deletes in four ask for a stored relation and, when it holds
+tuples, ids it holds, so most deletes find their relation.  The
+file-backed store runs the same machine, every read on the in-memory
+store's code, and a fresh backend on its directory must equal the model
+after every step; a ``reopen`` rule also checks the live backend after a
+fresh one and restarts the provider on the fresh one.  Three broken stores
+-- one that drops duplicate copies, one that reports deleted ids in request
+order, and a file store whose delete skips the file rewrite -- must fail it.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from hypothesis import HealthCheck, Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
+    initialize,
     invariant,
     rule,
     run_state_machine_as_test,
@@ -99,16 +103,23 @@ class ReportsRequestOrder(InMemoryStorageBackend):
         return tuple(dict.fromkeys(i for i in tuple_ids if i in gone)), copies
 
 
+class SkipsTheFileRewrite(FileStorageBackend):
+    """A delete leaves the relation file as it was."""
+
+    def remove(self, name, tuple_ids):
+        return InMemoryStorageBackend.remove(self, name, tuple_ids)
+
+
 class StoreMachine(RuleBasedStateMachine):
-    #: A store class, or ``"file"`` for a file-backed store in a fresh directory.
+    #: A store class; a file store gets a fresh directory.
     backend = InMemoryStorageBackend
 
     def __init__(self) -> None:
         super().__init__()
         self.directory = None
-        if self.backend == "file":
+        if issubclass(self.backend, FileStorageBackend):
             self.directory = tempfile.mkdtemp(prefix="store-differential-")
-            storage = FileStorageBackend(self.directory)
+            storage = self.backend(self.directory)
         else:
             storage = self.backend()
         self.server = OutsourcedDatabaseServer(storage=storage)
@@ -125,12 +136,30 @@ class StoreMachine(RuleBasedStateMachine):
         self.payloads += 1
         return EncryptedTuple(tuple_id=tuple_id, payload=self.payloads.to_bytes(4, "big"))
 
+    def _removal(self, data) -> tuple[str, list[bytes]]:
+        """What a delete asks for: three times in four, while a relation is
+        stored, that relation and, when it holds tuples, one or two ids it
+        holds; else any name and any ids, an absent relation included."""
+        stored = sorted(self.model.relations)
+        if not stored or not data.draw(st.sampled_from((True, True, True, False))):
+            return data.draw(names, label="name"), data.draw(id_lists, label="ids")
+        name = data.draw(st.sampled_from(stored), label="name")
+        held = sorted({t.tuple_id for t in self.model.relations[name]})
+        if not held:
+            return name, data.draw(id_lists, label="ids")
+        return name, data.draw(st.lists(st.sampled_from(held), min_size=1, max_size=2))
+
     def _absent(self, name: str) -> bool:
         """A read or write of a relation neither side holds must fail on the store."""
         if name in self.model.relations:
             return False
         assert name not in self.store
         return True
+
+    @initialize(tuple_ids=st.lists(ids, min_size=1, max_size=5))
+    def store_a_relation(self, tuple_ids):
+        """Every run starts from a stored relation holding tuples."""
+        self.save(NAMES[0], tuple_ids)
 
     @rule(name=names, tuple_ids=st.lists(ids, max_size=5))
     def save(self, name, tuple_ids):
@@ -148,16 +177,18 @@ class StoreMachine(RuleBasedStateMachine):
         self.store.append(name, [encrypted_tuple])
         self.model.relations[name].append(encrypted_tuple)
 
-    @rule(name=names, tuple_ids=id_lists)
-    def remove(self, name, tuple_ids):
+    @rule(data=st.data())
+    def remove(self, data):
+        name, tuple_ids = self._removal(data)
         if self._absent(name):
             with pytest.raises(StorageError):
                 self.store.remove(name, tuple_ids)
             return
         assert self.store.remove(name, tuple_ids) == self.model.remove(name, tuple_ids)
 
-    @rule(name=names, tuple_ids=id_lists)
-    def delete_through_the_provider(self, name, tuple_ids):
+    @rule(data=st.data())
+    def delete_through_the_provider(self, data):
+        name, tuple_ids = self._removal(data)
         if self._absent(name):
             with pytest.raises(ServerError):
                 self.server.delete_tuples(name, tuple_ids, IndexDelta())
@@ -205,7 +236,7 @@ class StoreMachine(RuleBasedStateMachine):
 class FileStoreMachine(StoreMachine):
     """The file store, whose directory must equal the model after every step."""
 
-    backend = "file"
+    backend = FileStorageBackend
 
     @rule()
     def reopen(self):
@@ -223,9 +254,8 @@ class FileStoreMachine(StoreMachine):
 
 
 def _machine(backend):
-    label = backend if isinstance(backend, str) else backend.__name__
-    base = FileStoreMachine if backend == "file" else StoreMachine
-    return type(f"StoreMachine[{label}]", (base,), {"backend": backend})
+    base = FileStoreMachine if issubclass(backend, FileStorageBackend) else StoreMachine
+    return type(f"StoreMachine[{backend.__name__}]", (base,), {"backend": backend})
 
 
 def _settings(phases=(Phase.generate, Phase.shrink), max_examples=100) -> settings:
@@ -246,10 +276,14 @@ def test_the_in_memory_store_matches_the_tuple_rewrite():
 
 
 def test_the_file_store_defaults_match_the_tuple_rewrite():
-    run_state_machine_as_test(_machine("file"), settings=_settings(max_examples=30))
+    run_state_machine_as_test(
+        _machine(FileStorageBackend), settings=_settings(max_examples=30)
+    )
 
 
-@pytest.mark.parametrize("broken", [DropsDuplicateCopies, ReportsRequestOrder])
+@pytest.mark.parametrize(
+    "broken", [DropsDuplicateCopies, ReportsRequestOrder, SkipsTheFileRewrite]
+)
 def test_the_machine_fails_on_a_broken_store(broken):
     with pytest.raises(AssertionError):
         run_state_machine_as_test(

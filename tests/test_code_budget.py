@@ -12,7 +12,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 #: Path under the repository root -> the most Python lines it may hold.
 BUDGETS = {
-    "src": 17_212,
+    "src": 17_200,
     "src/repro/index": 369,
     "src/repro/net": 1_569,
     "src/repro/cluster/router.py": 841,
